@@ -24,7 +24,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.crypto import DesKey
-from repro.core.authenticator import build_authenticator, unseal_authenticator
+from repro.core.authenticator import (
+    Authenticator,
+    build_authenticator,
+    unseal_authenticator,
+)
 from repro.core.errors import ErrorCode, KerberosError
 from repro.core.messages import ApReply, ApRequest
 from repro.core.replay import CLOCK_SKEW, ReplayCache
@@ -133,6 +137,10 @@ def krb_rd_req(
     the ticket with that in the authenticator, the IP address from which
     the request was received, and the present time.  If everything
     matches, it allows the request to proceed."*
+
+    The two unseals and the two halves of the checklist are separate
+    functions so the KDC's batch plane can run each unseal across a
+    whole batch; this is their composition for one request.
     """
     if isinstance(service_key_or_srvtab, SrvTab):
         service_key = service_key_or_srvtab.key_for(service, request.kvno)
@@ -140,7 +148,18 @@ def krb_rd_req(
         service_key = service_key_or_srvtab
 
     ticket = unseal_ticket(request.ticket, service_key)
+    check_ticket(ticket, service, now, skew)
+    auth = unseal_authenticator(request.authenticator, ticket.key)
+    return check_authenticator(
+        ticket, auth, packet_address, now, replay_cache, skew
+    )
 
+
+def check_ticket(
+    ticket: Ticket, service: Principal, now: float, skew: float = CLOCK_SKEW
+) -> None:
+    """The checklist's first half, on the decrypted ticket alone — what
+    must hold before its session key is used on the authenticator."""
     # The ticket must actually be for us — a ticket for another service
     # sealed under (somehow) the same key is still rejected.
     if not ticket.server.same_entity(service):
@@ -161,8 +180,18 @@ def krb_rd_req(
             f"ticket not valid until {ticket.timestamp:.0f}, now {now:.0f}",
         )
 
-    auth = unseal_authenticator(request.authenticator, ticket.key)
 
+def check_authenticator(
+    ticket: Ticket,
+    auth: Authenticator,
+    packet_address: IPAddress,
+    now: float,
+    replay_cache: Optional[ReplayCache] = None,
+    skew: float = CLOCK_SKEW,
+) -> AuthContext:
+    """The checklist's second half, on the decrypted authenticator:
+    identity, address, freshness, replay.  Consults (and feeds) the
+    replay cache, so a batch must call it in arrival order."""
     # "compares the information in the ticket with that in the
     # authenticator" — same client...
     if not auth.client.same_entity(ticket.client):

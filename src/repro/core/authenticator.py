@@ -22,7 +22,7 @@ sent", Section 6.2); zero when unused.
 from __future__ import annotations
 
 from repro.crypto import DesKey, IntegrityError, seal, unseal
-from repro.core.errors import ErrorCode, KerberosError
+from repro.core.ticket import decrypt_failure
 from repro.encode import DecodeError, WireStruct, field
 from repro.netsim import IPAddress
 from repro.principal import Principal
@@ -72,7 +72,4 @@ def unseal_authenticator(blob: bytes, session_key: DesKey) -> Authenticator:
     try:
         return Authenticator.from_bytes(unseal(session_key, blob))
     except (IntegrityError, DecodeError) as exc:
-        raise KerberosError(
-            ErrorCode.RD_AP_MODIFIED,
-            f"authenticator failed to decrypt: {exc}",
-        ) from exc
+        raise decrypt_failure("authenticator", exc)

@@ -28,15 +28,15 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from repro.crypto import (
-    DesKey,
-    KeyGenerator,
-    keycache,
-    seal_many,
-    seal_resume_many,
-)
+from repro.crypto import DesKey, KeyGenerator, keycache, seal_many
 from repro.crypto.modes import interleaved_blocks
-from repro.core.applib import krb_rd_req
+from repro.core.applib import (
+    AuthContext,
+    check_authenticator,
+    check_ticket,
+    krb_rd_req,
+)
+from repro.core.authenticator import Authenticator
 from repro.core.errors import ErrorCode, KerberosError, error_for_code
 from repro.core.service import Service
 from repro.core.messages import (
@@ -52,7 +52,12 @@ from repro.core.messages import (
     verify_preauth,
 )
 from repro.core.replay import CLOCK_SKEW, ReplayCache
-from repro.core.ticket import Ticket, seal_ticket_cached, ticket_seal_job
+from repro.core.ticket import (
+    Ticket,
+    seal_ticket_cached,
+    seal_tickets_cached,
+    unseal_structs,
+)
 from repro.database.db import KerberosDatabase, NoSuchPrincipal
 from repro.database.schema import PrincipalRecord
 from repro.encode import BatchReader, BatchWriter
@@ -71,6 +76,26 @@ XREALM_NAME = "xrealm"
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
+class _KeyTouchMeter:
+    """Key-schedule cache lookups since the last reading — the O(1)
+    source of the per-request ``crypto_ops`` span attribute (the same
+    hit+miss count ``crypto.keyschedule_total`` mirrors into the
+    registry, without scanning the registry per request)."""
+
+    def __init__(self) -> None:
+        self._mark = self._touches()
+
+    @staticmethod
+    def _touches() -> int:
+        stats = keycache.stats()
+        return stats["hit"] + stats["miss"]
+
+    def lap(self) -> int:
+        mark = self._touches()
+        delta, self._mark = mark - self._mark, mark
+        return delta
+
+
 class _Prepared(NamedTuple):
     """Everything a successful exchange needs *before* any sealing — the
     output of the lookup-all stage, consumed by seal-all/encode-all."""
@@ -78,7 +103,6 @@ class _Prepared(NamedTuple):
     kind: str                    # "as" | "tgs"
     mtype: MessageType           # AS_REP | TGS_REP
     client: Principal            # reply's cleartext client field
-    principal: str               # audit identity
     ticket: Ticket
     service_key: DesKey          # seals the ticket
     reply_key: DesKey            # seals the reply body
@@ -176,14 +200,20 @@ class KerberosServer(Service):
             window=self.skew, metrics=self.metrics, labels=self._labels,
             audit=self.audit, host=host.name,
         )
-        for kind in ("as", "tgs"):
-            self.metrics.counter(
+        # Fixed-label series resolved once, not per request.
+        self._requests_total = {
+            kind: self.metrics.counter(
                 "kdc.requests_total", {**self._labels, "kind": kind}
             )
-            self.metrics.counter(
+            for kind in ("as", "tgs")
+        }
+        self._ok_total = {
+            kind: self.metrics.counter(
                 "kdc.outcomes_total",
                 {**self._labels, "kind": kind, "code": "OK"},
             )
+            for kind in ("as", "tgs")
+        }
         self.metrics.counter("kdc.skeleton_hits_total", self._labels)
         if self.shard is not None:
             self.metrics.counter("kdc.referrals_total", self._labels)
@@ -285,8 +315,9 @@ class KerberosServer(Service):
 
         Runs at the batch's simulated completion time.  The whole batch
         flows through the staged pipeline (:meth:`_serve_batch`):
-        decode-all → lookup-all (one memoized DB pass) → seal-all (two
-        messages per Feistel pass) → encode-all (one output buffer).
+        decode-all → unseal-all (the TGS request side) → lookup-all (one
+        memoized DB pass) → seal-all (one block of every message per
+        Feistel pass) → encode-all (one output buffer).
         """
         if self.host is None or not self.host.up:
             # Crashed mid-service: the replies die with the process.
@@ -329,14 +360,16 @@ class KerberosServer(Service):
         self, datagrams, waits=None, service_each=None
     ) -> List[memoryview]:
         """The batch-aware request plane: explicit decode-all →
-        lookup-all → seal-all → encode-all stages over one batch.
+        unseal-all → lookup-all → seal-all → encode-all stages over one
+        batch.
 
         Item failures are per-item: a garbage frame or a typed
         :class:`KerberosError` becomes that slot's error reply and the
         rest of the batch proceeds.  Replies are bit-identical to
-        :meth:`_serve` answering each datagram alone — keygen state is
-        consumed in item order, and the split/interleaved seals are
-        bit-exact by construction.
+        :meth:`_serve` answering each datagram alone — the replay cache
+        is consulted and keygen state consumed in item order, and the
+        batched unseals and split/interleaved seals are bit-exact by
+        construction.
         """
         n = len(datagrams)
         if waits is None:
@@ -349,6 +382,7 @@ class KerberosServer(Service):
             self._batch_records = {}
         try:
             now = self.host.clock.now()
+            blocks_before = interleaved_blocks()
             # -- stage 1: decode-all ---------------------------------------
             kinds = ["other"] * n
             errors: List[Optional[KerberosError]] = [None] * n
@@ -372,43 +406,42 @@ class KerberosServer(Service):
                     continue
                 messages[i] = message
                 principals[i] = str(getattr(message, "client", "") or "")
-                self.metrics.counter(
-                    "kdc.requests_total", {**self._labels, "kind": kinds[i]}
-                ).inc()
-            # -- stage 2: lookup-all (one memoized DB pass) ----------------
+                self._requests_total[kinds[i]].inc()
+            # -- stage 2: unseal-all (TGS request side, two wide waves) ----
+            crypto_ops = [0] * n
+            meter = _KeyTouchMeter()
+            contexts = self._unseal_all(
+                messages, kinds, datagrams, now, errors, crypto_ops, meter
+            )
+            # -- stage 3: lookup-all (one memoized DB pass) ----------------
             lookups_before = self.metrics.total(
                 "kdc.batch_lookups_saved_total", **self._labels
             )
             prepared: List[Optional[_Prepared]] = [None] * n
-            crypto_ops = [0] * n
             for i, message in enumerate(messages):
-                if message is None:
+                if errors[i] is not None:
                     continue
-                crypto_before = self.metrics.total("crypto.keyschedule_total")
                 try:
                     if kinds[i] == "as":
                         prepared[i] = self._prepare_as(
                             message, datagrams[i], now
                         )
                     else:
+                        # Authenticated: failures from here on are
+                        # audited under the client the TGT names.
+                        principals[i] = str(contexts[i].client)
                         prepared[i] = self._prepare_tgs(
-                            message, datagrams[i], now
+                            message, datagrams[i], now, contexts[i]
                         )
-                    principals[i] = prepared[i].principal
                 except KerberosError as err:
                     errors[i] = err
-                crypto_ops[i] = int(
-                    self.metrics.total("crypto.keyschedule_total")
-                    - crypto_before
-                )
-            # -- stage 3: seal-all (interleaved kernel) --------------------
+                crypto_ops[i] += meter.lap()
+            # -- stage 4: seal-all (interleaved kernel) --------------------
             ready = [p for p in prepared if p is not None]
-            blocks_before = interleaved_blocks()
             hits_before = keycache.skeleton_stats()["hit"]
-            ticket_blobs = seal_resume_many([
-                (p.service_key,) + ticket_seal_job(p.ticket, p.service_key)
-                for p in ready
-            ])
+            ticket_blobs = seal_tickets_cached(
+                [(p.ticket, p.service_key) for p in ready]
+            )
             skeleton_hits = keycache.skeleton_stats()["hit"] - hits_before
             if skeleton_hits:
                 self.metrics.counter(
@@ -418,7 +451,7 @@ class KerberosServer(Service):
                 (p.reply_key, p.body(blob).to_bytes())
                 for p, blob in zip(ready, ticket_blobs)
             ])
-            # -- stage 4: encode-all (one output buffer) -------------------
+            # -- stage 5: encode-all (one output buffer) -------------------
             writer = BatchWriter()
             sealed_iter = iter(sealed_bodies)
             for i in range(n):
@@ -463,7 +496,7 @@ class KerberosServer(Service):
                     span.attrs["crypto_ops"] = crypto_ops[i]
                     span.attrs.update(stage_attrs)
                 if errors[i] is None:
-                    self._outcome(kind, "OK")
+                    self._ok_total[kind].inc()
                     self.audit.emit(
                         "auth_success",
                         host=self.host.name,
@@ -479,6 +512,69 @@ class KerberosServer(Service):
         finally:
             if fresh_memo:
                 self._batch_records = None
+
+    def _unseal_all(
+        self, messages, kinds, datagrams, now: float, errors, crypto_ops,
+        meter,
+    ) -> List[Optional[AuthContext]]:
+        """The request side of every TGS item of a batch (Figure 8), as
+        two batched unseals with :func:`krb_rd_req`'s own checklist
+        halves between and after them.
+
+        A failing item gets its :class:`KerberosError` in ``errors[i]``;
+        a passing one its :class:`AuthContext` in the returned list
+        (None for every item that is not an authenticated TGS request).
+        The authenticator of a ticket that failed its checks is never
+        decrypted, and the replay cache sees the survivors in item order.
+        """
+        contexts: List[Optional[AuthContext]] = [None] * len(messages)
+        # Wave 1: every TGT under its (local or inter-realm) TGS key.
+        wave = []
+        for i, kind in enumerate(kinds):
+            if kind != "tgs":
+                continue
+            try:
+                wave.append((i, self._tgt_key(messages[i].tgt_realm)))
+            except KerberosError as err:
+                errors[i] = err
+            crypto_ops[i] += meter.lap()
+        if not wave:
+            return contexts
+        tickets = unseal_structs(
+            Ticket, "ticket", [(messages[i].tgt, key) for i, key in wave]
+        )
+        service = tgs_principal(self.realm)
+        # Wave 2: the authenticators of the tickets that check out, each
+        # under its TGT's session key.
+        survivors = []
+        for (i, _key), ticket in zip(wave, tickets):
+            if isinstance(ticket, KerberosError):
+                errors[i] = ticket
+                continue
+            try:
+                check_ticket(ticket, service, now, self.skew)
+                survivors.append((i, ticket, ticket.key))
+            except KerberosError as err:
+                errors[i] = err
+            crypto_ops[i] += meter.lap()
+        authenticators = unseal_structs(
+            Authenticator,
+            "authenticator",
+            [(messages[i].authenticator, key) for i, _t, key in survivors],
+        )
+        for (i, ticket, _key), auth in zip(survivors, authenticators):
+            if isinstance(auth, KerberosError):
+                errors[i] = auth
+                continue
+            try:
+                contexts[i] = check_authenticator(
+                    ticket, auth, datagrams[i].src, now,
+                    self.replay_cache, self.skew,
+                )
+            except KerberosError as err:
+                errors[i] = err
+            crypto_ops[i] += meter.lap()
+        return contexts
 
     def _get_record(self, principal: Principal) -> PrincipalRecord:
         """DB row fetch, memoized across the current batch."""
@@ -515,9 +611,7 @@ class KerberosServer(Service):
             elif mtype == MessageType.TGS_REQ:
                 kind = "tgs"
             if kind != "other":
-                self.metrics.counter(
-                    "kdc.requests_total", {**self._labels, "kind": kind}
-                ).inc()
+                self._requests_total[kind].inc()
             # AS requests name their client in the clear; TGS handlers
             # fill the principal in once the TGT authenticates it.
             self._serving_principal = str(getattr(message, "client", "") or "")
@@ -531,7 +625,7 @@ class KerberosServer(Service):
                     span.attrs["queue_wait"] = round(queue_wait, 9)
                     span.attrs["batch_size"] = batch_size
                     span.attrs["service_time"] = round(service_time, 9)
-                crypto_before = self.metrics.total("crypto.keyschedule_total")
+                meter = _KeyTouchMeter()
                 if kind == "as":
                     reply = self._handle_as(message, datagram)
                 elif kind == "tgs":
@@ -541,11 +635,8 @@ class KerberosServer(Service):
                         ErrorCode.KDC_GEN_ERR,
                         f"KDC does not handle {mtype.name} messages",
                     )
-                span.attrs["crypto_ops"] = int(
-                    self.metrics.total("crypto.keyschedule_total")
-                    - crypto_before
-                )
-            self._outcome(kind, "OK")
+                span.attrs["crypto_ops"] = meter.lap()
+            self._ok_total[kind].inc()
             self.audit.emit(
                 "auth_success",
                 host=self.host.name,
@@ -727,7 +818,6 @@ class KerberosServer(Service):
             kind="as",
             mtype=MessageType.AS_REP,
             client=client,
-            principal=str(request.client),
             ticket=ticket,
             service_key=service_key,
             reply_key=client_key,
@@ -759,29 +849,31 @@ class KerberosServer(Service):
             ) from None
 
     def _handle_tgs(self, request: TgsRequest, datagram) -> bytes:
-        return self._finish_prepared(
-            self._prepare_tgs(request, datagram, self.host.clock.now())
-        )
-
-    def _prepare_tgs(
-        self, request: TgsRequest, datagram, now: float
-    ) -> _Prepared:
-        tgt_key = self._tgt_key(request.tgt_realm)
-
+        now = self.host.clock.now()
         # "The ticket-granting server then checks the authenticator and
         # ticket-granting ticket as described above" — the full Figure 6
         # validation, with the TGS itself as the target service.
         context = krb_rd_req(
             request=_as_ap_request(request),
             service=tgs_principal(self.realm),
-            service_key_or_srvtab=tgt_key,
+            service_key_or_srvtab=self._tgt_key(request.tgt_realm),
             packet_address=datagram.src,
             now=now,
             replay_cache=self.replay_cache,
             skew=self.skew,
         )
+        self._serving_principal = str(context.client)
+        return self._finish_prepared(
+            self._prepare_tgs(request, datagram, now, context)
+        )
+
+    def _prepare_tgs(
+        self, request: TgsRequest, datagram, now: float, context: AuthContext
+    ) -> _Prepared:
+        """Everything after authentication: ``context`` is the verdict
+        of :func:`krb_rd_req` (single plane) or of the batch plane's
+        unseal-all stage on this request's TGT and authenticator."""
         client = context.client  # realm preserved from the TGT (Sec. 7.2)
-        self._serving_principal = str(client)
 
         service_record = self._lookup_service(request.service, now)
         # Section 5.1: "the ticket-granting service will not issue
@@ -829,7 +921,6 @@ class KerberosServer(Service):
             kind="tgs",
             mtype=MessageType.TGS_REP,
             client=client,
-            principal=str(client),
             ticket=ticket,
             service_key=service_key,
             reply_key=context.session_key,

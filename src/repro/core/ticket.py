@@ -18,16 +18,18 @@ and the target server a ticket is opaque bytes.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence, Tuple, Type, Union
 
 from repro.crypto import (
+    SEAL_START,
     DesKey,
     IntegrityError,
     keycache,
     seal,
-    seal_prefix_state,
-    seal_resume,
+    seal_resume_many,
+    sealed_prefix_state,
     unseal,
+    unseal_many,
 )
 from repro.core.errors import ErrorCode, KerberosError
 from repro.encode import DecodeError, WireStruct, field
@@ -95,46 +97,87 @@ def seal_ticket(ticket: Ticket, server_key: DesKey) -> bytes:
 _TICKET_SUFFIX_LEN = 8 + 8 + 4 + 8
 
 
-def ticket_seal_job(
-    ticket: Ticket, server_key: DesKey
-) -> Tuple[Tuple[bytes, int], bytes]:
-    """Split a ticket seal into a resumable ``(state, suffix)`` pair.
+def seal_tickets_cached(
+    pairs: Sequence[Tuple[Ticket, DesKey]]
+) -> List[bytes]:
+    """Seal many ``(ticket, server_key)`` pairs in one batch run,
+    re-encrypting only the per-issuance suffix (timestamp, life, session
+    key) of a ticket whose fixed prefix was sealed before under the same
+    key.  Bit-identical to :func:`seal_ticket` per pair.
 
-    The PCBC state for the ticket's fixed prefix (seal header + server +
-    client + address) comes from the process-wide skeleton cache when
-    possible — the cache key is the literal (sealing key, total length,
-    prefix plaintext) content, so a rotated service key or renamed
-    principal can never hit a stale entry.  Finishing the job via
-    :func:`repro.crypto.seal_resume` (or the KDC's batched
-    ``seal_resume_many``) is bit-identical to :func:`seal_ticket`.
+    The skeleton — the PCBC state ``[cipher_prefix, chain]`` after the
+    seal header + server + client + address — lives in the process-wide
+    skeleton cache under the literal (sealing key, total length, prefix
+    plaintext) content, so a rotated service key or renamed principal
+    can never hit a stale entry.  A miss reserves its entry *empty* and
+    the ticket rides the run as a whole frame, beside the resumed ones;
+    the state is then read off the finished seal rather than sealed a
+    second time.  A later ticket of the same run that finds the entry
+    still empty rides whole as well.
     """
-    plain = ticket.to_bytes()
-    cut = max(0, len(plain) - _TICKET_SUFFIX_LEN) & ~0x7
-    prefix, suffix = plain[:cut], plain[cut:]
-    cache_key = (server_key.key_bytes, len(plain), prefix)
-    state = keycache.skeleton_get(cache_key)
-    if state is None:
-        state = seal_prefix_state(server_key, len(plain), prefix)
-        keycache.skeleton_put(cache_key, state)
-    return state, suffix
+    jobs = []
+    unfilled = []
+    for ticket, server_key in pairs:
+        plain = ticket.to_bytes()
+        cut = max(0, len(plain) - _TICKET_SUFFIX_LEN) & ~0x7
+        cache_key = (server_key.key_bytes, len(plain), plain[:cut])
+        skeleton = keycache.skeleton_get(cache_key)
+        if skeleton is None:
+            skeleton = []
+            keycache.skeleton_put(cache_key, skeleton)
+        if skeleton:
+            jobs.append((server_key, skeleton, plain[cut:]))
+        else:
+            unfilled.append((len(jobs), skeleton, plain, cut))
+            jobs.append((server_key, SEAL_START, plain))
+    sealed = seal_resume_many(jobs)
+    for index, skeleton, plain, cut in unfilled:
+        skeleton[:] = sealed_prefix_state(plain, sealed[index], cut)
+    return sealed
 
 
 def seal_ticket_cached(ticket: Ticket, server_key: DesKey) -> bytes:
-    """Skeleton-cached :func:`seal_ticket`: re-encrypts only the
-    per-issuance suffix (timestamp, life, session key) when the ticket's
-    fixed prefix was sealed before under the same key."""
-    state, suffix = ticket_seal_job(ticket, server_key)
-    return seal_resume(server_key, state, suffix)
+    """Skeleton-cached :func:`seal_ticket`: the batch of one."""
+    return seal_tickets_cached([(ticket, server_key)])[0]
+
+
+def decrypt_failure(what: str, exc: Exception) -> KerberosError:
+    """A wrong key, a modified message, or garbage all map to
+    ``RD_AP_MODIFIED`` — the indistinguishability is the point:
+    tampering cannot be told apart from forgery."""
+    error = KerberosError(
+        ErrorCode.RD_AP_MODIFIED, f"{what} failed to decrypt: {exc}"
+    )
+    error.__cause__ = exc
+    return error
 
 
 def unseal_ticket(blob: bytes, server_key: DesKey) -> Ticket:
     """Decrypt and parse a ticket; only the named server (and the KDC that
-    issued it) can do this.  A wrong key, a modified ticket, or garbage
-    all raise ``RD_AP_MODIFIED`` — the indistinguishability is the point:
-    tampering cannot be told apart from forgery."""
+    issued it) can do this."""
     try:
         return Ticket.from_bytes(unseal(server_key, blob))
     except (IntegrityError, DecodeError) as exc:
-        raise KerberosError(
-            ErrorCode.RD_AP_MODIFIED, f"ticket failed to decrypt: {exc}"
-        ) from exc
+        raise decrypt_failure("ticket", exc)
+
+
+def unseal_structs(
+    struct: Type[WireStruct], what: str, items: Sequence[Tuple[bytes, DesKey]]
+) -> List[Union[WireStruct, KerberosError]]:
+    """Decrypt and parse many ``(blob, key)`` pairs in one batch run —
+    tickets, or authenticators.  Returns, position for position, the
+    parsed ``struct`` or the :class:`KerberosError` its single form
+    (:func:`unseal_ticket`, ``unseal_authenticator``) would raise, so one
+    bad item never poisons its batchmates."""
+    opened: List[Union[WireStruct, KerberosError]] = []
+    for plain in unseal_many([(key, blob) for blob, key in items]):
+        if isinstance(plain, IntegrityError):
+            opened.append(decrypt_failure(what, plain))
+            continue
+        try:
+            opened.append(struct.from_bytes(plain))
+        except DecodeError as exc:
+            # Kept as a value: drop the traceback, which would tie this
+            # frame (and ``opened``) into a reference cycle.
+            opened.append(decrypt_failure(what, exc.with_traceback(None)))
+    return opened

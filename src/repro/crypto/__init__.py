@@ -43,6 +43,7 @@ from repro.crypto.des import (
     is_weak_key,
 )
 from repro.crypto.modes import (
+    SEAL_START,
     Mode,
     IntegrityError,
     cbc_decrypt,
@@ -58,6 +59,7 @@ from repro.crypto.modes import (
     seal_prefix_state,
     seal_resume,
     seal_resume_many,
+    sealed_prefix_state,
     unseal,
     unseal_many,
 )
@@ -73,6 +75,7 @@ __all__ = [
     "IntegrityError",
     "KeyGenerator",
     "Mode",
+    "SEAL_START",
     "cbc_decrypt",
     "cbc_encrypt",
     "cbc_mac",
@@ -92,6 +95,7 @@ __all__ = [
     "seal_prefix_state",
     "seal_resume",
     "seal_resume_many",
+    "sealed_prefix_state",
     "string_to_key",
     "unseal",
     "unseal_many",

@@ -16,8 +16,8 @@ is bit-identical by construction; the property suite asserts it against
 numpy is optional: the container may lack it, and
 :func:`repro.crypto.reference.reference_kernels` must be able to
 benchmark without it.  Everything here degrades to ``available() ==
-False`` and the callers (``repro.crypto.modes``) fall back to the
-two-lane kernel.
+False`` and the caller (``repro.crypto.modes``, which also owns the lane
+threshold ``WIDE_MIN_LANES``) falls back to the two-lane kernel.
 """
 
 from typing import Optional
@@ -28,11 +28,6 @@ except ImportError:  # pragma: no cover - exercised on numpy-free hosts
     _np = None
 
 from repro.crypto import des as _des
-
-#: Fewer active lanes than this and the scalar pair kernel wins: a wide
-#: round costs ~200 vector dispatches regardless of width, so it needs
-#: enough lanes to amortize them.
-MIN_LANES = 8
 
 _tables = None
 

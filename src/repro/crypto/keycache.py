@@ -206,11 +206,14 @@ def memoized_string_to_key(
 # A skeleton is the resumable PCBC state of a sealed ticket's fixed
 # prefix — the seal header plus the server/client/address fields that
 # repeat for every ticket a hot (client, server) pair is issued (see
-# repro.core.ticket.seal_ticket_cached).  Entries are *content
-# addressed*: the cache key is the sealing key's bytes plus the literal
-# prefix plaintext (and total length), so a rotated service key or a
-# changed principal can never be served a stale prefix — a mutation
-# simply misses.  The journal-driven invalidation hook
+# repro.core.ticket.seal_tickets_cached).  An entry is a two-item list
+# ``[cipher_prefix, chain]``; a miss reserves it *empty* and the batch
+# run that seals the ticket fills it in place afterwards, so until then
+# (the rest of that batch) finders seal the whole frame themselves.
+# Entries are *content addressed*: the cache key is the sealing key's
+# bytes plus the literal prefix plaintext (and total length), so a
+# rotated service key or a changed principal can never be served a
+# stale prefix — a mutation simply misses.  The journal-driven invalidation hook
 # (:func:`invalidate_skeletons`, wired to database mutation listeners by
 # the KDC) exists to evict now-dead entries promptly, not for
 # correctness.

@@ -195,12 +195,15 @@ def seal(
     return _ENCRYPTORS[mode](key, _frame(data), iv)
 
 
+def _seal_header(data_len: int) -> bytes:
+    return SEAL_MAGIC.to_bytes(4, "big") + data_len.to_bytes(4, "big")
+
+
 def _frame(data: bytes) -> bytes:
     """The seal framing: header, data, zero pad, trailer."""
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError(f"data must be bytes, got {type(data).__name__}")
-    header = SEAL_MAGIC.to_bytes(4, "big") + len(data).to_bytes(4, "big")
-    body = header + bytes(data)
+    body = _seal_header(len(data)) + bytes(data)
     pad_len = (-len(body)) % BLOCK_SIZE
     return body + b"\x00" * pad_len + SEAL_TRAILER
 
@@ -218,21 +221,28 @@ def unseal(
     paper's wrong-password case) or when the ciphertext was tampered with
     (detected whole-message under PCBC).
     """
+    _check_sealed_length(ciphertext)
+    return _open_frame(_DECRYPTORS[mode](key, ciphertext, iv))
+
+
+def _check_sealed_length(ciphertext: bytes) -> None:
+    """A sealed message is whole blocks: at least a header and a trailer."""
     if len(ciphertext) % BLOCK_SIZE != 0 or len(ciphertext) < 2 * BLOCK_SIZE:
         raise IntegrityError(
             f"sealed message has invalid length {len(ciphertext)}"
         )
-    plain = _DECRYPTORS[mode](key, ciphertext, iv)
-    magic = int.from_bytes(plain[:4], "big")
-    if magic != SEAL_MAGIC:
+
+
+def _open_frame(plain: bytes) -> bytes:
+    """Check a decrypted seal frame and return the data it carries."""
+    if int.from_bytes(plain[:4], "big") != SEAL_MAGIC:
         raise IntegrityError("bad magic: wrong key or corrupted message")
     length = int.from_bytes(plain[4:8], "big")
     if 8 + length + BLOCK_SIZE > len(plain):
         raise IntegrityError("declared length exceeds message size")
     if plain[-BLOCK_SIZE:] != SEAL_TRAILER:
         raise IntegrityError("bad trailer: message corrupted in transit")
-    pad = plain[8 + length : -BLOCK_SIZE]
-    if any(pad):
+    if any(plain[8 + length : -BLOCK_SIZE]):
         raise IntegrityError("nonzero padding: message corrupted in transit")
     return plain[8 : 8 + length]
 
@@ -240,18 +250,30 @@ def unseal(
 # --------------------------------------------------------------------------
 # Multi-message PCBC: the batch plane's cipher entry points.
 #
-# PCBC chains are sequential *within* one message, but two independent
+# PCBC chains are sequential *within* one message, but independent
 # messages place no ordering constraint on each other — so a batch of
-# sealed tickets/replies can run two messages per pass of the Feistel
-# network (:func:`repro.crypto.des.crypt_int2`).  The jobs are paired
-# statically (0 with 1, 2 with 3, ...); a pair runs in lockstep over the
-# shorter message, then the longer tail (and an odd final job) falls
-# back to the single-lane kernel.  Outputs are bit-identical to running
-# :func:`seal`/:func:`unseal` per message, which the property suite and
-# the request-plane benchmark's A/B legs both assert.
+# sealed tickets, reply bodies, TGTs or authenticators advances one
+# block of *every* message per pass of the Feistel network.  One job
+# runner serves both directions; a job (:func:`_job`) is a mutable record
+#
+#     [subkeys, chain, blocks, out, decrypt]
+#
+# where each step reads ``blk = blocks[len(out)]`` and computes
+#
+#     encrypt:  out = E(blk ^ chain)        decrypt:  out = D(blk) ^ chain
+#     both:     chain = blk ^ out           (the PCBC value P_i ^ C_i)
+#
+# The direction is carried as a pair of 64-bit masks (chain mixed in
+# before or after the cipher) so the kernels stay branch-free and one
+# run may mix sealing and unsealing lanes.  A job is resumable from
+# ``len(out)``: the wide kernel hands whatever it leaves unfinished to
+# the two-lane kernel, which hands its unpaired tail to the single-lane
+# one.  Outputs are bit-identical to running :func:`pcbc_encrypt` /
+# :func:`pcbc_decrypt` per message, which the property suite and the
+# request-plane benchmark's A/B legs both assert.
 # --------------------------------------------------------------------------
 
-#: Process-wide count of blocks pushed through the two-lane kernel.
+#: Process-wide count of blocks pushed through the multi-lane kernels.
 _interleaved_blocks = 0
 
 #: Live metric sinks mirroring ``crypto.interleaved_blocks_total``.
@@ -286,57 +308,63 @@ def _count_interleaved(blocks: int) -> None:
             counter.inc(blocks)
 
 
-def _pcbc_run_pair(job_a, job_b, crypt2=crypt_int2, crypt1=crypt_int):
-    """Advance two PCBC-encrypt jobs in lockstep, then finish tails.
-
-    Each job is a mutable ``[subkeys, chain, blocks, out]`` record; on
-    return its ``out`` holds the cipher blocks and ``chain`` the final
-    chaining value (for callers that resume, e.g. skeleton sealing).
-    """
-    sk_a, chain_a, blocks_a, out_a = job_a
-    sk_b, chain_b, blocks_b, out_b = job_b
-    paired = min(len(blocks_a), len(blocks_b))
-    push_a = out_a.append
-    push_b = out_b.append
-    for i in range(paired):
-        p_a = blocks_a[i]
-        p_b = blocks_b[i]
-        c_a, c_b = crypt2(p_a ^ chain_a, sk_a, p_b ^ chain_b, sk_b)
-        push_a(c_a)
-        chain_a = p_a ^ c_a
-        push_b(c_b)
-        chain_b = p_b ^ c_b
-    if paired:
-        _count_interleaved(2 * paired)
-    for i in range(paired, len(blocks_a)):
-        p = blocks_a[i]
-        c = crypt1(p ^ chain_a, sk_a)
-        push_a(c)
-        chain_a = p ^ c
-    for i in range(paired, len(blocks_b)):
-        p = blocks_b[i]
-        c = crypt1(p ^ chain_b, sk_b)
-        push_b(c)
-        chain_b = p ^ c
-    job_a[1] = chain_a
-    job_b[1] = chain_b
+def _job(subkeys, chain: int, blocks, decrypt: bool = False) -> list:
+    """A runner job: ``[subkeys, chain, blocks, out, decrypt]``."""
+    return [subkeys, chain, blocks, [], decrypt]
 
 
-def _pcbc_run_single(job, crypt1=crypt_int):
-    """Finish one unpaired PCBC-encrypt job on the single-lane kernel."""
-    sk, chain, blocks, out = job
+def _chain_masks(decrypt: bool) -> Tuple[int, int]:
+    """(pre, post): which side of the cipher a job's chain is mixed in."""
+    return (0, _MASK64) if decrypt else (_MASK64, 0)
+
+
+def _pcbc_run_single(job) -> None:
+    """Finish one job on the single-lane kernel."""
+    sk, chain, blocks, out, decrypt = job
+    pre, post = _chain_masks(decrypt)
+    crypt1 = crypt_int
     push = out.append
-    for p in blocks:
-        c = crypt1(p ^ chain, sk)
-        push(c)
-        chain = p ^ c
+    for blk in blocks[len(out):]:
+        y = crypt1(blk ^ (chain & pre), sk) ^ (chain & post)
+        push(y)
+        chain = blk ^ y
     job[1] = chain
 
 
-#: Lane count below which the two-lane kernel beats the wide one: a
-#: wide Feistel pass costs a fixed ~200 vector dispatches however many
-#: lanes ride it, and the scalar pair kernel's ~10us/block crosses that
-#: line around 32 lanes.
+def _pcbc_run_pair(job_a, job_b) -> None:
+    """Advance two jobs in lockstep over the shorter remainder, then
+    finish the longer one single-lane."""
+    sk_a, chain_a, blocks_a, out_a, decrypt_a = job_a
+    sk_b, chain_b, blocks_b, out_b, decrypt_b = job_b
+    pre_a, post_a = _chain_masks(decrypt_a)
+    pre_b, post_b = _chain_masks(decrypt_b)
+    crypt2 = crypt_int2
+    push_a = out_a.append
+    push_b = out_b.append
+    done_a = len(out_a)
+    for blk_a, blk_b in zip(blocks_a[done_a:], blocks_b[len(out_b):]):
+        y_a, y_b = crypt2(
+            blk_a ^ (chain_a & pre_a), sk_a, blk_b ^ (chain_b & pre_b), sk_b
+        )
+        y_a ^= chain_a & post_a
+        y_b ^= chain_b & post_b
+        push_a(y_a)
+        chain_a = blk_a ^ y_a
+        push_b(y_b)
+        chain_b = blk_b ^ y_b
+    if len(out_a) > done_a:
+        _count_interleaved(2 * (len(out_a) - done_a))
+    job_a[1] = chain_a
+    job_b[1] = chain_b
+    _pcbc_run_single(job_a)
+    _pcbc_run_single(job_b)
+
+
+#: Fewest lanes for which a wide Feistel pass beats the scalar kernels.
+#: Measured by the ledger's probes: a wide pass costs a flat ~250 us
+#: from 8 to 128 lanes (it is ~200 numpy dispatches however many lanes
+#: ride it), against ~9.7 us per block on the single-lane kernel and
+#: ~8.6 us per block paired — so the crossover sits at 27-30 lanes.
 WIDE_MIN_LANES = 32
 
 
@@ -352,6 +380,10 @@ def _pcbc_run_wide(jobs) -> None:
     lanes = sorted(jobs, key=lambda job: -len(job[2]))
     km = des_simd.keymat([job[0] for job in lanes])
     chains = np.array([job[1] for job in lanes], dtype=np.uint64)
+    pre = np.array(
+        [_chain_masks(job[4])[0] for job in lanes], dtype=np.uint64
+    )
+    post = ~pre
     lens = [len(job[2]) for job in lanes]
     active = len(lanes)
     step = 0
@@ -360,114 +392,90 @@ def _pcbc_run_wide(jobs) -> None:
             active -= 1
         if active < WIDE_MIN_LANES:
             break
-        plain = np.array(
+        blk = np.array(
             [lanes[i][2][step] for i in range(active)], dtype=np.uint64
         )
-        cipher = des_simd.crypt_wide(plain ^ chains[:active], km[:, :active])
-        chains[:active] = plain ^ cipher
-        for i, c in enumerate(cipher.tolist()):
-            lanes[i][3].append(c)
+        chain = chains[:active]
+        y = des_simd.crypt_wide(
+            blk ^ (chain & pre[:active]), km[:, :active]
+        ) ^ (chain & post[:active])
+        chains[:active] = blk ^ y
+        for i, value in enumerate(y.tolist()):
+            lanes[i][3].append(value)
         _count_interleaved(active)
         step += 1
-    tails, originals = [], []
-    for i, job in enumerate(lanes):
-        job[1] = int(chains[i])
-        done = len(job[3])
-        if done < len(job[2]):
-            tails.append([job[0], job[1], job[2][done:], job[3]])
-            originals.append(job)
-    _pcbc_run_jobs_paired(tails)
-    for wrapper, job in zip(tails, originals):
-        job[1] = wrapper[1]
+    for job, chain in zip(lanes, chains.tolist()):
+        job[1] = chain
+    _pcbc_run_jobs_paired(
+        [job for job in lanes if len(job[3]) < len(job[2])]
+    )
 
 
 def _pcbc_run_jobs_paired(jobs) -> None:
-    """Run PCBC-encrypt jobs two at a time (odd final job single-lane)."""
-    i = 0
-    n = len(jobs)
-    while i + 1 < n:
+    """Run jobs two at a time (an odd final job single-lane)."""
+    for i in range(0, len(jobs) - 1, 2):
         _pcbc_run_pair(jobs[i], jobs[i + 1])
-        i += 2
-    if i < n:
-        _pcbc_run_single(jobs[i])
+    if len(jobs) % 2:
+        _pcbc_run_single(jobs[-1])
 
 
 def _pcbc_run_jobs(jobs) -> None:
-    """Dispatch PCBC-encrypt jobs to the widest kernel that pays off."""
+    """The one PCBC job runner: dispatch to the widest kernel that pays
+    off for this many lanes."""
     if des_simd.available() and len(jobs) >= WIDE_MIN_LANES:
         _pcbc_run_wide(jobs)
     else:
         _pcbc_run_jobs_paired(jobs)
 
 
-def pcbc_encrypt_many(
-    items: Sequence[Tuple[DesKey, bytes]], iv: bytes = ZERO_IV
+def _pcbc_many(
+    items: Sequence[Tuple[DesKey, bytes]], iv: bytes, decrypt: bool
 ) -> List[bytes]:
-    """PCBC-encrypt many independent messages, two per Feistel pass.
-
-    Bit-identical to ``[pcbc_encrypt(key, data, iv) for key, data in
-    items]``.
-    """
     chain0 = _require_iv(iv)
+    what = "ciphertext" if decrypt else "plaintext"
     jobs = [
-        [key._enc_subkeys, chain0, _unpack_blocks(data, "plaintext"), []]
+        _job(
+            key._dec_subkeys if decrypt else key._enc_subkeys,
+            chain0,
+            _unpack_blocks(data, what),
+            decrypt,
+        )
         for key, data in items
     ]
     _pcbc_run_jobs(jobs)
     return [_pack_blocks(job[3]) for job in jobs]
 
 
+def pcbc_encrypt_many(
+    items: Sequence[Tuple[DesKey, bytes]], iv: bytes = ZERO_IV
+) -> List[bytes]:
+    """PCBC-encrypt many independent messages, one block of each per
+    Feistel pass.
+
+    Bit-identical to ``[pcbc_encrypt(key, data, iv) for key, data in
+    items]``.
+    """
+    return _pcbc_many(items, iv, decrypt=False)
+
+
 def pcbc_decrypt_many(
     items: Sequence[Tuple[DesKey, bytes]], iv: bytes = ZERO_IV
 ) -> List[bytes]:
-    """PCBC-decrypt many independent messages, two per Feistel pass.
+    """PCBC-decrypt many independent messages, one block of each per
+    Feistel pass.
 
     Bit-identical to ``[pcbc_decrypt(key, data, iv) for key, data in
     items]``.
     """
-    chain0 = _require_iv(iv)
-    jobs = [
-        (key._dec_subkeys, _unpack_blocks(data, "ciphertext"), [])
-        for key, data in items
-    ]
-    chains = [chain0] * len(jobs)
-    i = 0
-    n = len(jobs)
-    while i + 1 < n:
-        sk_a, blocks_a, out_a = jobs[i]
-        sk_b, blocks_b, out_b = jobs[i + 1]
-        chain_a = chain_b = chain0
-        paired = min(len(blocks_a), len(blocks_b))
-        for j in range(paired):
-            c_a = blocks_a[j]
-            c_b = blocks_b[j]
-            p_a, p_b = crypt_int2(c_a, sk_a, c_b, sk_b)
-            p_a ^= chain_a
-            p_b ^= chain_b
-            out_a.append(p_a)
-            chain_a = p_a ^ c_a
-            out_b.append(p_b)
-            chain_b = p_b ^ c_b
-        if paired:
-            _count_interleaved(2 * paired)
-        chains[i] = chain_a
-        chains[i + 1] = chain_b
-        i += 2
-    for j, (sk, blocks, out) in enumerate(jobs):
-        chain = chains[j]
-        for c in blocks[len(out):]:
-            p = crypt_int(c, sk) ^ chain
-            out.append(p)
-            chain = p ^ c
-    return [_pack_blocks(out) for _sk, _blocks, out in jobs]
+    return _pcbc_many(items, iv, decrypt=True)
 
 
 def seal_many(items: Sequence[Tuple[DesKey, bytes]]) -> List[bytes]:
-    """Frame and PCBC-encrypt many independent messages (two per pass).
+    """Frame and PCBC-encrypt many independent messages, one block of
+    each per Feistel pass.
 
     The batch analogue of :func:`seal`, used by the KDC's seal-all stage
-    for sealed tickets and reply bodies.  Bit-identical to calling
-    :func:`seal` per item.
+    for reply bodies.  Bit-identical to calling :func:`seal` per item.
     """
     return pcbc_encrypt_many(
         [(key, _frame(data)) for key, data in items]
@@ -477,44 +485,30 @@ def seal_many(items: Sequence[Tuple[DesKey, bytes]]) -> List[bytes]:
 def unseal_many(
     items: Sequence[Tuple[DesKey, bytes]]
 ) -> List[Union[bytes, IntegrityError]]:
-    """Decrypt and validate many sealed messages (two per pass).
+    """Decrypt and validate many sealed messages, one block of each per
+    Feistel pass.
 
     Returns, position-for-position, either the recovered plaintext or
     the :class:`IntegrityError` that message failed with — one bad item
     (wrong key, truncation, tampering) never poisons its batchmates.
     """
-    good: List[Tuple[int, DesKey, bytes]] = []
-    results: List[Union[bytes, IntegrityError]] = []
-    for key, ciphertext in items:
-        if (
-            len(ciphertext) % BLOCK_SIZE != 0
-            or len(ciphertext) < 2 * BLOCK_SIZE
-        ):
-            results.append(IntegrityError(
-                f"sealed message has invalid length {len(ciphertext)}"
-            ))
-            continue
-        good.append((len(results), key, ciphertext))
-        results.append(b"")  # placeholder, patched below
-    plains = pcbc_decrypt_many([(key, ct) for _i, key, ct in good])
-    for (index, _key, _ct), plain in zip(good, plains):
-        results[index] = _validate_frame(plain)
+    results: List[Union[bytes, IntegrityError, None]] = [None] * len(items)
+    good = []
+    for i, (_key, ciphertext) in enumerate(items):
+        try:
+            _check_sealed_length(ciphertext)
+            good.append(i)
+        except IntegrityError as exc:
+            # Kept as a value: without its traceback it holds no frame
+            # (and so no reference cycle through ``results``).
+            results[i] = exc.with_traceback(None)
+    plains = pcbc_decrypt_many([items[i] for i in good])
+    for i, plain in zip(good, plains):
+        try:
+            results[i] = _open_frame(plain)
+        except IntegrityError as exc:
+            results[i] = exc.with_traceback(None)
     return results
-
-
-def _validate_frame(plain: bytes) -> Union[bytes, IntegrityError]:
-    """Check a decrypted seal frame; the value-returning twin of the
-    checks in :func:`unseal`."""
-    if int.from_bytes(plain[:4], "big") != SEAL_MAGIC:
-        return IntegrityError("bad magic: wrong key or corrupted message")
-    length = int.from_bytes(plain[4:8], "big")
-    if 8 + length + BLOCK_SIZE > len(plain):
-        return IntegrityError("declared length exceeds message size")
-    if plain[-BLOCK_SIZE:] != SEAL_TRAILER:
-        return IntegrityError("bad trailer: message corrupted in transit")
-    if any(plain[8 + length : -BLOCK_SIZE]):
-        return IntegrityError("nonzero padding: message corrupted in transit")
-    return plain[8 : 8 + length]
 
 
 # --------------------------------------------------------------------------
@@ -523,11 +517,17 @@ def _validate_frame(plain: bytes) -> Union[bytes, IntegrityError]:
 # Under PCBC the ciphertext of a prefix depends only on the key and that
 # prefix's plaintext — so a message whose leading bytes repeat across
 # requests (a hot ticket's server/client/address fields) can resume from
-# a cached (cipher prefix, chaining value) pair and re-encrypt only the
-# per-request suffix.  ``seal_prefix_state`` computes the resumable
-# state; ``seal_resume`` (or the KDC's paired seal-all stage) finishes
-# the frame bit-identically to a full :func:`seal`.
+# a cached ``(cipher_prefix, chain)`` state and re-encrypt only the
+# per-request suffix.  The state after *no* blocks, :data:`SEAL_START`,
+# makes a whole seal the degenerate resume, so cached and uncached
+# messages ride one batch run; and because the chaining value is just
+# ``P_k ^ C_k``, the state at any cut of a finished seal is read off its
+# bytes (:func:`sealed_prefix_state`) instead of being sealed twice.
 # --------------------------------------------------------------------------
+
+#: The resumable state before any block is sealed: resuming from it
+#: seals the whole frame, header included.
+SEAL_START: Tuple[bytes, int] = (b"", 0)
 
 
 def seal_prefix_state(
@@ -545,21 +545,37 @@ def seal_prefix_state(
         )
     if len(prefix) > data_len:
         raise ValueError(f"prefix of {len(prefix)} exceeds data_len {data_len}")
-    header = SEAL_MAGIC.to_bytes(4, "big") + data_len.to_bytes(4, "big")
-    job = [
+    job = _job(
         key._enc_subkeys,
         _require_iv(ZERO_IV),
-        _unpack_blocks(header + bytes(prefix), "prefix"),
-        [],
-    ]
+        _unpack_blocks(_seal_header(data_len) + bytes(prefix), "prefix"),
+    )
     _pcbc_run_single(job)
     return _pack_blocks(job[3]), job[1]
+
+
+def sealed_prefix_state(
+    data: bytes, sealed: bytes, prefix_len: int
+) -> Tuple[bytes, int]:
+    """The state :func:`seal_prefix_state` would compute for
+    ``data[:prefix_len]``, read off a finished ``sealed = seal(key,
+    data)``: the cipher prefix is a slice, and the chaining value after
+    block *k* is ``P_k ^ C_k``."""
+    end = BLOCK_SIZE + prefix_len
+    plain_prefix = _seal_header(len(data)) + data[:prefix_len]
+    chain = bytes_to_int(plain_prefix[-BLOCK_SIZE:]) ^ bytes_to_int(
+        sealed[end - BLOCK_SIZE : end]
+    )
+    return sealed[:end], chain
 
 
 def seal_suffix_body(cipher_prefix_len: int, suffix: bytes) -> bytes:
     """The remaining frame bytes after a cached prefix: suffix data, zero
     pad, trailer.  ``cipher_prefix_len`` is the length of the cached
-    cipher prefix (header block included)."""
+    cipher prefix (header block included); 0 — :data:`SEAL_START` —
+    means the header is still to come and ``suffix`` is the whole data."""
+    if cipher_prefix_len == 0:
+        return _frame(suffix)
     data_len = cipher_prefix_len - 8 + len(suffix)
     pad_len = (-(8 + data_len)) % BLOCK_SIZE
     return bytes(suffix) + b"\x00" * pad_len + SEAL_TRAILER
@@ -568,38 +584,28 @@ def seal_suffix_body(cipher_prefix_len: int, suffix: bytes) -> bytes:
 def seal_resume(key: DesKey, state: Tuple[bytes, int], suffix: bytes) -> bytes:
     """Finish a split seal from ``seal_prefix_state``; bit-identical to
     ``seal(key, prefix + suffix)``."""
-    cipher_prefix, chain = state
-    job = [
-        key._enc_subkeys,
-        chain,
-        _unpack_blocks(
-            seal_suffix_body(len(cipher_prefix), suffix), "suffix"
-        ),
-        [],
-    ]
-    _pcbc_run_single(job)
-    return cipher_prefix + _pack_blocks(job[3])
+    return seal_resume_many([(key, state, suffix)])[0]
 
 
 def seal_resume_many(
     items: Sequence[Tuple[DesKey, Tuple[bytes, int], bytes]]
 ) -> List[bytes]:
-    """Finish many split seals, two per Feistel pass.
+    """Finish many split seals, one block of each per Feistel pass.
 
     Each item is ``(key, state, suffix)`` with ``state`` from
-    :func:`seal_prefix_state`.  Bit-identical to calling
-    :func:`seal_resume` per item; the KDC's seal-all stage uses this so
-    skeleton-cached tickets still ride the interleaved kernel.
+    :func:`seal_prefix_state`, :func:`sealed_prefix_state` or
+    :data:`SEAL_START`.  Bit-identical to ``seal(key, prefix + suffix)``
+    per item; the KDC's seal-all stage uses this so skeleton-cached
+    tickets and whole ones ride the same run.
     """
     jobs = [
-        [
+        _job(
             key._enc_subkeys,
             state[1],
             _unpack_blocks(
                 seal_suffix_body(len(state[0]), suffix), "suffix"
             ),
-            [],
-        ]
+        )
         for key, state, suffix in items
     ]
     _pcbc_run_jobs(jobs)

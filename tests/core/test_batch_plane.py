@@ -1,7 +1,7 @@
 """The batch-aware KDC request plane.
 
-The staged pipeline (decode-all → lookup-all → seal-all → encode-all)
-must be *observationally identical* to serving each datagram alone:
+The staged pipeline (decode-all → unseal-all → lookup-all → seal-all →
+encode-all) must be *observationally identical* to serving each datagram alone:
 bit-identical replies (keygen state consumed in item order, split and
 interleaved seals bit-exact), typed per-item errors that never poison
 batchmates, and the same metrics/audit/trace surface.  Two same-seed
@@ -10,9 +10,12 @@ through the classic plane, the other serves the same wire bytes as one
 batch through :meth:`KerberosServer.process_request_buffer`.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core.authenticator import build_authenticator
+from repro.core.crossrealm import register_accepting_key
 from repro.core.errors import ErrorCode
 from repro.core.messages import (
     AsRequest,
@@ -22,10 +25,11 @@ from repro.core.messages import (
     decode_message,
     encode_message,
 )
-from repro.crypto import keycache
+from repro.core.ticket import Ticket, seal_ticket, seal_tickets_cached
+from repro.crypto import DesKey, KeyGenerator, keycache, seal_prefix_state
 from repro.encode import pack_frames
-from repro.netsim import Network
-from repro.principal import Principal, tgs_principal
+from repro.netsim import IPAddress, Network
+from repro.principal import Principal, kdbm_principal, tgs_principal
 from repro.realm import Realm
 
 REALM = "ATHENA.MIT.EDU"
@@ -252,3 +256,394 @@ class TestSkeletonInvalidation:
         )
         ticket = unseal_ticket(cred.ticket, new_key)
         assert ticket.client == Principal("jis", "", REALM)
+
+
+# --------------------------------------------------------------------------
+# ISSUE 12: the TGS request side rides the batch (UNSEAL-ALL stage).
+#
+# Every case below runs on twin same-seed realms: one answers the wires
+# one at a time through ``_serve``, the other answers the same bytes in
+# buffers of ``batch`` frames through ``process_request_buffer``.  The
+# planes must agree reply for reply *and* audit event for audit event.
+# --------------------------------------------------------------------------
+
+LCS = "LCS.MIT.EDU"
+RLOGIN = Principal("rlogin", "priam", REALM)
+N_USERS = 6
+
+
+def build_tgs_realm(n_users=N_USERS):
+    net = Network(seed=12)
+    realm = Realm(net, REALM, seed=b"tgs-batch")
+    for u in range(n_users):
+        realm.add_user(f"user{u}", f"pw{u}")
+    realm.add_service("rlogin", "priam")
+    xkey = KeyGenerator(seed=b"tgs-batch-xrealm").session_key()
+    register_accepting_key(realm.db, LCS, xkey)
+    return realm, xkey
+
+
+def crafted_tgt(key, client, address, timestamp, life, session_key):
+    """A TGT for this realm's TGS, sealed by hand under ``key``."""
+    return seal_ticket(
+        Ticket(
+            server=tgs_principal(REALM),
+            client=client,
+            address=IPAddress(address).as_int,
+            timestamp=timestamp,
+            life=life,
+            session_key=session_key,
+        ),
+        key,
+    )
+
+
+def tgs_request(tgt, session_key, client, address, now, service=RLOGIN,
+                tgt_realm=REALM):
+    return TgsRequest(
+        service=service,
+        requested_life=3600.0,
+        timestamp=now,
+        tgt_realm=tgt_realm,
+        tgt=tgt,
+        authenticator=build_authenticator(
+            client=client, address=address, now=now,
+            session_key=DesKey.from_bytes(session_key, allow_weak=True),
+        ),
+    )
+
+
+def tgs_scenario(realm, xkey, ws):
+    """128 wires: mostly valid AS and TGS traffic, with one of each
+    special case planted among them.  Returns (wires, {name: index})."""
+    now = realm.net.clock.now()
+    src = ws.host.address
+    tgs_key = realm.db.principal_key(tgs_principal(REALM))
+    gen = KeyGenerator(seed=b"tgs-batch-session-keys")
+    users = [Principal(f"user{u}", "", REALM) for u in range(N_USERS)]
+    sessions = [gen.session_key_bytes() for _ in users]
+    tgts = [
+        crafted_tgt(tgs_key, user, src, now, 8 * 3600.0, session)
+        for user, session in zip(users, sessions)
+    ]
+
+    def valid(k):
+        u = k % N_USERS
+        return tgs_request(tgts[u], sessions[u], users[u], src, now + k * 0.001)
+
+    def wire(request):
+        return encode_message(MessageType.TGS_REQ, request)
+
+    wires = []
+    for k in range(128):
+        if k % 2:
+            wires.append(as_wire(f"user{k % N_USERS}", timestamp=float(k)))
+        else:
+            wires.append(wire(valid(k)))
+    where = {}
+
+    def plant(name, index, payload):
+        where[name] = index
+        wires[index] = payload
+
+    # Two byte-identical requests in one buffer: OK, then RD_AP_REPEAT.
+    plant("first", 2, wires[2])
+    plant("repeat", 5, wires[2])
+    # Tampered TGT: one flipped ciphertext bit.
+    bad = valid(1000)
+    tampered = bytearray(bad.tgt)
+    tampered[11] ^= 0x40
+    plant("tampered_tgt", 9, wire(bad.replace(tgt=bytes(tampered))))
+    # Truncated authenticator (still whole blocks, trailer gone).
+    cut = valid(1001)
+    plant("truncated_auth", 12,
+          wire(cut.replace(authenticator=cut.authenticator[:-8])))
+    # Expired TGT (issued 10 h ago with 8 h of life).
+    old = crafted_tgt(
+        tgs_key, users[0], src, now - 36000.0, 8 * 3600.0, sessions[0]
+    )
+    plant("expired_tgt", 17,
+          wire(tgs_request(old, sessions[0], users[0], src, now + 1.001)))
+    # Wrong source address: the TGT was issued to another workstation.
+    elsewhere = IPAddress(src.as_int + 1)
+    stolen = crafted_tgt(
+        tgs_key, users[1], elsewhere, now, 8 * 3600.0, sessions[1]
+    )
+    plant("wrong_address", 20,
+          wire(tgs_request(stolen, sessions[1], users[1], elsewhere,
+                           now + 1.002)))
+    # A cross-realm TGT, keyed by the inter-realm key, beside local ones.
+    visitor = Principal("visitor", "", LCS)
+    visitor_session = gen.session_key_bytes()
+    foreign = crafted_tgt(
+        xkey, visitor, src, now, 3600.0, visitor_session
+    )
+    plant("cross_realm", 23,
+          wire(tgs_request(foreign, visitor_session, visitor, src,
+                           now + 1.003, tgt_realm=LCS)))
+    # A realm we share no key with.
+    plant("no_cross_realm", 26,
+          wire(tgs_request(foreign, visitor_session, visitor, src,
+                           now + 1.004, tgt_realm="NOWHERE.EDU")))
+    # Authenticated, then refused: the service does not exist.
+    plant("service_unknown", 29,
+          wire(tgs_request(tgts[2], sessions[2], users[2], src, now + 1.005,
+                           service=Principal("nosuch", "priam", REALM))))
+    # ... or is only issued by the authentication service (Section 5.1).
+    plant("no_tgt", 30,
+          wire(tgs_request(tgts[3], sessions[3], users[3], src, now + 1.006,
+                           service=kdbm_principal(REALM))))
+    plant("garbage", 31, b"\xffnot a kerberos message")
+    return wires, where
+
+
+def audit_rows(realm):
+    rows = [
+        (e.kind, e.principal, e.detail) for e in realm.net.audit.events()
+    ]
+    # The replay cache reports a replay the moment it sees one — in the
+    # batch plane that is the unseal stage, ahead of the batch's
+    # per-item outcome events — so the two streams are compared apart.
+    replays = [row for row in rows if row[0] == "replay_detected"]
+    return [row for row in rows if row[0] != "replay_detected"], replays
+
+
+def serve_both_planes(batch, cached):
+    """Returns (single-plane replies, batch-plane replies, realm_a,
+    realm_b, where) for the scenario served in buffers of ``batch``."""
+    (realm_a, xkey_a), (realm_b, xkey_b) = build_tgs_realm(), build_tgs_realm()
+    ws_a, ws_b = realm_a.workstation(), realm_b.workstation()
+    wires, where = tgs_scenario(realm_a, xkey_a, ws_a)
+    wires_b, _ = tgs_scenario(realm_b, xkey_b, ws_b)
+    assert wires == wires_b  # same-seed twins, same bytes in
+    src = ws_a.host.address
+    with nullcontext() if cached else keycache.caches_disabled():
+        singles = [realm_a.kdc._serve(_Datagram(w, src)) for w in wires]
+        batched = []
+        for start in range(0, len(wires), batch):
+            batched.extend(
+                bytes(reply)
+                for reply in realm_b.kdc.process_request_buffer(
+                    pack_frames(wires[start:start + batch]), src
+                )
+            )
+    return singles, batched, realm_a, realm_b, where
+
+
+def reply_code(reply):
+    """'AS_REP' / 'TGS_REP', or the error code's name."""
+    mtype, message = decode_message(reply)
+    if mtype == MessageType.ERROR:
+        return ErrorCode(message.code).name
+    return mtype.name
+
+
+SERVED = ("AS_REP", "TGS_REP")
+
+
+class TestTgsBatchSemantics:
+    @pytest.mark.parametrize("cached", [True, False], ids=["caches", "nocache"])
+    @pytest.mark.parametrize("batch", [1, 8, 33, 128])
+    def test_planes_agree_reply_for_reply_and_audit_for_audit(
+        self, batch, cached
+    ):
+        singles, batched, realm_a, realm_b, where = serve_both_planes(
+            batch, cached
+        )
+        assert batched == singles
+        assert audit_rows(realm_b) == audit_rows(realm_a)
+        # Session keys are drawn in item order, only for items that
+        # reach issuance: failures in the middle of a buffer leave both
+        # generators in the same state.
+        assert (
+            realm_b.kdc.keygen.session_key_bytes()
+            == realm_a.kdc.keygen.session_key_bytes()
+        )
+
+        codes = [reply_code(reply) for reply in batched]
+        assert codes[where["first"]] == "TGS_REP"
+        assert codes[where["repeat"]] == "RD_AP_REPEAT"
+        assert codes[where["tampered_tgt"]] == "RD_AP_MODIFIED"
+        assert codes[where["truncated_auth"]] == "RD_AP_MODIFIED"
+        assert codes[where["expired_tgt"]] == "RD_AP_EXP"
+        assert codes[where["wrong_address"]] == "RD_AP_BADD"
+        assert codes[where["cross_realm"]] == "TGS_REP"
+        assert codes[where["no_cross_realm"]] == "KDC_NO_CROSS_REALM"
+        assert codes[where["service_unknown"]] == "KDC_SERVICE_UNKNOWN"
+        assert codes[where["no_tgt"]] == "KDC_PR_NOTGT"
+        assert codes[where["garbage"]] == "KDC_GEN_ERR"
+        # Batchmates of the failures are untouched.
+        planted = set(where.values())
+        for index, code in enumerate(codes):
+            if index not in planted:
+                assert code in SERVED
+
+    def test_refusal_after_authentication_is_audited_under_the_client(self):
+        """The parent's batch plane audited these with principal=''."""
+        _s, _b, _realm_a, realm_b, _where = serve_both_planes(128, True)
+        refused = {
+            e.detail: e.principal
+            for e in realm_b.net.audit.events("auth_failure")
+            if e.detail.startswith("kind=tgs code=KDC_")
+        }
+        assert refused == {
+            "kind=tgs code=KDC_SERVICE_UNKNOWN": f"user2@{REALM}",
+            "kind=tgs code=KDC_PR_NOTGT": f"user3@{REALM}",
+            # Refused before any ticket was opened: nobody to name.
+            "kind=tgs code=KDC_NO_CROSS_REALM": "",
+        }
+
+    def test_failed_ticket_never_has_its_authenticator_unsealed(
+        self, monkeypatch
+    ):
+        from repro.core import kdc as kdc_module
+        from repro.core.authenticator import Authenticator
+
+        realm, xkey = build_tgs_realm()
+        ws = realm.workstation()
+        wires, where = tgs_scenario(realm, xkey, ws)
+        unsealed = []
+        real = kdc_module.unseal_structs
+
+        def spy(struct, what, items):
+            if struct is Authenticator:
+                unsealed.extend(bytes(blob) for blob, _key in items)
+            return real(struct, what, items)
+
+        monkeypatch.setattr(kdc_module, "unseal_structs", spy)
+        realm.kdc.process_request_buffer(pack_frames(wires), ws.host.address)
+
+        def authenticator_of(name):
+            _mtype, request = decode_message(wires[where[name]])
+            return bytes(request.authenticator)
+
+        assert authenticator_of("first") in unsealed
+        assert authenticator_of("truncated_auth") in unsealed
+        assert authenticator_of("wrong_address") in unsealed
+        for name in ("tampered_tgt", "expired_tgt", "no_cross_realm"):
+            assert authenticator_of(name) not in unsealed
+
+    def test_spans_carry_the_single_planes_crypto_ops(self):
+        """``crypto_ops`` is read off the key cache's own counters now;
+        it stays the per-item count the single plane reports."""
+        singles, _b, realm_a, realm_b, _where = serve_both_planes(128, True)
+
+        def crypto_ops(realm):
+            return [
+                span.attrs.get("crypto_ops")
+                for span in realm.net.tracer.spans
+                if span.name.startswith("kdc.")
+            ]
+
+        served = [
+            reply_code(reply) in SERVED for reply in singles
+        ]
+        # The single plane stamps the count on served requests only;
+        # the batch plane stamps every item's span, in item order.
+        single_ops = [n for n in crypto_ops(realm_a) if n is not None]
+        batch_ops = [
+            n for n, ok in zip(crypto_ops(realm_b), served) if ok
+        ]
+        assert len(single_ops) == sum(served) > 100
+        assert batch_ops == single_ops
+        assert any(batch_ops)
+
+
+class TestSkeletonMissRidesTheBatch:
+    def _tickets(self, count):
+        gen = KeyGenerator(seed=b"skeleton-miss")
+        key = gen.session_key()
+        pairs = []
+        for i in range(count):
+            pairs.append((
+                Ticket(
+                    server=RLOGIN,
+                    # Every third ticket repeats a (server, client) pair.
+                    client=Principal(f"user{i % 3 if i % 3 == 0 else i}", "", REALM),
+                    address=0x12345678,
+                    timestamp=1000.0 + i,
+                    life=3600.0,
+                    session_key=gen.session_key_bytes(),
+                ),
+                key,
+            ))
+        return pairs
+
+    @pytest.mark.parametrize("count", [1, 7, 40])
+    @pytest.mark.parametrize("cached", [True, False], ids=["caches", "nocache"])
+    def test_bit_identical_and_caches_the_prefix_state(self, count, cached):
+        pairs = self._tickets(count)
+        with nullcontext() if cached else keycache.caches_disabled():
+            blobs = seal_tickets_cached(pairs)
+            again = seal_tickets_cached(pairs)
+        assert blobs == [seal_ticket(t, k) for t, k in pairs]
+        assert again == blobs
+        if not cached:
+            assert keycache.skeleton_stats()["size"] == 0
+            return
+        # What the miss left in the cache is exactly what the scalar
+        # prefix seal would have computed.
+        ticket, key = pairs[0]
+        plain = ticket.to_bytes()
+        cut = (len(plain) - 28) & ~0x7
+        cached_state = keycache.skeleton_get(
+            (key.key_bytes, len(plain), plain[:cut])
+        )
+        assert tuple(cached_state) == seal_prefix_state(
+            key, len(plain), plain[:cut]
+        )
+
+    def test_same_prefix_later_in_the_batch_counts_as_a_hit(self):
+        keycache.reset_stats()
+        pairs = self._tickets(1) * 8
+        assert seal_tickets_cached(pairs) == [
+            seal_ticket(t, k) for t, k in pairs
+        ]
+        stats = keycache.skeleton_stats()
+        assert (stats["miss"], stats["hit"]) == (1, 7)
+
+
+class TestWorkCountGate:
+    """The deterministic half of the perf gate: no wall clock, only the
+    cipher's own block counter against the message lengths."""
+
+    def test_nine_tenths_of_a_cold_buffers_blocks_ride_the_lanes(self):
+        from repro.core.messages import KdcReply
+        from repro.crypto import string_to_key
+        from repro.crypto.modes import interleaved_blocks
+
+        n = 64
+        realm, _xkey = build_tgs_realm(n_users=n)
+        src = realm.workstation().host.address
+        now = realm.net.clock.now()
+        tgs_key = realm.db.principal_key(tgs_principal(REALM))
+        gen = KeyGenerator(seed=b"work-count")
+        wires, reply_keys, request_bytes = [], [], 0
+        for u in range(n):
+            wires.append(as_wire(f"user{u}"))
+            reply_keys.append(string_to_key(f"pw{u}"))
+            user = Principal(f"user{u}", "", REALM)
+            session = gen.session_key_bytes()
+            request = tgs_request(
+                crafted_tgt(tgs_key, user, src, now, 3600.0, session),
+                session, user, src, now,
+            )
+            wires.append(encode_message(MessageType.TGS_REQ, request))
+            reply_keys.append(DesKey.from_bytes(session, allow_weak=True))
+            request_bytes += len(request.tgt) + len(request.authenticator)
+
+        keycache.invalidate_skeletons()
+        before = interleaved_blocks()
+        replies = realm.kdc.process_request_buffer(pack_frames(wires), src)
+        on_lanes = interleaved_blocks() - before
+
+        reply_bytes = 0
+        for reply, key in zip(replies, reply_keys):
+            mtype, message = decode_message(reply)
+            assert isinstance(message, KdcReply), mtype
+            reply_bytes += len(message.sealed_body)
+            reply_bytes += len(message.open(key).ticket)
+        total = (request_bytes + reply_bytes) // 8
+        # Parent commit: about 0.58 (request side and skeleton misses
+        # ran on the single-lane kernel).
+        assert 0.9 * total <= on_lanes <= total

@@ -165,3 +165,58 @@ def test_batch_copy_lint_catches_a_planted_offender(tmp_path):
     violations = _bytes_copies_in_loops(planted)
     assert {what for _, what in violations} == {"bytes()", "bytearray()"}
     assert all(line != 8 for line, _ in violations)
+
+
+# --------------------------------------------------------------------------
+# ISSUE 12 extension: no registry scans per request in the KDC.
+#
+# ``MetricsRegistry.total`` walks and sorts every instrument of the
+# realm; called per item it was 8,256 scans per 4,096 requests.  Per
+# batch (outside any loop) is fine; per item the KDC reads O(1) sources
+# (``keycache.stats()``, counter handles resolved at attach).
+# --------------------------------------------------------------------------
+
+CORE_KDC = (
+    Path(__file__).resolve().parents[2] / "src" / "repro" / "core" / "kdc.py"
+)
+
+
+def _registry_scans_in_loops(path: Path) -> list:
+    """(lineno, source) for every ``….metrics.total(…)`` in a loop body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, _LOOPY):
+            continue
+        for inner in ast.walk(node):
+            if (
+                isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr == "total"
+                and ast.unparse(inner.func.value).endswith("metrics")
+            ):
+                found.append((inner.lineno, ast.unparse(inner.func) + "()"))
+    return sorted(set(found))
+
+
+def test_no_registry_scan_per_item_in_kdc():
+    assert CORE_KDC.exists(), f"missing {CORE_KDC}"
+    violations = _registry_scans_in_loops(CORE_KDC)
+    assert not violations, (
+        "metrics.total() inside a per-item loop of core/kdc.py (scans "
+        "the whole registry per request):\n"
+        + "\n".join(f"  kdc.py:{line}: {what}" for line, what in violations)
+    )
+
+
+def test_registry_scan_lint_catches_a_planted_offender(tmp_path):
+    planted = tmp_path / "offender.py"
+    planted.write_text(
+        "def serve(self, items):\n"
+        "    before = self.metrics.total('a')  # per batch: fine\n"
+        "    for item in items:\n"
+        "        n = self.metrics.total('crypto.keyschedule_total')\n"
+        "    return [metrics.total('b') for _ in items], before, n\n"
+    )
+    violations = _registry_scans_in_loops(planted)
+    assert [line for line, _ in violations] == [4, 5]

@@ -471,3 +471,176 @@ class TestWideLanes:
         assert seal_resume_many(jobs) == [
             seal_resume(k, s, suf) for k, s, suf in jobs
         ]
+
+
+# --------------------------------------------------------------------------
+# ISSUE 12: one PCBC job runner for both directions.
+#
+# ``modes._pcbc_run_jobs`` carries a direction per job, so unsealing
+# reaches the wide kernel exactly as sealing does and one run may mix
+# the two.  Everything below is pinned against the loop kernel
+# (``crypt_int_ref``, through the byte-path PCBC reference modes).
+# --------------------------------------------------------------------------
+
+
+def _mixed_jobs(rng, count, min_blocks=0, max_blocks=14, lengths=None):
+    """``count`` runner jobs of random direction/key/IV/length, plus the
+    reference output of each."""
+    from repro.crypto.bits import int_to_bytes
+    from repro.crypto.modes import _unpack_blocks
+
+    jobs, expected = [], []
+    for lane in range(count):
+        key = DesKey(rng.randbytes(8), allow_weak=True)
+        decrypt = rng.random() < 0.5
+        n_blocks = (
+            lengths[lane] if lengths is not None
+            else rng.randrange(min_blocks, max_blocks + 1)
+        )
+        data = rng.randbytes(8 * n_blocks)
+        chain0 = rng.getrandbits(64)
+        iv = int_to_bytes(chain0, 8)
+        if decrypt:
+            expected.append(pcbc_decrypt_ref(key, data, iv))
+            subkeys = key._dec_subkeys
+        else:
+            expected.append(pcbc_encrypt_ref(key, data, iv))
+            subkeys = key._enc_subkeys
+        jobs.append(
+            [subkeys, chain0, _unpack_blocks(data, "test"), [], decrypt]
+        )
+    return jobs, expected
+
+
+def _assert_jobs_match(jobs, expected):
+    from repro.crypto.modes import _pack_blocks
+
+    for job, want in zip(jobs, expected):
+        _sk, chain, blocks, out, _decrypt = job
+        assert _pack_blocks(out) == want
+        if blocks:
+            # The resumable state: chain = in ^ out of the last block.
+            assert chain == blocks[-1] ^ out[-1]
+
+
+class TestDirectionCarryingRunner:
+    # 1: single-lane; 2: one pair; 31/32/33: either side of the wide
+    # threshold; 128: a full KDC buffer.
+    @pytest.mark.parametrize("count", [1, 2, 31, 32, 33, 128])
+    def test_mixed_directions_ragged_lengths(self, count):
+        from repro.crypto.modes import _pcbc_run_jobs
+
+        jobs, expected = _mixed_jobs(random.Random(1200 + count), count)
+        _pcbc_run_jobs(jobs)
+        _assert_jobs_match(jobs, expected)
+
+    def test_tails_drop_below_threshold_mid_run(self, monkeypatch):
+        """40 lanes, 25 of them short: after two wide steps only 15
+        stay active, so the long tails finish on the scalar kernels."""
+        from repro.crypto import des_simd
+        from repro.crypto.modes import _pcbc_run_jobs
+
+        if not des_simd.available():
+            pytest.skip("numpy not available; wide path disabled")
+        lengths = [2] * 25 + [11, 12, 13] * 5
+        rng = random.Random(1212)
+        rng.shuffle(lengths)
+        jobs, expected = _mixed_jobs(rng, 40, lengths=lengths)
+        passes = []
+        real = des_simd.crypt_wide
+        monkeypatch.setattr(
+            des_simd, "crypt_wide",
+            lambda b, km: passes.append(len(b)) or real(b, km),
+        )
+        _pcbc_run_jobs(jobs)
+        _assert_jobs_match(jobs, expected)
+        assert passes == [40, 40]
+
+    @pytest.mark.parametrize("count", [33, 128])
+    def test_numpy_absent(self, count, monkeypatch):
+        from repro.crypto import des_simd
+        from repro.crypto.modes import _pcbc_run_jobs
+
+        monkeypatch.setattr(des_simd, "_np", None)
+        assert not des_simd.available()
+        jobs, expected = _mixed_jobs(random.Random(77 + count), count)
+        _pcbc_run_jobs(jobs)
+        _assert_jobs_match(jobs, expected)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_property_any_shape(self, data):
+        from repro.crypto.modes import _pcbc_run_jobs
+
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        count = data.draw(st.integers(min_value=1, max_value=48))
+        jobs, expected = _mixed_jobs(rng, count, max_blocks=6)
+        _pcbc_run_jobs(jobs)
+        _assert_jobs_match(jobs, expected)
+
+    @pytest.mark.parametrize("count,wide", [(31, False), (32, True)])
+    def test_unseal_many_reaches_the_wide_kernel_like_sealing(
+        self, count, wide, monkeypatch
+    ):
+        from repro.crypto import des_simd, seal_many, unseal_many
+
+        if not des_simd.available():
+            pytest.skip("numpy not available; wide path disabled")
+        rng = random.Random(count)
+        items = [
+            (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(40))
+            for _ in range(count)
+        ]
+        passes = []
+        real = des_simd.crypt_wide
+        monkeypatch.setattr(
+            des_simd, "crypt_wide",
+            lambda b, km: passes.append(len(b)) or real(b, km),
+        )
+        sealed = seal_many(items)
+        sealing_passes = len(passes)
+        opened = unseal_many(
+            [(key, blob) for (key, _d), blob in zip(items, sealed)]
+        )
+        assert opened == [d for _k, d in items]
+        assert sealed == [seal(k, d) for k, d in items]
+        assert (sealing_passes > 0) == wide
+        assert len(passes) == 2 * sealing_passes
+
+
+class TestSkeletonReadOff:
+    """A skeleton-cache miss seals the whole frame once, in the batch
+    run, and reads the resumable state off the result."""
+
+    @pytest.mark.parametrize("count", [1, 5, 40])
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_state_of_finished_job_equals_prefix_state(self, count, cached):
+        from contextlib import nullcontext
+        from repro.crypto import (
+            SEAL_START,
+            seal_prefix_state,
+            seal_resume_many,
+            sealed_prefix_state,
+        )
+
+        rng = random.Random(1300 + count)
+        cases = []
+        for _ in range(count):
+            key = DesKey(rng.randbytes(8), allow_weak=True)
+            payload = rng.randbytes(rng.randrange(0, 160))
+            cut = rng.randrange(0, len(payload) // 8 + 1) * 8
+            cases.append((key, payload, cut))
+        with nullcontext() if cached else keycache.caches_disabled():
+            sealed = seal_resume_many(
+                [(key, SEAL_START, payload) for key, payload, _c in cases]
+            )
+            for (key, payload, cut), blob in zip(cases, sealed):
+                assert blob == seal(key, payload)
+                state = sealed_prefix_state(payload, blob, cut)
+                assert state == seal_prefix_state(
+                    key, len(payload), payload[:cut]
+                )
+                # ... and resuming from it finishes the same message.
+                assert seal_resume_many(
+                    [(key, state, payload[cut:])]
+                ) == [blob]
