@@ -1,9 +1,10 @@
 """Exp RP — the batched request plane throughput gate.
 
 ISSUE 8 vectorizes the KDC pipeline from datagram to DES: batch frame
-decode (zero-copy views), one memoized database pass, interleaved
-two-lane DES over independent seals, skeleton-cached ticket prefixes,
-and in-place batch encoding.  This benchmark gates the result: the
+decode (zero-copy views), one memoized database pass, wide-lane DES
+over independent seals and unseals (one block of every message per
+Feistel pass), skeleton-cached ticket prefixes, and in-place batch
+encoding.  This benchmark gates the result: the
 batch plane must serve KDC requests at ≥``RP_GATE``× the rate of the
 classic one-datagram-at-a-time plane, measured open-loop in the same
 run (A/B interleaved, min of rounds — the BENCH_PERF_HOTPATH
@@ -213,7 +214,7 @@ def test_bench_request_plane_gate():
         f"{RP_GATE}x acceptance floor "
         f"({base_rps:.0f} → {batch_rps:.0f} req/s)"
     )
-    # The pipeline actually engaged: interleaved lanes and skeletons.
+    # The pipeline actually engaged: wide lanes and skeletons.
     assert interleaved_blocks() > 0
     assert skel["hit"] > 0
     assert snap["history"][-1]["summary"]["experiment"] == "RP"

@@ -20,9 +20,11 @@ For speed in pure Python the permutations are compiled to per-byte lookup
 tables (:mod:`repro.crypto.bits`) and the P permutation is folded into
 the S-boxes ("SP boxes"), a standard implementation technique that does
 not change the function computed.  On top of that, the block function
-used on the hot path (:func:`crypt_int`) pairs adjacent lookup tables
-(two E bytes per probe, two SP boxes per probe) and unrolls the sixteen
-Feistel rounds, roughly halving the Python-level work per block.  The
+used on the hot path (:func:`crypt_int`) keeps both Feistel halves in
+their E-expanded form from IP to FP (E is linear over xor, so it folds
+into the table outputs and never runs per round), pairs adjacent SP
+boxes (12 bits per probe) and unrolls the sixteen rounds — under half
+the Python-level work of the loop kernel per block.  The
 straightforward per-round kernel is kept as :func:`crypt_int_ref` — the
 correctness oracle the property tests pin ``crypt_int`` against, and the
 "before" baseline of ``benchmarks/test_bench_perf_hotpath.py``.
@@ -312,48 +314,69 @@ def crypt_int_ref(block: int, subkeys) -> int:
 
 
 # --------------------------------------------------------------------------
-# The hot-path kernel: paired SP tables + unrolled rounds.
+# The hot-path kernel: both Feistel halves stay in *expanded* form.
 #
-# One table folding beyond the per-byte compiled permutations:
-# ``_SP01``..``_SP67`` merge adjacent SP boxes so one probe consumes
-# 12 bits of E(R) xor K (four lookups per round instead of eight).  The
-# E expansion stays on the per-byte tables: pairing it to 16-bit probes
-# was measured *slower* here — the 65536-entry tables (several MB of
-# tuple slots plus int objects) overflow a desktop-class L2 and turn
-# every probe into a cache miss, while the byte tables plus the four
-# 4096-entry SP pairs stay resident.
+# E only duplicates bits, so it is linear over xor: ``E(x ^ f) == E(x) ^
+# E(f)``.  A half that enters the rounds as its 48-bit expansion can stay
+# expanded from IP to FP if the round function's output arrives expanded
+# too — so E is folded into the *outputs* of the SP tables and never
+# runs per round:
 #
-# The 16 rounds are written out explicitly, alternating the two
-# half-block variables so the (L, R) swap costs nothing.  All of this is
-# just loop/call/memory-overhead removal — the function computed is
-# pinned bit-exact against crypt_int_ref by
-# tests/crypto/test_perf_kernels.py.
+#     t = y ^ k                       # y is E(R); k the standard subkey
+#     x ^= s0[t >> 36] | s1[t >> 24 & 4095] | ...       # x is E(L)
+#
+# ``_SP01``..``_SP67`` merge adjacent SP boxes (12 bits per probe) and
+# hold ``E(P(S||S(i)))``; the IP byte tables emit ``E(L) << 48 | E(R)``.
+# Each 12-bit chunk of an expanded half carries 8 real bits (the middle
+# four of each 6-bit group), so FP reads the pre-output back through
+# tables indexed by those same chunks and no compress step exists.  The
+# rounds are written out, alternating the two half-block variables so
+# the (L, R) swap costs nothing.  tests/crypto/test_perf_kernels.py pins
+# the function against crypt_int_ref and the tables against the
+# oracle's own E and SP.
 # --------------------------------------------------------------------------
 
+def _expand(half: int) -> int:
+    """E of a 32-bit half (table construction only; never per round)."""
+    return apply_permutation(_E_C, half)
+
+
 def _pair6(a, b) -> Tuple[int, ...]:
-    """Merge two 6-bit-indexed SP tables into one 12-bit-indexed table."""
+    """Merge two 6-bit-indexed tables into one 12-bit-indexed table."""
     return tuple(a[i >> 6] | b[i & 0x3F] for i in range(4096))
 
 
-_IP_B = _IP_C[0]   # eight per-byte tables for the initial permutation
-_FP_B = _FP_C[0]   # ... and the final permutation
-_E_B = _E_C[0]     # four per-byte tables for the E expansion
-_SP01 = _pair6(_SP[0], _SP[1])
-_SP23 = _pair6(_SP[2], _SP[3])
-_SP45 = _pair6(_SP[4], _SP[5])
-_SP67 = _pair6(_SP[6], _SP[7])
+def _real_bits(chunk: int) -> int:
+    """The 8 real bits a 12-bit chunk of an expanded half carries."""
+    return ((chunk >> 3) & 0xF0) | ((chunk >> 1) & 0x0F)
+
+
+_SP_X = tuple(tuple(_expand(v) for v in box) for box in _SP)
+_SP01 = _pair6(_SP_X[0], _SP_X[1])
+_SP23 = _pair6(_SP_X[2], _SP_X[3])
+_SP45 = _pair6(_SP_X[4], _SP_X[5])
+_SP67 = _pair6(_SP_X[6], _SP_X[7])
+#: Eight per-byte IP tables emitting ``E(L) << 48 | E(R)``.
+_IP_X = tuple(
+    tuple((_expand(v >> 32) << 48) | _expand(v & 0xFFFFFFFF) for v in table)
+    for table in _IP_C[0]
+)
+#: Eight per-chunk FP tables over the expanded pre-output (R16, L16).
+_FP_X = tuple(
+    tuple(table[_real_bits(chunk)] for chunk in range(4096))
+    for table in _FP_C[0]
+)
 
 
 def crypt_int(
     block: int,
     subkeys,
-    _ip=_IP_B,
-    _fp=_FP_B,
-    _e=_E_B,
-    _sp01=_SP01,
-    _sp23=_SP23,
-    _sp45=_SP45,
-    _sp67=_SP67,
+    _ip=_IP_X,
+    _fp=_FP_X,
+    s0=_SP01,
+    s1=_SP23,
+    s2=_SP45,
+    s3=_SP67,
 ) -> int:
     """One DES block operation on a 64-bit int (the hot-path kernel).
 
@@ -362,7 +385,6 @@ def crypt_int(
     tables as locals; never pass them.
     """
     ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = _ip
-    e0, e1, e2, e3 = _e
     k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15 = \
         subkeys
     b = (
@@ -371,270 +393,49 @@ def crypt_int(
         | ip4[(block >> 24) & 255] | ip5[(block >> 16) & 255]
         | ip6[(block >> 8) & 255] | ip7[block & 255]
     )
-    x = (b >> 32) & 0xFFFFFFFF     # L on even rounds (see crypt_int_ref)
-    y = b & 0xFFFFFFFF             # R on even rounds
-    t = (e0[y >> 24] | e1[(y >> 16) & 255]
-         | e2[(y >> 8) & 255] | e3[y & 255]) ^ k0
-    x ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[x >> 24] | e1[(x >> 16) & 255]
-         | e2[(x >> 8) & 255] | e3[x & 255]) ^ k1
-    y ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[y >> 24] | e1[(y >> 16) & 255]
-         | e2[(y >> 8) & 255] | e3[y & 255]) ^ k2
-    x ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[x >> 24] | e1[(x >> 16) & 255]
-         | e2[(x >> 8) & 255] | e3[x & 255]) ^ k3
-    y ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[y >> 24] | e1[(y >> 16) & 255]
-         | e2[(y >> 8) & 255] | e3[y & 255]) ^ k4
-    x ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[x >> 24] | e1[(x >> 16) & 255]
-         | e2[(x >> 8) & 255] | e3[x & 255]) ^ k5
-    y ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[y >> 24] | e1[(y >> 16) & 255]
-         | e2[(y >> 8) & 255] | e3[y & 255]) ^ k6
-    x ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[x >> 24] | e1[(x >> 16) & 255]
-         | e2[(x >> 8) & 255] | e3[x & 255]) ^ k7
-    y ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[y >> 24] | e1[(y >> 16) & 255]
-         | e2[(y >> 8) & 255] | e3[y & 255]) ^ k8
-    x ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[x >> 24] | e1[(x >> 16) & 255]
-         | e2[(x >> 8) & 255] | e3[x & 255]) ^ k9
-    y ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[y >> 24] | e1[(y >> 16) & 255]
-         | e2[(y >> 8) & 255] | e3[y & 255]) ^ k10
-    x ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[x >> 24] | e1[(x >> 16) & 255]
-         | e2[(x >> 8) & 255] | e3[x & 255]) ^ k11
-    y ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[y >> 24] | e1[(y >> 16) & 255]
-         | e2[(y >> 8) & 255] | e3[y & 255]) ^ k12
-    x ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[x >> 24] | e1[(x >> 16) & 255]
-         | e2[(x >> 8) & 255] | e3[x & 255]) ^ k13
-    y ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[y >> 24] | e1[(y >> 16) & 255]
-         | e2[(y >> 8) & 255] | e3[y & 255]) ^ k14
-    x ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (e0[x >> 24] | e1[(x >> 16) & 255]
-         | e2[(x >> 8) & 255] | e3[x & 255]) ^ k15
-    y ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
+    x = b >> 48                    # E(L) on even rounds (see crypt_int_ref)
+    y = b & 0xFFFFFFFFFFFF         # E(R) on even rounds
+    # One round per pair of lines; ``>>`` binds tighter than ``&``.
+    t = y ^ k0
+    x ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = x ^ k1
+    y ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = y ^ k2
+    x ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = x ^ k3
+    y ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = y ^ k4
+    x ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = x ^ k5
+    y ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = y ^ k6
+    x ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = x ^ k7
+    y ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = y ^ k8
+    x ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = x ^ k9
+    y ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = y ^ k10
+    x ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = x ^ k11
+    y ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = y ^ k12
+    x ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = x ^ k13
+    y ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = y ^ k14
+    x ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
+    t = x ^ k15
+    y ^= s0[t >> 36] | s1[t >> 24 & 4095] | s2[t >> 12 & 4095] | s3[t & 4095]
     # Pre-output is (R16, L16); after 16 alternations x is L16, y is R16.
-    out = (y << 32) | x
     fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7 = _fp
     return (
-        fp0[(out >> 56) & 255] | fp1[(out >> 48) & 255]
-        | fp2[(out >> 40) & 255] | fp3[(out >> 32) & 255]
-        | fp4[(out >> 24) & 255] | fp5[(out >> 16) & 255]
-        | fp6[(out >> 8) & 255] | fp7[out & 255]
+        fp0[y >> 36] | fp1[(y >> 24) & 4095]
+        | fp2[(y >> 12) & 4095] | fp3[y & 4095]
+        | fp4[x >> 36] | fp5[(x >> 24) & 4095]
+        | fp6[(x >> 12) & 4095] | fp7[x & 4095]
     )
-
-
-# --------------------------------------------------------------------------
-# The batch-plane kernel: two messages per pass, 16-bit E probes.
-#
-# ``crypt_int2`` runs the sixteen Feistel rounds over TWO independent
-# (block, key-schedule) lanes in a single Python frame.  Interleaving
-# the lanes amortizes the per-call frame and table-binding overhead,
-# and the wider body makes a further table folding pay for itself:
-# the E expansion here uses 16-bit paired probes (two input bytes per
-# lookup, tables ``_E16_0``/``_E16_1``) instead of ``crypt_int``'s
-# per-byte tables.  The 65536-entry tables were measured *slower* for
-# the single-lane kernel on the original benchmark machine (see the
-# note above ``crypt_int``); for the two-lane batch kernel the
-# request-plane benchmark re-measures the choice on every run — its
-# A/B legs gate the batch plane against the single-request plane, so
-# a machine where this folding loses shows up as a gate failure, not
-# a silent regression.
-#
-# PCBC chains are sequential *within* one message, so the two lanes
-# must come from independent messages — which is exactly what a KDC
-# batch provides (``repro.crypto.modes.seal_many``).  Bit-exactness of
-# each lane against ``crypt_int_ref`` is pinned by the property suite
-# in tests/crypto/test_perf_kernels.py.
-# --------------------------------------------------------------------------
-
-def _pair8(a, b) -> Tuple[int, ...]:
-    """Merge two per-byte permutation tables into one 16-bit-indexed table."""
-    return tuple(a[i >> 8] | b[i & 0xFF] for i in range(65536))
-
-
-_E16_0 = _pair8(_E_B[0], _E_B[1])
-_E16_1 = _pair8(_E_B[2], _E_B[3])
-
-
-def crypt_int2(
-    block_a: int,
-    subkeys_a,
-    block_b: int,
-    subkeys_b,
-    _ip=_IP_B,
-    _fp=_FP_B,
-    _e0=_E16_0,
-    _e1=_E16_1,
-    _sp01=_SP01,
-    _sp23=_SP23,
-    _sp45=_SP45,
-    _sp67=_SP67,
-) -> Tuple[int, int]:
-    """Two independent DES block operations in one pass.
-
-    Equivalent to ``(crypt_int(block_a, subkeys_a), crypt_int(block_b,
-    subkeys_b))`` — same convention: pass ``_enc_subkeys`` to encrypt,
-    ``_dec_subkeys`` to decrypt, per lane.  The trailing parameters
-    bind the lookup tables as locals; never pass them.
-    """
-    ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = _ip
-    ka0, ka1, ka2, ka3, ka4, ka5, ka6, ka7, \
-        ka8, ka9, ka10, ka11, ka12, ka13, ka14, ka15 = subkeys_a
-    kb0, kb1, kb2, kb3, kb4, kb5, kb6, kb7, \
-        kb8, kb9, kb10, kb11, kb12, kb13, kb14, kb15 = subkeys_b
-    b = (
-        ip0[(block_a >> 56) & 255] | ip1[(block_a >> 48) & 255]
-        | ip2[(block_a >> 40) & 255] | ip3[(block_a >> 32) & 255]
-        | ip4[(block_a >> 24) & 255] | ip5[(block_a >> 16) & 255]
-        | ip6[(block_a >> 8) & 255] | ip7[block_a & 255]
-    )
-    xa = (b >> 32) & 0xFFFFFFFF
-    ya = b & 0xFFFFFFFF
-    b = (
-        ip0[(block_b >> 56) & 255] | ip1[(block_b >> 48) & 255]
-        | ip2[(block_b >> 40) & 255] | ip3[(block_b >> 32) & 255]
-        | ip4[(block_b >> 24) & 255] | ip5[(block_b >> 16) & 255]
-        | ip6[(block_b >> 8) & 255] | ip7[block_b & 255]
-    )
-    xb = (b >> 32) & 0xFFFFFFFF
-    yb = b & 0xFFFFFFFF
-    t = (_e0[ya >> 16] | _e1[ya & 65535]) ^ ka0
-    xa ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[yb >> 16] | _e1[yb & 65535]) ^ kb0
-    xb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xa >> 16] | _e1[xa & 65535]) ^ ka1
-    ya ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xb >> 16] | _e1[xb & 65535]) ^ kb1
-    yb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[ya >> 16] | _e1[ya & 65535]) ^ ka2
-    xa ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[yb >> 16] | _e1[yb & 65535]) ^ kb2
-    xb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xa >> 16] | _e1[xa & 65535]) ^ ka3
-    ya ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xb >> 16] | _e1[xb & 65535]) ^ kb3
-    yb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[ya >> 16] | _e1[ya & 65535]) ^ ka4
-    xa ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[yb >> 16] | _e1[yb & 65535]) ^ kb4
-    xb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xa >> 16] | _e1[xa & 65535]) ^ ka5
-    ya ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xb >> 16] | _e1[xb & 65535]) ^ kb5
-    yb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[ya >> 16] | _e1[ya & 65535]) ^ ka6
-    xa ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[yb >> 16] | _e1[yb & 65535]) ^ kb6
-    xb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xa >> 16] | _e1[xa & 65535]) ^ ka7
-    ya ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xb >> 16] | _e1[xb & 65535]) ^ kb7
-    yb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[ya >> 16] | _e1[ya & 65535]) ^ ka8
-    xa ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[yb >> 16] | _e1[yb & 65535]) ^ kb8
-    xb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xa >> 16] | _e1[xa & 65535]) ^ ka9
-    ya ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xb >> 16] | _e1[xb & 65535]) ^ kb9
-    yb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[ya >> 16] | _e1[ya & 65535]) ^ ka10
-    xa ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[yb >> 16] | _e1[yb & 65535]) ^ kb10
-    xb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xa >> 16] | _e1[xa & 65535]) ^ ka11
-    ya ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xb >> 16] | _e1[xb & 65535]) ^ kb11
-    yb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[ya >> 16] | _e1[ya & 65535]) ^ ka12
-    xa ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[yb >> 16] | _e1[yb & 65535]) ^ kb12
-    xb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xa >> 16] | _e1[xa & 65535]) ^ ka13
-    ya ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xb >> 16] | _e1[xb & 65535]) ^ kb13
-    yb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[ya >> 16] | _e1[ya & 65535]) ^ ka14
-    xa ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[yb >> 16] | _e1[yb & 65535]) ^ kb14
-    xb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xa >> 16] | _e1[xa & 65535]) ^ ka15
-    ya ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    t = (_e0[xb >> 16] | _e1[xb & 65535]) ^ kb15
-    yb ^= (_sp01[t >> 36] | _sp23[(t >> 24) & 4095]
-          | _sp45[(t >> 12) & 4095] | _sp67[t & 4095])
-    out = (ya << 32) | xa
-    fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7 = _fp
-    ra = (
-        fp0[(out >> 56) & 255] | fp1[(out >> 48) & 255]
-        | fp2[(out >> 40) & 255] | fp3[(out >> 32) & 255]
-        | fp4[(out >> 24) & 255] | fp5[(out >> 16) & 255]
-        | fp6[(out >> 8) & 255] | fp7[out & 255]
-    )
-    out = (yb << 32) | xb
-    rb = (
-        fp0[(out >> 56) & 255] | fp1[(out >> 48) & 255]
-        | fp2[(out >> 40) & 255] | fp3[(out >> 32) & 255]
-        | fp4[(out >> 24) & 255] | fp5[(out >> 16) & 255]
-        | fp6[(out >> 8) & 255] | fp7[out & 255]
-    )
-    return ra, rb
 
 
 #: Resolved lazily by DesKey.from_bytes (keycache imports this module).

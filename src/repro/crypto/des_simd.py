@@ -1,26 +1,26 @@
 """Wide-lane DES: one Feistel pass over N independent messages.
 
-:func:`repro.crypto.des.crypt_int2` interleaves two messages per pass;
-this module generalizes the idea to *all* messages of a KDC batch at
-once.  Each of the 16 rounds becomes a handful of table *gathers* over
-an N-wide vector of block states (numpy fancy indexing), so the
-per-round interpreter overhead — the dominant cost of the scalar
-kernels — is paid once per batch instead of once per block.
+:func:`repro.crypto.des.crypt_int` runs one block per call; this module
+runs one block of *every* message of a KDC batch per call, so the
+per-round interpreter overhead — the dominant single-lane cost — is
+paid once per batch instead of once per block.
 
-The tables are the exact ones the scalar kernels use (`_IP_B`/`_FP_B`
-byte permutations, the 16-bit paired E tables, the 12-bit paired SP
-tables), converted to ``uint64`` arrays on first use, so the wide path
-is bit-identical by construction; the property suite asserts it against
-``crypt_int_ref`` anyway.
+The representation is the single-lane kernel's (both Feistel halves
+kept E-expanded, E folded into the SP-pair table outputs), laid out for
+gathers: each 12-bit chunk of an expanded half sits in its own 16-bit
+field of a little-endian ``uint64``, and :func:`keymat` spreads the
+subkeys the same way once per run.  The gather indices of a round are
+then a zero-copy ``uint16`` *view* of ``y ^ km[r]`` — no shifts, no
+masks.  A chunk leaves the top nibble of its field free, so ``keymat``
+writes the field's number there and the four 4,096-entry SP-pair tables
+sit stacked in one array: one gather per round.  The tables are the
+single-lane kernel's own, spread on first use; every dtype is
+explicitly little-endian, so a big-endian host computes the same lanes.
 
-numpy is optional: the container may lack it, and
-:func:`repro.crypto.reference.reference_kernels` must be able to
-benchmark without it.  Everything here degrades to ``available() ==
+numpy is optional: everything here degrades to ``available() ==
 False`` and the caller (``repro.crypto.modes``, which also owns the lane
-threshold ``WIDE_MIN_LANES``) falls back to the two-lane kernel.
+threshold ``WIDE_MIN_LANES``) falls back to the single-lane kernel.
 """
-
-from typing import Optional
 
 try:  # gated: the wide path is an accelerator, never a requirement
     import numpy as _np
@@ -28,6 +28,12 @@ except ImportError:  # pragma: no cover - exercised on numpy-free hosts
     _np = None
 
 from repro.crypto import des as _des
+
+_U64 = "<u8"
+_U16 = "<u2"
+
+#: Table-select nibbles: field *f* of a spread value carries ``f << 12``.
+_SELECT = (3 << 60) | (2 << 44) | (1 << 28)
 
 _tables = None
 
@@ -37,65 +43,86 @@ def available() -> bool:
     return _np is not None
 
 
+def _spread(v):
+    """Park each 12-bit chunk of a 48-bit value (int or array) in its
+    own 16-bit field; the most significant chunk lands in field 3."""
+    return (
+        ((v >> 36) << 48) | (((v >> 24) & 4095) << 32)
+        | (((v >> 12) & 4095) << 16) | (v & 4095)
+    )
+
+
 def _get_tables():
-    """The scalar kernels' lookup tables as uint64 numpy arrays."""
+    """The single-lane kernel's tables, spread, as flat ``<u8`` arrays.
+
+    Each array stacks its sub-tables in the order the index view meets
+    them: IP by little-endian input byte (after the eight table
+    offsets that turn a byte view into flat indices), SP and FP by
+    field number.
+    """
     global _tables
     if _tables is None:
-        u64 = lambda t: _np.array(t, dtype=_np.uint64)  # noqa: E731
+        def stack(tables):
+            return _np.array(
+                [v for table in tables for v in table], dtype=_U64
+            )
+
+        ip = _des._IP_X[::-1]
+        fp = _des._FP_X
         _tables = (
-            tuple(u64(t) for t in _des._IP_B),
-            tuple(u64(t) for t in _des._FP_B),
-            u64(_des._E16_0),
-            u64(_des._E16_1),
-            u64(_des._SP01),
-            u64(_des._SP23),
-            u64(_des._SP45),
-            u64(_des._SP67),
+            _np.arange(0, 2048, 256, dtype=_U16),
+            stack([[_spread(v >> 48) for v in t] for t in ip]),
+            stack([[_spread(v & 0xFFFFFFFFFFFF) for v in t] for t in ip]),
+            _spread(stack(
+                [_des._SP67, _des._SP45, _des._SP23, _des._SP01]
+            )),
+            stack(fp[3::-1]),
+            stack(fp[:3:-1]),
         )
     return _tables
 
 
-def keymat(subkeys_per_lane) -> "Optional[_np.ndarray]":
-    """Stack per-lane 16-round subkey tuples into a (16, N) array."""
-    return _np.array(subkeys_per_lane, dtype=_np.uint64).T
+def keymat(subkeys_per_lane):
+    """The only constructor of a key matrix: stack per-lane 16-round
+    subkey tuples into a (16, N) ``<u8`` array whose rows are in
+    *spread* form — each 12-bit chunk of a subkey in its own 16-bit
+    field, the field's table-select nibble set above it."""
+    km = _spread(_np.array(subkeys_per_lane, dtype=_U64)) | _SELECT
+    return _np.ascontiguousarray(km.T)
 
 
 def crypt_wide(blocks, km):
     """One DES operation on each lane of an N-wide block vector.
 
-    ``blocks`` is a uint64 array of input blocks, ``km`` a (16, N)
-    uint64 array of round keys (``keymat`` of ``_enc_subkeys`` to
-    encrypt, of ``_dec_subkeys`` to decrypt).  Returns the output
-    blocks as a new uint64 array; lane *i* equals
-    ``crypt_int(blocks[i], subkeys[i])``.
+    ``blocks`` is a uint64 array of input blocks, ``km`` the
+    :func:`keymat` of the lanes' ``_enc_subkeys`` (to encrypt) or
+    ``_dec_subkeys`` (to decrypt).  Returns the output blocks as a new
+    uint64 array; lane *i* equals ``crypt_int(blocks[i], subkeys[i])``.
     """
-    ip, fp, e0, e1, sp01, sp23, sp45, sp67 = _get_tables()
-    b = ip[0][(blocks >> 56) & 255]
-    b |= ip[1][(blocks >> 48) & 255]
-    b |= ip[2][(blocks >> 40) & 255]
-    b |= ip[3][(blocks >> 32) & 255]
-    b |= ip[4][(blocks >> 24) & 255]
-    b |= ip[5][(blocks >> 16) & 255]
-    b |= ip[6][(blocks >> 8) & 255]
-    b |= ip[7][blocks & 255]
-    x = (b >> 32) & 0xFFFFFFFF
-    y = b & 0xFFFFFFFF
+    byte_base, ip_x, ip_y, sp, fp_y, fp_x = _get_tables()
+    gather = sp.take
+    merge = _np.bitwise_or.reduceat
+    xor = _np.bitwise_xor
+    blocks = _np.asarray(blocks, dtype=_U64)
+    n = len(blocks)
+    per_lane4 = _np.arange(0, 4 * n, 4)
+    per_lane8 = per_lane4 * 2
+    # Flat indices into the eight stacked 256-entry IP tables.
+    idx = (blocks.view("u1").reshape(n, 8) + byte_base).ravel()
+    x = merge(ip_x.take(idx), per_lane8)     # E(L), spread
+    y = merge(ip_y.take(idx), per_lane8)     # E(R), spread
+    # Every gather index below is this one view of ``t``: the buffer's
+    # dtype, not the host's byte order, fixes which field is which.
+    t = _np.empty(n, dtype=_U64)
+    fields = t.view(_U16)
     for r in range(0, 16, 2):
-        t = (e0[y >> 16] | e1[y & 65535]) ^ km[r]
-        x = x ^ (sp01[t >> 36] | sp23[(t >> 24) & 4095]
-                 | sp45[(t >> 12) & 4095] | sp67[t & 4095])
-        t = (e0[x >> 16] | e1[x & 65535]) ^ km[r + 1]
-        y = y ^ (sp01[t >> 36] | sp23[(t >> 24) & 4095]
-                 | sp45[(t >> 12) & 4095] | sp67[t & 4095])
-    # Swap halves and apply the final permutation, byte-at-a-time like
-    # the scalar kernel.
-    b = (y << 32) | x
-    out = fp[0][(b >> 56) & 255]
-    out |= fp[1][(b >> 48) & 255]
-    out |= fp[2][(b >> 40) & 255]
-    out |= fp[3][(b >> 32) & 255]
-    out |= fp[4][(b >> 24) & 255]
-    out |= fp[5][(b >> 16) & 255]
-    out |= fp[6][(b >> 8) & 255]
-    out |= fp[7][b & 255]
+        xor(y, km[r], out=t)
+        x ^= merge(gather(fields), per_lane4)
+        xor(x, km[r + 1], out=t)
+        y ^= merge(gather(fields), per_lane4)
+    # Pre-output is (R16, L16); each field still carries 8 real bits.
+    xor(y, _SELECT, out=t)
+    out = merge(fp_y.take(fields), per_lane4)
+    xor(x, _SELECT, out=t)
+    out |= merge(fp_x.take(fields), per_lane4)
     return out

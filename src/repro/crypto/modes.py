@@ -23,6 +23,9 @@ end-to-end.  A whole message is converted bytes→ints with one
 ``struct.unpack`` call, chained/encrypted as Python ints via
 :func:`repro.crypto.des.crypt_int`, and converted back with one
 ``struct.pack`` — no per-block ``bytes`` slicing or int round trips.
+The ``*_many`` batch entry points share one job runner, which starts a
+run on the wide kernel (:mod:`repro.crypto.des_simd`) when it has
+enough lanes and finishes everything else on ``crypt_int``.
 The original byte-path kernels live on as the A/B baseline in
 :mod:`repro.crypto.reference`, and the property suite in
 ``tests/crypto/test_perf_kernels.py`` pins the two bit-exact.
@@ -37,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.crypto import des_simd
 from repro.crypto.bits import bytes_to_int
-from repro.crypto.des import BLOCK_SIZE, DesKey, crypt_int, crypt_int2
+from repro.crypto.des import BLOCK_SIZE, DesKey, crypt_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -266,14 +269,14 @@ def _open_frame(plain: bytes) -> bytes:
 # The direction is carried as a pair of 64-bit masks (chain mixed in
 # before or after the cipher) so the kernels stay branch-free and one
 # run may mix sealing and unsealing lanes.  A job is resumable from
-# ``len(out)``: the wide kernel hands whatever it leaves unfinished to
-# the two-lane kernel, which hands its unpaired tail to the single-lane
-# one.  Outputs are bit-identical to running :func:`pcbc_encrypt` /
-# :func:`pcbc_decrypt` per message, which the property suite and the
-# request-plane benchmark's A/B legs both assert.
+# ``len(out)``: the wide kernel hands whatever it leaves unfinished
+# straight to the single-lane one.  Outputs are bit-identical to
+# running :func:`pcbc_encrypt` / :func:`pcbc_decrypt` per message, which
+# the property suite and the request-plane benchmark's A/B legs both
+# assert.
 # --------------------------------------------------------------------------
 
-#: Process-wide count of blocks pushed through the multi-lane kernels.
+#: Process-wide count of blocks pushed through the wide-lane kernel.
 _interleaved_blocks = 0
 
 #: Live metric sinks mirroring ``crypto.interleaved_blocks_total``.
@@ -281,12 +284,13 @@ _sinks: List[Tuple[weakref.ref, object]] = []
 
 
 def interleaved_blocks() -> int:
-    """Blocks processed by the interleaved kernel since process start."""
+    """Blocks processed on the wide kernel's lanes since process start
+    (blocks finished by the single-lane kernel are not counted)."""
     return _interleaved_blocks
 
 
 def attach_metrics(metrics, labels: Optional[dict] = None) -> None:
-    """Mirror future interleaved-block counts into ``metrics`` as
+    """Mirror future wide-lane block counts into ``metrics`` as
     ``crypto.interleaved_blocks_total``.  Same contract as
     :func:`repro.crypto.keycache.attach_metrics`: attaching one registry
     twice is a no-op, dead registries are pruned on the next attach."""
@@ -331,40 +335,12 @@ def _pcbc_run_single(job) -> None:
     job[1] = chain
 
 
-def _pcbc_run_pair(job_a, job_b) -> None:
-    """Advance two jobs in lockstep over the shorter remainder, then
-    finish the longer one single-lane."""
-    sk_a, chain_a, blocks_a, out_a, decrypt_a = job_a
-    sk_b, chain_b, blocks_b, out_b, decrypt_b = job_b
-    pre_a, post_a = _chain_masks(decrypt_a)
-    pre_b, post_b = _chain_masks(decrypt_b)
-    crypt2 = crypt_int2
-    push_a = out_a.append
-    push_b = out_b.append
-    done_a = len(out_a)
-    for blk_a, blk_b in zip(blocks_a[done_a:], blocks_b[len(out_b):]):
-        y_a, y_b = crypt2(
-            blk_a ^ (chain_a & pre_a), sk_a, blk_b ^ (chain_b & pre_b), sk_b
-        )
-        y_a ^= chain_a & post_a
-        y_b ^= chain_b & post_b
-        push_a(y_a)
-        chain_a = blk_a ^ y_a
-        push_b(y_b)
-        chain_b = blk_b ^ y_b
-    if len(out_a) > done_a:
-        _count_interleaved(2 * (len(out_a) - done_a))
-    job_a[1] = chain_a
-    job_b[1] = chain_b
-    _pcbc_run_single(job_a)
-    _pcbc_run_single(job_b)
-
-
-#: Fewest lanes for which a wide Feistel pass beats the scalar kernels.
-#: Measured by the ledger's probes: a wide pass costs a flat ~250 us
-#: from 8 to 128 lanes (it is ~200 numpy dispatches however many lanes
-#: ride it), against ~9.7 us per block on the single-lane kernel and
-#: ~8.6 us per block paired — so the crossover sits at 27-30 lanes.
+#: Fewest lanes a run needs before it starts on the wide kernel.  A wide
+#: pass is ~60 numpy dispatches however many lanes ride it (45-90 us from
+#: 8 to 128 lanes, plus ~0.4 us a lane to marshal the step) against
+#: ~6.5 us per single-lane block, so a run breaks even near 8 lanes.  Not
+#: retuned with the kernels: which batches ride the lanes is what
+#: ``interleaved_blocks`` counts, and the ledger pins that count.
 WIDE_MIN_LANES = 32
 
 
@@ -372,9 +348,9 @@ def _pcbc_run_wide(jobs) -> None:
     """Advance every job one block per Feistel pass (numpy lanes).
 
     Jobs are sorted longest-first so the active set stays a contiguous
-    prefix as short messages finish; once too few lanes remain to
-    amortize the vector dispatch cost, the tails drop back to the
-    two-lane kernel via :func:`_pcbc_run_jobs_paired`.
+    prefix as short messages finish; once fewer than
+    ``WIDE_MIN_LANES`` remain, the tails finish on the single-lane
+    kernel.
     """
     np = des_simd._np
     lanes = sorted(jobs, key=lambda job: -len(job[2]))
@@ -406,26 +382,18 @@ def _pcbc_run_wide(jobs) -> None:
         step += 1
     for job, chain in zip(lanes, chains.tolist()):
         job[1] = chain
-    _pcbc_run_jobs_paired(
-        [job for job in lanes if len(job[3]) < len(job[2])]
-    )
-
-
-def _pcbc_run_jobs_paired(jobs) -> None:
-    """Run jobs two at a time (an odd final job single-lane)."""
-    for i in range(0, len(jobs) - 1, 2):
-        _pcbc_run_pair(jobs[i], jobs[i + 1])
-    if len(jobs) % 2:
-        _pcbc_run_single(jobs[-1])
+    for job in lanes[:active]:
+        _pcbc_run_single(job)
 
 
 def _pcbc_run_jobs(jobs) -> None:
-    """The one PCBC job runner: dispatch to the widest kernel that pays
-    off for this many lanes."""
+    """The one PCBC job runner: wide if numpy is present and the run
+    has at least ``WIDE_MIN_LANES`` jobs, else single-lane per job."""
     if des_simd.available() and len(jobs) >= WIDE_MIN_LANES:
         _pcbc_run_wide(jobs)
     else:
-        _pcbc_run_jobs_paired(jobs)
+        for job in jobs:
+            _pcbc_run_single(job)
 
 
 def _pcbc_many(

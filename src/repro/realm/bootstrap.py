@@ -165,7 +165,7 @@ class Realm:
         self.kdc_queue = topology.kdc_queue
 
         # Mirror key-schedule cache traffic into this world's registry as
-        # crypto.keyschedule_total{result=hit|miss}, and two-lane kernel
+        # crypto.keyschedule_total{result=hit|miss}, and wide-lane kernel
         # traffic as crypto.interleaved_blocks_total (idempotent per
         # registry; both caches/counters are process-wide).
         keycache.attach_metrics(net.metrics)

@@ -26,7 +26,14 @@ from repro.core.messages import (
     encode_message,
 )
 from repro.core.ticket import Ticket, seal_ticket, seal_tickets_cached
-from repro.crypto import DesKey, KeyGenerator, keycache, seal_prefix_state
+from repro.crypto import (
+    DesKey,
+    KeyGenerator,
+    des_simd,
+    keycache,
+    seal_prefix_state,
+)
+from repro.crypto.modes import WIDE_MIN_LANES
 from repro.encode import pack_frames
 from repro.netsim import IPAddress, Network
 from repro.principal import Principal, kdbm_principal, tgs_principal
@@ -176,31 +183,55 @@ class TestBatchObservability:
         ) >= 7
 
     def test_per_item_spans_carry_stage_attrs(self):
+        if not des_simd.available():
+            pytest.skip("numpy not available; no block rides the lanes")
         realm = build_realm()
         src = realm.workstation().host.address
-        wires = [as_wire("jis"), as_wire("bcn")]
+        n = WIDE_MIN_LANES
+        wires = [
+            as_wire(("jis", "bcn")[i % 2], timestamp=float(i))
+            for i in range(n)
+        ]
         realm.kdc.process_request_buffer(pack_frames(wires), src)
         spans = [
             s for s in realm.net.tracer.spans if s.name == "kdc.as"
         ]
-        assert len(spans) == 2
+        assert len(spans) == n
         for span in spans:
-            assert span.attrs["batch_size"] == 2
-            assert span.attrs["stage_decoded"] == 2
-            assert span.attrs["stage_sealed"] == 2
+            assert span.attrs["batch_size"] == n
+            assert span.attrs["stage_decoded"] == n
+            assert span.attrs["stage_sealed"] == n
             assert span.attrs["stage_interleaved_blocks"] > 0
             assert span.attrs["stage_encoded_bytes"] > 0
+        # Key lookups are memoized per batch: each principal's first
+        # item pays them, its repeats need none.
+        for span in spans[:2]:
             assert span.attrs["crypto_ops"] > 0
 
-    def test_interleaved_blocks_metric_mirrors(self):
+    def test_interleaved_blocks_metric_mirrors(self, monkeypatch):
+        """``crypto.interleaved_blocks_total`` counts wide-lane blocks:
+        a batch of at least ``WIDE_MIN_LANES`` moves it, a smaller one
+        or a numpy-less run leaves it untouched."""
         realm = build_realm()
         src = realm.workstation().host.address
-        before = realm.net.metrics.total("crypto.interleaved_blocks_total")
-        wires = [as_wire("jis", timestamp=float(i)) for i in range(4)]
-        realm.kdc.process_request_buffer(pack_frames(wires), src)
-        assert realm.net.metrics.total(
-            "crypto.interleaved_blocks_total"
-        ) > before
+
+        def serve(count):
+            wires = [
+                as_wire("jis", timestamp=float(i)) for i in range(count)
+            ]
+            before = realm.net.metrics.total(
+                "crypto.interleaved_blocks_total"
+            )
+            realm.kdc.process_request_buffer(pack_frames(wires), src)
+            return realm.net.metrics.total(
+                "crypto.interleaved_blocks_total"
+            ) - before
+
+        assert serve(8) == 0
+        if des_simd.available():
+            assert serve(WIDE_MIN_LANES) > 0
+        monkeypatch.setattr(des_simd, "_np", None)
+        assert serve(WIDE_MIN_LANES) == 0
 
 
 class TestSkeletonInvalidation:

@@ -220,3 +220,115 @@ def test_registry_scan_lint_catches_a_planted_offender(tmp_path):
     )
     violations = _registry_scans_in_loops(planted)
     assert [line for line, _ in violations] == [4, 5]
+
+
+# --------------------------------------------------------------------------
+# ISSUE 13 extension: the E expansion stays out of the block kernels.
+#
+# ``crypt_int`` and ``crypt_wide`` keep both Feistel halves E-expanded,
+# so nothing in their bodies may name an ``_E*`` table, apply a compiled
+# permutation, or call a Python-level helper once per round; and no
+# kernel table may outgrow 4,096 entries (the paired kernel's two
+# 65,536-entry E tables were ~5 MiB of every process and most of the
+# package's import time).
+# --------------------------------------------------------------------------
+
+MAX_TABLE_ENTRIES = 4096
+
+KERNELS = {"des.py": "crypt_int", "des_simd.py": "crypt_wide"}
+
+
+def _python_helpers() -> set:
+    """Every function defined at module level next to the kernels."""
+    names = set()
+    for name in ("bits.py", "des.py", "des_simd.py"):
+        tree = ast.parse((CRYPTO / name).read_text(encoding="utf-8"))
+        names |= {
+            node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+        }
+    return names
+
+
+def _kernel_violations(func: ast.FunctionDef, helpers: set) -> list:
+    """(lineno, what) for each way E could re-enter a kernel body."""
+    found = []
+    for node in ast.walk(func):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            if name.startswith("_E"):
+                found.append((node.lineno, f"names {name}"))
+            if name == "apply_permutation":
+                found.append((node.lineno, "apply_permutation"))
+        if isinstance(node, (ast.For, ast.While)):
+            for inner in ast.walk(node):
+                if not isinstance(inner, ast.Call):
+                    continue
+                callee = getattr(inner.func, "id", None) or getattr(
+                    inner.func, "attr", None
+                )
+                if callee in helpers:
+                    found.append((inner.lineno, f"loop calls {callee}()"))
+    return sorted(set(found))
+
+
+def _kernel(module: str) -> ast.FunctionDef:
+    tree = ast.parse((CRYPTO / module).read_text(encoding="utf-8"))
+    (func,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == KERNELS[module]
+    ]
+    return func
+
+
+def test_no_expansion_in_the_block_kernels():
+    helpers = _python_helpers()
+    assert {"apply_permutation", "_feistel", "crypt_int"} <= helpers
+    bad = {
+        module: _kernel_violations(_kernel(module), helpers)
+        for module in KERNELS
+    }
+    assert not any(bad.values()), bad
+
+
+def test_kernel_lint_catches_planted_offenders():
+    planted = ast.parse(
+        "def crypt_int(block, subkeys, _e=_E_B):\n"
+        "    b = apply_permutation(_IP_C, block)\n"
+        "    for k in subkeys:\n"
+        "        b ^= _feistel(b, k)\n"
+        "        b ^= table.take(b)\n"  # a C-level gather: fine
+        "    return des._E_WIDE[b]\n"
+    ).body[0]
+    labels = {
+        what for _, what in _kernel_violations(planted, {"_feistel"})
+    }
+    assert labels == {
+        "names _E_B", "names _E_WIDE", "apply_permutation",
+        "loop calls _feistel()",
+    }
+
+
+def test_no_kernel_table_exceeds_4096_entries():
+    from repro.crypto import des, des_simd
+
+    def oversized(value):
+        if not isinstance(value, (tuple, list)):
+            return False
+        if any(isinstance(row, (tuple, list)) for row in value):
+            return any(oversized(row) for row in value)
+        return len(value) > MAX_TABLE_ENTRIES
+
+    for module in (des, des_simd):
+        bad = [
+            name for name, value in vars(module).items()
+            if oversized(value)
+        ]
+        assert not bad, f"{module.__name__}: oversized tables {bad}"
+    if des_simd.available():
+        # The wide tables are stacks of the single-lane ones: at most
+        # four sub-tables of at most 4,096 entries in any one array.
+        for table in des_simd._get_tables():
+            assert table.size <= 4 * MAX_TABLE_ENTRIES
+        total = sum(table.nbytes for table in des_simd._get_tables())
+        assert total <= 512 * 1024

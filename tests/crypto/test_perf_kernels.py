@@ -1,7 +1,8 @@
 """The optimized hot-path kernels are bit-exact against the reference path.
 
-PR 3 rewrote the DES round function (``crypt_int``: byte-indexed E tables
-and 12-bit paired SP tables, fully unrolled) and moved the block modes
+PR 3 rewrote the DES round function (``crypt_int``: 12-bit paired SP
+tables, fully unrolled; since ISSUE 13 with both Feistel halves kept in
+E-expanded form so the expansion never runs) and moved the block modes
 into the integer domain.  The original byte-at-a-time implementations
 survive as :func:`repro.crypto.des.crypt_int_ref` and
 :mod:`repro.crypto.reference`, and this suite pins the two paths against
@@ -207,45 +208,77 @@ class TestKeyScheduleCache:
         assert registry.total("crypto.keyschedule_total", result="hit") == 1
 
 
-class TestInterleavedKernel:
-    """The two-lane kernel (``crypt_int2``) is bit-exact against the
-    reference round function, lane by lane."""
+def _fips_and_weak_key_checks(crypt):
+    """``crypt(block, subkeys) -> block`` passes the FIPS 46 worked
+    example and the weak-key involution ``E_k(E_k(x)) == x``."""
+    subkeys = _key_schedule(bytes.fromhex("133457799BBCDFF1"))
+    assert crypt(0x0123456789ABCDEF, subkeys) == 0x85E813540F0AB405
+    rng = random.Random(46)
+    for weak in ("0101010101010101", "fefefefefefefefe",
+                 "1f1f1f1f0e0e0e0e", "e0e0e0e0f1f1f1f1"):
+        subkeys = _key_schedule(bytes.fromhex(weak))
+        for _ in range(5):
+            block = rng.getrandbits(64)
+            assert crypt(crypt(block, subkeys), subkeys) == block
 
-    @given(
-        a=blocks64, b=blocks64,
-        ka=st.binary(min_size=8, max_size=8),
-        kb=st.binary(min_size=8, max_size=8),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_crypt_int2_matches_reference(self, a, b, ka, kb):
-        from repro.crypto.des import crypt_int2
 
-        sk_a = _key_schedule(ka)
-        sk_b = _key_schedule(kb)
-        ra, rb = crypt_int2(a, sk_a, b, sk_b)
-        assert ra == crypt_int_ref(a, sk_a)
-        assert rb == crypt_int_ref(b, sk_b)
+class TestExpandedRepresentation:
+    """The hot-path tables hold the oracle's own E and SP, composed: the
+    Feistel halves stay E-expanded from IP to FP, so E is folded into
+    the SP-pair table outputs and read back out of the FP table inputs."""
 
-    def test_lanes_are_independent(self):
-        """Lane A's output never depends on lane B's block or key."""
-        from repro.crypto.des import crypt_int2
+    def test_sp_pair_tables_are_e_of_the_oracle_sp_rows(self):
+        from repro.crypto import des
+        from repro.crypto.bits import apply_permutation
 
-        rng = random.Random(5)
-        sk_a = _key_schedule(rng.randbytes(8))
-        a = rng.getrandbits(64)
-        baseline = crypt_int(a, sk_a)
-        for _ in range(20):
-            sk_b = _key_schedule(rng.randbytes(8))
-            ra, _rb = crypt_int2(a, sk_a, rng.getrandbits(64), sk_b)
-            assert ra == baseline
+        pairs = (des._SP01, des._SP23, des._SP45, des._SP67)
+        for n, table in enumerate(pairs):
+            hi, lo = des._SP[2 * n], des._SP[2 * n + 1]
+            assert len(table) == 4096
+            for i, value in enumerate(table):
+                assert value == apply_permutation(
+                    des._E_C, hi[i >> 6] | lo[i & 63]
+                )
+
+    @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
+    @settings(max_examples=200)
+    def test_real_bits_read_back_out_of_the_expansion(self, half):
+        from repro.crypto import des
+        from repro.crypto.bits import apply_permutation
+
+        expanded = apply_permutation(des._E_C, half)
+        read_back = 0
+        for shift in (36, 24, 12, 0):
+            read_back = (read_back << 8) | des._real_bits(
+                (expanded >> shift) & 4095
+            )
+        assert read_back == half
+
+    def test_fips_vector_and_weak_key_involution_single_lane(self):
+        _fips_and_weak_key_checks(crypt_int)
+
+    def test_fips_vector_and_weak_key_involution_wide(self):
+        from repro.crypto import des_simd
+
+        if not des_simd.available():
+            pytest.skip("numpy not available; wide path disabled")
+
+        def crypt(block, subkeys):
+            out = des_simd.crypt_wide(
+                des_simd._np.array([block], dtype=des_simd._np.uint64),
+                des_simd.keymat([subkeys]),
+            )
+            return out.tolist()[0]
+
+        _fips_and_weak_key_checks(crypt)
 
 
 class TestBatchModes:
     """seal_many/unseal_many and the pcbc_*_many kernels are
     bit-identical to per-message calls, for every batch shape."""
 
-    # K=1 exercises the single-lane fallback, K=2 the pure pair path,
-    # odd/prime sizes the mixed tail.
+    # Every count here is below the wide threshold: one single-lane run
+    # per message (TestWideLanes covers the other side).
     @pytest.mark.parametrize("count", [1, 2, 3, 7, 13])
     def test_seal_many_matches_singles(self, count):
         from repro.crypto import seal_many
@@ -319,18 +352,27 @@ class TestBatchModes:
         )
         assert opened == [d for _k, d in items]
 
-    def test_interleaved_blocks_counter_advances(self):
-        from repro.crypto import seal_many
-        from repro.crypto.modes import interleaved_blocks
+    def test_interleaved_blocks_counter_advances(self, monkeypatch):
+        """The counter counts wide-lane blocks, and only those."""
+        from repro.crypto import des_simd, seal_many
+        from repro.crypto.modes import WIDE_MIN_LANES, interleaved_blocks
 
         rng = random.Random(2)
         items = [
             (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(64))
-            for _ in range(4)
+            for _ in range(WIDE_MIN_LANES)
         ]
         before = interleaved_blocks()
-        seal_many(items)
-        assert interleaved_blocks() > before
+        seal_many(items[:8])  # sub-threshold: single-lane, not counted
+        assert interleaved_blocks() == before
+        if des_simd.available():
+            seal_many(items)
+            # 64 data bytes frame to ten blocks, all lanes to the end.
+            assert interleaved_blocks() == before + 10 * WIDE_MIN_LANES
+        before = interleaved_blocks()
+        monkeypatch.setattr(des_simd, "_np", None)
+        seal_many(items)  # numpy-less: single-lane, not counted
+        assert interleaved_blocks() == before
 
 
 class TestSplitSealing:
@@ -399,8 +441,9 @@ class TestWideLanes:
     """The numpy wide-lane kernel (``des_simd``) behind seal_many.
 
     Batches of >= ``modes.WIDE_MIN_LANES`` jobs take the vectorized
-    path; these tests pin it bit-exact against the scalar kernels,
-    including ragged lengths (active-lane shrink + scalar tails).
+    path; these tests pin it bit-exact against the loop kernel and the
+    single-lane one, including ragged lengths (active-lane shrink +
+    single-lane tails).
     """
 
     def setup_method(self):
@@ -409,21 +452,56 @@ class TestWideLanes:
         if not des_simd.available():
             pytest.skip("numpy not available; wide path disabled")
 
+    @staticmethod
+    def _lanes(rng, count):
+        """Per-lane distinct keys, alternating enc/dec schedules."""
+        schedules = []
+        for lane in range(count):
+            key = DesKey(rng.randbytes(8), allow_weak=True)
+            schedules.append(
+                key._dec_subkeys if lane % 2 else key._enc_subkeys
+            )
+        return schedules, [rng.getrandbits(64) for _ in range(count)]
+
     def test_crypt_wide_matches_scalar_kernel(self):
+        """... and both match the loop kernel, lane by lane."""
         from repro.crypto import des_simd
 
-        rng = random.Random(9)
-        keys = [
-            DesKey(rng.randbytes(8), allow_weak=True) for _ in range(40)
-        ]
-        blocks = [rng.getrandbits(64) for _ in range(40)]
-        km = des_simd.keymat([k._enc_subkeys for k in keys])
-        out = des_simd.crypt_wide(
-            des_simd._np.array(blocks, dtype=des_simd._np.uint64), km
-        )
-        assert out.tolist() == [
-            crypt_int(b, k._enc_subkeys) for b, k in zip(blocks, keys)
-        ]
+        np = des_simd._np
+        # 1/2: degenerate vectors; 31/32/33: either side of the runner's
+        # threshold; 128: a full KDC buffer.
+        for count in (1, 2, 31, 32, 33, 128):
+            schedules, blocks = self._lanes(random.Random(900 + count), count)
+            want = [crypt_int_ref(b, sk) for b, sk in zip(blocks, schedules)]
+            km = des_simd.keymat(schedules)
+            out = des_simd.crypt_wide(np.array(blocks, dtype=np.uint64), km)
+            assert out.tolist() == want
+            assert want == [
+                crypt_int(b, sk) for b, sk in zip(blocks, schedules)
+            ]
+            # Blocks arriving in the other byte order are coerced on entry.
+            out = des_simd.crypt_wide(np.array(blocks, dtype=">u8"), km)
+            assert out.tolist() == want
+
+    def test_lanes_are_independent(self):
+        """A lane's output never depends on its neighbours' blocks or
+        keys."""
+        from repro.crypto import des_simd
+
+        np = des_simd._np
+        rng = random.Random(5)
+        subkeys = _key_schedule(rng.randbytes(8))
+        block = rng.getrandbits(64)
+        baseline = crypt_int_ref(block, subkeys)
+        for _ in range(20):
+            schedules, blocks = self._lanes(rng, 33)
+            lane = rng.randrange(33)
+            schedules[lane], blocks[lane] = subkeys, block
+            out = des_simd.crypt_wide(
+                np.array(blocks, dtype=np.uint64),
+                des_simd.keymat(schedules),
+            )
+            assert out.tolist()[lane] == baseline
 
     def test_seal_many_wide_ragged_lengths(self):
         from repro.crypto import seal_many
@@ -524,7 +602,7 @@ def _assert_jobs_match(jobs, expected):
 
 
 class TestDirectionCarryingRunner:
-    # 1: single-lane; 2: one pair; 31/32/33: either side of the wide
+    # 1/2: single-lane per job; 31/32/33: either side of the wide
     # threshold; 128: a full KDC buffer.
     @pytest.mark.parametrize("count", [1, 2, 31, 32, 33, 128])
     def test_mixed_directions_ragged_lengths(self, count):
@@ -536,7 +614,7 @@ class TestDirectionCarryingRunner:
 
     def test_tails_drop_below_threshold_mid_run(self, monkeypatch):
         """40 lanes, 25 of them short: after two wide steps only 15
-        stay active, so the long tails finish on the scalar kernels."""
+        stay active, so the long tails finish on the single-lane kernel."""
         from repro.crypto import des_simd
         from repro.crypto.modes import _pcbc_run_jobs
 
