@@ -139,8 +139,9 @@ def krb_rd_req(
     matches, it allows the request to proceed."*
 
     The two unseals and the two halves of the checklist are separate
-    functions so the KDC's batch plane can run each unseal across a
-    whole batch; this is their composition for one request.
+    functions so the KDC's pipeline can run each unseal across a whole
+    batch; this is their composition for one request, the application
+    servers' front door.
     """
     if isinstance(service_key_or_srvtab, SrvTab):
         service_key = service_key_or_srvtab.key_for(service, request.kvno)

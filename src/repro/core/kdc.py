@@ -26,21 +26,15 @@ inter-realm key.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.crypto import DesKey, KeyGenerator, keycache, seal_many
 from repro.crypto.modes import interleaved_blocks
-from repro.core.applib import (
-    AuthContext,
-    check_authenticator,
-    check_ticket,
-    krb_rd_req,
-)
+from repro.core.applib import AuthContext, check_authenticator, check_ticket
 from repro.core.authenticator import Authenticator
 from repro.core.errors import ErrorCode, KerberosError, error_for_code
 from repro.core.service import Service
 from repro.core.messages import (
-    AsRequest,
     ErrorReply,
     KdcReply,
     KdcReplyBody,
@@ -52,12 +46,7 @@ from repro.core.messages import (
     verify_preauth,
 )
 from repro.core.replay import CLOCK_SKEW, ReplayCache
-from repro.core.ticket import (
-    Ticket,
-    seal_ticket_cached,
-    seal_tickets_cached,
-    unseal_structs,
-)
+from repro.core.ticket import Ticket, seal_tickets_cached, unseal_structs
 from repro.database.db import KerberosDatabase, NoSuchPrincipal
 from repro.database.schema import PrincipalRecord
 from repro.encode import BatchReader, BatchWriter
@@ -127,7 +116,7 @@ class _Prepared(NamedTuple):
 
 class _BufferDatagram(NamedTuple):
     """A datagram-shaped view over one frame of a request buffer, for
-    driving the batch plane without the network simulator."""
+    driving the pipeline without the network simulator."""
 
     payload: memoryview
     src: IPAddress
@@ -148,8 +137,9 @@ class KerberosServer(Service):
     sheds the request with a :class:`~repro.core.errors.KdcOverloaded`
     error reply the client's failover path rides out to another KDC.
     Batches amortize database record lookups across their requests.
-    Without ``workers`` the classic inline handler is used — zero service
-    time, answered at arrival.
+    Without ``workers`` a request is answered at arrival as a batch of
+    one — zero service time, through the same staged pipeline
+    (:meth:`_serve_batch`) every queued batch and request buffer rides.
     """
 
     def __init__(
@@ -182,7 +172,6 @@ class KerberosServer(Service):
             raise ValueError("pass either workers or queue, not both")
         self.queue_config = queue
         self.workqueue: Optional[WorkQueue] = None
-        self._batch_records = None
 
     def ports(self):
         return {self.port: self._handle}
@@ -214,7 +203,15 @@ class KerberosServer(Service):
             )
             for kind in ("as", "tgs")
         }
-        self.metrics.counter("kdc.skeleton_hits_total", self._labels)
+        self._batch_size = self.metrics.histogram(
+            "kdc.batch_size", BATCH_SIZE_BUCKETS, self._labels
+        )
+        self._lookups_saved = self.metrics.counter(
+            "kdc.batch_lookups_saved_total", self._labels
+        )
+        self._skeleton_hits = self.metrics.counter(
+            "kdc.skeleton_hits_total", self._labels
+        )
         if self.shard is not None:
             self.metrics.counter("kdc.referrals_total", self._labels)
         # Principal mutations (kadmin writes on a master, dump/delta
@@ -287,9 +284,9 @@ class KerberosServer(Service):
     # -- dispatch -------------------------------------------------------------
 
     def _handle(self, datagram):
-        """Port handler: inline service, or admission into the queue."""
+        """Port handler: a batch of one, or admission into the queue."""
         if self.workqueue is None:
-            return self._serve(datagram)
+            return bytes(self._serve_batch([datagram])[0])
         deferred = DeferredReply()
         if not self.workqueue.submit((datagram, deferred), trace=datagram.trace):
             # Admission control: answer *now* with a typed overload
@@ -341,7 +338,7 @@ class KerberosServer(Service):
             deferred.resolve(bytes(reply))
 
     def process_request_buffer(self, buffer, src) -> List[memoryview]:
-        """Drive the batch plane from one contiguous buffer of
+        """Drive the pipeline from one contiguous buffer of
         length-prefixed request frames, returning one reply view per
         frame (in order).
 
@@ -359,167 +356,164 @@ class KerberosServer(Service):
     def _serve_batch(
         self, datagrams, waits=None, service_each=None
     ) -> List[memoryview]:
-        """The batch-aware request plane: explicit decode-all →
-        unseal-all → lookup-all → seal-all → encode-all stages over one
-        batch.
+        """The request plane — every request the KDC answers comes
+        through here: explicit decode-all → unseal-all → lookup-all →
+        seal-all → encode-all stages over one batch, be it a datagram
+        answered at arrival, a worker batch or a request buffer.
 
         Item failures are per-item: a garbage frame or a typed
         :class:`KerberosError` becomes that slot's error reply and the
-        rest of the batch proceeds.  Replies are bit-identical to
-        :meth:`_serve` answering each datagram alone — the replay cache
-        is consulted and keygen state consumed in item order, and the
-        batched unseals and split/interleaved seals are bit-exact by
-        construction.
+        rest of the batch proceeds.  Replies do not depend on how the
+        requests were cut into batches — the replay cache is consulted
+        and keygen state consumed in item order, and the batched unseals
+        and split/interleaved seals are bit-exact by construction.
         """
         n = len(datagrams)
         if waits is None:
             waits = [None] * n
-        self.metrics.histogram(
-            "kdc.batch_size", BATCH_SIZE_BUCKETS, self._labels
-        ).observe(n)
-        fresh_memo = self._batch_records is None
-        if fresh_memo:
-            self._batch_records = {}
-        try:
-            now = self.host.clock.now()
-            blocks_before = interleaved_blocks()
-            # -- stage 1: decode-all ---------------------------------------
-            kinds = ["other"] * n
-            errors: List[Optional[KerberosError]] = [None] * n
-            messages = [None] * n
-            principals = [""] * n
-            for i, datagram in enumerate(datagrams):
-                try:
-                    mtype, message = decode_message(datagram.payload)
-                except KerberosError as err:
-                    errors[i] = err
-                    continue
-                if mtype in (MessageType.AS_REQ, MessageType.PREAUTH_AS_REQ):
-                    kinds[i] = "as"
-                elif mtype == MessageType.TGS_REQ:
-                    kinds[i] = "tgs"
-                else:
-                    errors[i] = KerberosError(
-                        ErrorCode.KDC_GEN_ERR,
-                        f"KDC does not handle {mtype.name} messages",
-                    )
-                    continue
-                messages[i] = message
-                principals[i] = str(getattr(message, "client", "") or "")
-                self._requests_total[kinds[i]].inc()
-            # -- stage 2: unseal-all (TGS request side, two wide waves) ----
-            crypto_ops = [0] * n
-            meter = _KeyTouchMeter()
-            contexts = self._unseal_all(
-                messages, kinds, datagrams, now, errors, crypto_ops, meter
-            )
-            # -- stage 3: lookup-all (one memoized DB pass) ----------------
-            lookups_before = self.metrics.total(
-                "kdc.batch_lookups_saved_total", **self._labels
-            )
-            prepared: List[Optional[_Prepared]] = [None] * n
-            for i, message in enumerate(messages):
-                if errors[i] is not None:
-                    continue
-                try:
-                    if kinds[i] == "as":
-                        prepared[i] = self._prepare_as(
-                            message, datagrams[i], now
-                        )
-                    else:
-                        # Authenticated: failures from here on are
-                        # audited under the client the TGT names.
-                        principals[i] = str(contexts[i].client)
-                        prepared[i] = self._prepare_tgs(
-                            message, datagrams[i], now, contexts[i]
-                        )
-                except KerberosError as err:
-                    errors[i] = err
-                crypto_ops[i] += meter.lap()
-            # -- stage 4: seal-all (interleaved kernel) --------------------
-            ready = [p for p in prepared if p is not None]
-            hits_before = keycache.skeleton_stats()["hit"]
-            ticket_blobs = seal_tickets_cached(
-                [(p.ticket, p.service_key) for p in ready]
-            )
-            skeleton_hits = keycache.skeleton_stats()["hit"] - hits_before
-            if skeleton_hits:
-                self.metrics.counter(
-                    "kdc.skeleton_hits_total", self._labels
-                ).inc(skeleton_hits)
-            sealed_bodies = seal_many([
-                (p.reply_key, p.body(blob).to_bytes())
-                for p, blob in zip(ready, ticket_blobs)
-            ])
-            # -- stage 5: encode-all (one output buffer) -------------------
-            writer = BatchWriter()
-            sealed_iter = iter(sealed_bodies)
-            for i in range(n):
-                p = prepared[i]
-                if p is not None:
-                    writer.add(p.mtype, KdcReply(
-                        client=p.client, sealed_body=next(sealed_iter)
-                    ))
-                else:
-                    writer.add(
-                        MessageType.ERROR, ErrorReply.from_error(errors[i])
-                    )
-            replies = writer.finish()
-            # -- per-item observability ------------------------------------
-            # Per-stage work counts (deterministic — wall clocks are
-            # banned under src/repro): how much of the batch survived
-            # decode, how many DB round-trips the memo saved, and what
-            # the pooled crypto/encode stages actually did.
-            stage_attrs = {
-                "stage_decoded": n - sum(m is None for m in messages),
-                "stage_lookups_saved": int(self.metrics.total(
-                    "kdc.batch_lookups_saved_total", **self._labels
-                ) - lookups_before),
-                "stage_sealed": len(ready),
-                "stage_interleaved_blocks": interleaved_blocks()
-                - blocks_before,
-                "stage_skeleton_hits": skeleton_hits,
-                "stage_encoded_bytes": sum(len(r) for r in replies),
-            }
-            for i, datagram in enumerate(datagrams):
-                kind = kinds[i]
-                with self.tracer.span_under(
-                    datagram.trace,
-                    f"kdc.{kind}",
-                    server=self.host.name,
-                    host=self.host.name,
-                ) as span:
-                    if waits[i] is not None:
-                        span.attrs["queue_wait"] = round(waits[i], 9)
-                        span.attrs["service_time"] = round(service_each, 9)
-                    span.attrs["batch_size"] = n
-                    span.attrs["crypto_ops"] = crypto_ops[i]
-                    span.attrs.update(stage_attrs)
-                if errors[i] is None:
-                    self._ok_total[kind].inc()
-                    self.audit.emit(
-                        "auth_success",
-                        host=self.host.name,
-                        principal=principals[i],
-                        trace=datagram.trace,
-                        detail=f"kind={kind}",
+        self._batch_size.observe(n)
+        now = self.host.clock.now()
+        blocks_before = interleaved_blocks()
+        lookups_before = self._lookups_saved.value
+        # -- stage 1: decode-all -------------------------------------------
+        kinds = ["other"] * n
+        errors: List[Optional[KerberosError]] = [None] * n
+        messages = [None] * n
+        principals = [""] * n
+        for i, datagram in enumerate(datagrams):
+            try:
+                mtype, message = decode_message(datagram.payload)
+            except KerberosError as err:
+                errors[i] = err
+                continue
+            if mtype in (MessageType.AS_REQ, MessageType.PREAUTH_AS_REQ):
+                kinds[i] = "as"
+            elif mtype == MessageType.TGS_REQ:
+                kinds[i] = "tgs"
+            else:
+                errors[i] = KerberosError(
+                    ErrorCode.KDC_GEN_ERR,
+                    f"KDC does not handle {mtype.name} messages",
+                )
+                continue
+            messages[i] = message
+            # AS requests name their client in the clear; a TGS request's
+            # is filled in once its TGT authenticates it.
+            principals[i] = str(getattr(message, "client", "") or "")
+            self._requests_total[kinds[i]].inc()
+        # -- stage 2: unseal-all (TGS request side, two wide waves) --------
+        crypto_ops = [0] * n
+        meter = _KeyTouchMeter()
+        contexts = self._unseal_all(
+            messages, kinds, datagrams, now, errors, crypto_ops, meter
+        )
+        # -- stage 3: lookup-all (one memoized DB pass) --------------------
+        records: Dict[tuple, PrincipalRecord] = {}
+        prepared: List[Optional[_Prepared]] = [None] * n
+        for i, message in enumerate(messages):
+            if errors[i] is not None:
+                continue
+            try:
+                if kinds[i] == "as":
+                    prepared[i] = self._prepare_as(
+                        message, datagrams[i], now, records
                     )
                 else:
-                    self._outcome(kind, errors[i].code.name)
-                    self._serving_principal = principals[i]
-                    self._audit_failure(kind, errors[i], datagram)
-            return replies
-        finally:
-            if fresh_memo:
-                self._batch_records = None
+                    # Authenticated: failures from here on are audited
+                    # under the client the TGT names.
+                    principals[i] = str(contexts[i].client)
+                    prepared[i] = self._prepare_tgs(
+                        message, datagrams[i], now, contexts[i], records
+                    )
+            except KerberosError as err:
+                errors[i] = err
+            crypto_ops[i] += meter.lap()
+        # -- stage 4: seal-all (interleaved kernel) ------------------------
+        ready = [p for p in prepared if p is not None]
+        hits_before = keycache.skeleton_stats()["hit"]
+        ticket_blobs = seal_tickets_cached(
+            [(p.ticket, p.service_key) for p in ready]
+        )
+        skeleton_hits = keycache.skeleton_stats()["hit"] - hits_before
+        if skeleton_hits:
+            self._skeleton_hits.inc(skeleton_hits)
+        sealed_bodies = seal_many([
+            (p.reply_key, p.body(blob).to_bytes())
+            for p, blob in zip(ready, ticket_blobs)
+        ])
+        # -- stage 5: encode-all (one output buffer) -----------------------
+        writer = BatchWriter()
+        sealed_iter = iter(sealed_bodies)
+        for i in range(n):
+            p = prepared[i]
+            if p is not None:
+                writer.add(p.mtype, KdcReply(
+                    client=p.client, sealed_body=next(sealed_iter)
+                ))
+            else:
+                writer.add(
+                    MessageType.ERROR, ErrorReply.from_error(errors[i])
+                )
+        replies = writer.finish()
+        # -- per-item observability ----------------------------------------
+        # Per-stage work counts (deterministic — wall clocks are banned
+        # under src/repro): how much of the batch survived decode, how
+        # many DB round-trips the memo saved, and what the pooled
+        # crypto/encode stages actually did.
+        stage_attrs = {
+            "stage_decoded": n - sum(m is None for m in messages),
+            "stage_lookups_saved": int(
+                self._lookups_saved.value - lookups_before
+            ),
+            "stage_sealed": len(ready),
+            "stage_interleaved_blocks": interleaved_blocks() - blocks_before,
+            "stage_skeleton_hits": skeleton_hits,
+            "stage_encoded_bytes": sum(len(r) for r in replies),
+        }
+        host = self.host.name
+        for i, datagram in enumerate(datagrams):
+            kind = kinds[i]
+            err = errors[i]
+            # Written after the fact (nothing runs inside it), so opened
+            # under the propagated context, off the tracer's stack.
+            span = self.tracer.open_span(
+                f"kdc.{kind}", datagram.trace, server=host, host=host
+            )
+            if waits[i] is not None:
+                span.attrs["queue_wait"] = round(waits[i], 9)
+                span.attrs["service_time"] = round(service_each, 9)
+            span.attrs["batch_size"] = n
+            span.attrs["crypto_ops"] = crypto_ops[i]
+            span.attrs.update(stage_attrs)
+            if err is not None:
+                # What Tracer.span records for an exception passing
+                # through it; here the refusal is a value.
+                span.attrs["error"] = f"{type(err).__name__}: {err}"
+            self.tracer.close_span(span)
+            if err is None:
+                self._ok_total[kind].inc()
+                self.audit.emit(
+                    "auth_success",
+                    host=host,
+                    principal=principals[i],
+                    trace=datagram.trace,
+                    detail=f"kind={kind}",
+                )
+            else:
+                self._outcome(kind, err.code.name)
+                self._audit_failure(kind, err, datagram, principals[i])
+        return replies
 
     def _unseal_all(
         self, messages, kinds, datagrams, now: float, errors, crypto_ops,
         meter,
     ) -> List[Optional[AuthContext]]:
-        """The request side of every TGS item of a batch (Figure 8), as
-        two batched unseals with :func:`krb_rd_req`'s own checklist
-        halves between and after them.
+        """The request side of every TGS item of a batch (Figure 8): the
+        ticket-granting service "makes use of the service access
+        protocol described in the previous section", so this is
+        :func:`krb_rd_req`'s own checklist halves (:func:`check_ticket`,
+        :func:`check_authenticator`) run between and after two batched
+        unseals, with the TGS itself as the target service.
 
         A failing item gets its :class:`KerberosError` in ``errors[i]``;
         a passing one its :class:`AuthContext` in the returned list
@@ -576,81 +570,21 @@ class KerberosServer(Service):
             crypto_ops[i] += meter.lap()
         return contexts
 
-    def _get_record(self, principal: Principal) -> PrincipalRecord:
-        """DB row fetch, memoized across the current batch."""
-        if self._batch_records is None:
-            return self.db.get_record(principal)
-        record = self._batch_records.get(principal)
+    def _get_record(self, principal: Principal, records) -> PrincipalRecord:
+        """DB row fetch, memoized in the batch's ``records``."""
+        # Keyed by the three names, not the Principal: a tuple of strs
+        # hashes in C, a WireStruct through a Python-level __hash__.
+        key = (principal.name, principal.instance, principal.realm)
+        record = records.get(key)
         if record is None:
-            record = self.db.get_record(principal)
-            self._batch_records[principal] = record
+            record = records[key] = self.db.get_record(principal)
         else:
-            self.metrics.counter(
-                "kdc.batch_lookups_saved_total", self._labels
-            ).inc()
+            self._lookups_saved.inc()
         return record
 
-    def _serve(
-        self,
-        datagram,
-        queue_wait=None,
-        batch_size=None,
-        service_time=None,
-    ) -> bytes:
-        """Answer one request.  The handler span parents to the
-        datagram's *propagated* trace context (:meth:`Tracer.span_under`)
-        — not the pumping caller's stack — and carries the latency
-        breakdown: queue wait, batch size, per-item service time, and
-        the crypto work (key-schedule touches) the request cost."""
-        kind = "other"
-        self._serving_principal = ""
-        try:
-            mtype, message = decode_message(datagram.payload)
-            if mtype in (MessageType.AS_REQ, MessageType.PREAUTH_AS_REQ):
-                kind = "as"
-            elif mtype == MessageType.TGS_REQ:
-                kind = "tgs"
-            if kind != "other":
-                self._requests_total[kind].inc()
-            # AS requests name their client in the clear; TGS handlers
-            # fill the principal in once the TGT authenticates it.
-            self._serving_principal = str(getattr(message, "client", "") or "")
-            with self.tracer.span_under(
-                datagram.trace,
-                f"kdc.{kind}",
-                server=self.host.name,
-                host=self.host.name,
-            ) as span:
-                if queue_wait is not None:
-                    span.attrs["queue_wait"] = round(queue_wait, 9)
-                    span.attrs["batch_size"] = batch_size
-                    span.attrs["service_time"] = round(service_time, 9)
-                meter = _KeyTouchMeter()
-                if kind == "as":
-                    reply = self._handle_as(message, datagram)
-                elif kind == "tgs":
-                    reply = self._handle_tgs(message, datagram)
-                else:
-                    raise KerberosError(
-                        ErrorCode.KDC_GEN_ERR,
-                        f"KDC does not handle {mtype.name} messages",
-                    )
-                span.attrs["crypto_ops"] = meter.lap()
-            self._ok_total[kind].inc()
-            self.audit.emit(
-                "auth_success",
-                host=self.host.name,
-                principal=self._serving_principal,
-                trace=datagram.trace,
-                detail=f"kind={kind}",
-            )
-            return reply
-        except KerberosError as err:
-            self._outcome(kind, err.code.name)
-            self._audit_failure(kind, err, datagram)
-            return encode_message(MessageType.ERROR, ErrorReply.from_error(err))
-
-    def _audit_failure(self, kind: str, err: KerberosError, datagram) -> None:
+    def _audit_failure(
+        self, kind: str, err: KerberosError, datagram, principal: str
+    ) -> None:
         """Map a failed exchange to its audit event.  Replays are
         already reported by the replay cache itself; a PREAUTH_REQUIRED
         bounce is normal negotiation (the client retries with proof),
@@ -665,16 +599,18 @@ class KerberosServer(Service):
         self.audit.emit(
             event,
             host=self.host.name,
-            principal=self._serving_principal,
+            principal=principal,
             trace=datagram.trace,
             detail=f"kind={kind} code={err.code.name}",
         )
 
     # -- shared pieces -----------------------------------------------------------
 
-    def _lookup_client(self, client: Principal, now: float) -> PrincipalRecord:
+    def _lookup_client(
+        self, client: Principal, now: float, records
+    ) -> PrincipalRecord:
         try:
-            record = self._get_record(client)
+            record = self._get_record(client, records)
         except NoSuchPrincipal as exc:
             # In a sharded realm an unknown client is first checked
             # against the ring: a principal another shard owns gets a
@@ -699,9 +635,11 @@ class KerberosServer(Service):
             )
         return record
 
-    def _lookup_service(self, service: Principal, now: float) -> PrincipalRecord:
+    def _lookup_service(
+        self, service: Principal, now: float, records
+    ) -> PrincipalRecord:
         try:
-            record = self._get_record(service)
+            record = self._get_record(service, records)
         except NoSuchPrincipal as exc:
             raise KerberosError(ErrorCode.KDC_SERVICE_UNKNOWN, str(exc)) from exc
         if record.expired(now):
@@ -720,11 +658,10 @@ class KerberosServer(Service):
         now: float,
         kind: str = "as",
     ):
-        """Everything :meth:`_issue`-shaped except the sealing itself:
-        draws the session key, builds the plaintext ticket, unseals the
-        service key.  Returns (ticket, service_key, session_key_bytes).
-        The seal happens downstream — inline for the single plane,
-        batched through the interleaved kernel for the batch plane."""
+        """Issuance up to, not including, the sealing: draws the
+        session key, builds the plaintext ticket, unseals the service
+        key.  Returns (ticket, service_key, session_key_bytes); the
+        seal-all stage seals the ticket with its batchmates'."""
         self.metrics.histogram(
             "kdc.ticket_life_seconds",
             LIFETIME_BUCKETS,
@@ -744,16 +681,6 @@ class KerberosServer(Service):
         service_key = self.db.master_key.unseal_key(service_record.sealed_key)
         return ticket, service_key, session_key
 
-    def _finish_prepared(self, prepared: _Prepared) -> bytes:
-        """Single-request completion of a prepared exchange: seal the
-        ticket (skeleton-cached), seal the reply body, encode.  The
-        batch plane performs these same steps across the whole batch."""
-        ticket_blob = seal_ticket_cached(prepared.ticket, prepared.service_key)
-        reply = KdcReply.build(
-            prepared.client, prepared.body(ticket_blob), prepared.reply_key
-        )
-        return encode_message(prepared.mtype, reply)
-
     def _canonical_ticket_server(self, service: Principal) -> Principal:
         """Tickets for a *remote* TGS (cross-realm) are written with the
         server as that realm knows itself, so the remote KDC's own
@@ -764,14 +691,9 @@ class KerberosServer(Service):
 
     # -- the authentication service (Figure 5) --------------------------------------
 
-    def _handle_as(self, request, datagram) -> bytes:
-        return self._finish_prepared(
-            self._prepare_as(request, datagram, self.host.clock.now())
-        )
-
-    def _prepare_as(self, request, datagram, now: float) -> _Prepared:
-        client_record = self._lookup_client(request.client, now)
-        service_record = self._lookup_service(request.service, now)
+    def _prepare_as(self, request, datagram, now: float, records) -> _Prepared:
+        client_record = self._lookup_client(request.client, now, records)
+        service_record = self._lookup_service(request.service, now, records)
 
         # Single-pass: the client key is needed to seal the reply in every
         # successful exchange, so unseal it once up front and reuse it for
@@ -848,34 +770,15 @@ class KerberosServer(Service):
                 f"no inter-realm key with {tgt_realm}",
             ) from None
 
-    def _handle_tgs(self, request: TgsRequest, datagram) -> bytes:
-        now = self.host.clock.now()
-        # "The ticket-granting server then checks the authenticator and
-        # ticket-granting ticket as described above" — the full Figure 6
-        # validation, with the TGS itself as the target service.
-        context = krb_rd_req(
-            request=_as_ap_request(request),
-            service=tgs_principal(self.realm),
-            service_key_or_srvtab=self._tgt_key(request.tgt_realm),
-            packet_address=datagram.src,
-            now=now,
-            replay_cache=self.replay_cache,
-            skew=self.skew,
-        )
-        self._serving_principal = str(context.client)
-        return self._finish_prepared(
-            self._prepare_tgs(request, datagram, now, context)
-        )
-
     def _prepare_tgs(
-        self, request: TgsRequest, datagram, now: float, context: AuthContext
+        self, request: TgsRequest, datagram, now: float,
+        context: AuthContext, records,
     ) -> _Prepared:
-        """Everything after authentication: ``context`` is the verdict
-        of :func:`krb_rd_req` (single plane) or of the batch plane's
-        unseal-all stage on this request's TGT and authenticator."""
+        """Everything after authentication: ``context`` is the unseal-all
+        stage's verdict on this request's TGT and authenticator."""
         client = context.client  # realm preserved from the TGT (Sec. 7.2)
 
-        service_record = self._lookup_service(request.service, now)
+        service_record = self._lookup_service(request.service, now, records)
         # Section 5.1: "the ticket-granting service will not issue
         # tickets for it" — services flagged no-TGT (the KDBM) must be
         # reached through the authentication service instead.
@@ -934,17 +837,3 @@ class KerberosServer(Service):
             request_timestamp=request.timestamp,
         )
 
-
-def _as_ap_request(request: TgsRequest):
-    """View the TGT+authenticator of a TGS request as an AP request, so the
-    TGS can reuse the standard krb_rd_req validation (the paper: the
-    ticket-granting service 'makes use of the service access protocol
-    described in the previous section')."""
-    from repro.core.messages import ApRequest
-
-    return ApRequest(
-        ticket=request.tgt,
-        authenticator=request.authenticator,
-        mutual=False,
-        kvno=0,
-    )

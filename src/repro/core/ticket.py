@@ -136,11 +136,6 @@ def seal_tickets_cached(
     return sealed
 
 
-def seal_ticket_cached(ticket: Ticket, server_key: DesKey) -> bytes:
-    """Skeleton-cached :func:`seal_ticket`: the batch of one."""
-    return seal_tickets_cached([(ticket, server_key)])[0]
-
-
 def decrypt_failure(what: str, exc: Exception) -> KerberosError:
     """A wrong key, a modified message, or garbage all map to
     ``RD_AP_MODIFIED`` — the indistinguishability is the point:

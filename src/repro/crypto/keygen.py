@@ -65,7 +65,7 @@ class KeyGenerator:
         """Produce the raw bytes of a fresh, parity-correct, non-weak key.
 
         Consumes exactly the same DRBG stream as :func:`session_key` but
-        skips the key-schedule expansion — the KDC's batch plane only
+        skips the key-schedule expansion — the KDC only
         embeds the bytes in tickets/replies and never encrypts with the
         session key itself.
         """

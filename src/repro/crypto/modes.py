@@ -251,7 +251,7 @@ def _open_frame(plain: bytes) -> bytes:
 
 
 # --------------------------------------------------------------------------
-# Multi-message PCBC: the batch plane's cipher entry points.
+# Multi-message PCBC: the KDC pipeline's cipher entry points.
 #
 # PCBC chains are sequential *within* one message, but independent
 # messages place no ordering constraint on each other — so a batch of
@@ -266,14 +266,14 @@ def _open_frame(plain: bytes) -> bytes:
 #     encrypt:  out = E(blk ^ chain)        decrypt:  out = D(blk) ^ chain
 #     both:     chain = blk ^ out           (the PCBC value P_i ^ C_i)
 #
-# The direction is carried as a pair of 64-bit masks (chain mixed in
-# before or after the cipher) so the kernels stay branch-free and one
-# run may mix sealing and unsealing lanes.  A job is resumable from
-# ``len(out)``: the wide kernel hands whatever it leaves unfinished
-# straight to the single-lane one.  Outputs are bit-identical to
-# running :func:`pcbc_encrypt` / :func:`pcbc_decrypt` per message, which
-# the property suite and the request-plane benchmark's A/B legs both
-# assert.
+# On the wide kernel the direction is a pair of 64-bit lane masks (chain
+# mixed in before or after the cipher), so one run may mix sealing and
+# unsealing lanes; the single-lane kernel branches once per job, outside
+# its block loop.  A job is resumable from ``len(out)``: the wide kernel
+# hands whatever it leaves unfinished straight to the single-lane one.
+# Outputs are bit-identical to running :func:`pcbc_encrypt` /
+# :func:`pcbc_decrypt` per message, which the property suite and the
+# request-plane benchmark's A/B legs both assert.
 # --------------------------------------------------------------------------
 
 #: Process-wide count of blocks pushed through the wide-lane kernel.
@@ -317,21 +317,21 @@ def _job(subkeys, chain: int, blocks, decrypt: bool = False) -> list:
     return [subkeys, chain, blocks, [], decrypt]
 
 
-def _chain_masks(decrypt: bool) -> Tuple[int, int]:
-    """(pre, post): which side of the cipher a job's chain is mixed in."""
-    return (0, _MASK64) if decrypt else (_MASK64, 0)
-
-
 def _pcbc_run_single(job) -> None:
     """Finish one job on the single-lane kernel."""
     sk, chain, blocks, out, decrypt = job
-    pre, post = _chain_masks(decrypt)
     crypt1 = crypt_int
     push = out.append
-    for blk in blocks[len(out):]:
-        y = crypt1(blk ^ (chain & pre), sk) ^ (chain & post)
-        push(y)
-        chain = blk ^ y
+    if decrypt:
+        for blk in blocks[len(out):]:
+            y = crypt1(blk, sk) ^ chain
+            push(y)
+            chain = blk ^ y
+    else:
+        for blk in blocks[len(out):]:
+            y = crypt1(blk ^ chain, sk)
+            push(y)
+            chain = blk ^ y
     job[1] = chain
 
 
@@ -356,8 +356,10 @@ def _pcbc_run_wide(jobs) -> None:
     lanes = sorted(jobs, key=lambda job: -len(job[2]))
     km = des_simd.keymat([job[0] for job in lanes])
     chains = np.array([job[1] for job in lanes], dtype=np.uint64)
+    # Which side of the cipher each lane's chain is mixed in: before it
+    # when sealing, after it when unsealing.
     pre = np.array(
-        [_chain_masks(job[4])[0] for job in lanes], dtype=np.uint64
+        [0 if job[4] else _MASK64 for job in lanes], dtype=np.uint64
     )
     post = ~pre
     lens = [len(job[2]) for job in lanes]

@@ -8,9 +8,8 @@ makes the *buffer* the unit of I/O:
 * :class:`BatchReader` slices length-prefixed frames out of one
   contiguous buffer as ``memoryview``\\ s — zero copies per message
   (:class:`~repro.encode.buffer.Decoder` reads views in place);
-* :class:`BatchWriter` sizes one output buffer from
-  :meth:`~repro.encode.structfmt.WireStruct.wire_size` sums and encodes
-  every reply into it in place, returning per-reply views.
+* :class:`BatchWriter` encodes every reply onto the end of one output
+  buffer and returns per-reply views of it.
 
 Frame format (everything big-endian, like the rest of the codec)::
 
@@ -24,10 +23,9 @@ than a garbage message handed to the KDC.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.encode.buffer import (
-    _U8,
     _U32,
     DecodeError,
     Encoder,
@@ -95,67 +93,34 @@ class BatchReader:
         return list(self)
 
 
-class _ViewWriter:
-    """A ``write()`` sink over a preallocated buffer region — lets the
-    ordinary :class:`Encoder` methods emit straight into the batch
-    buffer instead of a per-message BytesIO."""
-
-    __slots__ = ("_view", "pos")
-
-    def __init__(self, view: memoryview) -> None:
-        self._view = view
-        self.pos = 0
-
-    def write(self, data) -> None:
-        end = self.pos + len(data)
-        self._view[self.pos : end] = data
-        self.pos = end
-
-
-class _InplaceEncoder(Encoder):
-    """An :class:`Encoder` that writes into a caller-provided view."""
-
-    def __init__(self, view: memoryview) -> None:
-        self._buf = _ViewWriter(view)
-
-
 class BatchWriter:
-    """Encode many typed replies into one exactly-sized buffer.
+    """Encode many typed replies into one buffer, in one pass.
 
-    Replies are staged as ``(message type, WireStruct)`` pairs; on
-    :meth:`finish` the writer sums ``wire_size()`` over the batch,
-    allocates a single buffer, and encodes every reply in place.  Each
-    returned view's bytes equal
+    :meth:`add` encodes a ``(message type, WireStruct)`` reply straight
+    onto the end of one growing buffer; :meth:`finish` slices it into
+    per-reply views.  Each view's bytes equal
     :func:`repro.core.messages.encode_message` for that reply.
     """
 
     def __init__(self) -> None:
-        self._items: List[Tuple[int, WireStruct]] = []
+        self._enc = Encoder()
+        self._ends: List[int] = []
 
     def add(self, mtype: int, msg: WireStruct) -> None:
-        self._items.append((int(mtype), msg))
+        self._enc.u8(int(mtype))
+        msg.encode_into(self._enc)
+        self._ends.append(len(self._enc))
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._ends)
 
     def finish(self) -> List[memoryview]:
-        """Encode every staged reply; returns one payload view each
-        (the u8 message type byte included, framing excluded)."""
-        sizes = [1 + msg.wire_size() for _mtype, msg in self._items]
-        buffer = bytearray(sum(sizes))
-        view = memoryview(buffer)
+        """One read-only payload view per reply added, in order (the u8
+        message type byte included, framing excluded)."""
+        view = memoryview(self._enc.getvalue())
         out: List[memoryview] = []
-        pos = 0
-        for (mtype, msg), size in zip(self._items, sizes):
-            region = view[pos : pos + size]
-            enc = _InplaceEncoder(region)
-            enc._buf.write(_U8.pack(mtype))
-            msg.encode_into(enc)
-            if enc._buf.pos != size:
-                raise RuntimeError(
-                    f"wire_size() promised {size} bytes, "
-                    f"encoder wrote {enc._buf.pos}"
-                )
-            out.append(region)
-            pos += size
+        start = 0
+        for end in self._ends:
+            out.append(view[start:end])
+            start = end
         return out

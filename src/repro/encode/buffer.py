@@ -126,7 +126,7 @@ class Encoder:
         return self._buf.getvalue()
 
     def __len__(self) -> int:
-        return self._buf.getbuffer().nbytes
+        return self._buf.tell()  # write-only, never seeks: the size
 
     # -- internals --------------------------------------------------------
 

@@ -72,41 +72,6 @@ _SCALAR_DECODERS = {
 }
 
 
-_SCALAR_SIZES = {
-    "u8": 1,
-    "u16": 2,
-    "u32": 4,
-    "u64": 8,
-    "i32": 4,
-    "i64": 8,
-    "f64": 8,
-    "bool": 1,
-}
-
-
-def _value_size(kind: Any, value: Any) -> int:
-    """Encoded byte count of one value — the arithmetic twin of
-    :func:`_encode_value`, used by the batch encoder to size one output
-    buffer before writing anything."""
-    if isinstance(kind, tuple) and len(kind) == 2 and kind[0] == "list":
-        return 4 + sum(_value_size(kind[1], item) for item in value)
-    if isinstance(kind, str):
-        if kind.startswith("list:"):
-            inner = kind[len("list:"):]
-            return 4 + sum(_value_size(inner, item) for item in value)
-        if kind == "bytes":
-            return 4 + len(value)
-        if kind == "string":
-            return 4 + len(value.encode("utf-8"))
-        try:
-            return _SCALAR_SIZES[kind]
-        except KeyError:
-            raise EncodeError(f"unknown wire kind {kind!r}") from None
-    if isinstance(kind, type) and issubclass(kind, WireStruct):
-        return value.wire_size()
-    raise EncodeError(f"unsupported wire kind {kind!r}")
-
-
 def _encode_value(enc: Encoder, kind: Any, value: Any) -> None:
     if isinstance(kind, tuple) and len(kind) == 2 and kind[0] == "list":
         if not isinstance(value, (list, tuple)):
@@ -193,16 +158,6 @@ class WireStruct:
     def decode_from(cls, dec: Decoder) -> "WireStruct":
         values = {f.name: _decode_value(dec, f.kind) for f in cls.FIELDS}
         return cls(**values)
-
-    def wire_size(self) -> int:
-        """Exact ``len(self.to_bytes())`` without encoding anything.
-
-        The batch encoder sums these to allocate one output buffer for a
-        whole batch of replies, then writes each in place.
-        """
-        return sum(
-            _value_size(f.kind, getattr(self, f.name)) for f in self.FIELDS
-        )
 
     def to_bytes(self) -> bytes:
         enc = Encoder()

@@ -160,7 +160,8 @@ class Realm:
         self.topology = topology
         self.keygen = KeyGenerator(seed=seed + name.encode())
         #: Concurrent-service-loop sizing applied to every KDC in the
-        #: realm (masters and slaves); None keeps the inline handler.
+        #: realm (masters and slaves); with None a request is answered
+        #: at arrival as a batch of one, zero service time.
         self.kdc_workers = topology.kdc_workers
         self.kdc_queue = topology.kdc_queue
 

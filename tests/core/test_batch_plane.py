@@ -1,18 +1,24 @@
-"""The batch-aware KDC request plane.
+"""The KDC request plane.
 
-The staged pipeline (decode-all → unseal-all → lookup-all → seal-all →
-encode-all) must be *observationally identical* to serving each datagram alone:
-bit-identical replies (keygen state consumed in item order, split and
-interleaved seals bit-exact), typed per-item errors that never poison
-batchmates, and the same metrics/audit/trace surface.  Two same-seed
-realms make the comparison exact — one serves requests one at a time
-through the classic plane, the other serves the same wire bytes as one
-batch through :meth:`KerberosServer.process_request_buffer`.
+Every request rides one staged pipeline (decode-all → unseal-all →
+lookup-all → seal-all → encode-all), and how requests are cut into
+batches must be *unobservable*: bit-identical replies (keygen state
+consumed in item order, split and interleaved seals bit-exact), typed
+per-item errors that never poison batchmates, and the same
+metrics/audit/trace surface.  Two same-seed realms make the comparison
+exact — one is handed the wire bytes one frame per call (a datagram to
+the Kerberos port, or a one-frame request buffer), the other the same
+bytes in larger buffers through
+:meth:`KerberosServer.process_request_buffer`.  What the replies
+*should be* is pinned separately, by an oracle that shares no pipeline
+code: ``tests/core/test_kdc_oracle.py``.
 """
 
 from contextlib import nullcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.authenticator import build_authenticator
 from repro.core.crossrealm import register_accepting_key
@@ -36,19 +42,12 @@ from repro.crypto import (
 from repro.crypto.modes import WIDE_MIN_LANES
 from repro.encode import pack_frames
 from repro.netsim import IPAddress, Network
+from repro.netsim.ports import KERBEROS_PORT
 from repro.principal import Principal, kdbm_principal, tgs_principal
 from repro.realm import Realm
+from repro.runtime import WorkQueueConfig
 
 REALM = "ATHENA.MIT.EDU"
-
-
-class _Datagram:
-    """The payload/src/trace triple the request plane consumes."""
-
-    def __init__(self, payload, src):
-        self.payload = payload
-        self.src = src
-        self.trace = None
 
 
 def build_realm():
@@ -90,6 +89,33 @@ def tgs_wire(realm, ws, service=("rlogin", "priam")):
     return encode_message(MessageType.TGS_REQ, request)
 
 
+def serve_in_buffers(realm, wires, src, sizes):
+    """Replies to ``wires`` handed to the KDC as consecutive request
+    buffers of ``sizes`` frames."""
+    replies, start = [], 0
+    for size in sizes:
+        replies.extend(
+            bytes(reply)
+            for reply in realm.kdc.process_request_buffer(
+                pack_frames(wires[start:start + size]), src
+            )
+        )
+        start += size
+    return replies
+
+
+def one_frame_per_call(realm, wires, src):
+    """The reference leg: each wire alone in its own request buffer."""
+    return serve_in_buffers(realm, wires, src, [1] * len(wires))
+
+
+def one_datagram_per_call(realm, wires, host):
+    """The reference leg as a workstation drives it: each wire its own
+    datagram to an un-queued KDC's Kerberos port."""
+    kdc_address = realm.master_host.address
+    return [host.rpc(kdc_address, KERBEROS_PORT, wire) for wire in wires]
+
+
 @pytest.fixture(autouse=True)
 def fresh_caches():
     keycache.clear()
@@ -121,10 +147,7 @@ class TestBatchMatchesSinglePlane:
         wires_b = _mixed_batch(realm_b, ws_b)
         assert wires_a == wires_b  # same-seed realms, same bytes in
 
-        src = ws_a.host.address
-        singles = [
-            realm_a.kdc._serve(_Datagram(w, src)) for w in wires_a
-        ]
+        singles = one_datagram_per_call(realm_a, wires_a, ws_a.host)
         batch = realm_b.kdc.process_request_buffer(
             pack_frames(wires_b), ws_b.host.address
         )
@@ -150,16 +173,14 @@ class TestBatchMatchesSinglePlane:
 
     def test_caches_disabled_stays_bit_identical(self):
         """The skeleton/key caches are a pure optimization: with every
-        cache layer off, the batch plane still answers byte-for-byte."""
+        cache layer off, a buffer is still answered byte-for-byte."""
         realm_a = build_realm()
         realm_b = build_realm()
         wires = [as_wire("jis", timestamp=float(i)) for i in range(5)]
         src_a = realm_a.workstation().host.address
         src_b = realm_b.workstation().host.address
         with keycache.caches_disabled():
-            singles = [
-                realm_a.kdc._serve(_Datagram(w, src_a)) for w in wires
-            ]
+            singles = one_frame_per_call(realm_a, wires, src_a)
             batch = realm_b.kdc.process_request_buffer(
                 pack_frames(wires), src_b
             )
@@ -234,6 +255,60 @@ class TestBatchObservability:
         assert serve(WIDE_MIN_LANES) == 0
 
 
+DOORS = {"unqueued": 1, "buffer8": 8, "queued": 1}
+
+
+def refused_spans(door):
+    """An unknown principal's AS_REQ and a garbage datagram, sent to the
+    KDC through ``door``; returns the spans they left, by name."""
+    net = Network(seed=11)
+    queue = (
+        WorkQueueConfig(workers=1, batch_size=4) if door == "queued" else None
+    )
+    realm = Realm(net, REALM, seed=b"batch-plane", kdc_queue=queue)
+    realm.add_user("jis", "jis-pw")
+    host = realm.workstation().host
+    refused = [as_wire("nosuch"), b"\xffnot a kerberos message"]
+    if door == "buffer8":
+        served = [as_wire("jis", timestamp=float(i)) for i in range(6)]
+        realm.kdc.process_request_buffer(
+            pack_frames(served + refused), host.address
+        )
+    else:
+        one_datagram_per_call(realm, refused, host)
+    return {
+        span.name: span for span in net.tracer.spans if "error" in span.attrs
+    }
+
+
+class TestRefusedRequestSpans:
+    """A refusal is a value in the pipeline, not an exception passing
+    through ``Tracer.span`` — the span must say so all the same, through
+    every front door."""
+
+    @pytest.mark.parametrize("door", DOORS)
+    def test_unknown_principal_marks_its_span(self, door):
+        span = refused_spans(door)["kdc.as"]
+        assert span.attrs["error"].startswith("KerberosError: KDC_PR_UNKNOWN")
+        assert span.attrs["batch_size"] == DOORS[door]
+        assert span.attrs["crypto_ops"] == 0
+        assert "stage_sealed" in span.attrs
+
+    @pytest.mark.parametrize("door", DOORS)
+    def test_garbage_gets_a_span_of_its_own(self, door):
+        span = refused_spans(door)["kdc.other"]
+        assert "KDC_GEN_ERR" in span.attrs["error"]
+        assert span.attrs["batch_size"] == DOORS[door]
+
+    def test_served_requests_carry_no_error(self):
+        realm = build_realm()
+        ws = realm.workstation()
+        ws.client.kinit("jis", "jis-pw")
+        (span,) = [s for s in realm.net.tracer.spans if s.name == "kdc.as"]
+        assert "error" not in span.attrs
+        assert span.attrs["batch_size"] == 1
+
+
 class TestSkeletonInvalidation:
     def test_principal_mutation_flushes_skeletons(self):
         """A kadmin write lands in the journal and — through the
@@ -293,9 +368,10 @@ class TestSkeletonInvalidation:
 # ISSUE 12: the TGS request side rides the batch (UNSEAL-ALL stage).
 #
 # Every case below runs on twin same-seed realms: one answers the wires
-# one at a time through ``_serve``, the other answers the same bytes in
-# buffers of ``batch`` frames through ``process_request_buffer``.  The
-# planes must agree reply for reply *and* audit event for audit event.
+# as one datagram each at its Kerberos port, the other answers the same
+# bytes in buffers of ``batch`` frames through
+# ``process_request_buffer``.  The twins must agree reply for reply
+# *and* audit event for audit event.
 # --------------------------------------------------------------------------
 
 LCS = "LCS.MIT.EDU"
@@ -344,6 +420,18 @@ def tgs_request(tgt, session_key, client, address, now, service=RLOGIN,
     )
 
 
+def user_tgts(tgs_key, gen, src, now):
+    """(users, sessions, tgts): a hand-sealed 8-hour TGT for each test
+    user, session keys drawn from ``gen``."""
+    users = [Principal(f"user{u}", "", REALM) for u in range(N_USERS)]
+    sessions = [gen.session_key_bytes() for _ in users]
+    tgts = [
+        crafted_tgt(tgs_key, user, src, now, 8 * 3600.0, session)
+        for user, session in zip(users, sessions)
+    ]
+    return users, sessions, tgts
+
+
 def tgs_scenario(realm, xkey, ws):
     """128 wires: mostly valid AS and TGS traffic, with one of each
     special case planted among them.  Returns (wires, {name: index})."""
@@ -351,12 +439,7 @@ def tgs_scenario(realm, xkey, ws):
     src = ws.host.address
     tgs_key = realm.db.principal_key(tgs_principal(REALM))
     gen = KeyGenerator(seed=b"tgs-batch-session-keys")
-    users = [Principal(f"user{u}", "", REALM) for u in range(N_USERS)]
-    sessions = [gen.session_key_bytes() for _ in users]
-    tgts = [
-        crafted_tgt(tgs_key, user, src, now, 8 * 3600.0, session)
-        for user, session in zip(users, sessions)
-    ]
+    users, sessions, tgts = user_tgts(tgs_key, gen, src, now)
 
     def valid(k):
         u = k % N_USERS
@@ -432,16 +515,18 @@ def audit_rows(realm):
     rows = [
         (e.kind, e.principal, e.detail) for e in realm.net.audit.events()
     ]
-    # The replay cache reports a replay the moment it sees one — in the
-    # batch plane that is the unseal stage, ahead of the batch's
-    # per-item outcome events — so the two streams are compared apart.
+    # The replay cache reports a replay the moment it sees one — the
+    # unseal stage, ahead of the batch's per-item outcome events — so
+    # where it lands among them depends on the cut; the two streams are
+    # compared apart.
     replays = [row for row in rows if row[0] == "replay_detected"]
     return [row for row in rows if row[0] != "replay_detected"], replays
 
 
-def serve_both_planes(batch, cached):
-    """Returns (single-plane replies, batch-plane replies, realm_a,
-    realm_b, where) for the scenario served in buffers of ``batch``."""
+def serve_both_ways(batch, cached):
+    """Returns (one-datagram-per-call replies, buffered replies,
+    realm_a, realm_b, where) for the scenario served in buffers of
+    ``batch``."""
     (realm_a, xkey_a), (realm_b, xkey_b) = build_tgs_realm(), build_tgs_realm()
     ws_a, ws_b = realm_a.workstation(), realm_b.workstation()
     wires, where = tgs_scenario(realm_a, xkey_a, ws_a)
@@ -449,15 +534,10 @@ def serve_both_planes(batch, cached):
     assert wires == wires_b  # same-seed twins, same bytes in
     src = ws_a.host.address
     with nullcontext() if cached else keycache.caches_disabled():
-        singles = [realm_a.kdc._serve(_Datagram(w, src)) for w in wires]
-        batched = []
-        for start in range(0, len(wires), batch):
-            batched.extend(
-                bytes(reply)
-                for reply in realm_b.kdc.process_request_buffer(
-                    pack_frames(wires[start:start + batch]), src
-                )
-            )
+        singles = one_datagram_per_call(realm_a, wires, ws_a.host)
+        batched = serve_in_buffers(
+            realm_b, wires, src, [batch] * -(-len(wires) // batch)
+        )
     return singles, batched, realm_a, realm_b, where
 
 
@@ -478,7 +558,7 @@ class TestTgsBatchSemantics:
     def test_planes_agree_reply_for_reply_and_audit_for_audit(
         self, batch, cached
     ):
-        singles, batched, realm_a, realm_b, where = serve_both_planes(
+        singles, batched, realm_a, realm_b, where = serve_both_ways(
             batch, cached
         )
         assert batched == singles
@@ -511,7 +591,7 @@ class TestTgsBatchSemantics:
 
     def test_refusal_after_authentication_is_audited_under_the_client(self):
         """The parent's batch plane audited these with principal=''."""
-        _s, _b, _realm_a, realm_b, _where = serve_both_planes(128, True)
+        _s, _b, _realm_a, realm_b, _where = serve_both_ways(128, True)
         refused = {
             e.detail: e.principal
             for e in realm_b.net.audit.events("auth_failure")
@@ -555,29 +635,112 @@ class TestTgsBatchSemantics:
             assert authenticator_of(name) not in unsealed
 
     def test_spans_carry_the_single_planes_crypto_ops(self):
-        """``crypto_ops`` is read off the key cache's own counters now;
-        it stays the per-item count the single plane reports."""
-        singles, _b, realm_a, realm_b, _where = serve_both_planes(128, True)
+        """``crypto_ops`` is read off the key cache's own counters; it
+        is a per-item count — what the request costs alone — on every
+        span, served or refused, however large the batch around it."""
+        singles, _b, realm_a, realm_b, _where = serve_both_ways(128, True)
 
         def crypto_ops(realm):
             return [
-                span.attrs.get("crypto_ops")
+                span.attrs["crypto_ops"]
                 for span in realm.net.tracer.spans
                 if span.name.startswith("kdc.")
             ]
 
-        served = [
-            reply_code(reply) in SERVED for reply in singles
-        ]
-        # The single plane stamps the count on served requests only;
-        # the batch plane stamps every item's span, in item order.
-        single_ops = [n for n in crypto_ops(realm_a) if n is not None]
-        batch_ops = [
-            n for n, ok in zip(crypto_ops(realm_b), served) if ok
-        ]
-        assert len(single_ops) == sum(served) > 100
-        assert batch_ops == single_ops
-        assert any(batch_ops)
+        assert len(crypto_ops(realm_a)) == len(singles) == 128
+        assert crypto_ops(realm_b) == crypto_ops(realm_a)
+        assert any(crypto_ops(realm_b))
+
+
+# --------------------------------------------------------------------------
+# ISSUE 14: one pipeline, so the cut into batches is the only variable
+# left — and it must be unobservable.  The property below subsumes the
+# fixed 1/8/33/128 twins above: any traffic, any consecutive cut.
+# --------------------------------------------------------------------------
+
+#: Mostly served traffic, so a large buffer still has a wide run's worth
+#: of seals and unseals left after its refusals.
+WIRE_KINDS = 3 * ("as", "tgs") + (
+    "duplicate", "tampered_tgt", "garbage", "unknown",
+)
+
+
+@st.composite
+def cut_traffic(draw):
+    """(buffer sizes, one (kind, salt) per wire): small buffers and
+    ones around twice ``WIDE_MIN_LANES``, so runs land on both sides of
+    the wide kernel's threshold."""
+    sizes = draw(st.lists(
+        st.one_of(
+            st.integers(1, 40),
+            st.integers(2 * WIDE_MIN_LANES - 8, 2 * WIDE_MIN_LANES),
+        ),
+        min_size=1, max_size=3,
+    ))
+    total = sum(sizes)
+    items = draw(st.lists(
+        st.tuples(st.sampled_from(WIRE_KINDS), st.integers(0, 10 ** 6)),
+        min_size=total, max_size=total,
+    ))
+    return sizes, items
+
+
+def drawn_wires(realm, ws, items):
+    """The drawn (kind, salt) sequence as wire bytes for ``realm``."""
+    now = realm.net.clock.now()
+    src = ws.host.address
+    users, sessions, tgts = user_tgts(
+        realm.db.principal_key(tgs_principal(REALM)),
+        KeyGenerator(seed=b"drawn-session-keys"), src, now,
+    )
+    wires = []
+    for k, (kind, salt) in enumerate(items):
+        u = salt % N_USERS
+        if kind == "duplicate" and wires:
+            wires.append(wires[salt % len(wires)])
+        elif kind == "garbage":
+            wires.append(b"\xff" + salt.to_bytes(4, "big"))
+        elif kind == "unknown":
+            wires.append(as_wire(f"nosuch{u}", timestamp=float(k)))
+        elif kind in ("tgs", "tampered_tgt"):
+            request = tgs_request(
+                tgts[u], sessions[u], users[u], src, now + k * 0.001
+            )
+            if kind == "tampered_tgt":
+                tampered = bytearray(request.tgt)
+                tampered[salt % len(tampered)] ^= 0x40
+                request = request.replace(tgt=bytes(tampered))
+            wires.append(encode_message(MessageType.TGS_REQ, request))
+        else:
+            wires.append(as_wire(f"user{u}", timestamp=float(k)))
+    return wires
+
+
+class TestAnyCutIsUnobservable:
+    @settings(max_examples=15, deadline=None)
+    @given(traffic=cut_traffic(), cached=st.booleans())
+    def test_drawn_traffic_drawn_cuts(self, traffic, cached):
+        sizes, items = traffic
+        keycache.clear()  # per example; the fixture runs once per test
+        (realm_a, _), (realm_b, _) = build_tgs_realm(), build_tgs_realm()
+        ws_a, ws_b = realm_a.workstation(), realm_b.workstation()
+        wires = drawn_wires(realm_a, ws_a, items)
+        assert wires == drawn_wires(realm_b, ws_b, items)
+        src = ws_a.host.address
+        with nullcontext() if cached else keycache.caches_disabled():
+            singles = one_frame_per_call(realm_a, wires, src)
+            buffered = serve_in_buffers(realm_b, wires, src, sizes)
+        assert buffered == singles
+        assert audit_rows(realm_b) == audit_rows(realm_a)
+        assert (
+            realm_b.kdc.keygen.session_key_bytes()
+            == realm_a.kdc.keygen.session_key_bytes()
+        )
+        # Authenticators met the replay cache in arrival order.
+        assert (
+            list(realm_b.kdc.replay_cache._order)
+            == list(realm_a.kdc.replay_cache._order)
+        )
 
 
 class TestSkeletonMissRidesTheBatch:

@@ -15,6 +15,7 @@ kept for A/B benchmarking and the bit-exactness suite
 """
 
 import ast
+import re
 from pathlib import Path
 
 CRYPTO = Path(__file__).resolve().parents[2] / "src" / "repro" / "crypto"
@@ -103,7 +104,7 @@ def test_lint_catches_a_planted_offender(tmp_path):
 # ISSUE 8 extension: the batch framing path must stay zero-copy.
 #
 # ``repro.encode.batch`` slices every datagram out of the receive buffer
-# as a memoryview and encodes every reply into one preallocated output
+# as a memoryview and encodes every reply onto the end of one output
 # buffer.  A ``bytes(...)`` call inside any of its loops (or
 # comprehensions) is a per-datagram copy creeping back in — the exact
 # allocation churn the batch plane exists to remove.
@@ -332,3 +333,141 @@ def test_no_kernel_table_exceeds_4096_entries():
             assert table.size <= 4 * MAX_TABLE_ENTRIES
         total = sum(table.nbytes for table in des_simd._get_tables())
         assert total <= 512 * 1024
+
+
+# --------------------------------------------------------------------------
+# ISSUE 14 extension: one request plane, by construction.
+#
+# A single request is a batch of one.  The classic per-datagram path is
+# gone and must not grow back under another name, the pipeline must not
+# special-case a batch of one, and what made a small batch dear — by-name
+# instrument lookups and registry scans per batch — stays resolved at
+# attach time.
+# --------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[2]
+
+#: Names of the deleted single-request path.
+DELETED_PLANE = re.compile(
+    r"_serve\b|_handle_as|_handle_tgs|_finish_prepared|_as_ap_request"
+    r"|seal_ticket_cached"
+)
+
+#: The staged pipeline's per-batch functions: handles only, no lookups.
+PIPELINE = ("_serve_batch", "_unseal_all", "_get_record")
+
+
+def _kdc_functions() -> dict:
+    tree = ast.parse(CORE_KDC.read_text(encoding="utf-8"))
+    return {
+        node.name: node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def _callers_of(name: str) -> list:
+    """Functions of core/kdc.py whose body calls the bare name ``name``."""
+    return sorted(
+        fname for fname, func in _kdc_functions().items()
+        if any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == name
+            for node in ast.walk(func)
+        )
+    )
+
+
+def _identifiers(tree: ast.AST):
+    """(lineno, identifier) for every name the source binds or uses —
+    strings and comments are prose, not names."""
+    for node in ast.walk(tree):
+        for attr in ("id", "attr", "name", "arg", "asname"):
+            value = getattr(node, attr, None)
+            if isinstance(value, str):
+                yield getattr(node, "lineno", 0), value
+
+
+def _deleted_plane_names(source: str) -> list:
+    return sorted(
+        (line, name) for line, name in _identifiers(ast.parse(source))
+        if DELETED_PLANE.search(name)
+    )
+
+
+def _registry_lookups(func: ast.FunctionDef) -> list:
+    """(lineno, call) for each ``self.metrics.total/counter/histogram``."""
+    return sorted(
+        (node.lineno, ast.unparse(node.func))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("total", "counter", "histogram")
+        and ast.unparse(node.func.value) == "self.metrics"
+    )
+
+
+def _batch_of_one_tests(func: ast.FunctionDef) -> list:
+    """Line numbers of comparisons of ``n`` / ``len(datagrams)`` with 1."""
+    found = []
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [ast.unparse(side) for side in [node.left] + node.comparators]
+        if "1" in sides and {"n", "len(datagrams)"} & set(sides):
+            found.append(node.lineno)
+    return found
+
+
+def test_one_decode_one_encode_in_the_kdc():
+    assert _callers_of("decode_message") == ["_serve_batch"]
+    assert _callers_of("BatchWriter") == ["_serve_batch"]
+
+
+def test_the_single_request_path_stays_deleted():
+    files = sorted(
+        list((REPO / "src").rglob("*.py"))
+        + list((REPO / "tests").rglob("*.py"))
+        + list((REPO / "benchmarks").glob("test_bench_*.py"))
+    )
+    assert len(files) > 100
+    bad = {
+        str(path.relative_to(REPO)): names
+        for path in files
+        if (names := _deleted_plane_names(path.read_text(encoding="utf-8")))
+    }
+    assert not bad, bad
+
+
+def test_pipeline_reads_handles_not_the_registry():
+    functions = _kdc_functions()
+    bad = {name: _registry_lookups(functions[name]) for name in PIPELINE}
+    assert not any(bad.values()), bad
+    # Refusals are labelled by error code, so _outcome alone looks its
+    # counter up by name — the lint sees that lookup when it is there.
+    assert _registry_lookups(functions["_outcome"])
+
+
+def test_no_batch_of_one_fast_path():
+    assert not _batch_of_one_tests(_kdc_functions()["_serve_batch"])
+
+
+def test_one_plane_lints_catch_planted_offenders():
+    planted = ast.parse(
+        "def _serve_batch(self, datagrams):\n"
+        "    n = len(datagrams)\n"
+        "    if n == 1:\n"
+        "        return [self._serve(datagrams[0])]\n"
+        "    if 1 == len(datagrams) or n > 2:\n"
+        "        self.metrics.counter('kdc.x', self._labels).inc()\n"
+        "    before = self.metrics.total('kdc.y')\n"
+        "    return self._lookups_saved.value - before\n"
+    )
+    func = planted.body[0]
+    assert _batch_of_one_tests(func) == [3, 5]
+    assert [line for line, _ in _registry_lookups(func)] == [6, 7]
+    assert _deleted_plane_names(
+        "from repro.core.ticket import seal_ticket_cached as stc\n"
+        "def _handle_tgs(self): return self.kdc._serve(d) or _serve_batch\n"
+        "note = '_serve is gone'\n"
+    ) == [(1, "seal_ticket_cached"), (2, "_handle_tgs"), (2, "_serve")]

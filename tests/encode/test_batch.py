@@ -1,4 +1,4 @@
-"""Batch framing: zero-copy reads, in-place writes, exact sizing."""
+"""Batch framing: zero-copy reads, single-pass writes into one buffer."""
 
 import pytest
 
@@ -105,30 +105,3 @@ class TestBatchWriter:
     def test_empty_batch(self):
         assert BatchWriter().finish() == []
 
-
-class TestWireSize:
-    def test_wire_size_matches_encoding(self):
-        for i in range(5):
-            msg = _as_request(i)
-            assert msg.wire_size() == len(msg.to_bytes())
-
-    def test_wire_size_covers_nested_structs(self):
-        from repro.core.ticket import Ticket
-
-        ticket = Ticket(
-            server=Principal("rlogin", "priam", "ATHENA.MIT.EDU"),
-            client=Principal("jis", "", "ATHENA.MIT.EDU"),
-            address=0x12480063,
-            timestamp=100.0,
-            life=300.0,
-            session_key=b"\x01\x02\x03\x04\x05\x06\x07\x08",
-        )
-        assert ticket.wire_size() == len(ticket.to_bytes())
-
-    def test_wire_size_covers_bytes_and_strings(self):
-        from repro.database.journal import JournalEntry
-
-        entry = JournalEntry(
-            seq=3, time=2.5, op=1, key="jis", value=b"\x01" * 13
-        )
-        assert entry.wire_size() == len(entry.to_bytes())
