@@ -85,6 +85,18 @@ class _KeyTouchMeter:
         return delta
 
 
+def _frameless(err: KerberosError) -> KerberosError:
+    """``err`` as a value that pins no frame.  A refusal sits in the
+    batch's ``errors`` list; its traceback — or that of an exception it
+    was raised from — leads back to the frame holding that list, a cycle
+    only the cyclic collector frees.  Messages and the chain stay."""
+    link: Optional[BaseException] = err
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__cause__ or link.__context__
+    return err
+
+
 class _Prepared(NamedTuple):
     """Everything a successful exchange needs *before* any sealing — the
     output of the lookup-all stage, consumed by seal-all/encode-all."""
@@ -384,7 +396,7 @@ class KerberosServer(Service):
             try:
                 mtype, message = decode_message(datagram.payload)
             except KerberosError as err:
-                errors[i] = err
+                errors[i] = _frameless(err)
                 continue
             if mtype in (MessageType.AS_REQ, MessageType.PREAUTH_AS_REQ):
                 kinds[i] = "as"
@@ -426,7 +438,7 @@ class KerberosServer(Service):
                         message, datagrams[i], now, contexts[i], records
                     )
             except KerberosError as err:
-                errors[i] = err
+                errors[i] = _frameless(err)
             crypto_ops[i] += meter.lap()
         # -- stage 4: seal-all (interleaved kernel) ------------------------
         ready = [p for p in prepared if p is not None]
@@ -530,7 +542,7 @@ class KerberosServer(Service):
             try:
                 wave.append((i, self._tgt_key(messages[i].tgt_realm)))
             except KerberosError as err:
-                errors[i] = err
+                errors[i] = _frameless(err)
             crypto_ops[i] += meter.lap()
         if not wave:
             return contexts
@@ -549,7 +561,7 @@ class KerberosServer(Service):
                 check_ticket(ticket, service, now, self.skew)
                 survivors.append((i, ticket, ticket.key))
             except KerberosError as err:
-                errors[i] = err
+                errors[i] = _frameless(err)
             crypto_ops[i] += meter.lap()
         authenticators = unseal_structs(
             Authenticator,
@@ -566,7 +578,7 @@ class KerberosServer(Service):
                     self.replay_cache, self.skew,
                 )
             except KerberosError as err:
-                errors[i] = err
+                errors[i] = _frameless(err)
             crypto_ops[i] += meter.lap()
         return contexts
 

@@ -76,7 +76,9 @@ class Principal(WireStruct):
         # and the split is on the first dot.
         _check_component(instance, "instance", allow_dot=True)
         _check_component(realm, "realm", allow_dot=True)
-        super().__init__(name=name, instance=instance, realm=realm)
+        self.name = name
+        self.instance = instance
+        self.realm = realm
 
     # -- parsing / formatting ---------------------------------------------
 

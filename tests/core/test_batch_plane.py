@@ -14,6 +14,8 @@ bytes in larger buffers through
 code: ``tests/core/test_kdc_oracle.py``.
 """
 
+import gc
+import types
 from contextlib import nullcontext
 
 import pytest
@@ -299,6 +301,44 @@ class TestRefusedRequestSpans:
         span = refused_spans(door)["kdc.other"]
         assert "KDC_GEN_ERR" in span.attrs["error"]
         assert span.attrs["batch_size"] == DOORS[door]
+
+    def test_refused_items_pin_no_frames(self):
+        """A refusal kept as a value keeps no traceback: with one, the
+        pipeline's frame (its ``errors`` list holds the exception, whose
+        traceback holds the frame) would sit in a reference cycle until
+        the next pass of the cyclic collector."""
+        realm = build_realm()
+        src = realm.workstation().host.address
+        tgs_garbage = encode_message(
+            MessageType.TGS_REQ,
+            TgsRequest(
+                service=Principal("rlogin", "priam", REALM),
+                requested_life=600.0, timestamp=1.0, tgt_realm=REALM,
+                tgt=b"\x00" * 24, authenticator=b"\x00" * 24,
+            ),
+        )
+        buffer = pack_frames(
+            [as_wire("jis"), as_wire("nosuch"), b"\xffgarbage", tgs_garbage]
+        )
+        realm.kdc.process_request_buffer(buffer, src)  # warm every cache
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            replies = realm.kdc.process_request_buffer(buffer, src)
+            gc.collect()
+            pinned = [
+                obj.f_code.co_name for obj in gc.garbage
+                if isinstance(obj, types.FrameType)
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert [decode_message(r)[0] for r in replies].count(
+            MessageType.ERROR
+        ) == 3
+        assert pinned == []
 
     def test_served_requests_carry_no_error(self):
         realm = build_realm()

@@ -424,13 +424,19 @@ def test_one_decode_one_encode_in_the_kdc():
     assert _callers_of("BatchWriter") == ["_serve_batch"]
 
 
-def test_the_single_request_path_stays_deleted():
+def _python_sources() -> list:
+    """Every file a deleted name must stay out of."""
     files = sorted(
         list((REPO / "src").rglob("*.py"))
         + list((REPO / "tests").rglob("*.py"))
         + list((REPO / "benchmarks").glob("test_bench_*.py"))
     )
     assert len(files) > 100
+    return files
+
+
+def test_the_single_request_path_stays_deleted():
+    files = _python_sources()
     bad = {
         str(path.relative_to(REPO)): names
         for path in files
@@ -471,3 +477,192 @@ def test_one_plane_lints_catch_planted_offenders():
         "def _handle_tgs(self): return self.kdc._serve(d) or _serve_batch\n"
         "note = '_serve is gone'\n"
     ) == [(1, "seal_ticket_cached"), (2, "_handle_tgs"), (2, "_serve")]
+
+
+# --------------------------------------------------------------------------
+# ISSUE 15 extension: the wire codec is compiled, not interpreted.
+#
+# ``repro.encode.structfmt`` turns each class's FIELDS into straight-line
+# source once, in the ``class`` statement.  The per-field walker is gone
+# and must not grow back under its old names; and nothing that runs per
+# message — the generated methods, the slow-path helpers they call, the
+# WireStruct methods — may ask what kind a field is, look at FIELDS, or
+# call into the compile step.
+# --------------------------------------------------------------------------
+
+STRUCTFMT = REPO / "src" / "repro" / "encode" / "structfmt.py"
+
+#: The walker moved here, names and all, as the generated code's oracle.
+ORACLE = REPO / "tests" / "encode" / "reference_codec.py"
+
+DELETED_WALKER = {
+    "_encode_value", "_decode_value", "_SCALAR_ENCODERS", "_SCALAR_DECODERS",
+}
+
+#: What generated code may call at run time (``structfmt._RUNTIME``).
+CODEC_RUNTIME = {
+    "_refuse", "_require_int", "_as_float", "_as_bytes", "_too_long",
+    "_bad_length", "_bad_count", "_bad_boolean", "_short_read",
+    "_field_error",
+}
+
+#: Every other global a generated function may name.
+CODEC_GLOBALS = CODEC_RUNTIME | {
+    "DecodeError", "_MISSING", "_new",
+    "isinstance", "len", "type", "str", "bytes", "range", "list", "tuple",
+    "hash", "int", "float", "bool", "UnicodeDecodeError",
+}
+
+
+def _kind_dispatch(tree: ast.AST) -> list:
+    """(lineno, what) for each way per-message code could interpret a
+    declaration: a type test on a ``kind``, a ``list:`` prefix test, a
+    look at ``FIELDS``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Name)
+                and func.id in ("isinstance", "issubclass")
+                and node.args
+                and ast.unparse(node.args[0]).startswith("kind")
+            ):
+                found.append((node.lineno, f"{func.id}(kind"))
+            if isinstance(func, ast.Attribute) and func.attr == "startswith":
+                found.append((node.lineno, ".startswith()"))
+        if isinstance(node, ast.Attribute) and node.attr == "FIELDS":
+            found.append((node.lineno, ".FIELDS"))
+    return sorted(set(found))
+
+
+def _calls(tree: ast.AST) -> set:
+    return {
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def _structfmt_functions():
+    """(module-level functions, WireStruct methods) of structfmt.py."""
+    tree = ast.parse(STRUCTFMT.read_text(encoding="utf-8"))
+    functions = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    (base,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "WireStruct"
+    ]
+    methods = {
+        node.name: node for node in base.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    return functions, methods
+
+
+def _all_wire_structs():
+    from tests.encode.test_all_wire_structs import STRUCTS
+
+    assert len(STRUCTS) >= 40
+    return STRUCTS.values()
+
+
+def test_the_field_walker_stays_deleted():
+    files = _python_sources()
+    assert ORACLE in files
+    bad = {
+        str(path.relative_to(REPO)): names
+        for path in files
+        if path != ORACLE
+        and (names := sorted(
+            (line, name)
+            for line, name in _identifiers(
+                ast.parse(path.read_text(encoding="utf-8"))
+            )
+            if name in DELETED_WALKER
+        ))
+    }
+    assert not bad, bad
+    # The oracle really is the walker: the lint sees its names there.
+    assert DELETED_WALKER <= {
+        name for _, name in _identifiers(
+            ast.parse(ORACLE.read_text(encoding="utf-8"))
+        )
+    }
+
+
+def test_nothing_interprets_a_declaration_per_message():
+    from repro.encode import structfmt
+
+    functions, methods = _structfmt_functions()
+    assert CODEC_RUNTIME == {helper.__name__ for helper in structfmt._RUNTIME}
+    compile_step = set(functions) - CODEC_RUNTIME
+    assert {"_compile", "_generate", "_list_item", "_check_kind"} <= compile_step
+    per_message = {name: functions[name] for name in CODEC_RUNTIME}
+    per_message.update(
+        (f"WireStruct.{name}", node) for name, node in methods.items()
+        if name != "__init_subclass__"
+    )
+    bad = {
+        name: _kind_dispatch(node) + sorted(_calls(node) & compile_step)
+        for name, node in per_message.items()
+    }
+    assert not any(bad.values()), bad
+    # The compile step is where kinds are told apart — the lint sees it.
+    assert _kind_dispatch(functions["_list_item"])
+    assert _calls(methods["__init_subclass__"]) == {"super", "_compile"}
+
+
+def test_generated_code_is_straight_line():
+    import linecache
+    import re
+
+    for cls in _all_wire_structs():
+        filename = cls.encode_into.__code__.co_filename
+        tree = ast.parse("".join(linecache.getlines(filename)))
+        assert {"encode_into", "decode_from"} <= {
+            node.name for node in tree.body
+        }, filename
+        assert not _kind_dispatch(tree), (filename, _kind_dispatch(tree))
+        local = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        } | {
+            arg.arg for node in ast.walk(tree)
+            if isinstance(node, ast.arguments)
+            for arg in node.args + node.kwonlyargs + [node.kwarg]
+            if arg is not None
+        } | {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.name
+        }
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        stray = {
+            name for name in loaded - local - CODEC_GLOBALS
+            if not re.fullmatch(r"_c\d+", name)
+        }
+        assert not stray, (filename, stray)
+
+
+def test_codec_lints_catch_planted_offenders():
+    planted = ast.parse(
+        "def encode_into(self, enc):\n"
+        "    for f in self.FIELDS:\n"
+        "        kind = f.kind\n"
+        "        if isinstance(kind, str) and kind.startswith('list:'):\n"
+        "            _encode_value(enc, kind, getattr(self, f.name))\n"
+        "        elif issubclass(kind[1], WireStruct):\n"
+        "            _check_kind(kind)\n"
+    )
+    assert _kind_dispatch(planted) == [
+        (2, ".FIELDS"), (4, ".startswith()"), (4, "isinstance(kind"),
+        (6, "issubclass(kind"),
+    ]
+    assert _calls(planted) >= {"_encode_value", "_check_kind"}
+    assert [
+        name for _, name in _identifiers(planted) if name in DELETED_WALKER
+    ] == ["_encode_value"]
