@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.core import KerberosClient, Principal
 from repro.netsim import Network
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -84,13 +84,15 @@ def write_bench_artifact(
     return snap
 
 
-def small_realm(n_slaves: int = 0, seed: bytes = b"bench") -> Realm:
+def small_realm(slaves: int = 0, seed: bytes = b"bench") -> Realm:
     """A realm with one user (jis) and one service (rlogin.priam)."""
     net = Network()
-    realm = Realm(net, REALM, seed=seed, n_slaves=n_slaves)
+    realm = Realm(
+        net, REALM, seed=seed, topology=RealmTopology(slaves_per_shard=slaves)
+    )
     realm.add_user("jis", "jis-pw")
     realm.add_service("rlogin", "priam")
-    if n_slaves:
+    if slaves:
         realm.propagate()
     return realm
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from repro.core import RetryPolicy
 from repro.netsim import Duplicate, Loss, Match, Network, Unreachable
 from repro.netsim.ports import KERBEROS_PORT
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 
 from benchmarks.bench_util import REALM, write_bench_artifact
 
@@ -32,7 +32,7 @@ def run_login_storm(loss_rate, seed=1988):
     """N_LOGINS fresh logins + service tickets over a faulty KDC port;
     returns (net, successes, attempts)."""
     net = Network(seed=seed)
-    realm = Realm(net, REALM, n_slaves=1)
+    realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
     realm.add_user("jis", "jis-pw")
     service, _ = realm.add_service("rlogin", "priam")
     realm.propagate()

@@ -43,8 +43,9 @@ def test_bench_fig9_full_protocol(benchmark):
     realm.net.reset_stats()
     full_protocol()
     print(f"\nFigure 9 — KDC messages for login + first service: "
-          f"{realm.net.stats['messages']} (2 exchanges x 2)")
-    assert realm.net.stats["port:750"] == 2
+          f"{realm.net.metrics.total('net.datagrams_total'):.0f} "
+          f"(2 exchanges x 2)")
+    assert realm.net.metrics.total("net.datagrams_total", port="750") == 2
 
     # The key chain: password key opens only the AS reply; TGS key opens
     # only the TGT; service key opens only the service ticket.

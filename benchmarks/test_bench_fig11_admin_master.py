@@ -16,7 +16,7 @@ from benchmarks.bench_util import REALM, small_realm
 
 
 def test_bench_fig11_admin_roundtrip(benchmark):
-    realm = small_realm(n_slaves=1)
+    realm = small_realm(slaves=1)
     realm.add_admin("jis", "jis-admin-pw")
     realm.propagate()
     ws = realm.workstation()

@@ -8,14 +8,16 @@ staleness bounded by the hourly interval.
 
 from repro.netsim import Network
 from repro.principal import Principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 
 from benchmarks.bench_util import REALM
 
 
-def build_realm_with_users(n_users: int, n_slaves: int = 2) -> Realm:
+def build_realm_with_users(n_users: int, slaves: int = 2) -> Realm:
     net = Network()
-    realm = Realm(net, REALM, seed=b"fig13", n_slaves=n_slaves)
+    realm = Realm(
+        net, REALM, seed=b"fig13", topology=RealmTopology(slaves_per_shard=slaves)
+    )
     for i in range(n_users):
         realm.add_user(f"user{i:04d}", f"pw{i}")
     return realm
@@ -71,10 +73,10 @@ def test_bench_fig13_propagation_round(benchmark):
 def test_bench_fig13_dump_scales_linearly(benchmark):
     """Dump cost grows with database size (it is a full dump — the
     paper's 'very simple method')."""
-    realm = build_realm_with_users(500, n_slaves=0)
+    realm = build_realm_with_users(500, slaves=0)
 
     dump = benchmark(realm.db.dump)
-    small = build_realm_with_users(50, n_slaves=0).db.dump()
+    small = build_realm_with_users(50, slaves=0).db.dump()
     print(f"\n  dump sizes: 50 users = {len(small)} B, "
           f"500 users = {len(dump)} B")
     assert len(dump) > 5 * len(small)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from repro.netsim import Network
 from repro.obs import render_chrome_trace
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
 from repro.workload import AthenaWorkload
 
@@ -47,7 +47,7 @@ def _run_storm(traced: bool):
     net = Network(seed=SEED)
     realm = Realm(
         net, REALM, seed=b"obs-trace",
-        kdc_queue=WorkQueueConfig(workers=WORKERS),
+        topology=RealmTopology(kdc_queue=WorkQueueConfig(workers=WORKERS)),
     )
     net.tracer.enabled = traced
     workload = AthenaWorkload(realm, n_users=N_USERS, n_services=0, seed=SEED)

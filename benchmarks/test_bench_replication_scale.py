@@ -22,7 +22,7 @@ from pathlib import Path
 
 from repro.netsim import Network
 from repro.principal import Principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 
 from benchmarks.bench_util import REALM, write_bench_artifact
 
@@ -42,7 +42,10 @@ BYTES_GATE = 10.0
 
 def build_realm(n_users: int, seed: int = SEED) -> Realm:
     net = Network(seed=seed)
-    realm = Realm(net, REALM, seed=b"repl-scale", n_slaves=N_SLAVES)
+    realm = Realm(
+        net, REALM, seed=b"repl-scale",
+        topology=RealmTopology(slaves_per_shard=N_SLAVES),
+    )
     for i in range(n_users):
         realm.add_user(f"user{i:05d}", f"pw{i}")
     return realm

@@ -19,7 +19,7 @@ Results land in ``BENCH_RUNTIME_SCALE.json`` (with run history).
 from pathlib import Path
 
 from repro.netsim import Network
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
 from repro.workload import AthenaWorkload
 
@@ -43,7 +43,7 @@ def run_burst(n_stations: int, workers: int):
     net = Network(seed=SEED)
     realm = Realm(
         net, REALM, seed=b"runtime-scale",
-        kdc_queue=WorkQueueConfig(workers=workers),
+        topology=RealmTopology(kdc_queue=WorkQueueConfig(workers=workers)),
     )
     workload = AthenaWorkload(realm, n_users=N_USERS, n_services=0, seed=SEED)
     stations = workload.workstations(n_stations, spread_kdcs=False)

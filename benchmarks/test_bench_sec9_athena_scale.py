@@ -18,7 +18,7 @@ and the AS-exchange latency histogram, all off the simulated clock.
 from pathlib import Path
 
 from repro.netsim import Network
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.workload import AthenaWorkload
 
 from benchmarks.bench_util import REALM, write_bench_artifact
@@ -34,7 +34,7 @@ USES_PER_SESSION = 6
 
 def build_athena_scale() -> AthenaWorkload:
     net = Network()
-    realm = Realm(net, REALM, seed=b"sec9", n_slaves=2)
+    realm = Realm(net, REALM, seed=b"sec9", topology=RealmTopology(slaves_per_shard=2))
     return AthenaWorkload(realm, n_users=N_USERS, n_services=N_SERVERS, seed=1988)
 
 

@@ -220,7 +220,7 @@ def test_bench_write_artifact():
     net, _realm, _workload = cell(max(CELLS))
     summary = {
         "principals": N_PRINCIPALS,
-        "kdc_workers_per_shard": KDC_WORKERS,
+        "workers_per_shard": KDC_WORKERS,
         "throughput_req_s": {
             str(shards): round(thr, 1)
             for shards, thr in throughputs.items()

@@ -11,7 +11,7 @@ Run:  python examples/administration.py
 from repro.core import KerberosError, Principal
 from repro.kdbm import KdbmClient
 from repro.netsim import Network, Unreachable
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.user import kadmin_add_principal, kinit, kpasswd
 
 
@@ -19,7 +19,9 @@ def main() -> None:
     net = Network()
 
     print("=== kdb_init + essential principals + two slaves ===")
-    realm = Realm(net, "ATHENA.MIT.EDU", n_slaves=2)
+    realm = Realm(
+        net, "ATHENA.MIT.EDU", topology=RealmTopology(slaves_per_shard=2)
+    )
     realm.add_admin("jis", "jis-admin-pw")
     realm.add_user("jis", "jis-pw")
     realm.schedule_propagation()  # hourly, per the paper

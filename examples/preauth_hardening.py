@@ -53,7 +53,8 @@ def main() -> None:
     ws = realm.workstation()
     net.reset_stats()
     ws.client.kinit("hardened-user", "password")
-    print(f"kinit succeeded; KDC round trips: {net.stats['port:750']} "
+    round_trips = net.metrics.total("net.datagrams_total", port="750")
+    print(f"kinit succeeded; KDC round trips: {round_trips:.0f} "
           f"(the extra one is the preauth negotiation)")
 
     print("\n=== The honest limit ===")

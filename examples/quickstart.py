@@ -10,14 +10,16 @@ Run:  python examples/quickstart.py
 
 from repro.core import ReplayCache, krb_mk_rep, krb_rd_req
 from repro.netsim import Network
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.user import kdestroy, kinit, klist
 
 
 def main() -> None:
     # --- The administrator's setup (paper Section 6.3) -------------------
     net = Network()
-    realm = Realm(net, "ATHENA.MIT.EDU", n_slaves=1)
+    realm = Realm(
+        net, "ATHENA.MIT.EDU", topology=RealmTopology(slaves_per_shard=1)
+    )
     realm.add_user("jis", "jis-password")
     rlogin, rlogin_key = realm.add_service("rlogin", "priam")
     srvtab = realm.srvtab_for(rlogin)      # installed on priam

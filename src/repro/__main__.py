@@ -6,13 +6,15 @@ step, then points at the examples and benchmarks for the rest.
 
 from repro.core import ReplayCache, krb_mk_rep, krb_rd_req
 from repro.netsim import Network
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 
 
 def main() -> None:
     print(__doc__)
     net = Network()
-    realm = Realm(net, "ATHENA.MIT.EDU", n_slaves=1)
+    realm = Realm(
+        net, "ATHENA.MIT.EDU", topology=RealmTopology(slaves_per_shard=1)
+    )
     realm.add_user("you", "your-password")
     service, _ = realm.add_service("rlogin", "priam")
     srvtab = realm.srvtab_for(service)
@@ -32,8 +34,10 @@ def main() -> None:
     print(f"[3] AP exchange  : server authenticated {context.client}, "
           f"and proved itself back (mutual)")
 
-    print(f"\nNetwork traffic : {net.stats['messages']} datagrams, "
-          f"{net.stats['bytes']} bytes — all key material sealed.")
+    datagrams = net.metrics.total("net.datagrams_total")
+    wire_bytes = net.metrics.total("net.bytes_total")
+    print(f"\nNetwork traffic : {datagrams:.0f} datagrams, "
+          f"{wire_bytes:.0f} bytes — all key material sealed.")
     print("\nMore: examples/*.py walk the paper's scenarios;")
     print("      pytest benchmarks/ --benchmark-only -s regenerates every "
           "figure.")

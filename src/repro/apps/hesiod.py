@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.locator import KdcLocator, count_deprecated
+from repro.core.locator import KdcLocator
 from repro.core.service import Service
 from repro.encode import WireStruct, field
 from repro.netsim import Host, IPAddress
@@ -138,17 +138,6 @@ class HesiodServer(Service):
         return self._entries.get(username)
 
     # -- realm KDC records ----------------------------------------------------
-
-    def set_kdc_list(self, realm: str, addresses) -> None:
-        """Deprecated shim (one release): publish the flat KDC list for
-        ``realm``.  Publication now flows through the realm's locator
-        plumbing (:meth:`repro.realm.bootstrap.Realm.attach_hesiod`) —
-        direct callers are counted in ``api.deprecated_calls_total``."""
-        count_deprecated(
-            self.host.network.metrics if self.host is not None else None,
-            "HesiodServer.set_kdc_list",
-        )
-        self.store_kdc_list(realm, addresses)
 
     def store_kdc_list(self, realm: str, addresses) -> None:
         """Publish (or replace) the KDC list served for ``realm``.  The
@@ -301,15 +290,17 @@ class HesiodLocator(KdcLocator):
         self._hesiod = IPAddress(hesiod_address)
         self._realm = realm
         self._port = port
-        self._cached: Optional[List[IPAddress]] = None
+        self._cached: List[IPAddress] = []
 
     def locate(self, routing_key: Optional[str] = None) -> List[IPAddress]:
-        if self._cached is None:
+        if not self._cached:
+            # Only an answer is cached: a workstation that asked before
+            # the realm published must find the record once it appears.
             found = hesiod_kdcs(
                 self._host, self._hesiod, self._realm, port=self._port
             )
-            self._cached = list(found) if found else []
+            self._cached = list(found or ())
         return list(self._cached)
 
     def refresh(self) -> None:
-        self._cached = None
+        self._cached = []

@@ -16,22 +16,19 @@ the master and any slaves — and fails over between them, which is how
 "if the master machine is down, authentication can still be achieved on
 one of the slave machines".
 
-Discovery (PR 9): where those addresses come from is one protocol, the
+Discovery: where those addresses come from is one protocol, the
 :class:`~repro.core.locator.KdcLocator`.  The client holds a locator
 per realm and asks it, per request, for a failover-ordered list — a
 static list, a Hesiod record, or a shard ring routing by principal.  A
 sharded realm may answer with a :class:`~repro.core.errors.WrongShard`
 referral; the client folds it into the locator and re-sends (bounded
-hops), counting follows in ``kdc.referral_follows_total``.  The legacy
-constructor address list and :meth:`KerberosClient.set_kdcs` remain as
-one-release shims that build :class:`StaticLocator`\\ s and count their
-callers in ``api.deprecated_calls_total``.
+hops), counting follows in ``kdc.referral_follows_total``.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto import DesKey, string_to_key
 from repro.core.applib import krb_mk_req, krb_rd_rep
@@ -42,7 +39,7 @@ from repro.core.errors import (
     PreauthRequired,
     WrongShard,
 )
-from repro.core.locator import KdcLocator, StaticLocator, count_deprecated
+from repro.core.locator import KdcLocator
 from repro.core.messages import (
     ApReply,
     ApRequest,
@@ -68,6 +65,10 @@ from repro.principal import Principal, tgs_principal
 #: mid-exchange; beyond that something is looping.
 MAX_REFERRAL_HOPS = 3
 
+#: Without an explicit :class:`RetryPolicy`, a request makes this many
+#: immediate passes over the located KDC list before giving up.
+DEFAULT_PASSES = 3
+
 
 class KerberosClient:
     """A user's Kerberos state on one workstation."""
@@ -76,22 +77,19 @@ class KerberosClient:
         self,
         host: Host,
         realm: str,
-        kdc_addresses: Optional[Sequence] = None,
-        kdc_directory: Optional[Dict[str, Sequence]] = None,
+        locator: KdcLocator,
+        *,
         default_life: float = DEFAULT_MAX_LIFE,
         port: int = KERBEROS_PORT,
-        retries: int = 3,
         retry_policy: Optional[RetryPolicy] = None,
-        locator: Optional[KdcLocator] = None,
     ) -> None:
-        if kdc_addresses is None and locator is None:
-            raise ValueError("at least one KDC address is required")
-        if retries < 1:
-            raise ValueError("retries must be at least 1")
-        self.retries = retries
-        #: Explicit policy wins; otherwise the legacy shape (``retries``
-        #: immediate passes over the KDC list) is rebuilt per realm in
-        #: :meth:`_ask_kdc`.
+        if not isinstance(locator, KdcLocator):
+            raise TypeError(
+                f"locator must be a KdcLocator, not {type(locator).__name__}; "
+                "wrap an address list in StaticLocator"
+            )
+        #: None means :data:`DEFAULT_PASSES` immediate passes over
+        #: whatever list the locator returns, sized per request.
         self.retry_policy = retry_policy
         # Deterministic backoff jitter: seeded from the workstation name
         # (str seeds hash stably), never from ambient entropy.
@@ -108,20 +106,7 @@ class KerberosClient:
         self.cache = CredentialCache(metrics=self.metrics)
         # realm -> the locator that answers "which KDCs, for this
         # request?" — the local realm's locator routes every AS/TGS send.
-        self._locators: Dict[str, KdcLocator] = {}
-        if locator is not None:
-            self._locators[realm] = locator
-        elif kdc_addresses is not None:
-            # Legacy constructor shape (one release): an explicit
-            # address list becomes a StaticLocator, and the caller is
-            # counted toward removing this path.
-            if not kdc_addresses:
-                raise ValueError("at least one KDC address is required")
-            count_deprecated(self.metrics, "KerberosClient.kdc_addresses")
-            self._locators[realm] = StaticLocator(kdc_addresses)
-        for other_realm, addrs in (kdc_directory or {}).items():
-            count_deprecated(self.metrics, "KerberosClient.kdc_directory")
-            self._locators[other_realm] = StaticLocator(addrs)
+        self._locators: Dict[str, KdcLocator] = {realm: locator}
         self._last_auth_time = float("-inf")
 
     def _auth_now(self) -> float:
@@ -153,22 +138,6 @@ class KerberosClient:
 
     def locator_for(self, realm: str) -> Optional[KdcLocator]:
         return self._locators.get(realm)
-
-    def set_kdcs(self, realm: str, addresses: Sequence) -> None:
-        """Deprecated shim (one release): re-point the KDC list for
-        ``realm``.  The re-point now flows through locators — an
-        in-place :meth:`StaticLocator.set_addresses` when one is
-        installed, a fresh static locator otherwise.  Callers are
-        counted in ``api.deprecated_calls_total``; migrate to
-        :meth:`set_locator` / ``locator.refresh()``."""
-        if not addresses:
-            raise ValueError(f"need at least one KDC address for {realm}")
-        count_deprecated(self.metrics, "KerberosClient.set_kdcs")
-        existing = self._locators.get(realm)
-        if isinstance(existing, StaticLocator):
-            existing.set_addresses(addresses)
-        else:
-            self._locators[realm] = StaticLocator(addresses)
 
     def kdcs(self, realm: str) -> List[IPAddress]:
         """The client's current KDC list for ``realm`` (copy; for a
@@ -264,8 +233,7 @@ class KerberosClient:
             )
         policy = self.retry_policy
         if policy is None:
-            # Legacy shape: `retries` immediate passes over the KDC list.
-            policy = RetryPolicy(max_attempts=self.retries * len(addresses))
+            policy = RetryPolicy(max_attempts=DEFAULT_PASSES * len(addresses))
 
         def attempt(address) -> bytes:
             raw = self.host.rpc(address, self.port, build_payload())

@@ -142,14 +142,14 @@ class KerberosServer(Service):
     authentication "can run on both master and slave machines"
     (Figure 10).
 
-    With ``workers`` (or a full :class:`WorkQueueConfig` via ``queue``)
-    the server runs a **concurrent service loop**: arrivals queue into a
-    bounded :class:`WorkQueue` on the network runtime and are answered
+    With a :class:`WorkQueueConfig` as ``queue`` the server runs a
+    **concurrent service loop**: arrivals queue into a bounded
+    :class:`WorkQueue` on the network runtime and are answered
     from worker batch completions (:class:`DeferredReply`); a full queue
     sheds the request with a :class:`~repro.core.errors.KdcOverloaded`
     error reply the client's failover path rides out to another KDC.
     Batches amortize database record lookups across their requests.
-    Without ``workers`` a request is answered at arrival as a batch of
+    Without ``queue`` a request is answered at arrival as a batch of
     one — zero service time, through the same staged pipeline
     (:meth:`_serve_batch`) every queued batch and request buffer rides.
     """
@@ -157,16 +157,13 @@ class KerberosServer(Service):
     def __init__(
         self,
         database: KerberosDatabase,
-        keygen: Optional[KeyGenerator] = None,
+        keygen: KeyGenerator,
         skew: float = CLOCK_SKEW,
         port: int = KERBEROS_PORT,
-        workers: Optional[int] = None,
         queue: Optional[WorkQueueConfig] = None,
         shard=None,
     ) -> None:
         super().__init__()
-        if keygen is None:
-            raise ValueError("KerberosServer requires a keygen")
         self.db = database
         self.realm = database.realm
         self.keygen = keygen
@@ -178,10 +175,6 @@ class KerberosServer(Service):
         #: a record present locally is always served, which is exactly
         #: the double-serve behaviour a range move relies on.
         self.shard = shard
-        if queue is None and workers is not None:
-            queue = WorkQueueConfig(workers=workers)
-        elif queue is not None and workers is not None and queue.workers != workers:
-            raise ValueError("pass either workers or queue, not both")
         self.queue_config = queue
         self.workqueue: Optional[WorkQueue] = None
 
@@ -262,20 +255,6 @@ class KerberosServer(Service):
     def on_restart(self) -> None:
         """The daemon restarts with an empty queue (already dropped at
         crash time); durable state — the database — survived."""
-
-    # -- registry-backed views of the classic counters -------------------------
-
-    @property
-    def as_requests(self) -> int:
-        return int(self.metrics.total(
-            "kdc.requests_total", kind="as", **self._labels
-        ))
-
-    @property
-    def tgs_requests(self) -> int:
-        return int(self.metrics.total(
-            "kdc.requests_total", kind="tgs", **self._labels
-        ))
 
     @property
     def errors(self) -> int:

@@ -1,19 +1,10 @@
 """KDC discovery as one protocol: the :class:`KdcLocator`.
 
-Before this module the tree grew three parallel answers to "which KDC
-do I send this to?": the address list baked into the client
-constructor, the workstation re-point (``KerberosClient.set_kdcs``)
-the supervisor drives after a promotion, and the Hesiod ``_kerberos``
-record a workstation can look up at login time.  Each new discovery
-mechanism (and sharding adds another) would have multiplied every call
-site by one more path.
+"Which KDC do I send this to?" has one answer: the client holds one
+:class:`KdcLocator` per realm and asks it, per request, for a
+failover-ordered address list.  Implementations:
 
-A :class:`KdcLocator` collapses them: the client holds one locator per
-realm and asks it, per request, for a failover-ordered address list.
-Implementations:
-
-* :class:`StaticLocator` (here) — a fixed list, current master first;
-  what the legacy constructor/``set_kdcs`` shims build.
+* :class:`StaticLocator` (here) — a fixed list, current master first.
 * :class:`~repro.apps.hesiod.HesiodLocator` — resolves the realm's
   ``_kerberos`` record from a Hesiod server, caching until
   :meth:`~KdcLocator.refresh`.
@@ -24,11 +15,6 @@ The protocol is deliberately protocol-agnostic (the PKINIT line of
 work makes the same point about client-side KDC selection): ``locate``
 takes only an opaque routing key — the principal's database key — and
 returns addresses, so new exchange types need no new discovery code.
-
-Deprecated entry points shim onto locators for one release and count
-their callers in ``api.deprecated_calls_total{api=...}`` via
-:func:`count_deprecated`, so a fleet can prove the old paths are dead
-before they are removed.
 """
 
 from __future__ import annotations
@@ -36,16 +22,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.netsim import IPAddress
-
-
-def count_deprecated(metrics, api: str) -> None:
-    """Count one call into a deprecated discovery entry point.
-
-    The counter is the evidence for removal: a release whose
-    ``api.deprecated_calls_total`` stays flat has migrated every
-    caller.  ``metrics`` may be None (callers without a registry)."""
-    if metrics is not None:
-        metrics.counter("api.deprecated_calls_total", {"api": api}).inc()
 
 
 class KdcLocator:
@@ -100,4 +76,4 @@ class StaticLocator(KdcLocator):
         self._addresses = [IPAddress(a) for a in addresses]
 
 
-__all__ = ["KdcLocator", "StaticLocator", "count_deprecated"]
+__all__ = ["KdcLocator", "StaticLocator"]

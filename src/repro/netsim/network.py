@@ -25,8 +25,8 @@ open-loop load generators.
 Traffic statistics are kept per destination port so the benchmarks can
 report message counts per service, e.g. KDC load at Athena scale.  They
 live in the network's :class:`repro.obs.MetricsRegistry` (``net.metrics``,
-the single source of truth for every instrumented layer); the legacy
-``net.stats["port:750"]``-style mapping is a read-only view over it.
+the single source of truth for every instrumented layer) as
+``net.datagrams_total{port}`` and ``net.bytes_total{port}``.
 """
 
 from __future__ import annotations
@@ -292,34 +292,6 @@ class Host:
         return f"Host({self.name!r}, {self.address}, {state})"
 
 
-class NetworkStats:
-    """Counter-style view over the registry's ``net.*`` series.
-
-    Preserves the original mapping API (``stats["messages"]``,
-    ``stats["bytes"]``, ``stats["port:750"]``) while the registry stays
-    the single source of truth.
-    """
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self._metrics = metrics
-
-    def __getitem__(self, key: str) -> int:
-        if key == "messages":
-            return int(self._metrics.total("net.datagrams_total"))
-        if key == "bytes":
-            return int(self._metrics.total("net.bytes_total"))
-        if key.startswith("port:"):
-            return int(
-                self._metrics.total("net.datagrams_total", port=key[5:])
-            )
-        return 0
-
-    get = __getitem__
-
-    def clear(self) -> None:
-        self._metrics.reset(prefix="net.")
-
-
 class Network:
     """The wire connecting every host, plus its attackers and its stats."""
 
@@ -345,7 +317,6 @@ class Network:
         #: The append-only security-event log (auth failures, replays,
         #: tampered propagation ...); see :mod:`repro.obs.audit`.
         self.audit = AuditLog(self.clock, metrics=self.metrics)
-        self.stats = NetworkStats(self.metrics)
         #: The discrete-event runtime every datagram leg is scheduled on.
         self.runtime = EventScheduler(self.clock, seed=seed)
         self.runtime.metrics = self.metrics
@@ -811,4 +782,4 @@ class Network:
     def reset_stats(self) -> None:
         """Zero the ``net.*`` traffic series (other metric families keep
         counting; they were never part of the traffic stats)."""
-        self.stats.clear()
+        self.metrics.reset(prefix="net.")

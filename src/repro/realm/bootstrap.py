@@ -10,11 +10,9 @@ updates from master to slaves be kicked off periodically."*
 :class:`Realm` performs exactly those steps against a simulated network
 and exposes the running parts for tests, examples, and benchmarks.
 
-Topology is declarative (PR 9): a :class:`RealmTopology` names how many
+Topology is declarative: a :class:`RealmTopology` names how many
 **shards** partition the principal database, how many slaves each shard
-runs, and how each KDC's worker pool is sized.  The classic keyword
-signature (``n_slaves=2``) remains as a shim that builds a one-shard
-topology, so ``Realm(...)`` and
+runs, and how each KDC's work queue is sized; ``Realm(...)`` and
 :class:`~repro.realm.sharding.ShardedRealm` share this one bootstrap
 path.  Every shard is a full master+slaves group — its own journal
 epoch, its own KDBM, its own kprop fan-out — and the shard-0 group *is*
@@ -32,7 +30,7 @@ from repro.core.applib import SrvTab
 from repro.core.client import KerberosClient
 from repro.core.crossrealm import link_realms
 from repro.core.kdc import KerberosServer
-from repro.core.locator import StaticLocator, count_deprecated
+from repro.core.locator import StaticLocator
 from repro.crypto import DesKey, KeyGenerator, keycache
 from repro.crypto import modes
 from repro.database.acl import AccessControlList
@@ -67,7 +65,9 @@ class RealmTopology:
 
     shards: int = 1
     slaves_per_shard: int = 0
-    kdc_workers: Optional[int] = None
+    #: :class:`~repro.runtime.WorkQueueConfig` applied to every KDC in
+    #: the realm (masters and slaves); with None a request is answered
+    #: at arrival as a batch of one, zero service time.
     kdc_queue: Optional[object] = None
     #: Virtual nodes per shard when seeding the ring.
     vnodes: int = 16
@@ -139,10 +139,7 @@ class Realm:
         name: str,
         master_password: str = "master-password",
         seed: bytes = b"realm-seed",
-        n_slaves: int = 0,
         host_prefix: Optional[str] = None,
-        kdc_workers: Optional[int] = None,
-        kdc_queue=None,
         topology: Optional[RealmTopology] = None,
     ) -> None:
         self.net = net
@@ -150,20 +147,9 @@ class Realm:
         prefix = host_prefix if host_prefix is not None else name.split(".")[0].lower()
         self._prefix = prefix
         if topology is None:
-            # The classic keyword signature is a one-shard topology.
-            topology = RealmTopology(
-                shards=1,
-                slaves_per_shard=n_slaves,
-                kdc_workers=kdc_workers,
-                kdc_queue=kdc_queue,
-            )
+            topology = RealmTopology()
         self.topology = topology
         self.keygen = KeyGenerator(seed=seed + name.encode())
-        #: Concurrent-service-loop sizing applied to every KDC in the
-        #: realm (masters and slaves); with None a request is answered
-        #: at arrival as a batch of one, zero service time.
-        self.kdc_workers = topology.kdc_workers
-        self.kdc_queue = topology.kdc_queue
 
         # Mirror key-schedule cache traffic into this world's registry as
         # crypto.keyschedule_total{result=hit|miss}, and wide-lane kernel
@@ -270,8 +256,7 @@ class Realm:
         kdc = KerberosServer(
             db,
             self.keygen.fork(keygen_fork),
-            workers=self.kdc_workers,
-            queue=self.kdc_queue,
+            queue=self.topology.kdc_queue,
         ).attach(master_host)
         kdbm = KdbmServer(db, self.acl).attach(master_host)
         site = ShardSite(
@@ -324,8 +309,7 @@ class Realm:
         kdc = KerberosServer(
             slave_db,
             self.keygen.fork(hostname.encode()),
-            workers=self.kdc_workers,
-            queue=self.kdc_queue,
+            queue=self.topology.kdc_queue,
             shard=site.membership,
         ).attach(host)
         kpropd = Kpropd(slave_db).attach(host)
@@ -346,8 +330,8 @@ class Realm:
     def kdc_addresses(self) -> List[IPAddress]:
         """Every KDC in the realm, shard by shard, each shard's master
         first — the classic client failover list (and, for a sharded
-        realm, the flat list legacy clients fall back to; the referral
-        path corrects their routing)."""
+        realm, the flat list a static-locator client falls back to; the
+        referral path corrects its routing)."""
         addresses: List[IPAddress] = []
         for site in self.shards:
             addresses.extend(self.shard_addresses(site.id))
@@ -615,10 +599,8 @@ class Realm:
             locator = ws.client.locator_for(self.name)
             if isinstance(locator, StaticLocator):
                 locator.set_addresses(self.kdc_addresses())
-            elif locator is not None:
-                locator.refresh()
             else:
-                ws.client.set_locator(self.name, self.locator())
+                locator.refresh()
         if self.hesiod is not None:
             self._publish_hesiod(shard=shard)
 
@@ -629,12 +611,6 @@ class Realm:
         descriptor plus per-shard lists."""
         self.hesiod = hesiod
         self._publish_hesiod()
-
-    def publish_kdcs(self, hesiod) -> None:
-        """Deprecated shim (one release) for :meth:`attach_hesiod`;
-        callers are counted in ``api.deprecated_calls_total``."""
-        count_deprecated(self.net.metrics, "Realm.publish_kdcs")
-        self.attach_hesiod(hesiod)
 
     def _publish_hesiod(self, shard: Optional[int] = None) -> None:
         if shard is None:

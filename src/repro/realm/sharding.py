@@ -684,7 +684,6 @@ class ShardedRealm(Realm):
         master_password: str = "master-password",
         seed: bytes = b"realm-seed",
         host_prefix: Optional[str] = None,
-        kdc_workers: Optional[int] = None,
         kdc_queue=None,
         vnodes: int = DEFAULT_VNODES,
     ) -> None:
@@ -697,7 +696,6 @@ class ShardedRealm(Realm):
             topology=RealmTopology(
                 shards=shards,
                 slaves_per_shard=slaves_per_shard,
-                kdc_workers=kdc_workers,
                 kdc_queue=kdc_queue,
                 vnodes=vnodes,
                 ring=True,

@@ -46,7 +46,13 @@ from repro.core.errors import KerberosError
 from repro.core.retry import RetryPolicy
 from repro.netsim import Jitter, Loss, Match, Network
 from repro.netsim.ports import KERBEROS_PORT
-from repro.realm import Realm, RealmSupervisor, ShardedRealm, SupervisorConfig
+from repro.realm import (
+    Realm,
+    RealmSupervisor,
+    RealmTopology,
+    ShardedRealm,
+    SupervisorConfig,
+)
 from repro.scenarios.engine import (
     CampaignResult,
     SloSpec,
@@ -62,10 +68,11 @@ REALM = "ATHENA.MIT.EDU"
 START = 5.0
 
 
-def _build(seed: int, n_users: int, n_slaves: int) -> tuple:
+def _build(seed: int, n_users: int, slaves: int) -> tuple:
     """Network + populated realm + workload, all derived from the seed."""
     net = Network(seed=seed, latency=0.01)  # campus LAN: 10 ms per hop
-    realm = Realm(net, REALM, seed=seed.to_bytes(8, "big"), n_slaves=n_slaves)
+    topology = RealmTopology(slaves_per_shard=slaves)
+    realm = Realm(net, REALM, seed=seed.to_bytes(8, "big"), topology=topology)
     workload = AthenaWorkload(realm, n_users=n_users, n_services=2, seed=seed)
     return net, realm, workload
 
@@ -93,7 +100,7 @@ def _paced_logins(net, workload, stations, window: float, records) -> None:
     ),
 )
 def morning_login_storm(seed: int, params: Dict) -> CampaignResult:
-    net, realm, workload = _build(seed, int(params["n_users"]), n_slaves=2)
+    net, realm, workload = _build(seed, int(params["n_users"]), slaves=2)
     stations = workload.workstations(int(params["n_stations"]))
     records: List[StationRecord] = []
     _paced_logins(net, workload, stations, float(params["window"]), records)
@@ -121,7 +128,7 @@ def morning_login_storm(seed: int, params: Dict) -> CampaignResult:
     ),
 )
 def slave_outage_peak(seed: int, params: Dict) -> CampaignResult:
-    net, realm, workload = _build(seed, int(params["n_users"]), n_slaves=2)
+    net, realm, workload = _build(seed, int(params["n_users"]), slaves=2)
     stations = workload.workstations(int(params["n_stations"]))
     records: List[StationRecord] = []
     window = float(params["window"])
@@ -170,7 +177,7 @@ def slave_outage_peak(seed: int, params: Dict) -> CampaignResult:
     ),
 )
 def master_assassination(seed: int, params: Dict) -> CampaignResult:
-    net, realm, workload = _build(seed, int(params["n_users"]), n_slaves=2)
+    net, realm, workload = _build(seed, int(params["n_users"]), slaves=2)
     realm.schedule_incremental(interval=30.0)
 
     # Discovery: the realm's KDC list lives in Hesiod, and every
@@ -257,7 +264,7 @@ def master_assassination(seed: int, params: Dict) -> CampaignResult:
     ),
 )
 def rolling_kdc_upgrade(seed: int, params: Dict) -> CampaignResult:
-    net, realm, workload = _build(seed, int(params["n_users"]), n_slaves=2)
+    net, realm, workload = _build(seed, int(params["n_users"]), slaves=2)
     # The supervisor watches the whole time: a short bounce (below its
     # miss threshold) must never look like an assassination.
     supervisor = RealmSupervisor(realm, SupervisorConfig()).attach(
@@ -310,7 +317,7 @@ class _EchoServer(KerberizedServer):
     ),
 )
 def clock_skew_epidemic(seed: int, params: Dict) -> CampaignResult:
-    net, realm, workload = _build(seed, int(params["n_users"]), n_slaves=1)
+    net, realm, workload = _build(seed, int(params["n_users"]), slaves=1)
     app_host = net.add_host("appserver")
     service, _key = realm.add_service("echo", "appserver")
     _EchoServer(service, realm.srvtab_for(service), port=2100).attach(app_host)
@@ -398,7 +405,7 @@ def clock_skew_epidemic(seed: int, params: Dict) -> CampaignResult:
     ),
 )
 def lossy_wan_degradation(seed: int, params: Dict) -> CampaignResult:
-    net, realm, workload = _build(seed, int(params["n_users"]), n_slaves=1)
+    net, realm, workload = _build(seed, int(params["n_users"]), slaves=1)
     # Both legs of every KDC exchange cross the bad link.
     loss = float(params["loss_rate"])
     jitter_high = float(params["jitter_high"])
@@ -477,8 +484,8 @@ def request_plane_saturation(seed: int, params: Dict) -> CampaignResult:
 
     net = Network(seed=seed, latency=0.01)
     realm = Realm(
-        net, REALM, seed=seed.to_bytes(8, "big"), n_slaves=0,
-        kdc_queue=queue,
+        net, REALM, seed=seed.to_bytes(8, "big"),
+        topology=RealmTopology(kdc_queue=queue),
     )
     workload = AthenaWorkload(
         realm, n_users=int(params["n_users"]), n_services=2, seed=seed
@@ -540,7 +547,8 @@ def nfs_fleet_mount_storm(seed: int, params: Dict) -> CampaignResult:
     from repro.realm import NfsFleet, NfsUserSpec
 
     net = Network(seed=seed, latency=0.01)
-    realm = Realm(net, REALM, seed=seed.to_bytes(8, "big"), n_slaves=1)
+    topology = RealmTopology(slaves_per_shard=1)
+    realm = Realm(net, REALM, seed=seed.to_bytes(8, "big"), topology=topology)
     n_users = int(params["n_users"])
     users = []
     for i in range(n_users):

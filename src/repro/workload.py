@@ -150,7 +150,9 @@ class AthenaWorkload:
             failures=int(
                 self._counter("failure").value - baseline["failure"]
             ),
-            kdc_messages=self.realm.net.stats["port:750"],
+            kdc_messages=int(self.realm.net.metrics.total(
+                "net.datagrams_total", port=KERBEROS_PORT
+            )),
         )
 
     def _baseline(self) -> dict:

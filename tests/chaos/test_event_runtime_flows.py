@@ -19,7 +19,7 @@ from repro.crypto import keycache
 from repro.netsim import Duplicate, Jitter, Loss, Match, Network
 from repro.netsim.ports import KERBEROS_PORT, KSHELL_PORT
 from repro.principal import Principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
 from repro.user import kpasswd
 
@@ -41,7 +41,10 @@ def run_figures_on_event_runtime(seed):
     # same-seed runs see identical hit/miss traffic in their snapshots.
     keycache.clear()
     net = Network(seed=seed, latency=0.002)
-    realm = Realm(net, REALM_NAME, n_slaves=1, kdc_queue=KDC_QUEUE)
+    realm = Realm(
+        net, REALM_NAME,
+        topology=RealmTopology(slaves_per_shard=1, kdc_queue=KDC_QUEUE),
+    )
     realm.add_user("jis", "jis-pw")
     rcmd, _ = realm.add_service("rcmd", "priam")
     realm.propagate()

@@ -15,7 +15,7 @@ from repro.core.applib import krb_rd_req
 from repro.kdbm import KdbmClient, KdbmTimeout
 from repro.netsim import Network
 from repro.principal import Principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.user import kpasswd
 
 pytestmark = pytest.mark.chaos
@@ -23,9 +23,9 @@ pytestmark = pytest.mark.chaos
 REALM_NAME = "ATHENA.MIT.EDU"
 
 
-def build_realm(seed=101, n_slaves=2):
+def build_realm(seed=101, slaves=2):
     net = Network(seed=seed)
-    realm = Realm(net, REALM_NAME, n_slaves=n_slaves)
+    realm = Realm(net, REALM_NAME, topology=RealmTopology(slaves_per_shard=slaves))
     realm.add_user("jis", "jis-pw")
     realm.add_service("rcmd", "priam")
     realm.propagate()
@@ -96,7 +96,7 @@ class TestMasterPartition:
         """While the master is partitioned, kpasswd fails fast with
         KdbmTimeout (never silently, never forever); after heal it
         succeeds and the change propagates."""
-        net, realm = build_realm(n_slaves=1)
+        net, realm = build_realm(slaves=1)
         ws = realm.workstation()
         kdbm = KdbmClient(
             ws.client,
@@ -125,7 +125,7 @@ class TestCrashRestart:
         """A single-KDC realm whose master crashes and restarts: a retry
         policy whose backoff spans the downtime logs in without any
         failover target at all."""
-        net, realm = build_realm(n_slaves=0)
+        net, realm = build_realm(slaves=0)
         net.crash_host(realm.master_host.name, downtime=10.0)
 
         ws = realm.workstation(

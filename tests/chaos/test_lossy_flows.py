@@ -20,7 +20,7 @@ from repro.kdbm import KdbmClient
 from repro.netsim import Duplicate, Loss, Match, Network
 from repro.netsim.ports import KERBEROS_PORT, KSHELL_PORT
 from repro.principal import Principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.user import kpasswd
 
 pytestmark = pytest.mark.chaos
@@ -35,7 +35,7 @@ def run_figures_5_through_13(seed):
     """One pass over the paper's flows with a hostile KDC link; returns
     the network so callers can interrogate the metrics."""
     net = Network(seed=seed)
-    realm = Realm(net, REALM_NAME, n_slaves=1)
+    realm = Realm(net, REALM_NAME, topology=RealmTopology(slaves_per_shard=1))
     realm.add_user("jis", "jis-pw")
     rcmd, _ = realm.add_service("rcmd", "priam")
     realm.propagate()

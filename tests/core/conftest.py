@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import KerberosClient, KerberosServer, Principal
+from repro.core import KerberosClient, KerberosServer, Principal, StaticLocator
 from repro.crypto import KeyGenerator
 from repro.database.admin_tools import kdb_init, register_service
 from repro.netsim import Network
@@ -50,7 +50,7 @@ def server_host(net):
 
 @pytest.fixture
 def client(ws, kdc, kdc_host):
-    return KerberosClient(ws, REALM, [kdc_host.address])
+    return KerberosClient(ws, REALM, StaticLocator([kdc_host.address]))
 
 
 @pytest.fixture

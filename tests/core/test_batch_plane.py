@@ -46,7 +46,7 @@ from repro.encode import pack_frames
 from repro.netsim import IPAddress, Network
 from repro.netsim.ports import KERBEROS_PORT
 from repro.principal import Principal, kdbm_principal, tgs_principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
 
 REALM = "ATHENA.MIT.EDU"
@@ -267,7 +267,9 @@ def refused_spans(door):
     queue = (
         WorkQueueConfig(workers=1, batch_size=4) if door == "queued" else None
     )
-    realm = Realm(net, REALM, seed=b"batch-plane", kdc_queue=queue)
+    realm = Realm(
+        net, REALM, seed=b"batch-plane", topology=RealmTopology(kdc_queue=queue)
+    )
     realm.add_user("jis", "jis-pw")
     host = realm.workstation().host
     refused = [as_wire("nosuch"), b"\xffnot a kerberos message"]

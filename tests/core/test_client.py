@@ -9,6 +9,7 @@ from repro.core import (
     KerberosServer,
     Principal,
     ReplayCache,
+    StaticLocator,
     krb_mk_rep,
     krb_rd_req,
     tgs_principal,
@@ -44,7 +45,7 @@ class TestKinit:
 
     def test_requires_kdc_address(self, ws):
         with pytest.raises(ValueError):
-            KerberosClient(ws, REALM, [])
+            KerberosClient(ws, REALM, StaticLocator([]))
 
 
 class TestFailover:
@@ -59,7 +60,7 @@ class TestFailover:
         KerberosServer(slave_db, keygen.fork(b"s")).attach(slave_host)
 
         client = KerberosClient(
-            ws, REALM, [master_host.address, slave_host.address]
+            ws, REALM, StaticLocator([master_host.address, slave_host.address])
         )
         net.set_down("kerberos-master")
         cred = client.kinit("jis", "jis-pw")  # served by the slave
@@ -68,7 +69,7 @@ class TestFailover:
     def test_all_kdcs_down(self, net, db, keygen, ws):
         host = net.add_host("kerberos-only")
         KerberosServer(db, keygen.fork(b"m")).attach(host)
-        client = KerberosClient(ws, REALM, [host.address])
+        client = KerberosClient(ws, REALM, StaticLocator([host.address]))
         net.set_down("kerberos-only")
         with pytest.raises(Unreachable):
             client.kinit("jis", "jis-pw")

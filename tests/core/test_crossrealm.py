@@ -42,12 +42,8 @@ def world():
 
     KerberosServer(db_a, gen.fork(b"a")).attach(athena_kdc)
     KerberosServer(db_l, gen.fork(b"l")).attach(lcs_kdc)
-    client = KerberosClient(
-        ws,
-        ATHENA,
-        [athena_kdc.address],
-        kdc_directory={LCS: [lcs_kdc.address]},
-    )
+    client = KerberosClient(ws, ATHENA, StaticLocator([athena_kdc.address]))
+    client.set_locator(LCS, StaticLocator([lcs_kdc.address]))
     return dict(
         gen=gen, net=net, ws=ws, client=client,
         db_a=db_a, db_l=db_l, service=service, service_key=service_key,
@@ -150,7 +146,7 @@ class TestCrossRealmFailures:
             world["client"].get_credential(service)
         assert err.value.code == ErrorCode.KDC_NO_CROSS_REALM
 
-    def test_no_kdc_directory_entry(self, world):
+    def test_no_locator_for_realm(self, world):
         world["client"].kinit("jis", "jis-pw")
         with pytest.raises(KerberosError) as err:
             world["client"].get_credential(Principal("svc", "h", "UNKNOWN.REALM"))

@@ -13,6 +13,7 @@ from repro.core import (
     Principal,
     ReplayCache,
     SrvTab,
+    StaticLocator,
     krb_mk_rep,
     krb_rd_req,
 )
@@ -35,8 +36,8 @@ class TestFigure9:
         client.rd_rep(reply, ts, cred)
 
         # Phases 1 and 2 each cost one KDC round trip (2 datagrams each).
-        assert net.stats["port:750"] == 2
-        assert net.stats["messages"] == 4
+        assert net.metrics.total("net.datagrams_total", port="750") == 2
+        assert net.metrics.total("net.datagrams_total") == 4
 
     def test_key_usage_chain(self, client, kdc, rlogin, ws, db):
         """Verify exactly which key opens which envelope, per Figure 9."""
@@ -93,8 +94,8 @@ class TestFigure9:
         service, key = rlogin
         ws1 = net.add_host("ws-a")
         ws2 = net.add_host("ws-b")
-        c1 = KerberosClient(ws1, REALM, [kdc_host.address])
-        c2 = KerberosClient(ws2, REALM, [kdc_host.address])
+        c1 = KerberosClient(ws1, REALM, StaticLocator([kdc_host.address]))
+        c2 = KerberosClient(ws2, REALM, StaticLocator([kdc_host.address]))
         c1.kinit("jis", "jis-pw")
         c2.kinit("bcn", "bcn-pw")
 
@@ -117,7 +118,7 @@ class TestFigure9:
         service, key = rlogin
         ws1 = net.add_host("victim-ws")
         thief_ws = net.add_host("thief-ws")
-        victim = KerberosClient(ws1, REALM, [kdc_host.address])
+        victim = KerberosClient(ws1, REALM, StaticLocator([kdc_host.address]))
         victim.kinit("jis", "jis-pw")
         cred = victim.get_credential(service)
 

@@ -124,7 +124,9 @@ class TestInitialTicket:
     def test_request_counters(self, kdc, ws, kdc_host):
         raw_as_request(ws, kdc_host)
         raw_as_request(ws, kdc_host, client="mallory")
-        assert kdc.as_requests == 2
+        assert kdc.metrics.total(
+            "kdc.requests_total", kind="as", server=kdc_host.name
+        ) == 2
         assert kdc.errors == 1
 
 
@@ -137,8 +139,8 @@ class TestDegenerateLifetimes:
         assert body.life == 0.0
 
     def test_zero_life_ticket_unusable(self, kdc, ws, kdc_host, db, net):
-        from repro.core import KerberosClient
+        from repro.core import KerberosClient, StaticLocator
 
-        client = KerberosClient(ws, REALM, [kdc_host.address])
+        client = KerberosClient(ws, REALM, StaticLocator([kdc_host.address]))
         tgt = client.kinit("jis", "jis-pw", life=0.0)
         assert tgt.expired(net.clock.now() + 0.001)

@@ -1,18 +1,11 @@
-"""Discovery-plane lint: KDC selection flows through locators only.
+"""Discovery-plane lint: KDC addresses are runtime data.
 
-Two AST walks over ``src/repro`` keep the api_redesign honest after
-the deprecation window closes:
-
-* No module outside the shim-defining files may *call* a deprecated
-  discovery entry point (``set_kdcs``, ``set_kdc_list``,
-  ``publish_kdcs``) or pass the legacy ``kdc_addresses=`` /
-  ``kdc_directory=`` keywords — new code must route through
-  :class:`~repro.core.locator.KdcLocator`.
-* No module outside ``repro/realm`` may embed a literal KDC address
-  (a dotted-quad string): addresses are runtime data answered by a
-  locator, never constants.  The realm package is the one place that
-  *assigns* addresses (bootstrap owns the hosts), and ``repro/netsim``
-  is exempt as the address type's home.
+One AST walk over ``src/repro``: no module outside ``repro/realm`` may
+embed a literal KDC address (a dotted-quad string) — addresses are
+answered by a :class:`~repro.core.locator.KdcLocator`, never constants.
+The realm package is the one place that *assigns* addresses (bootstrap
+owns the hosts), and ``repro/netsim`` is exempt as the address type's
+home.
 """
 
 import ast
@@ -23,20 +16,6 @@ import pytest
 pytestmark = pytest.mark.shard
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-#: Deprecated discovery entry points, and the one module allowed to
-#: define (and therefore mention) each.
-SHIM_CALLS = {
-    "set_kdcs": {"core/client.py"},
-    "set_kdc_list": {"apps/hesiod.py"},
-    "publish_kdcs": {"realm/bootstrap.py"},
-}
-
-#: Legacy constructor keywords, same rule: only the defining module.
-SHIM_KEYWORDS = {
-    "kdc_addresses": {"core/client.py"},
-    "kdc_directory": {"core/client.py"},
-}
 
 #: Packages allowed to hold dotted-quad literals (see module docstring).
 ADDRESS_LITERAL_ALLOWED_PREFIXES = ("realm/", "netsim/")
@@ -52,32 +31,16 @@ def _is_dotted_quad(value) -> bool:
 
 
 def _violations(path: Path):
-    """(lineno, what) pairs for every banned construct in one module."""
+    """(lineno, what) pairs for every address literal in one module."""
     rel = str(path.relative_to(SRC))
+    if rel.startswith(ADDRESS_LITERAL_ALLOWED_PREFIXES):
+        return []
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None
-            )
-            if name in SHIM_CALLS and rel not in SHIM_CALLS[name]:
-                found.append((node.lineno, f"call to deprecated {name}()"))
-            for keyword in node.keywords:
-                if (
-                    keyword.arg in SHIM_KEYWORDS
-                    and rel not in SHIM_KEYWORDS[keyword.arg]
-                ):
-                    found.append(
-                        (node.lineno, f"legacy keyword {keyword.arg}=")
-                    )
-        elif isinstance(node, ast.Constant) and _is_dotted_quad(node.value):
-            if not rel.startswith(ADDRESS_LITERAL_ALLOWED_PREFIXES):
-                found.append(
-                    (node.lineno, f"KDC address literal {node.value!r}")
-                )
-    return found
+    return [
+        (node.lineno, f"KDC address literal {node.value!r}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and _is_dotted_quad(node.value)
+    ]
 
 
 def test_no_legacy_discovery_outside_the_shims():
@@ -99,41 +62,14 @@ def test_no_legacy_discovery_outside_the_shims():
     )
 
 
-def test_lint_catches_planted_offenders(tmp_path):
-    """Each banned construct is actually detected by the walk."""
-    planted = tmp_path / "offender.py"
-    planted.write_text(
-        "client.set_kdcs('R', ['18.72.0.1'])\n"
-        "hesiod.set_kdc_list('R', [])\n"
-        "realm.publish_kdcs(hesiod)\n"
-        "KerberosClient(host, 'R', kdc_addresses=[])\n"
-        "KerberosClient(host, 'R', kdc_directory={})\n"
-        "ADDR = '18.72.0.100'\n"
-    )
+def test_lint_catches_planted_offenders():
+    """A planted address literal is actually detected by the walk."""
     # Pose as a module outside every allowance.
-    rel_dir = SRC / "apps"
-    copy = rel_dir / "_lint_probe_offender.py"
+    probe = SRC / "apps" / "_lint_probe_offender.py"
     try:
-        copy.write_text(planted.read_text())
-        found = _violations(copy)
+        probe.write_text("ADDR = '18.72.0.100'\nKDCS = ['18.72.0.1']\n")
+        found = _violations(probe)
     finally:
-        copy.unlink()
-    kinds = sorted(what for _line, what in found)
-    assert len(found) == 7  # 5 calls/keywords + 2 address literals
-    assert any("set_kdcs" in k for k in kinds)
-    assert any("set_kdc_list" in k for k in kinds)
-    assert any("publish_kdcs" in k for k in kinds)
-    assert any("kdc_addresses" in k for k in kinds)
-    assert any("kdc_directory" in k for k in kinds)
-    assert any("address literal" in k for k in kinds)
-
-
-def test_shim_modules_still_define_their_shims():
-    """Sanity: the allowances point at real definitions — if a shim is
-    finally removed, drop its allowance in the same commit."""
-    client = (SRC / "core" / "client.py").read_text()
-    hesiod = (SRC / "apps" / "hesiod.py").read_text()
-    bootstrap = (SRC / "realm" / "bootstrap.py").read_text()
-    assert "def set_kdcs" in client
-    assert "def set_kdc_list" in hesiod
-    assert "def publish_kdcs" in bootstrap
+        probe.unlink()
+    assert [line for line, _what in found] == [1, 2]
+    assert all("address literal" in what for _line, what in found)

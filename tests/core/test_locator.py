@@ -1,29 +1,22 @@
-"""The KdcLocator protocol: one discovery path, three implementations,
-counted deprecation shims.
+"""The KdcLocator protocol: one discovery path, three implementations.
 
-The api_redesign contract: ``KerberosClient`` asks a per-realm locator
-for a failover-ordered address list; the legacy entry points (address
-lists in the constructor, ``set_kdcs``, ``HesiodServer.set_kdc_list``,
-``Realm.publish_kdcs``) survive one release as shims whose callers are
-counted in ``api.deprecated_calls_total{api=...}`` — the removal
-evidence is a counter that stays flat.
+``KerberosClient`` asks a per-realm locator for a failover-ordered
+address list, and the locator is the constructor's only discovery
+argument; the PR 9/10 second spellings are errors at the call site.
 """
+
+import inspect
 
 import pytest
 
 from repro.apps.hesiod import HesiodLocator, HesiodServer
-from repro.core import KerberosClient, StaticLocator
-from repro.core.locator import KdcLocator, count_deprecated
+from repro.core import KerberosClient, KerberosServer, StaticLocator
+from repro.core.locator import KdcLocator
 from repro.netsim import IPAddress, Network
-from repro.realm import Realm
+from repro.netsim.ports import HESIOD_PORT
+from repro.realm import Realm, RealmTopology
 
 REALM = "ATHENA.MIT.EDU"
-
-
-def deprecated_calls(net, api: str) -> float:
-    return net.metrics.counter(
-        "api.deprecated_calls_total", {"api": api}
-    ).value
 
 
 class TestStaticLocator:
@@ -57,7 +50,7 @@ class TestStaticLocator:
 
 class TestHesiodLocator:
     def _realm_with_hesiod(self, net):
-        realm = Realm(net, REALM, n_slaves=1)
+        realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
         hesiod = HesiodServer().attach(net.add_host("hesiod"))
         realm.attach_hesiod(hesiod)
         return realm, hesiod
@@ -71,7 +64,7 @@ class TestHesiodLocator:
         # Cached: a second locate is free (no new Hesiod datagrams).
         net.reset_stats()
         locator.locate()
-        assert net.stats["port:251"] == 0
+        assert net.metrics.total("net.datagrams_total", port=HESIOD_PORT) == 0
 
     def test_refresh_sees_a_promotion(self):
         net = Network()
@@ -98,75 +91,61 @@ class TestHesiodLocator:
         ws.client.kinit("jis", "jis-pw")
         assert ws.client.cache.tgt(REALM) is not None
 
+    def test_absent_record_is_not_cached(self):
+        """A workstation that asks before the realm publishes must find
+        the record once it appears — only an answer is cached."""
+        net = Network()
+        realm = Realm(net, REALM)
+        realm.add_user("jis", "jis-pw")
+        hesiod = HesiodServer().attach(net.add_host("hesiod"))
+        ws = realm.workstation()
+        locator = HesiodLocator(ws.host, hesiod.host.address, REALM)
+        ws.client.set_locator(REALM, locator)
+        assert locator.locate() == []
+        realm.attach_hesiod(hesiod)
+        assert locator.locate() == realm.kdc_addresses()
+        ws.client.kinit("jis", "jis-pw")
+        # The miss and the answer each cost one query; kinit rode the cache.
+        assert net.metrics.total("net.datagrams_total", port=HESIOD_PORT) == 2
+
+
+#: (constructor, its parameter names, a removed spelling, what the error names)
+CONSTRUCTORS = [
+    pytest.param(
+        KerberosClient,
+        ["host", "realm", "locator", "default_life", "port", "retry_policy"],
+        lambda net: KerberosClient(net.add_host("ws"), REALM, ["18.72.0.1"]),
+        "StaticLocator",
+        id="client-list-where-a-locator-belongs",
+    ),
+    pytest.param(
+        Realm,
+        ["net", "name", "master_password", "seed", "host_prefix", "topology"],
+        lambda net: Realm(net, REALM, **{"n_slaves": 2}),
+        "n_slaves",
+        id="realm-unknown-keyword",
+    ),
+    pytest.param(
+        KerberosServer,
+        ["database", "keygen", "skew", "port", "queue", "shard"],
+        lambda net: KerberosServer(None, None, **{"workers": 2}),
+        "workers",
+        id="kdc-unknown-keyword",
+    ),
+]
+
 
 class TestDeprecationShims:
-    def test_modern_paths_count_nothing(self):
-        net = Network()
-        realm = Realm(net, REALM)
-        realm.add_user("jis", "jis-pw")
-        ws = realm.workstation()          # locator-based construction
-        ws.client.kinit("jis", "jis-pw")
-        hesiod = HesiodServer().attach(net.add_host("hesiod"))
-        realm.attach_hesiod(hesiod)
-        snapshot = net.metrics.snapshot()
-        assert not any(
-            "api.deprecated_calls_total" in key
-            for key in snapshot.get("counters", snapshot)
-        )
-
-    def test_constructor_address_list_is_counted(self):
-        net = Network()
-        realm = Realm(net, REALM)
-        host = net.add_host("ws-legacy")
-        KerberosClient(host, REALM, kdc_addresses=realm.kdc_addresses())
-        assert deprecated_calls(net, "KerberosClient.kdc_addresses") == 1.0
-
-    def test_kdc_directory_is_counted_per_realm(self):
-        net = Network()
-        realm = Realm(net, REALM)
-        host = net.add_host("ws-legacy")
-        KerberosClient(
-            host, REALM,
-            kdc_addresses=realm.kdc_addresses(),
-            kdc_directory={
-                "LCS.MIT.EDU": realm.kdc_addresses(),
-                "CS.WASHINGTON.EDU": realm.kdc_addresses(),
-            },
-        )
-        assert deprecated_calls(net, "KerberosClient.kdc_directory") == 2.0
-
-    def test_set_kdcs_counts_and_still_works(self):
-        net = Network()
-        realm = Realm(net, REALM, n_slaves=1)
-        realm.add_user("jis", "jis-pw")
-        realm.propagate()
-        ws = realm.workstation()
-        slave_first = [realm.slaves[0].host.address,
-                       realm.master_host.address]
-        ws.client.set_kdcs(REALM, slave_first)
-        assert deprecated_calls(net, "KerberosClient.set_kdcs") == 1.0
-        assert ws.client.kdcs(REALM)[0] == slave_first[0]
-        ws.client.kinit("jis", "jis-pw")   # the shim still routes
-
-    def test_hesiod_set_kdc_list_is_counted(self):
-        net = Network()
-        realm = Realm(net, REALM)
-        hesiod = HesiodServer().attach(net.add_host("hesiod"))
-        hesiod.set_kdc_list(REALM, realm.kdc_addresses())
-        assert deprecated_calls(net, "HesiodServer.set_kdc_list") == 1.0
-
-    def test_realm_publish_kdcs_is_counted(self):
-        net = Network()
-        realm = Realm(net, REALM)
-        hesiod = HesiodServer().attach(net.add_host("hesiod"))
-        realm.publish_kdcs(hesiod)
-        assert deprecated_calls(net, "Realm.publish_kdcs") == 1.0
-
-    def test_count_deprecated_tolerates_no_registry(self):
-        count_deprecated(None, "anything")   # must not raise
+    """The one-release shims are gone: an old spelling is an error where
+    it is written, never a silently dropped setting."""
 
     def test_client_requires_some_discovery(self):
-        net = Network()
-        host = net.add_host("ws-none")
-        with pytest.raises(ValueError):
+        host = Network().add_host("ws-none")
+        with pytest.raises(TypeError, match="locator"):
             KerberosClient(host, REALM)
+
+    @pytest.mark.parametrize("cls, names, removed_spelling, complaint", CONSTRUCTORS)
+    def test_constructor_signatures(self, cls, names, removed_spelling, complaint):
+        assert list(inspect.signature(cls).parameters) == names
+        with pytest.raises(TypeError, match=complaint):
+            removed_spelling(Network())

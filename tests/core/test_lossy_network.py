@@ -7,7 +7,13 @@ indistinguishable from a replay at the KDC).
 
 import pytest
 
-from repro.core import KerberosClient, KerberosServer, Principal
+from repro.core import (
+    KerberosClient,
+    KerberosServer,
+    Principal,
+    RetryPolicy,
+    StaticLocator,
+)
 from repro.crypto import KeyGenerator
 from repro.database.admin_tools import kdb_init, register_service
 from repro.netsim import Loss, Network, Unreachable
@@ -15,7 +21,7 @@ from repro.netsim import Loss, Network, Unreachable
 REALM = "ATHENA.MIT.EDU"
 
 
-def build(loss_rate, seed=0, retries=3):
+def build(loss_rate, seed=0, attempts=3):
     net = Network(seed=seed)
     if loss_rate:
         net.faults.add(Loss(loss_rate))
@@ -27,13 +33,16 @@ def build(loss_rate, seed=0, retries=3):
     kdc_host = net.add_host("kerberos")
     KerberosServer(db, gen.fork(b"kdc")).attach(kdc_host)
     ws = net.add_host("ws")
-    client = KerberosClient(ws, REALM, [kdc_host.address], retries=retries)
+    client = KerberosClient(
+        ws, REALM, StaticLocator([kdc_host.address]),
+        retry_policy=RetryPolicy(max_attempts=attempts),
+    )
     return net, client, service
 
 
 class TestRetransmission:
     def test_moderate_loss_login_succeeds(self):
-        """With 20% loss and 3 retries, logins nearly always succeed."""
+        """With 20% loss and 3 attempts, logins nearly always succeed."""
         successes = 0
         for seed in range(20):
             net, client, _ = build(loss_rate=0.2, seed=seed)
@@ -71,9 +80,8 @@ class TestRetransmission:
             client.kinit("jis", "pw")
 
     def test_retry_count_respected(self):
-        """A black-holed network sees exactly retries x addresses
-        attempts."""
-        net, client, _ = build(loss_rate=0.0, retries=4)
+        """A black-holed network sees exactly the policy's attempts."""
+        net, client, _ = build(loss_rate=0.0, attempts=4)
         seen = []
 
         def count_and_drop(datagram):
@@ -88,10 +96,8 @@ class TestRetransmission:
         assert len(seen) == 4
 
     def test_invalid_retries(self):
-        net = Network()
-        host = net.add_host("ws")
         with pytest.raises(ValueError):
-            KerberosClient(host, REALM, ["1.2.3.4"], retries=0)
+            build(loss_rate=0.0, attempts=0)
 
     def test_loss_on_as_exchange_reply(self):
         """Losing an AS reply is harmless: the AS keeps no replay state,

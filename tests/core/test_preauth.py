@@ -55,14 +55,16 @@ class TestNegotiation:
         ws = realm.workstation()
         realm.net.reset_stats()
         ws.client.kinit("open", "open-pw")
-        assert net.stats["port:750"] == 1   # no extra round trip
+        # No extra round trip.
+        assert net.metrics.total("net.datagrams_total", port="750") == 1
 
     def test_preauth_costs_one_extra_round_trip(self, world):
         net, realm = world
         ws = realm.workstation()
         realm.net.reset_stats()
         ws.client.kinit("careful", "careful-pw")
-        assert net.stats["port:750"] == 2   # refusal + preauth retry
+        # Refusal + preauth retry.
+        assert net.metrics.total("net.datagrams_total", port="750") == 2
 
     def test_wrong_password_now_fails_at_the_kdc(self, world):
         """With preauth, a wrong password is caught by the KDC

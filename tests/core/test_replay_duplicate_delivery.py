@@ -9,7 +9,7 @@ original request succeeds from the client's point of view.
 
 import pytest
 
-from repro.core import KerberosClient, KerberosServer, Principal
+from repro.core import KerberosClient, KerberosServer, Principal, StaticLocator
 from repro.core.replay import ReplayCache
 from repro.crypto import KeyGenerator
 from repro.database.admin_tools import kdb_init, register_service
@@ -30,7 +30,7 @@ def world():
     kdc_host = net.add_host("kerberos")
     kdc = KerberosServer(db, gen.fork(b"kdc")).attach(kdc_host)
     ws = net.add_host("ws")
-    client = KerberosClient(ws, REALM, [kdc_host.address])
+    client = KerberosClient(ws, REALM, StaticLocator([kdc_host.address]))
     return net, kdc, client, service
 
 

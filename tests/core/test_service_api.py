@@ -14,7 +14,7 @@ from repro.crypto import KeyGenerator
 from repro.database.admin_tools import kdb_init
 from repro.netsim import Network
 from repro.netsim.ports import KERBEROS_PORT
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -151,14 +151,14 @@ class TestRealDaemons:
     def test_kdc_requires_a_keygen(self):
         gen = KeyGenerator(seed=b"svc")
         db = kdb_init(REALM, "mpw", gen)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="keygen"):
             KerberosServer(db)
 
     def test_realm_hosts_enumerate_their_services(self):
         """The master runs the KDC and the KDBM; slaves run a KDC and a
         kpropd — visible through the one Service registry."""
         net = Network()
-        realm = Realm(net, REALM, n_slaves=1)
+        realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
         master_kinds = {type(s).__name__ for s in realm.master_host.services}
         assert master_kinds == {"KerberosServer", "KdbmServer"}
         slave = realm.slaves[0]
@@ -170,7 +170,7 @@ class TestRealDaemons:
         the host stays up.  Port-unreachable is as failover-worthy as a
         dead host — logins ride over to the slave."""
         net = Network()
-        realm = Realm(net, REALM, n_slaves=1)
+        realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
         realm.add_user("jis", "jis-pw")
         realm.propagate()
         realm.kdc.detach()

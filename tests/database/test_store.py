@@ -164,12 +164,14 @@ class TestSqliteStorePersistence:
         from repro.principal import Principal
 
         db.add_principal(Principal("jis", "", "ATHENA.MIT.EDU"), password="pw")
-        from repro.core import KerberosClient, KerberosServer
+        from repro.core import KerberosClient, KerberosServer, StaticLocator
         from repro.netsim import Network
 
         net = Network()
         kdc_host = net.add_host("kerberos")
         KerberosServer(db, gen.fork(b"kdc")).attach(kdc_host)
         ws = net.add_host("ws")
-        client = KerberosClient(ws, "ATHENA.MIT.EDU", [kdc_host.address])
+        client = KerberosClient(
+            ws, "ATHENA.MIT.EDU", StaticLocator([kdc_host.address])
+        )
         assert client.kinit("jis", "pw") is not None

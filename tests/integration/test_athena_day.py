@@ -20,7 +20,7 @@ from repro.core import KerberosError
 from repro.kdbm import KdbmClient
 from repro.netsim import Network, Unreachable
 from repro.principal import Principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.threat import Eavesdropper, steal_credentials, use_stolen_credential
 from repro.user import kpasswd
 
@@ -32,7 +32,7 @@ USERS = [("jis", "jis-pw", 1001), ("bcn", "bcn-pw", 1002),
 @pytest.fixture(scope="module")
 def athena():
     net = Network()
-    realm = Realm(net, REALM, n_slaves=2)
+    realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=2))
     realm.add_admin("jis", "jis-admin-pw")
     for name, pw, _ in USERS:
         realm.add_user(name, pw)

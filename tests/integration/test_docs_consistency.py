@@ -90,3 +90,26 @@ class TestExperimentsCoverage:
                     "F10", "F11", "F12", "F13", "NFS", "S9", "X1",
                     "C1", "T1", "L1", "P1"]:
             assert f"## {exp} " in text or f"## {exp} —" in text, exp
+
+
+class TestRemovedNames:
+    #: Second spellings deleted with the PR 9/10 compatibility layer.
+    #: A doc that still shows one teaches an API that raises.
+    REMOVED = (
+        "kdc_addresses=", "kdc_directory", "set_kdcs", "set_kdc_list",
+        "publish_kdcs", "count_deprecated", "deprecated_calls_total",
+        "NetworkStats", "net.stats", ".as_requests", ".tgs_requests",
+        "kdc_workers", "retries=", "n_slaves",
+    )
+
+    def test_docs_mention_no_removed_identifier(self):
+        docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
+        docs += sorted((ROOT / "docs").glob("*.md"))
+        stale = [
+            f"{doc.relative_to(ROOT)}:{lineno}: {name}"
+            for doc in docs
+            for lineno, line in enumerate(doc.read_text().splitlines(), 1)
+            for name in self.REMOVED
+            if name in line
+        ]
+        assert not stale, stale

@@ -31,7 +31,7 @@ from repro.apps.register import RegisterServer
 from repro.apps.sms import SmsServer
 from repro.netsim import Network, NoSuchService
 from repro.principal import Principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -184,7 +184,7 @@ def prop_world():
     )
 
     net = Network(seed=FUZZ_SEED)
-    realm = Realm(net, REALM, n_slaves=1)
+    realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
     realm.add_user("jis", "jis-pw")
     realm.add_admin("jis", "jis-admin-pw")
     realm.propagate()

@@ -22,6 +22,7 @@ from repro.core import (
     KerberosClient,
     KerberosError,
     Principal,
+    StaticLocator,
     krb_mk_req,
     krb_rd_req,
 )
@@ -137,7 +138,7 @@ class TestAuthenticationForwarding:
         not trust the remote host", and now it has their password."""
         net, realm = world["net"], world["realm"]
         priam_client = KerberosClient(
-            world["priam"], REALM, [realm.master_host.address]
+            world["priam"], REALM, StaticLocator([realm.master_host.address])
         )
         priam_client.kinit("jis", "jis-pw")   # password typed on priam!
         request, _, _ = priam_client.mk_req(world["nfs_service"])

@@ -14,6 +14,7 @@ from repro.core import (
     KerberosServer,
     Principal,
     SrvTab,
+    StaticLocator,
     krb_rd_req,
     tgs_principal,
 )
@@ -55,7 +56,7 @@ class TestColdStart:
         kdc_host = net.add_host("kerberos")
         KerberosServer(db, gen.fork(b"kdc1")).attach(kdc_host)
         ws = net.add_host("ws")
-        client = KerberosClient(ws, REALM, [kdc_host.address])
+        client = KerberosClient(ws, REALM, StaticLocator([kdc_host.address]))
         client.kinit("jis", "jis-pw")
         pre_restart_cred = client.get_credential(service)
 
@@ -89,7 +90,7 @@ class TestColdStart:
         assert ctx.client.name == "jis"
 
         # And new logins against the restarted KDC work too.
-        client2 = KerberosClient(ws, REALM, [kdc_host.address])
+        client2 = KerberosClient(ws, REALM, StaticLocator([kdc_host.address]))
         assert client2.kinit("jis", "jis-pw") is not None
 
     def test_wrong_stash_refuses_database(self, tmp_path):

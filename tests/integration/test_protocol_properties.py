@@ -12,6 +12,7 @@ from repro.core import (
     KerberosError,
     KerberosServer,
     Principal,
+    StaticLocator,
     krb_rd_req,
     tgs_principal,
     unseal_ticket,
@@ -41,7 +42,7 @@ def build_world(username, password):
     kdc_host = net.add_host("kdc")
     KerberosServer(db, gen.fork(b"k")).attach(kdc_host)
     ws = net.add_host("ws")
-    client = KerberosClient(ws, REALM, [kdc_host.address])
+    client = KerberosClient(ws, REALM, StaticLocator([kdc_host.address]))
     return net, client, service, key, db
 
 
@@ -117,7 +118,7 @@ class TestProtocolInvariants:
         kdc_host = net.add_host("kdc")
         KerberosServer(db, gen.fork(b"k")).attach(kdc_host)
         ws = net.add_host("ws", clock_skew=skew)
-        client = KerberosClient(ws, REALM, [kdc_host.address])
+        client = KerberosClient(ws, REALM, StaticLocator([kdc_host.address]))
 
         client.kinit(username, password)
         request, _, _ = client.mk_req(service)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim import Network
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.workload import AthenaWorkload
 
 REALM = "ATHENA.MIT.EDU"
@@ -12,7 +12,7 @@ REALM = "ATHENA.MIT.EDU"
 @pytest.fixture
 def workload():
     net = Network()
-    realm = Realm(net, REALM, n_slaves=1)
+    realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
     return AthenaWorkload(realm, n_users=50, n_services=10, seed=7)
 
 

@@ -7,7 +7,7 @@ from repro.crypto import string_to_key
 from repro.database import ReadOnlyDatabase
 from repro.kdbm import KdbmClient, KdbmServer
 from repro.netsim import Network, Unreachable
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -15,7 +15,7 @@ REALM = "ATHENA.MIT.EDU"
 @pytest.fixture
 def realm():
     net = Network()
-    r = Realm(net, REALM, n_slaves=1)
+    r = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
     r.add_user("jis", "jis-pw")
     r.add_user("bcn", "bcn-pw")
     r.add_admin("jis", "jis-admin-pw")

@@ -13,7 +13,7 @@ from repro.kdbm import KdbmClient, KdbmTimeout
 from repro.netsim import Network, Unreachable
 from repro.netsim.ports import KDBM_PORT
 from repro.principal import Principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 
 REALM_NAME = "ATHENA.MIT.EDU"
 
@@ -21,7 +21,7 @@ REALM_NAME = "ATHENA.MIT.EDU"
 @pytest.fixture
 def realm_world():
     net = Network(seed=3)
-    realm = Realm(net, REALM_NAME, n_slaves=1)
+    realm = Realm(net, REALM_NAME, topology=RealmTopology(slaves_per_shard=1))
     realm.add_user("jis", "jis-pw")
     realm.propagate()  # the slave needs jis to serve AS while master is down
     ws = realm.workstation()

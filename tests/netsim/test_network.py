@@ -274,29 +274,30 @@ class TestStats:
     def test_counts_messages_and_bytes(self, net, pair):
         client, server = pair
         client.rpc(server.address, 100, b"abcd")
-        assert net.stats["messages"] == 2  # request + reply
-        assert net.stats["bytes"] == 8  # 4 out, 4 back
-        assert net.stats["port:100"] == 1
+        assert net.metrics.total("net.datagrams_total") == 2  # request + reply
+        assert net.metrics.total("net.bytes_total") == 8  # 4 out, 4 back
+        assert net.metrics.total("net.datagrams_total", port="100") == 1
 
     def test_reset(self, net, pair):
         client, server = pair
         client.rpc(server.address, 100, b"x")
         net.reset_stats()
-        assert net.stats["messages"] == 0
+        assert net.metrics.total("net.datagrams_total") == 0
 
     def test_reply_port_counted_separately(self, net, pair):
         client, server = pair
         client.rpc(server.address, 100, b"x")
-        assert net.stats["port:0"] == 1  # ephemeral reply port
+        # The reply lands on the client's ephemeral port.
+        assert net.metrics.total("net.datagrams_total", port="0") == 1
 
     def test_stats_backed_by_registry(self, net, pair):
-        """The classic stats view and the metrics registry agree — the
-        registry is the single source of truth."""
+        """The registry is the single source of truth: the unfiltered
+        total is exactly the sum of the per-port series."""
         client, server = pair
         client.rpc(server.address, 100, b"abcd")
-        assert net.metrics.total("net.datagrams_total") == net.stats["messages"]
-        assert net.metrics.total("net.bytes_total") == net.stats["bytes"]
-        assert net.metrics.total("net.datagrams_total", port="100") == 1
+        for name, total in (("net.datagrams_total", 2), ("net.bytes_total", 8)):
+            per_port = [net.metrics.total(name, port=p) for p in (100, 0)]
+            assert sum(per_port) == net.metrics.total(name) == total
 
     def test_drops_counted_by_reason(self, net, pair):
         client, server = pair

@@ -7,7 +7,7 @@ from repro.netsim import Datagram, IPAddress, Network, Unreachable
 from repro.netsim.faults import Loss
 from repro.obs import TraceContext, render_chrome_trace
 from repro.obs.tracing import Tracer
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
 
 pytestmark = pytest.mark.obs
@@ -121,9 +121,8 @@ class TestQueueWaitSpans:
     @pytest.fixture
     def queued_world(self):
         net = Network(latency=0.001, seed=7)
-        realm = Realm(
-            net, REALM, kdc_queue=WorkQueueConfig(workers=1, batch_size=4)
-        )
+        queue = WorkQueueConfig(workers=1, batch_size=4)
+        realm = Realm(net, REALM, topology=RealmTopology(kdc_queue=queue))
         realm.add_user("jis", "jis-pw")
         return net, realm
 

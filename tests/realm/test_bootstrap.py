@@ -10,7 +10,7 @@ from repro.core import (
     tgs_principal,
 )
 from repro.netsim import Network
-from repro.realm import Realm, link
+from repro.realm import Realm, RealmTopology, link
 
 
 @pytest.fixture
@@ -30,13 +30,13 @@ class TestBootstrap:
         assert realm.master_host.handler_for(751) is not None  # KDBM
 
     def test_slaves_initialized_with_dump(self, net):
-        realm = Realm(net, "ATHENA.MIT.EDU", n_slaves=3)
+        realm = Realm(net, "ATHENA.MIT.EDU", topology=RealmTopology(slaves_per_shard=3))
         for slave in realm.slaves:
             assert slave.db.exists(tgs_principal("ATHENA.MIT.EDU"))
             assert slave.db.readonly
 
     def test_kdc_addresses_master_first(self, net):
-        realm = Realm(net, "ATHENA.MIT.EDU", n_slaves=2)
+        realm = Realm(net, "ATHENA.MIT.EDU", topology=RealmTopology(slaves_per_shard=2))
         addrs = realm.kdc_addresses()
         assert addrs[0] == realm.master_host.address
         assert len(addrs) == 3
@@ -60,7 +60,7 @@ class TestBootstrap:
 
 class TestEndToEnd:
     def test_login_and_service(self, net):
-        realm = Realm(net, "ATHENA.MIT.EDU", n_slaves=1)
+        realm = Realm(net, "ATHENA.MIT.EDU", topology=RealmTopology(slaves_per_shard=1))
         realm.add_user("jis", "pw")
         service, key = realm.add_service("rlogin", "priam")
         ws = realm.workstation()
@@ -79,7 +79,9 @@ class TestEndToEnd:
         assert realm.service_key(service) == key
 
     def test_cross_realm_link(self, net):
-        athena = Realm(net, "ATHENA.MIT.EDU", n_slaves=1)
+        athena = Realm(
+            net, "ATHENA.MIT.EDU", topology=RealmTopology(slaves_per_shard=1)
+        )
         lcs = Realm(net, "LCS.MIT.EDU", seed=b"lcs")
         athena.add_user("jis", "pw")
         service, key = lcs.add_service("rlogin", "ptt")
@@ -96,7 +98,9 @@ class TestEndToEnd:
     def test_link_propagates_to_slaves(self, net):
         """Slaves can serve cross-realm requests after the link is
         propagated (inter-realm keys are ordinary database records)."""
-        athena = Realm(net, "ATHENA.MIT.EDU", n_slaves=1)
+        athena = Realm(
+            net, "ATHENA.MIT.EDU", topology=RealmTopology(slaves_per_shard=1)
+        )
         lcs = Realm(net, "LCS.MIT.EDU", seed=b"lcs")
         athena.add_user("jis", "pw")
         service, _ = lcs.add_service("rlogin", "ptt")

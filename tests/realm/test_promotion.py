@@ -12,7 +12,7 @@ from repro.core import StaticLocator
 from repro.kdbm import KdbmClient
 from repro.netsim import Network, Unreachable
 from repro.principal import Principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -20,7 +20,7 @@ REALM = "ATHENA.MIT.EDU"
 @pytest.fixture
 def realm():
     net = Network()
-    r = Realm(net, REALM, n_slaves=2)
+    r = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=2))
     r.add_admin("jis", "admin-pw")
     r.add_user("jis", "jis-pw")
     r.propagate()

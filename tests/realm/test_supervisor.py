@@ -10,9 +10,10 @@ epoch conflict when it returns.
 import pytest
 
 from repro.apps.hesiod import HesiodServer, hesiod_kdcs
+from repro.core import StaticLocator
 from repro.netsim import Network
 from repro.principal import Principal
-from repro.realm import Realm, RealmSupervisor, SupervisorConfig
+from repro.realm import Realm, RealmSupervisor, RealmTopology, SupervisorConfig
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -20,9 +21,9 @@ REALM = "ATHENA.MIT.EDU"
 DETECT = 3 * 5.0 + 10.0
 
 
-def build(seed=11, n_slaves=2, config=None):
+def build(seed=11, slaves=2, config=None):
     net = Network(seed=seed)
-    realm = Realm(net, REALM, n_slaves=n_slaves)
+    realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=slaves))
     realm.add_user("jis", "jis-pw")
     realm.propagate()
     realm.schedule_incremental(interval=30.0)
@@ -216,7 +217,7 @@ class TestRejoin:
         ws = realm.workstation("ws-direct")
         # Point the client straight at the rejoined ex-master: its KDC
         # still answers AS requests from its (caught-up) replica.
-        ws.client.set_kdcs(REALM, [old_master.address])
+        ws.client.set_locator(REALM, StaticLocator([old_master.address]))
         ws.client.kinit("jis", "jis-pw")
 
 

@@ -10,10 +10,10 @@ not) on slaves.
 
 import pytest
 
-from repro.core import ErrorCode, KerberosClient, KerberosError
+from repro.core import ErrorCode, KerberosClient, KerberosError, StaticLocator
 from repro.netsim import Network
 from repro.principal import Principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -21,7 +21,7 @@ REALM = "ATHENA.MIT.EDU"
 @pytest.fixture
 def world():
     net = Network()
-    realm = Realm(net, REALM, n_slaves=1)
+    realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
     realm.add_user("jis", "old-pw")
     realm.propagate()
     realm.schedule_propagation()
@@ -29,7 +29,7 @@ def world():
 
 
 def client_pinned_to(host_address, ws):
-    return KerberosClient(ws.host, REALM, [host_address])
+    return KerberosClient(ws.host, REALM, StaticLocator([host_address]))
 
 
 class TestConsistencyWindow:

@@ -15,16 +15,16 @@ from repro.crypto import string_to_key
 from repro.database.journal import default_epoch
 from repro.netsim import Network
 from repro.principal import Principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 
 pytestmark = pytest.mark.replication
 
 REALM_NAME = "ATHENA.MIT.EDU"
 
 
-def build_realm(seed=77, n_slaves=2, **kwargs):
+def build_realm(seed=77):
     net = Network(seed=seed)
-    realm = Realm(net, REALM_NAME, n_slaves=n_slaves, **kwargs)
+    realm = Realm(net, REALM_NAME, topology=RealmTopology(slaves_per_shard=2))
     realm.add_user("jis", "jis-pw")
     realm.propagate()  # everyone synced; high-water marks established
     return net, realm

@@ -5,7 +5,7 @@ import pytest
 from repro.core import Principal
 from repro.crypto import string_to_key
 from repro.netsim import Network
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.replication.messages import (
     PropKind,
     PropReply,
@@ -23,7 +23,7 @@ def net():
 
 @pytest.fixture
 def realm(net):
-    r = Realm(net, REALM, n_slaves=2)
+    r = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=2))
     r.add_user("jis", "jis-pw")
     return r
 
@@ -80,7 +80,7 @@ class TestPropagation:
         assert slave.kpropd.staleness(net.clock.now()) <= 3600.0 + 10
 
     def test_staleness_infinite_before_first_update(self, net):
-        fresh = Realm(net, "FRESH.REALM", n_slaves=0)
+        fresh = Realm(net, "FRESH.REALM")
         slave = fresh.add_slave("fresh-slave")
         assert slave.kpropd.staleness(net.clock.now()) == float("inf")
 
@@ -173,7 +173,7 @@ class TestFailureHandling:
     def test_history_recorded(self, realm):
         realm.propagate()
         realm.propagate()
-        # Bootstrap with n_slaves ran one initial round already.
+        # Bootstrap with slaves ran one initial round already.
         assert len(realm.kprop.history) == 3
 
 

@@ -19,7 +19,7 @@ from repro.core.messages import (
 from repro.netsim import Datagram, DeferredReply, Network, Unreachable
 from repro.netsim.ports import KERBEROS_PORT
 from repro.principal import Principal, tgs_principal
-from repro.realm import Realm
+from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
 from repro.workload import AthenaWorkload
 
@@ -29,13 +29,14 @@ REALM = "ATHENA.MIT.EDU"
 TINY = WorkQueueConfig(workers=1, batch_size=1, queue_limit=1)
 
 
-def build_realm(net=None, n_slaves=0, queue=None, workers=None):
+def build_realm(net=None, slaves=0, queue=None):
     net = net or Network(seed=5)
     realm = Realm(
-        net, REALM, n_slaves=n_slaves, kdc_queue=queue, kdc_workers=workers
+        net, REALM,
+        topology=RealmTopology(slaves_per_shard=slaves, kdc_queue=queue),
     )
     realm.add_user("jis", "jis-pw")
-    if n_slaves:
+    if slaves:
         realm.propagate()
     return net, realm
 
@@ -65,7 +66,7 @@ def fill_queue(realm, n):
 
 class TestQueuedService:
     def test_login_completes_through_the_queue(self):
-        net, realm = build_realm(workers=2)
+        net, realm = build_realm(queue=WorkQueueConfig(workers=2))
         ws = realm.workstation()
         assert ws.client.kinit("jis", "jis-pw") is not None
         # Service took simulated time: one batch, non-zero cost.
@@ -113,7 +114,7 @@ class TestShedding:
     def test_failover_rides_out_the_overload(self):
         """Figure 10 under load: the master sheds, the client fails over
         to the slave, the login succeeds anyway."""
-        net, realm = build_realm(n_slaves=1, queue=TINY)
+        net, realm = build_realm(slaves=1, queue=TINY)
         fill_queue(realm, 2)  # only the master is saturated
         ws = realm.workstation()
         assert ws.client.kinit("jis", "jis-pw") is not None
@@ -145,7 +146,7 @@ class TestCrash:
         assert isinstance(second.error, Unreachable)
 
     def test_client_fails_over_past_a_crashed_queued_master(self):
-        net, realm = build_realm(n_slaves=1, workers=2)
+        net, realm = build_realm(slaves=1, queue=WorkQueueConfig(workers=2))
         net.crash_host(realm.master_host.name)
         ws = realm.workstation()
         assert ws.client.kinit("jis", "jis-pw") is not None
@@ -165,11 +166,8 @@ class TestBatchAmortization:
         """Every AS request in a batch wants the TGS principal's row;
         the batch memo fetches it once and counts the savings."""
         net = Network(seed=9)
-        realm = Realm(
-            net, REALM,
-            kdc_queue=WorkQueueConfig(workers=1, batch_size=8,
-                                      queue_limit=64),
-        )
+        queue = WorkQueueConfig(workers=1, batch_size=8, queue_limit=64)
+        realm = Realm(net, REALM, topology=RealmTopology(kdc_queue=queue))
         workload = AthenaWorkload(realm, n_users=12, n_services=0, seed=1)
         stations = workload.workstations(12, spread_kdcs=False)
         result = workload.login_burst(stations, window=0.001)
@@ -179,7 +177,8 @@ class TestBatchAmortization:
     def test_burst_digest_is_seed_stable(self):
         def run():
             net = Network(seed=31)
-            realm = Realm(net, REALM, kdc_workers=2)
+            queue = WorkQueueConfig(workers=2)
+            realm = Realm(net, REALM, topology=RealmTopology(kdc_queue=queue))
             workload = AthenaWorkload(realm, n_users=8, n_services=0, seed=2)
             stations = workload.workstations(8, spread_kdcs=False)
             return workload.login_burst(stations, window=0.01)

@@ -1,5 +1,5 @@
-"""Campaign runs: one fast smoke drill in tier-1, the full sweep and
-the CLI behind ``-m scenario``."""
+"""Campaign runs: fast smoke drills and the nine pinned digests in
+tier-1, the full SLO sweep and the CLI behind ``-m scenario``."""
 
 import json
 import subprocess
@@ -94,6 +94,23 @@ class TestSmoke:
         a = scenarios.run("morning_login_storm", seed=1, **kwargs)
         b = scenarios.run("morning_login_storm", seed=2, **kwargs)
         assert a.digest != b.digest
+
+
+#: ``python -m repro.scenarios --seed 1988 --json``, recorded before the
+#: compatibility layer was removed; re-record only with a stated reason.
+PINNED = json.loads(
+    (Path(__file__).with_name("campaign_digests.json")).read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.names()))
+def test_campaign_digest_is_pinned(name):
+    """Same seed, same bytes: how a campaign builds its realm, finds
+    its KDCs and retries may change only if every outcome does not."""
+    pinned = PINNED["campaigns"][name]
+    summary = scenarios.run(name, seed=PINNED["seed"]).summary()
+    for key in ("digest", "outcomes", "makespan"):
+        assert summary[key] == pinned[key], key
 
 
 @pytest.mark.scenario

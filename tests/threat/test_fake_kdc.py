@@ -19,6 +19,7 @@ from repro.core import (
     KerberosError,
     MessageType,
     Principal,
+    StaticLocator,
     encode_message,
     tgs_principal,
 )
@@ -79,7 +80,7 @@ class TestFakeKdc:
         crucially, no secret left the workstation."""
         net, realm, fake_host, fake = world
         ws = net.add_host("victim-ws")
-        client = KerberosClient(ws, REALM, [fake_host.address])
+        client = KerberosClient(ws, REALM, StaticLocator([fake_host.address]))
         with pytest.raises(KerberosError) as err:
             client.kinit("jis", "jis-pw")
         assert err.value.code == ErrorCode.INTK_BADPW
@@ -88,7 +89,7 @@ class TestFakeKdc:
     def test_no_credentials_cached_after_fake_exchange(self, world):
         net, realm, fake_host, fake = world
         ws = net.add_host("victim-ws")
-        client = KerberosClient(ws, REALM, [fake_host.address])
+        client = KerberosClient(ws, REALM, StaticLocator([fake_host.address]))
         with pytest.raises(KerberosError):
             client.kinit("jis", "jis-pw")
         assert client.klist() == []
@@ -102,12 +103,13 @@ class TestFakeKdc:
         net, realm, fake_host, fake = world
         ws = net.add_host("victim-ws")
         client = KerberosClient(
-            ws, REALM, [fake_host.address, realm.master_host.address]
+            ws, REALM,
+            StaticLocator([fake_host.address, realm.master_host.address]),
         )
         with pytest.raises(KerberosError):
             client.kinit("jis", "jis-pw")
         # Pointed at the real KDC, the same client works immediately.
-        client2 = KerberosClient(ws, REALM, [realm.master_host.address])
+        client2 = KerberosClient(ws, REALM, StaticLocator([realm.master_host.address]))
         assert client2.kinit("jis", "jis-pw") is not None
 
     def test_fake_kdc_learns_nothing_it_could_not_sniff(self, world):
@@ -125,7 +127,7 @@ class TestFakeKdc:
         fake_host.unbind(750)
         fake_host.bind(750, capture)
         ws = net.add_host("victim-ws")
-        client = KerberosClient(ws, REALM, [fake_host.address])
+        client = KerberosClient(ws, REALM, StaticLocator([fake_host.address]))
         with pytest.raises(KerberosError):
             client.kinit("jis", "jis-pw")
         from repro.crypto import string_to_key
