@@ -7,20 +7,17 @@ as the loss rate on the Kerberos port climbs.  Shape to hold: with a
 bounded retry budget, success stays at 100% through double-digit loss
 rates, degrading only as loss approaches the retry budget's ceiling.
 
-Exports ``BENCH_CHAOS_METRICS.json`` with the sweep summary plus the
-full metrics registry of the harshest surviving configuration.
+Snapshots the sweep summary plus the full metrics registry of the
+harshest surviving configuration under pytest's ``tmp_path``.
 """
-
-from pathlib import Path
 
 from repro.core import RetryPolicy
 from repro.netsim import Duplicate, Loss, Match, Network, Unreachable
 from repro.netsim.ports import KERBEROS_PORT
+from repro.obs import write_json_snapshot
 from repro.realm import Realm, RealmTopology
 
-from benchmarks.bench_util import REALM, write_bench_artifact
-
-METRICS_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_CHAOS_METRICS.json"
+from benchmarks.bench_util import REALM
 
 LOSS_RATES = [0.0, 0.10, 0.25]
 DUPLICATE_RATE = 0.25
@@ -56,7 +53,7 @@ def run_login_storm(loss_rate, seed=1988):
     return net, successes, attempts
 
 
-def test_bench_chaos_login_sweep(benchmark):
+def test_bench_chaos_login_sweep(benchmark, tmp_path):
     rows = []
     last_net = None
     for rate in LOSS_RATES:
@@ -100,10 +97,11 @@ def test_bench_chaos_login_sweep(benchmark):
     efforts = [row["attempts_per_login"] for row in rows]
     assert efforts == sorted(efforts)
 
-    write_bench_artifact(
+    snapshot = tmp_path / "chaos_metrics.json"
+    write_json_snapshot(
         last_net.metrics,
-        METRICS_ARTIFACT,
+        snapshot,
         now=last_net.clock.now(),
-        seed=1988,
         extra={"experiment": "CH", "sweep": rows},
     )
+    print(f"  snapshot: {snapshot}")

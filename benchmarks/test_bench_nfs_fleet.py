@@ -13,25 +13,21 @@ config, every server doing real work, with two gates:
 * **determinism**: the same seed reproduces the same outcome digest
   byte for byte — outcomes, bytes served, and sim timestamps are a
   pure function of ``(seed, config)``; only wall-clock may differ.
-
-Writes ``BENCH_NFS_FLEET.json`` (snapshot + per-run history).
 """
 
 import hashlib
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.apps.nfs import AuthMode, NfsCredential, NfsExportConfig
 from repro.netsim import Network
+from repro.obs import write_json_snapshot
 from repro.realm import NfsFleet, NfsUserSpec, Realm
 
-from benchmarks.bench_util import REALM, write_bench_artifact
+from benchmarks.bench_util import REALM
 
 pytestmark = [pytest.mark.perf, pytest.mark.nfs]
-
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_NFS_FLEET.json"
 
 #: The ISSUE's floor: the comparison must run at fleet scale.
 N_SERVERS = 4
@@ -154,7 +150,7 @@ def test_bench_same_seed_byte_identical():
     test_bench_same_seed_byte_identical.result = reproduced
 
 
-def test_bench_write_artifact():
+def test_bench_write_snapshot(tmp_path):
     results, digests = getattr(
         test_bench_fleet_mapped_vs_per_rpc, "result", ({}, {})
     )
@@ -176,8 +172,8 @@ def test_bench_write_artifact():
         },
         "same_seed_digests": reproduced,
     }
-    write_bench_artifact(
-        net.metrics, ARTIFACT, now=net.clock.now(), extra=summary,
-        seed=SEED,
+    snapshot = tmp_path / "nfs_fleet.json"
+    write_json_snapshot(
+        net.metrics, snapshot, now=net.clock.now(), extra=summary
     )
-    print(f"\nwrote {ARTIFACT.name}: {summary}")
+    print(f"\nwrote {snapshot}: {summary}")

@@ -12,23 +12,18 @@ login storm against a queued KDC:
    than 10% faster: tracing's wall-clock cost is gated, not hoped about.
 3. **Determinism** — two same-seed traced runs export byte-identical
    Chrome trace-event JSON.
-
-Results (with run history) land in ``BENCH_OBS_TRACE.json``.
 """
 
 import hashlib
 import time
-from pathlib import Path
 
 from repro.netsim import Network
-from repro.obs import render_chrome_trace
+from repro.obs import render_chrome_trace, write_json_snapshot
 from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
 from repro.workload import AthenaWorkload
 
-from benchmarks.bench_util import REALM, write_bench_artifact
-
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_OBS_TRACE.json"
+from benchmarks.bench_util import REALM
 
 SEED = 1988
 N_USERS = 64
@@ -68,7 +63,7 @@ def _ab_times(rounds=ROUNDS):
     return min(traced), min(untraced)
 
 
-def test_bench_obs_trace_gate():
+def test_bench_obs_trace_gate(tmp_path):
     # -- completeness over one traced storm ------------------------------
     _, result, net = _run_storm(traced=True)
     tracer, audit = net.tracer, net.audit
@@ -128,11 +123,11 @@ def test_bench_obs_trace_gate():
           f"traced {traced_s * 1e3:.1f} ms "
           f"({ratio:.3f}x, gate ≤{OVERHEAD_GATE}x)")
 
-    snap = write_bench_artifact(
+    snapshot = tmp_path / "obs_trace.json"
+    write_json_snapshot(
         net.metrics,
-        ARTIFACT,
+        snapshot,
         now=net.clock.now(),
-        seed=SEED,
         extra={
             "experiment": "OBS",
             "gates": {"overhead_max": OVERHEAD_GATE},
@@ -161,11 +156,9 @@ def test_bench_obs_trace_gate():
             },
         },
     )
-    print(f"  artifact: {ARTIFACT.name} "
-          f"({len(snap['history'])} run(s) in history)")
+    print(f"  snapshot: {snapshot}")
 
     assert ratio <= OVERHEAD_GATE, (
         f"tracing overhead {ratio:.3f}x exceeds the "
         f"{OVERHEAD_GATE}x acceptance ceiling"
     )
-    assert snap["history"][-1]["summary"]["experiment"] == "OBS"

@@ -13,20 +13,16 @@ gates the claim:
   the master's — cheaper must not mean approximate;
 * **determinism**: the same seed reproduces the same digests and the
   same byte counts exactly.
-
-Writes ``BENCH_REPL_SCALE.json`` (snapshot + per-run history).
 """
 
 import hashlib
-from pathlib import Path
 
 from repro.netsim import Network
+from repro.obs import write_json_snapshot
 from repro.principal import Principal
 from repro.realm import Realm, RealmTopology
 
-from benchmarks.bench_util import REALM, write_bench_artifact
-
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_REPL_SCALE.json"
+from benchmarks.bench_util import REALM
 
 SIZES = [1_000, 10_000, 50_000]
 N_SLAVES = 2
@@ -122,7 +118,7 @@ def measure_size(n_users: int, seed: int = SEED) -> dict:
     }
 
 
-def test_bench_replication_scale():
+def test_bench_replication_scale(tmp_path):
     rows = [measure_size(n) for n in SIZES]
 
     print("\nExp RS — delta vs. full-dump propagation "
@@ -152,17 +148,17 @@ def test_bench_replication_scale():
     print("  same-seed rerun at "
           f"{SIZES[0]} principals: digests and byte counts identical")
 
-    realm = build_realm(SIZES[0])  # fresh registry for the artifact snapshot
+    realm = build_realm(SIZES[0])  # fresh registry for the snapshot
     realm.propagate()
-    write_bench_artifact(
+    snapshot = tmp_path / "replication_scale.json"
+    write_json_snapshot(
         realm.net.metrics,
-        ARTIFACT,
+        snapshot,
         now=realm.net.clock.now(),
-        seed=SEED,
         extra={
             "experiment": "RS",
             "gates": {"low_churn_bytes_min_ratio": BYTES_GATE},
             "sweep": rows,
         },
     )
-    print(f"  artifact: {ARTIFACT.name}")
+    print(f"  snapshot: {snapshot}")

@@ -7,13 +7,11 @@ Feistel pass), skeleton-cached ticket prefixes, and in-place batch
 encoding.  Every request rides that one pipeline; this benchmark gates
 what batching buys it: 128-frame buffers must serve KDC requests at
 ≥``RP_GATE``× the rate of one datagram at a time, measured open-loop in
-the same run (A/B interleaved, min of rounds — the BENCH_PERF_HOTPATH
-methodology).
+the same run (A/B interleaved, min of rounds).
 
-The baseline leg drives the same Fig 5→6 flow the HP artifact records
-(whose req/s figure — 547.3 on the recording machine — is the
-cross-artifact anchor); the batch leg drives pre-framed AS_REQ buffers
-straight into :meth:`KerberosServer.process_request_buffer`.  Both
+The baseline leg drives a Fig 5→6 flow (kinit, one TGS exchange, one AP
+exchange) on one workstation; the batch leg drives pre-framed AS_REQ
+buffers straight into :meth:`KerberosServer.process_request_buffer`.  Both
 figures are requests/second on one simulated core: the netsim world is
 single-threaded, so multiply by core count for a fleet estimate.
 
@@ -22,11 +20,10 @@ served one per call are answered bit-identically with *every cache
 disabled* — the speedup must come from batching, never from answers
 drifting.
 
-Methodology and how to read the artifact: ``docs/PERFORMANCE.md``.
+Methodology: ``docs/PERFORMANCE.md``.
 """
 
 import time
-from pathlib import Path
 
 import pytest
 
@@ -35,16 +32,10 @@ from repro.core.messages import AsRequest, MessageType, encode_message
 from repro.crypto import keycache
 from repro.crypto.modes import interleaved_blocks
 from repro.encode import pack_frames
+from repro.obs import write_json_snapshot
 from repro.principal import Principal, tgs_principal
 
-from benchmarks.bench_util import (
-    REALM,
-    rlogin_principal,
-    small_realm,
-    write_bench_artifact,
-)
-
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_REQUEST_PLANE.json"
+from benchmarks.bench_util import REALM, rlogin_principal, small_realm
 
 #: Acceptance floor (ISSUE 8): KDC req/s in 128-frame buffers vs one
 #: datagram at a time.
@@ -103,7 +94,7 @@ def _assert_planes_bit_identical():
 
 
 def _baseline_runner():
-    """The HP e2e flow: kinit + TGS + AP per iteration (2 KDC requests)."""
+    """A Fig 5→6 flow: kinit + TGS + AP per iteration (2 KDC requests)."""
     realm = small_realm(seed=SEED)
     ws = realm.workstation()
     service = rlogin_principal()
@@ -148,7 +139,7 @@ def _batch_runner():
 
 
 @pytest.mark.perf
-def test_bench_request_plane_gate():
+def test_bench_request_plane_gate(tmp_path):
     _assert_planes_bit_identical()
 
     run_base = _baseline_runner()
@@ -181,15 +172,14 @@ def test_bench_request_plane_gate():
     print(f"  ratio: {ratio:.2f}x  (gate ≥{RP_GATE}x)")
 
     skel = keycache.skeleton_stats()
-    snap = write_bench_artifact(
+    snapshot = tmp_path / "request_plane.json"
+    write_json_snapshot(
         realm.net.metrics,
-        ARTIFACT,
+        snapshot,
         now=realm.net.clock.now(),
-        seed=SEED,
         extra={
             "experiment": "RP",
             "gates": {"batch_vs_single_min": RP_GATE},
-            "hp_artifact_baseline_req_per_s": 547.3,
             "single_plane": {
                 "flows": E2E_ITERS,
                 "min_s": base_s,
@@ -205,8 +195,7 @@ def test_bench_request_plane_gate():
             "skeleton_cache": {"hit": skel["hit"], "miss": skel["miss"]},
         },
     )
-    print(f"  artifact: {ARTIFACT.name} "
-          f"({len(snap['history'])} run(s) in history)")
+    print(f"  snapshot: {snapshot}")
 
     assert ratio >= RP_GATE, (
         f"batch-plane speedup {ratio:.2f}x fell below the "
@@ -216,4 +205,3 @@ def test_bench_request_plane_gate():
     # The pipeline actually engaged: wide lanes and skeletons.
     assert interleaved_blocks() > 0
     assert skel["hit"] > 0
-    assert snap["history"][-1]["summary"]["experiment"] == "RP"

@@ -12,20 +12,15 @@ Shape to hold: growing the pool 1 → 4 workers buys at least 1.5x
 completed-login throughput at every burst size, and one seed reproduces
 the same burst — same outcomes, same completion instants — bit for bit
 (the ``digest`` equality).
-
-Results land in ``BENCH_RUNTIME_SCALE.json`` (with run history).
 """
 
-from pathlib import Path
-
 from repro.netsim import Network
+from repro.obs import write_json_snapshot
 from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
 from repro.workload import AthenaWorkload
 
-from benchmarks.bench_util import REALM, write_bench_artifact
-
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_RUNTIME_SCALE.json"
+from benchmarks.bench_util import REALM
 
 SEED = 1988
 N_USERS = 256
@@ -39,7 +34,7 @@ BURST_WINDOW = 0.05
 
 def run_burst(n_stations: int, workers: int):
     """One fresh world per configuration; returns the BurstResult and
-    the network (for the artifact's metrics snapshot)."""
+    the network (for the metrics snapshot)."""
     net = Network(seed=SEED)
     realm = Realm(
         net, REALM, seed=b"runtime-scale",
@@ -51,7 +46,7 @@ def run_burst(n_stations: int, workers: int):
     return result, net
 
 
-def test_bench_runtime_worker_scaling(benchmark):
+def test_bench_runtime_worker_scaling(benchmark, tmp_path):
     sweep = {}
     last_net = None
     print("\nExp RT — login-burst throughput (completed logins / sim-second):")
@@ -96,11 +91,11 @@ def test_bench_runtime_worker_scaling(benchmark):
         lambda: run_burst(STATION_COUNTS[0], 2), rounds=2, iterations=1
     )
 
-    snap = write_bench_artifact(
+    snapshot = tmp_path / "runtime_scale.json"
+    snap = write_json_snapshot(
         last_net.metrics,
-        ARTIFACT,
+        snapshot,
         now=last_net.clock.now(),
-        seed=SEED,
         extra={
             "experiment": "RT",
             "burst_window_s": BURST_WINDOW,
@@ -122,7 +117,7 @@ def test_bench_runtime_worker_scaling(benchmark):
     )
     counter_names = {e["name"] for e in snap["counters"]}
     assert {"kdc.queue.batches_total", "runtime.events_run_total"} <= counter_names
-    print(f"  artifact: {ARTIFACT.name}")
+    print(f"  snapshot: {snapshot}")
 
 
 def test_bench_runtime_same_seed_bit_identical():

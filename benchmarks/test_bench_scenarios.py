@@ -3,8 +3,8 @@
 The scenario engine (:mod:`repro.scenarios`) turns the paper's
 deployment story into named drills; this benchmark runs the full
 library at its default parameters and records each campaign's verdict,
-latency percentiles, and per-station outcome digest in
-``BENCH_SCENARIOS.json`` (with run history).
+latency percentiles, and per-station outcome digest in a JSON snapshot
+under pytest's ``tmp_path``.
 
 Shapes to hold: every campaign passes all of its SLOs — including the
 master assassination, which must recover through the supervisor with no
@@ -13,14 +13,10 @@ serialized summary byte for byte.
 """
 
 import json
-from pathlib import Path
 
 import repro.scenarios as scenarios
 from repro.netsim import Network
-
-from benchmarks.bench_util import write_bench_artifact
-
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_SCENARIOS.json"
+from repro.obs import write_json_snapshot
 
 SEED = 1988
 
@@ -33,7 +29,7 @@ def run_sweep() -> dict:
     }
 
 
-def test_bench_scenario_campaigns(benchmark):
+def test_bench_scenario_campaigns(benchmark, tmp_path):
     summaries = run_sweep()
     assert len(summaries) >= 5          # the acceptance floor
 
@@ -70,15 +66,15 @@ def test_bench_scenario_campaigns(benchmark):
         rounds=2, iterations=1,
     )
 
-    # The artifact's metrics snapshot comes from a dedicated sentinel
-    # network (campaigns each build their own world); the per-campaign
+    # The metrics snapshot comes from a dedicated sentinel network
+    # (campaigns each build their own world); the per-campaign
     # summaries are the payload.
     sentinel = Network(seed=SEED)
-    snap = write_bench_artifact(
+    snapshot = tmp_path / "scenarios.json"
+    snap = write_json_snapshot(
         sentinel.metrics,
-        ARTIFACT,
+        snapshot,
         now=0.0,
-        seed=SEED,
         extra={
             "experiment": "SC",
             "campaigns": summaries,
@@ -86,7 +82,7 @@ def test_bench_scenario_campaigns(benchmark):
         },
     )
     assert len(snap["bench"]["campaigns"]) >= 5
-    print(f"  artifact: {ARTIFACT.name}")
+    print(f"  snapshot: {snapshot}")
 
 
 def test_bench_scenarios_same_seed_byte_identical():

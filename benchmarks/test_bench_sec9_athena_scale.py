@@ -9,21 +9,18 @@ sample of activity through :class:`repro.workload.AthenaWorkload`.
 Shape to hold: the system sustains deployment-scale state and load, and
 ticket caching keeps KDC traffic well below one request per service use.
 
-The busy-hour run also exports its full metrics registry as
-``BENCH_SEC9_METRICS.json`` (see ``docs/OBSERVABILITY.md``) — per-port
+The busy-hour run also snapshots its full metrics registry under
+pytest's ``tmp_path`` (see ``docs/OBSERVABILITY.md``) — per-port
 datagram counts, AS/TGS outcomes by error code, replay-cache results,
 and the AS-exchange latency histogram, all off the simulated clock.
 """
 
-from pathlib import Path
-
 from repro.netsim import Network
+from repro.obs import write_json_snapshot
 from repro.realm import Realm, RealmTopology
 from repro.workload import AthenaWorkload
 
-from benchmarks.bench_util import REALM, write_bench_artifact
-
-METRICS_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_SEC9_METRICS.json"
+from benchmarks.bench_util import REALM
 
 N_USERS = 5_000
 N_SERVERS = 65
@@ -38,7 +35,7 @@ def build_athena_scale() -> AthenaWorkload:
     return AthenaWorkload(realm, n_users=N_USERS, n_services=N_SERVERS, seed=1988)
 
 
-def test_bench_sec9_busy_hour(benchmark):
+def test_bench_sec9_busy_hour(benchmark, tmp_path):
     workload = build_athena_scale()
     realm = workload.realm
     print(f"\nSection 9 — registered: {len(realm.db)} principals "
@@ -64,13 +61,13 @@ def test_bench_sec9_busy_hour(benchmark):
     # Shape: caching means fewer KDC exchanges than service uses.
     assert stats.kdc_messages < stats.service_uses
 
-    # Export the registry as the run's metrics artifact (with history).
+    # Export the registry as the run's metrics snapshot.
     net = realm.net
-    snap = write_bench_artifact(
+    snapshot = tmp_path / "sec9_metrics.json"
+    snap = write_json_snapshot(
         net.metrics,
-        METRICS_ARTIFACT,
+        snapshot,
         now=net.clock.now(),
-        seed=b"sec9",
         extra={
             "experiment": "S9",
             "logins": stats.logins,
@@ -87,7 +84,7 @@ def test_bench_sec9_busy_hour(benchmark):
         and e["labels"].get("type") == "as"
         for e in snap["histograms"]
     )
-    print(f"  metrics snapshot: {METRICS_ARTIFACT.name}")
+    print(f"  metrics snapshot: {snapshot}")
 
 
 def test_bench_sec9_kdc_lookup_cost_at_scale(benchmark):

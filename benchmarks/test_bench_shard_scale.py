@@ -17,24 +17,19 @@ gates the three claims of the sharding design (PR 9):
 Throughput is simulated-time throughput: the KDC worker pools charge
 their cost model on the event clock, so N shards genuinely overlap in
 sim time while the harness stays single-threaded.
-
-Writes ``BENCH_SHARD_SCALE.json`` (snapshot + per-run history).
 """
-
-from pathlib import Path
 
 import pytest
 
 from repro.netsim import Network
+from repro.obs import write_json_snapshot
 from repro.realm import ShardedRealm
 from repro.realm.sharding import hash_point
 from repro.workload import AthenaWorkload
 
-from benchmarks.bench_util import REALM, write_bench_artifact
+from benchmarks.bench_util import REALM
 
 pytestmark = [pytest.mark.perf, pytest.mark.shard]
-
-ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_SHARD_SCALE.json"
 
 #: Registered principals per cell — the ISSUE's floor (scale the cell
 #: to 1M by raising this; the harness is O(N) in it).
@@ -65,7 +60,7 @@ def build_cell(shards: int, seed: int = SEED):
     net = Network(seed=seed, latency=0.01)
     # An explicit queue config: enough queue depth that the burst is
     # never shed — the scaling curve measures service rate, not
-    # admission control (that story is BENCH_REQUEST_PLANE's).
+    # admission control (that story is Exp RT's).
     realm = ShardedRealm(
         net, REALM, shards=shards,
         kdc_queue=WorkQueueConfig(
@@ -209,7 +204,7 @@ def test_bench_same_seed_byte_identical():
     test_bench_same_seed_byte_identical.result = digest_a
 
 
-def test_bench_write_artifact():
+def test_bench_write_snapshot(tmp_path):
     throughputs, digests, scale_x = getattr(
         test_bench_shard_scale_out, "result", ({}, {}, 0.0)
     )
@@ -233,8 +228,8 @@ def test_bench_write_artifact():
         "p99_gate": P99_GATE,
         "burst_digest": digest,
     }
-    write_bench_artifact(
-        net.metrics, ARTIFACT, now=net.clock.now(), extra=summary,
-        seed=SEED,
+    snapshot = tmp_path / "shard_scale.json"
+    write_json_snapshot(
+        net.metrics, snapshot, now=net.clock.now(), extra=summary
     )
-    print(f"\nwrote {ARTIFACT.name}: {summary}")
+    print(f"\nwrote {snapshot}: {summary}")

@@ -156,15 +156,6 @@ class HesiodServer(Service):
         """Publish (or replace) a sharded realm's ring descriptor."""
         self._rings[record.realm] = record
 
-    def kdc_list(self, realm: str) -> List[str]:
-        return list(self._kdc_lists.get(realm, []))
-
-    def shard_kdc_list(self, realm: str, shard: int) -> List[str]:
-        return list(self._shard_lists.get((realm, int(shard)), []))
-
-    def ring_record(self, realm: str) -> Optional[HesiodRingRecord]:
-        return self._rings.get(realm)
-
     def _handle(self, datagram) -> bytes:
         self.queries += 1
         query = HesiodQuery.from_bytes(datagram.payload)

@@ -168,12 +168,6 @@ class NfsServer(Service):
         return out
 
     @property
-    def access_errors(self) -> int:
-        return int(self.metrics.total(
-            "nfs.access_errors_total", **self._labels
-        ))
-
-    @property
     def kerberos_verifications(self) -> int:
         return int(self.metrics.total(
             "nfs.kerberos_verifications_total", **self._labels

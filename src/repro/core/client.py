@@ -35,9 +35,11 @@ from repro.core.applib import krb_mk_req, krb_rd_rep
 from repro.core.credcache import Credential, CredentialCache
 from repro.core.errors import (
     ErrorCode,
+    KdcOverloaded,
     KerberosError,
     PreauthRequired,
     WrongShard,
+    error_for_code,
 )
 from repro.core.locator import KdcLocator
 from repro.core.messages import (
@@ -180,8 +182,8 @@ class KerberosClient:
         hops = 0
         while True:
             raw = self._failover_exchange(realm, addresses, build_payload, op)
-            referral = self._parse_referral(raw)
-            if referral is None:
+            referral = self._transport_error(raw)
+            if not isinstance(referral, WrongShard):
                 return raw
             hops += 1
             self.metrics.counter(
@@ -196,17 +198,22 @@ class KerberosClient:
             addresses = referred or locator.locate(routing_key)
 
     @staticmethod
-    def _parse_referral(raw: bytes) -> Optional[WrongShard]:
-        """The typed WrongShard carried by an error reply, else None."""
+    def _transport_error(raw: bytes) -> Optional[KerberosError]:
+        """The typed error of a reply the *transport* acts on — a
+        :class:`KdcOverloaded` shed (fail over) or a :class:`WrongShard`
+        referral (follow) — else None.  Only an ``ERROR`` envelope is
+        decoded here; any other reply is told apart by its type byte and
+        decoded once, by ``expect_reply``."""
+        if not raw or raw[0] != MessageType.ERROR:
+            return None
         try:
-            mtype, message = decode_message(raw)
+            _, message = decode_message(raw)
         except KerberosError:
             return None  # not even an envelope; let expect_reply complain
-        if (
-            mtype == MessageType.ERROR
-            and message.code == ErrorCode.KDC_WRONG_SHARD
+        if message.code in (
+            ErrorCode.KDC_OVERLOADED, ErrorCode.KDC_WRONG_SHARD
         ):
-            return WrongShard(ErrorCode.KDC_WRONG_SHARD, message.text)
+            return error_for_code(message.code, message.text)
         return None
 
     def _failover_exchange(
@@ -240,7 +247,9 @@ class KerberosClient:
             # An overload shed is *typed as* Unreachable (KdcOverloaded),
             # so raising it here makes failover try the next KDC exactly
             # as it would for a lost datagram — no special case.
-            self._raise_if_overloaded(raw)
+            error = self._transport_error(raw)
+            if isinstance(error, KdcOverloaded):
+                raise error
             return raw
 
         try:
@@ -267,19 +276,6 @@ class KerberosClient:
                 "kdc.failovers_total", {"realm": realm}
             ).inc()
         return raw
-
-    @staticmethod
-    def _raise_if_overloaded(raw: bytes) -> None:
-        """Raise the typed KdcOverloaded for an overload error reply."""
-        try:
-            mtype, message = decode_message(raw)
-        except KerberosError:
-            return  # not even an envelope; let expect_reply complain
-        if (
-            mtype == MessageType.ERROR
-            and message.code == ErrorCode.KDC_OVERLOADED
-        ):
-            message.raise_()
 
     # -- Figure 5: the initial ticket --------------------------------------------
 

@@ -82,14 +82,6 @@ class PreauthAsRequest(WireStruct):
         field("preauth", "bytes"),   # seal(client_key, f64 timestamp bytes)
     )
 
-    def as_plain(self) -> "AsRequest":
-        return AsRequest(
-            client=self.client,
-            service=self.service,
-            requested_life=self.requested_life,
-            timestamp=self.timestamp,
-        )
-
 
 def build_preauth(client_key: DesKey, timestamp: float) -> bytes:
     """The preauthentication blob: the request time, sealed in the

@@ -24,14 +24,13 @@ This package is that library:
   generates temporary private keys, called session keys");
 * :mod:`repro.crypto.keycache` — process-wide key-schedule cache behind
   ``DesKey.from_bytes`` and ``string_to_key`` (metrics:
-  ``crypto.keyschedule_total{result}``);
-* :mod:`repro.crypto.reference` — the pre-optimization byte-path mode
-  kernels, kept as the correctness oracle and the benchmarks' same-run
-  "before" baseline.
+  ``crypto.keyschedule_total{result}``).
 
 As the paper notes, the encryption library is "an independent module, and
 may be replaced" — nothing above this package touches DES internals; all
-callers use :class:`DesKey`, ``seal``/``unseal`` and the checksums.
+callers use :class:`DesKey`, ``seal``/``unseal`` and the checksums.  What
+a replacement is checked against is outside the package: the loop-form
+oracle in ``tests/crypto/reference_des.py``.
 """
 
 from repro.crypto.des import (
@@ -56,8 +55,6 @@ from repro.crypto.modes import (
     pcbc_encrypt_many,
     seal,
     seal_many,
-    seal_prefix_state,
-    seal_resume,
     seal_resume_many,
     sealed_prefix_state,
     unseal,
@@ -92,8 +89,6 @@ __all__ = [
     "quad_cksum",
     "seal",
     "seal_many",
-    "seal_prefix_state",
-    "seal_resume",
     "seal_resume_many",
     "sealed_prefix_state",
     "string_to_key",

@@ -24,12 +24,11 @@ used on the hot path (:func:`crypt_int`) keeps both Feistel halves in
 their E-expanded form from IP to FP (E is linear over xor, so it folds
 into the table outputs and never runs per round), pairs adjacent SP
 boxes (12 bits per probe) and unrolls the sixteen rounds — under half
-the Python-level work of the loop kernel per block.  The
-straightforward per-round kernel is kept as :func:`crypt_int_ref` — the
-correctness oracle the property tests pin ``crypt_int`` against, and the
-"before" baseline of ``benchmarks/test_bench_perf_hotpath.py``.
-Correctness is pinned by published test vectors in
-``tests/crypto/test_des.py``.
+the Python-level work of a per-round loop per block.  That loop, one
+round at a time from its own copy of the tables, is the oracle in
+``tests/crypto/reference_des.py``, which the property tests pin
+``crypt_int`` against.  Correctness is pinned by published test vectors
+in ``tests/crypto/test_des.py``.
 """
 
 from __future__ import annotations
@@ -280,39 +279,6 @@ def _key_schedule(key: bytes) -> Tuple[int, ...]:
     return tuple(subkeys)
 
 
-def _feistel(right: int, subkey: int) -> int:
-    """The DES round function f(R, K)."""
-    t = apply_permutation(_E_C, right) ^ subkey
-    sp = _SP
-    return (
-        sp[0][(t >> 42) & 0x3F]
-        | sp[1][(t >> 36) & 0x3F]
-        | sp[2][(t >> 30) & 0x3F]
-        | sp[3][(t >> 24) & 0x3F]
-        | sp[4][(t >> 18) & 0x3F]
-        | sp[5][(t >> 12) & 0x3F]
-        | sp[6][(t >> 6) & 0x3F]
-        | sp[7][t & 0x3F]
-    )
-
-
-def crypt_int_ref(block: int, subkeys) -> int:
-    """The straightforward per-round block function (reference kernel).
-
-    Computes exactly the same permutation as :func:`crypt_int`; kept as
-    the oracle for the kernel-equivalence property tests and as the
-    benchmark baseline.  Pass ``key._enc_subkeys`` to encrypt,
-    ``key._dec_subkeys`` to decrypt.
-    """
-    b = apply_permutation(_IP_C, block)
-    left = (b >> 32) & 0xFFFFFFFF
-    right = b & 0xFFFFFFFF
-    for subkey in subkeys:
-        left, right = right, left ^ _feistel(right, subkey)
-    # Final swap is built into taking (R16, L16).
-    return apply_permutation(_FP_C, (right << 32) | left)
-
-
 # --------------------------------------------------------------------------
 # The hot-path kernel: both Feistel halves stay in *expanded* form.
 #
@@ -332,8 +298,8 @@ def crypt_int_ref(block: int, subkeys) -> int:
 # tables indexed by those same chunks and no compress step exists.  The
 # rounds are written out, alternating the two half-block variables so
 # the (L, R) swap costs nothing.  tests/crypto/test_perf_kernels.py pins
-# the function against crypt_int_ref and the tables against the
-# oracle's own E and SP.
+# the function against the oracle's loop kernel and the tables against
+# the oracle's own E and SP.
 # --------------------------------------------------------------------------
 
 def _expand(half: int) -> int:
@@ -393,7 +359,7 @@ def crypt_int(
         | ip4[(block >> 24) & 255] | ip5[(block >> 16) & 255]
         | ip6[(block >> 8) & 255] | ip7[block & 255]
     )
-    x = b >> 48                    # E(L) on even rounds (see crypt_int_ref)
+    x = b >> 48                    # E(L) on even rounds
     y = b & 0xFFFFFFFFFFFF         # E(R) on even rounds
     # One round per pair of lines; ``>>`` binds tighter than ``&``.
     t = y ^ k0
@@ -501,14 +467,6 @@ class DesKey:
             raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
         out = crypt_int(bytes_to_int(block), self._dec_subkeys)
         return int_to_bytes(out, BLOCK_SIZE)
-
-    # Integer-block variants used by the block modes (avoids bytes<->int
-    # conversion churn in inner loops).
-    def encrypt_block_int(self, block: int) -> int:
-        return crypt_int(block, self._enc_subkeys)
-
-    def decrypt_block_int(self, block: int) -> int:
-        return crypt_int(block, self._dec_subkeys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DesKey):

@@ -21,9 +21,9 @@ mirrored into any :class:`repro.obs.MetricsRegistry` as
 :func:`attach_metrics` — :class:`repro.realm.Realm` attaches its
 network's registry automatically.
 
-:func:`caches_disabled` turns the whole layer off (used by the perf
-benchmarks' "before" baseline, and by the database-side caches which
-consult :func:`caching_enabled`).
+:func:`caches_disabled` turns the whole layer off — the database-side
+caches consult :func:`caching_enabled` too — so tests and Exp RP's
+pre-check can assert that replies are bit-identical with and without it.
 """
 
 from __future__ import annotations
@@ -98,11 +98,8 @@ def caching_enabled() -> bool:
 
 @contextmanager
 def caches_disabled():
-    """Temporarily bypass (and empty) every key-schedule cache.
-
-    The perf benchmarks run their "before" leg under this, so the
-    baseline measures genuine per-request re-derivation.
-    """
+    """Temporarily bypass (and empty) every key-schedule cache: inside,
+    every request re-derives its schedules and seals whole frames."""
     global _enabled
     previous = _enabled
     _enabled = False
@@ -220,7 +217,7 @@ def memoized_string_to_key(
 #
 # ``caches_disabled()`` covers this layer too: while disabled,
 # ``skeleton_get`` always misses and ``skeleton_put`` drops the entry,
-# so the benchmarks' cache-off legs measure full per-request sealing.
+# so every ticket is sealed whole.
 # --------------------------------------------------------------------------
 
 

@@ -26,8 +26,8 @@ end-to-end.  A whole message is converted bytes→ints with one
 The ``*_many`` batch entry points share one job runner, which starts a
 run on the wide kernel (:mod:`repro.crypto.des_simd`) when it has
 enough lanes and finishes everything else on ``crypt_int``.
-The original byte-path kernels live on as the A/B baseline in
-:mod:`repro.crypto.reference`, and the property suite in
+The original byte-path loops are the oracle in
+``tests/crypto/reference_des.py``, and the property suite in
 ``tests/crypto/test_perf_kernels.py`` pins the two bit-exact.
 """
 
@@ -162,22 +162,6 @@ def pcbc_decrypt(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
     return _pack_blocks(out)
 
 
-#: Dispatch tables for :func:`seal`/:func:`unseal`.  The benchmark
-#: baseline (:func:`repro.crypto.reference.reference_kernels`) swaps
-#: these for the byte-path originals, so look kernels up at call time.
-_ENCRYPTORS = {
-    Mode.ECB: lambda key, data, iv: ecb_encrypt(key, data),
-    Mode.CBC: cbc_encrypt,
-    Mode.PCBC: pcbc_encrypt,
-}
-
-_DECRYPTORS = {
-    Mode.ECB: lambda key, data, iv: ecb_decrypt(key, data),
-    Mode.CBC: cbc_decrypt,
-    Mode.PCBC: pcbc_decrypt,
-}
-
-
 # --------------------------------------------------------------------------
 # Sealed messages.
 # --------------------------------------------------------------------------
@@ -195,7 +179,12 @@ def seal(
     tickets sealed in the server's key, KDC replies sealed in the client's
     key, authenticators sealed in the session key.
     """
-    return _ENCRYPTORS[mode](key, _frame(data), iv)
+    frame = _frame(data)
+    if mode is Mode.PCBC:
+        return pcbc_encrypt(key, frame, iv)
+    if mode is Mode.CBC:
+        return cbc_encrypt(key, frame, iv)
+    return ecb_encrypt(key, frame)
 
 
 def _seal_header(data_len: int) -> bytes:
@@ -225,7 +214,13 @@ def unseal(
     (detected whole-message under PCBC).
     """
     _check_sealed_length(ciphertext)
-    return _open_frame(_DECRYPTORS[mode](key, ciphertext, iv))
+    if mode is Mode.PCBC:
+        plain = pcbc_decrypt(key, ciphertext, iv)
+    elif mode is Mode.CBC:
+        plain = cbc_decrypt(key, ciphertext, iv)
+    else:
+        plain = ecb_decrypt(key, ciphertext)
+    return _open_frame(plain)
 
 
 def _check_sealed_length(ciphertext: bytes) -> None:
@@ -500,37 +495,13 @@ def unseal_many(
 SEAL_START: Tuple[bytes, int] = (b"", 0)
 
 
-def seal_prefix_state(
-    key: DesKey, data_len: int, prefix: bytes
-) -> Tuple[bytes, int]:
-    """PCBC state after sealing the frame header plus ``prefix``.
-
-    ``data_len`` is the *total* data length of the eventual frame (the
-    header encodes it); ``len(prefix)`` must be a multiple of the block
-    size and at most ``data_len``.  Returns ``(cipher_prefix, chain)``.
-    """
-    if len(prefix) % BLOCK_SIZE != 0:
-        raise ValueError(
-            f"prefix length {len(prefix)} is not a multiple of {BLOCK_SIZE}"
-        )
-    if len(prefix) > data_len:
-        raise ValueError(f"prefix of {len(prefix)} exceeds data_len {data_len}")
-    job = _job(
-        key._enc_subkeys,
-        _require_iv(ZERO_IV),
-        _unpack_blocks(_seal_header(data_len) + bytes(prefix), "prefix"),
-    )
-    _pcbc_run_single(job)
-    return _pack_blocks(job[3]), job[1]
-
-
 def sealed_prefix_state(
     data: bytes, sealed: bytes, prefix_len: int
 ) -> Tuple[bytes, int]:
-    """The state :func:`seal_prefix_state` would compute for
-    ``data[:prefix_len]``, read off a finished ``sealed = seal(key,
-    data)``: the cipher prefix is a slice, and the chaining value after
-    block *k* is ``P_k ^ C_k``."""
+    """The resumable state ``(cipher_prefix, chain)`` after the frame
+    header plus ``data[:prefix_len]`` (a whole number of blocks), read
+    off a finished ``sealed = seal(key, data)``: the cipher prefix is a
+    slice, and the chaining value after block *k* is ``P_k ^ C_k``."""
     end = BLOCK_SIZE + prefix_len
     plain_prefix = _seal_header(len(data)) + data[:prefix_len]
     chain = bytes_to_int(plain_prefix[-BLOCK_SIZE:]) ^ bytes_to_int(
@@ -551,22 +522,16 @@ def seal_suffix_body(cipher_prefix_len: int, suffix: bytes) -> bytes:
     return bytes(suffix) + b"\x00" * pad_len + SEAL_TRAILER
 
 
-def seal_resume(key: DesKey, state: Tuple[bytes, int], suffix: bytes) -> bytes:
-    """Finish a split seal from ``seal_prefix_state``; bit-identical to
-    ``seal(key, prefix + suffix)``."""
-    return seal_resume_many([(key, state, suffix)])[0]
-
-
 def seal_resume_many(
     items: Sequence[Tuple[DesKey, Tuple[bytes, int], bytes]]
 ) -> List[bytes]:
     """Finish many split seals, one block of each per Feistel pass.
 
     Each item is ``(key, state, suffix)`` with ``state`` from
-    :func:`seal_prefix_state`, :func:`sealed_prefix_state` or
-    :data:`SEAL_START`.  Bit-identical to ``seal(key, prefix + suffix)``
-    per item; the KDC's seal-all stage uses this so skeleton-cached
-    tickets and whole ones ride the same run.
+    :func:`sealed_prefix_state` or :data:`SEAL_START`.  Bit-identical
+    to ``seal(key, prefix + suffix)`` per item; the KDC's seal-all stage
+    uses this so skeleton-cached tickets and whole ones ride the same
+    run.
     """
     jobs = [
         _job(

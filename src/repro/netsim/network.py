@@ -600,34 +600,35 @@ class Network:
                 self.clock.now(),
             )
 
-    def _arrive(
+    def _wire_leg(
         self,
         datagram: Datagram,
-        pending: PendingRpc,
-        transit: Optional[Span] = None,
+        to_service: bool,
+        transit: Optional[Span],
+        lost,
+        landed,
     ) -> None:
-        """The request leg lands: faults, taps, interceptors, then the
-        handler (possibly after jitter's extra delay)."""
-        verdict = self.faults.inspect(datagram, to_service=True)
-        if verdict.drop_reason is not None:
-            self.metrics.counter(
-                "net.drops_total", {"reason": verdict.drop_reason}
-            ).inc()
-            self._end_transit(transit, dropped=verdict.drop_reason)
-            self._lost(datagram, pending)
+        """One wire leg lands: fault verdict, taps, interceptors, the
+        end of its transit span, traffic counters — then
+        ``landed(datagram, verdict)``, after jitter's extra delay if
+        any; or ``lost(datagram)`` if a fault or an interceptor dropped
+        it on the way."""
+        verdict = self.faults.inspect(datagram, to_service=to_service)
+        dropped = verdict.drop_reason
+        if dropped is None:
+            for tap in self._taps:
+                tap(datagram)
+            for interceptor in self._interceptors:
+                result = interceptor(datagram)
+                if result is None:
+                    dropped = "intercepted"
+                    break
+                datagram = result
+        if dropped is not None:
+            self.metrics.counter("net.drops_total", {"reason": dropped}).inc()
+            self._end_transit(transit, dropped=dropped)
+            lost(datagram)
             return
-        for tap in self._taps:
-            tap(datagram)
-        for interceptor in self._interceptors:
-            result = interceptor(datagram)
-            if result is None:
-                self.metrics.counter(
-                    "net.drops_total", {"reason": "intercepted"}
-                ).inc()
-                self._end_transit(transit, dropped="intercepted")
-                self._lost(datagram, pending)
-                return
-            datagram = result
         self._end_transit(transit)
         port = {"port": datagram.dst_port}
         self.metrics.counter("net.datagrams_total", port).inc()
@@ -637,11 +638,26 @@ class Network:
         if verdict.extra_delay:
             self.runtime.after(
                 verdict.extra_delay,
-                lambda: self._dispatch(datagram, verdict, pending),
+                lambda: landed(datagram, verdict),
                 label="net.jitter",
             )
         else:
-            self._dispatch(datagram, verdict, pending)
+            landed(datagram, verdict)
+
+    def _arrive(
+        self,
+        datagram: Datagram,
+        pending: PendingRpc,
+        transit: Optional[Span] = None,
+    ) -> None:
+        """The request leg lands: on to the handler, or lost."""
+        self._wire_leg(
+            datagram, True, transit,
+            lost=lambda request: self._lost(request, pending),
+            landed=lambda request, verdict: self._dispatch(
+                request, verdict, pending
+            ),
+        )
 
     def _dispatch(
         self, datagram: Datagram, verdict: Verdict, pending: PendingRpc
@@ -735,49 +751,19 @@ class Network:
         pending: PendingRpc,
         transit: Optional[Span] = None,
     ) -> None:
-        """The reply leg lands back at the caller."""
-        verdict = self.faults.inspect(reply, to_service=False)
-        if verdict.drop_reason is not None:
-            self.metrics.counter(
-                "net.drops_total", {"reason": verdict.drop_reason}
-            ).inc()
-            self._end_transit(transit, dropped=verdict.drop_reason)
-            pending._fail(
+        """The reply leg lands back at the caller, or is lost."""
+        self._wire_leg(
+            reply, False, transit,
+            lost=lambda _reply: pending._fail(
                 Unreachable(
                     f"reply from {request.dst}:{request.dst_port} was lost"
                 ),
                 self.clock.now(),
-            )
-            return
-        for tap in self._taps:
-            tap(reply)
-        for interceptor in self._interceptors:
-            result = interceptor(reply)
-            if result is None:
-                self.metrics.counter(
-                    "net.drops_total", {"reason": "intercepted"}
-                ).inc()
-                self._end_transit(transit, dropped="intercepted")
-                pending._fail(
-                    Unreachable(
-                        f"reply from {request.dst}:{request.dst_port} was lost"
-                    ),
-                    self.clock.now(),
-                )
-                return
-            reply = result
-        self._end_transit(transit)
-        port = {"port": reply.dst_port}
-        self.metrics.counter("net.datagrams_total", port).inc()
-        self.metrics.counter("net.bytes_total", port).inc(len(reply.payload))
-        if verdict.extra_delay:
-            self.runtime.after(
-                verdict.extra_delay,
-                lambda: pending._resolve(reply.payload, self.clock.now()),
-                label="net.jitter",
-            )
-        else:
-            pending._resolve(reply.payload, self.clock.now())
+            ),
+            landed=lambda reply, _verdict: pending._resolve(
+                reply.payload, self.clock.now()
+            ),
+        )
 
     def reset_stats(self) -> None:
         """Zero the ``net.*`` traffic series (other metric families keep

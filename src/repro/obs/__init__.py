@@ -14,8 +14,8 @@ The observability layer for the reproduction, four planes deep:
 * a flight recorder (:class:`FlightRecorder`) sampling registry gauges
   into a bounded ring on the event-driven clock.
 
-Exporters render Prometheus-style text, ``BENCH_*.json`` snapshot
-artifacts, indented span trees, Chrome trace-event JSON
+Exporters render Prometheus-style text, JSON registry snapshots,
+indented span trees, Chrome trace-event JSON
 (Perfetto-loadable), and per-exchange-type percentile digests;
 ``python -m repro.obs.report`` merges all planes into one realm report.
 

@@ -107,7 +107,7 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-# -- JSON snapshots (the BENCH_*.json artifact format) -------------------------
+# -- JSON snapshots ------------------------------------------------------------
 
 def write_json_snapshot(
     registry: MetricsRegistry,
@@ -115,8 +115,8 @@ def write_json_snapshot(
     now: float,
     extra: Optional[dict] = None,
 ) -> dict:
-    """Write the registry snapshot as a ``BENCH_*.json``-compatible
-    artifact: sorted keys, stamped with the *simulated* clock only.
+    """Write the registry snapshot as JSON: sorted keys, stamped with
+    the *simulated* clock only.
 
     Returns the dict that was written.  ``extra`` lets a benchmark attach
     its own summary numbers alongside the metric series.

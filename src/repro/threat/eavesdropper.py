@@ -51,9 +51,6 @@ class Eavesdropper:
         """Did this byte string ever appear on the wire in the clear?"""
         return any(needle in d.payload for d in self.captured)
 
-    def payloads_to_port(self, port: int) -> List[bytes]:
-        return [d.payload for d in self.captured if d.dst_port == port]
-
     def harvest_kdc_replies(self) -> List[KdcReply]:
         """Collect every AS/TGS reply seen (sealed blobs, to the
         attacker)."""

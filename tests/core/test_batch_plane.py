@@ -39,7 +39,6 @@ from repro.crypto import (
     KeyGenerator,
     des_simd,
     keycache,
-    seal_prefix_state,
 )
 from repro.crypto.modes import WIDE_MIN_LANES
 from repro.encode import pack_frames
@@ -48,6 +47,7 @@ from repro.netsim.ports import KERBEROS_PORT
 from repro.principal import Principal, kdbm_principal, tgs_principal
 from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
+from tests.crypto.reference_des import seal_prefix_state
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -817,8 +817,8 @@ class TestSkeletonMissRidesTheBatch:
         if not cached:
             assert keycache.skeleton_stats()["size"] == 0
             return
-        # What the miss left in the cache is exactly what the scalar
-        # prefix seal would have computed.
+        # What the miss left in the cache is exactly what the oracle
+        # derives for the prefix.
         ticket, key = pairs[0]
         plain = ticket.to_bytes()
         cut = (len(plain) - 28) & ~0x7

@@ -2,14 +2,17 @@
 
 The twin tests in ``test_batch_plane.py`` compare the request pipeline
 with itself at another batch size; they cannot see a mistake every batch
-size makes alike.  This file says what the replies *should be*: under
-:func:`repro.crypto.reference.reference_kernels` (the oracle DES kernel,
-every cache off) it recomposes each expected reply from public
-constructors only — ``Ticket``, ``seal_ticket``, ``KdcReplyBody``,
-``KdcReply.build``, ``encode_message``, database reads, and session keys
-drawn in request order from a same-seed twin's ``KeyGenerator`` — and
-demands byte equality with what the pipeline answered, with its caches
-on, one frame per call and in buffers one past ``WIDE_MIN_LANES``.
+size makes alike.  This file says what the replies *should be*: with
+every cache off it recomposes each expected reply from public
+constructors only — ``Ticket``, ``KdcReplyBody``, ``KdcReply``,
+``encode_message``, database reads, and session keys drawn in request
+order from a same-seed twin's ``KeyGenerator`` — sealing both the
+ticket and the reply body with the oracle's ``seal_ref``
+(``tests/crypto/reference_des.py``: loop-form DES, byte-path PCBC, its
+own statement of the seal frame), so the expected bytes never pass
+through production ``seal``.  It demands byte equality with what the
+pipeline answered, with its caches on, one frame per call and in
+buffers one past ``WIDE_MIN_LANES``.
 
 It is the seed of ROADMAP's whole-protocol oracle: Figures 5 and 8
 today, valid requests only.
@@ -17,7 +20,7 @@ today, valid requests only.
 
 import pytest
 
-from repro.core.authenticator import build_authenticator
+from repro.core.authenticator import Authenticator
 from repro.core.crossrealm import register_accepting_key
 from repro.core.messages import (
     AsRequest,
@@ -27,14 +30,14 @@ from repro.core.messages import (
     TgsRequest,
     encode_message,
 )
-from repro.core.ticket import Ticket, seal_ticket
+from repro.core.ticket import Ticket
 from repro.crypto import DesKey, KeyGenerator, keycache
 from repro.crypto.modes import WIDE_MIN_LANES
-from repro.crypto.reference import reference_kernels
 from repro.encode import pack_frames
 from repro.netsim import Network
 from repro.principal import Principal, tgs_principal
 from repro.realm import Realm
+from tests.crypto.reference_des import seal_ref
 
 REALM = "ATHENA.MIT.EDU"
 LCS = "LCS.MIT.EDU"
@@ -77,16 +80,20 @@ def expected_reply(db, keygen, mtype, client, reply_key, request, src, now,
         life=life,
         kvno=service.key_version,
         request_timestamp=request.timestamp,
-        ticket=seal_ticket(ticket, db.principal_key(request.service)),
+        ticket=seal_ref(db.principal_key(request.service), ticket.to_bytes()),
     )
-    return encode_message(mtype, KdcReply.build(client, body, reply_key))
+    reply = KdcReply(
+        client=client, sealed_body=seal_ref(reply_key, body.to_bytes())
+    )
+    return encode_message(mtype, reply)
 
 
 def traffic(realm, xkey, src, count):
     """``count`` valid requests cycling local AS, local TGS, cross-realm
-    TGS.  Returns (wires, recipes): a recipe is what the oracle needs to
-    know of a request — for a TGS request, the plaintext TGT the test
-    itself sealed."""
+    TGS, their TGTs and authenticators sealed by the oracle too.
+    Returns (wires, recipes): a recipe is what the oracle needs to know
+    of a request — for a TGS request, the plaintext TGT the test itself
+    sealed."""
     now = realm.net.clock.now()
     gen = KeyGenerator(seed=b"kdc-oracle-tgt-sessions")
     tgt_keys = {
@@ -117,10 +124,13 @@ def traffic(realm, xkey, src, count):
             requested_life=3600.0,
             timestamp=now + k * 0.001,
             tgt_realm=tgt_realm,
-            tgt=seal_ticket(tgt, tgt_keys[tgt_realm]),
-            authenticator=build_authenticator(
-                client=client, address=src, now=now + k * 0.001,
-                session_key=DesKey.from_bytes(tgt.session_key, allow_weak=True),
+            tgt=seal_ref(tgt_keys[tgt_realm], tgt.to_bytes()),
+            authenticator=seal_ref(
+                DesKey.from_bytes(tgt.session_key, allow_weak=True),
+                Authenticator(
+                    client=client, address=src.as_int,
+                    timestamp=now + k * 0.001, checksum=0,
+                ).to_bytes(),
             ),
         )
         wires.append(encode_message(MessageType.TGS_REQ, request))
@@ -146,7 +156,7 @@ def test_pipeline_replies_equal_the_recomposed_figures(batch):
         )
 
     db, keygen = twin.db, twin.kdc.keygen
-    with reference_kernels():
+    with keycache.caches_disabled():
         expected = []
         for request, tgt in recipes:
             if tgt is None:

@@ -8,10 +8,10 @@ block *inside* the loop — is exactly the churn the rewrite removed, and
 it is the easiest regression to reintroduce while editing a mode.
 
 This AST walk bans calls to either converter (plus ``int.from_bytes`` /
-``.to_bytes``) inside any ``for``/``while`` body in ``src/repro/crypto``.
-``reference.py`` is exempt by design: it *is* the preserved byte-path,
-kept for A/B benchmarking and the bit-exactness suite
-(``tests/crypto/test_perf_kernels.py``).
+``.to_bytes``) inside any ``for``/``while`` body in ``src/repro/crypto``,
+no module exempt: the preserved byte-path is the oracle in
+``tests/crypto/reference_des.py``, outside the package — and outside it
+for good (``test_src_holds_one_des``).
 """
 
 import ast
@@ -21,7 +21,7 @@ from pathlib import Path
 CRYPTO = Path(__file__).resolve().parents[2] / "src" / "repro" / "crypto"
 
 #: The preserved pre-optimization path — per-block conversion is its point.
-EXEMPT = {"reference.py"}
+ORACLE_DES = Path(__file__).resolve().parent / "reference_des.py"
 
 FORBIDDEN_NAMES = {"bytes_to_int", "int_to_bytes"}
 FORBIDDEN_ATTRS = {"from_bytes", "to_bytes"}
@@ -56,8 +56,6 @@ def test_no_per_block_conversion_in_crypto_loops():
     assert modules, f"no modules found under {CRYPTO}"
     bad = {}
     for path in modules:
-        if path.name in EXEMPT:
-            continue
         violations = _violations(path)
         if violations:
             bad[path.name] = violations
@@ -72,14 +70,12 @@ def test_no_per_block_conversion_in_crypto_loops():
     )
 
 
-def test_exempt_reference_path_would_be_flagged():
+def test_the_oracle_would_be_flagged():
     """The lint has teeth: the preserved byte-path itself violates it."""
-    reference = CRYPTO / "reference.py"
-    assert reference.exists()
-    assert _violations(reference), (
-        "reference.py no longer trips the lint — if it was rewritten in "
-        "the int domain it is no longer the byte-path baseline the A/B "
-        "benchmark claims to measure"
+    assert _violations(ORACLE_DES), (
+        "reference_des.py no longer trips the lint — if it was rewritten "
+        "in the int domain it is no longer the independent byte-path the "
+        "kernels are checked against"
     )
 
 
@@ -98,6 +94,76 @@ def test_lint_catches_a_planted_offender(tmp_path):
     )
     labels = {what for _, what in _violations(planted)}
     assert labels == {"bytes_to_int()", "int_to_bytes()", ".from_bytes()"}
+
+
+# --------------------------------------------------------------------------
+# ISSUE 17 extension: ``src/`` holds one DES.
+#
+# The loop-form kernels and the hook that swapped them into ``seal`` /
+# ``unseal`` at run time left the program; a second DES must not grow
+# back under ``src/repro/`` as a ``*_ref`` function, a ``reference``
+# module, or a table of kernels ``seal``/``unseal`` index by ``mode`` on
+# every call (the swap hook's only reason to exist).
+# --------------------------------------------------------------------------
+
+SRC = CRYPTO.parents[1]
+
+
+def _second_des(path: Path) -> list:
+    """(lineno, what) for each trace of a reference path in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [(0, "a reference module")] if path.stem == "reference" else []
+    return found + [
+        (node.lineno, f"def {node.name}") for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_ref")
+    ]
+
+
+def _kernel_lookups(tree: ast.AST) -> list:
+    """(lineno, source) for each subscript keyed by ``mode`` inside
+    ``seal``/``unseal``: a kernel reached through a table, not by name."""
+    return sorted(
+        (node.lineno, ast.unparse(node))
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in ("seal", "unseal")
+        for node in ast.walk(func)
+        if isinstance(node, ast.Subscript) and "mode" in ast.unparse(node.slice)
+    )
+
+
+def test_src_holds_one_des():
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) > 50
+    bad = {
+        str(path.relative_to(SRC)): found
+        for path in modules if (found := _second_des(path))
+    }
+    assert not bad, bad
+    modes = ast.parse((CRYPTO / "modes.py").read_text(encoding="utf-8"))
+    assert {"seal", "unseal"} <= {
+        node.name for node in modes.body if isinstance(node, ast.FunctionDef)
+    }
+    assert not _kernel_lookups(modes), _kernel_lookups(modes)
+    # The oracle is where the lint would look for it: it sees it there.
+    assert {"def crypt_int_ref", "def pcbc_encrypt_ref"} <= {
+        what for _, what in _second_des(ORACLE_DES)
+    }
+
+
+def test_one_des_lint_catches_planted_offenders(tmp_path):
+    planted = tmp_path / "reference.py"
+    planted.write_text(
+        "def pcbc_encrypt_ref(key, data): ...\n"
+        "def seal(key, data, iv, mode):\n"
+        "    header = data[:8]  # a slice of the message: fine\n"
+        "    return _ENCRYPTORS[mode](key, _frame(data), iv)\n"
+    )
+    assert _second_des(planted) == [
+        (0, "a reference module"), (1, "def pcbc_encrypt_ref"),
+    ]
+    assert _kernel_lookups(ast.parse(planted.read_text())) == [
+        (4, "_ENCRYPTORS[mode]"),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +350,7 @@ def _kernel(module: str) -> ast.FunctionDef:
 
 def test_no_expansion_in_the_block_kernels():
     helpers = _python_helpers()
-    assert {"apply_permutation", "_feistel", "crypt_int"} <= helpers
+    assert {"apply_permutation", "_expand", "crypt_int"} <= helpers
     bad = {
         module: _kernel_violations(_kernel(module), helpers)
         for module in KERNELS

@@ -4,14 +4,15 @@ PR 3 rewrote the DES round function (``crypt_int``: 12-bit paired SP
 tables, fully unrolled; since ISSUE 13 with both Feistel halves kept in
 E-expanded form so the expansion never runs) and moved the block modes
 into the integer domain.  The original byte-at-a-time implementations
-survive as :func:`repro.crypto.des.crypt_int_ref` and
-:mod:`repro.crypto.reference`, and this suite pins the two paths against
-each other — randomized sweeps plus hypothesis properties — so any future
-"optimization" that drifts a single bit fails here, not in a realm.
+survive test-side as the oracle (``tests/crypto/reference_des.py``:
+``crypt_int_ref``, the ``*_ref`` mode loops, ``seal_ref``), and this
+suite pins the two paths against each other — randomized sweeps plus
+hypothesis properties — so any future "optimization" that drifts a
+single bit fails here, not in a realm.
 
 The key-schedule cache (:mod:`repro.crypto.keycache`) is covered here
-too: identity of cached keys, LRU eviction, the disable switch used by
-the A/B benchmark, and metric attachment.
+too: identity of cached keys, LRU eviction, the disable switch, and
+metric attachment.
 """
 
 import random
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import DesKey, Mode, keycache, seal, unseal
-from repro.crypto.des import crypt_int, crypt_int_ref, _key_schedule
+from repro.crypto.des import crypt_int, _key_schedule
 from repro.crypto.modes import (
     cbc_decrypt,
     cbc_encrypt,
@@ -29,18 +30,21 @@ from repro.crypto.modes import (
     pcbc_decrypt,
     pcbc_encrypt,
 )
-from repro.crypto.reference import (
-    REF_DECRYPTORS,
-    REF_ENCRYPTORS,
+from repro.crypto.string2key import string_to_key
+from tests.crypto import reference_des
+from tests.crypto.reference_des import (
     cbc_decrypt_ref,
     cbc_encrypt_ref,
+    crypt_int_ref,
     ecb_decrypt_ref,
     ecb_encrypt_ref,
+    frame_ref,
     pcbc_decrypt_ref,
     pcbc_encrypt_ref,
-    reference_kernels,
+    seal_prefix_state,
+    seal_ref,
+    unseal_ref,
 )
-from repro.crypto.string2key import string_to_key
 
 keys = st.binary(min_size=8, max_size=8).map(
     lambda b: DesKey(b, allow_weak=True)
@@ -109,20 +113,31 @@ class TestModesAgainstReference:
         assert cipher == pcbc_encrypt_ref(key, data, iv)
         assert pcbc_decrypt(key, cipher, iv) == pcbc_decrypt_ref(key, cipher, iv)
 
-    def test_reference_tables_cover_every_mode(self):
-        assert set(REF_ENCRYPTORS) == set(Mode)
-        assert set(REF_DECRYPTORS) == set(Mode)
-
-    @given(keys, st.binary(min_size=0, max_size=96))
+    @given(keys, ivs, st.binary(min_size=0, max_size=96))
     @settings(max_examples=30)
-    def test_seal_interoperates_across_kernel_swap(self, key, payload):
-        """Ciphertext sealed on the optimized path opens under the
-        reference kernels and vice versa — the swap changes speed only."""
-        sealed_fast = seal(key, payload)
-        with reference_kernels():
-            assert unseal(key, sealed_fast) == payload
-            sealed_ref = seal(key, sealed_fast)  # nested framing, why not
-        assert unseal(key, unseal(key, sealed_ref)) == payload
+    def test_seal_interoperates_across_kernel_swap(self, key, iv, payload):
+        """Sealed by production, opened by the oracle, and the other way
+        round: both state the same frame and the same PCBC."""
+        sealed = seal(key, payload, iv)
+        assert sealed == seal_ref(key, payload, iv)
+        assert unseal_ref(key, sealed, iv) == payload
+        assert unseal(key, seal_ref(key, payload, iv), iv) == payload
+
+    @given(keys, ivs, st.binary(min_size=0, max_size=96))
+    @settings(max_examples=30)
+    def test_seal_calls_the_kernel_its_mode_names(self, key, iv, payload):
+        """``seal``/``unseal`` branch on ``mode``: each branch is the
+        oracle's frame under that mode's reference loop."""
+        frame = frame_ref(payload)
+        expected = {
+            Mode.PCBC: pcbc_encrypt_ref(key, frame, iv),
+            Mode.CBC: cbc_encrypt_ref(key, frame, iv),
+            Mode.ECB: ecb_encrypt_ref(key, frame),
+        }
+        assert set(expected) == set(Mode)
+        for mode, sealed in expected.items():
+            assert seal(key, payload, iv, mode) == sealed
+            assert unseal(key, sealed, iv, mode) == payload
 
     def test_misaligned_input_still_rejected(self):
         key = DesKey(bytes.fromhex("0123456789ABCDEF"), allow_weak=True)
@@ -233,11 +248,11 @@ class TestExpandedRepresentation:
 
         pairs = (des._SP01, des._SP23, des._SP45, des._SP67)
         for n, table in enumerate(pairs):
-            hi, lo = des._SP[2 * n], des._SP[2 * n + 1]
+            hi, lo = reference_des._SP[2 * n], reference_des._SP[2 * n + 1]
             assert len(table) == 4096
             for i, value in enumerate(table):
                 assert value == apply_permutation(
-                    des._E_C, hi[i >> 6] | lo[i & 63]
+                    reference_des._E_C, hi[i >> 6] | lo[i & 63]
                 )
 
     @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
@@ -246,7 +261,7 @@ class TestExpandedRepresentation:
         from repro.crypto import des
         from repro.crypto.bits import apply_permutation
 
-        expanded = apply_permutation(des._E_C, half)
+        expanded = apply_permutation(reference_des._E_C, half)
         read_back = 0
         for shift in (36, 24, 12, 0):
             read_back = (read_back << 8) | des._real_bits(
@@ -375,39 +390,41 @@ class TestBatchModes:
         assert interleaved_blocks() == before
 
 
+def _assert_resumed_jobs_match_whole_seals(rng, count, max_len):
+    """``count`` split seals, each resumed from the oracle's prefix
+    state at a random cut, finish as the whole message's seal."""
+    from repro.crypto import seal_resume_many
+
+    jobs, whole = [], []
+    for _ in range(count):
+        key = DesKey(rng.randbytes(8), allow_weak=True)
+        payload = rng.randbytes(rng.randrange(16, max_len))
+        cut = rng.randrange(0, len(payload) // 8) * 8
+        state = seal_prefix_state(key, len(payload), payload[:cut])
+        jobs.append((key, state, payload[cut:]))
+        whole.append(seal_ref(key, payload))
+    assert seal_resume_many(jobs) == whole
+
+
 class TestSplitSealing:
     """Skeleton sealing: prefix state + resume == one-shot seal."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_resume_matches_full_seal(self, data):
-        from repro.crypto import seal_prefix_state, seal_resume
+        from repro.crypto import seal_resume_many
 
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         key = DesKey(rng.randbytes(8), allow_weak=True)
         payload = rng.randbytes(data.draw(st.integers(0, 160)))
         cut = data.draw(st.integers(0, len(payload) // 8)) * 8
         state = seal_prefix_state(key, len(payload), payload[:cut])
-        assert seal_resume(key, state, payload[cut:]) == seal(key, payload)
+        assert seal_resume_many([(key, state, payload[cut:])]) == [
+            seal_ref(key, payload)
+        ]
 
     def test_resume_many_matches_singles(self):
-        from repro.crypto import (
-            seal_prefix_state,
-            seal_resume,
-            seal_resume_many,
-        )
-
-        rng = random.Random(77)
-        jobs = []
-        for _ in range(7):
-            key = DesKey(rng.randbytes(8), allow_weak=True)
-            payload = rng.randbytes(rng.randrange(16, 120))
-            cut = rng.randrange(0, len(payload) // 8) * 8
-            state = seal_prefix_state(key, len(payload), payload[:cut])
-            jobs.append((key, state, payload[cut:]))
-        assert seal_resume_many(jobs) == [
-            seal_resume(k, s, suf) for k, s, suf in jobs
-        ]
+        _assert_resumed_jobs_match_whole_seals(random.Random(77), 7, 120)
 
 
 class TestSkeletonCache:
@@ -531,24 +548,11 @@ class TestWideLanes:
         assert interleaved_blocks() > before
 
     def test_seal_resume_many_wide(self):
-        from repro.crypto import (
-            seal_prefix_state,
-            seal_resume,
-            seal_resume_many,
-        )
         from repro.crypto.modes import WIDE_MIN_LANES
 
-        rng = random.Random(12)
-        jobs = []
-        for _ in range(WIDE_MIN_LANES + 3):
-            key = DesKey(rng.randbytes(8), allow_weak=True)
-            payload = rng.randbytes(rng.randrange(16, 160))
-            cut = rng.randrange(0, len(payload) // 8) * 8
-            state = seal_prefix_state(key, len(payload), payload[:cut])
-            jobs.append((key, state, payload[cut:]))
-        assert seal_resume_many(jobs) == [
-            seal_resume(k, s, suf) for k, s, suf in jobs
-        ]
+        _assert_resumed_jobs_match_whole_seals(
+            random.Random(12), WIDE_MIN_LANES + 3, 160
+        )
 
 
 # --------------------------------------------------------------------------
@@ -696,7 +700,6 @@ class TestSkeletonReadOff:
         from contextlib import nullcontext
         from repro.crypto import (
             SEAL_START,
-            seal_prefix_state,
             seal_resume_many,
             sealed_prefix_state,
         )

@@ -100,6 +100,11 @@ class TestRemovedNames:
         "publish_kdcs", "count_deprecated", "deprecated_calls_total",
         "NetworkStats", "net.stats", ".as_requests", ".tgs_requests",
         "kdc_workers", "retries=", "n_slaves",
+        # PR 17: the oracle left ``src/``, Exp HP and the gitignored
+        # ``history`` artifacts left the repository.
+        "reference_kernels", "crypt_int_ref", "repro.crypto.reference",
+        "write_bench_artifact", "test_bench_perf_hotpath",
+        "BENCH_PERF_HOTPATH",
     )
 
     def test_docs_mention_no_removed_identifier(self):
@@ -113,3 +118,17 @@ class TestRemovedNames:
             if name in line
         ]
         assert not stale, stale
+
+    def test_no_benchmark_names_a_result_file_in_the_checkout(self):
+        """Benchmarks snapshot under pytest's ``tmp_path``; nothing
+        writes a ``BENCH_*.json`` git cannot see."""
+        files = sorted((ROOT / "benchmarks").glob("test_bench_*.py"))
+        assert len(files) >= 20
+        stale = [
+            f"{path.name}:{lineno}: {line.strip()}"
+            for path in files
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if "BENCH_" in line
+        ]
+        assert not stale, stale
+        assert "BENCH_" not in (ROOT / ".gitignore").read_text()
