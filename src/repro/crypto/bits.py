@@ -72,6 +72,10 @@ def int_to_bytes(value: int, length: int) -> bytes:
     return value.to_bytes(length, "big")
 
 
+#: ``bytes.translate`` table: every byte value with its bits reversed.
+_BIT_REVERSED = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
+
+
 def reverse_block_bits(block: bytes) -> bytes:
     """Reverse the bit order of an 8-byte block (last bit becomes first).
 
@@ -80,9 +84,4 @@ def reverse_block_bits(block: bytes) -> bytes:
     """
     if len(block) != 8:
         raise ValueError(f"expected an 8-byte block, got {len(block)}")
-    value = bytes_to_int(block)
-    out = 0
-    for _ in range(64):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return int_to_bytes(out, 8)
+    return block[::-1].translate(_BIT_REVERSED)

@@ -14,7 +14,10 @@ The implementation follows the standard exactly:
   subkey, passes 6-bit groups through the eight S-boxes, and permutes
   the 32-bit result (table P);
 * the key schedule applies PC-1, splits into two 28-bit halves, rotates
-  per the shift schedule, and extracts each subkey with PC-2.
+  per the shift schedule, and extracts each subkey with PC-2.  Every
+  subkey bit is a copy of one key bit, so that walk runs only at import,
+  once per key bit, to fill eight per-byte tables; scheduling a key is
+  eight lookups (:func:`_key_schedule`).
 
 For speed in pure Python the permutations are compiled to per-byte lookup
 tables (:mod:`repro.crypto.bits`) and the P permutation is folded into
@@ -33,6 +36,7 @@ in ``tests/crypto/test_des.py``.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Tuple
 
 from repro.crypto.bits import (
@@ -237,14 +241,15 @@ def _odd_parity_byte(value: int) -> int:
     return v | (0 if ones % 2 == 1 else 1)
 
 
-_PARITY_TABLE = tuple(_odd_parity_byte(v) for v in range(256))
+#: ``bytes.translate`` table: every byte value with its parity bit fixed.
+_PARITY_TABLE = bytes(_odd_parity_byte(v) for v in range(256))
 
 
 def fix_parity(key: bytes) -> bytes:
     """Set each byte of an 8-byte key to odd parity (FIPS requirement)."""
     if len(key) != KEY_SIZE:
         raise KeyError_(f"DES key must be {KEY_SIZE} bytes, got {len(key)}")
-    return bytes(_PARITY_TABLE[b] for b in key)
+    return bytes(key).translate(_PARITY_TABLE)
 
 
 def check_parity(key: bytes) -> bool:
@@ -266,17 +271,59 @@ def is_weak_key(key: bytes) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _key_schedule(key: bytes) -> Tuple[int, ...]:
-    """Derive the sixteen 48-bit round subkeys from an 8-byte key."""
-    k56 = apply_permutation(_PC1_C, bytes_to_int(key))
+def _walk_key_schedule(key: int) -> int:
+    """PC-1, the sixteen rotations and PC-2 as the standard walks them;
+    the subkeys come back packed one per 64-bit slot, K1 topmost.  Table
+    construction only: :func:`_key_schedule` never runs this."""
+    k56 = apply_permutation(_PC1_C, key)
     c = (k56 >> 28) & 0x0FFFFFFF
     d = k56 & 0x0FFFFFFF
-    subkeys = []
+    packed = 0
     for shift in _SHIFTS:
         c = rotate_left_28(c, shift)
         d = rotate_left_28(d, shift)
-        subkeys.append(apply_permutation(_PC2_C, (c << 28) | d))
-    return tuple(subkeys)
+        packed = (packed << 64) | apply_permutation(_PC2_C, (c << 28) | d)
+    return packed
+
+
+def _build_schedule_tables() -> Tuple[Tuple[int, ...], ...]:
+    """The whole schedule as one 256-entry table per key byte.
+
+    Every subkey bit is a copy of one key bit, so the schedule is linear
+    over OR: a key's subkeys are the OR of what each of its set bits
+    contributes alone.  ``tables[i][v]`` is the packed contribution of
+    byte ``i`` having value ``v`` to all sixteen subkeys, built from one
+    walk of the schedule per key bit (64 single-bit probes).
+    """
+    tables = []
+    for i in range(KEY_SIZE):
+        table = [0] * 256
+        for v in range(1, 256):
+            low = v & -v
+            table[v] = (
+                _walk_key_schedule(v << (56 - 8 * i)) if v == low
+                else table[v ^ low] | table[low]
+            )
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+_SCHEDULE_X = _build_schedule_tables()
+_SPLIT_SCHEDULE = struct.Struct(">16Q").unpack
+
+
+def _key_schedule(
+    key: bytes, _tables=_SCHEDULE_X, _split=_SPLIT_SCHEDULE
+) -> Tuple[int, ...]:
+    """Derive the sixteen 48-bit round subkeys from an 8-byte key: eight
+    table lookups OR-ed together, split into sixteen ints by one
+    ``unpack``.  The trailing parameters only bind the tables as locals;
+    never pass them."""
+    t0, t1, t2, t3, t4, t5, t6, t7 = _tables
+    k0, k1, k2, k3, k4, k5, k6, k7 = key
+    return _split((
+        t0[k0] | t1[k1] | t2[k2] | t3[k3] | t4[k4] | t5[k5] | t6[k6] | t7[k7]
+    ).to_bytes(128, "big"))
 
 
 # --------------------------------------------------------------------------
@@ -420,7 +467,7 @@ class DesKey:
     rather than rejected, matching the historical library: key bytes have
     their parity bit fixed up on entry.
 
-    Constructing a ``DesKey`` runs the full 16-round key schedule.  Hot
+    Constructing a ``DesKey`` derives all sixteen round subkeys.  Hot
     paths that repeatedly rebuild keys from the same 8 bytes (ticket
     session keys, principal keys unsealed per request) should use
     :meth:`from_bytes`, which consults the process-wide schedule cache
@@ -450,7 +497,7 @@ class DesKey:
             raise KeyError_(f"refusing weak DES key {key.hex()}")
         self._key = key
         self._enc_subkeys = _key_schedule(key)
-        self._dec_subkeys = tuple(reversed(self._enc_subkeys))
+        self._dec_subkeys = self._enc_subkeys[::-1]
 
     @property
     def key_bytes(self) -> bytes:

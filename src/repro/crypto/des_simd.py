@@ -1,9 +1,14 @@
-"""Wide-lane DES: one Feistel pass over N independent messages.
+"""Wide-lane DES: one Feistel pass over N independent block operations.
 
 :func:`repro.crypto.des.crypt_int` runs one block per call; this module
-runs one block of *every* message of a KDC batch per call, so the
-per-round interpreter overhead — the dominant single-lane cost — is
-paid once per batch instead of once per block.
+runs one block on each of N *lanes* per call, so the per-round
+interpreter overhead — the dominant single-lane cost — is paid once per
+pass instead of once per block.  A lane is a block operation that waits
+for no other: when a KDC batch is sealed, one block of *every* message
+(PCBC chains each message to itself, so a run takes one pass per block
+step); when it is unsealed, every block of every message at once (the
+chain is a running xor over ``D(C_i)``, so one pass serves the batch).
+Both shapes live in ``repro.crypto.modes``.
 
 The representation is the single-lane kernel's (both Feistel halves
 kept E-expanded, E folded into the SP-pair table outputs), laid out for
@@ -19,7 +24,7 @@ explicitly little-endian, so a big-endian host computes the same lanes.
 
 numpy is optional: everything here degrades to ``available() ==
 False`` and the caller (``repro.crypto.modes``, which also owns the lane
-threshold ``WIDE_MIN_LANES``) falls back to the single-lane kernel.
+threshold ``WIDE_MIN_LANES``) falls back to its single-message loops.
 """
 
 try:  # gated: the wide path is an accelerator, never a requirement

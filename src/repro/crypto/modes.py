@@ -18,14 +18,18 @@ trailer — so tampering anywhere in the message is detected.  With CBC the
 trailer survives mid-message corruption, which is exactly the weakness
 the paper's PCBC extension exists to close (benchmarked in exp C1).
 
-Performance note: the mode kernels work in the 64-bit *int* domain
-end-to-end.  A whole message is converted bytes→ints with one
-``struct.unpack`` call, chained/encrypted as Python ints via
+Performance note: the single-message mode loops work in the 64-bit
+*int* domain end-to-end.  A whole message is converted bytes→ints with
+one ``struct.unpack`` call, chained/encrypted as Python ints via
 :func:`repro.crypto.des.crypt_int`, and converted back with one
 ``struct.pack`` — no per-block ``bytes`` slicing or int round trips.
-The ``*_many`` batch entry points share one job runner, which starts a
-run on the wide kernel (:mod:`repro.crypto.des_simd`) when it has
-enough lanes and finishes everything else on ``crypt_int``.
+The ``*_many`` batch entry points keep a batch in numpy arrays from the
+message bytes in to the message bytes out, in the two shapes the PCBC
+chain has: unsealing is one pass of the wide kernel
+(:mod:`repro.crypto.des_simd`) over every block of every message, sealing
+one pass per block step over a ``(depth, lanes)`` matrix.  A run with
+fewer than ``WIDE_MIN_LANES`` lanes, or a host without numpy, goes
+through the single-message loops instead.
 The original byte-path loops are the oracle in
 ``tests/crypto/reference_des.py``, and the property suite in
 ``tests/crypto/test_perf_kernels.py`` pins the two bit-exact.
@@ -41,8 +45,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.crypto import des_simd
 from repro.crypto.bits import bytes_to_int
 from repro.crypto.des import BLOCK_SIZE, DesKey, crypt_int
-
-_MASK64 = (1 << 64) - 1
 
 #: Magic marking the start of a sealed message ("KRB4" in ASCII).
 SEAL_MAGIC = 0x4B524234
@@ -71,14 +73,19 @@ def _require_iv(iv: bytes) -> int:
     return bytes_to_int(iv)
 
 
-def _unpack_blocks(data: bytes, what: str) -> tuple:
-    """Whole-message bytes → tuple of big-endian u64 (one C call)."""
+def _block_count(data: bytes, what: str) -> int:
+    """How many blocks ``data`` is; it must be whole blocks."""
     n, rem = divmod(len(data), BLOCK_SIZE)
     if rem != 0:
         raise ValueError(
             f"{what} length {len(data)} is not a multiple of {BLOCK_SIZE}"
         )
-    return struct.unpack(f">{n}Q", data)
+    return n
+
+
+def _unpack_blocks(data: bytes, what: str) -> tuple:
+    """Whole-message bytes → tuple of big-endian u64 (one C call)."""
+    return struct.unpack(f">{_block_count(data, what)}Q", data)
 
 
 def _pack_blocks(blocks: list) -> bytes:
@@ -248,27 +255,35 @@ def _open_frame(plain: bytes) -> bytes:
 # --------------------------------------------------------------------------
 # Multi-message PCBC: the KDC pipeline's cipher entry points.
 #
-# PCBC chains are sequential *within* one message, but independent
-# messages place no ordering constraint on each other — so a batch of
-# sealed tickets, reply bodies, TGTs or authenticators advances one
-# block of *every* message per pass of the Feistel network.  One job
-# runner serves both directions; a job (:func:`_job`) is a mutable record
+# A batch of sealed tickets, reply bodies, TGTs or authenticators lives
+# in numpy arrays from the message bytes in to the message bytes out,
+# and a *lane* is one block operation that waits for no other.  The
+# chain gives the two directions different shapes:
 #
-#     [subkeys, chain, blocks, out, decrypt]
+# Sealing is sequential within a message — C_i = E(P_i ^ chain_i) with
+# chain_i = P_{i-1} ^ C_{i-1} — so a message is one lane and a run takes
+# one pass of the wide kernel per block *step*: the joined plaintext is
+# gathered once into a ``(depth, lanes)`` matrix, longest message first
+# so the lanes still running are a prefix, and the chains and the output
+# are arrays a step only xors and slices.
 #
-# where each step reads ``blk = blocks[len(out)]`` and computes
+# Unsealing has no sequential cipher in it at all.  In
+# P_i = D(C_i) ^ P_{i-1} ^ C_{i-1} every D(C_i) is known from the start,
+# and unrolling the recurrence gives
 #
-#     encrypt:  out = E(blk ^ chain)        decrypt:  out = D(blk) ^ chain
-#     both:     chain = blk ^ out           (the PCBC value P_i ^ C_i)
+#     P_i = D(C_i) ^ IV ^ S_0 ^ ... ^ S_{i-1},     S_j = D(C_j) ^ C_j
 #
-# On the wide kernel the direction is a pair of 64-bit lane masks (chain
-# mixed in before or after the cipher), so one run may mix sealing and
-# unsealing lanes; the single-lane kernel branches once per job, outside
-# its block loop.  A job is resumable from ``len(out)``: the wide kernel
-# hands whatever it leaves unfinished straight to the single-lane one.
-# Outputs are bit-identical to running :func:`pcbc_encrypt` /
-# :func:`pcbc_decrypt` per message, which the property suite and the
-# request-plane benchmark's A/B legs both assert.
+# — the chain is a running xor.  So every block of every message is a
+# lane, the whole batch is one pass over the flat ciphertext, and the
+# plaintext is one ``bitwise_xor.accumulate`` minus, per message, the
+# running value where that message starts.
+#
+# Either way a run goes wide at :data:`WIDE_MIN_LANES` lanes; below it
+# (and without numpy) each message goes through :func:`pcbc_encrypt` /
+# :func:`pcbc_decrypt`, which is also where the tails of a ragged
+# sealing run finish, resumed with their chain as the IV.  Outputs are
+# bit-identical to the per-message calls, which the property suite and
+# the request-plane benchmark's A/B legs both assert.
 # --------------------------------------------------------------------------
 
 #: Process-wide count of blocks pushed through the wide-lane kernel.
@@ -307,137 +322,124 @@ def _count_interleaved(blocks: int) -> None:
             counter.inc(blocks)
 
 
-def _job(subkeys, chain: int, blocks, decrypt: bool = False) -> list:
-    """A runner job: ``[subkeys, chain, blocks, out, decrypt]``."""
-    return [subkeys, chain, blocks, [], decrypt]
-
-
-def _pcbc_run_single(job) -> None:
-    """Finish one job on the single-lane kernel."""
-    sk, chain, blocks, out, decrypt = job
-    crypt1 = crypt_int
-    push = out.append
-    if decrypt:
-        for blk in blocks[len(out):]:
-            y = crypt1(blk, sk) ^ chain
-            push(y)
-            chain = blk ^ y
-    else:
-        for blk in blocks[len(out):]:
-            y = crypt1(blk ^ chain, sk)
-            push(y)
-            chain = blk ^ y
-    job[1] = chain
-
-
-#: Fewest lanes a run needs before it starts on the wide kernel.  A wide
-#: pass is ~60 numpy dispatches however many lanes ride it (45-90 us from
-#: 8 to 128 lanes, plus ~0.4 us a lane to marshal the step) against
-#: ~6.5 us per single-lane block, so a run breaks even near 8 lanes.  Not
-#: retuned with the kernels: which batches ride the lanes is what
-#: ``interleaved_blocks`` counts, and the ledger pins that count.
+#: Fewest lanes a run needs before it goes to the wide kernel.  A lane
+#: is one independent block operation: a *message* when sealing (one
+#: block of each per pass), a *block* when unsealing (all of them in one
+#: pass).  A wide pass is ~60 numpy dispatches however many lanes ride
+#: it (45-90 us from 8 to 128 lanes) against ~6.5 us per single-lane
+#: block, so a run breaks even near 8 lanes.  Not retuned with the
+#: kernels: which batches ride the lanes is what ``interleaved_blocks``
+#: counts, and the ledger pins that count.
 WIDE_MIN_LANES = 32
 
-
-def _pcbc_run_wide(jobs) -> None:
-    """Advance every job one block per Feistel pass (numpy lanes).
-
-    Jobs are sorted longest-first so the active set stays a contiguous
-    prefix as short messages finish; once fewer than
-    ``WIDE_MIN_LANES`` remain, the tails finish on the single-lane
-    kernel.
-    """
-    np = des_simd._np
-    lanes = sorted(jobs, key=lambda job: -len(job[2]))
-    km = des_simd.keymat([job[0] for job in lanes])
-    chains = np.array([job[1] for job in lanes], dtype=np.uint64)
-    # Which side of the cipher each lane's chain is mixed in: before it
-    # when sealing, after it when unsealing.
-    pre = np.array(
-        [0 if job[4] else _MASK64 for job in lanes], dtype=np.uint64
-    )
-    post = ~pre
-    lens = [len(job[2]) for job in lanes]
-    active = len(lanes)
-    step = 0
-    while step < lens[0]:
-        while active and lens[active - 1] <= step:
-            active -= 1
-        if active < WIDE_MIN_LANES:
-            break
-        blk = np.array(
-            [lanes[i][2][step] for i in range(active)], dtype=np.uint64
-        )
-        chain = chains[:active]
-        y = des_simd.crypt_wide(
-            blk ^ (chain & pre[:active]), km[:, :active]
-        ) ^ (chain & post[:active])
-        chains[:active] = blk ^ y
-        for i, value in enumerate(y.tolist()):
-            lanes[i][3].append(value)
-        _count_interleaved(active)
-        step += 1
-    for job, chain in zip(lanes, chains.tolist()):
-        job[1] = chain
-    for job in lanes[:active]:
-        _pcbc_run_single(job)
+_NATIVE = des_simd._U64  # the wide kernel's lane dtype
+_WIRE = ">u8"            # a block as it sits in a message
 
 
-def _pcbc_run_jobs(jobs) -> None:
-    """The one PCBC job runner: wide if numpy is present and the run
-    has at least ``WIDE_MIN_LANES`` jobs, else single-lane per job."""
-    if des_simd.available() and len(jobs) >= WIDE_MIN_LANES:
-        _pcbc_run_wide(jobs)
-    else:
-        for job in jobs:
-            _pcbc_run_single(job)
-
-
-def _pcbc_many(
-    items: Sequence[Tuple[DesKey, bytes]], iv: bytes, decrypt: bool
+def _pcbc_encrypt_run(
+    jobs: Sequence[Tuple[DesKey, int, bytes]]
 ) -> List[bytes]:
-    chain0 = _require_iv(iv)
-    what = "ciphertext" if decrypt else "plaintext"
-    jobs = [
-        _job(
-            key._dec_subkeys if decrypt else key._enc_subkeys,
-            chain0,
-            _unpack_blocks(data, what),
-            decrypt,
-        )
-        for key, data in items
-    ]
-    _pcbc_run_jobs(jobs)
-    return [_pack_blocks(job[3]) for job in jobs]
+    """PCBC-encrypt each ``(key, chain, plaintext)`` from its chaining
+    value: the one sealing run, behind :func:`pcbc_encrypt_many` and
+    :func:`seal_resume_many`."""
+    if not des_simd.available() or len(jobs) < WIDE_MIN_LANES:
+        return [
+            pcbc_encrypt(key, data, chain.to_bytes(BLOCK_SIZE, "big"))
+            for key, chain, data in jobs
+        ]
+    np = des_simd._np
+    lens = np.array([_block_count(data, "plaintext") for _k, _c, data in jobs])
+    # Longest first: the lanes still running at any step are a prefix.
+    order = np.argsort(-lens, kind="stable")
+    # Steps on which at least WIDE_MIN_LANES lanes run; whatever is
+    # longer finishes single-lane.
+    depth = int(lens[order[WIDE_MIN_LANES - 1]])
+    steps = np.arange(depth)[:, None]
+    running = (lens > steps).sum(axis=1).tolist()
+    flat = np.frombuffer(
+        b"".join(data for _k, _c, data in jobs), dtype=_WIRE
+    ).astype(_NATIVE)
+    plain = flat.take((np.cumsum(lens) - lens)[order] + steps, mode="clip")
+    lanes = [jobs[i] for i in order]
+    km = des_simd.keymat([key._enc_subkeys for key, _c, _d in lanes])
+    chains = np.array([chain for _k, chain, _d in lanes], dtype=_NATIVE)
+    out = np.empty((depth, len(lanes)), dtype=_NATIVE)
+    for step, active in enumerate(running):
+        blk = plain[step, :active]
+        chain = chains[:active]
+        y = des_simd.crypt_wide(blk ^ chain, km[:, :active])
+        np.bitwise_xor(blk, y, out=chain)
+        out[step, :active] = y
+    _count_interleaved(sum(running))
+    # One row of ``raw`` per lane; a lane longer than the run resumes
+    # single-lane with its chain as the IV.
+    raw = out.T.astype(_WIRE).tobytes()
+    ivs = chains.astype(_WIRE).tobytes()
+    row = BLOCK_SIZE * depth
+    results: List[bytes] = [b""] * len(jobs)
+    for lane, i in enumerate(order.tolist()):
+        key, _chain, data = lanes[lane]
+        sealed = raw[lane * row : lane * row + min(row, len(data))]
+        if len(data) > row:
+            iv = ivs[BLOCK_SIZE * lane : BLOCK_SIZE * (lane + 1)]
+            sealed += pcbc_encrypt(key, data[row:], iv)
+        results[i] = sealed
+    return results
 
 
 def pcbc_encrypt_many(
     items: Sequence[Tuple[DesKey, bytes]], iv: bytes = ZERO_IV
 ) -> List[bytes]:
     """PCBC-encrypt many independent messages, one block of each per
-    Feistel pass.
+    pass of the wide kernel.
 
     Bit-identical to ``[pcbc_encrypt(key, data, iv) for key, data in
     items]``.
     """
-    return _pcbc_many(items, iv, decrypt=False)
+    chain = _require_iv(iv)
+    return _pcbc_encrypt_run([(key, chain, data) for key, data in items])
 
 
 def pcbc_decrypt_many(
     items: Sequence[Tuple[DesKey, bytes]], iv: bytes = ZERO_IV
 ) -> List[bytes]:
-    """PCBC-decrypt many independent messages, one block of each per
-    Feistel pass.
+    """PCBC-decrypt many independent messages, every block of every
+    message in one pass of the wide kernel.
 
     Bit-identical to ``[pcbc_decrypt(key, data, iv) for key, data in
     items]``.
     """
-    return _pcbc_many(items, iv, decrypt=True)
+    chain0 = _require_iv(iv)
+    counts = [_block_count(data, "ciphertext") for _key, data in items]
+    total = sum(counts)
+    if not des_simd.available() or total < WIDE_MIN_LANES:
+        return [pcbc_decrypt(key, data, iv) for key, data in items]
+    np = des_simd._np
+    cipher = np.frombuffer(
+        b"".join(data for _key, data in items), dtype=_WIRE
+    ).astype(_NATIVE)
+    km = des_simd.keymat([key._dec_subkeys for key, _data in items])
+    decrypted = des_simd.crypt_wide(cipher, np.repeat(km, counts, axis=1))
+    _count_interleaved(total)
+    # running[i] = S_0 ^ ... ^ S_{i-1} over the flat buffer; a message's
+    # own chain is that minus (xor) its value at the message's start.
+    running = np.zeros(total + 1, dtype=_NATIVE)
+    np.bitwise_xor.accumulate(decrypted ^ cipher, out=running[1:])
+    starts = np.cumsum(counts) - counts
+    base = running[starts] ^ np.uint64(chain0)
+    plain = decrypted ^ running[:-1] ^ np.repeat(base, counts)
+    raw = plain.astype(_WIRE).tobytes()
+    out = []
+    pos = 0
+    for _key, data in items:
+        out.append(raw[pos : pos + len(data)])
+        pos += len(data)
+    return out
 
 
 def seal_many(items: Sequence[Tuple[DesKey, bytes]]) -> List[bytes]:
     """Frame and PCBC-encrypt many independent messages, one block of
-    each per Feistel pass.
+    each per pass of the wide kernel.
 
     The batch analogue of :func:`seal`, used by the KDC's seal-all stage
     for reply bodies.  Bit-identical to calling :func:`seal` per item.
@@ -450,8 +452,8 @@ def seal_many(items: Sequence[Tuple[DesKey, bytes]]) -> List[bytes]:
 def unseal_many(
     items: Sequence[Tuple[DesKey, bytes]]
 ) -> List[Union[bytes, IntegrityError]]:
-    """Decrypt and validate many sealed messages, one block of each per
-    Feistel pass.
+    """Decrypt and validate many sealed messages, all their blocks in
+    one pass of the wide kernel.
 
     Returns, position-for-position, either the recovered plaintext or
     the :class:`IntegrityError` that message failed with — one bad item
@@ -525,7 +527,8 @@ def seal_suffix_body(cipher_prefix_len: int, suffix: bytes) -> bytes:
 def seal_resume_many(
     items: Sequence[Tuple[DesKey, Tuple[bytes, int], bytes]]
 ) -> List[bytes]:
-    """Finish many split seals, one block of each per Feistel pass.
+    """Finish many split seals, one block of each per pass of the wide
+    kernel.
 
     Each item is ``(key, state, suffix)`` with ``state`` from
     :func:`sealed_prefix_state` or :data:`SEAL_START`.  Bit-identical
@@ -533,18 +536,11 @@ def seal_resume_many(
     uses this so skeleton-cached tickets and whole ones ride the same
     run.
     """
-    jobs = [
-        _job(
-            key._enc_subkeys,
-            state[1],
-            _unpack_blocks(
-                seal_suffix_body(len(state[0]), suffix), "suffix"
-            ),
-        )
+    sealed = _pcbc_encrypt_run([
+        (key, state[1], seal_suffix_body(len(state[0]), suffix))
         for key, state, suffix in items
-    ]
-    _pcbc_run_jobs(jobs)
+    ])
     return [
-        state[0] + _pack_blocks(job[3])
-        for (_key, state, _suffix), job in zip(items, jobs)
+        state[0] + rest
+        for (_key, state, _suffix), rest in zip(items, sealed)
     ]

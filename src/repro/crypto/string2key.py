@@ -23,7 +23,9 @@ the key requires inverting a DES-CBC MAC.
 
 from __future__ import annotations
 
-from repro.crypto.bits import reverse_block_bits
+import struct
+
+from repro.crypto.bits import bytes_to_int, int_to_bytes, reverse_block_bits
 from repro.crypto.des import (
     BLOCK_SIZE,
     DesKey,
@@ -67,18 +69,17 @@ def _derive_string_to_key(password: str, salt: str) -> DesKey:
 
     padded = data + b"\x00" * ((-len(data)) % BLOCK_SIZE)
 
-    # Fan-fold: XOR successive 8-byte chunks, bit-reversing every second one.
-    folded = bytearray(BLOCK_SIZE)
-    forward = True
-    for i in range(0, len(padded), BLOCK_SIZE):
-        chunk = padded[i : i + BLOCK_SIZE]
-        if not forward:
-            chunk = reverse_block_bits(chunk)
-        for j in range(BLOCK_SIZE):
-            folded[j] ^= chunk[j]
-        forward = not forward
-
-    temp = _unweaken(fix_parity(bytes(folded)))
+    # Fan-fold: XOR successive 8-byte chunks, bit-reversing every second
+    # one.  Reversal is linear over xor, so the odd chunks are folded
+    # forward and their fold reversed once.
+    chunks = struct.unpack(f">{len(padded) // BLOCK_SIZE}Q", padded)
+    even = odd = 0
+    for chunk in chunks[0::2]:
+        even ^= chunk
+    for chunk in chunks[1::2]:
+        odd ^= chunk
+    odd = bytes_to_int(reverse_block_bits(int_to_bytes(odd, BLOCK_SIZE)))
+    temp = _unweaken(fix_parity(int_to_bytes(even ^ odd, BLOCK_SIZE)))
     temp_key = DesKey(temp, allow_weak=True)
 
     # CBC-checksum the padded password under the temporary key; the last

@@ -12,8 +12,12 @@ it checks: its permutations and SP boxes are compiled *here* from the
 published FIPS tuples (a wrong production table cannot hide in a shared
 one), the seal frame is stated a second time (:func:`frame_ref`), and
 :func:`seal_prefix_state` is derived from :func:`pcbc_encrypt_ref`, not
-from the job runner.  It shares the key schedule (``DesKey``) and imports
-nothing from ``repro.crypto.modes`` or ``repro.crypto.keycache``.
+from the batch runs.  Since PR 18 the key schedule is its own too
+(:func:`key_schedule_ref`, bit by bit from the published PC-1, shift and
+PC-2 tuples): production's is table-driven, and a wrong table must not
+hide in subkeys both sides share.  A ``DesKey`` is only the carrier of
+the eight key bytes; nothing is imported from ``repro.crypto.modes`` or
+``repro.crypto.keycache``.
 
 Never edit this file together with what it checks, and do not "optimize"
 it: per-block conversions are its reason to exist.
@@ -25,7 +29,9 @@ from repro.crypto.bits import (
     compile_permutation,
     int_to_bytes,
 )
-from repro.crypto.des import _E, _FP, _IP, _P, _SBOXES, BLOCK_SIZE, DesKey
+from repro.crypto.des import (
+    _E, _FP, _IP, _P, _PC1, _PC2, _SBOXES, _SHIFTS, BLOCK_SIZE, DesKey,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -69,7 +75,7 @@ def crypt_int_ref(block: int, subkeys) -> int:
 
     Computes exactly the same permutation as ``des.crypt_int``; kept as
     the oracle for the kernel-equivalence property tests.  Pass
-    ``key._enc_subkeys`` to encrypt, ``key._dec_subkeys`` to decrypt.
+    ``key_schedule_ref(key)`` to encrypt, the same reversed to decrypt.
     """
     b = apply_permutation(_IP_C, block)
     left = (b >> 32) & 0xFFFFFFFF
@@ -78,6 +84,35 @@ def crypt_int_ref(block: int, subkeys) -> int:
         left, right = right, left ^ _feistel(right, subkey)
     # Final swap is built into taking (R16, L16).
     return apply_permutation(_FP_C, (right << 32) | left)
+
+
+def key_schedule_ref(key: bytes) -> tuple:
+    """The sixteen 48-bit round subkeys of an 8-byte key (FIPS 46): PC-1
+    picks 56 of the 64 key bits into halves C and D, each round rotates
+    both left by its shift, and PC-2 picks 48 bits of CD — one bit at a
+    time, every position 1-indexed from the left as published."""
+    bits = [(key[i // 8] >> (7 - i % 8)) & 1 for i in range(64)]
+    cd = [bits[pos - 1] for pos in _PC1]
+    c, d = cd[:28], cd[28:]
+    subkeys = []
+    for shift in _SHIFTS:
+        c = c[shift:] + c[:shift]
+        d = d[shift:] + d[:shift]
+        cd = c + d
+        subkey = 0
+        for pos in _PC2:
+            subkey = (subkey << 1) | cd[pos - 1]
+        subkeys.append(subkey)
+    return tuple(subkeys)
+
+
+def _enc_subkeys(key: DesKey) -> tuple:
+    return key_schedule_ref(key.key_bytes)
+
+
+def _dec_subkeys(key: DesKey) -> tuple:
+    """Decryption is the same network with the subkeys in reverse."""
+    return key_schedule_ref(key.key_bytes)[::-1]
 
 
 def _require_blocks(data: bytes, what: str) -> None:
@@ -93,38 +128,34 @@ def _require_iv(iv: bytes) -> int:
     return bytes_to_int(iv)
 
 
-def _encrypt_block(key: DesKey, block: bytes) -> bytes:
+def _crypt_block(block: bytes, subkeys) -> bytes:
     return int_to_bytes(
-        crypt_int_ref(bytes_to_int(block), key._enc_subkeys), BLOCK_SIZE
-    )
-
-
-def _decrypt_block(key: DesKey, block: bytes) -> bytes:
-    return int_to_bytes(
-        crypt_int_ref(bytes_to_int(block), key._dec_subkeys), BLOCK_SIZE
+        crypt_int_ref(bytes_to_int(block), subkeys), BLOCK_SIZE
     )
 
 
 def ecb_encrypt_ref(key: DesKey, data: bytes) -> bytes:
     _require_blocks(data, "plaintext")
+    subkeys = _enc_subkeys(key)
     out = bytearray()
     for i in range(0, len(data), BLOCK_SIZE):
-        out += _encrypt_block(key, data[i : i + BLOCK_SIZE])
+        out += _crypt_block(data[i : i + BLOCK_SIZE], subkeys)
     return bytes(out)
 
 
 def ecb_decrypt_ref(key: DesKey, data: bytes) -> bytes:
     _require_blocks(data, "ciphertext")
+    subkeys = _dec_subkeys(key)
     out = bytearray()
     for i in range(0, len(data), BLOCK_SIZE):
-        out += _decrypt_block(key, data[i : i + BLOCK_SIZE])
+        out += _crypt_block(data[i : i + BLOCK_SIZE], subkeys)
     return bytes(out)
 
 
 def cbc_encrypt_ref(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
     _require_blocks(data, "plaintext")
     prev = _require_iv(iv)
-    subkeys = key._enc_subkeys
+    subkeys = _enc_subkeys(key)
     out = bytearray()
     for i in range(0, len(data), BLOCK_SIZE):
         block = bytes_to_int(data[i : i + BLOCK_SIZE])
@@ -136,7 +167,7 @@ def cbc_encrypt_ref(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
 def cbc_decrypt_ref(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
     _require_blocks(data, "ciphertext")
     prev = _require_iv(iv)
-    subkeys = key._dec_subkeys
+    subkeys = _dec_subkeys(key)
     out = bytearray()
     for i in range(0, len(data), BLOCK_SIZE):
         block = bytes_to_int(data[i : i + BLOCK_SIZE])
@@ -148,7 +179,7 @@ def cbc_decrypt_ref(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
 def pcbc_encrypt_ref(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
     _require_blocks(data, "plaintext")
     chain = _require_iv(iv)  # holds P_{i-1} xor C_{i-1}
-    subkeys = key._enc_subkeys
+    subkeys = _enc_subkeys(key)
     out = bytearray()
     for i in range(0, len(data), BLOCK_SIZE):
         plain = bytes_to_int(data[i : i + BLOCK_SIZE])
@@ -161,7 +192,7 @@ def pcbc_encrypt_ref(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
 def pcbc_decrypt_ref(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
     _require_blocks(data, "ciphertext")
     chain = _require_iv(iv)
-    subkeys = key._dec_subkeys
+    subkeys = _dec_subkeys(key)
     out = bytearray()
     for i in range(0, len(data), BLOCK_SIZE):
         cipher = bytes_to_int(data[i : i + BLOCK_SIZE])

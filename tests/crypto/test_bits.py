@@ -91,6 +91,14 @@ class TestHelpers:
     def test_reverse_block_bits_involution(self, block):
         assert reverse_block_bits(reverse_block_bits(block)) == block
 
+    @given(st.binary(min_size=8, max_size=8))
+    def test_reverse_block_bits_matches_the_shift_loop(self, block):
+        value, out = bytes_to_int(block), 0
+        for _ in range(64):
+            out = (out << 1) | (value & 1)
+            value >>= 1
+        assert reverse_block_bits(block) == int_to_bytes(out, 8)
+
     def test_reverse_block_bits_known(self):
         assert reverse_block_bits(b"\x80" + bytes(7)) == bytes(7) + b"\x01"
         assert reverse_block_bits(bytes(8)) == bytes(8)

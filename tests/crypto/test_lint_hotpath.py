@@ -402,6 +402,140 @@ def test_no_kernel_table_exceeds_4096_entries():
 
 
 # --------------------------------------------------------------------------
+# ISSUE 18 extension: the batch cipher stays in arrays.
+#
+# A sealing run steps a ``(depth, lanes)`` matrix: the loop around
+# ``crypt_wide`` may slice and xor arrays, nothing else — a nested loop,
+# a comprehension, ``.tolist()``, ``.append(`` or ``array(`` there is
+# the per-step marshalling (128 Python ints out and back in per pass)
+# the matrix replaced.  Unsealing has no sequential cipher at all, so
+# ``pcbc_decrypt_many`` calls ``crypt_wide`` once, outside any loop.
+# --------------------------------------------------------------------------
+
+MODES = CRYPTO / "modes.py"
+
+#: Calls that move a step's lanes between arrays and Python objects.
+MARSHALLING = {"tolist", "append", "array"}
+
+
+def _callee(call: ast.Call) -> str:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", "")
+
+
+def _calls_crypt_wide(node: ast.AST) -> bool:
+    return any(
+        isinstance(inner, ast.Call) and _callee(inner) == "crypt_wide"
+        for inner in ast.walk(node)
+    )
+
+
+def _step_loops(tree: ast.AST) -> list:
+    """``(function name, loop)`` for every ``for``/``while`` statement
+    whose body reaches ``crypt_wide``, outermost only."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        inner_loops = set()
+        for loop in ast.walk(func):
+            if (
+                isinstance(loop, (ast.For, ast.While))
+                and loop not in inner_loops
+                and _calls_crypt_wide(loop)
+            ):
+                found.append((func.name, loop))
+                inner_loops.update(ast.walk(loop))
+    return found
+
+
+def _step_violations(loop: ast.AST) -> list:
+    """(lineno, what) for everything in a step loop that is not array
+    work."""
+    found = []
+    for node in ast.walk(loop):
+        if node is loop:
+            continue
+        if isinstance(node, _LOOPY):
+            found.append((node.lineno, type(node).__name__))
+        if isinstance(node, ast.Call) and _callee(node) in MARSHALLING:
+            found.append((node.lineno, f"{_callee(node)}()"))
+    return sorted(set(found))
+
+
+def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
+    (func,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return func
+
+
+def _wide_calls(func: ast.FunctionDef) -> tuple:
+    """(calls to ``crypt_wide``, those of them inside a loop or a
+    comprehension) as line numbers."""
+    looped = {
+        inner.lineno
+        for node in ast.walk(func) if isinstance(node, _LOOPY)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Call) and _callee(inner) == "crypt_wide"
+    }
+    calls = sorted(
+        node.lineno for node in ast.walk(func)
+        if isinstance(node, ast.Call) and _callee(node) == "crypt_wide"
+    )
+    return calls, sorted(looped)
+
+
+def test_the_wide_seal_step_stays_in_arrays():
+    tree = ast.parse(MODES.read_text(encoding="utf-8"))
+    loops = _step_loops(tree)
+    # One stepped run in the module: sealing's.
+    assert [name for name, _ in loops] == ["_pcbc_encrypt_run"]
+    for name, loop in loops:
+        assert not _step_violations(loop), (name, _step_violations(loop))
+
+
+def test_unsealing_is_one_pass_outside_any_loop():
+    tree = ast.parse(MODES.read_text(encoding="utf-8"))
+    calls, looped = _wide_calls(_function(tree, "pcbc_decrypt_many"))
+    assert len(calls) == 1 and not looped, (calls, looped)
+    # The sealing run is where a looped call lives — the lint sees it.
+    calls, looped = _wide_calls(_function(tree, "_pcbc_encrypt_run"))
+    assert calls == looped and len(calls) == 1
+
+
+def test_array_lints_catch_planted_offenders():
+    planted = ast.parse(
+        "def _pcbc_run_wide(jobs):\n"
+        "    chains = np.array([job[1] for job in jobs])\n"  # once: fine
+        "    while step < depth:\n"
+        "        while active and lens[active - 1] <= step:\n"
+        "            active -= 1\n"
+        "        blk = np.array([lanes[i][2][step] for i in range(active)])\n"
+        "        y = des_simd.crypt_wide(blk ^ chains[:active], km)\n"
+        "        for i, value in enumerate(y.tolist()):\n"
+        "            lanes[i][3].append(value)\n"
+        "        out[step, :active] = y\n"  # array work: fine
+        "        step += 1\n"
+        "def pcbc_decrypt_many(items):\n"
+        "    for key, data in items:\n"
+        "        plain = crypt_wide(data, keymat([key]))\n"
+        "    return [crypt_wide(d, km) for d in items], crypt_wide(all, km)\n"
+    )
+    loops = _step_loops(planted)
+    assert [name for name, _ in loops] == [
+        "_pcbc_run_wide", "pcbc_decrypt_many",
+    ]
+    assert _step_violations(loops[0][1]) == [
+        (4, "While"), (6, "ListComp"), (6, "array()"), (8, "For"),
+        (8, "tolist()"), (9, "append()"),
+    ]
+    assert _wide_calls(_function(planted, "pcbc_decrypt_many")) == (
+        [14, 15, 15], [14, 15],
+    )
+
+
+# --------------------------------------------------------------------------
 # ISSUE 14 extension: one request plane, by construction.
 #
 # A single request is a batch of one.  The classic per-datagram path is

@@ -5,8 +5,8 @@ tables, fully unrolled; since ISSUE 13 with both Feistel halves kept in
 E-expanded form so the expansion never runs) and moved the block modes
 into the integer domain.  The original byte-at-a-time implementations
 survive test-side as the oracle (``tests/crypto/reference_des.py``:
-``crypt_int_ref``, the ``*_ref`` mode loops, ``seal_ref``), and this
-suite pins the two paths against each other — randomized sweeps plus
+``crypt_int_ref`` under its own ``key_schedule_ref``, the ``*_ref`` mode
+loops, ``seal_ref``), and this suite pins the two paths against each other — randomized sweeps plus
 hypothesis properties — so any future "optimization" that drifts a
 single bit fails here, not in a realm.
 
@@ -39,6 +39,7 @@ from tests.crypto.reference_des import (
     ecb_decrypt_ref,
     ecb_encrypt_ref,
     frame_ref,
+    key_schedule_ref,
     pcbc_decrypt_ref,
     pcbc_encrypt_ref,
     seal_prefix_state,
@@ -67,25 +68,27 @@ class TestCryptIntAgainstReference:
     @given(st.binary(min_size=8, max_size=8), blocks64)
     @settings(max_examples=60)
     def test_encrypt_matches_reference(self, key_bytes, block):
-        subkeys = _key_schedule(key_bytes)
-        assert crypt_int(block, subkeys) == crypt_int_ref(block, subkeys)
+        assert crypt_int(block, _key_schedule(key_bytes)) == crypt_int_ref(
+            block, key_schedule_ref(key_bytes)
+        )
 
     @given(st.binary(min_size=8, max_size=8), blocks64)
     @settings(max_examples=60)
     def test_decrypt_matches_reference(self, key_bytes, block):
-        subkeys = tuple(reversed(_key_schedule(key_bytes)))
-        assert crypt_int(block, subkeys) == crypt_int_ref(block, subkeys)
+        assert crypt_int(
+            block, _key_schedule(key_bytes)[::-1]
+        ) == crypt_int_ref(block, key_schedule_ref(key_bytes)[::-1])
 
     def test_seeded_sweep(self):
         """A deterministic thousand-block sweep beyond hypothesis's budget."""
         rng = random.Random(1988)
         for _ in range(1000):
-            subkeys = _key_schedule(rng.randbytes(8))
+            raw = rng.randbytes(8)
+            subkeys = _key_schedule(raw)
             block = rng.getrandbits(64)
             out = crypt_int(block, subkeys)
-            assert out == crypt_int_ref(block, subkeys)
-            back = crypt_int(out, tuple(reversed(subkeys)))
-            assert back == block
+            assert out == crypt_int_ref(block, key_schedule_ref(raw))
+            assert crypt_int(out, subkeys[::-1]) == block
 
 
 class TestModesAgainstReference:
@@ -292,8 +295,8 @@ class TestBatchModes:
     """seal_many/unseal_many and the pcbc_*_many kernels are
     bit-identical to per-message calls, for every batch shape."""
 
-    # Every count here is below the wide threshold: one single-lane run
-    # per message (TestWideLanes covers the other side).
+    # Every count here is below the sealing threshold: one single-lane
+    # run per message (TestWideLanes covers the other side).
     @pytest.mark.parametrize("count", [1, 2, 3, 7, 13])
     def test_seal_many_matches_singles(self, count):
         from repro.crypto import seal_many
@@ -369,7 +372,7 @@ class TestBatchModes:
 
     def test_interleaved_blocks_counter_advances(self, monkeypatch):
         """The counter counts wide-lane blocks, and only those."""
-        from repro.crypto import des_simd, seal_many
+        from repro.crypto import des_simd, seal_many, unseal_many
         from repro.crypto.modes import WIDE_MIN_LANES, interleaved_blocks
 
         rng = random.Random(2)
@@ -378,15 +381,23 @@ class TestBatchModes:
             for _ in range(WIDE_MIN_LANES)
         ]
         before = interleaved_blocks()
-        seal_many(items[:8])  # sub-threshold: single-lane, not counted
+        sealed = seal_many(items[:8])  # sub-threshold: single-lane, not counted
+        # 64 data bytes frame to ten blocks: three messages are 30 lanes
+        # when unsealing, four are 40.
+        pairs = [(key, blob) for (key, _d), blob in zip(items, sealed)]
+        unseal_many(pairs[:3])
         assert interleaved_blocks() == before
         if des_simd.available():
+            unseal_many(pairs[:4])
+            assert interleaved_blocks() == before + 40
+            before = interleaved_blocks()
             seal_many(items)
-            # 64 data bytes frame to ten blocks, all lanes to the end.
+            # All lanes run to the end.
             assert interleaved_blocks() == before + 10 * WIDE_MIN_LANES
         before = interleaved_blocks()
         monkeypatch.setattr(des_simd, "_np", None)
         seal_many(items)  # numpy-less: single-lane, not counted
+        unseal_many(pairs)
         assert interleaved_blocks() == before
 
 
@@ -457,7 +468,7 @@ class TestSkeletonCache:
 class TestWideLanes:
     """The numpy wide-lane kernel (``des_simd``) behind seal_many.
 
-    Batches of >= ``modes.WIDE_MIN_LANES`` jobs take the vectorized
+    Runs of >= ``modes.WIDE_MIN_LANES`` lanes take the vectorized
     path; these tests pin it bit-exact against the loop kernel and the
     single-lane one, including ragged lengths (active-lane shrink +
     single-lane tails).
@@ -471,25 +482,29 @@ class TestWideLanes:
 
     @staticmethod
     def _lanes(rng, count):
-        """Per-lane distinct keys, alternating enc/dec schedules."""
-        schedules = []
+        """Per-lane distinct keys, alternating enc/dec schedules:
+        production's subkeys, the oracle's, and a block per lane."""
+        schedules, oracle = [], []
         for lane in range(count):
-            key = DesKey(rng.randbytes(8), allow_weak=True)
-            schedules.append(
-                key._dec_subkeys if lane % 2 else key._enc_subkeys
-            )
-        return schedules, [rng.getrandbits(64) for _ in range(count)]
+            raw = rng.randbytes(8)
+            step = -1 if lane % 2 else 1
+            schedules.append(_key_schedule(raw)[::step])
+            oracle.append(key_schedule_ref(raw)[::step])
+        return schedules, oracle, [rng.getrandbits(64) for _ in range(count)]
 
     def test_crypt_wide_matches_scalar_kernel(self):
         """... and both match the loop kernel, lane by lane."""
         from repro.crypto import des_simd
 
         np = des_simd._np
-        # 1/2: degenerate vectors; 31/32/33: either side of the runner's
-        # threshold; 128: a full KDC buffer.
-        for count in (1, 2, 31, 32, 33, 128):
-            schedules, blocks = self._lanes(random.Random(900 + count), count)
-            want = [crypt_int_ref(b, sk) for b, sk in zip(blocks, schedules)]
+        # 1/2: degenerate vectors; 31/32/33: either side of the sealing
+        # threshold; 128: a full KDC buffer; 1,024: its 64 TGTs unsealed
+        # in one pass.
+        for count in (1, 2, 31, 32, 33, 128, 1024):
+            schedules, oracle, blocks = self._lanes(
+                random.Random(900 + count), count
+            )
+            want = [crypt_int_ref(b, sk) for b, sk in zip(blocks, oracle)]
             km = des_simd.keymat(schedules)
             out = des_simd.crypt_wide(np.array(blocks, dtype=np.uint64), km)
             assert out.tolist() == want
@@ -507,11 +522,12 @@ class TestWideLanes:
 
         np = des_simd._np
         rng = random.Random(5)
-        subkeys = _key_schedule(rng.randbytes(8))
+        raw = rng.randbytes(8)
+        subkeys = _key_schedule(raw)
         block = rng.getrandbits(64)
-        baseline = crypt_int_ref(block, subkeys)
+        baseline = crypt_int_ref(block, key_schedule_ref(raw))
         for _ in range(20):
-            schedules, blocks = self._lanes(rng, 33)
+            schedules, _oracle, blocks = self._lanes(rng, 33)
             lane = rng.randrange(33)
             schedules[lane], blocks[lane] = subkeys, block
             out = des_simd.crypt_wide(
@@ -556,138 +572,337 @@ class TestWideLanes:
 
 
 # --------------------------------------------------------------------------
-# ISSUE 12: one PCBC job runner for both directions.
+# ISSUE 18: the batch cipher lives in arrays, one shape per direction.
 #
-# ``modes._pcbc_run_jobs`` carries a direction per job, so unsealing
-# reaches the wide kernel exactly as sealing does and one run may mix
-# the two.  Everything below is pinned against the loop kernel
-# (``crypt_int_ref``, through the byte-path PCBC reference modes).
+# Sealing steps a ``(depth, lanes)`` matrix — a lane is a message — and
+# unsealing is one pass over every block of every message — a lane is a
+# block, the chain a running xor.  No run mixes directions, so everything
+# below drives the public entry points (``pcbc_*_many``, ``seal_many``,
+# ``seal_resume_many``, ``unseal_many``) and is pinned against the loop
+# kernel through the byte-path PCBC reference modes.
 # --------------------------------------------------------------------------
 
 
-def _mixed_jobs(rng, count, min_blocks=0, max_blocks=14, lengths=None):
-    """``count`` runner jobs of random direction/key/IV/length, plus the
-    reference output of each."""
-    from repro.crypto.bits import int_to_bytes
-    from repro.crypto.modes import _unpack_blocks
-
-    jobs, expected = [], []
-    for lane in range(count):
+def _mixed_items(rng, count, max_blocks=14):
+    """``count`` messages of random key and length (0 and 1 block
+    included), each to be sealed or unsealed at random: ``(seal items,
+    unseal items)``."""
+    sealing, unsealing = [], []
+    for _ in range(count):
         key = DesKey(rng.randbytes(8), allow_weak=True)
-        decrypt = rng.random() < 0.5
-        n_blocks = (
-            lengths[lane] if lengths is not None
-            else rng.randrange(min_blocks, max_blocks + 1)
-        )
-        data = rng.randbytes(8 * n_blocks)
-        chain0 = rng.getrandbits(64)
-        iv = int_to_bytes(chain0, 8)
-        if decrypt:
-            expected.append(pcbc_decrypt_ref(key, data, iv))
-            subkeys = key._dec_subkeys
-        else:
-            expected.append(pcbc_encrypt_ref(key, data, iv))
-            subkeys = key._enc_subkeys
-        jobs.append(
-            [subkeys, chain0, _unpack_blocks(data, "test"), [], decrypt]
-        )
-    return jobs, expected
+        side = unsealing if rng.random() < 0.5 else sealing
+        side.append((key, rng.randbytes(8 * rng.randrange(max_blocks + 1))))
+    return sealing, unsealing
 
 
-def _assert_jobs_match(jobs, expected):
-    from repro.crypto.modes import _pack_blocks
+def _assert_both_directions_match(sealing, unsealing, rng):
+    """Each direction's batch, under its own non-zero IV, is the oracle's
+    per-message PCBC."""
+    from repro.crypto import pcbc_decrypt_many, pcbc_encrypt_many
 
-    for job, want in zip(jobs, expected):
-        _sk, chain, blocks, out, _decrypt = job
-        assert _pack_blocks(out) == want
-        if blocks:
-            # The resumable state: chain = in ^ out of the last block.
-            assert chain == blocks[-1] ^ out[-1]
+    iv = rng.randbytes(8)
+    assert pcbc_encrypt_many(sealing, iv) == [
+        pcbc_encrypt_ref(key, data, iv) for key, data in sealing
+    ]
+    iv = rng.randbytes(8)
+    assert pcbc_decrypt_many(unsealing, iv) == [
+        pcbc_decrypt_ref(key, data, iv) for key, data in unsealing
+    ]
+
+
+def _spy_on_crypt_wide(monkeypatch):
+    """The lane count of every wide pass made from here on."""
+    from repro.crypto import des_simd
+
+    if not des_simd.available():
+        pytest.skip("numpy not available; wide path disabled")
+    passes = []
+    real = des_simd.crypt_wide
+    monkeypatch.setattr(
+        des_simd, "crypt_wide",
+        lambda b, km: passes.append(len(b)) or real(b, km),
+    )
+    return passes
+
+
+def _sealed_batch(rng, payload_lens):
+    """One sealed message per payload length: ``(key, blob)`` pairs and
+    the payloads."""
+    pairs, payloads = [], []
+    for n in payload_lens:
+        key = DesKey(rng.randbytes(8), allow_weak=True)
+        payloads.append(rng.randbytes(n))
+        pairs.append((key, seal_ref(key, payloads[-1])))
+    return pairs, payloads
 
 
 class TestDirectionCarryingRunner:
-    # 1/2: single-lane per job; 31/32/33: either side of the wide
-    # threshold; 128: a full KDC buffer.
+    """Named for the ISSUE 12 runner these cases first pinned; since
+    ISSUE 18 a direction is a shape, not a flag on a job, and the cases
+    drive the public batch entry points."""
+
+    # 1/2: single-lane per message; 31/32/33: around the wide threshold;
+    # 128: a full KDC buffer.
     @pytest.mark.parametrize("count", [1, 2, 31, 32, 33, 128])
     def test_mixed_directions_ragged_lengths(self, count):
-        from repro.crypto.modes import _pcbc_run_jobs
+        """A mixed bag of messages to seal and to unseal, 0 to 14 blocks
+        long, split by direction — one run never mixes them."""
+        rng = random.Random(1200 + count)
+        sealing, unsealing = _mixed_items(rng, count)
+        _assert_both_directions_match(sealing, unsealing, rng)
 
-        jobs, expected = _mixed_jobs(random.Random(1200 + count), count)
-        _pcbc_run_jobs(jobs)
-        _assert_jobs_match(jobs, expected)
+    @pytest.mark.parametrize("lanes", [31, 32, 33])
+    def test_a_lane_is_a_message_when_sealing(self, lanes, monkeypatch):
+        from repro.crypto import pcbc_encrypt_many
+
+        passes = _spy_on_crypt_wide(monkeypatch)
+        rng = random.Random(lanes)
+        items = [
+            (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(24))
+            for _ in range(lanes)
+        ]
+        iv = rng.randbytes(8)
+        assert pcbc_encrypt_many(items, iv) == [
+            pcbc_encrypt_ref(key, data, iv) for key, data in items
+        ]
+        assert passes == ([lanes] * 3 if lanes >= 32 else [])
+
+    @pytest.mark.parametrize("lanes", [31, 32, 33])
+    def test_a_lane_is_a_block_when_unsealing(self, lanes, monkeypatch):
+        """Four messages (one of them empty) of ``lanes`` blocks in all
+        make one pass of ``lanes`` lanes, or none below the threshold."""
+        from repro.crypto import pcbc_decrypt_many
+
+        passes = _spy_on_crypt_wide(monkeypatch)
+        rng = random.Random(lanes)
+        items = [
+            (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(8 * n))
+            for n in (lanes - 20, 0, 1, 19)
+        ]
+        iv = rng.randbytes(8)
+        assert pcbc_decrypt_many(items, iv) == [
+            pcbc_decrypt_ref(key, data, iv) for key, data in items
+        ]
+        assert passes == ([lanes] if lanes >= 32 else [])
 
     def test_tails_drop_below_threshold_mid_run(self, monkeypatch):
         """40 lanes, 25 of them short: after two wide steps only 15
-        stay active, so the long tails finish on the single-lane kernel."""
-        from repro.crypto import des_simd
-        from repro.crypto.modes import _pcbc_run_jobs
+        stay active, so the long tails finish on the single-lane kernel
+        — each from its own resume chain."""
+        from repro.crypto import seal_resume_many
 
-        if not des_simd.available():
-            pytest.skip("numpy not available; wide path disabled")
-        lengths = [2] * 25 + [11, 12, 13] * 5
+        passes = _spy_on_crypt_wide(monkeypatch)
+        # Behind a cached header block: bodies of 2, 11, 12 and 13 blocks.
+        payload_lens = [8] * 25 + [80, 88, 96] * 5
         rng = random.Random(1212)
-        rng.shuffle(lengths)
-        jobs, expected = _mixed_jobs(rng, 40, lengths=lengths)
-        passes = []
-        real = des_simd.crypt_wide
-        monkeypatch.setattr(
-            des_simd, "crypt_wide",
-            lambda b, km: passes.append(len(b)) or real(b, km),
-        )
-        _pcbc_run_jobs(jobs)
-        _assert_jobs_match(jobs, expected)
+        rng.shuffle(payload_lens)
+        jobs, whole = [], []
+        for n in payload_lens:
+            key = DesKey(rng.randbytes(8), allow_weak=True)
+            payload = rng.randbytes(n)
+            state = seal_prefix_state(key, n, b"")
+            jobs.append((key, state, payload))
+            whole.append(seal_ref(key, payload))
+        assert seal_resume_many(jobs) == whole
         assert passes == [40, 40]
 
     @pytest.mark.parametrize("count", [33, 128])
     def test_numpy_absent(self, count, monkeypatch):
         from repro.crypto import des_simd
-        from repro.crypto.modes import _pcbc_run_jobs
+        from repro.crypto.modes import interleaved_blocks
 
         monkeypatch.setattr(des_simd, "_np", None)
         assert not des_simd.available()
-        jobs, expected = _mixed_jobs(random.Random(77 + count), count)
-        _pcbc_run_jobs(jobs)
-        _assert_jobs_match(jobs, expected)
+        rng = random.Random(77 + count)
+        sealing, unsealing = _mixed_items(rng, count)
+        before = interleaved_blocks()
+        _assert_both_directions_match(sealing, unsealing, rng)
+        _assert_resumed_jobs_match_whole_seals(rng, count, 120)
+        assert interleaved_blocks() == before
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
     def test_property_any_shape(self, data):
-        from repro.crypto.modes import _pcbc_run_jobs
+        """Sealing, any shape: whole messages under one IV, and split
+        seals each from its own resume chain."""
+        from repro.crypto import pcbc_encrypt_many
 
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         count = data.draw(st.integers(min_value=1, max_value=48))
-        jobs, expected = _mixed_jobs(rng, count, max_blocks=6)
-        _pcbc_run_jobs(jobs)
-        _assert_jobs_match(jobs, expected)
+        items = [
+            (
+                DesKey(rng.randbytes(8), allow_weak=True),
+                rng.randbytes(8 * rng.randrange(0, 7)),
+            )
+            for _ in range(count)
+        ]
+        iv = rng.randbytes(8)
+        assert pcbc_encrypt_many(items, iv) == [
+            pcbc_encrypt_ref(key, plain, iv) for key, plain in items
+        ]
+        _assert_resumed_jobs_match_whole_seals(rng, count, 56)
 
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_property_any_shape_unsealing(self, data):
+        from repro.crypto import pcbc_decrypt_many
+
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        count = data.draw(st.integers(min_value=1, max_value=48))
+        max_blocks = data.draw(st.sampled_from([1, 2, 6, 40]))
+        items = [
+            (
+                DesKey(rng.randbytes(8), allow_weak=True),
+                rng.randbytes(8 * rng.randrange(0, max_blocks + 1)),
+            )
+            for _ in range(count)
+        ]
+        iv = rng.randbytes(8)
+        assert pcbc_decrypt_many(items, iv) == [
+            pcbc_decrypt_ref(key, cipher, iv) for key, cipher in items
+        ]
+
+    # 31 sealed messages are below the sealing threshold but 217 blocks:
+    # they seal single-lane and unseal in one pass.
     @pytest.mark.parametrize("count,wide", [(31, False), (32, True)])
     def test_unseal_many_reaches_the_wide_kernel_like_sealing(
         self, count, wide, monkeypatch
     ):
-        from repro.crypto import des_simd, seal_many, unseal_many
+        from repro.crypto import seal_many, unseal_many
 
-        if not des_simd.available():
-            pytest.skip("numpy not available; wide path disabled")
+        passes = _spy_on_crypt_wide(monkeypatch)
         rng = random.Random(count)
         items = [
             (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(40))
             for _ in range(count)
         ]
-        passes = []
-        real = des_simd.crypt_wide
-        monkeypatch.setattr(
-            des_simd, "crypt_wide",
-            lambda b, km: passes.append(len(b)) or real(b, km),
-        )
         sealed = seal_many(items)
         sealing_passes = len(passes)
         opened = unseal_many(
             [(key, blob) for (key, _d), blob in zip(items, sealed)]
         )
         assert opened == [d for _k, d in items]
-        assert sealed == [seal(k, d) for k, d in items]
-        assert (sealing_passes > 0) == wide
-        assert len(passes) == 2 * sealing_passes
+        assert sealed == [seal_ref(k, d) for k, d in items]
+        assert sealing_passes == (7 if wide else 0)
+        assert passes[sealing_passes:] == [7 * count]
+
+    def test_misaligned_message_is_refused_not_joined(self):
+        """Two 4-byte messages join to one whole block; neither is one."""
+        from repro.crypto import pcbc_decrypt_many, pcbc_encrypt_many
+
+        key = DesKey(bytes.fromhex("133457799BBCDFF1"))
+        items = [(key, bytes(40))] * 32 + [(key, b"half")] * 2
+        with pytest.raises(ValueError, match="plaintext length 4"):
+            pcbc_encrypt_many(items)
+        with pytest.raises(ValueError, match="ciphertext length 4"):
+            pcbc_decrypt_many(items)
+
+
+class TestOnePassUnsealing:
+    """``P_i = D(C_i) ^ IV ^ S_0 ^ ... ^ S_{i-1}`` over one flat buffer:
+    the running xor must start afresh at every message boundary."""
+
+    def test_the_chain_stops_at_the_message_boundary(self, monkeypatch):
+        """Flip any one bit of message *k*: item *k* fails as a whole —
+        the paper's propagation "throughout the message" — and every
+        batchmate's plaintext is byte-identical: throughout, and no
+        further."""
+        from repro.crypto import IntegrityError, unseal_many
+
+        passes = _spy_on_crypt_wide(monkeypatch)
+        rng = random.Random(1988)
+        pairs, payloads = _sealed_batch(rng, [40, 0, 3, 64, 8, 17, 0, 90])
+        assert unseal_many(pairs) == payloads
+        for k, (key, blob) in enumerate(pairs):
+            # Every bit of the two-block messages; elsewhere the first
+            # bit, the last, and a sample between.
+            bits = range(8 * len(blob)) if len(blob) == 16 else (
+                [0, 8 * len(blob) - 1]
+                + rng.sample(range(8 * len(blob)), 12)
+            )
+            for bit in bits:
+                bent = bytearray(blob)
+                bent[bit // 8] ^= 0x80 >> (bit % 8)
+                batch = list(pairs)
+                batch[k] = (key, bytes(bent))
+                opened = unseal_many(batch)
+                assert isinstance(opened[k], IntegrityError), (k, bit)
+                opened[k] = payloads[k]
+                assert opened == payloads, (k, bit)
+        assert len(set(passes)) == 1 and passes[0] >= 32  # one pass each
+
+    def test_a_flipped_bit_garbles_its_message_from_that_block_on(self):
+        """Below the seal frame: the blocks before the flip survive, the
+        flipped block and every later one of *that message* change, and
+        no other message does."""
+        from repro.crypto import pcbc_decrypt_many
+
+        rng = random.Random(22)
+        items = [
+            (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(8 * n))
+            for n in (9, 12, 1, 14)
+        ]
+        iv = rng.randbytes(8)
+        clean = pcbc_decrypt_many(items, iv)
+        for k, block in ((0, 0), (1, 5), (1, 11), (2, 0), (3, 13)):
+            key, cipher = items[k]
+            bent = bytearray(cipher)
+            bent[8 * block + rng.randrange(8)] ^= 1 << rng.randrange(8)
+            batch = list(items)
+            batch[k] = (key, bytes(bent))
+            out = pcbc_decrypt_many(batch, iv)
+            assert out == [
+                pcbc_decrypt_ref(key, data, iv) for key, data in batch
+            ]
+            assert out[:k] + out[k + 1:] == clean[:k] + clean[k + 1:]
+            assert out[k][: 8 * block] == clean[k][: 8 * block]
+            for later in range(block, len(cipher) // 8):
+                span = slice(8 * later, 8 * later + 8)
+                assert out[k][span] != clean[k][span], (k, block, later)
+
+    def test_first_last_and_squeezed_messages(self):
+        """``unseal_many`` is ``[unseal ...]`` at the edges of the flat
+        buffer: its first message, its last, and a two-block message
+        between two 30-block ones."""
+        from repro.crypto import IntegrityError, unseal_many
+
+        rng = random.Random(30)
+        pairs, payloads = _sealed_batch(rng, [220, 0, 217])
+        assert [len(blob) // 8 for _key, blob in pairs] == [30, 2, 30]
+        assert unseal_many(pairs) == payloads
+        assert payloads == [unseal_ref(key, blob) for key, blob in pairs]
+        assert payloads == [unseal(key, blob) for key, blob in pairs]
+        # Each position in turn under the wrong key: only it fails.
+        wrong = DesKey(rng.randbytes(8), allow_weak=True)
+        for k in range(3):
+            batch = list(pairs)
+            batch[k] = (wrong, pairs[k][1])
+            opened = unseal_many(batch)
+            assert isinstance(opened[k], IntegrityError)
+            assert [o for i, o in enumerate(opened) if i != k] == [
+                p for i, p in enumerate(payloads) if i != k
+            ]
+
+    def test_bad_items_do_not_poison_a_one_pass_batch(self, monkeypatch):
+        from repro.crypto import IntegrityError, unseal_many
+
+        passes = _spy_on_crypt_wide(monkeypatch)
+        rng = random.Random(8)
+        pairs, payloads = _sealed_batch(rng, [40] * 8)
+        wrong_key = DesKey(rng.randbytes(8), allow_weak=True)
+        batch = list(pairs)
+        batch[1] = (wrong_key, pairs[1][1])        # wrong key: bad magic
+        batch[2] = (pairs[2][0], pairs[2][1][:-8])  # a block short: trailer
+        batch[3] = (pairs[3][0], pairs[3][1][:-3])  # misaligned: never run
+        batch[5] = (pairs[5][0], pairs[5][1][:8])   # one block: never run
+        opened = unseal_many(batch)
+        for i, (got, want) in enumerate(zip(opened, payloads)):
+            if i in (1, 2, 3, 5):
+                assert isinstance(got, IntegrityError), i
+                assert got.__traceback__ is None
+            else:
+                assert got == want
+        assert passes == [5 * 7 + 6]
 
 
 class TestSkeletonReadOff:

@@ -1,15 +1,18 @@
 """The oracle is anchored to the standard, not to the kernels it judges:
 ``reference_des.py`` against the published vectors ``test_des.py`` uses,
-two-block CBC/PCBC chains worked out by hand from them, and the seal
-frame as literal bytes.  Nothing here calls a production kernel.
+two-block CBC/PCBC chains worked out by hand from them, the key schedule
+against the classic worked example, and the seal frame as literal bytes.
+Nothing here calls a production kernel; the one production function
+judged here is the table-driven key schedule (``TestKeySchedule``).
 """
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
 
-from repro.crypto.des import DesKey
+from repro.crypto.des import DesKey, _key_schedule
 from tests.crypto import reference_des as ref
 from tests.crypto.test_des import KNOWN_VECTORS
 
@@ -27,18 +30,18 @@ def _block(value: int) -> bytes:
 class TestBlockFunction:
     @pytest.mark.parametrize("key,plain,cipher", KNOWN_VECTORS)
     def test_published_vectors_both_directions(self, key, plain, cipher):
-        k = DesKey(bytes.fromhex(key))
+        subkeys = ref.key_schedule_ref(bytes.fromhex(key))
         p, c = int(plain, 16), int(cipher, 16)
-        assert ref.crypt_int_ref(p, k._enc_subkeys) == c
-        assert ref.crypt_int_ref(c, k._dec_subkeys) == p
+        assert ref.crypt_int_ref(p, subkeys) == c
+        assert ref.crypt_int_ref(c, subkeys[::-1]) == p
 
     def test_all_zero_and_nbs_variable_plaintext_vectors(self):
-        k = DesKey(bytes(8), allow_weak=True)
-        assert ref.crypt_int_ref(0, k._enc_subkeys) == 0x8CA64DE9C1B123A7
-        k = DesKey(bytes.fromhex(NBS_KEY), allow_weak=True)
+        subkeys = ref.key_schedule_ref(bytes(8))
+        assert ref.crypt_int_ref(0, subkeys) == 0x8CA64DE9C1B123A7
+        subkeys = ref.key_schedule_ref(bytes.fromhex(NBS_KEY))
         for plain, cipher in ((A1, B1), (A2, B2)):
-            assert ref.crypt_int_ref(plain, k._enc_subkeys) == cipher
-            assert ref.crypt_int_ref(cipher, k._dec_subkeys) == plain
+            assert ref.crypt_int_ref(plain, subkeys) == cipher
+            assert ref.crypt_int_ref(cipher, subkeys[::-1]) == plain
 
     def test_tables_are_built_here_from_the_published_tuples(self):
         from repro.crypto import des
@@ -55,6 +58,49 @@ class TestBlockFunction:
         assert ref._SP[7][0b111111] == (
             1 << (32 - 5) | 1 << (32 - 15) | 1 << (32 - 21)
         )
+
+
+class TestKeySchedule:
+    """The oracle's schedule is pinned to the standard, and production's
+    eight-lookup schedule to the oracle's."""
+
+    def test_classic_worked_example(self):
+        # The key of the ``DesKey`` docstring: K1 and K16 as published
+        # with every textbook walk through the schedule.
+        subkeys = ref.key_schedule_ref(bytes.fromhex("133457799BBCDFF1"))
+        assert len(subkeys) == 16
+        assert f"{subkeys[0]:012X}" == "1B02EFFC7072"
+        assert f"{subkeys[15]:012X}" == "CB3D8B0E17F5"
+
+    def test_production_schedule_on_random_keys(self):
+        rng = random.Random(1988)
+        for _ in range(300):
+            key = rng.randbytes(8)
+            assert _key_schedule(key) == ref.key_schedule_ref(key)
+
+    def test_production_schedule_on_every_single_bit_key(self):
+        """Each of the 64 key bits alone (the schedule is linear over OR,
+        so these are its whole basis), plus none and all."""
+        for bit in range(64):
+            key = (1 << bit).to_bytes(8, "big")
+            assert _key_schedule(key) == ref.key_schedule_ref(key), bit
+        for key in (bytes(8), b"\xff" * 8):
+            assert _key_schedule(key) == ref.key_schedule_ref(key)
+
+    def test_parity_bits_never_reach_a_subkey(self):
+        rng = random.Random(46)
+        for _ in range(20):
+            key = rng.randbytes(8)
+            cleared = bytes(b & 0xFE for b in key)
+            flipped = bytes(b ^ 1 for b in key)
+            want = ref.key_schedule_ref(key)
+            for variant in (cleared, flipped):
+                assert ref.key_schedule_ref(variant) == want
+                assert _key_schedule(variant) == want
+        # ... and each of the 56 other bits reaches at least one.
+        for bit in range(64):
+            subkeys = ref.key_schedule_ref((1 << bit).to_bytes(8, "big"))
+            assert any(subkeys) == (bit % 8 != 0)
 
 
 class TestTwoBlockChains:
@@ -148,8 +194,9 @@ class TestSealFrame:
 
 def test_the_oracle_imports_only_the_published_tables_and_the_key():
     """From ``des``: the FIPS tuples, ``BLOCK_SIZE`` and ``DesKey`` (the
-    key schedule is shared); the permutation compiler from ``bits``;
-    nothing from ``modes`` or ``keycache``, no production kernel."""
+    carrier of the key bytes — never of subkeys); the permutation
+    compiler from ``bits``; nothing from ``modes`` or ``keycache``, no
+    production kernel and no production key schedule."""
     tree = ast.parse(Path(ref.__file__).read_text(encoding="utf-8"))
     imports = {}
     for node in ast.walk(tree):
@@ -160,8 +207,14 @@ def test_the_oracle_imports_only_the_published_tables_and_the_key():
             )
     assert set(imports) == {"repro.crypto.bits", "repro.crypto.des"}
     assert imports["repro.crypto.des"] == {
-        "_IP", "_FP", "_E", "_P", "_SBOXES", "BLOCK_SIZE", "DesKey",
+        "_IP", "_FP", "_E", "_P", "_PC1", "_PC2", "_SHIFTS", "_SBOXES",
+        "BLOCK_SIZE", "DesKey",
     }
+    # No subkey is read off a production key object.
+    assert not [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.endswith("_subkeys")
+    ]
     assert imports["repro.crypto.bits"] == {
         "apply_permutation", "bytes_to_int", "compile_permutation",
         "int_to_bytes",

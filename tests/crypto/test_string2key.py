@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import DesKey, check_parity, is_weak_key, string_to_key
+from repro.crypto.des import WEAK_KEYS
+from repro.crypto.string2key import _derive_string_to_key
+from tests.crypto.reference_des import cbc_encrypt_ref
 
 # Real passwords contain no NULs; the historical algorithm NUL-pads, so
 # "pw" and "pw\x00" deliberately collide (pinned in a test below).
@@ -12,7 +15,41 @@ passwords = st.text(min_size=1, max_size=40).filter(
 )
 
 
+def _odd_parity(block: bytes) -> bytes:
+    return bytes(
+        (b & 0xFE) | (bin(b & 0xFE).count("1") % 2 == 0) for b in block
+    )
+
+
+def _unweaken(key: bytes) -> bytes:
+    return key[:-1] + bytes([key[-1] ^ 0xF0]) if key in WEAK_KEYS else key
+
+
+def string_to_key_ref(data: bytes) -> bytes:
+    """The derivation in loop form, as the module docstring states it:
+    fold a byte at a time, reverse a chunk a bit at a time, CBC-MAC with
+    the oracle's loop."""
+    padded = data + b"\x00" * (-len(data) % 8)
+    folded = bytearray(8)
+    for n in range(len(padded) // 8):
+        chunk = padded[8 * n : 8 * n + 8]
+        if n % 2:
+            bits = f"{int.from_bytes(chunk, 'big'):064b}"[::-1]
+            chunk = int(bits, 2).to_bytes(8, "big")
+        for j in range(8):
+            folded[j] ^= chunk[j]
+    temp = _unweaken(_odd_parity(bytes(folded)))
+    mac = cbc_encrypt_ref(DesKey(temp, allow_weak=True), padded, temp)[-8:]
+    return _unweaken(_odd_parity(mac))
+
+
 class TestStringToKey:
+    @given(passwords, st.sampled_from(["", "ATHENA.MIT.EDU"]))
+    @settings(max_examples=60)
+    def test_matches_the_loop_form_derivation(self, pw, salt):
+        derived = _derive_string_to_key(pw, salt).key_bytes
+        assert derived == string_to_key_ref((pw + salt).encode("utf-8"))
+
     def test_deterministic(self):
         assert (
             string_to_key("correct horse").key_bytes
@@ -79,15 +116,20 @@ class TestStringToKey:
             unseal(string_to_key("wrong"), blob)
 
     def test_known_golden_values(self):
-        """Pin the derivation so the database format stays stable."""
+        """Pin the derivation so the database format stays stable: one
+        chunk, exactly one, one and a byte, many (forward and reversed
+        folds), salted, non-ASCII."""
+        long_pw = "the quick brown fox jumps over the lazy dog" * 3
         golden = {
-            "zeroone": string_to_key("zeroone").key_bytes,
+            ("zeroone", ""): "ad4c7cef383b29e9",
+            ("12345678", ""): "e679cb68dab5c102",
+            ("123456789", ""): "80d98064137ff78a",
+            (long_pw, ""): "df017feab0437fdf",
+            ("hunter2", "ATHENA.MIT.EDU"): "451a5e52a8152cb9",
+            ("pässword", ""): "b5c7c23e04dc5720",
         }
-        # Re-derive to confirm stability within a process; the value is
-        # also used as the regression anchor across refactorings.
-        for pw, key in golden.items():
-            assert string_to_key(pw).key_bytes == key
-            assert len(key) == 8
+        for (pw, salt), key in golden.items():
+            assert string_to_key(pw, salt).key_bytes.hex() == key
 
     @given(passwords, passwords)
     @settings(max_examples=30)
