@@ -40,7 +40,6 @@ from repro.core.messages import (
     KdcReplyBody,
     MessageType,
     PreauthAsRequest,
-    TgsRequest,
     decode_message,
     encode_message,
     verify_preauth,
@@ -48,6 +47,7 @@ from repro.core.messages import (
 from repro.core.replay import CLOCK_SKEW, ReplayCache
 from repro.core.ticket import Ticket, seal_tickets_cached, unseal_structs
 from repro.database.db import KerberosDatabase, NoSuchPrincipal
+from repro.database.masterkey import MasterKeyError
 from repro.database.schema import PrincipalRecord
 from repro.encode import BatchReader, BatchWriter
 from repro.netsim import DeferredReply, IPAddress
@@ -99,27 +99,22 @@ def _frameless(err: KerberosError) -> KerberosError:
 
 class _Prepared(NamedTuple):
     """Everything a successful exchange needs *before* any sealing — the
-    output of the lookup-all stage, consumed by seal-all/encode-all."""
+    output of stage 3, consumed by seal-all/encode-all."""
 
-    kind: str                    # "as" | "tgs"
     mtype: MessageType           # AS_REP | TGS_REP
-    client: Principal            # reply's cleartext client field
-    ticket: Ticket
+    ticket: Ticket               # client, issue time, life, session key
     service_key: DesKey          # seals the ticket
     reply_key: DesKey            # seals the reply body
-    session_key: bytes
     server_field: Principal      # body's server field
-    issue_time: float
-    life: float
     kvno: int
     request_timestamp: float
 
     def body(self, ticket_blob: bytes) -> KdcReplyBody:
         return KdcReplyBody(
-            session_key=self.session_key,
+            session_key=self.ticket.session_key,
             server=self.server_field,
-            issue_time=self.issue_time,
-            life=self.life,
+            issue_time=self.ticket.timestamp,
+            life=self.ticket.life,
             kvno=self.kvno,
             request_timestamp=self.request_timestamp,
             ticket=ticket_blob,
@@ -217,6 +212,8 @@ class KerberosServer(Service):
         self._skeleton_hits = self.metrics.counter(
             "kdc.skeleton_hits_total", self._labels
         )
+        #: ``kdc.ticket_life_seconds`` by kind; see :meth:`_life_series`.
+        self._ticket_life: Dict[str, object] = {}
         if self.shard is not None:
             self.metrics.counter("kdc.referrals_total", self._labels)
         # Principal mutations (kadmin writes on a master, dump/delta
@@ -267,6 +264,15 @@ class KerberosServer(Service):
         )
         return int(all_outcomes - ok)
 
+    def _life_series(self, kind: str):
+        """``kdc.ticket_life_seconds{kind}``, bound when the first ticket
+        of the kind is issued — at attach it would put an empty series
+        in the export of every KDC that never issues one."""
+        series = self._ticket_life[kind] = self.metrics.histogram(
+            "kdc.ticket_life_seconds", LIFETIME_BUCKETS, {**self._labels, "kind": kind}
+        )
+        return series
+
     def _outcome(self, kind: str, code: str) -> None:
         self.metrics.counter(
             "kdc.outcomes_total", {**self._labels, "kind": kind, "code": code}
@@ -301,11 +307,8 @@ class KerberosServer(Service):
     def _process_batch(self, batch) -> None:
         """Worker completion: answer every request in the batch.
 
-        Runs at the batch's simulated completion time.  The whole batch
-        flows through the staged pipeline (:meth:`_serve_batch`):
-        decode-all → unseal-all (the TGS request side) → lookup-all (one
-        memoized DB pass) → seal-all (one block of every message per
-        Feistel pass) → encode-all (one output buffer).
+        Runs at the batch's simulated completion time; the whole batch
+        flows through the staged pipeline (:meth:`_serve_batch`).
         """
         if self.host is None or not self.host.up:
             # Crashed mid-service: the replies die with the process.
@@ -348,16 +351,21 @@ class KerberosServer(Service):
         self, datagrams, waits=None, service_each=None
     ) -> List[memoryview]:
         """The request plane — every request the KDC answers comes
-        through here: explicit decode-all → unseal-all → lookup-all →
-        seal-all → encode-all stages over one batch, be it a datagram
-        answered at arrival, a worker batch or a request buffer.
+        through here, be it a datagram answered at arrival, a worker
+        batch or a request buffer: decode-all → unseal-all (the TGS
+        request side) → lookup-all (one memoized DB pass) → admit →
+        unseal-keys (database keys, one pass under the master key) →
+        draw (session keys, one pass) → seal-all (one block of every
+        message per pass) → encode-all (one output buffer).  No stage
+        calls the cipher per item.
 
-        Item failures are per-item: a garbage frame or a typed
-        :class:`KerberosError` becomes that slot's error reply and the
-        rest of the batch proceeds.  Replies do not depend on how the
-        requests were cut into batches — the replay cache is consulted
-        and keygen state consumed in item order, and the batched unseals
-        and split/interleaved seals are bit-exact by construction.
+        Item failures are per-item: a garbage frame, a typed
+        :class:`KerberosError` or a database row that will not unseal
+        becomes that slot's error reply and the rest of the batch
+        proceeds.  Replies do not depend on how the requests were cut
+        into batches — the replay cache is consulted and the key stream
+        consumed in item order, and the batched unseals, draws and
+        split/interleaved seals are bit-exact by construction.
         """
         n = len(datagrams)
         if waits is None:
@@ -398,27 +406,11 @@ class KerberosServer(Service):
         contexts = self._unseal_all(
             messages, kinds, datagrams, now, errors, crypto_ops, meter
         )
-        # -- stage 3: lookup-all (one memoized DB pass) --------------------
-        records: Dict[tuple, PrincipalRecord] = {}
-        prepared: List[Optional[_Prepared]] = [None] * n
-        for i, message in enumerate(messages):
-            if errors[i] is not None:
-                continue
-            try:
-                if kinds[i] == "as":
-                    prepared[i] = self._prepare_as(
-                        message, datagrams[i], now, records
-                    )
-                else:
-                    # Authenticated: failures from here on are audited
-                    # under the client the TGT names.
-                    principals[i] = str(contexts[i].client)
-                    prepared[i] = self._prepare_tgs(
-                        message, datagrams[i], now, contexts[i], records
-                    )
-            except KerberosError as err:
-                errors[i] = _frameless(err)
-            crypto_ops[i] += meter.lap()
+        # -- stage 3: lookup-all → admit → unseal-keys → draw ---------------
+        prepared = self._issue_all(
+            messages, kinds, datagrams, contexts, now, errors, principals,
+            crypto_ops, meter,
+        )
         # -- stage 4: seal-all (interleaved kernel) ------------------------
         ready = [p for p in prepared if p is not None]
         hits_before = keycache.skeleton_stats()["hit"]
@@ -439,7 +431,7 @@ class KerberosServer(Service):
             p = prepared[i]
             if p is not None:
                 writer.add(p.mtype, KdcReply(
-                    client=p.client, sealed_body=next(sealed_iter)
+                    client=p.ticket.client, sealed_body=next(sealed_iter)
                 ))
             else:
                 writer.add(
@@ -561,6 +553,172 @@ class KerberosServer(Service):
             crypto_ops[i] += meter.lap()
         return contexts
 
+    def _issue_all(
+        self, messages, kinds, datagrams, contexts, now: float, errors,
+        principals, crypto_ops, meter,
+    ) -> List[Optional[_Prepared]]:
+        """Stage 3 — issuance (Figures 5 and 8) up to, not including,
+        the sealing, and nothing in it calls the cipher per item:
+        lookup-all → admit → unseal-keys → draw → build.  Each substage
+        walks the items in order and an item leaves at its first failing
+        check, with the :class:`KerberosError` those checks give a
+        request served alone; no key is unsealed, and no session key
+        drawn, for an item already refused."""
+        rows = self._lookup_all(messages, kinds, contexts, now, errors, principals)
+        keys: Dict[bytes, DesKey] = {}  # database keys, by sealed blob
+        # admit.  Only a client that must first prove its key
+        # (preauthentication) needs one unsealed to be admitted: those
+        # go ahead, every other key waits for the verdict.
+        proving = {
+            i: row[0] for i, row in enumerate(rows)
+            if row and row[0] is not None and row[0].requires_preauth
+        }
+        self._unseal_keys(list(proving.items()), keys, errors, crypto_ops, meter)
+        lives: Dict[int, float] = {}
+        for i, row in enumerate(rows):
+            if row is None or errors[i] is not None:
+                continue
+            try:
+                lives[i] = self._admit(messages[i], contexts[i], row, keys, now)
+            except KerberosError as err:
+                errors[i] = _frameless(err)
+        # unseal-keys: what the admitted still need, in item order — an
+        # AS item's client key (it seals the reply), then the service's
+        # (it seals the ticket) — in one pass under the master key.
+        wave = []
+        for i in lives:
+            if kinds[i] == "as" and i not in proving:
+                wave.append((i, rows[i][0]))
+            wave.append((i, rows[i][1]))
+        self._unseal_keys(wave, keys, errors, crypto_ops, meter)
+        admitted = [i for i in lives if errors[i] is None]
+        # draw — "generates a random session key": one pass, the k-th
+        # admitted item getting the k-th key of the stream.  The KDC
+        # only embeds the bytes, so no key schedule is expanded.
+        session_keys = self.keygen.session_keys_bytes(len(admitted))
+        prepared: List[Optional[_Prepared]] = [None] * len(messages)
+        for i, session_key in zip(admitted, session_keys):
+            request, context, kind = messages[i], contexts[i], kinds[i]
+            client_record, service_record = rows[i]
+            if kind == "as":
+                mtype = MessageType.AS_REP
+                client = request.client.with_realm(self.realm)
+                # Figure 5: "encrypted in the client's private key".
+                reply_key = keys[client_record.sealed_key]
+            else:
+                mtype = MessageType.TGS_REP
+                client = context.client  # realm preserved from the TGT (Sec. 7.2)
+                # Figure 8: "encrypted in the session key that was part
+                # of the ticket-granting ticket" — no password again.
+                reply_key = context.session_key
+            (self._ticket_life.get(kind) or self._life_series(kind)).observe(lives[i])
+            prepared[i] = _Prepared(
+                mtype=mtype,
+                ticket=Ticket(
+                    server=self._canonical_ticket_server(request.service),
+                    client=client,
+                    address=IPAddress(datagrams[i].src).as_int,
+                    timestamp=now,
+                    life=lives[i],
+                    session_key=session_key,
+                ),
+                service_key=keys[service_record.sealed_key],
+                reply_key=reply_key,
+                server_field=request.service.with_realm(
+                    request.service.realm or self.realm
+                ),
+                kvno=service_record.key_version,
+                request_timestamp=request.timestamp,
+            )
+        return prepared
+
+    def _lookup_all(
+        self, messages, kinds, contexts, now: float, errors, principals
+    ) -> List[Optional[tuple]]:
+        """Stage 3a: one memoized database pass in item order — per live
+        item its ``(client record or None, service record)`` — with the
+        TGS refusals that need no key."""
+        records: Dict[tuple, PrincipalRecord] = {}
+        rows: List[Optional[tuple]] = [None] * len(messages)
+        for i, request in enumerate(messages):
+            if errors[i] is not None:
+                continue
+            try:
+                if kinds[i] == "as":
+                    rows[i] = (
+                        self._lookup_client(request.client, now, records),
+                        self._lookup_service(request.service, now, records),
+                    )
+                else:
+                    # Authenticated: failures from here on are audited
+                    # under the client the TGT names.
+                    principals[i] = str(contexts[i].client)
+                    rows[i] = (None, self._lookup_tgs_service(
+                        request.service, contexts[i].client, now, records
+                    ))
+            except KerberosError as err:
+                errors[i] = _frameless(err)
+        return rows
+
+    def _unseal_keys(self, wave, keys, errors, crypto_ops, meter) -> None:
+        """The database keys of ``wave`` — ``(item, record)`` pairs —
+        into ``keys``, in one pass under the master key ("all passwords
+        in the Kerberos database are encrypted in the master database
+        key", Section 5.3).  A row whose key will not unseal refuses the
+        items that need it and nobody else."""
+        if not wave:
+            return
+
+        def charge(position: int) -> None:
+            # A cold blob's key-schedule touch is the first item's that
+            # needs it — what serving the items one at a time charges.
+            crypto_ops[wave[position][0]] += meter.lap()
+
+        unsealed = self.db.master_key.unseal_keys(
+            [record.sealed_key for _i, record in wave], charge
+        )
+        for (i, record), key in zip(wave, unsealed):
+            if not isinstance(key, MasterKeyError):
+                keys[record.sealed_key] = key
+            elif errors[i] is None:  # its first failing check
+                errors[i] = KerberosError(
+                    ErrorCode.KDC_GEN_ERR,
+                    f"database entry {record.name}.{record.instance}: {key}",
+                )
+
+    def _admit(self, request, context, row, keys, now: float) -> float:
+        """One item's last checks — those that need the client's key —
+        and the life its ticket is granted."""
+        client_record, service_record = row
+        if context is not None:
+            # "The lifetime of the new ticket is the minimum of the
+            # remaining life for the ticket-granting ticket and the
+            # default for the service."
+            ceiling = context.ticket.remaining_life(now)
+        else:
+            ceiling = client_record.max_life
+            # Preauthentication (extension, see PreauthAsRequest):
+            # principals flagged require-preauth get no reply without
+            # proof of their key.
+            if client_record.requires_preauth:
+                if not isinstance(request, PreauthAsRequest):
+                    raise KerberosError(
+                        ErrorCode.KDC_PREAUTH_REQUIRED,
+                        f"{request.client} requires preauthentication",
+                    )
+                if abs(now - request.timestamp) > self.skew:
+                    raise KerberosError(
+                        ErrorCode.KDC_PREAUTH_FAILED,
+                        "preauthentication timestamp outside the skew window",
+                    )
+                client_key = keys[client_record.sealed_key]
+                if not verify_preauth(request.preauth, client_key, request.timestamp):
+                    raise KerberosError(
+                        ErrorCode.KDC_PREAUTH_FAILED,
+                        "preauthentication did not verify",
+                    )
+        return max(0.0, min(request.requested_life, ceiling, service_record.max_life))
+
     def _get_record(self, principal: Principal, records) -> PrincipalRecord:
         """DB row fetch, memoized in the batch's ``records``."""
         # Keyed by the three names, not the Principal: a tuple of strs
@@ -639,38 +797,30 @@ class KerberosServer(Service):
             )
         return record
 
-    def _prepare_issue(
-        self,
-        client: Principal,
-        service: Principal,
-        service_record: PrincipalRecord,
-        address: IPAddress,
-        life: float,
-        now: float,
-        kind: str = "as",
-    ):
-        """Issuance up to, not including, the sealing: draws the
-        session key, builds the plaintext ticket, unseals the service
-        key.  Returns (ticket, service_key, session_key_bytes); the
-        seal-all stage seals the ticket with its batchmates'."""
-        self.metrics.histogram(
-            "kdc.ticket_life_seconds",
-            LIFETIME_BUCKETS,
-            {**self._labels, "kind": kind},
-        ).observe(life)
-        # The KDC never encrypts with a session key, it only embeds the
-        # bytes — so skip the key-schedule expansion entirely.
-        session_key = self.keygen.session_key_bytes()
-        ticket = Ticket(
-            server=self._canonical_ticket_server(service),
-            client=client,
-            address=IPAddress(address).as_int,
-            timestamp=now,
-            life=life,
-            session_key=session_key,
-        )
-        service_key = self.db.master_key.unseal_key(service_record.sealed_key)
-        return ticket, service_key, session_key
+    def _lookup_tgs_service(
+        self, service: Principal, client: Principal, now: float, records
+    ) -> PrincipalRecord:
+        record = self._lookup_service(service, now, records)
+        # Section 5.1: "the ticket-granting service will not issue
+        # tickets for it" — services flagged no-TGT (the KDBM) must be
+        # reached through the authentication service instead.
+        if not record.tgt_allowed:
+            raise KerberosError(
+                ErrorCode.KDC_PR_NOTGT,
+                f"{service} tickets are only issued by the "
+                "authentication service (a password is required)",
+            )
+        # The paper stops at one hop: a foreign client may use local
+        # services, but chaining onward to a third realm would require
+        # recording "the entire path that was taken" (Section 7.2).
+        is_remote_tgs = service.is_tgs and service.instance != self.realm
+        if is_remote_tgs and client.realm != self.realm:
+            raise KerberosError(
+                ErrorCode.KDC_NO_CROSS_REALM,
+                "realm chaining not supported: only the initial "
+                "authentication realm is recorded in tickets",
+            )
+        return record
 
     def _canonical_ticket_server(self, service: Principal) -> Principal:
         """Tickets for a *remote* TGS (cross-realm) are written with the
@@ -680,78 +830,12 @@ class KerberosServer(Service):
             return tgs_principal(service.instance)
         return service.with_realm(self.realm)
 
-    # -- the authentication service (Figure 5) --------------------------------------
-
-    def _prepare_as(self, request, datagram, now: float, records) -> _Prepared:
-        client_record = self._lookup_client(request.client, now, records)
-        service_record = self._lookup_service(request.service, now, records)
-
-        # Single-pass: the client key is needed to seal the reply in every
-        # successful exchange, so unseal it once up front and reuse it for
-        # preauth verification instead of unsealing per use.
-        client_key = self.db.master_key.unseal_key(client_record.sealed_key)
-
-        # Preauthentication (extension, see PreauthAsRequest): principals
-        # flagged require-preauth get no reply without proof of their key.
-        if client_record.requires_preauth:
-            if not isinstance(request, PreauthAsRequest):
-                raise KerberosError(
-                    ErrorCode.KDC_PREAUTH_REQUIRED,
-                    f"{request.client} requires preauthentication",
-                )
-            if abs(now - request.timestamp) > self.skew:
-                raise KerberosError(
-                    ErrorCode.KDC_PREAUTH_FAILED,
-                    "preauthentication timestamp outside the skew window",
-                )
-            if not verify_preauth(
-                request.preauth, client_key, request.timestamp
-            ):
-                raise KerberosError(
-                    ErrorCode.KDC_PREAUTH_FAILED,
-                    "preauthentication did not verify",
-                )
-
-        life = max(0.0, min(
-            request.requested_life,
-            client_record.max_life,
-            service_record.max_life,
-        ))
-        client = request.client.with_realm(self.realm)
-        ticket, service_key, session_key = self._prepare_issue(
-            client=client,
-            service=request.service,
-            service_record=service_record,
-            address=datagram.src,
-            life=life,
-            now=now,
-            kind="as",
-        )
-        return _Prepared(
-            kind="as",
-            mtype=MessageType.AS_REP,
-            client=client,
-            ticket=ticket,
-            service_key=service_key,
-            reply_key=client_key,
-            session_key=session_key,
-            server_field=request.service.with_realm(
-                request.service.realm or self.realm
-            ),
-            issue_time=now,
-            life=life,
-            kvno=service_record.key_version,
-            request_timestamp=request.timestamp,
-        )
-
-    # -- the ticket-granting service (Figure 8, Section 7.2) ---------------------------
-
     def _tgt_key(self, tgt_realm: str) -> DesKey:
         """The key that should open the presented TGT: our own TGS key for
         local TGTs, the inter-realm key for foreign ones."""
-        if tgt_realm == self.realm:
-            return self.db.principal_key(tgs_principal(self.realm))
         try:
+            if tgt_realm == self.realm:
+                return self.db.principal_key(tgs_principal(self.realm))
             return self.db.principal_key(
                 Principal(XREALM_NAME, tgt_realm, self.realm)
             )
@@ -760,71 +844,8 @@ class KerberosServer(Service):
                 ErrorCode.KDC_NO_CROSS_REALM,
                 f"no inter-realm key with {tgt_realm}",
             ) from None
-
-    def _prepare_tgs(
-        self, request: TgsRequest, datagram, now: float,
-        context: AuthContext, records,
-    ) -> _Prepared:
-        """Everything after authentication: ``context`` is the unseal-all
-        stage's verdict on this request's TGT and authenticator."""
-        client = context.client  # realm preserved from the TGT (Sec. 7.2)
-
-        service_record = self._lookup_service(request.service, now, records)
-        # Section 5.1: "the ticket-granting service will not issue
-        # tickets for it" — services flagged no-TGT (the KDBM) must be
-        # reached through the authentication service instead.
-        if not service_record.tgt_allowed:
+        except MasterKeyError as exc:
             raise KerberosError(
-                ErrorCode.KDC_PR_NOTGT,
-                f"{request.service} tickets are only issued by the "
-                "authentication service (a password is required)",
-            )
-        # The paper stops at one hop: a foreign client may use local
-        # services, but chaining onward to a third realm would require
-        # recording "the entire path that was taken" (Section 7.2).
-        is_remote_tgs = (
-            request.service.is_tgs and request.service.instance != self.realm
-        )
-        if is_remote_tgs and client.realm != self.realm:
-            raise KerberosError(
-                ErrorCode.KDC_NO_CROSS_REALM,
-                "realm chaining not supported: only the initial "
-                "authentication realm is recorded in tickets",
-            )
-
-        # "The lifetime of the new ticket is the minimum of the remaining
-        # life for the ticket-granting ticket and the default for the
-        # service."
-        life = max(0.0, min(
-            request.requested_life,
-            context.ticket.remaining_life(now),
-            service_record.max_life,
-        ))
-        ticket, service_key, session_key = self._prepare_issue(
-            client=client,
-            service=request.service,
-            service_record=service_record,
-            address=datagram.src,
-            life=life,
-            now=now,
-            kind="tgs",
-        )
-        # "the reply is encrypted in the session key that was part of the
-        # ticket-granting ticket" — no password needed again.
-        return _Prepared(
-            kind="tgs",
-            mtype=MessageType.TGS_REP,
-            client=client,
-            ticket=ticket,
-            service_key=service_key,
-            reply_key=context.session_key,
-            session_key=session_key,
-            server_field=request.service.with_realm(
-                request.service.realm or self.realm
-            ),
-            issue_time=now,
-            life=life,
-            kvno=service_record.key_version,
-            request_timestamp=request.timestamp,
-        )
+                ErrorCode.KDC_GEN_ERR, f"TGS key for {tgt_realm}: {exc}"
+            ) from None
 

@@ -7,8 +7,9 @@ pass instead of once per block.  A lane is a block operation that waits
 for no other: when a KDC batch is sealed, one block of *every* message
 (PCBC chains each message to itself, so a run takes one pass per block
 step); when it is unsealed, every block of every message at once (the
-chain is a running xor over ``D(C_i)``, so one pass serves the batch).
-Both shapes live in ``repro.crypto.modes``.
+chain is a running xor over ``D(C_i)``, so one pass serves the batch);
+under ECB — the session-key generator's counter runs — every block.
+The three shapes live in ``repro.crypto.modes``.
 
 The representation is the single-lane kernel's (both Feistel halves
 kept E-expanded, E folded into the SP-pair table outputs), laid out for

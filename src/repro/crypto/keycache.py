@@ -70,6 +70,11 @@ class _LruCache:
         if len(data) > self.maxsize:
             data.popitem(last=False)
 
+    def discard(self, key, value) -> None:
+        """Drop ``key`` if it still holds ``value`` (LRU order untouched)."""
+        if self._data.get(key) is value:
+            del self._data[key]
+
     def clear(self) -> None:
         self._data.clear()
 

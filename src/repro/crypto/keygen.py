@@ -12,16 +12,28 @@ Determinism matters for this reproduction — every experiment and test can
 replay the exact same key stream from a seed — while the construction
 still models the real property that session keys are unpredictable
 without the generator's internal state.
+
+There is one block source, :meth:`KeyGenerator._next_blocks`: a run of
+*n* counters is *n* independent blocks under one key, i.e. one
+:func:`~repro.crypto.modes.ecb_encrypt` call, which rides the wide
+kernel from ``WIDE_MIN_LANES`` blocks up.  A KDC batch draws all its
+tickets' session keys in one :meth:`KeyGenerator.session_keys_bytes`
+call; the stream, and so every key, is the one *n* single draws read.
 """
 
 from __future__ import annotations
+
+import struct
+from typing import List
 
 from repro.crypto.des import (
     BLOCK_SIZE,
     DesKey,
     WEAK_KEYS,
+    _PARITY_TABLE,
     fix_parity,
 )
+from repro.crypto.modes import ecb_encrypt
 
 _DEFAULT_SEED = b"\x9aTHENA\x88\x17seed for the Kerberos reproduction"
 
@@ -56,23 +68,31 @@ class KeyGenerator:
         self._key = _seed_to_key(bytes(seed))
         self._counter = 0
 
-    def _next_block(self) -> bytes:
-        block = self._counter.to_bytes(BLOCK_SIZE, "big")
-        self._counter += 1
-        return self._key.encrypt_block(block)
+    def _next_blocks(self, n: int) -> bytes:
+        """The next ``n`` output blocks of the stream, joined."""
+        counters = range(self._counter, self._counter + n)
+        self._counter += n
+        return ecb_encrypt(self._key, struct.pack(f">{n}Q", *counters))
+
+    def session_keys_bytes(self, n: int) -> List[bytes]:
+        """The raw bytes of ``n`` fresh, parity-correct, non-weak keys:
+        the next ``n`` non-weak blocks of the stream, exactly what ``n``
+        single draws return and with the counter left where they leave
+        it (a weak candidate costs one more block either way).  No key
+        schedule is expanded — the KDC only embeds the bytes in tickets
+        and replies, it never encrypts with a session key."""
+        keys: List[bytes] = []
+        while len(keys) < n:
+            run = self._next_blocks(n - len(keys)).translate(_PARITY_TABLE)
+            keys += [
+                key for i in range(0, len(run), BLOCK_SIZE)
+                if (key := run[i : i + BLOCK_SIZE]) not in WEAK_KEYS
+            ]
+        return keys
 
     def session_key_bytes(self) -> bytes:
-        """Produce the raw bytes of a fresh, parity-correct, non-weak key.
-
-        Consumes exactly the same DRBG stream as :func:`session_key` but
-        skips the key-schedule expansion — the KDC only
-        embeds the bytes in tickets/replies and never encrypts with the
-        session key itself.
-        """
-        while True:
-            candidate = fix_parity(self._next_block())
-            if candidate not in WEAK_KEYS:
-                return candidate
+        """One draw of :meth:`session_keys_bytes`."""
+        return self.session_keys_bytes(1)[0]
 
     def session_key(self) -> DesKey:
         """Produce a fresh, parity-correct, non-weak DES key."""
@@ -82,10 +102,7 @@ class KeyGenerator:
         """Produce ``n`` pseudo-random bytes (nonces, confounders)."""
         if n < 0:
             raise ValueError(f"negative byte count {n}")
-        out = bytearray()
-        while len(out) < n:
-            out += self._next_block()
-        return bytes(out[:n])
+        return self._next_blocks(-(-n // BLOCK_SIZE))[:n]
 
     def random_u32(self) -> int:
         return int.from_bytes(self.random_bytes(4), "big")

@@ -27,9 +27,11 @@ The ``*_many`` batch entry points keep a batch in numpy arrays from the
 message bytes in to the message bytes out, in the two shapes the PCBC
 chain has: unsealing is one pass of the wide kernel
 (:mod:`repro.crypto.des_simd`) over every block of every message, sealing
-one pass per block step over a ``(depth, lanes)`` matrix.  A run with
-fewer than ``WIDE_MIN_LANES`` lanes, or a host without numpy, goes
-through the single-message loops instead.
+one pass per block step over a ``(depth, lanes)`` matrix.  ECB has no
+chain at all, so a long enough ECB run (the session-key generator's
+counter runs) is one pass too.  A run with fewer than
+``WIDE_MIN_LANES`` lanes, or a host without numpy, goes through the
+single-message loops instead.
 The original byte-path loops are the oracle in
 ``tests/crypto/reference_des.py``, and the property suite in
 ``tests/crypto/test_perf_kernels.py`` pins the two bit-exact.
@@ -98,17 +100,28 @@ def _pack_blocks(blocks: list) -> bytes:
 # --------------------------------------------------------------------------
 
 
+def _ecb(subkeys: tuple, data: bytes, what: str) -> bytes:
+    """Every block on its own under one schedule: the third batch shape.
+    No block waits for another, so a block is a lane and a run of
+    ``WIDE_MIN_LANES`` is one pass of the wide kernel under a one-column
+    key matrix (the DRBG's counter runs, see ``repro.crypto.keygen``)."""
+    n = _block_count(data, what)
+    if n >= WIDE_MIN_LANES and des_simd.available():
+        blocks = des_simd._np.frombuffer(data, dtype=_WIRE).astype(_NATIVE)
+        _count_interleaved(n)
+        out = des_simd.crypt_wide(blocks, des_simd.keymat([subkeys]))
+        return out.astype(_WIRE).tobytes()
+    blocks = _unpack_blocks(data, what)
+    return _pack_blocks([crypt_int(b, subkeys) for b in blocks])
+
+
 def ecb_encrypt(key: DesKey, data: bytes) -> bytes:
     """Electronic codebook: each block independently encrypted."""
-    blocks = _unpack_blocks(data, "plaintext")
-    subkeys = key._enc_subkeys
-    return _pack_blocks([crypt_int(b, subkeys) for b in blocks])
+    return _ecb(key._enc_subkeys, data, "plaintext")
 
 
 def ecb_decrypt(key: DesKey, data: bytes) -> bytes:
-    blocks = _unpack_blocks(data, "ciphertext")
-    subkeys = key._dec_subkeys
-    return _pack_blocks([crypt_int(b, subkeys) for b in blocks])
+    return _ecb(key._dec_subkeys, data, "ciphertext")
 
 
 def cbc_encrypt(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
@@ -324,12 +337,12 @@ def _count_interleaved(blocks: int) -> None:
 
 #: Fewest lanes a run needs before it goes to the wide kernel.  A lane
 #: is one independent block operation: a *message* when sealing (one
-#: block of each per pass), a *block* when unsealing (all of them in one
-#: pass).  A wide pass is ~60 numpy dispatches however many lanes ride
-#: it (45-90 us from 8 to 128 lanes) against ~6.5 us per single-lane
-#: block, so a run breaks even near 8 lanes.  Not retuned with the
-#: kernels: which batches ride the lanes is what ``interleaved_blocks``
-#: counts, and the ledger pins that count.
+#: block of each per pass), a *block* when unsealing or under ECB (all
+#: of them in one pass).  A wide pass is ~60 numpy dispatches however
+#: many lanes ride it (45-90 us from 8 to 128 lanes) against ~6.5 us
+#: per single-lane block, so a run breaks even near 8 lanes.  Not
+#: retuned with the kernels: which batches ride the lanes is what
+#: ``interleaved_blocks`` counts, and the ledger pins that count.
 WIDE_MIN_LANES = 32
 
 _NATIVE = des_simd._U64  # the wide kernel's lane dtype
@@ -418,8 +431,15 @@ def pcbc_decrypt_many(
     cipher = np.frombuffer(
         b"".join(data for _key, data in items), dtype=_WIRE
     ).astype(_NATIVE)
-    km = des_simd.keymat([key._dec_subkeys for key, _data in items])
-    decrypted = des_simd.crypt_wide(cipher, np.repeat(km, counts, axis=1))
+    first = items[0][0]
+    if all(key is first for key, _data in items):
+        # One key (the master key over a batch's database blobs, the TGS
+        # key over its TGTs): one column, broadcast across the lanes.
+        km = des_simd.keymat([first._dec_subkeys])
+    else:
+        km = des_simd.keymat([key._dec_subkeys for key, _data in items])
+        km = np.repeat(km, counts, axis=1)
+    decrypted = des_simd.crypt_wide(cipher, km)
     _count_interleaved(total)
     # running[i] = S_0 ^ ... ^ S_{i-1} over the flat buffer; a message's
     # own chain is that minus (xor) its value at the message's start.

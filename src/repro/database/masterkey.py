@@ -15,6 +15,8 @@ the historical ``.k`` file.
 
 from __future__ import annotations
 
+from typing import Callable, Dict, List, Optional, Sequence, Union
+
 from repro.crypto import (
     DesKey,
     IntegrityError,
@@ -22,7 +24,7 @@ from repro.crypto import (
     keycache,
     seal,
     string_to_key,
-    unseal,
+    unseal_many,
     verify_cbc_mac,
 )
 
@@ -59,25 +61,71 @@ class MasterKey:
         """Encrypt a principal's key for storage in the database."""
         return seal(self._key, principal_key.key_bytes)
 
-    def unseal_key(self, sealed: bytes) -> DesKey:
-        """Recover a principal's key from its stored form.
+    def unseal_keys(
+        self,
+        blobs: Sequence[bytes],
+        on_cold: Optional[Callable[[int], None]] = None,
+    ) -> List[Union[DesKey, MasterKeyError]]:
+        """Recover many principals' keys from their stored form, position
+        for position — the one master-key unseal there is.
 
         Results are cached by sealed blob (the KDC unseals the same few
         principal keys for every ticket it issues); the cache honors the
         global :func:`repro.crypto.keycache.caches_disabled` switch.
+        The distinct blobs the cache lacks take **one** ``unseal_many``
+        under the master key (≥ 11 three-block blobs: one pass of the
+        wide kernel) and are scheduled in first-use order,
+        ``on_cold(position)`` being told where each was first needed.
+        A cold blob's cache slot is reserved where it is first met — its
+        list of positions stands in for the key until the pass is done —
+        so the cache sees the get/put sequence of one unseal at a time:
+        what a batch finds cached, and what it evicts, does not depend
+        on how requests were cut into batches.  A blob that will not
+        unseal yields its :class:`MasterKeyError` as a value in its
+        slots — one corrupt row never poisons its batchmates.
         """
         caching = keycache.caching_enabled()
-        if caching:
-            cached = self._unseal_cache.get(bytes(sealed))
-            if cached is not None:
-                return cached
+        cache = self._unseal_cache
+        blobs = [bytes(blob) for blob in blobs]
+        results: List[Union[DesKey, MasterKeyError, None]] = [None] * len(blobs)
+        cold: Dict[bytes, List[int]] = {}
+        for position, blob in enumerate(blobs):
+            found = cache.get(blob) if caching else None
+            if found is None:
+                found = cold.setdefault(blob, [])
+                if caching:
+                    cache.put(blob, found)
+            if type(found) is list:
+                found.append(position)
+            else:
+                results[position] = found
+        if not cold:  # the steady state of a single unseal_key
+            return results
         try:
-            raw = unseal(self._key, sealed)
-        except IntegrityError as exc:
-            raise MasterKeyError(f"cannot unseal principal key: {exc}") from exc
-        key = DesKey.from_bytes(raw, allow_weak=True)
-        if caching:
-            self._unseal_cache.put(bytes(sealed), key)
+            unsealed = unseal_many([(self._key, blob) for blob in cold])
+            for (blob, positions), raw in zip(cold.items(), unsealed):
+                if isinstance(raw, IntegrityError):
+                    key = MasterKeyError(f"cannot unseal principal key: {raw}")
+                else:
+                    key = DesKey.from_bytes(raw, allow_weak=True)
+                    if caching:
+                        cache.put(blob, key)
+                    if on_cold is not None:
+                        on_cold(positions[0])
+                for position in positions:
+                    results[position] = key
+        finally:
+            # No reservation outlives the call: not a failed blob's, and
+            # none at all should anything above raise.
+            for blob, positions in cold.items():
+                cache.discard(blob, positions)
+        return results
+
+    def unseal_key(self, sealed: bytes) -> DesKey:
+        """One-element :meth:`unseal_keys`; a failure is raised."""
+        (key,) = self.unseal_keys([sealed])
+        if isinstance(key, MasterKeyError):
+            raise key
         return key
 
     # -- authenticating dumps (Figure 13) ---------------------------------

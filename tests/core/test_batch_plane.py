@@ -1,7 +1,8 @@
 """The KDC request plane.
 
 Every request rides one staged pipeline (decode-all → unseal-all →
-lookup-all → seal-all → encode-all), and how requests are cut into
+lookup-all → admit → unseal-keys → draw → seal-all → encode-all), and
+how requests are cut into
 batches must be *unobservable*: bit-identical replies (keygen state
 consumed in item order, split and interleaved seals bit-exact), typed
 per-item errors that never poison batchmates, and the same
@@ -14,6 +15,7 @@ bytes in larger buffers through
 code: ``tests/core/test_kdc_oracle.py``.
 """
 
+import collections
 import gc
 import types
 from contextlib import nullcontext
@@ -24,12 +26,14 @@ from hypothesis import strategies as st
 
 from repro.core.authenticator import build_authenticator
 from repro.core.crossrealm import register_accepting_key
-from repro.core.errors import ErrorCode
+from repro.core.errors import ErrorCode, KerberosError
 from repro.core.messages import (
     AsRequest,
     ErrorReply,
     MessageType,
+    PreauthAsRequest,
     TgsRequest,
+    build_preauth,
     decode_message,
     encode_message,
 )
@@ -40,7 +44,9 @@ from repro.crypto import (
     des_simd,
     keycache,
 )
+from repro.crypto import des, modes, string_to_key
 from repro.crypto.modes import WIDE_MIN_LANES
+from repro.database.schema import ATTR_REQUIRE_PREAUTH
 from repro.encode import pack_frames
 from repro.netsim import IPAddress, Network
 from repro.netsim.ports import KERBEROS_PORT
@@ -351,6 +357,118 @@ class TestRefusedRequestSpans:
         assert span.attrs["batch_size"] == 1
 
 
+def corrupt_row(realm, principal):
+    """Flip one bit of ``principal``'s sealed key where it is stored."""
+    record = realm.db.get_record(principal)
+    blob = bytearray(record.sealed_key)
+    blob[9] ^= 0x40
+    realm.db.store.put(
+        principal.db_key(), record.replace(sealed_key=bytes(blob)).to_bytes()
+    )
+
+
+class TestCorruptRowIsOneItemsProblem:
+    """ISSUE 19 bugfix: ``MasterKeyError`` is not a ``KerberosError``,
+    so a ``sealed_key`` that would not unseal used to escape the
+    pipeline — the whole batch unanswered, and over the network the
+    server's exception raised inside the *client's* call."""
+
+    BCN = Principal("bcn", "", REALM)
+
+    def test_batchmates_are_answered(self):
+        realm = build_realm()
+        src = realm.workstation().host.address
+        corrupt_row(realm, self.BCN)
+        replies = realm.kdc.process_request_buffer(
+            pack_frames([as_wire("jis"), as_wire("bcn"), as_wire("jis")]), src
+        )
+        assert [reply_code(reply) for reply in replies] == [
+            "AS_REP", "KDC_GEN_ERR", "AS_REP",
+        ]
+        _mtype, error = decode_message(replies[1])
+        assert "bcn" in error.text and "cannot unseal" in error.text
+        # Audited under the principal whose login it refused; no session
+        # key was drawn for it.
+        (event,) = realm.net.audit.events("auth_failure")
+        assert event.principal == f"bcn@{REALM}"
+        assert event.detail == "kind=as code=KDC_GEN_ERR"
+        assert realm.kdc.keygen._counter == 2
+        labels = {"server": realm.master_host.name}
+        assert realm.net.metrics.total(
+            "kdc.outcomes_total", code="KDC_GEN_ERR", **labels
+        ) == 1
+
+    def test_a_corrupt_service_row_refuses_its_tickets_only(self):
+        realm = build_realm()
+        ws = realm.workstation()
+        ws.client.kinit("jis", "jis-pw")
+        wires = [as_wire("bcn"), tgs_wire(realm, ws), as_wire("jis")]
+        corrupt_row(realm, Principal("rlogin", "priam", REALM))
+        replies = realm.kdc.process_request_buffer(
+            pack_frames(wires), ws.host.address
+        )
+        assert [reply_code(reply) for reply in replies] == [
+            "AS_REP", "KDC_GEN_ERR", "AS_REP",
+        ]
+        (event,) = realm.net.audit.events("auth_failure")
+        assert event.principal == f"jis@{REALM}"  # the authenticated client
+        assert event.detail == "kind=tgs code=KDC_GEN_ERR"
+
+    def test_a_corrupt_tgs_row_spares_the_requests_that_need_no_tgt(self):
+        realm = build_realm()
+        ws = realm.workstation()
+        ws.client.kinit("jis", "jis-pw")
+        kdbm = kdbm_principal(REALM)
+        to_kdbm = encode_message(MessageType.AS_REQ, AsRequest(
+            client=Principal("jis", "", REALM), service=kdbm,
+            requested_life=300.0, timestamp=0.0,
+        ))
+        wires = [tgs_wire(realm, ws), to_kdbm, as_wire("bcn")]
+        corrupt_row(realm, tgs_principal(REALM))
+        replies = realm.kdc.process_request_buffer(
+            pack_frames(wires), ws.host.address
+        )
+        assert [reply_code(reply) for reply in replies] == [
+            "KDC_GEN_ERR", "AS_REP", "KDC_GEN_ERR",
+        ]
+
+    def test_a_queued_kdc_resolves_every_reply_of_the_batch(self):
+        net = Network(seed=11)
+        queue = WorkQueueConfig(workers=1, batch_size=4)
+        realm = Realm(
+            net, REALM, seed=b"batch-plane",
+            topology=RealmTopology(kdc_queue=queue),
+        )
+        realm.add_user("jis", "jis-pw")
+        realm.add_user("bcn", "bcn-pw")
+        corrupt_row(realm, self.BCN)
+        host = realm.workstation().host
+        # The first arrival occupies the worker; the next three queue
+        # behind it and are served as one batch.
+        pending = [
+            host.rpc_async(realm.master_host.address, KERBEROS_PORT, as_wire(name))
+            for name in ("jis", "jis", "bcn", "jis")
+        ]
+        net.runtime.run_until_idle()
+        assert [p.error for p in pending] == [None] * 4
+        assert [reply_code(p.reply) for p in pending] == [
+            "AS_REP", "AS_REP", "KDC_GEN_ERR", "AS_REP",
+        ]
+        (refused,) = [s for s in net.tracer.spans if "error" in s.attrs]
+        assert refused.attrs["batch_size"] == 3
+        assert refused.attrs["error"].startswith("KerberosError: KDC_GEN_ERR")
+
+    def test_kinit_sees_a_kerberos_error(self):
+        realm = build_realm()
+        corrupt_row(realm, self.BCN)
+        ws = realm.workstation()
+        with pytest.raises(KerberosError) as refusal:
+            ws.client.kinit("bcn", "bcn-pw")
+        assert refusal.value.code == ErrorCode.KDC_GEN_ERR
+        # The KDC is unharmed: the next user logs in.
+        assert ws.client.kinit("jis", "jis-pw") is not None
+
+
 class TestSkeletonInvalidation:
     def test_principal_mutation_flushes_skeletons(self):
         """A kadmin write lands in the journal and — through the
@@ -419,6 +537,8 @@ class TestSkeletonInvalidation:
 LCS = "LCS.MIT.EDU"
 RLOGIN = Principal("rlogin", "priam", REALM)
 N_USERS = 6
+#: A principal that must prove its key before the AS answers it.
+CAREFUL = Principal("careful", "", REALM)
 
 
 def build_tgs_realm(n_users=N_USERS):
@@ -426,6 +546,9 @@ def build_tgs_realm(n_users=N_USERS):
     realm = Realm(net, REALM, seed=b"tgs-batch")
     for u in range(n_users):
         realm.add_user(f"user{u}", f"pw{u}")
+    realm.db.add_principal(
+        CAREFUL, password="careful-pw", attributes=ATTR_REQUIRE_PREAUTH
+    )
     realm.add_service("rlogin", "priam")
     xkey = KeyGenerator(seed=b"tgs-batch-xrealm").session_key()
     register_accepting_key(realm.db, LCS, xkey)
@@ -462,10 +585,10 @@ def tgs_request(tgt, session_key, client, address, now, service=RLOGIN,
     )
 
 
-def user_tgts(tgs_key, gen, src, now):
+def user_tgts(tgs_key, gen, src, now, n_users=N_USERS):
     """(users, sessions, tgts): a hand-sealed 8-hour TGT for each test
     user, session keys drawn from ``gen``."""
-    users = [Principal(f"user{u}", "", REALM) for u in range(N_USERS)]
+    users = [Principal(f"user{u}", "", REALM) for u in range(n_users)]
     sessions = [gen.session_key_bytes() for _ in users]
     tgts = [
         crafted_tgt(tgs_key, user, src, now, 8 * 3600.0, session)
@@ -583,6 +706,15 @@ def serve_both_ways(batch, cached):
     return singles, batched, realm_a, realm_b, where
 
 
+def crypto_ops(realm):
+    """The ``crypto_ops`` attribute of every ``kdc.*`` span, in order."""
+    return [
+        span.attrs["crypto_ops"]
+        for span in realm.net.tracer.spans
+        if span.name.startswith("kdc.")
+    ]
+
+
 def reply_code(reply):
     """'AS_REP' / 'TGS_REP', or the error code's name."""
     mtype, message = decode_message(reply)
@@ -681,14 +813,6 @@ class TestTgsBatchSemantics:
         is a per-item count — what the request costs alone — on every
         span, served or refused, however large the batch around it."""
         singles, _b, realm_a, realm_b, _where = serve_both_ways(128, True)
-
-        def crypto_ops(realm):
-            return [
-                span.attrs["crypto_ops"]
-                for span in realm.net.tracer.spans
-                if span.name.startswith("kdc.")
-            ]
-
         assert len(crypto_ops(realm_a)) == len(singles) == 128
         assert crypto_ops(realm_b) == crypto_ops(realm_a)
         assert any(crypto_ops(realm_b))
@@ -703,7 +827,8 @@ class TestTgsBatchSemantics:
 #: Mostly served traffic, so a large buffer still has a wide run's worth
 #: of seals and unseals left after its refusals.
 WIRE_KINDS = 3 * ("as", "tgs") + (
-    "duplicate", "tampered_tgt", "garbage", "unknown",
+    "duplicate", "tampered_tgt", "garbage", "unknown", "proof", "bad_proof",
+    "no_proof", "no_tgt",
 )
 
 
@@ -727,26 +852,45 @@ def cut_traffic(draw):
     return sizes, items
 
 
-def drawn_wires(realm, ws, items):
+def drawn_wires(realm, ws, items, n_users=N_USERS):
     """The drawn (kind, salt) sequence as wire bytes for ``realm``."""
     now = realm.net.clock.now()
     src = ws.host.address
     users, sessions, tgts = user_tgts(
         realm.db.principal_key(tgs_principal(REALM)),
-        KeyGenerator(seed=b"drawn-session-keys"), src, now,
+        KeyGenerator(seed=b"drawn-session-keys"), src, now, n_users,
     )
+
+    def careful(password, **fields):
+        """An AS request from the principal that must prove its key."""
+        if password is None:
+            return as_wire(CAREFUL.name, timestamp=now)
+        request = PreauthAsRequest(
+            client=CAREFUL, service=tgs_principal(REALM),
+            requested_life=3600.0, timestamp=now,
+            preauth=build_preauth(string_to_key(password), now),
+        )
+        return encode_message(MessageType.PREAUTH_AS_REQ, request)
+
     wires = []
     for k, (kind, salt) in enumerate(items):
-        u = salt % N_USERS
+        u = salt % n_users
         if kind == "duplicate" and wires:
             wires.append(wires[salt % len(wires)])
         elif kind == "garbage":
             wires.append(b"\xff" + salt.to_bytes(4, "big"))
         elif kind == "unknown":
             wires.append(as_wire(f"nosuch{u}", timestamp=float(k)))
-        elif kind in ("tgs", "tampered_tgt"):
+        elif kind == "proof":
+            wires.append(careful("careful-pw"))
+        elif kind == "bad_proof":
+            wires.append(careful("not-the-password"))
+        elif kind == "no_proof":
+            wires.append(careful(None))
+        elif kind in ("tgs", "tampered_tgt", "no_tgt"):
             request = tgs_request(
-                tgts[u], sessions[u], users[u], src, now + k * 0.001
+                tgts[u], sessions[u], users[u], src, now + k * 0.001,
+                service=kdbm_principal(REALM) if kind == "no_tgt" else RLOGIN,
             )
             if kind == "tampered_tgt":
                 tampered = bytearray(request.tgt)
@@ -758,30 +902,92 @@ def drawn_wires(realm, ws, items):
     return wires
 
 
+#: One 128-wire stream for every cut: refusals of each stage — unknown
+#: client (lookup), preauthentication failed or missing (admit), a
+#: service only the AS issues for (lookup, after authentication), a
+#: replayed authenticator (unseal-all) — each between two admitted items.
+STREAM_USERS = 40
+STREAM_PERIOD = (
+    "as", "unknown", "tgs", "bad_proof", "proof", "no_tgt", "as",
+    "duplicate", "tgs", "no_proof", "as", "garbage", "tgs", "as", "tgs", "as",
+)
+STREAM_REFUSALS = {
+    "unknown": "KDC_PR_UNKNOWN", "bad_proof": "KDC_PREAUTH_FAILED",
+    "no_tgt": "KDC_PR_NOTGT", "duplicate": "RD_AP_REPEAT",
+    "no_proof": "KDC_PREAUTH_REQUIRED", "garbage": "KDC_GEN_ERR",
+}
+
+
+def fixed_stream():
+    """(kind, salt) × 128; a ``duplicate`` replays the TGS request five
+    places before it."""
+    return [
+        (kind, k - 5 if kind == "duplicate" else 7 * k)
+        for k in range(128)
+        for kind in [STREAM_PERIOD[k % len(STREAM_PERIOD)]]
+    ]
+
+
+def assert_cut_is_unobservable(items, sizes, cached, n_users=N_USERS):
+    """Serve ``items`` one frame per call at one realm and in buffers of
+    ``sizes`` at its same-seed twin; nothing may tell the two apart.
+    Returns the replies."""
+    keycache.clear()
+    (realm_a, _), (realm_b, _) = (
+        build_tgs_realm(n_users), build_tgs_realm(n_users)
+    )
+    ws_a, ws_b = realm_a.workstation(), realm_b.workstation()
+    wires = drawn_wires(realm_a, ws_a, items, n_users)
+    assert wires == drawn_wires(realm_b, ws_b, items, n_users)
+    src = ws_a.host.address
+    with nullcontext() if cached else keycache.caches_disabled():
+        singles = one_frame_per_call(realm_a, wires, src)
+        buffered = serve_in_buffers(realm_b, wires, src, sizes)
+    assert buffered == singles
+    assert audit_rows(realm_b) == audit_rows(realm_a)
+    # What each request costs alone is what it is charged in a batch.
+    assert crypto_ops(realm_b) == crypto_ops(realm_a)
+    assert any(crypto_ops(realm_b)) == cached
+    # Session keys are drawn in item order, only for admitted items: the
+    # two key streams stand at the same counter and yield the same next key.
+    assert realm_b.kdc.keygen._counter == realm_a.kdc.keygen._counter
+    assert (
+        realm_b.kdc.keygen.session_key_bytes()
+        == realm_a.kdc.keygen.session_key_bytes()
+    )
+    # Authenticators met the replay cache in arrival order.
+    assert (
+        list(realm_b.kdc.replay_cache._order)
+        == list(realm_a.kdc.replay_cache._order)
+    )
+    return buffered, realm_b
+
+
 class TestAnyCutIsUnobservable:
     @settings(max_examples=15, deadline=None)
     @given(traffic=cut_traffic(), cached=st.booleans())
     def test_drawn_traffic_drawn_cuts(self, traffic, cached):
         sizes, items = traffic
-        keycache.clear()  # per example; the fixture runs once per test
-        (realm_a, _), (realm_b, _) = build_tgs_realm(), build_tgs_realm()
-        ws_a, ws_b = realm_a.workstation(), realm_b.workstation()
-        wires = drawn_wires(realm_a, ws_a, items)
-        assert wires == drawn_wires(realm_b, ws_b, items)
-        src = ws_a.host.address
-        with nullcontext() if cached else keycache.caches_disabled():
-            singles = one_frame_per_call(realm_a, wires, src)
-            buffered = serve_in_buffers(realm_b, wires, src, sizes)
-        assert buffered == singles
-        assert audit_rows(realm_b) == audit_rows(realm_a)
-        assert (
-            realm_b.kdc.keygen.session_key_bytes()
-            == realm_a.kdc.keygen.session_key_bytes()
+        assert_cut_is_unobservable(items, sizes, cached)
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["caches", "nocache"])
+    @pytest.mark.parametrize("batch", [1, 8, 31, 32, 33, 128])
+    def test_every_cut_of_one_stream(self, batch, cached):
+        items = fixed_stream()
+        replies, realm = assert_cut_is_unobservable(
+            items, [batch] * -(-len(items) // batch), cached, STREAM_USERS
         )
-        # Authenticators met the replay cache in arrival order.
-        assert (
-            list(realm_b.kdc.replay_cache._order)
-            == list(realm_a.kdc.replay_cache._order)
+        codes = [reply_code(reply) for reply in replies]
+        for k, (kind, _salt) in enumerate(items):
+            assert codes[k] == STREAM_REFUSALS.get(kind, codes[k]), (k, kind)
+            if kind in STREAM_REFUSALS:
+                # A refusal sits between two admitted items.
+                assert codes[k - 1] in SERVED and codes[k + 1] in SERVED
+            else:
+                assert codes[k] in SERVED, (k, kind, codes[k])
+        # One session key per ticket, none for a refusal.
+        assert realm.kdc.keygen._counter == 1 + sum(
+            code in SERVED for code in codes
         )
 
 
@@ -841,13 +1047,20 @@ class TestSkeletonMissRidesTheBatch:
 
 class TestWorkCountGate:
     """The deterministic half of the perf gate: no wall clock, only the
-    cipher's own block counter against the message lengths."""
+    cipher's own block counter against the message lengths, and how
+    often each kernel was entered."""
 
-    def test_nine_tenths_of_a_cold_buffers_blocks_ride_the_lanes(self):
+    def test_nine_tenths_of_a_cold_buffers_blocks_ride_the_lanes(
+        self, monkeypatch
+    ):
+        """The name is ISSUE 12's bound; since ISSUE 19 the buffer rides
+        whole — every message block, every database key, every session
+        key — and the single-lane kernel is never entered."""
         from repro.core.messages import KdcReply
-        from repro.crypto import string_to_key
         from repro.crypto.modes import interleaved_blocks
 
+        if not des_simd.available():
+            pytest.skip("numpy not available; no block rides the lanes")
         n = 64
         realm, _xkey = build_tgs_realm(n_users=n)
         src = realm.workstation().host.address
@@ -869,9 +1082,34 @@ class TestWorkCountGate:
             request_bytes += len(request.tgt) + len(request.authenticator)
 
         keycache.invalidate_skeletons()
+        buffer = pack_frames(wires)
+        calls = collections.Counter()
+
+        def counted(name, kernel):
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        # Every way into the single-lane kernel, and the wide one.
+        monkeypatch.setattr(des, "crypt_int", counted("int", des.crypt_int))
+        monkeypatch.setattr(modes, "crypt_int", counted("int", modes.crypt_int))
+        monkeypatch.setattr(
+            des_simd, "crypt_wide", counted("wide", des_simd.crypt_wide)
+        )
+        unseal_cache = realm.db.master_key._unseal_cache
+        known_blobs = len(unseal_cache)
         before = interleaved_blocks()
-        replies = realm.kdc.process_request_buffer(pack_frames(wires), src)
+        replies = realm.kdc.process_request_buffer(buffer, src)
         on_lanes = interleaved_blocks() - before
+        monkeypatch.undo()
+
+        # Parent commit: about 300 single-lane blocks per buffer — the
+        # 128 session keys and every cold database key, one at a time.
+        assert calls["int"] == 0
+        # 2 passes unseal the request side, 16 + 30 seal tickets and
+        # replies, 1 unseals the database keys, 1 draws the session keys.
+        assert 0 < calls["wide"] <= 51
 
         reply_bytes = 0
         for reply, key in zip(replies, reply_keys):
@@ -879,7 +1117,10 @@ class TestWorkCountGate:
             assert isinstance(message, KdcReply), mtype
             reply_bytes += len(message.sealed_body)
             reply_bytes += len(message.open(key).ticket)
-        total = (request_bytes + reply_bytes) // 8
-        # Parent commit: about 0.58 (request side and skeleton misses
-        # ran on the single-lane kernel).
-        assert 0.9 * total <= on_lanes <= total
+        # Every user's key and the service's were unsealed cold, three
+        # blocks a blob; every ticket took one block of the key stream.
+        cold_blobs = len(unseal_cache) - known_blobs
+        assert cold_blobs == n + 1
+        total = (request_bytes + reply_bytes) // 8 + 3 * cold_blobs + 2 * n
+        # Parent commit: 0.9 of the message blocks, none of the rest.
+        assert on_lanes == total

@@ -554,7 +554,13 @@ DELETED_PLANE = re.compile(
 )
 
 #: The staged pipeline's per-batch functions: handles only, no lookups.
-PIPELINE = ("_serve_batch", "_unseal_all", "_get_record")
+PIPELINE = (
+    "_serve_batch", "_unseal_all", "_get_record",
+    # ISSUE 19's stage 3 (``kdc.ticket_life_seconds`` was looked up by
+    # name per ticket from ``_prepare_issue``, which this list missed).
+    "_issue_all", "_lookup_all", "_unseal_keys", "_admit",
+    "_lookup_service", "_lookup_tgs_service",
+)
 
 
 def _kdc_functions() -> dict:
@@ -649,9 +655,11 @@ def test_pipeline_reads_handles_not_the_registry():
     functions = _kdc_functions()
     bad = {name: _registry_lookups(functions[name]) for name in PIPELINE}
     assert not any(bad.values()), bad
-    # Refusals are labelled by error code, so _outcome alone looks its
-    # counter up by name — the lint sees that lookup when it is there.
+    # Refusals are labelled by error code, so _outcome looks its counter
+    # up by name, and _life_series binds a kind's histogram the first
+    # time it is needed — the lint sees those lookups where they are.
     assert _registry_lookups(functions["_outcome"])
+    assert _registry_lookups(functions["_life_series"])
 
 
 def test_no_batch_of_one_fast_path():
@@ -677,6 +685,128 @@ def test_one_plane_lints_catch_planted_offenders():
         "def _handle_tgs(self): return self.kdc._serve(d) or _serve_batch\n"
         "note = '_serve is gone'\n"
     ) == [(1, "seal_ticket_cached"), (2, "_handle_tgs"), (2, "_serve")]
+
+
+# --------------------------------------------------------------------------
+# ISSUE 19 extension: no stage of the pipeline calls the cipher per item.
+#
+# Session keys are drawn and database keys unsealed one wide pass per
+# batch; what brought 300 single-lane blocks into every 128-frame buffer
+# was a one-message cipher call sitting in a per-item code path
+# (``unseal_key`` ×2 and a one-block draw in ``_prepare_issue``).  The
+# walk follows ``self.…()`` calls from ``_serve_batch`` through
+# core/kdc.py and flags a one-message call wherever it runs once per
+# item: lexically inside a loop or comprehension, or anywhere in a
+# function that is itself called from one.
+# --------------------------------------------------------------------------
+
+#: One-message entry points of the cipher (their batch forms:
+#: ``seal_many``, ``unseal_many``/``unseal_structs``, ``unseal_keys``,
+#: ``session_keys_bytes``).
+PER_ITEM_CIPHER = {
+    "seal", "unseal", "unseal_key", "encrypt_block", "session_key",
+    "session_key_bytes",
+}
+
+
+def _per_item_nodes(func: ast.FunctionDef) -> set:
+    """ids of the nodes of ``func`` that run once per iteration of one
+    of its loops (the iterable a loop walks is evaluated once)."""
+    per_item = set()
+    for loop in ast.walk(func):
+        if isinstance(loop, ast.For):
+            parts = loop.body + loop.orelse
+        elif isinstance(loop, ast.While):
+            parts = [loop.test] + loop.body + loop.orelse
+        elif isinstance(loop, _LOOPY):
+            first, *rest = loop.generators
+            parts = [
+                getattr(loop, "elt", None), getattr(loop, "key", None),
+                getattr(loop, "value", None), *first.ifs, *rest,
+            ]
+        else:
+            continue
+        for part in parts:
+            if part is not None:
+                per_item.update(id(node) for node in ast.walk(part))
+    return per_item
+
+
+def _per_item_cipher_calls(functions: dict, root: str = "_serve_batch") -> list:
+    """(function, lineno, callee) for each one-message cipher call that
+    runs once per item of a batch entering at ``root``."""
+    found, seen = set(), set()
+
+    def visit(name: str, looped: bool) -> None:
+        if (name, looped) in seen or name not in functions:
+            return
+        seen.add((name, looped))
+        per_item = _per_item_nodes(functions[name])
+        for node in ast.walk(functions[name]):
+            if not isinstance(node, ast.Call):
+                continue
+            each = looped or id(node) in per_item
+            if each and _callee(node) in PER_ITEM_CIPHER:
+                found.add((name, node.lineno, _callee(node)))
+            if (
+                isinstance(node.func, ast.Attribute)
+                and ast.unparse(node.func.value) == "self"
+            ):
+                visit(node.func.attr, each)
+
+    visit(root, False)
+    return sorted(found)
+
+
+def test_no_stage_calls_the_cipher_per_item():
+    functions = _kdc_functions()
+    assert set(PIPELINE) <= set(functions)
+    assert not _per_item_cipher_calls(functions), (
+        "a one-message cipher call in a per-item path of the KDC "
+        "pipeline (collect the items, make one *_many/*_keys call):\n"
+        + "\n".join(
+            f"  kdc.py:{line}: {name} calls {callee}() per item"
+            for name, line, callee in _per_item_cipher_calls(functions)
+        )
+    )
+    # The batch forms are what the stages call — the walk reaches them.
+    source = CORE_KDC.read_text(encoding="utf-8")
+    for batch_form in ("unseal_keys(", "session_keys_bytes(", "seal_many("):
+        assert batch_form in source
+
+
+def test_per_item_cipher_lint_catches_planted_offenders():
+    planted = ast.parse(
+        "class K:\n"
+        "    def _serve_batch(self, datagrams):\n"
+        "        first = self.keygen.session_key()  # once a batch: fine\n"
+        "        rows = self._stage(datagrams)\n"
+        "        for row in self._once(rows):  # evaluated once: fine\n"
+        "            self._one(row)\n"
+        "        return [seal(k, d) for k, d in rows], seal_many(rows)\n"
+        "    def _stage(self, items):\n"
+        "        keys = self.db.master_key.unseal_keys(items)  # fine\n"
+        "        while items:\n"
+        "            key = self.db.master_key.unseal_key(items.pop())\n"
+        "        return keys\n"
+        "    def _once(self, rows):\n"
+        "        return unseal(self.key, rows)  # per batch: fine\n"
+        "    def _one(self, row):\n"
+        "        return self._deeper(row)\n"
+        "    def _deeper(self, row):\n"
+        "        return self.keygen.session_key_bytes()\n"
+        "    def _unreached(self, rows):\n"
+        "        return [unseal(self.key, row) for row in rows]\n"
+    )
+    functions = {
+        node.name: node for node in ast.walk(planted)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert _per_item_cipher_calls(functions) == [
+        ("_deeper", 18, "session_key_bytes"),
+        ("_serve_batch", 7, "seal"),
+        ("_stage", 11, "unseal_key"),
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -625,6 +625,21 @@ def _spy_on_crypt_wide(monkeypatch):
     return passes
 
 
+def _spy_on_key_matrices(monkeypatch):
+    """``(lanes, key matrix shape)`` of every wide pass made from here
+    on; stays empty on a host without numpy."""
+    from repro.crypto import des_simd
+
+    passes = []
+    if des_simd.available():
+        real = des_simd.crypt_wide
+        monkeypatch.setattr(
+            des_simd, "crypt_wide",
+            lambda b, km: passes.append((len(b), km.shape)) or real(b, km),
+        )
+    return passes
+
+
 def _sealed_batch(rng, payload_lens):
     """One sealed message per payload length: ``(key, blob)`` pairs and
     the payloads."""
@@ -796,6 +811,78 @@ class TestDirectionCarryingRunner:
             pcbc_encrypt_many(items)
         with pytest.raises(ValueError, match="ciphertext length 4"):
             pcbc_decrypt_many(items)
+
+
+class TestIndependentBlocks:
+    """ISSUE 19: the third batch shape.  Under ECB no block waits for
+    another and all share one schedule, so a run of ``WIDE_MIN_LANES``
+    blocks is one pass under a one-column key matrix (the DRBG's counter
+    runs); and a batch unsealed under one key — the master key over
+    database blobs, the TGS key over TGTs — needs one column too."""
+
+    @pytest.mark.parametrize("blocks", [0, 1, 31, 32, 33, 128])
+    def test_ecb_around_the_threshold(self, blocks, monkeypatch):
+        from repro.crypto import des_simd
+        from repro.crypto.modes import interleaved_blocks
+
+        shapes = _spy_on_key_matrices(monkeypatch)
+        rng = random.Random(1900 + blocks)
+        key = DesKey(rng.randbytes(8), allow_weak=True)
+        data = rng.randbytes(8 * blocks)
+        before = interleaved_blocks()
+        cipher = ecb_encrypt(key, data)
+        assert cipher == ecb_encrypt_ref(key, data)
+        assert ecb_decrypt(key, cipher) == data
+        assert ecb_decrypt(key, data) == ecb_decrypt_ref(key, data)
+        wide = des_simd.available() and blocks >= 32
+        assert shapes == ([(blocks, (16, 1))] * 3 if wide else [])
+        assert interleaved_blocks() - before == (3 * blocks if wide else 0)
+
+    @pytest.mark.parametrize("blocks", [33, 128])
+    def test_ecb_numpy_absent(self, blocks, monkeypatch):
+        from repro.crypto import des_simd
+
+        monkeypatch.setattr(des_simd, "_np", None)
+        rng = random.Random(blocks)
+        key = DesKey(rng.randbytes(8), allow_weak=True)
+        data = rng.randbytes(8 * blocks)
+        assert ecb_encrypt(key, data) == ecb_encrypt_ref(key, data)
+        assert ecb_decrypt(key, data) == ecb_decrypt_ref(key, data)
+
+    def test_ecb_accepts_any_buffer_and_refuses_ragged_ones(self):
+        key = DesKey(bytes.fromhex("133457799BBCDFF1"))
+        data = bytes(range(256)) + bytes(8)
+        expected = ecb_encrypt_ref(key, data)
+        assert ecb_encrypt(key, bytearray(data)) == expected
+        assert ecb_encrypt(key, memoryview(data)) == expected
+        with pytest.raises(ValueError, match="plaintext length 260"):
+            ecb_encrypt(key, data[:260])
+
+    @pytest.mark.parametrize("same_key", [True, False])
+    def test_one_key_unseals_under_one_column(self, same_key, monkeypatch):
+        from repro.crypto import des_simd, pcbc_decrypt_many
+
+        if not des_simd.available():
+            pytest.skip("numpy not available; wide path disabled")
+        shapes = _spy_on_key_matrices(monkeypatch)
+        rng = random.Random(19)
+        one = DesKey(rng.randbytes(8), allow_weak=True)
+        items = [
+            (
+                one if same_key else DesKey(rng.randbytes(8), allow_weak=True),
+                rng.randbytes(8 * rng.randrange(0, 6)),
+            )
+            for _ in range(40)
+        ]
+        # An equal key that is another object does not count as the same.
+        if not same_key:
+            items[7] = (DesKey(items[0][0].key_bytes, allow_weak=True), items[7][1])
+        blocks = sum(len(data) // 8 for _k, data in items)
+        iv = rng.randbytes(8)
+        assert pcbc_decrypt_many(items, iv) == [
+            pcbc_decrypt_ref(key, data, iv) for key, data in items
+        ]
+        assert shapes == [(blocks, (16, 1) if same_key else (16, blocks))]
 
 
 class TestOnePassUnsealing:
