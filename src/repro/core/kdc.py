@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional
 
-from repro.crypto import DesKey, KeyGenerator, keycache, seal_many
+from repro.crypto import DesKey, KeyGenerator, keycache
 from repro.crypto.modes import interleaved_blocks
 from repro.core.applib import AuthContext, check_authenticator, check_ticket
 from repro.core.authenticator import Authenticator
@@ -109,7 +109,9 @@ class _Prepared(NamedTuple):
     kvno: int
     request_timestamp: float
 
-    def body(self, ticket_blob: bytes) -> KdcReplyBody:
+    def body(self) -> KdcReplyBody:
+        """The reply body with its last field, the ticket, still empty:
+        the ticket is sealed inside it (:func:`seal_tickets_cached`)."""
         return KdcReplyBody(
             session_key=self.ticket.session_key,
             server=self.server_field,
@@ -117,7 +119,7 @@ class _Prepared(NamedTuple):
             life=self.ticket.life,
             kvno=self.kvno,
             request_timestamp=self.request_timestamp,
-            ticket=ticket_blob,
+            ticket=b"",
         )
 
 
@@ -411,19 +413,16 @@ class KerberosServer(Service):
             messages, kinds, datagrams, contexts, now, errors, principals,
             crypto_ops, meter,
         )
-        # -- stage 4: seal-all (interleaved kernel) ------------------------
+        # -- stage 4: seal-all (tickets inside their replies, two runs) ----
         ready = [p for p in prepared if p is not None]
         hits_before = keycache.skeleton_stats()["hit"]
-        ticket_blobs = seal_tickets_cached(
-            [(p.ticket, p.service_key) for p in ready]
-        )
+        _ticket_blobs, sealed_bodies = seal_tickets_cached([
+            (p.ticket, p.service_key, p.reply_key, p.body().to_bytes())
+            for p in ready
+        ])
         skeleton_hits = keycache.skeleton_stats()["hit"] - hits_before
         if skeleton_hits:
             self._skeleton_hits.inc(skeleton_hits)
-        sealed_bodies = seal_many([
-            (p.reply_key, p.body(blob).to_bytes())
-            for p, blob in zip(ready, ticket_blobs)
-        ])
         # -- stage 5: encode-all (one output buffer) -----------------------
         writer = BatchWriter()
         sealed_iter = iter(sealed_bodies)

@@ -26,7 +26,8 @@ from repro.crypto import (
     IntegrityError,
     keycache,
     seal,
-    seal_resume_many,
+    seal_nested_many,
+    sealed_length,
     sealed_prefix_state,
     unseal,
     unseal_many,
@@ -98,26 +99,32 @@ _TICKET_SUFFIX_LEN = 8 + 8 + 4 + 8
 
 
 def seal_tickets_cached(
-    pairs: Sequence[Tuple[Ticket, DesKey]]
-) -> List[bytes]:
-    """Seal many ``(ticket, server_key)`` pairs in one batch run,
-    re-encrypting only the per-issuance suffix (timestamp, life, session
-    key) of a ticket whose fixed prefix was sealed before under the same
-    key.  Bit-identical to :func:`seal_ticket` per pair.
+    items: Sequence[Tuple[Ticket, DesKey, DesKey, bytes]]
+) -> Tuple[List[bytes], List[bytes]]:
+    """Seal many tickets, each inside the reply that carries it, as one
+    nested batch seal.  An item is ``(ticket, server_key, reply_key,
+    body)``, ``body`` being the reply body encoded with its last field —
+    the ticket, a ``bytes`` field — still empty: the field's length
+    prefix and the sealed bytes are supplied here.  Returns ``(ticket
+    blobs, sealed bodies)``, each blob bit-identical to
+    :func:`seal_ticket` and each sealed body to the seal, under
+    ``reply_key``, of the body with that blob in it.
 
-    The skeleton — the PCBC state ``[cipher_prefix, chain]`` after the
-    seal header + server + client + address — lives in the process-wide
-    skeleton cache under the literal (sealing key, total length, prefix
-    plaintext) content, so a rotated service key or renamed principal
-    can never hit a stale entry.  A miss reserves its entry *empty* and
-    the ticket rides the run as a whole frame, beside the resumed ones;
-    the state is then read off the finished seal rather than sealed a
-    second time.  A later ticket of the same run that finds the entry
-    still empty rides whole as well.
+    Only the per-issuance suffix (timestamp, life, session key) is
+    re-encrypted of a ticket whose fixed prefix was sealed before under
+    the same key.  The skeleton — the PCBC state ``[cipher_prefix,
+    chain]`` after the seal header + server + client + address — lives
+    in the process-wide skeleton cache under the literal (sealing key,
+    total length, prefix plaintext) content, so a rotated service key
+    or renamed principal can never hit a stale entry.  A miss reserves
+    its entry *empty* and the ticket rides the run as a whole frame,
+    beside the resumed ones; the state is then read off the finished
+    seal rather than sealed a second time.  A later ticket of the same
+    run that finds the entry still empty rides whole as well.
     """
     jobs = []
     unfilled = []
-    for ticket, server_key in pairs:
+    for ticket, server_key, reply_key, body in items:
         plain = ticket.to_bytes()
         cut = max(0, len(plain) - _TICKET_SUFFIX_LEN) & ~0x7
         cache_key = (server_key.key_bytes, len(plain), plain[:cut])
@@ -125,15 +132,18 @@ def seal_tickets_cached(
         if skeleton is None:
             skeleton = []
             keycache.skeleton_put(cache_key, skeleton)
+        # Everything ahead of the ticket's bytes: the u32 prefix of the
+        # empty field gives way to the sealed ticket's length.
+        head = body[:-4] + sealed_length(len(plain)).to_bytes(4, "big")
         if skeleton:
-            jobs.append((server_key, skeleton, plain[cut:]))
+            jobs.append((server_key, skeleton, plain[cut:], reply_key, head))
         else:
             unfilled.append((len(jobs), skeleton, plain, cut))
-            jobs.append((server_key, SEAL_START, plain))
-    sealed = seal_resume_many(jobs)
+            jobs.append((server_key, SEAL_START, plain, reply_key, head))
+    blobs, bodies = seal_nested_many(jobs)
     for index, skeleton, plain, cut in unfilled:
-        skeleton[:] = sealed_prefix_state(plain, sealed[index], cut)
-    return sealed
+        skeleton[:] = sealed_prefix_state(plain, blobs[index], cut)
+    return blobs, bodies
 
 
 def decrypt_failure(what: str, exc: Exception) -> KerberosError:

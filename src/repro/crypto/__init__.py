@@ -55,7 +55,9 @@ from repro.crypto.modes import (
     pcbc_encrypt_many,
     seal,
     seal_many,
+    seal_nested_many,
     seal_resume_many,
+    sealed_length,
     sealed_prefix_state,
     unseal,
     unseal_many,
@@ -89,7 +91,9 @@ __all__ = [
     "quad_cksum",
     "seal",
     "seal_many",
+    "seal_nested_many",
     "seal_resume_many",
+    "sealed_length",
     "sealed_prefix_state",
     "string_to_key",
     "unseal",

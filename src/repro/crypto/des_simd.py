@@ -5,11 +5,13 @@ runs one block on each of N *lanes* per call, so the per-round
 interpreter overhead — the dominant single-lane cost — is paid once per
 pass instead of once per block.  A lane is a block operation that waits
 for no other: when a KDC batch is sealed, one block of *every* message
-(PCBC chains each message to itself, so a run takes one pass per block
-step); when it is unsealed, every block of every message at once (the
-chain is a running xor over ``D(C_i)``, so one pass serves the batch);
-under ECB — the session-key generator's counter runs — every block.
-The three shapes live in ``repro.crypto.modes``.
+(PCBC chains each message to itself); when it is unsealed or drawn
+under ECB, every block of every message at once.  The three shapes
+live in ``repro.crypto.modes``.
+
+A pass is bulk IP, sixteen rounds (:func:`_rounds`, the only round
+loop) and bulk FP: :func:`crypt_wide` is the three in a row,
+:func:`pcbc_encrypt_wide` the sealing *run* around them.
 
 The representation is the single-lane kernel's (both Feistel halves
 kept E-expanded, E folded into the SP-pair table outputs), laid out for
@@ -24,8 +26,8 @@ single-lane kernel's own, spread on first use; every dtype is
 explicitly little-endian, so a big-endian host computes the same lanes.
 
 numpy is optional: everything here degrades to ``available() ==
-False`` and the caller (``repro.crypto.modes``, which also owns the lane
-threshold ``WIDE_MIN_LANES``) falls back to its single-message loops.
+False`` and the caller (``repro.crypto.modes``, which also owns the
+thresholds) falls back to its single-message loops.
 """
 
 try:  # gated: the wide path is an accelerator, never a requirement
@@ -97,6 +99,51 @@ def keymat(subkeys_per_lane):
     return _np.ascontiguousarray(km.T)
 
 
+def _ip(blocks):
+    """Bulk IP: a flat ``<u8`` block vector to its halves ``(E(L),
+    E(R))``, both spread — one gather each, whatever the vector holds."""
+    byte_base, ip_x, ip_y = _get_tables()[:3]
+    merge = _np.bitwise_or.reduceat
+    n = len(blocks)
+    per_lane8 = _np.arange(0, 8 * n, 8)
+    # Flat indices into the eight stacked 256-entry IP tables.
+    idx = (blocks.view("u1").reshape(n, 8) + byte_base).ravel()
+    return merge(ip_x.take(idx), per_lane8), merge(ip_y.take(idx), per_lane8)
+
+
+def _lanes(km, n):
+    """What the rounds need per lane count: the key matrix's rows, a
+    ``<u8`` scratch with its ``uint16`` view — every gather index is
+    that one view: the buffer's dtype, not the host's byte order, fixes
+    which field is which — and where each lane's four fields start."""
+    t = _np.empty(n, dtype=_U64)
+    return list(km), t, t.view(_U16), _np.arange(0, 4 * n, 4)
+
+
+def _rounds(x, y, rows, t, fields, per_lane4):
+    """The sixteen rounds, in place on the spread halves: the one round
+    loop, under :func:`crypt_wide` and :func:`pcbc_encrypt_wide` alike."""
+    gather = _get_tables()[3].take
+    merge = _np.bitwise_or.reduceat
+    xor = _np.bitwise_xor
+    for r in range(0, 16, 2):
+        xor(y, rows[r], out=t)
+        x ^= merge(gather(fields), per_lane4)
+        xor(x, rows[r + 1], out=t)
+        y ^= merge(gather(fields), per_lane4)
+
+
+def _fp(x, y):
+    """Bulk FP of the pre-output ``(R16, L16) = (y, x)``; each field
+    still carries 8 real bits."""
+    fp_y, fp_x = _get_tables()[4:]
+    merge = _np.bitwise_or.reduceat
+    per_lane4 = _np.arange(0, 4 * len(x), 4)
+    out = merge(fp_y.take((y ^ _SELECT).view(_U16)), per_lane4)
+    out |= merge(fp_x.take((x ^ _SELECT).view(_U16)), per_lane4)
+    return out
+
+
 def crypt_wide(blocks, km):
     """One DES operation on each lane of an N-wide block vector.
 
@@ -105,30 +152,42 @@ def crypt_wide(blocks, km):
     ``_dec_subkeys`` (to decrypt).  Returns the output blocks as a new
     uint64 array; lane *i* equals ``crypt_int(blocks[i], subkeys[i])``.
     """
-    byte_base, ip_x, ip_y, sp, fp_y, fp_x = _get_tables()
-    gather = sp.take
-    merge = _np.bitwise_or.reduceat
-    xor = _np.bitwise_xor
-    blocks = _np.asarray(blocks, dtype=_U64)
-    n = len(blocks)
-    per_lane4 = _np.arange(0, 4 * n, 4)
-    per_lane8 = per_lane4 * 2
-    # Flat indices into the eight stacked 256-entry IP tables.
-    idx = (blocks.view("u1").reshape(n, 8) + byte_base).ravel()
-    x = merge(ip_x.take(idx), per_lane8)     # E(L), spread
-    y = merge(ip_y.take(idx), per_lane8)     # E(R), spread
-    # Every gather index below is this one view of ``t``: the buffer's
-    # dtype, not the host's byte order, fixes which field is which.
-    t = _np.empty(n, dtype=_U64)
-    fields = t.view(_U16)
-    for r in range(0, 16, 2):
-        xor(y, km[r], out=t)
-        x ^= merge(gather(fields), per_lane4)
-        xor(x, km[r + 1], out=t)
-        y ^= merge(gather(fields), per_lane4)
-    # Pre-output is (R16, L16); each field still carries 8 real bits.
-    xor(y, _SELECT, out=t)
-    out = merge(fp_y.take(fields), per_lane4)
-    xor(x, _SELECT, out=t)
-    out |= merge(fp_x.take(fields), per_lane4)
-    return out
+    x, y = _ip(_np.asarray(blocks, dtype=_U64))
+    _rounds(x, y, *_lanes(km, len(x)))
+    return _fp(x, y)
+
+
+def pcbc_encrypt_wide(plain, chains, km, running):
+    """PCBC-encrypt the columns of a ``(depth, lanes)`` plaintext
+    matrix (``depth`` >= 1), lane *j* from ``chains[j]`` under column
+    *j* of ``km``; ``running[i]`` lanes — a prefix, the lanes being
+    sorted longest first — are still running at step *i*.  Returns the
+    ciphertext matrix; below a lane's last running step it is garbage.
+
+    IP and FP are bit permutations, so they commute with the chain's
+    xor: with ``D_0 = P_0 ^ chain``, ``D_i = P_i ^ P_{i-1}``, step *i*
+    encrypts ``D_i ^ C_{i-1}``, and ``IP(C_{i-1})`` **is** step
+    *i - 1*'s pre-output, halves swapped — already expanded and spread.
+    So a run is one bulk IP over every ``D_i``, sixteen rounds a step
+    and one bulk FP over every pre-output: two gathers a *run* where
+    stepping :func:`crypt_wide` made two a *step*.
+    """
+    depth, lanes = plain.shape
+    d = plain.copy()
+    d[0] ^= chains
+    d[1:] ^= plain[:-1]
+    x, y = _ip(d.ravel())
+    x, y = x.reshape(depth, lanes), y.reshape(depth, lanes)
+    active = None
+    for step, alive in enumerate(running):
+        if alive != active:  # re-cut to the prefix still running
+            active = alive
+            cut = _lanes(km[:, :active], active)
+        xs, ys = x[step, :active], y[step, :active]
+        if step:
+            xs ^= y[step - 1, :active]
+            ys ^= x[step - 1, :active]
+        _rounds(xs, ys, *cut)
+    # Rows a lane finished above still hold IP(D_i) — in-range indices
+    # for the bulk FP, which an uninitialised row would not be.
+    return _fp(x.ravel(), y.ravel()).reshape(depth, lanes)

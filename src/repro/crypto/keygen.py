@@ -16,7 +16,7 @@ without the generator's internal state.
 There is one block source, :meth:`KeyGenerator._next_blocks`: a run of
 *n* counters is *n* independent blocks under one key, i.e. one
 :func:`~repro.crypto.modes.ecb_encrypt` call, which rides the wide
-kernel from ``WIDE_MIN_LANES`` blocks up.  A KDC batch draws all its
+kernel from ``WIDE_MIN_BLOCKS`` blocks up.  A KDC batch draws all its
 tickets' session keys in one :meth:`KeyGenerator.session_keys_bytes`
 call; the stream, and so every key, is the one *n* single draws read.
 """

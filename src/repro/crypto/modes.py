@@ -24,14 +24,10 @@ one ``struct.unpack`` call, chained/encrypted as Python ints via
 :func:`repro.crypto.des.crypt_int`, and converted back with one
 ``struct.pack`` — no per-block ``bytes`` slicing or int round trips.
 The ``*_many`` batch entry points keep a batch in numpy arrays from the
-message bytes in to the message bytes out, in the two shapes the PCBC
-chain has: unsealing is one pass of the wide kernel
-(:mod:`repro.crypto.des_simd`) over every block of every message, sealing
-one pass per block step over a ``(depth, lanes)`` matrix.  ECB has no
-chain at all, so a long enough ECB run (the session-key generator's
-counter runs) is one pass too.  A run with fewer than
-``WIDE_MIN_LANES`` lanes, or a host without numpy, goes through the
-single-message loops instead.
+message bytes in to the message bytes out, on the wide kernel
+(:mod:`repro.crypto.des_simd`) — the shapes and their thresholds are
+described under "Multi-message PCBC" below; a long enough ECB run (the
+session-key generator's counter runs) is one pass of it too.
 The original byte-path loops are the oracle in
 ``tests/crypto/reference_des.py``, and the property suite in
 ``tests/crypto/test_perf_kernels.py`` pins the two bit-exact.
@@ -103,10 +99,10 @@ def _pack_blocks(blocks: list) -> bytes:
 def _ecb(subkeys: tuple, data: bytes, what: str) -> bytes:
     """Every block on its own under one schedule: the third batch shape.
     No block waits for another, so a block is a lane and a run of
-    ``WIDE_MIN_LANES`` is one pass of the wide kernel under a one-column
+    ``WIDE_MIN_BLOCKS`` is one pass of the wide kernel under a one-column
     key matrix (the DRBG's counter runs, see ``repro.crypto.keygen``)."""
     n = _block_count(data, what)
-    if n >= WIDE_MIN_LANES and des_simd.available():
+    if n >= WIDE_MIN_BLOCKS and des_simd.available():
         blocks = des_simd._np.frombuffer(data, dtype=_WIRE).astype(_NATIVE)
         _count_interleaved(n)
         out = des_simd.crypt_wide(blocks, des_simd.keymat([subkeys]))
@@ -211,6 +207,11 @@ def _seal_header(data_len: int) -> bytes:
     return SEAL_MAGIC.to_bytes(4, "big") + data_len.to_bytes(4, "big")
 
 
+def sealed_length(data_len: int) -> int:
+    """``len(seal(key, data))`` for ``data_len`` bytes of data."""
+    return 2 * BLOCK_SIZE + data_len + (-data_len) % BLOCK_SIZE
+
+
 def _frame(data: bytes) -> bytes:
     """The seal framing: header, data, zero pad, trailer."""
     if not isinstance(data, (bytes, bytearray)):
@@ -275,10 +276,12 @@ def _open_frame(plain: bytes) -> bytes:
 #
 # Sealing is sequential within a message — C_i = E(P_i ^ chain_i) with
 # chain_i = P_{i-1} ^ C_{i-1} — so a message is one lane and a run takes
-# one pass of the wide kernel per block *step*: the joined plaintext is
-# gathered once into a ``(depth, lanes)`` matrix, longest message first
-# so the lanes still running are a prefix, and the chains and the output
-# are arrays a step only xors and slices.
+# sixteen rounds per block *step*: the joined plaintext is gathered once
+# into a ``(depth, lanes)`` matrix, longest message first so the lanes
+# still running are a prefix, and handed whole to the run kernel, which
+# keeps the chain in the cipher's own domain from first step to last.
+# One :func:`_pcbc_encrypt_run` is behind every sealing entry: the
+# plain seal, the resumed one, and the nested one the KDC calls.
 #
 # Unsealing has no sequential cipher in it at all.  In
 # P_i = D(C_i) ^ P_{i-1} ^ C_{i-1} every D(C_i) is known from the start,
@@ -291,10 +294,10 @@ def _open_frame(plain: bytes) -> bytes:
 # plaintext is one ``bitwise_xor.accumulate`` minus, per message, the
 # running value where that message starts.
 #
-# Either way a run goes wide at :data:`WIDE_MIN_LANES` lanes; below it
-# (and without numpy) each message goes through :func:`pcbc_encrypt` /
-# :func:`pcbc_decrypt`, which is also where the tails of a ragged
-# sealing run finish, resumed with their chain as the IV.  Outputs are
+# Each shape has its own threshold (:data:`WIDE_MIN_MESSAGES`,
+# :data:`WIDE_MIN_BLOCKS`); below it (and without numpy) each message
+# goes through :func:`pcbc_encrypt` / :func:`pcbc_decrypt`, which is
+# also where the tails of a ragged sealing run finish.  Outputs are
 # bit-identical to the per-message calls, which the property suite and
 # the request-plane benchmark's A/B legs both assert.
 # --------------------------------------------------------------------------
@@ -335,15 +338,19 @@ def _count_interleaved(blocks: int) -> None:
             counter.inc(blocks)
 
 
-#: Fewest lanes a run needs before it goes to the wide kernel.  A lane
-#: is one independent block operation: a *message* when sealing (one
-#: block of each per pass), a *block* when unsealing or under ECB (all
-#: of them in one pass).  A wide pass is ~60 numpy dispatches however
-#: many lanes ride it (45-90 us from 8 to 128 lanes) against ~6.5 us
-#: per single-lane block, so a run breaks even near 8 lanes.  Not
-#: retuned with the kernels: which batches ride the lanes is what
-#: ``interleaved_blocks`` counts, and the ledger pins that count.
-WIDE_MIN_LANES = 32
+#: Fewest *blocks* a one-pass shape (a batch unsealed, an ECB run) needs
+#: to be one ``crypt_wide`` call: ~60 numpy dispatches, 45-90 us from 8
+#: to 128 lanes, against ~6.5 us per single-lane block.  Kept where
+#: PR 18 measured ``login_session`` at parity: lowering it moves counts.
+WIDE_MIN_BLOCKS = 32
+
+#: Fewest *messages* alive at a step for a sealing run to take it on the
+#: run kernel, the measured break-even: a step is 30-34 us from 5 to 13
+#: lanes against ~6 us per single-lane block (5 messages x 46 steps read
+#: 1,380 us single-lane and 1,384 on the kernel, 8 read 2,313 and 1,544;
+#: a short run pays its set-up too: 6 x 11 read 622 and 666, 8 x 11 867
+#: and 690).
+WIDE_MIN_MESSAGES = 6
 
 _NATIVE = des_simd._U64  # the wide kernel's lane dtype
 _WIRE = ">u8"            # a block as it sits in a message
@@ -353,20 +360,21 @@ def _pcbc_encrypt_run(
     jobs: Sequence[Tuple[DesKey, int, bytes]]
 ) -> List[bytes]:
     """PCBC-encrypt each ``(key, chain, plaintext)`` from its chaining
-    value: the one sealing run, behind :func:`pcbc_encrypt_many` and
-    :func:`seal_resume_many`."""
-    if not des_simd.available() or len(jobs) < WIDE_MIN_LANES:
+    value: the one sealing run, behind :func:`pcbc_encrypt_many`,
+    :func:`seal_resume_many` and :func:`seal_nested_many`."""
+    lens = [_block_count(data, "plaintext") for _k, _c, data in jobs]
+    # Steps on which at least WIDE_MIN_MESSAGES lanes run (the length of
+    # the WIDE_MIN_MESSAGES-th longest); what is longer ends single-lane.
+    depth = sorted([0] * WIDE_MIN_MESSAGES + lens)[-WIDE_MIN_MESSAGES]
+    if not des_simd.available() or depth == 0:
         return [
             pcbc_encrypt(key, data, chain.to_bytes(BLOCK_SIZE, "big"))
             for key, chain, data in jobs
         ]
     np = des_simd._np
-    lens = np.array([_block_count(data, "plaintext") for _k, _c, data in jobs])
+    lens = np.array(lens)
     # Longest first: the lanes still running at any step are a prefix.
     order = np.argsort(-lens, kind="stable")
-    # Steps on which at least WIDE_MIN_LANES lanes run; whatever is
-    # longer finishes single-lane.
-    depth = int(lens[order[WIDE_MIN_LANES - 1]])
     steps = np.arange(depth)[:, None]
     running = (lens > steps).sum(axis=1).tolist()
     flat = np.frombuffer(
@@ -376,18 +384,12 @@ def _pcbc_encrypt_run(
     lanes = [jobs[i] for i in order]
     km = des_simd.keymat([key._enc_subkeys for key, _c, _d in lanes])
     chains = np.array([chain for _k, chain, _d in lanes], dtype=_NATIVE)
-    out = np.empty((depth, len(lanes)), dtype=_NATIVE)
-    for step, active in enumerate(running):
-        blk = plain[step, :active]
-        chain = chains[:active]
-        y = des_simd.crypt_wide(blk ^ chain, km[:, :active])
-        np.bitwise_xor(blk, y, out=chain)
-        out[step, :active] = y
+    out = des_simd.pcbc_encrypt_wide(plain, chains, km, running)
     _count_interleaved(sum(running))
     # One row of ``raw`` per lane; a lane longer than the run resumes
-    # single-lane with its chain as the IV.
+    # single-lane from P_k ^ C_k at the run's last step.
     raw = out.T.astype(_WIRE).tobytes()
-    ivs = chains.astype(_WIRE).tobytes()
+    ivs = (plain[-1] ^ out[-1]).astype(_WIRE).tobytes()
     row = BLOCK_SIZE * depth
     results: List[bytes] = [b""] * len(jobs)
     for lane, i in enumerate(order.tolist()):
@@ -404,7 +406,7 @@ def pcbc_encrypt_many(
     items: Sequence[Tuple[DesKey, bytes]], iv: bytes = ZERO_IV
 ) -> List[bytes]:
     """PCBC-encrypt many independent messages, one block of each per
-    pass of the wide kernel.
+    step of the run kernel.
 
     Bit-identical to ``[pcbc_encrypt(key, data, iv) for key, data in
     items]``.
@@ -425,7 +427,7 @@ def pcbc_decrypt_many(
     chain0 = _require_iv(iv)
     counts = [_block_count(data, "ciphertext") for _key, data in items]
     total = sum(counts)
-    if not des_simd.available() or total < WIDE_MIN_LANES:
+    if not des_simd.available() or total < WIDE_MIN_BLOCKS:
         return [pcbc_decrypt(key, data, iv) for key, data in items]
     np = des_simd._np
     cipher = np.frombuffer(
@@ -459,10 +461,11 @@ def pcbc_decrypt_many(
 
 def seal_many(items: Sequence[Tuple[DesKey, bytes]]) -> List[bytes]:
     """Frame and PCBC-encrypt many independent messages, one block of
-    each per pass of the wide kernel.
+    each per step of the run kernel.
 
-    The batch analogue of :func:`seal`, used by the KDC's seal-all stage
-    for reply bodies.  Bit-identical to calling :func:`seal` per item.
+    The batch analogue of :func:`seal`, bit-identical to calling it per
+    item.  (The KDC seals a reply *around* its ticket:
+    :func:`seal_nested_many`.)
     """
     return pcbc_encrypt_many(
         [(key, _frame(data)) for key, data in items]
@@ -547,20 +550,50 @@ def seal_suffix_body(cipher_prefix_len: int, suffix: bytes) -> bytes:
 def seal_resume_many(
     items: Sequence[Tuple[DesKey, Tuple[bytes, int], bytes]]
 ) -> List[bytes]:
-    """Finish many split seals, one block of each per pass of the wide
+    """Finish many split seals, one block of each per step of the run
     kernel.
 
     Each item is ``(key, state, suffix)`` with ``state`` from
     :func:`sealed_prefix_state` or :data:`SEAL_START`.  Bit-identical
-    to ``seal(key, prefix + suffix)`` per item; the KDC's seal-all stage
-    uses this so skeleton-cached tickets and whole ones ride the same
-    run.
+    to ``seal(key, prefix + suffix)`` per item, so skeleton-cached
+    messages and whole ones ride the same run.
     """
     sealed = _pcbc_encrypt_run([
         (key, state[1], seal_suffix_body(len(state[0]), suffix))
         for key, state, suffix in items
     ])
-    return [
-        state[0] + rest
-        for (_key, state, _suffix), rest in zip(items, sealed)
-    ]
+    return [item[1][0] + rest for item, rest in zip(items, sealed)]
+
+
+def seal_nested_many(
+    items: Sequence[Tuple[DesKey, Tuple[bytes, int], bytes, DesKey, bytes]]
+) -> Tuple[List[bytes], List[bytes]]:
+    """Seal many nests — Figure 5's ``{K_c,tgs, {T_c,tgs}K_tgs}K_c`` —
+    in two runs.  An item is ``(inner key, inner state, inner suffix,
+    outer key, outer head)``: the inner message is finished from
+    ``state`` as in :func:`seal_resume_many`, the outer one is
+    ``seal(outer key, head + inner sealed)``.  Returns ``(inner sealed,
+    outer sealed)``, position for position, bit-identical to the two
+    seals made one after the other.
+
+    The inner sealed *length* is known before any cipher runs, so the
+    outer header is written up front and the whole blocks of the outer
+    message ahead of the inner one ride run 1 beside the inner messages
+    (twice the lanes); run 2 resumes the outer messages, each from the
+    state read off its run-1 prefix, over the rest.
+    """
+    jobs, leads = [], []
+    for inner_key, state, suffix, outer_key, head in items:
+        rest = seal_suffix_body(len(state[0]), suffix)
+        jobs.append((inner_key, state[1], rest))
+        header = _seal_header(len(head) + len(state[0]) + len(rest))
+        cut = len(head) - len(head) % BLOCK_SIZE
+        leads.append((outer_key, 0, header + head[:cut]))
+    sealed = _pcbc_encrypt_run(jobs + leads)
+    inner = [item[1][0] + rest for item, rest in zip(items, sealed)]
+    resumed = []
+    for item, lead, blob in zip(items, sealed[len(items):], inner):
+        data, cut = item[4] + blob, len(lead) - BLOCK_SIZE
+        state = sealed_prefix_state(data, lead, cut)
+        resumed.append((item[3], state, data[cut:]))
+    return inner, seal_resume_many(resumed)

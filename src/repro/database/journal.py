@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
+from itertools import islice
 from typing import Deque, List, Optional
 
 from repro.encode import WireStruct, field
@@ -134,7 +135,12 @@ class UpdateJournal:
         """
         if seq > self.last_seq or seq < self.checkpoint_seq:
             return None
-        return [e for e in self._entries if e.seq > seq]
+        # Retained seqs are contiguous in (checkpoint_seq, last_seq], so
+        # these are the last ``last_seq - seq`` entries: O(delta), where
+        # a scan was O(journal) per slave per round.
+        tail = list(islice(reversed(self._entries), self.last_seq - seq))
+        tail.reverse()
+        return tail
 
     def entries_matching(self, seq, predicate) -> List[JournalEntry]:
         """Entries after ``seq`` whose key satisfies ``predicate`` —

@@ -312,6 +312,9 @@ class Network:
         #: The realm-wide observability planes: every instrumented layer
         #: (KDC, caches, propagation, NFS ...) records here.
         self.metrics = MetricsRegistry()
+        #: Held per-leg ``net.*`` handles, by (series, label value); the
+        #: registry is this network's for life.
+        self._held: Dict[tuple, object] = {}
         self.tracer = Tracer(self.clock)
         self.tracer.metrics = self.metrics
         #: The append-only security-event log (auth failures, replays,
@@ -624,17 +627,25 @@ class Network:
                     dropped = "intercepted"
                     break
                 datagram = result
+        held = self._held
         if dropped is not None:
-            self.metrics.counter("net.drops_total", {"reason": dropped}).inc()
+            (
+                held.get(("net.drops_total", dropped))
+                or self._counter("net.drops_total", "reason", dropped)
+            ).inc()
             self._end_transit(transit, dropped=dropped)
             lost(datagram)
             return
         self._end_transit(transit)
-        port = {"port": datagram.dst_port}
-        self.metrics.counter("net.datagrams_total", port).inc()
-        self.metrics.counter("net.bytes_total", port).inc(
-            len(datagram.payload)
-        )
+        port = datagram.dst_port
+        (
+            held.get(("net.datagrams_total", port))
+            or self._counter("net.datagrams_total", "port", port)
+        ).inc()
+        (
+            held.get(("net.bytes_total", port))
+            or self._counter("net.bytes_total", "port", port)
+        ).inc(len(datagram.payload))
         if verdict.extra_delay:
             self.runtime.after(
                 verdict.extra_delay,
@@ -643,6 +654,16 @@ class Network:
             )
         else:
             landed(datagram, verdict)
+
+    def _counter(self, series: str, label: str, value):
+        """``series{label=value}``, looked up by name once — the first
+        time a leg needs it; earlier would put an empty series in every
+        export — and held from then on: a lookup per leg was a dict, a
+        sort and a tuple each."""
+        handle = self._held[series, value] = self.metrics.counter(
+            series, {label: value}
+        )
+        return handle
 
     def _arrive(
         self,

@@ -48,6 +48,7 @@ from repro.obs.flight import FlightRecorder, series_key
 from repro.obs.metrics import (
     Counter,
     Gauge,
+    HeldHandles,
     Histogram,
     MetricsError,
     MetricsRegistry,
@@ -80,6 +81,7 @@ __all__ = [
     "Counter",
     "FlightRecorder",
     "Gauge",
+    "HeldHandles",
     "Histogram",
     "LATENCY_BUCKETS",
     "LIFETIME_BUCKETS",

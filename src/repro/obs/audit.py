@@ -26,6 +26,8 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.obs.metrics import HeldHandles
+
 #: The closed event vocabulary.  Every kind maps to a victim-side
 #: detection point:
 #:
@@ -93,7 +95,7 @@ class AuditEvent:
         )
 
 
-class AuditLog:
+class AuditLog(HeldHandles):
     """The realm-wide append-only security-event log.
 
     One per :class:`~repro.netsim.network.Network` (``net.audit``);
@@ -107,10 +109,19 @@ class AuditLog:
         self, clock, metrics=None, max_events: int = MAX_RECORDED_EVENTS
     ) -> None:
         self.clock = clock
+        #: The held ``audit.events_*`` handles are keyed (series, kind).
         self.metrics = metrics
         self.max_events = max_events
         self._events: List[AuditEvent] = []
         self._seq = itertools.count(1)
+
+    def _counter(self, series: str, kind: Optional[str] = None):
+        """Bind ``series`` — its ``kind`` series, given one — the first
+        time it is bumped."""
+        handle = self._held[series, kind] = self._metrics.counter(
+            series, None if kind is None else {"kind": kind}
+        )
+        return handle
 
     def emit(
         self,
@@ -139,12 +150,11 @@ class AuditLog:
         )
         if len(self._events) < self.max_events:
             self._events.append(event)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "audit.events_total", {"kind": kind}
-                ).inc()
-        elif self.metrics is not None:
-            self.metrics.counter("audit.events_dropped_total").inc()
+            key = ("audit.events_total", kind)
+        else:
+            key = ("audit.events_dropped_total", None)
+        if self._metrics is not None:
+            (self._held.get(key) or self._counter(*key)).inc()
         return event
 
     # -- queries ------------------------------------------------------------

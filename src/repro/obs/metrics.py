@@ -338,3 +338,29 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
+
+
+class HeldHandles:
+    """Mixin: a reassignable ``metrics`` registry and the instrument
+    handles its owner holds on it.
+
+    Code that bumps a labelled series per event — every scheduled
+    event, recorded span, audit event, queued item — used to look it up
+    by name each time: a fresh dict, :func:`labels_key` and a sort,
+    1.4 us against 0.15 for a held handle.  The owner keeps
+    ``self._held[key]`` instead and binds a handle, in a method of its
+    own, the *first time* its key is bumped — at attach it would put an
+    empty series into every export.  Reassigning ``metrics`` (None
+    detaches) drops what was held on the old registry."""
+
+    _metrics = None
+
+    @property
+    def metrics(self):
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry) -> None:
+        self._metrics = registry
+        self._held: dict = {}
+

@@ -35,6 +35,8 @@ import itertools
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
+from repro.obs.metrics import HeldHandles
+
 #: Recorded-span ceiling: beyond this the tracer stops *recording* (spans
 #: still time correctly) so a runaway storm cannot grow memory unbounded.
 MAX_RECORDED_SPANS = 200_000
@@ -134,10 +136,10 @@ class _Anchor:
         self.span_id = span_id
 
 
-class Tracer:
+class Tracer(HeldHandles):
     """Records spans against a clock exposing ``now() -> float``.
 
-    The clock is duck-typed so the module stays dependency-free; in the
+    The clock is duck-typed so the module stays free of the simulator; in the
     simulation it is the network's :class:`SimClock`.  When a
     :class:`repro.obs.MetricsRegistry` is attached (``tracer.metrics``),
     recorded spans count into ``trace.spans_total{name}`` and overflow
@@ -147,6 +149,8 @@ class Tracer:
     def __init__(self, clock, max_spans: int = MAX_RECORDED_SPANS) -> None:
         self.clock = clock
         self.enabled = True
+        #: The attached registry, or None; the held ``trace.spans_*``
+        #: handles are keyed (series, span name).
         self.metrics = None
         self.max_spans = max_spans
         self.spans: List[Span] = []
@@ -156,15 +160,22 @@ class Tracer:
 
     # -- internal helpers ----------------------------------------------------
 
+    def _counter(self, series: str, name: Optional[str] = None):
+        """Bind ``series`` — its ``name`` series, given one — the first
+        time it is bumped."""
+        handle = self._held[series, name] = self._metrics.counter(
+            series, None if name is None else {"name": name}
+        )
+        return handle
+
     def _record(self, span: Span) -> None:
         if len(self.spans) < self.max_spans:
             self.spans.append(span)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "trace.spans_total", {"name": span.name}
-                ).inc()
-        elif self.metrics is not None:
-            self.metrics.counter("trace.spans_dropped_total").inc()
+            key = ("trace.spans_total", span.name)
+        else:
+            key = ("trace.spans_dropped_total", None)
+        if self._metrics is not None:
+            (self._held.get(key) or self._counter(*key)).inc()
 
     def _fresh_trace_id(self) -> str:
         return f"req-{next(self._request_ids):06d}"

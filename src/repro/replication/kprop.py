@@ -151,10 +151,14 @@ class Kprop:
                 )
             return full_wire
 
+        # So are the deltas: slaves at one high-water mark — the steady
+        # state — share one build, one encoding and one checksum.
+        deltas: Dict[tuple, Optional[bytes]] = {}
         result = PropagationResult(time=now, attempted=len(self.slaves), succeeded=0)
         for address in self.slaves:
             delta_wire = (
-                None if force_full else self._delta_wire_for(address, now)
+                None if force_full
+                else self._delta_wire_for(address, now, deltas)
             )
             try:
                 if delta_wire is not None:
@@ -181,23 +185,34 @@ class Kprop:
 
     # -- per-slave transfers ----------------------------------------------
 
-    def _delta_wire_for(self, address: IPAddress, now: float) -> Optional[bytes]:
+    def _delta_wire_for(
+        self, address: IPAddress, now: float, built: Dict[tuple, Optional[bytes]]
+    ) -> Optional[bytes]:
         """The encoded delta for one slave, or None when only a full dump
         can serve it (no high-water mark, epoch moved on, or the journal
-        compacted past its position)."""
+        compacted past its position).  ``built`` is the round's memo:
+        one wire per ``(epoch, from_seq)`` — and per journal position,
+        so a write landing mid-round (a transfer pumps the event loop)
+        still reaches the slaves after it."""
         journal = self.db.journal
         if journal is None:
             return None
         mark = self.high_water.get(address)
         if mark is None or mark[0] != journal.epoch:
             return None
-        entries = journal.entries_since(mark[1])
+        key = (mark, journal.last_seq)
+        if key not in built:
+            built[key] = self._encode_delta(journal, mark[1], now)
+        return built[key]
+
+    def _encode_delta(self, journal, from_seq: int, now: float) -> Optional[bytes]:
+        entries = journal.entries_since(from_seq)
         if entries is None:
             return None
         body = DeltaBody(
             epoch=journal.epoch,
-            from_seq=mark[1],
-            to_seq=entries[-1].seq if entries else mark[1],
+            from_seq=from_seq,
+            to_seq=entries[-1].seq if entries else from_seq,
             time=now,
             entries=entries,
         ).to_bytes()

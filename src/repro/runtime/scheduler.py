@@ -33,6 +33,8 @@ import itertools
 import random
 from typing import Callable, List, Optional
 
+from repro.obs.metrics import HeldHandles
+
 
 class SchedulerError(Exception):
     """Misuse of the event scheduler (e.g. running a cancelled event)."""
@@ -68,7 +70,7 @@ class ScheduledEvent:
         return f"ScheduledEvent({self.label!r} @ {self.time:.6f}{state})"
 
 
-class EventScheduler:
+class EventScheduler(HeldHandles):
     """A priority queue of events over one :class:`SimClock`.
 
     ``step()`` advances the clock *through* ``clock.call_at`` callbacks
@@ -85,8 +87,18 @@ class EventScheduler:
         # Tie-breaking only — kept separate from the fault plane's RNG so
         # scheduling never perturbs fault draws (and vice versa).
         self._rng = random.Random(f"runtime:{seed}")
-        self.metrics = None  # optional MetricsRegistry, set by the network
+        #: Optional MetricsRegistry, set by the network; the held
+        #: ``runtime.events_*_total`` handles are keyed (series, label).
+        self.metrics = None
         self._executed = 0
+
+    def _counter(self, series: str, label: str):
+        """Bind ``series{label}`` the first time an event of that label
+        is seen."""
+        handle = self._held[series, label] = self._metrics.counter(
+            series, {"label": label or "event"}
+        )
+        return handle
 
     # -- scheduling -------------------------------------------------------
 
@@ -100,11 +112,9 @@ class EventScheduler:
             when, self._rng.random(), next(self._seq), action, label
         )
         heapq.heappush(self._heap, event)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "runtime.events_scheduled_total",
-                {"label": label or "event"},
-            ).inc()
+        if self._metrics is not None:
+            key = ("runtime.events_scheduled_total", label)
+            (self._held.get(key) or self._counter(*key)).inc()
         return event
 
     def after(
@@ -157,11 +167,9 @@ class EventScheduler:
             # periodic daemons keep their place in the event order.
             self.clock.advance(gap)
         self._executed += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "runtime.events_run_total",
-                {"label": head.label or "event"},
-            ).inc()
+        if self._metrics is not None:
+            key = ("runtime.events_run_total", head.label)
+            (self._held.get(key) or self._counter(*key)).inc()
         head.action()
         return True
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generic, List, NamedTuple, Optional, Sequence, TypeVar
 
+from repro.obs.metrics import HeldHandles
 from repro.runtime.scheduler import EventScheduler
 
 T = TypeVar("T")
@@ -77,7 +78,7 @@ class WorkQueueConfig:
         return self.batch_overhead + n * self.per_item_cost
 
 
-class WorkQueue(Generic[T]):
+class WorkQueue(HeldHandles, Generic[T]):
     """One service's inbound queue + worker pool on the scheduler.
 
     ``process`` receives a batch (list of items) and is called when a
@@ -103,9 +104,10 @@ class WorkQueue(Generic[T]):
         self._process = process
         self._shed = shed
         self.label = label
-        self.metrics = metrics
         self.tracer = tracer
         self._labels = dict(labels or {})
+        #: The held ``<label>.*`` handles are keyed by series suffix.
+        self.metrics = metrics
         self._queue: List[QueuedItem] = []
         self._busy_workers = 0
         self.submitted = 0
@@ -121,17 +123,28 @@ class WorkQueue(Generic[T]):
 
     # -- instrumentation ---------------------------------------------------
 
+    def _series(self, name: str):
+        """Bind ``<label>.<name>``, under the queue's labels, the first
+        time it is touched."""
+        series = f"{self.label}.{name}"
+        if name == "queue_depth":
+            handle = self._metrics.gauge(series, self._labels)
+        elif name == "wait_seconds":
+            handle = self._metrics.histogram(series, WAIT_BUCKETS, self._labels)
+        else:
+            handle = self._metrics.counter(series, self._labels)
+        self._held[name] = handle
+        return handle
+
     def _gauge_depth(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(
-                f"{self.label}.queue_depth", self._labels
+        if self._metrics is not None:
+            (
+                self._held.get("queue_depth") or self._series("queue_depth")
             ).set(len(self._queue))
 
-    def _count(self, name: str, **extra) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                f"{self.label}.{name}", {**self._labels, **extra}
-            ).inc()
+    def _count(self, name: str) -> None:
+        if self._metrics is not None:
+            (self._held.get(name) or self._series(name)).inc()
 
     # -- admission ---------------------------------------------------------
 
@@ -196,12 +209,13 @@ class WorkQueue(Generic[T]):
         histogram observation and (for traced items) a non-stack span
         covering the residency, so the wait shows up in the trace tree
         next to the handler span it delayed."""
+        waits = None
+        if self._metrics is not None:
+            waits = self._held.get("wait_seconds") or self._series("wait_seconds")
         for entry in batch:
             wait = dispatched_at - entry.enqueued_at
-            if self.metrics is not None:
-                self.metrics.histogram(
-                    f"{self.label}.wait_seconds", WAIT_BUCKETS, self._labels
-                ).observe(wait)
+            if waits is not None:
+                waits.observe(wait)
             if (
                 self.tracer is not None
                 and self.tracer.enabled

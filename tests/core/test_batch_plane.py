@@ -45,7 +45,7 @@ from repro.crypto import (
     keycache,
 )
 from repro.crypto import des, modes, string_to_key
-from repro.crypto.modes import WIDE_MIN_LANES
+from repro.crypto.modes import WIDE_MIN_BLOCKS, WIDE_MIN_MESSAGES
 from repro.database.schema import ATTR_REQUIRE_PREAUTH
 from repro.encode import pack_frames
 from repro.netsim import IPAddress, Network
@@ -53,7 +53,7 @@ from repro.netsim.ports import KERBEROS_PORT
 from repro.principal import Principal, kdbm_principal, tgs_principal
 from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
-from tests.crypto.reference_des import seal_prefix_state
+from tests.crypto.reference_des import seal_prefix_state, seal_ref
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -216,7 +216,7 @@ class TestBatchObservability:
             pytest.skip("numpy not available; no block rides the lanes")
         realm = build_realm()
         src = realm.workstation().host.address
-        n = WIDE_MIN_LANES
+        n = WIDE_MIN_MESSAGES
         wires = [
             as_wire(("jis", "bcn")[i % 2], timestamp=float(i))
             for i in range(n)
@@ -239,8 +239,9 @@ class TestBatchObservability:
 
     def test_interleaved_blocks_metric_mirrors(self, monkeypatch):
         """``crypto.interleaved_blocks_total`` counts wide-lane blocks:
-        a batch of at least ``WIDE_MIN_LANES`` moves it, a smaller one
-        or a numpy-less run leaves it untouched."""
+        a batch whose first sealing run — two messages per request, the
+        ticket and the head of its reply — reaches ``WIDE_MIN_MESSAGES``
+        moves it, a smaller one or a numpy-less run leaves it untouched."""
         realm = build_realm()
         src = realm.workstation().host.address
 
@@ -256,11 +257,13 @@ class TestBatchObservability:
                 "crypto.interleaved_blocks_total"
             ) - before
 
-        assert serve(8) == 0
+        assert serve(1) == 0
+        assert serve((WIDE_MIN_MESSAGES - 1) // 2) == 0
         if des_simd.available():
-            assert serve(WIDE_MIN_LANES) > 0
+            assert serve((WIDE_MIN_MESSAGES + 1) // 2) > 0
+            assert serve(8) > 0  # a queued KDC's batch
         monkeypatch.setattr(des_simd, "_np", None)
-        assert serve(WIDE_MIN_LANES) == 0
+        assert serve(WIDE_MIN_BLOCKS) == 0
 
 
 DOORS = {"unqueued": 1, "buffer8": 8, "queued": 1}
@@ -834,13 +837,14 @@ WIRE_KINDS = 3 * ("as", "tgs") + (
 
 @st.composite
 def cut_traffic(draw):
-    """(buffer sizes, one (kind, salt) per wire): small buffers and
-    ones around twice ``WIDE_MIN_LANES``, so runs land on both sides of
-    the wide kernel's threshold."""
+    """(buffer sizes, one (kind, salt) per wire): small buffers —
+    sealing runs on both sides of ``WIDE_MIN_MESSAGES`` — and ones
+    around twice ``WIDE_MIN_BLOCKS``, so the one-pass shapes land on
+    both sides of theirs."""
     sizes = draw(st.lists(
         st.one_of(
             st.integers(1, 40),
-            st.integers(2 * WIDE_MIN_LANES - 8, 2 * WIDE_MIN_LANES),
+            st.integers(2 * WIDE_MIN_BLOCKS - 8, 2 * WIDE_MIN_BLOCKS),
         ),
         min_size=1, max_size=3,
     ))
@@ -971,7 +975,9 @@ class TestAnyCutIsUnobservable:
         assert_cut_is_unobservable(items, sizes, cached)
 
     @pytest.mark.parametrize("cached", [True, False], ids=["caches", "nocache"])
-    @pytest.mark.parametrize("batch", [1, 8, 31, 32, 33, 128])
+    # 5/6/7: astride the sealing threshold (a cut of 8 holds 4 to 6
+    # admitted items, so its runs land on both sides as well).
+    @pytest.mark.parametrize("batch", [1, 5, 6, 7, 8, 31, 32, 33, 128])
     def test_every_cut_of_one_stream(self, batch, cached):
         items = fixed_stream()
         replies, realm = assert_cut_is_unobservable(
@@ -992,12 +998,20 @@ class TestAnyCutIsUnobservable:
 
 
 class TestSkeletonMissRidesTheBatch:
+    """``seal_tickets_cached`` seals each ticket inside the reply that
+    carries it — one nested batch seal — with skeleton hits, misses and
+    reserved-empty entries riding the same first run."""
+
     def _tickets(self, count):
+        """``(ticket, server key, reply key, body)`` items, the body
+        encoded with its ticket field empty (so ending in that field's
+        zero u32 prefix): every head length mod 8, no whole block ahead
+        of the ticket included."""
         gen = KeyGenerator(seed=b"skeleton-miss")
         key = gen.session_key()
-        pairs = []
+        items = []
         for i in range(count):
-            pairs.append((
+            items.append((
                 Ticket(
                     server=RLOGIN,
                     # Every third ticket repeats a (server, client) pair.
@@ -1008,24 +1022,40 @@ class TestSkeletonMissRidesTheBatch:
                     session_key=gen.session_key_bytes(),
                 ),
                 key,
+                gen.session_key(),
+                gen.random_bytes((0, 3, 76, 77, 4, 81, 70, 15, 72)[i % 9])
+                + bytes(4),
             ))
-        return pairs
+        return items
 
-    @pytest.mark.parametrize("count", [1, 7, 40])
+    @staticmethod
+    def _expected(items):
+        """What the two seals made one after the other give, the reply
+        body's by the oracle: the body up to its ticket field, the
+        field's length prefix, the sealed ticket."""
+        blobs = [seal_ticket(t, k) for t, k, _reply_key, _body in items]
+        return blobs, [
+            seal_ref(
+                reply_key, body[:-4] + len(blob).to_bytes(4, "big") + blob
+            )
+            for (_t, _k, reply_key, body), blob in zip(items, blobs)
+        ]
+
+    @pytest.mark.parametrize("count", [1, 5, 6, 7, 8, 40])
     @pytest.mark.parametrize("cached", [True, False], ids=["caches", "nocache"])
     def test_bit_identical_and_caches_the_prefix_state(self, count, cached):
-        pairs = self._tickets(count)
+        items = self._tickets(count)
         with nullcontext() if cached else keycache.caches_disabled():
-            blobs = seal_tickets_cached(pairs)
-            again = seal_tickets_cached(pairs)
-        assert blobs == [seal_ticket(t, k) for t, k in pairs]
-        assert again == blobs
+            sealed = seal_tickets_cached(items)
+            again = seal_tickets_cached(items)
+        assert sealed == self._expected(items)
+        assert again == sealed
         if not cached:
             assert keycache.skeleton_stats()["size"] == 0
             return
         # What the miss left in the cache is exactly what the oracle
         # derives for the prefix.
-        ticket, key = pairs[0]
+        ticket, key = items[0][:2]
         plain = ticket.to_bytes()
         cut = (len(plain) - 28) & ~0x7
         cached_state = keycache.skeleton_get(
@@ -1037,18 +1067,78 @@ class TestSkeletonMissRidesTheBatch:
 
     def test_same_prefix_later_in_the_batch_counts_as_a_hit(self):
         keycache.reset_stats()
-        pairs = self._tickets(1) * 8
-        assert seal_tickets_cached(pairs) == [
-            seal_ticket(t, k) for t, k in pairs
-        ]
+        items = self._tickets(1) * 8
+        assert seal_tickets_cached(items) == self._expected(items)
         stats = keycache.skeleton_stats()
         assert (stats["miss"], stats["hit"]) == (1, 7)
+
+    def test_hits_misses_and_reserved_entries_share_a_run(self, monkeypatch):
+        """A warm pair, a cold pair and the cold pair again — its entry
+        reserved but still empty — in one batch: one nested seal, the
+        same bytes with numpy absent."""
+        warm, cold = self._tickets(2)
+        seal_tickets_cached([warm])
+        items = [warm, cold, cold, warm] * 2
+        keycache.reset_stats()
+        want = self._expected(items)
+        assert seal_tickets_cached(items) == want
+        stats = keycache.skeleton_stats()
+        # The first ``cold`` misses; its repeats find the reserved entry
+        # (a hit that is still empty, so they ride whole beside it).
+        assert (stats["miss"], stats["hit"]) == (1, 7)
+        keycache.invalidate_skeletons()
+        monkeypatch.setattr(des_simd, "_np", None)
+        assert seal_tickets_cached(items) == want
+        assert seal_tickets_cached([]) == ([], [])
 
 
 class TestWorkCountGate:
     """The deterministic half of the perf gate: no wall clock, only the
     cipher's own block counter against the message lengths, and how
-    often each kernel was entered."""
+    often each kernel — and each of its bulk gathers — was entered."""
+
+    @staticmethod
+    def _serve_counted(realm, wires, src, monkeypatch):
+        """Serve ``wires`` as one buffer: ``(replies, calls, blocks on
+        the lanes)``, ``calls`` counting every way into the single-lane
+        kernel (``int``), the one-pass kernel (``wide``), the run kernel
+        (``run``) and the bulk IP/FP gathers both share."""
+        from repro.crypto.modes import interleaved_blocks
+
+        calls = collections.Counter()
+
+        def counted(name, kernel):
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        monkeypatch.setattr(des, "crypt_int", counted("int", des.crypt_int))
+        monkeypatch.setattr(modes, "crypt_int", counted("int", modes.crypt_int))
+        for name, kernel in (
+            ("wide", "crypt_wide"), ("run", "pcbc_encrypt_wide"),
+            ("ip", "_ip"), ("fp", "_fp"),
+        ):
+            monkeypatch.setattr(
+                des_simd, kernel, counted(name, getattr(des_simd, kernel))
+            )
+        before = interleaved_blocks()
+        replies = realm.kdc.process_request_buffer(pack_frames(wires), src)
+        on_lanes = interleaved_blocks() - before
+        monkeypatch.undo()
+        return replies, calls, on_lanes
+
+    @staticmethod
+    def _sealed_blocks(replies, reply_keys):
+        """Blocks sealed into ``replies``: every body and its ticket."""
+        from repro.core.messages import KdcReply
+
+        sealed = 0
+        for reply, key in zip(replies, reply_keys):
+            mtype, message = decode_message(reply)
+            assert isinstance(message, KdcReply), mtype
+            sealed += len(message.sealed_body) + len(message.open(key).ticket)
+        return sealed // 8
 
     def test_nine_tenths_of_a_cold_buffers_blocks_ride_the_lanes(
         self, monkeypatch
@@ -1056,9 +1146,6 @@ class TestWorkCountGate:
         """The name is ISSUE 12's bound; since ISSUE 19 the buffer rides
         whole — every message block, every database key, every session
         key — and the single-lane kernel is never entered."""
-        from repro.core.messages import KdcReply
-        from repro.crypto.modes import interleaved_blocks
-
         if not des_simd.available():
             pytest.skip("numpy not available; no block rides the lanes")
         n = 64
@@ -1082,45 +1169,56 @@ class TestWorkCountGate:
             request_bytes += len(request.tgt) + len(request.authenticator)
 
         keycache.invalidate_skeletons()
-        buffer = pack_frames(wires)
-        calls = collections.Counter()
-
-        def counted(name, kernel):
-            def wrapper(*args):
-                calls[name] += 1
-                return kernel(*args)
-            return wrapper
-
-        # Every way into the single-lane kernel, and the wide one.
-        monkeypatch.setattr(des, "crypt_int", counted("int", des.crypt_int))
-        monkeypatch.setattr(modes, "crypt_int", counted("int", modes.crypt_int))
-        monkeypatch.setattr(
-            des_simd, "crypt_wide", counted("wide", des_simd.crypt_wide)
-        )
         unseal_cache = realm.db.master_key._unseal_cache
         known_blobs = len(unseal_cache)
-        before = interleaved_blocks()
-        replies = realm.kdc.process_request_buffer(buffer, src)
-        on_lanes = interleaved_blocks() - before
-        monkeypatch.undo()
+        replies, calls, on_lanes = self._serve_counted(
+            realm, wires, src, monkeypatch
+        )
 
-        # Parent commit: about 300 single-lane blocks per buffer — the
+        # PR 18's commit: about 300 single-lane blocks per buffer — the
         # 128 session keys and every cold database key, one at a time.
         assert calls["int"] == 0
-        # 2 passes unseal the request side, 16 + 30 seal tickets and
-        # replies, 1 unseals the database keys, 1 draws the session keys.
-        assert 0 < calls["wide"] <= 51
+        # 2 passes unseal the request side, 1 the database keys, 1 draws
+        # the session keys; the parent commit sealed in 16 + 30 more, a
+        # pass per block step — now 2 runs, each one bulk IP and one
+        # bulk FP however many steps it has.
+        assert (calls["wide"], calls["run"]) == (4, 2)
+        assert calls["ip"] == calls["fp"] == 6
 
-        reply_bytes = 0
-        for reply, key in zip(replies, reply_keys):
-            mtype, message = decode_message(reply)
-            assert isinstance(message, KdcReply), mtype
-            reply_bytes += len(message.sealed_body)
-            reply_bytes += len(message.open(key).ticket)
         # Every user's key and the service's were unsealed cold, three
         # blocks a blob; every ticket took one block of the key stream.
         cold_blobs = len(unseal_cache) - known_blobs
         assert cold_blobs == n + 1
-        total = (request_bytes + reply_bytes) // 8 + 3 * cold_blobs + 2 * n
-        # Parent commit: 0.9 of the message blocks, none of the rest.
+        total = (
+            request_bytes // 8 + self._sealed_blocks(replies, reply_keys)
+            + 3 * cold_blobs + 2 * n
+        )
+        # PR 18's commit: 0.9 of the message blocks, none of the rest.
         assert on_lanes == total
+
+    def test_a_cold_batch_of_eight_logins_fills_the_lanes(self, monkeypatch):
+        """A queued KDC's batch (ISSUE 20; 0 blocks on the lanes at the
+        parent commit): 8 first logins, names of two lengths, every key
+        and skeleton cold.  Tickets and reply heads share the first run,
+        the reply tails make the second; what a run's ragged end leaves
+        finishes single-lane, beside the database keys and the draw —
+        both below the one-pass threshold."""
+        if not des_simd.available():
+            pytest.skip("numpy not available; no block rides the lanes")
+        realm, _xkey = build_tgs_realm(n_users=16)
+        src = realm.workstation().host.address
+        users = range(5, 13)  # user5 … user12
+        wires = [as_wire(f"user{u}", timestamp=float(u)) for u in users]
+        keycache.invalidate_skeletons()
+        replies, calls, on_lanes = self._serve_counted(
+            realm, wires, src, monkeypatch
+        )
+        sealed = self._sealed_blocks(
+            replies, [string_to_key(f"pw{u}") for u in users]
+        )
+        assert on_lanes >= 0.9 * sealed
+        # Two runs; IP and FP gathered once a run, not twice a step.
+        assert (calls["run"], calls["wide"]) == (2, 0)
+        assert (calls["ip"], calls["fp"]) == (2, 2)
+        # 9 cold database keys of three blocks, 8 session keys, the tails.
+        assert calls["int"] == 9 * 3 + 8 + (sealed - on_lanes)

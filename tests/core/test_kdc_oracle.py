@@ -11,8 +11,9 @@ ticket and the reply body with the oracle's ``seal_ref``
 (``tests/crypto/reference_des.py``: loop-form DES, byte-path PCBC, its
 own statement of the seal frame), so the expected bytes never pass
 through production ``seal``.  It demands byte equality with what the
-pipeline answered, with its caches on, one frame per call and in
-buffers one past ``WIDE_MIN_LANES``.
+pipeline answered, with its caches on, one frame per call, in buffers
+astride the sealing threshold (``WIDE_MIN_MESSAGES``; a queued KDC's
+batch of 8 among them) and in buffers one past ``WIDE_MIN_BLOCKS``.
 
 It is the seed of ROADMAP's whole-protocol oracle: Figures 5 and 8
 today, valid requests only.
@@ -32,7 +33,7 @@ from repro.core.messages import (
 )
 from repro.core.ticket import Ticket
 from repro.crypto import DesKey, KeyGenerator, keycache
-from repro.crypto.modes import WIDE_MIN_LANES
+from repro.crypto.modes import WIDE_MIN_BLOCKS, WIDE_MIN_MESSAGES
 from repro.encode import pack_frames
 from repro.netsim import Network
 from repro.principal import Principal, tgs_principal
@@ -138,13 +139,16 @@ def traffic(realm, xkey, src, count):
     return wires, recipes
 
 
-@pytest.mark.parametrize("batch", [1, WIDE_MIN_LANES + 1])
+@pytest.mark.parametrize("batch", sorted({
+    1, WIDE_MIN_MESSAGES - 1, WIDE_MIN_MESSAGES, WIDE_MIN_MESSAGES + 1, 8,
+    WIDE_MIN_BLOCKS + 1,
+}))
 def test_pipeline_replies_equal_the_recomposed_figures(batch):
     keycache.clear()
     (realm, xkey), (twin, _) = build_realm(), build_realm()
     src = realm.workstation().host.address
     now = realm.net.clock.now()
-    wires, recipes = traffic(realm, xkey, src, 2 * (WIDE_MIN_LANES + 1))
+    wires, recipes = traffic(realm, xkey, src, 2 * (WIDE_MIN_BLOCKS + 1))
 
     answered = []
     for start in range(0, len(wires), batch):

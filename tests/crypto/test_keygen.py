@@ -12,7 +12,7 @@ from repro.crypto import (
     keygen,
 )
 from repro.crypto.des import WEAK_KEYS, fix_parity
-from repro.crypto.modes import WIDE_MIN_LANES
+from repro.crypto.modes import WIDE_MIN_BLOCKS
 from tests.crypto.test_perf_kernels import _spy_on_key_matrices
 
 
@@ -163,7 +163,7 @@ class TestBatchDraw:
         assert gen._counter == 43
 
     @pytest.mark.parametrize(
-        "n", [WIDE_MIN_LANES - 1, WIDE_MIN_LANES, WIDE_MIN_LANES + 1, 128]
+        "n", [WIDE_MIN_BLOCKS - 1, WIDE_MIN_BLOCKS, WIDE_MIN_BLOCKS + 1, 128]
     )
     def test_the_threshold_is_invisible(self, n, monkeypatch):
         """31/32/33 keys straddle the wide kernel's threshold; the run
@@ -175,7 +175,7 @@ class TestBatchDraw:
         assert gen._counter == counter
         if des_simd.available():
             # One pass, one key column broadcast over the lanes.
-            assert passes == ([(n, (16, 1))] if n >= WIDE_MIN_LANES else [])
+            assert passes == ([(n, (16, 1))] if n >= WIDE_MIN_BLOCKS else [])
 
     @pytest.mark.parametrize("n", [1, 33, 128])
     def test_numpy_absent(self, n, monkeypatch):

@@ -292,7 +292,8 @@ def test_registry_scan_lint_catches_a_planted_offender(tmp_path):
 # --------------------------------------------------------------------------
 # ISSUE 13 extension: the E expansion stays out of the block kernels.
 #
-# ``crypt_int`` and ``crypt_wide`` keep both Feistel halves E-expanded,
+# ``crypt_int`` and ``crypt_wide`` (since ISSUE 20 the composition of
+# ``_ip``, ``_rounds`` and ``_fp``) keep both Feistel halves E-expanded,
 # so nothing in their bodies may name an ``_E*`` table, apply a compiled
 # permutation, or call a Python-level helper once per round; and no
 # kernel table may outgrow 4,096 entries (the paired kernel's two
@@ -302,7 +303,10 @@ def test_registry_scan_lint_catches_a_planted_offender(tmp_path):
 
 MAX_TABLE_ENTRIES = 4096
 
-KERNELS = {"des.py": "crypt_int", "des_simd.py": "crypt_wide"}
+KERNELS = {
+    "des.py": ("crypt_int",),
+    "des_simd.py": ("_ip", "_rounds", "_fp", "crypt_wide"),
+}
 
 
 def _python_helpers() -> set:
@@ -339,21 +343,23 @@ def _kernel_violations(func: ast.FunctionDef, helpers: set) -> list:
     return sorted(set(found))
 
 
-def _kernel(module: str) -> ast.FunctionDef:
+def _kernel(module: str) -> list:
+    """The functions of ``module`` a block passes through."""
     tree = ast.parse((CRYPTO / module).read_text(encoding="utf-8"))
-    (func,) = [
+    funcs = [
         node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == KERNELS[module]
+        if isinstance(node, ast.FunctionDef) and node.name in KERNELS[module]
     ]
-    return func
+    assert len(funcs) == len(KERNELS[module])
+    return funcs
 
 
 def test_no_expansion_in_the_block_kernels():
     helpers = _python_helpers()
-    assert {"apply_permutation", "_expand", "crypt_int"} <= helpers
+    assert {"apply_permutation", "_expand", "crypt_int", "_rounds"} <= helpers
     bad = {
-        module: _kernel_violations(_kernel(module), helpers)
-        for module in KERNELS
+        (module, func.name): _kernel_violations(func, helpers)
+        for module in KERNELS for func in _kernel(module)
     }
     assert not any(bad.values()), bad
 
@@ -404,34 +410,47 @@ def test_no_kernel_table_exceeds_4096_entries():
 # --------------------------------------------------------------------------
 # ISSUE 18 extension: the batch cipher stays in arrays.
 #
-# A sealing run steps a ``(depth, lanes)`` matrix: the loop around
-# ``crypt_wide`` may slice and xor arrays, nothing else — a nested loop,
-# a comprehension, ``.tolist()``, ``.append(`` or ``array(`` there is
-# the per-step marshalling (128 Python ints out and back in per pass)
-# the matrix replaced.  Unsealing has no sequential cipher at all, so
+# A sealing run steps a ``(depth, lanes)`` matrix: the loop around the
+# rounds may slice and xor arrays, nothing else — a nested loop, a
+# comprehension, ``.tolist()``, ``.append(`` or ``array(`` there is the
+# per-step marshalling (128 Python ints out and back in per pass) the
+# matrix replaced.  Unsealing has no sequential cipher at all, so
 # ``pcbc_decrypt_many`` calls ``crypt_wide`` once, outside any loop.
+#
+# ISSUE 20 moved the step loop into the kernel module — it is
+# ``des_simd.pcbc_encrypt_wide``'s loop around ``_rounds``, and
+# ``modes._pcbc_encrypt_run`` calls that run kernel once, outside any
+# loop — and made IP and FP one bulk gather each per *run*: the module
+# holds exactly one sixteen-round loop (``crypt_wide`` and the run form
+# share ``_rounds``; they cannot fork), and the step loop reads no IP or
+# FP table.
 # --------------------------------------------------------------------------
 
 MODES = CRYPTO / "modes.py"
+DES_SIMD = CRYPTO / "des_simd.py"
 
 #: Calls that move a step's lanes between arrays and Python objects.
 MARSHALLING = {"tolist", "append", "array"}
+
+#: What reads a table: a gather, or a function built on one.  Inside the
+#: step loop every one of them but ``_rounds`` is IP or FP per step.
+GATHERS = {"take", "gather", "_ip", "_fp", "_get_tables", "crypt_wide"}
 
 
 def _callee(call: ast.Call) -> str:
     return getattr(call.func, "id", None) or getattr(call.func, "attr", "")
 
 
-def _calls_crypt_wide(node: ast.AST) -> bool:
+def _reaches(node: ast.AST, name: str) -> bool:
     return any(
-        isinstance(inner, ast.Call) and _callee(inner) == "crypt_wide"
+        isinstance(inner, ast.Call) and _callee(inner) == name
         for inner in ast.walk(node)
     )
 
 
-def _step_loops(tree: ast.AST) -> list:
+def _step_loops(tree: ast.AST, kernel: str) -> list:
     """``(function name, loop)`` for every ``for``/``while`` statement
-    whose body reaches ``crypt_wide``, outermost only."""
+    whose body reaches ``kernel``, outermost only."""
     found = []
     for func in ast.walk(tree):
         if not isinstance(func, ast.FunctionDef):
@@ -441,7 +460,7 @@ def _step_loops(tree: ast.AST) -> list:
             if (
                 isinstance(loop, (ast.For, ast.While))
                 and loop not in inner_loops
-                and _calls_crypt_wide(loop)
+                and _reaches(loop, kernel)
             ):
                 found.append((func.name, loop))
                 inner_loops.update(ast.walk(loop))
@@ -450,16 +469,27 @@ def _step_loops(tree: ast.AST) -> list:
 
 def _step_violations(loop: ast.AST) -> list:
     """(lineno, what) for everything in a step loop that is not array
-    work."""
+    work, or that reads a table outside the rounds."""
     found = []
     for node in ast.walk(loop):
         if node is loop:
             continue
         if isinstance(node, _LOOPY):
             found.append((node.lineno, type(node).__name__))
-        if isinstance(node, ast.Call) and _callee(node) in MARSHALLING:
+        if isinstance(node, ast.Call) and _callee(node) in MARSHALLING | GATHERS:
             found.append((node.lineno, f"{_callee(node)}()"))
     return sorted(set(found))
+
+
+def _round_loops(tree: ast.AST) -> list:
+    """``(function name, lineno)`` of every loop that gathers from a
+    table in its own body — a sixteen-round loop, whatever it iterates."""
+    return sorted(
+        (func.name, loop.lineno)
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for loop in ast.walk(func) if isinstance(loop, (ast.For, ast.While))
+        if _reaches(loop, "take") or _reaches(loop, "gather")
+    )
 
 
 def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
@@ -470,38 +500,72 @@ def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
     return func
 
 
-def _wide_calls(func: ast.FunctionDef) -> tuple:
-    """(calls to ``crypt_wide``, those of them inside a loop or a
+def _kernel_calls(func: ast.FunctionDef, kernel: str) -> tuple:
+    """(calls to ``kernel``, those of them inside a loop or a
     comprehension) as line numbers."""
     looped = {
         inner.lineno
         for node in ast.walk(func) if isinstance(node, _LOOPY)
         for inner in ast.walk(node)
-        if isinstance(inner, ast.Call) and _callee(inner) == "crypt_wide"
+        if isinstance(inner, ast.Call) and _callee(inner) == kernel
     }
     calls = sorted(
         node.lineno for node in ast.walk(func)
-        if isinstance(node, ast.Call) and _callee(node) == "crypt_wide"
+        if isinstance(node, ast.Call) and _callee(node) == kernel
     )
     return calls, sorted(looped)
 
 
 def test_the_wide_seal_step_stays_in_arrays():
-    tree = ast.parse(MODES.read_text(encoding="utf-8"))
-    loops = _step_loops(tree)
-    # One stepped run in the module: sealing's.
-    assert [name for name, _ in loops] == ["_pcbc_encrypt_run"]
+    kernels = ast.parse(DES_SIMD.read_text(encoding="utf-8"))
+    loops = _step_loops(kernels, "_rounds")
+    # One stepped run in the package: sealing's, in the run kernel.
+    assert [name for name, _ in loops] == ["pcbc_encrypt_wide"]
     for name, loop in loops:
         assert not _step_violations(loop), (name, _step_violations(loop))
+    modes = ast.parse(MODES.read_text(encoding="utf-8"))
+    for kernel in ("crypt_wide", "pcbc_encrypt_wide", "_rounds"):
+        assert not _step_loops(modes, kernel), kernel
 
 
 def test_unsealing_is_one_pass_outside_any_loop():
     tree = ast.parse(MODES.read_text(encoding="utf-8"))
-    calls, looped = _wide_calls(_function(tree, "pcbc_decrypt_many"))
+    calls, looped = _kernel_calls(
+        _function(tree, "pcbc_decrypt_many"), "crypt_wide"
+    )
     assert len(calls) == 1 and not looped, (calls, looped)
-    # The sealing run is where a looped call lives — the lint sees it.
-    calls, looped = _wide_calls(_function(tree, "_pcbc_encrypt_run"))
-    assert calls == looped and len(calls) == 1
+    # So is a sealing run, since ISSUE 20: one call of the run kernel.
+    calls, looped = _kernel_calls(
+        _function(tree, "_pcbc_encrypt_run"), "pcbc_encrypt_wide"
+    )
+    assert len(calls) == 1 and not looped, (calls, looped)
+    # ... behind every sealing entry: none reaches a kernel another way.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name != "_pcbc_encrypt_run":
+            assert not _reaches(node, "pcbc_encrypt_wide"), node.name
+
+
+def test_des_simd_holds_one_sixteen_round_loop():
+    tree = ast.parse(DES_SIMD.read_text(encoding="utf-8"))
+    assert [name for name, _ in _round_loops(tree)] == ["_rounds"]
+    # Both forms reach it, neither copies it.
+    for name in ("crypt_wide", "pcbc_encrypt_wide"):
+        calls, _looped = _kernel_calls(_function(tree, name), "_rounds")
+        assert len(calls) == 1, name
+
+
+def test_no_ip_or_fp_table_is_read_inside_the_step_loop():
+    tree = ast.parse(DES_SIMD.read_text(encoding="utf-8"))
+    run = _function(tree, "pcbc_encrypt_wide")
+    ((_name, loop),) = _step_loops(tree, "_rounds")
+    # One bulk IP before the loop, one bulk FP after it.
+    for gather in ("_ip", "_fp"):
+        calls, looped = _kernel_calls(run, gather)
+        assert len(calls) == 1 and not looped, (gather, calls, looped)
+    assert not [
+        what for _line, what in _step_violations(loop)
+        if what.rstrip("()") in GATHERS
+    ]
 
 
 def test_array_lints_catch_planted_offenders():
@@ -522,17 +586,52 @@ def test_array_lints_catch_planted_offenders():
         "        plain = crypt_wide(data, keymat([key]))\n"
         "    return [crypt_wide(d, km) for d in items], crypt_wide(all, km)\n"
     )
-    loops = _step_loops(planted)
+    loops = _step_loops(planted, "crypt_wide")
     assert [name for name, _ in loops] == [
         "_pcbc_run_wide", "pcbc_decrypt_many",
     ]
     assert _step_violations(loops[0][1]) == [
-        (4, "While"), (6, "ListComp"), (6, "array()"), (8, "For"),
-        (8, "tolist()"), (9, "append()"),
+        (4, "While"), (6, "ListComp"), (6, "array()"), (7, "crypt_wide()"),
+        (8, "For"), (8, "tolist()"), (9, "append()"),
     ]
-    assert _wide_calls(_function(planted, "pcbc_decrypt_many")) == (
-        [14, 15, 15], [14, 15],
+    assert _kernel_calls(
+        _function(planted, "pcbc_decrypt_many"), "crypt_wide"
+    ) == ([14, 15, 15], [14, 15])
+
+
+def test_run_kernel_lints_catch_planted_offenders():
+    """A run form that forks the round loop and goes back to IP and FP
+    per step — the parent commit's step, moved into the kernel."""
+    planted = ast.parse(
+        "def _rounds(x, y, rows, t, per_lane4):\n"
+        "    for r in range(0, 16, 2):\n"
+        "        x ^= merge(gather(fields), per_lane4)\n"
+        "def pcbc_encrypt_wide(plain, chains, km, running):\n"
+        "    x, y = _ip(d.ravel())\n"  # bulk, before the loop: fine
+        "    for step, alive in enumerate(running):\n"
+        "        xs, ys = _ip(plain[step] ^ chains)\n"
+        "        _rounds(xs, ys, rows, t, per_lane4)\n"
+        "        chains = plain[step] ^ _fp(xs, ys)\n"
+        "        out[step] = fp_x.take(fields)\n"
+        "    return out\n"
+        "def crypt_wide(blocks, km):\n"
+        "    x, y = _ip(blocks)\n"
+        "    for k0, k1 in pairs(km):\n"  # a second round loop
+        "        x ^= merge(sp.take(fields), per_lane4)\n"
+        "    return _fp(x, y)\n"
     )
+    # The step loop gathers in its own body now, so it counts as well.
+    assert _round_loops(planted) == [
+        ("_rounds", 2), ("crypt_wide", 14), ("pcbc_encrypt_wide", 6),
+    ]
+    ((name, loop),) = _step_loops(planted, "_rounds")
+    assert name == "pcbc_encrypt_wide"
+    assert _step_violations(loop) == [
+        (7, "_ip()"), (9, "_fp()"), (10, "take()"),
+    ]
+    run = _function(planted, "pcbc_encrypt_wide")
+    assert _kernel_calls(run, "_ip") == ([5, 7], [7])
+    assert _kernel_calls(run, "_fp") == ([9], [9])
 
 
 # --------------------------------------------------------------------------
@@ -552,6 +651,20 @@ DELETED_PLANE = re.compile(
     r"_serve\b|_handle_as|_handle_tgs|_finish_prepared|_as_ap_request"
     r"|seal_ticket_cached"
 )
+
+#: ISSUE 20: what runs once per event, datagram leg, span, audit event
+#: and queued item around the KDC — 19.7 by-name lookups per
+#: ``login_storm`` op at the parent commit — and, per class, where the
+#: handle those functions hold is bound at first use.
+PER_EVENT = {
+    "runtime/scheduler.py": (("at", "step"), "_counter"),
+    "netsim/network.py": (("_wire_leg",), "_counter"),
+    "obs/tracing.py": (("_record",), "_counter"),
+    "obs/audit.py": (("emit",), "_counter"),
+    "runtime/workqueue.py": (
+        ("_count", "_gauge_depth", "_observe_waits"), "_series",
+    ),
+}
 
 #: The staged pipeline's per-batch functions: handles only, no lookups.
 PIPELINE = (
@@ -602,14 +715,16 @@ def _deleted_plane_names(source: str) -> list:
 
 
 def _registry_lookups(func: ast.FunctionDef) -> list:
-    """(lineno, call) for each ``self.metrics.total/counter/histogram``."""
+    """(lineno, call) for each ``self.metrics.total/counter/gauge/
+    histogram`` (or ``self._metrics.…``, where ``metrics`` is a
+    property)."""
     return sorted(
         (node.lineno, ast.unparse(node.func))
         for node in ast.walk(func)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("total", "counter", "histogram")
-        and ast.unparse(node.func.value) == "self.metrics"
+        and node.func.attr in ("total", "counter", "gauge", "histogram")
+        and ast.unparse(node.func.value) in ("self.metrics", "self._metrics")
     )
 
 
@@ -660,6 +775,15 @@ def test_pipeline_reads_handles_not_the_registry():
     # time it is needed — the lint sees those lookups where they are.
     assert _registry_lookups(functions["_outcome"])
     assert _registry_lookups(functions["_life_series"])
+    for module, (per_event, binder) in PER_EVENT.items():
+        tree = ast.parse((SRC / "repro" / module).read_text(encoding="utf-8"))
+        functions = {
+            node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+        }
+        bad = {name: _registry_lookups(functions[name]) for name in per_event}
+        assert not any(bad.values()), (module, bad)
+        assert _registry_lookups(functions[binder]), (module, binder)
 
 
 def test_no_batch_of_one_fast_path():
@@ -675,11 +799,13 @@ def test_one_plane_lints_catch_planted_offenders():
         "    if 1 == len(datagrams) or n > 2:\n"
         "        self.metrics.counter('kdc.x', self._labels).inc()\n"
         "    before = self.metrics.total('kdc.y')\n"
+        "    self._metrics.gauge('kdc.z').set(n)\n"
+        "    self._held['kdc.x'].inc()  # a held handle: fine\n"
         "    return self._lookups_saved.value - before\n"
     )
     func = planted.body[0]
     assert _batch_of_one_tests(func) == [3, 5]
-    assert [line for line, _ in _registry_lookups(func)] == [6, 7]
+    assert [line for line, _ in _registry_lookups(func)] == [6, 7, 8]
     assert _deleted_plane_names(
         "from repro.core.ticket import seal_ticket_cached as stc\n"
         "def _handle_tgs(self): return self.kdc._serve(d) or _serve_batch\n"
@@ -701,8 +827,8 @@ def test_one_plane_lints_catch_planted_offenders():
 # --------------------------------------------------------------------------
 
 #: One-message entry points of the cipher (their batch forms:
-#: ``seal_many``, ``unseal_many``/``unseal_structs``, ``unseal_keys``,
-#: ``session_keys_bytes``).
+#: ``seal_tickets_cached`` over ``seal_nested_many``, ``unseal_many``/
+#: ``unseal_structs``, ``unseal_keys``, ``session_keys_bytes``).
 PER_ITEM_CIPHER = {
     "seal", "unseal", "unseal_key", "encrypt_block", "session_key",
     "session_key_bytes",
@@ -771,7 +897,9 @@ def test_no_stage_calls_the_cipher_per_item():
     )
     # The batch forms are what the stages call — the walk reaches them.
     source = CORE_KDC.read_text(encoding="utf-8")
-    for batch_form in ("unseal_keys(", "session_keys_bytes(", "seal_many("):
+    for batch_form in (
+        "unseal_keys(", "session_keys_bytes(", "seal_tickets_cached(",
+    ):
         assert batch_form in source
 
 

@@ -295,8 +295,8 @@ class TestBatchModes:
     """seal_many/unseal_many and the pcbc_*_many kernels are
     bit-identical to per-message calls, for every batch shape."""
 
-    # Every count here is below the sealing threshold: one single-lane
-    # run per message (TestWideLanes covers the other side).
+    # 1/2/3: below the sealing threshold, one single-lane run per
+    # message; 7/13: ragged runs on the run kernel, tails single-lane.
     @pytest.mark.parametrize("count", [1, 2, 3, 7, 13])
     def test_seal_many_matches_singles(self, count):
         from repro.crypto import seal_many
@@ -373,15 +373,16 @@ class TestBatchModes:
     def test_interleaved_blocks_counter_advances(self, monkeypatch):
         """The counter counts wide-lane blocks, and only those."""
         from repro.crypto import des_simd, seal_many, unseal_many
-        from repro.crypto.modes import WIDE_MIN_LANES, interleaved_blocks
+        from repro.crypto.modes import WIDE_MIN_MESSAGES, interleaved_blocks
 
         rng = random.Random(2)
         items = [
             (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(64))
-            for _ in range(WIDE_MIN_LANES)
+            for _ in range(WIDE_MIN_MESSAGES)
         ]
         before = interleaved_blocks()
-        sealed = seal_many(items[:8])  # sub-threshold: single-lane, not counted
+        # One message short of a run: single-lane, not counted.
+        sealed = seal_many(items[:-1])
         # 64 data bytes frame to ten blocks: three messages are 30 lanes
         # when unsealing, four are 40.
         pairs = [(key, blob) for (key, _d), blob in zip(items, sealed)]
@@ -393,7 +394,7 @@ class TestBatchModes:
             before = interleaved_blocks()
             seal_many(items)
             # All lanes run to the end.
-            assert interleaved_blocks() == before + 10 * WIDE_MIN_LANES
+            assert interleaved_blocks() == before + 10 * WIDE_MIN_MESSAGES
         before = interleaved_blocks()
         monkeypatch.setattr(des_simd, "_np", None)
         seal_many(items)  # numpy-less: single-lane, not counted
@@ -468,10 +469,10 @@ class TestSkeletonCache:
 class TestWideLanes:
     """The numpy wide-lane kernel (``des_simd``) behind seal_many.
 
-    Runs of >= ``modes.WIDE_MIN_LANES`` lanes take the vectorized
-    path; these tests pin it bit-exact against the loop kernel and the
-    single-lane one, including ragged lengths (active-lane shrink +
-    single-lane tails).
+    Sealing runs of >= ``modes.WIDE_MIN_MESSAGES`` messages take the
+    vectorized path; these tests pin it bit-exact against the loop
+    kernel and the single-lane one, including ragged lengths
+    (active-lane shrink + single-lane tails).
     """
 
     def setup_method(self):
@@ -538,7 +539,6 @@ class TestWideLanes:
 
     def test_seal_many_wide_ragged_lengths(self):
         from repro.crypto import seal_many
-        from repro.crypto.modes import WIDE_MIN_LANES
 
         rng = random.Random(10)
         items = [
@@ -546,7 +546,7 @@ class TestWideLanes:
                 DesKey(rng.randbytes(8), allow_weak=True),
                 rng.randbytes(rng.randrange(0, 200)),
             )
-            for _ in range(WIDE_MIN_LANES + 9)
+            for _ in range(41)
         ]
         assert seal_many(items) == [seal(k, d) for k, d in items]
 
@@ -564,19 +564,18 @@ class TestWideLanes:
         assert interleaved_blocks() > before
 
     def test_seal_resume_many_wide(self):
-        from repro.crypto.modes import WIDE_MIN_LANES
-
-        _assert_resumed_jobs_match_whole_seals(
-            random.Random(12), WIDE_MIN_LANES + 3, 160
-        )
+        _assert_resumed_jobs_match_whole_seals(random.Random(12), 35, 160)
 
 
 # --------------------------------------------------------------------------
 # ISSUE 18: the batch cipher lives in arrays, one shape per direction.
 #
-# Sealing steps a ``(depth, lanes)`` matrix — a lane is a message — and
-# unsealing is one pass over every block of every message — a lane is a
-# block, the chain a running xor.  No run mixes directions, so everything
+# Sealing steps a ``(depth, lanes)`` matrix — a lane is a message, and
+# since ISSUE 20 the whole run is one call of the run kernel
+# (``des_simd.pcbc_encrypt_wide``), wide from ``WIDE_MIN_MESSAGES``
+# messages alive per step — and unsealing is one pass over every block
+# of every message — a lane is a block, the chain a running xor, wide
+# from ``WIDE_MIN_BLOCKS`` blocks.  No run mixes directions, so everything
 # below drives the public entry points (``pcbc_*_many``, ``seal_many``,
 # ``seal_resume_many``, ``unseal_many``) and is pinned against the loop
 # kernel through the byte-path PCBC reference modes.
@@ -625,6 +624,25 @@ def _spy_on_crypt_wide(monkeypatch):
     return passes
 
 
+def _spy_on_sealing_runs(monkeypatch):
+    """The lanes alive at each step of every sealing run made on the run
+    kernel from here on, one list per run."""
+    from repro.crypto import des_simd
+
+    if not des_simd.available():
+        pytest.skip("numpy not available; wide path disabled")
+    runs = []
+    real = des_simd.pcbc_encrypt_wide
+
+    def spy(plain, chains, km, running):
+        assert plain.shape == (len(running), len(chains))
+        runs.append(list(running))
+        return real(plain, chains, km, running)
+
+    monkeypatch.setattr(des_simd, "pcbc_encrypt_wide", spy)
+    return runs
+
+
 def _spy_on_key_matrices(monkeypatch):
     """``(lanes, key matrix shape)`` of every wide pass made from here
     on; stays empty on a host without numpy."""
@@ -656,8 +674,8 @@ class TestDirectionCarryingRunner:
     ISSUE 18 a direction is a shape, not a flag on a job, and the cases
     drive the public batch entry points."""
 
-    # 1/2: single-lane per message; 31/32/33: around the wide threshold;
-    # 128: a full KDC buffer.
+    # 1/2: single-lane per message; 31/32/33: around the one-pass
+    # threshold (each direction gets about half); 128: a full KDC buffer.
     @pytest.mark.parametrize("count", [1, 2, 31, 32, 33, 128])
     def test_mixed_directions_ragged_lengths(self, count):
         """A mixed bag of messages to seal and to unseal, 0 to 14 blocks
@@ -666,11 +684,15 @@ class TestDirectionCarryingRunner:
         sealing, unsealing = _mixed_items(rng, count)
         _assert_both_directions_match(sealing, unsealing, rng)
 
-    @pytest.mark.parametrize("lanes", [31, 32, 33])
+    # 5/6/7: astride the sealing threshold, which counts messages;
+    # 31/32/33: astride the one-pass threshold, which is not sealing's.
+    @pytest.mark.parametrize("lanes", [5, 6, 7, 31, 32, 33])
     def test_a_lane_is_a_message_when_sealing(self, lanes, monkeypatch):
         from repro.crypto import pcbc_encrypt_many
+        from repro.crypto.modes import WIDE_MIN_MESSAGES
 
         passes = _spy_on_crypt_wide(monkeypatch)
+        runs = _spy_on_sealing_runs(monkeypatch)
         rng = random.Random(lanes)
         items = [
             (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(24))
@@ -680,7 +702,9 @@ class TestDirectionCarryingRunner:
         assert pcbc_encrypt_many(items, iv) == [
             pcbc_encrypt_ref(key, data, iv) for key, data in items
         ]
-        assert passes == ([lanes] * 3 if lanes >= 32 else [])
+        # One run of three steps, every message a lane; no one-pass call.
+        assert runs == ([[lanes] * 3] if lanes >= WIDE_MIN_MESSAGES else [])
+        assert passes == []
 
     @pytest.mark.parametrize("lanes", [31, 32, 33])
     def test_a_lane_is_a_block_when_unsealing(self, lanes, monkeypatch):
@@ -701,14 +725,17 @@ class TestDirectionCarryingRunner:
         assert passes == ([lanes] if lanes >= 32 else [])
 
     def test_tails_drop_below_threshold_mid_run(self, monkeypatch):
-        """40 lanes, 25 of them short: after two wide steps only 15
-        stay active, so the long tails finish on the single-lane kernel
-        — each from its own resume chain."""
+        """40 lanes, 35 of them short: after two wide steps only 5 stay
+        active — one fewer than ``WIDE_MIN_MESSAGES`` — so the long
+        tails finish on the single-lane kernel, each from its own resume
+        chain."""
         from repro.crypto import seal_resume_many
+        from repro.crypto.modes import WIDE_MIN_MESSAGES
 
-        passes = _spy_on_crypt_wide(monkeypatch)
+        assert WIDE_MIN_MESSAGES == 6
+        runs = _spy_on_sealing_runs(monkeypatch)
         # Behind a cached header block: bodies of 2, 11, 12 and 13 blocks.
-        payload_lens = [8] * 25 + [80, 88, 96] * 5
+        payload_lens = [8] * 35 + [80, 88, 96, 96, 80]
         rng = random.Random(1212)
         rng.shuffle(payload_lens)
         jobs, whole = [], []
@@ -719,7 +746,7 @@ class TestDirectionCarryingRunner:
             jobs.append((key, state, payload))
             whole.append(seal_ref(key, payload))
         assert seal_resume_many(jobs) == whole
-        assert passes == [40, 40]
+        assert runs == [[40, 40]]
 
     @pytest.mark.parametrize("count", [33, 128])
     def test_numpy_absent(self, count, monkeypatch):
@@ -777,29 +804,30 @@ class TestDirectionCarryingRunner:
             pcbc_decrypt_ref(key, cipher, iv) for key, cipher in items
         ]
 
-    # 31 sealed messages are below the sealing threshold but 217 blocks:
+    # 5 sealed messages are below the sealing threshold but 35 blocks:
     # they seal single-lane and unseal in one pass.
-    @pytest.mark.parametrize("count,wide", [(31, False), (32, True)])
+    @pytest.mark.parametrize("count,wide", [(5, False), (6, True)])
     def test_unseal_many_reaches_the_wide_kernel_like_sealing(
         self, count, wide, monkeypatch
     ):
         from repro.crypto import seal_many, unseal_many
 
         passes = _spy_on_crypt_wide(monkeypatch)
+        runs = _spy_on_sealing_runs(monkeypatch)
         rng = random.Random(count)
         items = [
             (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(40))
             for _ in range(count)
         ]
         sealed = seal_many(items)
-        sealing_passes = len(passes)
+        assert passes == []
         opened = unseal_many(
             [(key, blob) for (key, _d), blob in zip(items, sealed)]
         )
         assert opened == [d for _k, d in items]
         assert sealed == [seal_ref(k, d) for k, d in items]
-        assert sealing_passes == (7 if wide else 0)
-        assert passes[sealing_passes:] == [7 * count]
+        assert runs == ([[count] * 7] if wide else [])
+        assert passes == [7 * count]
 
     def test_misaligned_message_is_refused_not_joined(self):
         """Two 4-byte messages join to one whole block; neither is one."""
@@ -815,7 +843,7 @@ class TestDirectionCarryingRunner:
 
 class TestIndependentBlocks:
     """ISSUE 19: the third batch shape.  Under ECB no block waits for
-    another and all share one schedule, so a run of ``WIDE_MIN_LANES``
+    another and all share one schedule, so a run of ``WIDE_MIN_BLOCKS``
     blocks is one pass under a one-column key matrix (the DRBG's counter
     runs); and a batch unsealed under one key — the master key over
     database blobs, the TGS key over TGTs — needs one column too."""
@@ -1027,3 +1055,236 @@ class TestSkeletonReadOff:
                 assert seal_resume_many(
                     [(key, state, payload[cut:])]
                 ) == [blob]
+
+
+# --------------------------------------------------------------------------
+# ISSUE 20: the sealing run keeps its chain inside the cipher, and a
+# reply is sealed around its ticket in two runs.
+#
+# ``des_simd.pcbc_encrypt_wide`` makes one bulk IP over every
+# ``P_i ^ P_{i-1}`` of the run, sixteen rounds a step with the previous
+# step's pre-output as the chain, and one bulk FP; lanes leave the run
+# as they end, so the rows of a finished lane reach the bulk FP holding
+# whatever the bulk IP put there.  ``seal_nested_many`` seals
+# ``head + seal(inner)`` for many (inner, head) pairs: the inner
+# messages and the whole blocks ahead of them ride run 1, the rest of
+# every outer message run 2.
+# --------------------------------------------------------------------------
+
+
+def _run_kernel_case(rng, lens, broadcast):
+    """Drive the run kernel directly on lanes of ``lens`` blocks
+    (sorted longest first here, as ``modes`` hands them over): a random
+    chain per lane, per-lane keys or one ``(16, 1)`` column, and noise
+    in the matrix below every finished lane."""
+    from repro.crypto import des_simd
+
+    np = des_simd._np
+    lens = sorted(lens, reverse=True)
+    depth, lanes = lens[0], len(lens)
+    lane_keys = [DesKey(rng.randbytes(8), allow_weak=True) for _ in lens]
+    if broadcast:
+        lane_keys = lane_keys[:1] * lanes
+    km = des_simd.keymat(
+        [key._enc_subkeys for key in (lane_keys[:1] if broadcast else lane_keys)]
+    )
+    assert km.shape == (16, 1 if broadcast else lanes)
+    plain = np.array(
+        [[rng.getrandbits(64) for _ in lens] for _ in range(depth)],
+        dtype="<u8",
+    ).reshape(depth, lanes)
+    chains = np.array([rng.getrandbits(64) for _ in lens], dtype="<u8")
+    running = [sum(n > step for n in lens) for step in range(depth)]
+    kept = plain.copy()
+    out = des_simd.pcbc_encrypt_wide(plain, chains, km, running)
+    assert out.shape == (depth, lanes)
+    assert (plain == kept).all()  # the caller's matrix is read, not written
+    for lane, (key, n) in enumerate(zip(lane_keys, lens)):
+        data = plain[:n, lane].astype(">u8").tobytes()
+        iv = int(chains[lane]).to_bytes(8, "big")
+        got = out[:n, lane].astype(">u8").tobytes()
+        assert got == pcbc_encrypt_ref(key, data, iv), (lane, n)
+
+
+class TestRunKernel:
+    def setup_method(self):
+        from repro.crypto import des_simd
+
+        if not des_simd.available():
+            pytest.skip("numpy not available; wide path disabled")
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ragged_lanes_against_the_oracle(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        lens = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=20))
+        _run_kernel_case(rng, lens, data.draw(st.booleans()))
+
+    @pytest.mark.parametrize("lens", [
+        [1], [7], [1] * 6, [3, 1, 1, 1, 1, 1], [9, 9, 2, 2, 2, 1],
+        [12] * 16, list(range(1, 14)),
+    ], ids=lambda lens: "-".join(map(str, lens))[:24])
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["keys", "column"])
+    def test_shapes_a_queued_kdc_makes(self, lens, broadcast):
+        """One lane, depth 1, lanes leaving at every step, a batch of
+        8's sixteen lanes — per-lane keys and one broadcast column."""
+        _run_kernel_case(random.Random(sum(lens)), lens, broadcast)
+
+    # 5/6/7: astride the sealing threshold; the short lanes make the
+    # run ragged from its second step, the long ones leave tails.
+    @pytest.mark.parametrize("count", [5, 6, 7, 8, 16])
+    def test_runs_astride_the_threshold_resume_and_finish(
+        self, count, monkeypatch
+    ):
+        from repro.crypto import seal_resume_many
+        from repro.crypto.modes import WIDE_MIN_MESSAGES, interleaved_blocks
+
+        runs = _spy_on_sealing_runs(monkeypatch)
+        rng = random.Random(2000 + count)
+        before = interleaved_blocks()
+        _assert_resumed_jobs_match_whole_seals(rng, count, 200)
+        (run,) = runs or [[]]
+        assert bool(run) == (count >= WIDE_MIN_MESSAGES)
+        # Every step of a run keeps the threshold's worth of lanes.
+        assert all(WIDE_MIN_MESSAGES <= alive <= count for alive in run)
+        assert interleaved_blocks() - before == sum(run)
+        # The empty suffix: a seal resumed at its very end.
+        key = DesKey(rng.randbytes(8), allow_weak=True)
+        payload = rng.randbytes(24)
+        jobs = [
+            (key, seal_prefix_state(key, 24, payload[:cut]), payload[cut:])
+            for cut in (0, 8, 16, 24)
+        ] * 2
+        assert seal_resume_many(jobs) == [seal_ref(key, payload)] * 8
+
+    @pytest.mark.parametrize("blocks", [
+        [0] * 8, [0, 0, 0, 5, 0, 0, 0, 2], [1] * 6, [4, 0, 1, 1, 1, 1, 1, 0],
+    ], ids=["depth0-empty", "depth0-tails", "depth1", "depth1-ragged"])
+    def test_depth_zero_and_one(self, blocks, monkeypatch):
+        """Six messages or more, yet no step — or one — with six
+        lanes: the run is skipped, or is a single step, and what is
+        longer finishes single-lane from its own chain."""
+        from repro.crypto import pcbc_encrypt_many
+
+        runs = _spy_on_sealing_runs(monkeypatch)
+        rng = random.Random(sum(blocks))
+        items = [
+            (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(8 * n))
+            for n in blocks
+        ]
+        iv = rng.randbytes(8)
+        assert pcbc_encrypt_many(items, iv) == [
+            pcbc_encrypt_ref(key, data, iv) for key, data in items
+        ]
+        depth = sorted(blocks)[-6]
+        assert [len(run) for run in runs] == ([depth] if depth else [])
+
+
+def _nest_case(rng, head_len, inner_len, resumed):
+    """One nest item and the oracle's ``(inner sealed, outer sealed)``:
+    the inner message whole, or resumed from the oracle's state at a
+    random cut."""
+    from repro.crypto import SEAL_START
+
+    inner_key = DesKey(rng.randbytes(8), allow_weak=True)
+    outer_key = DesKey(rng.randbytes(8), allow_weak=True)
+    inner, head = rng.randbytes(inner_len), rng.randbytes(head_len)
+    state, suffix = SEAL_START, inner
+    if resumed:
+        cut = 8 * rng.randrange(0, inner_len // 8 + 1)
+        state = seal_prefix_state(inner_key, inner_len, inner[:cut])
+        suffix = inner[cut:]
+    blob = seal_ref(inner_key, inner)
+    return (
+        (inner_key, state, suffix, outer_key, head),
+        (blob, seal_ref(outer_key, head + blob)),
+    )
+
+
+def _assert_nests_match(cases):
+    from repro.crypto import seal_nested_many
+
+    items = [item for item, _want in cases]
+    inner, outer = seal_nested_many(items)
+    assert inner == [want[0] for _item, want in cases]
+    assert outer == [want[1] for _item, want in cases]
+
+
+class TestNestedSeal:
+    """``seal_nested_many`` is ``seal(outer, head + seal(inner, …))``
+    byte for byte, whatever rides which run."""
+
+    # 1: two lanes, then one — the single-lane loops; 5/6/7: the second
+    # run astride the threshold, the first (twice the lanes) above it
+    # from 3 up; 8: a queued KDC's batch; 40: a buffer.
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 6, 7, 8, 40])
+    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "no-numpy"])
+    def test_every_head_length_mod_8(self, count, numpy, monkeypatch):
+        from repro.crypto import des_simd
+        from repro.crypto.modes import interleaved_blocks
+
+        if not numpy:
+            monkeypatch.setattr(des_simd, "_np", None)
+        for head_len in list(range(0, 18)) + [79, 80, 81]:
+            rng = random.Random(100 * count + head_len)
+            _assert_nests_match([
+                _nest_case(
+                    rng, head_len, rng.randrange(0, 120), rng.random() < 0.5
+                )
+                for _ in range(count)
+            ])
+        if not numpy:
+            before = interleaved_blocks()
+            _assert_nests_match(
+                [_nest_case(random.Random(1), 80, 100, False)] * 16
+            )
+            assert interleaved_blocks() == before
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_any_nest(self, data):
+        """Inner messages of 0 to 40 blocks, heads with no whole block
+        ahead of the ticket up to several, whole and resumed mixed."""
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        count = data.draw(st.integers(1, 20))
+        max_inner = data.draw(st.sampled_from([0, 8, 64, 8 * 38]))
+        _assert_nests_match([
+            _nest_case(
+                rng,
+                data.draw(st.integers(0, 40)),
+                rng.randrange(0, max_inner + 1),
+                data.draw(st.booleans()),
+            )
+            for _ in range(count)
+        ])
+
+    def test_a_batch_of_eight_is_two_runs_of_sixteen_then_eight_lanes(
+        self, monkeypatch
+    ):
+        from repro.crypto.modes import interleaved_blocks
+
+        runs = _spy_on_sealing_runs(monkeypatch)
+        passes = _spy_on_crypt_wide(monkeypatch)
+        rng = random.Random(8)
+        # 10 whole blocks ahead of a 14-block inner message, 1 + 14 + 1
+        # blocks from there on.
+        cases = [_nest_case(rng, 76, 90, False) for _ in range(8)]
+        before = interleaved_blocks()
+        _assert_nests_match(cases)
+        assert runs == [[16] * 10 + [8] * 4, [8] * 16]
+        assert passes == []
+        assert interleaved_blocks() - before == 8 * (14 + 26)
+
+    def test_one_nest_is_the_single_lane_loops(self, monkeypatch):
+        """Two lanes, then one: below the threshold, so the same
+        ``pcbc_encrypt`` loops over the same blocks as two plain seals."""
+        from repro.crypto import des, modes
+
+        blocks = []
+        real = des.crypt_int
+        monkeypatch.setattr(
+            modes, "crypt_int", lambda b, sk: blocks.append(b) or real(b, sk)
+        )
+        case = _nest_case(random.Random(1), 76, 90, False)
+        _assert_nests_match([case])
+        assert len(blocks) == (len(case[1][0]) + len(case[1][1])) // 8

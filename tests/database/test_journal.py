@@ -1,6 +1,8 @@
 """Unit tests for the update journal (the delta-propagation substrate)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.database import KerberosDatabase, MasterKey
 from repro.database.journal import (
@@ -53,6 +55,48 @@ class TestUpdateJournal:
         j = UpdateJournal(epoch=7)
         assert j.bump_epoch() == 8
         assert j.epoch == 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        limit=st.integers(1, 12),
+        history=st.lists(
+            st.one_of(
+                st.just(("append", 0)),
+                st.tuples(st.just("compact"), st.integers(0, 12)),
+                st.just(("bump_epoch", 0)),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_entries_since_is_the_tail_the_scan_finds(self, limit, history):
+        """``entries_since`` reads the last ``last_seq - seq`` entries
+        off the end (retained seqs are contiguous); after any history of
+        appends, compactions and epoch bumps it returns what scanning
+        the whole retained journal returns — at every position, both
+        ends and both ``None`` sides included."""
+        j = UpdateJournal(epoch=7, limit=limit)
+        for step, (what, arg) in enumerate(history):
+            if what == "append":
+                j.append(OP_PUT, f"k{step}", b"v", now=float(step))
+            elif what == "compact":
+                j.compact(keep=arg)
+            else:
+                j.bump_epoch()
+            retained = list(j._entries)
+            assert [e.seq for e in retained] == list(
+                range(j.checkpoint_seq + 1, j.last_seq + 1)
+            )
+            for seq in range(-1, j.last_seq + 3):
+                scanned = (
+                    None if seq > j.last_seq or seq < j.checkpoint_seq
+                    else [e for e in retained if e.seq > seq]
+                )
+                assert j.entries_since(seq) == scanned, (step, seq)
+            assert j.entries_since(j.last_seq) == []
+            assert j.entries_since(j.checkpoint_seq) == retained
+            assert j.entries_since(j.last_seq + 1) is None
+            if j.checkpoint_seq:
+                assert j.entries_since(j.checkpoint_seq - 1) is None
 
     def test_bad_opcode_rejected(self):
         j = UpdateJournal(epoch=7)

@@ -53,6 +53,52 @@ class TestDeltaRounds:
             ) == string_to_key("new-pw")
             assert store_digest(slave.db) == store_digest(realm.db)
 
+    def test_slaves_at_one_mark_share_one_delta(self, monkeypatch):
+        """The steady state: every slave at the same high-water mark.
+        The round builds, encodes and CBC-MACs the delta once and hands
+        each slave the identical bytes; slaves at different marks still
+        get one build each."""
+        from repro.database import masterkey
+        from repro.netsim.ports import KPROP_PORT
+
+        net, realm = build_realm()
+        jis = Principal("jis", "", REALM_NAME)
+        macs, wires = [], []
+        real = masterkey.cbc_mac
+        monkeypatch.setattr(
+            masterkey, "cbc_mac",
+            lambda key, data: macs.append(len(data)) or real(key, data),
+        )
+        net.add_tap(
+            lambda d: d.dst_port == KPROP_PORT and wires.append(d.payload)
+        )
+
+        def round_after_a_change(password):
+            del macs[:], wires[:]
+            realm.db.change_key(jis, new_password=password)
+            result = realm.propagate()
+            assert result.all_ok and result.deltas == 2
+            return result
+
+        assert len(set(realm.kprop.high_water.values())) == 1
+        round_after_a_change("one")
+        # One checksum at the master, where the parent commit made one
+        # per slave (each slave verifies its copy by another path).
+        assert len(macs) == 1
+        assert len(wires) == 2 and wires[0] == wires[1]
+
+        # Hold one slave back a round: two marks, two builds.
+        cut = net.partition([realm.slaves[1].host.name])
+        realm.db.change_key(jis, new_password="missed")
+        assert not realm.propagate().all_ok
+        net.heal(cut)
+        assert len(set(realm.kprop.high_water.values())) == 2
+        round_after_a_change("two")
+        assert len(macs) == 2
+        assert len(wires) == 2 and len(wires[0]) < len(wires[1])
+        for slave in realm.slaves:
+            assert slave.db.principal_key(jis) == string_to_key("two")
+
     def test_empty_delta_is_a_heartbeat(self):
         """No changes → a zero-entry delta still confirms freshness."""
         net, realm = build_realm()
