@@ -30,32 +30,16 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.applib import SrvTab, krb_mk_rep, krb_rd_req
+from repro.core.applib import AuthenticatedService, SrvTab, krb_mk_rep
 from repro.core.client import KerberosClient
 from repro.core.errors import KerberosError
-from repro.core.messages import ApReply, ApRequest
-from repro.core.replay import CLOCK_SKEW, ReplayCache
-from repro.core.service import Service
-from repro.core.safe_priv import (
-    PrivMessage,
-    SafeMessage,
-    krb_mk_priv,
-    krb_mk_safe,
-    krb_rd_priv,
-    krb_rd_safe,
-)
+from repro.core.messages import ApReply
+from repro.core.replay import CLOCK_SKEW
+from repro.core.safe_priv import Protection, protect, unprotect
 from repro.crypto import DesKey
 from repro.encode import DecodeError, WireStruct, field
 from repro.netsim import IPAddress
 from repro.principal import Principal
-
-
-class Protection(enum.IntEnum):
-    """Section 2.1's three levels of protection."""
-
-    NONE = 0
-    SAFE = 1
-    PRIVATE = 2
 
 
 class OpenRequest(WireStruct):
@@ -111,7 +95,7 @@ class AppSession:
     protection: Protection
 
 
-class KerberizedServer(Service):
+class KerberizedServer(AuthenticatedService):
     """Base class for a Kerberized network service."""
 
     def __init__(
@@ -121,27 +105,21 @@ class KerberizedServer(Service):
         port: int = 0,
         skew: float = CLOCK_SKEW,
     ) -> None:
-        super().__init__()
+        super().__init__(service, srvtab, skew)
         if not port:
             raise ValueError(f"{type(self).__name__} needs an explicit port")
-        self.service = service
-        self.srvtab = srvtab
         self.port = port
-        self.skew = skew
-        self.replay_cache = ReplayCache(window=skew)
         self.sessions: Dict[int, AppSession] = {}
         self._next_session = 1
-        self.auth_failures = 0
 
     def ports(self):
         return {self.port: self._dispatch}
 
-    def on_attach(self) -> None:
-        # Third-host observability: handler spans join the propagated
-        # trace, and refused authentications land in the audit log.
-        self.tracer = self.host.network.tracer
-        self.audit = self.host.network.audit
-        self.replay_cache.bind_audit(self.audit, self.host.name)
+    def on_crash(self) -> None:
+        # Open sessions live in the daemon's memory: gone with it, and
+        # their clients authenticate again.
+        super().on_crash()
+        self.sessions.clear()
 
     # -- subclass hooks ------------------------------------------------------
 
@@ -187,26 +165,9 @@ class KerberizedServer(Service):
             ).to_bytes()
 
     def _handle_open(self, request: OpenRequest, datagram) -> bytes:
-        now = self.host.clock.now()
         try:
-            ap_request = ApRequest.from_bytes(request.ap_request)
-            context = krb_rd_req(
-                request=ap_request,
-                service=self.service,
-                service_key_or_srvtab=self.srvtab,
-                packet_address=datagram.src,
-                now=now,
-                replay_cache=self.replay_cache,
-                skew=self.skew,
-            )
+            context = self.authenticate(request.ap_request, datagram)
         except (KerberosError, DecodeError) as exc:
-            self.auth_failures += 1
-            self.audit.emit(
-                "auth_failure",
-                host=self.host.name,
-                trace=datagram.trace,
-                detail=f"open refused for {self.service}: {exc}",
-            )
             return OpenReply(
                 ok=False, session_id=0, ap_reply=b"", text=str(exc)
             ).to_bytes()
@@ -243,38 +204,6 @@ class KerberizedServer(Service):
             return None
         return session
 
-    def _unwrap(self, session: AppSession, payload: bytes, datagram) -> bytes:
-        now = self.host.clock.now()
-        if session.protection == Protection.NONE:
-            return payload
-        if session.protection == Protection.SAFE:
-            return krb_rd_safe(
-                SafeMessage.from_bytes(payload),
-                session.session_key,
-                expected_sender=session.address,
-                now=now,
-                skew=self.skew,
-            )
-        return krb_rd_priv(
-            PrivMessage.from_bytes(payload),
-            session.session_key,
-            expected_sender=session.address,
-            now=now,
-            skew=self.skew,
-        )
-
-    def _wrap(self, session: AppSession, payload: bytes) -> bytes:
-        now = self.host.clock.now()
-        if session.protection == Protection.NONE:
-            return payload
-        if session.protection == Protection.SAFE:
-            return krb_mk_safe(
-                payload, session.session_key, self.host.address, now
-            ).to_bytes()
-        return krb_mk_priv(
-            payload, session.session_key, self.host.address, now
-        ).to_bytes()
-
     def _handle_call(self, request: CallRequest, datagram) -> bytes:
         session = self._session_for(request, datagram)
         if session is None:
@@ -282,7 +211,10 @@ class KerberizedServer(Service):
                 ok=False, payload=b"", text="no such session (authenticate first)"
             ).to_bytes()
         try:
-            data = self._unwrap(session, request.payload, datagram)
+            data = unprotect(
+                session.protection, request.payload, session.session_key,
+                session.address, self.host.clock.now(), self.skew,
+            )
         except (KerberosError, DecodeError) as exc:
             return CallReply(
                 ok=False, payload=b"", text=f"message rejected: {exc}"
@@ -291,9 +223,11 @@ class KerberizedServer(Service):
             result = self.handle(session, data)
         except KerberosError as exc:
             return CallReply(ok=False, payload=b"", text=str(exc)).to_bytes()
-        return CallReply(
-            ok=True, payload=self._wrap(session, result), text=""
-        ).to_bytes()
+        wrapped = protect(
+            session.protection, result, session.session_key,
+            self.host.address, self.host.clock.now(),
+        )
+        return CallReply(ok=True, payload=wrapped, text="").to_bytes()
 
     def _handle_close(self, request: CallRequest, datagram) -> bytes:
         session = self._session_for(request, datagram)
@@ -351,17 +285,10 @@ class KerberizedChannel:
     def call(self, data: bytes) -> bytes:
         if self.session_id is None:
             raise ChannelError("channel is closed")
-        now = self.krb._auth_now()
-        if self.protection == Protection.NONE:
-            payload = data
-        elif self.protection == Protection.SAFE:
-            payload = krb_mk_safe(
-                data, self._session_key, self.krb.host.address, now
-            ).to_bytes()
-        else:
-            payload = krb_mk_priv(
-                data, self._session_key, self.krb.host.address, now
-            ).to_bytes()
+        payload = protect(
+            self.protection, data, self._session_key,
+            self.krb.host.address, self.krb._auth_now(),
+        )
         request = CallRequest(session_id=self.session_id, payload=payload)
         raw = self.krb.host.rpc(
             self.server_address, self.port, _envelope(_Kind.CALL, request)
@@ -369,21 +296,9 @@ class KerberizedChannel:
         reply = CallReply.from_bytes(raw)
         if not reply.ok:
             raise ChannelError(reply.text)
-        if self.protection == Protection.NONE:
-            return reply.payload
-        now = self.krb.host.clock.now()
-        if self.protection == Protection.SAFE:
-            return krb_rd_safe(
-                SafeMessage.from_bytes(reply.payload),
-                self._session_key,
-                expected_sender=self.server_address,
-                now=now,
-            )
-        return krb_rd_priv(
-            PrivMessage.from_bytes(reply.payload),
-            self._session_key,
-            expected_sender=self.server_address,
-            now=now,
+        return unprotect(
+            self.protection, reply.payload, self._session_key,
+            self.server_address, self.krb.host.clock.now(),
         )
 
     def close(self) -> None:

@@ -23,18 +23,17 @@ from __future__ import annotations
 
 from repro.apps.nfs.protocol import MountOp, MountReply, MountRequest
 from repro.apps.nfs.server import NfsServer
-from repro.core.applib import SrvTab, krb_rd_req
+from repro.core.applib import AuthenticatedService, SrvTab
 from repro.core.errors import KerberosError
-from repro.core.messages import ApRequest
-from repro.core.replay import ReplayCache
-from repro.core.service import Service
 from repro.encode import DecodeError
 from repro.netsim.ports import MOUNTD_PORT
 from repro.principal import Principal
 
 
-class MountDaemon(Service):
-    """mountd on a fileserver, wired to that server's kernel map."""
+class MountDaemon(AuthenticatedService):
+    """mountd on a fileserver, wired to that server's kernel map — which
+    is the NfsServer's to lose in a crash; this daemon's own volatile
+    state is the replay cache it inherits."""
 
     def __init__(
         self,
@@ -43,34 +42,22 @@ class MountDaemon(Service):
         srvtab: SrvTab,
         port: int = MOUNTD_PORT,
     ) -> None:
-        super().__init__()
+        super().__init__(service, srvtab)
         self.nfs = nfs_server
-        self.service = service
-        self.srvtab = srvtab
         self.port = port
-        self.replay_cache = ReplayCache()
         self.mappings_installed = 0
 
     def ports(self):
         return {self.port: self._handle}
 
     def on_attach(self) -> None:
-        host = self.host
-        self.metrics = host.network.metrics
-        self.tracer = host.network.tracer
-        self.audit = host.network.audit
-        self.replay_cache.bind_audit(self.audit, host.name)
+        super().on_attach()
         self._mounts = {
             result: self.metrics.counter(
-                "nfs.mounts_total", {"server": host.name, "result": result}
+                "nfs.mounts_total", {"server": self.host.name, "result": result}
             )
             for result in ("mapped", "denied", "unmapped", "flushed")
         }
-
-    def on_crash(self) -> None:
-        # The replay cache is volatile; the kernel map it feeds belongs
-        # to the NfsServer, which clears it in its own crash hook.
-        self.replay_cache.purge(float("inf"))
 
     def _handle(self, datagram) -> bytes:
         try:
@@ -115,22 +102,10 @@ class MountDaemon(Service):
     def _handle_map(self, request: MountRequest, datagram, span) -> bytes:
         """The Kerberos authentication mapping request."""
         try:
-            ap_request = ApRequest.from_bytes(request.ap_request)
-            context = krb_rd_req(
-                request=ap_request,
-                service=self.service,
-                service_key_or_srvtab=self.srvtab,
-                packet_address=datagram.src,
-                now=self.host.clock.now(),
-                replay_cache=self.replay_cache,
+            context = self.authenticate(
+                request.ap_request, datagram, trace=span.trace_id
             )
         except (KerberosError, DecodeError) as exc:
-            self.audit.emit(
-                "auth_failure",
-                host=self.host.name,
-                trace=span.trace_id,
-                detail=f"mount-time krb_rd_req failed: {exc}",
-            )
             self._mounts["denied"].inc(1)
             return MountReply(ok=False, text=f"authentication failed: {exc}").to_bytes()
 

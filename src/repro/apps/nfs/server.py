@@ -34,11 +34,8 @@ from repro.apps.nfs.config import AuthMode, ExportSpec, NfsExportConfig, SquashM
 from repro.apps.nfs.credmap import CredentialMap, UnmappedPolicy
 from repro.apps.nfs.fs import FileSystem, FsError, NfsCredential
 from repro.apps.nfs.protocol import NfsOp, NfsReply, NfsRequest
-from repro.core.applib import SrvTab, krb_rd_req
+from repro.core.applib import AuthenticatedService, SrvTab
 from repro.core.errors import KerberosError
-from repro.core.messages import ApRequest
-from repro.core.replay import ReplayCache
-from repro.core.service import Service
 from repro.apps.nfs.passwd import PasswdMap
 from repro.encode import DecodeError
 from repro.netsim.ports import NFS_PORT
@@ -55,7 +52,7 @@ WRITE_OPS = frozenset({
 })
 
 
-class NfsServer(Service):
+class NfsServer(AuthenticatedService):
     """One fileserver, serving its tree under a declarative config."""
 
     def __init__(
@@ -69,7 +66,8 @@ class NfsServer(Service):
         port: int = NFS_PORT,
         config: Optional[NfsExportConfig] = None,
     ) -> None:
-        super().__init__()
+        # The service identity and key matter in KERBEROS_RPC mode only.
+        super().__init__(service, srvtab)
         self.fs = fs if fs is not None else FileSystem()
         # The classic keyword signature builds a whole-tree config; an
         # explicit config document wins over the shorthand keywords.
@@ -84,9 +82,6 @@ class NfsServer(Service):
         self.config = config
         self.port = port
         self.passwd = passwd if passwd is not None else PasswdMap()
-        # KERBEROS_RPC mode needs the service identity and key.
-        self.service = service
-        self.srvtab = srvtab
 
     # -- the declarative view ---------------------------------------------------
 
@@ -109,9 +104,9 @@ class NfsServer(Service):
         changes = self.config.diff(config)
         mode_changed = config.auth_mode != self.config.auth_mode
         self.config = config
-        if mode_changed and hasattr(self, "credmap"):
-            self.credmap.clear()
-        if getattr(self, "host", None) is not None:
+        if self.attached:
+            if mode_changed:
+                self.credmap.clear()
             self.metrics.counter(
                 "nfs.config_applies_total", {"server": self.host.name}
             ).inc(1)
@@ -121,31 +116,22 @@ class NfsServer(Service):
         return {self.port: self._handle}
 
     def on_attach(self) -> None:
-        host = self.host
+        super().on_attach()
         # Counters for the appendix benchmark — all in the network's
         # registry, labelled by server host and auth mode so the three
         # designs can be compared from one snapshot.
-        self.metrics = host.network.metrics
-        self.tracer = host.network.tracer
-        self.audit = host.network.audit
         self.credmap = CredentialMap(
-            metrics=self.metrics, labels={"server": host.name}
-        )
-        self.replay_cache = ReplayCache(
-            metrics=self.metrics,
-            labels={"server": host.name, "service": "nfs"},
-            audit=self.audit,
-            host=host.name,
+            metrics=self.metrics, labels={"server": self.host.name}
         )
         self.metrics.counter("nfs.access_errors_total", self._labels)
         self.metrics.counter("nfs.kerberos_verifications_total", self._labels)
 
     def on_crash(self) -> None:
-        """The kernel map and the replay cache are volatile state: a
-        crash loses both.  In-flight clients' mappings are gone — they
-        recover by re-running the mountd handshake."""
+        """The kernel map is volatile state too: in-flight clients'
+        mappings are gone — they recover by re-running the mountd
+        handshake."""
+        super().on_crash()
         lost = self.credmap.clear()
-        self.replay_cache.purge(float("inf"))
         if lost:
             self.metrics.counter(
                 "nfs.map_losses_total", {"server": self.host.name}
@@ -221,25 +207,13 @@ class NfsServer(Service):
             return None, "NFS access error"
 
         # KERBEROS_RPC: the rejected design — full verification per op.
-        if self.service is None or self.srvtab is None:
+        if self.service is None or self.keys is None:
             return None, "NFS access error"
         try:
-            ap_request = ApRequest.from_bytes(request.ap_request)
-            context = krb_rd_req(
-                request=ap_request,
-                service=self.service,
-                service_key_or_srvtab=self.srvtab,
-                packet_address=datagram.src,
-                now=self.host.clock.now(),
-                replay_cache=self.replay_cache,
+            context = self.authenticate(
+                request.ap_request, datagram, trace=span.trace_id
             )
-        except (KerberosError, DecodeError) as exc:
-            self.audit.emit(
-                "auth_failure",
-                host=self.host.name,
-                trace=span.trace_id,
-                detail=f"per-RPC kerberos verification failed: {exc}",
-            )
+        except (KerberosError, DecodeError):
             return None, "NFS access error"
         self.metrics.counter(
             "nfs.kerberos_verifications_total", self._labels

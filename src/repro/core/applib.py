@@ -15,7 +15,10 @@ plus the server-side key file:
   (Figure 7);
 * :class:`SrvTab` — the in-memory form of ``/etc/srvtab``, which
   "authenticates the server as a password typed at a terminal
-  authenticates the user" (Section 6.3).
+  authenticates the user" (Section 6.3);
+* :class:`AuthenticatedService` — the base of every daemon that accepts
+  a ticket: the one :func:`krb_rd_req` call site, the one replay cache,
+  and the one answer to what a crash forgets.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ from repro.core.authenticator import (
 from repro.core.errors import ErrorCode, KerberosError
 from repro.core.messages import ApReply, ApRequest
 from repro.core.replay import CLOCK_SKEW, ReplayCache
+from repro.core.service import Service
 from repro.core.ticket import Ticket, unseal_ticket
 from repro.database.admin_tools import parse_srvtab
+from repro.encode import DecodeError
 from repro.netsim import IPAddress
 from repro.principal import Principal
 
@@ -229,7 +234,7 @@ def check_authenticator(
             raise KerberosError(
                 ErrorCode.RD_AP_REPEAT,
                 f"authenticator from {auth.client} at {auth.timestamp:.0f} "
-                "already seen (replay)",
+                "already seen, or no newer than this server's restart (replay)",
             )
 
     return AuthContext(
@@ -252,3 +257,77 @@ def krb_rd_rep(reply: ApReply, sent_timestamp: float, session_key: DesKey) -> No
     """Client side of Figure 7: verify the server's proof.  Raises on a
     masquerading server (which cannot produce the seal)."""
     reply.verify(sent_timestamp, session_key)
+
+
+class AuthenticatedService(Service):
+    """A daemon that accepts tickets: the front door and the crash model.
+
+    Owns what Section 4.3 asks of a server — its principal, where its
+    key lives (``keys``: the machine's :class:`SrvTab`, or on a Kerberos
+    machine the database holding the principal's row), the ``skew`` it
+    tolerates and the :class:`ReplayCache` — and what a power loss does
+    to them.  Durable: the key source, and whatever else a subclass
+    keeps on disk (database, configuration).  Volatile: the replay
+    cache, plus what a subclass adds in its own ``on_crash`` (sessions,
+    kernel maps, queues).  Having forgotten which authenticators it has
+    seen, a restarted daemon refuses every one stamped at or before its
+    restart instant: for the rest of the skew window a replay of
+    pre-crash traffic is indistinguishable from it, and nothing built
+    since the restart is.  The cost is a client whose clock runs slow,
+    refused until its stamps pass that instant.
+    """
+
+    def __init__(
+        self, service: Optional[Principal], keys, skew: float = CLOCK_SKEW
+    ) -> None:
+        super().__init__()
+        self.service = service
+        self.keys = keys
+        self.skew = skew
+        self.auth_failures = 0
+
+    def on_attach(self) -> None:
+        self.replay_cache = ReplayCache(
+            window=self.skew,
+            metrics=self.metrics,
+            labels={"server": self.host.name, "service": str(self.service)},
+            audit=self.audit,
+            host=self.host.name,
+        )
+
+    def on_crash(self) -> None:
+        self.replay_cache.purge(float("inf"))
+
+    def on_restart(self) -> None:
+        self.replay_cache.refuse_through = self.host.clock.now()
+
+    def authenticate(self, ap_request: bytes, datagram, trace=None) -> AuthContext:
+        """Figure 6 for one datagram: decode the AP request it carries
+        and run :func:`krb_rd_req` against this service's key, cache and
+        clock.  A refusal is counted and audited (``auth_failure``,
+        joined to ``trace`` — the datagram's own unless the caller's
+        span has a better one) and then raised for the caller to shape
+        into its own reply: :class:`KerberosError`, or
+        :class:`DecodeError` for bytes that are no AP request at all."""
+        keys = self.keys
+        if not isinstance(keys, SrvTab):
+            keys = keys.principal_key(self.service)
+        try:
+            return krb_rd_req(
+                ApRequest.from_bytes(ap_request),
+                self.service,
+                keys,
+                datagram.src,
+                self.host.clock.now(),
+                self.replay_cache,
+                self.skew,
+            )
+        except (KerberosError, DecodeError) as exc:
+            self.auth_failures += 1
+            self.audit.emit(
+                "auth_failure",
+                host=self.host.name,
+                trace=datagram.trace if trace is None else trace,
+                detail=f"{self.service} refused: {exc}",
+            )
+            raise

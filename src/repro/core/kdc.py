@@ -30,10 +30,14 @@ from typing import Dict, List, NamedTuple, Optional
 
 from repro.crypto import DesKey, KeyGenerator, keycache
 from repro.crypto.modes import interleaved_blocks
-from repro.core.applib import AuthContext, check_authenticator, check_ticket
+from repro.core.applib import (
+    AuthContext,
+    AuthenticatedService,
+    check_authenticator,
+    check_ticket,
+)
 from repro.core.authenticator import Authenticator
 from repro.core.errors import ErrorCode, KerberosError, error_for_code
-from repro.core.service import Service
 from repro.core.messages import (
     ErrorReply,
     KdcReply,
@@ -44,7 +48,7 @@ from repro.core.messages import (
     encode_message,
     verify_preauth,
 )
-from repro.core.replay import CLOCK_SKEW, ReplayCache
+from repro.core.replay import CLOCK_SKEW
 from repro.core.ticket import Ticket, seal_tickets_cached, unseal_structs
 from repro.database.db import KerberosDatabase, NoSuchPrincipal
 from repro.database.masterkey import MasterKeyError
@@ -132,7 +136,7 @@ class _BufferDatagram(NamedTuple):
     trace: Optional[object] = None
 
 
-class KerberosServer(Service):
+class KerberosServer(AuthenticatedService):
     """An authentication server on a host's Kerberos port.
 
     Runs against the master database or any read-only slave copy —
@@ -160,11 +164,12 @@ class KerberosServer(Service):
         queue: Optional[WorkQueueConfig] = None,
         shard=None,
     ) -> None:
-        super().__init__()
+        # The ticket-granting service is the one this daemon accepts
+        # tickets for; its key is a row of the database it serves.
+        super().__init__(tgs_principal(database.realm), database, skew)
         self.db = database
         self.realm = database.realm
         self.keygen = keygen
-        self.skew = skew
         self.port = port
         #: :class:`~repro.realm.sharding.ShardMembership` when this KDC
         #: serves one shard of a partitioned realm; None for the classic
@@ -179,18 +184,11 @@ class KerberosServer(Service):
         return {self.port: self._handle}
 
     def on_attach(self) -> None:
+        super().on_attach()
         host = self.host
-        # Metrics, tracing, and the audit plane (Figure 10 / Section 9)
-        # live on the network; this server's series carry a `server`
-        # label so master and slave load can be told apart.
-        self.metrics = host.network.metrics
-        self.tracer = host.network.tracer
-        self.audit = host.network.audit
+        # This server's series carry a `server` label so master and
+        # slave load (Figure 10 / Section 9) can be told apart.
         self._labels = {"server": host.name}
-        self.replay_cache = ReplayCache(
-            window=self.skew, metrics=self.metrics, labels=self._labels,
-            audit=self.audit, host=host.name,
-        )
         # Fixed-label series resolved once, not per request.
         self._requests_total = {
             kind: self.metrics.counter(
@@ -247,13 +245,10 @@ class KerberosServer(Service):
         """The host died: queued requests are gone — their senders hear
         nothing and fail over.  (In-flight batch completions check host
         state and drop their replies too.)"""
+        super().on_crash()
         if self.workqueue is not None:
             for _datagram, deferred in self.workqueue.drop_pending():
                 deferred.resolve(None)
-
-    def on_restart(self) -> None:
-        """The daemon restarts with an empty queue (already dropped at
-        crash time); durable state — the database — survived."""
 
     @property
     def errors(self) -> int:
@@ -519,7 +514,6 @@ class KerberosServer(Service):
         tickets = unseal_structs(
             Ticket, "ticket", [(messages[i].tgt, key) for i, key in wave]
         )
-        service = tgs_principal(self.realm)
         # Wave 2: the authenticators of the tickets that check out, each
         # under its TGT's session key.
         survivors = []
@@ -528,7 +522,7 @@ class KerberosServer(Service):
                 errors[i] = ticket
                 continue
             try:
-                check_ticket(ticket, service, now, self.skew)
+                check_ticket(ticket, self.service, now, self.skew)
                 survivors.append((i, ticket, ticket.key))
             except KerberosError as err:
                 errors[i] = _frameless(err)
@@ -834,7 +828,7 @@ class KerberosServer(Service):
         local TGTs, the inter-realm key for foreign ones."""
         try:
             if tgt_realm == self.realm:
-                return self.db.principal_key(tgs_principal(self.realm))
+                return self.db.principal_key(self.service)
             return self.db.principal_key(
                 Principal(XREALM_NAME, tgt_realm, self.realm)
             )

@@ -49,6 +49,12 @@ class ReplayCache:
         #: Section 4.3 "can be discarded" moment is an audit event).
         self._audit = audit
         self._host = host
+        #: Authenticators stamped at or before this instant are refused
+        #: as replays.  A daemon that lost this cache in a crash sets it
+        #: to its restart instant: whatever was presented before the
+        #: crash cannot be told from fresh any more, and nothing stamped
+        #: later can have been.
+        self.refuse_through = float("-inf")
         if metrics is not None:
             base = dict(labels or {})
             self._fresh = metrics.counter(
@@ -63,12 +69,6 @@ class ReplayCache:
             self._size = metrics.gauge("replay.entries", base)
         else:
             self._fresh = self._replayed = self._evictions = self._size = None
-
-    def bind_audit(self, audit, host: str) -> None:
-        """Late-wire the audit log (caches built before their host is
-        known — e.g. in a Service ``__init__`` — bind at attach time)."""
-        self._audit = audit
-        self._host = host
 
     def seen_before(self, client: str, address: int, timestamp: float) -> bool:
         """Has this exact (client, addr, timestamp) already been presented?"""
@@ -99,7 +99,7 @@ class ReplayCache:
         this is a replay.  This is the KDC/server hot path: one set
         lookup decides, and the store skips the redundant re-check."""
         entry = (client, address, timestamp)
-        if entry in self._seen:
+        if timestamp <= self.refuse_through or entry in self._seen:
             if self._replayed is not None:
                 self._replayed.inc()
             if self._audit is not None:
@@ -107,7 +107,12 @@ class ReplayCache:
                     "replay_detected",
                     host=self._host,
                     principal=client,
-                    detail=f"reused authenticator ts={timestamp:.3f}",
+                    detail=(
+                        f"reused authenticator ts={timestamp:.3f}"
+                        if entry in self._seen else
+                        f"authenticator ts={timestamp:.3f} not after the "
+                        f"restart at {self.refuse_through:.3f}"
+                    ),
                 )
             return False
         self._store(entry, timestamp, now)

@@ -13,16 +13,27 @@
 
 The function names follow the library the paper describes:
 ``krb_mk_safe``/``krb_rd_safe`` and ``krb_mk_priv``/``krb_rd_priv``
-(Section 6.2).
+(Section 6.2).  :func:`protect`/:func:`unprotect` pick between them by
+:class:`Protection` level, for both ends of a session.
 """
 
 from __future__ import annotations
+
+import enum
 
 from repro.crypto import DesKey, IntegrityError, quad_cksum, seal, unseal
 from repro.core.errors import ErrorCode, KerberosError
 from repro.core.replay import CLOCK_SKEW
 from repro.encode import DecodeError, WireStruct, field
 from repro.netsim import IPAddress
+
+
+class Protection(enum.IntEnum):
+    """Section 2.1's three levels of protection."""
+
+    NONE = 0
+    SAFE = 1
+    PRIVATE = 2
 
 
 class SafeMessage(WireStruct):
@@ -132,3 +143,31 @@ def krb_rd_priv(
             f"private message time {body.timestamp:.0f} outside window",
         )
     return body.data
+
+
+def protect(
+    level: Protection, data: bytes, session_key: DesKey, sender: IPAddress,
+    now: float,
+) -> bytes:
+    """``data`` as it goes on the wire in a session at ``level``."""
+    if level == Protection.NONE:
+        return data
+    make = krb_mk_safe if level == Protection.SAFE else krb_mk_priv
+    return make(data, session_key, sender, now).to_bytes()
+
+
+def unprotect(
+    level: Protection, payload: bytes, session_key: DesKey,
+    expected_sender: IPAddress, now: float, skew: float = CLOCK_SKEW,
+) -> bytes:
+    """The data inside a payload received in a session at ``level``,
+    verified as that level promises (at NONE, nothing is)."""
+    if level == Protection.NONE:
+        return payload
+    if level == Protection.SAFE:
+        return krb_rd_safe(
+            SafeMessage.from_bytes(payload), session_key, expected_sender, now, skew
+        )
+    return krb_rd_priv(
+        PrivMessage.from_bytes(payload), session_key, expected_sender, now, skew
+    )

@@ -43,8 +43,10 @@ class Service:
     """Base class for every network daemon in the realm.
 
     Subclasses implement :meth:`ports` and may override the lifecycle
-    hooks.  The base class owns the attach/detach mechanics and the
-    ``host`` attribute (None while detached).
+    hooks.  The base class owns the attach/detach mechanics, the
+    ``host`` attribute (None while detached) and — from attach on — the
+    ``metrics`` / ``tracer`` / ``audit`` handles of the network the host
+    is plugged into, so no daemon wires its own.
     """
 
     def __init__(self) -> None:
@@ -83,6 +85,9 @@ class Service:
                 host.unbind(port)
             raise ServiceError(str(exc)) from exc
         self.host = host
+        self.metrics = host.network.metrics
+        self.tracer = host.network.tracer
+        self.audit = host.network.audit
         host.register_service(self)
         self.on_attach()
         return self
@@ -100,17 +105,20 @@ class Service:
     # -- hooks (no-ops by default) -------------------------------------------
 
     def on_attach(self) -> None:
-        """Runs after every port is bound; host is set."""
+        """Runs after every port is bound; ``host`` and the three
+        observability handles are set.  Volatile state is born here."""
 
     def on_detach(self) -> None:
         """Runs before ports are unbound; host is still set."""
 
     def on_crash(self) -> None:
-        """The host went down.  Volatile state (queues, in-flight work)
-        is lost; durable state (the database on disk) survives."""
+        """The host lost power.  Whatever the daemon held in memory
+        (queues, in-flight work, replay cache, sessions, kernel maps) is
+        lost; what is on disk (database, srvtab, configuration)
+        survives.  Overrides drop their own volatile state here."""
 
     def on_restart(self) -> None:
-        """The host came back; rebuild volatile state."""
+        """The host came back; volatile state starts empty."""
 
 
 __all__ = ["Service", "ServiceError"]

@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.core.applib import krb_rd_req
+from repro.core.applib import AuthenticatedService
 from repro.core.errors import ErrorCode, KerberosError
-from repro.core.service import Service
-from repro.core.messages import ApRequest
-from repro.core.replay import CLOCK_SKEW, ReplayCache
+from repro.core.replay import CLOCK_SKEW
 from repro.core.safe_priv import PrivMessage, krb_mk_priv, krb_rd_priv
 from repro.database.acl import AccessControlList
 from repro.database.db import (
@@ -33,6 +31,7 @@ from repro.database.db import (
     PrincipalExists,
     ReadOnlyDatabase,
 )
+from repro.encode import DecodeError
 from repro.kdbm.messages import (
     AdminOperation,
     AdminReplyBody,
@@ -55,7 +54,7 @@ class KdbmLogEntry:
     detail: str
 
 
-class KdbmServer(Service):
+class KdbmServer(AuthenticatedService):
     """Read-write database interface, master machine only."""
 
     def __init__(
@@ -65,7 +64,8 @@ class KdbmServer(Service):
         skew: float = CLOCK_SKEW,
         port: int = KDBM_PORT,
     ) -> None:
-        super().__init__()
+        # The service key is the database's own row for the principal.
+        super().__init__(kdbm_principal(database.realm), database, skew)
         if database.readonly:
             raise ReadOnlyDatabase(
                 "the KDBM server may only run on the master Kerberos "
@@ -73,21 +73,13 @@ class KdbmServer(Service):
             )
         self.db = database
         self.acl = acl
-        self.skew = skew
         self.port = port
-        self.service = kdbm_principal(database.realm)
-        self.replay_cache = ReplayCache(window=skew)
+        # Section 5.1: "All requests ... whether permitted or denied,
+        # are logged" — the realm audit plane gets the denials too.
         self.log: List[KdbmLogEntry] = []
 
     def ports(self):
         return {self.port: self._handle}
-
-    def on_attach(self) -> None:
-        # Section 5.1: "All requests ... whether permitted or denied,
-        # are logged" — the realm audit plane gets the denials too.
-        self.tracer = self.host.network.tracer
-        self.audit = self.host.network.audit
-        self.replay_cache.bind_audit(self.audit, self.host.name)
 
     # -- request handling -------------------------------------------------
 
@@ -99,27 +91,17 @@ class KdbmServer(Service):
 
     def _handle_inner(self, datagram) -> bytes:
         now = self.host.clock.now()
+        # Nothing authenticated to reply to, and no session key to seal
+        # a reply in: both refusals are logged and answered with silence.
         try:
             request = KdbmRequest.from_bytes(datagram.payload)
-            ap_request = ApRequest.from_bytes(request.ap_request)
-        except Exception:
-            # Nothing authenticated to reply to; drop with a bare error.
+            context = self.authenticate(request.ap_request, datagram)
+        except DecodeError:
             self._log(now, "<unparsed>", "?", "?", False, "undecodable request")
             return b""
-
-        try:
-            context = krb_rd_req(
-                request=ap_request,
-                service=self.service,
-                service_key_or_srvtab=self.db.principal_key(self.service),
-                packet_address=datagram.src,
-                now=now,
-                replay_cache=self.replay_cache,
-                skew=self.skew,
-            )
         except KerberosError as err:
             self._log(now, "<unauthenticated>", "?", "?", False, str(err))
-            return b""  # cannot seal a reply without a session key
+            return b""
 
         try:
             body = AdminRequestBody.from_bytes(

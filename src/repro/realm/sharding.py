@@ -456,8 +456,6 @@ class RangeReceiver(Service):
         return {self.port: self._handle}
 
     def on_attach(self) -> None:
-        self.metrics = self.host.network.metrics
-        self.tracer = self.host.network.tracer
         self._labels = {"server": self.host.name}
 
     def _reject(self, text: str) -> bytes:

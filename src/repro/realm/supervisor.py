@@ -105,10 +105,6 @@ class RealmSupervisor(Service):
         return {}
 
     def on_attach(self) -> None:
-        net = self.host.network
-        self.metrics = net.metrics
-        self.tracer = net.tracer
-        self.audit = net.audit
         self._schedule_next()
 
     def on_detach(self) -> None:

@@ -67,9 +67,6 @@ class Kpropd(Service):
         return {self.port: self._handle}
 
     def on_attach(self) -> None:
-        self.metrics = self.host.network.metrics
-        self.tracer = self.host.network.tracer
-        self.audit = self.host.network.audit
         self._labels = {"slave": self.host.name}
         for result in ("applied", "rejected", "need_full"):
             self.metrics.counter(

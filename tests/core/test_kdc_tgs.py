@@ -151,27 +151,6 @@ class TestTgsValidation:
             expect_reply(raw, MessageType.TGS_REP)
         assert err.value.code == ErrorCode.RD_AP_MODIFIED
 
-    def test_replayed_tgs_request_rejected(self, logged_in, rlogin, ws, kdc_host):
-        service, _ = rlogin
-        tgt = logged_in.cache.tgt(REALM)
-        now = ws.clock.now()
-        request = TgsRequest(
-            service=service,
-            requested_life=3600.0,
-            timestamp=now,
-            tgt_realm=REALM,
-            tgt=tgt.ticket,
-            authenticator=build_authenticator(
-                logged_in.principal, ws.address, now, tgt.session_key
-            ),
-        )
-        wire = encode_message(MessageType.TGS_REQ, request)
-        expect_reply(ws.rpc(kdc_host.address, KERBEROS_PORT, wire), MessageType.TGS_REP)
-        raw = ws.rpc(kdc_host.address, KERBEROS_PORT, wire)
-        with pytest.raises(KerberosError) as err:
-            expect_reply(raw, MessageType.TGS_REP)
-        assert err.value.code == ErrorCode.RD_AP_REPEAT
-
     def test_stolen_tgt_from_other_host_rejected(
         self, logged_in, rlogin, net, kdc_host
     ):

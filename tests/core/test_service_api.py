@@ -57,6 +57,18 @@ class TestLifecycle:
         assert client.rpc(host.address, 9, b"") == b"ok:9"
         assert service.events == ["attach"]
 
+    def test_attach_hands_over_the_networks_observability(self):
+        """Set before ``on_attach`` runs, so no daemon wires its own."""
+        net = Network()
+        seen = []
+
+        class Probe(Echo):
+            def on_attach(self):
+                seen.append((self.metrics, self.tracer, self.audit))
+
+        Probe().attach(net.add_host("h"))
+        assert seen == [(net.metrics, net.tracer, net.audit)]
+
     def test_detach_unbinds_and_unregisters(self):
         net = Network()
         host = net.add_host("h")

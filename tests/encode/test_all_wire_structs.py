@@ -33,6 +33,7 @@ MODULES = [
     "repro.core.messages",
     "repro.core.ticket",
     "repro.core.authenticator",
+    "repro.core.safe_priv",
     "repro.kdbm.messages",
     "repro.replication.messages",
     "repro.apps.kerberized",
