@@ -17,7 +17,7 @@ the paper is making about separating sensitive from non-sensitive data.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.locator import KdcLocator
 from repro.core.service import Service
@@ -95,18 +95,29 @@ class HesiodRingRecord(WireStruct):
     )
 
 
+#: Which record type a queried name holds, by its prefix (first match);
+#: a name with no reserved prefix is a user's :class:`HesiodEntry`.
+RECORD_TYPES = (
+    (RING_RECORD_PREFIX, HesiodRingRecord),
+    (SHARD_RECORD_PREFIX, HesiodKdcRecord),
+    (KDC_RECORD_PREFIX, HesiodKdcRecord),
+    ("", HesiodEntry),
+)
+
+
+def shard_record_name(realm: str, shard: int) -> str:
+    return f"{SHARD_RECORD_PREFIX}{int(shard)}.{realm}"
+
+
 class HesiodServer(Service):
-    """Serves user directory entries, in the clear."""
+    """Serves directory records — user entries and the reserved
+    ``_kerberos*`` service records — by name, in the clear."""
 
     def __init__(self, port: int = HESIOD_PORT) -> None:
         super().__init__()
         self.port = port
-        self._entries: Dict[str, HesiodEntry] = {}
-        self._kdc_lists: Dict[str, List[str]] = {}
-        #: (realm, shard) -> that shard's KDC list, shard master first.
-        self._shard_lists: Dict[Tuple[str, int], List[str]] = {}
-        #: realm -> published ring record (sharded realms only).
-        self._rings: Dict[str, HesiodRingRecord] = {}
+        #: queried name -> record; every kind of record lives here.
+        self._records: Dict[str, WireStruct] = {}
         self.queries = 0
 
     def ports(self):
@@ -131,137 +142,63 @@ class HesiodServer(Service):
             home_path=home_path,
             shell=shell,
         )
-        self._entries[username] = entry
+        self._records[username] = entry
         return entry
 
-    def local_lookup(self, username: str) -> Optional[HesiodEntry]:
-        return self._entries.get(username)
+    def local_lookup(self, name: str) -> Optional[WireStruct]:
+        return self._records.get(name)
 
     # -- realm KDC records ----------------------------------------------------
 
     def store_kdc_list(self, realm: str, addresses) -> None:
         """Publish (or replace) the KDC list served for ``realm``.  The
         order is the clients' failover order: current master first."""
-        self._kdc_lists[realm] = [str(IPAddress(a)) for a in addresses]
+        self._records[KDC_RECORD_PREFIX + realm] = HesiodKdcRecord(
+            realm=realm, addresses=[str(IPAddress(a)) for a in addresses]
+        )
 
     def store_shard_kdc_list(
         self, realm: str, shard: int, addresses
     ) -> None:
         """Publish one shard's KDC list (that shard's master first)."""
-        self._shard_lists[(realm, int(shard))] = [
-            str(IPAddress(a)) for a in addresses
-        ]
+        self._records[shard_record_name(realm, shard)] = HesiodKdcRecord(
+            realm=realm, addresses=[str(IPAddress(a)) for a in addresses]
+        )
 
     def store_ring(self, record: HesiodRingRecord) -> None:
         """Publish (or replace) a sharded realm's ring descriptor."""
-        self._rings[record.realm] = record
+        self._records[RING_RECORD_PREFIX + record.realm] = record
 
     def _handle(self, datagram) -> bytes:
+        # Hesiod never errors, it just doesn't know.
         self.queries += 1
-        query = HesiodQuery.from_bytes(datagram.payload)
-        if query.username.startswith(RING_RECORD_PREFIX):
-            record = self._rings.get(query.username[len(RING_RECORD_PREFIX):])
-            if record is None:
-                return HesiodReply(found=False, entry_bytes=b"").to_bytes()
-            return HesiodReply(
-                found=True, entry_bytes=record.to_bytes()
-            ).to_bytes()
-        if query.username.startswith(SHARD_RECORD_PREFIX):
-            # "<shard>.<realm>" after the prefix; bad shapes are simply
-            # not found (Hesiod never errors, it just doesn't know).
-            rest = query.username[len(SHARD_RECORD_PREFIX):]
-            shard_str, _, realm = rest.partition(".")
-            try:
-                shard = int(shard_str)
-            except ValueError:
-                return HesiodReply(found=False, entry_bytes=b"").to_bytes()
-            addresses = self._shard_lists.get((realm, shard))
-            if addresses is None:
-                return HesiodReply(found=False, entry_bytes=b"").to_bytes()
-            record = HesiodKdcRecord(realm=realm, addresses=list(addresses))
-            return HesiodReply(
-                found=True, entry_bytes=record.to_bytes()
-            ).to_bytes()
-        if query.username.startswith(KDC_RECORD_PREFIX):
-            realm = query.username[len(KDC_RECORD_PREFIX):]
-            addresses = self._kdc_lists.get(realm)
-            if addresses is None:
-                return HesiodReply(found=False, entry_bytes=b"").to_bytes()
-            record = HesiodKdcRecord(realm=realm, addresses=list(addresses))
-            return HesiodReply(
-                found=True, entry_bytes=record.to_bytes()
-            ).to_bytes()
-        entry = self._entries.get(query.username)
-        if entry is None:
-            return HesiodReply(found=False, entry_bytes=b"").to_bytes()
-        return HesiodReply(found=True, entry_bytes=entry.to_bytes()).to_bytes()
+        record = self._records.get(
+            HesiodQuery.from_bytes(datagram.payload).username
+        )
+        return HesiodReply(
+            found=record is not None,
+            entry_bytes=b"" if record is None else record.to_bytes(),
+        ).to_bytes()
 
 
 def hesiod_lookup(
-    host: Host, hesiod_address, username: str, port: int = HESIOD_PORT
-) -> Optional[HesiodEntry]:
-    """Client-side query (what the login program runs)."""
+    host: Host, hesiod_address, name: str, port: int = HESIOD_PORT
+) -> Optional[WireStruct]:
+    """The client-side query: what the login program runs for a user's
+    :class:`HesiodEntry`, and what a workstation runs for the reserved
+    names — ``_kerberos.<REALM>`` at login time and again when its
+    configured KDCs stop answering, ``_kerberos-ring.<REALM>`` and
+    :func:`shard_record_name` to route in a sharded realm.  Returns the
+    record decoded as the type its name's prefix says, None when Hesiod
+    does not know the name."""
     raw = host.rpc(
-        IPAddress(hesiod_address),
-        port,
-        HesiodQuery(username=username).to_bytes(),
+        IPAddress(hesiod_address), port, HesiodQuery(username=name).to_bytes()
     )
     reply = HesiodReply.from_bytes(raw)
     if not reply.found:
         return None
-    return HesiodEntry.from_bytes(reply.entry_bytes)
-
-
-def hesiod_kdcs(
-    host: Host, hesiod_address, realm: str, port: int = HESIOD_PORT
-) -> Optional[List[IPAddress]]:
-    """Client-side KDC discovery: ask Hesiod which KDCs serve ``realm``
-    (what a workstation runs at login time, and again when its
-    configured KDCs stop answering)."""
-    raw = host.rpc(
-        IPAddress(hesiod_address),
-        port,
-        HesiodQuery(username=KDC_RECORD_PREFIX + realm).to_bytes(),
-    )
-    reply = HesiodReply.from_bytes(raw)
-    if not reply.found:
-        return None
-    record = HesiodKdcRecord.from_bytes(reply.entry_bytes)
-    return [IPAddress(a) for a in record.addresses]
-
-
-def hesiod_ring(
-    host: Host, hesiod_address, realm: str, port: int = HESIOD_PORT
-) -> Optional[HesiodRingRecord]:
-    """Fetch a sharded realm's ring descriptor (None if not sharded)."""
-    raw = host.rpc(
-        IPAddress(hesiod_address),
-        port,
-        HesiodQuery(username=RING_RECORD_PREFIX + realm).to_bytes(),
-    )
-    reply = HesiodReply.from_bytes(raw)
-    if not reply.found:
-        return None
-    return HesiodRingRecord.from_bytes(reply.entry_bytes)
-
-
-def hesiod_shard_kdcs(
-    host: Host, hesiod_address, realm: str, shard: int,
-    port: int = HESIOD_PORT,
-) -> Optional[List[IPAddress]]:
-    """Fetch one shard's KDC list (shard master first)."""
-    raw = host.rpc(
-        IPAddress(hesiod_address),
-        port,
-        HesiodQuery(
-            username=f"{SHARD_RECORD_PREFIX}{int(shard)}.{realm}"
-        ).to_bytes(),
-    )
-    reply = HesiodReply.from_bytes(raw)
-    if not reply.found:
-        return None
-    record = HesiodKdcRecord.from_bytes(reply.entry_bytes)
-    return [IPAddress(a) for a in record.addresses]
+    record = next(cls for prefix, cls in RECORD_TYPES if name.startswith(prefix))
+    return record.from_bytes(reply.entry_bytes)
 
 
 class HesiodLocator(KdcLocator):
@@ -287,10 +224,12 @@ class HesiodLocator(KdcLocator):
         if not self._cached:
             # Only an answer is cached: a workstation that asked before
             # the realm published must find the record once it appears.
-            found = hesiod_kdcs(
-                self._host, self._hesiod, self._realm, port=self._port
+            found = hesiod_lookup(
+                self._host, self._hesiod, KDC_RECORD_PREFIX + self._realm,
+                port=self._port,
             )
-            self._cached = list(found or ())
+            if found is not None:
+                self._cached = [IPAddress(a) for a in found.addresses]
         return list(self._cached)
 
     def refresh(self) -> None:

@@ -74,12 +74,6 @@ class ReplayCache:
         """Has this exact (client, addr, timestamp) already been presented?"""
         return (client, address, timestamp) in self._seen
 
-    def remember(self, client: str, address: int, timestamp: float, now: float) -> None:
-        """Record a fresh authenticator (idempotent for direct callers)."""
-        entry = (client, address, timestamp)
-        if entry not in self._seen:
-            self._store(entry, timestamp, now)
-
     def _store(self, entry: _Entry, timestamp: float, now: float) -> None:
         """Insert an entry the caller has already proven absent.
 

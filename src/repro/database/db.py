@@ -19,7 +19,7 @@ master key fails immediately instead of corrupting records later.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.crypto import DesKey, keycache, string_to_key
 from repro.database.journal import (
@@ -392,6 +392,22 @@ class KerberosDatabase:
             enc.bytes_(value)
         return enc.getvalue()
 
+    @staticmethod
+    def _dump_header(dec: Decoder) -> Tuple[str, float, int, int]:
+        if dec.raw(len(_DUMP_MAGIC)) != _DUMP_MAGIC:
+            raise DatabaseError("not a Kerberos database dump")
+        return dec.string(), dec.f64(), dec.u64(), dec.u64()
+
+    @classmethod
+    def dump_position(cls, data: bytes) -> Tuple[int, int]:
+        """The journal position ``(epoch, seq)`` a dump's header says it
+        captures — what kpropd compares with ``loaded_epoch``/
+        ``loaded_seq`` before letting the dump replace the database."""
+        try:
+            return cls._dump_header(Decoder(data))[2:]
+        except DecodeError as exc:
+            raise DatabaseError(f"corrupt dump: {exc}") from exc
+
     def load_dump(self, data: bytes) -> int:
         """Replace the database contents from a dump (slave update).
 
@@ -402,16 +418,11 @@ class KerberosDatabase:
         """
         dec = Decoder(data)
         try:
-            if dec.raw(len(_DUMP_MAGIC)) != _DUMP_MAGIC:
-                raise DatabaseError("not a Kerberos database dump")
-            realm = dec.string()
+            realm, dump_time, epoch, seq = self._dump_header(dec)
             if realm != self.realm:
                 raise DatabaseError(
                     f"dump is for realm {realm!r}, this database is {self.realm!r}"
                 )
-            dump_time = dec.f64()
-            epoch = dec.u64()
-            seq = dec.u64()
             count = dec.u32()
             entries = [(dec.string(), dec.bytes_()) for _ in range(count)]
             dec.expect_eof()

@@ -36,10 +36,11 @@ from repro.obs.metrics import HeldHandles
 #: ``preauth_failure``  — a preauthentication proof that did not verify
 #:   (a failed password-guessing probe, Section 9 discussion);
 #: ``replay_detected``  — the Section 4.3 replay cache caught a reused
-#:   authenticator;
+#:   authenticator, or a database transfer stood behind what the
+#:   receiving database already holds;
 #: ``acl_denial``       — the KDBM refused an administrative operation;
-#: ``tampered_propagation`` — kpropd rejected a transfer whose checksum
-#:   did not verify;
+#: ``tampered_propagation`` — kpropd or a shard's range receiver
+#:   rejected a transfer whose checksum did not verify;
 #: ``overload_shed``    — admission control refused a request (queue
 #:   full);
 #: ``master_promoted``  — the realm supervisor (or an administrator)

@@ -49,6 +49,7 @@ from repro.netsim.clock import HOUR
 from repro.principal import Principal
 from repro.replication.kprop import Kprop
 from repro.replication.kpropd import Kpropd
+from repro.replication.receiver import RangeReceiver
 
 
 @dataclass
@@ -115,7 +116,8 @@ class ShardSite:
     #: The shard's :class:`~repro.realm.sharding.ShardMembership`
     #: (None in an unsharded realm).
     membership: Optional[object] = None
-    #: The shard master's :class:`~repro.realm.sharding.RangeReceiver`
+    #: The shard master's
+    #: :class:`~repro.replication.receiver.RangeReceiver`
     #: (None in an unsharded realm).
     receiver: Optional[object] = None
 
@@ -188,9 +190,9 @@ class Realm:
                 site.kdc.shard = site.membership
                 for slave in site.slaves:
                     slave.kdc.shard = site.membership
-                site.receiver = _sharding.RangeReceiver(site.db).attach(
-                    site.master_host
-                )
+                site.receiver = RangeReceiver(
+                    site.db, site.membership
+                ).attach(site.master_host)
             net.metrics.gauge(
                 "shard.ring_epoch", {"realm": name}
             ).set(self.ring.epoch)
@@ -551,13 +553,11 @@ class Realm:
             slave_addresses=[s.host.address for s in site.slaves],
         )
         if site.membership is not None:
-            from repro.realm import sharding as _sharding
-
             if old_receiver is not None and old_receiver.attached:
                 old_receiver.detach()
-            site.receiver = _sharding.RangeReceiver(promoted_db).attach(
-                promoted.host
-            )
+            site.receiver = RangeReceiver(
+                promoted_db, site.membership
+            ).attach(promoted.host)
             self.directory.set_shard(shard, self.shard_addresses(shard))
         if demote_old:
             self._demote_to_slave(site, old_master_host, old_kdc, old_kdbm)

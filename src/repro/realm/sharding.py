@@ -21,12 +21,14 @@ sharded datastore:
   (from the realm directly, or from Hesiod's ``_kerberos-ring``
   record), routing each exchange to the owning shard's replica list;
   per-shard failover rides the existing ``run_with_failover`` policy.
-* :class:`RangeReceiver` + :func:`move_range` — rebalancing as
-  journal-entry replay over the delta-kprop transport: the range's
-  records stream as :class:`~repro.database.journal.JournalEntry`
-  batches under the master-key MAC, the target *double-serves* the
-  range during the handoff window, then the ring epoch flips and the
-  source deletes the moved records.
+* :func:`move_range` — rebalancing as journal-entry replay over the
+  delta-kprop transport: the range's records stream through the source
+  shard's :class:`~repro.replication.kprop.Kprop` as
+  :class:`~repro.database.journal.JournalEntry` chunks under the
+  master-key MAC into the target's
+  :class:`~repro.replication.receiver.RangeReceiver`, the target
+  *double-serves* the range during the handoff window, then the ring
+  epoch flips and the source deletes the moved records.
 
 Stale clients are the design's steady state, not an error: a ring
 change invalidates every cached snapshot at once, and the referral
@@ -36,19 +38,18 @@ path repairs each client lazily, one bounced request at a time.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.apps.hesiod import (
+    RING_RECORD_PREFIX,
     HesiodRingRecord,
-    hesiod_ring,
-    hesiod_shard_kdcs,
+    hesiod_lookup,
+    shard_record_name,
 )
 from repro.core.errors import ErrorCode, WrongShard, referral_text
 from repro.core.locator import KdcLocator
-from repro.core.service import Service
-from repro.database.db import KerberosDatabase, MASTER_VERIFY_KEY
+from repro.database.db import MASTER_VERIFY_KEY
 from repro.database.journal import JournalEntry, OP_DELETE, OP_PUT
-from repro.encode import DecodeError
 from repro.netsim import IPAddress
 from repro.netsim.ports import HESIOD_PORT, SHARD_PORT
 from repro.realm.bootstrap import Realm, RealmTopology
@@ -56,10 +57,7 @@ from repro.replication.messages import (
     DeltaBody,
     DeltaReply,
     DeltaStatus,
-    DeltaTransfer,
     PropKind,
-    decode_prop_message,
-    encode_prop_message,
 )
 
 #: The ring's hash space: 32 bits, like the historical consistent-hash
@@ -271,9 +269,6 @@ class ShardDirectory:
     def addresses(self, shard: int) -> List[IPAddress]:
         return list(self._entries.get(int(shard), []))
 
-    def shards(self) -> List[int]:
-        return sorted(self._entries)
-
     def snapshot(self) -> Dict[int, List[IPAddress]]:
         return {s: list(a) for s, a in self._entries.items()}
 
@@ -302,9 +297,6 @@ class ShardMembership:
             return True
         return any(lo <= point < hi for lo, hi in self.extra_ranges)
 
-    def owns(self, key: str) -> bool:
-        return self.owns_point(hash_point(key))
-
     def referral_for(self, key: str) -> Optional[WrongShard]:
         """The typed referral for a principal this shard does not own —
         None when the ring says the principal *is* ours (an unknown
@@ -319,18 +311,6 @@ class ShardMembership:
                 owner, self.ring.epoch, self.directory.addresses(owner)
             ),
         )
-
-
-class ShardReferral(NamedTuple):
-    """A parsed :class:`WrongShard`, as locators consume it."""
-
-    shard: int
-    ring_epoch: int
-    kdcs: List[str]
-
-    @classmethod
-    def from_error(cls, err: WrongShard) -> "ShardReferral":
-        return cls(shard=err.shard, ring_epoch=err.ring_epoch, kdcs=err.kdcs)
 
 
 class LocalRingSource:
@@ -358,8 +338,9 @@ class HesiodRingSource:
         self._port = port
 
     def fetch(self) -> Tuple[HashRing, Dict[int, List[IPAddress]]]:
-        record = hesiod_ring(
-            self._host, self._hesiod, self._realm, port=self._port
+        record = hesiod_lookup(
+            self._host, self._hesiod, RING_RECORD_PREFIX + self._realm,
+            port=self._port,
         )
         if record is None:
             raise ValueError(
@@ -368,12 +349,12 @@ class HesiodRingSource:
         ring = HashRing.from_record(record)
         directory: Dict[int, List[IPAddress]] = {}
         for shard in range(record.n_shards):
-            addresses = hesiod_shard_kdcs(
-                self._host, self._hesiod, self._realm, shard,
-                port=self._port,
+            listed = hesiod_lookup(
+                self._host, self._hesiod,
+                shard_record_name(self._realm, shard), port=self._port,
             )
-            if addresses:
-                directory[shard] = addresses
+            if listed is not None and listed.addresses:
+                directory[shard] = [IPAddress(a) for a in listed.addresses]
         return ring, directory
 
 
@@ -427,90 +408,6 @@ class ShardedLocator(KdcLocator):
             self.refresh()
 
 
-class RangeReceiver(Service):
-    """The shard-master daemon that ingests a streamed hash range.
-
-    Listens on :data:`~repro.netsim.ports.SHARD_PORT` for delta-kprop
-    transfers (:class:`DeltaTransfer` under the one-byte envelope) and
-    applies their journal entries through the target database's
-    *journaled* write path — so the target's own slaves replicate the
-    moved records through ordinary delta propagation, and the master-key
-    MAC enforces the same "only information from the master host"
-    discipline as Figure 13 transfers.
-    """
-
-    def __init__(
-        self, database: KerberosDatabase, port: int = SHARD_PORT
-    ) -> None:
-        super().__init__()
-        if database.readonly:
-            raise ValueError(
-                "a range receiver ingests into the shard master's "
-                "writable database"
-            )
-        self.db = database
-        self.port = port
-        self.entries_applied = 0
-
-    def ports(self):
-        return {self.port: self._handle}
-
-    def on_attach(self) -> None:
-        self._labels = {"server": self.host.name}
-
-    def _reject(self, text: str) -> bytes:
-        self.metrics.counter(
-            "shard.range_transfers_total",
-            {**self._labels, "result": "rejected"},
-        ).inc()
-        return DeltaReply(
-            status=int(DeltaStatus.REJECTED),
-            applied_seq=0,
-            applied_time=0.0,
-            text=text,
-        ).to_bytes()
-
-    def _handle(self, datagram) -> bytes:
-        with self.tracer.span_under(
-            datagram.trace, "shard.range_apply", host=self.host.name
-        ):
-            try:
-                kind, transfer = decode_prop_message(datagram.payload)
-            except DecodeError as exc:
-                return self._reject(f"undecodable transfer: {exc}")
-            if kind != PropKind.DELTA or not isinstance(
-                transfer, DeltaTransfer
-            ):
-                return self._reject("range moves ride delta transfers")
-            if not self.db.master_key.verify_checksum(
-                transfer.body, transfer.checksum
-            ):
-                return self._reject("checksum mismatch (not the master key)")
-            try:
-                body = DeltaBody.from_bytes(transfer.body)
-            except DecodeError as exc:
-                return self._reject(f"undecodable delta body: {exc}")
-            now = self.host.clock.now()
-            for entry in body.entries:
-                if entry.key == MASTER_VERIFY_KEY:
-                    continue  # every shard already holds its own K.M
-                if entry.op == OP_PUT:
-                    self.db.import_record(entry.key, entry.value, now=now)
-                elif entry.op == OP_DELETE:
-                    self.db.remove_record(entry.key, now=now)
-            self.entries_applied += len(body.entries)
-            self.metrics.counter(
-                "shard.range_transfers_total",
-                {**self._labels, "result": "applied"},
-            ).inc()
-            return DeltaReply(
-                status=int(DeltaStatus.OK),
-                applied_seq=body.to_seq,
-                applied_time=now,
-                text="",
-            ).to_bytes()
-
-
 class RangeMoveResult(NamedTuple):
     """What one :func:`move_range` did."""
 
@@ -520,35 +417,33 @@ class RangeMoveResult(NamedTuple):
     sources: List[int]  # shard ids that gave up part of the range
 
 
-def _send_entries(
-    realm, source_shard, target_address: IPAddress,
+def _stream(
+    source, address: IPAddress, position: Tuple[int, int],
     entries: List[JournalEntry], now: float,
-) -> None:
-    """Stream entries to the target's range receiver in MAC'd chunks."""
-    master_key = source_shard.db.master_key
-    sent = 0
+) -> Tuple[int, int]:
+    """Ship ``entries`` to the target's range receiver through the
+    source shard's kprop, in chunks continuing at ``position`` — the
+    move's running ``(ring epoch, from_seq)`` — and return the position
+    after them."""
+    epoch, sent = position
     for i in range(0, len(entries), STREAM_CHUNK):
         chunk = entries[i:i + STREAM_CHUNK]
         body = DeltaBody(
-            epoch=realm.ring.epoch,
+            epoch=epoch,
             from_seq=sent,
             to_seq=sent + len(chunk),
             time=now,
             entries=chunk,
         ).to_bytes()
-        wire = encode_prop_message(
-            PropKind.DELTA,
-            DeltaTransfer(checksum=master_key.checksum(body), body=body),
-        )
-        raw = source_shard.master_host.rpc(
-            target_address, SHARD_PORT, wire
-        )
-        reply = DeltaReply.from_bytes(raw)
+        reply = DeltaReply.from_bytes(source.kprop.send(
+            address, source.kprop.seal(PropKind.DELTA, body), SHARD_PORT
+        ))
         if reply.status != int(DeltaStatus.OK):
             raise RuntimeError(
                 f"range transfer rejected by target shard: {reply.text}"
             )
         sent += len(chunk)
+    return epoch, sent
 
 
 def move_range(realm, lo: int, hi: int, to_shard: int) -> RangeMoveResult:
@@ -582,9 +477,11 @@ def move_range(realm, lo: int, hi: int, to_shard: int) -> RangeMoveResult:
         return RangeMoveResult(0, 0, result_epoch, [])
     net = realm.net
     now = net.clock.now()
-    target_membership = target.kdc.shard
     window = (int(lo), int(hi))
-    target_membership.extra_ranges.append(window)
+    target.receiver.open(window)
+    # One running position for the whole move: every chunk from every
+    # source is the next one in order at this ring epoch.
+    position = (ring.epoch, 0)
     moved = deleted = 0
     moved_keys: Dict[int, List[str]] = {}
     try:
@@ -611,15 +508,15 @@ def move_range(realm, lo: int, hi: int, to_shard: int) -> RangeMoveResult:
                 )
                 if in_range(key)
             ]
-            _send_entries(
-                realm, source, target.master_host.address, snapshot, now
+            position = _stream(
+                source, target.master_host.address, position, snapshot, now
             )
             # Catch-up: mutations journaled while the stream's RPCs
             # pumped the event loop (kpasswd mid-move, new users).
             tail = source.db.journal.entries_matching(mark, in_range)
             if tail:
-                _send_entries(
-                    realm, source, target.master_host.address, tail,
+                position = _stream(
+                    source, target.master_host.address, position, tail,
                     net.clock.now(),
                 )
             keys = {e.key for e in snapshot} | {
@@ -632,7 +529,7 @@ def move_range(realm, lo: int, hi: int, to_shard: int) -> RangeMoveResult:
         ring.move_range(lo, hi, int(to_shard))
         result_epoch = ring.epoch
     finally:
-        target_membership.extra_ranges.remove(window)
+        target.receiver.close(window)
     flip_time = net.clock.now()
     for sid in source_ids:
         source = realm.shards[sid]
@@ -704,10 +601,6 @@ class ShardedRealm(Realm):
         """Rebalance: see :func:`repro.realm.sharding.move_range`."""
         return move_range(self, lo, hi, to_shard)
 
-    def sharded_locator(self) -> ShardedLocator:
-        """A fresh locator snapshotting this realm's live ring."""
-        return ShardedLocator(LocalRingSource(self))
-
 
 __all__ = [
     "DEFAULT_VNODES",
@@ -715,11 +608,9 @@ __all__ = [
     "HesiodRingSource",
     "LocalRingSource",
     "RangeMoveResult",
-    "RangeReceiver",
     "RING_SPACE",
     "ShardDirectory",
     "ShardMembership",
-    "ShardReferral",
     "ShardedLocator",
     "ShardedRealm",
     "hash_point",

@@ -24,6 +24,7 @@ from repro.replication.messages import (
     decode_prop_message,
     encode_prop_message,
 )
+from repro.replication.receiver import RangeReceiver, TransferReceiver
 
 __all__ = [
     "DeltaBody",
@@ -36,6 +37,8 @@ __all__ = [
     "PropKind",
     "PropReply",
     "PropTransfer",
+    "RangeReceiver",
+    "TransferReceiver",
     "decode_prop_message",
     "encode_prop_message",
 ]

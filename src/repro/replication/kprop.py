@@ -2,21 +2,22 @@
 
 The administrator "must arrange that the programs to propagate database
 updates from master to slaves be kicked off periodically" (Section 6.3).
-Two cadences coexist:
-
-* :meth:`Kprop.schedule_hourly` — the paper's hourly *full* dump
-  ("The master database is dumped every hour"), kept as the safety net
-  and the catch-up path;
-* :meth:`Kprop.schedule_incremental` — a fast cadence (seconds) that
-  ships only the journal entries each slave has not yet applied,
-  shrinking the slave-staleness window from "up to an hour" to the
-  incremental interval at a per-round cost proportional to churn, not
-  database size.
+Two cadences coexist, both driven by the realm
+(:meth:`~repro.realm.Realm.schedule_propagation`,
+:meth:`~repro.realm.Realm.schedule_incremental`): the paper's hourly
+*full* dump ("The master database is dumped every hour"), kept as the
+safety net and the catch-up path, and a fast cadence (seconds) that
+ships only the journal entries each slave has not yet applied,
+shrinking the slave-staleness window from "up to an hour" to the
+incremental interval at a per-round cost proportional to churn, not
+database size.
 
 The master keeps a per-slave high-water mark ``(epoch, seq)``;
 :meth:`propagate` chooses full vs. delta per slave and falls back to a
 full dump whenever the slave answers ``NEED_FULL`` (gap, epoch mismatch,
 crash-restart) or the journal has compacted past the slave's position.
+Every transfer — a round's, or a range move's out of this shard — is
+made the master's by :meth:`Kprop.seal` and shipped by :meth:`Kprop.send`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.retry import RetryExhausted, RetryPolicy, run_with_failover
 from repro.database.db import KerberosDatabase
 from repro.netsim import Host, IPAddress, NetworkError
-from repro.netsim.clock import HOUR
 from repro.netsim.ports import KPROP_PORT
 from repro.obs import LATENCY_BUCKETS
 from repro.replication.messages import (
@@ -142,13 +142,7 @@ class Kprop:
         def full_transfer() -> bytes:
             nonlocal full_wire
             if full_wire is None:
-                dump = self.db.dump(now=now)
-                full_wire = encode_prop_message(
-                    PropKind.FULL,
-                    PropTransfer(
-                        checksum=self.db.master_key.checksum(dump), dump=dump
-                    ),
-                )
+                full_wire = self.seal(PropKind.FULL, self.db.dump(now=now))
             return full_wire
 
         # So are the deltas: slaves at one high-water mark — the steady
@@ -171,10 +165,7 @@ class Kprop:
                     self._send_full(address, full_transfer(), result, labels)
             except RetryExhausted as exc:
                 result.failures[str(address)] = f"unreachable: {exc.last_error}"
-                self.metrics.counter(
-                    "kprop.transfers_total",
-                    {**labels, "result": "unreachable"},
-                ).inc()
+                self._outcome(labels, "unreachable")
             self._update_lag_gauge(address, now)
         if self.db.journal is not None:
             self.metrics.gauge("repl.journal_depth", labels).set(
@@ -202,31 +193,41 @@ class Kprop:
             return None
         key = (mark, journal.last_seq)
         if key not in built:
-            built[key] = self._encode_delta(journal, mark[1], now)
+            entries = journal.entries_since(mark[1])
+            built[key] = None if entries is None else self.seal(
+                PropKind.DELTA,
+                DeltaBody(
+                    epoch=journal.epoch,
+                    from_seq=mark[1],
+                    to_seq=entries[-1].seq if entries else mark[1],
+                    time=now,
+                    entries=entries,
+                ).to_bytes(),
+            )
         return built[key]
 
-    def _encode_delta(self, journal, from_seq: int, now: float) -> Optional[bytes]:
-        entries = journal.entries_since(from_seq)
-        if entries is None:
-            return None
-        body = DeltaBody(
-            epoch=journal.epoch,
-            from_seq=from_seq,
-            to_seq=entries[-1].seq if entries else from_seq,
-            time=now,
-            entries=entries,
-        ).to_bytes()
+    def seal(self, kind: PropKind, body: bytes) -> bytes:
+        """The wire form of one transfer: ``body`` under the master-key
+        MAC, behind the kind envelope.  The only place a transfer is
+        made the master's; a round seals once per distinct body and
+        every slave needing it is sent the same bytes."""
+        mac = self.db.master_key.checksum(body)
         return encode_prop_message(
-            PropKind.DELTA,
-            DeltaTransfer(checksum=self.db.master_key.checksum(body), body=body),
+            kind,
+            PropTransfer(checksum=mac, dump=body) if kind == PropKind.FULL
+            else DeltaTransfer(checksum=mac, body=body),
         )
 
-    def _rpc(self, address: IPAddress, wire: bytes) -> bytes:
+    def send(self, address: IPAddress, wire: bytes, port: Optional[int] = None) -> bytes:
+        """Ship a sealed transfer under this sender's retry policy and
+        return the receiver's reply; :class:`RetryExhausted` when every
+        attempt was lost."""
+        port = self.port if port is None else port
         raw, _, _ = run_with_failover(
             self.retry_policy,
             self.host.clock,
             [address],
-            lambda addr: self.host.rpc(addr, self.port, wire),
+            lambda addr: self.host.rpc(addr, port, wire),
             rng=self._retry_rng,
             metrics=self.metrics,
             op="kprop",
@@ -243,7 +244,7 @@ class Kprop:
     ) -> Optional[bool]:
         """Returns True on success, None when the slave wants a full
         dump, and records a failure otherwise."""
-        reply = DeltaReply.from_bytes(self._rpc(address, wire))
+        reply = DeltaReply.from_bytes(self.send(address, wire))
         status = DeltaStatus(reply.status)
         if status == DeltaStatus.NEED_FULL:
             self.high_water.pop(address, None)
@@ -254,9 +255,7 @@ class Kprop:
         if status == DeltaStatus.REJECTED:
             result.modes[str(address)] = "delta"
             result.failures[str(address)] = reply.text
-            self.metrics.counter(
-                "kprop.transfers_total", {**labels, "result": "rejected"}
-            ).inc()
+            self._outcome(labels, "rejected")
             return False
         result.modes[str(address)] = "delta"
         result.succeeded += 1
@@ -264,9 +263,7 @@ class Kprop:
         self.last_applied_time[address] = reply.applied_time
         self.metrics.counter("repl.delta_bytes_total", labels).inc(len(wire))
         self.metrics.counter("kprop.bytes_total", labels).inc(len(wire))
-        self.metrics.counter(
-            "kprop.transfers_total", {**labels, "result": "ok"}
-        ).inc()
+        self._outcome(labels, "ok")
         return True
 
     def _send_full(
@@ -276,24 +273,25 @@ class Kprop:
         result: PropagationResult,
         labels: Dict[str, str],
     ) -> bool:
-        reply = PropReply.from_bytes(self._rpc(address, wire))
+        reply = PropReply.from_bytes(self.send(address, wire))
         self.metrics.counter("kprop.bytes_total", labels).inc(len(wire))
         self.metrics.counter("repl.full_dumps_total", labels).inc()
         if not reply.ok:
             result.failures[str(address)] = reply.text
-            self.metrics.counter(
-                "kprop.transfers_total", {**labels, "result": "rejected"}
-            ).inc()
+            self._outcome(labels, "rejected")
             return False
         result.succeeded += 1
         journal = self.db.journal
         if journal is not None:
             self.high_water[address] = (journal.epoch, journal.last_seq)
         self.last_applied_time[address] = reply.applied_time
-        self.metrics.counter(
-            "kprop.transfers_total", {**labels, "result": "ok"}
-        ).inc()
+        self._outcome(labels, "ok")
         return True
+
+    def _outcome(self, labels: Dict[str, str], result: str) -> None:
+        self.metrics.counter(
+            "kprop.transfers_total", {**labels, "result": result}
+        ).inc()
 
     def _update_lag_gauge(self, address: IPAddress, now: float) -> None:
         """``repl.slave_lag_seconds``: sim-clock time since this slave's
@@ -306,19 +304,3 @@ class Kprop:
                 "repl.slave_lag_seconds",
                 {"master": self.host.name, "slave": str(address)},
             ).set(now - applied)
-
-    # -- cadences ---------------------------------------------------------
-
-    def schedule_hourly(self, interval: float = HOUR) -> None:
-        """Kick off a *full-dump* round every ``interval`` seconds of
-        simulated time (the paper's hourly dump — kept as the safety
-        net under incremental propagation)."""
-        self.host.clock.reference.call_every(
-            interval, lambda: self.propagate(full=True)
-        )
-
-    def schedule_incremental(self, interval: float = 30.0) -> None:
-        """Kick off an incremental round every ``interval`` seconds:
-        deltas for slaves that are current, full dumps for ones that
-        are not.  Run alongside :meth:`schedule_hourly`."""
-        self.host.clock.reference.call_every(interval, self.propagate)

@@ -17,60 +17,56 @@ Figure 13 full dump.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.core.service import Service
-from repro.database.db import DatabaseError, KerberosDatabase
-from repro.encode import DecodeError
+from repro.database.db import KerberosDatabase
 from repro.netsim.ports import KPROP_PORT
 from repro.replication.messages import (
     DeltaBody,
     DeltaReply,
     DeltaStatus,
-    DeltaTransfer,
     PropKind,
     PropReply,
-    PropTransfer,
-    decode_prop_message,
 )
+from repro.replication.receiver import Position, TransferReceiver
 
 
-class Kpropd(Service):
+class Kpropd(TransferReceiver):
     """Receives database transfers (full dumps and deltas) and applies
-    verified ones."""
+    verified ones that do not take the slave copy backwards."""
+
+    span = "kpropd.apply"
+    bytes_metric = "kpropd.bytes_total"
+    results_metric = "kpropd.updates_total"
+    host_label = "slave"
 
     def __init__(
         self,
         database: KerberosDatabase,
         port: int = KPROP_PORT,
     ) -> None:
-        super().__init__()
+        super().__init__(database, port)
         if not database.readonly:
             raise ValueError("kpropd feeds a read-only slave database copy")
-        self.db = database
-        self.port = port
         #: Sim-clock time of the last *applied* update (full or delta);
         #: None before the first.  This — not the last attempted
         #: transfer — is the one staleness definition, shared with the
         #: master's ``repl.slave_lag_seconds`` gauge via ``applied_time``
         #: in replies.
         self.last_update_time: Optional[float] = None
-        self.rejection_log: List[str] = []
         # The applied journal position.  Volatile by design: it models
         # the historical kpropd's in-memory notion of where it is, so a
         # crash-restart forgets it and the next delta triggers a
-        # full-dump catch-up (the safe answer after losing state).
+        # full-dump catch-up (the safe answer after losing state).  The
+        # position that refuses a replay is the database's own, on disk.
         self.applied_epoch: Optional[int] = None
         self.applied_seq: int = 0
 
-    def ports(self):
-        return {self.port: self._handle}
-
     def on_attach(self) -> None:
-        self._labels = {"slave": self.host.name}
+        super().on_attach()
         for result in ("applied", "rejected", "need_full"):
             self.metrics.counter(
-                "kpropd.updates_total", {**self._labels, "result": result}
+                self.results_metric, {**self._labels, "result": result}
             )
 
     def on_crash(self) -> None:
@@ -84,51 +80,30 @@ class Kpropd(Service):
     @property
     def updates_applied(self) -> int:
         return int(self.metrics.total(
-            "kpropd.updates_total", result="applied", **self._labels
+            self.results_metric, result="applied", **self._labels
         ))
 
     @property
     def updates_rejected(self) -> int:
         return int(self.metrics.total(
-            "kpropd.updates_total", result="rejected", **self._labels
+            self.results_metric, result="rejected", **self._labels
         ))
 
-    # -- dispatch ---------------------------------------------------------
+    # -- position ---------------------------------------------------------
 
-    def _handle(self, datagram) -> bytes:
-        self.metrics.counter("kpropd.bytes_total", self._labels).inc(
-            len(datagram.payload)
-        )
-        with self.tracer.span_under(
-            datagram.trace, "kpropd.apply", host=self.host.name
-        ):
-            try:
-                kind, transfer = decode_prop_message(datagram.payload)
-            except DecodeError as exc:
-                return self._reject(f"undecodable transfer: {exc}")
-            if kind == PropKind.FULL:
-                return self._handle_full(transfer, trace=datagram.trace)
-            return self._handle_delta(transfer, trace=datagram.trace)
+    def held(self) -> Optional[Position]:
+        """What the database copy itself records having loaded — durable,
+        so it outlives a crash that empties ``applied_epoch``.  A copy
+        that never loaded anything holds no position."""
+        if self.db.loaded_epoch is None:
+            return None
+        return self.db.loaded_epoch, self.db.loaded_seq
 
     # -- full dumps (Figure 13) -------------------------------------------
 
-    def _handle_full(self, transfer: PropTransfer, trace=None) -> bytes:
-        # The paper's core check: recompute the keyed checksum over the
-        # received bytes and compare.  Only the holder of the master
-        # database key can produce a matching one.
-        if not self.db.master_key.verify_checksum(transfer.dump, transfer.checksum):
-            self._audit_tamper("full dump checksum mismatch", trace)
-            return self._reject(
-                "checksum mismatch: transfer tampered with or not from the master"
-            )
-
-        try:
-            records = self.db.load_dump(transfer.dump)
-        except DatabaseError as exc:
-            return self._reject(f"dump rejected: {exc}")
-
-        now = self.host.clock.now()
-        self._applied(now)
+    def apply_full(self, dump: bytes) -> bytes:
+        records = self.db.load_dump(dump)
+        now = self._applied()
         self.applied_epoch = self.db.loaded_epoch
         self.applied_seq = self.db.loaded_seq
         return PropReply(
@@ -138,40 +113,9 @@ class Kpropd(Service):
             text=f"loaded {records} records",
         ).to_bytes()
 
-    def _audit_tamper(self, detail: str, trace) -> None:
-        """A failed keyed checksum is the one rejection that implies an
-        attacker (or corruption) rather than mere staleness."""
-        self.audit.emit(
-            "tampered_propagation",
-            host=self.host.name,
-            trace=trace,
-            detail=detail,
-        )
-
-    def _reject(self, reason: str) -> bytes:
-        self.metrics.counter(
-            "kpropd.updates_total", {**self._labels, "result": "rejected"}
-        ).inc()
-        self.rejection_log.append(reason)
-        return PropReply(
-            ok=False, records=0, applied_time=0.0, text=reason
-        ).to_bytes()
-
     # -- deltas -----------------------------------------------------------
 
-    def _handle_delta(self, transfer: DeltaTransfer, trace=None) -> bytes:
-        # Same trust model as the full dump: the master-key MAC over the
-        # body is the only thing that makes these bytes the master's.
-        if not self.db.master_key.verify_checksum(transfer.body, transfer.checksum):
-            self._audit_tamper("delta checksum mismatch", trace)
-            return self._reject_delta(
-                "checksum mismatch: delta tampered with or not from the master"
-            )
-        try:
-            body = DeltaBody.from_bytes(transfer.body)
-        except DecodeError as exc:
-            return self._reject_delta(f"undecodable delta body: {exc}")
-
+    def apply_delta(self, body: DeltaBody) -> bytes:
         if self.applied_epoch is None or self.applied_epoch != body.epoch:
             return self._need_full(
                 f"epoch mismatch: slave has {self.applied_epoch}, "
@@ -194,14 +138,9 @@ class Kpropd(Service):
                 f"entry run ends at {expected}, body claims {body.to_seq}"
             )
 
-        try:
-            applied = self.db.apply_entries(body.entries)
-        except DatabaseError as exc:
-            return self._reject_delta(f"delta rejected: {exc}")
-
-        now = self.host.clock.now()
+        applied = self.db.apply_entries(body.entries)
         self.applied_seq = body.to_seq
-        self._applied(now)
+        now = self._applied()
         self.metrics.counter(
             "kpropd.delta_entries_total", self._labels
         ).inc(applied)
@@ -212,33 +151,24 @@ class Kpropd(Service):
             text=f"applied {applied} entries",
         ).to_bytes()
 
-    def _applied(self, now: float) -> None:
-        self.metrics.counter(
-            "kpropd.updates_total", {**self._labels, "result": "applied"}
-        ).inc()
-        self.last_update_time = now
-
-    def _reject_delta(self, reason: str) -> bytes:
-        self.metrics.counter(
-            "kpropd.updates_total", {**self._labels, "result": "rejected"}
-        ).inc()
-        self.rejection_log.append(reason)
-        return DeltaReply(
-            status=int(DeltaStatus.REJECTED),
-            applied_seq=self.applied_seq,
-            applied_time=0.0,
-            text=reason,
-        ).to_bytes()
+    def _applied(self) -> float:
+        self.count("applied")
+        self.last_update_time = self.host.clock.now()
+        return self.last_update_time
 
     def _need_full(self, reason: str) -> bytes:
-        self.metrics.counter(
-            "kpropd.updates_total", {**self._labels, "result": "need_full"}
-        ).inc()
-        return DeltaReply(
-            status=int(DeltaStatus.NEED_FULL),
-            applied_seq=self.applied_seq,
-            applied_time=0.0,
-            text=reason,
+        return self.refuse(PropKind.DELTA, reason, DeltaStatus.NEED_FULL)
+
+    def refusal(self, kind, status: DeltaStatus, reason: str) -> bytes:
+        if kind == PropKind.DELTA:
+            return DeltaReply(
+                status=int(status),
+                applied_seq=self.applied_seq,
+                applied_time=0.0,
+                text=reason,
+            ).to_bytes()
+        return PropReply(
+            ok=False, records=0, applied_time=0.0, text=reason
         ).to_bytes()
 
     # -- staleness --------------------------------------------------------

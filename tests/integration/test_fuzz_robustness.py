@@ -5,7 +5,8 @@ may crash, hang, or corrupt state on malformed input — each must answer
 with a protocol error (or drop) and keep serving legitimate clients.
 
 The seeded-mutation classes at the bottom target the propagation
-(kprop/kpropd) and administration (KDBM) planes specifically: they take
+(kprop/kpropd, and the shard-transfer port a range move streams to) and
+administration (KDBM) planes specifically: they take
 *valid* wire messages, apply deterministic bit flips / truncations /
 splices, and require typed protocol errors only — never ``struct.error``
 or ``IndexError`` leaking out of a decoder.
@@ -292,6 +293,127 @@ class TestPropagationFuzz:
                     decode_prop_message(mutant)
                 except DecodeError:
                     pass
+
+
+@pytest.fixture(scope="module")
+def shard_world():
+    """A two-shard realm and one valid range-move chunk for shard 1's
+    receiver, sealed exactly as a move out of shard 0 would send it:
+    the next chunk in order at the live ring epoch."""
+    from repro.database.journal import OP_PUT, JournalEntry
+    from repro.realm import ShardedRealm
+    from repro.replication import DeltaBody, PropKind
+
+    net = Network(seed=FUZZ_SEED)
+    realm = ShardedRealm(net, REALM, shards=2, seed=b"fuzz-shards")
+    for i in range(16):
+        realm.add_user(f"u{i:02d}", f"u{i:02d}-pw")
+    source, target = realm.shards
+    moving = [
+        (k, v) for k, v in sorted(source.db.store.items())
+        if not realm.is_global_key(k) and k != "K.M"
+    ][:3]
+    assert moving
+    body = DeltaBody(
+        epoch=realm.ring.epoch, from_seq=0, to_seq=len(moving),
+        time=net.clock.now(),
+        entries=[
+            JournalEntry(seq=i + 1, time=0.0, op=OP_PUT, key=k, value=bytes(v))
+            for i, (k, v) in enumerate(moving)
+        ],
+    )
+    return dict(
+        net=net,
+        realm=realm,
+        target=target,
+        attacker=net.add_host("shard-attacker"),
+        chunk_wire=source.kprop.seal(PropKind.DELTA, body.to_bytes()),
+        moving=[k for k, _ in moving],
+    )
+
+
+class TestRangeTransferFuzz:
+    """The shard-transfer port (ROADMAP 3(e)): a mutated range chunk
+    draws a typed refusal, a failed MAC is audited like kpropd's, and
+    the shard master's database — the *journaled* one its slaves follow
+    — stays as it was."""
+
+    def test_range_receiver_survives_mutated_chunks(self, shard_world):
+        import struct
+
+        from repro.netsim.ports import SHARD_PORT
+        from repro.replication import DeltaReply, DeltaStatus
+
+        net, target = shard_world["net"], shard_world["target"]
+        wire = shard_world["chunk_wire"]
+        before = list(target.db.store.items())
+        seq_before = target.db.journal.last_seq
+        # With a move open and the chunk next in order, the MAC and the
+        # decoders are all that stand between a mutant and the database.
+        window = (0, 1)
+        target.receiver.open(window)
+        mismatches = 0
+        for mutant in mutations(wire, seed=FUZZ_SEED + 4):
+            if mutant == wire:
+                continue  # the identity mutation is the legitimate chunk
+            try:
+                raw = shard_world["attacker"].rpc(
+                    target.master_host.address, SHARD_PORT, mutant
+                )
+            except (struct.error, *UNTYPED) as exc:  # pragma: no cover
+                pytest.fail(f"untyped {type(exc).__name__} leaked: {exc}")
+            reply = DeltaReply.from_bytes(raw)
+            assert reply.status == DeltaStatus.REJECTED
+            mismatches += "checksum mismatch" in reply.text
+        target.receiver.close(window)
+        assert list(target.db.store.items()) == before
+        assert target.db.journal.last_seq == seq_before
+        tampered = net.audit.events("tampered_propagation")
+        assert mismatches and len(tampered) == mismatches
+        assert {e.host for e in tampered} == {target.master_host.name}
+
+    def test_valid_chunk_outside_a_move_is_a_replay(self, shard_world):
+        """The unmutated chunk is the master's own — and with no move
+        open it can only be a recording."""
+        from repro.netsim.ports import SHARD_PORT
+        from repro.replication import DeltaReply, DeltaStatus
+
+        net, target = shard_world["net"], shard_world["target"]
+        reply = DeltaReply.from_bytes(shard_world["attacker"].rpc(
+            target.master_host.address, SHARD_PORT, shard_world["chunk_wire"]
+        ))
+        assert reply.status == DeltaStatus.NEED_FULL
+        assert net.audit.events("replay_detected")[-1].host == (
+            target.master_host.name
+        )
+        assert not any(k in target.db.store for k in shard_world["moving"])
+
+    @given(st.binary(min_size=0, max_size=400))
+    @settings(
+        max_examples=50,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_range_receiver_never_crashes_on_random_bytes(
+        self, shard_world, payload
+    ):
+        from repro.replication import DeltaReply, DeltaStatus
+
+        raw = shard_world["attacker"].rpc(
+            shard_world["target"].master_host.address, 755, payload
+        )
+        assert DeltaReply.from_bytes(raw).status != DeltaStatus.OK
+
+    def test_move_range_still_works_after_the_barrage(self, shard_world):
+        from repro.realm.sharding import hash_point, move_range
+
+        realm = shard_world["realm"]
+        key = shard_world["moving"][0]
+        point = hash_point(key)
+        result = move_range(realm, point, point + 1, 1)
+        assert result.moved == result.deleted == 1
+        assert key in shard_world["target"].db.store
+        ws = realm.workstation()
+        ws.client.kinit(key, f"{key}-pw")
 
 
 class TestKdbmFuzz:

@@ -12,14 +12,21 @@ import hashlib
 
 import pytest
 
-from repro.core import ErrorCode, ErrorReply, MessageType, WrongShard
+from repro.apps.hesiod import HesiodServer
+from repro.core import (
+    ErrorCode, ErrorReply, KerberosClient, MessageType, WrongShard,
+)
 from repro.core.errors import referral_text
 from repro.core.messages import decode_message, encode_message
-from repro.netsim import Network
+from repro.core.retry import RetryExhausted, RetryPolicy
+from repro.netsim import Loss, Match, Network
+from repro.netsim.ports import SHARD_PORT
 from repro.realm import ShardedRealm
 from repro.realm.sharding import (
     RING_SPACE,
     HashRing,
+    HesiodRingSource,
+    ShardedLocator,
     hash_point,
     move_range,
 )
@@ -171,6 +178,34 @@ class TestReferrals:
         assert referrals >= 1.0
         # Following the referral also repaired the snapshot.
         assert ws.client.locator_for(REALM).ring_epoch == realm.ring.epoch
+
+    def test_hesiod_discovered_client_survives_a_move(self):
+        """The documented discovery path of a sharded realm: a
+        workstation that knows only the Hesiod server's address builds
+        its ring and per-shard KDC lists from the ``_kerberos-ring`` and
+        ``_kerberos-shard.N`` records, and after a move the referral
+        sends it back to Hesiod for the republished ring."""
+        net = Network()
+        realm = sharded_realm(net, shards=2)
+        hesiod = HesiodServer().attach(net.add_host("hesiod-server"))
+        realm.attach_hesiod(hesiod)
+        username, password = user_on_shard(realm, 0)
+        host = net.add_host("public-ws")
+        locator = ShardedLocator(
+            HesiodRingSource(host, hesiod.host.address, REALM)
+        )
+        client = KerberosClient(host, REALM, locator=locator)
+        client.kinit(username, password)
+        assert hesiod.queries == 3  # the ring, then one list per shard
+        assert locator.locate(username) == realm.shard_addresses(0)
+
+        point = hash_point(username)
+        move_range(realm, point, point + 1, 1)
+        client.kdestroy()
+        client.kinit(username, password)  # stale → referral → Hesiod again
+        assert hesiod.queries == 6
+        assert locator.ring_epoch == realm.ring.epoch
+        assert locator.locate(username) == realm.shard_addresses(1)
 
     def test_unknown_principal_is_not_a_referral(self):
         """Only principals the ring assigns elsewhere get referrals; a
@@ -326,6 +361,57 @@ class TestMoveRange:
         assert late in realm.shards[1].db.store
         ws = realm.workstation()
         ws.client.kinit(late, f"{late}-pw")
+
+
+class TestMoveRangeOnALossyLink:
+    """The stream rides the source shard's kprop, so it retransmits by
+    that kprop's policy — and a move that cannot finish leaves the ring,
+    both databases' ownership and the double-serve window as it found
+    them."""
+
+    def world(self, monkeypatch):
+        from repro.realm import sharding
+
+        monkeypatch.setattr(sharding, "STREAM_CHUNK", 2)  # several datagrams
+        net = Network(seed=755)
+        realm = sharded_realm(net, shards=2)
+        users = [user_on_shard(realm, 0, prefix=f"l{i}x") for i in range(6)]
+        return net, realm, users
+
+    def test_retrying_kprop_completes_the_move(self, monkeypatch):
+        net, realm, users = self.world(monkeypatch)
+        realm.shards[0].kprop.retry_policy = RetryPolicy(max_attempts=16)
+        net.faults.add(Loss(0.5, Match.build(port=SHARD_PORT)))
+        result = move_range(realm, 0, RING_SPACE, 1)
+        assert result.moved >= len(users) and result.deleted == result.moved
+        assert net.metrics.total("net.drops_total") > 0
+        applied = net.metrics.total(
+            "shard.range_transfers_total", result="applied"
+        )
+        assert applied == -(-result.moved // 2)  # every chunk, each once
+        assert net.audit.count("replay_detected") == 0
+        ws = realm.workstation()
+        for username, password in users:
+            ws.client.kdestroy()
+            ws.client.kinit(username, password)
+
+    def test_single_attempt_fails_typed_and_closes_the_window(
+        self, monkeypatch
+    ):
+        net, realm, users = self.world(monkeypatch)
+        epoch = realm.ring.epoch
+        rule = net.faults.add(Loss(1.0, Match.build(port=SHARD_PORT)))
+        with pytest.raises(RetryExhausted):
+            move_range(realm, 0, RING_SPACE, 1)
+        assert realm.shards[1].membership.extra_ranges == []
+        assert realm.ring.epoch == epoch
+        ws = realm.workstation()
+        ws.client.kinit(*users[0])  # still served where it always was
+        # Nothing flipped, so the move is simply run again.
+        rule.enabled = False
+        assert move_range(realm, 0, RING_SPACE, 1).deleted >= len(users)
+        ws.client.kdestroy()
+        ws.client.kinit(*users[0])
 
 
 class TestWireCompatibility:

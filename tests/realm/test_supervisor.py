@@ -9,7 +9,7 @@ epoch conflict when it returns.
 
 import pytest
 
-from repro.apps.hesiod import HesiodServer, hesiod_kdcs
+from repro.apps.hesiod import KDC_RECORD_PREFIX, HesiodServer, hesiod_lookup
 from repro.core import StaticLocator
 from repro.netsim import Network
 from repro.principal import Principal
@@ -111,8 +111,10 @@ class TestAutomaticPromotion:
         # Workstation directory and the Hesiod record both lead with
         # the new master.
         assert ws.client.kdcs(REALM)[0] == new_master.address
-        looked_up = hesiod_kdcs(ws.host, hesiod.host.address, REALM)
-        assert looked_up[0] == new_master.address
+        looked_up = hesiod_lookup(
+            ws.host, hesiod.host.address, KDC_RECORD_PREFIX + REALM
+        )
+        assert looked_up.addresses[0] == str(new_master.address)
         # And a login straight after the failover works.
         ws.client.kinit("jis", "jis-pw")
 
