@@ -23,8 +23,8 @@ import pytest
 
 from repro.netsim import Network
 from repro.obs import write_json_snapshot
-from repro.realm import ShardedRealm
-from repro.realm.sharding import hash_point
+from repro.realm import Realm, RealmTopology
+from repro.realm.sharding import hash_point, move_range
 from repro.workload import AthenaWorkload
 
 from benchmarks.bench_util import REALM
@@ -61,12 +61,14 @@ def build_cell(shards: int, seed: int = SEED):
     # An explicit queue config: enough queue depth that the burst is
     # never shed — the scaling curve measures service rate, not
     # admission control (that story is Exp RT's).
-    realm = ShardedRealm(
-        net, REALM, shards=shards,
-        kdc_queue=WorkQueueConfig(
-            workers=KDC_WORKERS, queue_limit=2 * N_DRIVE,
+    realm = Realm(
+        net, REALM, seed=b"shard-scale",
+        topology=RealmTopology(
+            shards=shards,
+            kdc_queue=WorkQueueConfig(
+                workers=KDC_WORKERS, queue_limit=2 * N_DRIVE,
+            ),
         ),
-        seed=b"shard-scale",
     )
     workload = AthenaWorkload(
         realm, n_users=N_DRIVE, n_services=2, seed=seed
@@ -166,7 +168,7 @@ def test_bench_rebalance_p99():
     moved = {}
 
     def mover():
-        moved["result"] = realm.move_range(lo, hi, 1)
+        moved["result"] = move_range(realm, lo, hi, 1)
 
     move_p99, move_failures = paced_login_p99(
         net, realm, workload, 200, tag="move", mover=mover

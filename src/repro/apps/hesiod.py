@@ -13,13 +13,18 @@ used to construct an entry in the local password file."*
 
 Deliberately unauthenticated and unencrypted — that is the design point
 the paper is making about separating sensitive from non-sensitive data.
+
+Hesiod is also where a workstation finds its realm's KDCs: the realm
+publishes its ring (``_kerberos-ring.<REALM>``) and one KDC list per
+shard (``_kerberos-shard.<N>.<REALM>``), and
+:class:`~repro.realm.sharding.HesiodRingSource` reads them for a
+:class:`~repro.realm.sharding.ShardedLocator`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.locator import KdcLocator
 from repro.core.service import Service
 from repro.encode import WireStruct, field
 from repro.netsim import Host, IPAddress
@@ -56,31 +61,27 @@ class HesiodReply(WireStruct):
     FIELDS = (field("found", "bool"), field("entry_bytes", "bytes"))
 
 
-#: Name prefix under which realm→KDC-list records live, the way real
-#: Hesiod keeps service records under reserved names.  A query for
-#: ``_kerberos.<REALM>`` answers with a :class:`HesiodKdcRecord` —
-#: this is the client-discovery channel the realm supervisor re-points
-#: after promoting a new master.
-KDC_RECORD_PREFIX = "_kerberos."
-
-#: Ring descriptor record for a sharded realm: ``_kerberos-ring.<REALM>``
-#: answers with a :class:`HesiodRingRecord` naming the ring epoch and
-#: hash-space segments, from which a client builds its routing snapshot.
+#: Ring descriptor record, under a reserved name the way real Hesiod
+#: keeps service records: ``_kerberos-ring.<REALM>`` answers with a
+#: :class:`HesiodRingRecord` naming the ring epoch and hash-space
+#: segments, from which a client builds its routing snapshot.
 RING_RECORD_PREFIX = "_kerberos-ring."
 
 #: Per-shard KDC list: ``_kerberos-shard.<N>.<REALM>`` answers with a
-#: :class:`HesiodKdcRecord` for shard N (that shard's master first).
+#: :class:`HesiodKdcRecord` for shard N (that shard's master first) —
+#: the record the realm supervisor rewrites after promoting a new
+#: master.
 SHARD_RECORD_PREFIX = "_kerberos-shard."
 
 
 class HesiodKdcRecord(WireStruct):
-    """The KDC list for one realm, current master first."""
+    """The KDC list for one shard of a realm, current master first."""
 
     FIELDS = (field("realm", "string"), field("addresses", "list:string"))
 
 
 class HesiodRingRecord(WireStruct):
-    """A sharded realm's consistent-hash ring, as published through
+    """A realm's consistent-hash ring, as published through
     Hesiod.  Segments are ``"<start>:<shard>"`` strings: the shard owns
     hash points from ``start`` up to the next segment's start (the last
     wraps around).  Unauthenticated by design, like every Hesiod record
@@ -100,7 +101,6 @@ class HesiodRingRecord(WireStruct):
 RECORD_TYPES = (
     (RING_RECORD_PREFIX, HesiodRingRecord),
     (SHARD_RECORD_PREFIX, HesiodKdcRecord),
-    (KDC_RECORD_PREFIX, HesiodKdcRecord),
     ("", HesiodEntry),
 )
 
@@ -150,23 +150,17 @@ class HesiodServer(Service):
 
     # -- realm KDC records ----------------------------------------------------
 
-    def store_kdc_list(self, realm: str, addresses) -> None:
-        """Publish (or replace) the KDC list served for ``realm``.  The
-        order is the clients' failover order: current master first."""
-        self._records[KDC_RECORD_PREFIX + realm] = HesiodKdcRecord(
-            realm=realm, addresses=[str(IPAddress(a)) for a in addresses]
-        )
-
     def store_shard_kdc_list(
         self, realm: str, shard: int, addresses
     ) -> None:
-        """Publish one shard's KDC list (that shard's master first)."""
+        """Publish (or replace) one shard's KDC list.  The order is the
+        clients' failover order: that shard's master first."""
         self._records[shard_record_name(realm, shard)] = HesiodKdcRecord(
             realm=realm, addresses=[str(IPAddress(a)) for a in addresses]
         )
 
     def store_ring(self, record: HesiodRingRecord) -> None:
-        """Publish (or replace) a sharded realm's ring descriptor."""
+        """Publish (or replace) a realm's ring descriptor."""
         self._records[RING_RECORD_PREFIX + record.realm] = record
 
     def _handle(self, datagram) -> bytes:
@@ -186,9 +180,8 @@ def hesiod_lookup(
 ) -> Optional[WireStruct]:
     """The client-side query: what the login program runs for a user's
     :class:`HesiodEntry`, and what a workstation runs for the reserved
-    names — ``_kerberos.<REALM>`` at login time and again when its
-    configured KDCs stop answering, ``_kerberos-ring.<REALM>`` and
-    :func:`shard_record_name` to route in a sharded realm.  Returns the
+    names — ``_kerberos-ring.<REALM>`` and :func:`shard_record_name` —
+    to find the KDCs its ring locator routes among.  Returns the
     record decoded as the type its name's prefix says, None when Hesiod
     does not know the name."""
     raw = host.rpc(
@@ -199,38 +192,3 @@ def hesiod_lookup(
         return None
     record = next(cls for prefix, cls in RECORD_TYPES if name.startswith(prefix))
     return record.from_bytes(reply.entry_bytes)
-
-
-class HesiodLocator(KdcLocator):
-    """KDC discovery through the realm's Hesiod ``_kerberos`` record.
-
-    The list is fetched lazily on first :meth:`locate` and cached —
-    Hesiod is unauthenticated and cheap, but a login should not pay a
-    directory round-trip per exchange.  :meth:`refresh` drops the cache
-    (what a workstation does when its configured KDCs stop answering,
-    or when a referral proves the view stale)."""
-
-    def __init__(
-        self, host: Host, hesiod_address, realm: str,
-        port: int = HESIOD_PORT,
-    ) -> None:
-        self._host = host
-        self._hesiod = IPAddress(hesiod_address)
-        self._realm = realm
-        self._port = port
-        self._cached: List[IPAddress] = []
-
-    def locate(self, routing_key: Optional[str] = None) -> List[IPAddress]:
-        if not self._cached:
-            # Only an answer is cached: a workstation that asked before
-            # the realm published must find the record once it appears.
-            found = hesiod_lookup(
-                self._host, self._hesiod, KDC_RECORD_PREFIX + self._realm,
-                port=self._port,
-            )
-            if found is not None:
-                self._cached = [IPAddress(a) for a in found.addresses]
-        return list(self._cached)
-
-    def refresh(self) -> None:
-        self._cached = []

@@ -19,10 +19,11 @@ one of the slave machines".
 Discovery: where those addresses come from is one protocol, the
 :class:`~repro.core.locator.KdcLocator`.  The client holds a locator
 per realm and asks it, per request, for a failover-ordered list — a
-static list, a Hesiod record, or a shard ring routing by principal.  A
-sharded realm may answer with a :class:`~repro.core.errors.WrongShard`
-referral; the client folds it into the locator and re-sends (bounded
-hops), counting follows in ``kdc.referral_follows_total``.
+static list, or a shard ring routing by principal (read from the realm
+or from its Hesiod records).  A realm of several shards may answer with
+a :class:`~repro.core.errors.WrongShard` referral; the client folds it
+into the locator and re-sends (bounded hops), counting follows in
+``kdc.referral_follows_total``.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ class KerberosClient:
         return self.cache.owner
 
     def set_locator(self, realm: str, locator: KdcLocator) -> None:
-        """Install the discovery mechanism for ``realm`` — static list,
-        Hesiod, or shard ring."""
+        """Install the discovery mechanism for ``realm`` — static list
+        or shard ring."""
         self._locators[realm] = locator
 
     def locator_for(self, realm: str) -> Optional[KdcLocator]:
@@ -143,7 +144,7 @@ class KerberosClient:
 
     def kdcs(self, realm: str) -> List[IPAddress]:
         """The client's current KDC list for ``realm`` (copy; for a
-        sharded locator, the default-routed list)."""
+        ring locator, the lowest shard's list)."""
         locator = self._locators.get(realm)
         return list(locator.locate(None)) if locator is not None else []
 

@@ -171,9 +171,9 @@ class KerberosServer(AuthenticatedService):
         self.realm = database.realm
         self.keygen = keygen
         self.port = port
-        #: :class:`~repro.realm.sharding.ShardMembership` when this KDC
-        #: serves one shard of a partitioned realm; None for the classic
-        #: whole-realm server.  Checked only on the unknown-client path —
+        #: :class:`~repro.realm.sharding.ShardMembership` of the realm
+        #: shard this KDC serves; None for a KDC built outside any
+        #: realm.  Checked only on the unknown-client path —
         #: a record present locally is always served, which is exactly
         #: the double-serve behaviour a range move relies on.
         self.shard = shard
@@ -754,8 +754,8 @@ class KerberosServer(AuthenticatedService):
         try:
             record = self._get_record(client, records)
         except NoSuchPrincipal as exc:
-            # In a sharded realm an unknown client is first checked
-            # against the ring: a principal another shard owns gets a
+            # In a realm an unknown client is first checked against
+            # the ring: a principal another shard owns gets a
             # typed referral naming the owner, not PR_UNKNOWN.  Records
             # present locally never reach this branch — so a range being
             # double-served during a move answers normally.

@@ -4,12 +4,13 @@
 :class:`KdcLocator` per realm and asks it, per request, for a
 failover-ordered address list.  Implementations:
 
-* :class:`StaticLocator` (here) — a fixed list, current master first.
-* :class:`~repro.apps.hesiod.HesiodLocator` — resolves the realm's
-  ``_kerberos`` record from a Hesiod server, caching until
-  :meth:`~KdcLocator.refresh`.
-* :class:`~repro.realm.sharding.ShardedLocator` — routes by principal
-  through a consistent-hash ring snapshot, one replica list per shard.
+* :class:`StaticLocator` (here) — a fixed list, current master first
+  (``/etc/krb.conf``, or a client pinned to one KDC).
+* :class:`~repro.realm.sharding.ShardedLocator` — what a realm hands its
+  workstations: routes by principal through a consistent-hash ring
+  snapshot, one replica list per shard, fetched lazily from a ring
+  source — the realm itself (``LocalRingSource``) or its Hesiod records
+  (``HesiodRingSource``) — and dropped by :meth:`~KdcLocator.refresh`.
 
 The protocol is deliberately protocol-agnostic (the PKINIT line of
 work makes the same point about client-side KDC selection): ``locate``
@@ -38,13 +39,14 @@ class KdcLocator:
 
         ``routing_key`` is the principal's database key (``name`` or
         ``name.instance``) when the request has one — the AS exchange's
-        client, the TGS exchange's authenticated owner.  Non-sharded
-        locators ignore it.
+        client, the TGS exchange's authenticated owner.  A static list
+        ignores it.  An empty list means the locator knows no KDC yet.
         """
         raise NotImplementedError
 
     def refresh(self) -> None:
-        """Re-read the discovery source (a no-op for static lists).
+        """Forget the cached view, so the next :meth:`locate` re-reads
+        the discovery source (a no-op for static lists).
 
         Called by the client when its cached view proved stale — e.g.
         after a :class:`~repro.core.errors.WrongShard` referral."""

@@ -9,7 +9,6 @@ workstations with client libraries.
 
 from repro.realm.bootstrap import Realm, RealmTopology, Workstation, link
 from repro.realm.nfs_fleet import FleetServer, NfsFleet, NfsUserSpec
-from repro.realm.sharding import ShardedRealm
 from repro.realm.supervisor import RealmSupervisor, SupervisorConfig
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "Realm",
     "RealmSupervisor",
     "RealmTopology",
-    "ShardedRealm",
     "SupervisorConfig",
     "Workstation",
     "link",

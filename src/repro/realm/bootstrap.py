@@ -12,13 +12,14 @@ and exposes the running parts for tests, examples, and benchmarks.
 
 Topology is declarative: a :class:`RealmTopology` names how many
 **shards** partition the principal database, how many slaves each shard
-runs, and how each KDC's work queue is sized; ``Realm(...)`` and
-:class:`~repro.realm.sharding.ShardedRealm` share this one bootstrap
-path.  Every shard is a full master+slaves group — its own journal
-epoch, its own KDBM, its own kprop fan-out — and the shard-0 group *is*
-the classic realm (same host names, same epoch), which is why the
-legacy ``realm.db`` / ``realm.kdc`` / ``realm.slaves`` accessors keep
-working: they name shard 0.
+runs, and how each KDC's work queue is sized.  A realm has one shape
+whatever that count: a consistent-hash ring
+(:mod:`repro.realm.sharding`), one segment per shard for a one-shard
+realm, and per shard a full master+slaves group — its own journal
+epoch, its own KDBM, its own kprop fan-out, its own range receiver.
+The shard-0 group *is* the classic realm (same host names, same epoch)
+and holds the realm-wide records, which is what the ``realm.db`` /
+``realm.kdc`` / ``realm.slaves`` shorthands name.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ from repro.kdbm.server import KdbmServer
 from repro.netsim import Host, IPAddress, Network
 from repro.netsim.clock import HOUR
 from repro.principal import Principal
+from repro.realm.sharding import (
+    HashRing,
+    LocalRingSource,
+    ShardedLocator,
+    ShardMembership,
+)
 from repro.replication.kprop import Kprop
 from repro.replication.kpropd import Kpropd
 from repro.replication.receiver import RangeReceiver
@@ -58,10 +65,7 @@ class RealmTopology:
 
     ``shards=1`` (the default) is the classic paper realm; more shards
     partition the principal database by name hash, each shard a full
-    master+slaves group.  ``ring=True`` builds the consistent-hash ring
-    machinery even for a single shard (what
-    :class:`~repro.realm.sharding.ShardedRealm` uses so a one-shard
-    realm can still grow by ``move_range``).
+    master+slaves group.  Either way the realm is built on a ring.
     """
 
     shards: int = 1
@@ -70,20 +74,12 @@ class RealmTopology:
     #: the realm (masters and slaves); with None a request is answered
     #: at arrival as a batch of one, zero service time.
     kdc_queue: Optional[object] = None
-    #: Virtual nodes per shard when seeding the ring.
-    vnodes: int = 16
-    #: Build ring/membership machinery even when ``shards == 1``.
-    ring: bool = False
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("a realm needs at least one shard")
         if self.slaves_per_shard < 0:
             raise ValueError("slaves_per_shard must be non-negative")
-
-    @property
-    def sharded(self) -> bool:
-        return self.shards > 1 or self.ring
 
 
 @dataclass
@@ -108,18 +104,15 @@ class ShardSite:
     kdc: KerberosServer
     kdbm: KdbmServer
     kprop: Kprop
+    #: Which hash points this shard serves; shared by all its KDCs.
+    membership: ShardMembership
+    #: The shard master's port for ranges moved into the shard.
+    receiver: RangeReceiver
     slaves: List[SlaveSite] = field(default_factory=list)
     #: Bumped on slave promotion so the new master's journal starts a
     #: fresh epoch (slaves then take a full dump, never mistaking the
     #: new history for the old one).
     generation: int = 0
-    #: The shard's :class:`~repro.realm.sharding.ShardMembership`
-    #: (None in an unsharded realm).
-    membership: Optional[object] = None
-    #: The shard master's
-    #: :class:`~repro.replication.receiver.RangeReceiver`
-    #: (None in an unsharded realm).
-    receiver: Optional[object] = None
 
 
 @dataclass
@@ -162,40 +155,17 @@ class Realm:
 
         self.acl = AccessControlList()
         self.shards: List[ShardSite] = []
-        #: Live ring + shard directory (None in an unsharded realm);
-        #: locators snapshot these, memberships reference them.
-        self.ring = None
-        self.directory = None
+        #: The live ring: memberships reference it, locators snapshot it.
+        self.ring = HashRing.seeded(name, topology.shards)
         #: Keys replicated to *every* shard (K.M, krbtgt, kdbm, admins,
         #: services, inter-realm keys) — rebalancing never moves them.
         self._global_keys: set = set()
 
         for sid in range(topology.shards):
             self._build_shard(sid, master_password)
-
-        if topology.sharded:
-            from repro.realm import sharding as _sharding
-
-            self.ring = _sharding.HashRing.seeded(
-                name, topology.shards, vnodes=topology.vnodes
-            )
-            self.directory = _sharding.ShardDirectory()
-            for site in self.shards:
-                self.directory.set_shard(
-                    site.id, self.shard_addresses(site.id)
-                )
-                site.membership = _sharding.ShardMembership(
-                    site.id, self.ring, self.directory
-                )
-                site.kdc.shard = site.membership
-                for slave in site.slaves:
-                    slave.kdc.shard = site.membership
-                site.receiver = RangeReceiver(
-                    site.db, site.membership
-                ).attach(site.master_host)
-            net.metrics.gauge(
-                "shard.ring_epoch", {"realm": name}
-            ).set(self.ring.epoch)
+        net.metrics.gauge(
+            "shard.ring_epoch", {"realm": name}
+        ).set(self.ring.epoch)
 
         self._service_keys: Dict[str, DesKey] = {}
         self._ws_count = 0
@@ -255,10 +225,12 @@ class Realm:
             keygen_fork = f"kdc-shard{sid}".encode()
 
         master_host = self.net.add_host(self._shard_host_name(sid))
+        membership = ShardMembership(sid, self)
         kdc = KerberosServer(
             db,
             self.keygen.fork(keygen_fork),
             queue=self.topology.kdc_queue,
+            shard=membership,
         ).attach(master_host)
         kdbm = KdbmServer(db, self.acl).attach(master_host)
         site = ShardSite(
@@ -268,6 +240,8 @@ class Realm:
             kdc=kdc,
             kdbm=kdbm,
             kprop=Kprop(db, master_host, slave_addresses=[]),
+            membership=membership,
+            receiver=RangeReceiver(db, membership).attach(master_host),
         )
         self.shards.append(site)
         for i in range(self.topology.slaves_per_shard):
@@ -276,7 +250,7 @@ class Realm:
             site.kprop.propagate()  # initial full dump to all slaves
         return site
 
-    # -- legacy single-shard accessors (shard 0 is the classic realm) --------------
+    # -- shard-0 shorthands (the shard holding the realm-wide records) -------------
 
     @property
     def db(self) -> KerberosDatabase:
@@ -318,8 +292,6 @@ class Realm:
         slave = SlaveSite(host=host, db=slave_db, kdc=kdc, kpropd=kpropd)
         site.slaves.append(slave)
         site.kprop.add_slave(host.address)
-        if self.directory is not None:
-            self.directory.set_shard(shard, self.shard_addresses(shard))
         return slave
 
     def shard_addresses(self, shard: int = 0) -> List[IPAddress]:
@@ -331,23 +303,18 @@ class Realm:
 
     def kdc_addresses(self) -> List[IPAddress]:
         """Every KDC in the realm, shard by shard, each shard's master
-        first — the classic client failover list (and, for a sharded
-        realm, the flat list a static-locator client falls back to; the
-        referral path corrects its routing)."""
+        first — the list a static-locator client fails over along (with
+        several shards, the referral path corrects its routing)."""
         addresses: List[IPAddress] = []
         for site in self.shards:
             addresses.extend(self.shard_addresses(site.id))
         return addresses
 
-    def locator(self):
+    def locator(self) -> ShardedLocator:
         """A fresh locator answering this realm's current topology: a
-        :class:`~repro.realm.sharding.ShardedLocator` over the live ring
-        when sharded, a :class:`StaticLocator` otherwise."""
-        if self.ring is not None:
-            from repro.realm import sharding as _sharding
-
-            return _sharding.ShardedLocator(_sharding.LocalRingSource(self))
-        return StaticLocator(self.kdc_addresses())
+        :class:`~repro.realm.sharding.ShardedLocator` over the live
+        ring."""
+        return ShardedLocator(LocalRingSource(self))
 
     def workstation(
         self,
@@ -356,8 +323,8 @@ class Realm:
         retry_policy=None,
     ) -> Workstation:
         """A public workstation with the client library configured.  The
-        client gets a :meth:`locator` for this realm — per-shard or
-        master-first static — so it fails over exactly as Figure 10
+        client gets a :meth:`locator` for this realm — each principal's
+        shard, master first — so it fails over exactly as Figure 10
         prescribes; pass a :class:`repro.core.retry.RetryPolicy` to
         shape retransmission (deadline, backoff) under injected
         faults."""
@@ -383,8 +350,9 @@ class Realm:
     # -- registration (the administrator's ongoing job) ----------------------------
 
     def shard_for_key(self, db_key: str) -> int:
-        """Which shard owns a principal database key (0 when unsharded)."""
-        if self.ring is None or db_key in self._global_keys:
+        """Which shard owns a principal database key (realm-wide keys
+        live on shard 0)."""
+        if db_key in self._global_keys:
             return 0
         return self.ring.shard_for(db_key)
 
@@ -400,8 +368,6 @@ class Realm:
         every other shard."""
         keys = [k for k in keys if k != MASTER_VERIFY_KEY]
         self._global_keys.update(keys)
-        if len(self.shards) == 1:
-            return
         now = self.net.clock.now()
         shard0 = self.shards[0].db
         for site in self.shards[1:]:
@@ -502,8 +468,8 @@ class Realm:
         master machine for good: take the slave's (propagated) database
         copy, open it read-write with the master key — which every
         Kerberos machine possesses (Section 5.3) — and start the
-        write-side services (KDBM, kprop, and in a sharded realm the
-        range receiver) on that host.  The old master, if it ever
+        write-side services (KDBM, kprop, the range receiver) on that
+        host.  The old master, if it ever
         returns, must be rebuilt as a slave.
 
         With ``demote_old=True`` (what the realm supervisor passes) the
@@ -514,9 +480,9 @@ class Realm:
         and catches up through the ordinary full-dump-then-deltas path,
         with no second epoch conflict.
 
-        Promotion is **shard-scoped**: only this shard's bindings, its
-        directory entry, and its Hesiod shard record change; every other
-        shard's clients and records are untouched.
+        Promotion is **shard-scoped**: only this shard's bindings and
+        its KDC list change; every other shard's clients and records
+        are untouched.
 
         Returns the promoted site; the shard's
         ``master_host``/``kdbm``/``kprop`` are repointed.  Clients keep
@@ -527,7 +493,6 @@ class Realm:
         old_master_host = site.master_host
         old_kdc = site.kdc
         old_kdbm = site.kdbm
-        old_receiver = site.receiver
         promoted = site.slaves.pop(index)
         # Reopen the slave's store read-write under the same master key.
         # The promoted journal starts a new epoch: its sequence numbers
@@ -552,13 +517,11 @@ class Realm:
             promoted_db, promoted.host,
             slave_addresses=[s.host.address for s in site.slaves],
         )
-        if site.membership is not None:
-            if old_receiver is not None and old_receiver.attached:
-                old_receiver.detach()
-            site.receiver = RangeReceiver(
-                promoted_db, site.membership
-            ).attach(promoted.host)
-            self.directory.set_shard(shard, self.shard_addresses(shard))
+        if site.receiver.attached:
+            site.receiver.detach()
+        site.receiver = RangeReceiver(
+            promoted_db, site.membership
+        ).attach(promoted.host)
         if demote_old:
             self._demote_to_slave(site, old_master_host, old_kdc, old_kdbm)
         return promoted
@@ -579,8 +542,6 @@ class Realm:
         slave = SlaveSite(host=host, db=replica, kdc=kdc, kpropd=kpropd)
         site.slaves.append(slave)
         site.kprop.add_slave(host.address)
-        if self.directory is not None:
-            self.directory.set_shard(site.id, self.shard_addresses(site.id))
         return slave
 
     # -- discovery --------------------------------------------------------------------
@@ -591,9 +552,11 @@ class Realm:
         update that makes ``run_with_failover`` find a new master after
         a promotion.
 
-        In a sharded realm pass ``shard`` to scope the update: only that
-        shard's Hesiod record is rewritten (the ring did not change),
-        and clients refresh their snapshots.
+        Pass ``shard`` to scope the update: only that shard's Hesiod
+        record is rewritten (the ring did not change).  A ring locator
+        only drops its view here and fetches a new one on its next
+        ``locate``, so nothing in this call touches the network — a
+        promotion completes even while Hesiod is unreachable.
         """
         for ws in self.workstations:
             locator = ws.client.locator_for(self.name)
@@ -607,25 +570,17 @@ class Realm:
     def attach_hesiod(self, hesiod) -> None:
         """Register a :class:`~repro.apps.hesiod.HesiodServer` as this
         realm's discovery channel and publish the current records: the
-        flat ``_kerberos`` KDC list, and for a sharded realm the ring
-        descriptor plus per-shard lists."""
+        ring descriptor plus one KDC list per shard."""
         self.hesiod = hesiod
         self._publish_hesiod()
 
     def _publish_hesiod(self, shard: Optional[int] = None) -> None:
-        if shard is None:
-            self.hesiod.store_kdc_list(self.name, self.kdc_addresses())
-        if self.ring is not None:
-            self.hesiod.store_ring(self.ring.to_record(self.name))
-            targets = self.shards if shard is None else [self.shards[shard]]
-            for site in targets:
-                self.hesiod.store_shard_kdc_list(
-                    self.name, site.id, self.shard_addresses(site.id)
-                )
-            if shard is not None:
-                # The flat legacy list names every shard's KDCs, so a
-                # shard-scoped promotion still refreshes it.
-                self.hesiod.store_kdc_list(self.name, self.kdc_addresses())
+        self.hesiod.store_ring(self.ring.to_record(self.name))
+        targets = self.shards if shard is None else [self.shards[shard]]
+        for site in targets:
+            self.hesiod.store_shard_kdc_list(
+                self.name, site.id, self.shard_addresses(site.id)
+            )
 
     def republish_ring(self) -> None:
         """Push the current ring + shard records to Hesiod (after a ring
@@ -655,9 +610,8 @@ class Realm:
 def link(realm_a: Realm, realm_b: Realm, now: Optional[float] = None) -> DesKey:
     """Exchange an inter-realm key between two realms (Section 7.2) and
     re-propagate so slaves learn it too.  Inter-realm keys are
-    realm-wide state: in a sharded realm every shard's TGS must be able
-    to unseal remote-realm TGTs, so the new records replicate to all
-    shards."""
+    realm-wide state: every shard's TGS must be able to unseal
+    remote-realm TGTs, so the new records replicate to all shards."""
     before_a = set(realm_a.db.store.keys())
     before_b = set(realm_b.db.store.keys())
     key = link_realms(

@@ -30,6 +30,10 @@ sharded datastore:
   *double-serves* the range during the handoff window, then the ring
   epoch flips and the source deletes the moved records.
 
+Every realm is built on a ring: a one-shard realm's is one segment
+owned by shard 0, so routing, referrals and discovery run the same code
+whatever the shard count.
+
 Stale clients are the design's steady state, not an error: a ring
 change invalidates every cached snapshot at once, and the referral
 path repairs each client lazily, one bounced request at a time.
@@ -38,7 +42,7 @@ path repairs each client lazily, one bounced request at a time.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.apps.hesiod import (
     RING_RECORD_PREFIX,
@@ -52,7 +56,6 @@ from repro.database.db import MASTER_VERIFY_KEY
 from repro.database.journal import JournalEntry, OP_DELETE, OP_PUT
 from repro.netsim import IPAddress
 from repro.netsim.ports import HESIOD_PORT, SHARD_PORT
-from repro.realm.bootstrap import Realm, RealmTopology
 from repro.replication.messages import (
     DeltaBody,
     DeltaReply,
@@ -251,42 +254,20 @@ class HashRing:
         )
 
 
-class ShardDirectory:
-    """shard id -> that shard's KDC addresses, shard master first.
-
-    The realm holds the live copy; locators hold snapshots of it."""
-
-    def __init__(
-        self, entries: Optional[Dict[int, List[IPAddress]]] = None
-    ) -> None:
-        self._entries: Dict[int, List[IPAddress]] = {}
-        for shard, addresses in (entries or {}).items():
-            self.set_shard(shard, addresses)
-
-    def set_shard(self, shard: int, addresses: Iterable) -> None:
-        self._entries[int(shard)] = [IPAddress(a) for a in addresses]
-
-    def addresses(self, shard: int) -> List[IPAddress]:
-        return list(self._entries.get(int(shard), []))
-
-    def snapshot(self) -> Dict[int, List[IPAddress]]:
-        return {s: list(a) for s, a in self._entries.items()}
-
-
 class ShardMembership:
     """One KDC's authoritative answer to "is this principal mine?"
 
     Shared by every KDC (master and slaves) of one shard; holds the
     realm's *live* ring, the shard's id, and the ``extra_ranges`` the
-    shard double-serves during a handoff window.
+    shard double-serves during a handoff window.  A referral names the
+    owner's KDCs as :meth:`~repro.realm.bootstrap.Realm.shard_addresses`
+    reports them at the moment it is written.
     """
 
-    def __init__(
-        self, shard_id: int, ring: HashRing, directory: ShardDirectory
-    ) -> None:
+    def __init__(self, shard_id: int, realm) -> None:
         self.shard_id = int(shard_id)
-        self.ring = ring
-        self.directory = directory
+        self.ring: HashRing = realm.ring
+        self._realm = realm
         #: Half-open ``[lo, hi)`` ranges served *in addition to* the
         #: ring's assignment — open during a range move, cleared at the
         #: epoch flip.
@@ -308,7 +289,7 @@ class ShardMembership:
         return WrongShard(
             ErrorCode.KDC_WRONG_SHARD,
             referral_text(
-                owner, self.ring.epoch, self.directory.addresses(owner)
+                owner, self.ring.epoch, self._realm.shard_addresses(owner)
             ),
         )
 
@@ -321,13 +302,20 @@ class LocalRingSource:
         self._realm = realm
 
     def fetch(self) -> Tuple[HashRing, Dict[int, List[IPAddress]]]:
-        return self._realm.ring.copy(), self._realm.directory.snapshot()
+        """The live ring and, per shard id, that shard's KDC addresses
+        (shard master first)."""
+        realm = self._realm
+        return realm.ring.copy(), {
+            site.id: realm.shard_addresses(site.id) for site in realm.shards
+        }
 
 
 class HesiodRingSource:
     """Snapshot source reading the ``_kerberos-ring`` and
     ``_kerberos-shard.N`` records from a Hesiod server — the
-    discovery path a real workstation would use."""
+    discovery path a real workstation would use.  One fetch is ``1 +
+    n_shards`` queries; a realm that has not published yet is one query
+    and None."""
 
     def __init__(
         self, host, hesiod_address, realm: str, port: int = HESIOD_PORT
@@ -337,15 +325,13 @@ class HesiodRingSource:
         self._realm = realm
         self._port = port
 
-    def fetch(self) -> Tuple[HashRing, Dict[int, List[IPAddress]]]:
+    def fetch(self) -> Optional[Tuple[HashRing, Dict[int, List[IPAddress]]]]:
         record = hesiod_lookup(
             self._host, self._hesiod, RING_RECORD_PREFIX + self._realm,
             port=self._port,
         )
         if record is None:
-            raise ValueError(
-                f"Hesiod serves no ring record for realm {self._realm}"
-            )
+            return None
         ring = HashRing.from_record(record)
         directory: Dict[int, List[IPAddress]] = {}
         for shard in range(record.n_shards):
@@ -363,10 +349,15 @@ class ShardedLocator(KdcLocator):
     shard's replica list (shard master first — per-shard failover then
     rides ``run_with_failover`` unchanged).
 
-    Holds a *snapshot* of ring + directory, refreshed only on
-    :meth:`refresh` or a referral — deliberately allowed to go stale,
-    because the server-side :class:`WrongShard` referral is the
-    convergence mechanism after a ring change.
+    Holds a *snapshot* of ring + per-shard KDC lists, fetched lazily on
+    the first :meth:`locate` and kept until :meth:`refresh` drops it —
+    deliberately allowed to go stale, because the server-side
+    :class:`WrongShard` referral is the convergence mechanism after a
+    ring change.  Only an answer is kept: while the source has nothing
+    published, :meth:`locate` answers ``[]`` (the client's typed
+    ``KDC_NO_CROSS_REALM``) and asks again next time.  Neither
+    :meth:`refresh` nor a referral contacts the source, so dropping a
+    view — what a promotion does to every workstation — cannot fail.
     """
 
     def __init__(self, source) -> None:
@@ -374,17 +365,22 @@ class ShardedLocator(KdcLocator):
         self._ring: Optional[HashRing] = None
         self._directory: Dict[int, List[IPAddress]] = {}
 
-    def _ensure(self) -> None:
+    def _snapshot(self) -> bool:
+        """Fetch if no view is held; True when one is."""
         if self._ring is None:
-            self._ring, self._directory = self._source.fetch()
+            fetched = self._source.fetch()
+            if fetched is not None:
+                self._ring, self._directory = fetched
+        return self._ring is not None
 
     @property
     def ring_epoch(self) -> int:
-        self._ensure()
-        return self._ring.epoch
+        """The held view's ring epoch (0 while nothing is published)."""
+        return self._ring.epoch if self._snapshot() else 0
 
     def locate(self, routing_key: Optional[str] = None) -> List[IPAddress]:
-        self._ensure()
+        if not self._snapshot():
+            return []
         if routing_key is None:
             # No principal to route by (introspection, probes): the
             # lowest shard answers — any shard can referral-correct.
@@ -394,18 +390,20 @@ class ShardedLocator(KdcLocator):
         return list(self._directory.get(shard, []))
 
     def refresh(self) -> None:
-        self._ring, self._directory = self._source.fetch()
+        self._ring, self._directory = None, {}
 
     def apply_referral(self, referral) -> None:
-        """Fold a referral in: adopt the authoritative shard's address
-        list immediately, and re-fetch the ring when the referrer's
-        epoch is ahead of our snapshot."""
-        shard = getattr(referral, "shard", -1)
-        kdcs = getattr(referral, "kdcs", [])
-        if shard >= 0 and kdcs:
-            self._directory[shard] = [IPAddress(a) for a in kdcs]
-        if getattr(referral, "ring_epoch", 0) > self.ring_epoch:
+        """Fold a referral in: drop the view when the referrer's epoch is
+        ahead of it (the next :meth:`locate` fetches the republished
+        ring), else adopt the authoritative shard's address list."""
+        if self._ring is None:
+            return  # the next locate fetches a current view anyway
+        if referral.ring_epoch > self._ring.epoch:
             self.refresh()
+        elif referral.shard >= 0 and referral.kdcs:
+            self._directory[referral.shard] = [
+                IPAddress(a) for a in referral.kdcs
+            ]
 
 
 class RangeMoveResult(NamedTuple):
@@ -463,8 +461,6 @@ def move_range(realm, lo: int, hi: int, to_shard: int) -> RangeMoveResult:
        follow), closing the window.
     """
     ring = realm.ring
-    if ring is None:
-        raise ValueError("move_range needs a sharded realm")
     if not 0 <= int(to_shard) < len(realm.shards):
         raise ValueError(f"no shard {to_shard} in realm {realm.name}")
     pieces = ring.segments_in(lo, hi)
@@ -561,47 +557,6 @@ def move_range(realm, lo: int, hi: int, to_shard: int) -> RangeMoveResult:
     return RangeMoveResult(moved, deleted, result_epoch, source_ids)
 
 
-class ShardedRealm(Realm):
-    """A realm whose principal database is partitioned across N shards.
-
-    Sugar over ``Realm(topology=RealmTopology(shards=N, ring=True))`` —
-    one bootstrap path, per the API-redesign satellite.  ``ring=True``
-    means even a one-shard :class:`ShardedRealm` carries the ring
-    machinery, so it can grow by :meth:`move_range` later.
-    """
-
-    def __init__(
-        self,
-        net,
-        name: str,
-        shards: int = 2,
-        slaves_per_shard: int = 0,
-        master_password: str = "master-password",
-        seed: bytes = b"realm-seed",
-        host_prefix: Optional[str] = None,
-        kdc_queue=None,
-        vnodes: int = DEFAULT_VNODES,
-    ) -> None:
-        super().__init__(
-            net,
-            name,
-            master_password=master_password,
-            seed=seed,
-            host_prefix=host_prefix,
-            topology=RealmTopology(
-                shards=shards,
-                slaves_per_shard=slaves_per_shard,
-                kdc_queue=kdc_queue,
-                vnodes=vnodes,
-                ring=True,
-            ),
-        )
-
-    def move_range(self, lo: int, hi: int, to_shard: int) -> RangeMoveResult:
-        """Rebalance: see :func:`repro.realm.sharding.move_range`."""
-        return move_range(self, lo, hi, to_shard)
-
-
 __all__ = [
     "DEFAULT_VNODES",
     "HashRing",
@@ -609,10 +564,8 @@ __all__ = [
     "LocalRingSource",
     "RangeMoveResult",
     "RING_SPACE",
-    "ShardDirectory",
     "ShardMembership",
     "ShardedLocator",
-    "ShardedRealm",
     "hash_point",
     "move_range",
 ]

@@ -254,9 +254,7 @@ class RealmSupervisor(Service):
             realm.promote_slave(index, demote_old=True, shard=shard)
             # Shard-scoped repoint: only the failed shard's Hesiod
             # record is rewritten; other shards' discovery is untouched.
-            realm.repoint_clients(
-                shard=shard if realm.ring is not None else None
-            )
+            realm.repoint_clients(shard=shard)
             ttr = self.host.clock.now() - suspect_since
             self.metrics.counter(
                 "realm.promotions_total", {"realm": realm.name}

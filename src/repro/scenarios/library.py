@@ -50,9 +50,9 @@ from repro.realm import (
     Realm,
     RealmSupervisor,
     RealmTopology,
-    ShardedRealm,
     SupervisorConfig,
 )
+from repro.realm.sharding import hash_point, move_range
 from repro.scenarios.engine import (
     CampaignResult,
     SloSpec,
@@ -676,9 +676,9 @@ def shard_rebalance_under_load(seed: int, params: Dict) -> CampaignResult:
     round trip, not a timeout).
     """
     net = Network(seed=seed, latency=0.01)
-    realm = ShardedRealm(
-        net, REALM, shards=int(params["n_shards"]),
-        seed=seed.to_bytes(8, "big"),
+    realm = Realm(
+        net, REALM, seed=seed.to_bytes(8, "big"),
+        topology=RealmTopology(shards=int(params["n_shards"])),
     )
     workload = AthenaWorkload(
         realm, n_users=int(params["n_users"]), n_services=2, seed=seed
@@ -695,8 +695,6 @@ def shard_rebalance_under_load(seed: int, params: Dict) -> CampaignResult:
         # Move the range holding (roughly) half of shard 0's users —
         # chosen from live principal positions, the way an operator
         # rebalancing a hot shard would, so records really stream.
-        from repro.realm.sharding import hash_point
-
         points = sorted(
             hash_point(username)
             for username, _pw in workload.users
@@ -706,7 +704,7 @@ def shard_rebalance_under_load(seed: int, params: Dict) -> CampaignResult:
             return
         lo = points[0]
         hi = points[len(points) // 2] + 1
-        realm.move_range(lo, hi, 1)
+        move_range(realm, lo, hi, 1)
 
     net.runtime.at(
         START + float(params["move_at"]), rebalance,

@@ -101,12 +101,12 @@ class AthenaWorkload:
             ws = self.realm.workstation()
             if (
                 spread_kdcs
-                and self.realm.ring is None
+                and len(self.realm.shards) == 1
                 and len(addresses) > 1
             ):
-                # Unsharded: rotate each station's preferred KDC via a
-                # static locator.  A sharded realm already spreads load
-                # by principal hash, so its ShardedLocator stays as-is.
+                # One shard: rotate each station's preferred KDC via a
+                # static locator.  Several shards already spread load
+                # by principal hash, so the ring locator stays as-is.
                 preferred = addresses[i % len(addresses)]
                 ws.client.set_locator(
                     self.realm.name,
@@ -222,13 +222,11 @@ class AthenaWorkload:
             offset = (i / count) * window
             if address is not None:
                 target = address
-            elif self.realm.ring is not None:
-                # Sharded realm: route each login to its owning shard's
-                # master, as a ring-aware client would.
-                sid = self.realm.ring.shard_for(client_principal.db_key())
-                target = self.realm.shards[sid].master_host.address
             else:
-                target = self.realm.master_host.address
+                # Route each login to its owning shard's master, as a
+                # ring-aware client would.
+                sid = self.realm.shard_for_key(client_principal.db_key())
+                target = self.realm.shards[sid].master_host.address
 
             def post(
                 ws=ws, client_principal=client_principal, target=target

@@ -1,4 +1,4 @@
-"""The KdcLocator protocol: one discovery path, three implementations.
+"""The KdcLocator protocol: one discovery path, two implementations.
 
 ``KerberosClient`` asks a per-realm locator for a failover-ordered
 address list, and the locator is the constructor's only discovery
@@ -9,12 +9,15 @@ import inspect
 
 import pytest
 
-from repro.apps.hesiod import HesiodLocator, HesiodServer
-from repro.core import KerberosClient, KerberosServer, StaticLocator
+from repro.apps.hesiod import HesiodServer
+from repro.core import (
+    ErrorCode, KerberosClient, KerberosError, KerberosServer, StaticLocator,
+)
 from repro.core.locator import KdcLocator
 from repro.netsim import IPAddress, Network
 from repro.netsim.ports import HESIOD_PORT
 from repro.realm import Realm, RealmTopology
+from repro.realm.sharding import HesiodRingSource, ShardedLocator
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -49,64 +52,75 @@ class TestStaticLocator:
 
 
 class TestHesiodLocator:
+    """Discovery through Hesiod: a :class:`ShardedLocator` over the
+    realm's published ring and per-shard records.  One fetch of a
+    one-shard realm is two queries — ``_kerberos-ring`` and
+    ``_kerberos-shard.0``; it happens on the first ``locate`` and again
+    only after ``refresh`` drops the view."""
+
     def _realm_with_hesiod(self, net):
         realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
         hesiod = HesiodServer().attach(net.add_host("hesiod"))
         realm.attach_hesiod(hesiod)
         return realm, hesiod
 
+    @staticmethod
+    def _locator(host, hesiod):
+        return ShardedLocator(HesiodRingSource(host, hesiod.host.address, REALM))
+
     def test_resolves_and_caches_the_kerberos_record(self):
         net = Network()
         realm, hesiod = self._realm_with_hesiod(net)
-        ws_host = net.add_host("ws-hes")
-        locator = HesiodLocator(ws_host, hesiod.host.address, REALM)
-        assert locator.locate() == realm.kdc_addresses()
-        # Cached: a second locate is free (no new Hesiod datagrams).
+        locator = self._locator(net.add_host("ws-hes"), hesiod)
+        assert locator.locate("jis") == realm.kdc_addresses()
+        assert hesiod.queries == 2
+        # Cached: a second locate sends no Hesiod datagram.
         net.reset_stats()
-        locator.locate()
+        locator.locate("jis")
         assert net.metrics.total("net.datagrams_total", port=HESIOD_PORT) == 0
 
     def test_refresh_sees_a_promotion(self):
         net = Network()
         realm, hesiod = self._realm_with_hesiod(net)
-        ws_host = net.add_host("ws-hes")
-        locator = HesiodLocator(ws_host, hesiod.host.address, REALM)
-        old_first = locator.locate()[0]
+        locator = self._locator(net.add_host("ws-hes"), hesiod)
+        old_first = locator.locate("jis")[0]
         realm.promote_slave(0, demote_old=True)
         realm.repoint_clients()
         # Stale until told otherwise — then current.
-        assert locator.locate()[0] == old_first
+        assert locator.locate("jis")[0] == old_first
         locator.refresh()
-        assert locator.locate()[0] == realm.master_host.address
+        assert locator.locate("jis")[0] == realm.master_host.address
 
     def test_login_through_a_hesiod_locator(self):
         net = Network()
         realm, hesiod = self._realm_with_hesiod(net)
         realm.add_user("jis", "jis-pw")
         ws = realm.workstation()
-        ws.client.set_locator(
-            REALM,
-            HesiodLocator(ws.host, hesiod.host.address, REALM),
-        )
+        ws.client.set_locator(REALM, self._locator(ws.host, hesiod))
         ws.client.kinit("jis", "jis-pw")
         assert ws.client.cache.tgt(REALM) is not None
 
     def test_absent_record_is_not_cached(self):
-        """A workstation that asks before the realm publishes must find
-        the record once it appears — only an answer is cached."""
+        """A workstation that asks before the realm publishes gets the
+        client's typed "no known KDC" — and finds the records once they
+        appear: only an answer is cached."""
         net = Network()
         realm = Realm(net, REALM)
         realm.add_user("jis", "jis-pw")
         hesiod = HesiodServer().attach(net.add_host("hesiod"))
         ws = realm.workstation()
-        locator = HesiodLocator(ws.host, hesiod.host.address, REALM)
+        locator = self._locator(ws.host, hesiod)
         ws.client.set_locator(REALM, locator)
-        assert locator.locate() == []
+        with pytest.raises(KerberosError) as refused:
+            ws.client.kinit("jis", "jis-pw")
+        assert refused.value.code == ErrorCode.KDC_NO_CROSS_REALM
+        assert locator.locate("jis") == []
         realm.attach_hesiod(hesiod)
-        assert locator.locate() == realm.kdc_addresses()
+        assert locator.locate("jis") == realm.kdc_addresses()
         ws.client.kinit("jis", "jis-pw")
-        # The miss and the answer each cost one query; kinit rode the cache.
-        assert net.metrics.total("net.datagrams_total", port=HESIOD_PORT) == 2
+        # Two misses (one ring query each), then one fetch of two;
+        # kinit rode the cache.
+        assert hesiod.queries == 4
 
 
 #: (constructor, its parameter names, a removed spelling, what the error names)
@@ -124,6 +138,13 @@ CONSTRUCTORS = [
         lambda net: Realm(net, REALM, **{"n_slaves": 2}),
         "n_slaves",
         id="realm-unknown-keyword",
+    ),
+    pytest.param(
+        RealmTopology,
+        ["shards", "slaves_per_shard", "kdc_queue"],
+        lambda net: RealmTopology(**{"ring": True}),
+        "ring",
+        id="topology-has-no-ring-switch",
     ),
     pytest.param(
         KerberosServer,

@@ -167,12 +167,13 @@ class TestRealDaemons:
             KerberosServer(db)
 
     def test_realm_hosts_enumerate_their_services(self):
-        """The master runs the KDC and the KDBM; slaves run a KDC and a
-        kpropd — visible through the one Service registry."""
+        """The master runs the KDC, the KDBM and the range receiver;
+        slaves run a KDC and a kpropd — visible through the one Service
+        registry."""
         net = Network()
         realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
         master_kinds = {type(s).__name__ for s in realm.master_host.services}
-        assert master_kinds == {"KerberosServer", "KdbmServer"}
+        assert master_kinds == {"KerberosServer", "KdbmServer", "RangeReceiver"}
         slave = realm.slaves[0]
         slave_kinds = {type(s).__name__ for s in slave.host.services}
         assert slave_kinds == {"KerberosServer", "Kpropd"}

@@ -109,6 +109,9 @@ class TestRemovedNames:
         "schedule_hourly", "ShardReferral", "sharded_locator",
         "_send_entries", "realm.sharding.RangeReceiver", "hesiod_kdcs",
         "hesiod_ring", "hesiod_shard_kdcs",
+        # One realm shape, discovered one way.
+        "ShardedRealm", "HesiodLocator", "ShardDirectory",
+        "KDC_RECORD_PREFIX", "store_kdc_list", "ring=True",
     )
 
     def test_docs_mention_no_removed_identifier(self):

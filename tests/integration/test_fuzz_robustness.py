@@ -301,11 +301,12 @@ def shard_world():
     receiver, sealed exactly as a move out of shard 0 would send it:
     the next chunk in order at the live ring epoch."""
     from repro.database.journal import OP_PUT, JournalEntry
-    from repro.realm import ShardedRealm
     from repro.replication import DeltaBody, PropKind
 
     net = Network(seed=FUZZ_SEED)
-    realm = ShardedRealm(net, REALM, shards=2, seed=b"fuzz-shards")
+    realm = Realm(
+        net, REALM, seed=b"fuzz-shards", topology=RealmTopology(shards=2)
+    )
     for i in range(16):
         realm.add_user(f"u{i:02d}", f"u{i:02d}-pw")
     source, target = realm.shards

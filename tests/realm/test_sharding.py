@@ -21,7 +21,7 @@ from repro.core.messages import decode_message, encode_message
 from repro.core.retry import RetryExhausted, RetryPolicy
 from repro.netsim import Loss, Match, Network
 from repro.netsim.ports import SHARD_PORT
-from repro.realm import ShardedRealm
+from repro.realm import Realm, RealmTopology
 from repro.realm.sharding import (
     RING_SPACE,
     HashRing,
@@ -37,9 +37,9 @@ REALM = "ATHENA.MIT.EDU"
 
 
 def sharded_realm(net, shards=2, slaves=0):
-    return ShardedRealm(
-        net, REALM, shards=shards, slaves_per_shard=slaves,
-        seed=b"shard-test",
+    return Realm(
+        net, REALM, seed=b"shard-test",
+        topology=RealmTopology(shards=shards, slaves_per_shard=slaves),
     )
 
 
@@ -180,11 +180,12 @@ class TestReferrals:
         assert ws.client.locator_for(REALM).ring_epoch == realm.ring.epoch
 
     def test_hesiod_discovered_client_survives_a_move(self):
-        """The documented discovery path of a sharded realm: a
+        """The documented discovery path of a realm: a
         workstation that knows only the Hesiod server's address builds
         its ring and per-shard KDC lists from the ``_kerberos-ring`` and
         ``_kerberos-shard.N`` records, and after a move the referral
-        sends it back to Hesiod for the republished ring."""
+        drops its view, so its next lookup reads the republished
+        ring."""
         net = Network()
         realm = sharded_realm(net, shards=2)
         hesiod = HesiodServer().attach(net.add_host("hesiod-server"))
@@ -202,10 +203,13 @@ class TestReferrals:
         point = hash_point(username)
         move_range(realm, point, point + 1, 1)
         client.kdestroy()
-        client.kinit(username, password)  # stale → referral → Hesiod again
+        client.kinit(username, password)  # stale → referral → dropped view
+        # The referral itself named the owner, so the login asked
+        # nothing of Hesiod; the next locate fetches the new ring.
+        assert hesiod.queries == 3
+        assert locator.locate(username) == realm.shard_addresses(1)
         assert hesiod.queries == 6
         assert locator.ring_epoch == realm.ring.epoch
-        assert locator.locate(username) == realm.shard_addresses(1)
 
     def test_unknown_principal_is_not_a_referral(self):
         """Only principals the ring assigns elsewhere get referrals; a
@@ -248,7 +252,8 @@ class TestShardFailover:
 
     def test_promotion_is_shard_scoped(self):
         """Promoting inside shard 1 must not disturb shard 0's master,
-        and the directory repoints only shard 1's replica list."""
+        and only shard 1's replica list (what referrals and locators
+        read) changes."""
         net = Network()
         realm = sharded_realm(net, shards=2, slaves=1)
         shard0_master = realm.shards[0].master_host
@@ -258,8 +263,8 @@ class TestShardFailover:
         realm.promote_slave(0, shard=1)
         assert realm.shards[0].master_host is shard0_master
         assert realm.shards[1].master_host is promoted
-        assert realm.directory.addresses(1)[0] == promoted.address
-        assert realm.directory.addresses(0)[0] == shard0_master.address
+        assert realm.shard_addresses(1)[0] == promoted.address
+        assert realm.shard_addresses(0)[0] == shard0_master.address
         # A fresh client routes shard-1 principals to the new master
         # and can still authenticate there.
         username, password = user_on_shard(realm, 1, prefix="p")

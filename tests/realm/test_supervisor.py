@@ -9,11 +9,12 @@ epoch conflict when it returns.
 
 import pytest
 
-from repro.apps.hesiod import KDC_RECORD_PREFIX, HesiodServer, hesiod_lookup
+from repro.apps.hesiod import HesiodServer, hesiod_lookup, shard_record_name
 from repro.core import StaticLocator
 from repro.netsim import Network
 from repro.principal import Principal
 from repro.realm import Realm, RealmSupervisor, RealmTopology, SupervisorConfig
+from repro.realm.sharding import HesiodRingSource, ShardedLocator
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -108,11 +109,11 @@ class TestAutomaticPromotion:
         net.crash_host(realm.master_host.name)
         net.runtime.run_for(DETECT)
         new_master = realm.master_host
-        # Workstation directory and the Hesiod record both lead with
-        # the new master.
+        # Workstation directory and the Hesiod shard record both lead
+        # with the new master.
         assert ws.client.kdcs(REALM)[0] == new_master.address
         looked_up = hesiod_lookup(
-            ws.host, hesiod.host.address, KDC_RECORD_PREFIX + REALM
+            ws.host, hesiod.host.address, shard_record_name(REALM, 0)
         )
         assert looked_up.addresses[0] == str(new_master.address)
         # And a login straight after the failover works.
@@ -148,6 +149,49 @@ class TestAutomaticPromotion:
         assert supervisor.promotions == 0
         assert realm.master_host is old_master
         assert supervisor.misses[old_master.address] >= 3
+
+
+class TestPromotionWithHesiodDown:
+    def test_promotion_survives_an_unreachable_hesiod(self):
+        """The master dies while Hesiod is down and a workstation
+        discovers through Hesiod.  Re-pointing only drops that
+        workstation's view, so the promotion completes, is audited, and
+        the heartbeat keeps ticking; once Hesiod is back the workstation
+        re-fetches on its next lookup and logs in at the new master."""
+        net, realm, supervisor = build(slaves=1)
+        hesiod = HesiodServer().attach(net.add_host("hesiod-server"))
+        realm.attach_hesiod(hesiod)
+        ws = realm.workstation("ws-hes")
+        ws.client.set_locator(REALM, ShardedLocator(
+            HesiodRingSource(ws.host, hesiod.host.address, REALM)
+        ))
+        ws.client.kinit("jis", "jis-pw")  # the locator now holds a view
+        old_master = realm.master_host
+        net.runtime.run_for(10.0)
+        net.crash_host(hesiod.host.name)
+        net.crash_host(old_master.name)
+        net.runtime.run_for(120.0)  # nothing may escape the event loop
+        assert supervisor.promotions == 1
+        assert realm.master_host is not old_master
+        promoted = net.audit.events("master_promoted")
+        assert len(promoted) == 1 and promoted[0].trace_id
+        beats = net.metrics.total("supervisor.heartbeats_total")
+        net.runtime.run_for(30.0)
+        assert net.metrics.total("supervisor.heartbeats_total") > beats
+
+        net.restart_host(hesiod.host.name)
+        queries = hesiod.queries
+        served = net.metrics.total(
+            "kdc.requests_total", server=realm.master_host.name
+        )
+        ws.client.kdestroy()
+        ws.client.kinit("jis", "jis-pw")
+        # One lazy re-fetch (ring + shard 0), answered by the new master.
+        assert hesiod.queries == queries + 2
+        assert ws.client.kdcs(REALM)[0] == realm.master_host.address
+        assert net.metrics.total(
+            "kdc.requests_total", server=realm.master_host.name
+        ) == served + 1
 
 
 class TestFlapProtection:

@@ -31,7 +31,7 @@ from repro.core.locator import StaticLocator
 from repro.netsim import Network
 from repro.netsim.clock import HOUR
 from repro.netsim.ports import KPROP_PORT, SHARD_PORT
-from repro.realm import Realm, RealmTopology, ShardedRealm
+from repro.realm import Realm, RealmTopology
 from repro.realm.sharding import hash_point, move_range
 from repro.replication import DeltaReply, DeltaStatus, PropKind, PropReply
 from repro.threat import Replayer
@@ -96,7 +96,9 @@ def delta(net):
 
 
 def range_chunk(net):
-    realm = ShardedRealm(net, REALM, shards=2, slaves_per_shard=1)
+    realm = Realm(
+        net, REALM, topology=RealmTopology(shards=2, slaves_per_shard=1)
+    )
 
     def transfer():
         source = realm.shard_for_key(JIS.db_key())
