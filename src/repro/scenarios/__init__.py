@@ -1,14 +1,15 @@
 """Fleet-scale chaos scenario engine.
 
-A *campaign* is a named, parameterized, fully deterministic drill: it
-composes the fault plane (:mod:`repro.netsim.faults`), the event
-runtime, the realm supervisor, and :class:`repro.workload.AthenaWorkload`
-into one declarative run that ends in SLO verdicts and a per-station
-outcome digest.  The library (:mod:`repro.scenarios.library`) ships the
-drills the paper's deployment story implies — the morning login storm,
-a slave outage at peak, the master assassination the supervisor must
-survive, a rolling KDC upgrade, a clock-skew epidemic, and lossy-WAN
-degradation.
+A *campaign* is a named, parameterized, fully deterministic drill
+written as one row of data: a world (realm topology, population,
+daemons, workstations), a paced station load, a fault schedule and
+SLOs.  One engine (:mod:`repro.scenarios.engine`) builds, loads, faults
+and scores any row.  The library (:mod:`repro.scenarios.library`) ships
+nine rows, the drills the paper's deployment story implies: the morning
+login storm, a slave outage at peak, the master assassination the
+supervisor must survive, a rolling KDC upgrade, a clock-skew epidemic,
+lossy-WAN degradation, request-plane saturation, an NFS fleet mount
+storm and a shard rebalance under load.
 
 Run them from code (:func:`repro.scenarios.run`) or from the command
 line (``python -m repro.scenarios``).
@@ -20,20 +21,16 @@ from repro.scenarios.engine import (
     SloCheck,
     SloSpec,
     StationRecord,
-    campaign,
-    get,
-    names,
-    run,
 )
-from repro.scenarios import library  # noqa: F401  (registers the campaigns)
+from repro.scenarios.library import CAMPAIGNS, get, names, run
 
 __all__ = [
+    "CAMPAIGNS",
     "Campaign",
     "CampaignResult",
     "SloCheck",
     "SloSpec",
     "StationRecord",
-    "campaign",
     "get",
     "names",
     "run",

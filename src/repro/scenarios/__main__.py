@@ -18,6 +18,7 @@ import json
 import sys
 
 import repro.scenarios as scenarios
+from repro.scenarios.engine import run
 
 
 def _parse_override(text: str):
@@ -65,14 +66,20 @@ def main(argv=None) -> int:
             print(f"{'':24} params: {defaults}")
         return 0
 
-    selected = args.campaigns or scenarios.names()
+    selected = [scenarios.get(name) for name in args.campaigns or scenarios.names()]
+    known = {key for spec in selected for key, _value in spec.defaults}
+    unknown = sorted({key for key, _value in args.param} - known)
+    if unknown:
+        parser.error(
+            f"no selected campaign has parameter(s) {unknown}; "
+            f"known: {', '.join(sorted(known))}"
+        )
     summaries = {}
     all_passed = True
-    for name in selected:
-        spec = scenarios.get(name)
-        known = dict(spec.defaults)
-        overrides = {k: v for k, v in args.param if k in known}
-        result = spec.run(args.seed, **overrides)
+    for spec in selected:
+        name, params = spec.name, dict(spec.defaults)
+        overrides = {k: v for k, v in args.param if k in params}
+        result = run(spec, args.seed, **overrides)
         summaries[name] = result.summary()
         all_passed = all_passed and result.passed
         verdict = "PASS" if result.passed else "FAIL"

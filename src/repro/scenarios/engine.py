@@ -1,14 +1,13 @@
-"""The campaign engine: registry, SLO evaluation, outcome accounting.
-
-A campaign body is a plain function ``fn(seed, params) -> CampaignResult``
-registered with the :func:`campaign` decorator.  The engine owns the
-cross-cutting mechanics — parameter merging, SLO verdicts, latency
-percentiles, and the per-station outcome digest that makes two
-same-seed runs comparable byte-for-byte.
+"""The campaign engine: a campaign is a row of data (:class:`Campaign`:
+world, load, fault schedule, SLOs), and one :func:`run` builds its world,
+schedules its load and faults, runs the simulation and scores it.  A
+failed station act is labelled by the one :func:`classify_failure`;
+observations and notes come from one table, :data:`OBSERVE`, keyed by
+SLO name, so an SLO means the same thing in every row that lists it.
 
 Everything a result carries is derived from the simulated clock and the
-seeded RNG, never from wall time, so ``run(name, seed)`` is a pure
-function: same name, same seed, same parameters → identical
+seeded RNGs, never from wall time, so ``run(campaign, seed)`` is a pure
+function: same row, same seed, same parameters → identical
 :meth:`CampaignResult.summary`.
 """
 
@@ -16,10 +15,40 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.errors import KerberosError
-from repro.core.retry import RetryExhausted
+from repro.apps.hesiod import HesiodServer
+from repro.apps.kerberized import AppSession, KerberizedChannel, KerberizedServer
+from repro.apps.nfs import NfsClientError, NfsCredential
+from repro.core.errors import ErrorCode, KerberosError
+from repro.core.retry import RetryExhausted, RetryPolicy
+from repro.netsim import Network
+from repro.realm import (
+    NfsFleet,
+    NfsUserSpec,
+    Realm,
+    RealmSupervisor,
+    RealmTopology,
+    SupervisorConfig,
+    Workstation,
+)
+from repro.realm.sharding import hash_point, move_range
+from repro.workload import AthenaWorkload
+
+REALM = "ATHENA.MIT.EDU"
+#: Arrival ramp starts here, leaving the realm a quiet warm-up beat.
+START = 5.0
+#: Campus LAN: 10 ms per hop.
+LATENCY = 0.01
+#: Services registered beside the users.
+N_SERVICES = 2
+#: The echo application's port (the skew drill's ``krb_rd_req`` target).
+ECHO_PORT = 2100
+#: NFS uids follow population order from here.
+UID_BASE = 1000
+
+Params = Dict[str, object]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -131,7 +160,7 @@ class CampaignResult:
             "notes": {k: self.notes[k] for k in sorted(self.notes)},
         }
 
-    # -- accounting helpers (campaign bodies call these) --------------------
+    # -- accounting helpers (the scoring tail calls these) -----------------
 
     def account(self, records: Sequence[StationRecord]) -> None:
         """Fold per-station records into outcome counts, percentiles
@@ -166,113 +195,401 @@ class CampaignResult:
 
 
 def classify_failure(exc: Exception) -> str:
-    """A stable label for a failed station operation."""
+    """A stable label for a failed station operation: ``unavailable``
+    when retries ran out, ``refused:skew`` for the paper's clock-skew
+    refusal (``RD_AP_TIME``), ``refused:<code>`` for any other Kerberos
+    refusal, ``error:<type>`` for anything else."""
     if isinstance(exc, RetryExhausted):
         return "unavailable"
     if isinstance(exc, KerberosError):
+        if exc.code == ErrorCode.RD_AP_TIME:
+            return "refused:skew"
         return f"refused:{exc.code.name}"
     return f"error:{type(exc).__name__}"
 
 
-def login_job(
-    net,
-    ws,
-    username: str,
-    password: str,
-    records: List[StationRecord],
-) -> Callable[[], None]:
-    """A schedulable closed-loop login for one station: kdestroy + kinit,
-    outcome and latency recorded, failures contained (a dead KDC must
-    not unwind the event loop)."""
-
-    def job() -> None:
-        started = net.clock.now()
-        try:
-            ws.client.kdestroy()
-            ws.client.kinit(username, password)
-            outcome = "ok"
-        except Exception as exc:
-            outcome = classify_failure(exc)
-        records.append(
-            StationRecord(
-                station=ws.host.name,
-                user=username,
-                outcome=outcome,
-                latency=net.clock.now() - started,
-            )
-        )
-
-    return job
+def capacity(queue) -> float:
+    """Requests per simulated second one KDC loop serves, from its own
+    cost model (full batches back to back)."""
+    return queue.batch_size / queue.batch_cost(queue.batch_size)
 
 
-# -- the registry -----------------------------------------------------------
+# -- the spec -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Campaign:
-    """A registered drill: metadata plus the body that runs it."""
+    """One drill as data; ``defaults`` are its ``-p`` parameters (a dict
+    is accepted), and the callables read the run's merged parameters.
+
+    World: ``topology``, then ``daemons`` attached in order, then
+    ``n_stations`` stations that either rotate their preferred KDC
+    (``spread``, Figure 10) or are built with ``retry``, the first
+    ``skew_fraction`` of them drifting by ``skew`` seconds.  Load:
+    station i's ``act`` arrives at ``START + (i / n_stations) * window``.
+    Faults: :class:`Crash`, :class:`AddRule` and :class:`Rebalance`
+    events, each fired at its ``at``."""
 
     name: str
     description: str
     defaults: Tuple[Tuple[str, object], ...]
     slos: Tuple[SloSpec, ...]
-    body: Callable[[int, Dict[str, object]], CampaignResult]
+    topology: Callable[[Params], RealmTopology]
+    daemons: Tuple[Callable[["World"], None], ...]
+    spread: bool
+    retry: Optional[RetryPolicy]
+    act: Callable[["World", int], tuple]
+    window: Callable[[Params], float]
+    faults: Callable[[Params], tuple]
 
-    def run(self, seed: int = 1988, **overrides: object) -> CampaignResult:
-        params: Dict[str, object] = dict(self.defaults)
-        unknown = set(overrides) - set(params)
-        if unknown:
-            raise KeyError(
-                f"campaign {self.name!r} has no parameter(s) "
-                f"{sorted(unknown)}; knows {sorted(params)}"
-            )
-        params.update(overrides)
-        result = self.body(seed, params)
-        result.name = self.name
-        result.seed = seed
-        result.params = params
-        return result
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "defaults", tuple(sorted(dict(self.defaults).items())))
 
 
-_REGISTRY: Dict[str, Campaign] = {}
+class World:
+    """One run's live objects, built from a row at a seed: what its
+    acts, fault events and observations read."""
 
-
-def campaign(
-    name: str,
-    description: str,
-    defaults: Optional[Mapping[str, object]] = None,
-    slos: Sequence[SloSpec] = (),
-):
-    """Decorator: register ``fn(seed, params) -> CampaignResult``."""
-
-    def register(fn):
-        if name in _REGISTRY:
-            raise ValueError(f"campaign {name!r} already registered")
-        _REGISTRY[name] = Campaign(
-            name=name,
-            description=description,
-            defaults=tuple(sorted((defaults or {}).items())),
-            slos=tuple(slos),
-            body=fn,
+    def __init__(self, campaign: Campaign, seed: int, params: Params) -> None:
+        self.params, self.records, self.leaks = params, [], []
+        self.net = Network(seed=seed, latency=LATENCY)
+        self.realm = Realm(
+            self.net, REALM, seed=seed.to_bytes(8, "big"),
+            topology=campaign.topology(params),
         )
-        return fn
+        self.workload = AthenaWorkload(
+            self.realm, int(params["n_users"]), N_SERVICES, seed=seed
+        )
+        self.first_master = self.realm.master_host.name
+        self.supervisor = self.app = self.fleet = None  # set by daemons
+        for attach in campaign.daemons:
+            attach(self)
+        count = int(params["n_stations"])
+        drifted = int(count * params.get("skew_fraction", 0.0))
+        self.stations = self.workload.workstations(count) if campaign.spread else [
+            self.realm.workstation(
+                clock_skew=params["skew"] if i < drifted else 0.0,
+                retry_policy=campaign.retry,
+            )
+            for i in range(count)
+        ]
+        # Each station reads its KDC view at boot, so a ring change
+        # mid-run strands real cached views and referrals get traffic.
+        for ws in self.stations:
+            ws.client.kdcs(REALM)
+        self.window = campaign.window(params)
 
-    return register
+    def job(self, ws: Workstation, user: str, act) -> Callable[[], None]:
+        """A station's scheduled job: the act, timed, its failure
+        labelled and contained (a dead KDC must not unwind the event
+        loop).  An act that times only part of its work (the mount
+        handshake) returns its own outcome and latency."""
+        clock = self.net.clock
+
+        def job() -> None:
+            started = clock.now()
+            try:
+                outcome, latency = act() or ("ok", clock.now() - started)
+            except Exception as exc:
+                outcome, latency = classify_failure(exc), clock.now() - started
+            self.records.append(StationRecord(ws.host.name, user, outcome, latency))
+
+        return job
 
 
-def names() -> List[str]:
-    return sorted(_REGISTRY)
-
-
-def get(name: str) -> Campaign:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+def run(campaign: Campaign, seed: int = 1988, **overrides: object) -> CampaignResult:
+    """Build the row's world at ``seed``, schedule its load and then its
+    faults, run the simulation, and score it."""
+    params: Params = dict(campaign.defaults)
+    unknown = set(overrides) - set(params)
+    if unknown:
         raise KeyError(
-            f"no campaign {name!r}; available: {', '.join(names())}"
-        ) from None
+            f"campaign {campaign.name!r} has no parameter(s) "
+            f"{sorted(unknown)}; knows {sorted(params)}"
+        )
+    params.update(overrides)
+    world = World(campaign, seed, params)
+    runtime, clock = world.net.runtime, world.net.clock
+    for i, ws in enumerate(world.stations):
+        user, act = campaign.act(world, i)
+        runtime.at(
+            START + (i / len(world.stations)) * world.window,
+            world.job(ws, user, act), label=f"scenario.{campaign.act.__name__}",
+        )
+    for event in campaign.faults(params):
+        # An event already due (a WAN lossy from the start) applies now,
+        # so the scheduler draws no tie-break for it.
+        if event.at <= clock.now():
+            event.fire(world)
+        else:
+            runtime.at(event.at, partial(event.fire, world), label="scenario.fault")
+    # A supervisor or a propagation cadence never lets the realm idle.
+    if "run_for" in params:
+        runtime.run_for(float(params["run_for"]))
+    else:
+        runtime.run_until_idle()
+
+    result = CampaignResult(campaign.name, seed, params)
+    result.account(world.records)
+    observed = {}
+    for slo in campaign.slos:
+        observed[slo.name], notes = OBSERVE[slo.name](world, result)
+        result.notes.update(notes)
+    result.makespan = clock.now() - START
+    result.evaluate(campaign.slos, observed)
+    return result
 
 
-def run(name: str, seed: int = 1988, **overrides: object) -> CampaignResult:
-    """Run one named campaign at a seed; deterministic end to end."""
-    return get(name).run(seed, **overrides)
+# -- daemons: attached to the realm before the stations boot -------------------
+
+
+def incremental_propagation(world: World) -> None:
+    world.realm.schedule_incremental(interval=30.0)
+
+
+def hesiod(world: World) -> None:
+    world.realm.attach_hesiod(HesiodServer().attach(world.net.add_host("hesiod")))
+
+
+def supervisor(world: World) -> None:
+    world.supervisor = RealmSupervisor(world.realm, SupervisorConfig()).attach(
+        world.net.add_host("realm-monitor")
+    )
+
+
+class _EchoServer(KerberizedServer):
+    """Minimal Kerberized app target for the skew drill."""
+
+    def handle(self, session: AppSession, data: bytes) -> bytes:
+        return data
+
+
+def echo_server(world: World) -> None:
+    host = world.net.add_host("appserver")
+    service, _key = world.realm.add_service("echo", "appserver")
+    _EchoServer(service, world.realm.srvtab_for(service), port=ECHO_PORT).attach(host)
+    world.app = (service, host.address)
+
+
+def nfs_fleet(world: World) -> None:
+    """``n_servers`` fileservers; each user's home holds a private 0600
+    file on every one."""
+    users = world.workload.users
+    world.fleet = NfsFleet(
+        world.realm, n_servers=int(world.params["n_servers"]),
+        users=[NfsUserSpec(name, UID_BASE + i) for i, (name, _pw) in enumerate(users)],
+    )
+    for site in world.fleet.servers:
+        for i, (name, _pw) in enumerate(users):
+            cred = NfsCredential(uid=UID_BASE + i, gids=(100,))
+            site.server.fs.create(f"/u/{name}/secret.txt", cred, mode=0o600)
+            site.server.fs.write(f"/u/{name}/secret.txt", f"secret-{name}".encode(), cred)
+
+
+# -- acts: station i's user, chosen when scheduled, and its work ---------------
+
+
+def login(world: World, i: int):
+    """kdestroy + kinit: a staggered keyboard unlock."""
+    username, password = world.workload.random_user()
+    client = world.stations[i].client
+
+    def act() -> None:
+        client.kdestroy()
+        client.kinit(username, password)
+
+    return username, act
+
+
+def use_app(world: World, i: int):
+    """kinit, then one authenticated call to the echo application."""
+    username, password = world.workload.random_user()
+    client, (service, address) = world.stations[i].client, world.app
+
+    def act() -> None:
+        client.kinit(username, password)
+        channel = KerberizedChannel(client, service, address, ECHO_PORT)
+        channel.call(b"ping")
+        channel.close()
+
+    return username, act
+
+
+def mount(world: World, i: int):
+    """Mount a fleet server, read the user's own 0600 file, *attempt a
+    cross-user read* (the leak probe — it must be refused), write a note
+    and unmount; the latency is the Kerberos mount handshake's.  Users
+    take turns in population order, so every user mounts and every probe
+    crosses a user boundary."""
+    users = world.workload.users
+    (name, password), other = users[i % len(users)], users[(i + 1) % len(users)][0]
+    ws, site = world.stations[i], world.fleet[i % len(world.fleet)]
+    clock = world.net.clock
+
+    def act() -> Tuple[str, float]:
+        ws.client.kinit(name, password)
+        client = world.fleet.client(ws, site.index, uid_on_client=UID_BASE + i % len(users))
+        started = clock.now()
+        client.kerberos_mount(ws.client, site.mount_service)
+        latency = clock.now() - started
+        outcome = "ok"
+        if client.read(f"/u/{name}/secret.txt") != f"secret-{name}".encode():
+            outcome = "wrong_bytes"
+        try:
+            client.read(f"/u/{other}/secret.txt")
+            world.leaks.append(f"{name} read {other} on {site.name}")
+            outcome = "leak"
+        except NfsClientError:
+            pass  # refused at the other user's 0700 home directory
+        note = f"/u/{name}/note-{ws.host.name}.txt"
+        client.create(note)
+        client.write(note, b"present")
+        client.unmount()
+        return outcome, latency
+
+    return name, act
+
+
+# -- fault events, fired at ``at`` ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class Crash:
+    """Crash shard 0's master (``slave=None``) or its ``slave``-th
+    slave for ``downtime`` seconds."""
+
+    at: float
+    downtime: float
+    slave: Optional[int]
+
+    def fire(self, world: World) -> None:
+        realm = world.realm
+        host = realm.master_host if self.slave is None else realm.slaves[self.slave].host
+        world.net.crash_host(host.name, downtime=self.downtime)
+
+
+@dataclass(frozen=True)
+class AddRule:
+    """Install a fault-plane rule (``Loss``, ``Jitter``, …); a link is
+    bad from the start of the run."""
+
+    at: ClassVar[float] = 0.0
+    rule: object
+
+    def fire(self, world: World) -> None:
+        world.net.faults.add(self.rule)
+
+
+@dataclass(frozen=True)
+class Rebalance:
+    """Move the range holding (roughly) the lower half of shard 0's
+    users to shard 1 — chosen from live principal positions, as an
+    operator rebalancing a hot shard would, so records really stream."""
+
+    at: float
+
+    def fire(self, world: World) -> None:
+        realm = world.realm
+        points = sorted(
+            hash_point(name) for name, _pw in world.workload.users
+            if realm.shard_for_key(name) == 0
+        )
+        if points:
+            move_range(realm, points[0], points[len(points) // 2] + 1, 1)
+
+
+# -- observations -----------------------------------------------------------------
+
+
+def _share(records: Sequence[StationRecord], outcome: str) -> float:
+    return sum(r.outcome == outcome for r in records) / len(records) if records else 0.0
+
+
+def _by_drift(world: World, drifted: bool) -> List[StationRecord]:
+    """Records of the drifted (or in-sync) stations, by station name:
+    nested RPC pumping appends records out of schedule order."""
+    names = {ws.host.name for ws in world.stations if ws.host.clock.skew}
+    return [r for r in world.records if (r.station in names) == drifted]
+
+
+def _noted(w: World, series: str, note: str, cast: Callable):
+    """A series' total as the observation, and as the note ``note``."""
+    value = w.net.metrics.total(series)
+    return value, {note: cast(value)}
+
+
+def _post_recovery_write(w: World, r: CampaignResult):
+    """Administration works on the *new* master with no manual help:
+    register a fresh user, propagate, and log them in."""
+    try:
+        w.realm.add_user("postmortem", "postmortem-pw")
+        w.realm.propagate()
+        w.realm.workstation("ws-postmortem").client.kinit("postmortem", "postmortem-pw")
+    except Exception:
+        return 0.0, {}
+    return 1.0, {}
+
+
+def _shed_total(w: World, r: CampaignResult):
+    sheds, notes = _noted(w, "kdc.queue.shed_total", "shed_total", int)
+    return sheds, {
+        **notes,
+        "failures": sum(r.outcomes.values()) - r.outcomes.get("ok", 0),
+        "arrival_rate_req_s": round(len(w.stations) / w.window, 1),
+        "capacity_req_s": round(capacity(w.realm.topology.kdc_queue), 1),
+    }
+
+
+def _clean_failure_rate(w: World, r: CampaignResult):
+    """Every failure is a typed shed or refusal, never a crash."""
+    failures = {k: n for k, n in r.outcomes.items() if k != "ok"}
+    clean = sum(n for k, n in failures.items() if k == "unavailable" or k.startswith("refused:"))
+    return (clean / sum(failures.values()) if failures else 1.0), {}
+
+
+def _ring_epoch(w: World, r: CampaignResult):
+    epoch, notes = _noted(w, "shard.ring_epoch", "ring_epoch", int)
+    follows = w.net.metrics.total("kdc.referral_follows_total")
+    return epoch, {**notes, "referral_follows": int(follows)}
+
+
+#: SLO name → ``(world, result) -> (observation, notes explaining it)``,
+#: read after the run in the row's SLO order.
+OBSERVE: Dict[str, Callable[[World, CampaignResult], Tuple[float, dict]]] = {
+    "success_rate": lambda w, r: (r.success_rate(), {}),
+    "latency_p95": lambda w, r: (r.latency_p95, {}),
+    "latency_p99": lambda w, r: (r.latency_p99, {}),
+    "promotions": lambda w, r: (w.supervisor.promotions, {
+        "promotions": w.supervisor.promotions, "old_master": w.first_master,
+        "new_master": w.realm.master_host.name,
+    }),
+    "promotions_max": lambda w, r: (
+        w.supervisor.promotions, {"promotions": w.supervisor.promotions}
+    ),
+    "time_to_recover": lambda w, r: _noted(
+        w, "realm.time_to_recover_seconds", "time_to_recover", float
+    ),
+    "audit_joined": lambda w, r: (sum(
+        1 for e in w.net.audit.events("master_promoted") if e.trace_id
+    ), {}),
+    "rejoined": lambda w, r: (len(w.net.audit.events("slave_rejoined")), {}),
+    "post_recovery_write": _post_recovery_write,
+    "healthy_success_rate": lambda w, r: (_share(_by_drift(w, False), "ok"), {}),
+    "skewed_refusal_rate": lambda w, r: (
+        _share(_by_drift(w, True), "refused:skew"),
+        {"n_skewed": sum(1 for ws in w.stations if ws.host.clock.skew)},
+    ),
+    "shed_total": _shed_total,
+    "clean_failure_rate": _clean_failure_rate,
+    "mount_latency_p99": lambda w, r: (r.latency_p99, {
+        "mounts_mapped": int(w.net.metrics.total("nfs.mounts_total", result="mapped"))
+    }),
+    "credential_leaks": lambda w, r: (len(w.leaks), {"leaks": w.leaks}),
+    "residual_mappings": lambda w, r: (
+        w.fleet.total_mappings(), {"residual_mappings": w.fleet.total_mappings()}
+    ),
+    "ring_epoch": _ring_epoch,
+    "entries_moved": lambda w, r: _noted(
+        w, "shard.rebalance_entries_total", "entries_moved", int
+    ),
+}

@@ -4,8 +4,8 @@ The paper's deployment facts — 5,000 users, 650 workstations, 65
 servers — become parameters here.  :class:`AthenaWorkload` populates a
 realm at a chosen registered scale and drives seeded, repeatable
 activity against it: login storms, Zipf-flavoured service traffic, and
-whole working-day sessions.  The Section 9 benchmark and the scale tests
-are thin wrappers around this module.
+open-loop login bursts.  The Section 9 benchmark, the scale tests and
+every scenario campaign's population are built on this module.
 """
 
 from __future__ import annotations
@@ -140,39 +140,34 @@ class AthenaWorkload:
             "workload.events_total", {"event": event}
         )
 
-    def _collect(self, baseline: dict) -> WorkloadStats:
-        """Build the stats view from registry deltas over one run."""
-        return WorkloadStats(
-            logins=int(self._counter("login").value - baseline["login"]),
-            service_uses=int(
-                self._counter("service_use").value - baseline["service_use"]
-            ),
-            failures=int(
-                self._counter("failure").value - baseline["failure"]
-            ),
-            kdc_messages=int(self.realm.net.metrics.total(
-                "net.datagrams_total", port=KERBEROS_PORT
-            )),
-        )
-
-    def _baseline(self) -> dict:
-        self.realm.net.reset_stats()
+    def _totals(self) -> dict:
+        """The registry's running totals behind :class:`WorkloadStats`."""
         return {
-            event: self._counter(event).value
-            for event in ("login", "service_use", "failure")
+            "logins": self._counter("login").value,
+            "service_uses": self._counter("service_use").value,
+            "failures": self._counter("failure").value,
+            "kdc_messages": self.realm.net.metrics.total(
+                "net.datagrams_total", port=KERBEROS_PORT
+            ),
         }
+
+    def _since(self, baseline: dict) -> WorkloadStats:
+        """What one call added.  Reading never resets the registry: the
+        caller's series keep counting across calls."""
+        totals = self._totals()
+        return WorkloadStats(**{k: int(totals[k] - baseline[k]) for k in totals})
 
     # -- drivers --------------------------------------------------------------
 
     def login_storm(self, stations: List[Workstation]) -> WorkloadStats:
         """Everyone arrives at once — 9 AM in a cluster."""
-        baseline = self._baseline()
+        baseline = self._totals()
         for ws in stations:
             username, password = self.random_user()
             ws.client.kdestroy()
             ws.client.kinit(username, password)
             self._counter("login").inc()
-        return self._collect(baseline)
+        return self._since(baseline)
 
     def session_traffic(
         self,
@@ -182,7 +177,7 @@ class AthenaWorkload:
     ) -> WorkloadStats:
         """Each logged-in station touches its working set repeatedly —
         the pattern that makes ticket caching pay."""
-        baseline = self._baseline()
+        baseline = self._totals()
         for ws in stations:
             services = self.pick_services(working_set)
             for _ in range(uses_per_session):
@@ -192,7 +187,7 @@ class AthenaWorkload:
                     self._counter("service_use").inc()
                 except Exception:
                     self._counter("failure").inc()
-        return self._collect(baseline)
+        return self._since(baseline)
 
     def login_burst(
         self,
@@ -285,23 +280,3 @@ class AthenaWorkload:
             )
         result.digest = fingerprint.hexdigest()
         return result
-
-    def busy_hour(
-        self,
-        n_stations: int,
-        uses_per_session: int = 6,
-    ) -> WorkloadStats:
-        """login storm + session traffic, combined accounting."""
-        stations = self.workstations(n_stations)
-        baseline = self._baseline()
-        for ws in stations:
-            username, password = self.random_user()
-            ws.client.kdestroy()
-            ws.client.kinit(username, password)
-            self._counter("login").inc()
-            services = self.pick_services(3)
-            for _ in range(uses_per_session):
-                service = self.rng.choice(services)
-                ws.client.mk_req(service)
-                self._counter("service_use").inc()
-        return self._collect(baseline)

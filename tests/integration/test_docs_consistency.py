@@ -92,6 +92,16 @@ class TestExperimentsCoverage:
             assert f"## {exp} " in text or f"## {exp} —" in text, exp
 
 
+class TestScenarioCatalogue:
+    def test_operations_names_every_campaign(self):
+        import repro.scenarios as scenarios
+
+        text = (ROOT / "docs" / "OPERATIONS.md").read_text()
+        section = text.split("\n## 7. ", 1)[1].split("\n## ", 1)[0]
+        missing = [n for n in scenarios.names() if f"`{n}`" not in section]
+        assert not missing, missing
+
+
 class TestRemovedNames:
     #: Second spellings deleted with the PR 9/10 compatibility layer.
     #: A doc that still shows one teaches an API that raises.
@@ -112,6 +122,8 @@ class TestRemovedNames:
         # One realm shape, discovered one way.
         "ShardedRealm", "HesiodLocator", "ShardDirectory",
         "KDC_RECORD_PREFIX", "store_kdc_list", "ring=True",
+        # A campaign is a row the one engine runs.
+        "busy_hour", "login_job",
     )
 
     def test_docs_mention_no_removed_identifier(self):

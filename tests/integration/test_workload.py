@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim import Network
+from repro.netsim.ports import KPROP_PORT
 from repro.realm import Realm, RealmTopology
 from repro.workload import AthenaWorkload
 
@@ -69,7 +70,20 @@ class TestDrivers:
         assert 0 < stats.kdc_requests_per_use < 1
 
     def test_busy_hour_combined(self, workload):
-        stats = workload.busy_hour(n_stations=8, uses_per_session=4)
-        assert stats.logins == 8
-        assert stats.service_uses == 32
-        assert stats.kdc_messages >= 8  # at least the AS exchanges
+        """Exp S9's busy hour: a login storm, then session traffic."""
+        stations = workload.workstations(8)
+        storm = workload.login_storm(stations)
+        traffic = workload.session_traffic(stations, uses_per_session=4)
+        assert storm.logins == 8
+        assert traffic.service_uses == 32
+        assert storm.kdc_messages == 8  # the AS exchanges
+
+    def test_stats_never_reset_the_registry(self, workload):
+        """Stats are deltas: traffic the caller counted before a login
+        storm (the fixture's propagation) is still counted after it."""
+        metrics = workload.realm.net.metrics
+        before = metrics.total("net.datagrams_total", port=KPROP_PORT)
+        assert before > 0
+        stats = workload.login_storm(workload.workstations(3))
+        assert metrics.total("net.datagrams_total", port=KPROP_PORT) == before
+        assert stats.kdc_messages == 3

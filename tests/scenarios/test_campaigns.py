@@ -1,5 +1,6 @@
-"""Campaign runs: fast smoke drills and the nine pinned digests in
-tier-1, the full SLO sweep and the CLI behind ``-m scenario``."""
+"""Campaign runs: fast smoke drills and the nine pinned full-scale
+summaries in tier-1, the full SLO sweep and the CLI subprocess runs
+behind ``-m scenario``."""
 
 import json
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import repro.scenarios as scenarios
+from repro.scenarios.__main__ import main
+from repro.workload import AthenaWorkload
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -95,9 +98,26 @@ class TestSmoke:
         b = scenarios.run("morning_login_storm", seed=2, **kwargs)
         assert a.digest != b.digest
 
+    def test_only_a_skew_refusal_counts_as_skew(self, monkeypatch):
+        """A drifted station turned away for its password was not
+        refused for its clock: the skew SLO must not count it, and every
+        station's label is the refusal's code, not its message."""
+        monkeypatch.setattr(
+            AthenaWorkload, "random_user",
+            lambda self: (self.users[0][0], "wrong-password"),
+        )
+        result = scenarios.run(
+            "clock_skew_epidemic", seed=1988, n_stations=10, n_users=10,
+        )
+        assert result.outcomes == {"refused:INTK_BADPW": 10}
+        checks = {check.name: check for check in result.checks}
+        assert checks["skewed_refusal_rate"].observed == 0.0
+        assert not result.passed
 
-#: ``python -m repro.scenarios --seed 1988 --json``, recorded before the
-#: compatibility layer was removed; re-record only with a stated reason.
+
+#: ``python -m repro.scenarios --seed 1988 --json``: every campaign's
+#: whole summary at its default (fleet) scale, every SLO passing.
+#: Re-record only with a stated reason.
 PINNED = json.loads(
     (Path(__file__).with_name("campaign_digests.json")).read_text()
 )
@@ -106,11 +126,13 @@ PINNED = json.loads(
 @pytest.mark.parametrize("name", sorted(scenarios.names()))
 def test_campaign_digest_is_pinned(name):
     """Same seed, same bytes: how a campaign builds its realm, finds
-    its KDCs and retries may change only if every outcome does not."""
-    pinned = PINNED["campaigns"][name]
+    its KDCs and retries may change only if nothing it reports does —
+    outcomes, digest, makespan, percentiles, each check's observation,
+    notes and the verdict."""
     summary = scenarios.run(name, seed=PINNED["seed"]).summary()
-    for key in ("digest", "outcomes", "makespan"):
-        assert summary[key] == pinned[key], key
+    assert json.dumps(summary, sort_keys=True) == json.dumps(
+        PINNED["campaigns"][name], sort_keys=True
+    )
 
 
 @pytest.mark.scenario
@@ -126,6 +148,15 @@ class TestFullSweep:
         )
         assert sum(result.outcomes.values()) >= 1
         assert result.makespan > 0.0
+
+
+def test_cli_refuses_a_parameter_no_campaign_knows(capsys):
+    """A misspelled ``-p`` key must not silently run the defaults."""
+    with pytest.raises(SystemExit) as stopped:
+        main(["morning_login_storm", "-p", "n_staions=4"])
+    assert stopped.value.code == 2
+    err = capsys.readouterr().err
+    assert "n_staions" in err and "n_stations" in err
 
 
 @pytest.mark.scenario
