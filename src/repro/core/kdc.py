@@ -68,6 +68,12 @@ XREALM_NAME = "xrealm"
 #: Buckets for the kdc.batch_size histogram (requests per worker batch).
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
+#: Opened TGTs a KDC keeps (LRU), keyed by (TGS key bytes, sealed TGT):
+#: one per live login that comes back for service tickets.  A TGT is
+#: "used to obtain tickets" for its whole life (Section 4.4), so it is
+#: the one ciphertext the KDC meets again and again.
+TGT_MEMO_SIZE = 512
+
 
 class _KeyTouchMeter:
     """Key-schedule cache lookups since the last reading — the O(1)
@@ -212,6 +218,15 @@ class KerberosServer(AuthenticatedService):
         self._skeleton_hits = self.metrics.counter(
             "kdc.skeleton_hits_total", self._labels
         )
+        self._tgt_memo_total = {
+            result: self.metrics.counter(
+                "kdc.tgt_memo_total", {**self._labels, "result": result}
+            )
+            for result in ("hit", "miss")
+        }
+        # Opened TGTs (see _unseal_all): content-addressed, so a rotated
+        # TGS key or a changed blob simply misses; volatile (on_crash).
+        self._tgt_memo = keycache._LruCache(TGT_MEMO_SIZE)
         #: ``kdc.ticket_life_seconds`` by kind; see :meth:`_life_series`.
         self._ticket_life: Dict[str, object] = {}
         if self.shard is not None:
@@ -244,8 +259,10 @@ class KerberosServer(AuthenticatedService):
     def on_crash(self) -> None:
         """The host died: queued requests are gone — their senders hear
         nothing and fail over.  (In-flight batch completions check host
-        state and drop their replies too.)"""
+        state and drop their replies too.)  The TGT memo goes with the
+        process."""
         super().on_crash()
+        self._tgt_memo.clear()
         if self.workqueue is not None:
             for _datagram, deferred in self.workqueue.drop_pending():
                 deferred.resolve(None)
@@ -371,6 +388,7 @@ class KerberosServer(AuthenticatedService):
         now = self.host.clock.now()
         blocks_before = interleaved_blocks()
         lookups_before = self._lookups_saved.value
+        memo_hits_before = self._tgt_memo_total["hit"].value
         # -- stage 1: decode-all -------------------------------------------
         kinds = ["other"] * n
         errors: List[Optional[KerberosError]] = [None] * n
@@ -445,6 +463,9 @@ class KerberosServer(AuthenticatedService):
             "stage_sealed": len(ready),
             "stage_interleaved_blocks": interleaved_blocks() - blocks_before,
             "stage_skeleton_hits": skeleton_hits,
+            "stage_tgt_memo_hits": int(
+                self._tgt_memo_total["hit"].value - memo_hits_before
+            ),
             "stage_encoded_bytes": sum(len(r) for r in replies),
         }
         host = self.host.name
@@ -452,9 +473,11 @@ class KerberosServer(AuthenticatedService):
             kind = kinds[i]
             err = errors[i]
             # Written after the fact (nothing runs inside it), so opened
-            # under the propagated context, off the tracer's stack.
+            # under the propagated context, off the tracer's stack.  At an
+            # un-queued KDC its ten attributes fill a dict's 16-slot
+            # table; an eleventh would double it on every span kept.
             span = self.tracer.open_span(
-                f"kdc.{kind}", datagram.trace, server=host, host=host
+                f"kdc.{kind}", datagram.trace, host=host
             )
             if waits[i] is not None:
                 span.attrs["queue_wait"] = round(waits[i], 9)
@@ -492,6 +515,12 @@ class KerberosServer(AuthenticatedService):
         :func:`check_authenticator`) run between and after two batched
         unseals, with the TGS itself as the target service.
 
+        The TGT is the one ciphertext the protocol reuses on purpose, so
+        the first unseal opens only what the KDC's memo lacks; both
+        checklist halves and the replay cache still run for every item,
+        memoized or not — replay refusal rests on the fresh
+        authenticator, never on the TGT.
+
         A failing item gets its :class:`KerberosError` in ``errors[i]``;
         a passing one its :class:`AuthContext` in the returned list
         (None for every item that is not an authenticated TGS request).
@@ -499,25 +528,63 @@ class KerberosServer(AuthenticatedService):
         decrypted, and the replay cache sees the survivors in item order.
         """
         contexts: List[Optional[AuthContext]] = [None] * len(messages)
-        # Wave 1: every TGT under its (local or inter-realm) TGS key.
-        wave = []
+        # Wave 1: every TGT under its (local or inter-realm) TGS key, the
+        # key resolved once per realm the batch names.  A TGT this KDC
+        # opened before under the same key comes out of the memo; the
+        # rest are unsealed once per distinct blob.
+        memo = self._tgt_memo if keycache.caching_enabled() else None
+        realm_keys: Dict[str, object] = {}  # a DesKey or its KerberosError
+        tickets: Dict[int, object] = {}  # a Ticket or its KerberosError
+        opening: Dict[tuple, tuple] = {}  # memo key -> (key, its items)
+        hits = misses = 0
         for i, kind in enumerate(kinds):
             if kind != "tgs":
                 continue
-            try:
-                wave.append((i, self._tgt_key(messages[i].tgt_realm)))
-            except KerberosError as err:
-                errors[i] = _frameless(err)
+            realm = messages[i].tgt_realm
+            key = realm_keys.get(realm)
+            if key is None:
+                try:
+                    key = self._tgt_key(realm)
+                except KerberosError as err:
+                    key = _frameless(err)
+                realm_keys[realm] = key
             crypto_ops[i] += meter.lap()
-        if not wave:
+            if isinstance(key, KerberosError):
+                errors[i] = key
+                continue
+            memo_key = (key.key_bytes, messages[i].tgt)
+            ticket = memo.get(memo_key) if memo is not None else None
+            if ticket is not None:
+                tickets[i] = ticket
+                hits += 1
+            else:
+                tickets[i] = None
+                opening.setdefault(memo_key, (key, []))[1].append(i)
+        if not tickets:
             return contexts
-        tickets = unseal_structs(
-            Ticket, "ticket", [(messages[i].tgt, key) for i, key in wave]
+        opened = unseal_structs(
+            Ticket, "ticket",
+            [(blob, key) for (_kb, blob), (key, _items) in opening.items()],
         )
+        for (memo_key, (_key, items)), ticket in zip(opening.items(), opened):
+            ok = not isinstance(ticket, KerberosError)
+            if memo is not None:
+                if ok:  # a blob that fails to open is never memoized
+                    memo.put(memo_key, ticket)
+                # The first item unsealed it; its repeats were served as
+                # though it had been memoized in between.
+                hits += (len(items) - 1) * ok
+                misses += 1 + (len(items) - 1) * (not ok)
+            for i in items:
+                tickets[i] = ticket
+        if hits:
+            self._tgt_memo_total["hit"].inc(hits)
+        if misses:
+            self._tgt_memo_total["miss"].inc(misses)
         # Wave 2: the authenticators of the tickets that check out, each
         # under its TGT's session key.
         survivors = []
-        for (i, _key), ticket in zip(wave, tickets):
+        for i, ticket in tickets.items():
             if isinstance(ticket, KerberosError):
                 errors[i] = ticket
                 continue

@@ -474,7 +474,7 @@ class DesKey:
     in :mod:`repro.crypto.keycache`.
     """
 
-    __slots__ = ("_key", "_enc_subkeys", "_dec_subkeys")
+    __slots__ = ("_key", "_enc_subkeys", "_rows")
 
     @classmethod
     def from_bytes(cls, key: bytes, allow_weak: bool = False) -> "DesKey":
@@ -497,7 +497,16 @@ class DesKey:
             raise KeyError_(f"refusing weak DES key {key.hex()}")
         self._key = key
         self._enc_subkeys = _key_schedule(key)
-        self._dec_subkeys = self._enc_subkeys[::-1]
+        # The subkeys spread for the wide kernel's lanes, built the first
+        # time the key rides one (``des_simd.keymat_of``).
+        self._rows = None
+
+    @property
+    def _dec_subkeys(self) -> tuple:
+        """The schedule backwards, made when a single-lane decryption
+        asks for it rather than kept on each of the thousands of cached
+        keys (the lanes read the spread rows bottom up instead)."""
+        return self._enc_subkeys[::-1]
 
     @property
     def key_bytes(self) -> bytes:

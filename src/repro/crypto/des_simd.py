@@ -17,13 +17,14 @@ The representation is the single-lane kernel's (both Feistel halves
 kept E-expanded, E folded into the SP-pair table outputs), laid out for
 gathers: each 12-bit chunk of an expanded half sits in its own 16-bit
 field of a little-endian ``uint64``, and :func:`keymat` spreads the
-subkeys the same way once per run.  The gather indices of a round are
-then a zero-copy ``uint16`` *view* of ``y ^ km[r]`` — no shifts, no
-masks.  A chunk leaves the top nibble of its field free, so ``keymat``
-writes the field's number there and the four 4,096-entry SP-pair tables
-sit stacked in one array: one gather per round.  The tables are the
-single-lane kernel's own, spread on first use; every dtype is
-explicitly little-endian, so a big-endian host computes the same lanes.
+subkeys the same way, once per key (:func:`keymat_of`).  The gather
+indices of a round are then a zero-copy ``uint16`` *view* of
+``y ^ km[r]`` — no shifts, no masks.  A chunk leaves the top nibble
+of its field free, so ``keymat`` writes the field's number there and
+the four 4,096-entry SP-pair tables sit stacked in one array: one
+gather per round.  The tables are the single-lane kernel's own,
+spread on first use; every dtype is explicitly little-endian, so a
+big-endian host computes the same lanes.
 
 numpy is optional: everything here degrades to ``available() ==
 False`` and the caller (``repro.crypto.modes``, which also owns the
@@ -97,6 +98,24 @@ def keymat(subkeys_per_lane):
     field, the field's table-select nibble set above it."""
     km = _spread(_np.array(subkeys_per_lane, dtype=_U64)) | _SELECT
     return _np.ascontiguousarray(km.T)
+
+
+def keymat_of(keys, decrypt=False):
+    """The key matrix of one lane per :class:`~repro.crypto.des.DesKey`
+    in ``keys``.  A key's spread subkeys — its encrypting :func:`keymat`
+    column, 128 bytes; decrypting reads it bottom up — are made the
+    first time it rides a lane (one :func:`keymat` call for every key of
+    the run that lacks them) and kept on the key, so a run only joins
+    bytes."""
+    cold = {id(key): key for key in keys if key._rows is None}
+    if cold:
+        spread = keymat([key._enc_subkeys for key in cold.values()])
+        rows = spread.T.tobytes()
+        for lane, key in enumerate(cold.values()):
+            key._rows = rows[128 * lane : 128 * (lane + 1)]
+    lanes = _np.frombuffer(b"".join([key._rows for key in keys]), dtype=_U64)
+    lanes = lanes.reshape(len(keys), 16)
+    return (lanes[:, ::-1] if decrypt else lanes).T.copy()
 
 
 def _ip(blocks):

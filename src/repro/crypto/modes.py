@@ -96,7 +96,7 @@ def _pack_blocks(blocks: list) -> bytes:
 # --------------------------------------------------------------------------
 
 
-def _ecb(subkeys: tuple, data: bytes, what: str) -> bytes:
+def _ecb(key: DesKey, decrypt: bool, data: bytes, what: str) -> bytes:
     """Every block on its own under one schedule: the third batch shape.
     No block waits for another, so a block is a lane and a run of
     ``WIDE_MIN_BLOCKS`` is one pass of the wide kernel under a one-column
@@ -105,19 +105,20 @@ def _ecb(subkeys: tuple, data: bytes, what: str) -> bytes:
     if n >= WIDE_MIN_BLOCKS and des_simd.available():
         blocks = des_simd._np.frombuffer(data, dtype=_WIRE).astype(_NATIVE)
         _count_interleaved(n)
-        out = des_simd.crypt_wide(blocks, des_simd.keymat([subkeys]))
+        out = des_simd.crypt_wide(blocks, des_simd.keymat_of([key], decrypt))
         return out.astype(_WIRE).tobytes()
+    subkeys = key._dec_subkeys if decrypt else key._enc_subkeys
     blocks = _unpack_blocks(data, what)
     return _pack_blocks([crypt_int(b, subkeys) for b in blocks])
 
 
 def ecb_encrypt(key: DesKey, data: bytes) -> bytes:
     """Electronic codebook: each block independently encrypted."""
-    return _ecb(key._enc_subkeys, data, "plaintext")
+    return _ecb(key, False, data, "plaintext")
 
 
 def ecb_decrypt(key: DesKey, data: bytes) -> bytes:
-    return _ecb(key._dec_subkeys, data, "ciphertext")
+    return _ecb(key, True, data, "ciphertext")
 
 
 def cbc_encrypt(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
@@ -382,7 +383,7 @@ def _pcbc_encrypt_run(
     ).astype(_NATIVE)
     plain = flat.take((np.cumsum(lens) - lens)[order] + steps, mode="clip")
     lanes = [jobs[i] for i in order]
-    km = des_simd.keymat([key._enc_subkeys for key, _c, _d in lanes])
+    km = des_simd.keymat_of([key for key, _c, _d in lanes])
     chains = np.array([chain for _k, chain, _d in lanes], dtype=_NATIVE)
     out = des_simd.pcbc_encrypt_wide(plain, chains, km, running)
     _count_interleaved(sum(running))
@@ -437,9 +438,9 @@ def pcbc_decrypt_many(
     if all(key is first for key, _data in items):
         # One key (the master key over a batch's database blobs, the TGS
         # key over its TGTs): one column, broadcast across the lanes.
-        km = des_simd.keymat([first._dec_subkeys])
+        km = des_simd.keymat_of([first], decrypt=True)
     else:
-        km = des_simd.keymat([key._dec_subkeys for key, _data in items])
+        km = des_simd.keymat_of([key for key, _data in items], decrypt=True)
         km = np.repeat(km, counts, axis=1)
     decrypted = des_simd.crypt_wide(cipher, km)
     _count_interleaved(total)

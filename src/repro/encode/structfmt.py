@@ -97,6 +97,25 @@ profilers charge the codec's time to ``repro.encode``.
 
 A class that writes its own ``__init__`` (``Principal`` is the only one
 in the repository) keeps it, and its decoder constructs through it.
+
+Interned values
+---------------
+
+A class whose fields are all scalars and which writes its own
+``__init__`` may declare ``INTERN = n`` (``Principal`` does).  Its
+instances are then immutable values — the ``class`` statement installs
+a ``__setattr__`` that refuses — so one instance may stand for every
+occurrence of the same bytes:
+
+* ``encode_into`` writes the instance's wire form, encoded on first use
+  and kept on the instance (``_wire``);
+* ``decode_from`` reads the fields as usual, then looks the raw span
+  they came from up in the class's LRU table of ``n`` entries
+  (``_interned``).  A hit returns the instance decoded from those bytes
+  before; a miss constructs — through a hand-written ``__init__``'s
+  checks too — and interns the result.  So a name is validated once per
+  distinct byte string, and malformed bytes, never being a key, are
+  refused every time.
 """
 
 from __future__ import annotations
@@ -105,8 +124,11 @@ import functools
 import keyword
 import linecache
 import struct as _struct
+from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.encode.buffer import (
     MAX_FIELD_LENGTH,
@@ -187,6 +209,13 @@ def _short_read(data, pos: int, end: int, run: Tuple[Tuple[int, bool], ...]):
         pos += size
 
 
+def _frozen(self, name: str, value: Any = None) -> None:
+    """``__setattr__``/``__delattr__`` of an interned class."""
+    raise AttributeError(
+        f"{type(self).__name__} is an immutable value: cannot change {name!r}"
+    )
+
+
 def _field_error(obj: "WireStruct", values: tuple, unknown: dict) -> TypeError:
     missing = sorted(
         name for name, value in zip(obj._NAMES, values) if value is _MISSING
@@ -254,6 +283,7 @@ class _Source:
             "DecodeError": DecodeError,
             "_MISSING": _MISSING,
             "_new": object.__new__,
+            "_setattr": object.__setattr__,
             **{helper.__name__: helper for helper in _RUNTIME},
         }
         self._consts: List[Any] = []
@@ -440,9 +470,13 @@ def _hashable(expr: str, kind: Any, depth: int = 0) -> str:
     return f"tuple({_hashable(each, item, depth + 1)} for {each} in {expr})"
 
 
-def _generate(class_name: str, fields: Sequence[field], own_init: bool) -> _Source:
+def _generate(
+    class_name: str, fields: Sequence[field], own_init: bool,
+    interned: Optional[OrderedDict], intern_size: int,
+) -> _Source:
     """The source of one class's codec and value-semantics methods (a
-    pure function of the declaration, so it can be produced again)."""
+    pure function of the declaration, so it can be produced again).
+    ``interned`` is an interned class's table, None for any other."""
     names = tuple(f.name for f in fields)
     src = _Source()
 
@@ -463,7 +497,18 @@ def _generate(class_name: str, fields: Sequence[field], own_init: bool) -> _Sour
     src.new_function()
     src.line("def encode_into(self, enc):")
     with src.indented():
-        if fields:
+        if interned is not None:
+            # Encoded once per instance: the fields cannot change.
+            src.line("wire = self._wire")
+            src.line("if wire is None:")
+            with src.indented():
+                src.line("parts = []")
+                src.line("write = parts.append")
+                _emit_encode(src, [(f"self.{f.name}", f.kind) for f in fields])
+                src.line("wire = b''.join(parts)")
+                src.line("_setattr(self, '_wire', wire)")
+            src.line("enc._buf.write(wire)")
+        elif fields:
             src.line("write = enc._buf.write")
             _emit_encode(src, [(f"self.{f.name}", f.kind) for f in fields])
         else:
@@ -476,17 +521,31 @@ def _generate(class_name: str, fields: Sequence[field], own_init: bool) -> _Sour
         src.line("data = dec._data")
         src.line("pos = dec._pos")
         src.line("end = len(data)")
+        if interned is not None:
+            src.line("start = pos")
         values = _emit_decode(src, [f.kind for f in fields])
         src.line("dec._pos = pos")
+        if interned is not None:
+            table = src.const(interned)
+            src.line("span = data[start:pos]")
+            src.line("if span.__class__ is not bytes: span = bytes(span)")
+            src.line(f"obj = {table}.get(span)")
+            src.line("if obj is not None:")
+            src.line(f"    {table}.move_to_end(span)")
+            src.line("    return obj")
         if own_init:
             # The hand-written constructor's checks apply to the wire too.
             args = ", ".join(f"{n}={v}" for n, v in zip(names, values))
-            src.line(f"return cls({args})")
+            src.line(f"obj = cls({args})")
         else:
             src.line("obj = _new(cls)")
             for name, v in zip(names, values):
                 src.line(f"obj.{name} = {v}")
-            src.line("return obj")
+        if interned is not None:
+            src.line("_setattr(obj, '_wire', span)")
+            src.line(f"{table}[span] = obj")
+            src.line(f"if len({table}) > {intern_size}: {table}.popitem(False)")
+        src.line("return obj")
     src.line()
 
     src.line("def _astuple(self):")
@@ -519,7 +578,22 @@ def _compile(cls: type) -> None:
         _check_kind(f.kind)
     class_name = cls.__name__
     own_init = "__init__" in cls.__dict__
-    src = _generate(class_name, fields, own_init)
+    intern_size = cls.__dict__.get("INTERN", 0)
+    interned = None
+    if intern_size:
+        # Its own __init__ binds the fields past the refusing __setattr__.
+        if not own_init or any(
+            not isinstance(f.kind, str) or _list_item(f.kind) for f in fields
+        ):
+            raise EncodeError(
+                f"{class_name}: an interned class has scalar fields and "
+                "its own __init__"
+            )
+        interned = OrderedDict()
+        cls._interned = interned
+        cls._wire = None
+        cls.__setattr__ = cls.__delattr__ = _frozen
+    src = _generate(class_name, fields, own_init, interned, intern_size)
 
     # A file name inside this package keeps the codec's time on the
     # ``encode`` layer in profiles.  The linecache entry lets tracebacks
@@ -527,7 +601,9 @@ def _compile(cls: type) -> None:
     # source getter), so no text is kept for a line nobody asks for.
     filename = f"{__file__}:<codec {cls.__qualname__}>"
     linecache.cache[filename] = (
-        lambda: _generate(class_name, fields, own_init).text(),
+        lambda: _generate(
+            class_name, fields, own_init, interned, intern_size
+        ).text(),
     )
     exec(compile(src.text(), filename, "exec"), src.namespace)
 

@@ -39,6 +39,13 @@ KDBM_INSTANCE = "kerberos"
 ADMIN_INSTANCE = "admin"
 #: Maximum length of each component, as in the historical headers.
 MAX_COMPONENT = 40
+#: Distinct wire forms the decoder keeps interned (LRU): the names a KDC
+#: meets over and over — its services, the TGS, the clients with live
+#: sessions.  At Athena scale (5,000 users) the rest cycle through.
+INTERN_SIZE = 512
+
+
+_bind = object.__setattr__
 
 
 class PrincipalError(ValueError):
@@ -58,13 +65,20 @@ def _check_component(value: str, what: str, allow_dot: bool = False) -> str:
 
 
 class Principal(WireStruct):
-    """A named Kerberos entity — user or server, the paper treats them alike."""
+    """A named Kerberos entity — user or server, the paper treats them alike.
+
+    An immutable value: assigning a field raises, and the same three
+    names may be one shared instance (``INTERN``; see
+    :mod:`repro.encode.structfmt`).  A changed name is a new principal
+    (:meth:`with_realm`, :meth:`replace`).
+    """
 
     FIELDS = (
         field("name", "string"),
         field("instance", "string"),
         field("realm", "string"),
     )
+    INTERN = INTERN_SIZE
 
     def __init__(self, name: str, instance: str = "", realm: str = "") -> None:
         _check_component(name, "primary name")
@@ -76,9 +90,10 @@ class Principal(WireStruct):
         # and the split is on the first dot.
         _check_component(instance, "instance", allow_dot=True)
         _check_component(realm, "realm", allow_dot=True)
-        self.name = name
-        self.instance = instance
-        self.realm = realm
+        # Bound once, here, past the refusing __setattr__ of a value.
+        _bind(self, "name", name)
+        _bind(self, "instance", instance)
+        _bind(self, "realm", realm)
 
     # -- parsing / formatting ---------------------------------------------
 
@@ -117,6 +132,8 @@ class Principal(WireStruct):
     # -- derived forms ------------------------------------------------------
 
     def with_realm(self, realm: str) -> "Principal":
+        if realm == self.realm:
+            return self
         return Principal(self.name, self.instance, realm)
 
     def admin_principal(self) -> "Principal":
@@ -142,7 +159,7 @@ class Principal(WireStruct):
 
     def same_entity(self, other: "Principal") -> bool:
         """True if both names refer to the same principal (all components)."""
-        return (
+        return other is self or (
             self.name == other.name
             and self.instance == other.instance
             and self.realm == other.realm

@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs.metrics import HeldHandles
 
@@ -60,11 +60,6 @@ class ScheduledEvent:
         self.label = label
         self.cancelled = False
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.tiebreak, self.seq) < (
-            other.time, other.tiebreak, other.seq
-        )
-
     def __repr__(self) -> str:
         state = ", cancelled" if self.cancelled else ""
         return f"ScheduledEvent({self.label!r} @ {self.time:.6f}{state})"
@@ -82,7 +77,10 @@ class EventScheduler(HeldHandles):
 
     def __init__(self, clock, seed: int = 0) -> None:
         self.clock = clock
-        self._heap: List[ScheduledEvent] = []
+        # ``(time, tiebreak, seq, event)``: the order is the tuple's, so
+        # ``heapq`` compares in C; ``seq`` is unique, so it never reaches
+        # the event.
+        self._heap: List[Tuple[float, float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         # Tie-breaking only — kept separate from the fault plane's RNG so
         # scheduling never perturbs fault draws (and vice versa).
@@ -108,10 +106,9 @@ class EventScheduler(HeldHandles):
         """Schedule ``action`` at simulated time ``when`` (clamped to now:
         the past is not available)."""
         when = max(float(when), self.clock.now())
-        event = ScheduledEvent(
-            when, self._rng.random(), next(self._seq), action, label
-        )
-        heapq.heappush(self._heap, event)
+        tiebreak, seq = self._rng.random(), next(self._seq)
+        event = ScheduledEvent(when, tiebreak, seq, action, label)
+        heapq.heappush(self._heap, (when, tiebreak, seq, event))
         if self._metrics is not None:
             key = ("runtime.events_scheduled_total", label)
             (self._held.get(key) or self._counter(*key)).inc()
@@ -133,9 +130,10 @@ class EventScheduler(HeldHandles):
 
     def _skim(self) -> Optional[ScheduledEvent]:
         """The earliest live event, discarding cancelled heap heads."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][3] if heap else None
 
     def next_time(self) -> Optional[float]:
         """Firing time of the earliest pending event (None when idle)."""
@@ -144,7 +142,7 @@ class EventScheduler(HeldHandles):
 
     def pending(self) -> int:
         """Live (non-cancelled) events still queued."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for *_order, e in self._heap if not e.cancelled)
 
     @property
     def executed(self) -> int:

@@ -13,11 +13,16 @@ own statement of the seal frame), so the expected bytes never pass
 through production ``seal``.  It demands byte equality with what the
 pipeline answered, with its caches on, one frame per call, in buffers
 astride the sealing threshold (``WIDE_MIN_MESSAGES``; a queued KDC's
-batch of 8 among them) and in buffers one past ``WIDE_MIN_BLOCKS``.
+batch of 8 among them) and in buffers one past ``WIDE_MIN_BLOCKS``, and
+with every cache off.  Each TGT is presented three times with fresh
+authenticators, so most TGS replies come from a TGT the KDC's memo
+served and are held to the same bytes.
 
 It is the seed of ROADMAP's whole-protocol oracle: Figures 5 and 8
 today, valid requests only.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -89,9 +94,16 @@ def expected_reply(db, keygen, mtype, client, reply_key, request, src, now,
     return encode_message(mtype, reply)
 
 
+#: Times each sealed TGT is presented, each time with a fresh
+#: authenticator — as a TGT is "used to obtain tickets" for every further
+#: service (Section 4.4): the repeats are served from the KDC's memo.
+PRESENTATIONS = 3
+
+
 def traffic(realm, xkey, src, count):
     """``count`` valid requests cycling local AS, local TGS, cross-realm
-    TGS, their TGTs and authenticators sealed by the oracle too.
+    TGS, their TGTs and authenticators sealed by the oracle too; each
+    TGT rides ``PRESENTATIONS`` requests of its realm in a row.
     Returns (wires, recipes): a recipe is what the oracle needs to know
     of a request — for a TGS request, the plaintext TGT the test itself
     sealed."""
@@ -101,6 +113,8 @@ def traffic(realm, xkey, src, count):
         REALM: realm.db.principal_key(TGS),
         LCS: xkey,
     }
+    presented = {REALM: 0, LCS: 0}
+    sealed = {}  # realm -> (plaintext TGT, its sealed bytes)
     wires, recipes = [], []
     for k in range(count):
         if k % 3 == 0:
@@ -112,20 +126,26 @@ def traffic(realm, xkey, src, count):
             recipes.append((request, None))
             continue
         client, tgt_realm = ((JIS, REALM), (VISITOR, LCS))[k % 3 - 1]
-        tgt = Ticket(
-            server=TGS,
-            client=client,
-            address=src.as_int,
-            timestamp=now,
-            life=1800.0 + k,
-            session_key=gen.session_key_bytes(),
-        )
+        if presented[tgt_realm] % PRESENTATIONS == 0:
+            tgt = Ticket(
+                server=TGS,
+                client=client,
+                address=src.as_int,
+                timestamp=now,
+                life=1800.0 + k,
+                session_key=gen.session_key_bytes(),
+            )
+            sealed[tgt_realm] = (
+                tgt, seal_ref(tgt_keys[tgt_realm], tgt.to_bytes())
+            )
+        presented[tgt_realm] += 1
+        tgt, blob = sealed[tgt_realm]
         request = TgsRequest(
             service=RLOGIN,
             requested_life=3600.0,
             timestamp=now + k * 0.001,
             tgt_realm=tgt_realm,
-            tgt=seal_ref(tgt_keys[tgt_realm], tgt.to_bytes()),
+            tgt=blob,
             authenticator=seal_ref(
                 DesKey.from_bytes(tgt.session_key, allow_weak=True),
                 Authenticator(
@@ -139,11 +159,23 @@ def traffic(realm, xkey, src, count):
     return wires, recipes
 
 
-@pytest.mark.parametrize("batch", sorted({
+BATCHES = sorted({
     1, WIDE_MIN_MESSAGES - 1, WIDE_MIN_MESSAGES, WIDE_MIN_MESSAGES + 1, 8,
     WIDE_MIN_BLOCKS + 1,
-}))
+})
+
+
+@pytest.mark.parametrize("batch", BATCHES)
 def test_pipeline_replies_equal_the_recomposed_figures(batch):
+    assert_replies_equal_the_recomposed_figures(batch, cached=True)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_with_every_cache_off_the_replies_are_the_same(batch):
+    assert_replies_equal_the_recomposed_figures(batch, cached=False)
+
+
+def assert_replies_equal_the_recomposed_figures(batch, cached):
     keycache.clear()
     (realm, xkey), (twin, _) = build_realm(), build_realm()
     src = realm.workstation().host.address
@@ -151,13 +183,27 @@ def test_pipeline_replies_equal_the_recomposed_figures(batch):
     wires, recipes = traffic(realm, xkey, src, 2 * (WIDE_MIN_BLOCKS + 1))
 
     answered = []
-    for start in range(0, len(wires), batch):
-        answered.extend(
-            bytes(reply)
-            for reply in realm.kdc.process_request_buffer(
-                pack_frames(wires[start:start + batch]), src
+    with nullcontext() if cached else keycache.caches_disabled():
+        for start in range(0, len(wires), batch):
+            answered.extend(
+                bytes(reply)
+                for reply in realm.kdc.process_request_buffer(
+                    pack_frames(wires[start:start + batch]), src
+                )
             )
-        )
+    # Two of every three TGS requests carry a TGT the KDC opened before
+    # (in an earlier buffer or earlier in this one): served from the
+    # memo with the caches on, unsealed again with them off.
+    tgts = [tgt for _request, tgt in recipes if tgt is not None]
+    distinct = len({id(tgt) for tgt in tgts})
+    memo = {
+        result: realm.net.metrics.total("kdc.tgt_memo_total", result=result)
+        for result in ("hit", "miss")
+    }
+    assert memo == (
+        {"hit": len(tgts) - distinct, "miss": distinct} if cached
+        else {"hit": 0, "miss": 0}
+    )
 
     db, keygen = twin.db, twin.kdc.keygen
     with keycache.caches_disabled():

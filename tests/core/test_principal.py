@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.encode import DecodeError
 from repro.principal import (
     ADMIN_INSTANCE,
+    INTERN_SIZE,
     Principal,
     PrincipalError,
     kdbm_principal,
@@ -138,3 +140,53 @@ class TestWellKnownPrincipals:
         assert not p.is_tgs
         assert not p.is_kdbm
         assert not p.is_admin
+
+
+def wire(*components: bytes) -> bytes:
+    """Three length-prefixed components, built by hand."""
+    return b"".join(len(c).to_bytes(4, "big") + c for c in components)
+
+
+class TestImmutableValue:
+    """A principal is a value: it cannot change, so one decoded instance
+    may stand for every occurrence of its bytes (``Principal.INTERN``)."""
+
+    @pytest.mark.parametrize("name", ["name", "instance", "realm", "_wire"])
+    def test_field_assignment_raises(self, name):
+        p = Principal("jis", "", "ATHENA.MIT.EDU")
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(p, name, "x")
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(p, name)
+        assert (p.name, p.instance, p.realm) == ("jis", "", "ATHENA.MIT.EDU")
+
+    def test_the_same_bytes_decode_to_one_instance(self):
+        raw = Principal("rlogin", "priam", "ATHENA.MIT.EDU").to_bytes()
+        first = Principal.from_bytes(raw)
+        assert Principal.from_bytes(memoryview(raw)) is first
+        # ... whose wire form is the bytes it came from.
+        assert first._wire == raw
+        assert first.with_realm("ATHENA.MIT.EDU") is first
+
+    @pytest.mark.parametrize("good,bad,refusal", [
+        ((b"abc", b"", b"R"), (b"a@c", b"", b"R"), PrincipalError),
+        ((b"x" * 20, b"y" * 21, b""), (b"x" * 41, b"", b""), PrincipalError),
+        ((b"abc", b"", b"R"), (b"ab\xff", b"", b"R"), DecodeError),
+    ], ids=["at-sign", "over-long", "bad-utf8"])
+    def test_malformed_bytes_are_refused_beside_interned_ones(
+        self, good, bad, refusal
+    ):
+        assert len(wire(*good)) == len(wire(*bad))
+        interned = Principal.from_bytes(wire(*good))
+        assert Principal.from_bytes(wire(*good)) is interned
+        for _ in range(2):
+            with pytest.raises(refusal):
+                Principal.from_bytes(wire(*bad))
+
+    def test_the_intern_table_stays_at_its_bound(self):
+        for i in range(5000):
+            Principal.from_bytes(wire(f"u{i:04d}".encode(), b"", b"R"))
+        assert len(Principal._interned) == INTERN_SIZE
+        # The most recent ones are the ones kept.
+        last = wire(b"u4999", b"", b"R")
+        assert Principal.from_bytes(last) is Principal._interned[last]

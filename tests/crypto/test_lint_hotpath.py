@@ -964,9 +964,10 @@ CODEC_RUNTIME = {
     "_field_error",
 }
 
-#: Every other global a generated function may name.
+#: Every other global a generated function may name (``_setattr`` binds
+#: the fields of an interned class, past its refusing ``__setattr__``).
 CODEC_GLOBALS = CODEC_RUNTIME | {
-    "DecodeError", "_MISSING", "_new",
+    "DecodeError", "_MISSING", "_new", "_setattr",
     "isinstance", "len", "type", "str", "bytes", "range", "list", "tuple",
     "hash", "int", "float", "bool", "UnicodeDecodeError",
 }

@@ -154,6 +154,24 @@ class TestKindErrors:
             class BadItems(WireStruct):
                 FIELDS = (field("v", ("list", None)),)
 
+    def test_an_interned_class_has_scalar_fields_and_its_own_init(self):
+        # Its instances are shared, so nothing may change one after the
+        # hand-written constructor has bound its fields.
+        with pytest.raises(EncodeError, match="an interned class"):
+
+            class Nested(WireStruct):
+                FIELDS = (field("origin", Point),)
+                INTERN = 8
+
+                def __init__(self, origin):
+                    object.__setattr__(self, "origin", origin)
+
+        with pytest.raises(EncodeError, match="an interned class"):
+
+            class Generated(WireStruct):
+                FIELDS = (field("x", "i32"),)
+                INTERN = 8
+
     def test_list_count_bomb_rejected(self):
         # u32 count claiming 2**31 items must not attempt the loop.
         data = Encoder().u32(2**31).getvalue()
