@@ -109,17 +109,18 @@ class KerberizedServer(AuthenticatedService):
         if not port:
             raise ValueError(f"{type(self).__name__} needs an explicit port")
         self.port = port
-        self.sessions: Dict[int, AppSession] = {}
+        # Ids keep counting across incarnations, so a session id from
+        # before a crash never names a new session.
         self._next_session = 1
 
     def ports(self):
         return {self.port: self._dispatch}
 
-    def on_crash(self) -> None:
-        # Open sessions live in the daemon's memory: gone with it, and
-        # their clients authenticate again.
-        super().on_crash()
-        self.sessions.clear()
+    def on_attach(self) -> None:
+        super().on_attach()
+        # Open sessions live in the daemon's memory: each incarnation
+        # starts with none, and a dead one's clients authenticate again.
+        self.sessions: Dict[int, AppSession] = {}
 
     # -- subclass hooks ------------------------------------------------------
 

@@ -32,8 +32,8 @@ from repro.principal import Principal
 
 class MountDaemon(AuthenticatedService):
     """mountd on a fileserver, wired to that server's kernel map — which
-    is the NfsServer's to lose in a crash; this daemon's own volatile
-    state is the replay cache it inherits."""
+    is the NfsServer's to lose in a crash; this daemon keeps only the
+    durable replay cache it inherits."""
 
     def __init__(
         self,

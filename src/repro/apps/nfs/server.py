@@ -21,7 +21,7 @@ policy, export paths with read-only/squash/client-range options.
 :meth:`NfsServer.apply_config` swaps the whole document at runtime —
 an auth-mode change flushes the kernel map, since its entries were
 authorised under the old design.  The map is volatile kernel state: a
-host crash (``on_crash``) loses it, and in-flight clients must recover
+host crash (``on_detach``) loses it, and in-flight clients must recover
 through mountd.
 """
 
@@ -126,11 +126,11 @@ class NfsServer(AuthenticatedService):
         self.metrics.counter("nfs.access_errors_total", self._labels)
         self.metrics.counter("nfs.kerberos_verifications_total", self._labels)
 
-    def on_crash(self) -> None:
+    def on_detach(self) -> None:
         """The kernel map is volatile state too: in-flight clients'
         mappings are gone — they recover by re-running the mountd
         handshake."""
-        super().on_crash()
+        super().on_detach()
         lost = self.credmap.clear()
         if lost:
             self.metrics.counter(

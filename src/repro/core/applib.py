@@ -17,8 +17,8 @@ plus the server-side key file:
   "authenticates the server as a password typed at a terminal
   authenticates the user" (Section 6.3);
 * :class:`AuthenticatedService` — the base of every daemon that accepts
-  a ticket: the one :func:`krb_rd_req` call site, the one replay cache,
-  and the one answer to what a crash forgets.
+  a ticket: the one :func:`krb_rd_req` call site and the one replay
+  cache, which no crash forgets.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def check_authenticator(
             raise KerberosError(
                 ErrorCode.RD_AP_REPEAT,
                 f"authenticator from {auth.client} at {auth.timestamp:.0f} "
-                "already seen, or no newer than this server's restart (replay)",
+                "already seen (replay)",
             )
 
     return AuthContext(
@@ -260,21 +260,16 @@ def krb_rd_rep(reply: ApReply, sent_timestamp: float, session_key: DesKey) -> No
 
 
 class AuthenticatedService(Service):
-    """A daemon that accepts tickets: the front door and the crash model.
+    """A daemon that accepts tickets: the front door.
 
     Owns what Section 4.3 asks of a server — its principal, where its
     key lives (``keys``: the machine's :class:`SrvTab`, or on a Kerberos
     machine the database holding the principal's row), the ``skew`` it
-    tolerates and the :class:`ReplayCache` — and what a power loss does
-    to them.  Durable: the key source, and whatever else a subclass
-    keeps on disk (database, configuration).  Volatile: the replay
-    cache, plus what a subclass adds in its own ``on_crash`` (sessions,
-    kernel maps, queues).  Having forgotten which authenticators it has
-    seen, a restarted daemon refuses every one stamped at or before its
-    restart instant: for the rest of the skew window a replay of
-    pre-crash traffic is indistinguishable from it, and nothing built
-    since the restart is.  The cost is a client whose clock runs slow,
-    refused until its stamps pass that instant.
+    tolerates and the :class:`ReplayCache`.  All of it is durable: the
+    cache is built on the first attach and kept through every crash,
+    detach and re-attach, so a restarted daemon refuses exactly what
+    the steady state refuses.  What a subclass builds in its own
+    ``on_attach`` (sessions, kernel maps, queues) is its volatile state.
     """
 
     def __init__(
@@ -285,21 +280,17 @@ class AuthenticatedService(Service):
         self.keys = keys
         self.skew = skew
         self.auth_failures = 0
+        self.replay_cache: Optional[ReplayCache] = None
 
     def on_attach(self) -> None:
-        self.replay_cache = ReplayCache(
-            window=self.skew,
-            metrics=self.metrics,
-            labels={"server": self.host.name, "service": str(self.service)},
-            audit=self.audit,
-            host=self.host.name,
-        )
-
-    def on_crash(self) -> None:
-        self.replay_cache.purge(float("inf"))
-
-    def on_restart(self) -> None:
-        self.replay_cache.refuse_through = self.host.clock.now()
+        if self.replay_cache is None:
+            self.replay_cache = ReplayCache(
+                window=self.skew,
+                metrics=self.metrics,
+                labels={"server": self.host.name, "service": str(self.service)},
+                audit=self.audit,
+                host=self.host.name,
+            )
 
     def authenticate(self, ap_request: bytes, datagram, trace=None) -> AuthContext:
         """Figure 6 for one datagram: decode the AP request it carries

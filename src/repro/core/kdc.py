@@ -225,7 +225,7 @@ class KerberosServer(AuthenticatedService):
             for result in ("hit", "miss")
         }
         # Opened TGTs (see _unseal_all): content-addressed, so a rotated
-        # TGS key or a changed blob simply misses; volatile (on_crash).
+        # TGS key or a changed blob simply misses; one per incarnation.
         self._tgt_memo = keycache._LruCache(TGT_MEMO_SIZE)
         #: ``kdc.ticket_life_seconds`` by kind; see :meth:`_life_series`.
         self._ticket_life: Dict[str, object] = {}
@@ -249,23 +249,19 @@ class KerberosServer(AuthenticatedService):
             )
 
     def on_detach(self) -> None:
+        """The process stops: queued requests are gone — their senders
+        hear nothing and fail over — and so is a batch in service (see
+        :meth:`_process_batch`)."""
+        super().on_detach()
+        if self.workqueue is not None:
+            for _datagram, deferred in self.workqueue.drop_pending():
+                deferred.resolve(None)
         self.workqueue = None
         if self._on_db_mutation in self.db.mutation_listeners:
             self.db.mutation_listeners.remove(self._on_db_mutation)
 
     def _on_db_mutation(self) -> None:
         keycache.invalidate_skeletons()
-
-    def on_crash(self) -> None:
-        """The host died: queued requests are gone — their senders hear
-        nothing and fail over.  (In-flight batch completions check host
-        state and drop their replies too.)  The TGT memo goes with the
-        process."""
-        super().on_crash()
-        self._tgt_memo.clear()
-        if self.workqueue is not None:
-            for _datagram, deferred in self.workqueue.drop_pending():
-                deferred.resolve(None)
 
     @property
     def errors(self) -> int:
@@ -324,18 +320,18 @@ class KerberosServer(AuthenticatedService):
         Runs at the batch's simulated completion time; the whole batch
         flows through the staged pipeline (:meth:`_serve_batch`).
         """
-        if self.host is None or not self.host.up:
-            # Crashed mid-service: the replies die with the process.
+        queue = self.workqueue
+        if queue is None or queue.current_batch is None:
+            # The incarnation that took the batch ended while it was in
+            # service (its queue is gone, or replaced by a restart's):
+            # the replies died with it, even if the host is back.
             for _datagram, deferred in batch:
                 deferred.resolve(None)
             return
         # Per-item queue wait, from the queue's batch metadata (enqueue
         # → service start); the batch's service cost is shared evenly.
-        meta = self.workqueue.current_batch
-        dispatched = self.workqueue.current_batch_dispatched_at
-        waits = [None] * len(batch)
-        if meta is not None and dispatched is not None:
-            waits = [dispatched - entry.enqueued_at for entry in meta]
+        dispatched = queue.current_batch_dispatched_at
+        waits = [dispatched - entry.enqueued_at for entry in queue.current_batch]
         service_each = self.queue_config.batch_cost(len(batch)) / len(batch)
         replies = self._serve_batch(
             [datagram for datagram, _deferred in batch],

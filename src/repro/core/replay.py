@@ -49,12 +49,6 @@ class ReplayCache:
         #: Section 4.3 "can be discarded" moment is an audit event).
         self._audit = audit
         self._host = host
-        #: Authenticators stamped at or before this instant are refused
-        #: as replays.  A daemon that lost this cache in a crash sets it
-        #: to its restart instant: whatever was presented before the
-        #: crash cannot be told from fresh any more, and nothing stamped
-        #: later can have been.
-        self.refuse_through = float("-inf")
         if metrics is not None:
             base = dict(labels or {})
             self._fresh = metrics.counter(
@@ -93,7 +87,7 @@ class ReplayCache:
         this is a replay.  This is the KDC/server hot path: one set
         lookup decides, and the store skips the redundant re-check."""
         entry = (client, address, timestamp)
-        if timestamp <= self.refuse_through or entry in self._seen:
+        if entry in self._seen:
             if self._replayed is not None:
                 self._replayed.inc()
             if self._audit is not None:
@@ -101,12 +95,7 @@ class ReplayCache:
                     "replay_detected",
                     host=self._host,
                     principal=client,
-                    detail=(
-                        f"reused authenticator ts={timestamp:.3f}"
-                        if entry in self._seen else
-                        f"authenticator ts={timestamp:.3f} not after the "
-                        f"restart at {self.refuse_through:.3f}"
-                    ),
+                    detail=f"reused authenticator ts={timestamp:.3f}",
                 )
             return False
         self._store(entry, timestamp, now)

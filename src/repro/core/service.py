@@ -14,9 +14,10 @@ must let them rebuild.
   serve several ports — rlogind also answers the legacy rshd port);
 * :meth:`attach` binds every declared port on a host and registers the
   service for lifecycle fan-out; :meth:`detach` unbinds and unregisters;
-* lifecycle hooks — :meth:`on_attach`, :meth:`on_detach`,
-  :meth:`on_crash`, :meth:`on_restart` — are driven by the network
-  (``Network.set_down/set_up`` and the crash/restart fault helpers).
+* two lifecycle hooks — :meth:`on_attach` and :meth:`on_detach` — run
+  at attach/detach, and the network drives the same two on a crash
+  (``Network.set_down`` → ``on_detach``) and a restart
+  (``Network.set_up`` → ``on_attach``).
 
 Construction is always detached: build the daemon, then
 ``attach(host)`` (the call chains, so
@@ -105,20 +106,17 @@ class Service:
     # -- hooks (no-ops by default) -------------------------------------------
 
     def on_attach(self) -> None:
-        """Runs after every port is bound; ``host`` and the three
-        observability handles are set.  Volatile state is born here."""
+        """An incarnation begins: after every port is bound, and again
+        each time the host comes back up.  ``host`` and the three
+        observability handles are set.  Volatile state (queues,
+        sessions, kernel maps) is born here; what is on disk (database,
+        srvtab, configuration, the replay cache) is kept."""
 
     def on_detach(self) -> None:
-        """Runs before ports are unbound; host is still set."""
-
-    def on_crash(self) -> None:
-        """The host lost power.  Whatever the daemon held in memory
-        (queues, in-flight work, replay cache, sessions, kernel maps) is
-        lost; what is on disk (database, srvtab, configuration)
-        survives.  Overrides drop their own volatile state here."""
-
-    def on_restart(self) -> None:
-        """The host came back; volatile state starts empty."""
+        """An incarnation ends: before ports are unbound, and each time
+        the host goes down (host is still set).  Releases what
+        :meth:`on_attach` built; may run twice (a crash, then a detach
+        while down)."""
 
 
 __all__ = ["Service", "ServiceError"]

@@ -379,18 +379,23 @@ class KerberosDatabase:
         enc.raw(_DUMP_MAGIC)
         enc.string(self.realm)
         enc.f64(now)
-        if self.journal is not None:
-            enc.u64(self.journal.epoch).u64(self.journal.last_seq)
-        else:
-            # A replica re-dumping (promotion drills): carry the position
-            # it last applied, so its own downstream stays consistent.
-            enc.u64(self.loaded_epoch or 0).u64(self.loaded_seq)
+        epoch, seq = self.position
+        enc.u64(epoch).u64(seq)
         entries = list(self.store.items())
         enc.u32(len(entries))
         for key, value in entries:
             enc.string(key)
             enc.bytes_(value)
         return enc.getvalue()
+
+    @property
+    def position(self) -> Tuple[int, int]:
+        """The journal position ``(epoch, seq)`` this copy holds: a
+        master's journal head, a replica's last load (a replica
+        re-dumping in a promotion drill carries it downstream)."""
+        if self.journal is not None:
+            return self.journal.epoch, self.journal.last_seq
+        return self.loaded_epoch or 0, self.loaded_seq
 
     @staticmethod
     def _dump_header(dec: Decoder) -> Tuple[str, float, int, int]:
@@ -464,7 +469,9 @@ class KerberosDatabase:
 
     def replica(self, store: Optional[RecordStore] = None) -> "KerberosDatabase":
         """Create an empty read-only copy for a slave machine, then feed it
-        via :meth:`load_dump`."""
+        via :meth:`load_dump`.  Provisioning stamps this database's
+        :attr:`position` on the copy, so a dump recorded before it is
+        behind the copy from the first moment."""
         slave = KerberosDatabase.__new__(KerberosDatabase)
         slave.realm = self.realm
         slave.master_key = self.master_key
@@ -473,6 +480,5 @@ class KerberosDatabase:
         slave._record_cache = keycache._LruCache(RECORD_CACHE_SIZE)
         slave.mutation_listeners = []
         slave.journal = None
-        slave.loaded_epoch = None
-        slave.loaded_seq = 0
+        slave.loaded_epoch, slave.loaded_seq = self.position
         return slave

@@ -377,22 +377,24 @@ class Network:
 
     def set_down(self, name: str) -> None:
         """Take a machine off the network (paper: 'the master machine is
-        down').  Attached services get their ``on_crash`` hook — volatile
+        down').  Attached services get their ``on_detach`` hook — volatile
         state (inbound queues) is lost exactly as in a real crash."""
         host = self.host(name)
         if not host.up:
             return
         host.up = False
         for service in list(host.services):
-            service.on_crash()
+            service.on_detach()
 
     def set_up(self, name: str) -> None:
+        """Power a machine back on: each attached service's ``on_attach``
+        starts a fresh incarnation."""
         host = self.host(name)
         if host.up:
             return
         host.up = True
         for service in list(host.services):
-            service.on_restart()
+            service.on_attach()
 
     # -- fault-plane conveniences ---------------------------------------------
 

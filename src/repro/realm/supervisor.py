@@ -87,10 +87,6 @@ class RealmSupervisor(Service):
         super().__init__()
         self.realm = realm
         self.config = config if config is not None else SupervisorConfig()
-        #: Consecutive missed heartbeats, per probed address.
-        self.misses: Dict[IPAddress, int] = {}
-        #: When each currently-suspect address first missed (sim time).
-        self._suspect_since: Dict[IPAddress, float] = {}
         #: Old-master addresses demoted by a promotion, watched for
         #: their first answered heartbeat (→ ``slave_rejoined``).
         self._awaiting_rejoin: Set[IPAddress] = set()
@@ -105,21 +101,17 @@ class RealmSupervisor(Service):
         return {}
 
     def on_attach(self) -> None:
+        #: Consecutive missed heartbeats, per probed address — fresh each
+        #: incarnation, so suspicion from before a crash cannot trigger
+        #: an instant promotion on reboot.
+        self.misses: Dict[IPAddress, int] = {}
+        #: When each currently-suspect address first missed (sim time).
+        self._suspect_since: Dict[IPAddress, float] = {}
         self._schedule_next()
 
     def on_detach(self) -> None:
+        # The timer is volatile: it stops with the process.
         self._cancel_tick()
-
-    def on_crash(self) -> None:
-        # The monitor machine itself died; its timer state is volatile.
-        self._cancel_tick()
-
-    def on_restart(self) -> None:
-        # Fresh detector state: stale suspicion from before the crash
-        # must not trigger an instant promotion on reboot.
-        self.misses.clear()
-        self._suspect_since.clear()
-        self._schedule_next()
 
     def _schedule_next(self) -> None:
         self._tick_event = self.host.network.runtime.after(

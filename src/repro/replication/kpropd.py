@@ -54,28 +54,21 @@ class Kpropd(TransferReceiver):
         #: master's ``repl.slave_lag_seconds`` gauge via ``applied_time``
         #: in replies.
         self.last_update_time: Optional[float] = None
-        # The applied journal position.  Volatile by design: it models
-        # the historical kpropd's in-memory notion of where it is, so a
-        # crash-restart forgets it and the next delta triggers a
-        # full-dump catch-up (the safe answer after losing state).  The
-        # position that refuses a replay is the database's own, on disk.
-        self.applied_epoch: Optional[int] = None
-        self.applied_seq: int = 0
 
     def on_attach(self) -> None:
         super().on_attach()
+        # The applied journal position.  Volatile by design: it models
+        # the historical kpropd's in-memory notion of where it is, so
+        # each incarnation starts without it and its first delta
+        # triggers a full-dump catch-up (the safe answer after losing
+        # state).  The position that refuses a replay is the database's
+        # own, on disk.
+        self.applied_epoch: Optional[int] = None
+        self.applied_seq: int = 0
         for result in ("applied", "rejected", "need_full"):
             self.metrics.counter(
                 self.results_metric, {**self._labels, "result": result}
             )
-
-    def on_crash(self) -> None:
-        """The machine went down: the in-memory applied position is lost.
-        The database store itself is durable, but without the position a
-        delta cannot be safely applied — the next one is answered
-        NEED_FULL and the master sends a full dump."""
-        self.applied_epoch = None
-        self.applied_seq = 0
 
     @property
     def updates_applied(self) -> int:
@@ -91,13 +84,11 @@ class Kpropd(TransferReceiver):
 
     # -- position ---------------------------------------------------------
 
-    def held(self) -> Optional[Position]:
+    def held(self) -> Position:
         """What the database copy itself records having loaded — durable,
         so it outlives a crash that empties ``applied_epoch``.  A copy
-        that never loaded anything holds no position."""
-        if self.db.loaded_epoch is None:
-            return None
-        return self.db.loaded_epoch, self.db.loaded_seq
+        that loaded nothing yet holds its provisioning position."""
+        return self.db.position
 
     # -- full dumps (Figure 13) -------------------------------------------
 

@@ -73,17 +73,16 @@ class TransferReceiver(Service):
     def on_attach(self) -> None:
         self._labels = {self.host_label: self.host.name}
 
-    def held(self) -> Optional[Position]:
+    def held(self) -> Position:
         """The position this database already holds — compared with a
         dump header's ``(epoch, seq)`` or a delta's ``(epoch,
-        from_seq)``; None when it holds none yet (then any verified
-        transfer is ahead)."""
+        from_seq)``."""
         raise NotImplementedError
 
     def behind(self, position: Position) -> Optional[str]:
         """Why a transfer at ``position`` is a replay; None if it is not."""
         held = self.held()
-        if held is not None and position < held:
+        if position < held:
             return f"behind this database's {held}"
         return None
 

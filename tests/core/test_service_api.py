@@ -3,7 +3,8 @@
 Every daemon in the realm (KDC, KDBM, kpropd, NFS, mountd, rlogind,
 registration, SMS, Hesiod) now speaks one lifecycle.  These tests pin
 the contract on a bare Service subclass, then spot-check the real
-daemons — including crash/restart fan-out from the network.
+daemons — including the network fanning a crash out as ``on_detach``
+and a restart as ``on_attach``.
 """
 
 import pytest
@@ -35,12 +36,6 @@ class Echo(Service):
 
     def on_detach(self):
         self.events.append("detach")
-
-    def on_crash(self):
-        self.events.append("crash")
-
-    def on_restart(self):
-        self.events.append("restart")
 
 
 class TestLifecycle:
@@ -128,23 +123,23 @@ class TestCrashRestartFanout:
         service = Echo().attach(host)
         net.set_down("h")
         net.set_up("h")
-        assert service.events == ["attach", "crash", "restart"]
+        assert service.events == ["attach", "detach", "attach"]
 
     def test_crash_host_with_downtime_restarts_on_schedule(self):
         net = Network()
         host = net.add_host("h")
         service = Echo().attach(host)
         net.crash_host("h", downtime=30.0)
-        assert service.events == ["attach", "crash"]
+        assert service.events == ["attach", "detach"]
         net.clock.advance(31.0)
-        assert service.events == ["attach", "crash", "restart"]
+        assert service.events == ["attach", "detach", "attach"]
 
     def test_all_services_on_the_host_hear_the_crash(self):
         net = Network()
         host = net.add_host("h")
         a, b = Echo(ports=(7,)).attach(host), Echo(ports=(9,)).attach(host)
         net.set_down("h")
-        assert a.events[-1] == "crash" and b.events[-1] == "crash"
+        assert a.events[-1] == "detach" and b.events[-1] == "detach"
 
 
 class TestRealDaemons:

@@ -124,6 +124,8 @@ class TestRemovedNames:
         "KDC_RECORD_PREFIX", "store_kdc_list", "ring=True",
         # A campaign is a row the one engine runs.
         "busy_hour", "login_job",
+        # One lifecycle, two hooks; the replay cache is durable.
+        "refuse_through", "on_crash", "on_restart",
     )
 
     def test_docs_mention_no_removed_identifier(self):

@@ -1,4 +1,4 @@
-"""Front-door lint: one place authenticates, one place forgets.
+"""Front-door lint: one place authenticates, one lifecycle.
 
 :class:`repro.core.applib.AuthenticatedService` is only *the* front door
 if nothing walks around it.  Three AST walks over ``src/repro`` keep it
@@ -13,10 +13,10 @@ honest:
 * **no hand-wired observability** — ``Service.attach`` sets
   ``metrics``/``tracer``/``audit``; no ``Service`` subclass reads them
   off ``host.network`` itself;
-* **one crash model** — a subclass of ``AuthenticatedService`` that
-  overrides ``on_attach``/``on_crash``/``on_restart`` calls the
-  ``super()`` hook, so what it adds is *its own* volatile state and the
-  replay handling is always the inherited one.
+* **one lifecycle** — a subclass of ``AuthenticatedService`` that
+  overrides ``on_attach``/``on_detach`` calls the ``super()`` hook, so
+  what it adds is *its own* volatile state and the durable replay cache
+  is always the inherited one.
 """
 
 import ast
@@ -37,7 +37,7 @@ EXEMPT_PREFIXES = ("threat/",)
 EXEMPT_FILES = {"__main__.py"}
 
 OBS_HANDLES = {"metrics", "tracer", "audit"}
-LIFECYCLE_HOOKS = {"on_attach", "on_crash", "on_restart"}
+LIFECYCLE_HOOKS = {"on_attach", "on_detach"}
 
 
 def _relative(path: Path) -> str:
@@ -182,14 +182,14 @@ def test_lint_catches_a_private_crash_model(tmp_path):
     planted.write_text(
         "from repro.core.applib import AuthenticatedService\n"
         "class Keeps(AuthenticatedService):\n"
-        "    def on_crash(self):\n"
-        "        self.sessions.clear()\n"
+        "    def on_attach(self):\n"
+        "        self.sessions = {}\n"
         "class Polite(Keeps):\n"
-        "    def on_crash(self):\n"
-        "        super().on_crash()\n"
-        "        self.extra.clear()\n"
+        "    def on_attach(self):\n"
+        "        super().on_attach()\n"
+        "        self.extra = {}\n"
     )
     family = _descendants([_parse(planted)], "AuthenticatedService")
     assert [cls.name for cls in family] == ["Keeps", "Polite"]
     bad = [what for cls in family for _, what in _hooks_without_super(cls)]
-    assert bad == ["Keeps.on_crash skips super()"]
+    assert bad == ["Keeps.on_attach skips super()"]

@@ -126,24 +126,29 @@ class TestShedding:
 
 class TestCrash:
     def test_crash_drops_queued_requests_silently(self):
-        net, realm = build_realm(queue=TINY)
-        ws = realm.workstation()
-        wire = as_req_wire(realm)
-        first = ws.host.rpc_async(
-            realm.master_host.address, KERBEROS_PORT, wire
-        )
-        second = ws.host.rpc_async(
-            realm.master_host.address, KERBEROS_PORT, wire
-        )
-        net.runtime.run_until_idle(horizon=net.clock.now())  # arrivals only
-        assert realm.kdc.workqueue.busy_workers == 1
-        assert realm.kdc.workqueue.depth == 1
-        net.set_down(realm.master_host.name)
-        net.runtime.run_until_idle()
-        # Both senders hear nothing: the queued one died at crash time,
-        # the in-service one's completion found the host down.
-        assert isinstance(first.error, Unreachable)
-        assert isinstance(second.error, Unreachable)
+        # Down for good, or back before the in-service batch completes:
+        # the batch died with the incarnation that took it either way.
+        for restart in (False, True):
+            net, realm = build_realm(queue=TINY)
+            ws = realm.workstation()
+            wire = as_req_wire(realm)
+            first = ws.host.rpc_async(
+                realm.master_host.address, KERBEROS_PORT, wire
+            )
+            second = ws.host.rpc_async(
+                realm.master_host.address, KERBEROS_PORT, wire
+            )
+            net.runtime.run_until_idle(horizon=net.clock.now())  # arrivals only
+            assert realm.kdc.workqueue.busy_workers == 1
+            assert realm.kdc.workqueue.depth == 1
+            net.set_down(realm.master_host.name)
+            if restart:
+                net.set_up(realm.master_host.name)
+            net.runtime.run_until_idle()
+            # Both senders hear nothing: the queued one died at crash
+            # time, the in-service one's completion found its queue gone.
+            assert isinstance(first.error, Unreachable), restart
+            assert isinstance(second.error, Unreachable), restart
 
     def test_client_fails_over_past_a_crashed_queued_master(self):
         net, realm = build_realm(slaves=1, queue=WorkQueueConfig(workers=2))

@@ -18,7 +18,8 @@ aimed at keeps the current key, and the next legitimate round still
 lands.  Then the edges of the rule for the Figure 13 dump: a resent
 identical dump is no replay, a promoted master's dump is ahead of
 everything the old one sent, and the position that refuses is the
-database's durable one, not kpropd's memory.
+database's durable one, not kpropd's memory — on a fresh or demoted
+replica, the position it was provisioned at.
 """
 
 from dataclasses import dataclass
@@ -242,27 +243,49 @@ def test_crashed_slave_refuses_from_its_durable_position():
     assert result.all_ok and result.fulls == 1
 
 
-def test_fresh_replica_takes_any_dump_until_the_first_round():
-    """The stated residue: a copy that has loaded nothing holds no
-    position, so a validly MAC'd old dump gets in — and the master's
-    next round, which is ahead of it, corrects the copy."""
+def _refused_then_caught_up(net, realm, tape, host):
+    """Aim the recorded dump at ``host``: refused, and the next round
+    still lands."""
+    stale = tape.captured[0]
+    reply = net.inject(type(stale)(
+        src=stale.src, src_port=stale.src_port, dst=host.address,
+        dst_port=stale.dst_port, payload=stale.payload,
+    ))
+    assert not PropReply.from_bytes(reply).ok
+    (caught,) = net.audit.events("replay_detected")
+    assert caught.host == host.name
+    assert realm.propagate().all_ok
+    with pytest.raises(KerberosError):
+        _login_at(realm, host.address, "jis-pw")
+    _login_at(realm, host.address, "jis-new-pw")
+
+
+def test_fresh_replica_refuses_a_dump_older_than_its_provisioning():
+    """A copy that has loaded nothing yet holds the position it was
+    provisioned at, so a validly MAC'd dump recorded before that is
+    behind it from the first moment."""
     net, realm = _slaved_realm(1)
     tape = _tape(net, KPROP_PORT, PropKind.FULL)
     realm.propagate(full=True)
     tape.detach()
     _change_password(realm, "jis-new-pw")
     late = realm.add_slave("late-slave")
-    assert late.kpropd.held() is None
+    assert late.kpropd.held() == (realm.db.journal.epoch, realm.db.journal.last_seq)
+    _refused_then_caught_up(net, realm, tape, late.host)
 
-    stale = tape.captured[0]
-    reply = net.inject(type(stale)(
-        src=stale.src, src_port=stale.src_port, dst=late.host.address,
-        dst_port=stale.dst_port, payload=stale.payload,
-    ))
-    assert PropReply.from_bytes(reply).ok
-    _login_at(realm, late.host.address, "jis-pw")  # the hole, while it lasts
 
-    assert realm.propagate().all_ok
-    with pytest.raises(KerberosError):
-        _login_at(realm, late.host.address, "jis-pw")
-    _login_at(realm, late.host.address, "jis-new-pw")
+def test_demoted_master_refuses_a_dump_from_before_the_promotion():
+    """The old master comes back as an empty replica of the promoted
+    one, provisioned at the new epoch: every dump the old master sent
+    is behind it."""
+    net, realm = _slaved_realm(1)
+    tape = _tape(net, KPROP_PORT, PropKind.FULL)
+    realm.propagate(full=True)
+    tape.detach()
+    old_master = realm.master_host
+    net.crash_host(old_master.name, downtime=30.0)
+    realm.promote_slave(0, demote_old=True)
+    _change_password(realm, "jis-new-pw")
+    net.clock.advance(31.0)
+    assert old_master.up
+    _refused_then_caught_up(net, realm, tape, old_master)
