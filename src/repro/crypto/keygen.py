@@ -14,11 +14,11 @@ still models the real property that session keys are unpredictable
 without the generator's internal state.
 
 There is one block source, :meth:`KeyGenerator._next_blocks`: a run of
-*n* counters is *n* independent blocks under one key, i.e. one
-:func:`~repro.crypto.modes.ecb_encrypt` call, which rides the wide
-kernel from ``WIDE_MIN_BLOCKS`` blocks up.  A KDC batch draws all its
-tickets' session keys in one :meth:`KeyGenerator.session_keys_bytes`
-call; the stream, and so every key, is the one *n* single draws read.
+counters is one :func:`~repro.crypto.modes.ecb_encrypt` pass, at least
+``WIDE_MIN_BLOCKS`` long so that it rides the wide kernel, and later
+draws read the blocks it drew ahead.  A KDC batch draws all its tickets'
+session keys in one :meth:`KeyGenerator.session_keys_bytes` call; the
+stream, and so every key, is the one *n* single draws read.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.crypto.des import (
     _PARITY_TABLE,
     fix_parity,
 )
-from repro.crypto.modes import ecb_encrypt
+from repro.crypto.modes import WIDE_MIN_BLOCKS, ecb_encrypt
 
 _DEFAULT_SEED = b"\x9aTHENA\x88\x17seed for the Kerberos reproduction"
 
@@ -66,13 +66,20 @@ class KeyGenerator:
         if not isinstance(seed, (bytes, bytearray)):
             raise TypeError(f"seed must be bytes, got {type(seed).__name__}")
         self._key = _seed_to_key(bytes(seed))
-        self._counter = 0
+        self._counter = 0  # blocks issued so far
+        self._ahead = b""  # blocks _counter, _counter + 1, ... drawn ahead
 
     def _next_blocks(self, n: int) -> bytes:
         """The next ``n`` output blocks of the stream, joined."""
-        counters = range(self._counter, self._counter + n)
+        first = self._counter + len(self._ahead) // BLOCK_SIZE  # not drawn
+        if self._counter + n > first:
+            count = max(self._counter + n - first, WIDE_MIN_BLOCKS)
+            counters = struct.pack(f">{count}Q", *range(first, first + count))
+            self._ahead += ecb_encrypt(self._key, counters)
         self._counter += n
-        return ecb_encrypt(self._key, struct.pack(f">{n}Q", *counters))
+        cut = BLOCK_SIZE * n
+        out, self._ahead = self._ahead[:cut], self._ahead[cut:]
+        return out
 
     def session_keys_bytes(self, n: int) -> List[bytes]:
         """The raw bytes of ``n`` fresh, parity-correct, non-weak keys:

@@ -18,19 +18,14 @@ trailer — so tampering anywhere in the message is detected.  With CBC the
 trailer survives mid-message corruption, which is exactly the weakness
 the paper's PCBC extension exists to close (benchmarked in exp C1).
 
-Performance note: the single-message mode loops work in the 64-bit
-*int* domain end-to-end.  A whole message is converted bytes→ints with
-one ``struct.unpack`` call, chained/encrypted as Python ints via
-:func:`repro.crypto.des.crypt_int`, and converted back with one
-``struct.pack`` — no per-block ``bytes`` slicing or int round trips.
-The ``*_many`` batch entry points keep a batch in numpy arrays from the
-message bytes in to the message bytes out, on the wide kernel
-(:mod:`repro.crypto.des_simd`) — the shapes and their thresholds are
-described under "Multi-message PCBC" below; a long enough ECB run (the
-session-key generator's counter runs) is one pass of it too.
-The original byte-path loops are the oracle in
-``tests/crypto/reference_des.py``, and the property suite in
-``tests/crypto/test_perf_kernels.py`` pins the two bit-exact.
+Performance note: the single-message loops chain Python ints through
+:func:`repro.crypto.des.crypt_int`, a message unpacked and packed by one
+``struct`` call each.  The ``*_many`` entry points, every PCBC
+``unseal`` (a batch of one) and ECB runs keep their blocks in numpy
+arrays on the wide kernel (:mod:`repro.crypto.des_simd`) from the
+thresholds described under "Multi-message PCBC" below.  The byte-path
+loops are the oracle in ``tests/crypto/reference_des.py``, pinned
+bit-exact by ``tests/crypto/test_perf_kernels.py``.
 """
 
 from __future__ import annotations
@@ -237,7 +232,7 @@ def unseal(
     """
     _check_sealed_length(ciphertext)
     if mode is Mode.PCBC:
-        plain = pcbc_decrypt(key, ciphertext, iv)
+        plain = pcbc_decrypt_many([(key, ciphertext)], iv)[0]
     elif mode is Mode.CBC:
         plain = cbc_decrypt(key, ciphertext, iv)
     else:
@@ -296,11 +291,9 @@ def _open_frame(plain: bytes) -> bytes:
 # running value where that message starts.
 #
 # Each shape has its own threshold (:data:`WIDE_MIN_MESSAGES`,
-# :data:`WIDE_MIN_BLOCKS`); below it (and without numpy) each message
-# goes through :func:`pcbc_encrypt` / :func:`pcbc_decrypt`, which is
-# also where the tails of a ragged sealing run finish.  Outputs are
-# bit-identical to the per-message calls, which the property suite and
-# the request-plane benchmark's A/B legs both assert.
+# :data:`WIDE_MIN_BLOCKS`); below it, and without numpy, each message
+# goes through :func:`pcbc_encrypt` / :func:`pcbc_decrypt` (where a
+# ragged sealing run's tails finish too), bit-identical to the lanes.
 # --------------------------------------------------------------------------
 
 #: Process-wide count of blocks pushed through the wide-lane kernel.
@@ -339,11 +332,11 @@ def _count_interleaved(blocks: int) -> None:
             counter.inc(blocks)
 
 
-#: Fewest *blocks* a one-pass shape (a batch unsealed, an ECB run) needs
-#: to be one ``crypt_wide`` call: ~60 numpy dispatches, 45-90 us from 8
-#: to 128 lanes, against ~6.5 us per single-lane block.  Kept where
-#: PR 18 measured ``login_session`` at parity: lowering it moves counts.
-WIDE_MIN_BLOCKS = 32
+#: Fewest *blocks* a one-pass shape (an unseal, a batch of them, an ECB
+#: run) needs to be one ``crypt_wide`` call: the break-even inside the
+#: ledger's workloads, where 9 blocks read 98 us on the lanes against 66
+#: single-lane, 12 87/85, 15 94/109, 16 97/119 and 28 103/196.
+WIDE_MIN_BLOCKS = 16
 
 #: Fewest *messages* alive at a step for a sealing run to take it on the
 #: run kernel, the measured break-even: a step is 30-34 us from 5 to 13

@@ -73,7 +73,7 @@ class MasterKey:
         principal keys for every ticket it issues); the cache honors the
         global :func:`repro.crypto.keycache.caches_disabled` switch.
         The distinct blobs the cache lacks take **one** ``unseal_many``
-        under the master key (≥ 11 three-block blobs: one pass of the
+        under the master key (≥ 6 three-block blobs: one pass of the
         wide kernel) and are scheduled in first-use order,
         ``on_cold(position)`` being told where each was first needed.
         A cold blob's cache slot is reserved where it is first met — its

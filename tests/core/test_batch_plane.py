@@ -54,6 +54,7 @@ from repro.principal import Principal, kdbm_principal, tgs_principal
 from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
 from tests.crypto.reference_des import seal_prefix_state, seal_ref
+from tests.crypto.test_perf_kernels import ASTRIDE
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -241,9 +242,11 @@ class TestBatchObservability:
         """``crypto.interleaved_blocks_total`` counts wide-lane blocks:
         a batch whose first sealing run — two messages per request, the
         ticket and the head of its reply — reaches ``WIDE_MIN_MESSAGES``
-        moves it, a smaller one or a numpy-less run leaves it untouched."""
+        moves it, a smaller one only by the key stream's pass drawn
+        ahead, and a numpy-less run leaves it untouched."""
         realm = build_realm()
         src = realm.workstation().host.address
+        realm.kdc.keygen._ahead = b""  # so the first draw makes a pass
 
         def serve(count):
             wires = [
@@ -257,8 +260,8 @@ class TestBatchObservability:
                 "crypto.interleaved_blocks_total"
             ) - before
 
-        assert serve(1) == 0
-        assert serve((WIDE_MIN_MESSAGES - 1) // 2) == 0
+        assert serve(1) == (WIDE_MIN_BLOCKS if des_simd.available() else 0)
+        assert serve((WIDE_MIN_MESSAGES - 1) // 2) == 0  # read off that pass
         if des_simd.available():
             assert serve((WIDE_MIN_MESSAGES + 1) // 2) > 0
             assert serve(8) > 0  # a queued KDC's batch
@@ -977,7 +980,7 @@ class TestAnyCutIsUnobservable:
     @pytest.mark.parametrize("cached", [True, False], ids=["caches", "nocache"])
     # 5/6/7: astride the sealing threshold (a cut of 8 holds 4 to 6
     # admitted items, so its runs land on both sides as well).
-    @pytest.mark.parametrize("batch", [1, 5, 6, 7, 8, 31, 32, 33, 128])
+    @pytest.mark.parametrize("batch", [1, 5, 6, 7, 8, *ASTRIDE, 128])
     def test_every_cut_of_one_stream(self, batch, cached):
         items = fixed_stream()
         replies, realm = assert_cut_is_unobservable(
@@ -1200,9 +1203,9 @@ class TestWorkCountGate:
         """A queued KDC's batch (ISSUE 20; 0 blocks on the lanes at the
         parent commit): 8 first logins, names of two lengths, every key
         and skeleton cold.  Tickets and reply heads share the first run,
-        the reply tails make the second; what a run's ragged end leaves
-        finishes single-lane, beside the database keys and the draw —
-        both below the one-pass threshold."""
+        the reply tails make the second; only what a run's ragged end
+        leaves finishes single-lane.  The database keys are one pass and
+        the draw another, of ``WIDE_MIN_BLOCKS`` counters."""
         if not des_simd.available():
             pytest.skip("numpy not available; no block rides the lanes")
         realm, _xkey = build_tgs_realm(n_users=16)
@@ -1210,15 +1213,20 @@ class TestWorkCountGate:
         users = range(5, 13)  # user5 … user12
         wires = [as_wire(f"user{u}", timestamp=float(u)) for u in users]
         keycache.invalidate_skeletons()
+        realm.kdc.keygen._ahead = b""  # nothing drawn ahead yet
         replies, calls, on_lanes = self._serve_counted(
             realm, wires, src, monkeypatch
         )
         sealed = self._sealed_blocks(
             replies, [string_to_key(f"pw{u}") for u in users]
         )
-        assert on_lanes >= 0.9 * sealed
-        # Two runs; IP and FP gathered once a run, not twice a step.
-        assert (calls["run"], calls["wide"]) == (2, 0)
-        assert (calls["ip"], calls["fp"]) == (2, 2)
-        # 9 cold database keys of three blocks, 8 session keys, the tails.
-        assert calls["int"] == 9 * 3 + 8 + (sealed - on_lanes)
+        # Two runs, one pass over 9 cold database keys of three blocks
+        # and one draw; IP and FP gathered once a run or pass, not twice
+        # a step.
+        assert 9 * 3 >= WIDE_MIN_BLOCKS > 8
+        assert (calls["run"], calls["wide"]) == (2, 2)
+        assert (calls["ip"], calls["fp"]) == (4, 4)
+        sealed_on_lanes = on_lanes - 9 * 3 - WIDE_MIN_BLOCKS
+        assert sealed_on_lanes >= 0.9 * sealed
+        # No block is opened or drawn single-lane: only the tails.
+        assert calls["int"] == sealed - sealed_on_lanes

@@ -13,10 +13,10 @@ own statement of the seal frame), so the expected bytes never pass
 through production ``seal``.  It demands byte equality with what the
 pipeline answered, with its caches on, one frame per call, in buffers
 astride the sealing threshold (``WIDE_MIN_MESSAGES``; a queued KDC's
-batch of 8 among them) and in buffers one past ``WIDE_MIN_BLOCKS``, and
-with every cache off.  Each TGT is presented three times with fresh
-authenticators, so most TGS replies come from a TGT the KDC's memo
-served and are held to the same bytes.
+batch of 8 among them), in buffers one past ``WIDE_MIN_BLOCKS`` and one
+past twice it, and with every cache off.  Each TGT is presented three
+times with fresh authenticators, so most TGS replies come from a TGT
+the KDC's memo served and are held to the same bytes.
 
 It is the seed of ROADMAP's whole-protocol oracle: Figures 5 and 8
 today, valid requests only.
@@ -161,7 +161,7 @@ def traffic(realm, xkey, src, count):
 
 BATCHES = sorted({
     1, WIDE_MIN_MESSAGES - 1, WIDE_MIN_MESSAGES, WIDE_MIN_MESSAGES + 1, 8,
-    WIDE_MIN_BLOCKS + 1,
+    WIDE_MIN_BLOCKS + 1, 2 * WIDE_MIN_BLOCKS + 1,
 })
 
 
@@ -180,7 +180,7 @@ def assert_replies_equal_the_recomposed_figures(batch, cached):
     (realm, xkey), (twin, _) = build_realm(), build_realm()
     src = realm.workstation().host.address
     now = realm.net.clock.now()
-    wires, recipes = traffic(realm, xkey, src, 2 * (WIDE_MIN_BLOCKS + 1))
+    wires, recipes = traffic(realm, xkey, src, 2 * max(BATCHES))
 
     answered = []
     with nullcontext() if cached else keycache.caches_disabled():

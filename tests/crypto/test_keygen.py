@@ -1,5 +1,7 @@
 """Session key generation (paper Sections 2.1 and 6.3)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,7 @@ from repro.crypto import (
 )
 from repro.crypto.des import WEAK_KEYS, fix_parity
 from repro.crypto.modes import WIDE_MIN_BLOCKS
-from tests.crypto.test_perf_kernels import _spy_on_key_matrices
+from tests.crypto.test_perf_kernels import ASTRIDE, _spy_on_key_matrices
 
 
 class TestKeyGenerator:
@@ -162,12 +164,11 @@ class TestBatchDraw:
         assert gen.session_keys_bytes(40) == stream[:39] + [stream[42]]
         assert gen._counter == 43
 
-    @pytest.mark.parametrize(
-        "n", [WIDE_MIN_BLOCKS - 1, WIDE_MIN_BLOCKS, WIDE_MIN_BLOCKS + 1, 128]
-    )
+    @pytest.mark.parametrize("n", [*ASTRIDE, 128])
     def test_the_threshold_is_invisible(self, n, monkeypatch):
-        """31/32/33 keys straddle the wide kernel's threshold; the run
-        rides it from 32 blocks up and reads the same either way."""
+        """Keys either side of the wide kernel's threshold read the same;
+        a draw below it still makes one pass of ``WIDE_MIN_BLOCKS``
+        counters, the rest kept for later draws."""
         passes = _spy_on_key_matrices(monkeypatch)
         gen = KeyGenerator(seed=b"threshold")
         expected, counter = one_block_at_a_time(b"threshold", n)
@@ -175,7 +176,7 @@ class TestBatchDraw:
         assert gen._counter == counter
         if des_simd.available():
             # One pass, one key column broadcast over the lanes.
-            assert passes == ([(n, (16, 1))] if n >= WIDE_MIN_BLOCKS else [])
+            assert passes == [(max(n, WIDE_MIN_BLOCKS), (16, 1))]
 
     @pytest.mark.parametrize("n", [1, 33, 128])
     def test_numpy_absent(self, n, monkeypatch):
@@ -185,10 +186,15 @@ class TestBatchDraw:
         assert gen.session_keys_bytes(n) == expected
         assert gen._counter == counter
 
-    def test_no_keys_no_blocks(self):
+    def test_no_keys_no_blocks(self, monkeypatch):
+        passes = _spy_on_passes(monkeypatch)
         gen = KeyGenerator(seed=b"idle")
-        assert gen.session_keys_bytes(0) == []
-        assert gen._counter == 0
+        assert gen.session_keys_bytes(0) == [] and gen.random_bytes(0) == b""
+        assert passes == [] and gen._counter == 0
+        gen.random_u32()
+        gen.random_bytes(0)
+        gen.session_keys_bytes(0)
+        assert passes == [WIDE_MIN_BLOCKS] and gen._counter == 1
 
     def test_every_draw_rides_the_one_source(self):
         """``session_key``, ``session_key_bytes``, ``random_bytes`` and
@@ -230,3 +236,97 @@ class TestBatchDraw:
         assert gen.session_key_bytes().hex() == "2c91eabfe3a74562"
         assert gen._counter == 7
         assert KeyGenerator().session_key().key_bytes.hex() == "9bf77c9708d9ef46"
+
+
+# --------------------------------------------------------------------------
+# The stream drawn a pass ahead: a refill encrypts at least
+# ``WIDE_MIN_BLOCKS`` counters, and later draws read what it left.
+# --------------------------------------------------------------------------
+
+class OneCounterAtATime:
+    """The reference stream, one ``encrypt_block`` per counter, read in
+    the generator's own terms."""
+
+    def __init__(self, seed):
+        self.seed, self.counter = seed, 0
+
+    def session_keys_bytes(self, n):
+        keys, self.counter = one_block_at_a_time(
+            self.seed, n, counter=self.counter
+        )
+        return keys
+
+    def random_bytes(self, n):
+        key, first = keygen._seed_to_key(self.seed), self.counter
+        self.counter += -(-n // 8)
+        return b"".join(
+            key.encrypt_block(c.to_bytes(8, "big"))
+            for c in range(first, self.counter)
+        )[:n]
+
+
+#: A mix of draws; ``drop`` throws the blocks drawn ahead away.
+DRAWS = st.lists(
+    st.one_of(
+        st.tuples(st.just("session_keys_bytes"), st.integers(0, 40)),
+        st.tuples(st.just("random_bytes"), st.integers(0, 90)),
+        st.sampled_from([("session_key", 0), ("random_u32", 0), ("drop", 0)]),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+def _draw(gen, ref, name, n):
+    """The same draw from the generator and the reference."""
+    if name == "session_keys_bytes":
+        return gen.session_keys_bytes(n), ref.session_keys_bytes(n)
+    if name == "random_bytes":
+        return gen.random_bytes(n), ref.random_bytes(n)
+    if name == "session_key":
+        return gen.session_key().key_bytes, ref.session_keys_bytes(1)[0]
+    if name == "random_u32":
+        return gen.random_u32(), int.from_bytes(ref.random_bytes(4), "big")
+    gen._ahead = b""
+    return None, None
+
+
+def _spy_on_passes(monkeypatch):
+    """The block count of every pass the generator makes from here on."""
+    passes = []
+    real = keygen.ecb_encrypt
+    monkeypatch.setattr(
+        keygen, "ecb_encrypt",
+        lambda key, data: passes.append(len(data) // 8) or real(key, data),
+    )
+    return passes
+
+
+class TestDrawAhead:
+    @given(st.binary(min_size=1, max_size=16), DRAWS, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_any_mix_of_draws_reads_the_one_counter_stream(
+        self, seed, calls, numpy
+    ):
+        """Across refills, with numpy or without, and with the blocks
+        drawn ahead thrown away anywhere: byte for byte the reference's
+        reads, and ``_counter`` at the blocks issued."""
+        gen, ref = KeyGenerator(seed=seed), OneCounterAtATime(seed)
+        np = des_simd._np if numpy else None
+        with mock.patch.object(des_simd, "_np", np):
+            for name, n in calls:
+                got, want = _draw(gen, ref, name, n)
+                assert got == want, (name, n)
+                assert gen._counter == ref.counter
+
+    def test_a_refill_is_one_pass_of_at_least_the_threshold(self, monkeypatch):
+        passes = _spy_on_passes(monkeypatch)
+        gen = KeyGenerator(seed=b"ahead")
+        gen.random_u32()
+        gen.random_bytes(8 * (WIDE_MIN_BLOCKS - 1))  # the rest of that pass
+        assert passes == [WIDE_MIN_BLOCKS]
+        gen.session_key()
+        gen.random_bytes(8 * WIDE_MIN_BLOCKS)  # one block short: a pass
+        gen.session_keys_bytes(3 * WIDE_MIN_BLOCKS)
+        w = WIDE_MIN_BLOCKS
+        assert passes == [w, w, w, 3 * w - (w - 1)]
+        assert gen._counter == sum(passes) and gen._ahead == b""

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import DesKey, Mode, keycache, seal, unseal
 from repro.crypto.des import crypt_int, _key_schedule
 from repro.crypto.modes import (
+    WIDE_MIN_BLOCKS,
     cbc_decrypt,
     cbc_encrypt,
     ecb_decrypt,
@@ -55,6 +56,11 @@ aligned = st.binary(min_size=8, max_size=128).map(
     lambda b: b + b"\x00" * ((-len(b)) % 8)
 )
 blocks64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+#: Block or lane counts astride the one-pass threshold, and astride twice it.
+ASTRIDE = tuple(
+    n for w in (WIDE_MIN_BLOCKS, 2 * WIDE_MIN_BLOCKS)
+    for n in (w - 1, w, w + 1)
+)
 
 
 class TestCryptIntAgainstReference:
@@ -376,25 +382,29 @@ class TestBatchModes:
         from repro.crypto.modes import WIDE_MIN_MESSAGES, interleaved_blocks
 
         rng = random.Random(2)
+        # Framed, one block short of the one-pass threshold.
+        size = 8 * (WIDE_MIN_BLOCKS - 3)
         items = [
-            (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(64))
+            (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(size))
             for _ in range(WIDE_MIN_MESSAGES)
         ]
         before = interleaved_blocks()
         # One message short of a run: single-lane, not counted.
         sealed = seal_many(items[:-1])
-        # 64 data bytes frame to ten blocks: three messages are 30 lanes
-        # when unsealing, four are 40.
+        # One message is WIDE_MIN_BLOCKS - 1 lanes when unsealing, two
+        # are twice that.
         pairs = [(key, blob) for (key, _d), blob in zip(items, sealed)]
-        unseal_many(pairs[:3])
+        unseal_many(pairs[:1])
         assert interleaved_blocks() == before
         if des_simd.available():
-            unseal_many(pairs[:4])
-            assert interleaved_blocks() == before + 40
+            unseal_many(pairs[:2])
+            assert interleaved_blocks() == before + 2 * (WIDE_MIN_BLOCKS - 1)
             before = interleaved_blocks()
             seal_many(items)
             # All lanes run to the end.
-            assert interleaved_blocks() == before + 10 * WIDE_MIN_MESSAGES
+            assert interleaved_blocks() == (
+                before + (WIDE_MIN_BLOCKS - 1) * WIDE_MIN_MESSAGES
+            )
         before = interleaved_blocks()
         monkeypatch.setattr(des_simd, "_np", None)
         seal_many(items)  # numpy-less: single-lane, not counted
@@ -498,10 +508,10 @@ class TestWideLanes:
         from repro.crypto import des_simd
 
         np = des_simd._np
-        # 1/2: degenerate vectors; 31/32/33: either side of the sealing
-        # threshold; 128: a full KDC buffer; 1,024: its 64 TGTs unsealed
+        # 1/2: degenerate vectors; astride the one-pass threshold and
+        # twice it; 128: a full KDC buffer; 1,024: its 64 TGTs unsealed
         # in one pass.
-        for count in (1, 2, 31, 32, 33, 128, 1024):
+        for count in (1, 2, *ASTRIDE, 128, 1024):
             schedules, oracle, blocks = self._lanes(
                 random.Random(900 + count), count
             )
@@ -674,9 +684,9 @@ class TestDirectionCarryingRunner:
     ISSUE 18 a direction is a shape, not a flag on a job, and the cases
     drive the public batch entry points."""
 
-    # 1/2: single-lane per message; 31/32/33: around the one-pass
-    # threshold (each direction gets about half); 128: a full KDC buffer.
-    @pytest.mark.parametrize("count", [1, 2, 31, 32, 33, 128])
+    # 1/2: single-lane per message; around the one-pass threshold (each
+    # direction gets about half); 128: a full KDC buffer.
+    @pytest.mark.parametrize("count", [1, 2, *ASTRIDE, 128])
     def test_mixed_directions_ragged_lengths(self, count):
         """A mixed bag of messages to seal and to unseal, 0 to 14 blocks
         long, split by direction — one run never mixes them."""
@@ -684,9 +694,9 @@ class TestDirectionCarryingRunner:
         sealing, unsealing = _mixed_items(rng, count)
         _assert_both_directions_match(sealing, unsealing, rng)
 
-    # 5/6/7: astride the sealing threshold, which counts messages;
-    # 31/32/33: astride the one-pass threshold, which is not sealing's.
-    @pytest.mark.parametrize("lanes", [5, 6, 7, 31, 32, 33])
+    # 5/6/7: astride the sealing threshold, which counts messages; then
+    # astride the one-pass threshold, which is not sealing's.
+    @pytest.mark.parametrize("lanes", [5, 6, 7, *ASTRIDE])
     def test_a_lane_is_a_message_when_sealing(self, lanes, monkeypatch):
         from repro.crypto import pcbc_encrypt_many
         from repro.crypto.modes import WIDE_MIN_MESSAGES
@@ -706,7 +716,7 @@ class TestDirectionCarryingRunner:
         assert runs == ([[lanes] * 3] if lanes >= WIDE_MIN_MESSAGES else [])
         assert passes == []
 
-    @pytest.mark.parametrize("lanes", [31, 32, 33])
+    @pytest.mark.parametrize("lanes", ASTRIDE)
     def test_a_lane_is_a_block_when_unsealing(self, lanes, monkeypatch):
         """Four messages (one of them empty) of ``lanes`` blocks in all
         make one pass of ``lanes`` lanes, or none below the threshold."""
@@ -714,15 +724,16 @@ class TestDirectionCarryingRunner:
 
         passes = _spy_on_crypt_wide(monkeypatch)
         rng = random.Random(lanes)
+        first = lanes // 2
         items = [
             (DesKey(rng.randbytes(8), allow_weak=True), rng.randbytes(8 * n))
-            for n in (lanes - 20, 0, 1, 19)
+            for n in (first, 0, 1, lanes - first - 1)
         ]
         iv = rng.randbytes(8)
         assert pcbc_decrypt_many(items, iv) == [
             pcbc_decrypt_ref(key, data, iv) for key, data in items
         ]
-        assert passes == ([lanes] if lanes >= 32 else [])
+        assert passes == ([lanes] if lanes >= WIDE_MIN_BLOCKS else [])
 
     def test_tails_drop_below_threshold_mid_run(self, monkeypatch):
         """40 lanes, 35 of them short: after two wide steps only 5 stay
@@ -848,7 +859,7 @@ class TestIndependentBlocks:
     runs); and a batch unsealed under one key — the master key over
     database blobs, the TGS key over TGTs — needs one column too."""
 
-    @pytest.mark.parametrize("blocks", [0, 1, 31, 32, 33, 128])
+    @pytest.mark.parametrize("blocks", [0, 1, *ASTRIDE, 128])
     def test_ecb_around_the_threshold(self, blocks, monkeypatch):
         from repro.crypto import des_simd
         from repro.crypto.modes import interleaved_blocks
@@ -862,7 +873,7 @@ class TestIndependentBlocks:
         assert cipher == ecb_encrypt_ref(key, data)
         assert ecb_decrypt(key, cipher) == data
         assert ecb_decrypt(key, data) == ecb_decrypt_ref(key, data)
-        wide = des_simd.available() and blocks >= 32
+        wide = des_simd.available() and blocks >= WIDE_MIN_BLOCKS
         assert shapes == ([(blocks, (16, 1))] * 3 if wide else [])
         assert interleaved_blocks() - before == (3 * blocks if wide else 0)
 
@@ -944,7 +955,8 @@ class TestOnePassUnsealing:
                 assert isinstance(opened[k], IntegrityError), (k, bit)
                 opened[k] = payloads[k]
                 assert opened == payloads, (k, bit)
-        assert len(set(passes)) == 1 and passes[0] >= 32  # one pass each
+        # One pass each.
+        assert len(set(passes)) == 1 and passes[0] >= WIDE_MIN_BLOCKS
 
     def test_a_flipped_bit_garbles_its_message_from_that_block_on(self):
         """Below the seal frame: the blocks before the flip survive, the
