@@ -231,12 +231,6 @@ class KerberosServer(AuthenticatedService):
         self._ticket_life: Dict[str, object] = {}
         if self.shard is not None:
             self.metrics.counter("kdc.referrals_total", self._labels)
-        # Principal mutations (kadmin writes on a master, dump/delta
-        # application on a slave) flush the sealed-ticket skeleton cache
-        # — content addressing already guarantees a changed key can't
-        # hit, this promptly reclaims the dead entries.
-        if self._on_db_mutation not in self.db.mutation_listeners:
-            self.db.mutation_listeners.append(self._on_db_mutation)
         if self.queue_config is not None:
             self.workqueue = WorkQueue(
                 host.network.runtime,
@@ -257,11 +251,6 @@ class KerberosServer(AuthenticatedService):
             for _datagram, deferred in self.workqueue.drop_pending():
                 deferred.resolve(None)
         self.workqueue = None
-        if self._on_db_mutation in self.db.mutation_listeners:
-            self.db.mutation_listeners.remove(self._on_db_mutation)
-
-    def _on_db_mutation(self) -> None:
-        keycache.invalidate_skeletons()
 
     @property
     def errors(self) -> int:

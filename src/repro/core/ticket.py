@@ -90,14 +90,6 @@ def seal_ticket(ticket: Ticket, server_key: DesKey) -> bytes:
     return seal(server_key, ticket.to_bytes())
 
 
-# Trailing bytes of Ticket.to_bytes() that change per issuance: the
-# timestamp (f64) and life (f64) fields plus the session_key bytes field
-# (u32 length prefix + 8 key bytes).  Everything before them — server,
-# client, address — repeats for every ticket a hot (client, server) pair
-# is issued, which is what the skeleton cache exploits.
-_TICKET_SUFFIX_LEN = 8 + 8 + 4 + 8
-
-
 def seal_tickets_cached(
     items: Sequence[Tuple[Ticket, DesKey, DesKey, bytes]]
 ) -> Tuple[List[bytes], List[bytes]]:
@@ -110,23 +102,24 @@ def seal_tickets_cached(
     :func:`seal_ticket` and each sealed body to the seal, under
     ``reply_key``, of the body with that blob in it.
 
-    Only the per-issuance suffix (timestamp, life, session key) is
-    re-encrypted of a ticket whose fixed prefix was sealed before under
-    the same key.  The skeleton — the PCBC state ``[cipher_prefix,
-    chain]`` after the seal header + server + client + address — lives
-    in the process-wide skeleton cache under the literal (sealing key,
-    total length, prefix plaintext) content, so a rotated service key
-    or renamed principal can never hit a stale entry.  A miss reserves
-    its entry *empty* and the ticket rides the run as a whole frame,
-    beside the resumed ones; the state is then read off the finished
-    seal rather than sealed a second time.  A later ticket of the same
-    run that finds the entry still empty rides whole as well.
+    A ticket is good for a single server, so the seal header and the
+    whole blocks of the server field — the ticket's first — are the same
+    plaintext for every ticket one key seals at one length, and only
+    what follows them is encrypted.  The skeleton — the PCBC state
+    ``[cipher_prefix, chain]`` after that prefix — lives in the
+    process-wide skeleton cache under the literal (sealing key, total
+    length, prefix plaintext) content, so a rotated service key or
+    renamed principal can never hit a stale entry.  A miss reserves its
+    entry *empty* and the ticket rides the run as a whole frame, beside
+    the resumed ones; the state is then read off the finished seal
+    rather than sealed a second time.  A later ticket of the same run
+    that finds the entry still empty rides whole as well.
     """
     jobs = []
     unfilled = []
     for ticket, server_key, reply_key, body in items:
         plain = ticket.to_bytes()
-        cut = max(0, len(plain) - _TICKET_SUFFIX_LEN) & ~0x7
+        cut = len(ticket.server.to_bytes()) & ~0x7
         cache_key = (server_key.key_bytes, len(plain), plain[:cut])
         skeleton = keycache.skeleton_get(cache_key)
         if skeleton is None:

@@ -40,9 +40,8 @@ from repro.crypto.des import DesKey
 KEY_CACHE_SIZE = 4096
 #: Distinct (password, salt) derivations kept.
 S2K_CACHE_SIZE = 1024
-#: Distinct sealed-ticket skeletons kept: one per hot (service key,
-#: ticket prefix) pair — i.e. per (server, client, address) tuple the
-#: KDC issues for repeatedly.
+#: Distinct sealed-ticket skeletons kept: one per (service key, ticket
+#: length) the KDC seals under — a few dozen at Athena scale.
 SKELETON_CACHE_SIZE = 2048
 
 
@@ -206,19 +205,17 @@ def memoized_string_to_key(
 # Sealed-ticket skeletons.
 #
 # A skeleton is the resumable PCBC state of a sealed ticket's fixed
-# prefix — the seal header plus the server/client/address fields that
-# repeat for every ticket a hot (client, server) pair is issued (see
-# repro.core.ticket.seal_tickets_cached).  An entry is a two-item list
+# prefix — the seal header plus the whole blocks of the server field,
+# the same for every ticket one key seals at one length (see
+# repro.core.ticket.seal_tickets_cached), so an entry is one per
+# (service key, ticket length).  An entry is a two-item list
 # ``[cipher_prefix, chain]``; a miss reserves it *empty* and the batch
 # run that seals the ticket fills it in place afterwards, so until then
 # (the rest of that batch) finders seal the whole frame themselves.
 # Entries are *content addressed*: the cache key is the sealing key's
 # bytes plus the literal prefix plaintext (and total length), so a
-# rotated service key or a changed principal can never be served a
-# stale prefix — a mutation simply misses.  The journal-driven invalidation hook
-# (:func:`invalidate_skeletons`, wired to database mutation listeners by
-# the KDC) exists to evict now-dead entries promptly, not for
-# correctness.
+# rotated service key or a renamed service can never be served a stale
+# prefix — it simply misses, and its dead entry ages out of the LRU.
 #
 # ``caches_disabled()`` covers this layer too: while disabled,
 # ``skeleton_get`` always misses and ``skeleton_put`` drops the entry,
@@ -243,19 +240,6 @@ def skeleton_get(key: Tuple):
 def skeleton_put(key: Tuple, state) -> None:
     if _enabled:
         _skeleton_cache.put(key, state)
-
-
-def invalidate_skeletons() -> int:
-    """Evict every cached skeleton; returns how many were dropped.
-
-    Called (via the KDC's database mutation listener) whenever a
-    principal record changes — key rotation, deletion, attribute edits.
-    Correctness never depends on this (entries are content-addressed);
-    it reclaims entries that can no longer hit.
-    """
-    dropped = len(_skeleton_cache)
-    _skeleton_cache.clear()
-    return dropped
 
 
 def skeleton_stats() -> Dict[str, int]:

@@ -88,11 +88,6 @@ class KerberosDatabase:
         self.store = store if store is not None else MemoryStore()
         self.readonly = readonly
         self._record_cache = keycache._LruCache(RECORD_CACHE_SIZE)
-        # Zero-argument callbacks fired after any principal mutation —
-        # journaled writes on a master, delta/dump application on a
-        # slave.  The KDC registers its sealed-ticket skeleton
-        # invalidation here.
-        self.mutation_listeners: List = []
         # Writable (master) databases journal every mutation for delta
         # propagation; read-only copies instead track the journal
         # position they have applied up to (fed by load_dump/apply_entries).
@@ -152,25 +147,21 @@ class KerberosDatabase:
     # the store.  They are the only sanctioned mutation path (an AST lint
     # bans direct store mutation outside this package), which is what
     # makes the journal a complete record — the precondition for delta
-    # propagation being equivalent to a full dump.
+    # propagation being equivalent to a full dump.  No cache hears of a
+    # write: the record cache checks the stored bytes and the KDC's
+    # sealed-ticket skeletons are keyed on the sealing key's bytes, so a
+    # changed record or key simply misses.
 
     def _journal_put(self, key: str, value: bytes, now: float) -> None:
         if self.journal is not None:
             self.journal.append(OP_PUT, key, value, now)
         self.store.put(key, value)
-        self._notify_mutation()
 
     def _journal_delete(self, key: str, now: float) -> bool:
         existed = self.store.delete(key)
         if existed and self.journal is not None:
             self.journal.append(OP_DELETE, key, b"", now)
-        if existed:
-            self._notify_mutation()
         return existed
-
-    def _notify_mutation(self) -> None:
-        for listener in self.mutation_listeners:
-            listener()
 
     # -- guards ----------------------------------------------------------------
 
@@ -440,7 +431,6 @@ class KerberosDatabase:
         self.dump_time = dump_time
         self.loaded_epoch = epoch
         self.loaded_seq = seq
-        self._notify_mutation()
         return count
 
     def apply_entries(self, entries: List[JournalEntry]) -> int:
@@ -463,8 +453,6 @@ class KerberosDatabase:
                 raise DatabaseError(f"unknown journal opcode {entry.op}")
             self.loaded_seq = entry.seq
             applied += 1
-        if applied:
-            self._notify_mutation()
         return applied
 
     def replica(self, store: Optional[RecordStore] = None) -> "KerberosDatabase":
@@ -478,7 +466,6 @@ class KerberosDatabase:
         slave.store = store if store is not None else MemoryStore()
         slave.readonly = True
         slave._record_cache = keycache._LruCache(RECORD_CACHE_SIZE)
-        slave.mutation_listeners = []
         slave.journal = None
         slave.loaded_epoch, slave.loaded_seq = self.position
         return slave

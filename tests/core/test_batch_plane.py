@@ -475,61 +475,6 @@ class TestCorruptRowIsOneItemsProblem:
         assert ws.client.kinit("jis", "jis-pw") is not None
 
 
-class TestSkeletonInvalidation:
-    def test_principal_mutation_flushes_skeletons(self):
-        """A kadmin write lands in the journal and — through the
-        database mutation listener — empties the skeleton cache."""
-        realm = build_realm()
-        src = realm.workstation().host.address
-        realm.kdc.process_request_buffer(
-            pack_frames([as_wire("jis")]), src
-        )
-        assert keycache.skeleton_stats()["size"] > 0
-        realm.db.change_key(
-            Principal("rlogin", "priam", REALM), new_password="rotated"
-        )
-        assert keycache.skeleton_stats()["size"] == 0
-
-    def test_slave_dump_application_flushes_skeletons(self):
-        realm = build_realm()
-        replica = realm.db.replica()
-        from repro.core.kdc import KerberosServer
-
-        host = realm.net.add_host("slave-kdc")
-        kdc = KerberosServer(
-            replica, realm.keygen.fork(b"slave")
-        ).attach(host)
-        keycache.skeleton_put(("warm",), (b"x", 0))
-        replica.load_dump(realm.db.dump(now=1.0))
-        assert keycache.skeleton_stats()["size"] == 0
-        kdc.detach() if hasattr(kdc, "detach") else None
-
-    def test_rotated_service_key_cannot_hit_stale_skeleton(self):
-        """Even without the listener, content addressing makes a rotated
-        key miss: the sealed ticket after rotation opens under the new
-        key."""
-        realm = build_realm()
-        ws = realm.workstation()
-        src = ws.host.address
-        realm.kdc.process_request_buffer(
-            pack_frames([as_wire("jis")]), src
-        )
-        realm.db.change_key(
-            Principal("rlogin", "priam", REALM), new_password="rotated"
-        )
-        ws.client.kinit("jis", "jis-pw")
-        cred = ws.client.get_credential(
-            Principal("rlogin", "priam", REALM)
-        )
-        from repro.core.ticket import unseal_ticket
-
-        new_key = realm.db.principal_key(
-            Principal("rlogin", "priam", REALM)
-        )
-        ticket = unseal_ticket(cred.ticket, new_key)
-        assert ticket.client == Principal("jis", "", REALM)
-
-
 # --------------------------------------------------------------------------
 # ISSUE 12: the TGS request side rides the batch (UNSEAL-ALL stage).
 #
@@ -1000,6 +945,12 @@ class TestAnyCutIsUnobservable:
         )
 
 
+def skeleton_cut(server):
+    """Where ``seal_tickets_cached`` resumes a ticket for ``server``:
+    after the whole blocks of its server field, the ticket's first."""
+    return len(server.to_bytes()) & ~0x7
+
+
 class TestSkeletonMissRidesTheBatch:
     """``seal_tickets_cached`` seals each ticket inside the reply that
     carries it — one nested batch seal — with skeleton hits, misses and
@@ -1060,7 +1011,7 @@ class TestSkeletonMissRidesTheBatch:
         # derives for the prefix.
         ticket, key = items[0][:2]
         plain = ticket.to_bytes()
-        cut = (len(plain) - 28) & ~0x7
+        cut = skeleton_cut(ticket.server)
         cached_state = keycache.skeleton_get(
             (key.key_bytes, len(plain), plain[:cut])
         )
@@ -1076,20 +1027,26 @@ class TestSkeletonMissRidesTheBatch:
         assert (stats["miss"], stats["hit"]) == (1, 7)
 
     def test_hits_misses_and_reserved_entries_share_a_run(self, monkeypatch):
-        """A warm pair, a cold pair and the cold pair again — its entry
-        reserved but still empty — in one batch: one nested seal, the
-        same bytes with numpy absent."""
-        warm, cold = self._tickets(2)
+        """A warm ticket, another client's ticket of the same length, a
+        cold length and the cold length again — its entry reserved but
+        still empty — in one batch: one nested seal, the same bytes with
+        numpy absent."""
+        tickets = self._tickets(11)
+        warm, peer, cold = tickets[0], tickets[1], tickets[10]  # user10
+        assert len(peer[0].to_bytes()) == len(warm[0].to_bytes())
+        assert len(cold[0].to_bytes()) != len(warm[0].to_bytes())
         seal_tickets_cached([warm])
-        items = [warm, cold, cold, warm] * 2
+        items = [warm, cold, peer, cold, warm] * 2
         keycache.reset_stats()
         want = self._expected(items)
         assert seal_tickets_cached(items) == want
         stats = keycache.skeleton_stats()
-        # The first ``cold`` misses; its repeats find the reserved entry
-        # (a hit that is still empty, so they ride whole beside it).
-        assert (stats["miss"], stats["hit"]) == (1, 7)
-        keycache.invalidate_skeletons()
+        # ``peer`` resumes from ``warm``'s skeleton: the entry is per
+        # (key, length).  The first ``cold`` misses; its repeats find
+        # the reserved entry (a hit that is still empty, so they ride
+        # whole beside it).
+        assert (stats["miss"], stats["hit"]) == (1, 9)
+        keycache.clear()
         monkeypatch.setattr(des_simd, "_np", None)
         assert seal_tickets_cached(items) == want
         assert seal_tickets_cached([]) == ([], [])
@@ -1103,16 +1060,20 @@ class TestWorkCountGate:
     @staticmethod
     def _serve_counted(realm, wires, src, monkeypatch):
         """Serve ``wires`` as one buffer: ``(replies, calls, blocks on
-        the lanes)``, ``calls`` counting every way into the single-lane
-        kernel (``int``), the one-pass kernel (``wide``), the run kernel
-        (``run``) and the bulk IP/FP gathers both share."""
+        the lanes, runs)``, ``calls`` counting every way into the
+        single-lane kernel (``int``), the one-pass kernel (``wide``), the
+        run kernel (``run``) and the bulk IP/FP gathers both share, and
+        ``runs`` holding each sealing run's lanes alive per step."""
         from repro.crypto.modes import interleaved_blocks
 
         calls = collections.Counter()
+        runs = []
 
         def counted(name, kernel):
             def wrapper(*args):
                 calls[name] += 1
+                if name == "run":
+                    runs.append(list(args[3]))
                 return kernel(*args)
             return wrapper
 
@@ -1129,7 +1090,7 @@ class TestWorkCountGate:
         replies = realm.kdc.process_request_buffer(pack_frames(wires), src)
         on_lanes = interleaved_blocks() - before
         monkeypatch.undo()
-        return replies, calls, on_lanes
+        return replies, calls, on_lanes, runs
 
     @staticmethod
     def _sealed_blocks(replies, reply_keys):
@@ -1171,10 +1132,10 @@ class TestWorkCountGate:
             reply_keys.append(DesKey.from_bytes(session, allow_weak=True))
             request_bytes += len(request.tgt) + len(request.authenticator)
 
-        keycache.invalidate_skeletons()
+        keycache.clear()
         unseal_cache = realm.db.master_key._unseal_cache
         known_blobs = len(unseal_cache)
-        replies, calls, on_lanes = self._serve_counted(
+        replies, calls, on_lanes, _runs = self._serve_counted(
             realm, wires, src, monkeypatch
         )
 
@@ -1212,9 +1173,9 @@ class TestWorkCountGate:
         src = realm.workstation().host.address
         users = range(5, 13)  # user5 … user12
         wires = [as_wire(f"user{u}", timestamp=float(u)) for u in users]
-        keycache.invalidate_skeletons()
+        keycache.clear()
         realm.kdc.keygen._ahead = b""  # nothing drawn ahead yet
-        replies, calls, on_lanes = self._serve_counted(
+        replies, calls, on_lanes, _runs = self._serve_counted(
             realm, wires, src, monkeypatch
         )
         sealed = self._sealed_blocks(
@@ -1230,3 +1191,44 @@ class TestWorkCountGate:
         assert sealed_on_lanes >= 0.9 * sealed
         # No block is opened or drawn single-lane: only the tails.
         assert calls["int"] == sealed - sealed_on_lanes
+
+    def test_a_warm_batch_seals_at_the_replys_own_length(self, monkeypatch):
+        """8 logins cold, then 8 more whose names have the same length:
+        every ticket is sealed under one key at one length, so the warm
+        batch resumes all 8 after the server field.  It puts 8 × the
+        skipped prefix's blocks fewer on the lanes, its first run is only
+        as deep as the reply lead, and its two runs together are the
+        reply's own length — the floor of one serial PCBC chain."""
+        if not des_simd.available():
+            pytest.skip("numpy not available; no block rides the lanes")
+        realm, _xkey = build_tgs_realm(n_users=28)
+        src = realm.workstation().host.address
+        keycache.clear()
+        realm.kdc.keygen._ahead = b""  # nothing drawn ahead yet
+        batches = []
+        for users in (range(10, 18), range(20, 28)):  # user10 … user27
+            keycache.reset_stats()
+            wires = [as_wire(f"user{u}", timestamp=float(u)) for u in users]
+            replies, calls, _on_lanes, runs = self._serve_counted(
+                realm, wires, src, monkeypatch
+            )
+            assert (calls["run"], calls["int"]) == (2, 0)
+            batches.append((keycache.skeleton_stats(), runs))
+        (cold_stats, cold_runs), (warm_stats, warm_runs) = batches
+        assert (cold_stats["miss"], cold_stats["hit"]) == (1, 7)
+        assert (warm_stats["miss"], warm_stats["hit"]) == (0, 8)
+
+        skipped = 1 + skeleton_cut(tgs_principal(REALM)) // 8  # + header
+        on_lanes = [sum(map(sum, runs)) for runs in (cold_runs, warm_runs)]
+        assert on_lanes[0] - on_lanes[1] == 8 * skipped
+
+        key = string_to_key("pw20")
+        message = decode_message(replies[0])[1]
+        ticket = message.open(key).ticket
+        body = modes.unseal(key, message.sealed_body)
+        lead = 1 + (len(body) - len(ticket)) // 8
+        assert len(cold_runs[0]) == len(ticket) // 8 > lead
+        assert len(warm_runs[0]) == lead
+        assert len(warm_runs[0]) + len(warm_runs[1]) == (
+            len(message.sealed_body) // 8
+        )

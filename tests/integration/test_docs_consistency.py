@@ -126,6 +126,9 @@ class TestRemovedNames:
         "busy_hour", "login_job",
         # One lifecycle, two hooks; the replay cache is durable.
         "refuse_through", "on_crash", "on_restart",
+        # One skeleton per (key, length), content-addressed: no flush.
+        "mutation_listeners", "_notify_mutation", "_on_db_mutation",
+        "invalidate_skeletons", "_TICKET_SUFFIX_LEN",
     )
 
     def test_docs_mention_no_removed_identifier(self):
