@@ -16,41 +16,43 @@ login storm against a queued KDC:
 
 import hashlib
 import time
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
-from repro.netsim import Network
+import repro.scenarios as scenarios
+from repro.crypto import keycache
 from repro.obs import render_chrome_trace, write_json_snapshot
-from repro.realm import Realm, RealmTopology
-from repro.runtime import WorkQueueConfig
-from repro.workload import AthenaWorkload
-
-from benchmarks.bench_util import REALM
 
 SEED = 1988
-N_USERS = 64
-N_STATIONS = 128
-#: Arrivals all land in this window — faster than two workers drain, so
-#: queueing (and some shedding) genuinely happens.
-BURST_WINDOW = 0.05
-WORKERS = 2
+#: The ``login_burst`` row's defaults: 128 stations, 64 users, two
+#: workers, every arrival inside 50 ms — faster than two workers drain,
+#: so queueing (and some shedding) genuinely happens.
+STORM = scenarios.get("login_burst")
 ROUNDS = 5
 #: Acceptance ceiling: traced wall time / untraced wall time.
 OVERHEAD_GATE = 1.10
+SHED = "refused:KDC_OVERLOADED"
 
 
 def _run_storm(traced: bool):
-    """One fresh world + login burst; returns (wall_s, result, net)."""
-    net = Network(seed=SEED)
-    realm = Realm(
-        net, REALM, seed=b"obs-trace",
-        topology=RealmTopology(kdc_queue=WorkQueueConfig(workers=WORKERS)),
-    )
-    net.tracer.enabled = traced
-    workload = AthenaWorkload(realm, n_users=N_USERS, n_services=0, seed=SEED)
-    stations = workload.workstations(N_STATIONS, spread_kdcs=False)
-    t0 = time.perf_counter()
-    result = workload.login_burst(stations, window=BURST_WINDOW)
-    wall = time.perf_counter() - t0
-    return wall, result, net
+    """One fresh world + login burst; returns (wall_s, result).  The
+    stopwatch is a fault event due at once, so it fires after the
+    stations boot and before the simulation runs, and stops when the run
+    is scored.  The process-wide key caches start cold, so a same-seed
+    run records the same span attributes (a skeleton hit is one)."""
+    started = []
+
+    @dataclass(frozen=True)
+    class Stopwatch:
+        at: ClassVar[float] = 0.0
+
+        def fire(self, world) -> None:
+            world.net.tracer.enabled = traced
+            started.append(time.perf_counter())
+
+    keycache.clear()
+    result = scenarios.run(replace(STORM, faults=lambda p: (Stopwatch(),)), SEED)
+    return time.perf_counter() - started[0], result
 
 
 def _ab_times(rounds=ROUNDS):
@@ -65,8 +67,11 @@ def _ab_times(rounds=ROUNDS):
 
 def test_bench_obs_trace_gate(tmp_path):
     # -- completeness over one traced storm ------------------------------
-    _, result, net = _run_storm(traced=True)
+    _, result = _run_storm(traced=True)
+    net = result.world.net
     tracer, audit = net.tracer, net.audit
+    posted, completed = len(result.world.stations), result.outcomes.get("ok", 0)
+    overloaded = result.outcomes.get(SHED, 0)
 
     rids = tracer.request_ids()
     names_by_rid = {
@@ -74,26 +79,26 @@ def test_bench_obs_trace_gate(tmp_path):
     }
     complete = [
         rid for rid, names in names_by_rid.items()
-        if {"workload.login", "kdc.queue.wait", "kdc.as",
+        if {"scenario.post_login", "kdc.queue.wait", "kdc.as",
             "net.transit"} <= names
     ]
     shed_audits = audit.events("overload_shed")
     shed_rids = {e.trace_id for e in shed_audits}
 
     print("\nExp OBS — login-storm trace completeness "
-          f"({N_STATIONS} stations, {WORKERS} workers):")
-    print(f"  posted {result.posted}: {result.completed} completed, "
-          f"{result.overloaded} shed, {result.failed} failed")
+          f"({posted} stations, {result.params['workers']} workers):")
+    print(f"  posted {posted}: {completed} completed, {overloaded} shed, "
+          f"{posted - completed - overloaded} failed")
     print(f"  traces recorded: {len(rids)}; "
           f"full queue-wait/handler/transit trees: {len(complete)}; "
           f"shed joined to audit: {len(shed_rids & set(names_by_rid))}")
 
     # Every posted login rooted a trace; every completed login's trace
     # has the full breakdown; every shed login is audit-joined.
-    assert len(rids) == result.posted
-    assert len(complete) == result.completed
-    assert result.overloaded > 0, "storm never shed — queue not stressed"
-    assert len(shed_audits) == result.overloaded
+    assert len(rids) == posted
+    assert len(complete) == completed
+    assert overloaded > 0, "storm never shed — queue not stressed"
+    assert len(shed_audits) == overloaded
     assert shed_rids <= set(names_by_rid)
     assert all(rid for rid in shed_rids), "shed audit lost its trace ID"
 
@@ -108,8 +113,8 @@ def test_bench_obs_trace_gate(tmp_path):
 
     # -- same-seed determinism: byte-identical export --------------------
     export_a = render_chrome_trace(tracer)
-    _, _, net_b = _run_storm(traced=True)
-    export_b = render_chrome_trace(net_b.tracer)
+    _, result_b = _run_storm(traced=True)
+    export_b = render_chrome_trace(result_b.world.net.tracer)
     assert export_a == export_b, "same seed produced different trace export"
     export_sha = hashlib.sha256(export_a.encode()).hexdigest()
 
@@ -131,15 +136,7 @@ def test_bench_obs_trace_gate(tmp_path):
         extra={
             "experiment": "OBS",
             "gates": {"overhead_max": OVERHEAD_GATE},
-            "storm": {
-                "stations": N_STATIONS,
-                "workers": WORKERS,
-                "window_s": BURST_WINDOW,
-                "posted": result.posted,
-                "completed": result.completed,
-                "overloaded": result.overloaded,
-                "failed": result.failed,
-            },
+            "storm": {**result.params, "outcomes": result.outcomes},
             "completeness": {
                 "traces": len(rids),
                 "full_breakdown_trees": len(complete),

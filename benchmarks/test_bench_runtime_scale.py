@@ -3,10 +3,10 @@
 Section 9's deployment question, asked of the new runtime: when 9 AM
 hits a cluster and every workstation fires its AS request into a
 fraction of a second, how does KDC throughput scale with the service
-loop's worker pool?  The sweep drives an open-loop
-:meth:`repro.workload.AthenaWorkload.login_burst` (arrivals outpace
-service — queueing, batching, and admission-control shedding are all in
-play) across workstation counts and worker counts.
+loop's worker pool?  The sweep runs the ``login_burst`` campaign row
+(open loop: arrivals outpace service — queueing, batching, and
+admission-control shedding are all in play) across workstation counts
+and worker counts, each cell an override of the row.
 
 Shape to hold: growing the pool 1 → 4 workers buys at least 1.5x
 completed-login throughput at every burst size, and one seed reproduces
@@ -14,13 +14,8 @@ the same burst — same outcomes, same completion instants — bit for bit
 (the ``digest`` equality).
 """
 
-from repro.netsim import Network
+import repro.scenarios as scenarios
 from repro.obs import write_json_snapshot
-from repro.realm import Realm, RealmTopology
-from repro.runtime import WorkQueueConfig
-from repro.workload import AthenaWorkload
-
-from benchmarks.bench_util import REALM
 
 SEED = 1988
 N_USERS = 256
@@ -30,54 +25,49 @@ WORKER_COUNTS = (1, 2, 4)
 #: All arrivals land inside this window (seconds) — far faster than one
 #: worker can serve them, so the queue genuinely builds.
 BURST_WINDOW = 0.05
+SHED = "refused:KDC_OVERLOADED"
 
 
 def run_burst(n_stations: int, workers: int):
-    """One fresh world per configuration; returns the BurstResult and
-    the network (for the metrics snapshot)."""
-    net = Network(seed=SEED)
-    realm = Realm(
-        net, REALM, seed=b"runtime-scale",
-        topology=RealmTopology(kdc_queue=WorkQueueConfig(workers=workers)),
+    """One fresh world per configuration."""
+    return scenarios.run(
+        "login_burst", SEED, n_users=N_USERS, n_stations=n_stations,
+        workers=workers, window=BURST_WINDOW,
     )
-    workload = AthenaWorkload(realm, n_users=N_USERS, n_services=0, seed=SEED)
-    stations = workload.workstations(n_stations, spread_kdcs=False)
-    result = workload.login_burst(stations, window=BURST_WINDOW)
-    return result, net
+
+
+def throughput(result) -> float:
+    """Completed logins per simulated second, first arrival to drain."""
+    return result.outcomes.get("ok", 0) / result.makespan
 
 
 def test_bench_runtime_worker_scaling(benchmark, tmp_path):
     sweep = {}
-    last_net = None
     print("\nExp RT — login-burst throughput (completed logins / sim-second):")
     for n_stations in STATION_COUNTS:
         for workers in WORKER_COUNTS:
-            result, net = run_burst(n_stations, workers)
-            sweep[(n_stations, workers)] = result
-            last_net = net
+            result = sweep[(n_stations, workers)] = run_burst(n_stations, workers)
             print(
                 f"  {n_stations:4d} stations x {workers} worker(s): "
-                f"{result.completed:4d} completed, "
-                f"{result.overloaded:3d} shed, "
+                f"{result.outcomes.get('ok', 0):4d} completed, "
+                f"{result.outcomes.get(SHED, 0):3d} shed, "
                 f"makespan {result.makespan * 1e3:7.2f} ms, "
-                f"throughput {result.throughput:8.1f}/s"
+                f"throughput {throughput(result):8.1f}/s"
             )
 
-    # Every posted request is accounted for, whatever its fate.
+    # Every posted request is accounted for, and the only failure is
+    # the typed shed.
     for (n_stations, _), result in sweep.items():
-        assert result.posted == n_stations
-        assert (
-            result.completed + result.overloaded + result.failed
-            == result.posted
-        )
-        assert result.completed > 0
+        assert sum(result.outcomes.values()) == n_stations
+        assert set(result.outcomes) <= {"ok", SHED}
+        assert result.outcomes["ok"] > 0
 
     # The tentpole acceptance gate: 1 -> 4 workers buys >= 1.5x
     # throughput at every burst size.
     speedups = {}
     for n_stations in STATION_COUNTS:
-        base = sweep[(n_stations, 1)].throughput
-        quad = sweep[(n_stations, 4)].throughput
+        base = throughput(sweep[(n_stations, 1)])
+        quad = throughput(sweep[(n_stations, 4)])
         speedups[n_stations] = quad / base
         print(f"  {n_stations:4d} stations: 1->4 worker speedup "
               f"{speedups[n_stations]:.2f}x")
@@ -91,21 +81,20 @@ def test_bench_runtime_worker_scaling(benchmark, tmp_path):
         lambda: run_burst(STATION_COUNTS[0], 2), rounds=2, iterations=1
     )
 
+    net = sweep[(STATION_COUNTS[-1], WORKER_COUNTS[-1])].world.net
     snapshot = tmp_path / "runtime_scale.json"
     snap = write_json_snapshot(
-        last_net.metrics,
+        net.metrics,
         snapshot,
-        now=last_net.clock.now(),
+        now=net.clock.now(),
         extra={
             "experiment": "RT",
             "burst_window_s": BURST_WINDOW,
             "results": {
                 f"{n}x{w}": {
-                    "completed": r.completed,
-                    "overloaded": r.overloaded,
-                    "failed": r.failed,
+                    "outcomes": r.outcomes,
                     "makespan_s": round(r.makespan, 6),
-                    "throughput_per_s": round(r.throughput, 1),
+                    "throughput_per_s": round(throughput(r), 1),
                     "digest": r.digest,
                 }
                 for (n, w), r in sweep.items()
@@ -122,12 +111,8 @@ def test_bench_runtime_worker_scaling(benchmark, tmp_path):
 
 def test_bench_runtime_same_seed_bit_identical():
     """Determinism gate: repeating one configuration with one seed
-    reproduces the burst exactly — outcome counts and the
-    completion-instant digest both match."""
-    a, _ = run_burst(STATION_COUNTS[-1], 4)
-    b, _ = run_burst(STATION_COUNTS[-1], 4)
-    assert a.digest == b.digest
-    assert (a.completed, a.overloaded, a.failed) == (
-        b.completed, b.overloaded, b.failed
-    )
-    assert a.makespan == b.makespan
+    reproduces the burst exactly — the whole summary, the
+    completion-instant digest included."""
+    a = run_burst(STATION_COUNTS[-1], 4)
+    b = run_burst(STATION_COUNTS[-1], 4)
+    assert a.summary() == b.summary()

@@ -19,15 +19,17 @@ their cost model on the event clock, so N shards genuinely overlap in
 sim time while the harness stays single-threaded.
 """
 
+from dataclasses import dataclass, replace
+from typing import ClassVar
+
 import pytest
 
-from repro.netsim import Network
+import repro.scenarios as scenarios
 from repro.obs import write_json_snapshot
-from repro.realm import Realm, RealmTopology
-from repro.realm.sharding import hash_point, move_range
-from repro.workload import AthenaWorkload
-
-from benchmarks.bench_util import REALM
+from repro.realm import RealmTopology
+from repro.runtime.workqueue import WorkQueueConfig
+from repro.scenarios import SloSpec
+from repro.scenarios.engine import START, Rebalance
 
 pytestmark = [pytest.mark.perf, pytest.mark.shard]
 
@@ -49,102 +51,81 @@ SCALE_GATE = 0.7
 #: Rebalance p99 must stay within this factor of steady-state p99.
 P99_GATE = 2.0
 SEED = 1988
+REALM = "ATHENA.MIT.EDU"
+
+
+def fill(world) -> None:
+    """The database bulk: principals nobody drives, up to N_PRINCIPALS."""
+    for i in range(N_PRINCIPALS - N_DRIVE):
+        world.realm.add_user(f"filler{i:06d}", f"pw{i}")
+
+
+def topology(p) -> RealmTopology:
+    # Enough queue depth that the burst is never shed — the scaling
+    # curve measures service rate, not admission control (that story is
+    # Exp RT's).
+    return RealmTopology(
+        shards=int(p["n_shards"]),
+        kdc_queue=WorkQueueConfig(workers=KDC_WORKERS, queue_limit=2 * N_DRIVE),
+    )
+
+
+#: One topology cell: ``login_burst`` over N_PRINCIPALS registered,
+#: N_DRIVE of them drivable, every station routed to its user's shard.
+CELL = replace(
+    scenarios.get("login_burst"),
+    name="shard_scale_cell",
+    defaults={"n_shards": 1, "n_users": N_DRIVE, "n_stations": N_DRIVE,
+              "window": BURST_WINDOW},
+    slos=(SloSpec("success_rate", "min", 1.0, "no login lost in the burst"),),
+    topology=topology,
+    daemons=(fill,),
+)
+@dataclass(frozen=True)
+class FreshViews:
+    """Due at once: every station drops the KDC view it read at boot
+    and locates afresh at its login, so the gate rates the move itself.
+    (A view cached before the flip costs a referral — the campaign
+    row's own drill.)"""
+
+    at: ClassVar[float] = 0.0
+
+    def fire(self, world) -> None:
+        for ws in world.stations:
+            ws.client.locator_for(REALM).refresh()
+
+
+#: 200 paced logins over 10 s on a 2-shard cell, with a live
+#: ``move_range`` of half of shard 0's drivers a third of the way in.
+REBALANCE = replace(
+    scenarios.get("shard_rebalance_under_load"),
+    defaults={"n_shards": 2, "n_users": N_DRIVE, "n_stations": 200,
+              "window": 10.0, "move_at": 10.0 / 3},
+    topology=topology,
+    daemons=(fill,),
+    faults=lambda p: (FreshViews(), Rebalance(START + p["move_at"])),
+)
+#: The same logins, same seed, with no move: the steady-state baseline.
+STEADY = replace(REBALANCE, slos=REBALANCE.slos[:2], faults=lambda p: (FreshViews(),))
 
 _cells = {}
 
 
-def build_cell(shards: int, seed: int = SEED):
-    """One topology cell: N_PRINCIPALS registered, N_DRIVE drivable."""
-    from repro.runtime.workqueue import WorkQueueConfig
-
-    net = Network(seed=seed, latency=0.01)
-    # An explicit queue config: enough queue depth that the burst is
-    # never shed — the scaling curve measures service rate, not
-    # admission control (that story is Exp RT's).
-    realm = Realm(
-        net, REALM, seed=b"shard-scale",
-        topology=RealmTopology(
-            shards=shards,
-            kdc_queue=WorkQueueConfig(
-                workers=KDC_WORKERS, queue_limit=2 * N_DRIVE,
-            ),
-        ),
-    )
-    workload = AthenaWorkload(
-        realm, n_users=N_DRIVE, n_services=2, seed=seed
-    )
-    for i in range(N_PRINCIPALS - N_DRIVE):
-        realm.add_user(f"filler{i:06d}", f"pw{i}")
-    return net, realm, workload
-
-
 def cell(shards: int):
     if shards not in _cells:
-        _cells[shards] = build_cell(shards)
+        _cells[shards] = scenarios.run(CELL, SEED, n_shards=shards)
     return _cells[shards]
 
 
-def burst_throughput(net, realm, workload):
-    stations = workload.workstations(N_DRIVE)
-    burst = workload.login_burst(stations, window=BURST_WINDOW)
-    assert burst.completed == burst.posted, (
-        f"{burst.posted - burst.completed} logins lost in the burst"
+def burst_throughput(result) -> float:
+    assert result.passed, (
+        f"{result.outcomes} — logins lost in the burst"
     )
-    return burst.completed / burst.makespan, burst.digest
-
-
-def paced_login_p99(net, realm, workload, n: int, tag: str, mover=None):
-    """Closed-loop kinit latencies for ``n`` stations paced over a
-    window, optionally with a live ``move_range`` scheduled mid-way;
-    returns (p99, failures)."""
-    from repro.scenarios.engine import percentile
-
-    stations = [realm.workstation(f"ws-{tag}{i}") for i in range(n)]
-    latencies, failures = [], []
-    start = net.clock.now()
-    window = 10.0
-
-    def login(ws, username, password):
-        def job():
-            begun = net.clock.now()
-            try:
-                ws.client.kdestroy()
-                ws.client.kinit(username, password)
-                latencies.append(net.clock.now() - begun)
-            except Exception as exc:
-                failures.append(exc)
-        return job
-
-    for i, ws in enumerate(stations):
-        username, password = workload.random_user()
-        net.runtime.at(
-            start + (i / n) * window, login(ws, username, password),
-            label="bench.login",
-        )
-    if mover is not None:
-        net.runtime.at(start + window / 3, mover, label="bench.rebalance")
-    net.runtime.run_until_idle()
-    return percentile(latencies, 0.99), failures
-
-
-def half_of_shard0(realm, workload):
-    """The range holding ~half of shard 0's driving users."""
-    points = sorted(
-        hash_point(username)
-        for username, _pw in workload.users
-        if realm.shard_for_key(username) == 0
-    )
-    return points[0], points[len(points) // 2] + 1
+    return result.outcomes["ok"] / result.makespan
 
 
 def test_bench_shard_scale_out():
-    throughputs = {}
-    digests = {}
-    for shards in CELLS:
-        net, realm, workload = cell(shards)
-        throughputs[shards], digests[shards] = burst_throughput(
-            net, realm, workload
-        )
+    throughputs = {shards: burst_throughput(cell(shards)) for shards in CELLS}
     scale_x = throughputs[4] / throughputs[1]
     print("\nExp SH — shard scale-out (sim req/s):")
     for shards in CELLS:
@@ -154,37 +135,25 @@ def test_bench_shard_scale_out():
         f"4-shard cell scaled only {scale_x:.2f}x over 1 shard "
         f"(need ≥ {SCALE_GATE * 4:.1f}x)"
     )
-    test_bench_shard_scale_out.result = (throughputs, digests, scale_x)
+    test_bench_shard_scale_out.result = (throughputs, scale_x)
 
 
 def test_bench_rebalance_p99():
-    net, realm, workload = cell(2)
-    steady_p99, steady_failures = paced_login_p99(
-        net, realm, workload, 200, tag="steady"
+    steady = scenarios.run(STEADY, SEED)
+    assert steady.outcomes == {"ok": 200}, steady.outcomes
+    moved = scenarios.run(REBALANCE, SEED)
+    assert moved.outcomes == {"ok": 200}, (
+        f"logins failed during the live rebalance: {moved.outcomes}"
     )
-    assert not steady_failures, steady_failures[:3]
-
-    lo, hi = half_of_shard0(realm, workload)
-    moved = {}
-
-    def mover():
-        moved["result"] = move_range(realm, lo, hi, 1)
-
-    move_p99, move_failures = paced_login_p99(
-        net, realm, workload, 200, tag="move", mover=mover
-    )
-    assert not move_failures, (
-        f"{len(move_failures)} logins failed during the live rebalance: "
-        f"{move_failures[:3]}"
-    )
-    assert moved["result"].moved >= 1, "the rebalance moved nothing"
+    assert moved.notes["entries_moved"] >= 1, "the rebalance moved nothing"
+    steady_p99, move_p99 = steady.latency_p99, moved.latency_p99
     ratio = move_p99 / steady_p99 if steady_p99 else 1.0
     print("\nExp SH — live rebalance impact:")
     print(f"  steady-state login p99: {steady_p99 * 1000:7.1f} ms")
     print(f"  mid-rebalance    p99: {move_p99 * 1000:7.1f} ms "
           f"({ratio:.2f}x, gate ≤{P99_GATE}x)")
-    print(f"  records streamed: {moved['result'].moved}, "
-          f"epoch → {moved['result'].epoch}")
+    print(f"  records streamed: {moved.notes['entries_moved']}, "
+          f"epoch → {moved.notes['ring_epoch']}")
     assert move_p99 <= P99_GATE * steady_p99, (
         f"rebalance p99 {move_p99:.4f}s exceeds "
         f"{P99_GATE}x steady {steady_p99:.4f}s"
@@ -193,28 +162,23 @@ def test_bench_rebalance_p99():
 
 
 def test_bench_same_seed_byte_identical():
-    """Two fresh same-seed 2-shard cells: identical ring record and
-    identical burst digest, byte for byte."""
-    net_a, realm_a, workload_a = build_cell(2)
-    net_b, realm_b, workload_b = build_cell(2)
-    assert realm_a.ring.to_record(REALM) == realm_b.ring.to_record(REALM)
-    _thr_a, digest_a = burst_throughput(net_a, realm_a, workload_a)
-    _thr_b, digest_b = burst_throughput(net_b, realm_b, workload_b)
-    assert digest_a == digest_b, "same seed, different burst digests"
-    print(f"\nExp SH — determinism: burst digest {digest_a[:16]}… "
+    """A fresh same-seed 2-shard cell: identical ring record and
+    identical burst summary, digest included, byte for byte."""
+    a, b = cell(2), scenarios.run(CELL, SEED, n_shards=2)
+    assert a.world.realm.ring.to_record(REALM) == b.world.realm.ring.to_record(REALM)
+    assert a.summary() == b.summary(), "same seed, different burst summaries"
+    print(f"\nExp SH — determinism: burst digest {a.digest[:16]}… "
           f"reproduced byte-identically")
-    test_bench_same_seed_byte_identical.result = digest_a
+    test_bench_same_seed_byte_identical.result = a.digest
 
 
 def test_bench_write_snapshot(tmp_path):
-    throughputs, digests, scale_x = getattr(
-        test_bench_shard_scale_out, "result", ({}, {}, 0.0)
-    )
+    throughputs, scale_x = getattr(test_bench_shard_scale_out, "result", ({}, 0.0))
     steady_p99, move_p99, ratio = getattr(
         test_bench_rebalance_p99, "result", (0.0, 0.0, 0.0)
     )
     digest = getattr(test_bench_same_seed_byte_identical, "result", "")
-    net, _realm, _workload = cell(max(CELLS))
+    net = cell(max(CELLS)).world.net
     summary = {
         "principals": N_PRINCIPALS,
         "workers_per_shard": KDC_WORKERS,

@@ -78,8 +78,8 @@ def main(argv=None) -> int:
     all_passed = True
     for spec in selected:
         name, params = spec.name, dict(spec.defaults)
-        overrides = {k: v for k, v in args.param if k in params}
-        result = run(spec, args.seed, **overrides)
+        row = spec.override(**{k: v for k, v in args.param if k in params})
+        result = run(row, args.seed)
         summaries[name] = result.summary()
         all_passed = all_passed and result.passed
         verdict = "PASS" if result.passed else "FAIL"
@@ -87,6 +87,8 @@ def main(argv=None) -> int:
             f"[{verdict}] {name}  makespan={result.makespan:.1f}s  "
             f"p95={result.latency_p95:.3f}s  outcomes={result.outcomes}"
         )
+        for change in spec.diff(row):
+            print(f"    -p {change}")
         for check in result.checks:
             mark = "ok " if check.passed else "MISS"
             bound = "≥" if check.kind == "min" else "≤"

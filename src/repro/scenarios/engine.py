@@ -1,7 +1,9 @@
 """The campaign engine: a campaign is a row of data (:class:`Campaign`:
 world, load, fault schedule, SLOs), and one :func:`run` builds its world,
-schedules its load and faults, runs the simulation and scores it.  A
-failed station act is labelled by the one :func:`classify_failure`;
+schedules its load and faults, runs the simulation and scores it.  It is
+the repository's one load driver: every deployment-scale benchmark is a
+row run here.  A failed station act (or an unanswered posted request) is
+labelled by the one :func:`classify_failure`;
 observations and notes come from one table, :data:`OBSERVE`, keyed by
 SLO name, so an SLO means the same thing in every row that lists it.
 
@@ -14,7 +16,8 @@ function: same row, same seed, same parameters → identical
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -22,8 +25,12 @@ from repro.apps.hesiod import HesiodServer
 from repro.apps.kerberized import AppSession, KerberizedChannel, KerberizedServer
 from repro.apps.nfs import NfsClientError, NfsCredential
 from repro.core.errors import ErrorCode, KerberosError
+from repro.core.locator import StaticLocator
+from repro.core.messages import AsRequest, MessageType, decode_message, encode_message
 from repro.core.retry import RetryExhausted, RetryPolicy
-from repro.netsim import Network
+from repro.netsim import Network, Unreachable
+from repro.netsim.ports import KERBEROS_PORT
+from repro.principal import Principal, tgs_principal
 from repro.realm import (
     NfsFleet,
     NfsUserSpec,
@@ -34,14 +41,13 @@ from repro.realm import (
     Workstation,
 )
 from repro.realm.sharding import hash_point, move_range
-from repro.workload import AthenaWorkload
 
 REALM = "ATHENA.MIT.EDU"
 #: Arrival ramp starts here, leaving the realm a quiet warm-up beat.
 START = 5.0
 #: Campus LAN: 10 ms per hop.
 LATENCY = 0.01
-#: Services registered beside the users.
+#: Services registered beside the users, unless a row says ``n_services``.
 N_SERVICES = 2
 #: The echo application's port (the skew drill's ``krb_rd_req`` target).
 ECHO_PORT = 2100
@@ -83,25 +89,17 @@ class SloSpec:
         else:
             raise ValueError(f"unknown SLO kind {self.kind!r}")
         return SloCheck(
-            name=self.name,
-            kind=self.kind,
-            threshold=self.threshold,
-            observed=observed,
-            passed=passed,
-            description=self.description,
+            self.name, self.kind, self.threshold, self.description,
+            observed=observed, passed=passed,
         )
 
 
-@dataclass
-class SloCheck:
+@dataclass(frozen=True)
+class SloCheck(SloSpec):
     """An SLO evaluated against one campaign run."""
 
-    name: str
-    kind: str
-    threshold: float
-    observed: float
-    passed: bool
-    description: str = ""
+    observed: float = 0.0
+    passed: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -121,6 +119,7 @@ class StationRecord:
     user: str
     outcome: str         # "ok" or a typed failure label
     latency: float       # sim-seconds for this station's operation
+    service: str = ""    # set on a session's service use: the service
 
 
 @dataclass
@@ -138,6 +137,9 @@ class CampaignResult:
     checks: List[SloCheck] = field(default_factory=list)
     digest: str = ""
     notes: Dict[str, object] = field(default_factory=dict)
+    #: The run's live objects, for a caller that reads more than the
+    #: summary (the registry, the tracer); never part of the summary.
+    world: Optional["World"] = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -222,11 +224,18 @@ class Campaign:
     """One drill as data; ``defaults`` are its ``-p`` parameters (a dict
     is accepted), and the callables read the run's merged parameters.
 
-    World: ``topology``, then ``daemons`` attached in order, then
-    ``n_stations`` stations that either rotate their preferred KDC
-    (``spread``, Figure 10) or are built with ``retry``, the first
-    ``skew_fraction`` of them drifting by ``skew`` seconds.  Load:
-    station i's ``act`` arrives at ``START + (i / n_stations) * window``.
+    World: ``topology``, the population (:class:`World`), ``daemons``
+    attached in order, then ``n_stations`` stations built with ``retry``,
+    the first ``skew_fraction`` of them drifting by ``skew`` seconds;
+    with ``spread`` a one-shard realm's stations rotate their preferred
+    KDC (Figure 10).  Load: station i's ``act`` arrives at ``START + (i /
+    n_stations) * window`` in one ``shape``: ``paced`` (closed loop: the
+    act runs where it arrives, one record), ``burst`` (open loop: the act
+    only posts, and its record is read from the reply once the realm
+    drains) or ``session`` (paced, then ``uses_per_session`` service
+    uses over a ``working_set`` drawn as the session starts, one record
+    each).
+
     Faults: :class:`Crash`, :class:`AddRule` and :class:`Rebalance`
     events, each fired at its ``at``."""
 
@@ -239,82 +248,155 @@ class Campaign:
     spread: bool
     retry: Optional[RetryPolicy]
     act: Callable[["World", int], tuple]
+    shape: str           # "paced" | "burst" | "session"
     window: Callable[[Params], float]
     faults: Callable[[Params], tuple]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "defaults", tuple(sorted(dict(self.defaults).items())))
 
+    def override(self, **changes: object) -> "Campaign":
+        """This row with some parameters changed — what ``-p key=value``
+        runs.  Rows are frozen, so the library's row is never touched and
+        nothing needs restoring; a key the row lacks is refused."""
+        params = dict(self.defaults)
+        unknown = set(changes) - set(params)
+        if unknown:
+            raise KeyError(
+                f"campaign {self.name!r} has no parameter(s) "
+                f"{sorted(unknown)}; knows {sorted(params)}"
+            )
+        return replace(self, defaults={**params, **changes})
+
+    def diff(self, other: "Campaign") -> List[str]:
+        """``key: old -> new`` for every parameter ``other`` changes."""
+        mine, theirs = dict(self.defaults), dict(other.defaults)
+        return [
+            f"{key}: {mine.get(key)} -> {theirs.get(key)}"
+            for key in sorted(mine.keys() | theirs.keys())
+            if mine.get(key) != theirs.get(key)
+        ]
+
 
 class World:
     """One run's live objects, built from a row at a seed: what its
-    acts, fault events and observations read."""
+    acts, fault events and observations read.
 
-    def __init__(self, campaign: Campaign, seed: int, params: Params) -> None:
-        self.params, self.records, self.leaks = params, [], []
+    The population is ``n_users`` users (``user00000`` / ``password-0``
+    …) and ``n_services`` services (``svc.server00`` …), registered
+    before any daemon; every draw a run makes — whose login a station
+    is, a session's working set — comes from the one ``rng``."""
+
+    def __init__(self, campaign: Campaign, seed: int) -> None:
+        self.params = params = dict(campaign.defaults)
+        self.records, self.leaks, self.posted = [], [], []
         self.net = Network(seed=seed, latency=LATENCY)
-        self.realm = Realm(
+        self.realm = realm = Realm(
             self.net, REALM, seed=seed.to_bytes(8, "big"),
             topology=campaign.topology(params),
         )
-        self.workload = AthenaWorkload(
-            self.realm, int(params["n_users"]), N_SERVICES, seed=seed
-        )
-        self.first_master = self.realm.master_host.name
+        self.rng = random.Random(seed)
+        self.users = [(f"user{i:05d}", f"password-{i}") for i in range(int(params["n_users"]))]
+        for username, password in self.users:
+            realm.add_user(username, password)
+        self.services = [
+            realm.add_service("svc", f"server{i:02d}")[0]
+            for i in range(int(params.get("n_services", N_SERVICES)))
+        ]
+        if realm.slaves:
+            realm.propagate()
+        self.first_master = realm.master_host.name
         self.supervisor = self.app = self.fleet = None  # set by daemons
         for attach in campaign.daemons:
             attach(self)
         count = int(params["n_stations"])
         drifted = int(count * params.get("skew_fraction", 0.0))
-        self.stations = self.workload.workstations(count) if campaign.spread else [
-            self.realm.workstation(
+        # Several shards already spread load by principal hash.
+        kdcs = realm.kdc_addresses() if campaign.spread and len(realm.shards) == 1 else []
+        self.stations = []
+        for i in range(count):
+            ws = realm.workstation(
                 clock_skew=params["skew"] if i < drifted else 0.0,
                 retry_policy=campaign.retry,
             )
-            for i in range(count)
-        ]
+            if len(kdcs) > 1:
+                preferred = kdcs[i % len(kdcs)]
+                ws.client.set_locator(
+                    REALM, StaticLocator([preferred] + [a for a in kdcs if a != preferred])
+                )
+            self.stations.append(ws)
         # Each station reads its KDC view at boot, so a ring change
         # mid-run strands real cached views and referrals get traffic.
         for ws in self.stations:
             ws.client.kdcs(REALM)
         self.window = campaign.window(params)
 
-    def job(self, ws: Workstation, user: str, act) -> Callable[[], None]:
-        """A station's scheduled job: the act, timed, its failure
-        labelled and contained (a dead KDC must not unwind the event
-        loop).  An act that times only part of its work (the mount
-        handshake) returns its own outcome and latency."""
+    def random_user(self) -> Tuple[str, str]:
+        return self.rng.choice(self.users)
+
+    def pick_services(self, k: int) -> List[Principal]:
+        """A session's working set: ``k`` draws biased hard toward the
+        first services registered (Athena's central timesharing hosts)."""
+        last = len(self.services) - 1
+        return [
+            self.services[min(int(self.rng.paretovariate(1.2)) - 1, last)]
+            for _ in range(k)
+        ]
+
+    def job(self, ws: Workstation, user: str, act, shape: str) -> Callable[[], None]:
+        """A station's scheduled job in the row's ``shape``: each act or
+        use timed, its failure labelled and contained (a dead KDC must
+        not unwind the event loop).  An act that times only part of its
+        work (the mount handshake) returns its own outcome and latency;
+        a ``burst`` act returns its pending request instead."""
         clock = self.net.clock
 
-        def job() -> None:
+        def timed(act, service: str = "") -> None:
             started = clock.now()
             try:
                 outcome, latency = act() or ("ok", clock.now() - started)
             except Exception as exc:
                 outcome, latency = classify_failure(exc), clock.now() - started
-            self.records.append(StationRecord(ws.host.name, user, outcome, latency))
+            self.records.append(StationRecord(ws.host.name, user, outcome, latency, service))
+
+        def job() -> None:
+            if shape == "burst":
+                self.posted.append((ws.host.name, user, clock.now(), act()))
+                return
+            timed(act)
+            if shape == "session":
+                services = self.pick_services(int(self.params["working_set"]))
+                for _ in range(int(self.params["uses_per_session"])):
+                    service = self.rng.choice(services)
+                    timed(lambda: ws.client.mk_req(service) and None, str(service))
 
         return job
 
 
+def answered(pending) -> str:
+    """A posted request's label, read from its reply as a paced act's
+    failure is: ``ok``, ``refused:<code>`` (a shed is
+    ``refused:KDC_OVERLOADED``), ``error:HostDown`` or
+    ``error:Unreachable`` when nothing came back."""
+    if pending.reply is None:
+        return classify_failure(pending.error or Unreachable("no reply"))
+    mtype, message = decode_message(pending.reply)
+    return "ok" if mtype != MessageType.ERROR else classify_failure(KerberosError(message.code))
+
+
 def run(campaign: Campaign, seed: int = 1988, **overrides: object) -> CampaignResult:
-    """Build the row's world at ``seed``, schedule its load and then its
-    faults, run the simulation, and score it."""
-    params: Params = dict(campaign.defaults)
-    unknown = set(overrides) - set(params)
-    if unknown:
-        raise KeyError(
-            f"campaign {campaign.name!r} has no parameter(s) "
-            f"{sorted(unknown)}; knows {sorted(params)}"
-        )
-    params.update(overrides)
-    world = World(campaign, seed, params)
-    runtime, clock = world.net.runtime, world.net.clock
+    """Build the row's world at ``seed`` (``overrides`` are
+    :meth:`Campaign.override`), schedule its load and then its faults,
+    run the simulation, and score it."""
+    campaign = campaign.override(**overrides)
+    world = World(campaign, seed)
+    params, runtime, clock = world.params, world.net.runtime, world.net.clock
     for i, ws in enumerate(world.stations):
         user, act = campaign.act(world, i)
         runtime.at(
             START + (i / len(world.stations)) * world.window,
-            world.job(ws, user, act), label=f"scenario.{campaign.act.__name__}",
+            world.job(ws, user, act, campaign.shape),
+            label=f"scenario.{campaign.act.__name__}",
         )
     for event in campaign.faults(params):
         # An event already due (a WAN lossy from the start) applies now,
@@ -328,8 +410,11 @@ def run(campaign: Campaign, seed: int = 1988, **overrides: object) -> CampaignRe
         runtime.run_for(float(params["run_for"]))
     else:
         runtime.run_until_idle()
+    for station, user, posted_at, pending in world.posted:
+        resolved = pending.resolved_at if pending.done else clock.now()
+        world.records.append(StationRecord(station, user, answered(pending), resolved - posted_at))
 
-    result = CampaignResult(campaign.name, seed, params)
+    result = CampaignResult(campaign.name, seed, params, world=world)
     result.account(world.records)
     observed = {}
     for slo in campaign.slos:
@@ -374,7 +459,7 @@ def echo_server(world: World) -> None:
 def nfs_fleet(world: World) -> None:
     """``n_servers`` fileservers; each user's home holds a private 0600
     file on every one."""
-    users = world.workload.users
+    users = world.users
     world.fleet = NfsFleet(
         world.realm, n_servers=int(world.params["n_servers"]),
         users=[NfsUserSpec(name, UID_BASE + i) for i, (name, _pw) in enumerate(users)],
@@ -391,7 +476,7 @@ def nfs_fleet(world: World) -> None:
 
 def login(world: World, i: int):
     """kdestroy + kinit: a staggered keyboard unlock."""
-    username, password = world.workload.random_user()
+    username, password = world.random_user()
     client = world.stations[i].client
 
     def act() -> None:
@@ -401,9 +486,33 @@ def login(world: World, i: int):
     return username, act
 
 
+def post_login(world: World, i: int):
+    """Post one AS request at the user's shard master and do not wait:
+    the open-loop 9 AM storm, a ``burst`` row's act."""
+    username, _password = world.random_user()
+    client, host = Principal(username, "", REALM), world.stations[i].host
+    realm = world.realm
+    target = realm.shards[realm.shard_for_key(client.db_key())].master_host.address
+
+    def act():
+        request = AsRequest(
+            client=client, service=tgs_principal(REALM), requested_life=3600.0,
+            timestamp=host.clock.now(),
+        )
+        # Each post is its own trace root: the datagram carries this
+        # span's context, so the KDC's queue-wait and handler spans and
+        # both transit legs join it.
+        with world.net.tracer.span("scenario.post_login", user=username, host=host.name):
+            return host.rpc_async(
+                target, KERBEROS_PORT, encode_message(MessageType.AS_REQ, request)
+            )
+
+    return username, act
+
+
 def use_app(world: World, i: int):
     """kinit, then one authenticated call to the echo application."""
-    username, password = world.workload.random_user()
+    username, password = world.random_user()
     client, (service, address) = world.stations[i].client, world.app
 
     def act() -> None:
@@ -421,7 +530,7 @@ def mount(world: World, i: int):
     and unmount; the latency is the Kerberos mount handshake's.  Users
     take turns in population order, so every user mounts and every probe
     crosses a user boundary."""
-    users = world.workload.users
+    users = world.users
     (name, password), other = users[i % len(users)], users[(i + 1) % len(users)][0]
     ws, site = world.stations[i], world.fleet[i % len(world.fleet)]
     clock = world.net.clock
@@ -491,7 +600,7 @@ class Rebalance:
     def fire(self, world: World) -> None:
         realm = world.realm
         points = sorted(
-            hash_point(name) for name, _pw in world.workload.users
+            hash_point(name) for name, _pw in world.users
             if realm.shard_for_key(name) == 0
         )
         if points:
@@ -553,6 +662,19 @@ def _ring_epoch(w: World, r: CampaignResult):
     return epoch, {**notes, "referral_follows": int(follows)}
 
 
+def _kdc_requests_per_use(w: World, r: CampaignResult):
+    """Section 9's amortization: KDC requests (logins and TGS exchanges)
+    per successful service use — ticket caching keeps it below one."""
+    ok = [rec for rec in w.records if rec.outcome == "ok"]
+    uses = sum(1 for rec in ok if rec.service)
+    kdc = int(w.net.metrics.total("net.datagrams_total", port=KERBEROS_PORT))
+    per_use = kdc / uses if uses else 0.0
+    return per_use, {
+        "logins": len(ok) - uses, "service_uses": uses, "kdc_messages": kdc,
+        "kdc_requests_per_use": round(per_use, 4),
+    }
+
+
 #: SLO name → ``(world, result) -> (observation, notes explaining it)``,
 #: read after the run in the row's SLO order.
 OBSERVE: Dict[str, Callable[[World, CampaignResult], Tuple[float, dict]]] = {
@@ -589,6 +711,7 @@ OBSERVE: Dict[str, Callable[[World, CampaignResult], Tuple[float, dict]]] = {
         w.fleet.total_mappings(), {"residual_mappings": w.fleet.total_mappings()}
     ),
     "ring_epoch": _ring_epoch,
+    "kdc_requests_per_use": _kdc_requests_per_use,
     "entries_moved": lambda w, r: _noted(
         w, "shard.rebalance_entries_total", "entries_moved", int
     ),

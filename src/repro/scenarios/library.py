@@ -1,4 +1,4 @@
-"""The shipped campaign library: nine drills, each one row of data.
+"""The shipped campaign library: eleven drills, each one row of data.
 
 Each campaign is the executable form of a question the paper's
 deployment raises:
@@ -28,6 +28,13 @@ deployment raises:
 * ``shard_rebalance_under_load`` — a live ``move_range`` mid-storm: the
   double-serve window plus referral repair keep every login succeeding
   while a hash range changes shards.
+* ``athena_hour`` — Section 9 itself: 5,000 users and 65 services on a
+  master and two slaves; a 65-station sample of the busy hour logs in
+  and works its sessions, and ticket caching keeps the KDC below one
+  request per service use.
+* ``login_burst`` — the open-loop 9 AM storm at one queued KDC: every
+  station posts its AS request inside a fraction of a second; the
+  overflow is shed typed, nothing is lost.
 
 Rows are written as changes against an earlier row.  Every run builds
 its own :class:`~repro.netsim.network.Network` from its seed, so results
@@ -37,7 +44,7 @@ are a pure function of ``(campaign, seed, params)``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List
+from typing import List, Union
 
 from repro.core.retry import RetryPolicy
 from repro.netsim import Jitter, Loss, Match
@@ -60,6 +67,7 @@ from repro.scenarios.engine import (
     login,
     mount,
     nfs_fleet,
+    post_login,
     supervisor,
     use_app,
 )
@@ -95,6 +103,7 @@ MORNING_LOGIN_STORM = Campaign(
     spread=True,
     retry=None,
     act=login,
+    shape="paced",
     window=lambda p: p["window"],
     faults=no_faults,
 )
@@ -261,6 +270,36 @@ SHARD_REBALANCE_UNDER_LOAD = replace(
     faults=lambda p: (Rebalance(START + p["move_at"]),),
 )
 
+ATHENA_HOUR = replace(
+    MORNING_LOGIN_STORM,
+    name="athena_hour",
+    description="Section 9: 5,000 users, 65 servers; a busy-hour sample works its sessions",
+    defaults={"n_stations": 65, "n_users": 5000, "n_services": 65,
+              "uses_per_session": 6, "working_set": 3, "window": 3600.0},
+    slos=(
+        SloSpec("success_rate", "min", 1.0, "every login and service use"),
+        SloSpec("kdc_requests_per_use", "max", 1.0,
+                "ticket caching amortizes the KDC"),
+    ),
+    shape="session",
+)
+
+LOGIN_BURST = replace(
+    MORNING_LOGIN_STORM,
+    name="login_burst",
+    description="open-loop AS burst at one queued KDC; the overflow is shed typed",
+    defaults={"n_stations": 128, "n_users": 64, "workers": 2, "window": 0.05},
+    slos=(
+        SloSpec("shed_total", "min", 1.0, "arrivals outpace the workers"),
+        SloSpec("clean_failure_rate", "min", 1.0,
+                "every failure is a typed shed, never a loss"),
+    ),
+    topology=lambda p: RealmTopology(kdc_queue=WorkQueueConfig(workers=int(p["workers"]))),
+    spread=False,
+    act=post_login,
+    shape="burst",
+)
+
 #: The registry: every shipped campaign.
 CAMPAIGNS = (
     MORNING_LOGIN_STORM,
@@ -272,6 +311,8 @@ CAMPAIGNS = (
     REQUEST_PLANE_SATURATION,
     NFS_FLEET_MOUNT_STORM,
     SHARD_REBALANCE_UNDER_LOAD,
+    ATHENA_HOUR,
+    LOGIN_BURST,
 )
 
 
@@ -286,6 +327,8 @@ def get(name: str) -> Campaign:
     raise KeyError(f"no campaign {name!r}; available: {', '.join(names())}")
 
 
-def run(name: str, seed: int = 1988, **overrides: object) -> CampaignResult:
-    """Run one named campaign at a seed; deterministic end to end."""
-    return engine.run(get(name), seed, **overrides)
+def run(campaign: Union[str, Campaign], seed: int = 1988, **overrides: object) -> CampaignResult:
+    """Run one campaign, named or a row, at a seed; deterministic end to
+    end.  ``overrides`` change its parameters (:meth:`Campaign.override`)."""
+    row = get(campaign) if isinstance(campaign, str) else campaign
+    return engine.run(row, seed, **overrides)

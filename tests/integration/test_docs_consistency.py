@@ -129,6 +129,10 @@ class TestRemovedNames:
         # One skeleton per (key, length), content-addressed: no flush.
         "mutation_listeners", "_notify_mutation", "_on_db_mutation",
         "invalidate_skeletons", "_TICKET_SUFFIX_LEN",
+        # One load driver: the population and the three load shapes
+        # are the campaign engine's.
+        "AthenaWorkload", "repro.workload", "WorkloadStats", "BurstResult",
+        "session_traffic", "workload.events_total", "workload.login",
     )
 
     def test_docs_mention_no_removed_identifier(self):

@@ -33,16 +33,22 @@ class TestTracePreauth:
 
 class TestWorkloadFailures:
     def test_session_traffic_counts_failures(self):
-        from repro.workload import AthenaWorkload
+        from dataclasses import replace
 
-        net = Network()
-        realm = Realm(net, REALM)
-        workload = AthenaWorkload(realm, n_users=3, n_services=2, seed=5)
-        stations = workload.workstations(2)
-        # Nobody logged in: every use fails, and is counted, not raised.
-        stats = workload.session_traffic(stations, uses_per_session=3)
-        assert stats.failures == 6
-        assert stats.service_uses == 0
+        import repro.scenarios as scenarios
+
+        # Nobody logs in: every use fails, and is counted, not raised.
+        row = replace(
+            scenarios.get("athena_hour"), act=lambda world, i: ("nobody", lambda: None)
+        )
+        result = scenarios.run(
+            row, seed=5, n_users=3, n_services=2, n_stations=2,
+            uses_per_session=3, window=2.0,
+        )
+        uses = [r for r in result.world.records if r.service]
+        assert len(uses) == 6
+        assert all(r.outcome != "ok" for r in uses)
+        assert result.notes["service_uses"] == 0
 
 
 class TestSqliteClose:

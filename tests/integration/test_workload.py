@@ -1,89 +1,92 @@
-"""Workload generator tests (the Section 9 scale machinery)."""
+"""The Section 9 scale machinery: a campaign world's population and its
+three load shapes (paced logins, session traffic, the busy hour)."""
 
 import pytest
 
-from repro.netsim import Network
-from repro.netsim.ports import KPROP_PORT
-from repro.realm import Realm, RealmTopology
-from repro.workload import AthenaWorkload
+import repro.scenarios as scenarios
+from repro.netsim.ports import KERBEROS_PORT, KPROP_PORT
+from repro.scenarios.engine import World
 
 REALM = "ATHENA.MIT.EDU"
 
+#: Section 9's busy hour, small: one slave, quick arrivals.
+HOUR = scenarios.get("athena_hour").override(
+    n_users=50, n_services=10, n_stations=4, window=8.0
+)
+
 
 @pytest.fixture
-def workload():
-    net = Network()
-    realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
-    return AthenaWorkload(realm, n_users=50, n_services=10, seed=7)
+def world():
+    return World(HOUR, seed=7)
 
 
 class TestPopulation:
-    def test_users_and_services_registered(self, workload):
-        assert len(workload.realm.db) >= 60
-        assert len(workload.users) == 50
-        assert len(workload.services) == 10
+    def test_users_and_services_registered(self, world):
+        assert len(world.realm.db) >= 60
+        assert len(world.users) == 50
+        assert len(world.services) == 10
 
-    def test_registered_users_can_login(self, workload):
-        ws = workload.realm.workstation()
-        username, password = workload.users[0]
+    def test_registered_users_can_login(self, world):
+        ws = world.realm.workstation()
+        username, password = world.users[0]
         assert ws.client.kinit(username, password) is not None
 
     def test_deterministic_per_seed(self):
         def run(seed):
-            net = Network()
-            realm = Realm(net, REALM)
-            w = AthenaWorkload(realm, n_users=20, n_services=5, seed=seed)
+            w = World(HOUR.override(n_users=20, n_services=5), seed)
             return [w.random_user() for _ in range(10)]
 
         assert run(3) == run(3)
         assert run(3) != run(4)
 
-    def test_working_set_is_heavy_tailed(self, workload):
-        picks = workload.pick_services(500)
-        indexes = [workload.services.index(s) for s in picks]
+    def test_working_set_is_heavy_tailed(self, world):
+        picks = world.pick_services(500)
+        indexes = [world.services.index(s) for s in picks]
         # The most popular service dominates.
         assert indexes.count(0) > len(indexes) * 0.3
 
-    def test_workstations_spread_kdc_preference(self, workload):
-        stations = workload.workstations(4, spread_kdcs=True)
-        preferred = [
-            ws.client.kdcs(REALM)[0] for ws in stations
-        ]
-        assert len(set(preferred)) == 2  # master + 1 slave alternate
+    def test_workstations_spread_kdc_preference(self, world):
+        preferred = [ws.client.kdcs(REALM)[0] for ws in world.stations]
+        assert len(set(preferred)) == 3  # master + 2 slaves rotate
+
+
+def kdc_requests(result, kind):
+    return result.world.net.metrics.total("kdc.requests_total", kind=kind)
 
 
 class TestDrivers:
-    def test_login_storm(self, workload):
-        stations = workload.workstations(10)
-        stats = workload.login_storm(stations)
-        assert stats.logins == 10
-        assert stats.kdc_messages == 10  # one AS exchange each
+    def test_login_storm(self):
+        result = scenarios.run(
+            "morning_login_storm", seed=7, n_users=50, n_stations=10, window=5.0
+        )
+        assert result.outcomes == {"ok": 10}
+        # One AS exchange each.
+        assert result.world.net.metrics.total("net.datagrams_total", port=KERBEROS_PORT) == 10
 
-    def test_session_traffic_caches_tickets(self, workload):
-        stations = workload.workstations(5)
-        workload.login_storm(stations)
-        stats = workload.session_traffic(stations, uses_per_session=8)
-        assert stats.service_uses == 40
-        assert stats.failures == 0
+    def test_session_traffic_caches_tickets(self):
+        result = scenarios.run(HOUR, seed=7, n_stations=5, uses_per_session=8)
+        assert result.notes["service_uses"] == 40
+        assert result.outcomes == {"ok": 45}
         # Far fewer TGS exchanges than uses: the cache works.
-        assert stats.kdc_messages < stats.service_uses
-        assert 0 < stats.kdc_requests_per_use < 1
+        assert result.notes["kdc_messages"] < result.notes["service_uses"]
+        assert 0 < result.notes["kdc_requests_per_use"] < 1
 
-    def test_busy_hour_combined(self, workload):
-        """Exp S9's busy hour: a login storm, then session traffic."""
-        stations = workload.workstations(8)
-        storm = workload.login_storm(stations)
-        traffic = workload.session_traffic(stations, uses_per_session=4)
-        assert storm.logins == 8
-        assert traffic.service_uses == 32
-        assert storm.kdc_messages == 8  # the AS exchanges
+    def test_busy_hour_combined(self):
+        """Exp S9's busy hour: each station logs in, then works its
+        session."""
+        result = scenarios.run(HOUR, seed=7, n_stations=8, uses_per_session=4)
+        assert result.notes["logins"] == 8
+        assert result.notes["service_uses"] == 32
+        assert kdc_requests(result, "as") == 8
+        assert result.notes["kdc_messages"] == 8 + kdc_requests(result, "tgs")
 
-    def test_stats_never_reset_the_registry(self, workload):
-        """Stats are deltas: traffic the caller counted before a login
-        storm (the fixture's propagation) is still counted after it."""
-        metrics = workload.realm.net.metrics
-        before = metrics.total("net.datagrams_total", port=KPROP_PORT)
-        assert before > 0
-        stats = workload.login_storm(workload.workstations(3))
-        assert metrics.total("net.datagrams_total", port=KPROP_PORT) == before
-        assert stats.kdc_messages == 3
+    def test_stats_never_reset_the_registry(self):
+        """Observations read the registry, never reset it: the
+        population's propagation is still counted after the run, and the
+        KDC count leaves it out."""
+        result = scenarios.run(HOUR, seed=7, n_stations=3, uses_per_session=1)
+        metrics = result.world.net.metrics
+        assert metrics.total("net.datagrams_total", port=KPROP_PORT) > 0
+        assert result.notes["kdc_messages"] == metrics.total(
+            "net.datagrams_total", port=KERBEROS_PORT
+        )

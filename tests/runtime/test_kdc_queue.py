@@ -21,7 +21,7 @@ from repro.netsim.ports import KERBEROS_PORT
 from repro.principal import Principal, tgs_principal
 from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
-from repro.workload import AthenaWorkload
+import repro.scenarios as scenarios
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -170,24 +170,18 @@ class TestBatchAmortization:
     def test_shared_rows_fetched_once_per_batch(self):
         """Every AS request in a batch wants the TGS principal's row;
         the batch memo fetches it once and counts the savings."""
-        net = Network(seed=9)
-        queue = WorkQueueConfig(workers=1, batch_size=8, queue_limit=64)
-        realm = Realm(net, REALM, topology=RealmTopology(kdc_queue=queue))
-        workload = AthenaWorkload(realm, n_users=12, n_services=0, seed=1)
-        stations = workload.workstations(12, spread_kdcs=False)
-        result = workload.login_burst(stations, window=0.001)
-        assert result.completed == 12
-        assert net.metrics.total("kdc.batch_lookups_saved_total") > 0
+        result = scenarios.run(
+            "login_burst", seed=9, n_users=12, n_stations=12, workers=1, window=0.001
+        )
+        assert result.outcomes == {"ok": 12}
+        assert result.world.net.metrics.total("kdc.batch_lookups_saved_total") > 0
 
     def test_burst_digest_is_seed_stable(self):
         def run():
-            net = Network(seed=31)
-            queue = WorkQueueConfig(workers=2)
-            realm = Realm(net, REALM, topology=RealmTopology(kdc_queue=queue))
-            workload = AthenaWorkload(realm, n_users=8, n_services=0, seed=2)
-            stations = workload.workstations(8, spread_kdcs=False)
-            return workload.login_burst(stations, window=0.01)
+            return scenarios.run(
+                "login_burst", seed=31, n_users=8, n_stations=8, window=0.01
+            )
 
         a, b = run(), run()
         assert a.digest == b.digest
-        assert a.completed == b.completed == 8
+        assert a.outcomes == b.outcomes == {"ok": 8}

@@ -1,6 +1,6 @@
-"""Campaign runs: fast smoke drills and the nine pinned full-scale
-summaries in tier-1, the full SLO sweep and the CLI subprocess runs
-behind ``-m scenario``."""
+"""Campaign runs: fast smoke drills and every campaign's pinned
+full-scale summary in tier-1, the full SLO sweep and the CLI subprocess
+runs behind ``-m scenario``."""
 
 import json
 import subprocess
@@ -11,7 +11,7 @@ import pytest
 
 import repro.scenarios as scenarios
 from repro.scenarios.__main__ import main
-from repro.workload import AthenaWorkload
+from repro.scenarios.engine import World
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -103,7 +103,7 @@ class TestSmoke:
         refused for its clock: the skew SLO must not count it, and every
         station's label is the refusal's code, not its message."""
         monkeypatch.setattr(
-            AthenaWorkload, "random_user",
+            World, "random_user",
             lambda self: (self.users[0][0], "wrong-password"),
         )
         result = scenarios.run(

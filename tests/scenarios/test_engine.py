@@ -1,20 +1,19 @@
-"""Scenario engine mechanics: registry, SLO evaluation, percentiles,
-outcome accounting, and the burst-result failure split they consume."""
+"""Scenario engine mechanics: registry, overrides, SLO evaluation,
+percentiles, outcome accounting, and how a burst's posts are labelled."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.netsim import Network
-from repro.realm import Realm
+import repro.scenarios as scenarios
 from repro.scenarios.engine import (
+    AddRule,
     CampaignResult,
+    Crash,
     SloSpec,
     StationRecord,
     percentile,
 )
-import repro.scenarios as scenarios
-from repro.workload import AthenaWorkload
-
-REALM = "ATHENA.MIT.EDU"
 
 
 class TestPercentile:
@@ -102,6 +101,18 @@ class TestRegistry:
         with pytest.raises(KeyError, match="no parameter"):
             scenarios.run("morning_login_storm", n_typo=3)
 
+    def test_an_override_is_a_diff_against_its_row(self):
+        """``-p`` derives a row; the library's row is left as it was."""
+        row = scenarios.get("login_burst")
+        before = row.defaults
+        derived = row.override(n_stations=8, workers=4)
+        assert row.defaults == before
+        assert row.diff(derived) == ["n_stations: 128 -> 8", "workers: 2 -> 4"]
+        assert derived.diff(derived) == []
+        assert scenarios.run(derived, seed=3).params == scenarios.run(
+            "login_burst", seed=3, n_stations=8, workers=4
+        ).params
+
     def test_run_stamps_name_seed_params(self):
         result = scenarios.run(
             "morning_login_storm", seed=5, n_stations=4, n_users=4,
@@ -116,40 +127,26 @@ class TestRegistry:
 
 
 class TestBurstFailureSplit:
-    """BurstResult.failed is now derived from typed loss buckets."""
+    """A posted request's record is read from its reply, with the labels
+    a paced act's failure gets: a crashed KDC and a lost datagram are
+    told apart, and neither is a typed refusal."""
 
-    def build(self):
-        net = Network(seed=4)
-        realm = Realm(net, REALM)
-        workload = AthenaWorkload(realm, n_users=6, n_services=1, seed=4)
-        return net, realm, workload
+    def burst(self, *faults):
+        row = replace(scenarios.get("login_burst"), faults=lambda p: faults)
+        return scenarios.run(row, seed=4, n_users=6, n_stations=6, window=0.01)
 
     def test_crashed_kdc_counts_as_host_down(self):
-        net, realm, workload = self.build()
-        stations = workload.workstations(6)
-        net.set_down(realm.master_host.name)
-        result = workload.login_burst(stations, window=0.01)
-        assert result.host_down == 6
-        assert result.timed_out == 0
-        assert result.failed == 6                # derived
-        assert result.completed == 0
+        result = self.burst(Crash(0.0, 1000.0, slave=None))
+        assert result.outcomes == {"error:HostDown": 6}
+        assert result.success_rate() == 0.0
 
     def test_healthy_kdc_has_no_losses(self):
-        net, realm, workload = self.build()
-        stations = workload.workstations(6)
-        result = workload.login_burst(stations, window=0.01)
-        assert result.completed == 6
-        assert result.failed == 0
-        assert result.host_down == 0 and result.timed_out == 0
+        result = self.burst()
+        assert result.outcomes == {"ok": 6}
 
     def test_lost_requests_count_as_timed_out(self):
         from repro.netsim import Loss, Match
         from repro.netsim.ports import KERBEROS_PORT
 
-        net, realm, workload = self.build()
-        stations = workload.workstations(6)
-        net.faults.add(Loss(1.0, Match.build(port=KERBEROS_PORT)))
-        result = workload.login_burst(stations, window=0.01)
-        assert result.timed_out == 6
-        assert result.host_down == 0
-        assert result.failed == 6
+        result = self.burst(AddRule(Loss(1.0, Match.build(port=KERBEROS_PORT))))
+        assert result.outcomes == {"error:Unreachable": 6}
