@@ -15,9 +15,9 @@ the exact exchange that raised it.  The event vocabulary is closed
 ``audit.events_total{kind}`` series — analyzable.
 
 All emission goes through :meth:`AuditLog.emit`; constructing an
-:class:`AuditEvent` anywhere else under ``src/repro`` is rejected by an
-AST lint (``tests/obs/test_lint_audit.py``), the same way the
-no-wallclock lint protects determinism.
+:class:`AuditEvent` anywhere else under ``src/repro`` is rejected by the
+``tests/lint`` rule ``audit-event-built-in-one-module``, the same way
+``no-wall-clock-or-global-rng`` protects determinism.
 """
 
 from __future__ import annotations

@@ -4,17 +4,18 @@ two-block CBC/PCBC chains worked out by hand from them, the key schedule
 against the classic worked example, and the seal frame as literal bytes.
 Nothing here calls a production kernel; the one production function
 judged here is the table-driven key schedule (``TestKeySchedule``).
+What the oracle may import is pinned by the ``tests/lint`` rule
+``oracle-imports-only-published-tables``.
 """
 
-import ast
 import random
-from pathlib import Path
 
 import pytest
 
 from repro.crypto.des import DesKey, _key_schedule
 from tests.crypto import reference_des as ref
 from tests.crypto.test_des import KNOWN_VECTORS
+from tests.lint.harness import rule_test
 
 # NBS variable-plaintext known answers under key 01 01 01 01 01 01 01 01:
 # E(A1) = B1 and E(A2) = B2.
@@ -192,30 +193,6 @@ class TestSealFrame:
             ref.seal_prefix_state(self.key, 8, payload[:16])
 
 
-def test_the_oracle_imports_only_the_published_tables_and_the_key():
-    """From ``des``: the FIPS tuples, ``BLOCK_SIZE`` and ``DesKey`` (the
-    carrier of the key bytes — never of subkeys); the permutation
-    compiler from ``bits``; nothing from ``modes`` or ``keycache``, no
-    production kernel and no production key schedule."""
-    tree = ast.parse(Path(ref.__file__).read_text(encoding="utf-8"))
-    imports = {}
-    for node in ast.walk(tree):
-        assert not isinstance(node, ast.Import), ast.unparse(node)
-        if isinstance(node, ast.ImportFrom):
-            imports.setdefault(node.module, set()).update(
-                alias.name for alias in node.names
-            )
-    assert set(imports) == {"repro.crypto.bits", "repro.crypto.des"}
-    assert imports["repro.crypto.des"] == {
-        "_IP", "_FP", "_E", "_P", "_PC1", "_PC2", "_SHIFTS", "_SBOXES",
-        "BLOCK_SIZE", "DesKey",
-    }
-    # No subkey is read off a production key object.
-    assert not [
-        node.attr for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr.endswith("_subkeys")
-    ]
-    assert imports["repro.crypto.bits"] == {
-        "apply_permutation", "bytes_to_int", "compile_permutation",
-        "int_to_bytes",
-    }
+test_the_oracle_imports_only_the_published_tables_and_the_key = rule_test(
+    "oracle-imports-only-published-tables"
+)

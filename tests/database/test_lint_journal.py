@@ -1,113 +1,10 @@
-"""Journal-invariant lint: no store mutation bypasses the journaled API.
+"""The journaled-write lint: the names these checks had before they became rows of
+``tests/lint/rules.py``, each asserting its rules' verdicts."""
 
-The delta protocol is only correct if the update journal sees *every*
-mutation: a ``store.put`` that skips :meth:`KerberosDatabase._journal_put`
-produces a master whose deltas silently omit records, and slaves that
-"converge" to the wrong database.  An AST walk over ``src/repro`` keeps
-the invariant honest: the only module allowed to touch
-``.store.put`` / ``.store.delete`` / ``.store.clear`` is
-:mod:`repro.database` itself (where the journaled wrappers and the
-load-dump / apply-entries replica paths live).
-"""
+from tests.lint.harness import rule_test
 
-import ast
-from pathlib import Path
-
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-#: Attribute calls that constitute a raw record-store mutation.
-MUTATING_ATTRS = {"put", "delete", "clear"}
-
-#: The one package where raw store mutation is the implementation.
-ALLOWED_PREFIX = "database/"
-
-
-def _relative(path: Path) -> str:
-    return str(path.relative_to(SRC)).replace("\\", "/")
-
-
-def _violations(path: Path) -> list:
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    rel = _relative(path) if path.is_relative_to(SRC) else path.name
-    if rel.startswith(ALLOWED_PREFIX):
-        return []
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        # <anything>.store.put/delete/clear(...) — mutating the record
-        # store underneath the journal.
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in MUTATING_ATTRS
-            and isinstance(func.value, ast.Attribute)
-            and func.value.attr == "store"
-        ):
-            found.append((node.lineno, f".store.{func.attr}(...)"))
-    return found
-
-
-def test_no_store_mutation_outside_repro_database():
-    modules = sorted(SRC.rglob("*.py"))
-    assert modules, f"no modules found under {SRC}"
-    bad = {}
-    for path in modules:
-        violations = _violations(path)
-        if violations:
-            bad[str(path.relative_to(SRC.parent))] = violations
-    assert not bad, (
-        "record-store mutations bypassing the update journal "
-        "(go through the KerberosDatabase mutation API instead):\n"
-        + "\n".join(
-            f"  {mod}:{line}: {what}"
-            for mod, calls in bad.items()
-            for line, what in calls
-        )
-    )
-
-
-def test_the_journaled_wrappers_exist_where_allowed():
-    """The sanctioned call sites are really inside repro/database."""
-    db_module = (SRC / "database" / "db.py").read_text(encoding="utf-8")
-    assert "_journal_put" in db_module
-    assert "_journal_delete" in db_module
-
-
-def test_lint_catches_a_bypassing_put(tmp_path):
-    planted = tmp_path / "offender.py"
-    planted.write_text(
-        "def sneak(db, key, value):\n"
-        "    db.store.put(key, value)\n"
-        "    db.store.delete(key)\n"
-        "    self.db.store.clear()\n"
-    )
-    violations = {what for _, what in _violations(planted)}
-    assert violations == {
-        ".store.put(...)",
-        ".store.delete(...)",
-        ".store.clear(...)",
-    }
-
-
-def test_lint_permits_reads(tmp_path):
-    """Reading the store (get/items/keys) is not a mutation."""
-    planted = tmp_path / "reader.py"
-    planted.write_text(
-        "def peek(db):\n"
-        "    db.store.get('jis')\n"
-        "    list(db.store.items())\n"
-        "    db.store.keys()\n"
-    )
-    assert _violations(planted) == []
-
-
-def test_lint_permits_unrelated_puts(tmp_path):
-    """A ``put`` on something that is not a ``.store`` (e.g. a cache)
-    is out of scope."""
-    planted = tmp_path / "cache.py"
-    planted.write_text(
-        "def warm(cache, key, value):\n"
-        "    cache.put(key, value)\n"
-    )
-    assert _violations(planted) == []
+test_no_store_mutation_outside_repro_database = rule_test("no-raw-store-mutation")
+test_the_journaled_wrappers_exist_where_allowed = rule_test("no-raw-store-mutation")
+test_lint_catches_a_bypassing_put = rule_test("no-raw-store-mutation")
+test_lint_permits_reads = rule_test("no-raw-store-mutation")
+test_lint_permits_unrelated_puts = rule_test("no-raw-store-mutation")

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.lint.harness import rule_test
+
 ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -103,49 +105,10 @@ class TestScenarioCatalogue:
 
 
 class TestRemovedNames:
-    #: Second spellings deleted with the PR 9/10 compatibility layer.
-    #: A doc that still shows one teaches an API that raises.
-    REMOVED = (
-        "kdc_addresses=", "kdc_directory", "set_kdcs", "set_kdc_list",
-        "publish_kdcs", "count_deprecated", "deprecated_calls_total",
-        "NetworkStats", "net.stats", ".as_requests", ".tgs_requests",
-        "kdc_workers", "retries=", "n_slaves",
-        # PR 17: the oracle left ``src/``, Exp HP and the gitignored
-        # ``history`` artifacts left the repository.
-        "reference_kernels", "crypt_int_ref", "repro.crypto.reference",
-        "write_bench_artifact", "test_bench_perf_hotpath",
-        "BENCH_PERF_HOTPATH",
-        # PR 24: one way in for the database; four Hesiod queries → one.
-        "schedule_hourly", "ShardReferral", "sharded_locator",
-        "_send_entries", "realm.sharding.RangeReceiver", "hesiod_kdcs",
-        "hesiod_ring", "hesiod_shard_kdcs",
-        # One realm shape, discovered one way.
-        "ShardedRealm", "HesiodLocator", "ShardDirectory",
-        "KDC_RECORD_PREFIX", "store_kdc_list", "ring=True",
-        # A campaign is a row the one engine runs.
-        "busy_hour", "login_job",
-        # One lifecycle, two hooks; the replay cache is durable.
-        "refuse_through", "on_crash", "on_restart",
-        # One skeleton per (key, length), content-addressed: no flush.
-        "mutation_listeners", "_notify_mutation", "_on_db_mutation",
-        "invalidate_skeletons", "_TICKET_SUFFIX_LEN",
-        # One load driver: the population and the three load shapes
-        # are the campaign engine's.
-        "AthenaWorkload", "repro.workload", "WorkloadStats", "BurstResult",
-        "session_traffic", "workload.events_total", "workload.login",
-    )
+    """Removed names are ``tests/lint``'s ``REMOVED`` table; removed
+    artifacts are checked here."""
 
-    def test_docs_mention_no_removed_identifier(self):
-        docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
-        docs += sorted((ROOT / "docs").glob("*.md"))
-        stale = [
-            f"{doc.relative_to(ROOT)}:{lineno}: {name}"
-            for doc in docs
-            for lineno, line in enumerate(doc.read_text().splitlines(), 1)
-            for name in self.REMOVED
-            if name in line
-        ]
-        assert not stale, stale
+    test_docs_mention_no_removed_identifier = rule_test("removed-names-leave-the-docs")
 
     def test_no_benchmark_names_a_result_file_in_the_checkout(self):
         """Benchmarks snapshot under pytest's ``tmp_path``; nothing

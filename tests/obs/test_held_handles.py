@@ -9,7 +9,7 @@ export) and *dropped when the registry is reassigned*
 (``repro.obs.HeldHandles``; the network's registry is its own for
 life).  The structural
 half — none of those functions names the registry — is
-``tests/crypto/test_lint_hotpath.py::test_pipeline_reads_handles_not_the_registry``.
+the ``tests/lint`` rule ``pipeline-reads-handles``.
 """
 
 import pytest

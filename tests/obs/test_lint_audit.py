@@ -1,146 +1,16 @@
-"""Audit-plane lint: :class:`repro.obs.audit.AuditEvent` may only be
-constructed inside ``repro/obs/audit.py``.
-
-Every security event must flow through :meth:`AuditLog.emit` — that is
-where the kind vocabulary is enforced, the sequence number and simulated
-timestamp are stamped, and the ``audit.events_total`` series is counted.
-A hand-rolled ``AuditEvent(...)`` anywhere else would bypass all three,
-so an AST walk bans it the same way the no-wallclock lint bans ambient
-time."""
-
-import ast
-from pathlib import Path
+"""The audit lints: the names these checks had before they became rows of
+``tests/lint/rules.py``, each asserting its rules' verdicts."""
 
 import pytest
 
+from tests.lint.harness import rule_test
+
 pytestmark = pytest.mark.obs
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-#: The one module allowed to construct the record type.
-ALLOWED = {"obs/audit.py"}
-
-
-def _constructions(path: Path) -> list:
-    """Line numbers of ``AuditEvent(...)`` calls (bare or attribute)."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name == "AuditEvent":
-            found.append(node.lineno)
-    return found
-
-
-def test_audit_events_only_constructed_in_the_audit_module():
-    modules = sorted(SRC.rglob("*.py"))
-    assert modules, f"no modules found under {SRC}"
-    bad = {}
-    for path in modules:
-        rel = str(path.relative_to(SRC))
-        if rel in ALLOWED:
-            continue
-        lines = _constructions(path)
-        if lines:
-            bad[rel] = lines
-    assert not bad, (
-        "AuditEvent constructed outside repro/obs/audit.py "
-        "(emit through AuditLog.emit instead):\n"
-        + "\n".join(f"  {mod}:{line}" for mod, ls in bad.items() for line in ls)
-    )
-
-
-def test_the_audit_module_itself_constructs_the_event():
-    """Sanity: the walk finds the one legitimate construction site."""
-    assert _constructions(SRC / "obs" / "audit.py")
-
-
-def _emitted_kinds(path: Path) -> list:
-    """(kind, lineno) for every literal-kind ``*.emit("...")`` call."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "emit"):
-            continue
-        if not node.args:
-            continue
-        first = node.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            found.append((first.value, node.lineno))
-    return found
-
-
-def test_every_emitted_kind_is_in_the_vocabulary():
-    """A literal kind at any ``emit()`` call site must be a member of
-    the closed vocabulary — catching typos at lint time instead of at
-    the first runtime hit of that code path."""
-    from repro.obs.audit import AUDIT_KINDS
-
-    bad = {}
-    for path in sorted(SRC.rglob("*.py")):
-        rel = str(path.relative_to(SRC))
-        for kind, line in _emitted_kinds(path):
-            if kind not in AUDIT_KINDS:
-                bad.setdefault(rel, []).append((line, kind))
-    assert not bad, (
-        "emit() called with a kind outside AUDIT_KINDS:\n"
-        + "\n".join(
-            f"  {mod}:{line}: {kind!r}"
-            for mod, pairs in bad.items()
-            for line, kind in pairs
-        )
-    )
-
-
-def test_every_vocabulary_kind_is_emitted_somewhere():
-    """The vocabulary carries no dead entries: each kind has at least
-    one emitting call site in src (OBSERVABILITY.md documents them)."""
-    from repro.obs.audit import AUDIT_KINDS
-
-    emitted = set()
-    for path in sorted(SRC.rglob("*.py")):
-        if path == SRC / "obs" / "audit.py":
-            continue  # defining the vocabulary is not emitting it
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        calls_emit = any(
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "emit"
-            for node in ast.walk(tree)
-        )
-        if not calls_emit:
-            continue
-        # Kinds may reach emit() through a variable (kdc.py picks
-        # between two), so count every string constant in an emitting
-        # module, not just literal first arguments.
-        emitted.update(
-            node.value
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        )
-    missing = set(AUDIT_KINDS) - emitted
-    assert not missing, (
-        f"audit kinds never emitted anywhere in src: {sorted(missing)}"
-    )
-
-
-def test_lint_catches_a_planted_construction(tmp_path):
-    planted = tmp_path / "offender.py"
-    planted.write_text(
-        "from repro.obs.audit import AuditEvent\n"
-        "import repro.obs.audit as audit\n"
-        "e1 = AuditEvent(1, 0.0, 'auth_failure', 'h', '', '', '')\n"
-        "e2 = audit.AuditEvent(2, 0.0, 'auth_failure', 'h', '', '', '')\n"
-        "ok = audit.AuditLog(None)\n"
-    )
-    assert _constructions(planted) == [3, 4]
+test_audit_events_only_constructed_in_the_audit_module = rule_test(
+    "audit-event-built-in-one-module"
+)
+test_the_audit_module_itself_constructs_the_event = rule_test("audit-event-built-in-one-module")
+test_every_emitted_kind_is_in_the_vocabulary = rule_test("audit-kinds-match-the-vocabulary")
+test_every_vocabulary_kind_is_emitted_somewhere = rule_test("audit-kinds-match-the-vocabulary")
+test_lint_catches_a_planted_construction = rule_test("audit-event-built-in-one-module")

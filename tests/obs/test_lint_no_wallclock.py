@@ -1,161 +1,10 @@
-"""Determinism lint: no module under src/repro/ may read the wall clock
-or draw from the process-global RNG.
+"""The no-wall-clock lint: the names these checks had before they became rows of
+``tests/lint/rules.py``, each asserting its rules' verdicts."""
 
-All timing flows from the seeded :class:`SimClock`; a stray
-``time.time()`` would silently break run-to-run reproducibility of
-snapshots and traces.  Likewise all randomness — including the fault
-plane (``netsim/faults.py``) and retry backoff jitter
-(``core/retry.py``) — must come from explicitly seeded
-``random.Random`` instances; a call through the module-global RNG
-(``random.random()``, ``random.randint()``, ...) would make chaos runs
-unrepeatable.  A simple AST walk keeps both invariants honest.
-"""
+from tests.lint.harness import rule_test
 
-import ast
-from pathlib import Path
-
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-#: Wall-clock (or otherwise ambient-time) callables, by attribute name
-#: on the ``time``/``datetime`` modules.
-FORBIDDEN_TIME_ATTRS = {
-    "time", "time_ns", "monotonic", "monotonic_ns",
-    "perf_counter", "perf_counter_ns", "localtime", "gmtime",
-}
-FORBIDDEN_DATETIME_ATTRS = {"now", "utcnow", "today"}
-#: Draws on the module-global RNG (``random.Random(seed)`` instances are
-#: fine — the *global* state is the ambient dependency).
-FORBIDDEN_RANDOM_ATTRS = {
-    "random", "randint", "randrange", "uniform", "choice", "choices",
-    "shuffle", "sample", "gauss", "normalvariate", "expovariate",
-    "betavariate", "getrandbits", "randbytes", "seed",
-}
-
-
-def _violations(path: Path) -> list:
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = []
-    imported_time_names = set()
-    for node in ast.walk(tree):
-        # from time import time / perf_counter ...
-        if isinstance(node, ast.ImportFrom) and node.module == "time":
-            for alias in node.names:
-                if alias.name in FORBIDDEN_TIME_ATTRS:
-                    imported_time_names.add(alias.asname or alias.name)
-                    found.append(
-                        (node.lineno, f"from time import {alias.name}")
-                    )
-        # from random import random / randint ... (global-RNG draws)
-        if isinstance(node, ast.ImportFrom) and node.module == "random":
-            for alias in node.names:
-                if alias.name in FORBIDDEN_RANDOM_ATTRS:
-                    found.append(
-                        (node.lineno, f"from random import {alias.name}")
-                    )
-        if isinstance(node, ast.Call):
-            func = node.func
-            # time.time(), time.monotonic(), ...
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "time"
-                and func.attr in FORBIDDEN_TIME_ATTRS
-            ):
-                found.append((node.lineno, f"time.{func.attr}()"))
-            # datetime.now(), date.today(), ...
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in ("datetime", "date")
-                and func.attr in FORBIDDEN_DATETIME_ATTRS
-            ):
-                found.append(
-                    (node.lineno, f"{func.value.id}.{func.attr}()")
-                )
-            # random.random(), random.randint(), ... on the global RNG.
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "random"
-                and func.attr in FORBIDDEN_RANDOM_ATTRS
-            ):
-                found.append((node.lineno, f"random.{func.attr}()"))
-            # Bare call to an imported wall-clock name.
-            if (
-                isinstance(func, ast.Name)
-                and func.id in imported_time_names
-            ):
-                found.append((node.lineno, f"{func.id}()"))
-    return found
-
-
-def test_no_wall_clock_reads_under_src_repro():
-    modules = sorted(SRC.rglob("*.py"))
-    assert modules, f"no modules found under {SRC}"
-    bad = {}
-    for path in modules:
-        violations = _violations(path)
-        if violations:
-            bad[str(path.relative_to(SRC.parent))] = violations
-    assert not bad, (
-        "wall-clock reads found (use the simulated clock instead):\n"
-        + "\n".join(
-            f"  {mod}:{line}: {what}"
-            for mod, calls in bad.items()
-            for line, what in calls
-        )
-    )
-
-
-def test_lint_covers_the_resilience_modules():
-    """The fault plane and retry policy — the modules whose determinism
-    the chaos suite depends on — are inside the linted tree."""
-    modules = {str(p.relative_to(SRC)) for p in SRC.rglob("*.py")}
-    assert "core/retry.py" in modules
-    assert "netsim/faults.py" in modules
-
-
-def test_lint_covers_the_observability_modules():
-    """The tracing/audit/flight planes promise byte-identical same-seed
-    output — ambient time anywhere in them would break that, so they
-    must sit inside the linted tree too."""
-    modules = {str(p.relative_to(SRC)) for p in SRC.rglob("*.py")}
-    for module in (
-        "obs/tracing.py",
-        "obs/audit.py",
-        "obs/flight.py",
-        "obs/export.py",
-        "obs/report.py",
-    ):
-        assert module in modules
-
-
-def test_lint_catches_a_violation(tmp_path):
-    """The walk itself works — it flags a planted offender."""
-    planted = tmp_path / "offender.py"
-    planted.write_text(
-        "import time\n"
-        "from time import perf_counter\n"
-        "def f():\n"
-        "    return time.time() + perf_counter()\n"
-    )
-    violations = _violations(planted)
-    assert ("time.time()" in {w for _, w in violations})
-    assert any("perf_counter" in w for _, w in violations)
-
-
-def test_lint_catches_global_rng(tmp_path):
-    """Global-RNG draws are flagged; seeded Random instances are not."""
-    planted = tmp_path / "rng_offender.py"
-    planted.write_text(
-        "import random\n"
-        "from random import randint\n"
-        "ok = random.Random(7)\n"
-        "def f():\n"
-        "    ok.random()\n"            # seeded instance: fine
-        "    return random.random()\n"  # global RNG: flagged
-    )
-    violations = {w for _, w in _violations(planted)}
-    assert "random.random()" in violations
-    assert "from random import randint" in violations
-    assert not any("Random" in w for w in violations)
+test_no_wall_clock_reads_under_src_repro = rule_test("no-wall-clock-or-global-rng")
+test_lint_covers_the_resilience_modules = rule_test("no-wall-clock-or-global-rng")
+test_lint_covers_the_observability_modules = rule_test("no-wall-clock-or-global-rng")
+test_lint_catches_a_violation = rule_test("no-wall-clock-or-global-rng")
+test_lint_catches_global_rng = rule_test("no-wall-clock-or-global-rng")

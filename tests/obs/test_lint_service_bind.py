@@ -1,140 +1,13 @@
-"""Service-API lint: no raw port binding or scheduler bypass in src/.
+"""The service-bind lints: the names these checks had before they became rows of
+``tests/lint/rules.py``, each asserting its rules' verdicts."""
 
-The unified :class:`repro.core.service.Service` lifecycle is only a
-contract if daemons actually use it.  Two AST walks keep it honest:
+from tests.lint.harness import rule_test
 
-* **no raw binds** — ``host.bind(...)`` / ``host.rebind(...)`` outside
-  :mod:`repro.netsim` (which implements them) and
-  :mod:`repro.core.service` (which is the one sanctioned caller).
-  ``repro/threat/`` is exempt: an attacker squatting on a port does not
-  use polite interfaces, and forcing the masquerade tooling through
-  Service would miss the point of the threat model;
-* **no inline handler invocation** — looking a handler up via
-  ``handler_for(...)`` and calling it directly would deliver a datagram
-  without going through the event scheduler, silently breaking latency,
-  fault injection, and same-seed determinism.  Only the network's own
-  delivery path under ``repro/netsim/`` may do that.
-"""
-
-import ast
-from pathlib import Path
-
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-#: Attribute calls that constitute a raw port binding.
-BIND_ATTRS = {"bind", "rebind"}
-
-#: Paths (relative to src/repro) where raw binds are legitimate.
-BIND_ALLOWED_PREFIXES = ("netsim/", "threat/")
-BIND_ALLOWED_FILES = {"core/service.py"}
-
-
-def _relative(path: Path) -> str:
-    return str(path.relative_to(SRC)).replace("\\", "/")
-
-
-def _bind_allowed(rel: str) -> bool:
-    return rel in BIND_ALLOWED_FILES or rel.startswith(BIND_ALLOWED_PREFIXES)
-
-
-def _violations(path: Path) -> list:
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    rel = _relative(path) if path.is_relative_to(SRC) else path.name
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        # <receiver>.bind(port, handler) — raw binding outside the
-        # Service lifecycle.
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in BIND_ATTRS
-            and not _bind_allowed(rel)
-        ):
-            found.append((node.lineno, f".{func.attr}(...)"))
-        # <host>.handler_for(port)(datagram) — calling a looked-up
-        # handler inline, bypassing the scheduler.
-        if (
-            isinstance(func, ast.Call)
-            and isinstance(func.func, ast.Attribute)
-            and func.func.attr == "handler_for"
-            and not rel.startswith("netsim/")
-        ):
-            found.append((node.lineno, "handler_for(...)(...)"))
-    return found
-
-
-def test_no_raw_binds_or_scheduler_bypass_under_src_repro():
-    modules = sorted(SRC.rglob("*.py"))
-    assert modules, f"no modules found under {SRC}"
-    bad = {}
-    for path in modules:
-        violations = _violations(path)
-        if violations:
-            bad[str(path.relative_to(SRC.parent))] = violations
-    assert not bad, (
-        "raw port bindings / scheduler bypasses found "
-        "(attach a repro.core.service.Service instead):\n"
-        + "\n".join(
-            f"  {mod}:{line}: {what}"
-            for mod, calls in bad.items()
-            for line, what in calls
-        )
-    )
-
-
-def test_lint_covers_every_daemon_module():
-    """The modules that used to carry ad-hoc binds are inside the
-    linted tree."""
-    modules = {_relative(p) for p in SRC.rglob("*.py")}
-    for daemon in (
-        "core/kdc.py",
-        "kdbm/server.py",
-        "replication/kpropd.py",
-        "apps/nfs/server.py",
-        "apps/nfs/mountd.py",
-        "apps/register.py",
-        "apps/rlogin.py",
-    ):
-        assert daemon in modules
-
-
-def test_the_attacker_exemption_is_real():
-    """The masquerade tooling still binds raw (by design) and the lint
-    does not flag it."""
-    masquerade = SRC / "threat" / "masquerade.py"
-    assert ".bind(" in masquerade.read_text(encoding="utf-8")
-    assert _violations(masquerade) == []
-
-
-def test_lint_catches_a_raw_bind(tmp_path):
-    planted = tmp_path / "offender.py"
-    planted.write_text(
-        "def start(host):\n"
-        "    host.bind(750, lambda d: b'')\n"
-        "    host.rebind(751, lambda d: b'')\n"
-    )
-    violations = {what for _, what in _violations(planted)}
-    assert violations == {".bind(...)", ".rebind(...)"}
-
-
-def test_lint_catches_inline_handler_invocation(tmp_path):
-    planted = tmp_path / "bypass.py"
-    planted.write_text(
-        "def shortcut(host, datagram):\n"
-        "    return host.handler_for(750)(datagram)\n"
-    )
-    violations = {what for _, what in _violations(planted)}
-    assert "handler_for(...)(...)" in violations
-
-
-def test_lint_permits_lookup_without_call(tmp_path):
-    """Looking a handler up (e.g. to check a port is bound) is fine;
-    only *calling* it inline is a bypass."""
-    planted = tmp_path / "lookup.py"
-    planted.write_text(
-        "def is_bound(host):\n"
-        "    return host.handler_for(750) is not None\n"
-    )
-    assert _violations(planted) == []
+test_no_raw_binds_or_scheduler_bypass_under_src_repro = rule_test(
+    "no-raw-bind", "no-inline-handler-call"
+)
+test_lint_covers_every_daemon_module = rule_test("no-raw-bind")
+test_the_attacker_exemption_is_real = rule_test("no-raw-bind")
+test_lint_catches_a_raw_bind = rule_test("no-raw-bind")
+test_lint_catches_inline_handler_invocation = rule_test("no-inline-handler-call")
+test_lint_permits_lookup_without_call = rule_test("no-inline-handler-call")
