@@ -6,6 +6,7 @@ service default).
 """
 
 from repro.crypto import string_to_key
+from repro.threat import Eavesdropper
 
 from benchmarks.bench_util import (
     logged_in_workstation,
@@ -27,11 +28,10 @@ def test_bench_fig8_tgs_exchange(benchmark):
     assert cred.service == service
 
     # No password material in any TGS traffic.
-    captured = []
-    realm.net.add_tap(lambda d: captured.append(d.payload))
+    eve = Eavesdropper(realm.net)
     ws.client._tgs_exchange(realm.name, tgt, service, None)
-    user_key = string_to_key("jis-pw").key_bytes
-    assert not any(user_key in p for p in captured)
+    eve.detach()
+    assert not eve.saw_bytes(string_to_key("jis-pw").key_bytes)
     print("\nFigure 8 — TGS exchange: no password re-entry "
           "(reply sealed in the TGT session key)")
 

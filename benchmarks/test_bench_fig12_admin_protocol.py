@@ -11,6 +11,7 @@ import pytest
 from repro.core import ErrorCode, KerberosError, kdbm_principal
 from repro.kdbm import KdbmClient
 from repro.principal import Principal
+from repro.threat import Eavesdropper
 
 from benchmarks.bench_util import REALM, small_realm
 
@@ -43,10 +44,10 @@ def test_bench_fig12_kpasswd_roundtrip(benchmark):
     print("  TGS refuses KDBM tickets (password entry is forced)")
 
     # The new password travels only inside a private message.
-    captured = []
-    realm.net.add_tap(lambda d: captured.append(d.payload))
+    eve = Eavesdropper(realm.net)
     kdbm.change_password(jis, state["current"], "well-hidden-secret")
-    assert not any(b"well-hidden-secret" in p for p in captured)
+    eve.detach()
+    assert not eve.saw_bytes(b"well-hidden-secret")
     print("  new password: never in cleartext on the wire")
 
     # Every request is in the audit log.

@@ -1,6 +1,6 @@
 """Figure 9, as seen on the wire — and as seen by the observability layer.
 
-Attaches a protocol tracer to the network and prints the annotated
+Attaches a wire recorder to the network and prints the annotated
 datagram trace of a complete login-and-use sequence — every cleartext
 field visible, every sealed blob opaque, exactly what an eavesdropper
 gets.  Then prints the same run from the inside: the span tree
@@ -13,7 +13,8 @@ Run:  python examples/wire_trace.py
 from repro.apps.kerberized import KerberizedChannel, Protection
 from repro.netsim import Network
 from repro.realm import Realm
-from repro.trace import ProtocolTracer, correlated_report
+from repro.obs.report import render_report
+from repro.obs.wire import WireRecorder
 from repro.apps.pop import PopClient, PopServer
 
 
@@ -26,7 +27,7 @@ def main() -> None:
     pop = PopServer(pop_service, realm.srvtab_for(pop_service)).attach(pop_host)
     pop.deliver("jis", b"Subject: hello\r\n\r\nfrom the wire")
 
-    tracer = ProtocolTracer(net)
+    wire = WireRecorder(net)
     ws = realm.workstation()
 
     print("=== The trace of: kinit; read one mail message ===\n")
@@ -36,13 +37,13 @@ def main() -> None:
         client.retrieve(1)
         client.quit()
 
-    print(tracer.format())
-    print(f"\n{len(tracer)} datagrams total.")
+    print(wire.format())
+    print(f"\n{len(wire)} datagrams total.")
     print("Note what is readable (names, realms, lifetimes) and what is")
     print("not (every ticket, authenticator, and mail body: 'sealed').")
 
     print("\n=== The same run, correlated: spans + wire, by request ID ===\n")
-    print(correlated_report(tracer))
+    print(render_report(tracer=net.tracer, wire=wire), end="")
 
     print("\n=== What the metrics registry recorded ===\n")
     m = net.metrics

@@ -1,6 +1,6 @@
 """repro.obs — realm-wide metrics, tracing, audit, and flight recording.
 
-The observability layer for the reproduction, four planes deep:
+The observability layer for the reproduction, five planes deep:
 
 * a dependency-free metrics registry (:class:`MetricsRegistry` —
   counters, gauges, histograms keyed by name + label tuples);
@@ -12,7 +12,11 @@ The observability layer for the reproduction, four planes deep:
   success/failure, preauth failure, replay detected, ACL denial,
   tampered propagation, overload shed);
 * a flight recorder (:class:`FlightRecorder`) sampling registry gauges
-  into a bounded ring on the event-driven clock.
+  into a bounded ring on the event-driven clock;
+* the wire (:class:`repro.obs.wire.WireRecorder`), the one network tap:
+  every datagram with its time and the trace ID it carries, rendered as
+  Figure 9 lines — what the eavesdropper and the replayer record.  It
+  imports the network, so it is imported as ``repro.obs.wire``.
 
 Exporters render Prometheus-style text, JSON registry snapshots,
 indented span trees, Chrome trace-event JSON
@@ -38,6 +42,7 @@ from repro.obs.export import (
     chrome_trace_events,
     format_digests,
     format_span_tree,
+    percentile,
     render_chrome_trace,
     render_prometheus,
     span_digests,
@@ -95,6 +100,7 @@ __all__ = [
     "format_digests",
     "format_span_tree",
     "labels_key",
+    "percentile",
     "render_chrome_trace",
     "render_prometheus",
     "series_key",

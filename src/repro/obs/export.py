@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span, Tracer
@@ -138,8 +138,9 @@ def format_span_tree(
     """An indented, one-line-per-span rendering of recorded traces.
 
     Each line carries the request ID, so output can be correlated with
-    :class:`repro.trace.ProtocolTracer` lines (which tag datagrams with
-    the request ID active when they crossed the wire).
+    :class:`repro.obs.wire.WireRecorder` lines (which tag datagrams with
+    the trace ID they carried across the wire);
+    :func:`repro.obs.report.render_report` prints the two interleaved.
     """
     spans = (
         tracer.by_request(request_id)
@@ -189,16 +190,12 @@ def chrome_trace_events(tracer: Tracer) -> dict:
     deterministic counters, so same seed → byte-identical export.
     """
     finished = [s for s in tracer.spans if s.finished]
-    hosts: List[str] = []
-    for span in finished:
-        host = str(span.attrs.get("host", "realm"))
-        if host not in hosts:
-            hosts.append(host)
-    pid_of = {host: i + 1 for i, host in enumerate(sorted(hosts))}
+    hosts = sorted({str(span.attrs.get("host", "realm")) for span in finished})
+    pid_of = {host: i + 1 for i, host in enumerate(hosts)}
     tid_of = {rid: i + 1 for i, rid in enumerate(tracer.request_ids())}
 
     events: List[dict] = []
-    for host in sorted(hosts):
+    for host in hosts:
         events.append({
             "args": {"name": host},
             "name": "process_name",
@@ -241,11 +238,14 @@ def write_chrome_trace(tracer: Tracer, path) -> str:
 
 # -- per-exchange-type percentile digests --------------------------------------
 
-def _nearest_rank(sorted_values: List[float], q: float) -> float:
+def percentile(values: Sequence[float], q: float) -> float:
     """The classic nearest-rank percentile (no interpolation): exact,
-    deterministic, and meaningful even for tiny samples."""
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[rank - 1]
+    deterministic, and meaningful even for tiny samples; 0.0 when there
+    are none."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 def span_digests(
@@ -263,7 +263,7 @@ def span_digests(
         values = sorted(durations[name])
         entry = {"count": len(values), "sum": sum(values)}
         for q in quantiles:
-            entry[f"p{int(q * 100)}"] = _nearest_rank(values, q)
+            entry[f"p{int(q * 100)}"] = percentile(values, q)
         out[name] = entry
     return out
 

@@ -1,14 +1,17 @@
-"""One merged realm report: latency digests, traces, audit log, flight ring.
+"""One merged realm report: latency digests, traces and their wire,
+audit log, flight ring.
 
 Run:  python -m repro.obs.report
 
-The four observability planes each have their own exporter; operators
+The five observability planes each have their own exporter; operators
 want one page.  :func:`render_report` merges them — per-span-name
-percentile digests, the recorded trace trees, the security audit log,
-and the flight recorder's gauge ring — into a single deterministic text
-report.  The module's ``main`` drives a small demo realm through a
-login, a service use, a failed authentication, and a caught replay, then
-prints the report it produced.
+percentile digests, the recorded trace trees each followed by the
+datagrams that carried it, the security audit log, and the flight
+recorder's gauge ring — into a single deterministic text report.
+:func:`demo` drives a small realm through a login, a service use, a
+failed authentication, and a caught replay, recording every plane; this
+module's ``main`` prints its report and ``python -m repro.obs.selfcheck``
+checks it.
 """
 
 from __future__ import annotations
@@ -25,13 +28,22 @@ def render_report(
     audit=None,
     flight=None,
     max_traces: int = 10,
+    wire=None,
 ) -> str:
     """Merge whichever planes are supplied into one text report.
 
-    Deterministic for a given run: section order is fixed, traces render
-    in trace-ID order, flight series sort by key.
+    With ``wire`` (a :class:`repro.obs.wire.WireRecorder`), each trace's
+    span tree is followed by the datagrams that carried its trace ID,
+    and the datagrams no span sent close the section under
+    ``(no active span)``.  Deterministic for a given run: section order
+    is fixed, traces render in trace-ID order, flight series sort by key.
     """
     sections: List[str] = []
+    datagrams = wire.by_request() if wire is not None else {}
+
+    def wire_lines(rid: Optional[str]) -> None:
+        if rid in datagrams:
+            sections.append("\n".join("    " + r.format() for r in datagrams[rid]))
 
     if tracer is not None:
         digests = span_digests(tracer)
@@ -45,6 +57,10 @@ def render_report(
             sections.append(header)
             for rid in shown:
                 sections.append(format_span_tree(tracer, request_id=rid))
+                wire_lines(rid)
+    if None in datagrams:
+        sections.append("(no active span)")
+        wire_lines(None)
 
     if audit is not None and len(audit):
         sections.append(f"== audit log ({len(audit)} events) ==")
@@ -74,46 +90,46 @@ def render_report(
     return "\n".join(sections) + "\n"
 
 
-def _demo() -> str:
-    """Drive a small realm through the interesting paths and report."""
+def demo() -> dict:
+    """Drive a small realm through the interesting paths, every plane
+    recording: a traced login and service use, a failed authentication
+    (unknown principal), and a caught replay of the captured TGS-REQ.
+    Returns the planes as :func:`render_report`'s keyword arguments."""
     from repro.core.errors import KerberosError
+    from repro.crypto import keycache
     from repro.netsim import Network
     from repro.obs.flight import FlightRecorder
     from repro.realm import Realm
     from repro.threat.replayer import Replayer
 
+    keycache.clear()  # warm process-wide caches would show in the KDC spans
     net = Network(latency=0.001)
     realm = Realm(net, "REPORT.REALM")
     realm.add_user("jis", "jis-pw")
     service, _key = realm.add_service("rlogin", "priam")
 
     flight = FlightRecorder(net.metrics, net.runtime, interval=0.002).start()
-    replayer = Replayer(net, match=lambda d: d.dst_port == 750)
+    wire = Replayer(net)  # the wire plane is the attacker's tape
 
     ws = realm.workstation()
     with net.tracer.span("user.session", user="jis"):
         ws.client.kinit("jis", "jis-pw")
         ws.client.mk_req(service)
 
-    # A failed authentication (unknown principal) and a caught replay.
     intruder = realm.workstation()
     try:
         intruder.client.kinit("mallory", "guess")
     except KerberosError:
         pass
-    replayer.replay(1)  # the captured TGS-REQ, byte-identical
+    wire.replay(2)  # AS-REQ, AS-REP, then the TGS-REQ, byte-identical
 
     flight.stop()
-    return render_report(
-        metrics=net.metrics,
-        tracer=net.tracer,
-        audit=net.audit,
-        flight=flight,
-    )
+    return dict(metrics=net.metrics, tracer=net.tracer, audit=net.audit,
+                flight=flight, wire=wire)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    sys.stdout.write(_demo())
+    sys.stdout.write(render_report(**demo()))
     return 0
 
 

@@ -2,11 +2,12 @@
 
 Run:  python -m repro.obs.selfcheck
 
-Exercises the registry, tracer, and exporters standalone, then drives a
-full AS→TGS→AP flow through an instrumented realm and checks that the
-expected metric families and a complete span tree come out the other
-side.  Exits non-zero (with a message) on any failure — cheap enough
-for CI.
+Exercises the registry, tracer, and exporters standalone, then drives
+the report's demo realm (:func:`repro.obs.report.demo`: a full
+AS→TGS→AP flow, a failed login, a caught replay) and checks every plane
+it recorded: the span tree, the metric families, the audit events, the
+wire, and the merged report.  Exits non-zero (with a message) on any
+failure — cheap enough for CI.
 """
 
 from __future__ import annotations
@@ -56,44 +57,42 @@ def check_standalone() -> None:
 
 
 def check_end_to_end() -> None:
-    from repro.netsim import Network
-    from repro.realm import Realm
+    from repro.obs.report import demo, render_report
 
-    net = Network(latency=0.001)
-    realm = Realm(net, "SELFCHECK.REALM")
-    realm.add_user("probe", "probe-pw")
-    service, key = realm.add_service("svc", "box")
-    ws = realm.workstation()
-
-    with net.tracer.span("selfcheck.flow"):
-        ws.client.kinit("probe", "probe-pw")
-        ws.client.mk_req(service)
-
-    rid = net.tracer.spans[0].request_id
-    names = {s.name for s in net.tracer.by_request(rid)}
+    planes = demo()
+    tracer, m, wire = planes["tracer"], planes["metrics"], planes["wire"]
+    rid = tracer.spans[0].request_id
+    names = {s.name for s in tracer.by_request(rid)}
     for expected in (
-        "selfcheck.flow", "client.as_exchange", "kdc.as",
+        "user.session", "client.as_exchange", "kdc.as",
         "client.tgs_exchange", "kdc.tgs", "client.ap_request",
     ):
         assert expected in names, f"missing span {expected}: {names}"
 
-    m = net.metrics
-    # One AS and one TGS request to the KDC port; replies travel back to
-    # the client's ephemeral port.
-    assert m.total("net.datagrams_total", port="750") == 2
-    assert m.total("net.datagrams_total") == 4
-    assert m.total("kdc.requests_total", kind="as") == 1
-    assert m.total("kdc.requests_total", kind="tgs") == 1
+    # Two logins and two TGS-REQs (one replayed) reach the KDC port;
+    # all but the replay are answered on the client's ephemeral port.
+    assert m.total("net.datagrams_total", port="750") == 4
+    assert m.total("net.datagrams_total") == 7
+    assert m.total("kdc.requests_total", kind="as") == 2
     assert m.total("kdc.outcomes_total", code="OK") == 2
     assert m.total("replay.checks_total", result="fresh") >= 1
-    hist = m.get("client.exchange_seconds", {"type": "as"})
-    assert hist is not None and hist.count == 1
+    kinds = [e.kind for e in planes["audit"].events()]
+    assert kinds.count("auth_failure") == kinds.count("replay_detected") == 1
+    # The session's four datagrams carry its trace ID; the replay none.
+    by_rid = wire.by_request()
+    assert len(by_rid[rid]) == 4 and len(by_rid[None]) == 1
+
+    report = render_report(**planes)
+    for section in ("== span latency digests ==", "== traces (3 of 3) ==",
+                    f"rid={rid}", "(no active span)", "== audit log (4 events) ==",
+                    "== flight recorder", "== metrics"):
+        assert section in report, f"report lacks {section!r}"
 
 
 def main(argv=None) -> int:
     checks = [
         ("registry/tracer/exporters", check_standalone),
-        ("instrumented AS→TGS→AP flow", check_end_to_end),
+        ("demo realm, every plane", check_end_to_end),
     ]
     for label, check in checks:
         try:

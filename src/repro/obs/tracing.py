@@ -363,11 +363,7 @@ class Tracer(HeldHandles):
 
     def request_ids(self) -> List[str]:
         """Distinct trace IDs, in first-seen order."""
-        seen: List[str] = []
-        for span in self.spans:
-            if span.request_id not in seen:
-                seen.append(span.request_id)
-        return seen
+        return list(dict.fromkeys(span.request_id for span in self.spans))
 
     #: The propagated-context vocabulary alias: one scheme, two names.
     trace_ids = request_ids
@@ -379,12 +375,8 @@ class Tracer(HeldHandles):
             self.by_request(request_id) if request_id is not None
             else self.spans
         )
-        seen: List[str] = []
-        for span in spans:
-            host = span.attrs.get("host")
-            if isinstance(host, str) and host not in seen:
-                seen.append(host)
-        return seen
+        hosts = (span.attrs.get("host") for span in spans)
+        return list(dict.fromkeys(h for h in hosts if isinstance(h, str)))
 
     def clear(self) -> None:
         """Forget recorded spans.  Open spans stay open (the stack is the

@@ -30,6 +30,7 @@ from repro.core.messages import AsRequest, MessageType, decode_message, encode_m
 from repro.core.retry import RetryExhausted, RetryPolicy
 from repro.netsim import Network, Unreachable
 from repro.netsim.ports import KERBEROS_PORT
+from repro.obs import percentile
 from repro.principal import Principal, tgs_principal
 from repro.realm import (
     NfsFleet,
@@ -55,15 +56,6 @@ ECHO_PORT = 2100
 UID_BASE = 1000
 
 Params = Dict[str, object]
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(q * len(ordered) + 0.999999) - 1))
-    return ordered[rank]
 
 
 @dataclass(frozen=True)

@@ -29,21 +29,12 @@ from repro.core.messages import (
     expect_reply,
 )
 from repro.crypto import string_to_key
-from repro.netsim import Datagram, Network
+from repro.obs.wire import WireRecorder
 from repro.principal import Principal, tgs_principal
 
 
-class Eavesdropper:
+class Eavesdropper(WireRecorder):
     """Records all traffic; offers analysis helpers."""
-
-    def __init__(self, net: Network) -> None:
-        self.net = net
-        self.captured: List[Datagram] = []
-        self._tap = self.captured.append
-        net.add_tap(self._tap)
-
-    def detach(self) -> None:
-        self.net.remove_tap(self._tap)
 
     # -- passive analysis ---------------------------------------------------
 

@@ -10,60 +10,28 @@ authenticators.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Optional
 
-from repro.netsim import Datagram, Network
+from repro.netsim import Datagram
+from repro.obs.wire import WireRecorder
 
 
-class Replayer:
+class Replayer(WireRecorder):
     """Records traffic matching a filter; replays it on demand."""
-
-    def __init__(
-        self,
-        net: Network,
-        match: Optional[Callable[[Datagram], bool]] = None,
-    ) -> None:
-        self.net = net
-        self.match = match if match is not None else (lambda d: True)
-        self.captured: List[Datagram] = []
-        self._tap = self._on_datagram
-        net.add_tap(self._tap)
-
-    def _on_datagram(self, datagram: Datagram) -> None:
-        if self.match(datagram):
-            self.captured.append(datagram)
-
-    def detach(self) -> None:
-        self.net.remove_tap(self._tap)
 
     def replay(self, index: int = -1) -> Optional[bytes]:
         """Re-inject a captured datagram verbatim — same payload, same
         forged source address.  Returns the victim server's reply bytes
         (the attacker can read them; whether they are *useful* is another
         matter, since replies are sealed in keys the attacker lacks)."""
-        if not self.captured:
+        if not self.records:
             raise ValueError("nothing captured to replay")
-        original = self.captured[index]
+        original = self.records[index].datagram
         # Byte-identical on the wire — but the attacker cannot forge the
         # sim-side trace context, so the replay arrives context-less and
         # shows up as an orphan (empty trace_id) in the audit log.
         forged = Datagram(
             src=original.src,
-            src_port=original.src_port,
-            dst=original.dst,
-            dst_port=original.dst_port,
-            payload=original.payload,
-        )
-        return self.net.inject(forged)
-
-    def replay_from(self, index: int, source_address) -> Optional[bytes]:
-        """Replay with a rewritten source address (attacking from the
-        attacker's own machine instead of forging the victim's)."""
-        from repro.netsim import IPAddress
-
-        original = self.captured[index]
-        forged = Datagram(
-            src=IPAddress(source_address),
             src_port=original.src_port,
             dst=original.dst,
             dst_port=original.dst_port,

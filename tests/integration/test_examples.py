@@ -72,3 +72,30 @@ class TestExamples:
         out = buffer.getvalue()
         assert "AS exchange" in out
         assert "mutual" in out
+
+    def test_obs_clis_report_every_plane_the_same_twice(self):
+        """``python -m repro.obs.report`` and ``python -m repro.obs.selfcheck``
+        drive one demo world: both exit 0, the report has every section —
+        its traces followed by their wire lines — and a second run prints
+        byte-identical output."""
+        from repro.obs import report, selfcheck
+
+        runs = []
+        for _ in range(2):
+            buffer = io.StringIO()
+            with redirect_stdout(buffer):
+                assert report.main([]) == 0
+                assert selfcheck.main([]) == 0
+            runs.append(buffer.getvalue())
+        out = runs[0]
+        assert runs[1] == out
+        tree = out.index("req-000001  user.session")
+        wire = out.index("kerberos  AS-REQ  client=jis@REPORT.REALM")
+        assert tree < wire < out.index("(no active span)") < out.index("== audit log")
+        assert "rid=req-000001" in out[wire:]
+        for section in (
+            "== span latency digests ==", "== traces (3 of 3) ==",
+            "== audit log (4 events) ==", "== flight recorder (",
+            "== metrics (", "replay_detected", "selfcheck ok: demo realm, every plane",
+        ):
+            assert section in out, section

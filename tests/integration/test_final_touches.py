@@ -7,7 +7,7 @@ from repro.database.schema import ATTR_REQUIRE_PREAUTH
 from repro.netsim import Network
 from repro.principal import Principal
 from repro.realm import Realm
-from repro.trace import ProtocolTracer
+from repro.obs.wire import WireRecorder
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -21,7 +21,7 @@ class TestTracePreauth:
             password="pw",
             attributes=ATTR_REQUIRE_PREAUTH,
         )
-        tracer = ProtocolTracer(net)
+        tracer = WireRecorder(net)
         ws = realm.workstation()
         ws.client.kinit("careful", "pw")
         text = tracer.format()

@@ -87,6 +87,7 @@ REMOVED = {
          "invalidate_skeletons", "_TICKET_SUFFIX_LEN"),
     31: ("word", "AthenaWorkload", "repro.workload", "WorkloadStats", "BurstResult",
          "session_traffic", "workload.events_total", "workload.login"),
+    34: ("word", "ProtocolTracer", "correlated_report", "repro.trace", "replay_from"),
 }
 
 
@@ -663,6 +664,16 @@ RULES = (
               "    host.bind(750, lambda d: b'')\n"
               "    host.rebind(751, lambda d: b'')\n",
         hits=((2, ".bind()"), (3, ".rebind()")),
+    ),
+    Rule(
+        "one-wire-tap",
+        "The wire is one obs plane: only WireRecorder (the eavesdropper's and replayer's base) taps it.",
+        SRC + ("benchmarks/test_bench_*.py",), each(call_sites("add_tap", attr=True)),
+        sites=(("src/repro/obs/wire.py", ".add_tap()"),),
+        plant="def watch(net, captured):\n"
+              "    net.add_tap(lambda d: captured.append(d.payload))\n"
+              "    return net.remove_tap\n",
+        hits=((2, ".add_tap()"),),
     ),
     Rule(
         "no-inline-handler-call",

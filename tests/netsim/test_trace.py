@@ -1,10 +1,10 @@
-"""Protocol tracer tests."""
+"""Wire recorder tests: the Figure 9 lines of the wire plane."""
 
 import pytest
 
 from repro.netsim import Network
 from repro.realm import Realm
-from repro.trace import ProtocolTracer, describe_payload
+from repro.obs.wire import WireRecorder, describe_payload
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -21,7 +21,7 @@ def world():
 class TestTracer:
     def test_figure9_trace_shape(self, world):
         net, realm, service = world
-        tracer = ProtocolTracer(net)
+        tracer = WireRecorder(net)
         ws = realm.workstation()
         ws.client.kinit("jis", "jis-pw")
         ws.client.get_credential(service)
@@ -37,7 +37,7 @@ class TestTracer:
         """The tracer sees what any observer sees — descriptions name
         sealed blobs by size only."""
         net, realm, service = world
-        tracer = ProtocolTracer(net)
+        tracer = WireRecorder(net)
         ws = realm.workstation()
         tgt = ws.client.kinit("jis", "jis-pw")
         assert "sealed" in tracer.format()
@@ -45,7 +45,7 @@ class TestTracer:
 
     def test_error_replies_described(self, world):
         net, realm, service = world
-        tracer = ProtocolTracer(net)
+        tracer = WireRecorder(net)
         ws = realm.workstation()
         from repro.core import KerberosError
 
@@ -55,7 +55,7 @@ class TestTracer:
 
     def test_clear_and_detach(self, world):
         net, realm, service = world
-        tracer = ProtocolTracer(net)
+        tracer = WireRecorder(net)
         ws = realm.workstation()
         ws.client.kinit("jis", "jis-pw")
         tracer.clear()
@@ -105,7 +105,7 @@ class TestPayloadDirections:
 
     def test_request_ids_on_trace_records(self, world):
         net, realm, service = world
-        tracer = ProtocolTracer(net)
+        tracer = WireRecorder(net)
         ws = realm.workstation()
         with net.tracer.span("login"):
             ws.client.kinit("jis", "jis-pw")

@@ -8,7 +8,8 @@ import pytest
 from repro.netsim import Network
 from repro.obs import render_prometheus, write_json_snapshot
 from repro.realm import Realm
-from repro.trace import ProtocolTracer, correlated_report
+from repro.obs.report import render_report
+from repro.obs.wire import WireRecorder
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -106,7 +107,7 @@ class TestFigure9SpanTree:
 
     def test_wire_records_carry_the_request_id(self, world):
         net, realm, service = world
-        wire = ProtocolTracer(net)
+        wire = WireRecorder(net)
         run_flow(net, realm, service)
         (rid,) = net.tracer.request_ids()
         tagged = wire.for_request(rid)
@@ -117,14 +118,14 @@ class TestFigure9SpanTree:
 
     def test_correlated_report_merges_both_views(self, world):
         net, realm, service = world
-        wire = ProtocolTracer(net)
+        wire = WireRecorder(net)
         run_flow(net, realm, service)
         # Uninstrumented traffic (no span open) lands in the orphan
         # section.
         plain = net.add_host("printer")
         plain.bind(9100, lambda d: b"ok")
         realm.master_host.rpc(plain.address, 9100, b"lpr")
-        report = correlated_report(wire)
+        report = render_report(tracer=net.tracer, wire=wire)
         assert "user.session" in report
         assert "kdc.as" in report
         assert "AS-REQ" in report
