@@ -309,6 +309,9 @@ class Network:
         self._taps: List[Tap] = []
         self._interceptors: List[Interceptor] = []
         self._next_octet = 1
+        #: Each destination's dotted quad, made once for every transit
+        #: span that names it.
+        self._dotted: Dict[IPAddress, str] = {}
         #: The realm-wide observability planes: every instrumented layer
         #: (KDC, caches, propagation, NFS ...) records here.
         self.metrics = MetricsRegistry()
@@ -555,11 +558,14 @@ class Network:
         slice of a traced exchange.  Only traced datagrams get one."""
         if not self.tracer.enabled or datagram.trace is None:
             return None
+        dst = self._dotted.get(datagram.dst)
+        if dst is None:
+            dst = self._dotted[datagram.dst] = str(datagram.dst)
         return self.tracer.open_span(
             "net.transit",
             context=datagram.trace,
             leg=leg,
-            dst=str(datagram.dst),
+            dst=dst,
             port=datagram.dst_port,
         )
 

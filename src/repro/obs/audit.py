@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.metrics import HeldHandles
 
@@ -78,6 +78,10 @@ class AuditEvent:
     the exchange that raised it ("" when the traffic carried no context
     — which is exactly what forged or replayed packets look like)."""
 
+    __slots__ = (
+        "seq", "time", "kind", "host", "principal", "trace_id", "detail",
+    )
+
     seq: int
     time: float
     kind: str
@@ -115,6 +119,8 @@ class AuditLog(HeldHandles):
         self.max_events = max_events
         self._events: List[AuditEvent] = []
         self._seq = itertools.count(1)
+        #: One copy of each principal name the kept events carry.
+        self._principals: Dict[str, str] = {}
 
     def _counter(self, series: str, kind: Optional[str] = None):
         """Bind ``series`` — its ``kind`` series, given one — the first
@@ -140,6 +146,10 @@ class AuditLog(HeldHandles):
                 f"unknown audit kind {kind!r} (known: {', '.join(AUDIT_KINDS)})"
             )
         trace_id = getattr(trace, "trace_id", trace) or ""
+        kept = len(self._events) < self.max_events
+        if kept:
+            # A realm's events name its principals again and again.
+            principal = self._principals.setdefault(principal, principal)
         event = AuditEvent(
             seq=next(self._seq),
             time=self.clock.now(),
@@ -149,7 +159,7 @@ class AuditLog(HeldHandles):
             trace_id=str(trace_id),
             detail=detail,
         )
-        if len(self._events) < self.max_events:
+        if kept:
             self._events.append(event)
             key = ("audit.events_total", kind)
         else:
@@ -192,6 +202,7 @@ class AuditLog(HeldHandles):
 
     def clear(self) -> None:
         self._events.clear()
+        self._principals.clear()
 
     def __len__(self) -> int:
         return len(self._events)

@@ -32,6 +32,7 @@ tracing-overhead benchmark compares against.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
@@ -72,12 +73,50 @@ class TraceContext:
         return hash((self.trace_id, self.span_id))
 
 
+class FrozenAttrs(Mapping):
+    """A read-only view of a closed span's record, ``(keys, *values)``:
+    it reads like the dict the attributes were, in insertion order.  The
+    keys tuple is shared by every span with the same key-set (the
+    :class:`Tracer` interns it)."""
+
+    __slots__ = ("_record",)
+
+    def __init__(self, record: tuple) -> None:
+        self._record = record
+
+    def __getitem__(self, key: str) -> object:
+        record = self._record
+        try:
+            return record[record[0].index(key) + 1]
+        except ValueError:
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._record[0])
+
+    def __len__(self) -> int:
+        return len(self._record[0])
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self._record[0], self._record[1:])))
+
+    def _read_only(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("a closed span's attrs are read-only")
+
+    __setitem__ = __delitem__ = _read_only
+    update = setdefault = pop = popitem = clear = _read_only
+
+
+#: The one record of every span that closes without attributes.
+_NO_ATTRS = ((),)
+
+
 class Span:
     """One timed operation; part of a trace identified by request_id."""
 
     __slots__ = (
         "name", "span_id", "parent_id", "request_id",
-        "start", "end", "attrs",
+        "start", "end", "_attrs",
     )
 
     def __init__(
@@ -95,7 +134,14 @@ class Span:
         self.request_id = request_id
         self.start = start
         self.end: Optional[float] = None
-        self.attrs = attrs
+        self._attrs = attrs
+
+    @property
+    def attrs(self) -> Mapping[str, object]:
+        """A dict while the span is open; once it is closed, a read-only
+        :class:`FrozenAttrs` view of its record."""
+        attrs = self._attrs
+        return attrs if type(attrs) is dict else FrozenAttrs(attrs)
 
     @property
     def trace_id(self) -> str:
@@ -157,6 +203,8 @@ class Tracer(HeldHandles):
         self._stack: List[object] = []  # Spans and _Anchors
         self._span_ids = itertools.count(1)
         self._request_ids = itertools.count(1)
+        #: Every key-set a closed span has had, as its one shared tuple.
+        self._key_sets: Dict[tuple, tuple] = {}
 
     # -- internal helpers ----------------------------------------------------
 
@@ -180,13 +228,16 @@ class Tracer(HeldHandles):
     def _fresh_trace_id(self) -> str:
         return f"req-{next(self._request_ids):06d}"
 
-    def _detached(self, name: str, attrs: Dict[str, object]) -> Span:
+    def _detached(
+        self, name: str, attrs: Dict[str, object], start: Optional[float] = None
+    ) -> Span:
         """A throwaway span (tracing disabled): times correctly via the
         clock, never recorded, never on the stack.  ``span_id == 0``
         marks it so ``end_span`` knows to skip the stack check."""
         return Span(
             name=name, span_id=0, parent_id=None, request_id="",
-            start=self.clock.now(), attrs=dict(attrs),
+            start=self.clock.now() if start is None else start,
+            attrs=dict(attrs),
         )
 
     # -- span lifecycle ------------------------------------------------------
@@ -218,16 +269,13 @@ class Tracer(HeldHandles):
 
     def end_span(self, span: Span) -> Span:
         """Close ``span``, which must be the innermost open span."""
-        if span.span_id == 0:  # detached (tracing was disabled at start)
-            span.end = self.clock.now()
-            return span
-        if not self._stack or self._stack[-1] is not span:
-            raise TracingError(
-                f"cannot end {span!r}: it is not the innermost open span"
-            )
-        self._stack.pop()
-        span.end = self.clock.now()
-        return span
+        if span.span_id != 0:  # 0: detached (tracing was disabled at start)
+            if not self._stack or self._stack[-1] is not span:
+                raise TracingError(
+                    f"cannot end {span!r}: it is not the innermost open span"
+                )
+            self._stack.pop()
+        return self.close_span(span)
 
     @contextmanager
     def span(self, name: str, **attrs: object) -> Iterator[Span]:
@@ -317,7 +365,7 @@ class Tracer(HeldHandles):
         cannot ride the synchronous stack.  Parented to ``context``
         (fresh root trace when None); close with :meth:`close_span`."""
         if not self.enabled:
-            return self._detached(name, attrs)
+            return self._detached(name, attrs, start)
         if context is None:
             context = self.new_context()
         span = Span(
@@ -332,8 +380,14 @@ class Tracer(HeldHandles):
         return span
 
     def close_span(self, span: Span, end: Optional[float] = None) -> Span:
-        """Close a span opened with :meth:`open_span` (no stack check)."""
+        """Close a span opened with :meth:`open_span` (no stack check).
+        Its attribute dict becomes one tuple: the keys, interned per
+        key-set, then the values."""
         span.end = self.clock.now() if end is None else end
+        attrs = span._attrs
+        keys = tuple(attrs)
+        keys = self._key_sets.setdefault(keys, keys)
+        span._attrs = (keys, *attrs.values()) if attrs else _NO_ATTRS
         return span
 
     # -- queries ------------------------------------------------------------------

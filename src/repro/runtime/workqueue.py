@@ -104,6 +104,7 @@ class WorkQueue(HeldHandles, Generic[T]):
         self._process = process
         self._shed = shed
         self.label = label
+        self._wait_span = f"{label}.wait"
         self.tracer = tracer
         self._labels = dict(labels or {})
         #: The held ``<label>.*`` handles are keyed by series suffix.
@@ -222,7 +223,7 @@ class WorkQueue(HeldHandles, Generic[T]):
                 and entry.trace is not None
             ):
                 span = self.tracer.open_span(
-                    f"{self.label}.wait",
+                    self._wait_span,
                     context=entry.trace,
                     start=entry.enqueued_at,
                 )
