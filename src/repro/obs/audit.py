@@ -8,7 +8,8 @@ a first-class observability plane: who failed to authenticate, where a
 replay was caught, which propagation transfer arrived tampered.
 
 :class:`AuditLog` is that plane for the whole realm: one append-only
-list of :class:`AuditEvent` records, stamped on the simulated clock and
+log of :class:`AuditEvent` records (kept as rows of parallel columns,
+built as events only when read), stamped on the simulated clock and
 tagged with the propagated trace ID so an event can be joined back to
 the exact exchange that raised it.  The event vocabulary is closed
 (:data:`AUDIT_KINDS`) to keep the record stream — and the
@@ -23,8 +24,8 @@ All emission goes through :meth:`AuditLog.emit`; constructing an
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from array import array
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.obs.metrics import HeldHandles
 
@@ -72,15 +73,11 @@ class AuditError(Exception):
     """Audit misuse: unknown event kind."""
 
 
-@dataclass(frozen=True)
-class AuditEvent:
-    """One security event.  ``trace_id`` is the propagated trace ID of
-    the exchange that raised it ("" when the traffic carried no context
-    — which is exactly what forged or replayed packets look like)."""
-
-    __slots__ = (
-        "seq", "time", "kind", "host", "principal", "trace_id", "detail",
-    )
+class AuditEvent(NamedTuple):
+    """One security event, read out of the log's columns (immutable).
+    ``trace_id`` is the propagated trace ID of the exchange that raised it
+    ("" when the traffic carried no context — which is exactly what
+    forged or replayed packets look like)."""
 
     seq: int
     time: float
@@ -117,7 +114,18 @@ class AuditLog(HeldHandles):
         #: The held ``audit.events_*`` handles are keyed (series, kind).
         self.metrics = metrics
         self.max_events = max_events
-        self._events: List[AuditEvent] = []
+        # The kept events, one row each across these columns.
+        self._seqs = array("q")
+        self._times = array("d")
+        self._kinds: List[str] = []
+        self._hosts: List[str] = []
+        self._whos: List[str] = []
+        self._traces: List[str] = []
+        self._details: List[str] = []
+        self._columns = (
+            self._seqs, self._times, self._kinds, self._hosts, self._whos,
+            self._traces, self._details,
+        )
         self._seq = itertools.count(1)
         #: One copy of each principal name the kept events carry.
         self._principals: Dict[str, str] = {}
@@ -145,67 +153,61 @@ class AuditLog(HeldHandles):
             raise AuditError(
                 f"unknown audit kind {kind!r} (known: {', '.join(AUDIT_KINDS)})"
             )
-        trace_id = getattr(trace, "trace_id", trace) or ""
-        kept = len(self._events) < self.max_events
-        if kept:
+        trace_id = str(getattr(trace, "trace_id", trace) or "")
+        seq, now = next(self._seq), self.clock.now()
+        if len(self._kinds) < self.max_events:
             # A realm's events name its principals again and again.
             principal = self._principals.setdefault(principal, principal)
-        event = AuditEvent(
-            seq=next(self._seq),
-            time=self.clock.now(),
-            kind=kind,
-            host=host,
-            principal=principal,
-            trace_id=str(trace_id),
-            detail=detail,
-        )
-        if kept:
-            self._events.append(event)
+            self._seqs.append(seq)
+            self._times.append(now)
+            self._kinds.append(kind)
+            self._hosts.append(host)
+            self._whos.append(principal)
+            self._traces.append(trace_id)
+            self._details.append(detail)
             key = ("audit.events_total", kind)
         else:
             key = ("audit.events_dropped_total", None)
         if self._metrics is not None:
             (self._held.get(key) or self._counter(*key)).inc()
-        return event
+        return AuditEvent(seq, now, kind, host, principal, trace_id, detail)
 
     # -- queries ------------------------------------------------------------
 
+    def _read(self, column: List[str], value: Optional[str]) -> List[AuditEvent]:
+        """The kept events whose ``column`` holds ``value`` (all of them
+        for None), in seq order."""
+        rows = zip(*self._columns)
+        if value is not None:
+            rows = (row for row, v in zip(rows, column) if v == value)
+        return list(itertools.starmap(AuditEvent, rows))
+
     def events(self, kind: Optional[str] = None) -> List[AuditEvent]:
-        if kind is None:
-            return list(self._events)
-        return [e for e in self._events if e.kind == kind]
+        return self._read(self._kinds, kind)
 
     def for_trace(self, trace_id: str) -> List[AuditEvent]:
         """Events raised by one traced exchange."""
-        return [e for e in self._events if e.trace_id == trace_id]
+        return self._read(self._traces, trace_id)
 
     def count(self, kind: Optional[str] = None) -> int:
-        return len(self.events(kind))
+        if kind is None:
+            return len(self._kinds)
+        return self._kinds.count(kind)
 
     def format(self) -> str:
-        return "\n".join(e.format() for e in self._events)
+        return "\n".join(e.format() for e in self.events())
 
     def to_dicts(self) -> List[dict]:
         """Plain-data form for JSON artifacts (stable field order)."""
-        return [
-            {
-                "seq": e.seq,
-                "time": e.time,
-                "kind": e.kind,
-                "host": e.host,
-                "principal": e.principal,
-                "trace_id": e.trace_id,
-                "detail": e.detail,
-            }
-            for e in self._events
-        ]
+        return [event._asdict() for event in self.events()]
 
     def clear(self) -> None:
-        self._events.clear()
+        for column in self._columns:
+            del column[:]
         self._principals.clear()
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._kinds)
 
 
 __all__ = [

@@ -189,8 +189,8 @@ def chrome_trace_events(tracer: Tracer) -> dict:
     ``realm`` process.  Everything is derived from recorded spans and
     deterministic counters, so same seed → byte-identical export.
     """
-    finished = [s for s in tracer.spans if s.finished]
-    hosts = sorted({str(span.attrs.get("host", "realm")) for span in finished})
+    finished = list(tracer.spans.closed())
+    hosts = sorted({str(attrs.get("host", "realm")) for *_, attrs in finished})
     pid_of = {host: i + 1 for i, host in enumerate(hosts)}
     tid_of = {rid: i + 1 for i, rid in enumerate(tracer.request_ids())}
 
@@ -203,21 +203,19 @@ def chrome_trace_events(tracer: Tracer) -> dict:
             "pid": pid_of[host],
             "tid": 0,
         })
-    for span in finished:
-        host = str(span.attrs.get("host", "realm"))
-        args = {
-            k: v for k, v in sorted(span.attrs.items()) if k != "host"
-        }
-        args["trace_id"] = span.request_id
+    for name, trace_id, start, end, attrs in finished:
+        host = str(attrs.get("host", "realm"))
+        args = {k: v for k, v in sorted(attrs.items()) if k != "host"}
+        args["trace_id"] = trace_id
         events.append({
             "args": args,
-            "cat": span.name.split(".", 1)[0],
-            "dur": round(span.duration * 1e6, 3),
-            "name": span.name,
+            "cat": name.split(".", 1)[0],
+            "dur": round((end - start) * 1e6, 3),
+            "name": name,
             "ph": "X",
             "pid": pid_of[host],
-            "tid": tid_of.get(span.request_id, 0),
-            "ts": round(span.start * 1e6, 3),
+            "tid": tid_of.get(trace_id, 0),
+            "ts": round(start * 1e6, 3),
         })
     return {"displayTimeUnit": "ms", "traceEvents": events}
 
@@ -255,9 +253,8 @@ def span_digests(
     p99}}`` over finished spans — the per-exchange-type latency summary
     Section 9's load numbers call for."""
     durations: dict = {}
-    for span in tracer.spans:
-        if span.finished:
-            durations.setdefault(span.name, []).append(span.duration)
+    for name, _trace_id, start, end, _attrs in tracer.spans.closed():
+        durations.setdefault(name, []).append(end - start)
     out: dict = {}
     for name in sorted(durations):
         values = sorted(durations[name])

@@ -27,12 +27,19 @@ seeded :class:`repro.netsim.clock.SimClock`.
 Set ``tracer.enabled = False`` to make every span a throwaway: nothing
 is recorded and the stack is untouched, which is the baseline the
 tracing-overhead benchmark compares against.
+
+Recorded spans are kept in columns (:class:`SpanRows`), not as objects:
+a span takes its row when it opens, a live :class:`Span` stands in the
+row while it is open, and closing it writes its end time and attribute
+record into the row and lets the object go.  Reading a closed row back
+builds a :class:`ClosedSpan`.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from array import array
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
@@ -116,7 +123,7 @@ class Span:
 
     __slots__ = (
         "name", "span_id", "parent_id", "request_id",
-        "start", "end", "_attrs",
+        "start", "end", "_attrs", "_row",
     )
 
     def __init__(
@@ -135,6 +142,8 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self._attrs = attrs
+        #: Its row in the tracer's :class:`SpanRows`; -1 when unrecorded.
+        self._row = -1
 
     @property
     def attrs(self) -> Mapping[str, object]:
@@ -163,12 +172,122 @@ class Span:
         """This span as a propagation context for a wire hop."""
         return TraceContext(self.request_id, self.span_id)
 
+    def _fields(self) -> tuple:
+        return (
+            self.name, self.span_id, self.parent_id, self.request_id,
+            self.start, self.end, self._attrs,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.request_id, self.span_id))
+
     def __repr__(self) -> str:
         state = f"{self.duration:.6f}s" if self.finished else "open"
         return (
             f"Span({self.name!r}, id={self.span_id}, "
             f"rid={self.request_id}, {state})"
         )
+
+
+class ClosedSpan(Span):
+    """A closed row of :class:`SpanRows`, read back: a frozen copy of the
+    span as it closed, equal to any span with the same fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        for slot, value in zip(Span.__slots__, fields):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("a closed span is read-only")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Span):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = Span.__hash__
+
+
+#: What an open row's end column holds until its span closes.
+_OPEN = float("nan")
+
+
+class SpanRows(Sequence):
+    """The recorded spans, one row each, in parallel columns: start and
+    end times, span and parent ids (-1: no parent), names, trace ids, and
+    ``records`` — the live :class:`Span` while its row is open, its
+    ``(keys, *values)`` attribute record once it is closed.
+
+    A read-only sequence: an open row reads as its live span, a closed
+    one as a fresh :class:`ClosedSpan`.
+    """
+
+    __slots__ = (
+        "starts", "ends", "ids", "parents", "names", "traces", "records",
+    )
+
+    def __init__(self) -> None:
+        self.starts = array("d")
+        self.ends = array("d")
+        self.ids = array("q")
+        self.parents = array("q")
+        self.names: List[str] = []
+        self.traces: List[str] = []
+        self.records: List[object] = []
+
+    def reserve(self, span: Span) -> None:
+        """Give the open ``span`` the next row."""
+        span._row = len(self.records)
+        self.starts.append(span.start)
+        self.ends.append(_OPEN)
+        self.ids.append(span.span_id)
+        parent = span.parent_id
+        self.parents.append(-1 if parent is None else parent)
+        self.names.append(span.name)
+        self.traces.append(span.request_id)
+        self.records.append(span)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        record = self.records[index]
+        if type(record) is not tuple:
+            return record
+        parent = self.parents[index]
+        return ClosedSpan(
+            self.names[index], self.ids[index],
+            None if parent < 0 else parent, self.traces[index],
+            self.starts[index], self.ends[index], record, -1,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, tuple, SpanRows)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def attrs(self, index: int) -> Mapping[str, object]:
+        """Row ``index``'s attributes, without building its span."""
+        record = self.records[index]
+        return FrozenAttrs(record) if type(record) is tuple else record.attrs
+
+    def closed(self) -> Iterator[tuple]:
+        """``(name, trace_id, start, end, attrs)`` of every closed row,
+        in recording order."""
+        for name, trace, start, end, record in zip(
+            self.names, self.traces, self.starts, self.ends, self.records
+        ):
+            if type(record) is tuple:
+                yield name, trace, start, end, FrozenAttrs(record)
 
 
 class _Anchor:
@@ -199,12 +318,19 @@ class Tracer(HeldHandles):
         #: handles are keyed (series, span name).
         self.metrics = None
         self.max_spans = max_spans
-        self.spans: List[Span] = []
+        self._rows = SpanRows()
         self._stack: List[object] = []  # Spans and _Anchors
         self._span_ids = itertools.count(1)
         self._request_ids = itertools.count(1)
         #: Every key-set a closed span has had, as its one shared tuple.
         self._key_sets: Dict[tuple, tuple] = {}
+        #: One copy of each span name the rows hold.
+        self._names: Dict[str, str] = {}
+
+    @property
+    def spans(self) -> SpanRows:
+        """The recorded spans, in recording order (read-only)."""
+        return self._rows
 
     # -- internal helpers ----------------------------------------------------
 
@@ -216,14 +342,30 @@ class Tracer(HeldHandles):
         )
         return handle
 
-    def _record(self, span: Span) -> None:
-        if len(self.spans) < self.max_spans:
-            self.spans.append(span)
-            key = ("trace.spans_total", span.name)
+    def _open(
+        self,
+        name: str,
+        parent_id: Optional[int],
+        request_id: str,
+        start: float,
+        attrs: Dict[str, object],
+    ) -> Span:
+        """A new recorded span, owning ``attrs`` (a fresh ``**attrs``
+        dict) — given a row while there is room below ``max_spans``, only
+        counted beyond it."""
+        name = self._names.setdefault(name, name)
+        span = Span(
+            name, next(self._span_ids), parent_id, request_id, start, attrs
+        )
+        rows = self._rows
+        if len(rows.records) < self.max_spans:
+            rows.reserve(span)
+            key = ("trace.spans_total", name)
         else:
             key = ("trace.spans_dropped_total", None)
         if self._metrics is not None:
             (self._held.get(key) or self._counter(*key)).inc()
+        return span
 
     def _fresh_trace_id(self) -> str:
         return f"req-{next(self._request_ids):06d}"
@@ -235,9 +377,8 @@ class Tracer(HeldHandles):
         clock, never recorded, never on the stack.  ``span_id == 0``
         marks it so ``end_span`` knows to skip the stack check."""
         return Span(
-            name=name, span_id=0, parent_id=None, request_id="",
-            start=self.clock.now() if start is None else start,
-            attrs=dict(attrs),
+            name, 0, None, "", self.clock.now() if start is None else start,
+            attrs,
         )
 
     # -- span lifecycle ------------------------------------------------------
@@ -255,15 +396,9 @@ class Tracer(HeldHandles):
         else:
             request_id = self._fresh_trace_id()
             parent_id = None
-        span = Span(
-            name=name,
-            span_id=next(self._span_ids),
-            parent_id=parent_id,
-            request_id=request_id,
-            start=self.clock.now(),
-            attrs=dict(attrs),
+        span = self._open(
+            name, parent_id, request_id, self.clock.now(), attrs
         )
-        self._record(span)
         self._stack.append(span)
         return span
 
@@ -368,26 +503,25 @@ class Tracer(HeldHandles):
             return self._detached(name, attrs, start)
         if context is None:
             context = self.new_context()
-        span = Span(
-            name=name,
-            span_id=next(self._span_ids),
-            parent_id=context.span_id,
-            request_id=context.trace_id,
-            start=self.clock.now() if start is None else start,
-            attrs=dict(attrs),
+        return self._open(
+            name, context.span_id, context.trace_id,
+            self.clock.now() if start is None else start, attrs,
         )
-        self._record(span)
-        return span
 
     def close_span(self, span: Span, end: Optional[float] = None) -> Span:
         """Close a span opened with :meth:`open_span` (no stack check).
         Its attribute dict becomes one tuple: the keys, interned per
-        key-set, then the values."""
-        span.end = self.clock.now() if end is None else end
+        key-set, then the values.  The end time and that record go into
+        the span's row, which stops holding the span."""
+        span.end = end = self.clock.now() if end is None else end
         attrs = span._attrs
         keys = tuple(attrs)
         keys = self._key_sets.setdefault(keys, keys)
-        span._attrs = (keys, *attrs.values()) if attrs else _NO_ATTRS
+        span._attrs = record = (keys, *attrs.values()) if attrs else _NO_ATTRS
+        row = span._row
+        if row >= 0:
+            self._rows.ends[row] = end
+            self._rows.records[row] = record
         return span
 
     # -- queries ------------------------------------------------------------------
@@ -407,17 +541,20 @@ class Tracer(HeldHandles):
 
     def by_request(self, request_id: str) -> List[Span]:
         """Every span of one trace, in recording order."""
-        return [s for s in self.spans if s.request_id == request_id]
+        rows = self._rows
+        return [rows[i] for i, rid in enumerate(rows.traces) if rid == request_id]
 
     def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id is None]
+        rows = self._rows
+        return [rows[i] for i, parent in enumerate(rows.parents) if parent < 0]
 
     def children(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
+        rows, span_id = self._rows, span.span_id
+        return [rows[i] for i, parent in enumerate(rows.parents) if parent == span_id]
 
     def request_ids(self) -> List[str]:
         """Distinct trace IDs, in first-seen order."""
-        return list(dict.fromkeys(span.request_id for span in self.spans))
+        return list(dict.fromkeys(self._rows.traces))
 
     #: The propagated-context vocabulary alias: one scheme, two names.
     trace_ids = request_ids
@@ -425,14 +562,18 @@ class Tracer(HeldHandles):
     def hosts(self, request_id: Optional[str] = None) -> List[str]:
         """Distinct ``host`` attribute values across recorded spans (one
         trace, or all) — how many machines a trace actually touched."""
-        spans = (
-            self.by_request(request_id) if request_id is not None
-            else self.spans
+        rows = self._rows
+        hosts = (
+            rows.attrs(i).get("host") for i, rid in enumerate(rows.traces)
+            if request_id is None or rid == request_id
         )
-        hosts = (span.attrs.get("host") for span in spans)
         return list(dict.fromkeys(h for h in hosts if isinstance(h, str)))
 
     def clear(self) -> None:
-        """Forget recorded spans.  Open spans stay open (the stack is the
-        live call structure and must stay balanced)."""
-        self.spans = [s for s in self._stack if isinstance(s, Span)]
+        """Forget the closed rows.  Every open row stays, renumbered: the
+        stack's spans (the live call structure must stay balanced) and
+        spans opened off the stack, which close into their rows later."""
+        open_spans = [r for r in self._rows.records if type(r) is not tuple]
+        self._rows = SpanRows()
+        for span in open_spans:
+            self._rows.reserve(span)

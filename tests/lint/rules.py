@@ -380,7 +380,7 @@ HANDLES = {
           ("_outcome", "_life_series")),
     "src/repro/runtime/scheduler.py": (("at", "step"), ("_counter",)),
     "src/repro/netsim/network.py": (("_wire_leg",), ("_counter",)),
-    "src/repro/obs/tracing.py": (("_record",), ("_counter",)),
+    "src/repro/obs/tracing.py": (("_open",), ("_counter",)),
     "src/repro/obs/audit.py": (("emit",), ("_counter",)),
     "src/repro/runtime/workqueue.py": (("_count", "_gauge_depth", "_observe_waits"),
                                        ("_series",)),
@@ -750,6 +750,19 @@ RULES = (
               "ok = audit.AuditLog(None)\n",
         hits=((3, "AuditEvent()"), (4, ".AuditEvent()")),
         mark="obs",
+    ),
+    Rule(
+        "one-span-store",
+        "Spans are recorded as rows of the Tracer's columns: only obs/tracing.py builds a Span.",
+        ("src/*", "tests/*", "benchmarks/test_bench_*.py"), each(call_sites("Span")),
+        sites=(("src/repro/obs/tracing.py", "Span()"),
+               ("src/repro/obs/tracing.py", "Span()")),
+        plant="from repro.obs import tracing\n"
+              "from repro.obs.tracing import Span\n"
+              "kept = [Span('op', 1, None, 'req-000001', 0.0, {})]\n"
+              "kept.append(tracing.Span('op', 2, 1, 'req-000001', 0.0, {}))\n"
+              "rows = tracing.Tracer(None).spans\n",
+        hits=((3, "Span()"), (4, ".Span()")),
     ),
     Rule(
         "audit-kinds-match-the-vocabulary",

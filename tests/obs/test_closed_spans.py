@@ -1,15 +1,17 @@
-"""Closed spans are read-only records, and the obs plane's retained
-bytes per closed span and per audit event stay under their gates."""
+"""Closed spans are read-only records kept as rows of columns, audit
+events are rows too, and the obs plane's retained bytes per closed span
+and per audit event stay under their gates."""
 
 import gc
 import tracemalloc
 
 import pytest
 
+from repro.core import KerberosError
 from repro.netsim import Network, SimClock, Unreachable
 from repro.netsim.faults import Loss
-from repro.obs import TraceContext
-from repro.obs.tracing import Tracer
+from repro.obs import AuditLog, TraceContext
+from repro.obs.tracing import ClosedSpan, Tracer
 from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueue, WorkQueueConfig
 
@@ -117,6 +119,120 @@ class TestAttrsWrittenBeforeCloseSurvive:
         assert kdc.attrs["queue_wait"] >= 0 and kdc.attrs["service_time"] > 0
 
 
+def fields(span):
+    return (
+        span.name, span.span_id, span.parent_id, span.request_id,
+        span.start, span.end, dict(span.attrs),
+    )
+
+
+class TestRowsReadAsSpans:
+    def test_a_recorded_run_reads_back_field_for_field(self, monkeypatch):
+        """Every span a queued realm's logins close reads back from its
+        row with the fields it closed with, in recording order."""
+        net = Network(latency=0.001, seed=7)
+        closed_spans = []
+        close = Tracer.close_span
+
+        def keep(tracer, span, end=None):
+            closed_spans.append(close(tracer, span, end))
+            return closed_spans[-1]
+
+        monkeypatch.setattr(Tracer, "close_span", keep)
+        queue = WorkQueueConfig(workers=1, batch_size=4)
+        realm = Realm(net, "ATHENA.MIT.EDU", topology=RealmTopology(kdc_queue=queue))
+        realm.add_user("jis", "jis-pw")
+        with pytest.raises(KerberosError):
+            realm.workstation().client.kinit("jis", "wrong-pw")
+        realm.workstation().client.kinit("jis", "jis-pw")
+        rows = net.tracer.spans
+        closed_spans.sort(key=lambda span: span.span_id)
+        assert len(rows) == len(closed_spans) == 10
+        assert [fields(row) for row in rows] == list(map(fields, closed_spans))
+        assert list(rows) == closed_spans and rows == closed_spans
+        assert all(type(row) is ClosedSpan for row in rows)
+        assert {row.name for row in rows} >= {"kdc.as", "kdc.queue.wait", "net.transit"}
+        assert rows[-1] == closed_spans[-1] and rows[-2:] == closed_spans[-2:]
+        roots = [span for span in closed_spans if span.parent_id is None]
+        assert net.tracer.roots() == roots
+        assert net.tracer.by_request(roots[0].request_id) == [
+            span for span in closed_spans if span.request_id == roots[0].request_id
+        ]
+        assert net.tracer.request_ids() == list(
+            dict.fromkeys(span.request_id for span in closed_spans)
+        )
+
+    def test_a_closed_row_is_frozen(self):
+        tracer = Tracer(SimClock())
+        with tracer.span("op", client="jis") as span:
+            pass
+        (row,) = tracer.spans
+        assert row == span and row is not span and hash(row) == hash(span)
+        assert row.finished and row.duration == 0.0
+        assert row.context() == span.context()
+        assert repr(row) == repr(span)
+        with pytest.raises(AttributeError):
+            row.end = 1.0
+        with pytest.raises(TypeError):
+            row.attrs["client"] = "mallory"
+        with pytest.raises(TypeError):
+            tracer.spans[0] = row
+
+    def test_an_open_row_reads_as_its_live_span(self):
+        tracer = Tracer(SimClock())
+        leg = tracer.open_span("leg", port=88)
+        assert tracer.spans[0] is leg
+        leg.attrs["dropped"] = "loss"
+        tracer.close_span(leg, end=0.5)
+        assert tracer.spans[0] is not leg and tracer.spans[0] == leg
+        assert tracer.spans[0].attrs == {"port": 88, "dropped": "loss"}
+
+    def test_clear_keeps_a_span_open_off_the_stack(self):
+        """A transit leg or queue wait in flight when the tracer is
+        cleared is recorded when it closes."""
+        clock = SimClock()
+        tracer = Tracer(clock)
+        with tracer.span("done"):
+            pass
+        leg = tracer.open_span("net.transit", leg="request")
+        with tracer.span("outer") as outer:
+            tracer.clear()
+            clock.advance(0.25)
+            tracer.close_span(leg)
+        assert [row.name for row in tracer.spans] == ["net.transit", "outer"]
+        assert tracer.spans[0] == leg and tracer.spans[0].duration == 0.25
+        assert tracer.spans[1] == outer
+
+
+class TestAuditRows:
+    def test_events_read_back_equal_in_seq_order(self):
+        clock = SimClock()
+        log = AuditLog(clock, max_events=5)
+        emitted = []
+        for i, kind in enumerate(
+            ("auth_success", "auth_failure", "auth_success", "replay_detected",
+             "auth_success", "auth_failure")
+        ):
+            clock.advance(0.5)
+            emitted.append(log.emit(
+                kind, host=f"h{i % 2}", principal=f"user{i % 3}@ATHENA",
+                trace=f"req-{i % 2:06d}" if i else None, detail=f"i={i}",
+            ))
+        kept = emitted[:5]  # the sixth is past max_events: counted, not kept
+        assert log.events() == kept and len(log) == 5
+        assert [e.seq for e in log.events()] == [1, 2, 3, 4, 5]
+        assert emitted[5].seq == 6
+        assert log.events("auth_success") == [kept[0], kept[2], kept[4]]
+        assert log.count("auth_success") == 3 and log.count() == 5
+        assert log.count("acl_denial") == 0
+        assert log.for_trace("req-000001") == [kept[1], kept[3]]
+        assert log.for_trace("") == [kept[0]]
+        assert log.format() == "\n".join(e.format() for e in kept)
+        log.clear()
+        assert log.events() == [] and log.count() == 0
+        assert log.emit("acl_denial").seq == 7
+
+
 # -- retained bytes -------------------------------------------------------------
 
 RECORDS = 1000
@@ -214,14 +330,14 @@ def audit_events():
     return record
 
 
-#: Bytes kept per record (Python 3.11 reads 215 / 146 / 334 / 153; a
-#: span's attributes kept as a dict read 385 / 273 / 654, an event with
-#: its own ``__dict__`` and principal copy 262).
+#: Bytes kept per record (Python 3.11 reads 133 / 61 / 252 / 72 with a
+#: record per row of columns; a ``Span`` object per record read 215 /
+#: 146 / 334, a slotted ``AuditEvent`` per event 153).
 GATES = {
-    transit_spans: 230,
-    wait_spans: 150,
-    kdc_spans: 350,
-    audit_events: 170,
+    transit_spans: 140,
+    wait_spans: 70,
+    kdc_spans: 260,
+    audit_events: 80,
 }
 
 
