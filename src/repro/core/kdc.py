@@ -74,6 +74,10 @@ BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 #: the one ciphertext the KDC meets again and again.
 TGT_MEMO_SIZE = 512
 
+#: Sealed-ticket skeletons a KDC keeps (LRU): one per (service key,
+#: ticket length) it seals under — a few dozen at Athena scale.
+SKELETON_CACHE_SIZE = 2048
+
 #: Per request kind: its handler span's name and its success event's
 #: detail, built once rather than once per request kept.
 _SPAN_NAME = {kind: f"kdc.{kind}" for kind in ("as", "tgs", "other")}
@@ -82,9 +86,9 @@ _OK_DETAIL = {kind: f"kind={kind}" for kind in ("as", "tgs")}
 
 class _KeyTouchMeter:
     """Key-schedule cache lookups since the last reading — the O(1)
-    source of the per-request ``crypto_ops`` span attribute (the same
-    hit+miss count ``crypto.keyschedule_total`` mirrors into the
-    registry, without scanning the registry per request)."""
+    source of the per-request ``crypto_ops`` span attribute.  The tally
+    is process-wide, but nothing else runs while the KDC's stages do, so
+    a lap between two of its readings is this KDC's own count."""
 
     def __init__(self) -> None:
         self._mark = self._touches()
@@ -232,6 +236,8 @@ class KerberosServer(AuthenticatedService):
         # Opened TGTs (see _unseal_all): content-addressed, so a rotated
         # TGS key or a changed blob simply misses; one per incarnation.
         self._tgt_memo = keycache._LruCache(TGT_MEMO_SIZE)
+        # Sealed-ticket skeletons (see seal_tickets_cached): the same.
+        self._skeletons = keycache._LruCache(SKELETON_CACHE_SIZE)
         #: ``kdc.ticket_life_seconds`` by kind; see :meth:`_life_series`.
         self._ticket_life: Dict[str, object] = {}
         if self.shard is not None:
@@ -418,11 +424,12 @@ class KerberosServer(AuthenticatedService):
         )
         # -- stage 4: seal-all (tickets inside their replies, two runs) ----
         ready = [p for p in prepared if p is not None]
+        skeletons = self._skeletons if keycache.caching_enabled() else None
         hits_before = keycache.skeleton_stats()["hit"]
         _ticket_blobs, sealed_bodies = seal_tickets_cached([
             (p.ticket, p.service_key, p.reply_key, p.body().to_bytes())
             for p in ready
-        ])
+        ], skeletons)
         skeleton_hits = keycache.skeleton_stats()["hit"] - hits_before
         if skeleton_hits:
             self._skeleton_hits.inc(skeleton_hits)
@@ -531,7 +538,8 @@ class KerberosServer(AuthenticatedService):
             if kind != "tgs":
                 continue
             realm = messages[i].tgt_realm
-            key = realm_keys.get(realm)
+            # With the caches off, each item resolves it as it would alone.
+            key = realm_keys.get(realm) if memo is not None else None
             if key is None:
                 try:
                     key = self._tgt_key(realm)

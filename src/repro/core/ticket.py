@@ -18,7 +18,7 @@ and the target server a ticket is opaque bytes.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Type, Union
+from typing import List, Optional, Sequence, Tuple, Type, Union
 
 from repro.crypto import (
     SEAL_START,
@@ -91,7 +91,8 @@ def seal_ticket(ticket: Ticket, server_key: DesKey) -> bytes:
 
 
 def seal_tickets_cached(
-    items: Sequence[Tuple[Ticket, DesKey, DesKey, bytes]]
+    items: Sequence[Tuple[Ticket, DesKey, DesKey, bytes]],
+    skeletons: Optional[keycache._LruCache],
 ) -> Tuple[List[bytes], List[bytes]]:
     """Seal many tickets, each inside the reply that carries it, as one
     nested batch seal.  An item is ``(ticket, server_key, reply_key,
@@ -106,10 +107,11 @@ def seal_tickets_cached(
     whole blocks of the server field — the ticket's first — are the same
     plaintext for every ticket one key seals at one length, and only
     what follows them is encrypted.  The skeleton — the PCBC state
-    ``[cipher_prefix, chain]`` after that prefix — lives in the
-    process-wide skeleton cache under the literal (sealing key, total
-    length, prefix plaintext) content, so a rotated service key or
-    renamed principal can never hit a stale entry.  A miss reserves its
+    ``[cipher_prefix, chain]`` after that prefix — lives in
+    ``skeletons``, the sealing KDC's own cache (None: seal every ticket
+    whole), under the literal (sealing key, total length, prefix
+    plaintext) content, so a rotated service key or renamed principal
+    can never hit a stale entry.  A miss reserves its
     entry *empty* and the ticket rides the run as a whole frame, beside
     the resumed ones; the state is then read off the finished seal
     rather than sealed a second time.  A later ticket of the same run
@@ -120,11 +122,9 @@ def seal_tickets_cached(
     for ticket, server_key, reply_key, body in items:
         plain = ticket.to_bytes()
         cut = len(ticket.server.to_bytes()) & ~0x7
-        cache_key = (server_key.key_bytes, len(plain), plain[:cut])
-        skeleton = keycache.skeleton_get(cache_key)
-        if skeleton is None:
-            skeleton = []
-            keycache.skeleton_put(cache_key, skeleton)
+        skeleton = keycache.skeleton_entry(
+            skeletons, (server_key.key_bytes, len(plain), plain[:cut])
+        )
         # Everything ahead of the ticket's bytes: the u32 prefix of the
         # empty field gives way to the sealed ticket's length.
         head = body[:-4] + sealed_length(len(plain)).to_bytes(4, "big")

@@ -23,8 +23,7 @@ This package is that library:
 * :mod:`repro.crypto.keygen` — session-key generation ("Kerberos also
   generates temporary private keys, called session keys");
 * :mod:`repro.crypto.keycache` — process-wide key-schedule cache behind
-  ``DesKey.from_bytes`` and ``string_to_key`` (metrics:
-  ``crypto.keyschedule_total{result}``).
+  ``DesKey.from_bytes`` and ``string_to_key`` (its traffic: ``stats()``).
 
 As the paper notes, the encryption library is "an independent module, and
 may be replaced" — nothing above this package touches DES internals; all

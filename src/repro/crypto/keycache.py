@@ -15,23 +15,23 @@ bounded LRU caches:
 ``DesKey`` instances are immutable after construction, so sharing one
 scheduled key between callers is safe.
 
-Hit/miss traffic is counted process-wide (:func:`stats`) and can also be
-mirrored into any :class:`repro.obs.MetricsRegistry` as
-``crypto.keyschedule_total{result="hit"|"miss"}`` via
-:func:`attach_metrics` — :class:`repro.realm.Realm` attaches its
-network's registry automatically.
+Both are content addressed, so they stay process-wide: what they hold
+never depends on which realm asked.  Their hit/miss traffic is a
+process-wide tally (:func:`stats`; a lookup while caching is off counts
+as a miss) that no registry mirrors — a KDC reads the laps it causes
+as its spans' ``crypto_ops``.
 
 :func:`caches_disabled` turns the whole layer off — the database-side
-caches consult :func:`caching_enabled` too — so tests and Exp RP's
-pre-check can assert that replies are bit-identical with and without it.
+caches and the KDC's own consult :func:`caching_enabled` too — so tests
+and Exp RP's pre-check can assert that replies are bit-identical with
+and without it.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.crypto.des import DesKey
 
@@ -40,9 +40,6 @@ from repro.crypto.des import DesKey
 KEY_CACHE_SIZE = 4096
 #: Distinct (password, salt) derivations kept.
 S2K_CACHE_SIZE = 1024
-#: Distinct sealed-ticket skeletons kept: one per (service key, ticket
-#: length) the KDC seals under — a few dozen at Athena scale.
-SKELETON_CACHE_SIZE = 2048
 
 
 class _LruCache:
@@ -83,15 +80,11 @@ class _LruCache:
 
 _key_cache = _LruCache(KEY_CACHE_SIZE)
 _s2k_cache = _LruCache(S2K_CACHE_SIZE)
-_skeleton_cache = _LruCache(SKELETON_CACHE_SIZE)
 _enabled = True
 _hits = 0
 _misses = 0
 _skeleton_hits = 0
 _skeleton_misses = 0
-
-#: Live metric sinks: (registry weakref, hit counter, miss counter).
-_sinks: List[Tuple[weakref.ref, object, object]] = []
 
 
 def caching_enabled() -> bool:
@@ -115,10 +108,9 @@ def caches_disabled():
 
 
 def clear() -> None:
-    """Drop all cached schedules and skeletons (stats and sinks kept)."""
+    """Drop all cached schedules and derivations (stats kept)."""
     _key_cache.clear()
     _s2k_cache.clear()
-    _skeleton_cache.clear()
 
 
 def stats() -> Dict[str, int]:
@@ -134,38 +126,18 @@ def reset_stats() -> None:
     _skeleton_misses = 0
 
 
-def attach_metrics(metrics, labels: Optional[dict] = None) -> None:
-    """Mirror future hit/miss events into ``metrics`` as
-    ``crypto.keyschedule_total{result}``.  Attaching the same registry
-    twice is a no-op; dead registries are pruned on the next attach."""
-    _sinks[:] = [s for s in _sinks if s[0]() is not None]
-    for ref, _, _ in _sinks:
-        if ref() is metrics:
-            return
-    base = dict(labels or {})
-    hit = metrics.counter(
-        "crypto.keyschedule_total", {**base, "result": "hit"}
-    )
-    miss = metrics.counter(
-        "crypto.keyschedule_total", {**base, "result": "miss"}
-    )
-    _sinks.append((weakref.ref(metrics), hit, miss))
-
-
 def _record(hit: bool) -> None:
     global _hits, _misses
     if hit:
         _hits += 1
     else:
         _misses += 1
-    for ref, hit_counter, miss_counter in _sinks:
-        if ref() is not None:
-            (hit_counter if hit else miss_counter).inc()
 
 
 def des_key_from_bytes(key: bytes, allow_weak: bool = False) -> DesKey:
     """Schedule-cached equivalent of ``DesKey(key, allow_weak)``."""
     if not _enabled:
+        _record(False)
         return DesKey(key, allow_weak)
     cache_key = (bytes(key), allow_weak)
     cached = _key_cache.get(cache_key)
@@ -189,6 +161,7 @@ def memoized_string_to_key(
     two or three times per login.
     """
     if not _enabled:
+        _record(False)
         return derive(password, salt)
     cache_key = (password, salt)
     cached = _s2k_cache.get(cache_key)
@@ -208,44 +181,37 @@ def memoized_string_to_key(
 # prefix — the seal header plus the whole blocks of the server field,
 # the same for every ticket one key seals at one length (see
 # repro.core.ticket.seal_tickets_cached), so an entry is one per
-# (service key, ticket length).  An entry is a two-item list
-# ``[cipher_prefix, chain]``; a miss reserves it *empty* and the batch
-# run that seals the ticket fills it in place afterwards, so until then
-# (the rest of that batch) finders seal the whole frame themselves.
-# Entries are *content addressed*: the cache key is the sealing key's
-# bytes plus the literal prefix plaintext (and total length), so a
-# rotated service key or a renamed service can never be served a stale
-# prefix — it simply misses, and its dead entry ages out of the LRU.
-#
-# ``caches_disabled()`` covers this layer too: while disabled,
-# ``skeleton_get`` always misses and ``skeleton_put`` drops the entry,
-# so every ticket is sealed whole.
+# (service key, ticket length).  Each KDC keeps its own skeleton cache
+# (an _LruCache built when it attaches, passed as None while caching is
+# off); only the hit/miss tally below is process-wide.  An entry is a
+# two-item list ``[cipher_prefix, chain]``; a miss reserves it *empty*
+# and the batch run that seals the ticket fills it in place afterwards,
+# so until then (the rest of that batch) finders seal the whole frame
+# themselves.  Entries are *content addressed*: the cache key is the
+# sealing key's bytes plus the literal prefix plaintext (and total
+# length), so a rotated service key or a renamed service can never be
+# served a stale prefix — it simply misses, and its dead entry ages out
+# of the LRU.
 # --------------------------------------------------------------------------
 
 
-def skeleton_get(key: Tuple):
-    """Cached (cipher prefix, chain) for a sealing-key/prefix pair, or
-    None.  Hits/misses feed ``skeleton_stats``."""
+def skeleton_entry(cache: Optional[_LruCache], key: Tuple) -> list:
+    """``cache``'s skeleton entry for a sealing-key/prefix pair, reserved
+    empty on a miss; with no cache, a fresh empty one (uncounted).
+    Hits and misses feed ``skeleton_stats``."""
     global _skeleton_hits, _skeleton_misses
-    if not _enabled:
-        return None
-    state = _skeleton_cache.get(key)
-    if state is None:
+    if cache is None:
+        return []
+    entry = cache.get(key)
+    if entry is None:
         _skeleton_misses += 1
+        entry = []
+        cache.put(key, entry)
     else:
         _skeleton_hits += 1
-    return state
-
-
-def skeleton_put(key: Tuple, state) -> None:
-    if _enabled:
-        _skeleton_cache.put(key, state)
+    return entry
 
 
 def skeleton_stats() -> Dict[str, int]:
-    """Skeleton cache traffic: ``{"hit": ..., "miss": ..., "size": ...}``."""
-    return {
-        "hit": _skeleton_hits,
-        "miss": _skeleton_misses,
-        "size": len(_skeleton_cache),
-    }
+    """Every KDC's skeleton traffic: ``{"hit": ..., "miss": ...}``."""
+    return {"hit": _skeleton_hits, "miss": _skeleton_misses}

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import enum
 import struct
-import weakref
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.crypto import des_simd
 from repro.crypto.bits import bytes_to_int
@@ -299,9 +298,6 @@ def _open_frame(plain: bytes) -> bytes:
 #: Process-wide count of blocks pushed through the wide-lane kernel.
 _interleaved_blocks = 0
 
-#: Live metric sinks mirroring ``crypto.interleaved_blocks_total``.
-_sinks: List[Tuple[weakref.ref, object]] = []
-
 
 def interleaved_blocks() -> int:
     """Blocks processed on the wide kernel's lanes since process start
@@ -309,27 +305,9 @@ def interleaved_blocks() -> int:
     return _interleaved_blocks
 
 
-def attach_metrics(metrics, labels: Optional[dict] = None) -> None:
-    """Mirror future wide-lane block counts into ``metrics`` as
-    ``crypto.interleaved_blocks_total``.  Same contract as
-    :func:`repro.crypto.keycache.attach_metrics`: attaching one registry
-    twice is a no-op, dead registries are pruned on the next attach."""
-    _sinks[:] = [s for s in _sinks if s[0]() is not None]
-    for ref, _ in _sinks:
-        if ref() is metrics:
-            return
-    counter = metrics.counter(
-        "crypto.interleaved_blocks_total", dict(labels or {})
-    )
-    _sinks.append((weakref.ref(metrics), counter))
-
-
 def _count_interleaved(blocks: int) -> None:
     global _interleaved_blocks
     _interleaved_blocks += blocks
-    for ref, counter in _sinks:
-        if ref() is not None:
-            counter.inc(blocks)
 
 
 #: Fewest *blocks* a one-pass shape (an unseal, a batch of them, an ECB

@@ -75,7 +75,8 @@ class MasterKey:
         The distinct blobs the cache lacks take **one** ``unseal_many``
         under the master key (≥ 6 three-block blobs: one pass of the
         wide kernel) and are scheduled in first-use order,
-        ``on_cold(position)`` being told where each was first needed.
+        ``on_cold(position)`` being told where each was first needed
+        (with the caches off, each position schedules its own).
         A cold blob's cache slot is reserved where it is first met — its
         list of positions stands in for the key until the pass is done —
         so the cache sees the get/put sequence of one unseal at a time:
@@ -104,16 +105,20 @@ class MasterKey:
         try:
             unsealed = unseal_many([(self._key, blob) for blob in cold])
             for (blob, positions), raw in zip(cold.items(), unsealed):
-                if isinstance(raw, IntegrityError):
+                failed = isinstance(raw, IntegrityError)
+                key = None
+                if failed:
                     key = MasterKeyError(f"cannot unseal principal key: {raw}")
-                else:
-                    key = DesKey.from_bytes(raw, allow_weak=True)
-                    if caching:
-                        cache.put(blob, key)
-                    if on_cold is not None:
-                        on_cold(positions[0])
                 for position in positions:
+                    # Scheduled where first needed; with the caches off,
+                    # wherever needed, as each request served alone is.
+                    if not failed and (key is None or not caching):
+                        key = DesKey.from_bytes(raw, allow_weak=True)
+                        if on_cold is not None:
+                            on_cold(position)
                     results[position] = key
+                if caching and not failed:
+                    cache.put(blob, key)
         finally:
             # No reservation outlives the call: not a failed blob's, and
             # none at all should anything above raise.

@@ -43,11 +43,10 @@ class Instrument:
 
     Instruments are allocated per label set but *touched* per event —
     every datagram, request, and cache probe — so the hierarchy uses
-    ``__slots__`` (``__weakref__`` kept: the key-schedule cache holds
-    weak references to registries it mirrors into).
+    ``__slots__``.
     """
 
-    __slots__ = ("name", "labels", "__weakref__")
+    __slots__ = ("name", "labels")
 
     kind = "instrument"
 

@@ -96,13 +96,11 @@ def demo() -> dict:
     (unknown principal), and a caught replay of the captured TGS-REQ.
     Returns the planes as :func:`render_report`'s keyword arguments."""
     from repro.core.errors import KerberosError
-    from repro.crypto import keycache
     from repro.netsim import Network
     from repro.obs.flight import FlightRecorder
     from repro.realm import Realm
     from repro.threat.replayer import Replayer
 
-    keycache.clear()  # warm process-wide caches would show in the KDC spans
     net = Network(latency=0.001)
     realm = Realm(net, "REPORT.REALM")
     realm.add_user("jis", "jis-pw")

@@ -32,8 +32,7 @@ from repro.core.client import KerberosClient
 from repro.core.crossrealm import link_realms
 from repro.core.kdc import KerberosServer
 from repro.core.locator import StaticLocator
-from repro.crypto import DesKey, KeyGenerator, keycache
-from repro.crypto import modes
+from repro.crypto import DesKey, KeyGenerator
 from repro.database.acl import AccessControlList
 from repro.database.admin_tools import (
     ext_srvtab,
@@ -145,13 +144,6 @@ class Realm:
             topology = RealmTopology()
         self.topology = topology
         self.keygen = KeyGenerator(seed=seed + name.encode())
-
-        # Mirror key-schedule cache traffic into this world's registry as
-        # crypto.keyschedule_total{result=hit|miss}, and wide-lane kernel
-        # traffic as crypto.interleaved_blocks_total (idempotent per
-        # registry; both caches/counters are process-wide).
-        keycache.attach_metrics(net.metrics)
-        modes.attach_metrics(net.metrics)
 
         self.acl = AccessControlList()
         self.shards: List[ShardSite] = []

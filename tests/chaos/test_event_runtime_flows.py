@@ -15,7 +15,6 @@ from repro.apps.kerberized import KerberizedChannel, Protection
 from repro.apps.rlogin import RloginServer
 from repro.core import RetryPolicy
 from repro.kdbm import KdbmClient
-from repro.crypto import keycache
 from repro.netsim import Duplicate, Jitter, Loss, Match, Network
 from repro.netsim.ports import KERBEROS_PORT, KSHELL_PORT
 from repro.principal import Principal
@@ -37,9 +36,6 @@ KDC_QUEUE = WorkQueueConfig(workers=2, batch_size=4, queue_limit=16)
 def run_figures_on_event_runtime(seed):
     """One pass over the paper's flows on a realm where time is real:
     2 ms propagation, jittered delivery, queued KDCs, lossy KDC link."""
-    # The key-schedule cache is process-wide; start every run cold so
-    # same-seed runs see identical hit/miss traffic in their snapshots.
-    keycache.clear()
     net = Network(seed=seed, latency=0.002)
     realm = Realm(
         net, REALM_NAME,
@@ -106,17 +102,14 @@ class TestEventRuntimeFlows:
         """The tentpole determinism claim: scheduled delivery, seeded
         tie-breaks, queued service — and still bit-identical snapshots
         (metrics *and* final clock) for one seed."""
-        # Snapshot each run the moment it finishes: the key-schedule
-        # cache mirrors its traffic into every live realm's registry, so
-        # a late snapshot of run A would include run B's crypto counts.
+        # Both snapshots are taken after both runs: run B moves nothing
+        # in run A's registry.
         net_a = run_figures_on_event_runtime(seed=41)
-        snap_a = net_a.metrics.snapshot(now=net_a.clock.now())
-        executed_a = net_a.runtime.executed
-        del net_a
         net_b = run_figures_on_event_runtime(seed=41)
-        snap_b = net_b.metrics.snapshot(now=net_b.clock.now())
-        assert executed_a == net_b.runtime.executed
-        assert snap_a == snap_b
+        assert net_a.runtime.executed == net_b.runtime.executed
+        assert net_a.metrics.snapshot(now=net_a.clock.now()) == (
+            net_b.metrics.snapshot(now=net_b.clock.now())
+        )
 
     def test_different_seed_different_interleaving(self):
         net_a = run_figures_on_event_runtime(seed=41)

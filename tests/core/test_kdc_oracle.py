@@ -176,7 +176,6 @@ def test_with_every_cache_off_the_replies_are_the_same(batch):
 
 
 def assert_replies_equal_the_recomposed_figures(batch, cached):
-    keycache.clear()
     (realm, xkey), (twin, _) = build_realm(), build_realm()
     src = realm.workstation().host.address
     now = realm.net.clock.now()

@@ -11,8 +11,8 @@ hypothesis properties — so any future "optimization" that drifts a
 single bit fails here, not in a realm.
 
 The key-schedule cache (:mod:`repro.crypto.keycache`) is covered here
-too: identity of cached keys, LRU eviction, the disable switch, and
-metric attachment.
+too: identity of cached keys, LRU eviction and the disable switch; so is
+the KDC's own sealed-ticket skeleton cache, which the switch covers.
 """
 
 import random
@@ -32,6 +32,8 @@ from repro.crypto.modes import (
     pcbc_encrypt,
 )
 from repro.crypto.string2key import string_to_key
+from repro.netsim import Network
+from repro.realm import Realm
 from tests.crypto import reference_des
 from tests.crypto.reference_des import (
     cbc_decrypt_ref,
@@ -218,18 +220,6 @@ class TestKeyScheduleCache:
         # Different salt, different derivation.
         k3 = string_to_key("hunter2", "LCS.MIT.EDU")
         assert k3 is not k1
-
-    def test_attach_metrics_counts_and_is_idempotent(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        keycache.attach_metrics(registry)
-        keycache.attach_metrics(registry)  # second attach: no double count
-        raw = bytes.fromhex("0123456789ABCDEF")
-        DesKey.from_bytes(raw, allow_weak=True)
-        DesKey.from_bytes(raw, allow_weak=True)
-        assert registry.total("crypto.keyschedule_total", result="miss") == 1
-        assert registry.total("crypto.keyschedule_total", result="hit") == 1
 
 
 def _fips_and_weak_key_checks(crypt):
@@ -450,31 +440,51 @@ class TestSplitSealing:
 
 
 class TestSkeletonCache:
-    """The sealed-ticket skeleton layer rides the keycache switch."""
+    """Each KDC keeps its own sealed-ticket skeletons, built when it
+    attaches and bypassed by the keycache switch; only the hit/miss
+    tally is process-wide."""
+
+    @staticmethod
+    def _realm():
+        realm = Realm(Network(seed=5), "ATHENA.MIT.EDU")
+        for user in ("jis", "bcn"):
+            realm.add_user(user, f"{user}-pw")
+        return realm
+
+    @staticmethod
+    def _login(realm, user):
+        realm.workstation().client.kinit(user, f"{user}-pw")
 
     def test_put_get_and_stats(self):
-        keycache.clear()
+        realm = self._realm()
         keycache.reset_stats()
-        keycache.skeleton_put(("k", 10, b"p"), (b"cp", 3))
-        assert keycache.skeleton_get(("k", 10, b"p")) == (b"cp", 3)
-        assert keycache.skeleton_get(("other",)) is None
-        stats = keycache.skeleton_stats()
-        assert stats["hit"] == 1 and stats["miss"] == 1
+        self._login(realm, "jis")
+        self._login(realm, "bcn")  # a TGT of the same length: resumed
+        assert len(realm.kdc._skeletons) == 1
+        assert keycache.skeleton_stats() == {"hit": 1, "miss": 1}
+        assert realm.net.metrics.total("kdc.skeleton_hits_total") == 1
 
     def test_caches_disabled_bypasses_skeletons(self):
-        keycache.skeleton_put(("live",), (b"x", 0))
+        realm = self._realm()
+        keycache.reset_stats()
         with keycache.caches_disabled():
-            # Disabled: no reads, and writes are dropped.
-            assert keycache.skeleton_get(("live",)) is None
-            keycache.skeleton_put(("while-off",), (b"y", 1))
-        assert keycache.skeleton_get(("while-off",)) is None
+            self._login(realm, "jis")
+            self._login(realm, "bcn")
+        assert len(realm.kdc._skeletons) == 0
+        assert keycache.skeleton_stats() == {"hit": 0, "miss": 0}
+        self._login(realm, "jis")
+        assert len(realm.kdc._skeletons) == 1
 
-    def test_clear_drops_every_skeleton(self):
-        keycache.skeleton_put(("a",), (b"", 0))
-        keycache.skeleton_put(("b",), (b"", 0))
-        assert keycache.skeleton_stats()["size"] >= 2
-        keycache.clear()
-        assert keycache.skeleton_stats()["size"] == 0
+    def test_a_restart_drops_every_skeleton(self):
+        realm = self._realm()
+        self._login(realm, "jis")
+        kdc = realm.kdc
+        assert len(kdc._skeletons) == 1
+        keycache.clear()  # the process-wide caches are not the KDC's
+        assert len(kdc._skeletons) == 1
+        realm.net.crash_host(realm.master_host.name, downtime=1.0)
+        realm.net.clock.advance(2.0)
+        assert len(kdc._skeletons) == 0  # the restarted KDC starts cold
 
 
 class TestWideLanes:

@@ -88,6 +88,8 @@ REMOVED = {
     31: ("word", "AthenaWorkload", "repro.workload", "WorkloadStats", "BurstResult",
          "session_traffic", "workload.events_total", "workload.login"),
     34: ("word", "ProtocolTracer", "correlated_report", "repro.trace", "replay_from"),
+    37: ("word", "attach_metrics", "crypto.keyschedule_total", "crypto.interleaved_blocks_total",
+         "skeleton_get", "skeleton_put"),
 }
 
 
@@ -587,7 +589,7 @@ KDC_PLANT = (
     "    self._metrics.gauge('kdc.z').set(n)\n"
     "    self._held['kdc.x'].inc()\n"
     "    for item in datagrams:\n"
-    "        n = self.metrics.total('crypto.keyschedule_total')\n"
+    "        n = self.metrics.total('kdc.requests_total')\n"
     "    return BatchWriter([metrics.total('b') for _ in datagrams])\n"
     "def _outcome(self, code):\n"
     "    return decode_message(self.metrics.counter('kdc.outcomes_total', code=code))\n"
@@ -778,6 +780,21 @@ RULES = (
         mark="obs",
     ),
     # -- the cipher ---------------------------------------------------------
+    Rule(
+        "crypto-owns-no-registry",
+        "The cipher library reports to nobody: its tallies are read, never mirrored into a realm.",
+        (CRYPTO + "*",),
+        each(join(lambda tree: [site for site in imports(tree) if site[1].split()[1] == "weakref"],
+                  call_sites("counter", "gauge", "histogram", attr=True))),
+        plant_at=CRYPTO + "keycache.py",
+        plant="import weakref\n"
+              "from weakref import ref\n"
+              "def attach(metrics, labels):\n"
+              "    hit = metrics.counter('crypto.hits', labels)\n"
+              "    return ref(metrics), hit, metrics.histogram('crypto.x', (1.0,))\n",
+        hits=((1, "import weakref"), (2, "from weakref import ref"), (4, ".counter()"),
+              (5, ".histogram()")),
+    ),
     Rule(
         "no-per-block-conversion",
         "Modes convert bytes<->int once a message; per-block conversion is the oracle's own.",

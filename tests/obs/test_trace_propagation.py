@@ -3,6 +3,7 @@ queue-wait spans, frozen wire bytes, and deterministic export."""
 
 import pytest
 
+from repro.crypto import keycache
 from repro.netsim import Datagram, IPAddress, Network, Unreachable
 from repro.netsim.faults import Loss
 from repro.obs import TraceContext, render_chrome_trace
@@ -145,6 +146,15 @@ class TestQueueWaitSpans:
             "kdc.queue.wait_seconds", {"server": realm.master_host.name}
         )
         assert hist.count == 1
+        # With every cache off each key is scheduled again, and each
+        # lookup still counts: as many as the cold first login made.
+        with keycache.caches_disabled(), net.tracer.span("login") as again:
+            ws.client.kinit("jis", "jis-pw")
+        (uncached,) = [
+            s for s in net.tracer.by_request(again.request_id)
+            if s.name == "kdc.as"
+        ]
+        assert uncached.attrs["crypto_ops"] == kdc.attrs["crypto_ops"]
 
 
 class TestBounds:

@@ -6,9 +6,9 @@ seal header and the whole blocks of ``s`` are the same plaintext for
 every ticket one key seals at one length.  Under PCBC that prefix's
 ciphertext and chain depend on nothing else, so the KDC keeps its state
 (the skeleton) and resumes every such ticket after it
-(``seal_tickets_cached``).  The entry is keyed on the sealing key's
-bytes, the ticket's length and the prefix plaintext, and nothing
-flushes it when the database changes.
+(``seal_tickets_cached``), in a cache of its own.  The entry is keyed
+on the sealing key's bytes, the ticket's length and the prefix
+plaintext, and nothing flushes it when the database changes.
 
 Each case issues tickets, changes between two batches what one part of
 that key must see, and asserts that every ticket of the second batch is
@@ -20,6 +20,7 @@ needs, and must fail there.
 import pytest
 
 from repro.core import KerberosError, Principal
+from repro.core.kdc import SKELETON_CACHE_SIZE
 from repro.core.ticket import seal_ticket, unseal_ticket
 from repro.crypto import keycache
 from repro.netsim import Network
@@ -32,13 +33,6 @@ RLOGIX = Principal("rlogix", "priam", REALM)  # a rename, same length
 
 #: Where each part sits in the skeleton key ``seal_tickets_cached`` makes.
 KEY_BYTES, LENGTH, PREFIX = range(3)
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    keycache.clear()
-    yield
-    keycache.clear()
 
 
 def build_realm():
@@ -113,17 +107,20 @@ def assert_sealed_now(realm, blob, server, client):
     assert seal_ticket(ticket, key) == blob
 
 
-def plant(monkeypatch, part):
+class NarrowCache(keycache._LruCache):
     """A skeleton cache that ignores ``part`` of the key it is given."""
-    get, put = keycache.skeleton_get, keycache.skeleton_put
 
-    def narrow(key):
-        return key[:part] + key[part + 1:]
+    __slots__ = ("part",)
 
-    monkeypatch.setattr(keycache, "skeleton_get", lambda key: get(narrow(key)))
-    monkeypatch.setattr(
-        keycache, "skeleton_put", lambda key, state: put(narrow(key), state)
-    )
+    def __init__(self, part):
+        super().__init__(SKELETON_CACHE_SIZE)
+        self.part = part
+
+    def get(self, key):
+        return super().get(key[:self.part] + key[self.part + 1:])
+
+    def put(self, key, value):
+        super().put(key[:self.part] + key[self.part + 1:], value)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -135,10 +132,10 @@ def test_no_ticket_crosses_a_key_or_a_length(case):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_a_planted_skeleton_key_that_drops_the_part_crosses(case, monkeypatch):
+def test_a_planted_skeleton_key_that_drops_the_part_crosses(case):
     scenario, part = CASES[case]
-    plant(monkeypatch, part)
     realm = build_realm()
+    realm.kdc._skeletons = NarrowCache(part)
     with pytest.raises((AssertionError, KerberosError)):
         for blob, server, client in scenario(realm):
             assert_sealed_now(realm, blob, server, client)
