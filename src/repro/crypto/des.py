@@ -344,9 +344,9 @@ def _key_schedule(
 # four of each 6-bit group), so FP reads the pre-output back through
 # tables indexed by those same chunks and no compress step exists.  The
 # rounds are written out, alternating the two half-block variables so
-# the (L, R) swap costs nothing.  tests/crypto/test_perf_kernels.py pins
-# the function against the oracle's loop kernel and the tables against
-# the oracle's own E and SP.
+# the (L, R) swap costs nothing.  tests/crypto/test_kernel_equivalence.py
+# pins the function against the oracle's loop kernel and the tables
+# against the oracle's own E and SP.
 # --------------------------------------------------------------------------
 
 def _expand(half: int) -> int:

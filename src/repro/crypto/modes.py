@@ -25,7 +25,7 @@ Performance note: the single-message loops chain Python ints through
 arrays on the wide kernel (:mod:`repro.crypto.des_simd`) from the
 thresholds described under "Multi-message PCBC" below.  The byte-path
 loops are the oracle in ``tests/crypto/reference_des.py``, pinned
-bit-exact by ``tests/crypto/test_perf_kernels.py``.
+bit-exact by ``tests/crypto/test_kernel_equivalence.py``.
 """
 
 from __future__ import annotations

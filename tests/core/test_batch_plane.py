@@ -15,7 +15,6 @@ bytes in larger buffers through
 code: ``tests/core/test_kdc_oracle.py``.
 """
 
-import collections
 import gc
 import types
 from contextlib import nullcontext
@@ -45,7 +44,7 @@ from repro.crypto import (
     des_simd,
     keycache,
 )
-from repro.crypto import des, modes, string_to_key
+from repro.crypto import string_to_key
 from repro.crypto.modes import WIDE_MIN_BLOCKS, WIDE_MIN_MESSAGES
 from repro.database.schema import ATTR_REQUIRE_PREAUTH
 from repro.encode import pack_frames
@@ -55,7 +54,7 @@ from repro.principal import Principal, kdbm_principal, tgs_principal
 from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueueConfig
 from tests.crypto.reference_des import seal_prefix_state, seal_ref
-from tests.crypto.test_perf_kernels import ASTRIDE
+from tests.crypto.kernel_helpers import ASTRIDE
 
 REALM = "ATHENA.MIT.EDU"
 
@@ -1051,185 +1050,3 @@ class TestSkeletonMissRidesTheBatch:
         cold_start = keycache._LruCache(SKELETON_CACHE_SIZE)
         assert seal_tickets_cached(items, cold_start) == want
         assert seal_tickets_cached([], cold_start) == ([], [])
-
-
-class TestWorkCountGate:
-    """The deterministic half of the perf gate: no wall clock, only the
-    cipher's own block counter against the message lengths, and how
-    often each kernel — and each of its bulk gathers — was entered."""
-
-    @staticmethod
-    def _serve_counted(realm, wires, src, monkeypatch):
-        """Serve ``wires`` as one buffer: ``(replies, calls, blocks on
-        the lanes, runs)``, ``calls`` counting every way into the
-        single-lane kernel (``int``), the one-pass kernel (``wide``), the
-        run kernel (``run``) and the bulk IP/FP gathers both share, and
-        ``runs`` holding each sealing run's lanes alive per step."""
-        from repro.crypto.modes import interleaved_blocks
-
-        calls = collections.Counter()
-        runs = []
-
-        def counted(name, kernel):
-            def wrapper(*args):
-                calls[name] += 1
-                if name == "run":
-                    runs.append(list(args[3]))
-                return kernel(*args)
-            return wrapper
-
-        monkeypatch.setattr(des, "crypt_int", counted("int", des.crypt_int))
-        monkeypatch.setattr(modes, "crypt_int", counted("int", modes.crypt_int))
-        for name, kernel in (
-            ("wide", "crypt_wide"), ("run", "pcbc_encrypt_wide"),
-            ("ip", "_ip"), ("fp", "_fp"),
-        ):
-            monkeypatch.setattr(
-                des_simd, kernel, counted(name, getattr(des_simd, kernel))
-            )
-        before = interleaved_blocks()
-        replies = realm.kdc.process_request_buffer(pack_frames(wires), src)
-        on_lanes = interleaved_blocks() - before
-        monkeypatch.undo()
-        return replies, calls, on_lanes, runs
-
-    @staticmethod
-    def _sealed_blocks(replies, reply_keys):
-        """Blocks sealed into ``replies``: every body and its ticket."""
-        from repro.core.messages import KdcReply
-
-        sealed = 0
-        for reply, key in zip(replies, reply_keys):
-            mtype, message = decode_message(reply)
-            assert isinstance(message, KdcReply), mtype
-            sealed += len(message.sealed_body) + len(message.open(key).ticket)
-        return sealed // 8
-
-    def test_nine_tenths_of_a_cold_buffers_blocks_ride_the_lanes(
-        self, monkeypatch
-    ):
-        """The name is ISSUE 12's bound; since ISSUE 19 the buffer rides
-        whole — every message block, every database key, every session
-        key — and the single-lane kernel is never entered."""
-        if not des_simd.available():
-            pytest.skip("numpy not available; no block rides the lanes")
-        n = 64
-        realm, _xkey = build_tgs_realm(n_users=n)
-        src = realm.workstation().host.address
-        now = realm.net.clock.now()
-        tgs_key = realm.db.principal_key(tgs_principal(REALM))
-        gen = KeyGenerator(seed=b"work-count")
-        wires, reply_keys, request_bytes = [], [], 0
-        for u in range(n):
-            wires.append(as_wire(f"user{u}"))
-            reply_keys.append(string_to_key(f"pw{u}"))
-            user = Principal(f"user{u}", "", REALM)
-            session = gen.session_key_bytes()
-            request = tgs_request(
-                crafted_tgt(tgs_key, user, src, now, 3600.0, session),
-                session, user, src, now,
-            )
-            wires.append(encode_message(MessageType.TGS_REQ, request))
-            reply_keys.append(DesKey.from_bytes(session, allow_weak=True))
-            request_bytes += len(request.tgt) + len(request.authenticator)
-
-        keycache.clear()
-        unseal_cache = realm.db.master_key._unseal_cache
-        known_blobs = len(unseal_cache)
-        replies, calls, on_lanes, _runs = self._serve_counted(
-            realm, wires, src, monkeypatch
-        )
-
-        # PR 18's commit: about 300 single-lane blocks per buffer — the
-        # 128 session keys and every cold database key, one at a time.
-        assert calls["int"] == 0
-        # 2 passes unseal the request side, 1 the database keys, 1 draws
-        # the session keys; the parent commit sealed in 16 + 30 more, a
-        # pass per block step — now 2 runs, each one bulk IP and one
-        # bulk FP however many steps it has.
-        assert (calls["wide"], calls["run"]) == (4, 2)
-        assert calls["ip"] == calls["fp"] == 6
-
-        # Every user's key and the service's were unsealed cold, three
-        # blocks a blob; every ticket took one block of the key stream.
-        cold_blobs = len(unseal_cache) - known_blobs
-        assert cold_blobs == n + 1
-        total = (
-            request_bytes // 8 + self._sealed_blocks(replies, reply_keys)
-            + 3 * cold_blobs + 2 * n
-        )
-        # PR 18's commit: 0.9 of the message blocks, none of the rest.
-        assert on_lanes == total
-
-    def test_a_cold_batch_of_eight_logins_fills_the_lanes(self, monkeypatch):
-        """A queued KDC's batch (ISSUE 20; 0 blocks on the lanes at the
-        parent commit): 8 first logins, names of two lengths, every key
-        and skeleton cold.  Tickets and reply heads share the first run,
-        the reply tails make the second; only what a run's ragged end
-        leaves finishes single-lane.  The database keys are one pass and
-        the draw another, of ``WIDE_MIN_BLOCKS`` counters."""
-        if not des_simd.available():
-            pytest.skip("numpy not available; no block rides the lanes")
-        realm, _xkey = build_tgs_realm(n_users=16)
-        src = realm.workstation().host.address
-        users = range(5, 13)  # user5 … user12
-        wires = [as_wire(f"user{u}", timestamp=float(u)) for u in users]
-        keycache.clear()
-        realm.kdc.keygen._ahead = b""  # nothing drawn ahead yet
-        replies, calls, on_lanes, _runs = self._serve_counted(
-            realm, wires, src, monkeypatch
-        )
-        sealed = self._sealed_blocks(
-            replies, [string_to_key(f"pw{u}") for u in users]
-        )
-        # Two runs, one pass over 9 cold database keys of three blocks
-        # and one draw; IP and FP gathered once a run or pass, not twice
-        # a step.
-        assert 9 * 3 >= WIDE_MIN_BLOCKS > 8
-        assert (calls["run"], calls["wide"]) == (2, 2)
-        assert (calls["ip"], calls["fp"]) == (4, 4)
-        sealed_on_lanes = on_lanes - 9 * 3 - WIDE_MIN_BLOCKS
-        assert sealed_on_lanes >= 0.9 * sealed
-        # No block is opened or drawn single-lane: only the tails.
-        assert calls["int"] == sealed - sealed_on_lanes
-
-    def test_a_warm_batch_seals_at_the_replys_own_length(self, monkeypatch):
-        """8 logins cold, then 8 more whose names have the same length:
-        every ticket is sealed under one key at one length, so the warm
-        batch resumes all 8 after the server field.  It puts 8 × the
-        skipped prefix's blocks fewer on the lanes, its first run is only
-        as deep as the reply lead, and its two runs together are the
-        reply's own length — the floor of one serial PCBC chain."""
-        if not des_simd.available():
-            pytest.skip("numpy not available; no block rides the lanes")
-        realm, _xkey = build_tgs_realm(n_users=28)
-        src = realm.workstation().host.address
-        keycache.clear()
-        realm.kdc.keygen._ahead = b""  # nothing drawn ahead yet
-        batches = []
-        for users in (range(10, 18), range(20, 28)):  # user10 … user27
-            keycache.reset_stats()
-            wires = [as_wire(f"user{u}", timestamp=float(u)) for u in users]
-            replies, calls, _on_lanes, runs = self._serve_counted(
-                realm, wires, src, monkeypatch
-            )
-            assert (calls["run"], calls["int"]) == (2, 0)
-            batches.append((keycache.skeleton_stats(), runs))
-        (cold_stats, cold_runs), (warm_stats, warm_runs) = batches
-        assert (cold_stats["miss"], cold_stats["hit"]) == (1, 7)
-        assert (warm_stats["miss"], warm_stats["hit"]) == (0, 8)
-
-        skipped = 1 + skeleton_cut(tgs_principal(REALM)) // 8  # + header
-        on_lanes = [sum(map(sum, runs)) for runs in (cold_runs, warm_runs)]
-        assert on_lanes[0] - on_lanes[1] == 8 * skipped
-
-        key = string_to_key("pw20")
-        message = decode_message(replies[0])[1]
-        ticket = message.open(key).ticket
-        body = modes.unseal(key, message.sealed_body)
-        lead = 1 + (len(body) - len(ticket)) // 8
-        assert len(cold_runs[0]) == len(ticket) // 8 > lead
-        assert len(warm_runs[0]) == lead
-        assert len(warm_runs[0]) + len(warm_runs[1]) == (
-            len(message.sealed_body) // 8
-        )

@@ -1,8 +1,10 @@
 """An oracle for Figures 5 and 8 that shares no code with the KDC.
 
-The twin tests in ``test_batch_plane.py`` compare the request pipeline
-with itself at another batch size; they cannot see a mistake every batch
-size makes alike.  This file says what the replies *should be*: with
+The twin tests in ``test_batch_plane.py`` (``TestAnyCutIsUnobservable``,
+``TestTgsBatchSemantics``) compare the request pipeline with itself at
+another batch size; they cannot see a mistake every batch size makes
+alike, and what a batch costs is the count gate's
+(``tests/integration/test_trajectory.py``).  This file says what the replies *should be*: with
 every cache off it recomposes each expected reply from public
 constructors only — ``Ticket``, ``KdcReplyBody``, ``KdcReply``,
 ``encode_message``, database reads, and session keys drawn in request

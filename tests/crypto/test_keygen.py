@@ -15,7 +15,7 @@ from repro.crypto import (
 )
 from repro.crypto.des import WEAK_KEYS, fix_parity
 from repro.crypto.modes import WIDE_MIN_BLOCKS
-from tests.crypto.test_perf_kernels import ASTRIDE, _spy_on_key_matrices
+from tests.crypto.kernel_helpers import ASTRIDE, spy_on_key_matrices
 
 
 class TestKeyGenerator:
@@ -169,7 +169,7 @@ class TestBatchDraw:
         """Keys either side of the wide kernel's threshold read the same;
         a draw below it still makes one pass of ``WIDE_MIN_BLOCKS``
         counters, the rest kept for later draws."""
-        passes = _spy_on_key_matrices(monkeypatch)
+        passes = spy_on_key_matrices(monkeypatch)
         gen = KeyGenerator(seed=b"threshold")
         expected, counter = one_block_at_a_time(b"threshold", n)
         assert gen.session_keys_bytes(n) == expected

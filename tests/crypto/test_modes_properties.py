@@ -1,7 +1,5 @@
 """Additional property tests on the block modes: IV and cross-mode laws."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,16 +11,8 @@ from repro.crypto import (
     cbc_encrypt,
     pcbc_decrypt,
     pcbc_encrypt,
-    des_simd,
     seal,
     unseal,
-    unseal_many,
-)
-from repro.crypto.modes import (
-    SEAL_MAGIC,
-    SEAL_TRAILER,
-    WIDE_MIN_BLOCKS,
-    interleaved_blocks,
 )
 
 keys = st.binary(min_size=8, max_size=8).map(
@@ -110,47 +100,3 @@ class TestCrossModeLaws:
         blob = seal(k1, data)
         with pytest.raises(IntegrityError):
             unseal(k2, blob)
-
-
-class TestUnsealIsABatchOfOne:
-    """A PCBC ``unseal`` opens its message through ``unseal_many``'s
-    kernel: the same bytes and the same refusal on either side of
-    ``WIDE_MIN_BLOCKS``, with numpy present and absent."""
-
-    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "no-numpy"])
-    @pytest.mark.parametrize(
-        "blocks",
-        [3, WIDE_MIN_BLOCKS - 1, WIDE_MIN_BLOCKS, WIDE_MIN_BLOCKS + 1],
-    )
-    def test_unseal_is_unseal_many_of_one(self, blocks, numpy, monkeypatch):
-        if not numpy:
-            monkeypatch.setattr(des_simd, "_np", None)
-        rng = random.Random(blocks)
-        key, wrong = (DesKey(rng.randbytes(8), allow_weak=True) for _ in "kw")
-        data = rng.randbytes(8 * (blocks - 2))
-        blob = seal(key, data)
-        assert len(blob) == 8 * blocks
-        before = interleaved_blocks()
-        assert unseal(key, blob) == unseal_many([(key, blob)])[0] == data
-        wide = des_simd.available() and blocks >= WIDE_MIN_BLOCKS
-        assert interleaved_blocks() - before == (2 * blocks if wide else 0)
-
-        flipped = bytearray(blob)
-        flipped[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
-        # Nonzero padding: a frame three bytes short of its blocks, padded
-        # with ones and sealed whole.
-        header = (SEAL_MAGIC << 32 | len(data) - 3).to_bytes(8, "big")
-        padded = pcbc_encrypt(
-            key, header + data[:-3] + b"\x01" * 3 + SEAL_TRAILER
-        )
-        refusals = [
-            (wrong, blob), (key, blob[:-8]), (key, blob[:-3]),
-            (key, bytes(flipped)), (key, padded),
-        ]
-        for item in refusals:
-            refused = unseal_many([item])[0]
-            assert isinstance(refused, IntegrityError)
-            with pytest.raises(IntegrityError) as raised:
-                unseal(*item)
-            assert str(raised.value) == str(refused)
-        assert str(refused) == "nonzero padding: message corrupted in transit"

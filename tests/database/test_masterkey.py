@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import DesKey, KeyGenerator, des_simd, keycache
 from repro.database import MasterKey
 from repro.database.masterkey import UNSEAL_CACHE_SIZE, MasterKeyError
-from tests.crypto.test_perf_kernels import _spy_on_key_matrices
+from tests.crypto.kernel_helpers import spy_on_key_matrices
 
 
 @pytest.fixture
@@ -215,7 +215,7 @@ class TestUnsealKeys:
         if not des_simd.available():
             pytest.skip("numpy not available; wide path disabled")
         keys, blobs = self.sealed(master, keygen, 20)
-        passes = _spy_on_key_matrices(monkeypatch)
+        passes = spy_on_key_matrices(monkeypatch)
         assert master.unseal_keys(blobs) == keys
         assert passes == [(60, (16, 1))]
 

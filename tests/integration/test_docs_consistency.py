@@ -4,10 +4,9 @@ CLAIMS.md points at tests, DESIGN.md at bench targets, README at example
 scripts — a rename anywhere must fail here rather than rot silently.
 """
 
+import json
 import re
 from pathlib import Path
-
-import pytest
 
 from tests.lint.harness import rule_test
 
@@ -123,3 +122,55 @@ class TestRemovedNames:
         ]
         assert not stale, stale
         assert "BENCH_" not in (ROOT / ".gitignore").read_text()
+
+
+def trajectory_table(text):
+    """``(pr, commit)`` of each line of PERFORMANCE.md's trajectory table."""
+    section = text.split("\n### The trajectory", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| (\d+) \| `([0-9a-f]{7}\+?)` \|", section, re.MULTILINE)
+
+
+def table_mismatches(table, rows):
+    """What keeps the table and ``trajectory.json`` from naming the same
+    PRs and commits, each exactly once."""
+    recorded = [
+        (str(row["pr"]), row["commit"][:7] + "+" * row["commit"].endswith("+"))
+        for row in rows
+    ]
+    found = [
+        f"{where} names {what} {value} twice"
+        for where, lines in (("the table", table), ("trajectory.json", recorded))
+        for what, values in (("PR", [p for p, _c in lines]), ("commit", [c for _p, c in lines]))
+        for value in sorted({v for v in values if values.count(v) > 1})
+    ]
+    found += [f"only the table has {line}" for line in sorted(set(table) - set(recorded))]
+    found += [f"only trajectory.json has {line}" for line in sorted(set(recorded) - set(table))]
+    return found
+
+
+class TestTrajectoryTable:
+    """docs/PERFORMANCE.md's trajectory table is ``trajectory.json``'s
+    index: one line per recorded commit."""
+
+    @staticmethod
+    def _both():
+        text = (ROOT / "docs" / "PERFORMANCE.md").read_text()
+        rows = json.loads((ROOT / "benchmarks" / "trajectory.json").read_text())
+        return trajectory_table(text), rows
+
+    def test_table_and_rows_name_the_same_prs_and_commits(self):
+        table, rows = self._both()
+        assert len(table) == len(rows) >= 13
+        assert not table_mismatches(table, rows)
+
+    def test_a_planted_mismatch_is_caught(self):
+        table, rows = self._both()
+        (pr, commit), (other_pr, other) = table[0], table[1]
+        planted = {
+            "a row left out": table[1:],
+            "a row twice": table + table[-1:],
+            "two commits swapped": [(pr, other), (other_pr, commit), *table[2:]],
+            "a PR renumbered": [(str(int(pr) + 100), commit), *table[1:]],
+        }
+        for what, bad in planted.items():
+            assert table_mismatches(bad, rows), what

@@ -1050,7 +1050,7 @@ RULES = (
         "No removed name comes back in code; the oracles and the tests that refuse one spell it.",
         ("src/*", "tests/*", "benchmarks/test_bench_*.py"), each(_removed_in_code),
         sites=((DES_ORACLE, "crypt_int_ref"),
-               ("tests/crypto/test_perf_kernels.py", "crypt_int_ref"),
+               ("tests/crypto/test_kernel_equivalence.py", "crypt_int_ref"),
                ("tests/crypto/test_reference_des.py", "crypt_int_ref"),
                (CODEC_ORACLE, "_encode_value"), (CODEC_ORACLE, "_decode_value"),
                (CODEC_ORACLE, "_SCALAR_ENCODERS"), (CODEC_ORACLE, "_SCALAR_DECODERS"),
