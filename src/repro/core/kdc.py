@@ -378,8 +378,6 @@ class KerberosServer(AuthenticatedService):
         split/interleaved seals are bit-exact by construction.
         """
         n = len(datagrams)
-        if waits is None:
-            waits = [None] * n
         self._batch_size.observe(n)
         now = self.host.clock.now()
         blocks_before = interleaved_blocks()
@@ -447,13 +445,13 @@ class KerberosServer(AuthenticatedService):
                     MessageType.ERROR, ErrorReply.from_error(errors[i])
                 )
         replies = writer.finish()
-        # -- per-item observability ----------------------------------------
+        # -- observability, per batch --------------------------------------
         # Per-stage work counts (deterministic — wall clocks are banned
         # under src/repro): how much of the batch survived decode, how
         # many DB round-trips the memo saved, and what the pooled
         # crypto/encode stages actually did.
         stage_attrs = {
-            "stage_decoded": n - sum(m is None for m in messages),
+            "stage_decoded": n - messages.count(None),
             "stage_lookups_saved": int(
                 self._lookups_saved.value - lookups_before
             ),
@@ -463,42 +461,47 @@ class KerberosServer(AuthenticatedService):
             "stage_tgt_memo_hits": int(
                 self._tgt_memo_total["hit"].value - memo_hits_before
             ),
-            "stage_encoded_bytes": sum(len(r) for r in replies),
+            "stage_encoded_bytes": sum(map(len, replies)),
         }
         host = self.host.name
+        if waits is None:
+            heads = [(host,)] * n
+        else:
+            service_time = round(service_each, 9)
+            heads = [(host, round(wait, 9), service_time) for wait in waits]
+        keys = (
+            "host", *(("queue_wait", "service_time") if waits is not None else ()),
+            "batch_size", "crypto_ops", *stage_attrs,
+        )
+        stage = tuple(stage_attrs.values())
+        records, run = [], []
         for i, datagram in enumerate(datagrams):
-            kind = kinds[i]
-            err = errors[i]
-            # Written after the fact (nothing runs inside it), so opened
-            # under the propagated context, off the tracer's stack; the
-            # close keeps its attributes as one tuple, not the dict.
-            span = self.tracer.open_span(
-                _SPAN_NAME[kind], datagram.trace, host=host
-            )
-            attrs = span.attrs
-            if waits[i] is not None:
-                attrs["queue_wait"] = round(waits[i], 9)
-                attrs["service_time"] = round(service_each, 9)
-            attrs["batch_size"] = n
-            attrs["crypto_ops"] = crypto_ops[i]
-            attrs.update(stage_attrs)
-            if err is not None:
-                # What Tracer.span records for an exception passing
-                # through it; here the refusal is a value.
-                attrs["error"] = f"{type(err).__name__}: {err}"
-            self.tracer.close_span(span)
+            kind, err = kinds[i], errors[i]
             if err is None:
+                records.append((keys, *heads[i], n, crypto_ops[i], *stage))
                 self._ok_total[kind].inc()
-                self.audit.emit(
-                    "auth_success",
-                    host=host,
-                    principal=principals[i],
-                    trace=datagram.trace,
-                    detail=_OK_DETAIL[kind],
-                )
-            else:
-                self._outcome(kind, err.code.name)
-                self._audit_failure(kind, err, datagram, principals[i])
+                run.append((principals[i], datagram.trace, _OK_DETAIL[kind]))
+                continue
+            # What Tracer.span records for an exception passing through
+            # it; here the refusal is a value.
+            records.append((
+                keys + ("error",), *heads[i], n, crypto_ops[i], *stage,
+                f"{type(err).__name__}: {err}",
+            ))
+            self._outcome(kind, err.code.name)
+            if run:  # the successes before it, in item order
+                self.audit.emit_run("auth_success", host, *zip(*run))
+                run = []
+            self._audit_failure(kind, err, datagram, principals[i])
+        if run:
+            self.audit.emit_run("auth_success", host, *zip(*run))
+        # Written after the fact (nothing ran inside them): one row per
+        # item, opened and closed now under its propagated context.
+        self.tracer.record_instants(
+            [_SPAN_NAME[kind] for kind in kinds],
+            [datagram.trace for datagram in datagrams],
+            records,
+        )
         return replies
 
     def _unseal_all(

@@ -22,7 +22,7 @@ keys and identities' *proofs*, not traffic metadata).
 from __future__ import annotations
 
 import enum
-from typing import Tuple, Type
+from typing import Dict, Tuple, Type
 
 from repro.crypto import DesKey, IntegrityError, seal, unseal
 from repro.core.errors import ErrorCode, KerberosError, error_for_code
@@ -229,42 +229,42 @@ class ErrorReply(WireStruct):
         return cls(code=int(err.code), text=err.message)
 
 
-_TYPE_TO_CLASS: dict = {
-    MessageType.AS_REQ: AsRequest,
-    MessageType.PREAUTH_AS_REQ: PreauthAsRequest,
-    MessageType.AS_REP: KdcReply,
-    MessageType.TGS_REQ: TgsRequest,
-    MessageType.TGS_REP: KdcReply,
-    MessageType.AP_REQ: ApRequest,
-    MessageType.AP_REP: ApReply,
-    MessageType.ERROR: ErrorReply,
+#: Per type byte, its type and the class it carries: both directions' table.
+_ENVELOPES: Dict[int, Tuple[MessageType, Type[WireStruct]]] = {
+    mtype: (mtype, cls) for mtype, cls in (
+        (MessageType.AS_REQ, AsRequest),
+        (MessageType.PREAUTH_AS_REQ, PreauthAsRequest),
+        (MessageType.AS_REP, KdcReply),
+        (MessageType.TGS_REQ, TgsRequest),
+        (MessageType.TGS_REP, KdcReply),
+        (MessageType.AP_REQ, ApRequest),
+        (MessageType.AP_REP, ApReply),
+        (MessageType.ERROR, ErrorReply),
+    )
 }
 
 
 def encode_message(mtype: MessageType, message: WireStruct) -> bytes:
     """Wrap a message in the typed envelope."""
-    expected = _TYPE_TO_CLASS.get(MessageType(mtype))
-    if expected is not None and type(message) is not expected:
+    envelope = _ENVELOPES.get(mtype) or (MessageType(mtype), type(message))
+    if type(message) is not envelope[1]:
         raise TypeError(
-            f"{MessageType(mtype).name} carries {expected.__name__}, "
+            f"{envelope[0].name} carries {envelope[1].__name__}, "
             f"got {type(message).__name__}"
         )
-    enc = Encoder()
-    enc.u8(int(mtype))
-    message.encode_into(enc)
-    return enc.getvalue()
+    return bytes((mtype,)) + message.to_bytes()
 
 
 def decode_message(data: bytes) -> Tuple[MessageType, WireStruct]:
     """Parse an envelope; raises :class:`KerberosError` (KDC_GEN_ERR) on
     anything malformed, which servers convert to an error reply."""
     try:
-        dec = Decoder(data)
-        mtype = MessageType(dec.u8())
-        cls: Type[WireStruct] = _TYPE_TO_CLASS[mtype]
-        message = cls.decode_from(dec)
-        dec.expect_eof()
-        return mtype, message
+        envelope = _ENVELOPES.get(data[0]) if data else None
+        if envelope is None:
+            # Refused as reading the type byte says (short, or no class).
+            raise KeyError(MessageType(Decoder(data).u8()))
+        mtype, cls = envelope
+        return mtype, cls.from_bytes(data, 1)
     except (DecodeError, ValueError, KeyError) as exc:
         raise error_for_code(
             ErrorCode.KDC_GEN_ERR, f"undecodable message: {exc}"

@@ -8,8 +8,8 @@ makes the *buffer* the unit of I/O:
 * :class:`BatchReader` slices length-prefixed frames out of one
   contiguous buffer as ``memoryview``\\ s — zero copies per message
   (:class:`~repro.encode.buffer.Decoder` reads views in place);
-* :class:`BatchWriter` encodes every reply onto the end of one output
-  buffer and returns per-reply views of it.
+* :class:`BatchWriter` joins every reply into one output buffer and
+  returns per-reply views of it.
 
 Frame format (everything big-endian, like the rest of the codec)::
 
@@ -25,12 +25,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.encode.buffer import (
-    _U32,
-    DecodeError,
-    Encoder,
-    MAX_FIELD_LENGTH,
-)
+from repro.encode.buffer import _U32, DecodeError, MAX_FIELD_LENGTH
 from repro.encode.structfmt import WireStruct
 
 #: Bytes of framing per payload (the u32 length prefix).
@@ -96,20 +91,23 @@ class BatchReader:
 class BatchWriter:
     """Encode many typed replies into one buffer, in one pass.
 
-    :meth:`add` encodes a ``(message type, WireStruct)`` reply straight
-    onto the end of one growing buffer; :meth:`finish` slices it into
-    per-reply views.  Each view's bytes equal
-    :func:`repro.core.messages.encode_message` for that reply.
+    :meth:`add` keeps a ``(message type, WireStruct)`` reply's parts —
+    its type byte and its ``to_bytes()`` — and :meth:`finish` joins every
+    part once and slices the result into per-reply views.  Each view's
+    bytes equal :func:`repro.core.messages.encode_message` for that
+    reply.
     """
 
     def __init__(self) -> None:
-        self._enc = Encoder()
+        self._parts: List[bytes] = []
         self._ends: List[int] = []
+        self._size = 0
 
     def add(self, mtype: int, msg: WireStruct) -> None:
-        self._enc.u8(int(mtype))
-        msg.encode_into(self._enc)
-        self._ends.append(len(self._enc))
+        body = msg.to_bytes()
+        self._parts += (bytes((mtype,)), body)
+        self._size += 1 + len(body)
+        self._ends.append(self._size)
 
     def __len__(self) -> int:
         return len(self._ends)
@@ -117,7 +115,7 @@ class BatchWriter:
     def finish(self) -> List[memoryview]:
         """One read-only payload view per reply added, in order (the u8
         message type byte included, framing excluded)."""
-        view = memoryview(self._enc.getvalue())
+        view = memoryview(b"".join(self._parts))
         out: List[memoryview] = []
         start = 0
         for end in self._ends:

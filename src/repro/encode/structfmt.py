@@ -36,51 +36,44 @@ The compile step
 
 Nothing walks ``FIELDS`` when a message is encoded or decoded.  The
 ``class`` statement itself (``__init_subclass__`` → :func:`_compile`)
-turns the declaration into source text for ``__init__``,
-``encode_into``, ``decode_from``, ``_astuple`` and ``__hash__`` and
-``exec``\\ s it once — the ``dataclasses``/``namedtuple`` idiom.  In the
-generated text the field order is straight-line code; every run of
-adjacent fixed-width fields — together with the u32 length or count
-prefix of the variable-length field that ends it — is *one*
-precompiled ``struct.Struct`` call behind one bounds check;
-length-prefixed fields are sliced straight out of the buffer; a nested
-struct is a call to that class's own compiled method; and the decoder's
-cursor is a local until it is handed back.  An unknown kind is refused
-by the ``class`` statement, not at first use.  The declaration above
-compiles to (``python -c "import linecache; from repro.core.authenticator
-import Authenticator as A; print(''.join(linecache.getlines(
-A.encode_into.__code__.co_filename)))"`` prints all five)::
+turns the declaration into source text for ``__init__``, ``to_bytes``,
+``_decode_at``, ``_astuple`` and ``__hash__`` and ``exec``\\ s it once —
+the ``dataclasses``/``namedtuple`` idiom.  In the generated text the
+field order is straight-line code; every run of adjacent fixed-width
+fields — together with the u32 length or count prefix of the
+variable-length field that ends it — is *one* precompiled
+``struct.Struct`` call behind one bounds check; the encoder joins its
+parts once; the decoder slices length-prefixed fields straight out of
+the bytes, passes a nested struct the position, and returns its own.
+An unknown kind is refused by the ``class`` statement, not at first
+use.  The declaration above compiles to (``python -c "import linecache;
+from repro.core.authenticator import Authenticator as A;
+print(''.join(linecache.getlines(A.to_bytes.__code__.co_filename)))"``
+prints all five)::
 
-    def encode_into(self, enc):
-        write = enc._buf.write
+    def to_bytes(self):
         _v0 = self.client
         if not isinstance(_v0, _c0): _refuse('Principal', _v0)
-        _v0.encode_into(enc)
+        _v0 = _v0.to_bytes()
         _v1 = self.address
         if _v1.__class__ is not int or not 0 <= _v1 <= 4294967295: _require_int(_v1, 0, 4294967295)
         _v2 = self.timestamp
         if _v2.__class__ is not float: _v2 = _as_float(_v2)
         _v3 = self.checksum
         if _v3.__class__ is not int or not 0 <= _v3 <= 4294967295: _require_int(_v3, 0, 4294967295)
-        write(_c1.pack(_v1, _v2, _v3))
+        return _v0 + _c1.pack(_v1, _v2, _v3)
 
-    def decode_from(cls, dec):
-        data = dec._data
-        pos = dec._pos
-        end = len(data)
-        dec._pos = pos
-        _v0 = _c0.decode_from(dec)
-        pos = dec._pos
+    def _decode_at(cls, data, pos, end):
+        _v0, pos = _c0._decode_at(data, pos, end)
         if pos + 16 > end: _short_read(data, pos, end, ((4, False), (8, False), (4, False)))
         _v1, _v2, _v3, = _c1.unpack_from(data, pos)
         pos += 16
-        dec._pos = pos
         obj = _new(cls)
         obj.client = _v0
         obj.address = _v1
         obj.timestamp = _v2
         obj.checksum = _v3
-        return obj
+        return obj, pos
 
 (``_c0`` is ``Principal``, ``_c1`` is ``struct.Struct(">IdI")``; the
 tuple lists the run's field widths, and which are booleans, so that a
@@ -89,6 +82,10 @@ the per-field primitives of :mod:`repro.encode.buffer` make is kept, in
 field order and with the same message: an encode failure is always
 :class:`EncodeError`, a decode failure always :class:`DecodeError` —
 never a leaked ``struct.error`` or ``IndexError``.
+
+``from_bytes(data, start=0)`` reads the one record that is all of
+``data[start:]``; ``encode_into``/``decode_from`` adapt a record to the
+formats still written by hand with an ``Encoder``/``Decoder``.
 
 The generated code is compiled under a file name inside this package
 (``…/repro/encode/structfmt.py:<codec Authenticator>``) and registered
@@ -101,18 +98,19 @@ in the repository) keeps it, and its decoder constructs through it.
 Interned values
 ---------------
 
-A class whose fields are all scalars and which writes its own
+A class whose fields are all length-prefixed and which writes its own
 ``__init__`` may declare ``INTERN = n`` (``Principal`` does).  Its
 instances are then immutable values — the ``class`` statement installs
 a ``__setattr__`` that refuses — so one instance may stand for every
 occurrence of the same bytes:
 
-* ``encode_into`` writes the instance's wire form, encoded on first use
+* ``to_bytes`` returns the instance's wire form, encoded on first use
   and kept on the instance (``_wire``);
-* ``decode_from`` reads the fields as usual, then looks the raw span
-  they came from up in the class's LRU table of ``n`` entries
-  (``_interned``).  A hit returns the instance decoded from those bytes
-  before; a miss constructs — through a hand-written ``__init__``'s
+* ``_decode_at`` first finds the record's end from its length prefixes
+  alone and looks that raw span up in the class's LRU table of ``n``
+  entries (``_interned``): a hit returns the instance decoded from
+  those bytes before, without decoding a string.  A miss decodes the
+  fields as usual and constructs — through a hand-written ``__init__``'s
   checks too — and interns the result.  So a name is validated once per
   distinct byte string, and malformed bytes, never being a key, are
   refused every time.
@@ -125,7 +123,7 @@ import keyword
 import linecache
 import struct as _struct
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import (
     Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -322,15 +320,16 @@ class _Source:
         return name
 
 
-def _emit_encode(src: _Source, items: Sequence[Tuple[str, Any]]) -> None:
-    """Code that writes each ``(value expression, kind)`` in order."""
-    run: List[Tuple[str, str]] = []  # (struct code, value) not yet written
+def _emit_encode(src: _Source, items: Sequence[Tuple[str, Any]]) -> List[str]:
+    """Code that checks each ``(value expression, kind)`` in order (the
+    first bad field raises); returns the wire parts' expressions."""
+    parts: List[str] = []
+    run: List[Tuple[str, str]] = []  # (struct code, value) not yet packed
 
     def flush() -> None:
         if run:
             packer = src.const(_struct_for("".join(c for c, _ in run)))
-            values = ", ".join(v for _, v in run)
-            src.line(f"write({packer}.pack({values}))")
+            parts.append(f"{packer}.pack({', '.join(v for _, v in run)})")
             run.clear()
 
     for expr, kind in items:
@@ -344,10 +343,12 @@ def _emit_encode(src: _Source, items: Sequence[Tuple[str, Any]]) -> None:
             src.line(f"if {n} > 4294967295: _require_int({n}, 0, 4294967295)")
             run.append(("I", n))
             flush()
-            each = src.temp()
+            each, out = src.temp(), src.temp()
+            src.line(f"{out} = []")
             src.line(f"for {each} in {v}:")
             with src.indented():
-                _emit_encode(src, [(each, item)])
+                src.line(f"{out} += ({', '.join(_emit_encode(src, [(each, item)]))},)")
+            parts.append(f"*{out}")
         elif kind in _INTS:
             code, _size, lo, hi = _INTS[kind]
             src.line(
@@ -372,15 +373,24 @@ def _emit_encode(src: _Source, items: Sequence[Tuple[str, Any]]) -> None:
             src.line(f"if {n} > {MAX_FIELD_LENGTH}: _too_long({n})")
             run.append(("I", n))
             flush()
-            src.line(f"write({v})")
+            parts.append(v)
         else:  # a nested struct (_check_kind admitted nothing else)
             flush()
             src.line(
                 f"if not isinstance({v}, {src.const(kind)}): "
                 f"_refuse({kind.__name__!r}, {v})"
             )
-            src.line(f"{v}.encode_into(enc)")
+            src.line(f"{v} = {v}.to_bytes()")
+            parts.append(v)
     flush()
+    return parts
+
+
+def _joined(parts: Sequence[str]) -> str:
+    """The bytes of ``parts``: one as is, two added, more joined once."""
+    if any(part.startswith("*") for part in parts) or len(parts) > 2:
+        return f"b''.join(({', '.join(parts)},))"
+    return " + ".join(parts)
 
 
 def _emit_decode(src: _Source, kinds: Sequence[Any]) -> List[str]:
@@ -451,11 +461,31 @@ def _emit_decode(src: _Source, kinds: Sequence[Any]) -> List[str]:
             src.line(f"pos += {n}")
         else:  # a nested struct
             flush()
-            src.line("dec._pos = pos")
-            src.line(f"{v} = {src.const(kind)}.decode_from(dec)")
-            src.line("pos = dec._pos")
+            src.line(f"{v}, pos = {src.const(kind)}._decode_at(data, pos, end)")
     flush()
     return values
+
+
+def _emit_lookup(src: _Source, fields: int, table: str) -> None:
+    """An interned class's first look: the record's span from its length
+    prefixes alone, in ``table``.  A span that does not fit falls through
+    to the full decode, which refuses it; refused bytes are never keys."""
+    prefix = src.const(_struct_for("I"))
+    src.line("q = pos")
+    with ExitStack() as inside:
+        for _ in range(fields):
+            src.line("q += 4")
+            src.line("if q <= end:")
+            inside.enter_context(src.indented())
+            src.line(f"q += {prefix}.unpack_from(data, q - 4)[0]")
+        src.line("if q <= end:")
+        inside.enter_context(src.indented())
+        src.line("span = data[pos:q]")
+        src.line("if span.__class__ is not bytes: span = bytes(span)")
+        src.line(f"obj = {table}.get(span)")
+        src.line("if obj is not None:")
+        src.line(f"    {table}.move_to_end(span)")
+        src.line("    return obj, q")
 
 
 def _hashable(expr: str, kind: Any, depth: int = 0) -> str:
@@ -495,44 +525,33 @@ def _generate(
         src.line()
 
     src.new_function()
-    src.line("def encode_into(self, enc):")
+    src.line("def to_bytes(self):")
     with src.indented():
+        items = [(f"self.{f.name}", f.kind) for f in fields]
         if interned is not None:
             # Encoded once per instance: the fields cannot change.
             src.line("wire = self._wire")
             src.line("if wire is None:")
             with src.indented():
-                src.line("parts = []")
-                src.line("write = parts.append")
-                _emit_encode(src, [(f"self.{f.name}", f.kind) for f in fields])
-                src.line("wire = b''.join(parts)")
+                src.line(f"wire = {_joined(_emit_encode(src, items))}")
                 src.line("_setattr(self, '_wire', wire)")
-            src.line("enc._buf.write(wire)")
-        elif fields:
-            src.line("write = enc._buf.write")
-            _emit_encode(src, [(f"self.{f.name}", f.kind) for f in fields])
+            src.line("return wire")
         else:
-            src.line("pass")
+            src.line(f"return {_joined(_emit_encode(src, items)) if fields else repr(b'')}")
     src.line()
 
     src.new_function()
-    src.line("def decode_from(cls, dec):")
+    src.line("def _decode_at(cls, data, pos, end):")
     with src.indented():
-        src.line("data = dec._data")
-        src.line("pos = dec._pos")
-        src.line("end = len(data)")
-        if interned is not None:
-            src.line("start = pos")
-        values = _emit_decode(src, [f.kind for f in fields])
-        src.line("dec._pos = pos")
+        kinds = [f.kind for f in fields]
         if interned is not None:
             table = src.const(interned)
+            _emit_lookup(src, len(kinds), table)
+            src.line("start = pos")
+        values = _emit_decode(src, kinds)
+        if interned is not None:
             src.line("span = data[start:pos]")
             src.line("if span.__class__ is not bytes: span = bytes(span)")
-            src.line(f"obj = {table}.get(span)")
-            src.line("if obj is not None:")
-            src.line(f"    {table}.move_to_end(span)")
-            src.line("    return obj")
         if own_init:
             # The hand-written constructor's checks apply to the wire too.
             args = ", ".join(f"{n}={v}" for n, v in zip(names, values))
@@ -545,7 +564,7 @@ def _generate(
             src.line("_setattr(obj, '_wire', span)")
             src.line(f"{table}[span] = obj")
             src.line(f"if len({table}) > {intern_size}: {table}.popitem(False)")
-        src.line("return obj")
+        src.line("return obj, pos")
     src.line()
 
     src.line("def _astuple(self):")
@@ -582,12 +601,10 @@ def _compile(cls: type) -> None:
     interned = None
     if intern_size:
         # Its own __init__ binds the fields past the refusing __setattr__.
-        if not own_init or any(
-            not isinstance(f.kind, str) or _list_item(f.kind) for f in fields
-        ):
+        if not own_init or any(f.kind not in ("bytes", "string") for f in fields):
             raise EncodeError(
-                f"{class_name}: an interned class has scalar fields and "
-                "its own __init__"
+                f"{class_name}: an interned class has length-prefixed "
+                "fields and its own __init__"
             )
         interned = OrderedDict()
         cls._interned = interned
@@ -608,7 +625,7 @@ def _compile(cls: type) -> None:
     exec(compile(src.text(), filename, "exec"), src.namespace)
 
     cls._NAMES = names
-    for name in ("__init__", "encode_into", "decode_from", "_astuple", "__hash__"):
+    for name in ("__init__", "to_bytes", "_decode_at", "_astuple", "__hash__"):
         if name == "__init__" and own_init:
             continue
         function = src.namespace.pop(name)
@@ -617,7 +634,7 @@ def _compile(cls: type) -> None:
         function.__doc__ = getattr(WireStruct, name).__doc__
         setattr(
             cls, name,
-            classmethod(function) if name == "decode_from" else function,
+            classmethod(function) if name == "_decode_at" else function,
         )
 
 
@@ -625,9 +642,9 @@ class WireStruct:
     """Base class for declaratively-defined wire records.
 
     A subclass that declares ``FIELDS`` is compiled by its ``class``
-    statement; ``__init__``, ``encode_into``, ``decode_from``,
-    ``_astuple`` and ``__hash__`` below are the documented signatures
-    the generated methods replace.
+    statement; ``__init__``, ``to_bytes``, ``_decode_at``, ``_astuple``
+    and ``__hash__`` below are the documented signatures the generated
+    methods replace.
     """
 
     FIELDS: tuple = ()
@@ -650,24 +667,38 @@ class WireStruct:
 
     # -- serialization ----------------------------------------------------
 
+    def to_bytes(self) -> bytes:
+        """This record's fields, in declaration order, as wire bytes."""
+        return b""
+
+    @classmethod
+    def _decode_at(cls, data, pos: int, end: int) -> Tuple["WireStruct", int]:
+        """The record at ``pos`` of ``data`` (bytes or a view; nothing at
+        or past ``end`` is read) and the position just after it."""
+        return cls(), pos
+
+    @classmethod
+    def from_bytes(cls, data, start: int = 0) -> "WireStruct":
+        """The one record that is all of ``data[start:]``."""
+        if data.__class__ is not bytes and data.__class__ is not memoryview:
+            data = Decoder(data)._data  # bytes, or the Decoder's refusal
+        end = len(data)
+        obj, pos = cls._decode_at(data, start, end)
+        if pos != end:
+            raise DecodeError(f"{end - pos} trailing bytes after message")
+        return obj
+
+    # Adapters for formats written by hand with an Encoder/Decoder.
+
     def encode_into(self, enc: Encoder) -> None:
-        """Append this record's fields, in declaration order, to ``enc``."""
+        """Append this record to ``enc``."""
+        enc._buf.write(self.to_bytes())
 
     @classmethod
     def decode_from(cls, dec: Decoder) -> "WireStruct":
-        """Read one record from ``dec``, leaving its cursor after it."""
-        return cls()
-
-    def to_bytes(self) -> bytes:
-        enc = Encoder()
-        self.encode_into(enc)
-        return enc.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "WireStruct":
-        dec = Decoder(data)
-        obj = cls.decode_from(dec)
-        dec.expect_eof()
+        """Read one record at ``dec``'s cursor, leaving it after it."""
+        data = dec._data
+        obj, dec._pos = cls._decode_at(data, dec._pos, len(data))
         return obj
 
     # -- value semantics ----------------------------------------------------

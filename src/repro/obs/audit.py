@@ -15,7 +15,8 @@ the exact exchange that raised it.  The event vocabulary is closed
 (:data:`AUDIT_KINDS`) to keep the record stream — and the
 ``audit.events_total{kind}`` series — analyzable.
 
-All emission goes through :meth:`AuditLog.emit`; constructing an
+All emission goes through :meth:`AuditLog.emit_run` (a run of events
+of one kind; :meth:`AuditLog.emit` is a run of one); constructing an
 :class:`AuditEvent` anywhere else under ``src/repro`` is rejected by the
 ``tests/lint`` rule ``audit-event-built-in-one-module``, the same way
 ``no-wall-clock-or-global-rng`` protects determinism.
@@ -146,30 +147,41 @@ class AuditLog(HeldHandles):
         trace=None,
         detail: str = "",
     ) -> AuditEvent:
-        """Record one event.  ``trace`` may be a
+        """Record one event (a run of one).  ``trace`` may be a
         :class:`~repro.obs.tracing.TraceContext`, a trace-ID string, or
         None."""
+        return self.emit_run(kind, host, (principal,), (trace,), (detail,))
+
+    def emit_run(
+        self, kind: str, host: str, principals, traces, details
+    ) -> AuditEvent:
+        """Record a non-empty run of events of one kind, from one host,
+        now: one per ``(principals[i], traces[i], details[i])``, in
+        order.  Returns the last."""
         if kind not in AUDIT_KINDS:
             raise AuditError(
                 f"unknown audit kind {kind!r} (known: {', '.join(AUDIT_KINDS)})"
             )
-        trace_id = str(getattr(trace, "trace_id", trace) or "")
-        seq, now = next(self._seq), self.clock.now()
-        if len(self._kinds) < self.max_events:
-            # A realm's events name its principals again and again.
-            principal = self._principals.setdefault(principal, principal)
-            self._seqs.append(seq)
-            self._times.append(now)
-            self._kinds.append(kind)
-            self._hosts.append(host)
-            self._whos.append(principal)
-            self._traces.append(trace_id)
-            self._details.append(detail)
-            key = ("audit.events_total", kind)
-        else:
-            key = ("audit.events_dropped_total", None)
+        now, counts = self.clock.now(), {}
+        for principal, trace, detail in zip(principals, traces, details):
+            seq, trace_id = next(self._seq), str(getattr(trace, "trace_id", trace) or "")
+            if len(self._kinds) < self.max_events:
+                # A realm's events name its principals again and again.
+                principal = self._principals.setdefault(principal, principal)
+                self._seqs.append(seq)
+                self._times.append(now)
+                self._kinds.append(kind)
+                self._hosts.append(host)
+                self._whos.append(principal)
+                self._traces.append(trace_id)
+                self._details.append(detail)
+                key = ("audit.events_total", kind)
+            else:
+                key = ("audit.events_dropped_total", None)
+            counts[key] = counts.get(key, 0) + 1
         if self._metrics is not None:
-            (self._held.get(key) or self._counter(*key)).inc()
+            for key, count in counts.items():
+                (self._held.get(key) or self._counter(*key)).inc(count)
         return AuditEvent(seq, now, kind, host, principal, trace_id, detail)
 
     # -- queries ------------------------------------------------------------

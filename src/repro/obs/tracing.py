@@ -18,7 +18,9 @@ mechanisms that let a trace cross a simulated wire hop:
   handler span to A's trace;
 * :meth:`Tracer.open_span` / :meth:`Tracer.close_span` for spans that
   live *outside* the stack entirely (a datagram in flight, a request
-  sitting in a work queue), with explicit start/end times.
+  sitting in a work queue), with explicit start/end times;
+* :meth:`Tracer.record_instants` for spans written after the fact (a
+  batch's handler spans), appended as rows in one pass.
 
 Trace IDs are drawn from a deterministic counter (never a random or
 wall-clock source), so traces are reproducible run-to-run under the
@@ -523,6 +525,36 @@ class Tracer(HeldHandles):
             self._rows.ends[row] = end
             self._rows.records[row] = record
         return span
+
+    def record_instants(self, names, contexts, records) -> None:
+        """Record spans written after the fact, opened and closed now:
+        ``names[i]``, parented to ``contexts[i]`` as :meth:`open_span`
+        does, keeping ``records[i]``, ``(keys, *values)``.  Ids, the
+        ``max_spans`` cut and the counts are those of an
+        ``open_span``/``close_span`` pair per item; no :class:`Span`."""
+        if not self.enabled:
+            return
+        rows, now, counts = self._rows, self.clock.now(), {}
+        for name, context, record in zip(names, contexts, records):
+            span_id = next(self._span_ids)
+            context = context or self.new_context()
+            if len(rows.records) < self.max_spans:
+                parent = context.span_id
+                rows.starts.append(now)
+                rows.ends.append(now)
+                rows.ids.append(span_id)
+                rows.parents.append(-1 if parent is None else parent)
+                rows.names.append(self._names.setdefault(name, name))
+                rows.traces.append(context.trace_id)
+                keys = self._key_sets.setdefault(record[0], record[0])
+                rows.records.append(record if keys is record[0] else (keys, *record[1:]))
+                key = ("trace.spans_total", name)
+            else:
+                key = ("trace.spans_dropped_total", None)
+            counts[key] = counts.get(key, 0) + 1
+        if self._metrics is not None:
+            for key, count in counts.items():
+                (self._held.get(key) or self._counter(*key)).inc(count)
 
     # -- queries ------------------------------------------------------------------
 

@@ -28,7 +28,7 @@ from repro.core.errors import ErrorCode, KerberosError
 from repro.core.locator import StaticLocator
 from repro.core.messages import AsRequest, MessageType, decode_message, encode_message
 from repro.core.retry import RetryExhausted, RetryPolicy
-from repro.netsim import Network, Unreachable
+from repro.netsim import Network, NetworkError, Unreachable
 from repro.netsim.ports import KERBEROS_PORT
 from repro.obs import percentile
 from repro.principal import Principal, tgs_principal
@@ -192,14 +192,17 @@ def classify_failure(exc: Exception) -> str:
     """A stable label for a failed station operation: ``unavailable``
     when retries ran out, ``refused:skew`` for the paper's clock-skew
     refusal (``RD_AP_TIME``), ``refused:<code>`` for any other Kerberos
-    refusal, ``error:<type>`` for anything else."""
+    refusal, ``error:<type>`` for a network failure.  Anything else is
+    a fault of the program, not an outcome: it is raised."""
     if isinstance(exc, RetryExhausted):
         return "unavailable"
     if isinstance(exc, KerberosError):
         if exc.code == ErrorCode.RD_AP_TIME:
             return "refused:skew"
         return f"refused:{exc.code.name}"
-    return f"error:{type(exc).__name__}"
+    if isinstance(exc, NetworkError):
+        return f"error:{type(exc).__name__}"
+    raise exc
 
 
 def capacity(queue) -> float:
@@ -337,8 +340,9 @@ class World:
 
     def job(self, ws: Workstation, user: str, act, shape: str) -> Callable[[], None]:
         """A station's scheduled job in the row's ``shape``: each act or
-        use timed, its failure labelled and contained (a dead KDC must
-        not unwind the event loop).  An act that times only part of its
+        use timed, a protocol or network failure labelled and contained
+        (a dead KDC must not unwind the event loop) — anything else
+        propagates out of :func:`run`.  An act that times only part of its
         work (the mount handshake) returns its own outcome and latency;
         a ``burst`` act returns its pending request instead."""
         clock = self.net.clock
@@ -347,7 +351,7 @@ class World:
             started = clock.now()
             try:
                 outcome, latency = act() or ("ok", clock.now() - started)
-            except Exception as exc:
+            except (RetryExhausted, KerberosError, NetworkError) as exc:
                 outcome, latency = classify_failure(exc), clock.now() - started
             self.records.append(StationRecord(ws.host.name, user, outcome, latency, service))
 

@@ -115,16 +115,56 @@ def test_every_vector_is_covered():
         assert cls.from_bytes(VECTORS[name]).to_bytes() == VECTORS[name]
 
 
+#: The class each type byte of the KDC's envelope carries.
+ENVELOPE_CLASSES = {
+    MessageType.AS_REQ: AsRequest,
+    MessageType.PREAUTH_AS_REQ: PreauthAsRequest,
+    MessageType.AS_REP: KdcReply,
+    MessageType.TGS_REQ: TgsRequest,
+    MessageType.TGS_REP: KdcReply,
+    MessageType.AP_REQ: ApRequest,
+    MessageType.AP_REP: ApReply,
+    MessageType.ERROR: ErrorReply,
+}
+
+
+def envelope_refusal(envelope):
+    """The text an error reply must carry for ``envelope`` — the type
+    byte read as the ``Decoder`` reads it, the body judged by the
+    walker — or None when it decodes."""
+    try:
+        mtype = MessageType(Decoder(envelope).u8())
+    except (DecodeError, ValueError) as exc:
+        return f"undecodable message: {exc}"
+    if mtype not in ENVELOPE_CLASSES:
+        return f"undecodable message: {KeyError(mtype)}"
+    verdict = reference.outcome(
+        reference.from_bytes, ENVELOPE_CLASSES[mtype], envelope[1:]
+    )
+    return None if verdict[0] == "ok" else f"undecodable message: {verdict[1]}"
+
+
+def refused_with(envelope):
+    """The text of the error reply ``decode_message`` refuses
+    ``envelope`` with (None when it decodes); any other refusal fails."""
+    try:
+        decode_message(memoryview(envelope))
+    except KerberosError as err:
+        assert err.code == ErrorCode.KDC_GEN_ERR
+        return ErrorReply.from_error(err).text
+    return None
+
+
 @pytest.mark.parametrize("name", sorted(VECTORS))
 def test_damaged_vectors_meet_typed_refusals(name):
     cls = VECTOR_CLASSES.get(name, Ticket)
     for bad in damaged(name):
-        # The KDC's front door: any refusal is a KDC_GEN_ERR reply.
+        # The KDC's front door: any refusal is a KDC_GEN_ERR reply, and
+        # its text is on the wire too.
         for envelope in (bad, bytes([MessageType.AS_REQ]) + bad):
-            try:
-                decode_message(memoryview(envelope))
-            except KerberosError as err:
-                assert err.code == ErrorCode.KDC_GEN_ERR
+            assert refused_with(envelope) == envelope_refusal(envelope), (
+                envelope.hex()
+            )
         # kpropd's front door.
         try:
             decode_prop_message(bad)
@@ -136,6 +176,18 @@ def test_damaged_vectors_meet_typed_refusals(name):
         assert reference.outcome(cls.from_bytes, bad) == reference.outcome(
             reference.from_bytes, cls, bad
         ), bad.hex()
+
+
+@pytest.mark.parametrize("envelope,text", [
+    (b"", "short read: wanted 1 bytes, 0 remain"),
+    (bytes([200]) + VECTORS["fig5_as_request"], "200 is not a valid MessageType"),
+    (bytes([MessageType.AS_REQ]) + VECTORS["fig5_as_request"] + b"\x00",
+     "1 trailing bytes after message"),
+], ids=["empty-frame", "unknown-type-byte", "one-trailing-byte"])
+def test_envelope_refusals_name_the_envelope(envelope, text):
+    assert refused_with(envelope) == envelope_refusal(envelope) == (
+        f"undecodable message: {text}"
+    )
 
 
 def test_truncated_batch_buffer():
@@ -345,8 +397,7 @@ def test_generated_code_is_attributed_to_the_encode_package():
 
     for cls in (AsRequest, Ticket, Principal):
         functions = [
-            cls.encode_into, cls.decode_from.__func__, cls._astuple,
-            cls.__hash__,
+            cls.to_bytes, cls._decode_at.__func__, cls._astuple, cls.__hash__,
         ]
         if cls is not Principal:  # whose constructor is hand-written
             functions.append(cls.__init__)
@@ -367,8 +418,8 @@ def test_tracebacks_show_the_generated_line():
     assert "<codec AsRequest>" in text
     assert "_as_float(" in text  # the source line, via linecache
     linecache.checkcache()  # a generated entry survives a cache sweep
-    filename = AsRequest.encode_into.__code__.co_filename
-    assert "def encode_into(self, enc):\n" in linecache.getlines(filename)
+    filename = AsRequest.to_bytes.__code__.co_filename
+    assert "def to_bytes(self):\n" in linecache.getlines(filename)
 
 
 def test_module_docstring_shows_real_generated_code():
@@ -380,11 +431,9 @@ def test_module_docstring_shows_real_generated_code():
         line[4:] for line in structfmt.__doc__.splitlines()
         if line.startswith("    ")
     ]
-    source = linecache.getlines(
-        Authenticator.encode_into.__code__.co_filename
-    )
+    source = linecache.getlines(Authenticator.to_bytes.__code__.co_filename)
     generated = [line.rstrip("\n") for line in source]
-    start = generated.index("def encode_into(self, enc):")
+    start = generated.index("def to_bytes(self):")
     end = generated.index("def _astuple(self):")
     example = [line for line in generated[start:end] if line]
     assert [line for line in shown if line in example] == example

@@ -240,10 +240,12 @@ def _audit_vocabulary(trees):
 
     emitted = set()
     for rel, tree in trees.items():
-        emits = [call for call in calls(tree, {"emit"}) if isinstance(call.func, ast.Attribute)]
+        emits = [call for call in calls(tree, {"emit", "emit_run"})
+                 if isinstance(call.func, ast.Attribute)]
         for call in emits:
             if call.args and _str(call.args[0]) and call.args[0].value not in AUDIT_KINDS:
-                yield rel, call.lineno, f"emit({call.args[0].value!r}) outside AUDIT_KINDS"
+                yield (rel, call.lineno,
+                       f"{call.func.attr}({call.args[0].value!r}) outside AUDIT_KINDS")
         # A kind may reach emit() through a variable, so every string of
         # an emitting module counts; defining the vocabulary does not.
         if emits and not rel.endswith("obs/audit.py"):
@@ -382,8 +384,8 @@ HANDLES = {
           ("_outcome", "_life_series")),
     "src/repro/runtime/scheduler.py": (("at", "step"), ("_counter",)),
     "src/repro/netsim/network.py": (("_wire_leg",), ("_counter",)),
-    "src/repro/obs/tracing.py": (("_open",), ("_counter",)),
-    "src/repro/obs/audit.py": (("emit",), ("_counter",)),
+    "src/repro/obs/tracing.py": (("_open", "record_instants"), ("_counter",)),
+    "src/repro/obs/audit.py": (("emit_run",), ("_counter",)),
     "src/repro/runtime/workqueue.py": (("_count", "_gauge_depth", "_observe_waits"),
                                        ("_series",)),
 }
@@ -529,13 +531,13 @@ def _straight_line(trees):
     for rel, tree in trees.items():
         codes = {"planted": tree}
         if modules().get(rel) is tree:
-            files = {cls.encode_into.__code__.co_filename for cls in STRUCTS.values()}
+            files = {cls.to_bytes.__code__.co_filename for cls in STRUCTS.values()}
             codes = {name: ast.parse("".join(linecache.getlines(name))) for name in files}
             if len(codes) < 40:
                 yield rel, 0, f"only {len(codes)} codecs"
         for name, code in codes.items():
-            if not {"encode_into", "decode_from"} <= {getattr(n, "name", "") for n in code.body}:
-                yield rel, 0, f"{name}: no encode_into/decode_from"
+            if not {"to_bytes", "_decode_at"} <= {getattr(n, "name", "") for n in code.body}:
+                yield rel, 0, f"{name}: no to_bytes/_decode_at"
             yield from ((rel, line, f"{name}: {what}") for line, what in _kind_dispatch(code))
             top = symtable.symtable(ast.unparse(code), name, "exec")
             yield from (
@@ -768,15 +770,17 @@ RULES = (
     ),
     Rule(
         "audit-kinds-match-the-vocabulary",
-        "A literal emit() kind is in AUDIT_KINDS, and each kind is emitted somewhere.",
+        "A literal emit()/emit_run() kind is in AUDIT_KINDS, and each kind is emitted somewhere.",
         SRC, _audit_vocabulary,
         plant="KINDS = ('auth_success', 'auth_failure', 'preauth_failure', 'replay_detected',\n"
               "         'acl_denial', 'tampered_propagation', 'overload_shed',\n"
               "         'master_promoted', 'slave_rejoined')\n"
               "def warn(audit):\n"
-              "    audit.emit('auth_sucess', host='h')\n",
+              "    audit.emit('auth_sucess', host='h')\n"
+              "    audit.emit_run('auth_succes', 'h', [''], [None], [''])\n",
         hits=((0, "'shard_rebalanced' is never emitted"),
-              (5, "emit('auth_sucess') outside AUDIT_KINDS")),
+              (5, "emit('auth_sucess') outside AUDIT_KINDS"),
+              (6, "emit_run('auth_succes') outside AUDIT_KINDS")),
         mark="obs",
     ),
     # -- the cipher ---------------------------------------------------------
@@ -1008,7 +1012,8 @@ RULES = (
     # -- the wire codec -----------------------------------------------------
     Rule(
         "codec-interprets-nothing-per-message",
-        "Per-message code (_RUNTIME, WireStruct methods) reads no kind, FIELDS or compiler.",
+        "Per-message code (_RUNTIME; WireStruct's to_bytes, _decode_at and its adapters "
+        "encode_into, decode_from, from_bytes) reads no kind, FIELDS or compiler.",
         (STRUCTFMT,), _codec_runtime,
         sites=((STRUCTFMT, f"_RUNTIME is {sorted(CODEC_RUNTIME)}"),
                (STRUCTFMT, "compile step _compile"), (STRUCTFMT, "compile step _generate"),
@@ -1023,26 +1028,31 @@ RULES = (
               "class WireStruct:\n"
               "    def __init_subclass__(cls):\n"
               "        _check_kind(cls)\n"
-              "    def encode_into(self, enc):\n"
-              "        for f in self.FIELDS:\n"
-              "            _check_kind(f.kind)\n",
+              "    def from_bytes(cls, data, start=0):\n"
+              "        for f in cls.FIELDS:\n"
+              "            _check_kind(f.kind)\n"
+              "    def decode_from(cls, dec):\n"
+              "        return cls._decode_at(dec._data, dec._pos, _check_kind(cls))\n",
         hits=((0, "_RUNTIME is ['_refuse']"), (3, "compile step _check_kind"),
               (7, "__init_subclass__ calls ['_check_kind']"),
-              (9, "WireStruct.encode_into calls _check_kind"),
-              (10, "WireStruct.encode_into: .FIELDS")),
+              (9, "WireStruct.from_bytes calls _check_kind"),
+              (10, "WireStruct.from_bytes: .FIELDS"),
+              (12, "WireStruct.decode_from calls _check_kind")),
     ),
     Rule(
         "generated-code-is-straight-line",
-        "Generated codecs name only locals and the codec's globals, and tell no kinds apart.",
+        "Generated codecs (to_bytes, _decode_at) name only locals and the codec's globals, "
+        "and tell no kinds apart.",
         (STRUCTFMT,), _straight_line,
-        plant="def encode_into(self, enc):\n"
+        plant="def to_bytes(self):\n"
               "    for f in self.FIELDS:\n"
               "        kind = f.kind\n"
               "        if isinstance(kind, str) and kind.startswith('list:'):\n"
               "            _encode_value(enc, kind, getattr(self, f.name))\n",
-        hits=((0, "planted: no encode_into/decode_from"), (2, "planted: .FIELDS"),
+        hits=((0, "planted: no to_bytes/_decode_at"), (2, "planted: .FIELDS"),
               (4, "planted: .startswith()"), (4, "planted: isinstance(kind"),
-              (0, "planted: names _encode_value"), (0, "planted: names getattr")),
+              (0, "planted: names _encode_value"), (0, "planted: names enc"),
+              (0, "planted: names getattr")),
     ),
     # -- the tree as a whole ------------------------------------------------
     Rule(

@@ -2,6 +2,7 @@
 events are rows too, and the obs plane's retained bytes per closed span
 and per audit event stay under their gates."""
 
+import copy
 import gc
 import tracemalloc
 
@@ -10,7 +11,7 @@ import pytest
 from repro.core import KerberosError
 from repro.netsim import Network, SimClock, Unreachable
 from repro.netsim.faults import Loss
-from repro.obs import AuditLog, TraceContext
+from repro.obs import AuditLog, MetricsRegistry, TraceContext
 from repro.obs.tracing import ClosedSpan, Tracer
 from repro.realm import Realm, RealmTopology
 from repro.runtime import WorkQueue, WorkQueueConfig
@@ -126,19 +127,43 @@ def fields(span):
     )
 
 
+def written(name, span_id, context, time, record):
+    """The fields of a span written after the fact, from what
+    ``record_instants`` was handed."""
+    keys, *values = record
+    return (
+        name, span_id, context.span_id, context.trace_id, time, time,
+        dict(zip(keys, values)),
+    )
+
+
 class TestRowsReadAsSpans:
     def test_a_recorded_run_reads_back_field_for_field(self, monkeypatch):
-        """Every span a queued realm's logins close reads back from its
-        row with the fields it closed with, in recording order."""
+        """Every span a queued realm's logins record — closed ones and
+        the KDC's handler spans, written a batch at a time — reads back
+        from its row with the fields it was recorded with, in recording
+        order."""
         net = Network(latency=0.001, seed=7)
-        closed_spans = []
-        close = Tracer.close_span
+        recorded = []
+        close, record_instants = Tracer.close_span, Tracer.record_instants
 
-        def keep(tracer, span, end=None):
-            closed_spans.append(close(tracer, span, end))
-            return closed_spans[-1]
+        def keep_closed(tracer, span, end=None):
+            recorded.append(fields(close(tracer, span, end)))
+            return span
 
-        monkeypatch.setattr(Tracer, "close_span", keep)
+        def keep_written(tracer, names, contexts, records):
+            # The ids the call will draw, from a copy of the counter.
+            first = next(copy.copy(tracer._span_ids))
+            now = tracer.clock.now()
+            recorded.extend(
+                written(name, first + offset, context, now, record)
+                for offset, (name, context, record)
+                in enumerate(zip(names, contexts, records))
+            )
+            record_instants(tracer, names, contexts, records)
+
+        monkeypatch.setattr(Tracer, "close_span", keep_closed)
+        monkeypatch.setattr(Tracer, "record_instants", keep_written)
         queue = WorkQueueConfig(workers=1, batch_size=4)
         realm = Realm(net, "ATHENA.MIT.EDU", topology=RealmTopology(kdc_queue=queue))
         realm.add_user("jis", "jis-pw")
@@ -146,20 +171,24 @@ class TestRowsReadAsSpans:
             realm.workstation().client.kinit("jis", "wrong-pw")
         realm.workstation().client.kinit("jis", "jis-pw")
         rows = net.tracer.spans
-        closed_spans.sort(key=lambda span: span.span_id)
-        assert len(rows) == len(closed_spans) == 10
-        assert [fields(row) for row in rows] == list(map(fields, closed_spans))
-        assert list(rows) == closed_spans and rows == closed_spans
+        recorded.sort(key=lambda span_fields: span_fields[1])
+        assert len(rows) == len(recorded) == 10
+        assert [fields(row) for row in rows] == recorded
         assert all(type(row) is ClosedSpan for row in rows)
+        handlers = [row for row in rows if row.name == "kdc.as"]
+        assert len(handlers) == 2 and all(row.duration == 0.0 for row in handlers)
         assert {row.name for row in rows} >= {"kdc.as", "kdc.queue.wait", "net.transit"}
-        assert rows[-1] == closed_spans[-1] and rows[-2:] == closed_spans[-2:]
-        roots = [span for span in closed_spans if span.parent_id is None]
-        assert net.tracer.roots() == roots
-        assert net.tracer.by_request(roots[0].request_id) == [
-            span for span in closed_spans if span.request_id == roots[0].request_id
+        assert rows[-2:] == [rows[-2], rows[-1]]
+        roots = [row for row in rows if row.parent_id is None]
+        assert [fields(root) for root in net.tracer.roots()] == [
+            span_fields for span_fields in recorded if span_fields[2] is None
+        ] == list(map(fields, roots))
+        assert [fields(span) for span in net.tracer.by_request(roots[0].request_id)] == [
+            span_fields for span_fields in recorded
+            if span_fields[3] == roots[0].request_id
         ]
         assert net.tracer.request_ids() == list(
-            dict.fromkeys(span.request_id for span in closed_spans)
+            dict.fromkeys(span_fields[3] for span_fields in recorded)
         )
 
     def test_a_closed_row_is_frozen(self):
@@ -204,6 +233,76 @@ class TestRowsReadAsSpans:
         assert tracer.spans[1] == outer
 
 
+def twins(max_spans):
+    """Two tracers on one clock, each reporting to its own registry."""
+    clock = SimClock()
+    pair = []
+    for _ in range(2):
+        tracer = Tracer(clock, max_spans=max_spans)
+        tracer.metrics = MetricsRegistry()
+        pair.append(tracer)
+    return clock, pair
+
+
+#: Handler spans as a batch writes them: name, context, record.
+ITEMS = [
+    ("kdc.as", TraceContext("req-000007", 3), (("host", "n"), "kerberos", 4)),
+    ("kdc.tgs", None, (("host", "n", "error"), "kerberos", 4, "KerberosError: x")),
+    ("kdc.as", TraceContext("req-000008", None), (("host", "n"), "kerberos", 4)),
+    ("kdc.other", None, (("host", "n", "error"), "kerberos", 4, "KerberosError: y")),
+]
+
+
+def one_pair_each(tracer, items):
+    """What ``record_instants`` stands for: an open/close pair per item."""
+    for name, context, (keys, *values) in items:
+        tracer.close_span(tracer.open_span(name, context, **dict(zip(keys, values))))
+
+
+class TestSpansWrittenAfterTheFact:
+    @pytest.mark.parametrize("max_spans", [100, 3, 0], ids=["room", "overflow", "full"])
+    def test_a_batch_records_what_a_pair_per_item_would(self, max_spans):
+        """Ids, fresh trace ids, parents, times, attributes, the
+        ``max_spans`` cut and the span counters all match; the next
+        span's id continues past every item, dropped ones included."""
+        clock, (batch, paired) = twins(max_spans)
+        for tracer in (batch, paired):
+            with tracer.span("before"):
+                pass
+        clock.advance(0.5)
+        names, contexts, records = map(list, zip(*ITEMS))
+        batch.record_instants(names, contexts, records)
+        one_pair_each(paired, ITEMS)
+        assert list(map(fields, batch.spans)) == list(map(fields, paired.spans))
+        assert len(batch.spans) == min(max_spans, 1 + len(ITEMS))
+        assert batch.metrics.snapshot() == paired.metrics.snapshot()
+        assert batch.metrics.total("trace.spans_dropped_total") == max(
+            0, 1 + len(ITEMS) - max_spans
+        )
+        assert batch.start_span("after").span_id == paired.start_span("after").span_id == 6
+        assert batch.new_context() == paired.new_context()
+
+    def test_a_batch_keeps_one_keys_tuple_per_key_set(self):
+        tracer = Tracer(SimClock())
+        first = closed(tracer, "close_span", host="kerberos", n=4)
+        tracer.record_instants(["kdc.as"], [None], [(("host", "n"), "kerberos", 4)])
+        assert tracer.spans.records[-1][0] is first._attrs[0]
+
+    def test_a_disabled_tracer_records_nothing_and_draws_no_id(self):
+        clock, (batch, paired) = twins(100)
+        for tracer in (batch, paired):
+            tracer.enabled = False
+        names, contexts, records = map(list, zip(*ITEMS))
+        batch.record_instants(names, contexts, records)
+        one_pair_each(paired, ITEMS)
+        for tracer in (batch, paired):
+            assert tracer.spans == []
+            assert tracer.metrics.snapshot() == MetricsRegistry().snapshot()
+            tracer.enabled = True
+            span = tracer.start_span("after")
+            assert (span.span_id, span.request_id) == (1, "req-000001")
+
+
 class TestAuditRows:
     def test_events_read_back_equal_in_seq_order(self):
         clock = SimClock()
@@ -231,6 +330,25 @@ class TestAuditRows:
         log.clear()
         assert log.events() == [] and log.count() == 0
         assert log.emit("acl_denial").seq == 7
+
+    @pytest.mark.parametrize("max_events", [10, 3], ids=["room", "overflow"])
+    def test_a_run_records_what_one_emit_each_would(self, max_events):
+        clock = SimClock()
+        run, single = (AuditLog(clock, MetricsRegistry(), max_events) for _ in range(2))
+        principals = ["jis@ATHENA", "bcn@ATHENA", "jis@ATHENA", ""]
+        traces = [TraceContext("req-000001", 2), None, "req-000003", None]
+        details = ["kind=as", "kind=tgs", "kind=as", "kind=tgs"]
+        for log in (run, single):
+            log.emit("auth_failure", host="kerberos", detail="kind=as")
+        clock.advance(0.5)
+        last = run.emit_run("auth_success", "kerberos", principals, traces, details)
+        for principal, trace, detail in zip(principals, traces, details):
+            last_single = single.emit("auth_success", "kerberos", principal, trace, detail)
+        assert last == last_single and last.seq == 5
+        assert run.events() == single.events()
+        assert len(run) == min(max_events, 5)
+        assert run.metrics.snapshot() == single.metrics.snapshot()
+        assert run.emit("acl_denial").seq == single.emit("acl_denial").seq == 6
 
 
 # -- retained bytes -------------------------------------------------------------
@@ -291,24 +409,27 @@ def wait_spans():
 
 def kdc_spans():
     """The queued KDC's 12-attribute handler span, written as the KDC
-    writes it: per-item waits, per-batch stage counts."""
-    tracer = Tracer(SimClock())
+    writes it: a batch of 8 rows at a time, per-item waits, per-batch
+    stage counts."""
+    clock = SimClock()
+    tracer = Tracer(clock)
     context = TraceContext("req-000001", 1)
-    stage_attrs = {
-        "stage_decoded": 8, "stage_lookups_saved": 0, "stage_sealed": 8,
-        "stage_interleaved_blocks": 96, "stage_skeleton_hits": 8,
-        "stage_tgt_memo_hits": 0, "stage_encoded_bytes": 8 * 301,
-    }
+    keys = (
+        "host", "queue_wait", "service_time", "batch_size", "crypto_ops",
+        "stage_decoded", "stage_lookups_saved", "stage_sealed",
+        "stage_interleaved_blocks", "stage_skeleton_hits",
+        "stage_tgt_memo_hits", "stage_encoded_bytes",
+    )
+    stage = (8, 0, 8, 96, 8, 0, 8 * 301)
 
     def record(count):
-        for i in range(count):
-            span = tracer.open_span("kdc.as", context, host="kerberos")
-            span.attrs["queue_wait"] = round(i * 1e-4, 9)
-            span.attrs["service_time"] = round(i * 1e-5 + 1e-3, 9)
-            span.attrs["batch_size"] = 8
-            span.attrs["crypto_ops"] = 3
-            span.attrs.update(stage_attrs)
-            tracer.close_span(span, end=i * 1e-4 + 1.0)
+        for batch in range(0, count, 8):
+            clock.advance(1e-3)
+            tracer.record_instants(["kdc.as"] * 8, [context] * 8, [
+                (keys, "kerberos", round(i * 1e-4, 9),
+                 round(batch * 1e-5 + 1e-3, 9), 8, 3, *stage)
+                for i in range(batch, batch + 8)
+            ])
 
     return record
 
@@ -330,7 +451,7 @@ def audit_events():
     return record
 
 
-#: Bytes kept per record (Python 3.11 reads 133 / 61 / 252 / 72 with a
+#: Bytes kept per record (Python 3.11 reads 133 / 61 / 250 / 72 with a
 #: record per row of columns; a ``Span`` object per record read 215 /
 #: 146 / 334, a slotted ``AuditEvent`` per event 153).
 GATES = {

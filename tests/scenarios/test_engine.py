@@ -6,12 +6,15 @@ from dataclasses import replace
 import pytest
 
 import repro.scenarios as scenarios
+from repro.core import ErrorCode, KerberosClient, KerberosError
+from repro.netsim import HostDown
 from repro.scenarios.engine import (
     AddRule,
     CampaignResult,
     Crash,
     SloSpec,
     StationRecord,
+    classify_failure,
     percentile,
 )
 
@@ -124,6 +127,26 @@ class TestRegistry:
         summary = result.summary()
         assert summary["passed"] == result.passed
         assert summary["digest"] == result.digest
+
+
+class TestOnlyFailuresAreLabelled:
+    """A protocol or network failure is a station outcome; anything else
+    is a fault of the program and fails the run."""
+
+    def test_a_network_failure_keeps_its_label(self):
+        assert classify_failure(HostDown("athena-kerberos is down")) == "error:HostDown"
+        assert classify_failure(KerberosError(ErrorCode.RD_AP_TIME)) == "refused:skew"
+
+    @pytest.mark.parametrize("fault", [RecursionError, AssertionError])
+    def test_any_other_exception_propagates_out_of_run(self, monkeypatch, fault):
+        def broken(*args, **kwargs):
+            raise fault("a bug, not an outcome")
+
+        monkeypatch.setattr(KerberosClient, "kinit", broken)
+        with pytest.raises(fault, match="a bug, not an outcome"):
+            scenarios.run("morning_login_storm", seed=5, n_stations=4, n_users=4, window=2.0)
+        with pytest.raises(fault):
+            classify_failure(fault("a bug, not an outcome"))
 
 
 class TestBurstFailureSplit:
