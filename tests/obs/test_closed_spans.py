@@ -178,7 +178,8 @@ class TestRowsReadAsSpans:
         handlers = [row for row in rows if row.name == "kdc.as"]
         assert len(handlers) == 2 and all(row.duration == 0.0 for row in handlers)
         assert {row.name for row in rows} >= {"kdc.as", "kdc.queue.wait", "net.transit"}
-        assert rows[-2:] == [rows[-2], rows[-1]]
+        assert [fields(row) for row in rows[-2:]] == recorded[-2:]
+        assert fields(rows[-1]) == recorded[-1] and rows == list(rows)
         roots = [row for row in rows if row.parent_id is None]
         assert [fields(root) for root in net.tracer.roots()] == [
             span_fields for span_fields in recorded if span_fields[2] is None
