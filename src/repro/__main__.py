@@ -39,8 +39,8 @@ def main() -> None:
     print(f"\nNetwork traffic : {datagrams:.0f} datagrams, "
           f"{wire_bytes:.0f} bytes — all key material sealed.")
     print("\nMore: examples/*.py walk the paper's scenarios;")
-    print("      pytest benchmarks/ --benchmark-only -s regenerates every "
-          "figure.")
+    print("      pytest benchmarks/ -s regenerates every figure, "
+          "one table row each.")
 
 
 if __name__ == "__main__":

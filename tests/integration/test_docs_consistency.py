@@ -1,7 +1,8 @@
 """Documentation self-consistency: references in the docs must be real.
 
-CLAIMS.md points at tests, DESIGN.md at bench targets, README at example
-scripts — a rename anywhere must fail here rather than rot silently.
+CLAIMS.md points at tests, DESIGN.md and EXPERIMENTS.md at the rows of
+``benchmarks/experiments.py``, README at example scripts — a rename
+anywhere must fail here rather than rot silently.
 """
 
 import json
@@ -33,20 +34,60 @@ class TestClaimsReferences:
         assert not problems, problems
 
 
+def row_ids():
+    from benchmarks.experiments import EXPERIMENTS
+
+    return [row.id for row in EXPERIMENTS]
+
+
+def design_index(text):
+    """The experiment ids of DESIGN.md's per-experiment index, in order."""
+    section = text.split("\n## 4. Per-experiment index", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| (\w+) \|", section, re.MULTILINE)
+
+
+def experiment_sections(text):
+    """The ids of EXPERIMENTS.md's ``## <id> — `` sections, in order."""
+    return re.findall(r"^## (\w+) — ", text, re.MULTILINE)
+
+
+def stray_ids(where, documented, rows):
+    """Ids a document names twice, or that are no row."""
+    return [f"{where} names {i} twice" for i in sorted({i for i in documented
+                                                          if documented.count(i) > 1})] \
+        + [f"{where} names {i}, which is no row" for i in sorted(set(documented) - set(rows))]
+
+
+def id_mismatches(where, documented, rows):
+    """What keeps a document's ids and the table's rows from matching
+    one to one."""
+    return stray_ids(where, documented, rows) \
+        + [f"row {i} is missing from {where}" for i in sorted(set(rows) - set(documented))]
+
+
+def planted(ids):
+    """Each way a document's ids can drift from the rows."""
+    return {"an id left out": ids[1:], "an id twice": ids + ids[-1:],
+            "an id that is no row": ids[:-1] + ["F99"]}
+
+
 class TestDesignReferences:
+    """DESIGN.md's per-experiment index names each row of
+    ``benchmarks/experiments.py`` once."""
+
     def test_every_bench_target_exists(self):
-        text = (ROOT / "DESIGN.md").read_text()
-        targets = set(re.findall(r"`benchmarks/(test_bench_\w+\.py)`", text))
-        assert len(targets) >= 18
-        missing = [t for t in targets if not (ROOT / "benchmarks" / t).exists()]
-        assert not missing, missing
+        index = design_index((ROOT / "DESIGN.md").read_text())
+        assert len(index) >= 30
+        assert not stray_ids("DESIGN.md", index, row_ids())
 
     def test_every_bench_file_is_in_design(self):
-        text = (ROOT / "DESIGN.md").read_text()
-        on_disk = {p.name for p in (ROOT / "benchmarks").glob("test_bench_*.py")}
-        documented = set(re.findall(r"`benchmarks/(test_bench_\w+\.py)`", text))
-        undocumented = on_disk - documented
-        assert not undocumented, undocumented
+        index = design_index((ROOT / "DESIGN.md").read_text())
+        assert not id_mismatches("DESIGN.md", index, row_ids())
+
+    def test_a_planted_mismatch_is_caught(self):
+        index = design_index((ROOT / "DESIGN.md").read_text())
+        for what, bad in planted(index).items():
+            assert id_mismatches("DESIGN.md", bad, row_ids()), what
 
     def test_every_module_in_inventory_imports(self):
         text = (ROOT / "DESIGN.md").read_text()
@@ -85,12 +126,20 @@ class TestReadmeReferences:
 
 
 class TestExperimentsCoverage:
+    """EXPERIMENTS.md has one ``## <id> — `` section per row."""
+
     def test_every_figure_has_a_section(self):
-        text = (ROOT / "EXPERIMENTS.md").read_text()
+        sections = experiment_sections((ROOT / "EXPERIMENTS.md").read_text())
         for exp in ["F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9",
                     "F10", "F11", "F12", "F13", "NFS", "S9", "X1",
                     "C1", "T1", "L1", "P1"]:
-            assert f"## {exp} " in text or f"## {exp} —" in text, exp
+            assert exp in sections, exp
+        assert not id_mismatches("EXPERIMENTS.md", sections, row_ids())
+
+    def test_a_planted_mismatch_is_caught(self):
+        sections = experiment_sections((ROOT / "EXPERIMENTS.md").read_text())
+        for what, bad in planted(sections).items():
+            assert id_mismatches("EXPERIMENTS.md", bad, row_ids()), what
 
 
 class TestScenarioCatalogue:
@@ -110,14 +159,12 @@ class TestRemovedNames:
     test_docs_mention_no_removed_identifier = rule_test("removed-names-leave-the-docs")
 
     def test_no_benchmark_names_a_result_file_in_the_checkout(self):
-        """Benchmarks snapshot under pytest's ``tmp_path``; nothing
-        writes a ``BENCH_*.json`` git cannot see."""
-        files = sorted((ROOT / "benchmarks").glob("test_bench_*.py"))
-        assert len(files) >= 20
+        """The experiments write nothing: no row names a ``BENCH_*.json``
+        git cannot see."""
+        table = ROOT / "benchmarks" / "experiments.py"
         stale = [
-            f"{path.name}:{lineno}: {line.strip()}"
-            for path in files
-            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            f"{table.name}:{lineno}: {line.strip()}"
+            for lineno, line in enumerate(table.read_text().splitlines(), 1)
             if "BENCH_" in line
         ]
         assert not stale, stale

@@ -22,6 +22,7 @@ KDC = "src/repro/core/kdc.py"
 STRUCTFMT = "src/repro/encode/structfmt.py"
 DES_ORACLE = "tests/crypto/reference_des.py"
 CODEC_ORACLE = "tests/encode/reference_codec.py"
+BENCH = "benchmarks/*"
 
 
 def _str(node) -> bool:
@@ -90,6 +91,8 @@ REMOVED = {
     34: ("word", "ProtocolTracer", "correlated_report", "repro.trace", "replay_from"),
     37: ("word", "attach_metrics", "crypto.keyschedule_total", "crypto.interleaved_blocks_total",
          "skeleton_get", "skeleton_put"),
+    40: ("part", "test_bench_", "bench_util", "small_realm", "logged_in_workstation",
+         "rlogin_principal"),
 }
 
 
@@ -233,6 +236,16 @@ def _ambient(tree):
         elif isinstance(node, ast.Call) and name_of(node.func) in imported:
             found.append((node.lineno, f"{node.func.id}()"))
     return found
+
+
+def _stopwatches(tree):
+    """A time or timeit import, an ambient read, or a test taking
+    pytest-benchmark's ``benchmark`` fixture."""
+    return [site for site in imports(tree) if site[1].split()[1] in ("time", "timeit")] \
+        + [site for site in _ambient(tree) if not site[1].startswith("from ")] \
+        + [(node.lineno, f"{node.name} takes the benchmark fixture") for node in nodes(tree)
+           if isinstance(node, ast.FunctionDef)
+           and "benchmark" in [arg.arg for arg in node.args.args]]
 
 
 def _audit_vocabulary(trees):
@@ -672,7 +685,7 @@ RULES = (
     Rule(
         "one-wire-tap",
         "The wire is one obs plane: only WireRecorder (the eavesdropper's and replayer's base) taps it.",
-        SRC + ("benchmarks/test_bench_*.py",), each(call_sites("add_tap", attr=True)),
+        SRC + (BENCH,), each(call_sites("add_tap", attr=True)),
         sites=(("src/repro/obs/wire.py", ".add_tap()"),),
         plant="def watch(net, captured):\n"
               "    net.add_tap(lambda d: captured.append(d.payload))\n"
@@ -743,6 +756,20 @@ RULES = (
               (8, "time.time()")),
     ),
     Rule(
+        "experiments-read-no-clock",
+        "A row observes counts, bytes, digests and sim time; wall time is benchmarks/ledger/'s.",
+        (BENCH,), each(_stopwatches),
+        plant="import time\n"
+              "from timeit import timeit\n"
+              "from datetime import datetime\n"
+              "def test_row(benchmark):\n"
+              "    t0 = time.perf_counter()\n"
+              "    return benchmark(lambda: None), datetime.now() - t0\n",
+        hits=((1, "import time"), (2, "from timeit import timeit"),
+              (4, "test_row takes the benchmark fixture"), (5, "time.perf_counter()"),
+              (6, "datetime.now()")),
+    ),
+    Rule(
         "audit-event-built-in-one-module",
         "Events go through AuditLog.emit, which checks the kind, stamps seq/time and counts.",
         SRC, each(call_sites("AuditEvent")),
@@ -758,7 +785,7 @@ RULES = (
     Rule(
         "one-span-store",
         "Spans are recorded as rows of the Tracer's columns: only obs/tracing.py builds a Span.",
-        ("src/*", "tests/*", "benchmarks/test_bench_*.py"), each(call_sites("Span")),
+        ("src/*", "tests/*", BENCH), each(call_sites("Span")),
         sites=(("src/repro/obs/tracing.py", "Span()"),
                ("src/repro/obs/tracing.py", "Span()")),
         plant="from repro.obs import tracing\n"
@@ -1058,7 +1085,7 @@ RULES = (
     Rule(
         "removed-names-stay-gone",
         "No removed name comes back in code; the oracles and the tests that refuse one spell it.",
-        ("src/*", "tests/*", "benchmarks/test_bench_*.py"), each(_removed_in_code),
+        ("src/*", "tests/*", BENCH), each(_removed_in_code),
         sites=((DES_ORACLE, "crypt_int_ref"),
                ("tests/crypto/test_kernel_equivalence.py", "crypt_int_ref"),
                ("tests/crypto/test_reference_des.py", "crypt_int_ref"),
