@@ -16,7 +16,6 @@ Run:  python examples/kerberizing_an_app.py
 
 from repro.apps.kerberized import KerberizedChannel, KerberizedServer, Protection
 from repro.core import KerberosError
-from repro.encode import Decoder, Encoder
 from repro.netsim import Network
 from repro.realm import Realm
 
@@ -32,15 +31,13 @@ FORTUNES = {
 # --------------------------------------------------------------------------
 
 def legacy_fortune_server(datagram):
-    dec = Decoder(datagram.payload)
-    claimed_user = dec.string()
+    claimed_user = datagram.payload.decode()
     fortune = FORTUNES.get(claimed_user, FORTUNES["default"])
-    return Encoder().string(f"{claimed_user}: {fortune}").getvalue()
+    return f"{claimed_user}: {fortune}".encode()
 
 
 def legacy_fortune_client(host, server_addr, username):
-    raw = host.rpc(server_addr, 1717, Encoder().string(username).getvalue())
-    return Decoder(raw).string()
+    return host.rpc(server_addr, 1717, username.encode()).decode()
 
 
 # --------------------------------------------------------------------------

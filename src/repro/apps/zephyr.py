@@ -21,7 +21,7 @@ from repro.apps.kerberized import (
 from repro.core.applib import SrvTab
 from repro.core.client import KerberosClient
 from repro.core.errors import ErrorCode, KerberosError
-from repro.encode import WireStruct, field
+from repro.encode import BatchReader, WireStruct, field, pack_frames
 from repro.netsim.ports import ZEPHYR_PORT
 from repro.principal import Principal
 
@@ -69,11 +69,7 @@ class ZephyrServer(KerberizedServer):
         if command == "POLL":
             # A user may only read their own queue.
             queue = self._queues.pop(session.client.name, [])
-            out = b""
-            for notice in queue:
-                blob = notice.to_bytes()
-                out += len(blob).to_bytes(4, "big") + blob
-            return out
+            return pack_frames([notice.to_bytes() for notice in queue])
         raise KerberosError(ErrorCode.APP_ERROR, f"unknown command {command}")
 
 
@@ -101,14 +97,7 @@ class ZephyrClient:
     def poll(self) -> List[Notice]:
         """Fetch and clear this user's pending notices."""
         raw = self.channel.call(b"POLL")
-        notices = []
-        pos = 0
-        while pos < len(raw):
-            length = int.from_bytes(raw[pos : pos + 4], "big")
-            pos += 4
-            notices.append(Notice.from_bytes(raw[pos : pos + length]))
-            pos += length
-        return notices
+        return [Notice.from_bytes(frame) for frame in BatchReader(raw)]
 
     def close(self) -> None:
         self.channel.close()

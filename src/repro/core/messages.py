@@ -26,7 +26,7 @@ from typing import Dict, Tuple, Type
 
 from repro.crypto import DesKey, IntegrityError, seal, unseal
 from repro.core.errors import ErrorCode, KerberosError, error_for_code
-from repro.encode import DecodeError, Decoder, Encoder, WireStruct, field
+from repro.encode import DecodeError, WireStruct, field
 from repro.principal import Principal
 
 
@@ -83,24 +83,26 @@ class PreauthAsRequest(WireStruct):
     )
 
 
+class PreauthTime(WireStruct):
+    """What a preauthentication blob seals: the request's timestamp."""
+
+    FIELDS = (field("timestamp", "f64"),)
+
+
 def build_preauth(client_key: DesKey, timestamp: float) -> bytes:
     """The preauthentication blob: the request time, sealed in the
     client's key."""
-    enc = Encoder()
-    enc.f64(timestamp)
-    return seal(client_key, enc.getvalue())
+    return seal(client_key, PreauthTime(timestamp=timestamp).to_bytes())
 
 
 def verify_preauth(blob: bytes, client_key: DesKey, timestamp: float) -> bool:
     """KDC side: does the blob open under the client's key and carry a
     fresh timestamp matching the request?"""
     try:
-        dec = Decoder(unseal(client_key, blob))
-        sealed_time = dec.f64()
-        dec.expect_eof()
+        sealed = PreauthTime.from_bytes(unseal(client_key, blob))
     except (IntegrityError, DecodeError):
         return False
-    return sealed_time == timestamp
+    return sealed.timestamp == timestamp
 
 
 class KdcReplyBody(WireStruct):
@@ -262,7 +264,9 @@ def decode_message(data: bytes) -> Tuple[MessageType, WireStruct]:
         envelope = _ENVELOPES.get(data[0]) if data else None
         if envelope is None:
             # Refused as reading the type byte says (short, or no class).
-            raise KeyError(MessageType(Decoder(data).u8()))
+            if not data:
+                raise DecodeError("short read: wanted 1 bytes, 0 remain")
+            raise KeyError(MessageType(data[0]))
         mtype, cls = envelope
         return mtype, cls.from_bytes(data, 1)
     except (DecodeError, ValueError, KeyError) as exc:

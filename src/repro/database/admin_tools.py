@@ -29,7 +29,7 @@ from repro.database.db import KerberosDatabase
 from repro.database.masterkey import MasterKey
 from repro.database.schema import ATTR_NO_TGT, DEFAULT_MAX_LIFE
 from repro.database.store import RecordStore
-from repro.encode import Decoder, Encoder
+from repro.encode import WireStruct, field
 from repro.principal import Principal, kdbm_principal, tgs_principal
 
 
@@ -113,6 +113,22 @@ def kdb_util_load(db: KerberosDatabase, path: str) -> int:
 _SRVTAB_MAGIC = b"SRVTAB01"
 
 
+class SrvtabEntry(WireStruct):
+    """One service key in a srvtab."""
+
+    FIELDS = (
+        field("service", Principal),
+        field("kvno", "u32"),
+        field("key", "bytes"),
+    )
+
+
+class Srvtab(WireStruct):
+    """A srvtab file's contents, behind :data:`_SRVTAB_MAGIC`."""
+
+    FIELDS = (field("entries", ("list", SrvtabEntry)),)
+
+
 def ext_srvtab(db: KerberosDatabase, services: List[Principal]) -> bytes:
     """Extract service keys into srvtab file contents.
 
@@ -121,33 +137,20 @@ def ext_srvtab(db: KerberosDatabase, services: List[Principal]) -> bytes:
     installed on the server's machine; see
     :class:`repro.core.applib.SrvTab` for the reader.
     """
-    enc = Encoder()
-    enc.raw(_SRVTAB_MAGIC)
-    enc.u32(len(services))
-    for service in services:
-        record = db.get_record(service)
-        key = db.principal_key(service)
-        enc.string(service.name)
-        enc.string(service.instance)
-        enc.string(db.realm)
-        enc.u32(record.key_version)
-        enc.bytes_(key.key_bytes)
-    return enc.getvalue()
+    entries = [
+        SrvtabEntry(
+            service=Principal(service.name, service.instance, db.realm),
+            kvno=db.get_record(service).key_version,
+            key=db.principal_key(service).key_bytes,
+        )
+        for service in services
+    ]
+    return _SRVTAB_MAGIC + Srvtab(entries=entries).to_bytes()
 
 
 def parse_srvtab(data: bytes) -> List[Tuple[Principal, int, bytes]]:
     """Parse srvtab bytes into (principal, key_version, key_bytes) rows."""
-    dec = Decoder(data)
-    if dec.raw(len(_SRVTAB_MAGIC)) != _SRVTAB_MAGIC:
+    if not data.startswith(_SRVTAB_MAGIC):
         raise ValueError("not a srvtab file")
-    count = dec.u32()
-    rows = []
-    for _ in range(count):
-        name = dec.string()
-        instance = dec.string()
-        realm = dec.string()
-        version = dec.u32()
-        key = dec.bytes_()
-        rows.append((Principal(name, instance, realm), version, key))
-    dec.expect_eof()
-    return rows
+    srvtab = Srvtab.from_bytes(data, len(_SRVTAB_MAGIC))
+    return [(entry.service, entry.kvno, entry.key) for entry in srvtab.entries]

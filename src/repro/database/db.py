@@ -37,7 +37,7 @@ from repro.database.schema import (
     PrincipalRecord,
 )
 from repro.database.store import MemoryStore, RecordStore
-from repro.encode import Decoder, DecodeError, Encoder
+from repro.encode import DecodeError, WireStruct, field
 from repro.principal import Principal
 
 #: The master-key verification principal, as in the historical database.
@@ -49,6 +49,26 @@ RECORD_CACHE_SIZE = 4096
 #: Dump format v2: v1 plus the journal position (epoch, seq) the dump
 #: captures, so a slave loading it knows where delta catch-up resumes.
 _DUMP_MAGIC = b"KDBDUMP2"
+
+
+class DumpEntry(WireStruct):
+    """One record of a dump: its store key and its stored bytes (keys
+    inside are sealed under the master key)."""
+
+    FIELDS = (field("key", "string"), field("value", "bytes"))
+
+
+class Dump(WireStruct):
+    """Figure 13's payload, behind :data:`_DUMP_MAGIC`: every record,
+    and the journal position ``(epoch, seq)`` the dump captures."""
+
+    FIELDS = (
+        field("realm", "string"),
+        field("time", "f64"),
+        field("epoch", "u64"),
+        field("seq", "u64"),
+        field("entries", ("list", DumpEntry)),
+    )
 
 
 class DatabaseError(Exception):
@@ -366,18 +386,11 @@ class KerberosDatabase:
         The header carries the journal position ``(epoch, seq)`` the dump
         captures — the checkpoint a slave resumes delta catch-up from.
         """
-        enc = Encoder()
-        enc.raw(_DUMP_MAGIC)
-        enc.string(self.realm)
-        enc.f64(now)
         epoch, seq = self.position
-        enc.u64(epoch).u64(seq)
-        entries = list(self.store.items())
-        enc.u32(len(entries))
-        for key, value in entries:
-            enc.string(key)
-            enc.bytes_(value)
-        return enc.getvalue()
+        entries = [DumpEntry(key=k, value=v) for k, v in self.store.items()]
+        return _DUMP_MAGIC + Dump(
+            realm=self.realm, time=now, epoch=epoch, seq=seq, entries=entries
+        ).to_bytes()
 
     @property
     def position(self) -> Tuple[int, int]:
@@ -389,49 +402,42 @@ class KerberosDatabase:
         return self.loaded_epoch or 0, self.loaded_seq
 
     @staticmethod
-    def _dump_header(dec: Decoder) -> Tuple[str, float, int, int]:
-        if dec.raw(len(_DUMP_MAGIC)) != _DUMP_MAGIC:
+    def read_dump(data: bytes) -> Dump:
+        """The :class:`Dump` in ``data``; :class:`DatabaseError` if it is
+        not one.  kpropd reads a transfer's position off it before
+        :meth:`apply_dump` lets it replace the database."""
+        if not data.startswith(_DUMP_MAGIC):
             raise DatabaseError("not a Kerberos database dump")
-        return dec.string(), dec.f64(), dec.u64(), dec.u64()
-
-    @classmethod
-    def dump_position(cls, data: bytes) -> Tuple[int, int]:
-        """The journal position ``(epoch, seq)`` a dump's header says it
-        captures — what kpropd compares with ``loaded_epoch``/
-        ``loaded_seq`` before letting the dump replace the database."""
         try:
-            return cls._dump_header(Decoder(data))[2:]
+            return Dump.from_bytes(data, len(_DUMP_MAGIC))
         except DecodeError as exc:
             raise DatabaseError(f"corrupt dump: {exc}") from exc
 
     def load_dump(self, data: bytes) -> int:
-        """Replace the database contents from a dump (slave update).
+        """Replace the database contents from dump bytes (slave update,
+        ``kdb_util_load``); see :meth:`apply_dump`."""
+        return self.apply_dump(self.read_dump(data))
+
+    def apply_dump(self, dump: Dump) -> int:
+        """Replace the database contents from a dump.
 
         Bypasses the read-only guard deliberately: propagation is the one
         sanctioned way slave contents change.  Returns the record count;
         ``loaded_epoch``/``loaded_seq`` record the journal position the
         dump captured, from which delta catch-up resumes.
         """
-        dec = Decoder(data)
-        try:
-            realm, dump_time, epoch, seq = self._dump_header(dec)
-            if realm != self.realm:
-                raise DatabaseError(
-                    f"dump is for realm {realm!r}, this database is {self.realm!r}"
-                )
-            count = dec.u32()
-            entries = [(dec.string(), dec.bytes_()) for _ in range(count)]
-            dec.expect_eof()
-        except DecodeError as exc:
-            raise DatabaseError(f"corrupt dump: {exc}") from exc
+        if dump.realm != self.realm:
+            raise DatabaseError(
+                f"dump is for realm {dump.realm!r}, this database is {self.realm!r}"
+            )
         self.store.clear()
-        for key, value in entries:
-            self.store.put(key, value)
+        for entry in dump.entries:
+            self.store.put(entry.key, entry.value)
         self.verify_master_key()
-        self.dump_time = dump_time
-        self.loaded_epoch = epoch
-        self.loaded_seq = seq
-        return count
+        self.dump_time = dump.time
+        self.loaded_epoch = dump.epoch
+        self.loaded_seq = dump.seq
+        return len(dump.entries)
 
     def apply_entries(self, entries: List[JournalEntry]) -> int:
         """Apply journal entries to a slave copy (delta update).

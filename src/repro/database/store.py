@@ -16,7 +16,7 @@ import abc
 import os
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.encode import DecodeError, Decoder, Encoder
+from repro.encode import DecodeError, WireStruct, field
 
 
 class StoreError(Exception):
@@ -87,20 +87,34 @@ class MemoryStore(RecordStore):
         return len(self._data)
 
 
-# Log-record opcodes for the file store.
-_OP_PUT = 1
-_OP_DELETE = 2
+class LogPut(WireStruct):
+    """A file store's log record that sets ``key``."""
+
+    OP = 1
+    FIELDS = (field("key", "string"), field("value", "bytes"))
+
+
+class LogDelete(WireStruct):
+    """A file store's log record that drops ``key``."""
+
+    OP = 2
+    FIELDS = (field("key", "string"),)
+
+
+#: Each log record is its row's ``OP`` byte, then the row.
+_LOG_ROWS = {row.OP: row for row in (LogPut, LogDelete)}
 _MAGIC = b"KDB1"
 
 
 class FileStore(RecordStore):
     """File-backed store in the spirit of ndbm.
 
-    Mutations append (opcode, key, value) records to a log file; opening
-    replays the log.  :meth:`compact` rewrites the file to contain only
-    live records.  The format is deliberately simple — the point is that
-    the database library above cannot tell this store from the in-memory
-    one, demonstrating the paper's replaceability claim.
+    Mutations append op-tagged :class:`LogPut`/:class:`LogDelete` records
+    to a log file; opening replays the log.  :meth:`compact` rewrites the
+    file to contain only live records.  The format is deliberately
+    simple — the point is that the database library above cannot tell
+    this store from the in-memory one, demonstrating the paper's
+    replaceability claim.
     """
 
     def __init__(self, path: str) -> None:
@@ -117,27 +131,26 @@ class FileStore(RecordStore):
             raw = f.read()
         if raw[:4] != _MAGIC:
             raise StoreError(f"{self.path} is not a Kerberos store file")
-        dec = Decoder(raw[4:])
+        pos = len(_MAGIC)
         try:
-            while not dec.eof():
-                op = dec.u8()
-                key = dec.string()
-                if op == _OP_PUT:
-                    self._data[key] = dec.bytes_()
-                elif op == _OP_DELETE:
-                    self._data.pop(key, None)
+            while pos < len(raw):
+                row = _LOG_ROWS.get(raw[pos])
+                if row is None:
+                    raise StoreError(
+                        f"corrupt log opcode {raw[pos]} in {self.path}"
+                    )
+                record, pos = row.read_at(raw, pos + 1)
+                if row is LogPut:
+                    self._data[record.key] = record.value
                 else:
-                    raise StoreError(f"corrupt log opcode {op} in {self.path}")
+                    self._data.pop(record.key, None)
         except DecodeError as exc:
             raise StoreError(f"corrupt store file {self.path}: {exc}") from exc
 
-    def _append(self, op: int, key: str, value: bytes = b"") -> None:
-        enc = Encoder()
-        enc.u8(op).string(key)
-        if op == _OP_PUT:
-            enc.bytes_(value)
+    def _append(self, record: WireStruct) -> None:
+        wire = bytes((record.OP,)) + record.to_bytes()
         with open(self.path, "ab") as f:
-            f.write(enc.getvalue())
+            f.write(wire)
 
     def get(self, key: str) -> Optional[bytes]:
         return self._data.get(key)
@@ -149,12 +162,12 @@ class FileStore(RecordStore):
             raise TypeError(f"value must be bytes, got {type(value).__name__}")
         value = bytes(value)
         self._data[key] = value
-        self._append(_OP_PUT, key, value)
+        self._append(LogPut(key=key, value=value))
 
     def delete(self, key: str) -> bool:
         existed = self._data.pop(key, None) is not None
         if existed:
-            self._append(_OP_DELETE, key)
+            self._append(LogDelete(key=key))
         return existed
 
     def items(self) -> Iterator[Tuple[str, bytes]]:
@@ -168,12 +181,13 @@ class FileStore(RecordStore):
 
     def compact(self) -> None:
         """Rewrite the log with only live records."""
-        enc = Encoder()
-        for key, value in self.items():
-            enc.u8(_OP_PUT).string(key).bytes_(value)
+        log = b"".join(
+            bytes((LogPut.OP,)) + LogPut(key=k, value=v).to_bytes()
+            for k, v in self.items()
+        )
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as f:
-            f.write(_MAGIC + enc.getvalue())
+            f.write(_MAGIC + log)
         os.replace(tmp, self.path)
 
     def __len__(self) -> int:

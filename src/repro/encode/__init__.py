@@ -3,10 +3,13 @@
 The 1988 Kerberos implementation shipped raw C structs over UDP.  This
 package provides the equivalent substrate for the reproduction: a small,
 deterministic, length-prefixed binary codec with explicit integer widths
-and network (big-endian) byte order.  Every protocol message, ticket, and
-database dump in the repository is serialized through :class:`Encoder`
-and parsed through :class:`Decoder` so that "bytes on the wire" is a real,
-inspectable artifact rather than an in-process Python object.
+and network (big-endian) byte order.  Every protocol message, ticket,
+database dump, srvtab and store log in the repository is declared once
+as a :class:`WireStruct` row and serialized by the code its declaration
+compiles to, so that "bytes on the wire" is a real, inspectable artifact
+rather than an in-process Python object.  A format with a magic or type
+prefix writes ``prefix + row.to_bytes()`` and reads the row with
+:meth:`WireStruct.read_at` just past the prefix.
 
 Design points:
 
@@ -18,21 +21,13 @@ Design points:
   values raise :class:`DecodeError` instead of being silently accepted.
 """
 
-from repro.encode.buffer import (
-    DecodeError,
-    Decoder,
-    EncodeError,
-    Encoder,
-)
 from repro.encode.batch import BatchReader, BatchWriter, pack_frames
-from repro.encode.structfmt import WireStruct, field
+from repro.encode.structfmt import DecodeError, EncodeError, WireStruct, field
 
 __all__ = [
     "BatchReader",
     "BatchWriter",
-    "Decoder",
     "DecodeError",
-    "Encoder",
     "EncodeError",
     "WireStruct",
     "field",

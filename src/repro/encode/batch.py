@@ -7,7 +7,8 @@ makes the *buffer* the unit of I/O:
 
 * :class:`BatchReader` slices length-prefixed frames out of one
   contiguous buffer as ``memoryview``\\ s — zero copies per message
-  (:class:`~repro.encode.buffer.Decoder` reads views in place);
+  (:meth:`~repro.encode.structfmt.WireStruct.read_at` reads views in
+  place);
 * :class:`BatchWriter` joins every reply into one output buffer and
   returns per-reply views of it.
 
@@ -25,11 +26,13 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.encode.buffer import _U32, DecodeError, MAX_FIELD_LENGTH
-from repro.encode.structfmt import WireStruct
+from repro.encode.structfmt import (
+    DecodeError, MAX_FIELD_LENGTH, WireStruct, _struct_for,
+)
 
 #: Bytes of framing per payload (the u32 length prefix).
 FRAME_HEADER = 4
+_U32 = _struct_for("I")
 
 
 def pack_frames(payloads) -> bytes:

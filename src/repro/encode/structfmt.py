@@ -77,15 +77,17 @@ prints all five)::
 
 (``_c0`` is ``Principal``, ``_c1`` is ``struct.Struct(">IdI")``; the
 tuple lists the run's field widths, and which are booleans, so that a
-short read is reported as reading field by field would have.)  Every check
-the per-field primitives of :mod:`repro.encode.buffer` make is kept, in
-field order and with the same message: an encode failure is always
-:class:`EncodeError`, a decode failure always :class:`DecodeError` —
-never a leaked ``struct.error`` or ``IndexError``.
+short read is reported as reading field by field would have.)  Every
+check is made in field order, with the message a per-field reader would
+give: an encode failure is always :class:`EncodeError`, a decode failure
+always :class:`DecodeError` — never a leaked ``struct.error`` or
+``IndexError``.
 
-``from_bytes(data, start=0)`` reads the one record that is all of
-``data[start:]``; ``encode_into``/``decode_from`` adapt a record to the
-formats still written by hand with an ``Encoder``/``Decoder``.
+``read_at(data, pos)`` reads one record at ``pos`` and returns it with
+the position just after it, so a run of records or a record behind an
+envelope (a type byte, a file's magic) reads without a copy;
+``from_bytes(data, start=0)`` is ``read_at`` plus the check that the
+record is all of ``data[start:]``.
 
 The generated code is compiled under a file name inside this package
 (``…/repro/encode/structfmt.py:<codec Authenticator>``) and registered
@@ -128,13 +130,20 @@ from typing import (
     Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from repro.encode.buffer import (
-    MAX_FIELD_LENGTH,
-    DecodeError,
-    Decoder,
-    EncodeError,
-    Encoder,
-)
+
+class EncodeError(ValueError):
+    """Raised when a value cannot be represented on the wire."""
+
+
+class DecodeError(ValueError):
+    """Raised when bytes on the wire do not parse as the expected shape."""
+
+
+# Sanity bound on length prefixes.  Nothing in this system legitimately
+# serializes a single field larger than 64 MiB; a bigger prefix is either
+# corruption or an attack, and refusing it early keeps the decoder from
+# attempting enormous allocations.
+MAX_FIELD_LENGTH = 64 * 1024 * 1024
 
 
 class field(NamedTuple):
@@ -207,6 +216,13 @@ def _short_read(data, pos: int, end: int, run: Tuple[Tuple[int, bool], ...]):
         pos += size
 
 
+def _as_buffer(data: Any) -> bytes:
+    """What a record is read from when ``data`` is not bytes or a view."""
+    if not isinstance(data, (bytes, bytearray)):
+        raise DecodeError(f"expected bytes, got {type(data).__name__}")
+    return bytes(data)
+
+
 def _frozen(self, name: str, value: Any = None) -> None:
     """``__setattr__``/``__delattr__`` of an interned class."""
     raise AttributeError(
@@ -225,10 +241,11 @@ def _field_error(obj: "WireStruct", values: tuple, unknown: dict) -> TypeError:
     )
 
 
-#: Everything generated code may call.
+#: Everything per-message code — generated, or ``read_at``/``from_bytes``
+#: — may call.
 _RUNTIME = (
     _refuse, _require_int, _as_float, _as_bytes, _too_long, _bad_length,
-    _bad_count, _bad_boolean, _short_read, _field_error,
+    _bad_count, _bad_boolean, _short_read, _field_error, _as_buffer,
 )
 
 
@@ -678,27 +695,23 @@ class WireStruct:
         return cls(), pos
 
     @classmethod
-    def from_bytes(cls, data, start: int = 0) -> "WireStruct":
-        """The one record that is all of ``data[start:]``."""
+    def read_at(cls, data, pos: int = 0) -> Tuple["WireStruct", int]:
+        """The record at ``pos`` of ``data`` (bytes, a bytearray or a
+        view, read in place) and the position just after it."""
         if data.__class__ is not bytes and data.__class__ is not memoryview:
-            data = Decoder(data)._data  # bytes, or the Decoder's refusal
+            data = _as_buffer(data)
+        return cls._decode_at(data, pos, len(data))
+
+    @classmethod
+    def from_bytes(cls, data, start: int = 0) -> "WireStruct":
+        """The one record that is all of ``data[start:]``: :meth:`read_at`
+        and the trailing-bytes check, inlined (one call per message)."""
+        if data.__class__ is not bytes and data.__class__ is not memoryview:
+            data = _as_buffer(data)
         end = len(data)
         obj, pos = cls._decode_at(data, start, end)
         if pos != end:
             raise DecodeError(f"{end - pos} trailing bytes after message")
-        return obj
-
-    # Adapters for formats written by hand with an Encoder/Decoder.
-
-    def encode_into(self, enc: Encoder) -> None:
-        """Append this record to ``enc``."""
-        enc._buf.write(self.to_bytes())
-
-    @classmethod
-    def decode_from(cls, dec: Decoder) -> "WireStruct":
-        """Read one record at ``dec``'s cursor, leaving it after it."""
-        data = dec._data
-        obj, dec._pos = cls._decode_at(data, dec._pos, len(data))
         return obj
 
     # -- value semantics ----------------------------------------------------

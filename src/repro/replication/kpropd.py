@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.database.db import KerberosDatabase
+from repro.database.db import Dump, KerberosDatabase
 from repro.netsim.ports import KPROP_PORT
 from repro.replication.messages import (
     DeltaBody,
@@ -92,8 +92,8 @@ class Kpropd(TransferReceiver):
 
     # -- full dumps (Figure 13) -------------------------------------------
 
-    def apply_full(self, dump: bytes) -> bytes:
-        records = self.db.load_dump(dump)
+    def apply_full(self, dump: Dump) -> bytes:
+        records = self.db.apply_dump(dump)
         now = self._applied()
         self.applied_epoch = self.db.loaded_epoch
         self.applied_seq = self.db.loaded_seq

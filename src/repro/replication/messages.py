@@ -18,7 +18,7 @@ import enum
 from typing import Tuple, Union
 
 from repro.database.journal import JournalEntry
-from repro.encode import DecodeError, Decoder, Encoder, WireStruct, field
+from repro.encode import DecodeError, WireStruct, field
 
 
 class PropKind(enum.IntEnum):
@@ -121,10 +121,7 @@ def encode_prop_message(
             f"{PropKind(kind).name} carries {expected.__name__}, "
             f"got {type(message).__name__}"
         )
-    enc = Encoder()
-    enc.u8(int(kind))
-    message.encode_into(enc)
-    return enc.getvalue()
+    return bytes((kind,)) + message.to_bytes()
 
 
 def decode_prop_message(
@@ -132,14 +129,11 @@ def decode_prop_message(
 ) -> Tuple[PropKind, Union[PropTransfer, DeltaTransfer]]:
     """Parse an enveloped transfer; raises :class:`DecodeError` on any
     malformed input (never ``struct.error``/``IndexError``)."""
+    if not data:
+        raise DecodeError("short read: wanted 1 bytes, 0 remain")
     try:
-        dec = Decoder(data)
-        kind = PropKind(dec.u8())
-        cls = PropTransfer if kind == PropKind.FULL else DeltaTransfer
-        message = cls.decode_from(dec)
-        dec.expect_eof()
-        return kind, message
-    except DecodeError:
-        raise
+        kind = PropKind(data[0])
     except ValueError as exc:
         raise DecodeError(f"undecodable propagation transfer: {exc}") from exc
+    cls = PropTransfer if kind == PropKind.FULL else DeltaTransfer
+    return kind, cls.from_bytes(data, 1)

@@ -45,7 +45,7 @@ class TransferReceiver(Service):
     the rejection log, the envelope decode, the single master-key
     ``verify_checksum`` call, the ``tampered_propagation`` audit and the
     position rule with its ``replay_detected`` audit.  A subclass
-    supplies :meth:`held`, ``apply_full(dump)`` and/or
+    supplies :meth:`held`, ``apply_full(dump)`` (a decoded ``Dump``) and/or
     ``apply_delta(body)`` (each returns the reply for an applied
     transfer, or :meth:`refuse`s it), and ``refusal(kind, status,
     reason)`` — its reply that says no (``kind`` is None when the
@@ -117,7 +117,8 @@ class TransferReceiver(Service):
                 )
             try:
                 if full:
-                    position = KerberosDatabase.dump_position(body)
+                    body = KerberosDatabase.read_dump(body)
+                    position = (body.epoch, body.seq)
                 else:
                     body = DeltaBody.from_bytes(body)
                     position = (body.epoch, body.from_seq)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.apps.kerberized import ChannelError
 from repro.apps.pop import PopClient, PopServer
-from repro.apps.zephyr import ZephyrClient, ZephyrServer
+from repro.apps.zephyr import Notice, ZephyrClient, ZephyrServer
+from repro.encode import DecodeError, pack_frames
 
 from tests.apps.conftest import REALM
 
@@ -135,3 +136,15 @@ class TestZephyr:
         z = ZephyrClient(ws.client, service, host.address)
         z.zwrite("jis", "", opcode="LOGIN")
         assert z.poll()[0].opcode == "LOGIN"
+
+    def test_poll_refuses_a_truncated_frame(self, world, zephyr):
+        """A reply whose length prefix promises more than it holds is
+        refused, even when the bytes that are there hold a whole notice."""
+        service, host, _ = zephyr
+        z = ZephyrClient(login(world, "jis", "jis-pw").client, service, host.address)
+        blob = Notice(sender="a", recipient="jis", opcode="MESSAGE", body="hi").to_bytes()
+        z.channel.call = lambda data: (len(blob) + 100).to_bytes(4, "big") + blob
+        with pytest.raises(DecodeError, match="truncated frame 0: prefix promises"):
+            z.poll()
+        z.channel.call = lambda data: pack_frames([blob, blob])
+        assert [n.body for n in z.poll()] == ["hi", "hi"]

@@ -1,9 +1,6 @@
-"""Low-level binary encoder/decoder primitives.
-
-All multi-byte integers are big-endian ("network byte order").  Variable
-length payloads are length-prefixed.  The codec is intentionally free of
-any Kerberos knowledge; higher layers (``repro.core.messages``,
-``repro.database``) define the field order of each message.
+"""The field-by-field primitives, once ``repro.encode.buffer``, moved
+verbatim: the oracles' reader and writer (``reference_codec.py``,
+``reference_formats.py``), never the production codec's.
 """
 
 from __future__ import annotations
@@ -11,14 +8,7 @@ from __future__ import annotations
 import io
 import struct as _struct
 
-
-class EncodeError(ValueError):
-    """Raised when a value cannot be represented on the wire."""
-
-
-class DecodeError(ValueError):
-    """Raised when bytes on the wire do not parse as the expected shape."""
-
+from repro.encode.structfmt import MAX_FIELD_LENGTH, DecodeError, EncodeError
 
 _U8 = _struct.Struct(">B")
 _U16 = _struct.Struct(">H")
@@ -27,12 +17,6 @@ _U64 = _struct.Struct(">Q")
 _I32 = _struct.Struct(">i")
 _I64 = _struct.Struct(">q")
 _F64 = _struct.Struct(">d")
-
-# Sanity bound on length prefixes.  Nothing in this system legitimately
-# serializes a single field larger than 64 MiB; a bigger prefix is either
-# corruption or an attack, and refusing it early keeps the decoder from
-# attempting enormous allocations.
-MAX_FIELD_LENGTH = 64 * 1024 * 1024
 
 
 class Encoder:

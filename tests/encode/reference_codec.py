@@ -16,7 +16,8 @@ generated code is checked against, byte for byte and error for error
 (``test_all_wire_structs.py``, ``test_codec_fuzz.py``).
 """
 
-from repro.encode import DecodeError, Decoder, EncodeError, Encoder, WireStruct
+from repro.encode import DecodeError, EncodeError, WireStruct
+from tests.encode.primitives import Decoder, Encoder
 from repro.principal import PrincipalError
 
 _SCALAR_ENCODERS = {

@@ -1,10 +1,11 @@
-"""Unit and property tests for the binary encoder/decoder primitives."""
+"""Unit and property tests for the oracle's encoder/decoder primitives."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.encode import Decoder, DecodeError, Encoder, EncodeError
-from repro.encode.buffer import MAX_FIELD_LENGTH
+from repro.encode import DecodeError, EncodeError
+from repro.encode.structfmt import MAX_FIELD_LENGTH
+from tests.encode.primitives import Decoder, Encoder
 
 
 class TestIntegerRoundTrips:

@@ -42,7 +42,6 @@ from repro.database.schema import PrincipalRecord
 from repro.encode import (
     BatchReader,
     DecodeError,
-    Decoder,
     EncodeError,
     WireStruct,
     field,
@@ -60,6 +59,7 @@ from repro.replication.messages import (
 )
 
 from tests.encode import reference_codec as reference
+from tests.encode.primitives import Decoder
 
 VECTORS = {
     name: bytes.fromhex(encoded)
@@ -441,9 +441,7 @@ def test_module_docstring_shows_real_generated_code():
 
 def test_decoder_hands_the_cursor_back():
     data = VECTORS["fig4_authenticator"] + VECTORS["fig3_ticket"]
-    dec = Decoder(data)
-    assert Authenticator.decode_from(dec).to_bytes() == VECTORS[
-        "fig4_authenticator"
-    ]
-    assert Ticket.decode_from(dec).to_bytes() == VECTORS["fig3_ticket"]
-    dec.expect_eof()
+    authenticator, pos = Authenticator.read_at(data)
+    assert authenticator.to_bytes() == VECTORS["fig4_authenticator"]
+    ticket, pos = Ticket.read_at(data, pos)
+    assert ticket.to_bytes() == VECTORS["fig3_ticket"] and pos == len(data)

@@ -11,13 +11,14 @@ administration (KDBM) planes specifically: they take
 splices, and require typed protocol errors only — never ``struct.error``
 or ``IndexError`` leaking out of a decoder.
 
-Mutation smoke-check (run by hand when touching these classes): removing
-the short-read guard from ``repro.encode.buffer.Decoder._take`` — so
-truncated reads fall through to raw ``struct.error`` — fails
-``test_decoders_raise_typed_errors_only``,
-``test_kdbm_request_decoder_is_typed``, and
-``test_kpropd_never_crashes_on_random_bytes``.  The suite demonstrably
-detects an untyped error path, not just total crashes.
+Mutation smoke-check (run by hand when touching these classes): making
+``repro.encode.structfmt._short_read`` return instead of raise — so a
+short fixed-width run falls through to raw ``struct.error`` — fails 15
+tests here, among them ``test_decoders_raise_typed_errors_only``,
+``test_kdbm_request_decoder_is_typed``,
+``test_kpropd_survives_mutated_transfers`` and
+``test_range_receiver_never_crashes_on_random_bytes``.  The suite
+demonstrably detects an untyped error path, not just total crashes.
 """
 
 import random

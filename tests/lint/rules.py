@@ -22,6 +22,8 @@ KDC = "src/repro/core/kdc.py"
 STRUCTFMT = "src/repro/encode/structfmt.py"
 DES_ORACLE = "tests/crypto/reference_des.py"
 CODEC_ORACLE = "tests/encode/reference_codec.py"
+PRIMITIVES = "tests/encode/primitives.py"
+FORMATS_ORACLE = "tests/encode/reference_formats.py"
 BENCH = "benchmarks/*"
 
 
@@ -93,6 +95,7 @@ REMOVED = {
          "skeleton_get", "skeleton_put"),
     40: ("part", "test_bench_", "bench_util", "small_realm", "logged_in_workstation",
          "rlogin_principal"),
+    41: ("word", "Encoder", "Decoder", "encode_into", "decode_from", "dump_position"),
 }
 
 
@@ -481,11 +484,12 @@ def _per_item_cipher(tree):
 
 # -- The wire codec: compiled, never interpreted per message.
 
-#: What generated code may call at run time (``structfmt._RUNTIME``), and
-#: every other global it may name (``_setattr`` binds the fields of an
-#: interned class, past its refusing ``__setattr__``).
+#: What per-message code may call at run time (``structfmt._RUNTIME``), and
+#: every other global generated code may name (``_setattr`` binds the
+#: fields of an interned class, past its refusing ``__setattr__``).
 CODEC_RUNTIME = {"_refuse", "_require_int", "_as_float", "_as_bytes", "_too_long",
-                 "_bad_length", "_bad_count", "_bad_boolean", "_short_read", "_field_error"}
+                 "_bad_length", "_bad_count", "_bad_boolean", "_short_read", "_field_error",
+                 "_as_buffer"}
 CODEC_GLOBALS = CODEC_RUNTIME | {
     "DecodeError", "_MISSING", "_new", "_setattr", "isinstance", "len", "type", "str",
     "bytes", "range", "list", "tuple", "hash", "int", "float", "bool", "UnicodeDecodeError",
@@ -1039,8 +1043,8 @@ RULES = (
     # -- the wire codec -----------------------------------------------------
     Rule(
         "codec-interprets-nothing-per-message",
-        "Per-message code (_RUNTIME; WireStruct's to_bytes, _decode_at and its adapters "
-        "encode_into, decode_from, from_bytes) reads no kind, FIELDS or compiler.",
+        "Per-message code (_RUNTIME; WireStruct's to_bytes, _decode_at, read_at and "
+        "from_bytes) reads no kind, FIELDS or compiler.",
         (STRUCTFMT,), _codec_runtime,
         sites=((STRUCTFMT, f"_RUNTIME is {sorted(CODEC_RUNTIME)}"),
                (STRUCTFMT, "compile step _compile"), (STRUCTFMT, "compile step _generate"),
@@ -1058,13 +1062,13 @@ RULES = (
               "    def from_bytes(cls, data, start=0):\n"
               "        for f in cls.FIELDS:\n"
               "            _check_kind(f.kind)\n"
-              "    def decode_from(cls, dec):\n"
-              "        return cls._decode_at(dec._data, dec._pos, _check_kind(cls))\n",
+              "    def read_at(cls, data, pos=0):\n"
+              "        return cls._decode_at(data, pos, _check_kind(cls))\n",
         hits=((0, "_RUNTIME is ['_refuse']"), (3, "compile step _check_kind"),
               (7, "__init_subclass__ calls ['_check_kind']"),
               (9, "WireStruct.from_bytes calls _check_kind"),
               (10, "WireStruct.from_bytes: .FIELDS"),
-              (12, "WireStruct.decode_from calls _check_kind")),
+              (12, "WireStruct.read_at calls _check_kind")),
     ),
     Rule(
         "generated-code-is-straight-line",
@@ -1091,6 +1095,11 @@ RULES = (
                ("tests/crypto/test_reference_des.py", "crypt_int_ref"),
                (CODEC_ORACLE, "_encode_value"), (CODEC_ORACLE, "_decode_value"),
                (CODEC_ORACLE, "_SCALAR_ENCODERS"), (CODEC_ORACLE, "_SCALAR_DECODERS"),
+               *((path, name) for path in (PRIMITIVES, CODEC_ORACLE, FORMATS_ORACLE,
+                 "tests/encode/test_buffer.py") for name in ("Encoder", "Decoder")),
+               *((path, name) for path in (CODEC_ORACLE, FORMATS_ORACLE)
+                 for name in ("encode_into", "decode_from")),
+               ("tests/encode/test_codec_fuzz.py", "Decoder"),
                ("tests/core/test_locator.py", "n_slaves"),
                ("tests/obs/test_lint_auth_front_door.py", "bind_audit")),
         exclude=("tests/lint/",),
