@@ -404,7 +404,7 @@ def propagation_act(realm):
     realm.net.remove_interceptor(flip_kprop)
     canary_loaded = any(s.db.exists(Principal("canary", "", REALM)) for s in realm.slaves)
     realm.schedule_propagation()
-    realm.net.clock.advance(3 * HOUR)
+    realm.net.runtime.run_for(3 * HOUR)
     now = realm.net.clock.now()
     return {
         "principals_dump_bytes": (principals, dump),
@@ -1251,7 +1251,7 @@ EXPERIMENTS = (
         sweep, campaigns_act,
         {"failing": [], "digests": {
             "athena_hour": "afac95fe73e4a06c", "clock_skew_epidemic": "38908f0d40108e64",
-            "login_burst": "fdb5d81673e06f49", "lossy_wan_degradation": "02246ba5a09e3495",
+            "login_burst": "fdb5d81673e06f49", "lossy_wan_degradation": "0fb2f5a93ccce60a",
             "master_assassination": "2537e55fb31c3d20",
             "morning_login_storm": "a1f8dff605e716b5",
             "nfs_fleet_mount_storm": "b4d56d89b2fb7894",

@@ -39,7 +39,7 @@ def main() -> None:
     print(f"  master has bcn: {realm.db.exists(bcn)}")
     print(f"  slave-1 has bcn: {realm.slaves[0].db.exists(bcn)}")
     print("  ... one simulated hour later (kprop fires) ...")
-    net.clock.advance(3600)
+    net.runtime.run_for(3600)
     print(f"  slave-1 has bcn: {realm.slaves[0].db.exists(bcn)}")
 
     print("\n=== kpasswd: the user changes their own password ===")
@@ -71,7 +71,7 @@ def main() -> None:
     # The paper's consistency window: a change made since the last hourly
     # dump exists only on the master.  Wait one propagation interval so
     # the slaves know bcn's new password before the master dies.
-    net.clock.advance(3600)
+    net.runtime.run_for(3600)
     net.set_down(realm.master_host.name)
     print(f"  {kinit(ws.client, 'bcn', 'my-own-secret')}")
     print("  (authentication served by a slave)")

@@ -71,7 +71,7 @@ class NfsClient:
         try:
             raw, _, _ = run_with_failover(
                 self.retry_policy,
-                self.host.clock,
+                self.host.network.runtime,
                 [self.server_address],
                 lambda address: self.host.rpc(address, port, build_payload()),
                 rng=self._retry_rng,

@@ -256,7 +256,7 @@ class KerberosClient:
         try:
             raw, answered_by, _ = run_with_failover(
                 policy,
-                self.host.clock,
+                self.host.network.runtime,
                 addresses,
                 attempt,
                 rng=self._retry_rng,

@@ -12,8 +12,9 @@ gets the same well-behaved shape:
   KDC; admin writes pass a one-element list because the KDBM "must run
   on the machine housing the Kerberos database");
 * exponential backoff between attempts, with *deterministic* jitter
-  drawn from a caller-seeded RNG and slept on the **simulated** clock —
-  chaos runs stay reproducible bit-for-bit;
+  drawn from a caller-seeded RNG and waited out on the event runtime
+  (the rest of the realm keeps running meanwhile) — chaos runs stay
+  reproducible bit-for-bit;
 * an optional deadline in simulated seconds: no retry is started whose
   backoff would overrun it.
 
@@ -107,32 +108,29 @@ class RetryPolicy:
 
 def run_with_failover(
     policy: RetryPolicy,
-    clock,
+    runtime,
     endpoints: Sequence,
     attempt: Callable,
     *,
     rng=None,
-    sleep: Optional[Callable[[float], None]] = None,
     metrics=None,
     op: str = "rpc",
     retry_on: Tuple[type, ...] = (Exception,),
 ):
     """Run ``attempt(endpoint)`` until one succeeds, cycling endpoints.
 
-    ``clock`` is a host or sim clock (anything with ``now()``); backoff
-    sleeps advance the underlying :class:`~repro.netsim.clock.SimClock`
-    unless a ``sleep`` callable is supplied.  Exceptions in ``retry_on``
-    are retried; anything else propagates immediately (a KDC *error
-    reply* is an answer, not an outage).
+    ``runtime`` is the realm's :class:`~repro.runtime.scheduler.
+    EventScheduler`: each backoff is ``runtime.run_for(delay)``, so the
+    realm's events keep running while this caller waits.  Exceptions in
+    ``retry_on`` are retried; anything else propagates immediately (a
+    KDC *error reply* is an answer, not an outage).
 
     Returns ``(result, endpoint, attempts)``; raises
     :class:`RetryExhausted` when attempts or deadline run out.
     """
     if not endpoints:
         raise ValueError(f"{op}: no endpoints to try")
-    if sleep is None:
-        reference = getattr(clock, "reference", clock)
-        sleep = reference.advance
+    clock = runtime.clock
     start = clock.now()
     last_error: Optional[BaseException] = None
     attempts = 0
@@ -154,7 +152,7 @@ def run_with_failover(
         ):
             break
         if delay:
-            sleep(delay)
+            runtime.run_for(delay)
     if metrics is not None:
         metrics.counter("retry.exhausted_total", {"op": op}).inc()
     raise RetryExhausted(

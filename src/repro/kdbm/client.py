@@ -109,7 +109,7 @@ class KdbmClient:
             # retransmission against the same machine.
             raw, _, _ = run_with_failover(
                 self.retry_policy,
-                self.krb.host.clock,
+                self.krb.host.network.runtime,
                 [self.master_address],
                 attempt,
                 rng=self._retry_rng,

@@ -7,14 +7,14 @@ behaviours deterministically requires simulated time that tests can
 advance at will, and *per-host skew* so the several-minute assumption can
 itself be violated on demand.
 
-Time is modelled as seconds (float) since an arbitrary epoch 0.
+Time is modelled as seconds (float) since an arbitrary epoch 0.  The
+clock only tells time: what happens *at* a time — the hourly dump, a
+crashed master's reboot — is an event on the realm's one queue,
+:class:`~repro.runtime.scheduler.EventScheduler`, which is also the only
+thing that moves the clock.
 """
 
 from __future__ import annotations
-
-import heapq
-import itertools
-from typing import Callable, List, Tuple
 
 #: Ticket lifetimes in the paper are quoted in hours ("currently 8 hours").
 HOUR = 3600.0
@@ -22,54 +22,19 @@ MINUTE = 60.0
 
 
 class SimClock:
-    """The realm's reference clock.
-
-    Supports scheduled callbacks so periodic activities — the hourly
-    database dump of Figure 13 — run automatically as tests advance time.
-    """
+    """The realm's reference clock."""
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._schedule: List[Tuple[float, int, Callable[[], None]]] = []
-        self._counter = itertools.count()
 
     def now(self) -> float:
         return self._now
 
     def advance(self, seconds: float) -> None:
-        """Move time forward, firing any callbacks that come due."""
+        """Move time forward (never back)."""
         if seconds < 0:
             raise ValueError(f"cannot advance time by {seconds} (backwards)")
-        target = self._now + seconds
-        while self._schedule and self._schedule[0][0] <= target:
-            when, _, callback = heapq.heappop(self._schedule)
-            # Fire at the scheduled instant, not at the end of the jump,
-            # so a callback that reschedules itself keeps its cadence.
-            self._now = max(self._now, when)
-            callback()
-        # A callback may itself have pumped the event runtime (nested
-        # RPC), moving time past the original target — never go back.
-        self._now = max(self._now, target)
-
-    def call_at(self, when: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` to fire when the clock reaches ``when``."""
-        if when < self._now:
-            raise ValueError(f"cannot schedule at {when}, now is {self._now}")
-        heapq.heappush(self._schedule, (when, next(self._counter), callback))
-
-    def call_every(self, interval: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` to fire every ``interval`` seconds."""
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-
-        def fire() -> None:
-            callback()
-            self.call_at(self._now + interval, fire)
-
-        self.call_at(self._now + interval, fire)
-
-    def pending_callbacks(self) -> int:
-        return len(self._schedule)
+        self._now += seconds
 
 
 class HostClock:
@@ -86,10 +51,6 @@ class HostClock:
 
     def now(self) -> float:
         return self._reference.now() + self.skew
-
-    @property
-    def reference(self) -> SimClock:
-        return self._reference
 
     def __repr__(self) -> str:
         return f"HostClock(skew={self.skew:+.1f}s)"

@@ -326,8 +326,6 @@ class Network:
         #: The discrete-event runtime every datagram leg is scheduled on.
         self.runtime = EventScheduler(self.clock, seed=seed)
         self.runtime.metrics = self.metrics
-        #: How long synchronous RPC callers pump for a reply (sim secs).
-        self.rpc_timeout = RPC_TIMEOUT
         #: The fault-injection plane (loss, duplication, reordering,
         #: jitter, partitions), sharing the network's seeded RNG so
         #: chaos runs are reproducible.
@@ -433,14 +431,14 @@ class Network:
     def crash_host(self, name: str, downtime: Optional[float] = None) -> None:
         """Crash a machine (it drops off the network, losing in-flight
         requests).  With ``downtime`` given, a restart is scheduled on
-        the simulated clock — the Figure 10/11 master-reboot drill."""
+        the runtime — the Figure 10/11 master-reboot drill."""
         self.set_down(name)
         self.metrics.counter("faults.injected_total", {"kind": "crash"}).inc()
         if downtime is not None:
             if downtime <= 0:
                 raise ValueError(f"downtime must be positive, got {downtime}")
-            self.clock.call_at(
-                self.clock.now() + downtime, lambda: self.restart_host(name)
+            self.runtime.after(
+                downtime, lambda: self.restart_host(name), label="net.restart"
             )
 
     def restart_host(self, name: str) -> None:
@@ -579,19 +577,20 @@ class Network:
         self.tracer.close_span(transit)
 
     def _pump(self, pending: PendingRpc, timeout: Optional[float]) -> None:
-        """Run runtime events until ``pending`` resolves.  Gives up —
-        without consuming unrelated far-future events — once nothing is
-        scheduled inside the timeout window."""
-        deadline = self.clock.now() + (
-            timeout if timeout is not None else self.rpc_timeout
-        )
+        """Run runtime events until ``pending`` resolves.  Gives up once
+        nothing is scheduled inside the timeout window — after waiting
+        the window out, without consuming unrelated far-future events."""
+        if timeout is None:
+            timeout = RPC_TIMEOUT
+        deadline = self.clock.now() + timeout
         while not pending.done:
             next_at = self.runtime.next_time()
             if next_at is None or next_at > deadline:
+                self.runtime.run_for(deadline - self.clock.now())
                 pending._fail(
                     Unreachable(
                         "request timed out: no reply within "
-                        f"{deadline - self.clock.now():.3f}s simulated"
+                        f"{timeout:.3f}s simulated"
                     ),
                     self.clock.now(),
                 )

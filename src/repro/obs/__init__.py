@@ -1,6 +1,6 @@
-"""repro.obs — realm-wide metrics, tracing, audit, and flight recording.
+"""repro.obs — realm-wide metrics, tracing, audit, and the wire.
 
-The observability layer for the reproduction, five planes deep:
+The observability layer for the reproduction, four planes deep:
 
 * a dependency-free metrics registry (:class:`MetricsRegistry` —
   counters, gauges, histograms keyed by name + label tuples);
@@ -11,8 +11,6 @@ The observability layer for the reproduction, five planes deep:
 * an append-only security-event log (:class:`AuditLog` — auth
   success/failure, preauth failure, replay detected, ACL denial,
   tampered propagation, overload shed);
-* a flight recorder (:class:`FlightRecorder`) sampling registry gauges
-  into a bounded ring on the event-driven clock;
 * the wire (:class:`repro.obs.wire.WireRecorder`), the one network tap:
   every datagram with its time and the trace ID it carries, rendered as
   Figure 9 lines — what the eavesdropper and the replayer record.  It
@@ -49,7 +47,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_json_snapshot,
 )
-from repro.obs.flight import FlightRecorder, series_key
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -84,7 +81,6 @@ __all__ = [
     "AuditEvent",
     "AuditLog",
     "Counter",
-    "FlightRecorder",
     "Gauge",
     "HeldHandles",
     "Histogram",
@@ -103,7 +99,6 @@ __all__ = [
     "percentile",
     "render_chrome_trace",
     "render_prometheus",
-    "series_key",
     "span_digests",
     "write_chrome_trace",
     "write_json_snapshot",

@@ -267,16 +267,6 @@ class MetricsRegistry:
         out.sort(key=lambda i: (i.name, i.labels))
         return out
 
-    def gauges(self) -> List[Gauge]:
-        """Every gauge, deterministically sorted — what the flight
-        recorder samples each tick."""
-        out = [
-            inst for inst in self._instruments.values()
-            if isinstance(inst, Gauge)
-        ]
-        out.sort(key=lambda i: (i.name, i.labels))
-        return out
-
     def get(
         self, name: str, labels: Optional[Mapping[str, object]] = None
     ) -> Optional[Instrument]:

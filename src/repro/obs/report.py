@@ -1,13 +1,13 @@
 """One merged realm report: latency digests, traces and their wire,
-audit log, flight ring.
+audit log.
 
 Run:  python -m repro.obs.report
 
-The five observability planes each have their own exporter; operators
+The four observability planes each have their own exporter; operators
 want one page.  :func:`render_report` merges them — per-span-name
 percentile digests, the recorded trace trees each followed by the
-datagrams that carried it, the security audit log, and the flight
-recorder's gauge ring — into a single deterministic text report.
+datagrams that carried it, the security audit log, and the live
+counters — into a single deterministic text report.
 :func:`demo` drives a small realm through a login, a service use, a
 failed authentication, and a caught replay, recording every plane; this
 module's ``main`` prints its report and ``python -m repro.obs.selfcheck``
@@ -26,7 +26,6 @@ def render_report(
     metrics=None,
     tracer=None,
     audit=None,
-    flight=None,
     max_traces: int = 10,
     wire=None,
 ) -> str:
@@ -36,7 +35,7 @@ def render_report(
     span tree is followed by the datagrams that carried its trace ID,
     and the datagrams no span sent close the section under
     ``(no active span)``.  Deterministic for a given run: section order
-    is fixed, traces render in trace-ID order, flight series sort by key.
+    is fixed, traces render in trace-ID order.
     """
     sections: List[str] = []
     datagrams = wire.by_request() if wire is not None else {}
@@ -66,19 +65,6 @@ def render_report(
         sections.append(f"== audit log ({len(audit)} events) ==")
         sections.append(audit.format())
 
-    if flight is not None and len(flight):
-        sections.append(
-            f"== flight recorder ({len(flight)} samples, "
-            f"interval {flight.interval:g}s) =="
-        )
-        for key, points in sorted(flight.series().items()):
-            first, last = points[0], points[-1]
-            peak = max(value for _, value in points)
-            sections.append(
-                f"    {key}: last={last[1]:g} peak={peak:g} "
-                f"({len(points)} points since t={first[0]:.3f})"
-            )
-
     if metrics is not None:
         counters = [
             inst
@@ -97,7 +83,6 @@ def demo() -> dict:
     Returns the planes as :func:`render_report`'s keyword arguments."""
     from repro.core.errors import KerberosError
     from repro.netsim import Network
-    from repro.obs.flight import FlightRecorder
     from repro.realm import Realm
     from repro.threat.replayer import Replayer
 
@@ -106,7 +91,6 @@ def demo() -> dict:
     realm.add_user("jis", "jis-pw")
     service, _key = realm.add_service("rlogin", "priam")
 
-    flight = FlightRecorder(net.metrics, net.runtime, interval=0.002).start()
     wire = Replayer(net)  # the wire plane is the attacker's tape
 
     ws = realm.workstation()
@@ -121,9 +105,8 @@ def demo() -> dict:
         pass
     wire.replay(2)  # AS-REQ, AS-REP, then the TGS-REQ, byte-identical
 
-    flight.stop()
     return dict(metrics=net.metrics, tracer=net.tracer, audit=net.audit,
-                flight=flight, wire=wire)
+                wire=wire)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

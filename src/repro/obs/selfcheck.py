@@ -85,7 +85,7 @@ def check_end_to_end() -> None:
     report = render_report(**planes)
     for section in ("== span latency digests ==", "== traces (3 of 3) ==",
                     f"rid={rid}", "(no active span)", "== audit log (4 events) ==",
-                    "== flight recorder", "== metrics"):
+                    "== metrics"):
         assert section in report, f"report lacks {section!r}"
 
 

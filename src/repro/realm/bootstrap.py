@@ -590,13 +590,17 @@ class Realm:
         a cadence installed before a promotion keeps driving whichever
         kprop is current — not the dead master's."""
         period = HOUR if interval is None else interval
-        self.net.clock.call_every(period, lambda: self.propagate(full=True))
+        self.net.runtime.every(
+            period, lambda: self.propagate(full=True), label="realm.propagate"
+        )
 
     def schedule_incremental(self, interval: float = 30.0) -> None:
         """The fast cadence: delta rounds every ``interval`` seconds,
         alongside (not instead of) the hourly full dump.  Resolves the
         current kprops at fire time, like :meth:`schedule_propagation`."""
-        self.net.clock.call_every(interval, lambda: self.propagate())
+        self.net.runtime.every(
+            interval, self.propagate, label="realm.propagate_delta"
+        )
 
 
 def link(realm_a: Realm, realm_b: Realm, now: Optional[float] = None) -> DesKey:

@@ -225,7 +225,7 @@ class Kprop:
         port = self.port if port is None else port
         raw, _, _ = run_with_failover(
             self.retry_policy,
-            self.host.clock,
+            self.host.network.runtime,
             [address],
             lambda addr: self.host.rpc(addr, port, wire),
             rng=self._retry_rng,

@@ -10,8 +10,10 @@ scheduled events on the simulated clock:
 
 * every event carries a firing time on the :class:`~repro.netsim.clock.
   SimClock`; the scheduler pops the earliest and advances the clock to
-  it, so clock-scheduled work (hourly propagation, crash restarts)
-  interleaves at the right instants;
+  it.  It is the realm's only queue: timed work (the hourly propagation
+  cadence of :meth:`every`, a crashed host's restart) is an event like a
+  datagram leg, so everything runs in one time order — and an event the
+  clock has already passed is refused, never run late;
 * ties at the same simulated instant are broken by a draw from a
   *seeded* RNG (then by insertion order), so concurrent arrivals at a
   busy server shuffle realistically yet identically on every same-seed
@@ -37,7 +39,9 @@ from repro.obs.metrics import HeldHandles
 
 
 class SchedulerError(Exception):
-    """Misuse of the event scheduler (e.g. running a cancelled event)."""
+    """Misuse of the event scheduler: scheduling into the past, a
+    non-positive cadence, or an event whose time the clock has already
+    passed (moved by something other than the scheduler)."""
 
 
 class ScheduledEvent:
@@ -66,13 +70,13 @@ class ScheduledEvent:
 
 
 class EventScheduler(HeldHandles):
-    """A priority queue of events over one :class:`SimClock`.
+    """A priority queue of events over one :class:`SimClock`, and the
+    only thing that moves it.
 
-    ``step()`` advances the clock *through* ``clock.call_at`` callbacks
-    due before the next event, so both schedules stay interleaved in
-    time order.  Nested pumping is allowed: an event's action may itself
-    call :meth:`step`/:meth:`run_until_idle` (this is how a server
-    handler performing its own RPC waits for the nested reply).
+    Nested pumping is allowed: an event's action may itself call
+    :meth:`step`/:meth:`run_for` (this is how a server handler
+    performing its own RPC waits for the nested reply, and how a retry
+    backs off while the rest of the realm keeps running).
     """
 
     def __init__(self, clock, seed: int = 0) -> None:
@@ -122,6 +126,21 @@ class EventScheduler(HeldHandles):
             raise SchedulerError(f"cannot schedule {delay}s in the past")
         return self.at(self.clock.now() + delay, action, label)
 
+    def every(
+        self, interval: float, action: Callable[[], None], label: str = ""
+    ) -> None:
+        """Run ``action`` every ``interval`` seconds, for ever: each run
+        schedules the next ``interval`` after it finishes.  A realm with
+        a cadence never idles — drive it with :meth:`run_for`."""
+        if interval <= 0:
+            raise SchedulerError(f"interval must be positive, got {interval}")
+
+        def fire() -> None:
+            action()
+            self.after(interval, fire, label)
+
+        self.after(interval, fire, label)
+
     def cancel(self, event: ScheduledEvent) -> None:
         """Cancel a pending event; a no-op if it already ran."""
         event.cancelled = True
@@ -154,15 +173,20 @@ class EventScheduler(HeldHandles):
 
     def step(self) -> bool:
         """Run the earliest event, advancing the clock to it.  Returns
-        False when no event is pending."""
+        False when no event is pending; raises :class:`SchedulerError`
+        (leaving the event queued) if the clock has already passed it."""
         head = self._skim()
         if head is None:
             return False
-        heapq.heappop(self._heap)
         gap = head.time - self.clock.now()
+        if gap < 0:
+            raise SchedulerError(
+                f"{head!r} is {-gap:.6f}s late: the clock was moved past "
+                "it outside the runtime (wait with run_for, not "
+                "clock.advance)"
+            )
+        heapq.heappop(self._heap)
         if gap > 0:
-            # advance() fires clock.call_at callbacks due in the gap, so
-            # periodic daemons keep their place in the event order.
             self.clock.advance(gap)
         self._executed += 1
         if self._metrics is not None:

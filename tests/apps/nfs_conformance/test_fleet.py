@@ -129,7 +129,7 @@ class TestChurn:
         world = FleetWorld()
         ws, client = _mounted_client(world)
         assert client.read("/u/jis/secret.txt") == SECRET
-        world.net.clock.advance(TICKET_LIFE + 60.0)
+        world.net.runtime.run_for(TICKET_LIFE + 60.0)
         with pytest.raises(NfsClientError, match=STALE_MAPPING):
             client.read("/u/jis/secret.txt")
         # The stale entry was purged by that lookup; a fresh kinit and
@@ -144,7 +144,7 @@ class TestChurn:
         site = world.fleet[0]
         ws, client = _mounted_client(world)
         world.net.crash_host(site.name, downtime=5.0)
-        world.net.clock.advance(6.0)
+        world.net.runtime.run_for(6.0)
         assert site.server.credmap.entries() == {}
         assert world.net.metrics.total(
             "nfs.map_losses_total", server=site.name
@@ -160,7 +160,7 @@ class TestChurn:
         ws, client = _mounted_client(world)
         client.enable_auto_remount(ws.client, site.mount_service)
         world.net.crash_host(site.name, downtime=5.0)
-        world.net.clock.advance(6.0)
+        world.net.runtime.run_for(6.0)
         # The retried read re-runs the mountd handshake transparently.
         assert client.read("/u/jis/secret.txt") == SECRET
         assert site.server.credmap.entries() == {
@@ -171,7 +171,7 @@ class TestChurn:
         world = FleetWorld()
         ws, client = _mounted_client(world)
         client.enable_auto_remount(ws.client, world.fleet[0].mount_service)
-        world.net.clock.advance(TICKET_LIFE + 60.0)
+        world.net.runtime.run_for(TICKET_LIFE + 60.0)
         ws.client.kinit("jis", "jis-pw")
         assert client.read("/u/jis/secret.txt") == SECRET
 
@@ -179,7 +179,7 @@ class TestChurn:
         world = FleetWorld()
         site = world.fleet[0]
         _ws, client = _mounted_client(world)
-        world.net.clock.advance(TICKET_LIFE + 60.0)
+        world.net.runtime.run_for(TICKET_LIFE + 60.0)
         with pytest.raises(NfsClientError):
             client.read("/motd")
         assert world.net.metrics.total(

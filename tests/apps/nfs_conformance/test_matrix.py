@@ -293,9 +293,9 @@ def test_conformance_cell(mode, policy, transition, fault):
     # -- fault -----------------------------------------------------------------
     if fault == "crash_restart":
         world.net.crash_host(site.name, downtime=5.0)
-        world.net.clock.advance(6.0)
+        world.net.runtime.run_for(6.0)
     elif fault == "expiry":
-        world.net.clock.advance(TICKET_LIFE + 60.0)
+        world.net.runtime.run_for(TICKET_LIFE + 60.0)
 
     # -- oracle + credmap state before the battery -----------------------------
     oracle = Oracle(

@@ -51,7 +51,7 @@ class TestExpiryMidIo:
             assert client.read("/u/jis/secret.txt") == SECRET
         # The ticket dies mid-I/O; a fresh kinit is the user's part,
         # the remount handshake is the client library's.
-        world.net.clock.advance(TICKET_LIFE + 60.0)
+        world.net.runtime.run_for(TICKET_LIFE + 60.0)
         ws.client.kinit("jis", "jis-pw")
         for _ in range(3):
             assert client.read("/u/jis/secret.txt") == SECRET
@@ -64,7 +64,7 @@ class TestExpiryMidIo:
         client sees a hard error, never someone else's bytes."""
         world = FleetWorld()
         ws, site, client = _mounted(world)
-        world.net.clock.advance(TICKET_LIFE + 60.0)
+        world.net.runtime.run_for(TICKET_LIFE + 60.0)
         with pytest.raises((NfsClientError, Exception)) as excinfo:
             client.read("/u/jis/secret.txt")
         assert "secret" not in str(excinfo.value)
@@ -100,7 +100,7 @@ class TestCrashRestart:
         assert client.read("/u/jis/secret.txt") == SECRET
 
         world.net.crash_host(site.name, downtime=5.0)
-        world.net.clock.advance(6.0)
+        world.net.runtime.run_for(6.0)
 
         # Strip the recovery hook: observe the raw refusal first.
         client.set_remount(None)
@@ -132,7 +132,7 @@ class TestCrashRestart:
             if round_no == 2:
                 world.net.crash_host(site.name, downtime=5.0)
             if round_no == 4:
-                world.net.clock.advance(TICKET_LIFE + 60.0)
+                world.net.runtime.run_for(TICKET_LIFE + 60.0)
                 ws.client.kinit("jis", "jis-pw")
             try:
                 assert client.read("/u/jis/secret.txt") == SECRET

@@ -1,5 +1,6 @@
 """RetryPolicy / run_with_failover: bounded attempts, deadline on the
-simulated clock, deterministic backoff, endpoint cycling."""
+simulated clock, deterministic backoff waited out on the runtime,
+endpoint cycling."""
 
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from repro.core.retry import RetryExhausted, RetryPolicy, run_with_failover
 from repro.netsim import SimClock
 from repro.obs import MetricsRegistry
+from repro.runtime import EventScheduler
 
 
 class Boom(Exception):
@@ -58,13 +60,15 @@ class TestBackoff:
 class TestRunWithFailover:
     def test_first_try_success(self):
         clock = SimClock()
+        runtime = EventScheduler(clock)
         result, endpoint, attempts = run_with_failover(
-            RetryPolicy(), clock, ["a", "b"], lambda e: f"ok-{e}"
+            RetryPolicy(), runtime, ["a", "b"], lambda e: f"ok-{e}"
         )
         assert (result, endpoint, attempts) == ("ok-a", "a", 1)
 
     def test_cycles_endpoints(self):
         clock = SimClock()
+        runtime = EventScheduler(clock)
         tried = []
 
         def attempt(endpoint):
@@ -74,7 +78,7 @@ class TestRunWithFailover:
             return "ok"
 
         result, endpoint, attempts = run_with_failover(
-            RetryPolicy(max_attempts=4), clock, ["a", "b"], attempt,
+            RetryPolicy(max_attempts=4), runtime, ["a", "b"], attempt,
             retry_on=(Boom,),
         )
         assert result == "ok" and endpoint == "b" and attempts == 2
@@ -82,9 +86,10 @@ class TestRunWithFailover:
 
     def test_exhaustion_carries_attempts_and_last_error(self):
         clock = SimClock()
+        runtime = EventScheduler(clock)
         with pytest.raises(RetryExhausted) as exc_info:
             run_with_failover(
-                RetryPolicy(max_attempts=3), clock, ["a"],
+                RetryPolicy(max_attempts=3), runtime, ["a"],
                 lambda e: (_ for _ in ()).throw(Boom("nope")),
                 retry_on=(Boom,), op="unit",
             )
@@ -95,22 +100,24 @@ class TestRunWithFailover:
 
     def test_non_retryable_errors_propagate(self):
         clock = SimClock()
+        runtime = EventScheduler(clock)
 
         def attempt(endpoint):
             raise ValueError("an answer, not an outage")
 
         with pytest.raises(ValueError):
             run_with_failover(
-                RetryPolicy(max_attempts=3), clock, ["a"], attempt,
+                RetryPolicy(max_attempts=3), runtime, ["a"], attempt,
                 retry_on=(Boom,),
             )
 
     def test_backoff_advances_the_sim_clock(self):
         clock = SimClock()
+        runtime = EventScheduler(clock)
         with pytest.raises(RetryExhausted):
             run_with_failover(
                 RetryPolicy(max_attempts=3, base_delay=1.0, multiplier=2.0),
-                clock, ["a"],
+                runtime, ["a"],
                 lambda e: (_ for _ in ()).throw(Boom()),
                 retry_on=(Boom,),
             )
@@ -119,13 +126,14 @@ class TestRunWithFailover:
 
     def test_deadline_stops_before_overrun(self):
         clock = SimClock()
+        runtime = EventScheduler(clock)
         with pytest.raises(RetryExhausted) as exc_info:
             run_with_failover(
                 RetryPolicy(
                     max_attempts=10, base_delay=1.0, multiplier=2.0,
                     deadline=4.0,
                 ),
-                clock, ["a"],
+                runtime, ["a"],
                 lambda e: (_ for _ in ()).throw(Boom()),
                 retry_on=(Boom,),
             )
@@ -138,13 +146,14 @@ class TestRunWithFailover:
         """A retry whose backoff lands *exactly* on the deadline is not
         started: the policy promises no attempt begins at or past it."""
         clock = SimClock()
+        runtime = EventScheduler(clock)
         with pytest.raises(RetryExhausted) as exc_info:
             run_with_failover(
                 RetryPolicy(
                     max_attempts=5, base_delay=2.0, multiplier=1.0,
                     deadline=2.0,
                 ),
-                clock, ["a"],
+                runtime, ["a"],
                 lambda e: (_ for _ in ()).throw(Boom()),
                 retry_on=(Boom,),
             )
@@ -155,13 +164,14 @@ class TestRunWithFailover:
 
     def test_deadline_just_past_boundary_allows_the_retry(self):
         clock = SimClock()
+        runtime = EventScheduler(clock)
         with pytest.raises(RetryExhausted) as exc_info:
             run_with_failover(
                 RetryPolicy(
                     max_attempts=2, base_delay=2.0, multiplier=1.0,
                     deadline=2.5,
                 ),
-                clock, ["a"],
+                runtime, ["a"],
                 lambda e: (_ for _ in ()).throw(Boom()),
                 retry_on=(Boom,),
             )
@@ -175,6 +185,7 @@ class TestRunWithFailover:
 
         def trajectory(seed):
             clock = SimClock()
+            runtime = EventScheduler(clock)
             visits = []
 
             def attempt(endpoint):
@@ -184,7 +195,7 @@ class TestRunWithFailover:
             with pytest.raises(RetryExhausted):
                 run_with_failover(
                     RetryPolicy(max_attempts=6, base_delay=1.0, jitter=0.5),
-                    clock, ["master", "slave1", "slave2"], attempt,
+                    runtime, ["master", "slave1", "slave2"], attempt,
                     rng=random.Random(seed), retry_on=(Boom,),
                 )
             return visits
@@ -200,15 +211,16 @@ class TestRunWithFailover:
 
     def test_metrics_counted(self):
         clock = SimClock()
+        runtime = EventScheduler(clock)
         metrics = MetricsRegistry()
         with pytest.raises(RetryExhausted):
             run_with_failover(
-                RetryPolicy(max_attempts=2), clock, ["a"],
+                RetryPolicy(max_attempts=2), runtime, ["a"],
                 lambda e: (_ for _ in ()).throw(Boom()),
                 retry_on=(Boom,), metrics=metrics, op="unit",
             )
         run_with_failover(
-            RetryPolicy(), clock, ["a"], lambda e: "ok",
+            RetryPolicy(), runtime, ["a"], lambda e: "ok",
             metrics=metrics, op="unit",
         )
         assert metrics.total("retry.attempts_total", op="unit") == 3
@@ -216,19 +228,23 @@ class TestRunWithFailover:
 
     def test_empty_endpoints_rejected(self):
         with pytest.raises(ValueError):
-            run_with_failover(RetryPolicy(), SimClock(), [], lambda e: e)
+            run_with_failover(
+                RetryPolicy(), EventScheduler(SimClock()), [], lambda e: e
+            )
 
-    def test_host_clock_sleep_goes_through_reference(self):
-        """Passing a HostClock sleeps on the underlying SimClock."""
-        from repro.netsim import HostClock
-
-        sim = SimClock()
-        host_clock = HostClock(sim, skew=120.0)
+    def test_backoff_runs_the_realms_events(self):
+        """A backoff is the runtime's ``run_for``: events due while the
+        caller waits run at their own instants, not after it."""
+        clock = SimClock()
+        runtime = EventScheduler(clock)
+        ran = []
+        runtime.at(0.25, lambda: ran.append(clock.now()))
         with pytest.raises(RetryExhausted):
             run_with_failover(
                 RetryPolicy(max_attempts=2, base_delay=0.5),
-                host_clock, ["a"],
+                runtime, ["a"],
                 lambda e: (_ for _ in ()).throw(Boom()),
                 retry_on=(Boom,),
             )
-        assert sim.now() == pytest.approx(0.5)
+        assert ran == [0.25]
+        assert clock.now() == pytest.approx(0.5)

@@ -131,7 +131,7 @@ class TestCrashRestartFanout:
         service = Echo().attach(host)
         net.crash_host("h", downtime=30.0)
         assert service.events == ["attach", "detach"]
-        net.clock.advance(31.0)
+        net.runtime.run_for(31.0)
         assert service.events == ["attach", "detach", "attach"]
 
     def test_all_services_on_the_host_hear_the_crash(self):

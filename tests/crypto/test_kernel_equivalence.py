@@ -452,7 +452,7 @@ class TestSkeletonCache:
         keycache.clear()  # the process-wide caches are not the KDC's
         assert len(kdc._skeletons) == 1
         realm.net.crash_host(realm.master_host.name, downtime=1.0)
-        realm.net.clock.advance(2.0)
+        realm.net.runtime.run_for(2.0)
         assert len(kdc._skeletons) == 0  # the restarted KDC starts cold
 
 

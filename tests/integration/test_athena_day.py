@@ -136,7 +136,7 @@ class TestADayAtAthena:
         assert "Password changed" in out
 
     def test_1200_hourly_propagation_carries_the_change(self, athena):
-        athena["net"].clock.advance(3600.0)
+        athena["net"].runtime.run_for(3600.0)
         from repro.crypto import string_to_key
 
         for slave in athena["realm"].slaves:

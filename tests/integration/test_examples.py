@@ -95,7 +95,6 @@ class TestExamples:
         assert "rid=req-000001" in out[wire:]
         for section in (
             "== span latency digests ==", "== traces (3 of 3) ==",
-            "== audit log (4 events) ==", "== flight recorder (",
-            "== metrics (", "replay_detected", "selfcheck ok: demo realm, every plane",
+            "== audit log (4 events) ==", "== metrics (", "replay_detected", "selfcheck ok: demo realm, every plane",
         ):
             assert section in out, section

@@ -96,6 +96,8 @@ REMOVED = {
     40: ("part", "test_bench_", "bench_util", "small_realm", "logged_in_workstation",
          "rlogin_principal"),
     41: ("word", "Encoder", "Decoder", "encode_into", "decode_from", "dump_position"),
+    42: ("word", "call_at", "call_every", "pending_callbacks", "FlightRecorder", "series_key",
+         "rpc_timeout"),
 }
 
 
@@ -249,6 +251,17 @@ def _stopwatches(tree):
         + [(node.lineno, f"{node.name} takes the benchmark fixture") for node in nodes(tree)
            if isinstance(node, ast.FunctionDef)
            and "benchmark" in [arg.arg for arg in node.args.args]]
+
+
+def _clock_movers(tree):
+    """Every ``.advance`` — called, or handed out to be called later —
+    and any ``.call_at``/``.call_every``: a second way to move or queue
+    on the clock."""
+    return [
+        (node.lineno, f".{node.attr}") for node in nodes(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("advance", "call_at", "call_every")
+    ]
 
 
 def _audit_vocabulary(trees):
@@ -743,6 +756,20 @@ RULES = (
               (4, ".receiver compared with None"), (6, ".directory compared with None")),
     ),
     # -- determinism and audit ---------------------------------------------
+    Rule(
+        "time-moves-only-in-the-runtime",
+        "One queue: the scheduler alone advances the clock; nothing queues on the clock itself.",
+        SRC, each(_clock_movers),
+        sites=(("src/repro/runtime/scheduler.py", ".advance"),) * 2,
+        plant="def run_with_failover(policy, clock, endpoints, attempt, sleep=None):\n"
+              "    if sleep is None:\n"
+              "        reference = getattr(clock, 'reference', clock)\n"
+              "        sleep = reference.advance\n"
+              "    clock.call_at(clock.now() + 1.0, attempt)\n"
+              "    net.clock.call_every(3600.0, attempt)\n"
+              "    net.runtime.run_for(policy.base_delay)\n",
+        hits=((4, ".advance"), (5, ".call_at"), (6, ".call_every")),
+    ),
     Rule(
         "no-wall-clock-or-global-rng",
         "Time is the seeded SimClock and randomness a seeded Random: same seed, same bytes.",

@@ -1,9 +1,10 @@
-"""Simulated clock tests: advancement, scheduling, per-host skew."""
+"""Simulated clock tests: advancement and per-host skew (what happens
+at a time is the runtime's: ``tests/runtime/test_scheduler.py``)."""
 
 import pytest
 
 from repro.netsim import HostClock, SimClock
-from repro.netsim.clock import HOUR, MINUTE
+from repro.netsim.clock import MINUTE
 
 
 class TestSimClock:
@@ -22,86 +23,6 @@ class TestSimClock:
     def test_advance_backwards_rejected(self):
         with pytest.raises(ValueError):
             SimClock().advance(-1)
-
-    def test_call_at_fires_when_due(self):
-        clock = SimClock()
-        fired = []
-        clock.call_at(10.0, lambda: fired.append(clock.now()))
-        clock.advance(9.9)
-        assert fired == []
-        clock.advance(0.2)
-        assert fired == [10.0]
-
-    def test_call_at_fires_at_scheduled_instant(self):
-        """A big jump still runs the callback at its scheduled time."""
-        clock = SimClock()
-        seen = []
-        clock.call_at(3.0, lambda: seen.append(clock.now()))
-        clock.advance(100.0)
-        assert seen == [3.0]
-        assert clock.now() == 100.0
-
-    def test_call_at_in_past_rejected(self):
-        clock = SimClock()
-        clock.advance(10)
-        with pytest.raises(ValueError):
-            clock.call_at(5.0, lambda: None)
-
-    def test_callbacks_fire_in_order(self):
-        clock = SimClock()
-        order = []
-        clock.call_at(2.0, lambda: order.append("b"))
-        clock.call_at(1.0, lambda: order.append("a"))
-        clock.call_at(3.0, lambda: order.append("c"))
-        clock.advance(5)
-        assert order == ["a", "b", "c"]
-
-    def test_same_time_callbacks_fifo(self):
-        clock = SimClock()
-        order = []
-        clock.call_at(1.0, lambda: order.append(1))
-        clock.call_at(1.0, lambda: order.append(2))
-        clock.advance(2)
-        assert order == [1, 2]
-
-    def test_call_every_keeps_cadence(self):
-        """Models the paper's hourly database dump (Fig. 13)."""
-        clock = SimClock()
-        dumps = []
-        clock.call_every(HOUR, lambda: dumps.append(clock.now()))
-        clock.advance(4 * HOUR)
-        assert dumps == [HOUR, 2 * HOUR, 3 * HOUR, 4 * HOUR]
-
-    def test_call_every_across_one_big_jump(self):
-        clock = SimClock()
-        count = []
-        clock.call_every(1.0, lambda: count.append(None))
-        clock.advance(10.0)
-        assert len(count) == 10
-
-    def test_call_every_invalid_interval(self):
-        with pytest.raises(ValueError):
-            SimClock().call_every(0, lambda: None)
-
-    def test_callback_can_schedule_more(self):
-        clock = SimClock()
-        fired = []
-
-        def first():
-            fired.append("first")
-            clock.call_at(clock.now() + 1, lambda: fired.append("second"))
-
-        clock.call_at(1.0, first)
-        clock.advance(3.0)
-        assert fired == ["first", "second"]
-
-    def test_pending_callbacks(self):
-        clock = SimClock()
-        assert clock.pending_callbacks() == 0
-        clock.call_at(1.0, lambda: None)
-        assert clock.pending_callbacks() == 1
-        clock.advance(2)
-        assert clock.pending_callbacks() == 0
 
 
 class TestHostClock:
@@ -124,10 +45,6 @@ class TestHostClock:
         host = HostClock(ref, skew=0)
         host.skew = 600
         assert host.now() == 600
-
-    def test_reference_accessor(self):
-        ref = SimClock()
-        assert HostClock(ref).reference is ref
 
     def test_repr_shows_skew(self):
         assert "+60.0" in repr(HostClock(SimClock(), skew=60))

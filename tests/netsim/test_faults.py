@@ -163,7 +163,7 @@ class TestCrashRestart:
         net.crash_host("server", downtime=30.0)
         with pytest.raises(Unreachable):
             client.rpc(server.address, 7, b"x")
-        net.clock.advance(31.0)
+        net.runtime.run_for(31.0)
         assert client.rpc(server.address, 7, b"x") == b"ok:x"
         assert net.metrics.total("faults.injected_total", kind="crash") == 1
         assert net.metrics.total("faults.injected_total", kind="restart") == 1
@@ -171,7 +171,7 @@ class TestCrashRestart:
     def test_crash_without_downtime_stays_down(self):
         net, server, client, log = world()
         net.crash_host("server")
-        net.clock.advance(3600.0)
+        net.runtime.run_for(3600.0)
         with pytest.raises(Unreachable):
             client.rpc(server.address, 7, b"x")
         net.restart_host("server")

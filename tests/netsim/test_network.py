@@ -4,6 +4,7 @@ import pytest
 
 from repro.netsim import (
     Datagram,
+    DeferredReply,
     FaultError,
     IPAddress,
     Loss,
@@ -12,6 +13,7 @@ from repro.netsim import (
     SimClock,
     Unreachable,
 )
+from repro.netsim.network import RPC_TIMEOUT
 
 
 def echo_upper(datagram):
@@ -169,6 +171,17 @@ class TestLatencyAndLoss:
         client.rpc(server.address, 1, b"x")
         # Two hops: request and reply.
         assert net.clock.now() == pytest.approx(0.010)
+
+    def test_a_timed_out_rpc_spends_its_timeout(self):
+        """A reply that never comes costs the caller the whole timeout:
+        the clock stands at the deadline, and the refusal names it."""
+        net = Network(latency=0.001)
+        server = net.add_host("s")
+        server.bind(1, lambda d: DeferredReply())  # never resolved
+        client = net.add_host("c")
+        with pytest.raises(Unreachable, match=r"no reply within 30\.000s"):
+            client.rpc(server.address, 1, b"x")
+        assert net.clock.now() == pytest.approx(RPC_TIMEOUT)
 
     def test_loss_causes_unreachable(self):
         net = Network(seed=7)

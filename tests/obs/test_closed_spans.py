@@ -402,7 +402,7 @@ def wait_spans():
     def record(count):
         for _ in range(count):
             queue.submit(None, trace=context)
-            net.clock.advance(0.0001)
+            net.runtime.run_for(0.0001)
         net.runtime.run_until_idle()
 
     return record

@@ -103,7 +103,7 @@ class TestDeltaRounds:
         """No changes → a zero-entry delta still confirms freshness."""
         net, realm = build_realm()
         before = realm.slaves[0].kpropd.staleness(net.clock.now())
-        net.clock.advance(120.0)
+        net.runtime.run_for(120.0)
         result = realm.propagate()
         assert result.all_ok and result.deltas == 2
         assert realm.slaves[0].kpropd.staleness(net.clock.now()) < before + 120.0
@@ -126,7 +126,7 @@ class TestDeltaRounds:
         net, realm = build_realm()
         realm.schedule_incremental(interval=30.0)
         realm.add_user("late", "pw")
-        net.clock.advance(31.0)
+        net.runtime.run_for(31.0)
         for slave in realm.slaves:
             assert slave.db.exists(Principal("late", "", REALM_NAME))
             assert slave.kpropd.staleness(net.clock.now()) <= 31.0
@@ -271,7 +271,7 @@ class TestStalenessAccounting:
         realm.propagate()
         victim = realm.slaves[0]
         net.set_down(victim.host.name)
-        net.clock.advance(500.0)
+        net.runtime.run_for(500.0)
         realm.propagate()  # victim misses this round; gauge updates anyway
         now = net.clock.now()
         gauge = net.metrics.get(
@@ -286,7 +286,7 @@ class TestStalenessAccounting:
 
     def test_gauge_resets_after_applied_update(self):
         net, realm = build_realm()
-        net.clock.advance(300.0)
+        net.runtime.run_for(300.0)
         realm.propagate()
         gauge = net.metrics.get(
             "repl.slave_lag_seconds",
@@ -310,12 +310,12 @@ class TestDeterminism:
             net, realm = build_realm(seed=seed)
             realm.schedule_incremental(interval=30.0)
             realm.add_user("a", "pw-a")
-            net.clock.advance(35.0)
+            net.runtime.run_for(35.0)
             net.crash_host(realm.slaves[0].host.name, downtime=40.0)
             realm.add_user("b", "pw-b")
-            net.clock.advance(90.0)
+            net.runtime.run_for(90.0)
             realm.db.change_key(Principal("a", "", REALM_NAME), new_password="z")
-            net.clock.advance(60.0)
+            net.runtime.run_for(60.0)
             return [store_digest(realm.db)] + [
                 store_digest(s.db) for s in realm.slaves
             ]

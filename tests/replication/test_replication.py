@@ -67,7 +67,7 @@ class TestPropagation:
         realm.add_user("late", "pw")
         slave = realm.slaves[0]
         assert not slave.db.exists(Principal("late", "", REALM))
-        net.clock.advance(3600.0)
+        net.runtime.run_for(3600.0)
         assert slave.db.exists(Principal("late", "", REALM))
         assert slave.kpropd.updates_applied >= 1
 
@@ -75,7 +75,7 @@ class TestPropagation:
         """A slave is at most one interval stale — the consistency window
         the paper accepts."""
         realm.schedule_propagation()
-        net.clock.advance(3 * 3600.0 + 10)
+        net.runtime.run_for(3 * 3600.0 + 10)
         slave = realm.slaves[0]
         assert slave.kpropd.staleness(net.clock.now()) <= 3600.0 + 10
 

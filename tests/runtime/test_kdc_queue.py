@@ -160,7 +160,7 @@ class TestCrash:
     def test_restart_serves_again(self):
         net, realm = build_realm(queue=TINY)
         net.crash_host(realm.master_host.name, downtime=10.0)
-        net.clock.advance(11.0)
+        net.runtime.run_for(11.0)
         ws = realm.workstation()
         assert ws.client.kinit("jis", "jis-pw") is not None
         assert realm.kdc.workqueue.idle

@@ -8,6 +8,7 @@ instant are shuffled by the seeded tie-break, not by insertion accident.
 import pytest
 
 from repro.netsim import SimClock
+from repro.netsim.clock import HOUR
 from repro.runtime import EventScheduler, SchedulerError
 
 
@@ -53,16 +54,16 @@ class TestOrdering:
         with pytest.raises(SchedulerError):
             sched.after(-1.0, lambda: None)
 
-    def test_clock_callbacks_interleave_with_events(self):
-        """A clock.call_at daemon due *between* two events fires between
-        them — the two schedules share one timeline."""
+    def test_cadence_interleaves_with_events(self):
+        """A cadence due *between* two events fires between them — one
+        queue, one timeline."""
         clock, sched = make()
         log = []
         sched.at(1.0, lambda: log.append("event@1"))
-        clock.call_at(2.0, lambda: log.append("daemon@2"))
+        sched.every(2.0, lambda: log.append(f"daemon@{clock.now():g}"))
         sched.at(3.0, lambda: log.append("event@3"))
-        sched.run_until_idle()
-        assert log == ["event@1", "daemon@2", "event@3"]
+        sched.run_for(4.5)
+        assert log == ["event@1", "daemon@2", "event@3", "daemon@4"]
 
     def test_horizon_stops_early(self):
         clock, sched = make()
@@ -72,6 +73,15 @@ class TestOrdering:
         ran = sched.run_until_idle(horizon=5.0)
         assert ran == 1 and log == [1]
         assert sched.pending() == 1
+
+    def test_run_for_runs_each_event_at_its_own_instant(self):
+        """One long window still runs an event at its scheduled time."""
+        clock, sched = make()
+        seen = []
+        sched.at(3.0, lambda: seen.append(clock.now()))
+        sched.run_for(100.0)
+        assert seen == [3.0]
+        assert clock.now() == 100.0
 
     def test_run_for_advances_to_window_end(self):
         clock, sched = make()
@@ -94,6 +104,43 @@ class TestOrdering:
         sched.run_until_idle()
         assert log == [0, 1, 2, 3]
         assert clock.now() == 3.0
+
+
+class TestEvery:
+    def test_every_keeps_cadence(self):
+        """Models the paper's hourly database dump (Fig. 13)."""
+        clock, sched = make()
+        dumps = []
+        sched.every(HOUR, lambda: dumps.append(clock.now()))
+        sched.run_for(4 * HOUR)
+        assert dumps == [HOUR, 2 * HOUR, 3 * HOUR, 4 * HOUR]
+
+    def test_every_across_one_run_for_window(self):
+        _, sched = make()
+        count = []
+        sched.every(1.0, lambda: count.append(None))
+        sched.run_for(10.0)
+        assert len(count) == 10
+        assert sched.pending() == 1  # a cadence never idles
+
+    def test_every_rejects_a_non_positive_interval(self):
+        _, sched = make()
+        with pytest.raises(SchedulerError):
+            sched.every(0, lambda: None)
+
+
+class TestLateEvents:
+    def test_an_event_the_clock_passed_is_refused_not_run_late(self):
+        """Moving the clock outside the runtime past a pending event is
+        an error at the next step: the event stays queued, unrun."""
+        clock, sched = make()
+        fired = []
+        sched.at(1.0, lambda: fired.append(clock.now()))
+        clock.advance(5.0)
+        with pytest.raises(SchedulerError, match="late"):
+            sched.step()
+        assert fired == []
+        assert sched.pending() == 1
 
 
 class TestCancellation:

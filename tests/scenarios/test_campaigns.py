@@ -11,6 +11,7 @@ import pytest
 
 import repro.scenarios as scenarios
 from repro.scenarios.__main__ import main
+from repro.runtime import EventScheduler
 from repro.scenarios.engine import World
 
 REPO = Path(__file__).resolve().parents[2]
@@ -113,6 +114,25 @@ class TestSmoke:
         checks = {check.name: check for check in result.checks}
         assert checks["skewed_refusal_rate"].observed == 0.0
         assert not result.passed
+
+
+def test_lossy_wan_runs_no_event_after_its_time(monkeypatch):
+    """Retry backoff under loss waits on the runtime, so every event of
+    the lossy-WAN campaign runs at its own instant — none is found
+    already overtaken by the clock when it comes up."""
+    late = []
+    step = EventScheduler.step
+
+    def watched(self):
+        due = self.next_time()
+        if due is not None and due < self.clock.now():
+            late.append(self.clock.now() - due)
+        return step(self)
+
+    monkeypatch.setattr(EventScheduler, "step", watched)
+    result = scenarios.run("lossy_wan_degradation", seed=1988)
+    assert late == []
+    assert result.passed
 
 
 #: ``python -m repro.scenarios --seed 1988 --json``: every campaign's

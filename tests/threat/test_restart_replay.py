@@ -213,7 +213,7 @@ def world(request):
 
 def _power_cycle(net, drill):
     net.crash_host(drill.daemon.host.name, downtime=DOWNTIME)
-    net.clock.advance(DOWNTIME + 1.0)
+    net.runtime.run_for(DOWNTIME + 1.0)
     assert drill.daemon.host.up
 
 

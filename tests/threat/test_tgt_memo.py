@@ -88,7 +88,7 @@ def present(realm, cred, src):
 
 def test_a_repeat_is_served_from_the_memo(world):
     realm, ws, cred = world
-    realm.net.clock.advance(1.0)
+    realm.net.runtime.run_for(1.0)
     assert present(realm, cred, ws.host.address) == ("TGS_REP", True)
 
 
@@ -96,19 +96,19 @@ def test_from_another_address(world):
     """A stolen TGT and session key, used from the thief's own host."""
     realm, ws, cred = world
     elsewhere = IPAddress(ws.host.address.as_int + 1)
-    realm.net.clock.advance(1.0)
+    realm.net.runtime.run_for(1.0)
     assert present(realm, cred, elsewhere) == ("RD_AP_BADD", True)
 
 
 def test_after_expiry(world):
     realm, ws, cred = world
-    realm.net.clock.advance(LIFE + CLOCK_SKEW + 1.0)
+    realm.net.runtime.run_for(LIFE + CLOCK_SKEW + 1.0)
     assert present(realm, cred, ws.host.address) == ("RD_AP_EXP", True)
 
 
 def test_with_a_replayed_authenticator(world):
     realm, ws, cred = world
-    realm.net.clock.advance(1.0)
+    realm.net.runtime.run_for(1.0)
     wire = tgs_wire(realm, cred, ws.host.address)
     assert send(realm, wire, ws.host.address) == ("TGS_REP", True)
     assert send(realm, wire, ws.host.address) == ("RD_AP_REPEAT", True)
@@ -124,7 +124,7 @@ def test_after_a_tgs_key_rotation(world):
         new_key=KeyGenerator(seed=b"tgt-memo-rotation").session_key(),
         now=realm.net.clock.now(),
     )
-    realm.net.clock.advance(1.0)
+    realm.net.runtime.run_for(1.0)
     assert present(realm, cred, ws.host.address) == ("RD_AP_MODIFIED", False)
 
 
@@ -132,7 +132,7 @@ def test_after_a_crash_the_memo_is_empty(world):
     realm, ws, cred = world
     assert len(realm.kdc._tgt_memo) == 1
     realm.net.crash_host(realm.master_host.name, downtime=30.0)
-    realm.net.clock.advance(31.0)
+    realm.net.runtime.run_for(31.0)
     assert len(realm.kdc._tgt_memo) == 0
     assert present(realm, cred, ws.host.address) == ("TGS_REP", False)
     assert len(realm.kdc._tgt_memo) == 1

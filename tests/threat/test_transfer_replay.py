@@ -146,7 +146,7 @@ def test_recorded_transfer_cannot_roll_a_database_back(world):
     # The password is compromised and changed; the change propagates.
     _change_password(realm, "jis-new-pw")
     assert _rounds_ok(realm)
-    net.clock.advance(3 * HOUR)
+    net.runtime.run_for(3 * HOUR)
 
     assert drill.refused(tape.replay())
     (caught,) = net.audit.events("replay_detected")
@@ -230,7 +230,7 @@ def test_crashed_slave_refuses_from_its_durable_position():
     assert realm.propagate().all_ok
 
     net.crash_host(slave.host.name, downtime=30.0)
-    net.clock.advance(31.0)
+    net.runtime.run_for(31.0)
     assert slave.kpropd.applied_epoch is None
     assert slave.kpropd.held() == (realm.db.journal.epoch, realm.db.journal.last_seq)
 
@@ -286,6 +286,6 @@ def test_demoted_master_refuses_a_dump_from_before_the_promotion():
     net.crash_host(old_master.name, downtime=30.0)
     realm.promote_slave(0, demote_old=True)
     _change_password(realm, "jis-new-pw")
-    net.clock.advance(31.0)
+    net.runtime.run_for(31.0)
     assert old_master.up
     _refused_then_caught_up(net, realm, tape, old_master)
