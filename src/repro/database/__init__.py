@@ -32,7 +32,6 @@ from repro.database.db import (
 from repro.database.journal import JournalEntry, UpdateJournal
 from repro.database.masterkey import MasterKey
 from repro.database.schema import DEFAULT_MAX_LIFE, PrincipalRecord
-from repro.database.sqlstore import SqliteStore
 from repro.database.store import FileStore, MemoryStore, RecordStore
 
 __all__ = [
@@ -52,3 +51,14 @@ __all__ = [
     "SqliteStore",
     "UpdateJournal",
 ]
+
+
+def __getattr__(name: str):
+    """``SqliteStore`` is imported on first use, so that importing the
+    package does not load :mod:`sqlite3` for the stores that never
+    touch it."""
+    if name == "SqliteStore":
+        from repro.database.sqlstore import SqliteStore
+
+        return SqliteStore
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,7 +34,11 @@ Recorded spans are kept in columns (:class:`SpanRows`), not as objects:
 a span takes its row when it opens, a live :class:`Span` stands in the
 row while it is open, and closing it writes its end time and attribute
 record into the row and lets the object go.  Reading a closed row back
-builds a :class:`ClosedSpan`.
+builds a :class:`ClosedSpan`.  A closed record equal to one the tracer
+already stores is stored as that same tuple (:class:`_KeySet`): the
+legs to one destination, a batch's handler spans and one service's
+spans each keep one record, so a reader may rely on a record's value,
+never on its identity.
 """
 
 from __future__ import annotations
@@ -85,8 +89,8 @@ class TraceContext:
 class FrozenAttrs(Mapping):
     """A read-only view of a closed span's record, ``(keys, *values)``:
     it reads like the dict the attributes were, in insertion order.  The
-    keys tuple is shared by every span with the same key-set (the
-    :class:`Tracer` interns it)."""
+    keys tuple is shared by every span with the same key-set, and the
+    record by every span with equal attributes (:class:`_KeySet`)."""
 
     __slots__ = ("_record",)
 
@@ -118,6 +122,53 @@ class FrozenAttrs(Mapping):
 
 #: The one record of every span that closes without attributes.
 _NO_ATTRS = ((),)
+
+#: How many records of a key-set :class:`_KeySet` compares a new one
+#: against until one repeats: five, what a dict's smallest table holds.
+_RECENT = 5
+#: How many once a record of the key-set has repeated; a full table
+#: starts over empty.
+_REPEATING = 4096
+
+
+class _KeySet:
+    """The tracer's memory of one attribute key-set: the one keys tuple
+    its records hold, and records already stored, so that an equal
+    closed record is stored as the same tuple.  Until one of its records
+    repeats, only the last :data:`_RECENT` are held — a key-set whose
+    records never repeat (a login's root span, a queued item's own wait)
+    costs one small table, not a slot per record; after that, up to
+    :data:`_REPEATING`.
+
+    Records are matched with ``==``, so an attribute must keep to one
+    type of value (``True == 1 == 1.0``, ``0.0 == -0.0``): an equal value
+    of another type would read back as the one stored first.  Every span
+    in ``repro`` does."""
+
+    __slots__ = ("keys", "stored", "limit")
+
+    def __init__(self, keys: tuple) -> None:
+        self.keys = keys
+        self.stored: Dict[tuple, tuple] = {}
+        self.limit = _RECENT
+
+    def share(self, record: tuple) -> tuple:
+        """The stored record equal to ``record``, or ``record`` itself
+        (with this key-set's keys tuple), now stored."""
+        stored = self.stored
+        try:
+            kept = stored.get(record)
+        except TypeError:  # an unhashable value: kept as it is
+            return record
+        if kept is not None:
+            self.limit = _REPEATING
+            return kept
+        if record[0] is not self.keys:
+            record = (self.keys, *record[1:])
+        if len(stored) >= self.limit:
+            stored.clear()
+        stored[record] = record
+        return record
 
 
 class Span:
@@ -324,8 +375,8 @@ class Tracer(HeldHandles):
         self._stack: List[object] = []  # Spans and _Anchors
         self._span_ids = itertools.count(1)
         self._request_ids = itertools.count(1)
-        #: Every key-set a closed span has had, as its one shared tuple.
-        self._key_sets: Dict[tuple, tuple] = {}
+        #: Every key-set a closed span has had, by its keys.
+        self._key_sets: Dict[tuple, _KeySet] = {}
         #: One copy of each span name the rows hold.
         self._names: Dict[str, str] = {}
 
@@ -368,6 +419,12 @@ class Tracer(HeldHandles):
         if self._metrics is not None:
             (self._held.get(key) or self._counter(*key)).inc()
         return span
+
+    def _key_set(self, keys: tuple) -> _KeySet:
+        key_set = self._key_sets.get(keys)
+        if key_set is None:
+            key_set = self._key_sets[keys] = _KeySet(keys)
+        return key_set
 
     def _fresh_trace_id(self) -> str:
         return f"req-{next(self._request_ids):06d}"
@@ -513,13 +570,17 @@ class Tracer(HeldHandles):
     def close_span(self, span: Span, end: Optional[float] = None) -> Span:
         """Close a span opened with :meth:`open_span` (no stack check).
         Its attribute dict becomes one tuple: the keys, interned per
-        key-set, then the values.  The end time and that record go into
-        the span's row, which stops holding the span."""
+        key-set, then the values — or the equal record already stored.
+        The end time and that record go into the span's row, which stops
+        holding the span."""
         span.end = end = self.clock.now() if end is None else end
         attrs = span._attrs
-        keys = tuple(attrs)
-        keys = self._key_sets.setdefault(keys, keys)
-        span._attrs = record = (keys, *attrs.values()) if attrs else _NO_ATTRS
+        if attrs:
+            key_set = self._key_set(tuple(attrs))
+            record = key_set.share((key_set.keys, *attrs.values()))
+        else:
+            record = _NO_ATTRS
+        span._attrs = record
         row = span._row
         if row >= 0:
             self._rows.ends[row] = end
@@ -530,8 +591,9 @@ class Tracer(HeldHandles):
         """Record spans written after the fact, opened and closed now:
         ``names[i]``, parented to ``contexts[i]`` as :meth:`open_span`
         does, keeping ``records[i]``, ``(keys, *values)``.  Ids, the
-        ``max_spans`` cut and the counts are those of an
-        ``open_span``/``close_span`` pair per item; no :class:`Span`."""
+        ``max_spans`` cut, the counts and the stored records are those
+        of an ``open_span``/``close_span`` pair per item; no
+        :class:`Span`."""
         if not self.enabled:
             return
         rows, now, counts = self._rows, self.clock.now(), {}
@@ -546,8 +608,7 @@ class Tracer(HeldHandles):
                 rows.parents.append(-1 if parent is None else parent)
                 rows.names.append(self._names.setdefault(name, name))
                 rows.traces.append(context.trace_id)
-                keys = self._key_sets.setdefault(record[0], record[0])
-                rows.records.append(record if keys is record[0] else (keys, *record[1:]))
+                rows.records.append(self._key_set(record[0]).share(record))
                 key = ("trace.spans_total", name)
             else:
                 key = ("trace.spans_dropped_total", None)
@@ -602,10 +663,12 @@ class Tracer(HeldHandles):
         return list(dict.fromkeys(h for h in hosts if isinstance(h, str)))
 
     def clear(self) -> None:
-        """Forget the closed rows.  Every open row stays, renumbered: the
-        stack's spans (the live call structure must stay balanced) and
-        spans opened off the stack, which close into their rows later."""
+        """Forget the closed rows and the records stored for sharing.
+        Every open row stays, renumbered: the stack's spans (the live
+        call structure must stay balanced) and spans opened off the
+        stack, which close into their rows later."""
         open_spans = [r for r in self._rows.records if type(r) is not tuple]
         self._rows = SpanRows()
+        self._key_sets = {}
         for span in open_spans:
             self._rows.reserve(span)

@@ -129,17 +129,24 @@ class EventScheduler(HeldHandles):
     def every(
         self, interval: float, action: Callable[[], None], label: str = ""
     ) -> None:
-        """Run ``action`` every ``interval`` seconds, for ever: each run
-        schedules the next ``interval`` after it finishes.  A realm with
-        a cadence never idles — drive it with :meth:`run_for`."""
+        """Run ``action`` every ``interval`` seconds, for ever.  Runs are
+        due at whole multiples of ``interval`` after this call, however
+        long each run takes: a run that overruns the next slot has the
+        next run start at once (:meth:`at` clamps it to now), and the
+        slots it overran wholly are skipped.  A realm with a cadence
+        never idles — drive it with :meth:`run_for`."""
         if interval <= 0:
             raise SchedulerError(f"interval must be positive, got {interval}")
+        start, slot = self.clock.now(), 1
 
         def fire() -> None:
+            nonlocal slot
             action()
-            self.after(interval, fire, label)
+            elapsed = int((self.clock.now() - start) // interval)
+            slot = max(slot + 1, elapsed)
+            self.at(start + slot * interval, fire, label)
 
-        self.after(interval, fire, label)
+        self.at(start + interval, fire, label)
 
     def cancel(self, event: ScheduledEvent) -> None:
         """Cancel a pending event; a no-op if it already ran."""

@@ -1,5 +1,9 @@
 """Record store tests: interface contract for both implementations."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -175,3 +179,28 @@ class TestSqliteStorePersistence:
             ws, "ATHENA.MIT.EDU", StaticLocator([kdc_host.address])
         )
         assert client.kinit("jis", "pw") is not None
+
+
+class TestSqliteLoadsOnUse:
+    """Only a store that asks for ``sqlite3`` loads it."""
+
+    def run(self, code):
+        src = Path(__file__).resolve().parents[2] / "src"
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, check=True, env={"PYTHONPATH": str(src)},
+        ).stdout.split()
+
+    def test_importing_the_package_leaves_sqlite3_unloaded(self):
+        assert self.run(
+            "import sys, repro, repro.database, repro.realm; "
+            "print('sqlite3' in sys.modules)"
+        ) == ["False"]
+
+    def test_sqlite_store_loads_it_on_first_use(self):
+        assert self.run(
+            "import sys, repro.database as d; "
+            "print('SqliteStore' in d.__all__, 'sqlite3' in sys.modules); "
+            "from repro.database import SqliteStore; "
+            "print(SqliteStore.__name__, 'sqlite3' in sys.modules)"
+        ) == ["True", "False", "SqliteStore", "True"]

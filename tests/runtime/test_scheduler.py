@@ -7,7 +7,7 @@ instant are shuffled by the seeded tie-break, not by insertion accident.
 
 import pytest
 
-from repro.netsim import SimClock
+from repro.netsim import Network, SimClock
 from repro.netsim.clock import HOUR
 from repro.runtime import EventScheduler, SchedulerError
 
@@ -122,6 +122,36 @@ class TestEvery:
         sched.run_for(10.0)
         assert len(count) == 10
         assert sched.pending() == 1  # a cadence never idles
+
+    def test_rounds_that_pump_rpcs_stay_on_their_multiples(self):
+        """A round that waits on the wire does not push the later ones
+        back: 15 rounds at 30 s, each an RPC over a 10 ms link, start at
+        exact multiples of 30 s."""
+        net = Network(latency=0.01)
+        server, client = net.add_host("server"), net.add_host("client")
+        server.bind(7, lambda datagram: b"ok")
+        starts = []
+
+        def round_trip():
+            starts.append(net.clock.now())
+            assert client.rpc(server.address, 7, b"x") == b"ok"
+
+        net.runtime.every(30.0, round_trip)
+        net.runtime.run_for(15 * 30.0)
+        assert starts == [30.0 * k for k in range(1, 16)]
+
+    def test_a_round_longer_than_its_interval_runs_the_next_at_once(self):
+        clock, sched = make()
+        starts = []
+
+        def slow():
+            starts.append(clock.now())
+            if len(starts) == 1:
+                sched.run_for(2.5)
+
+        sched.every(1.0, slow)
+        sched.run_for(5.0)
+        assert starts == [1.0, 3.5, 4.0, 5.0]
 
     def test_every_rejects_a_non_positive_interval(self):
         _, sched = make()
