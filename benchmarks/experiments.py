@@ -291,7 +291,7 @@ def full_protocol_act(realm):
     context = krb_rd_req(request, RLOGIN, key, ws.host.address, realm.net.clock.now())
     krb_rd_rep(krb_mk_rep(context), sent, cred.session_key)
     tgt_cred = ws.client.cache.tgt(realm.name)
-    tgs_key = realm.db.principal_key(tgs_principal(realm.name))
+    tgs_key = realm.shards[0].db.principal_key(tgs_principal(realm.name))
     tgt, ticket = unseal_ticket(tgt_cred.ticket, tgs_key), unseal_ticket(cred.ticket, key)
     return {
         "served_client": context.client.name,
@@ -309,10 +309,12 @@ def full_protocol_act(realm):
 
 def slaves_act(realms):
     failover, spread = realms
-    failover.net.set_down(failover.master_host.name)
+    master = failover.shards[0].master_host.name
+    failover.net.set_down(master)
     served = refusal(lambda: kinit(failover))
-    failover.net.set_up(failover.master_host.name)
-    kdcs, addresses = [spread.kdc] + [s.kdc for s in spread.slaves], spread.kdc_addresses()
+    failover.net.set_up(master)
+    site = spread.shards[0]
+    kdcs, addresses = [site.kdc] + [s.kdc for s in site.slaves], spread.kdc_addresses()
     stations = []
     for i in range(30):
         ws = spread.workstation()
@@ -339,26 +341,28 @@ def admin_master_build():
 
 
 def admin_master_act(realm):
-    kdbm = KdbmClient(realm.workstation().client, realm.master_host.address)
+    site = realm.shards[0]
+    kdbm = KdbmClient(realm.workstation().client, site.master_host.address)
     added = kdbm.add_principal(Principal("jis", "admin", REALM), "jis-admin-pw",
                                Principal("u0", "", REALM), "pw")
-    slave = realm.slaves[0]
+    slave = site.slaves[0]
     kdbm_on_slave = refusal(
         lambda: KdbmServer(slave.db, realm.acl, port=9999).attach(slave.host))
-    realm.net.set_down(realm.master_host.name)
+    realm.net.set_down(site.master_host.name)
     observed = {
         "add_principal": added,
         "kdbm_on_slave": kdbm_on_slave,
         "kpasswd_with_master_down": refusal(lambda: kdbm.change_password(JIS, "jis-pw", "x")),
         "login_with_master_down": refusal(lambda: kinit(realm)),
     }
-    realm.net.set_up(realm.master_host.name)
+    realm.net.set_up(site.master_host.name)
     return observed
 
 
 def admin_protocol_act(realm):
+    site = realm.shards[0]
     ws = realm.workstation()
-    kdbm = KdbmClient(ws.client, realm.master_host.address)
+    kdbm = KdbmClient(ws.client, site.master_host.address)
     changed = [kdbm.change_password(JIS, old, new)
                for old, new in (("jis-pw", "other-pw"), ("other-pw", "jis-pw"))]
     ws.client.kdestroy()
@@ -371,8 +375,8 @@ def admin_protocol_act(realm):
         "kpasswd": changed,
         "kdbm_ticket_via_tgs": kdbm_via_tgs,
         "new_password_on_wire": eve.saw_bytes(b"well-hidden-secret"),
-        "audit_log_entries_permitted": (len(realm.kdbm.log),
-                                        sum(e.permitted for e in realm.kdbm.log)),
+        "audit_log_entries_permitted": (len(site.kdbm.log),
+                                        sum(e.permitted for e in site.kdbm.log)),
     }
 
 
@@ -394,15 +398,16 @@ def flip_kprop(datagram):
 
 
 def propagation_act(realm):
+    site = realm.shards[0]
     first = realm.propagate()
-    converged = all(list(s.db.store.items()) == list(realm.db.store.items())
-                    for s in realm.slaves)
-    principals, dump = len(realm.db), len(realm.db.dump())
+    converged = all(list(s.db.store.items()) == list(site.db.store.items())
+                    for s in site.slaves)
+    principals, dump = len(site.db), len(site.db.dump())
     realm.add_user("canary", "pw")
     realm.net.add_interceptor(flip_kprop)
     tampered = realm.propagate()
     realm.net.remove_interceptor(flip_kprop)
-    canary_loaded = any(s.db.exists(Principal("canary", "", REALM)) for s in realm.slaves)
+    canary_loaded = any(s.db.exists(Principal("canary", "", REALM)) for s in site.slaves)
     realm.schedule_propagation()
     realm.net.runtime.run_for(3 * HOUR)
     now = realm.net.clock.now()
@@ -412,8 +417,9 @@ def propagation_act(realm):
         "slaves_byte_identical": converged,
         "tampered_round_all_ok": tampered.all_ok,
         "canary_on_a_slave": canary_loaded,
-        "worst_staleness_s": max(s.kpropd.staleness(now) for s in realm.slaves),
-        "dump_bytes_50_500_users": [len(users_realm(n, slaves=0).db.dump()) for n in (50, 500)],
+        "worst_staleness_s": max(s.kpropd.staleness(now) for s in site.slaves),
+        "dump_bytes_50_500_users": [len(users_realm(n, slaves=0).shards[0].db.dump())
+                                    for n in (50, 500)],
     }
 
 
@@ -477,7 +483,7 @@ def athena_hour_act(result):
     ws = realm.workstation()
     return {
         "passed": result.passed,
-        "principals": len(realm.db),
+        "principals": len(realm.shards[0].db),
         "logins_service_uses": (notes["logins"], notes["service_uses"]),
         "kdc_messages": notes["kdc_messages"],
         "kdc_requests_per_use": round(notes["kdc_requests_per_use"], 2),
@@ -526,7 +532,7 @@ def crossrealm_build():
     service, key = lcs.add_service("rlogin", "ptt")
     link(athena_realm, lcs)
     ws = kinit(athena_realm)
-    ws.client.set_locator(lcs.name, StaticLocator([lcs.master_host.address]))
+    ws.client.set_locator(lcs.name, StaticLocator([lcs.shards[0].master_host.address]))
     return net, lcs, ws, service, key
 
 
@@ -539,7 +545,7 @@ def crossrealm_act(world):
     context = krb_rd_req(request, service, key, ws.host.address, net.clock.now())
     uw = Realm(net, "CS.WASHINGTON.EDU", seed=b"x1-uw")
     link(lcs, uw)
-    ws.client.set_locator(uw.name, StaticLocator([uw.master_host.address]))
+    ws.client.set_locator(uw.name, StaticLocator([uw.shards[0].master_host.address]))
     remote_tgt = ws.client.cache.remote_tgt(REALM, lcs.name)
     return {
         "ticket_client": str(unseal_ticket(cred.ticket, key).client),
@@ -657,7 +663,7 @@ def lifetime_day(hours: float) -> tuple:
     # The realm's caps lifted to 30 h: the sweep variable is the request.
     realm.add_user("jis", "jis-pw", max_life=30 * HOUR)
     service, key = realm.add_service("rlogin", "priam", max_life=30 * HOUR)
-    realm.db.set_max_life(tgs_principal(realm.name), 30 * HOUR)
+    realm.shards[0].db.set_max_life(tgs_principal(realm.name), 30 * HOUR)
     ws = realm.workstation()
     prompts, stolen, window = 0, None, 0.0
     while net.clock.now() <= 12 * HOUR:
@@ -683,14 +689,14 @@ def lifetime_day(hours: float) -> tuple:
 def preauth_realm(preauth: bool, seed: bytes) -> Realm:
     realm = Realm(Network(), REALM, seed=seed)
     for i in range(30):
-        realm.db.add_principal(Principal(f"user{i:02d}", "", REALM), password=f"pw-{i}",
+        realm.shards[0].db.add_principal(Principal(f"user{i:02d}", "", REALM), password=f"pw-{i}",
                                attributes=ATTR_REQUIRE_PREAUTH if preauth else 0)
     return realm
 
 
 def harvest(realm: Realm) -> int:
     attacker = realm.net.add_host("harvester")
-    return sum(active_as_probe(attacker, realm.master_host.address,
+    return sum(active_as_probe(attacker, realm.shards[0].master_host.address,
                                Principal(f"user{i:02d}", "", REALM), REALM) is not None
                for i in range(30))
 
@@ -813,21 +819,22 @@ def delta_vs_full(n_users: int) -> dict:
     per round, every slave checked against the master after each."""
     realm = Realm(Network(seed=SEED), REALM, seed=b"repl-scale",
                   topology=RealmTopology(slaves_per_shard=2))
+    site = realm.shards[0]
     for i in range(n_users):
         realm.add_user(f"user{i:05d}", f"pw{i}")
     row, digests = {}, {}
     for round_no, (label, changes) in enumerate(
             (("full", 0), ("low", 10), ("high", max(10, n_users // 50)))):
         for i in range(changes):
-            realm.db.change_key(Principal(f"user{(round_no * changes + i) % n_users:05d}",
+            site.db.change_key(Principal(f"user{(round_no * changes + i) % n_users:05d}",
                                           "", REALM), new_password=f"new-{round_no}-{i}")
         before = realm.net.metrics.total("kprop.bytes_total")
         result = realm.propagate(full=label == "full")
         assert result.all_ok and (result.fulls if label == "full" else result.deltas) == 2
         row[label] = int(realm.net.metrics.total("kprop.bytes_total") - before)
-        digests[label] = store_digest(realm.db)
+        digests[label] = store_digest(site.db)
         row[f"{label}_converged"] = all(store_digest(s.db) == digests[label]
-                                        for s in realm.slaves)
+                                        for s in site.slaves)
     row["low_digest"] = digests["low"][:16]
     return row
 
@@ -904,14 +911,14 @@ def request_plane_act(realms):
     one, many, realm = realms
     src_one, src_many = one.workstation().host.address, many.workstation().host.address
     with keycache.caches_disabled():
-        singles = [bytes(one.kdc.process_request_buffer(pack_frames([w]), src_one)[0])
+        singles = [bytes(one.shards[0].kdc.process_request_buffer(pack_frames([w]), src_one)[0])
                    for w in as_frames(8)]
-        batched = [bytes(r) for r in many.kdc.process_request_buffer(
+        batched = [bytes(r) for r in many.shards[0].kdc.process_request_buffer(
             pack_frames(as_frames(8)), src_many)]
     src, buffer = realm.workstation().host.address, pack_frames(as_frames(128))
-    realm.kdc.process_request_buffer(buffer, src)
+    realm.shards[0].kdc.process_request_buffer(buffer, src)
     lanes, hits = interleaved_blocks(), keycache.skeleton_stats()["hit"]
-    replies = [len(realm.kdc.process_request_buffer(buffer, src)) for _ in range(4)]
+    replies = [len(realm.shards[0].kdc.process_request_buffer(buffer, src)) for _ in range(4)]
     return {
         "buffer_equals_singles_caches_off": batched == singles,
         "replies_per_buffer": replies,

@@ -22,25 +22,26 @@ def main() -> None:
     realm = Realm(
         net, "ATHENA.MIT.EDU", topology=RealmTopology(slaves_per_shard=2)
     )
+    site = realm.shards[0]
     realm.add_admin("jis", "jis-admin-pw")
     realm.add_user("jis", "jis-pw")
     realm.schedule_propagation()  # hourly, per the paper
-    print(f"Master: {realm.master_host.name}; "
-          f"slaves: {[s.host.name for s in realm.slaves]}")
+    print(f"Master: {site.master_host.name}; "
+          f"slaves: {[s.host.name for s in site.slaves]}")
 
     ws = realm.workstation()
-    kdbm = KdbmClient(ws.client, realm.master_host.address)
+    kdbm = KdbmClient(ws.client, site.master_host.address)
 
     print("\n=== kadmin: register a new user over the network ===")
     print(kadmin_add_principal(kdbm, "jis", "jis-admin-pw", "bcn", "welcome"))
 
     print("\n=== The new user exists on the master, not yet on slaves ===")
     bcn = Principal("bcn", "", realm.name)
-    print(f"  master has bcn: {realm.db.exists(bcn)}")
-    print(f"  slave-1 has bcn: {realm.slaves[0].db.exists(bcn)}")
+    print(f"  master has bcn: {site.db.exists(bcn)}")
+    print(f"  slave-1 has bcn: {site.slaves[0].db.exists(bcn)}")
     print("  ... one simulated hour later (kprop fires) ...")
     net.runtime.run_for(3600)
-    print(f"  slave-1 has bcn: {realm.slaves[0].db.exists(bcn)}")
+    print(f"  slave-1 has bcn: {site.slaves[0].db.exists(bcn)}")
 
     print("\n=== kpasswd: the user changes their own password ===")
     print(f"  {kpasswd(kdbm, 'bcn', 'welcome', 'my-own-secret')}")
@@ -62,7 +63,7 @@ def main() -> None:
         ),
     )
     print(f"  (bcn tried to reset jis's password: ok={reply.ok})")
-    for entry in realm.kdbm.log:
+    for entry in site.kdbm.log:
         status = "PERMITTED" if entry.permitted else "DENIED   "
         print(f"  t={entry.time:>7.0f}  {status} {entry.operation:<16} "
               f"{entry.requester} -> {entry.target}")
@@ -72,7 +73,7 @@ def main() -> None:
     # dump exists only on the master.  Wait one propagation interval so
     # the slaves know bcn's new password before the master dies.
     net.runtime.run_for(3600)
-    net.set_down(realm.master_host.name)
+    net.set_down(site.master_host.name)
     print(f"  {kinit(ws.client, 'bcn', 'my-own-secret')}")
     print("  (authentication served by a slave)")
     try:
@@ -80,7 +81,7 @@ def main() -> None:
     except Unreachable:
         print("  kpasswd: master unreachable — administration requests "
               "cannot be serviced")
-    net.set_up(realm.master_host.name)
+    net.set_up(site.master_host.name)
     print("  Master restored.")
 
 

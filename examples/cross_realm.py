@@ -27,7 +27,9 @@ def main() -> None:
     link(athena, lcs)
 
     ws = athena.workstation("jis-ws")
-    ws.client.set_locator("LCS.MIT.EDU", StaticLocator([lcs.master_host.address]))
+    ws.client.set_locator(
+        "LCS.MIT.EDU", StaticLocator([lcs.shards[0].master_host.address])
+    )
 
     print("\njis logs in at home (ATHENA) ...")
     ws.client.kinit("jis", "jis-password")
@@ -54,7 +56,7 @@ def main() -> None:
     uw = Realm(net, "CS.WASHINGTON.EDU", seed=b"uw")
     uw_service, _ = uw.add_service("rlogin", "june")
     ws.client.set_locator(
-        "CS.WASHINGTON.EDU", StaticLocator([uw.master_host.address])
+        "CS.WASHINGTON.EDU", StaticLocator([uw.shards[0].master_host.address])
     )
     try:
         ws.client.get_credential(uw_service)

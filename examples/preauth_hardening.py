@@ -18,8 +18,9 @@ from repro.threat import Eavesdropper, active_as_probe
 def main() -> None:
     net = Network()
     realm = Realm(net, "ATHENA.MIT.EDU")
+    site = realm.shards[0]
     realm.add_user("open-user", "password")   # 1988 defaults, weak password
-    realm.db.add_principal(
+    site.db.add_principal(
         Principal("hardened-user", "", realm.name),
         password="password",                  # same weak password
         attributes=ATTR_REQUIRE_PREAUTH,
@@ -30,7 +31,7 @@ def main() -> None:
 
     print("=== The attack the 1988 AS permits ===")
     reply = active_as_probe(
-        attacker, realm.master_host.address,
+        attacker, site.master_host.address,
         Principal("open-user", "", realm.name), realm.name,
     )
     print(f"Attacker asked the KDC for open-user's initial ticket: "
@@ -43,7 +44,7 @@ def main() -> None:
 
     print("=== The same attack against the hardened user ===")
     reply = active_as_probe(
-        attacker, realm.master_host.address,
+        attacker, site.master_host.address,
         Principal("hardened-user", "", realm.name), realm.name,
     )
     print(f"Attacker asked for hardened-user's ticket: "

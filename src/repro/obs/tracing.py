@@ -599,15 +599,17 @@ class Tracer(HeldHandles):
         rows, now, counts = self._rows, self.clock.now(), {}
         for name, context, record in zip(names, contexts, records):
             span_id = next(self._span_ids)
-            context = context or self.new_context()
+            if context is None:
+                trace, parent = self._fresh_trace_id(), None
+            else:
+                trace, parent = context.trace_id, context.span_id
             if len(rows.records) < self.max_spans:
-                parent = context.span_id
                 rows.starts.append(now)
                 rows.ends.append(now)
                 rows.ids.append(span_id)
                 rows.parents.append(-1 if parent is None else parent)
                 rows.names.append(self._names.setdefault(name, name))
-                rows.traces.append(context.trace_id)
+                rows.traces.append(trace)
                 rows.records.append(self._key_set(record[0]).share(record))
                 key = ("trace.spans_total", name)
             else:

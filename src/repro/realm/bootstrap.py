@@ -18,8 +18,8 @@ whatever that count: a consistent-hash ring
 realm, and per shard a full master+slaves group — its own journal
 epoch, its own KDBM, its own kprop fan-out, its own range receiver.
 The shard-0 group *is* the classic realm (same host names, same epoch)
-and holds the realm-wide records, which is what the ``realm.db`` /
-``realm.kdc`` / ``realm.slaves`` shorthands name.
+and holds the realm-wide records; every part of every group is reached
+through ``realm.shards[i]``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.realm.sharding import (
     ShardedLocator,
     ShardMembership,
 )
-from repro.replication.kprop import Kprop
+from repro.replication.kprop import Kprop, PropagationResult
 from repro.replication.kpropd import Kpropd
 from repro.replication.receiver import RangeReceiver
 
@@ -242,32 +242,6 @@ class Realm:
             site.kprop.propagate()  # initial full dump to all slaves
         return site
 
-    # -- shard-0 shorthands (the shard holding the realm-wide records) -------------
-
-    @property
-    def db(self) -> KerberosDatabase:
-        return self.shards[0].db
-
-    @property
-    def kdc(self) -> KerberosServer:
-        return self.shards[0].kdc
-
-    @property
-    def kdbm(self) -> KdbmServer:
-        return self.shards[0].kdbm
-
-    @property
-    def kprop(self) -> Kprop:
-        return self.shards[0].kprop
-
-    @property
-    def master_host(self) -> Host:
-        return self.shards[0].master_host
-
-    @property
-    def slaves(self) -> List[SlaveSite]:
-        return self.shards[0].slaves
-
     # -- topology ---------------------------------------------------------------
 
     def add_slave(self, hostname: str, shard: int = 0) -> SlaveSite:
@@ -332,13 +306,6 @@ class Realm:
         self.workstations.append(ws)
         return ws
 
-    def partition_master(self):
-        """Cut the (shard-0) master off from everyone (Figure 10's "the
-        master machine is down" as seen from the network).  Slaves keep
-        answering AS/TGS requests; admin writes fail until
-        :meth:`repro.netsim.network.Network.heal`."""
-        return self.net.partition([self.master_host.name])
-
     # -- registration (the administrator's ongoing job) ----------------------------
 
     def shard_for_key(self, db_key: str) -> int:
@@ -389,7 +356,8 @@ class Realm:
         """Admins are realm-wide: registered on shard 0, replicated to
         every shard (any shard's KDBM must be able to verify them)."""
         principal = register_essential_admin(
-            self.db, self.acl, username, admin_password, now=self.net.clock.now()
+            self.shards[0].db, self.acl, username, admin_password,
+            now=self.net.clock.now(),
         )
         self._adopt_globals([principal.db_key()])
         return principal
@@ -406,7 +374,7 @@ class Realm:
         service key."""
         service = Principal(name, instance, self.name)
         key = register_service(
-            self.db, service, self.keygen,
+            self.shards[0].db, service, self.keygen,
             now=self.net.clock.now(), max_life=max_life,
         )
         self._service_keys[str(service)] = key
@@ -415,7 +383,7 @@ class Realm:
 
     def srvtab_for(self, *services: Principal) -> SrvTab:
         """Extract and parse the srvtab a server machine would install."""
-        return SrvTab.from_bytes(ext_srvtab(self.db, list(services)))
+        return SrvTab.from_bytes(ext_srvtab(self.shards[0].db, list(services)))
 
     def rotate_service_key(
         self, service: Principal, srvtab: Optional[SrvTab] = None
@@ -424,7 +392,7 @@ class Realm:
         install the new version alongside the old ones — so tickets
         sealed under previous keys keep working until they expire."""
         new_key = self.keygen.session_key()
-        record = self.db.change_key(
+        record = self.shards[0].db.change_key(
             service, new_key=new_key, now=self.net.clock.now(),
             mod_by="ksrvutil",
         )
@@ -439,16 +407,27 @@ class Realm:
 
     # -- operations ------------------------------------------------------------------
 
-    def propagate(self, full: bool = False):
+    def propagate(self, full: bool = False) -> PropagationResult:
         """Run one kprop round on every shard that has slaves: deltas
         where the journal can supply them, full Figure 13 dumps
-        otherwise (``full=True`` forces full dumps everywhere)."""
-        results = [
+        otherwise (``full=True`` forces full dumps everywhere).
+
+        The rounds read as one result at any shard count: counts summed,
+        per-slave modes and failures merged, the first round's time."""
+        rounds = [
             site.kprop.propagate(full=full)
             for site in self.shards
             if site.slaves
         ]
-        return results[0] if len(results) == 1 else results
+        merged = PropagationResult(
+            time=rounds[0].time if rounds else self.net.clock.now(),
+            attempted=sum(r.attempted for r in rounds),
+            succeeded=sum(r.succeeded for r in rounds),
+        )
+        for r in rounds:
+            merged.failures.update(r.failures)
+            merged.modes.update(r.modes)
+        return merged
 
     def promote_slave(
         self, index: int = 0, demote_old: bool = False, shard: int = 0
@@ -608,17 +587,17 @@ def link(realm_a: Realm, realm_b: Realm, now: Optional[float] = None) -> DesKey:
     re-propagate so slaves learn it too.  Inter-realm keys are
     realm-wide state: every shard's TGS must be able to unseal
     remote-realm TGTs, so the new records replicate to all shards."""
-    before_a = set(realm_a.db.store.keys())
-    before_b = set(realm_b.db.store.keys())
+    db_a, db_b = realm_a.shards[0].db, realm_b.shards[0].db
+    before_a = set(db_a.store.keys())
+    before_b = set(db_b.store.keys())
     key = link_realms(
-        realm_a.db,
-        realm_b.db,
+        db_a,
+        db_b,
         realm_a.keygen.fork(b"interrealm" + realm_b.name.encode()),
         now=now if now is not None else realm_a.net.clock.now(),
     )
-    realm_a._adopt_globals(set(realm_a.db.store.keys()) - before_a)
-    realm_b._adopt_globals(set(realm_b.db.store.keys()) - before_b)
-    for realm in (realm_a, realm_b):
-        if any(site.slaves for site in realm.shards):
-            realm.propagate()
+    realm_a._adopt_globals(set(db_a.store.keys()) - before_a)
+    realm_b._adopt_globals(set(db_b.store.keys()) - before_b)
+    realm_a.propagate()
+    realm_b.propagate()
     return key

@@ -86,7 +86,6 @@ class Kprop:
         self.host = host
         self.port = port
         self.slaves: List[IPAddress] = [IPAddress(a) for a in slave_addresses]
-        self.history: List[PropagationResult] = []
         self.metrics = host.network.metrics
         self.tracer = host.network.tracer
         #: Per-slave applied position ``(epoch, seq)`` as last reported;
@@ -167,11 +166,9 @@ class Kprop:
                 result.failures[str(address)] = f"unreachable: {exc.last_error}"
                 self._outcome(labels, "unreachable")
             self._update_lag_gauge(address, now)
-        if self.db.journal is not None:
-            self.metrics.gauge("repl.journal_depth", labels).set(
-                self.db.journal.depth()
-            )
-        self.history.append(result)
+        self.metrics.gauge("repl.journal_depth", labels).set(
+            self.db.journal.depth()
+        )
         return result
 
     # -- per-slave transfers ----------------------------------------------
@@ -186,8 +183,6 @@ class Kprop:
         so a write landing mid-round (a transfer pumps the event loop)
         still reaches the slaves after it."""
         journal = self.db.journal
-        if journal is None:
-            return None
         mark = self.high_water.get(address)
         if mark is None or mark[0] != journal.epoch:
             return None
@@ -282,8 +277,7 @@ class Kprop:
             return False
         result.succeeded += 1
         journal = self.db.journal
-        if journal is not None:
-            self.high_water[address] = (journal.epoch, journal.last_seq)
+        self.high_water[address] = (journal.epoch, journal.last_seq)
         self.last_applied_time[address] = reply.applied_time
         self._outcome(labels, "ok")
         return True

@@ -298,9 +298,8 @@ class World:
             realm.add_service("svc", f"server{i:02d}")[0]
             for i in range(int(params.get("n_services", N_SERVICES)))
         ]
-        if realm.slaves:
-            realm.propagate()
-        self.first_master = realm.master_host.name
+        realm.propagate()
+        self.first_master = realm.shards[0].master_host.name
         self.supervisor = self.app = self.fleet = None  # set by daemons
         for attach in campaign.daemons:
             attach(self)
@@ -568,8 +567,8 @@ class Crash:
     slave: Optional[int]
 
     def fire(self, world: World) -> None:
-        realm = world.realm
-        host = realm.master_host if self.slave is None else realm.slaves[self.slave].host
+        site = world.realm.shards[0]
+        host = site.master_host if self.slave is None else site.slaves[self.slave].host
         world.net.crash_host(host.name, downtime=self.downtime)
 
 
@@ -679,7 +678,7 @@ OBSERVE: Dict[str, Callable[[World, CampaignResult], Tuple[float, dict]]] = {
     "latency_p99": lambda w, r: (r.latency_p99, {}),
     "promotions": lambda w, r: (w.supervisor.promotions, {
         "promotions": w.supervisor.promotions, "old_master": w.first_master,
-        "new_master": w.realm.master_host.name,
+        "new_master": w.realm.shards[0].master_host.name,
     }),
     "promotions_max": lambda w, r: (
         w.supervisor.promotions, {"promotions": w.supervisor.promotions}

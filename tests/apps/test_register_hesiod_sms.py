@@ -17,8 +17,8 @@ def signup(world):
     sms = SmsServer().attach(sms_host)
     sms.add_affiliate("Barbara C. Newuser", "912345678")
     register = RegisterServer(
-        world.realm.db, sms_host.address
-    ).attach(world.realm.master_host)
+        world.realm.shards[0].db, sms_host.address
+    ).attach(world.realm.shards[0].master_host)
     return sms_host, sms, register
 
 
@@ -83,14 +83,14 @@ class TestRegister:
         ws = world.workstation()
         text = register_user(
             ws.host,
-            world.realm.master_host.address,
+            world.realm.shards[0].master_host.address,
             "Barbara C. Newuser",
             "912345678",
             "barbn",
             "first-password",
         )
         assert "welcome" in text
-        assert world.realm.db.exists(Principal("barbn", "", REALM))
+        assert world.realm.shards[0].db.exists(Principal("barbn", "", REALM))
         # And the account actually works.
         ws.client.kinit("barbn", "first-password")
 
@@ -99,7 +99,7 @@ class TestRegister:
         with pytest.raises(RuntimeError, match="SMS"):
             register_user(
                 ws.host,
-                world.realm.master_host.address,
+                world.realm.shards[0].master_host.address,
                 "Impostor",
                 "999999999",
                 "imp",
@@ -113,7 +113,7 @@ class TestRegister:
         with pytest.raises(RuntimeError, match="taken"):
             register_user(
                 ws.host,
-                world.realm.master_host.address,
+                world.realm.shards[0].master_host.address,
                 "Barbara C. Newuser",
                 "912345678",
                 "jis",  # already registered
@@ -126,7 +126,7 @@ class TestRegister:
         world.net.add_tap(lambda d: captured.append(d.payload))
         register_user(
             ws.host,
-            world.realm.master_host.address,
+            world.realm.shards[0].master_host.address,
             "Barbara C. Newuser",
             "912345678",
             "barbn",
@@ -139,7 +139,7 @@ class TestRegister:
         ws = world.workstation()
         register_user(
             ws.host,
-            world.realm.master_host.address,
+            world.realm.shards[0].master_host.address,
             "Barbara C. Newuser",
             "912345678",
             "barbn",

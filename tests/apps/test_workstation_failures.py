@@ -41,11 +41,11 @@ class TestLoginFailureCleanup:
         aws.logout()
 
     def test_kdc_down_is_a_login_error(self, world):
-        world.net.set_down(world.realm.master_host.name)
+        world.net.set_down(world.realm.shards[0].master_host.name)
         aws = world.athena_workstation()
         with pytest.raises(LoginError):
             aws.login("jis", "jis-pw")
-        world.net.set_up(world.realm.master_host.name)
+        world.net.set_up(world.realm.shards[0].master_host.name)
 
     def test_no_local_account_on_fileserver(self, world):
         """Kerberos and Hesiod know the user, but the fileserver's passwd

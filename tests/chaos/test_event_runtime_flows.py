@@ -71,7 +71,7 @@ def run_figures_on_event_runtime(seed):
 
     # Figures 11/12: password change through the KDBM.
     kdbm = KdbmClient(
-        ws.client, realm.master_host.address, retry_policy=CLIENT_POLICY
+        ws.client, realm.shards[0].master_host.address, retry_policy=CLIENT_POLICY
     )
     assert "Password changed" in kpasswd(kdbm, "jis", "jis-pw", "new-pw")
 

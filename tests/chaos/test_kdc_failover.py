@@ -39,7 +39,8 @@ class TestMasterPartition:
         slave, inside its retry deadline, with the failover visible in
         the metrics."""
         net, realm = build_realm()
-        realm.partition_master()
+        site = realm.shards[0]
+        net.partition([site.master_host.name])
 
         policy = RetryPolicy(
             max_attempts=6, deadline=30.0, base_delay=0.5, jitter=0.25
@@ -58,11 +59,11 @@ class TestMasterPartition:
         assert net.metrics.total("retry.attempts_total", op="tgs") >= 2
         assert net.metrics.total("retry.exhausted_total") == 0
         # The load landed on slaves; the master saw nothing.
-        master = realm.master_host.name
+        master = site.master_host.name
         assert net.metrics.total("kdc.requests_total", server=master) == 0
         slave_load = sum(
             net.metrics.total("kdc.requests_total", server=s.host.name)
-            for s in realm.slaves
+            for s in site.slaves
         )
         assert slave_load >= 2  # one AS + one TGS, minus nothing
 
@@ -80,7 +81,7 @@ class TestMasterPartition:
         ws.client.kinit("jis", "jis-pw")
         ws.client.get_credential(service)  # cached before the cut
 
-        realm.partition_master()
+        net.partition([realm.shards[0].master_host.name])
         # The cached service ticket authenticates with no KDC involved:
         # the server validates it locally against its srvtab.
         request, _, _ = ws.client.mk_req(service)
@@ -97,14 +98,15 @@ class TestMasterPartition:
         KdbmTimeout (never silently, never forever); after heal it
         succeeds and the change propagates."""
         net, realm = build_realm(slaves=1)
+        site = realm.shards[0]
         ws = realm.workstation()
         kdbm = KdbmClient(
             ws.client,
-            realm.master_host.address,
+            site.master_host.address,
             retry_policy=RetryPolicy(max_attempts=2),
         )
 
-        realm.partition_master()
+        net.partition([site.master_host.name])
         with pytest.raises(KdbmTimeout) as exc_info:
             kpasswd(kdbm, "jis", "jis-pw", "summer-88")
         assert exc_info.value.attempts == 2
@@ -115,7 +117,7 @@ class TestMasterPartition:
         assert "Password changed" in out
         realm.propagate()
         # The new password now works realm-wide, including on a slave.
-        net.set_down(realm.master_host.name)
+        net.set_down(site.master_host.name)
         ws2 = realm.workstation()
         ws2.client.kinit("jis", "summer-88")
 
@@ -126,7 +128,7 @@ class TestCrashRestart:
         policy whose backoff spans the downtime logs in without any
         failover target at all."""
         net, realm = build_realm(slaves=0)
-        net.crash_host(realm.master_host.name, downtime=10.0)
+        net.crash_host(realm.shards[0].master_host.name, downtime=10.0)
 
         ws = realm.workstation(
             retry_policy=RetryPolicy(

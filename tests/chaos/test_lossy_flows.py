@@ -67,7 +67,7 @@ def run_figures_5_through_13(seed):
     # Figures 11/12: password change through the KDBM (its own AS
     # exchange rides the same lossy KDC port).
     kdbm = KdbmClient(
-        ws.client, realm.master_host.address, retry_policy=CLIENT_POLICY
+        ws.client, realm.shards[0].master_host.address, retry_policy=CLIENT_POLICY
     )
     assert "Password changed" in kpasswd(kdbm, "jis", "jis-pw", "new-pw")
 

@@ -105,7 +105,7 @@ def serve_in_buffers(realm, wires, src, sizes):
     for size in sizes:
         replies.extend(
             bytes(reply)
-            for reply in realm.kdc.process_request_buffer(
+            for reply in realm.shards[0].kdc.process_request_buffer(
                 pack_frames(wires[start:start + size]), src
             )
         )
@@ -121,7 +121,7 @@ def one_frame_per_call(realm, wires, src):
 def one_datagram_per_call(realm, wires, host):
     """The reference leg as a workstation drives it: each wire its own
     datagram to an un-queued KDC's Kerberos port."""
-    kdc_address = realm.master_host.address
+    kdc_address = realm.shards[0].master_host.address
     return [host.rpc(kdc_address, KERBEROS_PORT, wire) for wire in wires]
 
 
@@ -157,7 +157,7 @@ class TestBatchMatchesSinglePlane:
         assert wires_a == wires_b  # same-seed realms, same bytes in
 
         singles = one_datagram_per_call(realm_a, wires_a, ws_a.host)
-        batch = realm_b.kdc.process_request_buffer(
+        batch = realm_b.shards[0].kdc.process_request_buffer(
             pack_frames(wires_b), ws_b.host.address
         )
         assert [bytes(reply) for reply in batch] == singles
@@ -166,7 +166,7 @@ class TestBatchMatchesSinglePlane:
         realm = build_realm()
         ws = realm.workstation()
         ws.client.kinit("jis", "jis-pw")
-        replies = realm.kdc.process_request_buffer(
+        replies = realm.shards[0].kdc.process_request_buffer(
             pack_frames(_mixed_batch(realm, ws)), ws.host.address
         )
         kinds = [decode_message(r) for r in replies]
@@ -190,11 +190,12 @@ class TestBatchMatchesSinglePlane:
         src_b = realm_b.workstation().host.address
         with keycache.caches_disabled():
             singles = one_frame_per_call(realm_a, wires, src_a)
-            batch = realm_b.kdc.process_request_buffer(
+            batch = realm_b.shards[0].kdc.process_request_buffer(
                 pack_frames(wires), src_b
             )
         assert [bytes(reply) for reply in batch] == singles
-        assert len(realm_a.kdc._skeletons) == len(realm_b.kdc._skeletons) == 0
+        assert len(realm_a.shards[0].kdc._skeletons) == 0
+        assert len(realm_b.shards[0].kdc._skeletons) == 0
 
 
 class TestBatchObservability:
@@ -202,8 +203,8 @@ class TestBatchObservability:
         realm = build_realm()
         src = realm.workstation().host.address
         wires = [as_wire("jis", timestamp=float(i)) for i in range(8)]
-        realm.kdc.process_request_buffer(pack_frames(wires), src)
-        labels = {"server": realm.master_host.name}
+        realm.shards[0].kdc.process_request_buffer(pack_frames(wires), src)
+        labels = {"server": realm.shards[0].master_host.name}
         hist = realm.net.metrics.get("kdc.batch_size", labels)
         assert hist.count == 1  # one batch ...
         assert hist.sum == 8.0  # ... of eight requests
@@ -222,7 +223,7 @@ class TestBatchObservability:
             as_wire(("jis", "bcn")[i % 2], timestamp=float(i))
             for i in range(n)
         ]
-        realm.kdc.process_request_buffer(pack_frames(wires), src)
+        realm.shards[0].kdc.process_request_buffer(pack_frames(wires), src)
         spans = [
             s for s in realm.net.tracer.spans if s.name == "kdc.as"
         ]
@@ -246,14 +247,14 @@ class TestBatchObservability:
         stream's pass drawn ahead, and a numpy-less run leaves it at 0."""
         realm = build_realm()
         src = realm.workstation().host.address
-        realm.kdc.keygen._ahead = b""  # so the first draw makes a pass
+        realm.shards[0].kdc.keygen._ahead = b""  # so the first draw makes a pass
 
         def serve(count):
             wires = [
                 as_wire("jis", timestamp=float(i)) for i in range(count)
             ]
             realm.net.tracer.clear()
-            realm.kdc.process_request_buffer(pack_frames(wires), src)
+            realm.shards[0].kdc.process_request_buffer(pack_frames(wires), src)
             (blocks,) = {
                 span.attrs["stage_interleaved_blocks"]
                 for span in realm.net.tracer.spans
@@ -287,7 +288,7 @@ def refused_spans(door):
     refused = [as_wire("nosuch"), b"\xffnot a kerberos message"]
     if door == "buffer8":
         served = [as_wire("jis", timestamp=float(i)) for i in range(6)]
-        realm.kdc.process_request_buffer(
+        realm.shards[0].kdc.process_request_buffer(
             pack_frames(served + refused), host.address
         )
     else:
@@ -334,12 +335,12 @@ class TestRefusedRequestSpans:
         buffer = pack_frames(
             [as_wire("jis"), as_wire("nosuch"), b"\xffgarbage", tgs_garbage]
         )
-        realm.kdc.process_request_buffer(buffer, src)  # warm every cache
+        realm.shards[0].kdc.process_request_buffer(buffer, src)  # warm every cache
         gc.collect()
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            replies = realm.kdc.process_request_buffer(buffer, src)
+            replies = realm.shards[0].kdc.process_request_buffer(buffer, src)
             gc.collect()
             pinned = [
                 obj.f_code.co_name for obj in gc.garbage
@@ -365,10 +366,10 @@ class TestRefusedRequestSpans:
 
 def corrupt_row(realm, principal):
     """Flip one bit of ``principal``'s sealed key where it is stored."""
-    record = realm.db.get_record(principal)
+    record = realm.shards[0].db.get_record(principal)
     blob = bytearray(record.sealed_key)
     blob[9] ^= 0x40
-    realm.db.store.put(
+    realm.shards[0].db.store.put(
         principal.db_key(), record.replace(sealed_key=bytes(blob)).to_bytes()
     )
 
@@ -383,9 +384,10 @@ class TestCorruptRowIsOneItemsProblem:
 
     def test_batchmates_are_answered(self):
         realm = build_realm()
+        site = realm.shards[0]
         src = realm.workstation().host.address
         corrupt_row(realm, self.BCN)
-        replies = realm.kdc.process_request_buffer(
+        replies = site.kdc.process_request_buffer(
             pack_frames([as_wire("jis"), as_wire("bcn"), as_wire("jis")]), src
         )
         assert [reply_code(reply) for reply in replies] == [
@@ -398,8 +400,8 @@ class TestCorruptRowIsOneItemsProblem:
         (event,) = realm.net.audit.events("auth_failure")
         assert event.principal == f"bcn@{REALM}"
         assert event.detail == "kind=as code=KDC_GEN_ERR"
-        assert realm.kdc.keygen._counter == 2
-        labels = {"server": realm.master_host.name}
+        assert site.kdc.keygen._counter == 2
+        labels = {"server": site.master_host.name}
         assert realm.net.metrics.total(
             "kdc.outcomes_total", code="KDC_GEN_ERR", **labels
         ) == 1
@@ -410,7 +412,7 @@ class TestCorruptRowIsOneItemsProblem:
         ws.client.kinit("jis", "jis-pw")
         wires = [as_wire("bcn"), tgs_wire(realm, ws), as_wire("jis")]
         corrupt_row(realm, Principal("rlogin", "priam", REALM))
-        replies = realm.kdc.process_request_buffer(
+        replies = realm.shards[0].kdc.process_request_buffer(
             pack_frames(wires), ws.host.address
         )
         assert [reply_code(reply) for reply in replies] == [
@@ -431,7 +433,7 @@ class TestCorruptRowIsOneItemsProblem:
         ))
         wires = [tgs_wire(realm, ws), to_kdbm, as_wire("bcn")]
         corrupt_row(realm, tgs_principal(REALM))
-        replies = realm.kdc.process_request_buffer(
+        replies = realm.shards[0].kdc.process_request_buffer(
             pack_frames(wires), ws.host.address
         )
         assert [reply_code(reply) for reply in replies] == [
@@ -448,11 +450,11 @@ class TestCorruptRowIsOneItemsProblem:
         realm.add_user("jis", "jis-pw")
         realm.add_user("bcn", "bcn-pw")
         corrupt_row(realm, self.BCN)
-        host = realm.workstation().host
+        host, master = realm.workstation().host, realm.shards[0].master_host
         # The first arrival occupies the worker; the next three queue
         # behind it and are served as one batch.
         pending = [
-            host.rpc_async(realm.master_host.address, KERBEROS_PORT, as_wire(name))
+            host.rpc_async(master.address, KERBEROS_PORT, as_wire(name))
             for name in ("jis", "jis", "bcn", "jis")
         ]
         net.runtime.run_until_idle()
@@ -497,12 +499,12 @@ def build_tgs_realm(n_users=N_USERS):
     realm = Realm(net, REALM, seed=b"tgs-batch")
     for u in range(n_users):
         realm.add_user(f"user{u}", f"pw{u}")
-    realm.db.add_principal(
+    realm.shards[0].db.add_principal(
         CAREFUL, password="careful-pw", attributes=ATTR_REQUIRE_PREAUTH
     )
     realm.add_service("rlogin", "priam")
     xkey = KeyGenerator(seed=b"tgs-batch-xrealm").session_key()
-    register_accepting_key(realm.db, LCS, xkey)
+    register_accepting_key(realm.shards[0].db, LCS, xkey)
     return realm, xkey
 
 
@@ -553,7 +555,7 @@ def tgs_scenario(realm, xkey, ws):
     special case planted among them.  Returns (wires, {name: index})."""
     now = realm.net.clock.now()
     src = ws.host.address
-    tgs_key = realm.db.principal_key(tgs_principal(REALM))
+    tgs_key = realm.shards[0].db.principal_key(tgs_principal(REALM))
     gen = KeyGenerator(seed=b"tgs-batch-session-keys")
     users, sessions, tgts = user_tgts(tgs_key, gen, src, now)
 
@@ -692,8 +694,8 @@ class TestTgsBatchSemantics:
         # reach issuance: failures in the middle of a buffer leave both
         # generators in the same state.
         assert (
-            realm_b.kdc.keygen.session_key_bytes()
-            == realm_a.kdc.keygen.session_key_bytes()
+            realm_b.shards[0].kdc.keygen.session_key_bytes()
+            == realm_a.shards[0].kdc.keygen.session_key_bytes()
         )
 
         codes = [reply_code(reply) for reply in batched]
@@ -747,7 +749,7 @@ class TestTgsBatchSemantics:
             return real(struct, what, items)
 
         monkeypatch.setattr(kdc_module, "unseal_structs", spy)
-        realm.kdc.process_request_buffer(pack_frames(wires), ws.host.address)
+        realm.shards[0].kdc.process_request_buffer(pack_frames(wires), ws.host.address)
 
         def authenticator_of(name):
             _mtype, request = decode_message(wires[where[name]])
@@ -809,7 +811,7 @@ def drawn_wires(realm, ws, items, n_users=N_USERS):
     now = realm.net.clock.now()
     src = ws.host.address
     users, sessions, tgts = user_tgts(
-        realm.db.principal_key(tgs_principal(REALM)),
+        realm.shards[0].db.principal_key(tgs_principal(REALM)),
         KeyGenerator(seed=b"drawn-session-keys"), src, now, n_users,
     )
 
@@ -903,15 +905,15 @@ def assert_cut_is_unobservable(items, sizes, cached, n_users=N_USERS):
     assert any(crypto_ops(realm_b))
     # Session keys are drawn in item order, only for admitted items: the
     # two key streams stand at the same counter and yield the same next key.
-    assert realm_b.kdc.keygen._counter == realm_a.kdc.keygen._counter
+    assert realm_b.shards[0].kdc.keygen._counter == realm_a.shards[0].kdc.keygen._counter
     assert (
-        realm_b.kdc.keygen.session_key_bytes()
-        == realm_a.kdc.keygen.session_key_bytes()
+        realm_b.shards[0].kdc.keygen.session_key_bytes()
+        == realm_a.shards[0].kdc.keygen.session_key_bytes()
     )
     # Authenticators met the replay cache in arrival order.
     assert (
-        list(realm_b.kdc.replay_cache._order)
-        == list(realm_a.kdc.replay_cache._order)
+        list(realm_b.shards[0].kdc.replay_cache._order)
+        == list(realm_a.shards[0].kdc.replay_cache._order)
     )
     return buffered, realm_b
 
@@ -941,7 +943,7 @@ class TestAnyCutIsUnobservable:
             else:
                 assert codes[k] in SERVED, (k, kind, codes[k])
         # One session key per ticket, none for a refusal.
-        assert realm.kdc.keygen._counter == 1 + sum(
+        assert realm.shards[0].kdc.keygen._counter == 1 + sum(
             code in SERVED for code in codes
         )
 

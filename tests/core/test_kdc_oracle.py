@@ -61,7 +61,7 @@ def build_realm():
     realm.add_user("jis", "jis-pw")
     realm.add_service("rlogin", "priam")
     xkey = KeyGenerator(seed=b"kdc-oracle-xrealm").session_key()
-    register_accepting_key(realm.db, LCS, xkey)
+    register_accepting_key(realm.shards[0].db, LCS, xkey)
     return realm, xkey
 
 
@@ -112,7 +112,7 @@ def traffic(realm, xkey, src, count):
     now = realm.net.clock.now()
     gen = KeyGenerator(seed=b"kdc-oracle-tgt-sessions")
     tgt_keys = {
-        REALM: realm.db.principal_key(TGS),
+        REALM: realm.shards[0].db.principal_key(TGS),
         LCS: xkey,
     }
     presented = {REALM: 0, LCS: 0}
@@ -188,7 +188,7 @@ def assert_replies_equal_the_recomposed_figures(batch, cached):
         for start in range(0, len(wires), batch):
             answered.extend(
                 bytes(reply)
-                for reply in realm.kdc.process_request_buffer(
+                for reply in realm.shards[0].kdc.process_request_buffer(
                     pack_frames(wires[start:start + batch]), src
                 )
             )
@@ -206,7 +206,7 @@ def assert_replies_equal_the_recomposed_figures(batch, cached):
         else {"hit": 0, "miss": 0}
     )
 
-    db, keygen = twin.db, twin.kdc.keygen
+    db, keygen = twin.shards[0].db, twin.shards[0].kdc.keygen
     with keycache.caches_disabled():
         expected = []
         for request, tgt in recipes:

@@ -89,7 +89,7 @@ class TestHesiodLocator:
         # Stale until told otherwise — then current.
         assert locator.locate("jis")[0] == old_first
         locator.refresh()
-        assert locator.locate("jis")[0] == realm.master_host.address
+        assert locator.locate("jis")[0] == realm.shards[0].master_host.address
 
     def test_login_through_a_hesiod_locator(self):
         net = Network()

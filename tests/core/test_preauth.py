@@ -34,7 +34,7 @@ def world():
     net = Network()
     realm = Realm(net, REALM)
     realm.add_user("open", "open-pw")                       # 1988 behaviour
-    realm.db.add_principal(                                 # hardened user
+    realm.shards[0].db.add_principal(                                 # hardened user
         Principal("careful", "", REALM),
         password="careful-pw",
         attributes=ATTR_REQUIRE_PREAUTH,
@@ -89,7 +89,7 @@ class TestKdcEnforcement:
         net, realm = world
         attacker = net.add_host("prober")
         reply = active_as_probe(
-            attacker, realm.master_host.address,
+            attacker, realm.shards[0].master_host.address,
             Principal("careful", "", REALM), REALM,
         )
         assert reply is None   # KDC_PREAUTH_REQUIRED
@@ -111,7 +111,7 @@ class TestKdcEnforcement:
             preauth=blob,
         )
         raw = ws.host.rpc(
-            realm.master_host.address, 750,
+            realm.shards[0].master_host.address, 750,
             encode_message(MessageType.PREAUTH_AS_REQ, request),
         )
         with pytest.raises(KerberosError) as err:
@@ -130,7 +130,7 @@ class TestKdcEnforcement:
             preauth=build_preauth(string_to_key("careful-pw"), now + 5.0),
         )
         raw = ws.host.rpc(
-            realm.master_host.address, 750,
+            realm.shards[0].master_host.address, 750,
             encode_message(MessageType.PREAUTH_AS_REQ, request),
         )
         with pytest.raises(KerberosError) as err:
@@ -145,7 +145,7 @@ class TestWhatPreauthFixes:
         net, realm = world
         attacker = net.add_host("harvester")
         assert active_as_probe(
-            attacker, realm.master_host.address,
+            attacker, realm.shards[0].master_host.address,
             Principal("careful", "", REALM), REALM,
         ) is None
 
@@ -157,7 +157,7 @@ class TestWhatPreauthFixes:
         attacker = net.add_host("harvester")
         eve = Eavesdropper(net)
         reply = active_as_probe(
-            attacker, realm.master_host.address,
+            attacker, realm.shards[0].master_host.address,
             Principal("victim", "", REALM), REALM,
         )
         assert reply is not None
@@ -172,7 +172,7 @@ class TestWhatPreauthFixes:
         preauth blob itself and the reply are both keyed by the
         password)."""
         net, realm = world
-        realm.db.add_principal(
+        realm.shards[0].db.add_principal(
             Principal("weakling", "", REALM),
             password="password",
             attributes=ATTR_REQUIRE_PREAUTH,

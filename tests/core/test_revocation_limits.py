@@ -31,7 +31,7 @@ def world():
 class TestDisabling:
     def test_disabled_user_cannot_get_new_tgt(self, world):
         net, realm, service, key, ws = world
-        realm.db.set_attributes(Principal("jis", "", REALM), ATTR_DISABLED)
+        realm.shards[0].db.set_attributes(Principal("jis", "", REALM), ATTR_DISABLED)
         with pytest.raises(KerberosError) as err:
             ws.client.kinit("jis", "jis-pw")
         assert err.value.code == ErrorCode.KDC_PR_DISABLED
@@ -41,7 +41,7 @@ class TestDisabling:
         trusts the ticket, not a fresh database check of the client."""
         net, realm, service, key, ws = world
         ws.client.kinit("jis", "jis-pw")
-        realm.db.set_attributes(Principal("jis", "", REALM), ATTR_DISABLED)
+        realm.shards[0].db.set_attributes(Principal("jis", "", REALM), ATTR_DISABLED)
         cred = ws.client.get_credential(service)   # still works!
         assert cred is not None
 
@@ -49,7 +49,7 @@ class TestDisabling:
         net, realm, service, key, ws = world
         ws.client.kinit("jis", "jis-pw")
         request, _, _ = ws.client.mk_req(service)
-        realm.db.set_attributes(Principal("jis", "", REALM), ATTR_DISABLED)
+        realm.shards[0].db.set_attributes(Principal("jis", "", REALM), ATTR_DISABLED)
         ctx = krb_rd_req(request, service, key, ws.host.address, net.clock.now())
         assert ctx.client.name == "jis"
 
@@ -58,7 +58,7 @@ class TestDisabling:
         locked out everywhere."""
         net, realm, service, key, ws = world
         ws.client.kinit("jis", "jis-pw")
-        realm.db.set_attributes(Principal("jis", "", REALM), ATTR_DISABLED)
+        realm.shards[0].db.set_attributes(Principal("jis", "", REALM), ATTR_DISABLED)
         net.clock.advance(9 * 3600.0)
         with pytest.raises(KerberosError):   # TGT expired, kinit refused
             ws.client.get_credential(service)
@@ -71,7 +71,7 @@ class TestDeletion:
     def test_deleted_user_same_story(self, world):
         net, realm, service, key, ws = world
         ws.client.kinit("jis", "jis-pw")
-        realm.db.delete_principal(Principal("jis", "", REALM))
+        realm.shards[0].db.delete_principal(Principal("jis", "", REALM))
         # Outstanding TGT still works at the TGS...
         assert ws.client.get_credential(service) is not None
         # ...but a new login is impossible.
@@ -87,7 +87,7 @@ class TestServiceSideChecks:
         an expired service entry stops new tickets for it."""
         net, realm, service, key, ws = world
         expired = Principal("old", "svc", REALM)
-        realm.db.add_principal(
+        realm.shards[0].db.add_principal(
             expired, key=realm.keygen.session_key(), expiration=10.0
         )
         net.clock.advance(100.0)
@@ -122,7 +122,7 @@ class TestServiceSideChecks:
             ),
         )
         raw = ws.host.rpc(
-            realm.master_host.address, 750,
+            realm.shards[0].master_host.address, 750,
             encode_message(MessageType.TGS_REQ, request),
         )
         with pytest.raises(KerberosError) as err:

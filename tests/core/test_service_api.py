@@ -167,9 +167,9 @@ class TestRealDaemons:
         registry."""
         net = Network()
         realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
-        master_kinds = {type(s).__name__ for s in realm.master_host.services}
+        master_kinds = {type(s).__name__ for s in realm.shards[0].master_host.services}
         assert master_kinds == {"KerberosServer", "KdbmServer", "RangeReceiver"}
-        slave = realm.slaves[0]
+        slave = realm.shards[0].slaves[0]
         slave_kinds = {type(s).__name__ for s in slave.host.services}
         assert slave_kinds == {"KerberosServer", "Kpropd"}
 
@@ -179,13 +179,14 @@ class TestRealDaemons:
         dead host — logins ride over to the slave."""
         net = Network()
         realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
+        site = realm.shards[0]
         realm.add_user("jis", "jis-pw")
         realm.propagate()
-        realm.kdc.detach()
+        site.kdc.detach()
         ws = realm.workstation()
         assert ws.client.kinit("jis", "jis-pw") is not None
         assert net.metrics.total("kdc.failovers_total") == 1
-        realm.kdc.attach(realm.master_host)  # maintenance over
+        site.kdc.attach(site.master_host)  # maintenance over
         ws2 = realm.workstation()
         assert ws2.client.kinit("jis", "jis-pw") is not None
         assert net.metrics.total("kdc.failovers_total") == 1  # no new one

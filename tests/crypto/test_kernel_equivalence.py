@@ -429,7 +429,7 @@ class TestSkeletonCache:
         keycache.reset_stats()
         self._login(realm, "jis")
         self._login(realm, "bcn")  # a TGT of the same length: resumed
-        assert len(realm.kdc._skeletons) == 1
+        assert len(realm.shards[0].kdc._skeletons) == 1
         assert keycache.skeleton_stats() == {"hit": 1, "miss": 1}
         assert realm.net.metrics.total("kdc.skeleton_hits_total") == 1
 
@@ -439,19 +439,19 @@ class TestSkeletonCache:
         with keycache.caches_disabled():
             self._login(realm, "jis")
             self._login(realm, "bcn")
-        assert len(realm.kdc._skeletons) == 0
+        assert len(realm.shards[0].kdc._skeletons) == 0
         assert keycache.skeleton_stats() == {"hit": 0, "miss": 0}
         self._login(realm, "jis")
-        assert len(realm.kdc._skeletons) == 1
+        assert len(realm.shards[0].kdc._skeletons) == 1
 
     def test_a_restart_drops_every_skeleton(self):
         realm = self._realm()
         self._login(realm, "jis")
-        kdc = realm.kdc
+        kdc = realm.shards[0].kdc
         assert len(kdc._skeletons) == 1
         keycache.clear()  # the process-wide caches are not the KDC's
         assert len(kdc._skeletons) == 1
-        realm.net.crash_host(realm.master_host.name, downtime=1.0)
+        realm.net.crash_host(realm.shards[0].master_host.name, downtime=1.0)
         realm.net.runtime.run_for(2.0)
         assert len(kdc._skeletons) == 0  # the restarted KDC starts cold
 

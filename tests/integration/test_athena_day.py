@@ -131,7 +131,7 @@ class TestADayAtAthena:
 
     def test_1100_password_change(self, athena):
         raeburn = athena["workstations"]["raeburn"]
-        kdbm = KdbmClient(raeburn.krb, athena["realm"].master_host.address)
+        kdbm = KdbmClient(raeburn.krb, athena["realm"].shards[0].master_host.address)
         out = kpasswd(kdbm, "raeburn", "ra-pw", "ra-new-pw")
         assert "Password changed" in out
 
@@ -139,24 +139,25 @@ class TestADayAtAthena:
         athena["net"].runtime.run_for(3600.0)
         from repro.crypto import string_to_key
 
-        for slave in athena["realm"].slaves:
+        for slave in athena["realm"].shards[0].slaves:
             assert slave.db.principal_key(
                 Principal("raeburn", "", REALM)
             ) == string_to_key("ra-new-pw")
 
     def test_1300_master_crash(self, athena):
         net, realm = athena["net"], athena["realm"]
-        net.set_down(realm.master_host.name)
+        site = realm.shards[0]
+        net.set_down(site.master_host.name)
         # Fresh logins still work (slaves), admin doesn't.
         station = athena_ws(athena, "relogin")
         home = station.login("raeburn", "ra-new-pw")
         assert home is not None
-        kdbm = KdbmClient(station.krb, realm.master_host.address)
+        kdbm = KdbmClient(station.krb, site.master_host.address)
         with pytest.raises(Unreachable):
             kdbm.change_password(Principal("raeburn", "", REALM),
                                  "ra-new-pw", "x")
         station.logout()
-        net.set_up(realm.master_host.name)
+        net.set_up(site.master_host.name)
 
     def test_1400_attacker_probes(self, athena):
         net = athena["net"]

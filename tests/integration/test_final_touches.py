@@ -16,7 +16,7 @@ class TestTracePreauth:
     def test_preauth_negotiation_visible_in_trace(self):
         net = Network()
         realm = Realm(net, REALM)
-        realm.db.add_principal(
+        realm.shards[0].db.add_principal(
             Principal("careful", "", REALM),
             password="pw",
             attributes=ATTR_REQUIRE_PREAUTH,
@@ -79,6 +79,6 @@ class TestRealmOddsAndEnds:
         realm.propagate()
         assert site.db.exists(Principal("jis", "", REALM))
         # And it serves logins.
-        net.set_down(realm.master_host.name)
+        net.set_down(realm.shards[0].master_host.name)
         ws = realm.workstation()
         assert ws.client.kinit("jis", "pw") is not None

@@ -57,6 +57,7 @@ NASTY = [
 def world():
     net = Network()
     realm = Realm(net, REALM)
+    site = realm.shards[0]
     realm.add_user("jis", "jis-pw")
     realm.add_admin("jis", "admin-pw")
     service, _ = realm.add_service("pop", "mailhost")
@@ -75,13 +76,13 @@ def world():
     HesiodServer().attach(hesiod_host)
     sms_host = net.add_host("sms")
     SmsServer().attach(sms_host)
-    RegisterServer(realm.db, sms_host.address).attach(realm.master_host)
+    RegisterServer(site.db, sms_host.address).attach(site.master_host)
 
     attacker = net.add_host("attacker")
     targets = [
-        (realm.master_host.address, 750),   # KDC
-        (realm.master_host.address, 751),   # KDBM
-        (realm.master_host.address, 261),   # register
+        (site.master_host.address, 750),   # KDC
+        (site.master_host.address, 751),   # KDBM
+        (site.master_host.address, 261),   # register
         (pop_host.address, 109),            # POP
         (fs_host.address, 2049),            # NFS
         (fs_host.address, 635),             # mountd
@@ -134,9 +135,10 @@ class TestNastyPayloads:
 
     def test_kdc_error_counter_reflects_garbage(self, world):
         realm = world["realm"]
-        before = realm.kdc.errors
-        world["attacker"].rpc(realm.master_host.address, 750, b"\x01junk")
-        assert realm.kdc.errors == before + 1
+        site = realm.shards[0]
+        before = site.kdc.errors
+        world["attacker"].rpc(site.master_host.address, 750, b"\x01junk")
+        assert site.kdc.errors == before + 1
 
 
 # -- seeded mutation fuzzing of the propagation and admin planes --------------
@@ -187,19 +189,20 @@ def prop_world():
 
     net = Network(seed=FUZZ_SEED)
     realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
+    site = realm.shards[0]
     realm.add_user("jis", "jis-pw")
     realm.add_admin("jis", "jis-admin-pw")
     realm.propagate()
 
     # A valid full-dump transfer, exactly as kprop would send it.
-    dump = realm.db.dump(now=net.clock.now())
+    dump = site.db.dump(now=net.clock.now())
     full_wire = encode_prop_message(
         PropKind.FULL,
-        PropTransfer(checksum=realm.db.master_key.checksum(dump), dump=dump),
+        PropTransfer(checksum=site.db.master_key.checksum(dump), dump=dump),
     )
 
     # A valid delta transfer continuing from seq 0.
-    journal = realm.db.journal
+    journal = site.db.journal
     body = DeltaBody(
         epoch=journal.epoch,
         from_seq=0,
@@ -210,7 +213,7 @@ def prop_world():
     delta_wire = encode_prop_message(
         PropKind.DELTA,
         DeltaTransfer(
-            checksum=realm.db.master_key.checksum(body.to_bytes()),
+            checksum=site.db.master_key.checksum(body.to_bytes()),
             body=body.to_bytes(),
         ),
     )
@@ -225,7 +228,7 @@ def prop_world():
 
     net.add_tap(tap)
     ws = realm.workstation()
-    KdbmClient(ws.client, realm.master_host.address).change_password(
+    KdbmClient(ws.client, site.master_host.address).change_password(
         Principal("jis", "", REALM), "jis-pw", "jis-pw-2"
     )
     net.remove_tap(tap)
@@ -250,7 +253,7 @@ class TestPropagationFuzz:
     def test_kpropd_survives_mutated_transfers(self, prop_world, which):
         import struct
 
-        slave = prop_world["realm"].slaves[0]
+        slave = prop_world["realm"].shards[0].slaves[0]
         attacker = prop_world["attacker"]
         before = list(slave.db.store.items())
         for mutant in mutations(prop_world[which], seed=FUZZ_SEED):
@@ -269,7 +272,7 @@ class TestPropagationFuzz:
         realm.add_user("survivor", "pw")
         result = realm.propagate()
         assert result.all_ok
-        assert realm.slaves[0].db.exists(Principal("survivor", "", REALM))
+        assert realm.shards[0].slaves[0].db.exists(Principal("survivor", "", REALM))
 
     @given(st.binary(min_size=0, max_size=400))
     @settings(
@@ -278,7 +281,7 @@ class TestPropagationFuzz:
     )
     def test_kpropd_never_crashes_on_random_bytes(self, prop_world, payload):
         reply = prop_world["attacker"].rpc(
-            prop_world["realm"].slaves[0].host.address, 754, payload
+            prop_world["realm"].shards[0].slaves[0].host.address, 754, payload
         )
         assert isinstance(reply, bytes) and reply
 
@@ -426,19 +429,20 @@ class TestKdbmFuzz:
         import struct
 
         realm = prop_world["realm"]
+        site = realm.shards[0]
         attacker = prop_world["attacker"]
-        key_before = realm.db.principal_key(Principal("jis", "", REALM))
+        key_before = site.db.principal_key(Principal("jis", "", REALM))
         for mutant in mutations(prop_world["kdbm_wire"], seed=FUZZ_SEED + 2):
             if mutant == prop_world["kdbm_wire"]:
                 continue  # replaying the original intact is replay-cache fodder
             try:
-                reply = attacker.rpc(realm.master_host.address, 751, mutant)
+                reply = attacker.rpc(site.master_host.address, 751, mutant)
             except (struct.error, *UNTYPED) as exc:  # pragma: no cover
                 pytest.fail(f"untyped {type(exc).__name__} leaked: {exc}")
             # An error envelope or an empty drop — both are typed
             # refusals; a crash would have surfaced above.
             assert isinstance(reply, bytes)
-        assert realm.db.principal_key(Principal("jis", "", REALM)) == key_before
+        assert site.db.principal_key(Principal("jis", "", REALM)) == key_before
 
     def test_kdbm_request_decoder_is_typed(self, prop_world):
         from repro.encode import DecodeError
@@ -455,11 +459,11 @@ class TestKdbmFuzz:
         from repro.kdbm.client import KdbmClient
 
         ws = realm.workstation()
-        KdbmClient(ws.client, realm.master_host.address).change_password(
+        KdbmClient(ws.client, realm.shards[0].master_host.address).change_password(
             Principal("jis", "", REALM), "jis-pw-2", "jis-pw-3"
         )
         from repro.crypto import string_to_key
 
-        assert realm.db.principal_key(
+        assert realm.shards[0].db.principal_key(
             Principal("jis", "", REALM)
         ) == string_to_key("jis-pw-3")

@@ -22,7 +22,7 @@ def world():
 
 class TestPopulation:
     def test_users_and_services_registered(self, world):
-        assert len(world.realm.db) >= 60
+        assert len(world.realm.shards[0].db) >= 60
         assert len(world.users) == 50
         assert len(world.services) == 10
 

@@ -30,7 +30,7 @@ def ws(realm):
 
 @pytest.fixture
 def kdbm_client(realm, ws):
-    return KdbmClient(ws.client, realm.master_host.address)
+    return KdbmClient(ws.client, realm.shards[0].master_host.address)
 
 
 def jis():
@@ -44,11 +44,11 @@ def bcn():
 class TestKpasswd:
     def test_self_password_change(self, realm, kdbm_client):
         kdbm_client.change_password(jis(), "jis-pw", "new-pw")
-        assert realm.db.principal_key(jis()) == string_to_key("new-pw")
+        assert realm.shards[0].db.principal_key(jis()) == string_to_key("new-pw")
 
     def test_key_version_bumped(self, realm, kdbm_client):
         kdbm_client.change_password(jis(), "jis-pw", "new-pw")
-        assert realm.db.get_record(jis()).key_version == 2
+        assert realm.shards[0].db.get_record(jis()).key_version == 2
 
     def test_wrong_old_password_fails(self, realm, kdbm_client):
         """The old password is required to fetch the KDBM ticket — a
@@ -56,13 +56,13 @@ class TestKpasswd:
         with pytest.raises(KerberosError) as err:
             kdbm_client.change_password(jis(), "not-the-password", "evil")
         assert err.value.code == ErrorCode.INTK_BADPW
-        assert realm.db.principal_key(jis()) == string_to_key("jis-pw")
+        assert realm.shards[0].db.principal_key(jis()) == string_to_key("jis-pw")
 
     def test_cannot_change_someone_elses_password(self, realm, ws):
         """bcn authenticates fine but is not jis and not on the ACL."""
         from repro.kdbm.messages import AdminOperation, AdminRequestBody
 
-        kc = KdbmClient(ws.client, realm.master_host.address)
+        kc = KdbmClient(ws.client, realm.shards[0].master_host.address)
         cred = ws.client.as_exchange(bcn(), "bcn-pw", kdbm_principal(REALM))
         body = AdminRequestBody(
             operation=int(AdminOperation.CHANGE_PASSWORD),
@@ -73,7 +73,7 @@ class TestKpasswd:
         reply = kc._roundtrip(cred, bcn(), body)
         assert not reply.ok
         assert reply.code == int(ErrorCode.KDBM_DENIED)
-        assert realm.db.principal_key(jis()) == string_to_key("jis-pw")
+        assert realm.shards[0].db.principal_key(jis()) == string_to_key("jis-pw")
 
     def test_new_password_not_on_wire(self, realm, kdbm_client):
         """Private messages carry the password (Section 2.1)."""
@@ -92,13 +92,13 @@ class TestKadmin:
             Principal("newuser", "", REALM),
             "initial-pw",
         )
-        assert realm.db.exists(Principal("newuser", "", REALM))
+        assert realm.shards[0].db.exists(Principal("newuser", "", REALM))
 
     def test_admin_changes_other_password(self, realm, kdbm_client):
         kdbm_client.admin_change_password(
             Principal("jis", "admin", REALM), "jis-admin-pw", bcn(), "reset-pw"
         )
-        assert realm.db.principal_key(bcn()) == string_to_key("reset-pw")
+        assert realm.shards[0].db.principal_key(bcn()) == string_to_key("reset-pw")
 
     def test_non_admin_cannot_add(self, realm, kdbm_client):
         with pytest.raises(KerberosError) as err:
@@ -138,21 +138,21 @@ class TestKadmin:
 
 class TestMasterOnly:
     def test_kdbm_refuses_readonly_database(self, realm):
-        slave = realm.slaves[0]
+        slave = realm.shards[0].slaves[0]
         with pytest.raises(ReadOnlyDatabase):
             KdbmServer(slave.db, realm.acl, port=9999).attach(slave.host)
 
     def test_admin_unavailable_when_master_down(self, realm, ws):
         """Figure 11's consequence: "administration requests cannot be
         serviced if the master machine is down"."""
-        realm.net.set_down(realm.master_host.name)
-        kc = KdbmClient(ws.client, realm.master_host.address)
+        realm.net.set_down(realm.shards[0].master_host.name)
+        kc = KdbmClient(ws.client, realm.shards[0].master_host.address)
         with pytest.raises(Unreachable):
             kc.change_password(jis(), "jis-pw", "new")
 
     def test_authentication_still_works_when_master_down(self, realm, ws):
         """...while authentication continues on the slaves (Figure 10)."""
-        realm.net.set_down(realm.master_host.name)
+        realm.net.set_down(realm.shards[0].master_host.name)
         assert ws.client.kinit("jis", "jis-pw") is not None
 
 
@@ -163,19 +163,19 @@ class TestAuditLog:
             kdbm_client.add_principal(bcn(), "bcn-pw", Principal("x", "", REALM), "p")
         except KerberosError:
             pass
-        outcomes = [(e.operation, e.permitted) for e in realm.kdbm.log]
+        outcomes = [(e.operation, e.permitted) for e in realm.shards[0].kdbm.log]
         assert ("CHANGE_PASSWORD", True) in outcomes
         assert ("ADD_PRINCIPAL", False) in outcomes
 
     def test_log_records_requester_and_target(self, realm, kdbm_client):
         kdbm_client.change_password(jis(), "jis-pw", "new-pw")
-        entry = realm.kdbm.log[-1]
+        entry = realm.shards[0].kdbm.log[-1]
         assert entry.requester == f"jis@{REALM}"
         assert entry.target == f"jis@{REALM}"
 
     def test_unauthenticated_attempts_logged(self, realm, ws):
-        ws.host.rpc(realm.master_host.address, 751, b"garbage")
-        assert any(not e.permitted for e in realm.kdbm.log)
+        ws.host.rpc(realm.shards[0].master_host.address, 751, b"garbage")
+        assert any(not e.permitted for e in realm.shards[0].kdbm.log)
 
 
 class TestTicketPath:

@@ -30,10 +30,10 @@ def realm_world():
 
 def test_master_down_raises_typed_timeout(realm_world):
     net, realm, ws = realm_world
-    net.set_down(realm.master_host.name)
+    net.set_down(realm.shards[0].master_host.name)
     kdbm = KdbmClient(
         ws.client,
-        realm.master_host.address,
+        realm.shards[0].master_host.address,
         retry_policy=RetryPolicy(max_attempts=3),
     )
     # The AS exchange itself still works: the slave answers it.
@@ -65,7 +65,7 @@ def test_blackholed_port_is_bounded_not_hung(realm_world):
     net.add_interceptor(blackhole)
     kdbm = KdbmClient(
         ws.client,
-        realm.master_host.address,
+        realm.shards[0].master_host.address,
         retry_policy=RetryPolicy(max_attempts=4),
     )
     with pytest.raises(KdbmTimeout):
@@ -89,7 +89,7 @@ def test_retransmissions_carry_fresh_authenticators(realm_world):
     net.add_interceptor(drop_first_reply)
     kdbm = KdbmClient(
         ws.client,
-        realm.master_host.address,
+        realm.shards[0].master_host.address,
         retry_policy=RetryPolicy(max_attempts=3),
     )
     out = kdbm.change_password(
@@ -120,7 +120,7 @@ def test_auth_failure_still_reported_as_protocol_error(realm_world):
         return datagram
 
     net.add_interceptor(corrupt)
-    kdbm = KdbmClient(ws.client, realm.master_host.address)
+    kdbm = KdbmClient(ws.client, realm.shards[0].master_host.address)
     with pytest.raises(KerberosError) as exc_info:
         kdbm.change_password(Principal("jis", "", REALM_NAME), "jis-pw", "x")
     assert not isinstance(exc_info.value, KdbmTimeout)

@@ -64,6 +64,7 @@ def modules() -> dict:
     # The experiments; the timed benchmark (benchmarks/ledger/) and its
     # recorder (trajectory.py) are not linted.
     paths += [path for path in REPO.glob("benchmarks/*.py") if path.name != "trajectory.py"]
+    paths += REPO.glob("examples/*.py")
     paths += [path for pattern in DOCS for path in REPO.glob(pattern)]
     return {
         rel: load(rel, path.read_text(encoding="utf-8"))

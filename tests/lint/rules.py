@@ -98,6 +98,7 @@ REMOVED = {
     41: ("word", "Encoder", "Decoder", "encode_into", "decode_from", "dump_position"),
     42: ("word", "call_at", "call_every", "pending_callbacks", "FlightRecorder", "series_key",
          "rpc_timeout"),
+    44: ("word", "partition_master"),
 }
 
 
@@ -211,6 +212,18 @@ def _shape_tests(tree):
         if isinstance(side, ast.Attribute)
         and side.attr in ("ring", "membership", "receiver", "directory")
         and isinstance(other, ast.Constant) and other.value is None
+    ]
+
+
+#: What a shard group holds; a realm has no second way to shard 0's.
+SHARD_PARTS = {"db", "kdc", "kdbm", "kprop", "master_host", "slaves"}
+
+
+def _realm_parts(tree):
+    return [
+        (node.lineno, f"realm.{node.attr}") for node in nodes(tree)
+        if isinstance(node, ast.Attribute) and node.attr in SHARD_PARTS
+        and name_of(node.value) == "realm"
     ]
 
 
@@ -754,6 +767,18 @@ RULES = (
               "    return ring is None or site.kdc.shard is None\n",
         hits=((2, ".ring compared with None"), (4, ".membership compared with None"),
               (4, ".receiver compared with None"), (6, ".directory compared with None")),
+    ),
+    Rule(
+        "realm-parts-through-shards",
+        "A realm is its shards: a master, its database, KDC, KDBM, kprop and slaves are "
+        "read off realm.shards[i], never off the realm.",
+        ("src/*", "tests/*", BENCH, "examples/*"), each(_realm_parts),
+        plant_at="examples/planted.py",
+        plant="def check(realm, world, realm_a):\n"
+              "    site = realm.shards[0]\n"
+              "    world.realm.kdc.db, site.db, realm_a.kdbm\n"
+              "    return realm.db, realm.slaves[0].kprop, realm.kdc_addresses()\n",
+        hits=((3, "realm.kdc"), (4, "realm.db"), (4, "realm.slaves")),
     ),
     # -- determinism and audit ---------------------------------------------
     Rule(

@@ -113,7 +113,7 @@ class TestRealmWiring:
         (ok,) = net.audit.events("auth_success")
         (bad,) = net.audit.events("auth_failure")
         assert ok.principal == "jis@AUDIT.REALM"
-        assert ok.host == realm.master_host.name
+        assert ok.host == realm.shards[0].master_host.name
         assert "KDC_PR_UNKNOWN" in bad.detail
 
     def test_replay_detected_is_context_less(self, world):

@@ -92,7 +92,7 @@ class TestFigure9SpanTree:
         hosts = net.tracer.hosts(rid)
         assert len(hosts) >= 3
         assert ws.host.name in hosts
-        assert realm.master_host.name in hosts
+        assert realm.shards[0].master_host.name in hosts
         assert "priam" in hosts
 
     def test_spans_time_on_the_sim_clock(self, world):
@@ -124,7 +124,7 @@ class TestFigure9SpanTree:
         # section.
         plain = net.add_host("printer")
         plain.bind(9100, lambda d: b"ok")
-        realm.master_host.rpc(plain.address, 9100, b"lpr")
+        realm.shards[0].master_host.rpc(plain.address, 9100, b"lpr")
         report = render_report(tracer=net.tracer, wire=wire)
         assert "user.session" in report
         assert "kdc.as" in report
@@ -157,7 +157,7 @@ class TestMetricsEndToEnd:
         assert m.total("kdc.requests_total", kind="as") == 1
         # Exactly one non-OK outcome, labelled with the error code name.
         assert m.total("kdc.outcomes_total", kind="as") == 1
-        assert realm.kdc.errors == 1
+        assert realm.shards[0].kdc.errors == 1
 
     def test_exchange_latency_histogram(self, world):
         net, realm, service = world

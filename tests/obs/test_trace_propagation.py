@@ -143,7 +143,7 @@ class TestQueueWaitSpans:
         assert kdc.attrs["service_time"] > 0
         assert kdc.attrs["crypto_ops"] > 0
         hist = net.metrics.get(
-            "kdc.queue.wait_seconds", {"server": realm.master_host.name}
+            "kdc.queue.wait_seconds", {"server": realm.shards[0].master_host.name}
         )
         assert hist.count == 1
         # With every cache off each key is scheduled again, and each

@@ -21,24 +21,24 @@ def net():
 class TestBootstrap:
     def test_essential_principals_registered(self, net):
         realm = Realm(net, "ATHENA.MIT.EDU")
-        assert realm.db.exists(tgs_principal("ATHENA.MIT.EDU"))
-        assert realm.db.exists(kdbm_principal("ATHENA.MIT.EDU"))
+        assert realm.shards[0].db.exists(tgs_principal("ATHENA.MIT.EDU"))
+        assert realm.shards[0].db.exists(kdbm_principal("ATHENA.MIT.EDU"))
 
     def test_servers_listening(self, net):
         realm = Realm(net, "ATHENA.MIT.EDU")
-        assert realm.master_host.handler_for(750) is not None  # AS/TGS
-        assert realm.master_host.handler_for(751) is not None  # KDBM
+        assert realm.shards[0].master_host.handler_for(750) is not None  # AS/TGS
+        assert realm.shards[0].master_host.handler_for(751) is not None  # KDBM
 
     def test_slaves_initialized_with_dump(self, net):
         realm = Realm(net, "ATHENA.MIT.EDU", topology=RealmTopology(slaves_per_shard=3))
-        for slave in realm.slaves:
+        for slave in realm.shards[0].slaves:
             assert slave.db.exists(tgs_principal("ATHENA.MIT.EDU"))
             assert slave.db.readonly
 
     def test_kdc_addresses_master_first(self, net):
         realm = Realm(net, "ATHENA.MIT.EDU", topology=RealmTopology(slaves_per_shard=2))
         addrs = realm.kdc_addresses()
-        assert addrs[0] == realm.master_host.address
+        assert addrs[0] == realm.shards[0].master_host.address
         assert len(addrs) == 3
 
     def test_workstation_naming(self, net):
@@ -55,7 +55,7 @@ class TestBootstrap:
     def test_two_realms_coexist(self, net):
         a = Realm(net, "ATHENA.MIT.EDU")
         b = Realm(net, "LCS.MIT.EDU")
-        assert a.master_host.address != b.master_host.address
+        assert a.shards[0].master_host.address != b.shards[0].master_host.address
 
 
 class TestEndToEnd:
@@ -89,7 +89,7 @@ class TestEndToEnd:
 
         ws = athena.workstation()
         ws.client.set_locator(
-            "LCS.MIT.EDU", StaticLocator([lcs.master_host.address])
+            "LCS.MIT.EDU", StaticLocator([lcs.shards[0].master_host.address])
         )
         ws.client.kinit("jis", "pw")
         cred = ws.client.get_credential(service)
@@ -106,10 +106,10 @@ class TestEndToEnd:
         service, _ = lcs.add_service("rlogin", "ptt")
         link(athena, lcs)
 
-        net.set_down(athena.master_host.name)  # only the slave remains
+        net.set_down(athena.shards[0].master_host.name)  # only the slave remains
         ws = athena.workstation()
         ws.client.set_locator(
-            "LCS.MIT.EDU", StaticLocator([lcs.master_host.address])
+            "LCS.MIT.EDU", StaticLocator([lcs.shards[0].master_host.address])
         )
         ws.client.kinit("jis", "pw")
         assert ws.client.get_credential(service) is not None

@@ -30,6 +30,7 @@ from repro.realm.sharding import (
     hash_point,
     move_range,
 )
+from repro.replication import PropagationResult
 
 pytestmark = pytest.mark.shard
 
@@ -146,6 +147,19 @@ class TestShardedRealmBootstrap:
             ws.client.kinit(username, password)
             cred = ws.client.get_credential(service)
             assert cred is not None
+
+    @pytest.mark.parametrize("shards, slaves", [(2, 0), (1, 1), (2, 1)])
+    def test_propagate_reads_as_one_round(self, shards, slaves):
+        """Every shard with slaves runs a round; the realm answers one
+        result: attempts summed, a mode for each slave of every shard."""
+        realm = sharded_realm(Network(), shards=shards, slaves=slaves)
+        realm.add_user("jis", "jis-pw")
+        result = realm.propagate()
+        assert isinstance(result, PropagationResult)
+        assert result.attempted == shards * slaves and result.all_ok
+        assert set(result.modes) == {
+            str(slave.host.address) for site in realm.shards for slave in site.slaves
+        }
 
 
 class TestReferrals:

@@ -44,7 +44,8 @@ class TestDetection:
     def test_heartbeats_are_counted_per_target(self):
         net, realm, supervisor = build()
         net.runtime.run_for(30.0)
-        for host in [realm.master_host] + [s.host for s in realm.slaves]:
+        site = realm.shards[0]
+        for host in [site.master_host] + [s.host for s in site.slaves]:
             assert net.metrics.counter(
                 "supervisor.heartbeats_total",
                 {"target": host.name, "result": "ok"},
@@ -52,53 +53,57 @@ class TestDetection:
 
     def test_single_missed_heartbeat_does_not_promote(self):
         net, realm, supervisor = build()
+        site = realm.shards[0]
         net.runtime.run_for(20.0)
         # Bounce the master briefly: at most 1-2 missed probes.
-        net.crash_host(realm.master_host.name, downtime=6.0)
-        old_master = realm.master_host
+        net.crash_host(site.master_host.name, downtime=6.0)
+        old_master = site.master_host
         net.runtime.run_for(60.0)
         assert supervisor.promotions == 0
-        assert realm.master_host is old_master
+        assert site.master_host is old_master
 
 
 class TestAutomaticPromotion:
     def test_master_death_promotes_without_manual_intervention(self):
         net, realm, supervisor = build()
-        old_master = realm.master_host
+        site = realm.shards[0]
+        old_master = site.master_host
         net.runtime.run_for(10.0)
         net.crash_host(old_master.name)          # never restarts
         net.runtime.run_for(DETECT)
         assert supervisor.promotions == 1
-        assert realm.master_host is not old_master
+        assert site.master_host is not old_master
         # Writes work on the new master immediately.
         realm.add_user("fresh", "fresh-pw")
-        assert realm.db.exists(Principal("fresh", "", REALM))
+        assert site.db.exists(Principal("fresh", "", REALM))
 
     def test_promotion_picks_the_freshest_slave(self):
         net, realm, supervisor = build()
+        site = realm.shards[0]
         net.runtime.run_for(10.0)
         # Report slave 1 as the most recently caught-up replica.
-        addr0 = realm.slaves[0].host.address
-        addr1 = realm.slaves[1].host.address
-        realm.kprop.last_applied_time[addr0] = 100.0
-        realm.kprop.last_applied_time[addr1] = 200.0
-        expected = realm.slaves[1].host
-        net.crash_host(realm.master_host.name)
+        addr0 = site.slaves[0].host.address
+        addr1 = site.slaves[1].host.address
+        site.kprop.last_applied_time[addr0] = 100.0
+        site.kprop.last_applied_time[addr1] = 200.0
+        expected = site.slaves[1].host
+        net.crash_host(site.master_host.name)
         net.runtime.run_for(DETECT)
-        assert realm.master_host is expected
+        assert site.master_host is expected
 
     def test_unhealthy_slave_is_not_a_candidate(self):
         net, realm, supervisor = build()
+        site = realm.shards[0]
         net.runtime.run_for(10.0)
         # The fresher slave is ALSO down; the stale-but-alive one wins.
-        addr1 = realm.slaves[1].host.address
-        realm.kprop.last_applied_time[addr1] = 999.0
-        survivor = realm.slaves[0].host
-        net.crash_host(realm.slaves[1].host.name)
+        addr1 = site.slaves[1].host.address
+        site.kprop.last_applied_time[addr1] = 999.0
+        survivor = site.slaves[0].host
+        net.crash_host(site.slaves[1].host.name)
         net.runtime.run_for(20.0)                # let its misses register
-        net.crash_host(realm.master_host.name)
+        net.crash_host(site.master_host.name)
         net.runtime.run_for(DETECT)
-        assert realm.master_host is survivor
+        assert site.master_host is survivor
 
     def test_clients_are_repointed(self):
         net, realm, supervisor = build()
@@ -106,9 +111,9 @@ class TestAutomaticPromotion:
         realm.attach_hesiod(hesiod)
         ws = realm.workstation("ws1")
         net.runtime.run_for(10.0)
-        net.crash_host(realm.master_host.name)
+        net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
-        new_master = realm.master_host
+        new_master = realm.shards[0].master_host
         # Workstation directory and the Hesiod shard record both lead
         # with the new master.
         assert ws.client.kdcs(REALM)[0] == new_master.address
@@ -122,13 +127,13 @@ class TestAutomaticPromotion:
     def test_observability_of_the_promotion(self):
         net, realm, supervisor = build()
         net.runtime.run_for(10.0)
-        net.crash_host(realm.master_host.name)
+        net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
         promoted = [
             e for e in net.audit.events() if e.kind == "master_promoted"
         ]
         assert len(promoted) == 1
-        assert promoted[0].host == realm.master_host.name
+        assert promoted[0].host == realm.shards[0].master_host.name
         assert promoted[0].trace_id       # joined to the supervisor trace
         assert net.metrics.counter(
             "realm.promotions_total", {"realm": REALM}
@@ -142,12 +147,12 @@ class TestAutomaticPromotion:
         net, realm, supervisor = build(
             config=SupervisorConfig(promote=False)
         )
-        old_master = realm.master_host
+        old_master = realm.shards[0].master_host
         net.runtime.run_for(10.0)
         net.crash_host(old_master.name)
         net.runtime.run_for(120.0)
         assert supervisor.promotions == 0
-        assert realm.master_host is old_master
+        assert realm.shards[0].master_host is old_master
         assert supervisor.misses[old_master.address] >= 3
 
 
@@ -159,6 +164,7 @@ class TestPromotionWithHesiodDown:
         the heartbeat keeps ticking; once Hesiod is back the workstation
         re-fetches on its next lookup and logs in at the new master."""
         net, realm, supervisor = build(slaves=1)
+        site = realm.shards[0]
         hesiod = HesiodServer().attach(net.add_host("hesiod-server"))
         realm.attach_hesiod(hesiod)
         ws = realm.workstation("ws-hes")
@@ -166,13 +172,13 @@ class TestPromotionWithHesiodDown:
             HesiodRingSource(ws.host, hesiod.host.address, REALM)
         ))
         ws.client.kinit("jis", "jis-pw")  # the locator now holds a view
-        old_master = realm.master_host
+        old_master = site.master_host
         net.runtime.run_for(10.0)
         net.crash_host(hesiod.host.name)
         net.crash_host(old_master.name)
         net.runtime.run_for(120.0)  # nothing may escape the event loop
         assert supervisor.promotions == 1
-        assert realm.master_host is not old_master
+        assert site.master_host is not old_master
         promoted = net.audit.events("master_promoted")
         assert len(promoted) == 1 and promoted[0].trace_id
         beats = net.metrics.total("supervisor.heartbeats_total")
@@ -182,15 +188,15 @@ class TestPromotionWithHesiodDown:
         net.restart_host(hesiod.host.name)
         queries = hesiod.queries
         served = net.metrics.total(
-            "kdc.requests_total", server=realm.master_host.name
+            "kdc.requests_total", server=site.master_host.name
         )
         ws.client.kdestroy()
         ws.client.kinit("jis", "jis-pw")
         # One lazy re-fetch (ring + shard 0), answered by the new master.
         assert hesiod.queries == queries + 2
-        assert ws.client.kdcs(REALM)[0] == realm.master_host.address
+        assert ws.client.kdcs(REALM)[0] == site.master_host.address
         assert net.metrics.total(
-            "kdc.requests_total", server=realm.master_host.name
+            "kdc.requests_total", server=site.master_host.name
         ) == served + 1
 
 
@@ -200,11 +206,11 @@ class TestFlapProtection:
             config=SupervisorConfig(dwell_time=1000.0)
         )
         net.runtime.run_for(10.0)
-        net.crash_host(realm.master_host.name)
+        net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
         assert supervisor.promotions == 1
         # The new master dies inside the dwell window: suppressed.
-        net.crash_host(realm.master_host.name)
+        net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
         assert supervisor.promotions == 1
         assert net.metrics.counter(
@@ -216,10 +222,10 @@ class TestFlapProtection:
             config=SupervisorConfig(dwell_time=60.0)
         )
         net.runtime.run_for(10.0)
-        net.crash_host(realm.master_host.name)
+        net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
         net.runtime.run_for(60.0)                # sit out the dwell
-        net.crash_host(realm.master_host.name)
+        net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
         assert supervisor.promotions == 2
 
@@ -230,12 +236,13 @@ class TestRejoin:
         into the promoted journal's epoch, then rides delta streams —
         no second epoch bump, no divergent history."""
         net, realm, supervisor = build()
-        old_master = realm.master_host
+        site = realm.shards[0]
+        old_master = site.master_host
         net.runtime.run_for(10.0)
         net.crash_host(old_master.name, downtime=60.0)
         net.runtime.run_for(120.0)               # promote; old one returns
         assert supervisor.promotions == 1
-        epoch_after_promotion = realm.db.journal.epoch
+        epoch_after_promotion = site.db.journal.epoch
 
         rejoined = [
             e for e in net.audit.events() if e.kind == "slave_rejoined"
@@ -247,16 +254,16 @@ class TestRejoin:
         result = realm.propagate()
         assert result.all_ok
         old_site = next(
-            s for s in realm.slaves if s.host is old_master
+            s for s in site.slaves if s.host is old_master
         )
         assert old_site.db.exists(Principal("written-after", "", REALM))
         # Same epoch on both ends; the promotion bumped it exactly once.
         assert old_site.kpropd.applied_epoch == epoch_after_promotion
-        assert realm.db.journal.epoch == epoch_after_promotion
+        assert site.db.journal.epoch == epoch_after_promotion
 
     def test_rejoined_master_serves_reads(self):
         net, realm, supervisor = build()
-        old_master = realm.master_host
+        old_master = realm.shards[0].master_host
         net.runtime.run_for(10.0)
         net.crash_host(old_master.name, downtime=60.0)
         net.runtime.run_for(150.0)
@@ -274,12 +281,12 @@ class TestSupervisorLifecycle:
         supervisor.detach()
         before = net.metrics.counter(
             "supervisor.heartbeats_total",
-            {"target": realm.master_host.name, "result": "ok"},
+            {"target": realm.shards[0].master_host.name, "result": "ok"},
         ).value
         net.runtime.run_for(60.0)
         after = net.metrics.counter(
             "supervisor.heartbeats_total",
-            {"target": realm.master_host.name, "result": "ok"},
+            {"target": realm.shards[0].master_host.name, "result": "ok"},
         ).value
         assert after == before
 
@@ -288,7 +295,7 @@ class TestSupervisorLifecycle:
         net.runtime.run_for(10.0)
         # Master dies while the monitor is ALSO down.
         net.crash_host("realm-monitor", downtime=100.0)
-        net.crash_host(realm.master_host.name, downtime=30.0)
+        net.crash_host(realm.shards[0].master_host.name, downtime=30.0)
         net.runtime.run_for(80.0)
         # Nobody was watching; no promotion happened...
         assert supervisor.promotions == 0
@@ -298,7 +305,7 @@ class TestSupervisorLifecycle:
         assert supervisor.promotions == 0
         assert net.metrics.counter(
             "supervisor.heartbeats_total",
-            {"target": realm.master_host.name, "result": "ok"},
+            {"target": realm.shards[0].master_host.name, "result": "ok"},
         ).value > 0
 
 
@@ -307,10 +314,10 @@ class TestDeterminism:
         def story(seed):
             net, realm, supervisor = build(seed=seed)
             net.runtime.run_for(10.0)
-            net.crash_host(realm.master_host.name, downtime=60.0)
+            net.crash_host(realm.shards[0].master_host.name, downtime=60.0)
             net.runtime.run_for(200.0)
             return (
-                realm.master_host.name,
+                realm.shards[0].master_host.name,
                 supervisor.promotions,
                 [(e.kind, e.host, e.time) for e in net.audit.events()],
                 net.metrics.gauge(

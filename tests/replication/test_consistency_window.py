@@ -36,11 +36,12 @@ class TestConsistencyWindow:
     def test_old_password_lives_on_at_the_slave(self, world):
         """Inside the window: master says new, slave says old."""
         net, realm = world
-        realm.db.change_key(Principal("jis", "", REALM), new_password="new-pw")
+        site = realm.shards[0]
+        site.db.change_key(Principal("jis", "", REALM), new_password="new-pw")
 
         ws = realm.workstation()
-        at_master = client_pinned_to(realm.master_host.address, ws)
-        at_slave = client_pinned_to(realm.slaves[0].host.address, ws)
+        at_master = client_pinned_to(site.master_host.address, ws)
+        at_slave = client_pinned_to(site.slaves[0].host.address, ws)
 
         # Master: only the new password works.
         assert at_master.kinit("jis", "new-pw") is not None
@@ -53,11 +54,11 @@ class TestConsistencyWindow:
 
     def test_window_closes_at_the_next_dump(self, world):
         net, realm = world
-        realm.db.change_key(Principal("jis", "", REALM), new_password="new-pw")
+        realm.shards[0].db.change_key(Principal("jis", "", REALM), new_password="new-pw")
         net.clock.advance(3600.0)
 
         ws = realm.workstation()
-        at_slave = client_pinned_to(realm.slaves[0].host.address, ws)
+        at_slave = client_pinned_to(realm.shards[0].slaves[0].host.address, ws)
         assert at_slave.kinit("jis", "new-pw") is not None
         with pytest.raises(KerberosError):
             at_slave.kinit("jis", "old-pw")
@@ -66,7 +67,7 @@ class TestConsistencyWindow:
         net, realm = world
         realm.add_user("fresh", "pw")
         ws = realm.workstation()
-        at_slave = client_pinned_to(realm.slaves[0].host.address, ws)
+        at_slave = client_pinned_to(realm.shards[0].slaves[0].host.address, ws)
         with pytest.raises(KerberosError) as err:
             at_slave.kinit("fresh", "pw")
         assert err.value.code == ErrorCode.KDC_PR_UNKNOWN
@@ -78,9 +79,9 @@ class TestConsistencyWindow:
         authenticate via a stale slave for up to an hour.  (Together with
         ticket lifetimes, this bounds how fast removal takes effect.)"""
         net, realm = world
-        realm.db.delete_principal(Principal("jis", "", REALM))
+        realm.shards[0].db.delete_principal(Principal("jis", "", REALM))
         ws = realm.workstation()
-        at_slave = client_pinned_to(realm.slaves[0].host.address, ws)
+        at_slave = client_pinned_to(realm.shards[0].slaves[0].host.address, ws)
         assert at_slave.kinit("jis", "old-pw") is not None  # still in!
         net.clock.advance(3600.0)
         with pytest.raises(KerberosError):
@@ -91,6 +92,6 @@ class TestConsistencyWindow:
         the window while the master is up — only slave-pinned or
         failed-over clients do."""
         net, realm = world
-        realm.db.change_key(Principal("jis", "", REALM), new_password="new-pw")
+        realm.shards[0].db.change_key(Principal("jis", "", REALM), new_password="new-pw")
         ws = realm.workstation()
         assert ws.client.kinit("jis", "new-pw") is not None

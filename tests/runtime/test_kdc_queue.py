@@ -58,10 +58,10 @@ def fill_queue(realm, n):
     for _ in range(n):
         datagram = Datagram(
             src=src.address, src_port=0,
-            dst=realm.master_host.address, dst_port=KERBEROS_PORT,
+            dst=realm.shards[0].master_host.address, dst_port=KERBEROS_PORT,
             payload=wire,
         )
-        realm.kdc.workqueue.submit((datagram, DeferredReply()))
+        realm.shards[0].kdc.workqueue.submit((datagram, DeferredReply()))
 
 
 class TestQueuedService:
@@ -70,12 +70,12 @@ class TestQueuedService:
         ws = realm.workstation()
         assert ws.client.kinit("jis", "jis-pw") is not None
         # Service took simulated time: one batch, non-zero cost.
-        assert realm.kdc.workqueue.batches >= 1
+        assert realm.shards[0].kdc.workqueue.batches >= 1
         assert net.clock.now() > 0.0
 
     def test_inline_kdc_has_no_queue(self):
         net, realm = build_realm()
-        assert realm.kdc.workqueue is None
+        assert realm.shards[0].kdc.workqueue is None
         ws = realm.workstation()
         assert ws.client.kinit("jis", "jis-pw") is not None
 
@@ -100,7 +100,7 @@ class TestShedding:
         fill_queue(realm, 2)
         ws = realm.workstation()
         raw = ws.host.rpc(
-            realm.master_host.address, KERBEROS_PORT, as_req_wire(realm)
+            realm.shards[0].master_host.address, KERBEROS_PORT, as_req_wire(realm)
         )
         mtype, message = decode_message(raw)
         assert mtype == MessageType.ERROR
@@ -133,17 +133,17 @@ class TestCrash:
             ws = realm.workstation()
             wire = as_req_wire(realm)
             first = ws.host.rpc_async(
-                realm.master_host.address, KERBEROS_PORT, wire
+                realm.shards[0].master_host.address, KERBEROS_PORT, wire
             )
             second = ws.host.rpc_async(
-                realm.master_host.address, KERBEROS_PORT, wire
+                realm.shards[0].master_host.address, KERBEROS_PORT, wire
             )
             net.runtime.run_until_idle(horizon=net.clock.now())  # arrivals only
-            assert realm.kdc.workqueue.busy_workers == 1
-            assert realm.kdc.workqueue.depth == 1
-            net.set_down(realm.master_host.name)
+            assert realm.shards[0].kdc.workqueue.busy_workers == 1
+            assert realm.shards[0].kdc.workqueue.depth == 1
+            net.set_down(realm.shards[0].master_host.name)
             if restart:
-                net.set_up(realm.master_host.name)
+                net.set_up(realm.shards[0].master_host.name)
             net.runtime.run_until_idle()
             # Both senders hear nothing: the queued one died at crash
             # time, the in-service one's completion found its queue gone.
@@ -152,18 +152,18 @@ class TestCrash:
 
     def test_client_fails_over_past_a_crashed_queued_master(self):
         net, realm = build_realm(slaves=1, queue=WorkQueueConfig(workers=2))
-        net.crash_host(realm.master_host.name)
+        net.crash_host(realm.shards[0].master_host.name)
         ws = realm.workstation()
         assert ws.client.kinit("jis", "jis-pw") is not None
         assert net.metrics.total("kdc.failovers_total") == 1
 
     def test_restart_serves_again(self):
         net, realm = build_realm(queue=TINY)
-        net.crash_host(realm.master_host.name, downtime=10.0)
+        net.crash_host(realm.shards[0].master_host.name, downtime=10.0)
         net.runtime.run_for(11.0)
         ws = realm.workstation()
         assert ws.client.kinit("jis", "jis-pw") is not None
-        assert realm.kdc.workqueue.idle
+        assert realm.shards[0].kdc.workqueue.idle
 
 
 class TestBatchAmortization:

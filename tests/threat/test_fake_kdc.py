@@ -104,12 +104,14 @@ class TestFakeKdc:
         ws = net.add_host("victim-ws")
         client = KerberosClient(
             ws, REALM,
-            StaticLocator([fake_host.address, realm.master_host.address]),
+            StaticLocator([fake_host.address, realm.shards[0].master_host.address]),
         )
         with pytest.raises(KerberosError):
             client.kinit("jis", "jis-pw")
         # Pointed at the real KDC, the same client works immediately.
-        client2 = KerberosClient(ws, REALM, StaticLocator([realm.master_host.address]))
+        client2 = KerberosClient(
+            ws, REALM, StaticLocator([realm.shards[0].master_host.address])
+        )
         assert client2.kinit("jis", "jis-pw") is not None
 
     def test_fake_kdc_learns_nothing_it_could_not_sniff(self, world):

@@ -106,8 +106,9 @@ def kerberized(net, realm):
 
 
 def kdbm(net, realm):
+    site = realm.shards[0]
     passwords = {user: f"{user}-pw" for user in UIDS}
-    address = realm.master_host.address
+    address = site.master_host.address
 
     def request(ws, user):
         # kpasswd: a write, under a KDBM ticket straight from the AS.
@@ -119,12 +120,12 @@ def kdbm(net, realm):
 
     def key_versions():
         return [
-            realm.db.get_record(Principal(user, "", REALM)).key_version
+            site.db.get_record(Principal(user, "", REALM)).key_version
             for user in UIDS
         ]
 
     return Drill(
-        daemon=realm.kdbm, port=KDBM_PORT, request=request,
+        daemon=site.kdbm, port=KDBM_PORT, request=request,
         refused=lambda raw: raw == b"",  # no session key to answer in
         effects=key_versions,
     )
@@ -192,8 +193,8 @@ def kdc(net, realm):
         return err.value.code == ErrorCode.RD_AP_REPEAT
 
     return Drill(
-        daemon=realm.kdc, port=KERBEROS_PORT, request=request, refused=refused,
-        effects=lambda: realm.kdc.metrics.total(
+        daemon=realm.shards[0].kdc, port=KERBEROS_PORT, request=request, refused=refused,
+        effects=lambda: realm.shards[0].kdc.metrics.total(
             "kdc.outcomes_total", kind="tgs", code="OK"
         ),
         # The AS half of the port takes no ticket.

@@ -72,7 +72,7 @@ def send(realm, wire, src):
     """``(reply code, served from the memo?)`` for one request from
     ``src``."""
     hits = realm.net.metrics.total("kdc.tgt_memo_total", result="hit")
-    (reply,) = realm.kdc.process_request_buffer(pack_frames([wire]), src)
+    (reply,) = realm.shards[0].kdc.process_request_buffer(pack_frames([wire]), src)
     mtype, message = decode_message(bytes(reply))
     code = (
         ErrorCode(message.code).name if mtype == MessageType.ERROR
@@ -119,7 +119,7 @@ def test_after_a_tgs_key_rotation(world):
     changes, a TGT sealed under the old one is opened — and refused —
     under the new one."""
     realm, ws, cred = world
-    realm.db.change_key(
+    realm.shards[0].db.change_key(
         tgs_principal(REALM),
         new_key=KeyGenerator(seed=b"tgt-memo-rotation").session_key(),
         now=realm.net.clock.now(),
@@ -130,9 +130,10 @@ def test_after_a_tgs_key_rotation(world):
 
 def test_after_a_crash_the_memo_is_empty(world):
     realm, ws, cred = world
-    assert len(realm.kdc._tgt_memo) == 1
-    realm.net.crash_host(realm.master_host.name, downtime=30.0)
+    site = realm.shards[0]
+    assert len(site.kdc._tgt_memo) == 1
+    realm.net.crash_host(site.master_host.name, downtime=30.0)
     realm.net.runtime.run_for(31.0)
-    assert len(realm.kdc._tgt_memo) == 0
+    assert len(site.kdc._tgt_memo) == 0
     assert present(realm, cred, ws.host.address) == ("TGS_REP", False)
-    assert len(realm.kdc._tgt_memo) == 1
+    assert len(site.kdc._tgt_memo) == 1

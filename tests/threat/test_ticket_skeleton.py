@@ -55,7 +55,9 @@ def issue(realm, user, service=None):
 
 
 def rotate(realm, principal):
-    realm.db.change_key(principal, new_password="rotated", now=realm.net.clock.now())
+    realm.shards[0].db.change_key(
+        principal, new_password="rotated", now=realm.net.clock.now()
+    )
 
 
 def tgs_key_rotated(realm):
@@ -82,10 +84,11 @@ def client_name_longer(realm):
 def service_renamed(realm):
     """rlogin.priam becomes rlogix.priam with the same key: only the
     prefix plaintext tells the two apart."""
+    site = realm.shards[0]
     issue(realm, "jis", RLOGIN)
-    key = realm.db.principal_key(RLOGIN)
-    realm.db.delete_principal(RLOGIN)
-    realm.db.add_principal(RLOGIX, key=key)
+    key = site.db.principal_key(RLOGIN)
+    site.db.delete_principal(RLOGIN)
+    site.db.add_principal(RLOGIX, key=key)
     return [issue(realm, "jis", RLOGIX)]
 
 
@@ -101,7 +104,7 @@ CASES = {
 def assert_sealed_now(realm, blob, server, client):
     """``blob`` is ``seal_ticket`` of a ticket for ``server`` and
     ``client`` under the key the database holds for ``server`` now."""
-    key = realm.db.principal_key(server)
+    key = realm.shards[0].db.principal_key(server)
     ticket = unseal_ticket(blob, key)
     assert (ticket.server, ticket.client) == (server, client)
     assert seal_ticket(ticket, key) == blob
@@ -135,7 +138,7 @@ def test_no_ticket_crosses_a_key_or_a_length(case):
 def test_a_planted_skeleton_key_that_drops_the_part_crosses(case):
     scenario, part = CASES[case]
     realm = build_realm()
-    realm.kdc._skeletons = NarrowCache(part)
+    realm.shards[0].kdc._skeletons = NarrowCache(part)
     with pytest.raises((AssertionError, KerberosError)):
         for blob, server, client in scenario(realm):
             assert_sealed_now(realm, blob, server, client)
@@ -153,5 +156,5 @@ def test_rotated_service_key_cannot_hit_stale_skeleton():
     ws = realm.workstation()
     ws.client.kinit("jis", "jis-pw")
     cred = ws.client.get_credential(RLOGIN)
-    ticket = unseal_ticket(cred.ticket, realm.db.principal_key(RLOGIN))
+    ticket = unseal_ticket(cred.ticket, realm.shards[0].db.principal_key(RLOGIN))
     assert ticket.client == Principal("jis", "", REALM)

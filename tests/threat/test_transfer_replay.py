@@ -64,17 +64,12 @@ def _change_password(realm, password):
     )
 
 
-def _rounds_ok(realm):
-    results = realm.propagate()
-    return all(r.all_ok for r in (results if isinstance(results, list) else [results]))
-
-
 def full_dump(net):
     realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=1))
 
     def transfer():
         assert realm.propagate(full=True).all_ok
-        return realm.slaves[0].host
+        return realm.shards[0].slaves[0].host
 
     return Drill(
         realm=realm, port=KPROP_PORT, kind=PropKind.FULL, transfer=transfer,
@@ -88,7 +83,7 @@ def delta(net):
     def transfer():
         _change_password(realm, "jis-pw")  # same password, new journal entry
         assert realm.propagate().deltas == 1
-        return realm.slaves[0].host
+        return realm.shards[0].slaves[0].host
 
     return Drill(
         realm=realm, port=KPROP_PORT, kind=PropKind.DELTA, transfer=transfer,
@@ -145,7 +140,7 @@ def test_recorded_transfer_cannot_roll_a_database_back(world):
 
     # The password is compromised and changed; the change propagates.
     _change_password(realm, "jis-new-pw")
-    assert _rounds_ok(realm)
+    assert realm.propagate().all_ok
     net.runtime.run_for(3 * HOUR)
 
     assert drill.refused(tape.replay())
@@ -163,7 +158,7 @@ def test_recorded_transfer_cannot_roll_a_database_back(world):
 
     # The channel is not wedged: the next legitimate round lands.
     realm.add_user("bcn", "bcn-pw")
-    assert _rounds_ok(realm)
+    assert realm.propagate().all_ok
     assert net.audit.count("replay_detected") == 1
 
 
@@ -181,12 +176,13 @@ def test_identical_dump_resent_is_accepted():
     """kprop's reply was lost and it retransmits: the same dump, at the
     position the slave already holds.  Equal is not behind."""
     net, realm = _slaved_realm(1)
+    site = realm.shards[0]
     tape = _tape(net, KPROP_PORT, PropKind.FULL)
     realm.propagate(full=True)
-    applied = realm.slaves[0].kpropd.updates_applied
+    applied = site.slaves[0].kpropd.updates_applied
     reply = PropReply.from_bytes(tape.replay())
-    assert reply.ok and reply.records == len(realm.db.store)
-    assert realm.slaves[0].kpropd.updates_applied == applied + 1
+    assert reply.ok and reply.records == len(site.db.store)
+    assert site.slaves[0].kpropd.updates_applied == applied + 1
     assert net.audit.count("replay_detected") == 0
 
 
@@ -195,7 +191,7 @@ def test_promoted_masters_dump_is_ahead_and_the_old_masters_behind():
     from zero: the survivors must take the new master's dump although
     its seq is lower — and never again one of the lost master's."""
     net, realm = _slaved_realm(2)
-    survivor = realm.slaves[1]
+    survivor = realm.shards[0].slaves[1]
     tape = Replayer(net, match=lambda d: (
         d.dst == survivor.host.address and d.dst_port == KPROP_PORT
         and d.payload[0] == PropKind.FULL
@@ -204,7 +200,7 @@ def test_promoted_masters_dump_is_ahead_and_the_old_masters_behind():
     old = (survivor.db.loaded_epoch, survivor.db.loaded_seq)
     tape.detach()
 
-    net.set_down(realm.master_host.name)
+    net.set_down(realm.shards[0].master_host.name)
     realm.promote_slave(0)
     _change_password(realm, "jis-new-pw")
     result = realm.propagate()
@@ -222,7 +218,8 @@ def test_crashed_slave_refuses_from_its_durable_position():
     the database's ``(loaded_epoch, loaded_seq)`` is on disk, and it is
     the one the rule reads."""
     net, realm = _slaved_realm(1)
-    slave = realm.slaves[0]
+    site = realm.shards[0]
+    slave = site.slaves[0]
     tape = _tape(net, KPROP_PORT, PropKind.FULL)
     realm.propagate(full=True)
     tape.detach()
@@ -232,7 +229,7 @@ def test_crashed_slave_refuses_from_its_durable_position():
     net.crash_host(slave.host.name, downtime=30.0)
     net.runtime.run_for(31.0)
     assert slave.kpropd.applied_epoch is None
-    assert slave.kpropd.held() == (realm.db.journal.epoch, realm.db.journal.last_seq)
+    assert slave.kpropd.held() == (site.db.journal.epoch, site.db.journal.last_seq)
 
     assert not PropReply.from_bytes(tape.replay()).ok
     assert net.audit.count("replay_detected") == 1
@@ -270,7 +267,8 @@ def test_fresh_replica_refuses_a_dump_older_than_its_provisioning():
     tape.detach()
     _change_password(realm, "jis-new-pw")
     late = realm.add_slave("late-slave")
-    assert late.kpropd.held() == (realm.db.journal.epoch, realm.db.journal.last_seq)
+    journal = realm.shards[0].db.journal
+    assert late.kpropd.held() == (journal.epoch, journal.last_seq)
     _refused_then_caught_up(net, realm, tape, late.host)
 
 
@@ -282,7 +280,7 @@ def test_demoted_master_refuses_a_dump_from_before_the_promotion():
     tape = _tape(net, KPROP_PORT, PropKind.FULL)
     realm.propagate(full=True)
     tape.detach()
-    old_master = realm.master_host
+    old_master = realm.shards[0].master_host
     net.crash_host(old_master.name, downtime=30.0)
     realm.promote_slave(0, demote_old=True)
     _change_password(realm, "jis-new-pw")

@@ -37,7 +37,7 @@ def ws(realm):
 
 @pytest.fixture
 def kdbm(realm, ws):
-    return KdbmClient(ws.client, realm.master_host.address)
+    return KdbmClient(ws.client, realm.shards[0].master_host.address)
 
 
 class TestTicketPrograms:
@@ -140,7 +140,7 @@ class TestLoginSession:
         assert session.session_duration() == pytest.approx(1234.0)
 
     def test_no_kdc_is_login_failure(self, realm, ws):
-        realm.net.set_down(realm.master_host.name)
+        realm.net.set_down(realm.shards[0].master_host.name)
         session = LoginSession(ws.host, ws.client)
         with pytest.raises(Exception):
             session.login("jis", "jis-pw")
