@@ -45,7 +45,8 @@ from repro.replication.messages import (
 
 @dataclass
 class PropagationResult:
-    """Outcome of one full propagation round."""
+    """Outcome of one propagation round: a kprop's, or a realm's (its
+    shards' rounds merged, see :meth:`repro.realm.Realm.propagate`)."""
 
     time: float
     attempted: int

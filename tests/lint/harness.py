@@ -61,8 +61,8 @@ def load(rel: str, source: str):
 def modules() -> dict:
     """Every linted file, parsed once: ``{repo-relative path: tree}``."""
     paths = [*REPO.glob("src/**/*.py"), *REPO.glob("tests/**/*.py")]
-    # The experiments; the timed benchmark (benchmarks/ledger/) and its
-    # recorder (trajectory.py) are not linted.
+    # The experiments and the examples; the timed benchmark
+    # (benchmarks/ledger/) and its recorder (trajectory.py) are not linted.
     paths += [path for path in REPO.glob("benchmarks/*.py") if path.name != "trajectory.py"]
     paths += REPO.glob("examples/*.py")
     paths += [path for pattern in DOCS for path in REPO.glob(pattern)]
