@@ -48,17 +48,6 @@ __all__ = [
     "PrincipalRecord",
     "ReadOnlyDatabase",
     "RecordStore",
-    "SqliteStore",
     "UpdateJournal",
 ]
 
-
-def __getattr__(name: str):
-    """``SqliteStore`` is imported on first use, so that importing the
-    package does not load :mod:`sqlite3` for the stores that never
-    touch it."""
-    if name == "SqliteStore":
-        from repro.database.sqlstore import SqliteStore
-
-        return SqliteStore
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

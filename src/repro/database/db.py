@@ -23,7 +23,6 @@ from typing import List, Optional, Tuple
 
 from repro.crypto import DesKey, keycache, string_to_key
 from repro.database.journal import (
-    DEFAULT_JOURNAL_LIMIT,
     JournalEntry,
     OP_DELETE,
     OP_PUT,
@@ -99,7 +98,6 @@ class KerberosDatabase:
         store: Optional[RecordStore] = None,
         readonly: bool = False,
         journal_epoch: Optional[int] = None,
-        journal_limit: int = DEFAULT_JOURNAL_LIMIT,
     ) -> None:
         if not realm:
             raise ValueError("realm must not be empty")
@@ -120,7 +118,6 @@ class KerberosDatabase:
                     if journal_epoch is not None
                     else default_epoch(realm)
                 ),
-                limit=journal_limit,
             )
         )
         self.loaded_epoch: Optional[int] = None

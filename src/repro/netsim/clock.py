@@ -20,6 +20,8 @@ from __future__ import annotations
 HOUR = 3600.0
 MINUTE = 60.0
 
+_INF = float("inf")
+
 
 class SimClock:
     """The realm's reference clock."""
@@ -31,9 +33,9 @@ class SimClock:
         return self._now
 
     def advance(self, seconds: float) -> None:
-        """Move time forward (never back)."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance time by {seconds} (backwards)")
+        """Move time forward (never back) by a finite amount."""
+        if not 0 <= seconds < _INF:
+            raise ValueError(f"cannot advance time by {seconds}")
         self._now += seconds
 
 

@@ -94,20 +94,16 @@ class Match:
 
 
 class FaultRule:
-    """Base class: a match plus an enabled flag (rules can be paused)."""
+    """Base class: the datagrams a rule acts on.  A rule acts while it
+    is in the plane; remove it to pause it, add it again to resume."""
 
     kind = "fault"
 
     def __init__(self, match: Optional[Match] = None) -> None:
         self.match = match if match is not None else Match()
-        self.enabled = True
-
-    def applies(self, datagram) -> bool:
-        return self.enabled and self.match.matches(datagram)
 
     def __repr__(self) -> str:
-        state = "" if self.enabled else ", disabled"
-        return f"{type(self).__name__}({self.match}{state})"
+        return f"{type(self).__name__}({self.match})"
 
 
 class Loss(FaultRule):
@@ -150,7 +146,8 @@ class Reorder(FaultRule):
 
 class Jitter(FaultRule):
     """Add uniform extra latency in ``[low, high]`` simulated seconds to
-    every matching hop."""
+    every matching hop.  Both bounds are finite: a NaN or infinite delay
+    would put the datagram's arrival outside simulated time."""
 
     kind = "jitter"
 
@@ -159,7 +156,7 @@ class Jitter(FaultRule):
     ) -> None:
         super().__init__(match)
         low, high = float(low), float(high)
-        if low < 0 or high < low:
+        if not 0 <= low <= high < float("inf"):
             raise FaultError(f"jitter bounds [{low}, {high}] invalid")
         self.low = low
         self.high = high
@@ -236,10 +233,6 @@ class FaultPlane:
         self._rules.append(rule)
         return rule
 
-    def insert(self, index: int, rule: FaultRule) -> FaultRule:
-        self._rules.insert(index, rule)
-        return rule
-
     def remove(self, rule: FaultRule) -> None:
         self._rules.remove(rule)
 
@@ -264,7 +257,7 @@ class FaultPlane:
         loss/jitter rules matching ``src_port``."""
         verdict = Verdict()
         for rule in self._rules:
-            if not rule.applies(datagram):
+            if not rule.match.matches(datagram):
                 continue
             if isinstance(rule, Partition):
                 if rule.separates(datagram):

@@ -497,7 +497,7 @@ class Network:
             dst=IPAddress(dst),
             dst_port=port,
             payload=bytes(payload),
-            trace=self.tracer.propagation_context(),
+            trace=self.tracer.context(),
         )
         return self._post(datagram, one_way=False)
 
@@ -513,7 +513,7 @@ class Network:
             dst=IPAddress(dst),
             dst_port=port,
             payload=bytes(payload),
-            trace=self.tracer.propagation_context(),
+            trace=self.tracer.context(),
         )
         pending = self._post(datagram, one_way=True)
         self._pump(pending, None)
@@ -554,7 +554,7 @@ class Network:
     ) -> Optional[Span]:
         """A non-stack span covering one wire leg — the "net transit"
         slice of a traced exchange.  Only traced datagrams get one."""
-        if not self.tracer.enabled or datagram.trace is None:
+        if datagram.trace is None:
             return None
         dst = self._dotted.get(datagram.dst)
         if dst is None:

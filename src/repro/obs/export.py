@@ -246,9 +246,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
-def span_digests(
-    tracer: Tracer, quantiles=(0.5, 0.95, 0.99)
-) -> dict:
+def span_digests(tracer: Tracer) -> dict:
     """Per-span-name duration digests: ``{name: {count, sum, p50, p95,
     p99}}`` over finished spans — the per-exchange-type latency summary
     Section 9's load numbers call for."""
@@ -258,10 +256,13 @@ def span_digests(
     out: dict = {}
     for name in sorted(durations):
         values = sorted(durations[name])
-        entry = {"count": len(values), "sum": sum(values)}
-        for q in quantiles:
-            entry[f"p{int(q * 100)}"] = percentile(values, q)
-        out[name] = entry
+        out[name] = {
+            "count": len(values),
+            "sum": sum(values),
+            "p50": percentile(values, 0.5),
+            "p95": percentile(values, 0.95),
+            "p99": percentile(values, 0.99),
+        }
     return out
 
 

@@ -21,12 +21,14 @@ from typing import List, Optional
 
 from repro.obs.export import format_digests, format_span_tree, span_digests
 
+#: Trace trees the report shows; the header counts every trace.
+MAX_TRACES = 10
+
 
 def render_report(
     metrics=None,
     tracer=None,
     audit=None,
-    max_traces: int = 10,
     wire=None,
 ) -> str:
     """Merge whichever planes are supplied into one text report.
@@ -50,7 +52,7 @@ def render_report(
             sections.append("== span latency digests ==")
             sections.append(format_digests(digests))
         rids = tracer.request_ids()
-        shown = rids[:max_traces]
+        shown = rids[:MAX_TRACES]
         if shown:
             header = f"== traces ({len(shown)} of {len(rids)}) =="
             sections.append(header)

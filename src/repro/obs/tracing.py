@@ -26,10 +26,6 @@ Trace IDs are drawn from a deterministic counter (never a random or
 wall-clock source), so traces are reproducible run-to-run under the
 seeded :class:`repro.netsim.clock.SimClock`.
 
-Set ``tracer.enabled = False`` to make every span a throwaway: nothing
-is recorded and the stack is untouched, which is the baseline the
-tracing-overhead benchmark compares against.
-
 Recorded spans are kept in columns (:class:`SpanRows`), not as objects:
 a span takes its row when it opens, a live :class:`Span` stands in the
 row while it is open, and closing it writes its end time and attribute
@@ -366,7 +362,6 @@ class Tracer(HeldHandles):
 
     def __init__(self, clock, max_spans: int = MAX_RECORDED_SPANS) -> None:
         self.clock = clock
-        self.enabled = True
         #: The attached registry, or None; the held ``trace.spans_*``
         #: handles are keyed (series, span name).
         self.metrics = None
@@ -429,25 +424,12 @@ class Tracer(HeldHandles):
     def _fresh_trace_id(self) -> str:
         return f"req-{next(self._request_ids):06d}"
 
-    def _detached(
-        self, name: str, attrs: Dict[str, object], start: Optional[float] = None
-    ) -> Span:
-        """A throwaway span (tracing disabled): times correctly via the
-        clock, never recorded, never on the stack.  ``span_id == 0``
-        marks it so ``end_span`` knows to skip the stack check."""
-        return Span(
-            name, 0, None, "", self.clock.now() if start is None else start,
-            attrs,
-        )
-
     # -- span lifecycle ------------------------------------------------------
 
     def start_span(self, name: str, **attrs: object) -> Span:
         """Open a span; it becomes a child of the currently open span (or
         adopted remote context), or the root of a fresh trace if none is
         open."""
-        if not self.enabled:
-            return self._detached(name, attrs)
         parent = self._stack[-1] if self._stack else None
         if parent is not None:
             request_id = parent.request_id
@@ -463,12 +445,11 @@ class Tracer(HeldHandles):
 
     def end_span(self, span: Span) -> Span:
         """Close ``span``, which must be the innermost open span."""
-        if span.span_id != 0:  # 0: detached (tracing was disabled at start)
-            if not self._stack or self._stack[-1] is not span:
-                raise TracingError(
-                    f"cannot end {span!r}: it is not the innermost open span"
-                )
-            self._stack.pop()
+        if not self._stack or self._stack[-1] is not span:
+            raise TracingError(
+                f"cannot end {span!r}: it is not the innermost open span"
+            )
+        self._stack.pop()
         return self.close_span(span)
 
     @contextmanager
@@ -493,19 +474,13 @@ class Tracer(HeldHandles):
 
     def context(self) -> Optional[TraceContext]:
         """The innermost open span (or adopted anchor) as a propagation
-        context, or None when nothing is open."""
+        context, or None when nothing is open — what the network stamps
+        onto an outbound datagram, so traffic sent outside any span
+        stays orphaned (forged packets can never carry a context)."""
         if not self._stack:
             return None
         top = self._stack[-1]
         return TraceContext(top.request_id, top.span_id)
-
-    def propagation_context(self) -> Optional[TraceContext]:
-        """What the network stamps onto an outbound datagram: the current
-        context, or None — un-instrumented traffic stays orphaned, which
-        is itself a signal (forged packets can never carry a context)."""
-        if not self.enabled:
-            return None
-        return self.context()
 
     def new_context(self) -> TraceContext:
         """A fresh root context (no parent span), drawn from the same
@@ -520,9 +495,6 @@ class Tracer(HeldHandles):
         wire hop.  With ``context=None`` the block starts a *fresh*
         trace: an un-traced arrival must not glue itself onto whatever
         unrelated span is open on the pumping caller's stack."""
-        if not self.enabled:
-            yield
-            return
         if context is None:
             context = self.new_context()
         anchor = _Anchor(context.trace_id, context.span_id)
@@ -558,8 +530,6 @@ class Tracer(HeldHandles):
         request waiting in a queue overlaps arbitrary other work, so it
         cannot ride the synchronous stack.  Parented to ``context``
         (fresh root trace when None); close with :meth:`close_span`."""
-        if not self.enabled:
-            return self._detached(name, attrs, start)
         if context is None:
             context = self.new_context()
         return self._open(
@@ -594,8 +564,6 @@ class Tracer(HeldHandles):
         ``max_spans`` cut, the counts and the stored records are those
         of an ``open_span``/``close_span`` pair per item; no
         :class:`Span`."""
-        if not self.enabled:
-            return
         rows, now, counts = self._rows, self.clock.now(), {}
         for name, context, record in zip(names, contexts, records):
             span_id = next(self._span_ids)

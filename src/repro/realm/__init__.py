@@ -9,7 +9,7 @@ workstations with client libraries.
 
 from repro.realm.bootstrap import Realm, RealmTopology, Workstation, link
 from repro.realm.nfs_fleet import FleetServer, NfsFleet, NfsUserSpec
-from repro.realm.supervisor import RealmSupervisor, SupervisorConfig
+from repro.realm.supervisor import RealmSupervisor
 
 __all__ = [
     "FleetServer",
@@ -18,7 +18,6 @@ __all__ = [
     "Realm",
     "RealmSupervisor",
     "RealmTopology",
-    "SupervisorConfig",
     "Workstation",
     "link",
 ]

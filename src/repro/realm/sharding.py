@@ -71,7 +71,7 @@ RING_SPACE = 1 << RING_BITS
 #: Virtual nodes per shard when seeding a ring: enough that the largest
 #: arc is within a small factor of fair share, few enough that segment
 #: lists stay readable in traces.
-DEFAULT_VNODES = 16
+VNODES = 16
 
 #: Journal entries per datagram when streaming a range — bounds packet
 #: size the way delta kprop chunks its transfers.
@@ -115,18 +115,15 @@ class HashRing:
         )
 
     @classmethod
-    def seeded(
-        cls, realm: str, n_shards: int, vnodes: int = DEFAULT_VNODES,
-        epoch: int = 1,
-    ) -> "HashRing":
-        """The deterministic bootstrap ring: ``vnodes`` points per shard
+    def seeded(cls, realm: str, n_shards: int, epoch: int = 1) -> "HashRing":
+        """The deterministic bootstrap ring: :data:`VNODES` points per shard
         hashed from ``realm|shard|vnode``.  Same inputs, same ring —
         every KDC, client, and test derives an identical partition."""
         if n_shards < 1:
             raise ValueError("need at least one shard")
         points: Dict[int, int] = {}
         for shard in range(n_shards):
-            for v in range(vnodes):
+            for v in range(VNODES):
                 p = hash_point(f"{realm}|shard{shard}|vnode{v}")
                 # Collisions resolve to the lowest shard id — any
                 # deterministic rule works, it just must be *a* rule.
@@ -558,7 +555,7 @@ def move_range(realm, lo: int, hi: int, to_shard: int) -> RangeMoveResult:
 
 
 __all__ = [
-    "DEFAULT_VNODES",
+    "VNODES",
     "HashRing",
     "HesiodRingSource",
     "LocalRingSource",

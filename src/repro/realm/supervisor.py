@@ -14,7 +14,7 @@ principal-unknown error), while a dead, partitioned, or wedged one
 answers nothing.  Probing through the front door means the supervisor
 measures exactly what clients experience, not a side-channel's opinion.
 
-On :data:`SupervisorConfig.failure_threshold` consecutive missed master
+On :data:`FAILURE_THRESHOLD` consecutive missed master
 heartbeats the supervisor promotes the **freshest** healthy slave — the
 one with the most recent applied-update time, i.e. the lowest
 ``repl.slave_lag_seconds`` — via
@@ -28,7 +28,7 @@ probing it and emits a ``slave_rejoined`` audit event on its first
 answered heartbeat.
 
 Flapping protection: at most one promotion per
-:data:`SupervisorConfig.dwell_time` simulated seconds — a realm that
+:data:`DWELL_TIME` simulated seconds — a realm that
 lost two masters inside the dwell window needs an operator, not an
 oscillator.
 
@@ -42,8 +42,7 @@ the supervisor's trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.core.messages import AsRequest, MessageType, encode_message
 from repro.core.service import Service
@@ -52,41 +51,30 @@ from repro.netsim.ports import KERBEROS_PORT
 from repro.principal import Principal, tgs_principal
 
 
-@dataclass
-class SupervisorConfig:
-    """Tuning knobs for the failure detector.
+# The detector's timing suits campus-scale drills: with 5-second
+# heartbeats and a threshold of 3, a dead master is detected within 15
+# simulated seconds — comfortably inside a login-storm SLO — while a
+# single lost probe (one miss) never triggers anything.
 
-    The defaults suit campus-scale drills: with 5-second heartbeats and
-    a threshold of 3, a dead master is detected within 15 simulated
-    seconds — comfortably inside a login-storm SLO — while a single
-    lost probe (one miss) never triggers anything.
-    """
-
-    #: Seconds of simulated time between heartbeat rounds.
-    heartbeat_interval: float = 5.0
-    #: Consecutive missed master heartbeats before promotion.
-    failure_threshold: int = 3
-    #: Minimum simulated seconds between promotions (flap protection).
-    dwell_time: float = 120.0
-    #: How long one probe waits for an answer before counting a miss.
-    probe_timeout: float = 2.0
-    #: Sentinel principal name probed at each heartbeat; deliberately
-    #: unregistered, so a live KDC answers with a typed error.
-    probe_principal: str = "hbmon"
-    #: False turns the supervisor into a pure detector (no promotion) —
-    #: useful for drills that only want the heartbeat telemetry.
-    promote: bool = True
+#: Seconds of simulated time between heartbeat rounds.
+HEARTBEAT_INTERVAL = 5.0
+#: Consecutive missed master heartbeats before promotion.
+FAILURE_THRESHOLD = 3
+#: Minimum simulated seconds between promotions (flap protection).
+DWELL_TIME = 120.0
+#: How long one probe waits for an answer before counting a miss.
+PROBE_TIMEOUT = 2.0
+#: Sentinel principal name probed at each heartbeat; deliberately
+#: unregistered, so a live KDC answers with a typed error.
+PROBE_PRINCIPAL = "hbmon"
 
 
 class RealmSupervisor(Service):
     """Heartbeat failure detector + automatic slave promotion."""
 
-    def __init__(
-        self, realm, config: Optional[SupervisorConfig] = None
-    ) -> None:
+    def __init__(self, realm) -> None:
         super().__init__()
         self.realm = realm
-        self.config = config if config is not None else SupervisorConfig()
         #: Old-master addresses demoted by a promotion, watched for
         #: their first answered heartbeat (→ ``slave_rejoined``).
         self._awaiting_rejoin: Set[IPAddress] = set()
@@ -115,7 +103,7 @@ class RealmSupervisor(Service):
 
     def _schedule_next(self) -> None:
         self._tick_event = self.host.network.runtime.after(
-            self.config.heartbeat_interval, self._tick,
+            HEARTBEAT_INTERVAL, self._tick,
             label="supervisor.tick",
         )
 
@@ -159,7 +147,7 @@ class RealmSupervisor(Service):
                         self.audit.emit(
                             "slave_rejoined",
                             host=name,
-                            trace=self.tracer.propagation_context(),
+                            trace=self.tracer.context(),
                             detail=(
                                 "demoted former master answered its first "
                                 "heartbeat; catching up as a slave"
@@ -170,20 +158,14 @@ class RealmSupervisor(Service):
                     self._suspect_since.setdefault(
                         address, self.host.clock.now()
                     )
-            if (
-                self.config.promote
-                and self.misses.get(master_addr, 0)
-                >= self.config.failure_threshold
-            ):
+            if self.misses.get(master_addr, 0) >= FAILURE_THRESHOLD:
                 self._promote(master_addr, shard=site.id)
 
     def _probe(self, address: IPAddress) -> bool:
         """One front-door heartbeat: any reply — including a typed error
         for the sentinel principal — means the KDC is serving."""
         request = AsRequest(
-            client=Principal(
-                self.config.probe_principal, "", self.realm.name
-            ),
+            client=Principal(PROBE_PRINCIPAL, "", self.realm.name),
             service=tgs_principal(self.realm.name),
             requested_life=60.0,
             timestamp=self.host.clock.now(),
@@ -192,7 +174,7 @@ class RealmSupervisor(Service):
         try:
             self.host.network.rpc(
                 self.host, address, KERBEROS_PORT, wire,
-                timeout=self.config.probe_timeout,
+                timeout=PROBE_TIMEOUT,
             )
             return True
         except NetworkError:
@@ -204,7 +186,7 @@ class RealmSupervisor(Service):
         now = self.host.clock.now()
         realm = self.realm
         shard_site = realm.shards[shard]
-        if now - self._last_promotion_at < self.config.dwell_time:
+        if now - self._last_promotion_at < DWELL_TIME:
             self.metrics.counter(
                 "supervisor.promotions_suppressed_total",
                 {"realm": realm.name},
@@ -257,7 +239,7 @@ class RealmSupervisor(Service):
             self.audit.emit(
                 "master_promoted",
                 host=site.host.name,
-                trace=self.tracer.propagation_context(),
+                trace=self.tracer.context(),
                 detail=(
                     f"promoted {site.host.name} after {old_master_name} "
                     f"missed {missed} heartbeats; ttr={ttr:.3f}s"
@@ -272,4 +254,4 @@ class RealmSupervisor(Service):
         self._suspect_since.pop(master_addr, None)
 
 
-__all__ = ["RealmSupervisor", "SupervisorConfig"]
+__all__ = ["RealmSupervisor"]

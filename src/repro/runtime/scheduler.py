@@ -37,11 +37,14 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.obs.metrics import HeldHandles
 
+_INF = float("inf")
+
 
 class SchedulerError(Exception):
-    """Misuse of the event scheduler: scheduling into the past, a
-    non-positive cadence, or an event whose time the clock has already
-    passed (moved by something other than the scheduler)."""
+    """Misuse of the event scheduler: scheduling into the past or at a
+    non-finite time, a non-positive cadence, or an event whose time the
+    clock has already passed (moved by something other than the
+    scheduler)."""
 
 
 class ScheduledEvent:
@@ -108,8 +111,12 @@ class EventScheduler(HeldHandles):
         self, when: float, action: Callable[[], None], label: str = ""
     ) -> ScheduledEvent:
         """Schedule ``action`` at simulated time ``when`` (clamped to now:
-        the past is not available)."""
-        when = max(float(when), self.clock.now())
+        the past is not available).  A NaN or infinite ``when`` names no
+        instant and is refused."""
+        when = float(when)
+        if not when < _INF:
+            raise SchedulerError(f"cannot schedule at {when}")
+        when = max(when, self.clock.now())
         tiebreak, seq = self._rng.random(), next(self._seq)
         event = ScheduledEvent(when, tiebreak, seq, action, label)
         heapq.heappush(self._heap, (when, tiebreak, seq, event))
@@ -223,6 +230,8 @@ class EventScheduler(HeldHandles):
         """Run everything due within the next ``seconds`` of simulated
         time, then advance the clock to the end of the window."""
         horizon = self.clock.now() + seconds
+        if not horizon < _INF:
+            raise SchedulerError(f"cannot run for {seconds}s")
         ran = self.run_until_idle(horizon=horizon)
         remaining = horizon - self.clock.now()
         if remaining > 0:

@@ -84,8 +84,8 @@ class WorkQueue(HeldHandles, Generic[T]):
     ``process`` receives a batch (list of items) and is called when a
     worker *finishes* the batch — i.e. after its simulated service time
     has elapsed — so replies it produces are stamped with the right
-    completion time.  ``shed`` is called synchronously at submit time
-    for items refused by admission control.
+    completion time.  An item refused by admission control is the
+    caller's to answer: :meth:`submit` returns False for it.
     """
 
     def __init__(
@@ -93,7 +93,6 @@ class WorkQueue(HeldHandles, Generic[T]):
         scheduler: EventScheduler,
         config: WorkQueueConfig,
         process: Callable[[List[T]], None],
-        shed: Optional[Callable[[T], None]] = None,
         label: str = "workqueue",
         metrics=None,
         labels: Optional[dict] = None,
@@ -102,7 +101,6 @@ class WorkQueue(HeldHandles, Generic[T]):
         self.scheduler = scheduler
         self.config = config
         self._process = process
-        self._shed = shed
         self.label = label
         self._wait_span = f"{label}.wait"
         self.tracer = tracer
@@ -150,9 +148,9 @@ class WorkQueue(HeldHandles, Generic[T]):
     # -- admission ---------------------------------------------------------
 
     def submit(self, item: T, trace=None) -> bool:
-        """Queue one item.  Returns False (and calls ``shed``) when the
-        queue is at its limit — admission control, not an exception,
-        because the caller still owes the peer an overload reply.
+        """Queue one item.  Returns False when the queue is at its limit
+        — admission control, not an exception, because the caller still
+        owes the peer an overload reply.
 
         ``trace`` is the propagated :class:`repro.obs.TraceContext` of
         the request this item answers; the queue emits a per-item
@@ -160,8 +158,6 @@ class WorkQueue(HeldHandles, Generic[T]):
         if len(self._queue) >= self.config.queue_limit:
             self.shed_count += 1
             self._count("shed_total")
-            if self._shed is not None:
-                self._shed(item)
             return False
         self.submitted += 1
         self._queue.append(
@@ -217,11 +213,7 @@ class WorkQueue(HeldHandles, Generic[T]):
             wait = dispatched_at - entry.enqueued_at
             if waits is not None:
                 waits.observe(wait)
-            if (
-                self.tracer is not None
-                and self.tracer.enabled
-                and entry.trace is not None
-            ):
+            if self.tracer is not None and entry.trace is not None:
                 span = self.tracer.open_span(
                     self._wait_span,
                     context=entry.trace,

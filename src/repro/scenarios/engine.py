@@ -38,7 +38,6 @@ from repro.realm import (
     Realm,
     RealmSupervisor,
     RealmTopology,
-    SupervisorConfig,
     Workstation,
 )
 from repro.realm.sharding import hash_point, move_range
@@ -432,7 +431,7 @@ def hesiod(world: World) -> None:
 
 
 def supervisor(world: World) -> None:
-    world.supervisor = RealmSupervisor(world.realm, SupervisorConfig()).attach(
+    world.supervisor = RealmSupervisor(world.realm).attach(
         world.net.add_host("realm-monitor")
     )
 

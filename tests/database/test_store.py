@@ -7,16 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.database import FileStore, MemoryStore, SqliteStore
+from repro.database import FileStore, MemoryStore
 from repro.database.store import StoreError
 
 
-@pytest.fixture(params=["memory", "file", "sqlite"])
+@pytest.fixture(params=["memory", "file"])
 def store(request, tmp_path):
     if request.param == "memory":
         return MemoryStore()
-    if request.param == "sqlite":
-        return SqliteStore(":memory:")
     return FileStore(str(tmp_path / "kdb"))
 
 
@@ -142,47 +140,8 @@ class TestFileStorePersistence:
         assert list(mem.items()) == list(fil.items())
 
 
-class TestSqliteStorePersistence:
-    def test_reopen_preserves_data(self, tmp_path):
-        path = str(tmp_path / "kdb.sqlite")
-        store = SqliteStore(path)
-        store.put("jis", b"record")
-        store.delete("jis")
-        store.put("bcn", b"kept")
-        store.close()
-        reopened = SqliteStore(path)
-        assert reopened.get("bcn") == b"kept"
-        assert reopened.get("jis") is None
-
-    def test_realm_runs_on_sqlite(self, tmp_path):
-        """The whole KDC stack on a relational backend — the paper's
-        INGRES configuration, modernized."""
-        from repro.crypto import KeyGenerator
-        from repro.database.admin_tools import kdb_init
-
-        gen = KeyGenerator(seed=b"sqlite-realm")
-        db = kdb_init(
-            "ATHENA.MIT.EDU", "mpw", gen,
-            store=SqliteStore(str(tmp_path / "realm.sqlite")),
-        )
-        from repro.principal import Principal
-
-        db.add_principal(Principal("jis", "", "ATHENA.MIT.EDU"), password="pw")
-        from repro.core import KerberosClient, KerberosServer, StaticLocator
-        from repro.netsim import Network
-
-        net = Network()
-        kdc_host = net.add_host("kerberos")
-        KerberosServer(db, gen.fork(b"kdc")).attach(kdc_host)
-        ws = net.add_host("ws")
-        client = KerberosClient(
-            ws, "ATHENA.MIT.EDU", StaticLocator([kdc_host.address])
-        )
-        assert client.kinit("jis", "pw") is not None
-
-
 class TestSqliteLoadsOnUse:
-    """Only a store that asks for ``sqlite3`` loads it."""
+    """Importing the realm loads no ``sqlite3``: no record store uses it."""
 
     def run(self, code):
         src = Path(__file__).resolve().parents[2] / "src"
@@ -196,11 +155,3 @@ class TestSqliteLoadsOnUse:
             "import sys, repro, repro.database, repro.realm; "
             "print('sqlite3' in sys.modules)"
         ) == ["False"]
-
-    def test_sqlite_store_loads_it_on_first_use(self):
-        assert self.run(
-            "import sys, repro.database as d; "
-            "print('SqliteStore' in d.__all__, 'sqlite3' in sys.modules); "
-            "from repro.database import SqliteStore; "
-            "print(SqliteStore.__name__, 'sqlite3' in sys.modules)"
-        ) == ["True", "False", "SqliteStore", "True"]

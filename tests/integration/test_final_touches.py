@@ -51,19 +51,6 @@ class TestWorkloadFailures:
         assert result.notes["service_uses"] == 0
 
 
-class TestSqliteClose:
-    def test_operations_after_close_fail_loudly(self, tmp_path):
-        import sqlite3
-
-        from repro.database import SqliteStore
-
-        store = SqliteStore(str(tmp_path / "x.db"))
-        store.put("k", b"v")
-        store.close()
-        with pytest.raises(sqlite3.ProgrammingError):
-            store.get("k")
-
-
 class TestRealmOddsAndEnds:
     def test_service_key_lookup_unknown_raises(self):
         net = Network()

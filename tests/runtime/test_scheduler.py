@@ -159,6 +159,31 @@ class TestEvery:
             sched.every(0, lambda: None)
 
 
+NON_FINITE = [float("nan"), float("inf")]
+
+
+class TestNonFiniteTimes:
+    """A NaN or infinite time names no instant: scheduling at one or
+    running for one is refused, and nothing is queued or run."""
+
+    @pytest.mark.parametrize("when", NON_FINITE)
+    def test_at_after_and_every_refuse(self, when):
+        clock, sched = make(start=10.0)
+        for schedule in (sched.at, sched.after, sched.every):
+            with pytest.raises(SchedulerError):
+                schedule(when, lambda: None)
+        assert sched.pending() == 0 and clock.now() == 10.0
+
+    @pytest.mark.parametrize("seconds", NON_FINITE)
+    def test_run_for_refuses(self, seconds):
+        clock, sched = make()
+        fired = []
+        sched.at(1.0, lambda: fired.append(clock.now()))
+        with pytest.raises(SchedulerError):
+            sched.run_for(seconds)
+        assert fired == [] and clock.now() == 0.0
+
+
 class TestLateEvents:
     def test_an_event_the_clock_passed_is_refused_not_run_late(self):
         """Moving the clock outside the runtime past a pending event is

@@ -91,17 +91,16 @@ class TestBatching:
 
 class TestAdmissionControl:
     def test_overflow_is_shed(self):
-        shed = []
-        clock = SimClock()
-        sched = EventScheduler(clock)
-        config = WorkQueueConfig(workers=1, batch_size=1, queue_limit=2)
-        queue = WorkQueue(sched, config, lambda b: None, shed=shed.append)
+        clock, sched, queue, batches = make(
+            WorkQueueConfig(workers=1, batch_size=1, queue_limit=2)
+        )
         # Worker takes the first item immediately; two more fill the
         # queue; the fourth is refused.
         assert queue.submit(1) and queue.submit(2) and queue.submit(3)
         assert queue.submit(4) is False
-        assert shed == [4]
         assert queue.shed_count == 1
+        sched.run_until_idle()
+        assert batches == [[1], [2], [3]]
 
     def test_shedding_counts_in_metrics(self):
         from repro.obs import MetricsRegistry

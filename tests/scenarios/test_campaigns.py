@@ -21,6 +21,15 @@ class TestSmoke:
     """Small-parameter drills that keep the self-healing loop honest in
     every tier-1 run."""
 
+    @pytest.mark.xfail(
+        raises=RecursionError, strict=True,
+        reason="ROADMAP F1: each station's blocking RPC pumps the event "
+        "loop inside the station before it, so 71 stations already "
+        "exceed the interpreter's recursion limit",
+    )
+    def test_request_plane_saturation_runs_200_stations(self):
+        scenarios.run("request_plane_saturation", 1988, n_stations=200)
+
     def test_morning_login_storm_smoke(self):
         result = scenarios.run(
             "morning_login_storm", seed=2026,

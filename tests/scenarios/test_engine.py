@@ -7,7 +7,7 @@ import pytest
 
 import repro.scenarios as scenarios
 from repro.core import ErrorCode, KerberosClient, KerberosError
-from repro.netsim import HostDown
+from repro.netsim import FaultError, HostDown
 from repro.scenarios.engine import (
     AddRule,
     CampaignResult,
@@ -103,6 +103,12 @@ class TestRegistry:
     def test_unknown_override_is_rejected(self):
         with pytest.raises(KeyError, match="no parameter"):
             scenarios.run("morning_login_storm", n_typo=3)
+
+    def test_a_nan_jitter_override_is_refused(self):
+        """``-p jitter_high=NaN`` (JSON reads ``NaN``) builds no rule:
+        a NaN delay would run every jittered leg at no defined time."""
+        with pytest.raises(FaultError, match="jitter bounds"):
+            scenarios.run("lossy_wan_degradation", jitter_high=float("nan"))
 
     def test_an_override_is_a_diff_against_its_row(self):
         """``-p`` derives a row; the library's row is left as it was."""
