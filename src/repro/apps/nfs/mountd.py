@@ -45,7 +45,6 @@ class MountDaemon(AuthenticatedService):
         super().__init__(service, srvtab)
         self.nfs = nfs_server
         self.port = port
-        self.mappings_installed = 0
 
     def ports(self):
         return {self.port: self._handle}
@@ -135,7 +134,6 @@ class MountDaemon(AuthenticatedService):
             datagram.src, uid_on_client, server_cred,
             expires=context.ticket.expires,
         )
-        self.mappings_installed += 1
         self._mounts["mapped"].inc(1)
         return MountReply(
             ok=True,

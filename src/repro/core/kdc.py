@@ -203,21 +203,25 @@ class KerberosServer(AuthenticatedService):
         host = self.host
         # This server's series carry a `server` label so master and
         # slave load (Figure 10 / Section 9) can be told apart.
-        self._labels = {"server": host.name}
-        # Fixed-label series resolved once, not per request.
-        self._requests_total = {
-            kind: self.metrics.counter(
-                "kdc.requests_total", {**self._labels, "kind": kind}
-            )
-            for kind in ("as", "tgs")
-        }
-        self._ok_total = {
-            kind: self.metrics.counter(
-                "kdc.outcomes_total",
-                {**self._labels, "kind": kind, "code": "OK"},
-            )
-            for kind in ("as", "tgs")
-        }
+        self._labels = labels = {"server": host.name}
+        family = self.metrics.family
+        self._requests = family("counter", "kdc.requests_total", ("kind",), labels)
+        self._outcomes = family(
+            "counter", "kdc.outcomes_total", ("kind", "code"), labels
+        )
+        self._tgt_memo_results = family(
+            "counter", "kdc.tgt_memo_total", ("result",), labels
+        )
+        self._ticket_life = family(
+            "histogram", "kdc.ticket_life_seconds", ("kind",), labels,
+            LIFETIME_BUCKETS,
+        )
+        # Exported from attach, bumped or not; a ticket lifetime only
+        # once a ticket of its kind is issued.
+        for kind in ("as", "tgs"):
+            self._requests[kind], self._outcomes[kind, "OK"]
+        for result in ("hit", "miss"):
+            self._tgt_memo_results[result]
         self._batch_size = self.metrics.histogram(
             "kdc.batch_size", BATCH_SIZE_BUCKETS, self._labels
         )
@@ -227,21 +231,13 @@ class KerberosServer(AuthenticatedService):
         self._skeleton_hits = self.metrics.counter(
             "kdc.skeleton_hits_total", self._labels
         )
-        self._tgt_memo_total = {
-            result: self.metrics.counter(
-                "kdc.tgt_memo_total", {**self._labels, "result": result}
-            )
-            for result in ("hit", "miss")
-        }
         # Opened TGTs (see _unseal_all): content-addressed, so a rotated
         # TGS key or a changed blob simply misses; one per incarnation.
         self._tgt_memo = keycache._LruCache(TGT_MEMO_SIZE)
         # Sealed-ticket skeletons (see seal_tickets_cached): the same.
         self._skeletons = keycache._LruCache(SKELETON_CACHE_SIZE)
-        #: ``kdc.ticket_life_seconds`` by kind; see :meth:`_life_series`.
-        self._ticket_life: Dict[str, object] = {}
         if self.shard is not None:
-            self.metrics.counter("kdc.referrals_total", self._labels)
+            self._referrals = self.metrics.counter("kdc.referrals_total", labels)
         if self.queue_config is not None:
             self.workqueue = WorkQueue(
                 host.network.runtime,
@@ -274,20 +270,6 @@ class KerberosServer(AuthenticatedService):
         )
         return int(all_outcomes - ok)
 
-    def _life_series(self, kind: str):
-        """``kdc.ticket_life_seconds{kind}``, bound when the first ticket
-        of the kind is issued — at attach it would put an empty series
-        in the export of every KDC that never issues one."""
-        series = self._ticket_life[kind] = self.metrics.histogram(
-            "kdc.ticket_life_seconds", LIFETIME_BUCKETS, {**self._labels, "kind": kind}
-        )
-        return series
-
-    def _outcome(self, kind: str, code: str) -> None:
-        self.metrics.counter(
-            "kdc.outcomes_total", {**self._labels, "kind": kind, "code": code}
-        ).inc()
-
     # -- dispatch -------------------------------------------------------------
 
     def _handle(self, datagram):
@@ -302,7 +284,7 @@ class KerberosServer(AuthenticatedService):
                 ErrorCode.KDC_OVERLOADED,
                 f"KDC {self.host.name} shed the request (queue full)",
             )
-            self._outcome("shed", err.code.name)
+            self._outcomes["shed", err.code.name].inc()
             self.audit.emit(
                 "overload_shed",
                 host=self.host.name,
@@ -382,7 +364,7 @@ class KerberosServer(AuthenticatedService):
         now = self.host.clock.now()
         blocks_before = interleaved_blocks()
         lookups_before = self._lookups_saved.value
-        memo_hits_before = self._tgt_memo_total["hit"].value
+        memo_hits_before = self._tgt_memo_results["hit"].value
         # -- stage 1: decode-all -------------------------------------------
         kinds = ["other"] * n
         errors: List[Optional[KerberosError]] = [None] * n
@@ -408,7 +390,7 @@ class KerberosServer(AuthenticatedService):
             # AS requests name their client in the clear; a TGS request's
             # is filled in once its TGT authenticates it.
             principals[i] = str(getattr(message, "client", "") or "")
-            self._requests_total[kinds[i]].inc()
+            self._requests[kinds[i]].inc()
         # -- stage 2: unseal-all (TGS request side, two wide waves) --------
         crypto_ops = [0] * n
         meter = _KeyTouchMeter()
@@ -459,7 +441,7 @@ class KerberosServer(AuthenticatedService):
             "stage_interleaved_blocks": interleaved_blocks() - blocks_before,
             "stage_skeleton_hits": skeleton_hits,
             "stage_tgt_memo_hits": int(
-                self._tgt_memo_total["hit"].value - memo_hits_before
+                self._tgt_memo_results["hit"].value - memo_hits_before
             ),
             "stage_encoded_bytes": sum(map(len, replies)),
         }
@@ -479,7 +461,7 @@ class KerberosServer(AuthenticatedService):
             kind, err = kinds[i], errors[i]
             if err is None:
                 records.append((keys, *heads[i], n, crypto_ops[i], *stage))
-                self._ok_total[kind].inc()
+                self._outcomes[kind, "OK"].inc()
                 run.append((principals[i], datagram.trace, _OK_DETAIL[kind]))
                 continue
             # What Tracer.span records for an exception passing through
@@ -488,7 +470,7 @@ class KerberosServer(AuthenticatedService):
                 keys + ("error",), *heads[i], n, crypto_ops[i], *stage,
                 f"{type(err).__name__}: {err}",
             ))
-            self._outcome(kind, err.code.name)
+            self._outcomes[kind, err.code.name].inc()
             if run:  # the successes before it, in item order
                 self.audit.emit_run("auth_success", host, *zip(*run))
                 run = []
@@ -579,9 +561,9 @@ class KerberosServer(AuthenticatedService):
             for i in items:
                 tickets[i] = ticket
         if hits:
-            self._tgt_memo_total["hit"].inc(hits)
+            self._tgt_memo_results["hit"].inc(hits)
         if misses:
-            self._tgt_memo_total["miss"].inc(misses)
+            self._tgt_memo_results["miss"].inc(misses)
         # Wave 2: the authenticators of the tickets that check out, each
         # under its TGT's session key.
         survivors = []
@@ -672,7 +654,7 @@ class KerberosServer(AuthenticatedService):
                 # Figure 8: "encrypted in the session key that was part
                 # of the ticket-granting ticket" — no password again.
                 reply_key = context.session_key
-            (self._ticket_life.get(kind) or self._life_series(kind)).observe(lives[i])
+            self._ticket_life[kind].observe(lives[i])
             prepared[i] = _Prepared(
                 mtype=mtype,
                 ticket=Ticket(
@@ -830,9 +812,7 @@ class KerberosServer(AuthenticatedService):
             if self.shard is not None:
                 referral = self.shard.referral_for(client.db_key())
                 if referral is not None:
-                    self.metrics.counter(
-                        "kdc.referrals_total", self._labels
-                    ).inc()
+                    self._referrals.inc()
                     raise referral from exc
             raise KerberosError(ErrorCode.KDC_PR_UNKNOWN, str(exc)) from exc
         if record.expired(now):

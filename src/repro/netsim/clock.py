@@ -23,11 +23,19 @@ MINUTE = 60.0
 _INF = float("inf")
 
 
+def _finite(value: float, what: str) -> float:
+    """``value`` as a float; a NaN or infinite one names no time."""
+    value = float(value)
+    if not -_INF < value < _INF:
+        raise ValueError(f"clock {what} must be finite, got {value}")
+    return value
+
+
 class SimClock:
     """The realm's reference clock."""
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+        self._now = _finite(start, "start")
 
     def now(self) -> float:
         return self._now
@@ -49,10 +57,18 @@ class HostClock:
 
     def __init__(self, reference: SimClock, skew: float = 0.0) -> None:
         self._reference = reference
-        self.skew = float(skew)
+        self.skew = skew
+
+    @property
+    def skew(self) -> float:
+        return self._skew
+
+    @skew.setter
+    def skew(self, value: float) -> None:
+        self._skew = _finite(value, "skew")
 
     def now(self) -> float:
-        return self._reference.now() + self.skew
+        return self._reference.now() + self._skew
 
     def __repr__(self) -> str:
         return f"HostClock(skew={self.skew:+.1f}s)"

@@ -315,17 +315,16 @@ class Network:
         #: The realm-wide observability planes: every instrumented layer
         #: (KDC, caches, propagation, NFS ...) records here.
         self.metrics = MetricsRegistry()
-        #: Held per-leg ``net.*`` handles, by (series, label value); the
-        #: registry is this network's for life.
-        self._held: Dict[tuple, object] = {}
-        self.tracer = Tracer(self.clock)
-        self.tracer.metrics = self.metrics
+        #: What every wire leg counts, by drop reason or destination port.
+        self._drops = self.metrics.family("counter", "net.drops_total", ("reason",))
+        self._datagrams = self.metrics.family("counter", "net.datagrams_total", ("port",))
+        self._bytes = self.metrics.family("counter", "net.bytes_total", ("port",))
+        self.tracer = Tracer(self.clock, metrics=self.metrics)
         #: The append-only security-event log (auth failures, replays,
         #: tampered propagation ...); see :mod:`repro.obs.audit`.
         self.audit = AuditLog(self.clock, metrics=self.metrics)
         #: The discrete-event runtime every datagram leg is scheduled on.
-        self.runtime = EventScheduler(self.clock, seed=seed)
-        self.runtime.metrics = self.metrics
+        self.runtime = EventScheduler(self.clock, seed=seed, metrics=self.metrics)
         #: The fault-injection plane (loss, duplication, reordering,
         #: jitter, partitions), sharing the network's seeded RNG so
         #: chaos runs are reproducible.
@@ -634,25 +633,15 @@ class Network:
                     dropped = "intercepted"
                     break
                 datagram = result
-        held = self._held
         if dropped is not None:
-            (
-                held.get(("net.drops_total", dropped))
-                or self._counter("net.drops_total", "reason", dropped)
-            ).inc()
+            self._drops[dropped].inc()
             self._end_transit(transit, dropped=dropped)
             lost(datagram)
             return
         self._end_transit(transit)
         port = datagram.dst_port
-        (
-            held.get(("net.datagrams_total", port))
-            or self._counter("net.datagrams_total", "port", port)
-        ).inc()
-        (
-            held.get(("net.bytes_total", port))
-            or self._counter("net.bytes_total", "port", port)
-        ).inc(len(datagram.payload))
+        self._datagrams[port].inc()
+        self._bytes[port].inc(len(datagram.payload))
         if verdict.extra_delay:
             self.runtime.after(
                 verdict.extra_delay,
@@ -661,16 +650,6 @@ class Network:
             )
         else:
             landed(datagram, verdict)
-
-    def _counter(self, series: str, label: str, value):
-        """``series{label=value}``, looked up by name once — the first
-        time a leg needs it; earlier would put an empty series in every
-        export — and held from then on: a lookup per leg was a dict, a
-        sort and a tuple each."""
-        handle = self._held[series, value] = self.metrics.counter(
-            series, {label: value}
-        )
-        return handle
 
     def _arrive(
         self,

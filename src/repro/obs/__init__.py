@@ -50,7 +50,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    HeldHandles,
     Histogram,
     MetricsError,
     MetricsRegistry,
@@ -82,7 +81,6 @@ __all__ = [
     "AuditLog",
     "Counter",
     "Gauge",
-    "HeldHandles",
     "Histogram",
     "LATENCY_BUCKETS",
     "LIFETIME_BUCKETS",

@@ -28,7 +28,6 @@ import itertools
 from array import array
 from typing import Dict, List, NamedTuple, Optional
 
-from repro.obs.metrics import HeldHandles
 
 #: The closed event vocabulary.  Every kind maps to a victim-side
 #: detection point:
@@ -98,7 +97,7 @@ class AuditEvent(NamedTuple):
         )
 
 
-class AuditLog(HeldHandles):
+class AuditLog:
     """The realm-wide append-only security-event log.
 
     One per :class:`~repro.netsim.network.Network` (``net.audit``);
@@ -112,8 +111,12 @@ class AuditLog(HeldHandles):
         self, clock, metrics=None, max_events: int = MAX_RECORDED_EVENTS
     ) -> None:
         self.clock = clock
-        #: The held ``audit.events_*`` handles are keyed (series, kind).
-        self.metrics = metrics
+        self._events = self._dropped = None
+        if metrics is not None:
+            self._events = metrics.family("counter", "audit.events_total", ("kind",))
+            self._dropped = metrics.family(
+                "counter", "audit.events_dropped_total", ()
+            )
         self.max_events = max_events
         # The kept events, one row each across these columns.
         self._seqs = array("q")
@@ -130,14 +133,6 @@ class AuditLog(HeldHandles):
         self._seq = itertools.count(1)
         #: One copy of each principal name the kept events carry.
         self._principals: Dict[str, str] = {}
-
-    def _counter(self, series: str, kind: Optional[str] = None):
-        """Bind ``series`` — its ``kind`` series, given one — the first
-        time it is bumped."""
-        handle = self._held[series, kind] = self._metrics.counter(
-            series, None if kind is None else {"kind": kind}
-        )
-        return handle
 
     def emit(
         self,
@@ -162,7 +157,7 @@ class AuditLog(HeldHandles):
             raise AuditError(
                 f"unknown audit kind {kind!r} (known: {', '.join(AUDIT_KINDS)})"
             )
-        now, counts = self.clock.now(), {}
+        now, counted, dropped = self.clock.now(), 0, 0
         for principal, trace, detail in zip(principals, traces, details):
             seq, trace_id = next(self._seq), str(getattr(trace, "trace_id", trace) or "")
             if len(self._kinds) < self.max_events:
@@ -175,13 +170,14 @@ class AuditLog(HeldHandles):
                 self._whos.append(principal)
                 self._traces.append(trace_id)
                 self._details.append(detail)
-                key = ("audit.events_total", kind)
+                counted += 1
             else:
-                key = ("audit.events_dropped_total", None)
-            counts[key] = counts.get(key, 0) + 1
-        if self._metrics is not None:
-            for key, count in counts.items():
-                (self._held.get(key) or self._counter(*key)).inc(count)
+                dropped += 1
+        if self._events is not None:
+            if counted:
+                self._events[kind].inc(counted)
+            if dropped:
+                self._dropped[()].inc(dropped)
         return AuditEvent(seq, now, kind, host, principal, trace_id, detail)
 
     # -- queries ------------------------------------------------------------

@@ -16,6 +16,7 @@ under the seeded :class:`repro.netsim.clock.SimClock`.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -227,6 +228,34 @@ class MetricsRegistry:
         self._histogram_bounds[name] = bounds
         return instrument
 
+    def family(
+        self,
+        kind: str,
+        name: str,
+        labelnames: Sequence[str],
+        base_labels: Optional[Mapping[str, object]] = None,
+        buckets: Optional[Sequence[float]] = None,
+    ) -> "Family":
+        """The series of ``name`` that per-event code bumps, by the
+        values of ``labelnames`` on top of ``base_labels``: ``family[v]``
+        for one label name, ``family[v1, v2]`` for two, ``family[()]``
+        for none.  Each is bound the first time its key is touched — a
+        series no event has bumped stays out of every export — and held
+        from then on, so a hit is one dict probe where a lookup by name
+        builds, normalises and sorts a labels dict."""
+        factory = {
+            "counter": self.counter,
+            "gauge": self.gauge,
+            "histogram": functools.partial(self.histogram, boundaries=buckets),
+        }[kind]
+        base, names = dict(base_labels or {}), tuple(labelnames)
+
+        def bind(key):
+            values = (key,) if len(names) == 1 else key
+            return factory(name, labels={**base, **dict(zip(names, values))})
+
+        return Family(bind)
+
     def _get_or_create(self, cls, name, labels, **kwargs):
         key = (name, labels_key(labels))
         existing = self._instruments.get(key)
@@ -329,27 +358,17 @@ class MetricsRegistry:
         }
 
 
-class HeldHandles:
-    """Mixin: a reassignable ``metrics`` registry and the instrument
-    handles its owner holds on it.
+class Family(dict):
+    """Instruments of one name by their label values, each bound through
+    the registry (kind checks and series cap included) on first touch;
+    see :meth:`MetricsRegistry.family`."""
 
-    Code that bumps a labelled series per event — every scheduled
-    event, recorded span, audit event, queued item — used to look it up
-    by name each time: a fresh dict, :func:`labels_key` and a sort,
-    1.4 us against 0.15 for a held handle.  The owner keeps
-    ``self._held[key]`` instead and binds a handle, in a method of its
-    own, the *first time* its key is bumped — at attach it would put an
-    empty series into every export.  Reassigning ``metrics`` (None
-    detaches) drops what was held on the old registry."""
+    __slots__ = ("_bind",)
 
-    _metrics = None
+    def __init__(self, bind) -> None:
+        super().__init__()
+        self._bind = bind
 
-    @property
-    def metrics(self):
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
-        self._metrics = registry
-        self._held: dict = {}
-
+    def __missing__(self, key):
+        instrument = self[key] = self._bind(key)
+        return instrument

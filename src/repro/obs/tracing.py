@@ -45,8 +45,6 @@ from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
-from repro.obs.metrics import HeldHandles
-
 #: Recorded-span ceiling: beyond this the tracer stops *recording* (spans
 #: still time correctly) so a runaway storm cannot grow memory unbounded.
 MAX_RECORDED_SPANS = 200_000
@@ -350,21 +348,26 @@ class _Anchor:
         self.span_id = span_id
 
 
-class Tracer(HeldHandles):
+class Tracer:
     """Records spans against a clock exposing ``now() -> float``.
 
     The clock is duck-typed so the module stays free of the simulator; in the
-    simulation it is the network's :class:`SimClock`.  When a
-    :class:`repro.obs.MetricsRegistry` is attached (``tracer.metrics``),
-    recorded spans count into ``trace.spans_total{name}`` and overflow
-    into ``trace.spans_dropped_total``.
+    simulation it is the network's :class:`SimClock`.  Given a
+    :class:`repro.obs.MetricsRegistry` (``metrics``), recorded spans
+    count into ``trace.spans_total{name}`` and overflow into
+    ``trace.spans_dropped_total``.
     """
 
-    def __init__(self, clock, max_spans: int = MAX_RECORDED_SPANS) -> None:
+    def __init__(
+        self, clock, max_spans: int = MAX_RECORDED_SPANS, metrics=None
+    ) -> None:
         self.clock = clock
-        #: The attached registry, or None; the held ``trace.spans_*``
-        #: handles are keyed (series, span name).
-        self.metrics = None
+        self._spans = self._spans_dropped = None
+        if metrics is not None:
+            self._spans = metrics.family("counter", "trace.spans_total", ("name",))
+            self._spans_dropped = metrics.family(
+                "counter", "trace.spans_dropped_total", ()
+            )
         self.max_spans = max_spans
         self._rows = SpanRows()
         self._stack: List[object] = []  # Spans and _Anchors
@@ -381,14 +384,6 @@ class Tracer(HeldHandles):
         return self._rows
 
     # -- internal helpers ----------------------------------------------------
-
-    def _counter(self, series: str, name: Optional[str] = None):
-        """Bind ``series`` — its ``name`` series, given one — the first
-        time it is bumped."""
-        handle = self._held[series, name] = self._metrics.counter(
-            series, None if name is None else {"name": name}
-        )
-        return handle
 
     def _open(
         self,
@@ -408,11 +403,11 @@ class Tracer(HeldHandles):
         rows = self._rows
         if len(rows.records) < self.max_spans:
             rows.reserve(span)
-            key = ("trace.spans_total", name)
+            series, key = self._spans, name
         else:
-            key = ("trace.spans_dropped_total", None)
-        if self._metrics is not None:
-            (self._held.get(key) or self._counter(*key)).inc()
+            series, key = self._spans_dropped, ()
+        if series is not None:
+            series[key].inc()
         return span
 
     def _key_set(self, keys: tuple) -> _KeySet:
@@ -564,7 +559,7 @@ class Tracer(HeldHandles):
         ``max_spans`` cut, the counts and the stored records are those
         of an ``open_span``/``close_span`` pair per item; no
         :class:`Span`."""
-        rows, now, counts = self._rows, self.clock.now(), {}
+        rows, now, counts, dropped = self._rows, self.clock.now(), {}, 0
         for name, context, record in zip(names, contexts, records):
             span_id = next(self._span_ids)
             if context is None:
@@ -579,13 +574,14 @@ class Tracer(HeldHandles):
                 rows.names.append(self._names.setdefault(name, name))
                 rows.traces.append(trace)
                 rows.records.append(self._key_set(record[0]).share(record))
-                key = ("trace.spans_total", name)
+                counts[name] = counts.get(name, 0) + 1
             else:
-                key = ("trace.spans_dropped_total", None)
-            counts[key] = counts.get(key, 0) + 1
-        if self._metrics is not None:
-            for key, count in counts.items():
-                (self._held.get(key) or self._counter(*key)).inc(count)
+                dropped += 1
+        if self._spans is not None:
+            for name, count in counts.items():
+                self._spans[name].inc(count)
+            if dropped:
+                self._spans_dropped[()].inc(dropped)
 
     # -- queries ------------------------------------------------------------------
 
@@ -618,9 +614,6 @@ class Tracer(HeldHandles):
     def request_ids(self) -> List[str]:
         """Distinct trace IDs, in first-seen order."""
         return list(dict.fromkeys(self._rows.traces))
-
-    #: The propagated-context vocabulary alias: one scheme, two names.
-    trace_ids = request_ids
 
     def hosts(self, request_id: Optional[str] = None) -> List[str]:
         """Distinct ``host`` attribute values across recorded spans (one

@@ -80,7 +80,6 @@ class RealmSupervisor(Service):
         self._awaiting_rejoin: Set[IPAddress] = set()
         self._last_promotion_at = float("-inf")
         self._tick_event = None
-        self.promotions = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -245,7 +244,6 @@ class RealmSupervisor(Service):
                     f"missed {missed} heartbeats; ttr={ttr:.3f}s"
                 ),
             )
-        self.promotions += 1
         self._last_promotion_at = self.host.clock.now()
         # The old master is now the realm's newest slave; watch it for
         # its comeback, and judge it fresh from a clean slate.

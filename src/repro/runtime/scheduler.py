@@ -35,8 +35,6 @@ import itertools
 import random
 from typing import Callable, List, Optional, Tuple
 
-from repro.obs.metrics import HeldHandles
-
 _INF = float("inf")
 
 
@@ -72,7 +70,7 @@ class ScheduledEvent:
         return f"ScheduledEvent({self.label!r} @ {self.time:.6f}{state})"
 
 
-class EventScheduler(HeldHandles):
+class EventScheduler:
     """A priority queue of events over one :class:`SimClock`, and the
     only thing that moves it.
 
@@ -80,9 +78,13 @@ class EventScheduler(HeldHandles):
     :meth:`step`/:meth:`run_for` (this is how a server handler
     performing its own RPC waits for the nested reply, and how a retry
     backs off while the rest of the realm keeps running).
+
+    With a ``metrics`` registry it counts every event scheduled and run
+    into ``runtime.events_{scheduled,run}_total{label}``; without one
+    (None) it counts nothing.
     """
 
-    def __init__(self, clock, seed: int = 0) -> None:
+    def __init__(self, clock, seed: int = 0, metrics=None) -> None:
         self.clock = clock
         # ``(time, tiebreak, seq, event)``: the order is the tuple's, so
         # ``heapq`` compares in C; ``seq`` is unique, so it never reaches
@@ -92,18 +94,15 @@ class EventScheduler(HeldHandles):
         # Tie-breaking only — kept separate from the fault plane's RNG so
         # scheduling never perturbs fault draws (and vice versa).
         self._rng = random.Random(f"runtime:{seed}")
-        #: Optional MetricsRegistry, set by the network; the held
-        #: ``runtime.events_*_total`` handles are keyed (series, label).
-        self.metrics = None
         self._executed = 0
-
-    def _counter(self, series: str, label: str):
-        """Bind ``series{label}`` the first time an event of that label
-        is seen."""
-        handle = self._held[series, label] = self._metrics.counter(
-            series, {"label": label or "event"}
-        )
-        return handle
+        self._events_scheduled = self._events_run = None
+        if metrics is not None:
+            self._events_scheduled = metrics.family(
+                "counter", "runtime.events_scheduled_total", ("label",)
+            )
+            self._events_run = metrics.family(
+                "counter", "runtime.events_run_total", ("label",)
+            )
 
     # -- scheduling -------------------------------------------------------
 
@@ -120,9 +119,8 @@ class EventScheduler(HeldHandles):
         tiebreak, seq = self._rng.random(), next(self._seq)
         event = ScheduledEvent(when, tiebreak, seq, action, label)
         heapq.heappush(self._heap, (when, tiebreak, seq, event))
-        if self._metrics is not None:
-            key = ("runtime.events_scheduled_total", label)
-            (self._held.get(key) or self._counter(*key)).inc()
+        if self._events_scheduled is not None:
+            self._events_scheduled[label or "event"].inc()
         return event
 
     def after(
@@ -203,9 +201,8 @@ class EventScheduler(HeldHandles):
         if gap > 0:
             self.clock.advance(gap)
         self._executed += 1
-        if self._metrics is not None:
-            key = ("runtime.events_run_total", head.label)
-            (self._held.get(key) or self._counter(*key)).inc()
+        if self._events_run is not None:
+            self._events_run[head.label or "event"].inc()
         head.action()
         return True
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generic, List, NamedTuple, Optional, Sequence, TypeVar
 
-from repro.obs.metrics import HeldHandles
 from repro.runtime.scheduler import EventScheduler
 
 T = TypeVar("T")
@@ -78,7 +77,7 @@ class WorkQueueConfig:
         return self.batch_overhead + n * self.per_item_cost
 
 
-class WorkQueue(HeldHandles, Generic[T]):
+class WorkQueue(Generic[T]):
     """One service's inbound queue + worker pool on the scheduler.
 
     ``process`` receives a batch (list of items) and is called when a
@@ -86,6 +85,10 @@ class WorkQueue(HeldHandles, Generic[T]):
     has elapsed — so replies it produces are stamped with the right
     completion time.  An item refused by admission control is the
     caller's to answer: :meth:`submit` returns False for it.
+
+    Given a ``metrics`` registry it keeps ``<label>.submitted_total``,
+    ``.shed_total``, ``.batches_total``, ``.queue_depth`` and
+    ``.wait_seconds`` under ``labels``; without one it counts nothing.
     """
 
     def __init__(
@@ -104,15 +107,19 @@ class WorkQueue(HeldHandles, Generic[T]):
         self.label = label
         self._wait_span = f"{label}.wait"
         self.tracer = tracer
-        self._labels = dict(labels or {})
-        #: The held ``<label>.*`` handles are keyed by series suffix.
-        self.metrics = metrics
+        self._submitted = self._shed = self._batches = None
+        self._depth = self._waits = None
+        if metrics is not None:
+            def family(kind, name, buckets=None):
+                return metrics.family(kind, f"{label}.{name}", (), labels, buckets)
+
+            self._submitted = family("counter", "submitted_total")
+            self._shed = family("counter", "shed_total")
+            self._batches = family("counter", "batches_total")
+            self._depth = family("gauge", "queue_depth")
+            self._waits = family("histogram", "wait_seconds", WAIT_BUCKETS)
         self._queue: List[QueuedItem] = []
         self._busy_workers = 0
-        self.submitted = 0
-        self.shed_count = 0
-        self.completed = 0
-        self.batches = 0
         #: Metadata of the batch currently inside the ``process``
         #: callback (aligned with the items it received), plus the time
         #: the batch entered service — how the owner annotates its spans
@@ -122,28 +129,14 @@ class WorkQueue(HeldHandles, Generic[T]):
 
     # -- instrumentation ---------------------------------------------------
 
-    def _series(self, name: str):
-        """Bind ``<label>.<name>``, under the queue's labels, the first
-        time it is touched."""
-        series = f"{self.label}.{name}"
-        if name == "queue_depth":
-            handle = self._metrics.gauge(series, self._labels)
-        elif name == "wait_seconds":
-            handle = self._metrics.histogram(series, WAIT_BUCKETS, self._labels)
-        else:
-            handle = self._metrics.counter(series, self._labels)
-        self._held[name] = handle
-        return handle
-
     def _gauge_depth(self) -> None:
-        if self._metrics is not None:
-            (
-                self._held.get("queue_depth") or self._series("queue_depth")
-            ).set(len(self._queue))
+        if self._depth is not None:
+            self._depth[()].set(len(self._queue))
 
-    def _count(self, name: str) -> None:
-        if self._metrics is not None:
-            (self._held.get(name) or self._series(name)).inc()
+    @staticmethod
+    def _count(series) -> None:
+        if series is not None:
+            series[()].inc()
 
     # -- admission ---------------------------------------------------------
 
@@ -156,14 +149,12 @@ class WorkQueue(HeldHandles, Generic[T]):
         the request this item answers; the queue emits a per-item
         ``<label>.wait`` span under it covering enqueue → service."""
         if len(self._queue) >= self.config.queue_limit:
-            self.shed_count += 1
-            self._count("shed_total")
+            self._count(self._shed)
             return False
-        self.submitted += 1
         self._queue.append(
             QueuedItem(item, trace, self.scheduler.clock.now())
         )
-        self._count("submitted_total")
+        self._count(self._submitted)
         self._gauge_depth()
         self._dispatch()
         return True
@@ -188,8 +179,7 @@ class WorkQueue(HeldHandles, Generic[T]):
             batch = self._queue[: self.config.batch_size]
             del self._queue[: len(batch)]
             self._busy_workers += 1
-            self.batches += 1
-            self._count("batches_total")
+            self._count(self._batches)
             self._gauge_depth()
             dispatched_at = self.scheduler.clock.now()
             self._observe_waits(batch, dispatched_at)
@@ -206,9 +196,7 @@ class WorkQueue(HeldHandles, Generic[T]):
         histogram observation and (for traced items) a non-stack span
         covering the residency, so the wait shows up in the trace tree
         next to the handler span it delayed."""
-        waits = None
-        if self._metrics is not None:
-            waits = self._held.get("wait_seconds") or self._series("wait_seconds")
+        waits = None if self._waits is None else self._waits[()]
         for entry in batch:
             wait = dispatched_at - entry.enqueued_at
             if waits is not None:
@@ -225,7 +213,6 @@ class WorkQueue(HeldHandles, Generic[T]):
         self, batch: List[QueuedItem], dispatched_at: Optional[float] = None
     ) -> None:
         self._busy_workers -= 1
-        self.completed += len(batch)
         self.current_batch = batch
         self.current_batch_dispatched_at = dispatched_at
         try:

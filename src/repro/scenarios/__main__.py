@@ -18,6 +18,8 @@ import json
 import sys
 
 import repro.scenarios as scenarios
+from repro.netsim.faults import FaultError
+from repro.runtime import SchedulerError
 from repro.scenarios.engine import run
 
 
@@ -78,8 +80,13 @@ def main(argv=None) -> int:
     all_passed = True
     for spec in selected:
         name, params = spec.name, dict(spec.defaults)
-        row = spec.override(**{k: v for k, v in args.param if k in params})
-        result = run(row, args.seed)
+        try:
+            row = spec.override(**{k: v for k, v in args.param if k in params})
+            result = run(row, args.seed)
+        except (ValueError, FaultError, SchedulerError) as exc:
+            # A parameter the realm refuses (a NaN skew, a jitter bound
+            # past infinity): one line and exit status 2, as for a bad flag.
+            parser.error(f"{name}: {exc}")
         summaries[name] = result.summary()
         all_passed = all_passed and result.passed
         verdict = "PASS" if result.passed else "FAIL"

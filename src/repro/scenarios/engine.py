@@ -615,10 +615,11 @@ def _by_drift(world: World, drifted: bool) -> List[StationRecord]:
     return [r for r in world.records if (r.station in names) == drifted]
 
 
-def _noted(w: World, series: str, note: str, cast: Callable):
-    """A series' total as the observation, and as the note ``note``."""
+def _noted(w: World, series: str, note: str, cast: Callable, **more):
+    """A series' total as the observation, and as the note ``note``
+    (beside the notes ``more``)."""
     value = w.net.metrics.total(series)
-    return value, {note: cast(value)}
+    return value, {note: cast(value), **more}
 
 
 def _post_recovery_write(w: World, r: CampaignResult):
@@ -675,13 +676,11 @@ OBSERVE: Dict[str, Callable[[World, CampaignResult], Tuple[float, dict]]] = {
     "success_rate": lambda w, r: (r.success_rate(), {}),
     "latency_p95": lambda w, r: (r.latency_p95, {}),
     "latency_p99": lambda w, r: (r.latency_p99, {}),
-    "promotions": lambda w, r: (w.supervisor.promotions, {
-        "promotions": w.supervisor.promotions, "old_master": w.first_master,
-        "new_master": w.realm.shards[0].master_host.name,
-    }),
-    "promotions_max": lambda w, r: (
-        w.supervisor.promotions, {"promotions": w.supervisor.promotions}
+    "promotions": lambda w, r: _noted(
+        w, "realm.promotions_total", "promotions", int,
+        old_master=w.first_master, new_master=w.realm.shards[0].master_host.name,
     ),
+    "promotions_max": lambda w, r: _noted(w, "realm.promotions_total", "promotions", int),
     "time_to_recover": lambda w, r: _noted(
         w, "realm.time_to_recover_seconds", "time_to_recover", float
     ),

@@ -101,6 +101,8 @@ REMOVED = {
     44: ("word", "partition_master"),
     45: ("word", "SqliteStore", "sqlstore", "SupervisorConfig", "propagation_context",
          "_detached"),
+    47: ("word", "HeldHandles", "trace_ids", "shed_count", "_life_series",
+         "mappings_installed"),
 }
 
 
@@ -421,36 +423,52 @@ def _oracle_imports(tree):
 # -- The KDC: one plane, per-batch work, handles instead of lookups.
 
 #: Per module: the functions that run per batch or per event (they hold
-#: handles), and the ones that bind a handle at first use (by name).
+#: handles).  The one binder, looking a series up by name the first time
+#: its key is touched, is the registry's family.
 HANDLES = {
-    KDC: (("_serve_batch", "_unseal_all", "_get_record", "_issue_all", "_lookup_all",
-           "_unseal_keys", "_admit", "_lookup_service", "_lookup_tgs_service"),
-          ("_outcome", "_life_series")),
-    "src/repro/runtime/scheduler.py": (("at", "step"), ("_counter",)),
-    "src/repro/netsim/network.py": (("_wire_leg",), ("_counter",)),
-    "src/repro/obs/tracing.py": (("_open", "record_instants"), ("_counter",)),
-    "src/repro/obs/audit.py": (("emit_run",), ("_counter",)),
-    "src/repro/runtime/workqueue.py": (("_count", "_gauge_depth", "_observe_waits"),
-                                       ("_series",)),
+    KDC: ("_serve_batch", "_unseal_all", "_get_record", "_issue_all", "_lookup_all",
+          "_unseal_keys", "_admit", "_lookup_service", "_lookup_tgs_service"),
+    "src/repro/runtime/scheduler.py": ("at", "step"),
+    "src/repro/netsim/network.py": ("_wire_leg",),
+    "src/repro/obs/tracing.py": ("_open", "record_instants"),
+    "src/repro/obs/audit.py": ("emit_run",),
+    "src/repro/runtime/workqueue.py": ("_count", "_gauge_depth", "_observe_waits"),
 }
+BINDER = ("src/repro/obs/metrics.py", "family")
+
+
+def _lookups(tree):
+    """Where ``tree`` names a by-name lookup of the registry (its own, in
+    the registry module)."""
+    return [
+        (node.lineno, ast.unparse(node)) for node in nodes(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"total", "counter", "gauge", "histogram", "family"}
+        and ast.unparse(node.value) in ("self", "self.metrics", "self._metrics")
+    ]
+
+
+def _kept_in_a_dict(func):
+    """What ``func`` stores under a key: subscript stores, dict comprehensions."""
+    for node in nodes(func):
+        if isinstance(node, ast.DictComp) or isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Subscript) for target in node.targets
+        ):
+            yield node.value
 
 
 def _handles(trees):
     for rel, tree in trees.items():
-        per_event, binders = HANDLES[rel]
         for name, func in functions(tree).items():
-            lookups = [
-                (node.lineno, ast.unparse(node.func))
-                for node in calls(func, {"total", "counter", "gauge", "histogram"})
-                if isinstance(node.func, ast.Attribute)
-                and ast.unparse(node.func.value) in ("self.metrics", "self._metrics")
-            ]
-            if name in per_event:
+            lookups = _lookups(func)
+            if name in HANDLES.get(rel, ()):
                 yield from ((rel, line, f"{name} looks up {what}") for line, what in lookups)
                 if not lookups:
                     yield rel, func.lineno, f"{name} reads handles"
-            if name in binders and lookups:
+            elif (rel, name) == BINDER and lookups:
                 yield rel, func.lineno, f"{name} binds at first use"
+            elif any(map(_lookups, _kept_in_a_dict(func))):
+                yield rel, func.lineno, f"{name} binds by hand"
 
 
 def _batch_of_one(tree):
@@ -642,6 +660,9 @@ KDC_PLANT = (
     "    return decode_message(self.metrics.counter('kdc.outcomes_total', code=code))\n"
     "def _admit(self, items):\n"
     "    return self._admitted.inc(len(items))\n"
+    "def _counter(self, series, label):\n"
+    "    handle = self._held[series, label] = self._metrics.counter(series, {'label': label})\n"
+    "    return handle\n"
 )
 
 
@@ -1051,18 +1072,17 @@ RULES = (
     ),
     Rule(
         "pipeline-reads-handles",
-        "Per-batch and per-event code holds instrument handles; only binders look up by name.",
-        tuple(HANDLES), _handles,
-        sites=tuple((rel, f"{name} reads handles") for rel, (per, _) in HANDLES.items()
-                    for name in per)
-        + tuple((rel, f"{name} binds at first use") for rel, (_, bind) in HANDLES.items()
-                for name in bind),
+        "Per-batch and per-event code holds instrument handles; only the registry's family "
+        "looks one up by name, at first use.",
+        (*HANDLES, BINDER[0]), _handles,
+        sites=tuple((rel, f"{name} reads handles") for rel, per in HANDLES.items()
+                    for name in per) + ((BINDER[0], f"{BINDER[1]} binds at first use"),),
         plant_at=KDC, plant=KDC_PLANT,
         hits=((6, "_serve_batch looks up self.metrics.counter"),
               (7, "_serve_batch looks up self.metrics.total"),
               (8, "_serve_batch looks up self._metrics.gauge"),
               (11, "_serve_batch looks up self.metrics.total"),
-              (13, "_outcome binds at first use"), (15, "_admit reads handles")),
+              (15, "_admit reads handles"), (17, "_counter binds by hand")),
     ),
     Rule(
         "no-per-item-cipher-call",

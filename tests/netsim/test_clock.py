@@ -33,6 +33,11 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1)
 
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_start_is_refused(self, start):
+        with pytest.raises(ValueError, match="start"):
+            SimClock(start)
+
     @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
     def test_advance_by_a_non_finite_amount_rejected(self, seconds):
         clock = SimClock(start=3.0)
@@ -113,6 +118,17 @@ class TestHostClock:
         host = HostClock(ref, skew=0)
         host.skew = 600
         assert host.now() == 600
+
+    @pytest.mark.parametrize("skew", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_skew_is_refused(self, skew):
+        """A NaN skew would make every timestamp NaN: a refused login
+        filed under another cause, not a clock that names no time."""
+        with pytest.raises(ValueError, match="skew"):
+            HostClock(SimClock(), skew=skew)
+        host = HostClock(SimClock(), skew=60)
+        with pytest.raises(ValueError, match="skew"):
+            host.skew = skew
+        assert host.now() == 60
 
     def test_repr_shows_skew(self):
         assert "+60.0" in repr(HostClock(SimClock(), skew=60))

@@ -16,8 +16,13 @@ def clock():
 
 
 @pytest.fixture
-def log(clock):
-    return AuditLog(clock, metrics=MetricsRegistry())
+def registry():
+    return MetricsRegistry()
+
+
+@pytest.fixture
+def log(clock, registry):
+    return AuditLog(clock, metrics=registry)
 
 
 class TestEmission:
@@ -44,13 +49,12 @@ class TestEmission:
         assert log.emit("auth_success", trace="req-000007").trace_id == "req-000007"
         assert log.emit("auth_success", trace=None).trace_id == ""
 
-    def test_counts_per_kind(self, log):
+    def test_counts_per_kind(self, log, registry):
         log.emit("replay_detected", host="srv")
         log.emit("replay_detected", host="srv")
         log.emit("acl_denial", host="master")
-        m = log.metrics
-        assert m.total("audit.events_total", kind="replay_detected") == 2
-        assert m.total("audit.events_total", kind="acl_denial") == 1
+        assert registry.total("audit.events_total", kind="replay_detected") == 2
+        assert registry.total("audit.events_total", kind="acl_denial") == 1
 
 
 class TestQueries:
@@ -82,13 +86,13 @@ class TestQueries:
 
 
 class TestBounds:
-    def test_overflow_drops_and_counts(self, clock):
-        log = AuditLog(clock, metrics=MetricsRegistry(), max_events=2)
+    def test_overflow_drops_and_counts(self, clock, registry):
+        log = AuditLog(clock, metrics=registry, max_events=2)
         for _ in range(5):
             log.emit("auth_failure")
         assert len(log) == 2
-        assert log.metrics.total("audit.events_total") == 2
-        assert log.metrics.total("audit.events_dropped_total") == 3
+        assert registry.total("audit.events_total") == 2
+        assert registry.total("audit.events_dropped_total") == 3
 
 
 class TestRealmWiring:

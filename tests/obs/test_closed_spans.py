@@ -268,13 +268,9 @@ class TestRowsReadAsSpans:
 
 def twins(max_spans):
     """Two tracers on one clock, each reporting to its own registry."""
-    clock = SimClock()
-    pair = []
-    for _ in range(2):
-        tracer = Tracer(clock, max_spans=max_spans)
-        tracer.metrics = MetricsRegistry()
-        pair.append(tracer)
-    return clock, pair
+    clock, registries = SimClock(), (MetricsRegistry(), MetricsRegistry())
+    pair = [Tracer(clock, max_spans=max_spans, metrics=registry) for registry in registries]
+    return clock, pair, registries
 
 
 #: Handler spans as a batch writes them: name, context, record.
@@ -298,7 +294,7 @@ class TestSpansWrittenAfterTheFact:
         """Ids, fresh trace ids, parents, times, attributes, the
         ``max_spans`` cut and the span counters all match; the next
         span's id continues past every item, dropped ones included."""
-        clock, (batch, paired) = twins(max_spans)
+        clock, (batch, paired), (counted, counted_paired) = twins(max_spans)
         for tracer in (batch, paired):
             with tracer.span("before"):
                 pass
@@ -308,8 +304,8 @@ class TestSpansWrittenAfterTheFact:
         one_pair_each(paired, ITEMS)
         assert list(map(fields, batch.spans)) == list(map(fields, paired.spans))
         assert len(batch.spans) == min(max_spans, 1 + len(ITEMS))
-        assert batch.metrics.snapshot() == paired.metrics.snapshot()
-        assert batch.metrics.total("trace.spans_dropped_total") == max(
+        assert counted.snapshot() == counted_paired.snapshot()
+        assert counted.total("trace.spans_dropped_total") == max(
             0, 1 + len(ITEMS) - max_spans
         )
         assert batch.start_span("after").span_id == paired.start_span("after").span_id == 6
@@ -353,7 +349,8 @@ class TestAuditRows:
     @pytest.mark.parametrize("max_events", [10, 3], ids=["room", "overflow"])
     def test_a_run_records_what_one_emit_each_would(self, max_events):
         clock = SimClock()
-        run, single = (AuditLog(clock, MetricsRegistry(), max_events) for _ in range(2))
+        registries = (MetricsRegistry(), MetricsRegistry())
+        run, single = (AuditLog(clock, registry, max_events) for registry in registries)
         principals = ["jis@ATHENA", "bcn@ATHENA", "jis@ATHENA", ""]
         traces = [TraceContext("req-000001", 2), None, "req-000003", None]
         details = ["kind=as", "kind=tgs", "kind=as", "kind=tgs"]
@@ -366,7 +363,7 @@ class TestAuditRows:
         assert last == last_single and last.seq == 5
         assert run.events() == single.events()
         assert len(run) == min(max_events, 5)
-        assert run.metrics.snapshot() == single.metrics.snapshot()
+        assert registries[0].snapshot() == registries[1].snapshot()
         assert run.emit("acl_denial").seq == single.emit("acl_denial").seq == 6
 
 

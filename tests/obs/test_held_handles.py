@@ -1,15 +1,14 @@
-"""Per-event code holds its instrument handles (ISSUE 20).
+"""Per-event code holds its instrument handles.
 
 The scheduler, the network's wire leg, the tracer, the audit log and
 the work queue each bump a labelled series per event.  They used to
 look it up by name every time — a dict, a sort and a tuple per lookup,
-19.7 lookups per ``login_storm`` op; now each holds the handle, *bound
-at first use* (at attach it would put an empty series into every pinned
-export) and *dropped when the registry is reassigned*
-(``repro.obs.HeldHandles``; the network's registry is its own for
-life).  The structural
-half — none of those functions names the registry — is
-the ``tests/lint`` rule ``pipeline-reads-handles``.
+19.7 lookups per ``login_storm`` op; now each holds a family of them
+(``MetricsRegistry.family``) on the registry it was built with, each
+series *bound at first use* (at attach it would put an empty series
+into every pinned export).  The structural half — none of those
+functions names the registry — is the ``tests/lint`` rule
+``pipeline-reads-handles``.
 """
 
 import pytest
@@ -30,9 +29,7 @@ def series(registry):
 
 
 def make_scheduler(registry):
-    sched = EventScheduler(SimClock())
-    sched.metrics = registry
-    return sched
+    return EventScheduler(SimClock(), metrics=registry)
 
 
 def scheduler_traffic(sched):
@@ -50,9 +47,7 @@ def scheduler_traffic(sched):
 
 
 def make_tracer(registry):
-    tracer = Tracer(SimClock(), max_spans=3)
-    tracer.metrics = registry
-    return tracer
+    return Tracer(SimClock(), max_spans=3, metrics=registry)
 
 
 def tracer_traffic(tracer):
@@ -114,6 +109,14 @@ OWNERS = {
 
 
 @pytest.mark.parametrize("owner", OWNERS)
+def test_built_without_a_registry_counts_nothing_and_raises_nothing(owner):
+    make, traffic = OWNERS[owner]
+    holder = make(None)
+    traffic(holder)
+    assert not [value for value in vars(holder).values() if isinstance(value, MetricsRegistry)]
+
+
+@pytest.mark.parametrize("owner", OWNERS)
 def test_bound_at_first_use_and_counted_as_by_name(owner):
     make, traffic = OWNERS[owner]
     registry = MetricsRegistry()
@@ -121,22 +124,6 @@ def test_bound_at_first_use_and_counted_as_by_name(owner):
     # Attached, nothing happened yet: not one series, empty or otherwise.
     assert series(registry) == {}
     assert traffic(holder) == series(registry)
-
-
-@pytest.mark.parametrize("owner", OWNERS)
-def test_reassigning_the_registry_drops_the_held_handles(owner):
-    make, traffic = OWNERS[owner]
-    old, new = MetricsRegistry(), MetricsRegistry()
-    holder = make(old)
-    expected = traffic(holder)
-    holder.metrics = None  # detached: counts nothing, raises nothing
-    traffic(holder)
-    assert holder.metrics is None and series(old) == expected
-    # The same traffic into another registry: every count lands there,
-    # none on a handle of the old one.
-    holder.metrics = new
-    assert traffic(holder) == series(new)
-    assert series(old) == expected
 
 
 def test_network_traffic_series_appear_with_the_first_datagram():
@@ -150,7 +137,7 @@ def test_network_traffic_series_appear_with_the_first_datagram():
     assert net.metrics.total("net.datagrams_total") == 2
     assert net.metrics.total("net.datagrams_total", port=7) == 1
     assert net.metrics.total("net.bytes_total", port=7) == 5
-    # Zeroed in place, the held handles are still the registry's.
+    # Zeroed in place, the held series are still the registry's.
     net.reset_stats()
     assert net.metrics.total("net.datagrams_total") == 0
     client.rpc(server.address, 7, b"123")

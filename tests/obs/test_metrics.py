@@ -90,6 +90,34 @@ class TestCardinality:
         registry.counter("y.total", {"a": "1"})  # different name: fine
 
 
+
+class TestFamily:
+    def test_a_key_binds_the_series_a_lookup_by_name_finds(self, registry):
+        family = registry.family("counter", "x.total", ("kind", "code"), {"server": "k"})
+        assert registry.instruments() == []  # nothing bound before a touch
+        family["as", "OK"].inc(2)
+        assert family["as", "OK"] is registry.counter(
+            "x.total", {"code": "OK", "kind": "as", "server": "k"}
+        )
+        assert registry.total("x.total", kind="as") == 2
+
+    def test_one_label_keys_by_its_value_and_none_by_the_empty_tuple(self, registry):
+        registry.family("gauge", "x.depth", ("port",))[88].set(3)
+        registry.family("histogram", "x.wait", (), {"s": "q"}, buckets=(1.0, 2.0))[()].observe(1.5)
+        assert registry.get("x.depth", {"port": 88}).value == 3
+        assert registry.get("x.wait", {"s": "q"}).bucket_counts == [0, 1]
+
+    def test_kind_checks_and_the_cap_hold_at_first_touch(self):
+        registry = MetricsRegistry(max_series_per_name=2)
+        registry.counter("x.total", {"user": "0"})
+        with pytest.raises(MetricsError):
+            registry.family("gauge", "x.total", ("user",))["1"]
+        family = registry.family("counter", "x.total", ("user",))
+        family["1"]
+        with pytest.raises(MetricsError):
+            family["2"]
+        assert "2" not in family
+
 class TestHistogram:
     def test_value_on_boundary_counts_in_bucket(self, registry):
         hist = registry.histogram("h", (1.0, 2.0))

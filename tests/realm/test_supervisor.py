@@ -33,11 +33,15 @@ def build(seed=11, slaves=2):
     return net, realm, supervisor
 
 
+def promotions(net):
+    return net.metrics.total("realm.promotions_total", realm=REALM)
+
+
 class TestDetection:
     def test_healthy_realm_never_promotes(self):
         net, realm, supervisor = build()
         net.runtime.run_for(300.0)
-        assert supervisor.promotions == 0
+        assert promotions(net) == 0
         assert all(v == 0 for v in supervisor.misses.values())
 
     def test_heartbeats_are_counted_per_target(self):
@@ -58,7 +62,7 @@ class TestDetection:
         net.crash_host(site.master_host.name, downtime=6.0)
         old_master = site.master_host
         net.runtime.run_for(60.0)
-        assert supervisor.promotions == 0
+        assert promotions(net) == 0
         assert site.master_host is old_master
 
 
@@ -70,7 +74,7 @@ class TestAutomaticPromotion:
         net.runtime.run_for(10.0)
         net.crash_host(old_master.name)          # never restarts
         net.runtime.run_for(DETECT)
-        assert supervisor.promotions == 1
+        assert promotions(net) == 1
         assert site.master_host is not old_master
         # Writes work on the new master immediately.
         realm.add_user("fresh", "fresh-pw")
@@ -164,7 +168,7 @@ class TestPromotionWithHesiodDown:
         net.crash_host(hesiod.host.name)
         net.crash_host(old_master.name)
         net.runtime.run_for(120.0)  # nothing may escape the event loop
-        assert supervisor.promotions == 1
+        assert promotions(net) == 1
         assert site.master_host is not old_master
         promoted = net.audit.events("master_promoted")
         assert len(promoted) == 1 and promoted[0].trace_id
@@ -193,11 +197,11 @@ class TestFlapProtection:
         net.runtime.run_for(10.0)
         net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
-        assert supervisor.promotions == 1
+        assert promotions(net) == 1
         # The new master dies inside the dwell window: suppressed.
         net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
-        assert supervisor.promotions == 1
+        assert promotions(net) == 1
         assert net.metrics.counter(
             "supervisor.promotions_suppressed_total", {"realm": REALM}
         ).value > 0
@@ -210,7 +214,7 @@ class TestFlapProtection:
         net.runtime.run_for(DWELL_TIME)          # sit out the dwell
         net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
-        assert supervisor.promotions == 2
+        assert promotions(net) == 2
 
 
 class TestRejoin:
@@ -224,7 +228,7 @@ class TestRejoin:
         net.runtime.run_for(10.0)
         net.crash_host(old_master.name, downtime=60.0)
         net.runtime.run_for(120.0)               # promote; old one returns
-        assert supervisor.promotions == 1
+        assert promotions(net) == 1
         epoch_after_promotion = site.db.journal.epoch
 
         rejoined = [
@@ -281,11 +285,11 @@ class TestSupervisorLifecycle:
         net.crash_host(realm.shards[0].master_host.name, downtime=30.0)
         net.runtime.run_for(80.0)
         # Nobody was watching; no promotion happened...
-        assert supervisor.promotions == 0
+        assert promotions(net) == 0
         # ...and after both return, suspicion restarts from zero and
         # the (healthy again) master is never wrongly deposed.
         net.runtime.run_for(120.0)
-        assert supervisor.promotions == 0
+        assert promotions(net) == 0
         assert net.metrics.counter(
             "supervisor.heartbeats_total",
             {"target": realm.shards[0].master_host.name, "result": "ok"},
@@ -301,7 +305,7 @@ class TestDeterminism:
             net.runtime.run_for(200.0)
             return (
                 realm.shards[0].master_host.name,
-                supervisor.promotions,
+                promotions(net),
                 [(e.kind, e.host, e.time) for e in net.audit.events()],
                 net.metrics.gauge(
                     "realm.time_to_recover_seconds", {"realm": REALM}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim import SimClock
+from repro.obs import MetricsRegistry
 from repro.runtime import EventScheduler, WorkQueue, WorkQueueConfig
 
 
@@ -42,7 +43,6 @@ class TestBatching:
             assert queue.submit(i)
         sched.run_until_idle()
         assert batches == [[0], [1, 2, 3], [4, 5, 6]]
-        assert queue.completed == 7 and queue.batches == 3
 
     def test_batch_completes_after_its_service_time(self):
         clock, sched, queue, batches = make(
@@ -91,20 +91,20 @@ class TestBatching:
 
 class TestAdmissionControl:
     def test_overflow_is_shed(self):
+        registry = MetricsRegistry()
         clock, sched, queue, batches = make(
-            WorkQueueConfig(workers=1, batch_size=1, queue_limit=2)
+            WorkQueueConfig(workers=1, batch_size=1, queue_limit=2),
+            label="kdc.queue", metrics=registry,
         )
         # Worker takes the first item immediately; two more fill the
         # queue; the fourth is refused.
         assert queue.submit(1) and queue.submit(2) and queue.submit(3)
         assert queue.submit(4) is False
-        assert queue.shed_count == 1
+        assert registry.total("kdc.queue.shed_total") == 1
         sched.run_until_idle()
         assert batches == [[1], [2], [3]]
 
     def test_shedding_counts_in_metrics(self):
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
         clock = SimClock()
         sched = EventScheduler(clock)

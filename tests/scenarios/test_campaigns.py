@@ -188,6 +188,23 @@ def test_cli_refuses_a_parameter_no_campaign_knows(capsys):
     assert "n_staions" in err and "n_stations" in err
 
 
+
+@pytest.mark.parametrize("campaign, param, refusal", [
+    ("lossy_wan_degradation", "jitter_high=NaN", "jitter bounds [0.1, nan] invalid"),
+    ("clock_skew_epidemic", "skew=NaN", "clock skew must be finite, got nan"),
+])
+def test_cli_refuses_a_value_the_realm_refuses_in_one_line(capsys, campaign, param, refusal):
+    """A value the clock, the fault plane or the runtime refuses is a
+    usage error — one ``error:`` line, exit status 2 — not a traceback."""
+    with pytest.raises(SystemExit) as stopped:
+        main([campaign, "-p", param])
+    assert stopped.value.code == 2
+    out, err = capsys.readouterr()
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"python -m repro.scenarios: error: {campaign}: {refusal}"
+    ]
+    assert "Traceback" not in err and "[PASS]" not in out and "[FAIL]" not in out
+
 @pytest.mark.scenario
 class TestCli:
     def run_cli(self, *args):

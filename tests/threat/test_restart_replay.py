@@ -157,7 +157,7 @@ def mountd(net, realm):
     return Drill(
         daemon=daemon, port=MOUNTD_PORT, request=request,
         refused=lambda raw: not MountReply.from_bytes(raw).ok,
-        effects=lambda: daemon.mappings_installed,
+        effects=lambda: net.metrics.total("nfs.mounts_total", result="mapped"),
         held=lambda: len(server.credmap),
     )
 
