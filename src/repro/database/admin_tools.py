@@ -29,7 +29,7 @@ from repro.database.db import KerberosDatabase
 from repro.database.masterkey import MasterKey
 from repro.database.schema import ATTR_NO_TGT, DEFAULT_MAX_LIFE
 from repro.database.store import RecordStore
-from repro.encode import WireStruct, field
+from repro.encode import DecodeError, WireStruct, field
 from repro.principal import Principal, kdbm_principal, tgs_principal
 
 
@@ -129,6 +129,19 @@ class Srvtab(WireStruct):
     FIELDS = (field("entries", ("list", SrvtabEntry)),)
 
 
+class _SrvtabCount(WireStruct):
+    """The entry count that opens a :class:`Srvtab`."""
+
+    FIELDS = (field("count", "u32"),)
+
+
+class _SrvtabRow(WireStruct):
+    """A :class:`SrvtabEntry` as read: the service's three names, not yet
+    checked as a :class:`Principal`, then its key version and key."""
+
+    FIELDS = Principal.FIELDS + SrvtabEntry.FIELDS[1:]
+
+
 def ext_srvtab(db: KerberosDatabase, services: List[Principal]) -> bytes:
     """Extract service keys into srvtab file contents.
 
@@ -152,5 +165,14 @@ def parse_srvtab(data: bytes) -> List[Tuple[Principal, int, bytes]]:
     """Parse srvtab bytes into (principal, key_version, key_bytes) rows."""
     if not data.startswith(_SRVTAB_MAGIC):
         raise ValueError("not a srvtab file")
-    srvtab = Srvtab.from_bytes(data, len(_SRVTAB_MAGIC))
-    return [(entry.service, entry.kvno, entry.key) for entry in srvtab.entries]
+    head, pos = _SrvtabCount.read_at(data, len(_SRVTAB_MAGIC))
+    rows = []
+    for _ in range(head.count):
+        # An entry's names are checked once its key is read, so an entry
+        # with a bad name and a cut key is refused for the key, as the
+        # format has always been read.
+        row, pos = _SrvtabRow.read_at(data, pos)
+        rows.append((Principal(row.name, row.instance, row.realm), row.kvno, row.key))
+    if pos != len(data):
+        raise DecodeError(f"{len(data) - pos} trailing bytes after message")
+    return rows
