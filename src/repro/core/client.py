@@ -106,6 +106,14 @@ class KerberosClient:
         # open, threading one request ID through AS→TGS→AP.
         self.metrics = host.network.metrics
         self.tracer = host.network.tracer
+        #: What every exchange counts, by exchange type or realm.
+        self._exchange_seconds = self.metrics.family(
+            "histogram", "client.exchange_seconds", ("type",), buckets=LATENCY_BUCKETS
+        )
+        self._failovers = self.metrics.family("counter", "kdc.failovers_total", ("realm",))
+        self._referral_follows = self.metrics.family(
+            "counter", "kdc.referral_follows_total", ("realm",)
+        )
         self.cache = CredentialCache(metrics=self.metrics)
         # realm -> the locator that answers "which KDCs, for this
         # request?" — the local realm's locator routes every AS/TGS send.
@@ -187,9 +195,7 @@ class KerberosClient:
             if not isinstance(referral, WrongShard):
                 return raw
             hops += 1
-            self.metrics.counter(
-                "kdc.referral_follows_total", {"realm": realm}
-            ).inc()
+            self._referral_follows[realm].inc()
             locator.apply_referral(referral)
             if hops >= MAX_REFERRAL_HOPS:
                 raise referral
@@ -273,9 +279,7 @@ class KerberosClient:
                 f"{exc.last_error}"
             ) from exc
         if answered_by != addresses[0]:
-            self.metrics.counter(
-                "kdc.failovers_total", {"realm": realm}
-            ).inc()
+            self._failovers[realm].inc()
         return raw
 
     # -- Figure 5: the initial ticket --------------------------------------------
@@ -318,9 +322,7 @@ class KerberosClient:
             host=self.host.name,
         ) as span:
             cred = self._as_exchange(client, password, service, life)
-        self.metrics.histogram(
-            "client.exchange_seconds", LATENCY_BUCKETS, {"type": "as"}
-        ).observe(span.duration)
+        self._exchange_seconds["as"].observe(span.duration)
         return cred
 
     def _as_exchange(
@@ -455,9 +457,7 @@ class KerberosClient:
             host=self.host.name,
         ) as span:
             cred = self._tgs_exchange_inner(kdc_realm, tgt, service, life)
-        self.metrics.histogram(
-            "client.exchange_seconds", LATENCY_BUCKETS, {"type": "tgs"}
-        ).observe(span.duration)
+        self._exchange_seconds["tgs"].observe(span.duration)
         return cred
 
     def _tgs_exchange_inner(

@@ -224,7 +224,7 @@ class FaultPlane:
 
     def __init__(self, rng, metrics) -> None:
         self._rng = rng
-        self.metrics = metrics
+        self._injected = metrics.family("counter", "faults.injected_total", ("kind",))
         self._rules: List[FaultRule] = []
 
     # -- rule management ----------------------------------------------------
@@ -248,7 +248,7 @@ class FaultPlane:
     # -- the per-hop decision ------------------------------------------------
 
     def _record(self, kind: str) -> None:
-        self.metrics.counter("faults.injected_total", {"kind": kind}).inc()
+        self._injected[kind].inc()
 
     def inspect(self, datagram, to_service: bool = True) -> Verdict:
         """Decide this hop's fate.  ``to_service`` is True for datagrams

@@ -319,6 +319,8 @@ class Network:
         self._drops = self.metrics.family("counter", "net.drops_total", ("reason",))
         self._datagrams = self.metrics.family("counter", "net.datagrams_total", ("port",))
         self._bytes = self.metrics.family("counter", "net.bytes_total", ("port",))
+        self._duplicates = self.metrics.family("counter", "net.duplicates_total", ("port",))
+        self._reordered = self.metrics.family("counter", "net.reordered_total", ("port",))
         self.tracer = Tracer(self.clock, metrics=self.metrics)
         #: The append-only security-event log (auth failures, replays,
         #: tampered propagation ...); see :mod:`repro.obs.audit`.
@@ -683,16 +685,12 @@ class Network:
         if verdict.duplicate:
             # The wire delivered a second copy; the handler runs again
             # and its reply goes nowhere (the caller keeps the first).
-            self.metrics.counter(
-                "net.duplicates_total", {"port": datagram.dst_port}
-            ).inc()
+            self._duplicates[datagram.dst_port].inc()
             self._handle_discarding(datagram)
         for held in verdict.release:
             # A reordered predecessor finally arrives — long after its
             # sender stopped listening, so its reply is discarded too.
-            self.metrics.counter(
-                "net.reordered_total", {"port": held.dst_port}
-            ).inc()
+            self._reordered[held.dst_port].inc()
             self._handle_discarding(held)
         if isinstance(reply, DeferredReply):
             reply._bind(lambda payload: self._queue_reply(datagram, payload, pending))

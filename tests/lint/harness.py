@@ -30,8 +30,9 @@ class Rule:
     ``find`` maps ``{path: tree}`` to ``(path, line, what)`` sites.  The
     real tree (:func:`modules`), narrowed to ``scope`` minus ``exclude``,
     must yield exactly ``sites`` (a multiset of ``(path, what)``; empty
-    means "nowhere").  ``plant`` placed at ``plant_at`` must yield exactly
-    ``hits`` (``(line, what)`` pairs).  Every excluded prefix must still
+    means "nowhere").  ``plant`` placed at ``plant_at``, beside the
+    ``(path, source)`` files of ``plants``, must yield exactly ``hits``
+    (``(line, what)`` pairs).  Every excluded prefix must still
     hide a site.  ``mark`` is the pytest marker that selects the rule.
     """
 
@@ -44,6 +45,7 @@ class Rule:
     plant: str = ""
     hits: Tuple[Tuple[int, str], ...] = ()
     plant_at: str = ""
+    plants: Tuple[Tuple[str, str], ...] = ()
     mark: str = ""
 
 
@@ -90,12 +92,13 @@ def found(find, scope, exclude=(), under="") -> tuple:
 def problems(rule: Rule) -> tuple:
     """What is wrong with ``rule`` against the tree; empty when it holds."""
     at = rule.plant_at or re.sub(r"\*(\.py)?", "planted.py", rule.scope[0])
+    planted = {path: load(path, source) for path, source in ((at, rule.plant), *rule.plants)}
     out = _mismatch(
         "tree", [(f"{rel}:{line}", (rel, what)) for rel, line, what in
                  found(rule.find, rule.scope, rule.exclude)], rule.sites,
     ) + _mismatch(
         "planted offender", [(f"line {line}", (line, what)) for _rel, line, what
-                             in rule.find({at: load(at, rule.plant)})], rule.hits,
+                             in rule.find(planted)], rule.hits,
     )
     return tuple(out) + tuple(
         f"stale exclusion {prefix!r}: nothing under it would be flagged"

@@ -19,6 +19,7 @@ CRYPTO = "src/repro/crypto/"
 DES_SIMD = CRYPTO + "des_simd.py"
 MODES = CRYPTO + "modes.py"
 KDC = "src/repro/core/kdc.py"
+CLIENT = "src/repro/core/client.py"
 STRUCTFMT = "src/repro/encode/structfmt.py"
 DES_ORACLE = "tests/crypto/reference_des.py"
 CODEC_ORACLE = "tests/encode/reference_codec.py"
@@ -429,7 +430,9 @@ HANDLES = {
     KDC: ("_serve_batch", "_unseal_all", "_get_record", "_issue_all", "_lookup_all",
           "_unseal_keys", "_admit", "_lookup_service", "_lookup_tgs_service"),
     "src/repro/runtime/scheduler.py": ("at", "step"),
-    "src/repro/netsim/network.py": ("_wire_leg",),
+    "src/repro/netsim/network.py": ("_wire_leg", "_dispatch"),
+    "src/repro/netsim/faults.py": ("_record",),
+    CLIENT: ("_ask_kdc", "_failover_exchange", "as_exchange", "_tgs_exchange"),
     "src/repro/obs/tracing.py": ("_open", "record_instants"),
     "src/repro/obs/audit.py": ("emit_run",),
     "src/repro/runtime/workqueue.py": ("_count", "_gauge_depth", "_observe_waits"),
@@ -557,27 +560,35 @@ def _bare_calls(tree):
     return {call.func.id for call in calls(tree) if isinstance(call.func, ast.Name)}
 
 
+#: The methods that run once per message, in a codec class of any module.
+PER_MESSAGE = {"to_bytes", "_decode_at", "read_at", "from_bytes"}
+
+
 def _codec_runtime(trees):
     for rel, tree in trees.items():
-        runtime = sorted(helper.__name__ for helper in namespace(rel, tree)["_RUNTIME"])
-        yield rel, 0, f"_RUNTIME is {runtime}"
-        funcs = functions(tree, top=True)
-        yield from ((rel, funcs[name].lineno, f"compile step {name}")
-                    for name in ("_compile", "_generate", "_list_item", "_check_kind")
-                    if name in funcs)
-        if "_list_item" in funcs and _kind_dispatch(funcs["_list_item"]):
-            yield rel, 0, "_list_item tells kinds apart"
-        per_message = {name: funcs[name] for name in CODEC_RUNTIME if name in funcs}
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef) and cls.name == "WireStruct":
-                methods = functions(cls, top=True)
+        funcs, per_message, steps = functions(tree, top=True), {}, set()
+        if any("_RUNTIME" in map(ast.unparse, getattr(node, "targets", ())) for node in tree.body):
+            runtime = sorted(helper.__name__ for helper in namespace(rel, tree)["_RUNTIME"])
+            yield rel, 0, f"_RUNTIME is {runtime}"
+            yield from ((rel, funcs[name].lineno, f"compile step {name}")
+                        for name in ("_compile", "_generate", "_list_item", "_check_kind")
+                        if name in funcs)
+            if "_list_item" in funcs and _kind_dispatch(funcs["_list_item"]):
+                yield rel, 0, "_list_item tells kinds apart"
+            per_message = {name: funcs[name] for name in CODEC_RUNTIME if name in funcs}
+            steps = set(funcs) - CODEC_RUNTIME
+        for cls in (node for node in nodes(tree) if isinstance(node, ast.ClassDef)):
+            methods = functions(cls, top=True)
+            if cls.name == "WireStruct" and steps:
                 init = methods.pop("__init_subclass__")
                 yield rel, init.lineno, f"__init_subclass__ calls {sorted(_bare_calls(init))}"
-                per_message.update((f"WireStruct.{n}", m) for n, m in methods.items())
+            else:
+                methods = {n: m for n, m in methods.items() if n in PER_MESSAGE}
+            per_message.update((f"{cls.name}.{n}", m) for n, m in methods.items())
         for name, func in per_message.items():
             yield from ((rel, line, f"{name}: {what}") for line, what in _kind_dispatch(func))
             yield from ((rel, func.lineno, f"{name} calls {callee}")
-                        for callee in sorted(_bare_calls(func) & (set(funcs) - CODEC_RUNTIME)))
+                        for callee in sorted(_bare_calls(func) & steps))
 
 
 def _free_globals(table):
@@ -663,6 +674,13 @@ KDC_PLANT = (
     "def _counter(self, series, label):\n"
     "    handle = self._held[series, label] = self._metrics.counter(series, {'label': label})\n"
     "    return handle\n"
+)
+#: A client that looks its exchange histogram up by name per exchange.
+CLIENT_PLANT = (
+    "def as_exchange(self, client, password, service):\n"
+    "    cred = self._as_exchange(client, password, service)\n"
+    "    self.metrics.histogram('client.exchange_seconds', BUCKETS, {'type': 'as'}).observe(1.0)\n"
+    "    return cred\n"
 )
 
 
@@ -1077,12 +1095,13 @@ RULES = (
         (*HANDLES, BINDER[0]), _handles,
         sites=tuple((rel, f"{name} reads handles") for rel, per in HANDLES.items()
                     for name in per) + ((BINDER[0], f"{BINDER[1]} binds at first use"),),
-        plant_at=KDC, plant=KDC_PLANT,
+        plant_at=KDC, plant=KDC_PLANT, plants=((CLIENT, CLIENT_PLANT),),
         hits=((6, "_serve_batch looks up self.metrics.counter"),
               (7, "_serve_batch looks up self.metrics.total"),
               (8, "_serve_batch looks up self._metrics.gauge"),
               (11, "_serve_batch looks up self.metrics.total"),
-              (15, "_admit reads handles"), (17, "_counter binds by hand")),
+              (15, "_admit reads handles"), (17, "_counter binds by hand"),
+              (3, "as_exchange looks up self.metrics.histogram")),
     ),
     Rule(
         "no-per-item-cipher-call",
@@ -1116,9 +1135,9 @@ RULES = (
     # -- the wire codec -----------------------------------------------------
     Rule(
         "codec-interprets-nothing-per-message",
-        "Per-message code (_RUNTIME; WireStruct's to_bytes, _decode_at, read_at and "
-        "from_bytes) reads no kind, FIELDS or compiler.",
-        (STRUCTFMT,), _codec_runtime,
+        "Per-message code (_RUNTIME; WireStruct's methods; any class's to_bytes, _decode_at, "
+        "read_at and from_bytes) reads no kind, FIELDS or compiler.",
+        SRC, _codec_runtime,
         sites=((STRUCTFMT, f"_RUNTIME is {sorted(CODEC_RUNTIME)}"),
                (STRUCTFMT, "compile step _compile"), (STRUCTFMT, "compile step _generate"),
                (STRUCTFMT, "compile step _list_item"), (STRUCTFMT, "compile step _check_kind"),
@@ -1137,11 +1156,20 @@ RULES = (
               "            _check_kind(f.kind)\n"
               "    def read_at(cls, data, pos=0):\n"
               "        return cls._decode_at(data, pos, _check_kind(cls))\n",
+        plant_at=STRUCTFMT,
+        plants=(("src/repro/database/planted.py",
+                 "class Row(WireStruct):\n"
+                 "    FIELDS = Principal.FIELDS + (field('kvno', 'u8'),)\n"
+                 "    def from_bytes(cls, data, start=0):\n"
+                 "        return [f.name for f in cls.FIELDS]\n"
+                 "    def describe(cls):\n"
+                 "        return cls.FIELDS\n"),),
         hits=((0, "_RUNTIME is ['_refuse']"), (3, "compile step _check_kind"),
               (7, "__init_subclass__ calls ['_check_kind']"),
               (9, "WireStruct.from_bytes calls _check_kind"),
               (10, "WireStruct.from_bytes: .FIELDS"),
-              (12, "WireStruct.read_at calls _check_kind")),
+              (12, "WireStruct.read_at calls _check_kind"),
+              (4, "Row.from_bytes: .FIELDS")),
     ),
     Rule(
         "generated-code-is-straight-line",
