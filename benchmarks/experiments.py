@@ -8,7 +8,8 @@ each observed quantity with the value it must equal or a :class:`Holds`
 predicate it must satisfy.  Every quantity is a count, a byte size, a
 digest, a verdict or a simulated-clock latency or ratio, so a seed
 reproduces the whole table; how fast the code runs is the realm ledger's
-question (``benchmarks/ledger/``), never a row's.
+question (``benchmarks/ledger/``), never a row's.  EXPERIMENTS.md is the
+table's render (``benchmarks/render.py``).
 
     PYTHONPATH=src:. python -m pytest benchmarks/ -q -s [-k F5]
 
@@ -89,13 +90,17 @@ def at_least(bound) -> Holds:
 @dataclass(frozen=True)
 class Experiment:
     """One reproducible artifact: ``act(build())`` observes exactly the
-    quantities ``expect`` names."""
+    quantities ``expect`` names.  ``paper`` is what the paper says and
+    ``note`` how the row tests it; neither states a measured value, which
+    EXPERIMENTS.md prints from ``expect`` (``python -m benchmarks.render``)."""
 
     id: str
     anchor: str
     build: Callable[[], object]
     act: Callable[[object], Dict[str, object]]
     expect: Dict[str, object]
+    paper: str = ""
+    note: str = ""
 
     def mismatches(self, observed: Dict[str, object]) -> Dict[str, tuple]:
         """``{name: (observed, expected)}`` for every quantity that is
@@ -1059,53 +1064,83 @@ EXPERIMENTS = (
     Experiment(
         "F2", "Figure 2: Kerberos names", lambda: FIGURE_2, names_act,
         {"components": FIGURE_2, "round_trips": 4},
+        paper=("Names are `name.instance@realm`: `bcn`, `treese.root`, `jis@LCS.MIT.EDU`, "
+               "`rlogin.priam@ATHENA.MIT.EDU`."),
+        note="Every example parses to its components and prints back byte for byte.",
     ),
     Experiment(
         "F3", "Figure 3: the ticket {s, c, addr, timestamp, life, K_s,c}K_s",
         ticket_build, ticket_act,
         {"sealed_bytes": 120, "opens_with_server_key": True,
          "wrong_key_open": "RD_AP_MODIFIED", "tampers_refused": (15, 15)},
+        paper=("A ticket is `{s, c, addr, timestamp, life, K_s,c}K_s`: the user cannot modify it,"
+               " and only the named server can open it."),
+        note=("One bit is flipped in each block of the sealed ticket in turn. A seal's price is "
+              "the ledger's `crypto.seal1_us_per_block`."),
     ),
     Experiment(
         "F4", "Figure 4: the authenticator {c, addr, timestamp}K_s,c",
         lambda: KeyGenerator(seed=b"fig4"), authenticator_act,
         {"opened_client": "jis@ATHENA.MIT.EDU", "presentations_accepted": [True, False],
          "wrong_key_open": "RD_AP_MODIFIED"},
+        paper="An authenticator is `{c, addr, timestamp}K_s,c`, and it is used once.",
+        note="The second presentation of one authenticator hits the replay cache.",
     ),
     Experiment(
         "F5", "Figure 5: getting the initial ticket (AS exchange)", athena, as_act,
         {"tgt_life_h": 8.0, "datagrams_per_login": 2, "kdc_port_requests": 1,
          "password_on_wire": False, "password_key_on_wire": False,
          "wrong_password": "INTK_BADPW"},
+        paper=("The request carries only the user's and the TGS's names; the reply is sealed in "
+               "the password's key, so a wrong password simply fails to decrypt."),
+        note=("A wiretap of the whole login is searched for the password and its key. A login's "
+              "price is the ledger's `core.kdc.rpc_as_us`."),
     ),
     Experiment(
         "F6", "Figure 6: requesting a service (AP exchange)", athena, ap_act,
         {"served_client": "jis", "exact_replay": "RD_AP_REPEAT",
          "older_than_skew": "RD_AP_TIME", "within_skew": "accepted",
          "from_wrong_host": "RD_AP_BADD"},
+        paper=("The server checks ticket against authenticator, packet address and time; a "
+               "repeated ticket and timestamp is discarded; clocks agree \"to within several "
+               "minutes\"."),
+        note=("The skew window is `repro.core.replay.CLOCK_SKEW`. `krb_rd_req`'s price is the "
+              "ledger's `core.applib.ap_us`."),
     ),
     Experiment(
         "F7", "Figure 7: mutual authentication", athena, mutual_act,
         {"server_proof": "accepted", "impostor_reply": "RD_AP_MODIFIED",
          "proof_for_other_request": "RD_AP_MODIFIED"},
+        paper="For mutual authentication the server returns `{timestamp+1}K_s,c`.",
+        note="An impostor's reply and a proof for another request are refused by the client.",
     ),
     Experiment(
         "F8", "Figure 8: getting a server ticket (TGS exchange)",
         lambda: (athena(), athena(seed=b"fig8-sweep")), tgs_act,
         {"service": str(RLOGIN), "password_key_on_wire": False,
          "service_life_h_at_tgt_age_1_4_7h": [7.0, 4.0, 1.0]},
+        paper=("A server ticket needs no password, and its life is the minimum of the TGT's "
+               "remaining life and the service's default."),
+        note="The sweep asks for a nine-hour service ticket as the TGT ages.",
     ),
     Experiment(
         "F9", "Figure 9: the complete protocol", athena, full_protocol_act,
         {"served_client": "jis", "datagrams": 4, "kdc_requests": 2,
          "session_keys_distinct": True, "password_key_opens_tgt": "RD_AP_MODIFIED",
          "tgs_key_opens_service_ticket": "RD_AP_MODIFIED"},
+        paper="The whole protocol is three exchanges: AS, TGS and AP.",
+        note=("Keys never cross. End to end, the ledger's `login_session` workload prices the "
+              "flow."),
     ),
     Experiment(
         "F10", "Figure 10: authentication on the master or a slave",
         lambda: (athena(slaves=2), athena(slaves=2, seed=b"fig10-load")), slaves_act,
         {"login_with_master_down": "accepted",
          "as_requests_master_slave1_slave2": [30, 30, 30]},
+        paper=("Authentication runs on read-only slave copies, for availability and to relieve "
+               "the master."),
+        note=("In the load cell, each station's first choice rotates over the master and two "
+              "slaves for three login rounds."),
     ),
     Experiment(
         "F11", "Figure 11: administration requests reach the master only",
@@ -1113,6 +1148,8 @@ EXPERIMENTS = (
         {"add_principal": Holds("names the principal added", lambda v: "added" in v),
          "kdbm_on_slave": "ReadOnlyDatabase", "kpasswd_with_master_down": "KDBM_ERROR",
          "login_with_master_down": "accepted"},
+        paper=("The KDBM runs only on the master: administration stops while it is down, and "
+               "authentication continues."),
     ),
     Experiment(
         "F12", "Figure 12: the administration protocol", athena, admin_protocol_act,
@@ -1120,6 +1157,9 @@ EXPERIMENTS = (
                           lambda v: all("password changed" in r for r in v)),
          "kdbm_ticket_via_tgs": "KDC_PR_NOTGT", "new_password_on_wire": False,
          "audit_log_entries_permitted": (3, 3)},
+        paper=("KDBM tickets come only from the AS; passwords cross the network only in private "
+               "messages; every request is logged, permitted or denied."),
+        note="A kpasswd's price is the ledger's `admin_churn` workload.",
     ),
     Experiment(
         "F13", "Figure 13: database propagation", lambda: users_realm(100), propagation_act,
@@ -1127,6 +1167,10 @@ EXPERIMENTS = (
          "slaves_byte_identical": True, "tampered_round_all_ok": False,
          "canary_on_a_slave": False, "worst_staleness_s": 0.0,
          "dump_bytes_50_500_users": [5497, 51397]},
+        paper=("Full dumps go out hourly, checksummed in the master key; slaves verify before "
+               "loading; the dump is useless to an eavesdropper."),
+        note=("Staleness is read after three hours of the hourly schedule. A round's price is the"
+              " ledger's `replication.full_dump_ms`."),
     ),
     Experiment(
         "NFS", "Appendix: per-RPC Kerberos against the mount-time mapping",
@@ -1137,6 +1181,11 @@ EXPERIMENTS = (
                     "kernel_map_lookups_per_rpc": 1.0, "wire_bytes_per_rpc": 983.5},
          "kerberos-rpc": {"rpcs": 242, "des_verifications_per_rpc": 1.0,
                           "kernel_map_lookups_per_rpc": 0.0, "wire_bytes_per_rpc": 1174.6}},
+        paper=("Per-RPC Kerberos \"would have delivered unacceptable performance\": the shipped "
+               "design authenticates at mount time and maps ⟨CLIENT-IP, UID-ON-CLIENT⟩ per "
+               "transaction in the kernel."),
+        note=("Reads with a getattr every tenth, after a warm-up. The masquerade, GID, logout and"
+              " forgery claims are tests in `tests/apps/test_nfs.py`."),
     ),
     Experiment(
         "S9", "Section 9: Athena's 5,000 users, busiest hour (athena_hour row)",
@@ -1145,11 +1194,17 @@ EXPERIMENTS = (
          "kdc_messages": 186, "kdc_requests_per_use": 0.48, "registry_has": True,
          "as_latency_histogram": True, "login_as_user04999": "accepted",
          "digest": "afac95fe73e4a06c"},
+        paper=("Kerberos has been the sole authentication for 5,000 users, 650 workstations and "
+               "65 servers since January 1987."),
+        note=("The `athena_hour` campaign: stations arrive over the busiest hour, log in and use "
+              "services. Ticket caching amortizes the TGS."),
     ),
     Experiment(
         "X1", "Section 7.2: cross-realm authentication", crossrealm_build, crossrealm_act,
         {"ticket_client": "jis@ATHENA.MIT.EDU", "served_client_realm": REALM,
          "kdc_requests_first_ticket": 2, "second_hop": "KDC_NO_CROSS_REALM"},
+        paper=("Paired realms share a key; the remote TGS accepts the foreign TGT, the client's "
+               "realm rides in the ticket, and a second hop is not supported."),
     ),
     Experiment(
         "C1", "Section 2.2: CBC against PCBC error propagation",
@@ -1157,6 +1212,9 @@ EXPERIMENTS = (
         {"cbc_blocks_damaged": [2] * 15 + [1],
          "pcbc_blocks_damaged": list(range(16, 0, -1)),
          "sealed_tampers_caught_pcbc": (16, 16), "sealed_tampers_caught_cbc": (1, 16)},
+        paper=("In CBC an error spreads only through the current block; in PCBC it spreads "
+               "through the whole message, rendering it useless."),
+        note="One bit is flipped at each block of a sixteen-block message in turn.",
     ),
     Experiment(
         "T1", "Sections 1, 4.3 and 8: the threat matrix", threats_build, threats_act,
@@ -1164,6 +1222,10 @@ EXPERIMENTS = (
          "masquerading server": "DEFEATED", "stolen ticket, other host": "RD_AP_BADD",
          "stolen ticket, victim host": "SUCCEEDS until expiry",
          "offline dictionary (weak pw)": "SUCCEEDS (design edge)"},
+        paper=("Eavesdropping, replay and a masquerading server are defeated; a stolen ticket "
+               "works only from the victim's host until expiry; weak passwords stay guessable."),
+        note=("Refusing a forged request is one `krb_rd_req` (`core.applib.ap_us`): no DoS "
+              "amplifier."),
     ),
     Experiment(
         "L1", "Section 8: the ticket-lifetime tradeoff (ablation)",
@@ -1172,6 +1234,10 @@ EXPERIMENTS = (
         {"prompts_and_stolen_window_h_by_life_h": {
             0.5: (25, 0.75), 1: (13, 1.25), 2: (7, 2.25), 4: (4, 2.25), 8: (2, 6.25),
             24: (1, 22.25)}},
+        paper=("Long lifetimes extend a stolen ticket's exposure; short ones force repeated "
+               "password entry."),
+        note=("A twelve-hour day, a service use every quarter hour, a theft two hours in. Eight "
+              "hours is the paper's default."),
     ),
     Experiment(
         "W1", "Figure 9 supplement: bytes on the wire", lambda: KeyGenerator(seed=b"sizes"),
@@ -1180,6 +1246,7 @@ EXPERIMENTS = (
          "message_bytes": {"AS_REQ": 92, "AS_REP": 258, "TGS_REQ": 264, "TGS_REP": 258,
                            "AP_REQ": 198},
          "login_plus_service_bytes": 1070, "largest_message": at_most(1500)},
+        paper="Every exchange is one datagram each way (Figure 9).",
     ),
     Experiment(
         "C2", "Section 2.2 supplement: the encryption library's operations",
@@ -1188,12 +1255,19 @@ EXPERIMENTS = (
          "unseal_round_trip": True, "string_to_key": "abb3d0dfd907f1c8",
          "cbc_mac_1024": "b59d07042883b76e", "quad_cksum_1024": 1157173011,
          "kdc_session_key": "94ea62f2b90e859e"},
+        paper=("Section 2.2 offers \"several methods of encryption ... with tradeoffs between "
+               "speed and security\"."),
+        note=("A kernel change that alters a byte fails here. Costs are the ledger's `crypto.*` "
+              "probes."),
     ),
     Experiment(
         "S9b", "Section 9 supplement: one KDC's capacity for the busiest hour",
         lambda: burst(64, 1), capacity_act,
         {"served_per_sim_s": 347.8, "busy_sim_s_per_hour": 20.6,
          "utilisation": at_most(0.10)},
+        paper="Section 9: Athena's authentication load in its busiest hour.",
+        note=("A saturating burst at one worker under the runtime's cost model. A request's real "
+              "cost is the ledger's `core.kdc.rpc_as_us`."),
     ),
     Experiment(
         "P1", "Extension: preauthentication against an active AS probe",
@@ -1201,6 +1275,9 @@ EXPERIMENTS = (
                  preauth_realm(True, b"p1-cost")), preauth_act,
         {"harvested_of_30_open_hardened": (30, 0), "preauth_login": "accepted",
          "kdc_requests_per_preauth_login": 2},
+        paper="The 1988 AS answers any request for any user's ticket, sealed in that user's key.",
+        note=("Extension, off by default (`ATTR_REQUIRE_PREAUTH`). It closes the probe, not the "
+              "wiretap (`tests/core/test_preauth.py`)."),
     ),
     Experiment(
         "CH", "Section 1's open network: logins against KDC-port loss", lambda: (0.0, 0.10, 0.25),
@@ -1214,6 +1291,9 @@ EXPERIMENTS = (
          "attempts_per_login": Holds("starts at 2 and never falls", lambda v: v[0] == 2.0
                                      and v == sorted(v)),
          "fewest_ok": at_least(38)},
+        paper="The network is open: a datagram may be lost, duplicated or replayed.",
+        note=("Forty logins with a retry budget; a quarter of KDC-port datagrams are duplicated "
+              "whenever loss is on. Faults cost retransmissions, not logins."),
     ),
     Experiment(
         "RT", "Section 9 supplement: KDC worker-pool scaling (login_burst row)",
@@ -1229,6 +1309,9 @@ EXPERIMENTS = (
                      "64x4": "9a75012c36b5f54b", "128x1": "43494cdb9eb09b4f",
                      "128x2": "0bc1cacd25bcd901", "128x4": "9e6add2d6d6220bf"},
          "same_seed_summary": True, "registry_has": True},
+        paper="A KDC answers requests from a whole campus.",
+        note=("The `login_burst` row at two burst sizes and three pool sizes, in simulated time. "
+              "Every request is served or shed with `KDC_OVERLOADED`."),
     ),
     Experiment(
         "RS", "Figure 13 extension: delta against full-dump propagation",
@@ -1245,6 +1328,9 @@ EXPERIMENTS = (
                     "low_digest": "ddf407af86ff42f4"}},
          "full_over_low_churn_delta": at_least(10.0),
          "high_churn_delta_over_full": at_most(1.0), "same_seed_rerun": True},
+        paper="Figure 13 propagates the whole database every hour.",
+        note=("Two slaves: a forced full dump, then a delta after ten password changes and one "
+              "after 2% of the realm changed."),
     ),
     Experiment(
         "OT", "Section 9 supplement: tracing a login storm",
@@ -1252,6 +1338,9 @@ EXPERIMENTS = (
         {"posted_ok_shed": (128, 111, 17), "traces": 128, "full_trees": 111,
          "shed_audits_joined": (17, 17), "handler_spans_broken_down": True,
          "export_bytes_sha256": (211070, "bc2bf9444050a836"), "same_seed_export": True},
+        paper="Section 9's campus logs in at once.",
+        note=("Shed logins join their `overload_shed` audit event by trace id. Tracing's wall-"
+              "time cost is the ledger's `driver.trace_overhead_x`."),
     ),
     Experiment(
         "SC", "Section 9 extension: every chaos campaign at default scale",
@@ -1268,12 +1357,17 @@ EXPERIMENTS = (
             "slave_outage_peak": "d27dca4d998b11d2"},
          "p95_at_least_p50": True, "assassination_promotions_audits_rejoins": (1.0, 1.0, 1.0),
          "new_master_differs": True, "same_seed_sweep": True},
+        paper="Section 9: a master, its slaves and failover serve the campus.",
+        note="The `repro.scenarios` campaigns at seed 1988; docs/OPERATIONS.md §7 describes them.",
     ),
     Experiment(
         "RP", "Appendix extension: the batched request plane",
         lambda: [athena(seed=b"request-plane") for _ in range(3)], request_plane_act,
         {"buffer_equals_singles_caches_off": True, "replies_per_buffer": [128] * 4,
          "wide_lane_blocks_per_request": 41.0, "skeleton_hits_per_request": 1.0},
+        paper="The appendix: per-transaction encryption cost decides a design.",
+        note=("Caches off, a buffer and its frames one per call must answer alike. The rate is "
+              "`core.kdc.as_us_b1` ÷ `core.kdc.as_us_b128`."),
     ),
     Experiment(
         "SH", "Section 9 extension: sharding 100,000 principals",
@@ -1284,6 +1378,9 @@ EXPERIMENTS = (
          "p99_ms_steady_moved": (26.0, 26.0), "p99_ratio": at_most(2.0),
          "records_moved_epoch": (31679, 2), "same_seed_ring_and_burst": (True, True),
          "digest_2_shards": "acd9f2fcda5f5da6"},
+        paper="Section 9 extension: the principal space partitioned across KDC shards.",
+        note=("A consistent-hash ring; each cell is an open-loop AS burst. A live `move_range` "
+              "runs mid-storm, and stations locate afresh at login."),
     ),
     Experiment(
         "NF", "Appendix extension: the Kerberized NFS fleet",
@@ -1295,5 +1392,8 @@ EXPERIMENTS = (
          "kerberos-rpc": {"digest": "9b56c260c43e24ec", "every_server_read": True,
                           "kernel_map_lookups": 0, "des_verifications": 400,
                           "same_seed_digests": ["415fb520deb293a1"] * 2}},
+        paper="The appendix's mount-time mapping, at fleet scale.",
+        note=("Four servers, eight stations. Configs and faults are swept by "
+              "`tests/apps/nfs_conformance/` (`-m nfs`)."),
     ),
 )

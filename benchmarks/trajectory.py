@@ -10,7 +10,11 @@ interleaved round-robin, run by run, so drift in the machine's speed
 spreads over all of them.  Every rev's row is printed, and the row of
 each commit ``trajectory.json`` (beside this file) lacks is appended to
 it; rows are never rewritten, so the parent can be recorded beside a
-change, for a same-session comparison, without being added twice.
+change, for a same-session comparison, without being added twice.  A
+new row then gets its hand-written ``what``, ``claim`` and ``verdict``
+and, folded in from the parent's row, ``parent`` (its commit and
+medians); ``python -m benchmarks.render`` draws docs/PERFORMANCE.md's
+table from the rows.
 
 A row holds, per workload:
 
@@ -289,7 +293,8 @@ def record(revs: List[str]) -> List[dict]:
         rows = json.loads(TRAJECTORY.read_text(encoding="utf-8"))
     known = {row["commit"] for row in rows}
     rows += [row for row in measured if row["commit"] not in known]
-    TRAJECTORY.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
+    TRAJECTORY.write_text(json.dumps(rows, indent=1, ensure_ascii=False) + "\n",
+                          encoding="utf-8")
     return measured
 
 

@@ -2,13 +2,17 @@
 
 CLAIMS.md points at tests, DESIGN.md and EXPERIMENTS.md at the rows of
 ``benchmarks/experiments.py``, README at example scripts — a rename
-anywhere must fail here rather than rot silently.
+anywhere must fail here rather than rot silently.  EXPERIMENTS.md and
+PERFORMANCE.md's trajectory block are renders (``benchmarks/render.py``)
+and must equal them.
 """
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
+from benchmarks import render, trajectory
 from tests.lint.harness import rule_test
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -141,6 +145,17 @@ class TestExperimentsCoverage:
         for what, bad in planted(sections).items():
             assert id_mismatches("EXPERIMENTS.md", bad, row_ids()), what
 
+    def test_the_file_is_its_render(self):
+        assert render.EXPERIMENTS_MD.read_text(encoding="utf-8") == render.render_experiments()
+
+    def test_a_changed_expected_value_is_caught(self):
+        """F13's staleness as the hand-kept file once quoted it."""
+        from benchmarks.experiments import EXPERIMENTS
+
+        rows = [dataclasses.replace(row, expect={**row.expect, "worst_staleness_s": 3600.0})
+                if row.id == "F13" else row for row in EXPERIMENTS]
+        assert render.EXPERIMENTS_MD.read_text(encoding="utf-8") != render.render_experiments(rows)
+
 
 class TestScenarioCatalogue:
     def test_operations_names_every_campaign(self):
@@ -221,3 +236,14 @@ class TestTrajectoryTable:
         }
         for what, bad in planted.items():
             assert table_mismatches(bad, rows), what
+
+    def test_the_block_is_its_render(self):
+        text = render.PERFORMANCE_MD.read_text(encoding="utf-8")
+        assert render.splice(text, render.render_trajectory()) == text
+
+    def test_a_changed_median_is_caught(self):
+        text, (_table, rows) = render.PERFORMANCE_MD.read_text(encoding="utf-8"), self._both()
+        for block in rows[-1]["workloads"].values():
+            for metric in trajectory.END_TO_END:
+                block[metric]["median"] *= 1.1
+        assert render.splice(text, render.render_trajectory(rows)) != text
