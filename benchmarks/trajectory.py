@@ -7,14 +7,14 @@ exported to a temporary directory and measured with *that tree's own*
 frozen ledger, ``benchmarks/ledger/run.py``, so an old commit is priced
 by the same code that priced it when it landed.  The revs are
 interleaved round-robin, run by run, so drift in the machine's speed
-spreads over all of them.  Every rev's row is printed, and the row of
-each commit ``trajectory.json`` (beside this file) lacks is appended to
-it; rows are never rewritten, so the parent can be recorded beside a
-change, for a same-session comparison, without being added twice.  A
-new row then gets its hand-written ``what``, ``claim`` and ``verdict``
-and, folded in from the parent's row, ``parent`` (its commit and
-medians); ``python -m benchmarks.render`` draws docs/PERFORMANCE.md's
-table from the rows.
+spreads over all of them.  Every rev's row is printed; the last rev's
+row is appended to ``trajectory.json`` (beside this file) unless its
+commit is already there, with the rev measured before it, if any, as
+its ``parent`` (commit, and medians with quartiles) — so ``record
+<parent> .`` adds one row, the change's, compared in the same session.
+Rows are never rewritten.  A new row then gets its hand-written
+``what``, ``claim`` and ``verdict``; ``python -m benchmarks.render``
+draws docs/PERFORMANCE.md's table from the rows.
 
 A row holds, per workload:
 
@@ -250,9 +250,24 @@ def _log(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
+def merge(rows: List[dict], measured: List[dict]) -> List[dict]:
+    """``rows`` and, unless its commit is in them, the last measured
+    rev's row, with the rev before it as its ``parent``."""
+    row = measured[-1]
+    if any(known["commit"] == row["commit"] for known in rows):
+        return rows
+    new = {"commit": row["commit"], "pr": row["pr"], "what": "", "claim": None, "verdict": ""}
+    if len(measured) > 1:
+        new["parent"] = {"commit": measured[-2]["commit"], "workloads": {
+            name: {metric: block[metric] for metric in END_TO_END}
+            for name, block in measured[-2]["workloads"].items()
+        }}
+    return rows + [{**new, **row}]
+
+
 def record(revs: List[str]) -> List[dict]:
-    """Measure every rev, interleaved, and append the rows of the
-    commits the trajectory lacks; return every rev's row."""
+    """Measure every rev, interleaved, and append the last one's row
+    (see :func:`merge`); return every rev's row."""
     with tempfile.TemporaryDirectory(prefix="trajectory-") as scratch:
         trees, commits = [], []
         for k, rev in enumerate(revs):
@@ -291,8 +306,7 @@ def record(revs: List[str]) -> List[dict]:
     rows = []
     if TRAJECTORY.exists():
         rows = json.loads(TRAJECTORY.read_text(encoding="utf-8"))
-    known = {row["commit"] for row in rows}
-    rows += [row for row in measured if row["commit"] not in known]
+    rows = merge(rows, measured)
     TRAJECTORY.write_text(json.dumps(rows, indent=1, ensure_ascii=False) + "\n",
                           encoding="utf-8")
     return measured

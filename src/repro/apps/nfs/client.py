@@ -19,7 +19,7 @@ from repro.apps.nfs.protocol import (
     NfsRequest,
 )
 from repro.core.client import KerberosClient
-from repro.core.retry import RetryExhausted, RetryPolicy, run_with_failover
+from repro.core.retry import RetryCounts, RetryExhausted, RetryPolicy, run_with_failover
 from repro.netsim import Host, IPAddress, Unreachable
 from repro.netsim.ports import MOUNTD_PORT, NFS_PORT
 from repro.principal import Principal
@@ -53,6 +53,7 @@ class NfsClient:
         #: embedded authenticator is fresh and replay-cache-safe).
         self.retry_policy = retry_policy
         self._retry_rng = random.Random(f"nfs:{host.name}")
+        self._retry_counts = RetryCounts(host.network.metrics)
         # Per-RPC Kerberos mode state (the rejected design).
         self._per_rpc_krb: Optional[KerberosClient] = None
         self._per_rpc_service: Optional[Principal] = None
@@ -75,7 +76,7 @@ class NfsClient:
                 [self.server_address],
                 lambda address: self.host.rpc(address, port, build_payload()),
                 rng=self._retry_rng,
-                metrics=self.host.network.metrics,
+                counts=self._retry_counts,
                 op=op,
                 retry_on=(Unreachable,),
             )

@@ -60,16 +60,10 @@ class CredentialMap:
     ) -> None:
         self._map: Dict[Tuple[IPAddress, int], NfsCredential] = {}
         self._expiry: Dict[Tuple[IPAddress, int], float] = {}
-        base = dict(labels or {})
         registry = metrics if metrics is not None else MetricsRegistry()
-        self._hit = registry.counter(
-            "credmap.lookups_total", {**base, "result": "hit"}
-        )
-        self._miss = registry.counter(
-            "credmap.lookups_total", {**base, "result": "miss"}
-        )
-        self._expired = registry.counter(
-            "credmap.lookups_total", {**base, "result": "expired"}
+        lookups = registry.family("counter", "credmap.lookups_total", ("result",), labels)
+        self._hit, self._miss, self._expired = (
+            lookups["hit"], lookups["miss"], lookups["expired"]
         )
 
     @property

@@ -51,12 +51,11 @@ class MountDaemon(AuthenticatedService):
 
     def on_attach(self) -> None:
         super().on_attach()
-        self._mounts = {
-            result: self.metrics.counter(
-                "nfs.mounts_total", {"server": self.host.name, "result": result}
-            )
-            for result in ("mapped", "denied", "unmapped", "flushed")
-        }
+        self._mounts = self.metrics.family(
+            "counter", "nfs.mounts_total", ("result",), {"server": self.host.name}
+        )
+        for result in ("mapped", "denied", "unmapped", "flushed"):
+            self._mounts[result]
 
     def _handle(self, datagram) -> bytes:
         try:

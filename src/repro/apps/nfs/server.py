@@ -107,9 +107,7 @@ class NfsServer(AuthenticatedService):
         if self.attached:
             if mode_changed:
                 self.credmap.clear()
-            self.metrics.counter(
-                "nfs.config_applies_total", {"server": self.host.name}
-            ).inc(1)
+            self._config_applies[()].inc(1)
         return changes
 
     def ports(self):
@@ -120,11 +118,19 @@ class NfsServer(AuthenticatedService):
         # Counters for the appendix benchmark — all in the network's
         # registry, labelled by server host and auth mode so the three
         # designs can be compared from one snapshot.
-        self.credmap = CredentialMap(
-            metrics=self.metrics, labels={"server": self.host.name}
+        server, family = {"server": self.host.name}, self.metrics.family
+        self.credmap = CredentialMap(metrics=self.metrics, labels=server)
+        self._rpcs = family("counter", "nfs.rpc_total", ("mode", "op"), server)
+        self._access_errors = family("counter", "nfs.access_errors_total", ("mode",), server)
+        self._verifications = family(
+            "counter", "nfs.kerberos_verifications_total", ("mode",), server
         )
-        self.metrics.counter("nfs.access_errors_total", self._labels)
-        self.metrics.counter("nfs.kerberos_verifications_total", self._labels)
+        self._denials = family("counter", "nfs.exports_denied_total", ("reason",), server)
+        self._stale = family("counter", "nfs.stale_mappings_total", (), server)
+        self._map_losses = family("counter", "nfs.map_losses_total", (), server)
+        self._config_applies = family("counter", "nfs.config_applies_total", (), server)
+        # Exported from attach, under the mode the server starts in.
+        self._access_errors[self.mode.value], self._verifications[self.mode.value]
 
     def on_detach(self) -> None:
         """The kernel map is volatile state too: in-flight clients'
@@ -133,13 +139,7 @@ class NfsServer(AuthenticatedService):
         super().on_detach()
         lost = self.credmap.clear()
         if lost:
-            self.metrics.counter(
-                "nfs.map_losses_total", {"server": self.host.name}
-            ).inc(lost)
-
-    @property
-    def _labels(self) -> dict:
-        return {"server": self.host.name, "mode": self.mode.value}
+            self._map_losses[()].inc(lost)
 
     # -- registry-backed views of the classic counters --------------------------
 
@@ -156,7 +156,8 @@ class NfsServer(AuthenticatedService):
     @property
     def kerberos_verifications(self) -> int:
         return int(self.metrics.total(
-            "nfs.kerberos_verifications_total", **self._labels
+            "nfs.kerberos_verifications_total",
+            server=self.host.name, mode=self.mode.value,
         ))
 
     # -- credential resolution: the heart of the appendix ----------------------
@@ -189,9 +190,7 @@ class NfsServer(AuthenticatedService):
             if status == "expired":
                 # The authorising ticket's lifetime is up.  Never serve
                 # on a dead authentication — not even as nobody.
-                self.metrics.counter(
-                    "nfs.stale_mappings_total", {"server": self.host.name}
-                ).inc(1)
+                self._stale[()].inc(1)
                 return None, STALE_MAPPING
             if self.unmapped_policy == UnmappedPolicy.FRIENDLY:
                 return NfsCredential.nobody(), ""
@@ -215,9 +214,7 @@ class NfsServer(AuthenticatedService):
             )
         except (KerberosError, DecodeError):
             return None, "NFS access error"
-        self.metrics.counter(
-            "nfs.kerberos_verifications_total", self._labels
-        ).inc()
+        self._verifications[self.mode.value].inc()
         cred = self.passwd.credential_for(context.client.name)
         if cred is None:
             return None, "NFS access error"
@@ -228,10 +225,7 @@ class NfsServer(AuthenticatedService):
     def _deny_export(self, span, reason: str, text: str) -> bytes:
         """Refuse a request on export-policy grounds (not exported, bad
         client range, read-only) — counted and audit-logged."""
-        self.metrics.counter(
-            "nfs.exports_denied_total",
-            {"server": self.host.name, "reason": reason},
-        ).inc(1)
+        self._denials[reason].inc(1)
         self.audit.emit(
             "acl_denial",
             host=self.host.name,
@@ -248,9 +242,7 @@ class NfsServer(AuthenticatedService):
             return NfsReply(
                 ok=False, data=b"", names=[], text="malformed NFS request"
             ).to_bytes()
-        self.metrics.counter(
-            "nfs.rpc_total", {**self._labels, "op": op.name}
-        ).inc()
+        self._rpcs[self.mode.value, op.name].inc()
 
         with self.tracer.span_under(
             datagram.trace,
@@ -278,9 +270,7 @@ class NfsServer(AuthenticatedService):
 
             cred, error = self._resolve_credential(request, datagram, span)
             if cred is None:
-                self.metrics.counter(
-                    "nfs.access_errors_total", self._labels
-                ).inc()
+                self._access_errors[self.mode.value].inc()
                 return NfsReply(
                     ok=False, data=b"", names=[], text=error
                 ).to_bytes()
@@ -289,9 +279,7 @@ class NfsServer(AuthenticatedService):
             try:
                 return self._apply(op, request, cred).to_bytes()
             except FsError as exc:
-                self.metrics.counter(
-                    "nfs.access_errors_total", self._labels
-                ).inc()
+                self._access_errors[self.mode.value].inc()
                 return NfsReply(
                     ok=False, data=b"", names=[], text=str(exc)
                 ).to_bytes()

@@ -56,7 +56,7 @@ from repro.core.messages import (
     expect_reply,
 )
 from repro.core.authenticator import build_authenticator
-from repro.core.retry import RetryExhausted, RetryPolicy, run_with_failover
+from repro.core.retry import RetryCounts, RetryExhausted, RetryPolicy, run_with_failover
 from repro.database.schema import DEFAULT_MAX_LIFE
 from repro.netsim import Host, IPAddress, NoSuchService, Unreachable
 from repro.netsim.ports import KERBEROS_PORT
@@ -114,6 +114,7 @@ class KerberosClient:
         self._referral_follows = self.metrics.family(
             "counter", "kdc.referral_follows_total", ("realm",)
         )
+        self._retry_counts = RetryCounts(self.metrics)
         self.cache = CredentialCache(metrics=self.metrics)
         # realm -> the locator that answers "which KDCs, for this
         # request?" — the local realm's locator routes every AS/TGS send.
@@ -266,7 +267,7 @@ class KerberosClient:
                 addresses,
                 attempt,
                 rng=self._retry_rng,
-                metrics=self.metrics,
+                counts=self._retry_counts,
                 op=op,
                 # NoSuchService is port-unreachable: the host answers
                 # but no KDC listens (e.g. a detached service during

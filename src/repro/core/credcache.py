@@ -54,12 +54,8 @@ class CredentialCache:
         self.owner = owner
         self._creds: Dict[str, Credential] = {}
         if metrics is not None:
-            self._hit = metrics.counter(
-                "credcache.lookups_total", {"result": "hit"}
-            )
-            self._miss = metrics.counter(
-                "credcache.lookups_total", {"result": "miss"}
-            )
+            lookups = metrics.family("counter", "credcache.lookups_total", ("result",))
+            self._hit, self._miss = lookups["hit"], lookups["miss"]
         else:
             self._hit = self._miss = None
 

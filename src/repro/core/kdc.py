@@ -222,22 +222,18 @@ class KerberosServer(AuthenticatedService):
             self._requests[kind], self._outcomes[kind, "OK"]
         for result in ("hit", "miss"):
             self._tgt_memo_results[result]
-        self._batch_size = self.metrics.histogram(
-            "kdc.batch_size", BATCH_SIZE_BUCKETS, self._labels
-        )
-        self._lookups_saved = self.metrics.counter(
-            "kdc.batch_lookups_saved_total", self._labels
-        )
-        self._skeleton_hits = self.metrics.counter(
-            "kdc.skeleton_hits_total", self._labels
-        )
+        self._batch_size = family(
+            "histogram", "kdc.batch_size", (), labels, BATCH_SIZE_BUCKETS
+        )[()]
+        self._lookups_saved = family("counter", "kdc.batch_lookups_saved_total", (), labels)[()]
+        self._skeleton_hits = family("counter", "kdc.skeleton_hits_total", (), labels)[()]
         # Opened TGTs (see _unseal_all): content-addressed, so a rotated
         # TGS key or a changed blob simply misses; one per incarnation.
         self._tgt_memo = keycache._LruCache(TGT_MEMO_SIZE)
         # Sealed-ticket skeletons (see seal_tickets_cached): the same.
         self._skeletons = keycache._LruCache(SKELETON_CACHE_SIZE)
         if self.shard is not None:
-            self._referrals = self.metrics.counter("kdc.referrals_total", labels)
+            self._referrals = family("counter", "kdc.referrals_total", (), labels)[()]
         if self.queue_config is not None:
             self.workqueue = WorkQueue(
                 host.network.runtime,

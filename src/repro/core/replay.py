@@ -50,17 +50,10 @@ class ReplayCache:
         self._audit = audit
         self._host = host
         if metrics is not None:
-            base = dict(labels or {})
-            self._fresh = metrics.counter(
-                "replay.checks_total", {**base, "result": "fresh"}
-            )
-            self._replayed = metrics.counter(
-                "replay.checks_total", {**base, "result": "replay"}
-            )
-            self._evictions = metrics.counter(
-                "replay.evictions_total", base
-            )
-            self._size = metrics.gauge("replay.entries", base)
+            checks = metrics.family("counter", "replay.checks_total", ("result",), labels)
+            self._fresh, self._replayed = checks["fresh"], checks["replay"]
+            self._evictions = metrics.family("counter", "replay.evictions_total", (), labels)[()]
+            self._size = metrics.family("gauge", "replay.entries", (), labels)[()]
         else:
             self._fresh = self._replayed = self._evictions = self._size = None
 

@@ -25,9 +25,9 @@ an authenticator must rebuild it per attempt (Bilal & Kang's
 time-assisted analysis and Dua et al.'s replay-prevention work both
 hinge on this coupling of retries to timestamp freshness).
 
-Metrics (when a registry is supplied): ``retry.attempts_total{op=...}``
-counts every attempt including the first; ``retry.exhausted_total{op=...}``
-counts runs that gave up.
+Metrics (when the caller hands its :class:`RetryCounts`):
+``retry.attempts_total{op=...}`` counts every attempt including the
+first; ``retry.exhausted_total{op=...}`` counts runs that gave up.
 """
 
 from __future__ import annotations
@@ -106,6 +106,15 @@ class RetryPolicy:
         return delay
 
 
+class RetryCounts:
+    """The two families :func:`run_with_failover` counts into, by ``op``;
+    a caller binds them once, when it is built."""
+
+    def __init__(self, metrics) -> None:
+        self.attempts = metrics.family("counter", "retry.attempts_total", ("op",))
+        self.exhausted = metrics.family("counter", "retry.exhausted_total", ("op",))
+
+
 def run_with_failover(
     policy: RetryPolicy,
     runtime,
@@ -113,7 +122,7 @@ def run_with_failover(
     attempt: Callable,
     *,
     rng=None,
-    metrics=None,
+    counts: Optional[RetryCounts] = None,
     op: str = "rpc",
     retry_on: Tuple[type, ...] = (Exception,),
 ):
@@ -137,8 +146,8 @@ def run_with_failover(
     while attempts < policy.max_attempts:
         endpoint = endpoints[attempts % len(endpoints)]
         attempts += 1
-        if metrics is not None:
-            metrics.counter("retry.attempts_total", {"op": op}).inc()
+        if counts is not None:
+            counts.attempts[op].inc()
         try:
             return attempt(endpoint), endpoint, attempts
         except retry_on as exc:
@@ -153,8 +162,8 @@ def run_with_failover(
             break
         if delay:
             runtime.run_for(delay)
-    if metrics is not None:
-        metrics.counter("retry.exhausted_total", {"op": op}).inc()
+    if counts is not None:
+        counts.exhausted[op].inc()
     raise RetryExhausted(
         op=op,
         attempts=attempts,
@@ -163,4 +172,4 @@ def run_with_failover(
     )
 
 
-__all__ = ["RetryExhausted", "RetryPolicy", "run_with_failover"]
+__all__ = ["RetryCounts", "RetryExhausted", "RetryPolicy", "run_with_failover"]

@@ -20,7 +20,7 @@ from repro.core.applib import krb_mk_req
 from repro.core.client import KerberosClient
 from repro.core.credcache import Credential
 from repro.core.errors import ErrorCode, KerberosError, error_for_code
-from repro.core.retry import RetryExhausted, RetryPolicy, run_with_failover
+from repro.core.retry import RetryCounts, RetryExhausted, RetryPolicy, run_with_failover
 from repro.core.safe_priv import PrivMessage, krb_mk_priv, krb_rd_priv
 from repro.kdbm.messages import (
     AdminOperation,
@@ -68,6 +68,7 @@ class KdbmClient:
             retry_policy if retry_policy is not None else RetryPolicy()
         )
         self._retry_rng = random.Random(f"kdbm:{kerberos_client.host.name}")
+        self._retry_counts = RetryCounts(kerberos_client.metrics)
 
     def _kdbm_credential(
         self, principal: Principal, password: str
@@ -113,7 +114,7 @@ class KdbmClient:
                 [self.master_address],
                 attempt,
                 rng=self._retry_rng,
-                metrics=self.krb.metrics,
+                counts=self._retry_counts,
                 op="kdbm",
                 retry_on=(Unreachable,),
             )

@@ -247,7 +247,9 @@ class FaultPlane:
 
     # -- the per-hop decision ------------------------------------------------
 
-    def _record(self, kind: str) -> None:
+    def record(self, kind: str) -> None:
+        """Count one injected fault: this plane's own, or a host crash
+        or restart the network injects."""
         self._injected[kind].inc()
 
     def inspect(self, datagram, to_service: bool = True) -> Verdict:
@@ -262,12 +264,12 @@ class FaultPlane:
             if isinstance(rule, Partition):
                 if rule.separates(datagram):
                     verdict.drop_reason = "partition"
-                    self._record("partition")
+                    self.record("partition")
                     return verdict
             elif isinstance(rule, Loss):
                 if rule.rate and self._rng.random() < rule.rate:
                     verdict.drop_reason = "loss"
-                    self._record("loss")
+                    self.record("loss")
                     return verdict
             elif isinstance(rule, Duplicate):
                 if (
@@ -277,7 +279,7 @@ class FaultPlane:
                     and self._rng.random() < rule.rate
                 ):
                     verdict.duplicate = True
-                    self._record("duplicate")
+                    self.record("duplicate")
             elif isinstance(rule, Reorder):
                 if not to_service:
                     continue
@@ -291,13 +293,13 @@ class FaultPlane:
                 ):
                     verdict.hold = True
                     rule.held = datagram
-                    self._record("reorder")
+                    self.record("reorder")
             elif isinstance(rule, Jitter):
                 if rule.high > 0:
                     verdict.extra_delay += rule.low + self._rng.random() * (
                         rule.high - rule.low
                     )
-                    self._record("jitter")
+                    self.record("jitter")
         return verdict
 
 

@@ -434,7 +434,7 @@ class Network:
         requests).  With ``downtime`` given, a restart is scheduled on
         the runtime — the Figure 10/11 master-reboot drill."""
         self.set_down(name)
-        self.metrics.counter("faults.injected_total", {"kind": "crash"}).inc()
+        self.faults.record("crash")
         if downtime is not None:
             if downtime <= 0:
                 raise ValueError(f"downtime must be positive, got {downtime}")
@@ -446,7 +446,7 @@ class Network:
         """Bring a crashed machine back (its bound services survive —
         daemons restart from init)."""
         self.set_up(name)
-        self.metrics.counter("faults.injected_total", {"kind": "restart"}).inc()
+        self.faults.record("restart")
 
     # -- attackers ------------------------------------------------------------
 

@@ -7,16 +7,16 @@ keeps every one of them as an inspectable time series instead of ad-hoc
 attributes scattered across components.
 
 Instruments are keyed by ``(name, labels)`` where labels are a small
-``str -> str`` mapping; asking for the same name with the same labels
-(in any order) returns the same instrument.  Nothing in this module
-reads the wall clock or any other ambient state: snapshots take the
-current simulated time as an argument, which keeps them deterministic
-under the seeded :class:`repro.netsim.clock.SimClock`.
+``str -> str`` mapping; an owner binds the ones it bumps through
+:meth:`MetricsRegistry.family`, and the same name with the same labels
+(in any order) is the same instrument whichever family binds it.
+Nothing in this module reads the wall clock or any other ambient state:
+snapshots take the current simulated time as an argument, which keeps
+them deterministic under the seeded :class:`repro.netsim.clock.SimClock`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -197,36 +197,7 @@ class MetricsRegistry:
         self.max_series_per_name = max_series_per_name
         self._series_per_name: Dict[str, int] = {}
 
-    # -- instrument factories ------------------------------------------------
-
-    def counter(
-        self, name: str, labels: Optional[Mapping[str, object]] = None
-    ) -> Counter:
-        return self._get_or_create(Counter, name, labels)
-
-    def gauge(
-        self, name: str, labels: Optional[Mapping[str, object]] = None
-    ) -> Gauge:
-        return self._get_or_create(Gauge, name, labels)
-
-    def histogram(
-        self,
-        name: str,
-        boundaries: Sequence[float],
-        labels: Optional[Mapping[str, object]] = None,
-    ) -> Histogram:
-        bounds = tuple(float(b) for b in boundaries)
-        known = self._histogram_bounds.get(name)
-        if known is not None and known != bounds:
-            raise MetricsError(
-                f"histogram {name} re-registered with different boundaries "
-                f"({known} vs {bounds})"
-            )
-        instrument = self._get_or_create(
-            Histogram, name, labels, boundaries=bounds
-        )
-        self._histogram_bounds[name] = bounds
-        return instrument
+    # -- the binder -----------------------------------------------------------
 
     def family(
         self,
@@ -236,27 +207,34 @@ class MetricsRegistry:
         base_labels: Optional[Mapping[str, object]] = None,
         buckets: Optional[Sequence[float]] = None,
     ) -> "Family":
-        """The series of ``name`` that per-event code bumps, by the
-        values of ``labelnames`` on top of ``base_labels``: ``family[v]``
-        for one label name, ``family[v1, v2]`` for two, ``family[()]``
-        for none.  Each is bound the first time its key is touched — a
-        series no event has bumped stays out of every export — and held
-        from then on, so a hit is one dict probe where a lookup by name
-        builds, normalises and sorts a labels dict."""
-        factory = {
-            "counter": self.counter,
-            "gauge": self.gauge,
-            "histogram": functools.partial(self.histogram, boundaries=buckets),
-        }[kind]
+        """The series of ``name`` an owner bumps, by the values of
+        ``labelnames`` on top of ``base_labels``: ``family[v]`` for one
+        label name, ``family[v1, v2]`` for two, ``family[()]`` for none.
+        Each is bound the first time its key is touched — a series no
+        event has bumped stays out of every export — and held from then
+        on, so a hit is one dict probe where a lookup by name builds,
+        normalises and sorts a labels dict.  This is the registry's only
+        binder; read series back with :meth:`get` and :meth:`total`."""
+        cls = _KINDS[kind]
+        bounds = tuple(float(b) for b in buckets) if cls is Histogram else None
         base, names = dict(base_labels or {}), tuple(labelnames)
 
         def bind(key):
             values = (key,) if len(names) == 1 else key
-            return factory(name, labels={**base, **dict(zip(names, values))})
+            return self._bind(cls, name, {**base, **dict(zip(names, values))}, bounds)
 
         return Family(bind)
 
-    def _get_or_create(self, cls, name, labels, **kwargs):
+    def _bind(self, cls, name, labels, bounds):
+        """The series ``name{labels}``, made on first use: a name keeps
+        one kind and one set of histogram bounds, and at most
+        ``max_series_per_name`` label sets."""
+        known = self._histogram_bounds.get(name, bounds)
+        if bounds is not None and known != bounds:
+            raise MetricsError(
+                f"histogram {name} re-registered with different boundaries "
+                f"({known} vs {bounds})"
+            )
         key = (name, labels_key(labels))
         existing = self._instruments.get(key)
         if existing is not None:
@@ -278,10 +256,12 @@ class MetricsRegistry:
                 f"{name} exceeds {self.max_series_per_name} label sets — "
                 "a label value is probably unbounded (per-user? per-ticket?)"
             )
-        instrument = cls(name, key[1], **kwargs)
+        instrument = cls(name, key[1]) if bounds is None else cls(name, key[1], bounds)
         self._instruments[key] = instrument
         self._kinds[name] = cls.kind
         self._series_per_name[name] = n + 1
+        if bounds is not None:
+            self._histogram_bounds[name] = bounds
         return instrument
 
     # -- queries ----------------------------------------------------------------
@@ -356,6 +336,9 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
+
+
+_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
 
 
 class Family(dict):

@@ -33,9 +33,9 @@ class _CountingClock:
 
 def check_standalone() -> None:
     registry = MetricsRegistry()
-    registry.counter("demo.requests_total", {"kind": "as"}).inc(3)
-    registry.gauge("demo.cache_size").set(7)
-    hist = registry.histogram("demo.latency_seconds", (0.01, 0.1, 1.0))
+    registry.family("counter", "demo.requests_total", ("kind",))["as"].inc(3)
+    registry.family("gauge", "demo.cache_size", ())[()].set(7)
+    hist = registry.family("histogram", "demo.latency_seconds", (), buckets=(0.01, 0.1, 1.0))[()]
     for v in (0.005, 0.05, 0.5, 5.0):
         hist.observe(v)
     assert registry.total("demo.requests_total") == 3

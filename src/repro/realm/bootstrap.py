@@ -155,9 +155,13 @@ class Realm:
 
         for sid in range(topology.shards):
             self._build_shard(sid, master_password)
-        net.metrics.gauge(
-            "shard.ring_epoch", {"realm": name}
-        ).set(self.ring.epoch)
+        realm = {"realm": name}
+        #: Journal entries a range move streams (see ``sharding.move_range``).
+        self.rebalanced = net.metrics.family(
+            "counter", "shard.rebalance_entries_total", (), realm
+        )
+        self._ring_epoch = net.metrics.family("gauge", "shard.ring_epoch", (), realm)[()]
+        self._ring_epoch.set(self.ring.epoch)
 
         self._service_keys: Dict[str, DesKey] = {}
         self._ws_count = 0
@@ -554,9 +558,11 @@ class Realm:
             )
 
     def republish_ring(self) -> None:
-        """Push the current ring + shard records to Hesiod (after a ring
-        change, e.g. a completed ``move_range``).  No-op without an
-        attached Hesiod — local locators read the realm directly."""
+        """Set ``shard.ring_epoch`` and push the current ring + shard
+        records to Hesiod (after a ring change, e.g. a completed
+        ``move_range``).  The push is a no-op without an attached
+        Hesiod — local locators read the realm directly."""
+        self._ring_epoch.set(self.ring.epoch)
         if self.hesiod is not None:
             self._publish_hesiod()
 

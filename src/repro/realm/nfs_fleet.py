@@ -103,7 +103,7 @@ class NfsFleet:
                 srvtab=srvtab,
             ))
 
-        self.net.metrics.gauge("nfs.fleet_servers", {}).set(n_servers)
+        self.net.metrics.family("gauge", "nfs.fleet_servers", ())[()].set(n_servers)
         for spec in users:
             self.add_user(spec)
 

@@ -529,12 +529,7 @@ def move_range(realm, lo: int, hi: int, to_shard: int) -> RangeMoveResult:
         for key in moved_keys[sid]:
             if source.db.remove_record(key, now=flip_time):
                 deleted += 1
-    net.metrics.counter(
-        "shard.rebalance_entries_total", {"realm": realm.name}
-    ).inc(moved)
-    net.metrics.gauge(
-        "shard.ring_epoch", {"realm": realm.name}
-    ).set(ring.epoch)
+    realm.rebalanced[()].inc(moved)
     realm.republish_ring()
     # Let the affected shards' slaves catch up promptly rather than
     # waiting for the cadence: the target replicates the imports, the

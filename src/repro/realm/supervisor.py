@@ -94,6 +94,11 @@ class RealmSupervisor(Service):
         self.misses: Dict[IPAddress, int] = {}
         #: When each currently-suspect address first missed (sim time).
         self._suspect_since: Dict[IPAddress, float] = {}
+        realm, family = {"realm": self.realm.name}, self.metrics.family
+        self._heartbeats = family("counter", "supervisor.heartbeats_total", ("target", "result"))
+        self._suppressed = family("counter", "supervisor.promotions_suppressed_total", (), realm)
+        self._promotions = family("counter", "realm.promotions_total", (), realm)
+        self._time_to_recover = family("gauge", "realm.time_to_recover_seconds", (), realm)
         self._schedule_next()
 
     def on_detach(self) -> None:
@@ -134,10 +139,7 @@ class RealmSupervisor(Service):
             ]
             for address, name, role in targets:
                 alive = self._probe(address)
-                self.metrics.counter(
-                    "supervisor.heartbeats_total",
-                    {"target": name, "result": "ok" if alive else "miss"},
-                ).inc()
+                self._heartbeats[name, "ok" if alive else "miss"].inc()
                 if alive:
                     self.misses[address] = 0
                     self._suspect_since.pop(address, None)
@@ -186,10 +188,7 @@ class RealmSupervisor(Service):
         realm = self.realm
         shard_site = realm.shards[shard]
         if now - self._last_promotion_at < DWELL_TIME:
-            self.metrics.counter(
-                "supervisor.promotions_suppressed_total",
-                {"realm": realm.name},
-            ).inc()
+            self._suppressed[()].inc()
             return
         # The freshest *healthy* slave of the failed shard: most recent
         # applied-update time as reported to the dying master's kprop
@@ -202,10 +201,7 @@ class RealmSupervisor(Service):
             if self.misses.get(site.host.address, 0) == 0
         ]
         if not candidates:
-            self.metrics.counter(
-                "supervisor.promotions_suppressed_total",
-                {"realm": realm.name},
-            ).inc()
+            self._suppressed[()].inc()
             return
         applied = shard_site.kprop.last_applied_time
         index, site = max(
@@ -229,12 +225,8 @@ class RealmSupervisor(Service):
             # record is rewritten; other shards' discovery is untouched.
             realm.repoint_clients(shard=shard)
             ttr = self.host.clock.now() - suspect_since
-            self.metrics.counter(
-                "realm.promotions_total", {"realm": realm.name}
-            ).inc()
-            self.metrics.gauge(
-                "realm.time_to_recover_seconds", {"realm": realm.name}
-            ).set(ttr)
+            self._promotions[()].inc()
+            self._time_to_recover[()].set(ttr)
             self.audit.emit(
                 "master_promoted",
                 host=site.host.name,

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.retry import RetryExhausted, RetryPolicy, run_with_failover
+from repro.core.retry import RetryCounts, RetryExhausted, RetryPolicy, run_with_failover
 from repro.database.db import KerberosDatabase
 from repro.netsim import Host, IPAddress, NetworkError
 from repro.netsim.ports import KPROP_PORT
@@ -106,6 +106,20 @@ class Kprop:
             else RetryPolicy(max_attempts=1)
         )
         self._retry_rng = random.Random(f"kprop:{host.name}")
+        self._retry_counts = RetryCounts(self.metrics)
+        #: What every round and transfer counts, under this master's name.
+        master, family = {"master": host.name}, self.metrics.family
+        self._round_seconds = family(
+            "histogram", "kprop.round_seconds", (), master, LATENCY_BUCKETS
+        )
+        self._rounds = family("counter", "kprop.rounds_total", (), master)
+        self._bytes = family("counter", "kprop.bytes_total", (), master)
+        self._transfers = family("counter", "kprop.transfers_total", ("result",), master)
+        self._full_dumps = family("counter", "repl.full_dumps_total", (), master)
+        self._delta_bytes = family("counter", "repl.delta_bytes_total", (), master)
+        self._fallbacks = family("counter", "repl.delta_fallbacks_total", (), master)
+        self._journal_depth = family("gauge", "repl.journal_depth", (), master)
+        self._slave_lag = family("gauge", "repl.slave_lag_seconds", ("slave",), master)
 
     def add_slave(self, address) -> None:
         self.slaves.append(IPAddress(address))
@@ -125,16 +139,12 @@ class Kprop:
             slaves=len(self.slaves),
         ) as span:
             result = self._propagate_inner(force_full=full)
-        self.metrics.histogram(
-            "kprop.round_seconds", LATENCY_BUCKETS,
-            {"master": self.host.name},
-        ).observe(span.duration)
+        self._round_seconds[()].observe(span.duration)
         return result
 
     def _propagate_inner(self, force_full: bool) -> PropagationResult:
         now = self.host.clock.now()
-        labels = {"master": self.host.name}
-        self.metrics.counter("kprop.rounds_total", labels).inc()
+        self._rounds[()].inc()
         # The full transfer is built lazily, once per round, and shared
         # by every slave that needs it.
         full_wire: Optional[bytes] = None
@@ -156,20 +166,18 @@ class Kprop:
             )
             try:
                 if delta_wire is not None:
-                    ok = self._send_delta(address, delta_wire, result, labels)
+                    ok = self._send_delta(address, delta_wire, result)
                     if ok is None:  # NEED_FULL: fall back within the round
                         result.modes[str(address)] = "delta+full"
-                        self._send_full(address, full_transfer(), result, labels)
+                        self._send_full(address, full_transfer(), result)
                 else:
                     result.modes[str(address)] = "full"
-                    self._send_full(address, full_transfer(), result, labels)
+                    self._send_full(address, full_transfer(), result)
             except RetryExhausted as exc:
                 result.failures[str(address)] = f"unreachable: {exc.last_error}"
-                self._outcome(labels, "unreachable")
+                self._transfers["unreachable"].inc()
             self._update_lag_gauge(address, now)
-        self.metrics.gauge("repl.journal_depth", labels).set(
-            self.db.journal.depth()
-        )
+        self._journal_depth[()].set(self.db.journal.depth())
         return result
 
     # -- per-slave transfers ----------------------------------------------
@@ -225,18 +233,14 @@ class Kprop:
             [address],
             lambda addr: self.host.rpc(addr, port, wire),
             rng=self._retry_rng,
-            metrics=self.metrics,
+            counts=self._retry_counts,
             op="kprop",
             retry_on=(NetworkError,),
         )
         return raw
 
     def _send_delta(
-        self,
-        address: IPAddress,
-        wire: bytes,
-        result: PropagationResult,
-        labels: Dict[str, str],
+        self, address: IPAddress, wire: bytes, result: PropagationResult
     ) -> Optional[bool]:
         """Returns True on success, None when the slave wants a full
         dump, and records a failure otherwise."""
@@ -244,49 +248,38 @@ class Kprop:
         status = DeltaStatus(reply.status)
         if status == DeltaStatus.NEED_FULL:
             self.high_water.pop(address, None)
-            self.metrics.counter(
-                "repl.delta_fallbacks_total", labels
-            ).inc()
+            self._fallbacks[()].inc()
             return None
         if status == DeltaStatus.REJECTED:
             result.modes[str(address)] = "delta"
             result.failures[str(address)] = reply.text
-            self._outcome(labels, "rejected")
+            self._transfers["rejected"].inc()
             return False
         result.modes[str(address)] = "delta"
         result.succeeded += 1
         self.high_water[address] = (self.db.journal.epoch, reply.applied_seq)
         self.last_applied_time[address] = reply.applied_time
-        self.metrics.counter("repl.delta_bytes_total", labels).inc(len(wire))
-        self.metrics.counter("kprop.bytes_total", labels).inc(len(wire))
-        self._outcome(labels, "ok")
+        self._delta_bytes[()].inc(len(wire))
+        self._bytes[()].inc(len(wire))
+        self._transfers["ok"].inc()
         return True
 
     def _send_full(
-        self,
-        address: IPAddress,
-        wire: bytes,
-        result: PropagationResult,
-        labels: Dict[str, str],
+        self, address: IPAddress, wire: bytes, result: PropagationResult
     ) -> bool:
         reply = PropReply.from_bytes(self.send(address, wire))
-        self.metrics.counter("kprop.bytes_total", labels).inc(len(wire))
-        self.metrics.counter("repl.full_dumps_total", labels).inc()
+        self._bytes[()].inc(len(wire))
+        self._full_dumps[()].inc()
         if not reply.ok:
             result.failures[str(address)] = reply.text
-            self._outcome(labels, "rejected")
+            self._transfers["rejected"].inc()
             return False
         result.succeeded += 1
         journal = self.db.journal
         self.high_water[address] = (journal.epoch, journal.last_seq)
         self.last_applied_time[address] = reply.applied_time
-        self._outcome(labels, "ok")
+        self._transfers["ok"].inc()
         return True
-
-    def _outcome(self, labels: Dict[str, str], result: str) -> None:
-        self.metrics.counter(
-            "kprop.transfers_total", {**labels, "result": result}
-        ).inc()
 
     def _update_lag_gauge(self, address: IPAddress, now: float) -> None:
         """``repl.slave_lag_seconds``: sim-clock time since this slave's
@@ -295,7 +288,4 @@ class Kprop:
         has applied at least once."""
         applied = self.last_applied_time.get(address)
         if applied is not None:
-            self.metrics.gauge(
-                "repl.slave_lag_seconds",
-                {"master": self.host.name, "slave": str(address)},
-            ).set(now - applied)
+            self._slave_lag[str(address)].set(now - applied)

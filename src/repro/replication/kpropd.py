@@ -66,21 +66,18 @@ class Kpropd(TransferReceiver):
         self.applied_epoch: Optional[int] = None
         self.applied_seq: int = 0
         for result in ("applied", "rejected", "need_full"):
-            self.metrics.counter(
-                self.results_metric, {**self._labels, "result": result}
-            )
+            self._results[result]
+        self._delta_entries = self.metrics.family(
+            "counter", "kpropd.delta_entries_total", (), self._labels
+        )
 
     @property
     def updates_applied(self) -> int:
-        return int(self.metrics.total(
-            self.results_metric, result="applied", **self._labels
-        ))
+        return int(self._results["applied"].value)
 
     @property
     def updates_rejected(self) -> int:
-        return int(self.metrics.total(
-            self.results_metric, result="rejected", **self._labels
-        ))
+        return int(self._results["rejected"].value)
 
     # -- position ---------------------------------------------------------
 
@@ -132,9 +129,7 @@ class Kpropd(TransferReceiver):
         applied = self.db.apply_entries(body.entries)
         self.applied_seq = body.to_seq
         now = self._applied()
-        self.metrics.counter(
-            "kpropd.delta_entries_total", self._labels
-        ).inc(applied)
+        self._delta_entries[()].inc(applied)
         return DeltaReply(
             status=int(DeltaStatus.OK),
             applied_seq=self.applied_seq,

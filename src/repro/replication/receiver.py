@@ -71,7 +71,11 @@ class TransferReceiver(Service):
         return {self.port: self._handle}
 
     def on_attach(self) -> None:
-        self._labels = {self.host_label: self.host.name}
+        self._labels = labels = {self.host_label: self.host.name}
+        self._bytes = self.metrics.family("counter", self.bytes_metric, (), labels)
+        self._results = self.metrics.family(
+            "counter", self.results_metric, ("result",), labels
+        )
 
     def held(self) -> Position:
         """The position this database already holds — compared with a
@@ -87,9 +91,7 @@ class TransferReceiver(Service):
         return None
 
     def _handle(self, datagram) -> bytes:
-        self.metrics.counter(self.bytes_metric, self._labels).inc(
-            len(datagram.payload)
-        )
+        self._bytes[()].inc(len(datagram.payload))
         with self.tracer.span_under(
             datagram.trace, self.span, host=self.host.name
         ):
@@ -140,9 +142,7 @@ class TransferReceiver(Service):
         )
 
     def count(self, result: str) -> None:
-        self.metrics.counter(
-            self.results_metric, {**self._labels, "result": result}
-        ).inc()
+        self._results[result].inc()
 
     def refuse(
         self, kind: Optional[PropKind], reason: str, status=DeltaStatus.REJECTED

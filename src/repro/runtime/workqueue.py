@@ -110,14 +110,12 @@ class WorkQueue(Generic[T]):
         self._submitted = self._shed = self._batches = None
         self._depth = self._waits = None
         if metrics is not None:
-            def family(kind, name, buckets=None):
-                return metrics.family(kind, f"{label}.{name}", (), labels, buckets)
-
-            self._submitted = family("counter", "submitted_total")
-            self._shed = family("counter", "shed_total")
-            self._batches = family("counter", "batches_total")
-            self._depth = family("gauge", "queue_depth")
-            self._waits = family("histogram", "wait_seconds", WAIT_BUCKETS)
+            family = metrics.family
+            self._submitted = family("counter", f"{label}.submitted_total", (), labels)
+            self._shed = family("counter", f"{label}.shed_total", (), labels)
+            self._batches = family("counter", f"{label}.batches_total", (), labels)
+            self._depth = family("gauge", f"{label}.queue_depth", (), labels)
+            self._waits = family("histogram", f"{label}.wait_seconds", (), labels, WAIT_BUCKETS)
         self._queue: List[QueuedItem] = []
         self._busy_workers = 0
         #: Metadata of the batch currently inside the ``process``

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core.retry import RetryExhausted, RetryPolicy, run_with_failover
+from repro.core.retry import RetryCounts, RetryExhausted, RetryPolicy, run_with_failover
 from repro.netsim import SimClock
 from repro.obs import MetricsRegistry
 from repro.runtime import EventScheduler
@@ -213,15 +213,16 @@ class TestRunWithFailover:
         clock = SimClock()
         runtime = EventScheduler(clock)
         metrics = MetricsRegistry()
+        counts = RetryCounts(metrics)
         with pytest.raises(RetryExhausted):
             run_with_failover(
                 RetryPolicy(max_attempts=2), runtime, ["a"],
                 lambda e: (_ for _ in ()).throw(Boom()),
-                retry_on=(Boom,), metrics=metrics, op="unit",
+                retry_on=(Boom,), counts=counts, op="unit",
             )
         run_with_failover(
             RetryPolicy(), runtime, ["a"], lambda e: "ok",
-            metrics=metrics, op="unit",
+            counts=counts, op="unit",
         )
         assert metrics.total("retry.attempts_total", op="unit") == 3
         assert metrics.total("retry.exhausted_total", op="unit") == 1

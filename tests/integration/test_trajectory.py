@@ -51,3 +51,16 @@ def test_calls_per_op_hold(last_row, head_cost, field):
                     f"numpy {last_row['numpy']}")
     for name, row in last_row["workloads"].items():
         assert head_cost[name][field] == row["cost"][field], name
+
+
+
+def test_recording_a_change_beside_its_parent_appends_one_row():
+    """``record <parent> .`` appends the change's row alone, the parent's
+    commit and medians in its ``parent``; a recorded commit is not added."""
+    old, parent, change = ({"commit": c, "pr": 7, "workloads": {"w": {"digest": c, **dict.fromkeys(
+        trajectory.END_TO_END, {"median": len(c), "q1": 0, "q3": 9})}}} for c in ("a", "bb", "c+"))
+    rows = trajectory.merge([old], [parent, change])
+    assert rows[0] is old and len(rows) == 2 and rows[1].items() >= change.items()
+    assert rows[1]["parent"] == {"commit": "bb", "workloads": {"w": dict.fromkeys(
+        trajectory.END_TO_END, {"median": 2, "q1": 0, "q3": 9})}}
+    assert trajectory.merge(rows, [parent, change]) == rows

@@ -423,55 +423,101 @@ def _oracle_imports(tree):
 
 # -- The KDC: one plane, per-batch work, handles instead of lookups.
 
-#: Per module: the functions that run per batch or per event (they hold
-#: handles).  The one binder, looking a series up by name the first time
-#: its key is touched, is the registry's family.
+#: The registry's only binder is ``family``, made where its owner is built
+#: or attached; beside it the registry keeps public only its readers.
+METRICS = "src/repro/obs/metrics.py"
+BINDERS = {"counter", "gauge", "histogram", "family"}
+CONSTRUCTORS = {"__init__", "on_attach"}
+READERS = {"family", "total", "get", "instruments", "snapshot", "reset"}
+#: The KDC's per-batch stages.  A by-name *read* (``total``, a scan of the
+#: whole registry) is no binder, so only this list keeps one out of them.
 HANDLES = {
     KDC: ("_serve_batch", "_unseal_all", "_get_record", "_issue_all", "_lookup_all",
           "_unseal_keys", "_admit", "_lookup_service", "_lookup_tgs_service"),
-    "src/repro/runtime/scheduler.py": ("at", "step"),
-    "src/repro/netsim/network.py": ("_wire_leg", "_dispatch"),
-    "src/repro/netsim/faults.py": ("_record",),
-    CLIENT: ("_ask_kdc", "_failover_exchange", "as_exchange", "_tgs_exchange"),
-    "src/repro/obs/tracing.py": ("_open", "record_instants"),
-    "src/repro/obs/audit.py": ("emit_run",),
-    "src/repro/runtime/workqueue.py": ("_count", "_gauge_depth", "_observe_waits"),
 }
-BINDER = ("src/repro/obs/metrics.py", "family")
 
 
-def _lookups(tree):
-    """Where ``tree`` names a by-name lookup of the registry (its own, in
-    the registry module)."""
-    return [
-        (node.lineno, ast.unparse(node)) for node in nodes(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr in {"total", "counter", "gauge", "histogram", "family"}
-        and ast.unparse(node.value) in ("self", "self.metrics", "self._metrics")
-    ]
-
-
-def _kept_in_a_dict(func):
-    """What ``func`` stores under a key: subscript stores, dict comprehensions."""
-    for node in nodes(func):
-        if isinstance(node, ast.DictComp) or isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Subscript) for target in node.targets
-        ):
-            yield node.value
+def _scoped(tree, func=None):
+    """``(innermost enclosing def or None, node)`` for every node of ``tree``."""
+    for child in ast.iter_child_nodes(tree):
+        inner = child if isinstance(child, ast.FunctionDef) else func
+        yield inner, child
+        yield from _scoped(child, inner)
 
 
 def _handles(trees):
     for rel, tree in trees.items():
+        binds = [(func, node) for func, node in _scoped(tree)
+                 if isinstance(node, ast.Call) and name_of(node.func) in BINDERS]
+        kept = {id(call) for _func, node in _scoped(tree) for call in ast.walk(node)
+                if isinstance(node, (ast.Dict, ast.DictComp)) or isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Subscript) for target in node.targets)}
+        for func, call in binds:
+            name = func.name if func else "<module>"
+            if id(call) in kept:
+                yield rel, func.lineno if func else call.lineno, f"{name} binds by hand"
+            elif name_of(call.func) != "family":
+                yield rel, call.lineno, f"{name} looks up {ast.unparse(call.func)}"
+            elif name not in CONSTRUCTORS:
+                yield rel, call.lineno, f"{name} makes a family"
+        for cls in nodes(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "MetricsRegistry":
+                yield from ((rel, f.lineno, f"MetricsRegistry.{f.name} is public")
+                            for f in functions(cls, top=True).values()
+                            if not f.name.startswith("_") and f.name not in READERS)
         for name, func in functions(tree).items():
-            lookups = _lookups(func)
-            if name in HANDLES.get(rel, ()):
-                yield from ((rel, line, f"{name} looks up {what}") for line, what in lookups)
-                if not lookups:
-                    yield rel, func.lineno, f"{name} reads handles"
-            elif (rel, name) == BINDER and lookups:
-                yield rel, func.lineno, f"{name} binds at first use"
-            elif any(map(_lookups, _kept_in_a_dict(func))):
-                yield rel, func.lineno, f"{name} binds by hand"
+            if name not in HANDLES.get(rel, ()):
+                continue
+            reads = [node for node in nodes(func) if isinstance(node, ast.Attribute)
+                     and node.attr == "total"
+                     and ast.unparse(node.value) in ("self.metrics", "self._metrics")]
+            yield from ((rel, node.lineno, f"{name} looks up {ast.unparse(node)}")
+                        for node in reads)
+            if not reads:
+                yield rel, func.lineno, f"{name} reads handles"
+
+
+#: The catalogue of every series: the table of docs/OBSERVABILITY.md §2.
+CATALOGUE = "docs/OBSERVABILITY.md"
+
+
+def _bound_names(trees):
+    """``(path, line, name, pattern)`` of each series name a ``family(...)``
+    call binds: a literal; a class constant, as every value a class body
+    gives it; an f-string, its fields matching any dotted name."""
+    constants = {}
+    for cls in (node for tree in trees.values() for node in nodes(tree)):
+        for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(node, ast.Assign) and _str(node.value) and node.value.value:
+                for target in node.targets:
+                    constants.setdefault(name_of(target), []).append(node.value.value)
+    for rel, tree in trees.items():
+        for call in calls(tree, {"family"}):
+            arg = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "name"), None)
+            if isinstance(arg, ast.JoinedStr):
+                named = [(ast.unparse(arg), "".join(
+                    re.escape(part.value) if _str(part) else r"[\w.]+" for part in arg.values))]
+            else:
+                named = [(v, re.escape(v)) for v in ([arg.value] if _str(arg) else constants.get(
+                    getattr(arg, "attr", None), []))]
+            yield from ((rel, call.lineno, name, pattern) for name, pattern in named or [
+                (f"a name it cannot read, {ast.unparse(arg)}", "(?!)")])
+
+
+def _catalogue(trees):
+    rows, section = [], False
+    for lineno, line in enumerate(trees.get(CATALOGUE, "").splitlines(), 1):
+        section = line.startswith("## 2.") if line.startswith("## ") else section
+        if section and line.startswith("| `"):
+            rows += [(lineno, name) for name in re.findall(r"`([\w.]+)`", line.split("|")[1])]
+    bound = list(_bound_names({rel: t for rel, t in trees.items() if rel != CATALOGUE}))
+    for rel, line, name, pattern in bound:
+        if not any(re.fullmatch(pattern, row) for _line, row in rows):
+            yield rel, line, f"{name} has no row in §2"
+    for line, row in rows:
+        if not any(re.fullmatch(pattern, row) for *_site, pattern in bound):
+            yield CATALOGUE, line, f"{row} is bound nowhere in src/"
 
 
 def _batch_of_one(tree):
@@ -1090,18 +1136,57 @@ RULES = (
     ),
     Rule(
         "pipeline-reads-handles",
-        "Per-batch and per-event code holds instrument handles; only the registry's family "
-        "looks one up by name, at first use.",
-        (*HANDLES, BINDER[0]), _handles,
+        "A series is bound once, through the registry's family, when its owner is built or "
+        "attached; nothing looks one up by name or keeps one in a dict.",
+        (*SRC, "examples/*", BENCH), _handles,
         sites=tuple((rel, f"{name} reads handles") for rel, per in HANDLES.items()
-                    for name in per) + ((BINDER[0], f"{BINDER[1]} binds at first use"),),
-        plant_at=KDC, plant=KDC_PLANT, plants=((CLIENT, CLIENT_PLANT),),
+                    for name in per)
+        # The registry's smoke test binds a registry of its own, once.
+        + 3 * (("src/repro/obs/selfcheck.py", "check_standalone makes a family"),),
+        plant_at=KDC, plant=KDC_PLANT,
+        plants=((CLIENT, CLIENT_PLANT),
+                ("src/repro/apps/nfs/server.py",
+                 "def _handle(self, datagram):\n"
+                 "    self.metrics.counter('nfs.rpc_total', {'op': op.name}).inc()\n"
+                 "    self._denied = self.metrics.family('counter', 'nfs.denied_total', ())\n"),
+                ("src/repro/replication/kprop.py",
+                 "def _send_full(self, address, wire, result, labels):\n"
+                 "    self.metrics.counter('kprop.bytes_total', labels).inc(len(wire))\n"
+                 "    self._by = {r: self.metrics.family('counter', r, ()) for r in RESULTS}\n"),
+                (METRICS, "class MetricsRegistry:\n"
+                          "    def family(self): pass\n"
+                          "    def counter(self): pass\n"
+                          "    def total(self): pass\n")),
         hits=((6, "_serve_batch looks up self.metrics.counter"),
               (7, "_serve_batch looks up self.metrics.total"),
               (8, "_serve_batch looks up self._metrics.gauge"),
               (11, "_serve_batch looks up self.metrics.total"),
+              (14, "_outcome looks up self.metrics.counter"),
               (15, "_admit reads handles"), (17, "_counter binds by hand"),
-              (3, "as_exchange looks up self.metrics.histogram")),
+              (3, "as_exchange looks up self.metrics.histogram"),
+              (2, "_handle looks up self.metrics.counter"), (3, "_handle makes a family"),
+              (2, "_send_full looks up self.metrics.counter"), (1, "_send_full binds by hand"),
+              (3, "MetricsRegistry.counter is public")),
+    ),
+    Rule(
+        "metrics-match-the-catalogue",
+        "Every series a family binds in src/ has a row in docs/OBSERVABILITY.md §2, and every "
+        "row is bound somewhere.",
+        (*SRC, CATALOGUE), _catalogue,
+        # Its standalone smoke test's demo.* series belong to no realm.
+        exclude=("src/repro/obs/selfcheck.py",),
+        plant="class Receiver(TransferReceiver):\n"
+              "    bytes_metric = 'x.bytes_total'\n"
+              "    def on_attach(self):\n"
+              "        self._bytes = self.metrics.family('counter', self.bytes_metric, ())\n"
+              "        self._depth = family('gauge', f'{label}.depth', (), labels)\n"
+              "        self._lost = self.metrics.family('counter', name='x.lost_total')\n",
+        plants=((CATALOGUE, "## 2. What is instrumented\n"
+                            "| `x.bytes_total`, `x.queue.depth` | counter, gauge |\n"
+                            "| `x.gone_total` | counter |\n"
+                            "## 3. Spans\n"
+                            "| `x.span_total` | counter |\n"),),
+        hits=((6, "x.lost_total has no row in §2"), (3, "x.gone_total is bound nowhere in src/")),
     ),
     Rule(
         "no-per-item-cipher-call",

@@ -179,14 +179,10 @@ class TestReferrals:
 
         ws.client.kdestroy()
         ws.client.kinit(username, password)   # stale → referral → retry
-        follows = net.metrics.counter(
-            "kdc.referral_follows_total", {"realm": REALM}
-        ).value
+        follows = net.metrics.total("kdc.referral_follows_total", realm=REALM)
         assert follows >= 1.0
         referrals = sum(
-            net.metrics.counter(
-                "kdc.referrals_total", {"server": site.master_host.name}
-            ).value
+            net.metrics.total("kdc.referrals_total", server=site.master_host.name)
             for site in realm.shards
         )
         assert referrals >= 1.0
@@ -305,12 +301,8 @@ class TestMoveRange:
         assert key in realm.shards[1].db.store
         assert key not in realm.shards[0].db.store
         # Metrics: entries counted, epoch gauge current.
-        assert net.metrics.counter(
-            "shard.rebalance_entries_total", {"realm": REALM}
-        ).value >= 1.0
-        assert net.metrics.gauge(
-            "shard.ring_epoch", {"realm": REALM}
-        ).value == float(realm.ring.epoch)
+        assert net.metrics.total("shard.rebalance_entries_total", realm=REALM) >= 1.0
+        assert net.metrics.total("shard.ring_epoch", realm=REALM) == float(realm.ring.epoch)
         # And the moved user can still log in.
         ws = realm.workstation()
         ws.client.kinit(username, password)

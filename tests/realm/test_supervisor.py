@@ -49,10 +49,9 @@ class TestDetection:
         net.runtime.run_for(30.0)
         site = realm.shards[0]
         for host in [site.master_host] + [s.host for s in site.slaves]:
-            assert net.metrics.counter(
-                "supervisor.heartbeats_total",
-                {"target": host.name, "result": "ok"},
-            ).value > 0
+            assert net.metrics.total(
+                "supervisor.heartbeats_total", target=host.name, result="ok"
+            ) > 0
 
     def test_single_missed_heartbeat_does_not_promote(self):
         net, realm, supervisor = build()
@@ -138,12 +137,8 @@ class TestAutomaticPromotion:
         assert len(promoted) == 1
         assert promoted[0].host == realm.shards[0].master_host.name
         assert promoted[0].trace_id       # joined to the supervisor trace
-        assert net.metrics.counter(
-            "realm.promotions_total", {"realm": REALM}
-        ).value == 1
-        ttr = net.metrics.gauge(
-            "realm.time_to_recover_seconds", {"realm": REALM}
-        ).value
+        assert net.metrics.total("realm.promotions_total", realm=REALM) == 1
+        ttr = net.metrics.total("realm.time_to_recover_seconds", realm=REALM)
         assert 0.0 < ttr <= DETECT
 
 
@@ -202,9 +197,7 @@ class TestFlapProtection:
         net.crash_host(realm.shards[0].master_host.name)
         net.runtime.run_for(DETECT)
         assert promotions(net) == 1
-        assert net.metrics.counter(
-            "supervisor.promotions_suppressed_total", {"realm": REALM}
-        ).value > 0
+        assert net.metrics.total("supervisor.promotions_suppressed_total", realm=REALM) > 0
 
     def test_promotion_allowed_again_after_dwell(self):
         net, realm, supervisor = build()
@@ -266,15 +259,10 @@ class TestSupervisorLifecycle:
         net, realm, supervisor = build()
         net.runtime.run_for(10.0)
         supervisor.detach()
-        before = net.metrics.counter(
-            "supervisor.heartbeats_total",
-            {"target": realm.shards[0].master_host.name, "result": "ok"},
-        ).value
+        master = realm.shards[0].master_host.name
+        before = net.metrics.total("supervisor.heartbeats_total", target=master, result="ok")
         net.runtime.run_for(60.0)
-        after = net.metrics.counter(
-            "supervisor.heartbeats_total",
-            {"target": realm.shards[0].master_host.name, "result": "ok"},
-        ).value
+        after = net.metrics.total("supervisor.heartbeats_total", target=master, result="ok")
         assert after == before
 
     def test_monitor_crash_and_restart_resumes_with_clean_state(self):
@@ -290,10 +278,10 @@ class TestSupervisorLifecycle:
         # the (healthy again) master is never wrongly deposed.
         net.runtime.run_for(120.0)
         assert promotions(net) == 0
-        assert net.metrics.counter(
+        assert net.metrics.total(
             "supervisor.heartbeats_total",
-            {"target": realm.shards[0].master_host.name, "result": "ok"},
-        ).value > 0
+            target=realm.shards[0].master_host.name, result="ok",
+        ) > 0
 
 
 class TestDeterminism:
@@ -307,9 +295,7 @@ class TestDeterminism:
                 realm.shards[0].master_host.name,
                 promotions(net),
                 [(e.kind, e.host, e.time) for e in net.audit.events()],
-                net.metrics.gauge(
-                    "realm.time_to_recover_seconds", {"realm": REALM}
-                ).value,
+                net.metrics.total("realm.time_to_recover_seconds", realm=REALM),
             )
 
         assert story(99) == story(99)
