@@ -428,7 +428,7 @@ def _oracle_imports(tree):
 METRICS = "src/repro/obs/metrics.py"
 BINDERS = {"counter", "gauge", "histogram", "family"}
 CONSTRUCTORS = {"__init__", "on_attach"}
-READERS = {"family", "total", "get", "instruments", "snapshot", "reset"}
+PUBLIC = {"family", "total", "get", "instruments", "snapshot", "reset"}
 #: The KDC's per-batch stages.  A by-name *read* (``total``, a scan of the
 #: whole registry) is no binder, so only this list keeps one out of them.
 HANDLES = {
@@ -449,9 +449,10 @@ def _handles(trees):
     for rel, tree in trees.items():
         binds = [(func, node) for func, node in _scoped(tree)
                  if isinstance(node, ast.Call) and name_of(node.func) in BINDERS]
-        kept = {id(call) for _func, node in _scoped(tree) for call in ast.walk(node)
+        kept = {id(call) for node in nodes(tree)
                 if isinstance(node, (ast.Dict, ast.DictComp)) or isinstance(node, ast.Assign)
-                and any(isinstance(target, ast.Subscript) for target in node.targets)}
+                and any(isinstance(target, ast.Subscript) for target in node.targets)
+                for call in ast.walk(node)}
         for func, call in binds:
             name = func.name if func else "<module>"
             if id(call) in kept:
@@ -464,7 +465,7 @@ def _handles(trees):
             if isinstance(cls, ast.ClassDef) and cls.name == "MetricsRegistry":
                 yield from ((rel, f.lineno, f"MetricsRegistry.{f.name} is public")
                             for f in functions(cls, top=True).values()
-                            if not f.name.startswith("_") and f.name not in READERS)
+                            if not f.name.startswith("_") and f.name not in PUBLIC)
         for name, func in functions(tree).items():
             if name not in HANDLES.get(rel, ()):
                 continue
@@ -958,7 +959,7 @@ RULES = (
         "The cipher library reports to nobody: its tallies are read, never mirrored into a realm.",
         (CRYPTO + "*",),
         each(join(lambda tree: [site for site in imports(tree) if site[1].split()[1] == "weakref"],
-                  call_sites("counter", "gauge", "histogram", attr=True))),
+                  call_sites("counter", "gauge", "histogram", "family", attr=True))),
         plant_at=CRYPTO + "keycache.py",
         plant="import weakref\n"
               "from weakref import ref\n"
