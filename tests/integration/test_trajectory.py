@@ -53,7 +53,6 @@ def test_calls_per_op_hold(last_row, head_cost, field):
         assert head_cost[name][field] == row["cost"][field], name
 
 
-
 def test_recording_a_change_beside_its_parent_appends_one_row():
     """``record <parent> .`` appends the change's row alone, the parent's
     commit and medians in its ``parent``; a recorded commit is not added."""

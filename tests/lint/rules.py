@@ -8,6 +8,7 @@ import ast
 import linecache
 import re
 import symtable
+from fnmatch import fnmatchcase
 
 from tests.lint.harness import (
     DOCS, LOOPS, LOOPY, Rule, calls, descendants, each, functions, join,
@@ -423,58 +424,54 @@ def _oracle_imports(tree):
 
 # -- The KDC: one plane, per-batch work, handles instead of lookups.
 
-#: The registry's only binder is ``family``, made where its owner is built
-#: or attached; beside it the registry keeps public only its readers.
-METRICS = "src/repro/obs/metrics.py"
+#: The registry's one binder is ``family``, made where its owner is built
+#: or attached; ``counter``/``gauge``/``histogram`` are its private bind step.
 BINDERS = {"counter", "gauge", "histogram", "family"}
 CONSTRUCTORS = {"__init__", "on_attach"}
-PUBLIC = {"family", "total", "get", "instruments", "snapshot", "reset"}
-#: The KDC's per-batch stages.  A by-name *read* (``total``, a scan of the
-#: whole registry) is no binder, so only this list keeps one out of them.
+#: Per module: the functions that run per batch or per event (they hold
+#: handles).  The scope-wide checks keep every binder out of them; a
+#: by-name *read* (``total``, a scan of the whole registry) binds nothing,
+#: so only this list keeps one out.
 HANDLES = {
     KDC: ("_serve_batch", "_unseal_all", "_get_record", "_issue_all", "_lookup_all",
           "_unseal_keys", "_admit", "_lookup_service", "_lookup_tgs_service"),
+    "src/repro/runtime/scheduler.py": ("at", "step"),
+    "src/repro/netsim/network.py": ("_wire_leg", "_dispatch"),
+    "src/repro/netsim/faults.py": ("record",),
+    CLIENT: ("_ask_kdc", "_failover_exchange", "as_exchange", "_tgs_exchange"),
+    "src/repro/obs/tracing.py": ("_open", "record_instants"),
+    "src/repro/obs/audit.py": ("emit_run",),
+    "src/repro/runtime/workqueue.py": ("_count", "_gauge_depth", "_observe_waits"),
 }
-
-
-def _scoped(tree, func=None):
-    """``(innermost enclosing def or None, node)`` for every node of ``tree``."""
-    for child in ast.iter_child_nodes(tree):
-        inner = child if isinstance(child, ast.FunctionDef) else func
-        yield inner, child
-        yield from _scoped(child, inner)
 
 
 def _handles(trees):
     for rel, tree in trees.items():
-        binds = [(func, node) for func, node in _scoped(tree)
-                 if isinstance(node, ast.Call) and name_of(node.func) in BINDERS]
         kept = {id(call) for node in nodes(tree)
                 if isinstance(node, (ast.Dict, ast.DictComp)) or isinstance(node, ast.Assign)
                 and any(isinstance(target, ast.Subscript) for target in node.targets)
                 for call in ast.walk(node)}
-        for func, call in binds:
-            name = func.name if func else "<module>"
+        # A def walked after the one around it: the innermost def wins.
+        owner = {id(node): func for func in nodes(tree) if isinstance(func, ast.FunctionDef)
+                 for node in nodes(func)}
+        for call in calls(tree, BINDERS):
+            func = owner.get(id(call))
+            name = getattr(func, "name", "<module>")
             if id(call) in kept:
-                yield rel, func.lineno if func else call.lineno, f"{name} binds by hand"
+                yield rel, getattr(func, "lineno", call.lineno), f"{name} binds by hand"
             elif name_of(call.func) != "family":
                 yield rel, call.lineno, f"{name} looks up {ast.unparse(call.func)}"
             elif name not in CONSTRUCTORS:
                 yield rel, call.lineno, f"{name} makes a family"
-        for cls in nodes(tree):
-            if isinstance(cls, ast.ClassDef) and cls.name == "MetricsRegistry":
-                yield from ((rel, f.lineno, f"MetricsRegistry.{f.name} is public")
-                            for f in functions(cls, top=True).values()
-                            if not f.name.startswith("_") and f.name not in PUBLIC)
         for name, func in functions(tree).items():
             if name not in HANDLES.get(rel, ()):
                 continue
-            reads = [node for node in nodes(func) if isinstance(node, ast.Attribute)
-                     and node.attr == "total"
-                     and ast.unparse(node.value) in ("self.metrics", "self._metrics")]
+            lookups = [node for node in nodes(func) if isinstance(node, ast.Attribute)
+                       and node.attr in BINDERS | {"total"}
+                       and ast.unparse(node.value) in ("self.metrics", "self._metrics")]
             yield from ((rel, node.lineno, f"{name} looks up {ast.unparse(node)}")
-                        for node in reads)
-            if not reads:
+                        for node in lookups if node.attr == "total")
+            if not lookups:
                 yield rel, func.lineno, f"{name} reads handles"
 
 
@@ -483,9 +480,9 @@ CATALOGUE = "docs/OBSERVABILITY.md"
 
 
 def _bound_names(trees):
-    """``(path, line, name, pattern)`` of each series name a ``family(...)``
-    call binds: a literal; a class constant, as every value a class body
-    gives it; an f-string, its fields matching any dotted name."""
+    """``(path, line, name)`` of each series name a ``family(...)`` call
+    binds: a literal; a class constant, as every value a class body gives
+    it; an f-string, as a glob with ``*`` for each field."""
     constants = {}
     for cls in (node for tree in trees.values() for node in nodes(tree)):
         for node in cls.body if isinstance(cls, ast.ClassDef) else ():
@@ -494,16 +491,11 @@ def _bound_names(trees):
                     constants.setdefault(name_of(target), []).append(node.value.value)
     for rel, tree in trees.items():
         for call in calls(tree, {"family"}):
-            arg = call.args[1] if len(call.args) > 1 else next(
-                (k.value for k in call.keywords if k.arg == "name"), None)
-            if isinstance(arg, ast.JoinedStr):
-                named = [(ast.unparse(arg), "".join(
-                    re.escape(part.value) if _str(part) else r"[\w.]+" for part in arg.values))]
-            else:
-                named = [(v, re.escape(v)) for v in ([arg.value] if _str(arg) else constants.get(
-                    getattr(arg, "attr", None), []))]
-            yield from ((rel, call.lineno, name, pattern) for name, pattern in named or [
-                (f"a name it cannot read, {ast.unparse(arg)}", "(?!)")])
+            arg = call.args[1]
+            names = (["".join(part.value if _str(part) else "*" for part in arg.values)]
+                     if isinstance(arg, ast.JoinedStr) else [arg.value] if _str(arg) else
+                     constants.get(name_of(arg)) or [f"{ast.unparse(arg)}, a name it cannot read"])
+            yield from ((rel, call.lineno, name) for name in names)
 
 
 def _catalogue(trees):
@@ -513,11 +505,11 @@ def _catalogue(trees):
         if section and line.startswith("| `"):
             rows += [(lineno, name) for name in re.findall(r"`([\w.]+)`", line.split("|")[1])]
     bound = list(_bound_names({rel: t for rel, t in trees.items() if rel != CATALOGUE}))
-    for rel, line, name, pattern in bound:
-        if not any(re.fullmatch(pattern, row) for _line, row in rows):
+    for rel, line, name in bound:
+        if not any(fnmatchcase(row, name) for _line, row in rows):
             yield rel, line, f"{name} has no row in §2"
     for line, row in rows:
-        if not any(re.fullmatch(pattern, row) for *_site, pattern in bound):
+        if not any(fnmatchcase(row, name) for *_site, name in bound):
             yield CATALOGUE, line, f"{row} is bound nowhere in src/"
 
 
@@ -1145,19 +1137,17 @@ RULES = (
         # The registry's smoke test binds a registry of its own, once.
         + 3 * (("src/repro/obs/selfcheck.py", "check_standalone makes a family"),),
         plant_at=KDC, plant=KDC_PLANT,
+        # A network, an NFS server and kprop that look series up per event.
         plants=((CLIENT, CLIENT_PLANT),
-                ("src/repro/apps/nfs/server.py",
+                ("src/repro/netsim/network.py",
+                 "def _dispatch(self, datagram):\n"
+                 "    self.metrics.total('net.datagrams_total', port=datagram.dst_port)\n"
                  "def _handle(self, datagram):\n"
                  "    self.metrics.counter('nfs.rpc_total', {'op': op.name}).inc()\n"
-                 "    self._denied = self.metrics.family('counter', 'nfs.denied_total', ())\n"),
-                ("src/repro/replication/kprop.py",
+                 "    self._denied = self.metrics.family('counter', 'nfs.denied_total', ())\n"
                  "def _send_full(self, address, wire, result, labels):\n"
                  "    self.metrics.counter('kprop.bytes_total', labels).inc(len(wire))\n"
-                 "    self._by = {r: self.metrics.family('counter', r, ()) for r in RESULTS}\n"),
-                (METRICS, "class MetricsRegistry:\n"
-                          "    def family(self): pass\n"
-                          "    def counter(self): pass\n"
-                          "    def total(self): pass\n")),
+                 "    self._by = {r: self.metrics.family('counter', r, ()) for r in RESULTS}\n")),
         hits=((6, "_serve_batch looks up self.metrics.counter"),
               (7, "_serve_batch looks up self.metrics.total"),
               (8, "_serve_batch looks up self._metrics.gauge"),
@@ -1165,9 +1155,9 @@ RULES = (
               (14, "_outcome looks up self.metrics.counter"),
               (15, "_admit reads handles"), (17, "_counter binds by hand"),
               (3, "as_exchange looks up self.metrics.histogram"),
-              (2, "_handle looks up self.metrics.counter"), (3, "_handle makes a family"),
-              (2, "_send_full looks up self.metrics.counter"), (1, "_send_full binds by hand"),
-              (3, "MetricsRegistry.counter is public")),
+              (2, "_dispatch looks up self.metrics.total"),
+              (4, "_handle looks up self.metrics.counter"), (5, "_handle makes a family"),
+              (7, "_send_full looks up self.metrics.counter"), (6, "_send_full binds by hand")),
     ),
     Rule(
         "metrics-match-the-catalogue",
@@ -1176,18 +1166,9 @@ RULES = (
         (*SRC, CATALOGUE), _catalogue,
         # Its standalone smoke test's demo.* series belong to no realm.
         exclude=("src/repro/obs/selfcheck.py",),
-        plant="class Receiver(TransferReceiver):\n"
-              "    bytes_metric = 'x.bytes_total'\n"
-              "    def on_attach(self):\n"
-              "        self._bytes = self.metrics.family('counter', self.bytes_metric, ())\n"
-              "        self._depth = family('gauge', f'{label}.depth', (), labels)\n"
-              "        self._lost = self.metrics.family('counter', name='x.lost_total')\n",
-        plants=((CATALOGUE, "## 2. What is instrumented\n"
-                            "| `x.bytes_total`, `x.queue.depth` | counter, gauge |\n"
-                            "| `x.gone_total` | counter |\n"
-                            "## 3. Spans\n"
-                            "| `x.span_total` | counter |\n"),),
-        hits=((6, "x.lost_total has no row in §2"), (3, "x.gone_total is bound nowhere in src/")),
+        plant="lost = metrics.family('counter', 'x.lost_total', ())\n",
+        plants=((CATALOGUE, "## 2. What is instrumented\n| `x.gone_total` | counter |\n"),),
+        hits=((1, "x.lost_total has no row in §2"), (2, "x.gone_total is bound nowhere in src/")),
     ),
     Rule(
         "no-per-item-cipher-call",
