@@ -144,9 +144,9 @@ class KerberizedServer(AuthenticatedService):
             verb = _Kind(kind).name.lower()
         except ValueError:
             verb = "other"
-        with self.tracer.span_under(
-            datagram.trace,
+        with self.tracer.span(
             f"app.{verb}",
+            under=datagram.trace,
             host=self.host.name,
             service=str(self.service),
         ):

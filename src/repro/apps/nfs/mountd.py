@@ -64,8 +64,8 @@ class MountDaemon(AuthenticatedService):
         except (DecodeError, ValueError):
             return MountReply(ok=False, text="malformed mount request").to_bytes()
 
-        with self.tracer.span_under(
-            datagram.trace, "nfs.mountd",
+        with self.tracer.span(
+            "nfs.mountd", under=datagram.trace,
             host=self.host.name, op=op.name,
         ) as span:
             if op == MountOp.MAP:

@@ -244,9 +244,9 @@ class NfsServer(AuthenticatedService):
             ).to_bytes()
         self._rpcs[self.mode.value, op.name].inc()
 
-        with self.tracer.span_under(
-            datagram.trace,
+        with self.tracer.span(
             "nfs.rpc",
+            under=datagram.trace,
             host=self.host.name,
             op=op.name,
             mode=self.mode.value,

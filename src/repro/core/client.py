@@ -82,7 +82,6 @@ class KerberosClient:
         realm: str,
         locator: KdcLocator,
         *,
-        default_life: float = DEFAULT_MAX_LIFE,
         port: int = KERBEROS_PORT,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
@@ -100,7 +99,6 @@ class KerberosClient:
         self.host = host
         self.realm = realm
         self.port = port
-        self.default_life = default_life
         # Observability rides on the network the workstation is plugged
         # into; exchange spans nest under whatever span the caller has
         # open, threading one request ID through AS→TGS→AP.
@@ -337,7 +335,7 @@ class KerberosClient:
         request = AsRequest(
             client=client,
             service=service,
-            requested_life=life if life is not None else self.default_life,
+            requested_life=life if life is not None else DEFAULT_MAX_LIFE,
             timestamp=now,
         )
         wire = encode_message(MessageType.AS_REQ, request)
@@ -482,7 +480,7 @@ class KerberosClient:
             # knows to use the inter-realm key.
             request = TgsRequest(
                 service=service,
-                requested_life=life if life is not None else self.default_life,
+                requested_life=life if life is not None else DEFAULT_MAX_LIFE,
                 timestamp=now,
                 tgt_realm=self.realm,
                 tgt=tgt.ticket,

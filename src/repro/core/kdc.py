@@ -235,10 +235,10 @@ class KerberosServer(AuthenticatedService):
         if self.shard is not None:
             self._referrals = family("counter", "kdc.referrals_total", (), labels)[()]
         if self.queue_config is not None:
-            self.workqueue = WorkQueue(
+            queue = self.workqueue = WorkQueue(
                 host.network.runtime,
                 self.queue_config,
-                self._process_batch,
+                lambda batch, waits: self._process_batch(queue, batch, waits),
                 label="kdc.queue",
                 metrics=self.metrics,
                 labels=self._labels,
@@ -292,24 +292,21 @@ class KerberosServer(AuthenticatedService):
             )
         return deferred
 
-    def _process_batch(self, batch) -> None:
-        """Worker completion: answer every request in the batch.
+    def _process_batch(self, queue, batch, waits) -> None:
+        """Worker completion: answer every request of a batch ``queue``
+        finished; ``waits`` holds each one's queue wait.
 
         Runs at the batch's simulated completion time; the whole batch
         flows through the staged pipeline (:meth:`_serve_batch`).
         """
-        queue = self.workqueue
-        if queue is None or queue.current_batch is None:
+        if queue is not self.workqueue:
             # The incarnation that took the batch ended while it was in
             # service (its queue is gone, or replaced by a restart's):
             # the replies died with it, even if the host is back.
             for _datagram, deferred in batch:
                 deferred.resolve(None)
             return
-        # Per-item queue wait, from the queue's batch metadata (enqueue
-        # → service start); the batch's service cost is shared evenly.
-        dispatched = queue.current_batch_dispatched_at
-        waits = [dispatched - entry.enqueued_at for entry in queue.current_batch]
+        # The batch's service cost is shared evenly.
         service_each = self.queue_config.batch_cost(len(batch)) / len(batch)
         replies = self._serve_batch(
             [datagram for datagram, _deferred in batch],

@@ -84,8 +84,8 @@ class KdbmServer(AuthenticatedService):
     # -- request handling -------------------------------------------------
 
     def _handle(self, datagram) -> bytes:
-        with self.tracer.span_under(
-            datagram.trace, "kdbm.request", host=self.host.name
+        with self.tracer.span(
+            "kdbm.request", under=datagram.trace, host=self.host.name
         ):
             return self._handle_inner(datagram)
 

@@ -44,7 +44,6 @@ from repro.obs.export import (
     render_chrome_trace,
     render_prometheus,
     span_digests,
-    write_chrome_trace,
     write_json_snapshot,
 )
 from repro.obs.metrics import (
@@ -98,6 +97,5 @@ __all__ = [
     "render_chrome_trace",
     "render_prometheus",
     "span_digests",
-    "write_chrome_trace",
     "write_json_snapshot",
 ]

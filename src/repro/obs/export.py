@@ -227,13 +227,6 @@ def render_chrome_trace(tracer: Tracer) -> str:
     ) + "\n"
 
 
-def write_chrome_trace(tracer: Tracer, path) -> str:
-    text = render_chrome_trace(tracer)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text
-
-
 # -- per-exchange-type percentile digests --------------------------------------
 
 def percentile(values: Sequence[float], q: float) -> float:

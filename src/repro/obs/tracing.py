@@ -3,24 +3,22 @@
 A *span* is one timed operation (an AS exchange, a KDC handler run, a
 propagation round); spans nest, and every span belongs to a *trace*
 identified by a trace ID (``req-%06d``, historically the request ID —
-one scheme for both wire records and spans).  The tracer keeps a single
-stack of open spans for the synchronous call structure, plus two
-mechanisms that let a trace cross a simulated wire hop:
+one scheme for both wire records and spans).  A trace crosses a
+simulated wire hop as a :class:`TraceContext` — ``(trace_id, parent
+span_id)`` — captured from the innermost open span and carried on a
+:class:`~repro.netsim.network.Datagram` as out-of-band simulation
+metadata (never wire bytes: golden vectors are unaffected).  Each span
+shape has one writer:
 
-* a :class:`TraceContext` — ``(trace_id, parent span_id)`` — captured
-  from the innermost open span and carried on a
-  :class:`~repro.netsim.network.Datagram` as out-of-band simulation
-  metadata (never wire bytes: golden vectors are unaffected);
-* :meth:`Tracer.adopt` / :meth:`Tracer.span_under`, which parent a
-  server-side handler span to the *propagated* context instead of
-  whatever span happens to be open on the local stack — so a queued KDC
-  answering client A's request during client B's pump still attaches the
-  handler span to A's trace;
-* :meth:`Tracer.open_span` / :meth:`Tracer.close_span` for spans that
-  live *outside* the stack entirely (a datagram in flight, a request
-  sitting in a work queue), with explicit start/end times;
+* :meth:`Tracer.span`, the only way onto the stack of open spans: a
+  child of the innermost open span, or ``under=`` a datagram's
+  propagated context — so a handler run inside another client's pump
+  still joins its own sender's trace;
+* :meth:`Tracer.open_span` / :meth:`Tracer.close_span` for a span that
+  lives *outside* the stack (a datagram in flight);
 * :meth:`Tracer.record_instants` for spans written after the fact (a
-  batch's handler spans), appended as rows in one pass.
+  batch's handler spans, its items' queue waits), appended as rows in
+  one pass.
 
 Trace IDs are drawn from a deterministic counter (never a random or
 wall-clock source), so traces are reproducible run-to-run under the
@@ -51,7 +49,7 @@ MAX_RECORDED_SPANS = 200_000
 
 
 class TracingError(Exception):
-    """Span misuse: unbalanced start/end."""
+    """Span misuse: a span exits while another sits above it."""
 
 
 class TraceContext:
@@ -337,15 +335,8 @@ class SpanRows(Sequence):
                 yield name, trace, start, end, FrozenAttrs(record)
 
 
-class _Anchor:
-    """A stack sentinel standing in for a *remote* parent span (pushed by
-    :meth:`Tracer.adopt`).  Quacks enough like a span for parent lookup."""
-
-    __slots__ = ("request_id", "span_id")
-
-    def __init__(self, request_id: str, span_id: Optional[int]) -> None:
-        self.request_id = request_id
-        self.span_id = span_id
+#: ``Tracer.span``'s default parent: the innermost open span.
+_INNERMOST = object()
 
 
 class Tracer:
@@ -370,7 +361,7 @@ class Tracer:
             )
         self.max_spans = max_spans
         self._rows = SpanRows()
-        self._stack: List[object] = []  # Spans and _Anchors
+        self._stack: List[Span] = []
         self._span_ids = itertools.count(1)
         self._request_ids = itertools.count(1)
         #: Every key-set a closed span has had, by its keys.
@@ -419,42 +410,34 @@ class Tracer:
     def _fresh_trace_id(self) -> str:
         return f"req-{next(self._request_ids):06d}"
 
-    # -- span lifecycle ------------------------------------------------------
-
-    def start_span(self, name: str, **attrs: object) -> Span:
-        """Open a span; it becomes a child of the currently open span (or
-        adopted remote context), or the root of a fresh trace if none is
-        open."""
-        parent = self._stack[-1] if self._stack else None
-        if parent is not None:
-            request_id = parent.request_id
-            parent_id: Optional[int] = parent.span_id
-        else:
-            request_id = self._fresh_trace_id()
-            parent_id = None
-        span = self._open(
-            name, parent_id, request_id, self.clock.now(), attrs
-        )
-        self._stack.append(span)
-        return span
-
-    def end_span(self, span: Span) -> Span:
-        """Close ``span``, which must be the innermost open span."""
-        if not self._stack or self._stack[-1] is not span:
-            raise TracingError(
-                f"cannot end {span!r}: it is not the innermost open span"
-            )
-        self._stack.pop()
-        return self.close_span(span)
+    # -- the stack, and crossing a wire hop ---------------------------------
 
     @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[Span]:
+    def span(
+        self, name: str, under=_INNERMOST, **attrs: object
+    ) -> Iterator[Span]:
         """``with tracer.span("client.as_exchange", client=...) as span:``
+
+        The span is a child of the innermost open span (the root of a
+        fresh trace when none is open), or of ``under``, a remote
+        sender's propagated context — ``with tracer.span("kdc.as",
+        under=datagram.trace)``, the server side of a wire hop.  With
+        ``under=None`` it starts a *fresh* trace: an un-traced arrival
+        must not glue itself onto whatever unrelated span is open on the
+        pumping caller's stack.  Spans opened inside it nest under it.
 
         On an exception the span still ends, with an ``error`` attribute
         recording the exception type and message.
         """
-        span = self.start_span(name, **attrs)
+        stack = self._stack
+        if under is _INNERMOST and stack:
+            trace, parent = stack[-1].request_id, stack[-1].span_id
+        elif under is None or under is _INNERMOST:
+            trace, parent = self._fresh_trace_id(), None
+        else:
+            trace, parent = under.trace_id, under.span_id
+        span = self._open(name, parent, trace, self.clock.now(), attrs)
+        stack.append(span)
         try:
             yield span
         except BaseException as exc:
@@ -463,15 +446,18 @@ class Tracer:
             )
             raise
         finally:
-            self.end_span(span)
-
-    # -- cross-hop propagation ----------------------------------------------
+            if not stack or stack[-1] is not span:
+                raise TracingError(
+                    f"cannot end {span!r}: it is not the innermost open span"
+                )
+            stack.pop()
+            self.close_span(span)
 
     def context(self) -> Optional[TraceContext]:
-        """The innermost open span (or adopted anchor) as a propagation
-        context, or None when nothing is open — what the network stamps
-        onto an outbound datagram, so traffic sent outside any span
-        stays orphaned (forged packets can never carry a context)."""
+        """The innermost open span as a propagation context, or None
+        when nothing is open — what the network stamps onto an outbound
+        datagram, so traffic sent outside any span stays orphaned
+        (forged packets can never carry a context)."""
         if not self._stack:
             return None
         top = self._stack[-1]
@@ -483,62 +469,29 @@ class Tracer:
         without holding a span open (open-loop load generators)."""
         return TraceContext(self._fresh_trace_id(), None)
 
-    @contextmanager
-    def adopt(self, context: Optional[TraceContext]) -> Iterator[None]:
-        """Parent spans opened inside the block to ``context`` (a remote
-        sender's span) instead of the local stack — the server side of a
-        wire hop.  With ``context=None`` the block starts a *fresh*
-        trace: an un-traced arrival must not glue itself onto whatever
-        unrelated span is open on the pumping caller's stack."""
-        if context is None:
-            context = self.new_context()
-        anchor = _Anchor(context.trace_id, context.span_id)
-        self._stack.append(anchor)
-        try:
-            yield
-        finally:
-            if not self._stack or self._stack[-1] is not anchor:
-                raise TracingError("adopt(): stack unbalanced at exit")
-            self._stack.pop()
-
-    @contextmanager
-    def span_under(
-        self, context: Optional[TraceContext], name: str, **attrs: object
-    ) -> Iterator[Span]:
-        """A server-side handler span parented to the datagram's
-        propagated context: ``with tracer.span_under(dgram.trace,
-        "kdc.as", ...)``.  Spans nested inside still stack normally."""
-        with self.adopt(context):
-            with self.span(name, **attrs) as span:
-                yield span
-
-    # -- non-stack spans (in-flight legs, queue residency) --------------------
+    # -- off the stack (in-flight legs), and after the fact ---------------------
 
     def open_span(
-        self,
-        name: str,
-        context: Optional[TraceContext] = None,
-        start: Optional[float] = None,
-        **attrs: object,
+        self, name: str, context: Optional[TraceContext] = None, **attrs: object
     ) -> Span:
-        """Open a span *outside* the stack: a datagram in flight or a
-        request waiting in a queue overlaps arbitrary other work, so it
-        cannot ride the synchronous stack.  Parented to ``context``
-        (fresh root trace when None); close with :meth:`close_span`."""
+        """Open a span now, *outside* the stack: a datagram in flight
+        overlaps arbitrary other work, so it cannot ride the synchronous
+        stack.  Parented to ``context`` (fresh root trace when None);
+        close with :meth:`close_span`."""
         if context is None:
             context = self.new_context()
         return self._open(
-            name, context.span_id, context.trace_id,
-            self.clock.now() if start is None else start, attrs,
+            name, context.span_id, context.trace_id, self.clock.now(), attrs
         )
 
-    def close_span(self, span: Span, end: Optional[float] = None) -> Span:
-        """Close a span opened with :meth:`open_span` (no stack check).
-        Its attribute dict becomes one tuple: the keys, interned per
-        key-set, then the values — or the equal record already stored.
-        The end time and that record go into the span's row, which stops
-        holding the span."""
-        span.end = end = self.clock.now() if end is None else end
+    def close_span(self, span: Span) -> Span:
+        """Close a span now: one opened with :meth:`open_span` (no stack
+        check), or one leaving :meth:`span`'s stack.  Its attribute dict
+        becomes one tuple: the keys, interned per key-set, then the
+        values — or the equal record already stored.  The end time and
+        that record go into the span's row, which stops holding the
+        span."""
+        span.end = end = self.clock.now()
         attrs = span._attrs
         if attrs:
             key_set = self._key_set(tuple(attrs))
@@ -552,22 +505,24 @@ class Tracer:
             self._rows.records[row] = record
         return span
 
-    def record_instants(self, names, contexts, records) -> None:
-        """Record spans written after the fact, opened and closed now:
-        ``names[i]``, parented to ``contexts[i]`` as :meth:`open_span`
-        does, keeping ``records[i]``, ``(keys, *values)``.  Ids, the
-        ``max_spans`` cut, the counts and the stored records are those
-        of an ``open_span``/``close_span`` pair per item; no
-        :class:`Span`."""
+    def record_instants(self, names, contexts, records, starts=None) -> None:
+        """Record spans written after the fact, closed now: ``names[i]``,
+        parented to ``contexts[i]`` as :meth:`open_span` does, opened at
+        ``starts[i]`` (default: now), keeping ``records[i]``, ``(keys,
+        *values)``.  Ids, the ``max_spans`` cut, the counts and the
+        stored records are those of an ``open_span``/``close_span`` pair
+        per item; no :class:`Span`."""
         rows, now, counts, dropped = self._rows, self.clock.now(), {}, 0
-        for name, context, record in zip(names, contexts, records):
+        if starts is None:
+            starts = itertools.repeat(now)
+        for name, context, record, start in zip(names, contexts, records, starts):
             span_id = next(self._span_ids)
             if context is None:
                 trace, parent = self._fresh_trace_id(), None
             else:
                 trace, parent = context.trace_id, context.span_id
             if len(rows.records) < self.max_spans:
-                rows.starts.append(now)
+                rows.starts.append(start)
                 rows.ends.append(now)
                 rows.ids.append(span_id)
                 rows.parents.append(-1 if parent is None else parent)
@@ -587,15 +542,11 @@ class Tracer:
 
     @property
     def current(self) -> Optional[Span]:
-        for frame in reversed(self._stack):
-            if isinstance(frame, Span):
-                return frame
-        return None
+        return self._stack[-1] if self._stack else None
 
     @property
     def current_request_id(self) -> Optional[str]:
-        """The trace ID of the innermost open span (or adopted context),
-        if any."""
+        """The trace ID of the innermost open span, if any."""
         return self._stack[-1].request_id if self._stack else None
 
     def by_request(self, request_id: str) -> List[Span]:

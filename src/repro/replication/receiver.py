@@ -92,8 +92,8 @@ class TransferReceiver(Service):
 
     def _handle(self, datagram) -> bytes:
         self._bytes[()].inc(len(datagram.payload))
-        with self.tracer.span_under(
-            datagram.trace, self.span, host=self.host.name
+        with self.tracer.span(
+            self.span, under=datagram.trace, host=self.host.name
         ):
             try:
                 kind, transfer = decode_prop_message(datagram.payload)

@@ -80,8 +80,9 @@ class WorkQueueConfig:
 class WorkQueue(Generic[T]):
     """One service's inbound queue + worker pool on the scheduler.
 
-    ``process`` receives a batch (list of items) and is called when a
-    worker *finishes* the batch — i.e. after its simulated service time
+    ``process(items, waits)`` receives a batch's items and each item's
+    queue wait (enqueue → the batch entering service), and is called when
+    a worker *finishes* the batch — i.e. after its simulated service time
     has elapsed — so replies it produces are stamped with the right
     completion time.  An item refused by admission control is the
     caller's to answer: :meth:`submit` returns False for it.
@@ -95,7 +96,7 @@ class WorkQueue(Generic[T]):
         self,
         scheduler: EventScheduler,
         config: WorkQueueConfig,
-        process: Callable[[List[T]], None],
+        process: Callable[[List[T], List[float]], None],
         label: str = "workqueue",
         metrics=None,
         labels: Optional[dict] = None,
@@ -118,12 +119,6 @@ class WorkQueue(Generic[T]):
             self._waits = family("histogram", f"{label}.wait_seconds", (), labels, WAIT_BUCKETS)
         self._queue: List[QueuedItem] = []
         self._busy_workers = 0
-        #: Metadata of the batch currently inside the ``process``
-        #: callback (aligned with the items it received), plus the time
-        #: the batch entered service — how the owner annotates its spans
-        #: with queue-wait and batch size.
-        self.current_batch: Optional[List[QueuedItem]] = None
-        self.current_batch_dispatched_at: Optional[float] = None
 
     # -- instrumentation ---------------------------------------------------
 
@@ -179,45 +174,40 @@ class WorkQueue(Generic[T]):
             self._busy_workers += 1
             self._count(self._batches)
             self._gauge_depth()
-            dispatched_at = self.scheduler.clock.now()
-            self._observe_waits(batch, dispatched_at)
+            waits = self._observe_waits(batch)
+            items = [entry.item for entry in batch]
             self.scheduler.after(
                 self.config.batch_cost(len(batch)),
-                lambda b=batch, t=dispatched_at: self._complete(b, t),
+                lambda items=items, waits=waits: self._complete(items, waits),
                 label=f"{self.label}.batch",
             )
 
-    def _observe_waits(
-        self, batch: List[QueuedItem], dispatched_at: float
-    ) -> None:
-        """Queue wait ends when the batch enters service: record a
-        histogram observation and (for traced items) a non-stack span
-        covering the residency, so the wait shows up in the trace tree
-        next to the handler span it delayed."""
-        waits = None if self._waits is None else self._waits[()]
-        for entry in batch:
-            wait = dispatched_at - entry.enqueued_at
-            if waits is not None:
-                waits.observe(wait)
-            if self.tracer is not None and entry.trace is not None:
-                span = self.tracer.open_span(
-                    self._wait_span,
-                    context=entry.trace,
-                    start=entry.enqueued_at,
-                )
-                self.tracer.close_span(span, end=dispatched_at)
+    def _observe_waits(self, batch: List[QueuedItem]) -> List[float]:
+        """Queue wait ends now, as the batch enters service: each item's
+        wait, observed in the histogram and (for traced items) written
+        as a span covering the residency, so the wait shows up in the
+        trace tree next to the handler span it delayed."""
+        now = self.scheduler.clock.now()
+        waits = [now - entry.enqueued_at for entry in batch]
+        if self._waits is not None:
+            histogram = self._waits[()]
+            for wait in waits:
+                histogram.observe(wait)
+        traced = [entry for entry in batch if entry.trace is not None]
+        if self.tracer is not None and traced:
+            self.tracer.record_instants(
+                [self._wait_span] * len(traced),
+                [entry.trace for entry in traced],
+                [((),)] * len(traced),  # no attributes
+                [entry.enqueued_at for entry in traced],
+            )
+        return waits
 
-    def _complete(
-        self, batch: List[QueuedItem], dispatched_at: Optional[float] = None
-    ) -> None:
+    def _complete(self, items: List[T], waits: List[float]) -> None:
         self._busy_workers -= 1
-        self.current_batch = batch
-        self.current_batch_dispatched_at = dispatched_at
         try:
-            self._process([entry.item for entry in batch])
+            self._process(items, waits)
         finally:
-            self.current_batch = None
-            self.current_batch_dispatched_at = None
             # More work may have queued while this batch was in service.
             self._dispatch()
 

@@ -27,6 +27,7 @@ from repro.core.client import KerberosClient
 from repro.core.credcache import Credential
 from repro.core.messages import AsRequest, KdcReplyBody, MessageType, encode_message, expect_reply
 from repro.crypto import DesKey, string_to_key
+from repro.database.schema import DEFAULT_MAX_LIFE
 from repro.netsim import Host
 from repro.principal import Principal, tgs_principal
 from repro.user.login import LoginSession
@@ -80,7 +81,7 @@ class SmartcardLogin:
         request = AsRequest(
             client=principal,
             service=tgs_principal(realm),
-            requested_life=self.client.default_life,
+            requested_life=DEFAULT_MAX_LIFE,
             timestamp=now,
         )
         raw = self.client._ask_kdc(

@@ -127,7 +127,7 @@ class TestHesiodLocator:
 CONSTRUCTORS = [
     pytest.param(
         KerberosClient,
-        ["host", "realm", "locator", "default_life", "port", "retry_policy"],
+        ["host", "realm", "locator", "port", "retry_policy"],
         lambda net: KerberosClient(net.add_host("ws"), REALM, ["18.72.0.1"]),
         "StaticLocator",
         id="client-list-where-a-locator-belongs",

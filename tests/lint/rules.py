@@ -105,6 +105,8 @@ REMOVED = {
          "_detached"),
     47: ("word", "HeldHandles", "trace_ids", "shed_count", "_life_series",
          "mappings_installed"),
+    52: ("word", "start_span", "end_span", "span_under", "_Anchor", "current_batch",
+         "current_batch_dispatched_at", "write_chrome_trace", "default_life"),
 }
 
 
@@ -466,51 +468,74 @@ def _handles(trees):
         for name, func in functions(tree).items():
             if name not in HANDLES.get(rel, ()):
                 continue
+            # The registry itself, or a local name bound to it.
+            registry = {"self.metrics", "self._metrics"}
+            registry |= {target.id for node in nodes(func) if isinstance(node, ast.Assign)
+                         and ast.unparse(node.value) in registry
+                         for target in node.targets if isinstance(target, ast.Name)}
             lookups = [node for node in nodes(func) if isinstance(node, ast.Attribute)
                        and node.attr in BINDERS | {"total"}
-                       and ast.unparse(node.value) in ("self.metrics", "self._metrics")]
+                       and ast.unparse(node.value) in registry]
             yield from ((rel, node.lineno, f"{name} looks up {ast.unparse(node)}")
                         for node in lookups if node.attr == "total")
             if not lookups:
                 yield rel, func.lineno, f"{name} reads handles"
 
 
-#: The catalogue of every series: the table of docs/OBSERVABILITY.md §2.
+#: The catalogue of every series (§2) and every span name (§3).
 CATALOGUE = "docs/OBSERVABILITY.md"
 
 
-def _bound_names(trees):
-    """``(path, line, name)`` of each series name a ``family(...)`` call
-    binds: a literal; a class constant, as every value a class body gives
-    it; an f-string, as a glob with ``*`` for each field."""
-    constants = {}
-    for cls in (node for tree in trees.values() for node in nodes(tree)):
-        for node in cls.body if isinstance(cls, ast.ClassDef) else ():
-            if isinstance(node, ast.Assign) and _str(node.value) and node.value.value:
-                for target in node.targets:
-                    constants.setdefault(name_of(target), []).append(node.value.value)
-    for rel, tree in trees.items():
-        for call in calls(tree, {"family"}):
-            arg = call.args[1]
-            names = (["".join(part.value if _str(part) else "*" for part in arg.values)]
-                     if isinstance(arg, ast.JoinedStr) else [arg.value] if _str(arg) else
-                     constants.get(name_of(arg)) or [f"{ast.unparse(arg)}, a name it cannot read"])
-            yield from ((rel, call.lineno, name) for name in names)
+def _strings(node):
+    """The names a string expression stands for: a literal; an f-string,
+    as a glob with ``*`` for each field; a dict comprehension, its values."""
+    if isinstance(node, ast.DictComp):
+        return _strings(node.value)
+    if isinstance(node, ast.JoinedStr):
+        return ["".join(part.value if _str(part) else "*" for part in node.values)]
+    return [node.value] if _str(node) and node.value else []
 
 
-def _catalogue(trees):
-    rows, section = [], False
-    for lineno, line in enumerate(trees.get(CATALOGUE, "").splitlines(), 1):
-        section = line.startswith("## 2.") if line.startswith("## ") else section
-        if section and line.startswith("| `"):
-            rows += [(lineno, name) for name in re.findall(r"`([\w.]+)`", line.split("|")[1])]
-    bound = list(_bound_names({rel: t for rel, t in trees.items() if rel != CATALOGUE}))
-    for rel, line, name in bound:
-        if not any(fnmatchcase(row, name) for _line, row in rows):
-            yield rel, line, f"{name} has no row in §2"
-    for line, row in rows:
-        if not any(fnmatchcase(row, name) for *_site, name in bound):
-            yield CATALOGUE, line, f"{row} is bound nowhere in src/"
+def _names(*callees, at=0):
+    """``(path, line, name)`` of each name a call of ``callees`` passes
+    at ``at``: the first string (:func:`_strings`) in that argument, or
+    the first name in it that assignments give strings (a class constant,
+    the KDC's table of span names, the queue's label) as all of them."""
+    def find(trees):
+        constants = {}
+        for node in (node for tree in trees.values() for node in nodes(tree)):
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                constants.setdefault(name_of(target), []).extend(_strings(node.value))
+        constants.pop(None, None)
+        for rel, tree in trees.items():
+            for call in calls(tree, set(callees)):
+                arg = call.args[at]
+                names = next((names for node in ast.walk(arg) if (
+                    names := _strings(node) or constants.get(name_of(node)))),
+                    [f"{ast.unparse(arg)}, a name it cannot read"])
+                yield from ((rel, call.lineno, name) for name in names)
+    return find
+
+
+def catalogue(section, named, verb, header=None):
+    """Every name ``named`` finds in src/ has a row in a table of
+    docs/OBSERVABILITY.md §``section`` (one headed ``header``, if given),
+    and every row is one of them."""
+    def find(trees):
+        rows, inside, first = [], False, None
+        for lineno, line in enumerate(trees.get(CATALOGUE, "").splitlines(), 1):
+            inside = line.startswith(f"## {section}.") if line.startswith("## ") else inside
+            first = (first or line.split("|")[1].strip()) if line.startswith("|") else None
+            if inside and line.startswith("| `") and header in (None, first):
+                rows += [(lineno, name) for name in re.findall(r"`([\w.<>]+)`", line.split("|")[1])]
+        names = list(named({rel: t for rel, t in trees.items() if rel != CATALOGUE}))
+        for rel, line, name in names:
+            if not any(fnmatchcase(row, name) for _line, row in rows):
+                yield rel, line, f"{name} has no row in §{section}"
+        for line, row in rows:
+            if not any(fnmatchcase(row, name) for *_site, name in names):
+                yield CATALOGUE, line, f"{row} is {verb} nowhere in src/"
+    return find
 
 
 def _batch_of_one(tree):
@@ -692,7 +717,7 @@ TRANSFER_PLANT = (
     "        return self.apply_delta(d.payload)\n"
 )
 #: A KDC that serves one request on its own path and looks up its
-#: instruments per batch and per item.
+#: instruments per batch and per item, once through a local alias.
 KDC_PLANT = (
     "def _serve_batch(self, datagrams):\n"
     "    n = len(datagrams)\n"
@@ -702,7 +727,7 @@ KDC_PLANT = (
     "        self.metrics.counter('kdc.x', self._labels).inc()\n"
     "    before = self.metrics.total('kdc.y')\n"
     "    self._metrics.gauge('kdc.z').set(n)\n"
-    "    self._held['kdc.x'].inc()\n"
+    "    metrics = self.metrics\n"
     "    for item in datagrams:\n"
     "        n = self.metrics.total('kdc.requests_total')\n"
     "    return BatchWriter([metrics.total('b') for _ in datagrams])\n"
@@ -1152,6 +1177,7 @@ RULES = (
               (7, "_serve_batch looks up self.metrics.total"),
               (8, "_serve_batch looks up self._metrics.gauge"),
               (11, "_serve_batch looks up self.metrics.total"),
+              (12, "_serve_batch looks up metrics.total"),
               (14, "_outcome looks up self.metrics.counter"),
               (15, "_admit reads handles"), (17, "_counter binds by hand"),
               (3, "as_exchange looks up self.metrics.histogram"),
@@ -1163,12 +1189,24 @@ RULES = (
         "metrics-match-the-catalogue",
         "Every series a family binds in src/ has a row in docs/OBSERVABILITY.md §2, and every "
         "row is bound somewhere.",
-        (*SRC, CATALOGUE), _catalogue,
+        (*SRC, CATALOGUE), catalogue(2, _names("family", at=1), "bound"),
         # Its standalone smoke test's demo.* series belong to no realm.
         exclude=("src/repro/obs/selfcheck.py",),
         plant="lost = metrics.family('counter', 'x.lost_total', ())\n",
         plants=((CATALOGUE, "## 2. What is instrumented\n| `x.gone_total` | counter |\n"),),
         hits=((1, "x.lost_total has no row in §2"), (2, "x.gone_total is bound nowhere in src/")),
+    ),
+    Rule(
+        "spans-match-the-catalogue",
+        "Every span name src/ opens has a row in docs/OBSERVABILITY.md §3's span table, and "
+        "every row is opened somewhere.",
+        (*SRC, CATALOGUE), catalogue(3, _names("span", "open_span", "record_instants"), "opened",
+                                     header="span"),
+        # Its standalone smoke test's root/child spans belong to no realm.
+        exclude=("src/repro/obs/selfcheck.py",),
+        plant="with tracer.span('x.lost', under=None):\n    pass\n",
+        plants=((CATALOGUE, "## 3. Spans\n| span | opened by |\n|---|---|\n| `x.gone` | - |\n"),),
+        hits=((1, "x.lost has no row in §3"), (4, "x.gone is opened nowhere in src/")),
     ),
     Rule(
         "no-per-item-cipher-call",
@@ -1269,7 +1307,9 @@ RULES = (
                  for name in ("encode_into", "decode_from")),
                ("tests/encode/test_codec_fuzz.py", "Decoder"),
                ("tests/core/test_locator.py", "n_slaves"),
-               ("tests/obs/test_lint_auth_front_door.py", "bind_audit")),
+               ("tests/obs/test_lint_auth_front_door.py", "bind_audit"),
+               # A test id that names how a span closes: leaving the stack.
+               ("tests/obs/test_closed_spans.py", "end_span")),
         exclude=("tests/lint/",),
         plant="from repro.core.ticket import seal_ticket_cached as stc\n"
               "def _handle_tgs(self): return self.kdc._serve(d) or _serve_batch\n"

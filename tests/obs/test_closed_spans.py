@@ -29,8 +29,10 @@ WRITES = (
 
 
 def closed(tracer, how, name="op", **attrs):
-    if how == "end_span":
-        return tracer.end_span(tracer.start_span(name, **attrs))
+    if how == "end_span":  # closed leaving the stack
+        with tracer.span(name, **attrs) as span:
+            pass
+        return span
     return tracer.close_span(tracer.open_span(name, **attrs))
 
 
@@ -159,12 +161,12 @@ def fields(span):
     )
 
 
-def written(name, span_id, context, time, record):
+def written(name, span_id, context, start, end, record):
     """The fields of a span written after the fact, from what
     ``record_instants`` was handed."""
     keys, *values = record
     return (
-        name, span_id, context.span_id, context.trace_id, time, time,
+        name, span_id, context.span_id, context.trace_id, start, end,
         dict(zip(keys, values)),
     )
 
@@ -179,20 +181,20 @@ class TestRowsReadAsSpans:
         recorded = []
         close, record_instants = Tracer.close_span, Tracer.record_instants
 
-        def keep_closed(tracer, span, end=None):
-            recorded.append(fields(close(tracer, span, end)))
+        def keep_closed(tracer, span):
+            recorded.append(fields(close(tracer, span)))
             return span
 
-        def keep_written(tracer, names, contexts, records):
+        def keep_written(tracer, names, contexts, records, starts=None):
             # The ids the call will draw, from a copy of the counter.
             first = next(copy.copy(tracer._span_ids))
             now = tracer.clock.now()
             recorded.extend(
-                written(name, first + offset, context, now, record)
-                for offset, (name, context, record)
-                in enumerate(zip(names, contexts, records))
+                written(name, first + offset, context, start, now, record)
+                for offset, (name, context, record, start)
+                in enumerate(zip(names, contexts, records, starts or [now] * len(names)))
             )
-            record_instants(tracer, names, contexts, records)
+            record_instants(tracer, names, contexts, records, starts)
 
         monkeypatch.setattr(Tracer, "close_span", keep_closed)
         monkeypatch.setattr(Tracer, "record_instants", keep_written)
@@ -245,7 +247,7 @@ class TestRowsReadAsSpans:
         leg = tracer.open_span("leg", port=88)
         assert tracer.spans[0] is leg
         leg.attrs["dropped"] = "loss"
-        tracer.close_span(leg, end=0.5)
+        tracer.close_span(leg)
         assert tracer.spans[0] is not leg and tracer.spans[0] == leg
         assert tracer.spans[0].attrs == {"port": 88, "dropped": "loss"}
 
@@ -308,7 +310,8 @@ class TestSpansWrittenAfterTheFact:
         assert counted.total("trace.spans_dropped_total") == max(
             0, 1 + len(ITEMS) - max_spans
         )
-        assert batch.start_span("after").span_id == paired.start_span("after").span_id == 6
+        with batch.span("after") as after, paired.span("after") as paired_after:
+            assert after.span_id == paired_after.span_id == 6
         assert batch.new_context() == paired.new_context()
 
     def test_a_batch_keeps_one_keys_tuple_per_key_set(self):
@@ -410,7 +413,7 @@ def wait_spans():
     net = Network()
     queue = WorkQueue(
         net.runtime, WorkQueueConfig(workers=1, batch_size=8, queue_limit=RECORDS),
-        process=lambda batch: None, label="kdc.queue", tracer=net.tracer,
+        process=lambda batch, waits: None, label="kdc.queue", tracer=net.tracer,
     )
     context = TraceContext("req-000001", 1)
 

@@ -82,7 +82,7 @@ def make_queue(registry):
     return WorkQueue(
         EventScheduler(SimClock()),
         WorkQueueConfig(workers=1, batch_size=2, queue_limit=2),
-        lambda batch: None, label="q", metrics=registry, labels={"s": "k"},
+        lambda batch, waits: None, label="q", metrics=registry, labels={"s": "k"},
     )
 
 

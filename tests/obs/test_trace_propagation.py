@@ -29,7 +29,7 @@ def pair(net):
     client = net.add_host("client")
 
     def handler(datagram):
-        with net.tracer.span_under(datagram.trace, "srv.handle", host="server"):
+        with net.tracer.span("srv.handle", under=datagram.trace, host="server"):
             return b"ok:" + datagram.payload
 
     server.bind(7, handler)
@@ -71,7 +71,7 @@ class TestContextPropagation:
         client = net.add_host("client")
 
         def handler(datagram):
-            with net.tracer.span_under(datagram.trace, "srv.handle"):
+            with net.tracer.span("srv.handle", under=datagram.trace):
                 return b"ok"
 
         server.bind(7, handler)

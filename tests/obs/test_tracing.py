@@ -36,24 +36,21 @@ class TestSpanLifecycle:
         assert grandchild.parent_id == child.span_id
 
     def test_durations_follow_sim_clock(self, clock, tracer):
-        span = tracer.start_span("op")
-        clock.advance(1.5)
-        tracer.end_span(span)
+        with tracer.span("op") as span:
+            clock.advance(1.5)
         assert span.duration == pytest.approx(1.5)
 
     def test_open_span_duration_zero(self, tracer):
-        span = tracer.start_span("op")
-        assert not span.finished
-        assert span.duration == 0.0
-        tracer.end_span(span)
+        with tracer.span("op") as span:
+            assert not span.finished
+            assert span.duration == 0.0
 
     def test_end_must_be_innermost(self, tracer):
-        outer = tracer.start_span("outer")
-        inner = tracer.start_span("inner")
-        with pytest.raises(TracingError):
-            tracer.end_span(outer)
-        tracer.end_span(inner)
-        tracer.end_span(outer)
+        outer = tracer.span("outer")
+        outer.__enter__()
+        with tracer.span("inner"):
+            with pytest.raises(TracingError):
+                outer.__exit__(None, None, None)
 
     def test_exception_recorded_and_span_closed(self, tracer):
         with pytest.raises(ValueError):
@@ -102,10 +99,9 @@ class TestQueries:
     def test_clear_keeps_open_spans(self, tracer):
         with tracer.span("done"):
             pass
-        live = tracer.start_span("live")
-        tracer.clear()
-        assert tracer.spans == [live]
-        tracer.end_span(live)  # the stack stayed balanced
+        with tracer.span("live") as live:  # exits: the stack stayed balanced
+            tracer.clear()
+            assert tracer.spans == [live]
 
 
 class TestFormatting:

@@ -11,7 +11,7 @@ def make(config, **kwargs):
     clock = SimClock()
     sched = EventScheduler(clock, seed=0)
     batches = []
-    queue = WorkQueue(sched, config, batches.append, **kwargs)
+    queue = WorkQueue(sched, config, lambda items, waits: batches.append(items), **kwargs)
     return clock, sched, queue, batches
 
 
@@ -110,7 +110,7 @@ class TestAdmissionControl:
         sched = EventScheduler(clock)
         config = WorkQueueConfig(workers=1, batch_size=1, queue_limit=1)
         queue = WorkQueue(
-            sched, config, lambda b: None,
+            sched, config, lambda b, waits: None,
             label="kdc.queue", metrics=registry, labels={"server": "kdc"},
         )
         queue.submit(1)
