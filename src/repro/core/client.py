@@ -386,7 +386,7 @@ class KerberosClient:
         cred = Credential(
             service=body.server,
             ticket=body.ticket,
-            session_key=DesKey.from_bytes(body.session_key, allow_weak=True),
+            session_key=DesKey(body.session_key, allow_weak=True),
             issue_time=body.issue_time,
             life=body.life,
             kvno=body.kvno,
@@ -505,7 +505,7 @@ class KerberosClient:
         cred = Credential(
             service=service,
             ticket=body.ticket,
-            session_key=DesKey.from_bytes(body.session_key, allow_weak=True),
+            session_key=DesKey(body.session_key, allow_weak=True),
             issue_time=body.issue_time,
             life=body.life,
             kvno=body.kvno,

@@ -18,7 +18,7 @@ on (Dua et al., arXiv:1304.3550).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Mapping, Optional, Set, Tuple
+from typing import Deque, Dict, Mapping, Optional, Set, Tuple
 
 from repro.netsim.clock import MINUTE
 
@@ -44,7 +44,10 @@ class ReplayCache:
             raise ValueError(f"window must be positive, got {window}")
         self.window = float(window)
         self._seen: Set[_Entry] = set()
-        self._order: Deque[Tuple[float, _Entry]] = deque()
+        #: The same entries, oldest first: each authenticator is kept once.
+        self._order: Deque[_Entry] = deque()
+        #: One copy of each client name the entries carry.
+        self._clients: Dict[str, str] = {}
         #: The security-event log a caught replay is reported to (the
         #: Section 4.3 "can be discarded" moment is an audit event).
         self._audit = audit
@@ -61,17 +64,17 @@ class ReplayCache:
         """Has this exact (client, addr, timestamp) already been presented?"""
         return (client, address, timestamp) in self._seen
 
-    def _store(self, entry: _Entry, timestamp: float, now: float) -> None:
+    def _store(self, entry: _Entry, now: float) -> None:
         """Insert an entry the caller has already proven absent.
 
         Purging is amortized: entries are only swept when the *oldest*
         one has actually aged out of the window, so the steady-state
         insert is a set add + deque append rather than a scan.
         """
-        if self._order and self._order[0][0] < now - self.window:
+        if self._order and self._order[0][2] < now - self.window:
             self.purge(now)
         self._seen.add(entry)
-        self._order.append((timestamp, entry))
+        self._order.append(entry)
 
     def check_and_store(
         self, client: str, address: int, timestamp: float, now: float
@@ -79,6 +82,8 @@ class ReplayCache:
         """Combined operation: True if fresh (and now recorded), False if
         this is a replay.  This is the KDC/server hot path: one set
         lookup decides, and the store skips the redundant re-check."""
+        # A server's clients authenticate again and again.
+        client = self._clients.setdefault(client, client)
         entry = (client, address, timestamp)
         if entry in self._seen:
             if self._replayed is not None:
@@ -91,7 +96,7 @@ class ReplayCache:
                     detail=f"reused authenticator ts={timestamp:.3f}",
                 )
             return False
-        self._store(entry, timestamp, now)
+        self._store(entry, now)
         if self._fresh is not None:
             self._fresh.inc()
             self._size.set(len(self._seen))
@@ -101,10 +106,12 @@ class ReplayCache:
         """Drop entries whose timestamps have fallen out of the window."""
         cutoff = now - self.window
         evicted = 0
-        while self._order and self._order[0][0] < cutoff:
-            _, entry = self._order.popleft()
-            self._seen.discard(entry)
+        order, seen = self._order, self._seen
+        while order and order[0][2] < cutoff:
+            seen.discard(order.popleft())
             evicted += 1
+        if not seen:
+            self._clients.clear()
         if evicted and self._evictions is not None:
             self._evictions.inc(evicted)
             self._size.set(len(self._seen))

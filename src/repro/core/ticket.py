@@ -67,11 +67,19 @@ class Ticket(WireStruct):
     def remaining_life(self, now: float) -> float:
         return max(0.0, self.expires - now)
 
+    #: The session key's schedule, made on first use of :attr:`key`.
+    _key: Optional[DesKey] = None
+
     @property
     def key(self) -> DesKey:
-        # Schedule-cached: servers touch .key several times per request
-        # (authenticator unseal, mutual-auth reply, safe messages).
-        return DesKey.from_bytes(self.session_key, allow_weak=True)
+        # Scheduled once and kept on this ticket, so it goes when the
+        # ticket does: servers touch .key several times per request
+        # (authenticator unseal, mutual-auth reply, safe messages), and
+        # a decoded ticket is never mutated (``replace`` builds anew).
+        key = self._key
+        if key is None:
+            key = self._key = DesKey(self.session_key, allow_weak=True)
+        return key
 
     @property
     def client_address(self) -> IPAddress:

@@ -2,18 +2,18 @@
 
 Profiling the Figure 5-13 flows shows that a large share of crypto time
 is spent not in DES rounds but in *re-deriving key schedules*: every
-``Ticket.key`` access, every principal key unsealed from the database,
-and every ``string_to_key`` call used to rebuild the sixteen round
-subkeys from the same 8 bytes.  This module gives the hot paths two
-bounded LRU caches:
+principal key unsealed from the database or read from a srvtab, and every
+``string_to_key`` call, rebuilt the sixteen round subkeys from the same
+8 bytes.  This module gives the hot paths two bounded LRU caches:
 
 * :func:`des_key_from_bytes` — 8-byte key material → scheduled
   :class:`~repro.crypto.des.DesKey` (reached via ``DesKey.from_bytes``);
 * :func:`memoized_string_to_key` — (password, salt) → derived key
   (reached via :func:`repro.crypto.string2key.string_to_key`).
 
-``DesKey`` instances are immutable after construction, so sharing one
-scheduled key between callers is safe.
+They hold principal keys, shared between callers (a ``DesKey`` is
+immutable).  A session key is scheduled once by the ticket, credential
+or session holding it, and goes with its holder, not into this cache.
 
 Both are content addressed, so they stay process-wide: what they hold
 never depends on which realm asked.  Their hit/miss traffic is a
@@ -35,8 +35,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.crypto.des import DesKey
 
-#: Distinct (key bytes, allow_weak) schedules kept; at Athena scale the
-#: working set is principals + live session keys, well under this.
+#: Distinct (key bytes, allow_weak) schedules kept: principal keys only
+#: (session keys stay with their holders), at Athena scale well under.
 KEY_CACHE_SIZE = 4096
 #: Distinct (password, salt) derivations kept.
 S2K_CACHE_SIZE = 1024

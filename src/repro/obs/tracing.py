@@ -446,12 +446,18 @@ class Tracer:
             )
             raise
         finally:
-            if not stack or stack[-1] is not span:
+            misplaced = not stack or stack[-1] is not span
+            if misplaced:
+                # It leaves the stack all the same: a span left there
+                # would parent every later span of this tracer.
+                stack[:] = [other for other in stack if other is not span]
+            else:
+                stack.pop()
+            self.close_span(span)
+            if misplaced:
                 raise TracingError(
                     f"cannot end {span!r}: it is not the innermost open span"
                 )
-            stack.pop()
-            self.close_span(span)
 
     def context(self) -> Optional[TraceContext]:
         """The innermost open span as a propagation context, or None
@@ -539,15 +545,6 @@ class Tracer:
                 self._spans_dropped[()].inc(dropped)
 
     # -- queries ------------------------------------------------------------------
-
-    @property
-    def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
-    @property
-    def current_request_id(self) -> Optional[str]:
-        """The trace ID of the innermost open span, if any."""
-        return self._stack[-1].request_id if self._stack else None
 
     def by_request(self, request_id: str) -> List[Span]:
         """Every span of one trace, in recording order."""

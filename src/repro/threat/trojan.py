@@ -92,7 +92,7 @@ class SmartcardLogin:
         cred = Credential(
             service=body.server,
             ticket=body.ticket,
-            session_key=DesKey.from_bytes(body.session_key, allow_weak=True),
+            session_key=DesKey(body.session_key, allow_weak=True),
             issue_time=body.issue_time,
             life=body.life,
             kvno=body.kvno,

@@ -8,6 +8,8 @@ from repro.apps.kerberized import (
     KerberizedServer,
     Protection,
 )
+from repro.crypto import keycache
+from repro.database.schema import PrincipalRecord
 from repro.principal import Principal
 
 from tests.apps.conftest import REALM
@@ -201,3 +203,34 @@ class TestMutualAuth:
             KerberizedChannel(ws.client, service, host.address, PORT)
         world.net.remove_interceptor(corrupt)
         assert server.auth_failures >= 1
+
+
+class TestSessionKeys:
+    def test_schedule_cache_holds_principal_keys_only(self, world, echo):
+        """A whole Figure 9 session — kinit, two TGS exchanges, a
+        mutual-auth PRIVATE channel, close, kdestroy — leaves no session
+        key in the process-wide schedule cache: each was scheduled by
+        the credential, ticket or session holding it, and went with it."""
+        service, host, _ = echo
+        other, _ = world.realm.add_service("rcmd", "echohost")
+        keycache.clear()
+        ws = world.workstation()
+        ws.client.kinit("jis", "jis-pw")
+        channel = KerberizedChannel(
+            ws.client, service, host.address, PORT,
+            protection=Protection.PRIVATE, mutual=True,
+        )
+        assert channel.call(b"one") == b"jis:one"
+        assert channel.call(b"two") == b"jis:two"
+        ws.client.get_credential(other)
+        channel.close()
+        assert ws.client.kdestroy() == 3
+        db = world.realm.shards[0].db
+        principal_keys = {
+            db.master_key.unseal_key(
+                PrincipalRecord.from_bytes(db.store.get(name)).sealed_key
+            ).key_bytes
+            for name in db.list_principals()
+        }
+        cached = {key for key, _allow_weak in keycache._key_cache._data}
+        assert cached <= principal_keys

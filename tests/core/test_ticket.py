@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ErrorCode, KerberosError, Principal, Ticket, seal_ticket, unseal_ticket
-from repro.crypto import KeyGenerator
+from repro.crypto import KeyGenerator, keycache
 from repro.netsim import IPAddress
 
 REALM = "ATHENA.MIT.EDU"
@@ -45,6 +45,15 @@ class TestFigure3Fields:
 
     def test_session_key_accessor(self):
         assert make_ticket().key == SESSION_KEY
+
+    def test_session_key_scheduled_once_on_the_ticket(self):
+        """The session key's schedule lives with its ticket: every access
+        returns one object, and none consults the shared schedule cache."""
+        ticket = make_ticket()
+        before = keycache.stats()
+        key = ticket.key
+        assert ticket.key is key and ticket.key is key
+        assert keycache.stats() == before
 
     def test_client_address_accessor(self):
         assert make_ticket().client_address == IPAddress("18.72.0.100")

@@ -107,6 +107,7 @@ REMOVED = {
          "mappings_installed"),
     52: ("word", "start_span", "end_span", "span_under", "_Anchor", "current_batch",
          "current_batch_dispatched_at", "write_chrome_trace", "default_life"),
+    53: ("word", "current_request_id"),
 }
 
 

@@ -47,10 +47,17 @@ class TestSpanLifecycle:
 
     def test_end_must_be_innermost(self, tracer):
         outer = tracer.span("outer")
-        outer.__enter__()
+        outer_span = outer.__enter__()
         with tracer.span("inner"):
             with pytest.raises(TracingError):
                 outer.__exit__(None, None, None)
+        # The refused span left the stack and closed all the same, so
+        # nothing later nests under it.
+        assert outer_span.finished
+        assert tracer.context() is None
+        with tracer.span("later") as later:
+            pass
+        assert later.parent_id is None
 
     def test_exception_recorded_and_span_closed(self, tracer):
         with pytest.raises(ValueError):
@@ -58,7 +65,7 @@ class TestSpanLifecycle:
                 raise ValueError("boom")
         assert span.finished
         assert span.attrs["error"] == "ValueError: boom"
-        assert tracer.current is None
+        assert tracer.context() is None
 
     def test_attrs_pass_through(self, tracer):
         with tracer.span("op", client="jis", port=750) as span:
@@ -68,12 +75,12 @@ class TestSpanLifecycle:
 
 class TestQueries:
     def test_current_request_id_tracks_stack(self, tracer):
-        assert tracer.current_request_id is None
+        assert tracer.context() is None
         with tracer.span("a") as a:
-            assert tracer.current_request_id == a.request_id
+            assert tracer.context().trace_id == a.request_id
             with tracer.span("b"):
-                assert tracer.current_request_id == a.request_id
-        assert tracer.current_request_id is None
+                assert tracer.context().trace_id == a.request_id
+        assert tracer.context() is None
 
     def test_by_request_and_request_ids(self, tracer):
         with tracer.span("first"):
