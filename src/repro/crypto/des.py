@@ -468,10 +468,10 @@ class DesKey:
     their parity bit fixed up on entry.
 
     Constructing a ``DesKey`` derives all sixteen round subkeys.  Hot
-    paths that repeatedly rebuild keys from the same 8 bytes (ticket
-    session keys, principal keys unsealed per request) should use
-    :meth:`from_bytes`, which consults the process-wide schedule cache
-    in :mod:`repro.crypto.keycache`.
+    paths that rebuild principal keys from the same 8 bytes (unsealed
+    per request, srvtab installs) should use :meth:`from_bytes`, which
+    consults the process-wide schedule cache in
+    :mod:`repro.crypto.keycache`; a session key's holder keeps its own.
     """
 
     __slots__ = ("_key", "_enc_subkeys", "_rows")

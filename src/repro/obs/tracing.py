@@ -427,7 +427,9 @@ class Tracer:
         pumping caller's stack.  Spans opened inside it nest under it.
 
         On an exception the span still ends, with an ``error`` attribute
-        recording the exception type and message.
+        recording the exception type and message.  A span that exits
+        while another sits above it ends too, off the stack, and then
+        raises :class:`TracingError`.
         """
         stack = self._stack
         if under is _INNERMOST and stack:

@@ -52,7 +52,7 @@ class TestFigure3Fields:
         ticket = make_ticket()
         before = keycache.stats()
         key = ticket.key
-        assert ticket.key is key and ticket.key is key
+        assert ticket.key is key
         assert keycache.stats() == before
 
     def test_client_address_accessor(self):
