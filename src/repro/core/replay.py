@@ -18,7 +18,7 @@ on (Dua et al., arXiv:1304.3550).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Mapping, Optional, Set, Tuple
+from typing import Deque, Mapping, Optional, Set, Tuple
 
 from repro.netsim.clock import MINUTE
 
@@ -46,8 +46,6 @@ class ReplayCache:
         self._seen: Set[_Entry] = set()
         #: The same entries, oldest first: each authenticator is kept once.
         self._order: Deque[_Entry] = deque()
-        #: One copy of each client name the entries carry.
-        self._clients: Dict[str, str] = {}
         #: The security-event log a caught replay is reported to (the
         #: Section 4.3 "can be discarded" moment is an audit event).
         self._audit = audit
@@ -82,8 +80,6 @@ class ReplayCache:
         """Combined operation: True if fresh (and now recorded), False if
         this is a replay.  This is the KDC/server hot path: one set
         lookup decides, and the store skips the redundant re-check."""
-        # A server's clients authenticate again and again.
-        client = self._clients.setdefault(client, client)
         entry = (client, address, timestamp)
         if entry in self._seen:
             if self._replayed is not None:
@@ -110,8 +106,6 @@ class ReplayCache:
         while order and order[0][2] < cutoff:
             seen.discard(order.popleft())
             evicted += 1
-        if not seen:
-            self._clients.clear()
         if evicted and self._evictions is not None:
             self._evictions.inc(evicted)
             self._size.set(len(self._seen))

@@ -448,15 +448,14 @@ class Tracer:
             )
             raise
         finally:
-            misplaced = not stack or stack[-1] is not span
-            if misplaced:
+            if stack and stack[-1] is span:
+                stack.pop()
+                self.close_span(span)
+            else:
                 # It leaves the stack all the same: a span left there
                 # would parent every later span of this tracer.
                 stack[:] = [other for other in stack if other is not span]
-            else:
-                stack.pop()
-            self.close_span(span)
-            if misplaced:
+                self.close_span(span)
                 raise TracingError(
                     f"cannot end {span!r}: it is not the innermost open span"
                 )

@@ -45,18 +45,14 @@ class TestPurging:
         """Entries older than the window are useless (their timestamps
         would be rejected anyway) and must be dropped to bound memory."""
         cache = ReplayCache(window=300.0)
-        # Two authenticators of one client, its name decoded twice.
-        first, second = ("".join(["j", "is"]) for _ in range(2))
-        assert first is not second
-        cache.check_and_store(first, 1, 100.0, now=100.0)
-        cache.check_and_store(second, 1, 101.0, now=101.0)
+        cache.check_and_store("jis", 1, 100.0, now=100.0)
+        cache.check_and_store("jis", 1, 101.0, now=101.0)
         assert len(cache) == 2
-        # Each authenticator is kept once, and its client's name once.
+        # Each authenticator is kept once: the order holds the entries themselves.
         assert {id(entry) for entry in cache._order} == {id(entry) for entry in cache._seen}
-        assert len({id(client) for client, _address, _ts in cache._order}) == 1
         cache.purge(now=402.0)
         assert len(cache) == 0
-        assert not cache._seen and not cache._order and not cache._clients
+        assert not cache._seen and not cache._order
 
     def test_purge_keeps_entries_in_window(self):
         cache = ReplayCache(window=300.0)
