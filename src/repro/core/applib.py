@@ -60,7 +60,7 @@ class SrvTab:
         """Load the file ext_srvtab produced."""
         tab = cls()
         for principal, kvno, key_bytes in parse_srvtab(data):
-            tab.install(principal, kvno, DesKey.from_bytes(key_bytes, allow_weak=True))
+            tab.install(principal, kvno, DesKey(key_bytes, allow_weak=True))
         return tab
 
     def key_for(self, service: Principal, kvno: Optional[int] = None) -> DesKey:

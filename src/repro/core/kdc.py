@@ -51,7 +51,7 @@ from repro.core.messages import (
 from repro.core.replay import CLOCK_SKEW
 from repro.core.ticket import Ticket, seal_tickets_cached, unseal_structs
 from repro.database.db import KerberosDatabase, NoSuchPrincipal
-from repro.database.masterkey import MasterKeyError
+from repro.database.masterkey import MasterKey, MasterKeyError
 from repro.database.schema import PrincipalRecord
 from repro.encode import BatchReader, BatchWriter
 from repro.netsim import DeferredReply, IPAddress
@@ -85,21 +85,18 @@ _OK_DETAIL = {kind: f"kind={kind}" for kind in ("as", "tgs")}
 
 
 class _KeyTouchMeter:
-    """Key-schedule cache lookups since the last reading — the O(1)
-    source of the per-request ``crypto_ops`` span attribute.  The tally
-    is process-wide, but nothing else runs while the KDC's stages do, so
-    a lap between two of its readings is this KDC's own count."""
+    """Key schedules the master key made since the last reading — the
+    O(1) source of the per-request ``crypto_ops`` span attribute.  A
+    master key may serve several KDCs (a master and its slaves), but
+    nothing else runs while one KDC's stages do, so a lap between two of
+    its readings is this KDC's own count."""
 
-    def __init__(self) -> None:
-        self._mark = self._touches()
-
-    @staticmethod
-    def _touches() -> int:
-        stats = keycache.stats()
-        return stats["hit"] + stats["miss"]
+    def __init__(self, master_key: MasterKey) -> None:
+        self._master_key = master_key
+        self._mark = master_key.schedules
 
     def lap(self) -> int:
-        mark = self._touches()
+        mark = self._master_key.schedules
         delta, self._mark = mark - self._mark, mark
         return delta
 
@@ -386,7 +383,7 @@ class KerberosServer(AuthenticatedService):
             self._requests[kinds[i]].inc()
         # -- stage 2: unseal-all (TGS request side, two wide waves) --------
         crypto_ops = [0] * n
-        meter = _KeyTouchMeter()
+        meter = _KeyTouchMeter(self.db.master_key)
         contexts = self._unseal_all(
             messages, kinds, datagrams, now, errors, crypto_ops, meter
         )
@@ -706,7 +703,7 @@ class KerberosServer(AuthenticatedService):
             return
 
         def charge(position: int) -> None:
-            # A cold blob's key-schedule touch is the first item's that
+            # A cold blob's key schedule is the first item's that
             # needs it — what serving the items one at a time charges.
             crypto_ops[wave[position][0]] += meter.lap()
 

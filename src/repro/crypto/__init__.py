@@ -22,8 +22,8 @@ This package is that library:
   for safe messages;
 * :mod:`repro.crypto.keygen` — session-key generation ("Kerberos also
   generates temporary private keys, called session keys");
-* :mod:`repro.crypto.keycache` — process-wide key-schedule cache behind
-  ``DesKey.from_bytes`` and ``string_to_key`` (its traffic: ``stats()``).
+* :mod:`repro.crypto.keycache` — the ``string_to_key`` memo (its
+  traffic: ``stats()``) and the switch that turns every cache off.
 
 As the paper notes, the encryption library is "an independent module, and
 may be replaced" — nothing above this package touches DES internals; all

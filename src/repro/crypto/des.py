@@ -451,10 +451,6 @@ def crypt_int(
     )
 
 
-#: Resolved lazily by DesKey.from_bytes (keycache imports this module).
-_from_bytes_cached = None
-
-
 class DesKey:
     """A scheduled DES key.
 
@@ -467,25 +463,13 @@ class DesKey:
     rather than rejected, matching the historical library: key bytes have
     their parity bit fixed up on entry.
 
-    Constructing a ``DesKey`` derives all sixteen round subkeys.  Hot
-    paths that rebuild principal keys from the same 8 bytes (unsealed
-    per request, srvtab installs) should use :meth:`from_bytes`, which
-    consults the process-wide schedule cache in
-    :mod:`repro.crypto.keycache`; a session key's holder keeps its own.
+    Constructing a ``DesKey`` derives all sixteen round subkeys, so a
+    key's holder keeps the object: the master key's unseal cache for the
+    principal keys it unseals, a srvtab for its service keys, and a
+    credential, ticket or session for its session key.
     """
 
     __slots__ = ("_key", "_enc_subkeys", "_rows")
-
-    @classmethod
-    def from_bytes(cls, key: bytes, allow_weak: bool = False) -> "DesKey":
-        """Cached constructor: like ``DesKey(key, allow_weak)`` but the
-        derived key schedule is reused across calls (LRU, see
-        :mod:`repro.crypto.keycache`)."""
-        global _from_bytes_cached
-        if _from_bytes_cached is None:
-            from repro.crypto.keycache import des_key_from_bytes
-            _from_bytes_cached = des_key_from_bytes
-        return _from_bytes_cached(key, allow_weak)
 
     def __init__(self, key: bytes, allow_weak: bool = False) -> None:
         if not isinstance(key, (bytes, bytearray)):

@@ -1,25 +1,20 @@
-"""Process-wide key-schedule caching.
+"""Process-wide key caching, and the one switch for every key cache.
 
 Profiling the Figure 5-13 flows shows that a large share of crypto time
-is spent not in DES rounds but in *re-deriving key schedules*: every
-principal key unsealed from the database or read from a srvtab, and every
-``string_to_key`` call, rebuilt the sixteen round subkeys from the same
-8 bytes.  This module gives the hot paths two bounded LRU caches:
+is spent not in DES rounds but in *re-deriving keys*.  A scheduled key
+is kept by whatever holds it: the master key's unseal cache
+(:mod:`repro.database.masterkey`) for every principal key the database
+unseals, a srvtab for a service's keys, and a credential, ticket or
+session for its session key.  What stays here is one bounded LRU:
 
-* :func:`des_key_from_bytes` — 8-byte key material → scheduled
-  :class:`~repro.crypto.des.DesKey` (reached via ``DesKey.from_bytes``);
 * :func:`memoized_string_to_key` — (password, salt) → derived key
   (reached via :func:`repro.crypto.string2key.string_to_key`).
 
-They hold principal keys, shared between callers (a ``DesKey`` is
-immutable).  A session key is scheduled once by the ticket, credential
-or session holding it, and goes with its holder, not into this cache.
-
-Both are content addressed, so they stay process-wide: what they hold
-never depends on which realm asked.  Their hit/miss traffic is a
-process-wide tally (:func:`stats`; a lookup while caching is off counts
-as a miss) that no registry mirrors — a KDC reads the laps it causes
-as its spans' ``crypto_ops``.
+It is content addressed, so it stays process-wide: what it holds never
+depends on which realm or host asked (``realm.add_user`` fills it for a
+later client ``kinit``).  Its hit/miss traffic is a process-wide tally
+(:func:`stats`; a lookup while caching is off counts as a miss) that no
+registry mirrors.
 
 :func:`caches_disabled` turns the whole layer off — the database-side
 caches and the KDC's own consult :func:`caching_enabled` too — so tests
@@ -35,9 +30,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.crypto.des import DesKey
 
-#: Distinct (key bytes, allow_weak) schedules kept: principal keys only
-#: (session keys stay with their holders), at Athena scale well under.
-KEY_CACHE_SIZE = 4096
 #: Distinct (password, salt) derivations kept.
 S2K_CACHE_SIZE = 1024
 
@@ -78,7 +70,6 @@ class _LruCache:
         return len(self._data)
 
 
-_key_cache = _LruCache(KEY_CACHE_SIZE)
 _s2k_cache = _LruCache(S2K_CACHE_SIZE)
 _enabled = True
 _hits = 0
@@ -95,8 +86,8 @@ def caching_enabled() -> bool:
 
 @contextmanager
 def caches_disabled():
-    """Temporarily bypass (and empty) every key-schedule cache: inside,
-    every request re-derives its schedules and seals whole frames."""
+    """Temporarily bypass every key cache (and empty the memo): inside,
+    every request re-derives its keys and seals whole frames."""
     global _enabled
     previous = _enabled
     _enabled = False
@@ -108,8 +99,7 @@ def caches_disabled():
 
 
 def clear() -> None:
-    """Drop all cached schedules and derivations (stats kept)."""
-    _key_cache.clear()
+    """Drop all cached derivations (stats kept)."""
     _s2k_cache.clear()
 
 
@@ -132,22 +122,6 @@ def _record(hit: bool) -> None:
         _hits += 1
     else:
         _misses += 1
-
-
-def des_key_from_bytes(key: bytes, allow_weak: bool = False) -> DesKey:
-    """Schedule-cached equivalent of ``DesKey(key, allow_weak)``."""
-    if not _enabled:
-        _record(False)
-        return DesKey(key, allow_weak)
-    cache_key = (bytes(key), allow_weak)
-    cached = _key_cache.get(cache_key)
-    if cached is not None:
-        _record(True)
-        return cached
-    scheduled = DesKey(cache_key[0], allow_weak)
-    _key_cache.put(cache_key, scheduled)
-    _record(False)
-    return scheduled
 
 
 def memoized_string_to_key(

@@ -233,9 +233,9 @@ class KerberosDatabase:
     def principal_key(self, principal: Principal) -> DesKey:
         """Unseal and return a principal's private key.
 
-        The hot path is fully cached: the record decode above, the
-        sealed-blob→key mapping in :meth:`MasterKey.unseal_key`, and the
-        key schedule itself via ``DesKey.from_bytes``.
+        The hot path is fully cached: the record decode above, and the
+        sealed blob → scheduled key in :meth:`MasterKey.unseal_key`, the
+        one holder of the principal keys it unseals.
         """
         return self.master_key.unseal_key(self.get_record(principal).sealed_key)
 

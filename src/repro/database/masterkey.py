@@ -47,8 +47,13 @@ class MasterKey:
         self._key = key
         # Content-addressed: the same sealed blob always unseals to the
         # same key under this master key, so entries never go stale —
-        # a key change writes a *new* blob.
+        # a key change writes a *new* blob.  It is the one holder of the
+        # principal keys this master key unseals: nothing else caches
+        # their schedules.
         self._unseal_cache = keycache._LruCache(UNSEAL_CACHE_SIZE)
+        #: Key schedules made for cold blobs, ever — a KDC's stages lap it
+        #: for their spans' ``crypto_ops``.
+        self.schedules = 0
 
     @classmethod
     def from_password(cls, password: str) -> "MasterKey":
@@ -74,9 +79,10 @@ class MasterKey:
         global :func:`repro.crypto.keycache.caches_disabled` switch.
         The distinct blobs the cache lacks take **one** ``unseal_many``
         under the master key (≥ 6 three-block blobs: one pass of the
-        wide kernel) and are scheduled in first-use order,
-        ``on_cold(position)`` being told where each was first needed
-        (with the caches off, each position schedules its own).
+        wide kernel) and are scheduled in first-use order, each schedule
+        counted in :attr:`schedules` and ``on_cold(position)`` told where
+        it was first needed (with the caches off, each position schedules
+        its own).
         A cold blob's cache slot is reserved where it is first met — its
         list of positions stands in for the key until the pass is done —
         so the cache sees the get/put sequence of one unseal at a time:
@@ -113,7 +119,8 @@ class MasterKey:
                     # Scheduled where first needed; with the caches off,
                     # wherever needed, as each request served alone is.
                     if not failed and (key is None or not caching):
-                        key = DesKey.from_bytes(raw, allow_weak=True)
+                        key = DesKey(raw, allow_weak=True)
+                        self.schedules += 1
                         if on_cold is not None:
                             on_cold(position)
                     results[position] = key

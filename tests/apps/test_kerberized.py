@@ -206,14 +206,32 @@ class TestMutualAuth:
 
 
 class TestSessionKeys:
-    def test_schedule_cache_holds_principal_keys_only(self, world, echo):
+    def test_schedule_cache_holds_principal_keys_only(self, world, echo, monkeypatch):
         """A whole Figure 9 session — kinit, two TGS exchanges, a
-        mutual-auth PRIVATE channel, close, kdestroy — leaves no session
-        key in the process-wide schedule cache: each was scheduled by
-        the credential, ticket or session holding it, and went with it."""
-        service, host, _ = echo
+        mutual-auth PRIVATE channel, close, kdestroy — keeps each
+        principal key's schedule in one holder: every key the KDC
+        unsealed is the very object in the master key's unseal cache,
+        the server's is its srvtab's own, and no process-wide schedule
+        cache keeps a copy.  The unseal cache holds principal keys only:
+        each session key was scheduled by the credential, ticket or
+        session holding it, and went with it."""
+        service, host, server = echo
         other, _ = world.realm.add_service("rcmd", "echohost")
-        keycache.clear()
+        db = world.realm.shards[0].db
+        master, srvtab = db.master_key, server.keys
+        unsealed, served = [], []
+
+        def unseal_keys(*args, real=master.unseal_keys):
+            keys = real(*args)
+            unsealed.extend(keys)
+            return keys
+
+        def key_for(*args, real=srvtab.key_for):
+            served.append(real(*args))
+            return served[-1]
+
+        monkeypatch.setattr(master, "unseal_keys", unseal_keys)
+        monkeypatch.setattr(srvtab, "key_for", key_for)
         ws = world.workstation()
         ws.client.kinit("jis", "jis-pw")
         channel = KerberizedChannel(
@@ -225,12 +243,23 @@ class TestSessionKeys:
         ws.client.get_credential(other)
         channel.close()
         assert ws.client.kdestroy() == 3
-        db = world.realm.shards[0].db
+        held = list(master._unseal_cache._data.values())
+        assert unsealed and all(any(key is h for h in held) for key in unsealed)
+        assert served and all(
+            any(key is h for h in srvtab._keys.values()) for key in served
+        )
+        # The server's key and the KDC's copy of it are scheduled apart.
+        assert served[0] == db.principal_key(service)
+        assert served[0] is not db.principal_key(service)
+        assert [
+            name for name, value in vars(keycache).items()
+            if isinstance(value, keycache._LruCache)
+        ] == ["_s2k_cache"]
+        monkeypatch.undo()
         principal_keys = {
             db.master_key.unseal_key(
                 PrincipalRecord.from_bytes(db.store.get(name)).sealed_key
             ).key_bytes
             for name in db.list_principals()
         }
-        cached = {key for key, _allow_weak in keycache._key_cache._data}
-        assert cached <= principal_keys
+        assert {key.key_bytes for key in held} <= principal_keys

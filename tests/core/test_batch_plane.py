@@ -533,7 +533,7 @@ def tgs_request(tgt, session_key, client, address, now, service=RLOGIN,
         tgt=tgt,
         authenticator=build_authenticator(
             client=client, address=address, now=now,
-            session_key=DesKey.from_bytes(session_key, allow_weak=True),
+            session_key=DesKey(session_key, allow_weak=True),
         ),
     )
 

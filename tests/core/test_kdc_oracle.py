@@ -149,7 +149,7 @@ def traffic(realm, xkey, src, count):
             tgt_realm=tgt_realm,
             tgt=blob,
             authenticator=seal_ref(
-                DesKey.from_bytes(tgt.session_key, allow_weak=True),
+                DesKey(tgt.session_key, allow_weak=True),
                 Authenticator(
                     client=client, address=src.as_int,
                     timestamp=now + k * 0.001, checksum=0,
@@ -220,7 +220,7 @@ def assert_replies_equal_the_recomposed_figures(batch, cached):
             else:
                 expected.append(expected_reply(
                     db, keygen, MessageType.TGS_REP, tgt.client,
-                    DesKey.from_bytes(tgt.session_key, allow_weak=True),
+                    DesKey(tgt.session_key, allow_weak=True),
                     request, src, now,
                     life_cap=tgt.timestamp + tgt.life - now,
                 ))

@@ -48,7 +48,7 @@ class TestFigure3Fields:
 
     def test_session_key_scheduled_once_on_the_ticket(self):
         """The session key's schedule lives with its ticket: every access
-        returns one object, and none consults the shared schedule cache."""
+        returns one object, and none touches a process-wide cache."""
         ticket = make_ticket()
         before = keycache.stats()
         key = ticket.key

@@ -14,8 +14,9 @@ the count gate, ``tests/integration/test_trajectory.py``, holds the
 calls and wide-lane blocks per op of the ledger's workloads to the last
 row of ``benchmarks/trajectory.json``.
 
-The key-schedule LRU, the KDC's own skeleton cache and the expanded
-kernel tables are checked here too.
+The master key's unseal cache (the one holder of the principal keys it
+unseals), the ``string_to_key`` memo, the KDC's own skeleton cache and
+the expanded kernel tables are checked here too.
 """
 
 import random
@@ -27,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import (
     SEAL_START,
     DesKey,
+    DesKeyError,
     IntegrityError,
     Mode,
     des_simd,
@@ -54,6 +56,7 @@ from repro.crypto.modes import (
     pcbc_encrypt,
 )
 from repro.crypto.string2key import string_to_key
+from repro.database import MasterKey
 from repro.netsim import Network
 from repro.realm import Realm
 from tests.crypto import reference_des
@@ -353,26 +356,43 @@ class TestKeyScheduleCache:
         keycache.clear()
         keycache.reset_stats()
 
-    def test_from_bytes_reuses_the_schedule(self):
-        raw = bytes.fromhex("133457799BBCDFF1")
-        first = DesKey.from_bytes(raw)
-        second = DesKey.from_bytes(raw)
+    @staticmethod
+    def unsealer(raw, allow_weak=False):
+        """A fresh master key and ``raw`` sealed under it, as the
+        database stores a principal's key."""
+        master = MasterKey.from_password("the-master-password")
+        return master, master.seal_key(DesKey(raw, allow_weak))
+
+    def test_unseal_cache_reuses_the_schedule(self):
+        master, blob = self.unsealer(bytes.fromhex("133457799BBCDFF1"))
+        first = master.unseal_key(blob)
+        second = master.unseal_key(blob)
         assert first is second
-        assert keycache.stats() == {"hit": 1, "miss": 1}
+        assert master.schedules == 1
 
-    def test_weakness_flag_is_part_of_the_cache_key(self):
-        raw = bytes.fromhex("133457799BBCDFF1")
-        strict = DesKey.from_bytes(raw)
-        lenient = DesKey.from_bytes(raw, allow_weak=True)
-        assert strict is not lenient
-        assert strict == lenient  # same key bytes, distinct schedule objects
+    def test_unseal_schedules_with_allow_weak(self):
+        """A weak key that reached the database still unseals: the
+        master key schedules with ``allow_weak``, where a strict
+        ``DesKey`` refuses the same bytes."""
+        raw = bytes.fromhex("0101010101010101")
+        master, blob = self.unsealer(raw, allow_weak=True)
+        with pytest.raises(DesKeyError, match="weak"):
+            DesKey(raw)
+        assert master.unseal_key(blob).key_bytes == raw
+        assert master.schedules == 1
 
-    def test_cached_key_equals_direct_construction(self):
+    def test_unsealed_equals_direct_construction(self):
         raw = bytes.fromhex("0123456789ABCDEF")
-        cached = DesKey.from_bytes(raw, allow_weak=True)
+        master, blob = self.unsealer(raw, allow_weak=True)
+        cached = master.unseal_key(blob)
         direct = DesKey(raw, allow_weak=True)
         assert cached == direct
         assert cached._enc_subkeys == direct._enc_subkeys
+        # Another master key holding the same principal key schedules
+        # its own: no schedule is shared through a process-wide cache.
+        other, other_blob = self.unsealer(raw, allow_weak=True)
+        assert other.unseal_key(other_blob) is not cached
+        assert master.schedules == other.schedules == 1
 
     def test_lru_evicts_oldest(self):
         small = keycache._LruCache(2)
@@ -383,19 +403,20 @@ class TestKeyScheduleCache:
         assert small.get("b") is None
         assert small.get("a") == 1 and small.get("c") == 3
 
-    def test_caches_disabled_contextmanager(self):
-        raw = bytes.fromhex("133457799BBCDFF1")
-        DesKey.from_bytes(raw)
+    def test_caches_disabled_reschedules_unseals(self):
+        master, blob = self.unsealer(bytes.fromhex("133457799BBCDFF1"))
+        warm = master.unseal_key(blob)
         with keycache.caches_disabled():
             assert not keycache.caching_enabled()
-            a = DesKey.from_bytes(raw)
-            b = DesKey.from_bytes(raw)
-            assert a is not b  # every call re-schedules
+            a = master.unseal_key(blob)
+            b = master.unseal_key(blob)
+            assert a == b == warm
+            assert len({id(a), id(b), id(warm)}) == 3  # each re-schedules
+            assert master.schedules == 3
         assert keycache.caching_enabled()
-        # Entering the context cleared the cache: the next call misses.
-        before = keycache.stats()["miss"]
-        DesKey.from_bytes(raw)
-        assert keycache.stats()["miss"] == before + 1
+        # The unseal cache was bypassed, not emptied: the warm key is back.
+        assert master.unseal_key(blob) is warm
+        assert master.schedules == 3
 
     def test_string_to_key_is_memoized(self):
         keycache.reset_stats()

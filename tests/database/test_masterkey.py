@@ -209,6 +209,21 @@ class TestUnsealKeys:
         assert master.unseal_keys(blobs) == keys
         assert len(master._unseal_cache) == 12
 
+    def test_schedules_counts_the_key_schedules_made(self, master, keygen):
+        """Once per cold blob with the caches on, once per position with
+        them off, and never for a blob that will not unseal."""
+        keys, blobs = self.sealed(master, keygen, 3)
+        assert master.schedules == 0
+        master.unseal_keys([blobs[0]])
+        master.unseal_keys([blobs[0], blobs[0]])
+        assert master.schedules == 1
+        with keycache.caches_disabled():
+            master.unseal_keys([blobs[1], blobs[1], blobs[0]])
+            assert master.schedules == 4
+        flipped = bytes([blobs[2][0] ^ 1]) + blobs[2][1:]
+        assert isinstance(master.unseal_keys([flipped])[0], MasterKeyError)
+        assert master.schedules == 4
+
     def test_one_pass_one_key_column(self, master, keygen, monkeypatch):
         """Every blob is sealed under the one master key: a cold batch
         is one wide pass whose key matrix is a single column."""

@@ -69,8 +69,9 @@ def imports_of(*names):
 # searched for one: ``word``, an identifier or string constant equal to it;
 # ``part``, a pattern found in any identifier (the single-request path must
 # not grow back under another name); ``text``, anywhere in the source,
-# comments too.  The docs' text is searched for each as a substring (a
-# ``part`` entry as its pattern).
+# comments too.  A PR that removed names under two modes has one row per
+# mode.  The docs' text is searched for each as a substring (a ``part``
+# entry as its pattern).
 
 REMOVED = {
     14: ("part", r"_serve\b", "_handle_as", "_handle_tgs", "_finish_prepared",
@@ -108,11 +109,15 @@ REMOVED = {
     52: ("word", "start_span", "end_span", "span_under", "_Anchor", "current_batch",
          "current_batch_dispatched_at", "write_chrome_trace", "default_life"),
     53: ("word", "current_request_id"),
+    54: (("word", "des_key_from_bytes", "_from_bytes_cached", "_key_cache", "KEY_CACHE_SIZE"),
+         ("text", "DesKey.from_bytes")),
 }
 
 
 def _removed(*modes):
-    return [name for mode, *names in REMOVED.values() if mode in modes for name in names]
+    rows = [row for entry in REMOVED.values()
+            for row in (entry if isinstance(entry[0], tuple) else (entry,))]
+    return [name for mode, *names in rows if mode in modes for name in names]
 
 
 WORDS = frozenset(_removed("word"))

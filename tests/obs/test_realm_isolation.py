@@ -4,9 +4,10 @@ A realm is its own administrative domain — its own KDC, its own
 database — so what its registry, spans, audit log and wire record must
 not move with work done by another realm in the same process, and a
 same-seed realm must read the same whatever ran before it.  The
-key-schedule LRUs are process-wide but content addressed and read by no
-registry; every cache that changes what a KDC records (the TGT memo, the
-sealed-ticket skeletons) belongs to that KDC.
+``string_to_key`` memo is process-wide but content addressed and read by
+no registry; every cache that changes what a KDC records (the TGT memo,
+the sealed-ticket skeletons, the master key's unseal cache) belongs to
+that realm.
 """
 
 import pytest
