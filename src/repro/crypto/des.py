@@ -309,21 +309,21 @@ def _build_schedule_tables() -> Tuple[Tuple[int, ...], ...]:
 
 
 _SCHEDULE_X = _build_schedule_tables()
+#: The split: a packed schedule to its sixteen subkey ints, K1 first.
 _SPLIT_SCHEDULE = struct.Struct(">16Q").unpack
 
 
-def _key_schedule(
-    key: bytes, _tables=_SCHEDULE_X, _split=_SPLIT_SCHEDULE
-) -> Tuple[int, ...]:
-    """Derive the sixteen 48-bit round subkeys from an 8-byte key: eight
-    table lookups OR-ed together, split into sixteen ints by one
-    ``unpack``.  The trailing parameters only bind the tables as locals;
-    never pass them."""
+def _key_schedule(key: bytes, _tables=_SCHEDULE_X) -> bytes:
+    """Derive the sixteen 48-bit round subkeys from an 8-byte key, packed:
+    eight table lookups OR-ed together, as one 128-byte string of sixteen
+    big-endian 64-bit slots, K1 first (:data:`_SPLIT_SCHEDULE` reads them
+    out).  The trailing parameter only binds the tables as a local; never
+    pass it."""
     t0, t1, t2, t3, t4, t5, t6, t7 = _tables
     k0, k1, k2, k3, k4, k5, k6, k7 = key
-    return _split((
+    return (
         t0[k0] | t1[k1] | t2[k2] | t3[k3] | t4[k4] | t5[k5] | t6[k6] | t7[k7]
-    ).to_bytes(128, "big"))
+    ).to_bytes(128, "big")
 
 
 # --------------------------------------------------------------------------
@@ -393,7 +393,8 @@ def crypt_int(
 ) -> int:
     """One DES block operation on a 64-bit int (the hot-path kernel).
 
-    Pass ``key._enc_subkeys`` to encrypt, ``key._dec_subkeys`` to
+    ``subkeys`` is a key's split schedule to encrypt — one unpack,
+    ``_SPLIT_SCHEDULE(key._schedule)`` — and that tuple reversed to
     decrypt.  The trailing parameters exist only to bind the lookup
     tables as locals; never pass them.
     """
@@ -466,10 +467,12 @@ class DesKey:
     Constructing a ``DesKey`` derives all sixteen round subkeys, so a
     key's holder keeps the object: the master key's unseal cache for the
     principal keys it unseals, a srvtab for its service keys, and a
-    credential, ticket or session for its session key.
+    credential, ticket or session for its session key.  The schedule is
+    kept packed, one 128-byte string (``_schedule``); a single-lane
+    message unpacks it once, and the lanes spread it once.
     """
 
-    __slots__ = ("_key", "_enc_subkeys", "_rows")
+    __slots__ = ("_key", "_schedule", "_rows")
 
     def __init__(self, key: bytes, allow_weak: bool = False) -> None:
         if not isinstance(key, (bytes, bytearray)):
@@ -480,17 +483,10 @@ class DesKey:
         if not allow_weak and key in WEAK_KEYS:
             raise KeyError_(f"refusing weak DES key {key.hex()}")
         self._key = key
-        self._enc_subkeys = _key_schedule(key)
+        self._schedule = _key_schedule(key)
         # The subkeys spread for the wide kernel's lanes, built the first
         # time the key rides one (``des_simd.keymat_of``).
         self._rows = None
-
-    @property
-    def _dec_subkeys(self) -> tuple:
-        """The schedule backwards, made when a single-lane decryption
-        asks for it rather than kept on each of the thousands of cached
-        keys (the lanes read the spread rows bottom up instead)."""
-        return self._enc_subkeys[::-1]
 
     @property
     def key_bytes(self) -> bytes:
@@ -499,13 +495,13 @@ class DesKey:
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_SIZE:
             raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        out = crypt_int(bytes_to_int(block), self._enc_subkeys)
+        out = crypt_int(bytes_to_int(block), _SPLIT_SCHEDULE(self._schedule))
         return int_to_bytes(out, BLOCK_SIZE)
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_SIZE:
             raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        out = crypt_int(bytes_to_int(block), self._dec_subkeys)
+        out = crypt_int(bytes_to_int(block), _SPLIT_SCHEDULE(self._schedule)[::-1])
         return int_to_bytes(out, BLOCK_SIZE)
 
     def __eq__(self, other: object) -> bool:

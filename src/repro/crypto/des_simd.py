@@ -103,13 +103,14 @@ def keymat(subkeys_per_lane):
 def keymat_of(keys, decrypt=False):
     """The key matrix of one lane per :class:`~repro.crypto.des.DesKey`
     in ``keys``.  A key's spread subkeys — its encrypting :func:`keymat`
-    column, 128 bytes; decrypting reads it bottom up — are made the
-    first time it rides a lane (one :func:`keymat` call for every key of
-    the run that lacks them) and kept on the key, so a run only joins
-    bytes."""
+    column of its split packed schedule, 128 bytes; decrypting reads it
+    bottom up — are made the first time it rides a lane (one
+    :func:`keymat` call for every key of the run that lacks them) and
+    kept on the key, so a run only joins bytes."""
     cold = {id(key): key for key in keys if key._rows is None}
     if cold:
-        spread = keymat([key._enc_subkeys for key in cold.values()])
+        split = _des._SPLIT_SCHEDULE
+        spread = keymat([split(key._schedule) for key in cold.values()])
         rows = spread.T.tobytes()
         for lane, key in enumerate(cold.values()):
             key._rows = rows[128 * lane : 128 * (lane + 1)]
@@ -167,8 +168,8 @@ def crypt_wide(blocks, km):
     """One DES operation on each lane of an N-wide block vector.
 
     ``blocks`` is a uint64 array of input blocks, ``km`` the
-    :func:`keymat` of the lanes' ``_enc_subkeys`` (to encrypt) or
-    ``_dec_subkeys`` (to decrypt).  Returns the output blocks as a new
+    :func:`keymat` of the lanes' split schedules (to encrypt) or those
+    reversed (to decrypt).  Returns the output blocks as a new
     uint64 array; lane *i* equals ``crypt_int(blocks[i], subkeys[i])``.
     """
     x, y = _ip(_np.asarray(blocks, dtype=_U64))

@@ -36,7 +36,7 @@ from typing import List, Sequence, Tuple, Union
 
 from repro.crypto import des_simd
 from repro.crypto.bits import bytes_to_int
-from repro.crypto.des import BLOCK_SIZE, DesKey, crypt_int
+from repro.crypto.des import _SPLIT_SCHEDULE, BLOCK_SIZE, DesKey, crypt_int
 
 #: Magic marking the start of a sealed message ("KRB4" in ASCII).
 SEAL_MAGIC = 0x4B524234
@@ -101,7 +101,7 @@ def _ecb(key: DesKey, decrypt: bool, data: bytes, what: str) -> bytes:
         _count_interleaved(n)
         out = des_simd.crypt_wide(blocks, des_simd.keymat_of([key], decrypt))
         return out.astype(_WIRE).tobytes()
-    subkeys = key._dec_subkeys if decrypt else key._enc_subkeys
+    subkeys = _SPLIT_SCHEDULE(key._schedule)[::-1 if decrypt else 1]
     blocks = _unpack_blocks(data, what)
     return _pack_blocks([crypt_int(b, subkeys) for b in blocks])
 
@@ -119,7 +119,7 @@ def cbc_encrypt(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
     """Cipher block chaining: C_i = E(P_i xor C_{i-1}), C_0 = IV."""
     prev = _require_iv(iv)
     blocks = _unpack_blocks(data, "plaintext")
-    subkeys = key._enc_subkeys
+    subkeys = _SPLIT_SCHEDULE(key._schedule)
     out = []
     append = out.append
     for block in blocks:
@@ -131,7 +131,7 @@ def cbc_encrypt(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
 def cbc_decrypt(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
     prev = _require_iv(iv)
     blocks = _unpack_blocks(data, "ciphertext")
-    subkeys = key._dec_subkeys
+    subkeys = _SPLIT_SCHEDULE(key._schedule)[::-1]
     out = []
     append = out.append
     for block in blocks:
@@ -150,7 +150,7 @@ def pcbc_encrypt(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
     """
     chain = _require_iv(iv)  # holds P_{i-1} xor C_{i-1}
     blocks = _unpack_blocks(data, "plaintext")
-    subkeys = key._enc_subkeys
+    subkeys = _SPLIT_SCHEDULE(key._schedule)
     out = []
     append = out.append
     for plain in blocks:
@@ -163,7 +163,7 @@ def pcbc_encrypt(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
 def pcbc_decrypt(key: DesKey, data: bytes, iv: bytes = ZERO_IV) -> bytes:
     chain = _require_iv(iv)
     blocks = _unpack_blocks(data, "ciphertext")
-    subkeys = key._dec_subkeys
+    subkeys = _SPLIT_SCHEDULE(key._schedule)[::-1]
     out = []
     append = out.append
     for cipher in blocks:

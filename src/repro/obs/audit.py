@@ -28,6 +28,8 @@ import itertools
 from array import array
 from typing import Dict, List, NamedTuple, Optional
 
+from repro.obs.tracing import _WORD, TraceNumbers
+
 
 #: The closed event vocabulary.  Every kind maps to a victim-side
 #: detection point:
@@ -118,18 +120,20 @@ class AuditLog:
                 "counter", "audit.events_dropped_total", ()
             )
         self.max_events = max_events
-        # The kept events, one row each across these columns.
+        # The kept events, one row each across these columns; a trace id
+        # is kept as a number and printed when the event is read.
         self._seqs = array("q")
         self._times = array("d")
         self._kinds: List[str] = []
         self._hosts: List[str] = []
         self._whos: List[str] = []
-        self._traces: List[str] = []
+        self._traces = array("q")
         self._details: List[str] = []
         self._columns = (
             self._seqs, self._times, self._kinds, self._hosts, self._whos,
             self._traces, self._details,
         )
+        self._numbering = TraceNumbers()
         self._seq = itertools.count(1)
         #: One copy of each principal name the kept events carry.
         self._principals: Dict[str, str] = {}
@@ -163,12 +167,20 @@ class AuditLog:
             if len(self._kinds) < self.max_events:
                 # A realm's events name its principals again and again.
                 principal = self._principals.setdefault(principal, principal)
+                try:  # TraceNumbers.number's common case; "" is -1 (~0)
+                    number = int(trace_id[4:] or -1)
+                except ValueError:
+                    number = -1
+                if trace_id and (
+                    not 0 <= number < _WORD or f"req-{number:06d}" != trace_id
+                ):
+                    number = self._numbering.number(trace_id)
                 self._seqs.append(seq)
                 self._times.append(now)
                 self._kinds.append(kind)
                 self._hosts.append(host)
                 self._whos.append(principal)
-                self._traces.append(trace_id)
+                self._traces.append(number)
                 self._details.append(detail)
                 counted += 1
             else:
@@ -182,10 +194,12 @@ class AuditLog:
 
     # -- queries ------------------------------------------------------------
 
-    def _read(self, column: List[str], value: Optional[str]) -> List[AuditEvent]:
+    def _read(self, column, value) -> List[AuditEvent]:
         """The kept events whose ``column`` holds ``value`` (all of them
-        for None), in seq order."""
-        rows = zip(*self._columns)
+        for None), in seq order, their trace ids printed."""
+        seqs, times, kinds, hosts, whos, traces, details = self._columns
+        traces = map(self._numbering.text, traces)
+        rows = zip(seqs, times, kinds, hosts, whos, traces, details)
         if value is not None:
             rows = (row for row, v in zip(rows, column) if v == value)
         return list(itertools.starmap(AuditEvent, rows))
@@ -195,7 +209,8 @@ class AuditLog:
 
     def for_trace(self, trace_id: str) -> List[AuditEvent]:
         """Events raised by one traced exchange."""
-        return self._read(self._traces, trace_id)
+        number = self._numbering.find(trace_id)
+        return [] if number is None else self._read(self._traces, number)
 
     def count(self, kind: Optional[str] = None) -> int:
         if kind is None:
@@ -213,6 +228,7 @@ class AuditLog:
         for column in self._columns:
             del column[:]
         self._principals.clear()
+        self._numbering = TraceNumbers()
 
     def __len__(self) -> int:
         return len(self._kinds)

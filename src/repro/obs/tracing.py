@@ -27,12 +27,13 @@ seeded :class:`repro.netsim.clock.SimClock`.
 Recorded spans are kept in columns (:class:`SpanRows`), not as objects:
 a span takes its row when it opens, a live :class:`Span` stands in the
 row while it is open, and closing it writes its end time and attribute
-record into the row and lets the object go.  Reading a closed row back
-builds a :class:`ClosedSpan`.  A closed record equal to one the tracer
-already stores is stored as that same tuple (:class:`_KeySet`): the
-legs to one destination, a batch's handler spans and one service's
-spans each keep one record, so a reader may rely on a record's value,
-never on its identity.
+record into the row and lets the object go.  A row's trace id is kept
+as a number (:class:`TraceNumbers`) and printed when it is read.
+Reading a closed row back builds a :class:`ClosedSpan`.  A closed
+record equal to one the tracer already stores is stored as that same
+tuple (:class:`_KeySet`): the legs to one destination, a batch's
+handler spans and one service's spans each keep one record, so a
+reader may rely on a record's value, never on its identity.
 """
 
 from __future__ import annotations
@@ -112,6 +113,49 @@ class FrozenAttrs(Mapping):
     update = setdefault = pop = popitem = clear = _read_only
 
 
+#: The first number an ``array('q')`` slot cannot hold.
+_WORD = 1 << 63
+
+
+class TraceNumbers:
+    """How a column of machine words keeps trace ids: a ``req-%06d`` id
+    as its number, any other id (a hand-made context's, ``req-1``,
+    ``""``) as ``~i`` for its place ``i`` in this side table, so every id
+    reads back exactly (:meth:`text`).  ``""`` is always ``~0``, -1.
+
+    The writers inline :meth:`number`'s common case: the number, when it
+    prints back as the id."""
+
+    __slots__ = ("others", "_codes")
+
+    def __init__(self) -> None:
+        self.others: List[str] = [""]
+        self._codes: Dict[str, int] = {"": ~0}
+
+    def find(self, trace_id: str) -> Optional[int]:
+        """What ``trace_id`` is kept as; None for an odd id never kept."""
+        try:
+            number = int(trace_id[4:])
+        except ValueError:
+            number = -1
+        if 0 <= number < _WORD and f"req-{number:06d}" == trace_id:
+            return number
+        return self._codes.get(trace_id)
+
+    def number(self, trace_id: str) -> int:
+        """What ``trace_id`` is kept as, entering an odd id in the side
+        table the first time it is kept."""
+        number = self.find(trace_id)
+        if number is None:
+            number = self._codes[trace_id] = ~len(self.others)
+            self.others.append(trace_id)
+        return number
+
+    def text(self, number: int) -> str:
+        """The trace id that ``number`` keeps."""
+        return f"req-{number:06d}" if number >= 0 else self.others[~number]
+
+
 #: The one record of every span that closes without attributes.
 _NO_ATTRS = ((),)
 
@@ -146,12 +190,11 @@ class _KeySet:
 
     def share(self, record: tuple) -> tuple:
         """The stored record equal to ``record``, or ``record`` itself
-        (with this key-set's keys tuple), now stored."""
+        (with this key-set's keys tuple), now stored.  Raises TypeError
+        for a record with an unhashable value, which its caller keeps
+        as it is."""
         stored = self.stored
-        try:
-            kept = stored.get(record)
-        except TypeError:  # an unhashable value: kept as it is
-            return record
+        kept = stored.get(record)
         if kept is not None:
             self.limit = _REPEATING
             return kept
@@ -261,16 +304,19 @@ _OPEN = float("nan")
 
 class SpanRows(Sequence):
     """The recorded spans, one row each, in parallel columns: start and
-    end times, span and parent ids (-1: no parent), names, trace ids, and
-    ``records`` — the live :class:`Span` while its row is open, its
-    ``(keys, *values)`` attribute record once it is closed.
+    end times, span and parent ids (-1: no parent), names, trace ids as
+    numbers (``traces``, read through ``numbering``, a
+    :class:`TraceNumbers`), and ``records`` — the live :class:`Span`
+    while its row is open, its ``(keys, *values)`` attribute record once
+    it is closed.
 
     A read-only sequence: an open row reads as its live span, a closed
-    one as a fresh :class:`ClosedSpan`.
+    one as a fresh :class:`ClosedSpan`, its trace id printed again.
     """
 
     __slots__ = (
-        "starts", "ends", "ids", "parents", "names", "traces", "records",
+        "starts", "ends", "ids", "parents", "names", "traces", "numbering",
+        "records",
     )
 
     def __init__(self) -> None:
@@ -279,7 +325,8 @@ class SpanRows(Sequence):
         self.ids = array("q")
         self.parents = array("q")
         self.names: List[str] = []
-        self.traces: List[str] = []
+        self.traces = array("q")
+        self.numbering = TraceNumbers()
         self.records: List[object] = []
 
     def reserve(self, span: Span) -> None:
@@ -291,7 +338,14 @@ class SpanRows(Sequence):
         parent = span.parent_id
         self.parents.append(-1 if parent is None else parent)
         self.names.append(span.name)
-        self.traces.append(span.request_id)
+        trace = span.request_id
+        try:  # TraceNumbers.number's common case
+            number = int(trace[4:])
+        except ValueError:
+            number = -1
+        if not 0 <= number < _WORD or f"req-{number:06d}" != trace:
+            number = self.numbering.number(trace)
+        self.traces.append(number)
         self.records.append(span)
 
     def __len__(self) -> int:
@@ -306,7 +360,8 @@ class SpanRows(Sequence):
         parent = self.parents[index]
         return ClosedSpan(
             self.names[index], self.ids[index],
-            None if parent < 0 else parent, self.traces[index],
+            None if parent < 0 else parent,
+            self.numbering.text(self.traces[index]),
             self.starts[index], self.ends[index], record, -1,
         )
 
@@ -328,11 +383,12 @@ class SpanRows(Sequence):
     def closed(self) -> Iterator[tuple]:
         """``(name, trace_id, start, end, attrs)`` of every closed row,
         in recording order."""
+        text = self.numbering.text
         for name, trace, start, end, record in zip(
             self.names, self.traces, self.starts, self.ends, self.records
         ):
             if type(record) is tuple:
-                yield name, trace, start, end, FrozenAttrs(record)
+                yield name, text(trace), start, end, FrozenAttrs(record)
 
 
 #: ``Tracer.span``'s default parent: the innermost open span.
@@ -502,7 +558,11 @@ class Tracer:
         attrs = span._attrs
         if attrs:
             key_set = self._key_set(tuple(attrs))
-            record = key_set.share((key_set.keys, *attrs.values()))
+            record = (key_set.keys, *attrs.values())
+            try:
+                record = key_set.share(record)
+            except TypeError:  # an unhashable value: kept as it is
+                pass
         else:
             record = _NO_ATTRS
         span._attrs = record
@@ -518,24 +578,41 @@ class Tracer:
         ``starts[i]`` (default: now), keeping ``records[i]``, ``(keys,
         *values)``.  Ids, the ``max_spans`` cut, the counts and the
         stored records are those of an ``open_span``/``close_span`` pair
-        per item; no :class:`Span`."""
+        per item; no :class:`Span`.  A fresh trace is kept as its number
+        and never printed; a record equal to the item before's is stored
+        as that item's tuple without being looked up again."""
         rows, now, counts, dropped = self._rows, self.clock.now(), {}, 0
         if starts is None:
             starts = itertools.repeat(now)
+        last = key_set = stored = None
         for name, context, record, start in zip(names, contexts, records, starts):
             span_id = next(self._span_ids)
             if context is None:
-                trace, parent = self._fresh_trace_id(), None
+                number, parent = next(self._request_ids), None
             else:
                 trace, parent = context.trace_id, context.span_id
+                try:  # TraceNumbers.number's common case
+                    number = int(trace[4:])
+                except ValueError:
+                    number = -1
+                if not 0 <= number < _WORD or f"req-{number:06d}" != trace:
+                    number = rows.numbering.number(trace)
             if len(rows.records) < self.max_spans:
+                if record == last:  # what share() would find: a repeat
+                    key_set.limit = _REPEATING
+                else:
+                    key_set = self._key_set(record[0])
+                    try:
+                        last = stored = key_set.share(record)
+                    except TypeError:  # an unhashable value: kept as it is
+                        last, stored = None, record
                 rows.starts.append(start)
                 rows.ends.append(now)
                 rows.ids.append(span_id)
                 rows.parents.append(-1 if parent is None else parent)
                 rows.names.append(self._names.setdefault(name, name))
-                rows.traces.append(trace)
-                rows.records.append(self._key_set(record[0]).share(record))
+                rows.traces.append(number)
+                rows.records.append(stored)
                 counts[name] = counts.get(name, 0) + 1
             else:
                 dropped += 1
@@ -550,7 +627,8 @@ class Tracer:
     def by_request(self, request_id: str) -> List[Span]:
         """Every span of one trace, in recording order."""
         rows = self._rows
-        return [rows[i] for i, rid in enumerate(rows.traces) if rid == request_id]
+        number = rows.numbering.find(request_id)
+        return [rows[i] for i, kept in enumerate(rows.traces) if kept == number]
 
     def roots(self) -> List[Span]:
         rows = self._rows
@@ -562,15 +640,17 @@ class Tracer:
 
     def request_ids(self) -> List[str]:
         """Distinct trace IDs, in first-seen order."""
-        return list(dict.fromkeys(self._rows.traces))
+        rows = self._rows
+        return list(map(rows.numbering.text, dict.fromkeys(rows.traces)))
 
     def hosts(self, request_id: Optional[str] = None) -> List[str]:
         """Distinct ``host`` attribute values across recorded spans (one
         trace, or all) — how many machines a trace actually touched."""
         rows = self._rows
+        number = None if request_id is None else rows.numbering.find(request_id)
         hosts = (
-            rows.attrs(i).get("host") for i, rid in enumerate(rows.traces)
-            if request_id is None or rid == request_id
+            rows.attrs(i).get("host") for i, kept in enumerate(rows.traces)
+            if request_id is None or kept == number
         )
         return list(dict.fromkeys(h for h in hosts if isinstance(h, str)))
 

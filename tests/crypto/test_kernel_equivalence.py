@@ -43,7 +43,7 @@ from repro.crypto import (
     unseal,
     unseal_many,
 )
-from repro.crypto.des import _key_schedule, crypt_int
+from repro.crypto.des import _SPLIT_SCHEDULE as split, _key_schedule, crypt_int
 from repro.crypto.modes import (
     WIDE_MIN_BLOCKS,
     WIDE_MIN_MESSAGES,
@@ -139,7 +139,7 @@ def _kernels(rng, n, shared):
     alternating encrypting and decrypting schedules."""
     raws = [rng.randbytes(8)] * n if shared else [rng.randbytes(8) for _ in range(n)]
     steps = [-1 if lane % 2 else 1 for lane in range(n)]
-    schedules = [_key_schedule(raw)[::s] for raw, s in zip(raws, steps)]
+    schedules = [split(_key_schedule(raw))[::s] for raw, s in zip(raws, steps)]
     oracle = [key_schedule_ref(raw)[::s] for raw, s in zip(raws, steps)]
     blocks = [rng.getrandbits(64) for _ in range(n)]
     want = [crypt_int_ref(b, sk) for b, sk in zip(blocks, oracle)]
@@ -160,7 +160,7 @@ def _run_kernel(rng, n, shared):
     np = des_simd._np
     lens = sorted((rng.randint(1, 12) for _ in range(n)), reverse=True)
     keys = _keys(rng, n, shared)
-    km = des_simd.keymat([k._enc_subkeys for k in (keys[:1] if shared else keys)])
+    km = des_simd.keymat([split(k._schedule) for k in (keys[:1] if shared else keys)])
     plain = np.array(
         [[rng.getrandbits(64) for _ in lens] for _ in range(lens[0])], dtype="<u8"
     )
@@ -387,7 +387,7 @@ class TestKeyScheduleCache:
         cached = master.unseal_key(blob)
         direct = DesKey(raw, allow_weak=True)
         assert cached == direct
-        assert cached._enc_subkeys == direct._enc_subkeys
+        assert cached._schedule == direct._schedule
         # Another master key holding the same principal key schedules
         # its own: no schedule is shared through a process-wide cache.
         other, other_blob = self.unsealer(raw, allow_weak=True)
@@ -480,12 +480,12 @@ class TestSkeletonCache:
 def _fips_and_weak_key_checks(crypt):
     """``crypt(block, subkeys) -> block`` passes the FIPS 46 worked
     example and the weak-key involution ``E_k(E_k(x)) == x``."""
-    subkeys = _key_schedule(bytes.fromhex("133457799BBCDFF1"))
+    subkeys = split(_key_schedule(bytes.fromhex("133457799BBCDFF1")))
     assert crypt(0x0123456789ABCDEF, subkeys) == 0x85E813540F0AB405
     rng = random.Random(46)
     for weak in ("0101010101010101", "fefefefefefefefe",
                  "1f1f1f1f0e0e0e0e", "e0e0e0e0f1f1f1f1"):
-        subkeys = _key_schedule(bytes.fromhex(weak))
+        subkeys = split(_key_schedule(bytes.fromhex(weak)))
         for _ in range(5):
             block = rng.getrandbits(64)
             assert crypt(crypt(block, subkeys), subkeys) == block

@@ -320,6 +320,116 @@ class TestSpansWrittenAfterTheFact:
         tracer.record_instants(["kdc.as"], [None], [(("host", "n"), "kerberos", 4)])
         assert tracer.spans.records[-1][0] is first._attrs[0]
 
+    def test_a_batch_shares_the_tuples_a_pair_per_item_would(self):
+        """A record equal to the item before's is stored as that item's
+        tuple without a lookup: which rows share a tuple, and what each
+        key-set holds and compares against, are a pair per item's."""
+        keys = ("host", "n")
+        items = [
+            ("kdc.as", None, (keys, "kerberos", 1)),
+            ("kdc.as", None, (keys, "kerberos", 1)),  # the item before's
+            ("kdc.tgs", None, (keys, "kerberos", 2)),
+            ("kdc.as", None, (keys, "kerberos", 1)),  # an earlier item's
+            ("kdc.as", None, (("host",), "kerberos")),
+            ("kdc.as", None, (keys, "kerberos", [1])),  # unhashable
+            ("kdc.as", None, (keys, "kerberos", [1])),  # equal, still its own
+            ("kdc.queue.wait", None, ((),)),
+            ("kdc.queue.wait", None, ((),)),
+        ]
+        _, (batch, paired), _ = twins(100)
+        names, contexts, records = map(list, zip(*items))
+        batch.record_instants(names, contexts, records)
+        one_pair_each(paired, items)
+
+        def shared(tracer):
+            ids = [id(record) for record in tracer.spans.records]
+            return [ids.index(i) for i in ids]
+
+        def key_sets(tracer):
+            # A pair keeps no key-set for a span without attributes.
+            return {keys: (key_set.limit, list(key_set.stored))
+                    for keys, key_set in tracer._key_sets.items() if keys}
+
+        assert shared(batch) == shared(paired) == [0, 0, 2, 0, 4, 5, 6, 7, 7]
+        assert key_sets(batch) == key_sets(paired)
+        assert list(map(fields, batch.spans)) == list(map(fields, paired.spans))
+
+
+#: Trace ids the columns keep as numbers (the first two) and in their
+#: side table (the rest): each must read back exactly.
+TRACE_IDS = [
+    "req-000000", "req-1234567", "req-1", "req-0000001", "t-1", "",
+    "req-\u0661\u0662\u0663\u0664\u0665\u0666", "req--00001", "req-" + "9" * 25,
+]
+
+
+class TestTraceIdsReadBack:
+    @staticmethod
+    def write(tracer, log, offset=0):
+        """Every writer of a trace id, once or twice per id: an open row
+        (``Tracer.span``), a row written after the fact and two events."""
+        for i, trace_id in enumerate(TRACE_IDS, offset):
+            context = TraceContext(trace_id, None)
+            with tracer.span("op", under=context, host=f"h{i}"):
+                pass
+            tracer.record_instants(["kdc.as"], [context], [(("host",), f"b{i}")])
+            log.emit("auth_success", host="kerberos", trace=context)
+            log.emit("auth_failure", host="kerberos", trace=trace_id)
+
+    @staticmethod
+    def read_back(tracer, log, offset=0):
+        # Kept as machine words: the two req-%06d ids as their numbers.
+        assert tracer.spans.traces.typecode == log._traces.typecode == "q"
+        assert list(tracer.spans.traces[:4]) == [0, 0, 1234567, 1234567]
+        assert [row.trace_id for row in tracer.spans] == [
+            trace_id for trace_id in TRACE_IDS for _ in range(2)
+        ]
+        assert [trace_id for _, trace_id, *_ in tracer.spans.closed()] == [
+            row.trace_id for row in tracer.spans
+        ]
+        assert tracer.request_ids() == TRACE_IDS
+        assert [event.trace_id for event in log.events()] == [
+            trace_id for trace_id in TRACE_IDS for _ in range(2)
+        ]
+        for i, trace_id in enumerate(TRACE_IDS, offset):
+            spans = tracer.by_request(trace_id)
+            assert [(row.name, row.trace_id) for row in spans] == [
+                ("op", trace_id), ("kdc.as", trace_id),
+            ]
+            assert tracer.hosts(trace_id) == [f"h{i}", f"b{i}"]
+            events = log.for_trace(trace_id)
+            assert [(e.kind, e.trace_id) for e in events] == [
+                ("auth_success", trace_id), ("auth_failure", trace_id),
+            ]
+        for unknown in ("req-000001", "req-2", "x"):
+            assert tracer.by_request(unknown) == [] and tracer.hosts(unknown) == []
+            assert log.for_trace(unknown) == []
+
+    def test_every_id_reads_back_exactly(self):
+        tracer, log = Tracer(SimClock()), AuditLog(SimClock())
+        self.write(tracer, log)
+        self.read_back(tracer, log)
+
+    def test_every_id_reads_back_after_clear(self):
+        tracer, log = Tracer(SimClock()), AuditLog(SimClock())
+        self.write(tracer, log)
+        leg = tracer.open_span("net.transit", TraceContext("t-open", 1))
+        tracer.clear()
+        log.clear()
+        assert tracer.request_ids() == ["t-open"] and log.events() == []
+        tracer.close_span(leg)
+        assert tracer.spans[0].trace_id == "t-open"
+        tracer.clear()
+        self.write(tracer, log, offset=100)
+        self.read_back(tracer, log, offset=100)
+
+    def test_fresh_traces_read_as_their_ids(self):
+        tracer = Tracer(SimClock())
+        tracer.record_instants(["kdc.as"] * 2, [None] * 2, [(("n",), 1)] * 2)
+        assert list(tracer.spans.traces) == [1, 2]
+        assert tracer.request_ids() == ["req-000001", "req-000002"]
+        assert tracer.new_context().trace_id == "req-000003"
+
 
 class TestAuditRows:
     def test_events_read_back_equal_in_seq_order(self):
@@ -453,14 +563,15 @@ def kdc_spans():
     return record
 
 
-def kdc_batch_spans():
+def kdc_batch_spans(contexts=None):
     """The un-queued KDC's 10-attribute handler spans, written as
     ``_serve_batch`` writes them: 128 rows a batch, AS and TGS items
     alternating, each batch with its own keys tuple and the same stage
     counts — so a batch holds two distinct records."""
     clock = SimClock()
     tracer = Tracer(clock)
-    contexts = [TraceContext(f"req-{i:06d}", 1) for i in range(1, 129)]
+    if contexts is None:
+        contexts = [TraceContext(f"req-{i:06d}", 1) for i in range(1, 129)]
     names = ["kdc.as", "kdc.tgs"] * 64
     stage = (128, 0, 128, 41 * 128, 128, 64, 128 * 280)
 
@@ -481,7 +592,14 @@ def kdc_batch_spans():
     return record
 
 
-def audit_events():
+def fresh_trace_spans():
+    """The same spans with no context, as the un-queued KDC writes them
+    for datagrams that carry none (``kdc_batch``'s): each row starts a
+    fresh trace, so the row is all that holds its trace id."""
+    return kdc_batch_spans(contexts=[None] * 128)
+
+
+def audit_events(fresh=False):
     """KDC success events: each request names its client afresh."""
     net = Network()
     context = TraceContext("req-000001", 1)
@@ -491,24 +609,36 @@ def audit_events():
             net.clock.advance(0.0001)
             net.audit.emit(
                 "auth_success", host="kerberos",
-                principal=f"user{i % 100}@ATHENA.MIT.EDU", trace=context,
+                principal=f"user{i % 100}@ATHENA.MIT.EDU",
+                trace=net.tracer.new_context() if fresh else context,
                 detail="kind=as",
             )
 
     return record
 
 
-#: Bytes kept per record (Python 3.11 reads 61.5 / 61.2 / 251.9 / 60.2 /
-#: 71.6 with equal span records stored once; a record per row read 133.1
-#: / 61.4 / 251.7 / 187.7 for the spans, a ``Span`` object per record 215
-#: / 146 / 334, a slotted ``AuditEvent`` per event 153).  The two shapes
-#: whose records repeat are gated at their shared cost plus 10 %.
+def fresh_trace_audit_events():
+    """The same events, each under a fresh context that dies with its
+    exchange: the log is all that holds its trace id."""
+    return audit_events(fresh=True)
+
+
+#: Bytes kept per record (Python 3.11 reads 60.7 / 60.9 / 251.4 / 59.6 /
+#: 59.6 / 71.0 / 71.0 with equal span records stored once and trace ids
+#: kept as numbers; a trace id kept as its string read 119.2 and 130.5
+#: for the two fresh-trace shapes, a record per row 133.1 / 61.4 / 251.7
+#: / 187.7 for the first four, a ``Span`` object per record 215 / 146 /
+#: 334, a slotted ``AuditEvent`` per event 153).  The shapes whose
+#: records repeat, and the fresh-trace ones, are gated at their cost
+#: plus 10 %.
 GATES = {
     transit_spans: 67,
     wait_spans: 70,
     kdc_spans: 260,
     kdc_batch_spans: 66,
+    fresh_trace_spans: 66,
     audit_events: 80,
+    fresh_trace_audit_events: 78,
 }
 
 
