@@ -28,7 +28,7 @@ import itertools
 from array import array
 from typing import Dict, List, NamedTuple, Optional
 
-from repro.obs.tracing import _WORD, TraceNumbers
+from repro.obs.tracing import TraceNumbers
 
 
 #: The closed event vocabulary.  Every kind maps to a victim-side
@@ -167,20 +167,12 @@ class AuditLog:
             if len(self._kinds) < self.max_events:
                 # A realm's events name its principals again and again.
                 principal = self._principals.setdefault(principal, principal)
-                try:  # TraceNumbers.number's common case; "" is -1 (~0)
-                    number = int(trace_id[4:] or -1)
-                except ValueError:
-                    number = -1
-                if trace_id and (
-                    not 0 <= number < _WORD or f"req-{number:06d}" != trace_id
-                ):
-                    number = self._numbering.number(trace_id)
                 self._seqs.append(seq)
                 self._times.append(now)
                 self._kinds.append(kind)
                 self._hosts.append(host)
                 self._whos.append(principal)
-                self._traces.append(number)
+                self._traces.append(self._numbering.number(trace_id))
                 self._details.append(detail)
                 counted += 1
             else:

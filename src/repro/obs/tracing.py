@@ -122,9 +122,7 @@ class TraceNumbers:
     as its number, any other id (a hand-made context's, ``req-1``,
     ``""``) as ``~i`` for its place ``i`` in this side table, so every id
     reads back exactly (:meth:`text`).  ``""`` is always ``~0``, -1.
-
-    The writers inline :meth:`number`'s common case: the number, when it
-    prints back as the id."""
+    Every writer of a column keeps an id through :meth:`number`."""
 
     __slots__ = ("others", "_codes")
 
@@ -134,12 +132,11 @@ class TraceNumbers:
 
     def find(self, trace_id: str) -> Optional[int]:
         """What ``trace_id`` is kept as; None for an odd id never kept."""
-        try:
-            number = int(trace_id[4:])
-        except ValueError:
-            number = -1
-        if 0 <= number < _WORD and f"req-{number:06d}" == trace_id:
-            return number
+        digits = trace_id[4:]
+        if digits.isdecimal():  # what int() reads, and no sign
+            number = int(digits)
+            if number < _WORD and "req-%06d" % number == trace_id:
+                return number
         return self._codes.get(trace_id)
 
     def number(self, trace_id: str) -> int:
@@ -153,7 +150,7 @@ class TraceNumbers:
 
     def text(self, number: int) -> str:
         """The trace id that ``number`` keeps."""
-        return f"req-{number:06d}" if number >= 0 else self.others[~number]
+        return "req-%06d" % number if number >= 0 else self.others[~number]
 
 
 #: The one record of every span that closes without attributes.
@@ -190,11 +187,12 @@ class _KeySet:
 
     def share(self, record: tuple) -> tuple:
         """The stored record equal to ``record``, or ``record`` itself
-        (with this key-set's keys tuple), now stored.  Raises TypeError
-        for a record with an unhashable value, which its caller keeps
-        as it is."""
+        (with this key-set's keys tuple), now stored."""
         stored = self.stored
-        kept = stored.get(record)
+        try:
+            kept = stored.get(record)
+        except TypeError:  # an unhashable value: kept as it is
+            return record
         if kept is not None:
             self.limit = _REPEATING
             return kept
@@ -338,14 +336,7 @@ class SpanRows(Sequence):
         parent = span.parent_id
         self.parents.append(-1 if parent is None else parent)
         self.names.append(span.name)
-        trace = span.request_id
-        try:  # TraceNumbers.number's common case
-            number = int(trace[4:])
-        except ValueError:
-            number = -1
-        if not 0 <= number < _WORD or f"req-{number:06d}" != trace:
-            number = self.numbering.number(trace)
-        self.traces.append(number)
+        self.traces.append(self.numbering.number(span.request_id))
         self.records.append(span)
 
     def __len__(self) -> int:
@@ -558,11 +549,7 @@ class Tracer:
         attrs = span._attrs
         if attrs:
             key_set = self._key_set(tuple(attrs))
-            record = (key_set.keys, *attrs.values())
-            try:
-                record = key_set.share(record)
-            except TypeError:  # an unhashable value: kept as it is
-                pass
+            record = key_set.share((key_set.keys, *attrs.values()))
         else:
             record = _NO_ATTRS
         span._attrs = record
@@ -579,40 +566,25 @@ class Tracer:
         *values)``.  Ids, the ``max_spans`` cut, the counts and the
         stored records are those of an ``open_span``/``close_span`` pair
         per item; no :class:`Span`.  A fresh trace is kept as its number
-        and never printed; a record equal to the item before's is stored
-        as that item's tuple without being looked up again."""
+        and never printed."""
         rows, now, counts, dropped = self._rows, self.clock.now(), {}, 0
         if starts is None:
             starts = itertools.repeat(now)
-        last = key_set = stored = None
+        number_of = rows.numbering.number
         for name, context, record, start in zip(names, contexts, records, starts):
             span_id = next(self._span_ids)
             if context is None:
                 number, parent = next(self._request_ids), None
             else:
-                trace, parent = context.trace_id, context.span_id
-                try:  # TraceNumbers.number's common case
-                    number = int(trace[4:])
-                except ValueError:
-                    number = -1
-                if not 0 <= number < _WORD or f"req-{number:06d}" != trace:
-                    number = rows.numbering.number(trace)
+                number, parent = number_of(context.trace_id), context.span_id
             if len(rows.records) < self.max_spans:
-                if record == last:  # what share() would find: a repeat
-                    key_set.limit = _REPEATING
-                else:
-                    key_set = self._key_set(record[0])
-                    try:
-                        last = stored = key_set.share(record)
-                    except TypeError:  # an unhashable value: kept as it is
-                        last, stored = None, record
                 rows.starts.append(start)
                 rows.ends.append(now)
                 rows.ids.append(span_id)
                 rows.parents.append(-1 if parent is None else parent)
                 rows.names.append(self._names.setdefault(name, name))
                 rows.traces.append(number)
-                rows.records.append(stored)
+                rows.records.append(self._key_set(record[0]).share(record))
                 counts[name] = counts.get(name, 0) + 1
             else:
                 dropped += 1

@@ -321,9 +321,8 @@ class TestSpansWrittenAfterTheFact:
         assert tracer.spans.records[-1][0] is first._attrs[0]
 
     def test_a_batch_shares_the_tuples_a_pair_per_item_would(self):
-        """A record equal to the item before's is stored as that item's
-        tuple without a lookup: which rows share a tuple, and what each
-        key-set holds and compares against, are a pair per item's."""
+        """Which rows of a batch share a tuple, and what each key-set
+        holds and compares against, are a pair per item's."""
         keys = ("host", "n")
         items = [
             ("kdc.as", None, (keys, "kerberos", 1)),
