@@ -129,10 +129,11 @@ def run_with_failover(
     """Run ``attempt(endpoint)`` until one succeeds, cycling endpoints.
 
     ``runtime`` is the realm's :class:`~repro.runtime.scheduler.
-    EventScheduler`: each backoff is ``runtime.run_for(delay)``, so the
-    realm's events keep running while this caller waits.  Exceptions in
-    ``retry_on`` are retried; anything else propagates immediately (a
-    KDC *error reply* is an answer, not an outage).
+    EventScheduler`: each backoff is ``runtime.run_for(delay)``, a wait
+    on the runtime's one loop, so the realm's events keep running while
+    this caller waits.  Exceptions in ``retry_on`` are retried; anything
+    else propagates immediately (a KDC *error reply* is an answer, not
+    an outage).
 
     Returns ``(result, endpoint, attempts)``; raises
     :class:`RetryExhausted` when attempts or deadline run out.

@@ -17,7 +17,7 @@ packets are genuinely *in flight* — a busy server can queue arrivals
 (see :class:`DeferredReply`) while other traffic proceeds, which is what
 makes the Section 9 busy-hour concurrency modelable at all.  The
 synchronous :meth:`Host.rpc` API survives unchanged on top: it posts the
-request and *pumps* the scheduler until its reply resolves, so callers
+request and *waits* on the scheduler until its reply resolves, so callers
 (and nested callers — a handler doing its own RPC) never notice the
 machinery.  :meth:`Network.rpc_async` exposes the non-blocking form for
 open-loop load generators.
@@ -215,7 +215,7 @@ Interceptor = Callable[[Datagram], Optional[Datagram]]
 #: Ephemeral source port used for client sides of RPCs.
 EPHEMERAL_PORT = 0
 
-#: Simulated seconds a synchronous caller pumps before giving up on a
+#: Simulated seconds a synchronous caller waits before giving up on a
 #: reply that is never coming (e.g. a queued request lost in a crash).
 RPC_TIMEOUT = 30.0
 
@@ -472,53 +472,31 @@ class Network:
         dst,
         port: int,
         payload: bytes,
-        timeout: Optional[float] = None,
+        timeout: float = RPC_TIMEOUT,
     ) -> bytes:
         """Synchronous request/response between two hosts.
 
-        Posts the request as a scheduled event and pumps the runtime
+        Posts the request as a scheduled event and waits on the runtime
         until the reply (or a failure) resolves — so a nested RPC made
-        from inside a handler simply pumps the same queue deeper."""
+        from inside a handler simply waits one level deeper."""
         pending = self.rpc_async(src, dst, port, payload)
-        self._pump(pending, timeout)
-        if pending.error is not None:
-            raise pending.error
-        return pending.reply
+        resolved = self.runtime.wait(pending, self.clock.now() + timeout)
+        return self._outcome(pending, resolved, timeout)
 
     def rpc_async(self, src: Host, dst, port: int, payload: bytes) -> PendingRpc:
         """Post a request without waiting.  The returned
         :class:`PendingRpc` resolves as the runtime executes; drive it
         with ``net.runtime.run_until_idle()`` or any synchronous call
-        that pumps."""
-        if not src.up:
-            raise Unreachable(f"source host {src.name} is down")
-        datagram = Datagram(
-            src=src.address,
-            src_port=EPHEMERAL_PORT,
-            dst=IPAddress(dst),
-            dst_port=port,
-            payload=bytes(payload),
-            trace=self.tracer.context(),
-        )
-        return self._post(datagram, one_way=False)
+        that waits."""
+        return self._post(self._datagram(src, dst, port, payload), one_way=False)
 
     def send(self, src: Host, dst, port: int, payload: bytes) -> None:
-        """One-way datagram; silently lost on failure, like UDP.  Pumps
+        """One-way datagram; silently lost on failure, like UDP.  Waits
         until the delivery attempt completes so sender-visible side
         effects (the handler ran) are settled on return."""
-        if not src.up:
-            raise Unreachable(f"source host {src.name} is down")
-        datagram = Datagram(
-            src=src.address,
-            src_port=EPHEMERAL_PORT,
-            dst=IPAddress(dst),
-            dst_port=port,
-            payload=bytes(payload),
-            trace=self.tracer.context(),
-        )
-        pending = self._post(datagram, one_way=True)
-        self._pump(pending, None)
+        pending = self._post(self._datagram(src, dst, port, payload), one_way=True)
         # UDP: delivery failure is the sender's silence, not an error.
+        self.runtime.wait(pending, self.clock.now() + RPC_TIMEOUT)
 
     def inject(self, datagram: Datagram) -> Optional[bytes]:
         """Deliver a hand-crafted datagram — source address forgery.
@@ -531,12 +509,23 @@ class Network:
         observes as ICMP-ish silence anyway.
         """
         pending = self._post(datagram, one_way=True)
-        self._pump(pending, None)
-        if pending.error is not None:
-            raise pending.error
-        return pending.reply
+        resolved = self.runtime.wait(pending, self.clock.now() + RPC_TIMEOUT)
+        return self._outcome(pending, resolved, RPC_TIMEOUT)
 
     # -- event-driven delivery internals ----------------------------------------
+
+    def _datagram(self, src: Host, dst, port: int, payload: bytes) -> Datagram:
+        """A registered host's request, under the caller's trace."""
+        if not src.up:
+            raise Unreachable(f"source host {src.name} is down")
+        return Datagram(
+            src=src.address,
+            src_port=EPHEMERAL_PORT,
+            dst=IPAddress(dst),
+            dst_port=port,
+            payload=bytes(payload),
+            trace=self.tracer.context(),
+        )
 
     def _post(self, datagram: Datagram, one_way: bool) -> PendingRpc:
         """Schedule the request leg; the wire's propagation delay is the
@@ -577,29 +566,21 @@ class Network:
             transit.attrs["dropped"] = dropped
         self.tracer.close_span(transit)
 
-    def _pump(self, pending: PendingRpc, timeout: Optional[float]) -> None:
-        """Run runtime events until ``pending`` resolves.  Gives up once
-        nothing is scheduled inside the timeout window — after waiting
-        the window out, without consuming unrelated far-future events."""
-        if timeout is None:
-            timeout = RPC_TIMEOUT
-        deadline = self.clock.now() + timeout
-        while not pending.done:
-            next_at = self.runtime.next_time()
-            if next_at is None or next_at > deadline:
-                self.runtime.run_for(deadline - self.clock.now())
-                pending._fail(
-                    Unreachable(
-                        "request timed out: no reply within "
-                        f"{timeout:.3f}s simulated"
-                    ),
-                    self.clock.now(),
-                )
-                break
-            self.runtime.step()
+    def _outcome(
+        self, pending: PendingRpc, resolved: bool, timeout: float
+    ) -> Optional[bytes]:
+        """What a caller's wait on ``pending`` got: its reply, or its
+        error raised — a timeout if the wait ran out first."""
+        if not resolved:
+            timed_out = f"request timed out: no reply within {timeout:.3f}s simulated"
+            pending._fail(Unreachable(timed_out), self.clock.now())
+        if pending.error is not None:
+            raise pending.error
+        return pending.reply
 
     def _lost(self, datagram: Datagram, pending: PendingRpc) -> None:
-        """A request leg that will never reach its handler."""
+        """No reply is coming: the request leg was lost, or its handler
+        answered nothing."""
         if pending.one_way:
             pending._resolve(None, self.clock.now())
         else:
@@ -733,13 +714,7 @@ class Network:
             pending._resolve(payload, self.clock.now())
             return
         if payload is None:
-            pending._fail(
-                Unreachable(
-                    f"no reply from {request.dst}:{request.dst_port} "
-                    "(request timed out)"
-                ),
-                self.clock.now(),
-            )
+            self._lost(request, pending)
             return
         reply = request.reply_with(payload)
         transit = self._transit_span(reply, "reply")

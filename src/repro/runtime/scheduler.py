@@ -33,9 +33,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from types import SimpleNamespace
 from typing import Callable, List, Optional, Tuple
 
 _INF = float("inf")
+
+_RUNAWAY = 10_000_000  # events one wait runs at most: a backstop, not a knob
 
 
 class SchedulerError(Exception):
@@ -46,21 +49,12 @@ class SchedulerError(Exception):
 
 
 class ScheduledEvent:
-    """One pending action: a firing time, a tie-break draw, an action."""
+    """One pending action: a firing time, an action, a label."""
 
-    __slots__ = ("time", "tiebreak", "seq", "action", "label", "cancelled")
+    __slots__ = ("time", "action", "label", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        tiebreak: float,
-        seq: int,
-        action: Callable[[], None],
-        label: str,
-    ) -> None:
+    def __init__(self, time: float, action: Callable[[], None], label: str) -> None:
         self.time = time
-        self.tiebreak = tiebreak
-        self.seq = seq
         self.action = action
         self.label = label
         self.cancelled = False
@@ -70,18 +64,34 @@ class ScheduledEvent:
         return f"ScheduledEvent({self.label!r} @ {self.time:.6f}{state})"
 
 
+#: What :meth:`EventScheduler.run_for` waits for: nothing.
+_NEVER = SimpleNamespace(done=False)
+
+
+class _NextEvent:
+    """What :meth:`EventScheduler.step` waits for: one more event run."""
+
+    def __init__(self, runtime: "EventScheduler") -> None:
+        self._runtime, self._before = runtime, runtime._executed
+
+    @property
+    def done(self) -> bool:
+        return self._runtime._executed > self._before
+
+
 class EventScheduler:
     """A priority queue of events over one :class:`SimClock`, and the
     only thing that moves it.
 
-    Nested pumping is allowed: an event's action may itself call
-    :meth:`step`/:meth:`run_for` (this is how a server handler
-    performing its own RPC waits for the nested reply, and how a retry
-    backs off while the rest of the realm keeps running).
+    Every event runs inside :meth:`wait`, and waits nest: an event's
+    action may itself wait (this is how a server handler performing its
+    own RPC waits for the nested reply, and how a retry backs off while
+    the rest of the realm keeps running).
 
     With a ``metrics`` registry it counts every event scheduled and run
-    into ``runtime.events_{scheduled,run}_total{label}``; without one
-    (None) it counts nothing.
+    into ``runtime.events_{scheduled,run}_total{label}`` and sets the
+    ``runtime.wait_depth_max`` gauge; without one (None) it counts
+    nothing.
     """
 
     def __init__(self, clock, seed: int = 0, metrics=None) -> None:
@@ -95,7 +105,8 @@ class EventScheduler:
         # scheduling never perturbs fault draws (and vice versa).
         self._rng = random.Random(f"runtime:{seed}")
         self._executed = 0
-        self._events_scheduled = self._events_run = None
+        self._depth = self._deepest = 0  # waits open on the stack, and the most
+        self._events_scheduled = self._events_run = self._wait_depth = None
         if metrics is not None:
             self._events_scheduled = metrics.family(
                 "counter", "runtime.events_scheduled_total", ("label",)
@@ -103,6 +114,7 @@ class EventScheduler:
             self._events_run = metrics.family(
                 "counter", "runtime.events_run_total", ("label",)
             )
+            self._wait_depth = metrics.family("gauge", "runtime.wait_depth_max", ())
 
     # -- scheduling -------------------------------------------------------
 
@@ -117,7 +129,7 @@ class EventScheduler:
             raise SchedulerError(f"cannot schedule at {when}")
         when = max(when, self.clock.now())
         tiebreak, seq = self._rng.random(), next(self._seq)
-        event = ScheduledEvent(when, tiebreak, seq, action, label)
+        event = ScheduledEvent(when, action, label)
         heapq.heappush(self._heap, (when, tiebreak, seq, event))
         if self._events_scheduled is not None:
             self._events_scheduled[label or "event"].inc()
@@ -159,17 +171,13 @@ class EventScheduler:
 
     # -- inspection --------------------------------------------------------
 
-    def _skim(self) -> Optional[ScheduledEvent]:
-        """The earliest live event, discarding cancelled heap heads."""
+    def next_time(self) -> Optional[float]:
+        """Firing time of the earliest pending event (None when idle),
+        discarding cancelled heap heads."""
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
-        return heap[0][3] if heap else None
-
-    def next_time(self) -> Optional[float]:
-        """Firing time of the earliest pending event (None when idle)."""
-        head = self._skim()
-        return head.time if head is not None else None
+        return heap[0][0] if heap else None
 
     def pending(self) -> int:
         """Live (non-cancelled) events still queued."""
@@ -183,45 +191,58 @@ class EventScheduler:
 
     # -- execution ---------------------------------------------------------
 
+    def wait(self, pending, deadline: float) -> bool:
+        """The runtime's one event loop: run events until ``pending.done``
+        (``None``: never) or until none is due by ``deadline``, which
+        leaves the clock at the deadline and later events queued.
+        Returns whether ``pending`` resolved.  An action may wait in
+        turn, one level deeper; an event the clock has already passed
+        raises :class:`SchedulerError` and stays queued."""
+        pending = _NEVER if pending is None else pending
+        depth = self._depth = self._depth + 1
+        if depth > self._deepest:
+            self._deepest = depth
+            if self._wait_depth is not None:
+                self._wait_depth[()].set(depth - 1)
+        heap, clock, events_run = self._heap, self.clock, self._events_run
+        budget = self._executed + _RUNAWAY
+        try:
+            while not pending.done and self._executed < budget:
+                if not heap or heap[0][0] > deadline:
+                    remaining = deadline - clock.now()
+                    if 0 < remaining < _INF:
+                        clock.advance(remaining)
+                    break
+                when, _tiebreak, _seq, event = heap[0]
+                if event.cancelled:
+                    heapq.heappop(heap)
+                    continue
+                gap = when - clock.now()
+                if gap < 0:
+                    raise SchedulerError(
+                        f"{event!r} is {-gap:.6f}s late: the clock was moved "
+                        "past it outside the runtime (wait with run_for, "
+                        "not clock.advance)"
+                    )
+                heapq.heappop(heap)
+                if gap > 0:
+                    clock.advance(gap)
+                self._executed += 1
+                if events_run is not None:
+                    events_run[event.label or "event"].inc()
+                event.action()
+            return pending.done
+        finally:
+            self._depth -= 1
+
     def step(self) -> bool:
         """Run the earliest event, advancing the clock to it.  Returns
-        False when no event is pending; raises :class:`SchedulerError`
-        (leaving the event queued) if the clock has already passed it."""
-        head = self._skim()
-        if head is None:
-            return False
-        gap = head.time - self.clock.now()
-        if gap < 0:
-            raise SchedulerError(
-                f"{head!r} is {-gap:.6f}s late: the clock was moved past "
-                "it outside the runtime (wait with run_for, not "
-                "clock.advance)"
-            )
-        heapq.heappop(self._heap)
-        if gap > 0:
-            self.clock.advance(gap)
-        self._executed += 1
-        if self._events_run is not None:
-            self._events_run[head.label or "event"].inc()
-        head.action()
-        return True
+        False when no event is pending."""
+        return self.wait(_NextEvent(self), _INF)
 
-    def run_until_idle(
-        self,
-        horizon: Optional[float] = None,
-        max_events: int = 10_000_000,
-    ) -> int:
-        """Run events until none remain (or none before ``horizon``).
-        Returns the number of events executed.  ``max_events`` is a
-        runaway backstop, not a tuning knob."""
-        ran = 0
-        while ran < max_events:
-            next_at = self.next_time()
-            if next_at is None or (horizon is not None and next_at > horizon):
-                break
-            self.step()
-            ran += 1
-        return ran
+    def run_until_idle(self) -> None:
+        """Run events until none remain."""
+        self.wait(None, _INF)
 
     def run_for(self, seconds: float) -> int:
         """Run everything due within the next ``seconds`` of simulated
@@ -229,11 +250,9 @@ class EventScheduler:
         horizon = self.clock.now() + seconds
         if not horizon < _INF:
             raise SchedulerError(f"cannot run for {seconds}s")
-        ran = self.run_until_idle(horizon=horizon)
-        remaining = horizon - self.clock.now()
-        if remaining > 0:
-            self.clock.advance(remaining)
-        return ran
+        before = self._executed
+        self.wait(None, horizon)
+        return self._executed - before
 
     def __repr__(self) -> str:
         return (

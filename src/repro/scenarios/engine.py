@@ -283,6 +283,9 @@ class World:
 
     def __init__(self, campaign: Campaign, seed: int) -> None:
         self.params = params = dict(campaign.defaults)
+        count = int(params["n_stations"])
+        if count < 1:
+            raise ValueError(f"n_stations must be at least 1, got {params['n_stations']}")
         self.records, self.leaks, self.posted = [], [], []
         self.net = Network(seed=seed, latency=LATENCY)
         self.realm = realm = Realm(
@@ -302,7 +305,6 @@ class World:
         self.supervisor = self.app = self.fleet = None  # set by daemons
         for attach in campaign.daemons:
             attach(self)
-        count = int(params["n_stations"])
         drifted = int(count * params.get("skew_fraction", 0.0))
         # Several shards already spread load by principal hash.
         kdcs = realm.kdc_addresses() if campaign.spread and len(realm.shards) == 1 else []

@@ -907,8 +907,9 @@ RULES = (
     # -- determinism and audit ---------------------------------------------
     Rule(
         "time-moves-only-in-the-runtime",
-        "One queue: the scheduler alone advances the clock; nothing queues on the clock itself.",
-        SRC, each(_clock_movers),
+        "One queue and one loop: the scheduler alone advances the clock, nothing queues on "
+        "the clock itself, and events run only inside the runtime's wait.",
+        SRC, each(join(_clock_movers, call_sites("step", "next_time", on=("runtime",)))),
         sites=(("src/repro/runtime/scheduler.py", ".advance"),) * 2,
         plant="def run_with_failover(policy, clock, endpoints, attempt, sleep=None):\n"
               "    if sleep is None:\n"
@@ -916,8 +917,13 @@ RULES = (
               "        sleep = reference.advance\n"
               "    clock.call_at(clock.now() + 1.0, attempt)\n"
               "    net.clock.call_every(3600.0, attempt)\n"
-              "    net.runtime.run_for(policy.base_delay)\n",
-        hits=((4, ".advance"), (5, ".call_at"), (6, ".call_every")),
+              "    net.runtime.run_for(policy.base_delay)\n"
+              "def _pump(self, pending, deadline):\n"
+              "    while not pending.done and self.runtime.next_time() <= deadline:\n"
+              "        self.runtime.step()\n"
+              "    self.runtime.wait(pending, deadline)\n",
+        hits=((4, ".advance"), (5, ".call_at"), (6, ".call_every"),
+              (9, ".runtime.next_time()"), (10, ".runtime.step()")),
     ),
     Rule(
         "no-wall-clock-or-global-rng",

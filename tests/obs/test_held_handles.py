@@ -43,6 +43,7 @@ def scheduler_traffic(sched):
         ("runtime.events_run_total", (("label", "a"),)): 2.0,
         ("runtime.events_run_total", (("label", "b"),)): 1.0,
         ("runtime.events_run_total", (("label", "event"),)): 1.0,
+        ("runtime.wait_depth_max", ()): 0.0,
     }
 
 

@@ -5,10 +5,13 @@ identical event order and identical final state; ties at one simulated
 instant are shuffled by the seeded tie-break, not by insertion accident.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.netsim import Network, SimClock
 from repro.netsim.clock import HOUR
+from repro.obs import MetricsRegistry
 from repro.runtime import EventScheduler, SchedulerError
 
 
@@ -70,7 +73,7 @@ class TestOrdering:
         log = []
         sched.at(1.0, lambda: log.append(1))
         sched.at(10.0, lambda: log.append(10))
-        ran = sched.run_until_idle(horizon=5.0)
+        ran = sched.run_for(5.0)
         assert ran == 1 and log == [1]
         assert sched.pending() == 1
 
@@ -196,6 +199,54 @@ class TestLateEvents:
             sched.step()
         assert fired == []
         assert sched.pending() == 1
+
+
+class TestWait:
+    """The one loop: a wait runs events until what it waits for
+    resolves or nothing is due by its deadline, and the runtime counts
+    how deeply waits nest."""
+
+    def test_a_wait_stops_when_its_pending_resolves(self):
+        clock, sched = make()
+        pending = SimpleNamespace(done=False)
+        sched.at(2.0, lambda: setattr(pending, "done", True))
+        sched.at(3.0, lambda: None)
+        assert sched.wait(pending, 10.0) is True
+        assert clock.now() == 2.0 and sched.pending() == 1
+
+    def test_a_timed_out_wait_leaves_the_clock_at_its_deadline(self):
+        clock, sched = make()
+        fired = []
+        sched.at(1.0, lambda: fired.append(1))
+        sched.at(10.0, lambda: fired.append(10))
+        assert sched.wait(SimpleNamespace(done=False), 5.0) is False
+        assert fired == [1] and clock.now() == 5.0
+        assert sched.pending() == 1 and sched.next_time() == 10.0
+
+    @staticmethod
+    def deepest(nesting):
+        """``runtime.wait_depth_max`` after a driver-level wait whose
+        event opens ``nesting`` more waits, one inside the other."""
+        registry, clock = MetricsRegistry(), SimClock()
+        sched = EventScheduler(clock, metrics=registry)
+
+        def open_wait(level):
+            if level < nesting:
+                sched.after(1.0, lambda: open_wait(level + 1))
+                sched.wait(None, clock.now() + 2.0)
+
+        sched.at(1.0, lambda: open_wait(0))
+        sched.wait(None, 10.0)
+        return registry.get("runtime.wait_depth_max").value
+
+    def test_a_wait_at_driver_level_reads_zero(self):
+        assert self.deepest(0) == 0
+
+    def test_a_wait_inside_an_event_reads_one(self):
+        assert self.deepest(1) == 1
+
+    def test_two_nested_waits_read_two(self):
+        assert self.deepest(2) == 2
 
 
 class TestCancellation:

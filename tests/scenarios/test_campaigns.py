@@ -23,8 +23,8 @@ class TestSmoke:
 
     @pytest.mark.xfail(
         raises=RecursionError, strict=True,
-        reason="ROADMAP F1: each station's blocking RPC pumps the event "
-        "loop inside the station before it, so 71 stations already "
+        reason="ROADMAP F1: each station's blocking RPC waits on the event "
+        "loop inside the station before it, so 76 stations already "
         "exceed the interpreter's recursion limit",
     )
     def test_request_plane_saturation_runs_200_stations(self):
@@ -129,19 +129,37 @@ def test_lossy_wan_runs_no_event_after_its_time(monkeypatch):
     """Retry backoff under loss waits on the runtime, so every event of
     the lossy-WAN campaign runs at its own instant — none is found
     already overtaken by the clock when it comes up."""
-    late = []
-    step = EventScheduler.step
+    late, ran = [], []
+    at = EventScheduler.at
 
-    def watched(self):
-        due = self.next_time()
-        if due is not None and due < self.clock.now():
-            late.append(self.clock.now() - due)
-        return step(self)
+    def watched(self, when, action, label=""):
+        def timed():
+            ran.append(label)
+            if self.clock.now() != event.time:
+                late.append((label, self.clock.now() - event.time))
+            action()
 
-    monkeypatch.setattr(EventScheduler, "step", watched)
+        event = at(self, when, timed, label)
+        return event
+
+    monkeypatch.setattr(EventScheduler, "at", watched)
     result = scenarios.run("lossy_wan_degradation", seed=1988)
-    assert late == []
+    assert ran and late == []
     assert result.passed
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("request_plane_saturation", 64),  # one level per station
+    ("lossy_wan_degradation", 3),  # through retry backoffs
+    ("login_burst", 0),  # every station posts; only the driver waits
+])
+def test_wait_depth_is_pinned(name, depth):
+    """How deeply waits nest at seed 1988: a station's blocking RPC
+    waits inside the driver's run, and inside the station before it
+    while that one still waits.  Running stations side by side brings
+    the first two down to 1."""
+    result = scenarios.run(name, seed=1988)
+    assert result.world.net.metrics.get("runtime.wait_depth_max").value == depth
 
 
 #: ``python -m repro.scenarios --seed 1988 --json``: every campaign's
@@ -192,6 +210,7 @@ def test_cli_refuses_a_parameter_no_campaign_knows(capsys):
 @pytest.mark.parametrize("campaign, param, refusal", [
     ("lossy_wan_degradation", "jitter_high=NaN", "jitter bounds [0.1, nan] invalid"),
     ("clock_skew_epidemic", "skew=NaN", "clock skew must be finite, got nan"),
+    ("request_plane_saturation", "n_stations=-5", "n_stations must be at least 1, got -5"),
 ])
 def test_cli_refuses_a_value_the_realm_refuses_in_one_line(capsys, campaign, param, refusal):
     """A value the clock, the fault plane or the runtime refuses is a

@@ -8,6 +8,7 @@ import pytest
 import repro.scenarios as scenarios
 from repro.core import ErrorCode, KerberosClient, KerberosError
 from repro.netsim import FaultError, HostDown
+from repro.scenarios import engine
 from repro.scenarios.engine import (
     AddRule,
     CampaignResult,
@@ -109,6 +110,13 @@ class TestRegistry:
         a NaN delay would run every jittered leg at no defined time."""
         with pytest.raises(FaultError, match="jitter bounds"):
             scenarios.run("lossy_wan_degradation", jitter_high=float("nan"))
+
+    def test_no_stations_is_refused_before_a_realm_is_built(self, monkeypatch):
+        """``-p n_stations=0`` would run no station and report the empty
+        run as an SLO miss; it is refused, naming the knob, first."""
+        monkeypatch.setattr(engine, "Network", None)  # building one would raise
+        with pytest.raises(ValueError, match="n_stations must be at least 1, got 0"):
+            scenarios.run("request_plane_saturation", n_stations=0)
 
     def test_an_override_is_a_diff_against_its_row(self):
         """``-p`` derives a row; the library's row is left as it was."""
