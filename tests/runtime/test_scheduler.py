@@ -223,10 +223,11 @@ class TestWait:
         assert fired == [1] and clock.now() == 5.0
         assert sched.pending() == 1 and sched.next_time() == 10.0
 
-    @staticmethod
-    def deepest(nesting):
-        """``runtime.wait_depth_max`` after a driver-level wait whose
-        event opens ``nesting`` more waits, one inside the other."""
+    @pytest.mark.parametrize("nesting", [0, 1, 2])
+    def test_the_gauge_reads_the_waits_below_the_driver(self, nesting):
+        """A driver-level wait whose event opens ``nesting`` more waits,
+        one inside the other: a wait at driver level reads 0, one inside
+        an event 1, two nested 2."""
         registry, clock = MetricsRegistry(), SimClock()
         sched = EventScheduler(clock, metrics=registry)
 
@@ -237,16 +238,7 @@ class TestWait:
 
         sched.at(1.0, lambda: open_wait(0))
         sched.wait(None, 10.0)
-        return registry.get("runtime.wait_depth_max").value
-
-    def test_a_wait_at_driver_level_reads_zero(self):
-        assert self.deepest(0) == 0
-
-    def test_a_wait_inside_an_event_reads_one(self):
-        assert self.deepest(1) == 1
-
-    def test_two_nested_waits_read_two(self):
-        assert self.deepest(2) == 2
+        assert registry.get("runtime.wait_depth_max").value == nesting
 
 
 class TestCancellation:
