@@ -64,7 +64,7 @@ class ScheduledEvent:
         return f"ScheduledEvent({self.label!r} @ {self.time:.6f}{state})"
 
 
-#: What :meth:`EventScheduler.run_for` waits for: nothing.
+#: What a wait on ``None`` waits for: nothing.
 _NEVER = SimpleNamespace(done=False)
 
 
@@ -246,7 +246,8 @@ class EventScheduler:
 
     def run_for(self, seconds: float) -> int:
         """Run everything due within the next ``seconds`` of simulated
-        time, then advance the clock to the end of the window."""
+        time, then advance the clock to the end of the window; returns
+        how many events ran."""
         horizon = self.clock.now() + seconds
         if not horizon < _INF:
             raise SchedulerError(f"cannot run for {seconds}s")
